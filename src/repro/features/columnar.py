@@ -36,11 +36,14 @@ assembled by :func:`build_ranker_inputs` identically on both sides.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..kg.columns import csr_gather, csr_offsets, sort_rows
 from ..topk.kernels import RankerKernelInputs
+from .semantic_feature import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .feature_index import FeatureIndexSnapshot
@@ -50,21 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: tuples (``SemanticFeature.key``), never feature objects.
 FeatureKey = tuple[str, str, str]
 
-
-def _csr_gather(
-    offsets: np.ndarray, values: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Concatenate the CSR rows selected by ``rows`` (one vectorized pass)."""
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return values[:0]
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
-    return values[flat]
+#: Direction values in ``SemanticFeature`` sort order (the enum compares as
+#: its string value); a direction's position is the low bit of a feature code.
+_DIRECTIONS = (Direction.OBJECT_OF.value, Direction.SUBJECT_OF.value)
+_DIRECTION_CODE = {value: code for code, value in enumerate(_DIRECTIONS)}
 
 
 class ColumnarFeatureTables:
@@ -75,6 +67,15 @@ class ColumnarFeatureTables:
     instances (rebuilt from shared-memory views via
     :meth:`from_arrays`) work purely in ordinal space — candidates
     arrive as ordinal arrays and survivors return as ordinal arrays.
+
+    A feature's ordinal is its rank in ``SemanticFeature`` sort order.
+    Sort-built tables address it through ``feature_codes`` — the sorted
+    integers ``(anchor_ord · P + predicate_ord) · 2 + direction`` over
+    the epoch's ``P`` edge predicates, monotone in that sort order — and
+    derive the string triples only when a manifest needs them; tables
+    decoded from a segment carry the triples the manifest listed and
+    look features up by them.  :meth:`feature_ordinals` and
+    :meth:`feature_keys` hide which.
     """
 
     __slots__ = (
@@ -82,7 +83,11 @@ class ColumnarFeatureTables:
         "num_entities",
         "entity_ids",
         "ordinal_of",
-        "feature_ord",
+        "feature_codes",
+        "predicates",
+        "_predicate_ord",
+        "_feature_keys",
+        "_key_ordinals",
         "holder_offsets",
         "holder_ordinals",
         "num_types",
@@ -97,7 +102,6 @@ class ColumnarFeatureTables:
     def __init__(
         self,
         epoch: int,
-        feature_ord: dict[FeatureKey, int],
         holder_offsets: np.ndarray,
         holder_ordinals: np.ndarray,
         dominant_ords: np.ndarray,
@@ -105,16 +109,26 @@ class ColumnarFeatureTables:
         member_offsets: np.ndarray,
         member_type_ords: np.ndarray,
         entity_ids: list[str] | None = None,
+        ordinal_of: dict[str, int] | None = None,
+        feature_keys: list[FeatureKey] | None = None,
+        feature_codes: np.ndarray | None = None,
+        predicates: list[str] | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = int(dominant_ords.size)
         self.entity_ids = entity_ids
-        self.ordinal_of = (
+        if ordinal_of is None and entity_ids is not None:
+            ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
+        self.ordinal_of = ordinal_of
+        self.feature_codes = feature_codes
+        self.predicates = predicates
+        self._predicate_ord = (
             None
-            if entity_ids is None
-            else {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
+            if predicates is None
+            else {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
         )
-        self.feature_ord = feature_ord
+        self._feature_keys = feature_keys
+        self._key_ordinals: dict[FeatureKey, int] | None = None
         self.holder_offsets = holder_offsets
         self.holder_ordinals = holder_ordinals
         self.num_types = int(type_populations.size)
@@ -138,67 +152,61 @@ class ColumnarFeatureTables:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_snapshot(cls, snapshot: FeatureIndexSnapshot) -> ColumnarFeatureTables:
-        """Materialise the tables from one pinned snapshot's maps."""
-        entity_ids = sorted(snapshot.entity_features)
-        ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
-        dominant = [snapshot.dominant_type(entity_id) for entity_id in entity_ids]
-        type_ids = sorted({type_id for type_id in dominant if type_id})
-        type_ord = {type_id: ordinal for ordinal, type_id in enumerate(type_ids)}
-        dominant_ords = np.fromiter(
-            (type_ord[type_id] if type_id else -1 for type_id in dominant),
-            dtype=np.int64,
-            count=len(entity_ids),
-        )
-        type_members = snapshot.type_members
-        type_populations = np.fromiter(
-            (len(type_members.get(type_id, ())) for type_id in type_ids),
-            dtype=np.int64,
-            count=len(type_ids),
-        )
+        """Sort the tables out of the snapshot's epoch of the column log.
 
-        member_offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-        member_rows: list[list[int]] = []
-        entity_types = snapshot.entity_types
-        for position, entity_id in enumerate(entity_ids):
-            row = sorted(
-                type_ord[type_id]
-                for type_id in entity_types.get(entity_id, ())
-                if type_id in type_ord
-            )
-            member_rows.append(row)
-            member_offsets[position + 1] = member_offsets[position] + len(row)
-        member_type_ords = np.fromiter(
-            (ordinal for row in member_rows for ordinal in row),
-            dtype=np.int64,
-            count=int(member_offsets[-1]),
+        The epoch is the log prefix of ``snapshot.triples`` triples, so a
+        snapshot pinned before later writes still builds its own tables.
+        Every edge ``<s, p, o>`` is two (feature, holder) rows — ``s``
+        holds ``(o, p, object_of)``, ``o`` holds ``(s, p, subject_of)``
+        — and sorting them by ``(feature code, holder)`` is the holder
+        CSR.  The dominant type of an entity is the minimum of
+        ``population · T + type`` over its membership row (least
+        populated, ties by name), one ``minimum.reduceat``; the tables'
+        type universe is the types that are some entity's dominant one.
+        """
+        columns = snapshot.columns.epoch(snapshot.triples)
+        num_entities = len(columns.entity_ids)
+        num_predicates = len(columns.predicates)
+        subjects, preds, objects = (
+            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
         )
+        codes = np.concatenate(
+            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
+        )
+        codes, holder_ordinals = sort_rows(
+            (2 * num_entities * num_predicates, num_entities),
+            codes,
+            np.concatenate((subjects, objects)),
+        )
+        feature_codes, starts = np.unique(codes, return_index=True)
 
-        features = sorted(snapshot.feature_entities)
-        feature_ord = {feature.key: ordinal for ordinal, feature in enumerate(features)}
-        holder_offsets = np.zeros(len(features) + 1, dtype=np.int64)
-        holder_rows: list[list[int]] = []
-        for position, feature in enumerate(features):
-            row = sorted(
-                ordinal_of[entity_id]
-                for entity_id in snapshot.feature_entities[feature]
+        num_all_types = len(columns.type_ids)
+        members, types = columns.typed_entities, columns.typed_types
+        populations = np.bincount(types, minlength=num_all_types)
+        offsets = csr_offsets(members, num_entities)
+        typed = np.flatnonzero(np.diff(offsets))
+        dominant = np.full(num_entities, -1, dtype=np.int64)
+        if typed.size:
+            dominant[typed] = (
+                np.minimum.reduceat(populations[types] * num_all_types + types, offsets[typed])
+                % num_all_types
             )
-            holder_rows.append(row)
-            holder_offsets[position + 1] = holder_offsets[position] + len(row)
-        holder_ordinals = np.fromiter(
-            (ordinal for row in holder_rows for ordinal in row),
-            dtype=np.int64,
-            count=int(holder_offsets[-1]),
-        )
+        universe = np.unique(dominant[typed])
+        local = np.full(num_all_types + 1, -1, dtype=np.int64)  # slot −1 (untyped) stays −1
+        local[universe] = np.arange(universe.size, dtype=np.int64)
+        kept = local[types] >= 0
         return cls(
             epoch=snapshot.epoch,
-            feature_ord=feature_ord,
-            holder_offsets=holder_offsets,
+            holder_offsets=np.append(starts, codes.size),
             holder_ordinals=holder_ordinals,
-            dominant_ords=dominant_ords,
-            type_populations=type_populations,
-            member_offsets=member_offsets,
-            member_type_ords=member_type_ords,
-            entity_ids=entity_ids,
+            dominant_ords=local[dominant],
+            type_populations=populations[universe],
+            member_offsets=csr_offsets(members[kept], num_entities),
+            member_type_ords=local[types[kept]],
+            entity_ids=columns.entity_ids,
+            ordinal_of=columns.ordinal_of,
+            feature_codes=feature_codes,
+            predicates=columns.predicates,
         )
 
     @classmethod
@@ -212,23 +220,79 @@ class ColumnarFeatureTables:
         type_populations: np.ndarray,
         member_offsets: np.ndarray,
         member_type_ords: np.ndarray,
+        entity_ids: list[str] | None = None,
     ) -> ColumnarFeatureTables:
-        """Reconstruct the tables from (shared-memory) array views.
+        """Reconstruct the tables from decoded segment arrays.
 
-        The worker-side constructor: no entity id strings travel — the
+        Workers pass no ``entity_ids``: no entity id strings travel — the
         kernels select by ordinal, and only the parent maps ordinals back
-        to ids for the exact re-scoring epilogue.
+        to ids for the exact re-scoring epilogue.  A cold-starting parent
+        passes the id table its durable segment embeds.
         """
         return cls(
             epoch=epoch,
-            feature_ord={tuple(key): ordinal for ordinal, key in enumerate(feature_keys)},
             holder_offsets=holder_offsets,
             holder_ordinals=holder_ordinals,
             dominant_ords=dominant_ords,
             type_populations=type_populations,
             member_offsets=member_offsets,
             member_type_ords=member_type_ords,
+            entity_ids=entity_ids,
+            feature_keys=[tuple(key) for key in feature_keys],
         )
+
+    # ------------------------------------------------------------------ #
+    # Feature addressing
+    # ------------------------------------------------------------------ #
+    @property
+    def num_features(self) -> int:
+        return int(self.holder_offsets.size) - 1
+
+    def feature_keys(self) -> list[FeatureKey]:
+        """The ``(anchor, predicate, direction)`` triples in ordinal order."""
+        if self._feature_keys is not None:
+            return self._feature_keys
+        ids, predicates = self.entity_ids, self.predicates
+        assert ids is not None and predicates is not None and self.feature_codes is not None
+        pairs, directions = np.divmod(self.feature_codes, 2)
+        anchors, preds = np.divmod(pairs, max(len(predicates), 1))
+        return [
+            (ids[anchor], predicates[pred], _DIRECTIONS[direction])
+            for anchor, pred, direction in zip(
+                anchors.tolist(), preds.tolist(), directions.tolist()
+            )
+        ]
+
+    def feature_ordinals(self, keys: Sequence[FeatureKey]) -> np.ndarray:
+        """Ordinals of the given key triples (−1 where the epoch lacks one)."""
+        codes = self.feature_codes
+        if codes is None:
+            lookup = self._key_ordinals
+            if lookup is None:
+                lookup = self._key_ordinals = {
+                    key: ordinal for ordinal, key in enumerate(self.feature_keys())
+                }
+            return np.fromiter(
+                (lookup.get(tuple(key), -1) for key in keys), dtype=np.int64, count=len(keys)
+            )
+        ordinal_of, predicate_ord = self.ordinal_of, self._predicate_ord
+        assert ordinal_of is not None and predicate_ord is not None
+        num_predicates = len(predicate_ord)
+
+        def code(key: FeatureKey) -> int:
+            anchor, predicate, direction = key
+            try:
+                return (
+                    ordinal_of[anchor] * num_predicates + predicate_ord[predicate]
+                ) * 2 + _DIRECTION_CODE[direction]
+            except KeyError:
+                return -1
+
+        wanted = np.fromiter(map(code, keys), dtype=np.int64, count=len(keys))
+        if not codes.size:
+            return np.full(len(keys), -1, dtype=np.int64)
+        positions = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
+        return np.where(codes[positions] == wanted, positions, -1)
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -254,7 +318,7 @@ class ColumnarFeatureTables:
         if feature_ordinal < 0 or self.num_types == 0:
             counts = np.zeros(self.num_types, dtype=np.int64)
         else:
-            gathered = _csr_gather(
+            gathered = csr_gather(
                 self.member_offsets, self.member_type_ords, self.holders(feature_ordinal)
             )
             counts = np.bincount(gathered, minlength=self.num_types).astype(np.int64)
@@ -287,7 +351,8 @@ def build_ranker_inputs(
     num_candidates = int(candidate_ordinals.size)
     num_columns = len(feature_keys)
     scores = np.asarray(relevance, dtype=np.float64)
-    feature_ords = [tables.feature_ord.get(tuple(key), -1) for key in feature_keys]
+    ord_array = tables.feature_ordinals(feature_keys)
+    feature_ords = ord_array.tolist()
 
     # Local type universe: the distinct dominant-type ordinals among the
     # candidates (−1, when present, is the untyped slot and sorts first).
@@ -298,7 +363,6 @@ def build_ranker_inputs(
 
     typed = local_types >= 0
     typed_idx = np.maximum(local_types, 0)
-    ord_array = np.asarray(feature_ords, dtype=np.int64)
     known = ord_array >= 0
     safe_ords = np.where(known, ord_array, 0)
     holder_sizes = np.where(

@@ -67,6 +67,7 @@ class FeatureIndexSnapshot:
         "type_members",
         "epoch",
         "triples",
+        "columns",
         "_type_counts",
         "_columnar",
     )
@@ -86,6 +87,9 @@ class FeatureIndexSnapshot:
         self.entity_types, self.type_members = graph.type_tables()
         self.epoch = epoch
         self.triples = triples
+        #: The graph's edge-column log; this snapshot's epoch is its prefix
+        #: of ``triples`` triples, which the array tables are sorted from.
+        self.columns = graph.columns
         #: Memoised ``(||E(pi) ∩ E(c)||, ||E(c)||)`` pairs for this epoch.
         self._type_counts: dict[tuple[SemanticFeature, str], tuple[int, int]] = {}
         #: Lazily built per-epoch array tables

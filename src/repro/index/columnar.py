@@ -86,14 +86,13 @@ class ColumnarIndex:
     """
 
     def __init__(self, index: "FieldedIndex") -> None:
-        self._index = index
+        self._fields = index.field_indexes()
         self._doc_ids: list[str] = sorted(index.documents())
         self._ord_of: dict[str, int] = {
             doc_id: ordinal for ordinal, doc_id in enumerate(self._doc_ids)
         }
         self._lengths: dict[str, np.ndarray] = {}
         self._postings: dict[tuple[str, str], ColumnarPostings | None] = {}
-        self._dense: dict[tuple[str, str], np.ndarray] = {}
         self._shard_maps: dict[int, np.ndarray] = {}
         self._derived: dict[tuple[object, ...], object] = {}
 
@@ -133,7 +132,7 @@ class ColumnarIndex:
             return cached
         lengths = np.zeros(len(self._doc_ids), dtype=np.float64)
         ord_of = self._ord_of
-        for doc_id, length in self._index.field_index(field).document_lengths().items():
+        for doc_id, length in self._fields[field].document_lengths().items():
             lengths[ord_of[doc_id]] = length
         self._lengths[field] = lengths
         return lengths
@@ -143,7 +142,7 @@ class ColumnarIndex:
         key = (field, term)
         if key in self._postings:
             return self._postings[key]
-        posting_list = self._index.field_index(field).get_postings(term)
+        posting_list = self._fields[field].get_postings(term)
         if posting_list is None or len(posting_list) == 0:
             columnar = None
         else:
@@ -163,16 +162,16 @@ class ColumnarIndex:
         return columnar
 
     def dense_frequencies(self, field: str, term: str) -> np.ndarray:
-        """Length-``num_documents`` term-frequency column (zeros elsewhere)."""
-        key = (field, term)
-        cached = self._dense.get(key)
-        if cached is not None:
-            return cached
+        """Length-``num_documents`` term-frequency column (zeros elsewhere).
+
+        Not memoised: the callers are the ``compute`` closures of scorer
+        columns that are themselves memoised, so a retained copy would
+        only be read once.
+        """
         dense = np.zeros(len(self._doc_ids), dtype=np.float64)
         columnar = self.postings(field, term)
         if columnar is not None:
             dense[columnar.ordinals] = columnar.frequencies
-        self._dense[key] = dense
         return dense
 
     def shard_map(self, num_shards: int) -> np.ndarray:

@@ -7,6 +7,7 @@ own inverted index, document lengths and collection statistics.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import count
 
@@ -21,6 +22,13 @@ from .statistics import CollectionStatistics
 #: can tell two index *instances* apart even when their mutation counters
 #: happen to coincide (a rebuild recounts from the document count).
 _GENERATIONS = count()
+
+
+class _FieldIndexes(dict):
+    """``field → InvertedIndex``; a missing field is a schema error."""
+
+    def __missing__(self, field: str) -> InvertedIndex:
+        raise FieldNotFoundError(field)
 
 
 def next_index_uid() -> int:
@@ -41,9 +49,9 @@ class FieldedIndex:
         if not fields:
             raise ValueError("a fielded index needs at least one field")
         self._fields: tuple[str, ...] = tuple(fields)
-        self._indexes: dict[str, InvertedIndex] = {
-            field: InvertedIndex(name=field) for field in self._fields
-        }
+        self._indexes = _FieldIndexes(
+            (field, InvertedIndex(name=field)) for field in self._fields
+        )
         self._documents: set[str] = set()
         #: Mutation counter: bumped on every document addition so cached
         #: statistics / scoring support / query results can be invalidated.
@@ -71,12 +79,6 @@ class FieldedIndex:
         across rebuilt or copy-on-write instances.
         """
         return self._uid
-
-    def _require_field(self, field: str) -> InvertedIndex:
-        index = self._indexes.get(field)
-        if index is None:
-            raise FieldNotFoundError(field)
-        return index
 
     # ------------------------------------------------------------------ #
     # Indexing
@@ -173,16 +175,27 @@ class FieldedIndex:
         for field in field_terms:
             if field not in self._indexes:
                 raise FieldNotFoundError(field)
+        terms = {field: list(field_terms.get(field, ())) for field in self._fields}
         clone = self._cow_shell()
-        clone._indexes = {
-            field: self._indexes[field].with_added_document(
-                doc_id, list(field_terms.get(field, ()))
-            )
+        clone._indexes = _FieldIndexes(
+            (field, self._indexes[field].with_added_document(doc_id, terms[field]))
             for field in self._fields
-        }
+        )
         clone._documents = set(self._documents)
         clone._documents.add(doc_id)
         clone._epoch = self._epoch + 1
+        # Hand over this epoch's statistics plus the document's own terms
+        # instead of leaving the successor to re-scan the whole vocabulary.
+        # A document that replaces an existing id changes counts the
+        # addition rule does not cover, so it falls back to the scan.
+        cached = self._statistics_cache
+        if cached is not None and cached[0] == self._epoch and doc_id not in self._documents:
+            clone._statistics_cache = (
+                clone._epoch,
+                cached[1].with_added_document(
+                    {field: Counter(added) for field, added in terms.items()}
+                ),
+            )
         return clone
 
     # ------------------------------------------------------------------ #
@@ -190,19 +203,30 @@ class FieldedIndex:
     # ------------------------------------------------------------------ #
     def field_index(self, field: str) -> InvertedIndex:
         """The single-field index for ``field``."""
-        return self._require_field(field)
+        return self._indexes[field]
+
+    def field_indexes(self) -> Mapping[str, InvertedIndex]:
+        """The per-field indexes in schema order (read-only).
+
+        What per-epoch memos (scoring support, columnar view) keep instead
+        of the index itself: the index owns those memos, so a reference
+        back to it would be a cycle, and a superseded snapshot would then
+        linger until the cyclic collector happens to run.  Unknown fields
+        raise :class:`FieldNotFoundError`, as :meth:`field_index` does.
+        """
+        return self._indexes
 
     def term_frequency(self, field: str, term: str, doc_id: str) -> int:
-        return self._require_field(field).term_frequency(term, doc_id)
+        return self._indexes[field].term_frequency(term, doc_id)
 
     def document_length(self, field: str, doc_id: str) -> int:
-        return self._require_field(field).document_length(doc_id)
+        return self._indexes[field].document_length(doc_id)
 
     def collection_probability(self, field: str, term: str) -> float:
-        return self._require_field(field).collection_probability(term)
+        return self._indexes[field].collection_probability(term)
 
     def document_frequency(self, field: str, term: str) -> int:
-        return self._require_field(field).document_frequency(term)
+        return self._indexes[field].document_frequency(term)
 
     def documents(self) -> set[str]:
         """All indexed document identifiers."""

@@ -82,11 +82,11 @@ class ScoringSupport:
     """
 
     def __init__(self, index: "FieldedIndex", statistics: "CollectionStatistics") -> None:
-        self._index = index
+        self._fields = index.field_indexes()
         self._statistics = statistics
         #: Per-field document-length arrays, shared by reference with the index.
         self._lengths: dict[str, dict[str, int]] = {
-            field: index.field_index(field).document_lengths() for field in index.fields
+            field: field_index.document_lengths() for field, field_index in self._fields.items()
         }
         self._any_field_df: dict[str, int] = {}
 
@@ -105,7 +105,7 @@ class ScoringSupport:
         Returns a shared empty mapping when the term does not occur, so the
         hot loop never allocates.
         """
-        postings = self._index.field_index(field).get_postings(term)
+        postings = self._fields[field].get_postings(term)
         if postings is None:
             return _EMPTY_FREQUENCIES
         return postings.frequencies()
@@ -121,7 +121,7 @@ class ScoringSupport:
         bounds from it and memoise those separately, keyed by their own
         hyper-parameters (see :meth:`CollectionStatistics.memoised_blocks`).
         """
-        postings = self._index.field_index(field).get_postings(term)
+        postings = self._fields[field].get_postings(term)
         if postings is None:
             return None
         summary = self._statistics.memoised_blocks(
@@ -148,8 +148,8 @@ class ScoringSupport:
         if cached is not None:
             return cached
         docs: set[str] = set()
-        for field in self._index.fields:
-            postings = self._index.field_index(field).get_postings(term)
+        for field_index in self._fields.values():
+            postings = field_index.get_postings(term)
             if postings is not None:
                 docs.update(postings.frequencies())
         df = len(docs)

@@ -71,6 +71,32 @@ class FieldStatistics:
         """Largest term frequency of ``term`` in any single document."""
         return self.term_max_frequency.get(term, 0)
 
+    def with_added_document(self, counts: Mapping[str, int]) -> "FieldStatistics":
+        """The statistics after one *new* document with these term counts.
+
+        Raw counts are copied and patched for the document's own terms;
+        the derived memos start empty (every probability and IDF depends
+        on the totals that just changed).
+        """
+        length = sum(counts.values())
+        successor = FieldStatistics(
+            name=self.name,
+            total_terms=self.total_terms + length,
+            document_count=self.document_count + 1,
+            min_length=min(self.min_length, length) if self.document_count else length,
+            max_length=max(self.max_length, length) if self.document_count else length,
+            term_collection_frequency=dict(self.term_collection_frequency),
+            term_document_frequency=dict(self.term_document_frequency),
+            term_max_frequency=dict(self.term_max_frequency),
+        )
+        for term, count in counts.items():
+            successor.term_collection_frequency[term] = (
+                self.term_collection_frequency.get(term, 0) + count
+            )
+            successor.term_document_frequency[term] = self.term_document_frequency.get(term, 0) + 1
+            successor.term_max_frequency[term] = max(self.term_max_frequency.get(term, 0), count)
+        return successor
+
     def idf(self, term: str) -> float:
         """Memoised Robertson-Sparck-Jones IDF of ``term`` within this field."""
         cached = self._idf_cache.get(term)
@@ -106,6 +132,23 @@ class CollectionStatistics:
         if name not in self.fields:
             self.fields[name] = FieldStatistics(name=name)
         return self.fields[name]
+
+    def with_added_document(
+        self, field_counts: Mapping[str, Mapping[str, int]]
+    ) -> "CollectionStatistics":
+        """The statistics after one *new* document (``field → term counts``).
+
+        Equal to a fresh scan of the successor index, at the cost of
+        copying the count dictionaries; memoised bounds, block summaries
+        and the columnar view start empty, as on any new epoch.
+        """
+        return CollectionStatistics(
+            num_documents=self.num_documents + 1,
+            fields={
+                name: stats.with_added_document(field_counts.get(name, {}))
+                for name, stats in self.fields.items()
+            },
+        )
 
     def collection_probability(self, field_name: str, term: str) -> float:
         """Memoised ``p(term | collection)`` for one field."""

@@ -23,6 +23,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..exceptions import EntityNotFoundError
+from .columns import EdgeColumnLog
 from .entity import Entity
 from .namespaces import (
     DCT_SUBJECT,
@@ -76,6 +77,15 @@ class KnowledgeGraph:
         #: structures (the semantic-feature index) can hold it across a
         #: whole rebuild that itself calls locked accessors.
         self._lock = threading.RLock()
+        #: Ordinal-coded columns of the triple log, caught up on demand
+        #: (see :mod:`repro.kg.columns`); what the per-epoch feature
+        #: tables and topology are built from.
+        self._columns = EdgeColumnLog(self._triples, self._lock)
+
+    @property
+    def columns(self) -> EdgeColumnLog:
+        """The graph's append-only edge-column log."""
+        return self._columns
 
     @property
     def epoch(self) -> int:

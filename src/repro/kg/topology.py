@@ -50,21 +50,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..stats import TraversalStats
+from .columns import csr_gather, csr_offsets, sort_rows
 from .graph import KnowledgeGraph
-
-
-def _csr_gather(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR rows selected by ``rows`` (one vectorized pass)."""
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        return values[:0]
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
-    return values[flat]
 
 
 class TraversalCounters:
@@ -154,11 +141,18 @@ class GraphTopology:
         type_post: np.ndarray,
         pre_order: np.ndarray,
         subtree_sizes: np.ndarray,
+        ordinal_of: dict[str, int] | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = len(entity_ids)
         self.entity_ids = entity_ids
-        self.ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
+        #: ``entity_id → ordinal``; sort-built topologies share the
+        #: epoch's dictionary with the feature tables (read-only).
+        self.ordinal_of = (
+            {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
+            if ordinal_of is None
+            else ordinal_of
+        )
         self._id_array: np.ndarray | None = None
         self.predicates = predicates
         self.predicate_ord = {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
@@ -192,50 +186,40 @@ class GraphTopology:
     def from_graph(cls, graph: KnowledgeGraph) -> "GraphTopology":
         """Materialise the topology of the graph's current epoch.
 
-        Runs under :attr:`KnowledgeGraph.lock` so one consistent graph
-        state is folded in even while writers mutate concurrently.
+        The epoch is pinned under :attr:`KnowledgeGraph.lock`; the arrays
+        are then sorted out of that epoch's prefix of the graph's column
+        log (:mod:`repro.kg.columns`), which later writes cannot touch.
+        Both adjacency directions are the same edge rows ordered by
+        ``(row entity, neighbour, predicate)``.
         """
         with graph.lock:
             epoch = graph.epoch
-            entity_ids = sorted(graph.entities())
-            ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
-            predicates = sorted(graph.edge_predicates())
-            predicate_ord = {
-                predicate: ordinal for ordinal, predicate in enumerate(predicates)
-            }
+            columns = graph.columns.epoch(len(graph))
+        num_entities, num_types = len(columns.entity_ids), len(columns.type_ids)
+        subjects, preds, objects = (
+            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
+        )
+        edge_sizes = (num_entities, num_entities, len(columns.predicates))
+        _, out_targets, out_preds = sort_rows(edge_sizes, subjects, objects, preds)
+        _, in_sources, in_preds = sort_rows(edge_sizes, objects, subjects, preds)
 
-            out_offsets, out_targets, out_preds = cls._build_adjacency(
-                entity_ids, ordinal_of, predicate_ord, graph.outgoing
-            )
-            in_offsets, in_sources, in_preds = cls._build_adjacency(
-                entity_ids, ordinal_of, predicate_ord, graph.incoming
-            )
-
-            type_ids = sorted(graph.types())
-            member_sets = [
-                {ordinal_of[member] for member in graph.entities_of_type(type_id)}
-                for type_id in type_ids
-            ]
-
-        type_offsets = np.zeros(len(type_ids) + 1, dtype=np.int64)
-        member_rows: list[int] = []
-        for ordinal, members in enumerate(member_sets):
-            member_rows.extend(sorted(members))
-            type_offsets[ordinal + 1] = len(member_rows)
-        type_members = np.asarray(member_rows, dtype=np.int64)
-
-        type_parents = cls._containment_forest(type_ids, member_sets)
+        members, types = columns.typed_entities, columns.typed_types
+        _, type_members = sort_rows((num_types, num_entities), types, members)
+        type_offsets = csr_offsets(types, num_types)
+        type_parents = cls._containment_forest(
+            np.diff(type_offsets), csr_offsets(members, num_entities), types
+        )
         type_pre, type_post, pre_order, subtree_sizes = cls._interval_encode(type_parents)
 
         return cls(
             epoch=epoch,
-            entity_ids=entity_ids,
-            predicates=predicates,
-            type_ids=type_ids,
-            out_offsets=out_offsets,
+            entity_ids=columns.entity_ids,
+            predicates=columns.predicates,
+            type_ids=columns.type_ids,
+            out_offsets=csr_offsets(subjects, num_entities),
             out_targets=out_targets,
             out_preds=out_preds,
-            in_offsets=in_offsets,
+            in_offsets=csr_offsets(objects, num_entities),
             in_sources=in_sources,
             in_preds=in_preds,
             type_offsets=type_offsets,
@@ -245,6 +229,7 @@ class GraphTopology:
             type_post=type_post,
             pre_order=pre_order,
             subtree_sizes=subtree_sizes,
+            ordinal_of=columns.ordinal_of,
         )
 
     @classmethod
@@ -291,44 +276,34 @@ class GraphTopology:
         )
 
     @staticmethod
-    def _build_adjacency(entity_ids, ordinal_of, predicate_ord, edges_of):
-        """One direction's CSR: rows sorted by ``(neighbour, predicate)``."""
-        offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-        neighbour_rows: list[int] = []
-        predicate_rows: list[int] = []
-        for ordinal, entity_id in enumerate(entity_ids):
-            row = sorted(
-                (ordinal_of[neighbour], predicate_ord[predicate])
-                for predicate, neighbour in edges_of(entity_id)
-            )
-            neighbour_rows.extend(pair[0] for pair in row)
-            predicate_rows.extend(pair[1] for pair in row)
-            offsets[ordinal + 1] = len(neighbour_rows)
-        return (
-            offsets,
-            np.asarray(neighbour_rows, dtype=np.int64),
-            np.asarray(predicate_rows, dtype=np.int64),
-        )
-
-    @staticmethod
-    def _containment_forest(type_ids: list[str], member_sets: list[set[int]]) -> np.ndarray:
+    def _containment_forest(
+        type_sizes: np.ndarray, member_offsets: np.ndarray, member_types: np.ndarray
+    ) -> np.ndarray:
         """Parent of each type: its smallest strict member-set superset.
 
-        Ties break on type name; types with no strict superset (including
-        equal-membership siblings) are forest roots (parent ``-1``).
+        Ties break on type name (= ordinal); types with no strict
+        superset (including equal-membership siblings) are forest roots
+        (parent ``-1``).  ``member_offsets``/``member_types`` is the
+        entity → sorted type ordinals CSR: crossing every entity's row
+        with itself and counting equal pairs gives ``|E(a) ∩ E(b)|`` for
+        all types that share a member, and ``a`` lies strictly inside
+        ``b`` iff that count is ``|E(a)|`` and ``|E(b)|`` is larger.
         """
-        parents = np.full(len(type_ids), -1, dtype=np.int64)
-        for ordinal, members in enumerate(member_sets):
-            best = -1
-            for candidate, candidate_members in enumerate(member_sets):
-                if candidate == ordinal or not members < candidate_members:
-                    continue
-                if best < 0 or (len(candidate_members), type_ids[candidate]) < (
-                    len(member_sets[best]),
-                    type_ids[best],
-                ):
-                    best = candidate
-            parents[ordinal] = best
+        num_types = int(type_sizes.size)
+        parents = np.full(num_types, -1, dtype=np.int64)
+        lengths = np.diff(member_offsets)
+        rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        pairs, shared = np.unique(
+            np.repeat(member_types, lengths[rows]) * num_types
+            + csr_gather(member_offsets, member_types, rows),
+            return_counts=True,
+        )
+        inner, outer = pairs // max(num_types, 1), pairs % max(num_types, 1)
+        strict = (shared == type_sizes[inner]) & (type_sizes[outer] > type_sizes[inner])
+        inner, outer = inner[strict], outer[strict]
+        order = np.lexsort((outer, type_sizes[outer], inner))
+        inner, smallest = np.unique(inner[order], return_index=True)
+        parents[inner] = outer[order][smallest]
         return parents
 
     @staticmethod
@@ -414,7 +389,7 @@ class GraphTopology:
         """
         cached = self._under.get(type_ordinal)
         if cached is None:
-            rows = _csr_gather(self.type_offsets, self.type_members, self.types_under(type_ordinal))
+            rows = csr_gather(self.type_offsets, self.type_members, self.types_under(type_ordinal))
             cached = np.unique(rows)
             self._under[type_ordinal] = cached
         return cached
@@ -450,8 +425,8 @@ class GraphTopology:
         while frontier.size and level < max_hops:
             neighbours = np.concatenate(
                 (
-                    _csr_gather(self.out_offsets, self.out_targets, frontier),
-                    _csr_gather(self.in_offsets, self.in_sources, frontier),
+                    csr_gather(self.out_offsets, self.out_targets, frontier),
+                    csr_gather(self.in_offsets, self.in_sources, frontier),
                 )
             )
             if counters is not None:
@@ -508,7 +483,7 @@ class GraphTopology:
         selected_right_preds = right_preds[matched]
 
         lengths = anchor_offsets[selected + 1] - anchor_offsets[selected]
-        flat = _csr_gather(anchor_offsets, np.arange(pair_anchors.size, dtype=np.int64), selected)
+        flat = csr_gather(anchor_offsets, np.arange(pair_anchors.size, dtype=np.int64), selected)
         anchors = pair_anchors[flat]
         out_left = pair_preds[flat]
         out_right = np.repeat(selected_right_preds, lengths)

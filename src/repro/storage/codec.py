@@ -327,14 +327,12 @@ class SegmentView:
             yield term, self._view(desc[0]), self._view(desc[1])
 
     def dense_frequencies(self, field: str, term: str) -> np.ndarray:
-        def build() -> np.ndarray:
-            dense = np.zeros(self.num_documents, dtype=np.float64)
-            columnar = self.postings(field, term)
-            if columnar is not None:
-                dense[columnar.ordinals] = columnar.frequencies
-            return dense
-
-        return self.memoised(("dense", field, term), build)
+        """Like :meth:`ColumnarIndex.dense_frequencies`: an unretained intermediate."""
+        dense = np.zeros(self.num_documents, dtype=np.float64)
+        columnar = self.postings(field, term)
+        if columnar is not None:
+            dense[columnar.ordinals] = columnar.frequencies
+        return dense
 
     def manifest_array(self, key: str) -> np.ndarray:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
@@ -505,7 +503,7 @@ def encode_feature_tables(
         "epoch": source.epoch,
         "kind": "feature-tables",
         "num_entities": tables.num_entities,
-        "features": sorted(tables.feature_ord, key=tables.feature_ord.__getitem__),
+        "features": tables.feature_keys(),
         "holder_offsets": place(tables.holder_offsets),
         "holder_ordinals": place(tables.holder_ordinals),
         "dominant_ords": place(tables.dominant_ords),

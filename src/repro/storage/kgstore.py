@@ -323,7 +323,13 @@ def restore_feature_snapshot(
     feature from the graph.  Entities that hold no features still get
     their (empty) entry — the entity-id table *is* the ordinal universe,
     and dropping empty rows would shift every ordinal after them.
+
+    The decoded tables themselves are installed on the snapshot's memo
+    (arrays copied out, because the caller closes the backing memmap),
+    so the first recommendation after a cold start does not rebuild what
+    was just read — the feature-side sibling of ``install_topology``.
     """
+    from ..features.columnar import ColumnarFeatureTables
     from ..features.feature_index import FeatureIndexSnapshot
     from ..features.semantic_feature import Direction, SemanticFeature
 
@@ -347,8 +353,28 @@ def restore_feature_snapshot(
     except (TypeError, ValueError) as error:
         raise SnapshotUnavailable("feature snapshot keys are malformed") from error
 
-    holder_offsets = view.manifest_array("holder_offsets")
-    holder_ordinals = view.manifest_array("holder_ordinals")
+    try:
+        tables = ColumnarFeatureTables.from_arrays(
+            epoch=view.epoch,
+            feature_keys=keys,
+            entity_ids=entity_ids,
+            **{
+                name: np.array(view.manifest_array(name))
+                for name in (
+                    "holder_offsets", "holder_ordinals", "dominant_ords",
+                    "type_populations", "member_offsets", "member_type_ords",
+                )
+            },
+        )
+    except KeyError as error:
+        raise SnapshotUnavailable("feature snapshot lacks a table array") from error
+    if (
+        tables.holder_offsets.shape != (len(features) + 1,)
+        or tables.dominant_ords.shape != (len(entity_ids),)
+        or tables.member_offsets.shape != (len(entity_ids) + 1,)
+    ):
+        raise SnapshotUnavailable("feature snapshot CSR offsets are malformed")
+    holder_offsets, holder_ordinals = tables.holder_offsets, tables.holder_ordinals
     held: dict[int, set[SemanticFeature]] = defaultdict(set)
     feature_entities: dict[SemanticFeature, frozenset[str]] = {}
     try:
@@ -368,13 +394,15 @@ def restore_feature_snapshot(
         entity_id: frozenset(held.get(ordinal, ()))
         for ordinal, entity_id in enumerate(entity_ids)
     }
-    return FeatureIndexSnapshot(
+    snapshot = FeatureIndexSnapshot(
         graph,
         entity_features,
         feature_entities,
         epoch=view.epoch,
         triples=len(graph),
     )
+    snapshot._columnar = tables
+    return snapshot
 
 
 def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "GraphTopology":

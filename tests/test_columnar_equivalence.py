@@ -208,6 +208,27 @@ class TestColumnarViewInvariants:
         assert (dense[columnar.ordinals] == columnar.frequencies).all()
 
 
+    def test_dense_intermediates_are_not_retained(self, movie_graph):
+        """Q distinct one-term queries leave Q + O(1) N-length arrays on the view.
+
+        The dense term-frequency columns feed the memoised scorer columns
+        and are read exactly once; memoising them as well kept one more
+        N-length float64 array per (field, term).
+        """
+        engine = SearchEngine.from_graph(movie_graph, config=SearchConfig(result_cache_size=0))
+        view = columnar_view(engine.index)
+        terms = sorted(engine.index.field_index("names").vocabulary())[:12]
+        for term in terms:
+            engine.search(term)
+        retained = sum(
+            isinstance(value, np.ndarray) and value.shape == (view.num_documents,)
+            for memo in vars(view).values()
+            if isinstance(memo, dict)
+            for value in memo.values()
+        )
+        assert len(terms) <= retained <= len(terms) + len(engine.index.fields) + 2
+
+
 class TestColumnarEquivalenceProperty:
     """Hypothesis: random KGs, random shard counts, every pruning mode."""
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.exceptions import FieldNotFoundError
@@ -10,6 +13,8 @@ from repro.index import (
     InvertedIndex,
     Posting,
     PostingList,
+    ShardedFieldedIndex,
+    columnar_view,
     intersect,
     merge_frequencies,
     union,
@@ -199,3 +204,53 @@ class TestFieldedIndex:
     def test_contains_and_len(self, index: FieldedIndex):
         assert "e1" in index
         assert len(index) == 2
+
+
+class TestCopyOnWriteSuccessor:
+    """``with_added_document``: inherited statistics, no reference cycles."""
+
+    DOCUMENTS = [
+        ("e1", {"names": ["forrest", "gump", "gump"], "categories": ["american", "film"]}),
+        ("e2", {"names": ["apollo"], "categories": ["american", "film"]}),
+        ("e3", {"names": [], "categories": ["film", "film", "film", "space"]}),  # empty field, new max tf
+        ("e4", {"names": ["gump", "sequel", "of", "forrest", "gump"]}),  # missing field, new longest
+    ]
+
+    @pytest.mark.parametrize("make", [FieldedIndex, lambda fields: ShardedFieldedIndex(fields, 3)])
+    def test_successor_statistics_equal_a_fresh_scan(self, make):
+        index = make(["names", "categories"])
+        for doc_id, field_terms in self.DOCUMENTS:
+            index.statistics()  # the predecessor's epoch statistics exist
+            index = index.with_added_document(doc_id, field_terms)
+            inherited = index._statistics_cache
+            assert inherited is not None and inherited[0] == index.epoch
+            index._statistics_cache = None
+            scanned = index.statistics()
+            assert inherited[1].num_documents == scanned.num_documents
+            assert inherited[1].fields == scanned.fields  # field for field, count for count
+            assert not inherited[1]._blocks_cache and not inherited[1]._bound_cache
+
+    def test_replaced_document_and_cold_predecessor_fall_back_to_the_scan(self):
+        index = FieldedIndex(["names", "categories"])
+        index = index.with_added_document("e1", {"names": ["a"]})  # predecessor never scanned
+        assert index._statistics_cache is None
+        index.statistics()
+        index = index.with_added_document("e1", {"names": ["b"]})  # re-indexes an existing id
+        assert index._statistics_cache is None
+        assert index.statistics().field("names").term_collection_frequency == {"a": 1, "b": 1}
+
+    def test_superseded_snapshot_is_freed_without_the_cyclic_collector(self):
+        index = FieldedIndex(["names", "categories"])
+        index.add_document("e1", {"names": ["forrest", "gump"]})
+        index.scoring_support()
+        columnar_view(index).postings("names", "gump")
+        successor = index.with_added_document("e2", {"names": ["apollo"]})
+        gc.collect()
+        gc.disable()
+        try:
+            dead = weakref.ref(index)
+            del index
+            assert dead() is None
+        finally:
+            gc.enable()
+        assert successor.num_documents == 2

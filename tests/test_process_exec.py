@@ -212,7 +212,7 @@ class TestFeatureTableSnapshot:
                 assert remote.epoch == tables.epoch
                 assert remote.num_entities == tables.num_entities
                 assert remote.num_types == tables.num_types
-                assert remote.feature_ord == tables.feature_ord
+                assert remote.feature_keys() == tables.feature_keys()
                 # Workers run purely in ordinal space: no entity-id
                 # strings travel through the segment.
                 assert remote.entity_ids is None and remote.ordinal_of is None
@@ -227,7 +227,7 @@ class TestFeatureTableSnapshot:
                     np.testing.assert_array_equal(
                         getattr(remote, array), getattr(tables, array)
                     )
-                for ordinal in tables.feature_ord.values():
+                for ordinal in range(tables.num_features):
                     np.testing.assert_array_equal(
                         remote.holders(ordinal), tables.holders(ordinal)
                     )
@@ -243,7 +243,7 @@ class TestFeatureTableSnapshot:
         """A worker's per-query inputs equal the parent's, array for array."""
         index = small_feature_index()
         tables = columnar_tables(index.snapshot())
-        feature_keys = sorted(tables.feature_ord, key=tables.feature_ord.__getitem__)
+        feature_keys = tables.feature_keys()
         relevance = [1.0 / (position + 1) for position in range(len(feature_keys))]
         candidates = np.arange(tables.num_entities, dtype=np.int64)
         expected = build_ranker_inputs(
