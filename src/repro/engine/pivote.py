@@ -39,6 +39,7 @@ from ..features import SemanticFeature, SemanticFeatureIndex, ShardedSemanticFea
 from ..kg import EntityProfile, KnowledgeGraph, install_topology, traversal_stats
 from ..search import SearchEngine, SearchHit
 from ..stats import EngineStats, StorageStats
+from ..utils import gc_paused
 from ..viz import (
     Heatmap,
     MatrixView,
@@ -122,10 +123,10 @@ class PivotE:
         """Persist the whole system (graph + derived tiers) to ``directory``.
 
         Defaults to the configured ``snapshot_dir``.  Everything a later
-        :meth:`load` needs lands under the directory: the graph's triple
-        log at full fidelity plus CRC-checksummed snapshot segments of
-        the fielded index and the feature tables.  Returns the written
-        system manifest.
+        :meth:`load` needs lands under the directory as CRC-checksummed
+        snapshot segments: the graph's column log at full fidelity, the
+        fielded index, the feature tables and the topology.  Returns a
+        summary of what was written.
         """
         from ..storage.kgstore import save_system, system_store
 
@@ -143,51 +144,59 @@ class PivotE:
     def load(cls, directory: str, config: PivotEConfig | None = None) -> "PivotE":
         """Cold-start a system from a :meth:`save` directory.
 
-        Attaches instead of rebuilding: the graph replays its triple
-        log, the fielded index replays stored term counts (no document
-        building, no tokenisation) and the feature index adopts the
-        stored holder tables (no per-entity extraction).  Any missing or
-        corrupt component degrades to rebuilding just that component
-        from the loaded graph; rankings are byte-identical either way.
-        A missing or corrupt graph raises
+        Attaches instead of rebuilding: the graph adopts its column log
+        (entity tables in bulk; triples, edge indexes and literals only
+        when a caller asks for them — ``stats().storage`` says whether
+        that has happened), the fielded index adopts the stored posting
+        columns and the feature index the stored holder tables, decoding
+        a row when a request touches it.  Any missing or corrupt
+        component degrades to rebuilding just that component from the
+        loaded graph; rankings are byte-identical either way.  A missing
+        or corrupt graph raises
         :class:`~repro.storage.SnapshotUnavailable` — there is nothing
         to fall back to.
+
+        The cyclic collector is paused for the duration: everything a
+        load (or a fallback rebuild) allocates is a long-lived acyclic
+        container, and each full pass it triggers re-walks the heap to
+        free nothing.
         """
         from ..storage.kgstore import load_system
 
         config = config or PivotEConfig.default()
         started = time.perf_counter()
-        loaded = load_system(
-            directory,
-            fields=config.search.fields,
-            search_shards=config.search.shards,
-        )
-        graph = loaded.graph
-        if loaded.index is not None:
-            search = SearchEngine.restore(graph, loaded.index, config=config.search)
-        else:
-            search = SearchEngine.from_graph(graph, config=config.search)
-        feature_index: SemanticFeatureIndex | None = None
-        if loaded.feature_snapshot is not None:
-            try:
-                if config.ranking.shards > 1:
-                    feature_index = ShardedSemanticFeatureIndex.restore(
-                        graph,
-                        loaded.feature_snapshot,
-                        num_shards=config.ranking.shards,
-                    )
-                else:
-                    feature_index = SemanticFeatureIndex.restore(
-                        graph, loaded.feature_snapshot
-                    )
-            except ValueError:
-                loaded.store.failures += 1
-        if feature_index is None:
-            feature_index = cls._build_feature_index(graph, config)
-        if loaded.topology is not None:
-            # Seed the per-epoch memo so the first traversal attaches the
-            # persisted CSR + intervals instead of paying an O(n) rebuild.
-            install_topology(graph, loaded.topology)
+        with gc_paused():
+            loaded = load_system(
+                directory,
+                fields=config.search.fields,
+                search_shards=config.search.shards,
+            )
+            graph = loaded.graph
+            if loaded.index is not None:
+                search = SearchEngine.restore(graph, loaded.index, config=config.search)
+            else:
+                search = SearchEngine.from_graph(graph, config=config.search)
+            feature_index: SemanticFeatureIndex | None = None
+            if loaded.feature_snapshot is not None:
+                try:
+                    if config.ranking.shards > 1:
+                        feature_index = ShardedSemanticFeatureIndex.restore(
+                            graph,
+                            loaded.feature_snapshot,
+                            num_shards=config.ranking.shards,
+                        )
+                    else:
+                        feature_index = SemanticFeatureIndex.restore(
+                            graph, loaded.feature_snapshot
+                        )
+                except ValueError:
+                    loaded.store.failures += 1
+            if feature_index is None:
+                feature_index = cls._build_feature_index(graph, config)
+            if loaded.topology is not None:
+                # Seed the per-epoch memo so the first traversal attaches the
+                # persisted CSR + intervals instead of paying an O(n) rebuild.
+                install_topology(graph, loaded.topology)
 
         system = cls.__new__(cls)
         system._graph = graph
@@ -285,7 +294,8 @@ class PivotE:
 
         Counts this facade's :meth:`save` / :meth:`load` traffic;
         ``cold_start_ms`` is how long the last :meth:`load` took end to
-        end (graph replay + component restore + wiring).
+        end (graph adoption + component restore + wiring).  Reading it
+        hydrates and decodes nothing.
         """
         counters = self._storage_counters
         if (
@@ -299,6 +309,9 @@ class PivotE:
             backend=self._config.search.storage,
             snapshot_dir=self._config.search.snapshot_dir,
             cold_start_ms=self._cold_start_ms,
+            graph_hydrated=self._graph.hydrated,
+            hydration_ms=self._graph.hydration_ms,
+            feature_rows_decoded=self._feature_index.decoded_rows(),
             **counters,
         )
 

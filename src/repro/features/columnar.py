@@ -36,6 +36,7 @@ assembled by :func:`build_ranker_inputs` identically on both sides.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -55,8 +56,8 @@ FeatureKey = tuple[str, str, str]
 
 #: Direction values in ``SemanticFeature`` sort order (the enum compares as
 #: its string value); a direction's position is the low bit of a feature code.
-_DIRECTIONS = (Direction.OBJECT_OF.value, Direction.SUBJECT_OF.value)
-_DIRECTION_CODE = {value: code for code, value in enumerate(_DIRECTIONS)}
+DIRECTIONS = (Direction.OBJECT_OF.value, Direction.SUBJECT_OF.value)
+_DIRECTION_CODE = {value: code for code, value in enumerate(DIRECTIONS)}
 
 
 class ColumnarFeatureTables:
@@ -73,9 +74,9 @@ class ColumnarFeatureTables:
     integers ``(anchor_ord · P + predicate_ord) · 2 + direction`` over
     the epoch's ``P`` edge predicates, monotone in that sort order — and
     derive the string triples only when a manifest needs them; tables
-    decoded from a segment carry the triples the manifest listed and
-    look features up by them.  :meth:`feature_ordinals` and
-    :meth:`feature_keys` hide which.
+    decoded from a segment carry the triples the manifest listed (sorted,
+    being in ordinal order) and bisect them.  :meth:`feature_ordinals`,
+    :meth:`feature_key` and :meth:`feature_keys` hide which.
     """
 
     __slots__ = (
@@ -87,7 +88,6 @@ class ColumnarFeatureTables:
         "predicates",
         "_predicate_ord",
         "_feature_keys",
-        "_key_ordinals",
         "holder_offsets",
         "holder_ordinals",
         "num_types",
@@ -128,7 +128,6 @@ class ColumnarFeatureTables:
             else {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
         )
         self._feature_keys = feature_keys
-        self._key_ordinals: dict[FeatureKey, int] | None = None
         self.holder_offsets = holder_offsets
         self.holder_ordinals = holder_ordinals
         self.num_types = int(type_populations.size)
@@ -227,7 +226,9 @@ class ColumnarFeatureTables:
         Workers pass no ``entity_ids``: no entity id strings travel — the
         kernels select by ordinal, and only the parent maps ordinals back
         to ids for the exact re-scoring epilogue.  A cold-starting parent
-        passes the id table its durable segment embeds.
+        passes the id table its durable segment embeds.  ``feature_keys``
+        is kept as given (a manifest's list of lists will do) and must be
+        in ordinal, that is sorted, order.
         """
         return cls(
             epoch=epoch,
@@ -238,7 +239,7 @@ class ColumnarFeatureTables:
             member_offsets=member_offsets,
             member_type_ords=member_type_ords,
             entity_ids=entity_ids,
-            feature_keys=[tuple(key) for key in feature_keys],
+            feature_keys=feature_keys,
         )
 
     # ------------------------------------------------------------------ #
@@ -251,13 +252,22 @@ class ColumnarFeatureTables:
     def feature_keys(self) -> list[FeatureKey]:
         """The ``(anchor, predicate, direction)`` triples in ordinal order."""
         if self._feature_keys is not None:
-            return self._feature_keys
+            return [tuple(key) for key in self._feature_keys]
+        return self._keys_of(self.feature_codes)
+
+    def feature_key(self, ordinal: int) -> FeatureKey:
+        """The key triple of one feature ordinal."""
+        if self._feature_keys is not None:
+            return tuple(self._feature_keys[ordinal])
+        return self._keys_of(self.feature_codes[ordinal : ordinal + 1])[0]
+
+    def _keys_of(self, codes: np.ndarray | None) -> list[FeatureKey]:
         ids, predicates = self.entity_ids, self.predicates
-        assert ids is not None and predicates is not None and self.feature_codes is not None
-        pairs, directions = np.divmod(self.feature_codes, 2)
+        assert ids is not None and predicates is not None and codes is not None
+        pairs, directions = np.divmod(codes, 2)
         anchors, preds = np.divmod(pairs, max(len(predicates), 1))
         return [
-            (ids[anchor], predicates[pred], _DIRECTIONS[direction])
+            (ids[anchor], predicates[pred], DIRECTIONS[direction])
             for anchor, pred, direction in zip(
                 anchors.tolist(), preds.tolist(), directions.tolist()
             )
@@ -267,14 +277,15 @@ class ColumnarFeatureTables:
         """Ordinals of the given key triples (−1 where the epoch lacks one)."""
         codes = self.feature_codes
         if codes is None:
-            lookup = self._key_ordinals
-            if lookup is None:
-                lookup = self._key_ordinals = {
-                    key: ordinal for ordinal, key in enumerate(self.feature_keys())
-                }
-            return np.fromiter(
-                (lookup.get(tuple(key), -1) for key in keys), dtype=np.int64, count=len(keys)
-            )
+            listed = self._feature_keys
+            assert listed is not None
+
+            def position(key: FeatureKey) -> int:
+                key = tuple(key)
+                found = bisect_left(listed, key, key=tuple)
+                return found if found < len(listed) and tuple(listed[found]) == key else -1
+
+            return np.fromiter(map(position, keys), dtype=np.int64, count=len(keys))
         ordinal_of, predicate_ord = self.ordinal_of, self._predicate_ord
         assert ordinal_of is not None and predicate_ord is not None
         num_predicates = len(predicate_ord)

@@ -33,14 +33,26 @@ construction, enforced by ``tests/test_features_incremental.py``.
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import Counter, defaultdict
 from collections.abc import Iterable
+from time import perf_counter
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..index.fielded_index import next_index_uid
 from ..kg import DISAMBIGUATES, KnowledgeGraph, REDIRECT, STRUCTURAL_PREDICATES, Triple
+from ..kg.columns import csr_offsets, sort_rows
+from ..utils import gc_paused
 from .extraction import features_of_entity
-from .semantic_feature import SemanticFeature
+from .semantic_feature import Direction, SemanticFeature
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .columnar import ColumnarFeatureTables
+
+_LOG = logging.getLogger("repro")
 
 #: Shared empty holder set returned for unknown features, so that misses on
 #: the hot candidate-generation path never allocate a throwaway set.
@@ -96,6 +108,16 @@ class FeatureIndexSnapshot:
         #: (:func:`repro.features.columnar.columnar_tables`).
         self._columnar = None
 
+    def maps(
+        self,
+    ) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
+        """``(entity → features, feature → holders)``, whole.
+
+        For callers that iterate, count or copy the maps; point lookups
+        go through :meth:`features_of` / :meth:`holders_of`.
+        """
+        return self.entity_features, self.feature_entities
+
     def features_of(self, entity_id: str) -> frozenset[SemanticFeature]:
         """Features held by an entity (empty set for unknown entities)."""
         return self.entity_features.get(entity_id, _EMPTY_HOLDERS)  # type: ignore[return-value]
@@ -143,6 +165,130 @@ class FeatureIndexSnapshot:
         return counts
 
 
+class RestoredFeatureSnapshot(FeatureIndexSnapshot):
+    """A snapshot adopted from array tables instead of materialised maps.
+
+    ``tables`` (decoded from a ``feature-tables`` segment, or sorted out
+    of the column log) hold every holder row; the two maps start empty
+    and a point lookup that misses decodes just its row into the
+    frozenset a built snapshot would hold there, and memoises it in the
+    same dictionary — so a hit costs what it costs on a built snapshot,
+    and a cold start pays for the rows its requests touch, not for all
+    of them.  The entity → features direction is the holder rows sorted
+    by holder, done once, on the first such miss.  :meth:`maps` decodes
+    what is left; after it the snapshot differs from a built one only in
+    how it got there.
+    """
+
+    __slots__ = ("decoded_rows", "_features", "_held", "_complete")
+
+    def __init__(
+        self, graph: KnowledgeGraph, tables: "ColumnarFeatureTables", epoch: int, triples: int
+    ) -> None:
+        if tables.entity_ids is None:
+            raise ValueError("a snapshot can only be restored from tables that carry entity ids")
+        super().__init__(graph, {}, {}, epoch, triples)
+        self._columnar = tables
+        #: Rows decoded so far, either direction (telemetry).
+        self.decoded_rows = 0
+        #: ``feature ordinal → feature`` for every feature met so far.
+        self._features: dict[int, SemanticFeature] = {}
+        #: ``(offsets, feature ordinals)``: the holder CSR turned around.
+        self._held: tuple[np.ndarray, np.ndarray] | None = None
+        self._complete = False
+
+    def _feature(self, ordinal: int) -> SemanticFeature:
+        feature = self._features.get(ordinal)
+        if feature is None:
+            anchor, predicate, direction = self._columnar.feature_key(ordinal)
+            feature = self._features[ordinal] = SemanticFeature(
+                anchor, predicate, Direction(direction)
+            )
+        return feature
+
+    def _decode_features(self, entity_id: str) -> frozenset[SemanticFeature]:
+        """``features_of`` for an entity no lookup has asked about yet."""
+        tables = self._columnar
+        ordinal = tables.ordinal_of.get(entity_id)
+        if ordinal is None or self._complete:
+            return _EMPTY_HOLDERS  # type: ignore[return-value]
+        held = self._held
+        if held is None:
+            lengths = np.diff(tables.holder_offsets)
+            holders, ordinals = sort_rows(
+                (tables.num_entities, tables.num_features),
+                tables.holder_ordinals,
+                np.repeat(np.arange(lengths.size, dtype=np.int64), lengths),
+            )
+            held = self._held = (csr_offsets(holders, tables.num_entities), ordinals)
+        offsets, ordinals = held
+        row = ordinals[int(offsets[ordinal]) : int(offsets[ordinal + 1])]
+        features = frozenset(map(self._feature, row.tolist()))
+        self.entity_features[entity_id] = features
+        self.decoded_rows += 1
+        return features
+
+    def _decode_holders(self, feature: SemanticFeature) -> frozenset[str]:
+        """``holders_of`` for a feature no lookup has asked about yet."""
+        if self._complete:
+            return _EMPTY_HOLDERS
+        ordinal = int(self._columnar.feature_ordinals([feature.key])[0])
+        return _EMPTY_HOLDERS if ordinal < 0 else self._decode_row(feature, ordinal)
+
+    def _decode_row(self, feature: SemanticFeature, ordinal: int) -> frozenset[str]:
+        tables = self._columnar
+        holders = frozenset(map(tables.entity_ids.__getitem__, tables.holders(ordinal).tolist()))
+        self.feature_entities[feature] = holders
+        self.decoded_rows += 1
+        return holders
+
+    def features_of(self, entity_id: str) -> frozenset[SemanticFeature]:
+        features = self.entity_features.get(entity_id)
+        return self._decode_features(entity_id) if features is None else features
+
+    def holders_of(self, feature: SemanticFeature) -> frozenset[str]:
+        holders = self.feature_entities.get(feature)
+        return self._decode_holders(feature) if holders is None else holders
+
+    def holds(self, entity_id: str, feature: SemanticFeature) -> bool:
+        return feature in self.features_of(entity_id)
+
+    def type_conditional_count(self, feature: SemanticFeature, type_id: str) -> tuple[int, int]:
+        self.holders_of(feature)  # the inherited computation reads the map
+        return super().type_conditional_count(feature, type_id)
+
+    def maps(
+        self,
+    ) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
+        """Decode every row not asked for yet, then hand out the whole maps.
+
+        The one place a restored snapshot walks all its features: the
+        first write after a load (``_delta_snapshot`` copies the maps)
+        and the dataset reports pay it, no exploration request does.
+        Allocates only long-lived frozensets, so the cyclic collector is
+        paused.
+        """
+        if not self._complete:
+            started = perf_counter()
+            before = self.decoded_rows
+            tables = self._columnar
+            with gc_paused():
+                for entity_id in tables.entity_ids:
+                    self.features_of(entity_id)
+                decoded = self.feature_entities
+                for ordinal in range(tables.num_features):
+                    feature = self._feature(ordinal)
+                    if feature not in decoded:
+                        self._decode_row(feature, ordinal)
+            self._complete = True
+            self._features, self._held = {}, None
+            _LOG.info(
+                "feature snapshot of epoch %d: remaining %d rows decoded in %.1f ms",
+                self.epoch, self.decoded_rows - before, (perf_counter() - started) * 1000.0,
+            )
+        return self.entity_features, self.feature_entities
+
+
 class SemanticFeatureIndex:
     """Bidirectional map between entities and their semantic features."""
 
@@ -169,6 +315,8 @@ class SemanticFeatureIndex:
         self._full_rebuilds = 0
         self._delta_rebuilds = 0
         self._delta_entities = 0
+        #: Rows that restored snapshots since replaced had decoded.
+        self._retired_rows = 0
 
     @classmethod
     def build(cls, graph: KnowledgeGraph) -> "SemanticFeatureIndex":
@@ -224,7 +372,18 @@ class SemanticFeatureIndex:
     def rebuild(self) -> None:
         """Recompute the whole index from the graph's current contents."""
         with self._refresh_lock, self._graph.lock:
-            self._snapshot_ref = self._full_snapshot()
+            self._install(self._full_snapshot())
+
+    def _install(self, fresh: FeatureIndexSnapshot) -> None:
+        self._retired_rows += getattr(self._snapshot_ref, "decoded_rows", 0)
+        self._snapshot_ref = fresh
+
+    def decoded_rows(self) -> int:
+        """Holder/feature rows decoded on demand by restored snapshots so far.
+
+        Reads the current snapshot without refreshing it.
+        """
+        return self._retired_rows + getattr(self._snapshot_ref, "decoded_rows", 0)
 
     def _delta_snapshot(
         self, old: FeatureIndexSnapshot, new_triples: Iterable[Triple]
@@ -242,7 +401,7 @@ class SemanticFeatureIndex:
         log is append-only, so there is no remove side to the delta.
         """
         affected: set[str] = set()
-        old_features = old.entity_features
+        old_features, old_holders = old.maps()
         for triple in new_triples:
             subject, predicate = triple.subject, triple.predicate
             if triple.is_literal:
@@ -261,7 +420,7 @@ class SemanticFeatureIndex:
             ):
                 affected.add(triple.object)
         entity_features = dict(old_features)
-        feature_entities = dict(old.feature_entities)
+        feature_entities = dict(old_holders)
         gained: dict[SemanticFeature, list[str]] = defaultdict(list)
         lost: dict[SemanticFeature, list[str]] = defaultdict(list)
         for entity_id in affected:
@@ -321,7 +480,7 @@ class SemanticFeatureIndex:
                         )
                     else:
                         fresh = self._full_snapshot()
-                self._snapshot_ref = fresh
+                self._install(fresh)
                 return fresh
 
     def rebuild_info(self) -> dict[str, int]:
@@ -384,10 +543,10 @@ class SemanticFeatureIndex:
 
     def all_features(self) -> list[SemanticFeature]:
         """Every distinct semantic feature in the graph."""
-        return sorted(self.snapshot().feature_entities.keys())
+        return sorted(self.snapshot().maps()[1])
 
     def num_features(self) -> int:
-        return len(self.snapshot().feature_entities)
+        return len(self.snapshot().maps()[1])
 
     # ------------------------------------------------------------------ #
     # Aggregations used by ranking
@@ -444,6 +603,6 @@ class SemanticFeatureIndex:
     def feature_frequency_histogram(self) -> dict[int, int]:
         """Histogram of ``||E(pi)||`` values, for dataset reporting."""
         histogram: dict[int, int] = defaultdict(int)
-        for entities in self.snapshot().feature_entities.values():
+        for entities in self.snapshot().maps()[1].values():
             histogram[len(entities)] += 1
         return dict(histogram)

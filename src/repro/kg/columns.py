@@ -15,6 +15,17 @@ array sorts instead of per-entity walks over the graph's dictionaries:
 * every table entry and row **stamped** with the position, in the
   graph's append-only triple log, of the triple that introduced it.
 
+Every other triple — literals with their datatype and language tags,
+``dct:subject`` categories, redirects and disambiguations — is logged
+too, as ``(subject, predicate, object, datatype, language)`` rows over a
+fourth string table, so the three row logs merged by stamp *are* the
+triple log.  That makes the columns the durable form of a graph
+(:class:`LogColumns`, what the ``graph-triples`` segment stores): a
+graph adopts saved columns, builds its entity tables from them in bulk
+(:meth:`EdgeColumnLog.entity_tables`) and decodes the rows back into
+:class:`~repro.kg.triple.Triple` objects (:meth:`EdgeColumnLog.triples`)
+only when a caller needs its triple access paths.
+
 The log is caught up lazily from the triples it has not consumed yet,
 under the graph's mutation lock, so writes stay as cheap as they were.
 Because stamps only grow, the state of *any* epoch is a prefix — the
@@ -35,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDF_TYPE, REDIRECT
-from .triple import Triple
+from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDFS_LABEL, RDF_TYPE, REDIRECT
+from .triple import Literal, Triple
 
 
 def sort_rows(sizes: Sequence[int], *columns: np.ndarray) -> list[np.ndarray]:
@@ -88,15 +99,20 @@ class _StringTable:
 
     __slots__ = ("strings", "stamps", "_codes")
 
-    def __init__(self) -> None:
-        self.strings: list[str] = []
-        self.stamps: list[int] = []
-        self._codes: dict[str, int] = {}
+    def __init__(self, strings: list[str] | None = None, stamps: list[int] | None = None) -> None:
+        self.strings: list[str] = [] if strings is None else strings
+        self.stamps: list[int] = [] if stamps is None else stamps
+        #: ``string → code``; an adopted table builds it when the first
+        #: write after the adoption needs it.
+        self._codes: dict[str, int] | None = {} if strings is None else None
 
     def code(self, value: str, position: int) -> int:
-        code = self._codes.get(value)
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = dict(zip(self.strings, range(len(self.strings))))
+        code = codes.get(value)
         if code is None:
-            code = self._codes[value] = len(self.strings)
+            code = codes[value] = len(self.strings)
             self.strings.append(value)
             self.stamps.append(position)
         return code
@@ -115,14 +131,15 @@ class _RowLog:
     """Growable int64 rows stored column-wise; the last column is the stamp.
 
     Appends only write past the current length (growing reallocates and
-    leaves the old buffer to its holders), so prefix views stay valid.
+    leaves the old buffer to its holders), so prefix views stay valid —
+    and an adopted array, exactly as long as its rows, is never written.
     """
 
     __slots__ = ("_data", "_length")
 
-    def __init__(self, width: int) -> None:
-        self._data = np.empty((width, 1024), dtype=np.int64)
-        self._length = 0
+    def __init__(self, width: int, rows: np.ndarray | None = None) -> None:
+        self._data = np.empty((width, 1024), dtype=np.int64) if rows is None else rows
+        self._length = 0 if rows is None else rows.shape[1]
 
     def extend(self, rows: list[tuple[int, ...]]) -> None:
         if not rows:
@@ -135,10 +152,88 @@ class _RowLog:
         self._data[:, self._length : end] = np.asarray(rows, dtype=np.int64).T
         self._length = end
 
+    def rows(self) -> np.ndarray:
+        """Every row logged so far, stamps included (a view)."""
+        return self._data[:, : self._length]
+
     def prefix(self, triples: int) -> np.ndarray:
         """The value columns of the rows stamped below ``triples``."""
         stamps = self._data[-1, : self._length]
         return self._data[:-1, : int(np.searchsorted(stamps, triples))]
+
+
+#: Names of the four string tables and three row logs of a log, in the
+#: order :class:`LogColumns` lists them; the row widths include the stamp.
+TABLE_NAMES = ("entities", "predicates", "types", "strings")
+ROW_WIDTHS = {"edges": 4, "typed": 3, "others": 6}
+
+
+@dataclass(frozen=True)
+class LogColumns:
+    """A whole column log as plain strings and arrays — its durable form.
+
+    ``tables`` maps each of :data:`TABLE_NAMES` to ``(strings, stamps)``
+    and ``rows`` each of :data:`ROW_WIDTHS` to a 2-D int64 array whose
+    last row is the stamps.  ``edges`` rows are ``(subject, predicate,
+    object)`` over the entity and edge-predicate tables, ``typed`` rows
+    ``(entity, type)``, and ``others`` rows ``(subject, predicate,
+    object, datatype, language)`` with the predicate, datatype and
+    language coded in the ``strings`` table: a literal row's object is
+    its value (a string code), and a row with datatype ``-1`` is a
+    ``dct:subject`` (object a string code) or a redirect/disambiguation
+    (object an entity code).
+    """
+
+    triples: int
+    tables: dict[str, tuple[list[str], list[int]]]
+    rows: dict[str, np.ndarray]
+
+    def check(self) -> None:
+        """Raise :class:`ValueError` unless the rows are ``triples`` log entries.
+
+        What adopting relies on and a checksum cannot promise: the three
+        stamp columns are each increasing and together number the
+        positions ``0 .. triples - 1`` once each, every table's stamps
+        are sorted, and every code points inside its table.
+        """
+        if set(self.tables) != set(TABLE_NAMES) or set(self.rows) != set(ROW_WIDTHS):
+            raise ValueError("column log lacks a table or a row log")
+        sizes = {}
+        for name, (strings, stamps) in self.tables.items():
+            sizes[name] = len(strings)
+            if len(stamps) != len(strings) or stamps != sorted(stamps):
+                raise ValueError(f"string table {name!r} is not stamped in log order")
+        for name, width in ROW_WIDTHS.items():
+            rows = self.rows[name]
+            if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[0] != width:
+                raise ValueError(f"row log {name!r} is misshapen")
+            if rows.shape[1] > 1 and not (np.diff(rows[-1]) > 0).all():
+                raise ValueError(f"row log {name!r} is not in log order")
+        stamps = np.sort(np.concatenate([self.rows[name][-1] for name in ROW_WIDTHS]))
+        if not np.array_equal(stamps, np.arange(self.triples)):
+            raise ValueError(f"rows do not number {self.triples} triples")
+        edges, typed, others = (self.rows[name] for name in ROW_WIDTHS)
+        literal = others[3] >= 0
+        categories = ~literal & (others[1] == _find(self.tables["strings"][0], DCT_SUBJECT))
+        bounded = (
+            (edges[0], "entities"), (edges[1], "predicates"), (edges[2], "entities"),
+            (typed[0], "entities"), (typed[1], "types"),
+            (others[0], "entities"), (others[1], "strings"),
+            (others[2][literal | categories], "strings"),
+            (others[2][~literal & ~categories], "entities"),
+            (others[3][literal], "strings"), (others[4][literal], "strings"),
+        )
+        for codes, table in bounded:
+            if codes.size and (codes.min() < 0 or codes.max() >= sizes[table]):
+                raise ValueError(f"a row points outside the {table!r} table")
+
+
+def _find(strings: list[str], value: str) -> int:
+    """The code of ``value`` in a first-seen table (``-1`` when absent)."""
+    try:
+        return strings.index(value)
+    except ValueError:
+        return -1
 
 
 @dataclass(frozen=True)
@@ -168,19 +263,34 @@ class EdgeColumnLog:
 
     Holds the graph's triple list and mutation lock by reference;
     :class:`~repro.kg.graph.KnowledgeGraph` creates one per instance and
-    hands it out through ``graph.columns``.
+    hands it out through ``graph.columns``.  A log made from saved
+    columns (``adopted``) starts with every one of them consumed and no
+    triple list; the graph binds the list it decodes from this log
+    (:meth:`triples`) before it accepts a write.
     """
 
-    def __init__(self, triples: list[Triple], lock: threading.RLock) -> None:
+    def __init__(
+        self,
+        triples: list[Triple],
+        lock: threading.RLock,
+        adopted: LogColumns | None = None,
+    ) -> None:
         self._triples = triples
         self._lock = lock
-        self._consumed = 0
-        self._entities = _StringTable()
-        self._predicates = _StringTable()
-        self._types = _StringTable()
-        self._edges = _RowLog(4)
-        self._typed = _RowLog(3)
+        self._consumed = 0 if adopted is None else adopted.triples
+        self._entities, self._predicates, self._types, self._strings = (
+            _StringTable(*(() if adopted is None else adopted.tables[name]))
+            for name in TABLE_NAMES
+        )
+        self._edges, self._typed, self._others = (
+            _RowLog(width, None if adopted is None else adopted.rows[name])
+            for name, width in ROW_WIDTHS.items()
+        )
         self._memo: EpochColumns | None = None
+
+    def bind(self, triples: list[Triple]) -> None:
+        """Take the triple list an adopted log's graph has decoded (lock held)."""
+        self._triples = triples
 
     def _catch_up(self) -> None:
         """Consume the triples appended since the last call (lock held).
@@ -189,30 +299,109 @@ class EdgeColumnLog:
         makes an identifier an entity, an edge or a type membership is
         decided there, and only repeated here in code form.
         """
-        entity, predicate_code, type_code = (
-            self._entities.code, self._predicates.code, self._types.code,
+        entity, predicate_code, type_code, string = (
+            self._entities.code, self._predicates.code, self._types.code, self._strings.code,
         )
         edges: list[tuple[int, ...]] = []
         typed: list[tuple[int, ...]] = []
+        others: list[tuple[int, ...]] = []
         start = self._consumed
         for position, triple in enumerate(self._triples[start:], start):
             subject = entity(triple.subject, position)
-            if triple.is_literal:
-                continue
             predicate, obj = triple.predicate, triple.object
-            if predicate == RDF_TYPE:
+            if triple.is_literal:
+                others.append((
+                    subject, string(predicate, position), string(obj.value, position),
+                    string(obj.datatype, position), string(obj.language, position), position,
+                ))
+            elif predicate == RDF_TYPE:
                 typed.append((subject, type_code(obj, position), position))
             elif predicate == DCT_SUBJECT:
-                continue
+                others.append(
+                    (subject, string(predicate, position), string(obj, position), -1, -1, position)
+                )
             elif predicate == REDIRECT or predicate == DISAMBIGUATES:
-                entity(obj, position)
+                others.append(
+                    (subject, string(predicate, position), entity(obj, position), -1, -1, position)
+                )
             else:
                 edges.append(
                     (subject, predicate_code(predicate, position), entity(obj, position), position)
                 )
         self._edges.extend(edges)
         self._typed.extend(typed)
-        self._consumed = len(self._triples)
+        self._others.extend(others)
+        self._consumed = max(start, len(self._triples))
+
+    # ------------------------------------------------------------------ #
+    # The whole log: saving, adopting, decoding
+    # ------------------------------------------------------------------ #
+    def export(self) -> LogColumns:
+        """The log caught up with the graph, as plain strings and arrays.
+
+        The arrays are views of the live buffers and the lists the live
+        tables: encode them before the graph's lock is released.
+        """
+        with self._lock:
+            self._catch_up()
+            tables = (self._entities, self._predicates, self._types, self._strings)
+            logs = (self._edges, self._typed, self._others)
+            return LogColumns(
+                triples=self._consumed,
+                tables={
+                    name: (table.strings, table.stamps) for name, table in zip(TABLE_NAMES, tables)
+                },
+                rows={name: log.rows() for name, log in zip(ROW_WIDTHS, logs)},
+            )
+
+    def entity_tables(
+        self,
+    ) -> tuple[set[str], dict[str, list[str]], dict[str, set[str]], dict[str, set[str]]]:
+        """``(entities, labels, entity → types, type → members)`` of the log.
+
+        What ``KnowledgeGraph._add_triple_locked`` accumulates in those
+        four containers, grouped out of the columns instead: one pass over
+        the label rows and one over the type rows, none over the triples.
+        """
+        with self._lock:
+            self._catch_up()
+            entity_ids, type_ids = self._entities.strings, self._types.strings
+            strings = self._strings.strings
+            subjects, predicates, values, datatypes, _, _ = self._others.rows()
+            labelled = (predicates == _find(strings, RDFS_LABEL)) & (datatypes >= 0)
+            labels: dict[str, list[str]] = {}
+            for subject, value in zip(subjects[labelled].tolist(), values[labelled].tolist()):
+                labels.setdefault(entity_ids[subject], []).append(strings[value])
+            typed_entities, typed_types, _ = self._typed.rows()
+            types: dict[str, set[str]] = {}
+            members: dict[str, set[str]] = {}
+            for entity, type_code in zip(typed_entities.tolist(), typed_types.tolist()):
+                entity_id, type_id = entity_ids[entity], type_ids[type_code]
+                types.setdefault(entity_id, set()).add(type_id)
+                members.setdefault(type_id, set()).add(entity_id)
+            return set(entity_ids), labels, types, members
+
+    def triples(self) -> list[Triple]:
+        """The logged triples, decoded back into objects in log order."""
+        with self._lock:
+            self._catch_up()
+            entity_ids, strings = self._entities.strings, self._strings.strings
+            predicates, type_ids = self._predicates.strings, self._types.strings
+            decoded: list[Triple | None] = [None] * self._consumed
+            for subject, predicate, obj, stamp in zip(*self._edges.rows().tolist()):
+                decoded[stamp] = Triple(entity_ids[subject], predicates[predicate], entity_ids[obj])
+            for entity, type_code, stamp in zip(*self._typed.rows().tolist()):
+                decoded[stamp] = Triple(entity_ids[entity], RDF_TYPE, type_ids[type_code])
+            for subject, predicate, obj, datatype, language, stamp in zip(
+                *self._others.rows().tolist()
+            ):
+                name = strings[predicate]
+                if datatype >= 0:
+                    target: str | Literal = Literal(strings[obj], strings[datatype], strings[language])
+                else:
+                    target = strings[obj] if name == DCT_SUBJECT else entity_ids[obj]
+                decoded[stamp] = Triple(entity_ids[subject], name, target)
+            return decoded  # type: ignore[return-value]
 
     def epoch(self, triples: int) -> EpochColumns:
         """The columns of the graph state after its first ``triples`` triples.
@@ -221,15 +410,15 @@ class EdgeColumnLog:
         the topology of one epoch share one ordinal table.
         """
         with self._lock:
-            if triples > len(self._triples):
-                raise ValueError(
-                    f"epoch of {triples} triples requested, the graph has {len(self._triples)}"
-                )
             memo = self._memo
             if memo is not None and memo.triples == triples:
                 return memo
             if self._consumed < triples:
                 self._catch_up()
+            if self._consumed < triples:
+                raise ValueError(
+                    f"epoch of {triples} triples requested, the graph has {self._consumed}"
+                )
             entity_ids, entity_rank = self._entities.ranked(triples)
             predicates, predicate_rank = self._predicates.ranked(triples)
             type_ids, type_rank = self._types.ranked(triples)
@@ -253,4 +442,13 @@ class EdgeColumnLog:
             return memo
 
 
-__all__ = ["EdgeColumnLog", "EpochColumns", "csr_gather", "csr_offsets", "sort_rows"]
+__all__ = [
+    "EdgeColumnLog",
+    "EpochColumns",
+    "LogColumns",
+    "ROW_WIDTHS",
+    "TABLE_NAMES",
+    "csr_gather",
+    "csr_offsets",
+    "sort_rows",
+]

@@ -14,16 +14,32 @@ object) plus dedicated indexes for the structures PivotE relies on heavily:
 The store is deliberately simple (dictionaries of sets) but the interface is
 what a production triple store would expose, so swapping in a disk-backed
 implementation would not change any caller.
+
+A graph comes into being in one of two ways.  Built by ``add``, it fills
+every container as the triples arrive.  *Adopted* from saved columns
+(:meth:`KnowledgeGraph.adopt`, the cold-start path of ``PivotE.load``) it
+starts with only its **entity tables** — entities, labels, types, epoch:
+all that search, recommendation, pivot and explanation read — grouped out
+of the columns in bulk, and leaves its **triple access paths** (the triple
+list and set, the three edge indexes, literals, categories, aliases)
+unset.  The first read of one of them replays the column log through
+``_add_triple_locked``, once, under the lock (:class:`_AdoptedGraph`),
+after which the graph is an ordinary one: no accessor of a built or
+hydrated graph tests anything.
 """
 
 from __future__ import annotations
 
+import logging
+import sys
 import threading
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
+from time import perf_counter
 
 from ..exceptions import EntityNotFoundError
-from .columns import EdgeColumnLog
+from ..utils import gc_paused
+from .columns import EdgeColumnLog, LogColumns
 from .entity import Entity
 from .namespaces import (
     DCT_SUBJECT,
@@ -43,6 +59,17 @@ from .triple import Literal, Triple, TripleObject
 STRUCTURAL_PREDICATES: frozenset[str] = frozenset(
     {RDF_TYPE, RDFS_LABEL, DCT_SUBJECT, REDIRECT, DISAMBIGUATES}
 )
+
+#: The containers every exploration request reads; an adopted graph has
+#: them from birth.
+_ENTITY_TABLES = ("_entities", "_labels", "_types", "_type_members")
+#: The containers an adopted graph builds on first use (see :class:`_AdoptedGraph`).
+_ACCESS_PATHS = (
+    "_triples", "_triple_set", "_spo", "_pos", "_osp", "_literals",
+    "_categories", "_category_members", "_aliases", "_predicates",
+)
+
+_LOG = logging.getLogger("repro")
 
 
 class KnowledgeGraph:
@@ -81,6 +108,40 @@ class KnowledgeGraph:
         #: (see :mod:`repro.kg.columns`); what the per-epoch feature
         #: tables and topology are built from.
         self._columns = EdgeColumnLog(self._triples, self._lock)
+        #: How long building deferred access paths took (0.0: none were deferred).
+        self.hydration_ms = 0.0
+
+    @staticmethod
+    def adopt(
+        columns: LogColumns,
+        name: str = "kg",
+        namespaces: NamespaceRegistry | None = None,
+    ) -> "KnowledgeGraph":
+        """The graph whose triple log is ``columns``, without replaying it.
+
+        Equal on every accessor to the graph that ``add``-ed the same
+        triples in the same order.  The entity tables are grouped out of
+        the columns here; the triple access paths are built when a caller
+        first reads one (see :class:`_AdoptedGraph`).  ``columns`` must
+        have passed :meth:`LogColumns.check` and is owned by the graph
+        from here on.
+        """
+        graph = _AdoptedGraph.__new__(_AdoptedGraph)
+        graph.name = name
+        graph.namespaces = namespaces or NamespaceRegistry()
+        graph._lock = threading.RLock()
+        graph._columns = EdgeColumnLog([], graph._lock, adopted=columns)
+        graph._epoch = columns.triples
+        graph.hydration_ms = 0.0
+        (
+            graph._entities, graph._labels, graph._types, graph._type_members,
+        ) = graph._columns.entity_tables()
+        return graph
+
+    @property
+    def hydrated(self) -> bool:
+        """Whether the triple access paths exist (always, unless adopted)."""
+        return "_triples" in self.__dict__
 
     @property
     def columns(self) -> EdgeColumnLog:
@@ -198,7 +259,8 @@ class KnowledgeGraph:
     # Basic accessors
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._triples)
+        # One epoch per logged triple, and triples are never removed.
+        return self._epoch
 
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._entities
@@ -457,7 +519,7 @@ class KnowledgeGraph:
     def describe(self) -> str:
         """One-line description used by logging and the examples."""
         return (
-            f"KnowledgeGraph({self.name!r}: {len(self._triples)} triples, "
+            f"KnowledgeGraph({self.name!r}: {len(self)} triples, "
             f"{len(self._entities)} entities, {len(self._type_members)} types, "
             f"{len(self._pos)} edge predicates)"
         )
@@ -471,3 +533,54 @@ class KnowledgeGraph:
     def merge(self, other: "KnowledgeGraph") -> int:
         """Merge another graph into this one; return number of new triples."""
         return self.add_all(other.triples)
+
+
+class _AdoptedGraph(KnowledgeGraph):
+    """An adopted graph nobody has asked a triple access path of yet.
+
+    The paths are simply not set, so the first read of one lands in
+    ``__getattr__``, which builds them all and turns the instance into a
+    plain :class:`KnowledgeGraph`.  Only this class defines
+    ``__getattr__`` — a class that does makes *every* attribute read of
+    its instances slower — so built and hydrated graphs pay nothing for
+    the laziness, and an unhydrated one pays a slower lookup, not a
+    missing feature.
+    """
+
+    def __getattr__(self, name: str):
+        if name not in _ACCESS_PATHS or "_columns" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._hydrate(sys._getframe(1).f_code.co_name)
+        return self.__dict__[name]
+
+    def _hydrate(self, caller: str) -> None:
+        """Build the triple access paths from the column log, once.
+
+        The log's rows are decoded into triples and replayed into a fresh
+        graph through ``_add_triple_locked``; its containers — the access
+        paths, and entity tables equal to the bulk-built ones but in the
+        growable form writes need — are then installed here one
+        assignment each, so lock-free readers never see one half-built.
+        The replay allocates only long-lived acyclic containers: the
+        cyclic collector is paused for it.
+        """
+        with self._lock:
+            if self.hydrated:  # another caller got here first
+                return
+            started = perf_counter()
+            replayed = KnowledgeGraph(self.name, self.namespaces)
+            with gc_paused():
+                replayed.add_all(self._columns.triples())
+            if replayed._epoch != self._epoch:
+                raise RuntimeError(
+                    f"column log replayed to epoch {replayed._epoch}, adopted at {self._epoch}"
+                )
+            self._columns.bind(replayed._triples)
+            for name in (*_ENTITY_TABLES, *_ACCESS_PATHS):
+                self.__dict__[name] = replayed.__dict__[name]
+            self.hydration_ms = (perf_counter() - started) * 1000.0
+            self.__class__ = KnowledgeGraph
+        _LOG.info(
+            "graph %r: %d triples hydrated in %.1f ms, first needed by %s",
+            self.name, self._epoch, self.hydration_ms, caller,
+        )

@@ -168,6 +168,13 @@ class StorageStats:
     ``SnapshotUnavailable`` and degraded to a rebuild.  ``cold_start_ms``
     is how long the last ``PivotE.load`` spent restoring the system
     (0.0 for systems built in RAM).
+
+    The last three fields are the lazy boundary of a loaded system:
+    ``graph_hydrated`` is whether the graph's triple access paths exist
+    (a loaded graph builds them when first asked for one; a built graph
+    always has them), ``hydration_ms`` how long building them took, and
+    ``feature_rows_decoded`` how many holder/feature rows the restored
+    feature snapshot has turned into sets on demand.
     """
 
     backend: str
@@ -178,6 +185,9 @@ class StorageStats:
     attached_bytes: int
     failures: int
     cold_start_ms: float
+    graph_hydrated: bool = True
+    hydration_ms: float = 0.0
+    feature_rows_decoded: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -189,6 +199,9 @@ class StorageStats:
             "attached_bytes": self.attached_bytes,
             "failures": self.failures,
             "cold_start_ms": self.cold_start_ms,
+            "graph_hydrated": self.graph_hydrated,
+            "hydration_ms": self.hydration_ms,
+            "feature_rows_decoded": self.feature_rows_decoded,
         }
 
 

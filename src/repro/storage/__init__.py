@@ -26,6 +26,7 @@ from .codec import (
     SnapshotUnavailable,
     encode_feature_tables,
     encode_graph_topology,
+    encode_graph_triples,
     encode_index_snapshot,
     iter_descriptors,
 )
@@ -34,15 +35,14 @@ from .diskstore import DiskSnapshot, DiskSnapshotStore
 _KGSTORE_NAMES = (
     "FEATURE_TABLES_KEY",
     "GRAPH_TOPOLOGY_KEY",
+    "GRAPH_TRIPLES_KEY",
     "SEARCH_INDEX_KEY",
     "LoadedSystem",
-    "graph_path",
     "load_graph",
     "load_system",
     "restore_feature_snapshot",
     "restore_fielded_index",
     "restore_graph_topology",
-    "save_graph",
     "save_system",
     "system_store",
 )
@@ -59,6 +59,7 @@ __all__ = [
     "SnapshotUnavailable",
     "encode_feature_tables",
     "encode_graph_topology",
+    "encode_graph_triples",
     "encode_index_snapshot",
     "iter_descriptors",
     *_KGSTORE_NAMES,

@@ -51,6 +51,7 @@ from ..index.postings import BLOCK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
+    from ..kg.columns import LogColumns
     from ..index.columnar import ColumnarIndex, ColumnarPostings
     from ..index.fielded_index import FieldedIndex
     from ..kg.topology import GraphTopology
@@ -354,7 +355,7 @@ class SegmentView:
 
             return ColumnarFeatureTables.from_arrays(
                 epoch=self.epoch,
-                feature_keys=[tuple(key) for key in self._manifest["features"]],
+                feature_keys=self._manifest["features"],
                 holder_offsets=self.manifest_array("holder_offsets"),
                 holder_ordinals=self.manifest_array("holder_ordinals"),
                 dominant_ords=self.manifest_array("dominant_ords"),
@@ -401,6 +402,43 @@ class SegmentView:
             )
 
         return self.memoised(("graph-topology",), build)
+
+    def graph_columns(self) -> "LogColumns":
+        """The segment's column log, copied out of the buffer.
+
+        Only valid on ``"kind": "graph-triples"`` segments.  The arrays
+        are copies (a graph owns its log and outlives the mapping) and
+        nothing is cross-checked here — callers run
+        :meth:`~repro.kg.columns.LogColumns.check` on the result.
+        """
+        if self._manifest.get("kind") != "graph-triples":
+            raise SnapshotUnavailable("segment does not carry a graph's triples")
+        from ..kg.columns import LogColumns
+
+        try:
+            tables = {}
+            for name, table in self._manifest["tables"].items():
+                text = self._view(table["text"]).tobytes().decode("utf-8", "surrogatepass")
+                lengths = self._view(table["lengths"])
+                ends = np.cumsum(lengths).tolist()
+                if (lengths < 0).any() or (ends[-1] if ends else 0) != len(text):
+                    raise SnapshotUnavailable(
+                        f"snapshot {self._name!r} string table {name!r} is malformed"
+                    )
+                strings = [text[start:end] for start, end in zip([0, *ends], ends)]
+                tables[name] = (strings, self._view(table["stamps"]).tolist())
+            return LogColumns(
+                triples=int(self._manifest["triples"]),
+                tables=tables,
+                rows={
+                    name: np.array(self._view(desc))
+                    for name, desc in self._manifest["rows"].items()
+                },
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise SnapshotUnavailable(
+                f"snapshot {self._name!r} column log is malformed"
+            ) from error
 
     def shard_owners(self, num_shards: int) -> np.ndarray:
         """Per-ordinal shard ownership, identical to ``shard_of`` routing."""
@@ -553,4 +591,36 @@ def encode_graph_topology(
         "type_post": place(topology.type_post),
         "pre_order": place(topology.pre_order),
         "subtree_sizes": place(topology.subtree_sizes),
+    }, builder
+
+
+def encode_graph_triples(
+    source, columns: "LogColumns"
+) -> tuple[dict[str, object], SegmentBuilder]:
+    """Serialise one graph's whole column log into ``(manifest, builder)``.
+
+    The durable form of the graph itself (kind ``"graph-triples"``): the
+    three stamped row logs as they are, and each string table as its
+    strings' UTF-8 bytes end to end plus their lengths in characters and
+    their stamps — length-coded, so a string may contain any character.
+    ``source`` is anything with ``uid``/``epoch``; the manifest also
+    records the triple count the rows must add up to.
+    """
+    builder = SegmentBuilder()
+    place = builder.place
+    tables: dict[str, dict[str, object]] = {}
+    for name, (strings, stamps) in columns.tables.items():
+        text = "".join(strings).encode("utf-8", "surrogatepass")
+        tables[name] = {
+            "text": place(np.frombuffer(text, dtype=np.uint8)),
+            "lengths": place(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))),
+            "stamps": place(np.asarray(stamps, dtype=np.int64)),
+        }
+    return {
+        "uid": source.uid,
+        "epoch": source.epoch,
+        "kind": "graph-triples",
+        "triples": columns.triples,
+        "tables": tables,
+        "rows": {name: place(rows) for name, rows in columns.rows.items()},
     }, builder

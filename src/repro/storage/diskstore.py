@@ -141,8 +141,11 @@ class DiskSnapshotStore:
             raise SnapshotUnavailable(f"store manifest under {self.root!r} is malformed")
         return manifest
 
-    def entry(self, key: str) -> dict[str, object]:
-        entry = self.read_manifest().get(key)
+    def entry(
+        self, key: str, manifest: dict[str, dict[str, object]] | None = None
+    ) -> dict[str, object]:
+        """The pointer entry of ``key`` (in ``manifest`` when the caller read one)."""
+        entry = (self.read_manifest() if manifest is None else manifest).get(key)
         if not isinstance(entry, dict):
             raise SnapshotUnavailable(f"store has no snapshot for key {key!r}")
         return entry
@@ -218,15 +221,19 @@ class DiskSnapshotStore:
     # ------------------------------------------------------------------ #
     # Attach
     # ------------------------------------------------------------------ #
-    def attach(self, key: str) -> DiskSnapshot:
+    def attach(
+        self, key: str, manifest: dict[str, dict[str, object]] | None = None
+    ) -> DiskSnapshot:
         """Map + verify the current epoch of ``key`` (checksums eager).
 
         The uid/epoch recorded in the manifest entry must match the pair
         embedded in the segment itself — a swapped or half-replaced file
         raises :class:`SnapshotUnavailable` instead of serving garbage.
+        A caller attaching several keys passes the ``manifest`` it read
+        once (:meth:`read_manifest`) instead of having it re-read per key.
         """
         try:
-            entry = self.entry(key)
+            entry = self.entry(key, manifest)
             path = os.path.join(self.root, str(entry["file"]))
             crc = entry.get("crc")
             snapshot = DiskSnapshot(

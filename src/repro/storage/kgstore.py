@@ -1,41 +1,41 @@
 """The durable KG/document tier: whole-system save/load round-trips.
 
-The disk store (:mod:`repro.storage.diskstore`) persists the *derived*
-array state — the columnar postings and feature tables.  This module
-adds the substrate those arrays were derived from (the knowledge graph's
-triple log, at full fidelity including literal datatype/language tags)
-and the orchestration that makes ``PivotE.save(dir)`` /
-``PivotE.load(dir)`` a lossless round-trip::
+The disk store (:mod:`repro.storage.diskstore`) persists segments; this
+module decides which ones make a system and orchestrates
+``PivotE.save(dir)`` / ``PivotE.load(dir)`` into a lossless round-trip::
 
-    <dir>/
-        pivote.json             system manifest (graph epoch, role keys)
-        graph.jsonl             one triple per line, replay-ordered
-        store/                  the DiskSnapshotStore (see diskstore.py)
-            MANIFEST.json
-            search-index/<epoch>.snap
-            feature-tables/<epoch>.snap
-            graph-topology/<epoch>.snap
+    <dir>/store/                the DiskSnapshotStore (see diskstore.py)
+        MANIFEST.json           one pointer entry per segment
+        graph-triples/<epoch>.snap
+        search-index/<epoch>.snap
+        feature-tables/<epoch>.snap
+        graph-topology/<epoch>.snap
 
-Cold start then *attaches instead of rebuilding*: the graph replays its
-append-only triple log (epoch invariant: one bump per unique triple, so
-the restored graph lands on exactly the saved epoch), the fielded index
-replays stored per-document term counts straight into posting lists
-(:meth:`FieldedIndex.add_document_counts` — no document building, no
-tokenisation), and the feature index adopts a snapshot inverted from the
-stored holder CSR (no per-entity feature extraction).  Every component
-cross-checks the graph epoch recorded at publish time; a failed or
-corrupt component raises :class:`SnapshotUnavailable` and the caller
+``graph-triples`` is the graph itself — its column log
+(:mod:`repro.kg.columns`) at full fidelity, literal datatype/language
+tags included, every row stamped with its position in the triple log —
+and its manifest entry carries what used to be a system manifest: the
+format number, the graph's name, epoch and triple count.  The other
+three are derived from it and record the graph epoch they were derived
+from.
+
+Cold start *adopts instead of replaying*: the graph takes the decoded
+columns as they are and builds no triple objects until a caller asks for
+one (:meth:`KnowledgeGraph.adopt`), the fielded index adopts the stored
+posting columns, the feature index a snapshot that decodes rows of the
+stored tables on demand, the topology its arrays.  Every component is
+checksummed and cross-checked against the graph's epoch; a failed
+derived component raises :class:`SnapshotUnavailable` and the caller
 falls back to rebuilding *that component* from the loaded graph — a
-corrupt graph file fails the whole load (there is nothing to rebuild
-from).
+missing or corrupt ``graph-triples`` segment fails the whole load (there
+is nothing to rebuild from).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -46,9 +46,10 @@ from .codec import (
     SnapshotUnavailable,
     encode_feature_tables,
     encode_graph_topology,
+    encode_graph_triples,
     encode_index_snapshot,
 )
-from .diskstore import DiskSnapshotStore, _atomic_write_bytes
+from .diskstore import DiskSnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.feature_index import FeatureIndexSnapshot, SemanticFeatureIndex
@@ -60,97 +61,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: process-local counters and mean nothing across restarts, so durable
 #: segments are addressed by role; the uid/epoch embedded in each
 #: segment still pins which build produced it.
+GRAPH_TRIPLES_KEY = "graph-triples"
 SEARCH_INDEX_KEY = "search-index"
 FEATURE_TABLES_KEY = "feature-tables"
 GRAPH_TOPOLOGY_KEY = "graph-topology"
 
-_SYSTEM_MANIFEST = "pivote.json"
-_GRAPH_FILE = "graph.jsonl"
 _STORE_DIR = "store"
-_SYSTEM_FORMAT = 1
-
-
-# --------------------------------------------------------------------- #
-# Graph serialisation (full fidelity, replay-ordered)
-# --------------------------------------------------------------------- #
-def _triple_to_record(triple) -> dict[str, object]:
-    record: dict[str, object] = {"s": triple.subject, "p": triple.predicate}
-    if triple.is_literal:
-        literal = triple.object
-        record["v"] = literal.value
-        if literal.datatype != "string":
-            record["d"] = literal.datatype
-        if literal.language:
-            record["l"] = literal.language
-    else:
-        record["o"] = triple.object
-    return record
-
-
-def _record_to_triple(record: dict[str, object]):
-    from ..kg import Literal, Triple
-
-    subject = record["s"]
-    predicate = record["p"]
-    if "o" in record:
-        return Triple(subject, predicate, record["o"])  # type: ignore[arg-type]
-    return Triple(
-        subject,  # type: ignore[arg-type]
-        predicate,  # type: ignore[arg-type]
-        Literal(
-            value=record["v"],  # type: ignore[arg-type]
-            datatype=str(record.get("d", "string")),
-            language=str(record.get("l", "")),
-        ),
-    )
-
-
-def save_graph(path: str, graph: "KnowledgeGraph") -> None:
-    """Write the graph's triple log as JSONL (atomic temp-then-rename).
-
-    Unlike the interchange formats in :mod:`repro.kg.io` this is
-    lossless: literal datatype and language tags survive, and the
-    replay order is the mutation order, so loading reproduces the exact
-    epoch sequence.
-    """
-    with graph.lock:
-        lines = [
-            json.dumps(_triple_to_record(triple), separators=(",", ":"))
-            for triple in graph.triples
-        ]
-    payload = ("\n".join(lines) + "\n") if lines else ""
-    _atomic_write_bytes(path, payload.encode("utf-8"))
-
-
-def load_graph(path: str, name: str = "kg") -> "KnowledgeGraph":
-    """Replay a :func:`save_graph` file into a fresh graph."""
-    from ..kg import KnowledgeGraph
-
-    graph = KnowledgeGraph(name=name)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle.read().splitlines()]
-    except OSError as error:
-        raise SnapshotUnavailable(f"graph file {path!r} is unreadable") from error
-    try:
-        # One batched decode of the whole log — much faster than a
-        # json.loads per line on cold start; the per-line loop below
-        # only runs to attribute a line number to a malformed record.
-        records = json.loads("[%s]" % ",".join(line for line in lines if line))
-        triples = [_record_to_triple(record) for record in records]
-    except Exception as batch_error:
-        for number, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            try:
-                _record_to_triple(json.loads(line))
-            except Exception as error:
-                raise SnapshotUnavailable(
-                    f"graph file {path!r} line {number} is malformed"
-                ) from error
-        raise SnapshotUnavailable(f"graph file {path!r} is malformed") from batch_error
-    graph.add_all(triples)
-    return graph
+#: Format 1 kept the graph as ``graph.jsonl`` beside a ``pivote.json``
+#: system manifest; format 2 keeps it as the ``graph-triples`` segment.
+_SYSTEM_FORMAT = 2
+_FORMAT_1_MANIFEST = "pivote.json"
 
 
 # --------------------------------------------------------------------- #
@@ -159,11 +79,6 @@ def load_graph(path: str, name: str = "kg") -> "KnowledgeGraph":
 def system_store(directory: str) -> DiskSnapshotStore:
     """The snapshot store rooted inside a system directory (``<dir>/store``)."""
     return DiskSnapshotStore(os.path.join(directory, _STORE_DIR))
-
-
-def graph_path(directory: str) -> str:
-    """The triple-log file inside a system directory (``<dir>/graph.jsonl``)."""
-    return os.path.join(directory, _GRAPH_FILE)
 
 
 def save_system(
@@ -176,9 +91,11 @@ def save_system(
 ) -> dict[str, object]:
     """Persist one whole system (graph + both derived tiers) under ``directory``.
 
-    Each snapshot entry records the graph epoch it was derived from;
-    loads cross-check it so a graph file and a snapshot from different
-    saves never silently combine.  Returns the written system manifest.
+    The graph goes out as its column log — whatever form the graph is in:
+    a loaded graph that nobody asked a triple of republishes the columns
+    it adopted.  Each derived entry records the graph epoch it was
+    derived from; loads cross-check it so segments from different saves
+    never silently combine.  Returns a summary of what was written.
     Callers interested in publish counters pass their own ``store``
     (see :func:`system_store`) and read them back off it.
     """
@@ -192,8 +109,15 @@ def save_system(
 
     with graph.lock:
         graph_epoch = graph.epoch
-        num_triples = len(graph)
-        save_graph(os.path.join(directory, _GRAPH_FILE), graph)
+        graph_info = {"name": graph.name, "epoch": graph_epoch, "triples": len(graph)}
+        # Durable segments are addressed by role, so the uid slot of the
+        # two graph-side segments is unused (0).
+        source = SimpleNamespace(uid=0, epoch=graph_epoch)
+        manifest, builder = encode_graph_triples(source, graph.columns.export())
+        store.publish(
+            GRAPH_TRIPLES_KEY, manifest, builder,
+            extra={"format": _SYSTEM_FORMAT, **graph_info},
+        )
 
         view = columnar_view(index)
         manifest, builder = encode_index_snapshot(index, view, include_doc_ids=True)
@@ -203,58 +127,80 @@ def save_system(
 
         snapshot = feature_index.snapshot()
         tables = columnar_tables(snapshot)
-        source = SimpleNamespace(uid=feature_index.uid, epoch=snapshot.epoch)
         manifest, builder = encode_feature_tables(
-            source, tables, include_entity_ids=True
+            SimpleNamespace(uid=feature_index.uid, epoch=snapshot.epoch),
+            tables,
+            include_entity_ids=True,
         )
         store.publish(
             FEATURE_TABLES_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
 
-        # The columnar topology takes the remaining O(triples) replay term
-        # out of cold start: loads install it straight into the graph's
-        # memo instead of re-walking the adjacency.  Durable segments are
-        # addressed by role, so the uid slot is unused (0) here.
-        topology = graph_topology(graph)
-        source = SimpleNamespace(uid=0, epoch=graph_epoch)
-        manifest, builder = encode_graph_topology(source, topology)
+        # The columnar topology is installed straight into a loaded
+        # graph's memo instead of being sorted out of the log again.
+        manifest, builder = encode_graph_topology(source, graph_topology(graph))
         store.publish(
             GRAPH_TOPOLOGY_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
 
-    system_manifest: dict[str, object] = {
+    return {
         "format": _SYSTEM_FORMAT,
-        "graph": {
-            "file": _GRAPH_FILE,
-            "name": graph.name,
-            "epoch": graph_epoch,
-            "triples": num_triples,
-        },
-        "store": _STORE_DIR,
-        "keys": [SEARCH_INDEX_KEY, FEATURE_TABLES_KEY, GRAPH_TOPOLOGY_KEY],
+        "graph": graph_info,
+        "keys": [GRAPH_TRIPLES_KEY, SEARCH_INDEX_KEY, FEATURE_TABLES_KEY, GRAPH_TOPOLOGY_KEY],
     }
-    _atomic_write_bytes(
-        os.path.join(directory, _SYSTEM_MANIFEST),
-        json.dumps(system_manifest, indent=2, sort_keys=True).encode("utf-8"),
-    )
-    return system_manifest
 
 
 # --------------------------------------------------------------------- #
 # System load
 # --------------------------------------------------------------------- #
-def _read_system_manifest(directory: str) -> dict[str, object]:
-    path = os.path.join(directory, _SYSTEM_MANIFEST)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+def load_graph(
+    store: DiskSnapshotStore, manifest: dict[str, dict[str, object]] | None = None
+) -> "KnowledgeGraph":
+    """Adopt the graph a :func:`save_system` store holds.
+
+    Attaches the ``graph-triples`` segment (whole-file CRC), checks that
+    its rows are the log the entry describes — stamps numbering exactly
+    the recorded triples, codes inside their tables, epoch equal to the
+    triple count — and hands the columns to
+    :meth:`KnowledgeGraph.adopt`: no triple object is built here.
+    Anything short of that raises :class:`SnapshotUnavailable` naming
+    the segment.  ``manifest`` is the store manifest when the caller has
+    already read it.
+    """
+    from ..kg import KnowledgeGraph
+
+    if manifest is None:
+        manifest = store.read_manifest()
+    entry = manifest.get(GRAPH_TRIPLES_KEY)
+    directory = os.path.dirname(store.root)
+    if not isinstance(entry, dict):
+        if os.path.exists(os.path.join(directory, _FORMAT_1_MANIFEST)):
+            raise SnapshotUnavailable(
+                f"system under {directory!r} is in format 1 (graph.jsonl); "
+                f"this build reads format {_SYSTEM_FORMAT} — save it again"
+            )
+        raise SnapshotUnavailable(f"no loadable system under {directory!r}")
+    if entry.get("format") != _SYSTEM_FORMAT:
         raise SnapshotUnavailable(
-            f"no loadable system under {directory!r}"
-        ) from error
-    if not isinstance(manifest, dict) or manifest.get("format") != _SYSTEM_FORMAT:
-        raise SnapshotUnavailable(f"system manifest under {directory!r} is malformed")
-    return manifest
+            f"system under {directory!r} is in format {entry.get('format')!r}, "
+            f"this build reads format {_SYSTEM_FORMAT}"
+        )
+    try:
+        view = store.attach(GRAPH_TRIPLES_KEY, manifest)
+        try:
+            columns = view.graph_columns()
+        finally:
+            view.close()
+        columns.check()
+        recorded = (entry.get("epoch"), entry.get("triples"))
+        if recorded != (view.epoch, columns.triples) or view.epoch != columns.triples:
+            raise ValueError(
+                f"entry records epoch/triples {recorded}, the segment holds "
+                f"epoch {view.epoch} and {columns.triples} rows"
+            )
+    except (SnapshotUnavailable, ValueError) as error:
+        raise SnapshotUnavailable(f"{GRAPH_TRIPLES_KEY} segment unusable: {error}") from error
+    return KnowledgeGraph.adopt(columns, name=str(entry.get("name", "kg")))
 
 
 def restore_fielded_index(
@@ -315,23 +261,17 @@ def restore_fielded_index(
 def restore_feature_snapshot(
     graph: "KnowledgeGraph", view: SegmentView
 ) -> "FeatureIndexSnapshot":
-    """Invert one feature-tables snapshot back into pinned snapshot maps.
+    """Adopt one feature-tables snapshot as a pinned feature snapshot.
 
-    The stored holder CSR maps feature ordinals to sorted holder
-    ordinals; with the entity-id table alongside, both directions of the
-    :class:`FeatureIndexSnapshot` are rebuilt without extracting a single
-    feature from the graph.  Entities that hold no features still get
-    their (empty) entry — the entity-id table *is* the ordinal universe,
-    and dropping empty rows would shift every ordinal after them.
-
-    The decoded tables themselves are installed on the snapshot's memo
-    (arrays copied out, because the caller closes the backing memmap),
-    so the first recommendation after a cold start does not rebuild what
-    was just read — the feature-side sibling of ``install_topology``.
+    The decoded tables (arrays copied out, because the caller closes the
+    backing memmap) *are* the snapshot: it answers from them, turning a
+    holder or feature row into its frozenset when first asked for it
+    (:class:`~repro.features.feature_index.RestoredFeatureSnapshot`),
+    and they are its columnar memo, so the first recommendation after a
+    cold start rebuilds nothing.  Nothing here walks the features.
     """
-    from ..features.columnar import ColumnarFeatureTables
-    from ..features.feature_index import FeatureIndexSnapshot
-    from ..features.semantic_feature import Direction, SemanticFeature
+    from ..features.columnar import DIRECTIONS, ColumnarFeatureTables
+    from ..features.feature_index import RestoredFeatureSnapshot
 
     if view.epoch != graph.epoch:
         raise SnapshotUnavailable(
@@ -344,14 +284,12 @@ def restore_feature_snapshot(
     keys = view.manifest.get("features")
     if not isinstance(keys, list):
         raise SnapshotUnavailable("feature snapshot carries no feature keys")
-
     try:
-        features = [
-            SemanticFeature(anchor, predicate, Direction(direction))
-            for anchor, predicate, direction in keys
-        ]
-    except (TypeError, ValueError) as error:
-        raise SnapshotUnavailable("feature snapshot keys are malformed") from error
+        well_formed = set(map(len, keys)) <= {3} and set(map(itemgetter(2), keys)) <= set(DIRECTIONS)
+    except (TypeError, LookupError):
+        well_formed = False
+    if not well_formed:
+        raise SnapshotUnavailable("feature snapshot keys are malformed")
 
     try:
         tables = ColumnarFeatureTables.from_arrays(
@@ -368,41 +306,17 @@ def restore_feature_snapshot(
         )
     except KeyError as error:
         raise SnapshotUnavailable("feature snapshot lacks a table array") from error
+    holders = tables.holder_ordinals
     if (
-        tables.holder_offsets.shape != (len(features) + 1,)
+        tables.holder_offsets.shape != (len(keys) + 1,)
         or tables.dominant_ords.shape != (len(entity_ids),)
         or tables.member_offsets.shape != (len(entity_ids) + 1,)
+        or int(tables.holder_offsets[-1]) != holders.size
+        or (np.diff(tables.holder_offsets) < 0).any()
+        or (holders.size and (holders.min() < 0 or holders.max() >= len(entity_ids)))
     ):
-        raise SnapshotUnavailable("feature snapshot CSR offsets are malformed")
-    holder_offsets, holder_ordinals = tables.holder_offsets, tables.holder_ordinals
-    held: dict[int, set[SemanticFeature]] = defaultdict(set)
-    feature_entities: dict[SemanticFeature, frozenset[str]] = {}
-    try:
-        for position, feature in enumerate(features):
-            start = int(holder_offsets[position])
-            end = int(holder_offsets[position + 1])
-            holders = holder_ordinals[start:end].tolist()
-            feature_entities[feature] = frozenset(
-                entity_ids[ordinal] for ordinal in holders
-            )
-            for ordinal in holders:
-                held[ordinal].add(feature)
-    except IndexError as error:
-        raise SnapshotUnavailable("feature snapshot CSR is malformed") from error
-
-    entity_features = {
-        entity_id: frozenset(held.get(ordinal, ()))
-        for ordinal, entity_id in enumerate(entity_ids)
-    }
-    snapshot = FeatureIndexSnapshot(
-        graph,
-        entity_features,
-        feature_entities,
-        epoch=view.epoch,
-        triples=len(graph),
-    )
-    snapshot._columnar = tables
-    return snapshot
+        raise SnapshotUnavailable("feature snapshot CSR is malformed")
+    return RestoredFeatureSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
 
 
 def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "GraphTopology":
@@ -491,94 +405,56 @@ def load_system(
 ) -> LoadedSystem:
     """Load a saved system, attaching snapshots instead of rebuilding.
 
-    The graph is mandatory: a missing or corrupt graph file raises
-    :class:`SnapshotUnavailable` (callers fall back to whatever built
-    the graph originally).  The derived tiers are best-effort — each is
-    CRC-verified and cross-checked against the loaded graph's epoch, and
-    arrives as ``None`` on any failure so the caller rebuilds it from
-    the (sound) graph.
+    The graph is mandatory: a missing or corrupt ``graph-triples``
+    segment raises :class:`SnapshotUnavailable` (callers fall back to
+    whatever built the graph originally).  The derived tiers are
+    best-effort — each is CRC-verified and cross-checked against the
+    loaded graph's epoch, and arrives as ``None`` on any failure so the
+    caller rebuilds it from the (sound) graph.  The store manifest is
+    read once.
     """
-    manifest = _read_system_manifest(directory)
-    graph_info = manifest.get("graph")
-    if not isinstance(graph_info, dict):
-        raise SnapshotUnavailable(f"system manifest under {directory!r} is malformed")
+    store = system_store(directory)
+    manifest = store.read_manifest()
+    graph = load_graph(store, manifest)
 
-    graph = load_graph(
-        os.path.join(directory, str(graph_info.get("file", _GRAPH_FILE))),
-        name=str(graph_info.get("name", "kg")),
-    )
-    expected_epoch = int(graph_info.get("epoch", -1))  # type: ignore[arg-type]
-    expected_triples = int(graph_info.get("triples", -1))  # type: ignore[arg-type]
-    if graph.epoch != expected_epoch or len(graph) != expected_triples:
-        raise SnapshotUnavailable(
-            f"graph replayed to epoch {graph.epoch} ({len(graph)} triples), "
-            f"manifest recorded epoch {expected_epoch} ({expected_triples})"
-        )
+    def restored(key: str, restore):
+        """Attach one role, graph-epoch-check it, restore from it.
 
-    store = DiskSnapshotStore(os.path.join(directory, str(manifest.get("store", _STORE_DIR))))
-
-    def attach_component(key: str):
-        """Attach + graph-epoch-check one role; raise on any problem.
-
-        ``store.attach`` counts its own failures; the pre-attach entry
-        and graph-epoch checks count theirs here, so each failed
-        component load bumps ``store.failures`` exactly once.
+        ``None`` on any problem, which bumps ``store.failures`` exactly
+        once: ``store.attach`` counts its own failures, the entry and
+        graph-epoch checks and the restore count theirs here.
         """
         try:
-            entry = store.entry(key)
+            entry = store.entry(key, manifest)
             if int(entry.get("graph_epoch", -1)) != graph.epoch:  # type: ignore[arg-type]
-                raise SnapshotUnavailable(
-                    f"snapshot {key!r} is from another graph epoch"
-                )
+                raise SnapshotUnavailable(f"snapshot {key!r} is from another graph epoch")
         except SnapshotUnavailable:
             store.failures += 1
-            raise
-        return store.attach(key)
-
-    index = None
-    try:
-        view = attach_component(SEARCH_INDEX_KEY)
-    except SnapshotUnavailable:
-        pass
-    else:
+            return None
         try:
-            index = restore_fielded_index(view, fields, shards=search_shards)
+            view = store.attach(key, manifest)
         except SnapshotUnavailable:
-            store.failures += 1
-        finally:
-            view.close()
-
-    feature_snapshot = None
-    try:
-        view = attach_component(FEATURE_TABLES_KEY)
-    except SnapshotUnavailable:
-        pass
-    else:
+            return None
         try:
-            feature_snapshot = restore_feature_snapshot(graph, view)
+            return restore(view)
         except SnapshotUnavailable:
             store.failures += 1
-        finally:
-            view.close()
-
-    topology = None
-    try:
-        view = attach_component(GRAPH_TOPOLOGY_KEY)
-    except SnapshotUnavailable:
-        pass
-    else:
-        try:
-            topology = restore_graph_topology(graph, view)
-        except SnapshotUnavailable:
-            store.failures += 1
+            return None
         finally:
             view.close()
 
     return LoadedSystem(
         graph=graph,
-        index=index,
-        feature_snapshot=feature_snapshot,
-        topology=topology,
+        index=restored(
+            SEARCH_INDEX_KEY,
+            lambda view: restore_fielded_index(view, fields, shards=search_shards),
+        ),
+        feature_snapshot=restored(
+            FEATURE_TABLES_KEY, lambda view: restore_feature_snapshot(graph, view)
+        ),
+        topology=restored(
+            GRAPH_TOPOLOGY_KEY, lambda view: restore_graph_topology(graph, view)
+        ),
         store=store,
     )
 
@@ -586,15 +462,14 @@ def load_system(
 __all__ = [
     "FEATURE_TABLES_KEY",
     "GRAPH_TOPOLOGY_KEY",
+    "GRAPH_TRIPLES_KEY",
     "SEARCH_INDEX_KEY",
     "LoadedSystem",
-    "graph_path",
     "load_graph",
     "load_system",
     "restore_feature_snapshot",
     "restore_fielded_index",
     "restore_graph_topology",
-    "save_graph",
     "save_system",
     "system_store",
 ]

@@ -112,7 +112,8 @@ def topology_oracle(graph: KnowledgeGraph) -> dict[str, object]:
 
 def feature_tables_oracle(snapshot: FeatureIndexSnapshot) -> dict[str, object]:
     """Every array and key table of the snapshot's feature tables, by set walks."""
-    entity_ids = sorted(snapshot.entity_features)
+    entity_features, feature_entities = snapshot.maps()
+    entity_ids = sorted(entity_features)
     ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
     dominant = [snapshot.dominant_type(entity_id) for entity_id in entity_ids]
     type_ids = sorted({type_id for type_id in dominant if type_id})
@@ -146,11 +147,11 @@ def feature_tables_oracle(snapshot: FeatureIndexSnapshot) -> dict[str, object]:
         count=int(member_offsets[-1]),
     )
 
-    features = sorted(snapshot.feature_entities)
+    features = sorted(feature_entities)
     holder_offsets = np.zeros(len(features) + 1, dtype=np.int64)
     holder_rows: list[list[int]] = []
     for position, feature in enumerate(features):
-        row = sorted(ordinal_of[entity_id] for entity_id in snapshot.feature_entities[feature])
+        row = sorted(ordinal_of[entity_id] for entity_id in feature_entities[feature])
         holder_rows.append(row)
         holder_offsets[position + 1] = holder_offsets[position] + len(row)
     holder_ordinals = np.fromiter(

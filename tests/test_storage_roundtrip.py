@@ -6,8 +6,8 @@ durable tier: a system cold-started from ``PivotE.save(dir)`` via
 recommendation rankings to the in-RAM build it was saved from — across
 all four search scorers, every pruning mode, shard counts 1–3 and every
 executor.  A corrupted or missing component must degrade to rebuilding
-exactly that component from the (sound) replayed graph, with the same
-rankings and a counted failure; a corrupt graph fails the whole load.
+exactly that component from the (sound) adopted graph, with the same
+rankings and a counted failure; a corrupt graph segment fails the whole load.
 Also here: the snapshot-registry lifecycle regressions (double close,
 rebuild after close, atexit hook under registry replacement) and the
 ``storage`` knob's "off"/"disk" behaviours.
@@ -89,7 +89,9 @@ def saved_dir(tmp_path_factory, random_graph):
     directory = str(tmp_path_factory.mktemp("pivote-snapshot"))
     system = PivotE(random_graph)
     manifest = system.save(directory)
-    assert manifest["keys"] == ["search-index", "feature-tables", "graph-topology"]
+    assert manifest["keys"] == [
+        "graph-triples", "search-index", "feature-tables", "graph-topology",
+    ]
     system.close()
     return directory
 
@@ -145,7 +147,7 @@ def _load_clean(directory, config=None) -> PivotE:
     storage = system.stats().storage
     assert storage is not None
     assert storage.failures == 0
-    assert storage.attaches == 3
+    assert storage.attaches == 4
     assert storage.cold_start_ms > 0.0
     return system
 
@@ -266,6 +268,18 @@ class TestColdStartEquivalence:
             system.close()
 
 
+def test_load_reads_the_store_manifest_once(saved_dir, monkeypatch):
+    from repro.storage import DiskSnapshotStore
+
+    reads = []
+    original = DiskSnapshotStore.read_manifest
+    monkeypatch.setattr(
+        DiskSnapshotStore, "read_manifest", lambda store: reads.append(store.root) or original(store)
+    )
+    _load_clean(saved_dir).close()
+    assert len(reads) == 1
+
+
 class TestFreshProcessColdStart:
     def test_subprocess_load_matches_parent_build(
         self, saved_dir, serial_baselines, seeds
@@ -319,7 +333,7 @@ class TestFreshProcessColdStart:
         assert completed.returncode == 0, completed.stderr
         payload = json.loads(completed.stdout)
         assert payload["failures"] == 0
-        assert payload["attaches"] == 3
+        assert payload["attaches"] == 4
         default_pruning = SearchConfig().pruning
         for query in queries:
             assert payload["search"][query] == [
@@ -443,15 +457,147 @@ class TestCorruptionFallback:
 
     def test_corrupt_graph_fails_the_whole_load(self, saved_dir, tmp_path):
         directory = _corrupt_copy(saved_dir, tmp_path)
-        graph_path = os.path.join(directory, "graph.jsonl")
-        with open(graph_path, "a") as handle:
-            handle.write("{this is not json\n")
-        with pytest.raises(SnapshotUnavailable, match="malformed"):
+        with open(_snap_path(directory, "graph-triples"), "ab") as handle:
+            handle.write(b"{this is not a segment\n")
+        with pytest.raises(SnapshotUnavailable, match="graph-triples"):
             PivotE.load(directory)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(SnapshotUnavailable, match="no loadable system"):
             PivotE.load(str(tmp_path / "nowhere"))
+
+
+def _graph_segment_offsets(path: str) -> dict[str, int]:
+    """Byte positions inside a graph-triples segment, by what lives there."""
+    with open(path, "rb") as handle:
+        payload = handle.read()
+    manifest_length = int.from_bytes(payload[16:24], "little")
+    arrays_base = int.from_bytes(payload[24:32], "little")
+    manifest = json.loads(payload[32 : 32 + manifest_length])
+    return {
+        "magic": 3,
+        "version": 8,
+        "manifest-length": 16,
+        "manifest": 32 + manifest_length // 2,
+        "string-table": arrays_base + manifest["tables"]["strings"]["text"][0] + 5,
+        "table-stamps": arrays_base + manifest["tables"]["entities"]["stamps"][0] + 8,
+        "edge-column": arrays_base + manifest["rows"]["edges"][0] + 64,
+        "last-byte": len(payload) - 1,
+    }
+
+
+class TestGraphSegmentFaults:
+    """The graph has no fallback: any damage to its segment fails the load,
+    loudly, naming the segment — there is no way to load a wrong graph."""
+
+    @pytest.mark.parametrize(
+        "where",
+        ["magic", "version", "manifest-length", "manifest", "string-table",
+         "table-stamps", "edge-column", "last-byte"],
+    )
+    def test_one_flipped_byte_anywhere_is_refused(self, saved_dir, tmp_path, where):
+        directory = _corrupt_copy(saved_dir, tmp_path)
+        path = _snap_path(directory, "graph-triples")
+        position = _graph_segment_offsets(path)[where]
+        with open(path, "r+b") as handle:
+            handle.seek(position)
+            byte = handle.read(1)
+            handle.seek(position)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(SnapshotUnavailable, match="graph-triples"):
+            PivotE.load(directory)
+
+    @pytest.mark.parametrize(
+        "kept",
+        [lambda size: 0, lambda size: 20, lambda size: 100, lambda size: size // 2, lambda size: size - 1],
+        ids=["empty", "mid-header", "mid-manifest", "half", "all-but-one-byte"],
+    )
+    def test_truncation_is_refused(self, saved_dir, tmp_path, kept):
+        directory = _corrupt_copy(saved_dir, tmp_path)
+        path = _snap_path(directory, "graph-triples")
+        with open(path, "r+b") as handle:
+            handle.truncate(kept(os.path.getsize(path)))
+        with pytest.raises(SnapshotUnavailable, match="graph-triples"):
+            PivotE.load(directory)
+
+    @pytest.mark.parametrize("field", ["epoch", "triples"])
+    def test_entry_disagreeing_with_the_rows_is_refused(self, saved_dir, tmp_path, field):
+        directory = _corrupt_copy(saved_dir, tmp_path)
+        manifest_path = os.path.join(directory, "store", "MANIFEST.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["graph-triples"][field] += 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotUnavailable, match="graph-triples"):
+            PivotE.load(directory)
+
+    def test_checksummed_segment_with_inconsistent_rows_is_refused(self, random_graph, tmp_path):
+        """A writer's bug, not bit rot: the CRCs hold, the rows do not add up."""
+        from dataclasses import replace
+        from types import SimpleNamespace
+
+        from repro.storage import encode_graph_triples, load_graph, system_store
+
+        columns = random_graph.columns.export()
+        edges = columns.rows["edges"]
+        overrun = edges.copy()
+        overrun[0, 0] = len(columns.tables["entities"][0])
+        broken = {
+            "a row is missing": replace(columns, rows={**columns.rows, "edges": edges[:, :-1].copy()}),
+            "a code overruns its table": replace(columns, rows={**columns.rows, "edges": overrun}),
+            "a stamp repeats": replace(
+                columns, rows={**columns.rows, "typed": columns.rows["typed"][:, [0, 0]].copy()}
+            ),
+            "the count is off": replace(columns, triples=columns.triples + 1),
+        }
+        for reason, damaged in broken.items():
+            with pytest.raises(ValueError):
+                damaged.check()
+            store = system_store(str(tmp_path / reason.replace(" ", "-")))
+            manifest, builder = encode_graph_triples(
+                SimpleNamespace(uid=0, epoch=random_graph.epoch), damaged
+            )
+            store.publish(
+                "graph-triples", manifest, builder,
+                extra={"format": 2, "name": "kg", "epoch": random_graph.epoch, "triples": damaged.triples},
+            )
+            with pytest.raises(SnapshotUnavailable, match="graph-triples"):
+                load_graph(store)
+
+    def test_format_1_directory_is_refused_by_number(self, saved_dir, tmp_path):
+        """What PR 9 - PR 12 wrote: pivote.json + graph.jsonl + three segments."""
+        directory = _corrupt_copy(saved_dir, tmp_path)
+        manifest_path = os.path.join(directory, "store", "MANIFEST.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        del manifest["graph-triples"]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        shutil.rmtree(os.path.join(directory, "store", "graph-triples"))
+        with open(os.path.join(directory, "pivote.json"), "w") as handle:
+            json.dump({"format": 1, "graph": {"file": "graph.jsonl"}}, handle)
+        with open(os.path.join(directory, "graph.jsonl"), "w") as handle:
+            handle.write('{"s":"ex:a","p":"ex:p","o":"ex:b"}\n')
+        with pytest.raises(SnapshotUnavailable, match="format 1"):
+            PivotE.load(directory)
+
+    def test_unknown_format_number_is_refused_by_number(self, saved_dir, tmp_path):
+        directory = _corrupt_copy(saved_dir, tmp_path)
+        manifest_path = os.path.join(directory, "store", "MANIFEST.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["graph-triples"]["format"] = 3
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotUnavailable, match="format 3"):
+            PivotE.load(directory)
+
+    def test_no_graph_file_is_read_or_written(self, saved_dir):
+        assert sorted(os.listdir(saved_dir)) == ["store"]
+        assert sorted(os.listdir(os.path.join(saved_dir, "store"))) == [
+            "MANIFEST.json", "feature-tables", "graph-topology", "graph-triples", "search-index",
+        ]
 
 
 class TestTopologyAttach:
