@@ -200,12 +200,14 @@ class RankingConfig:
     #: shard count.
     shards: int = 1
     #: Columnar execution knob, mirroring :attr:`SearchConfig.columnar`:
-    #: score through the per-epoch feature tables
-    #: (:mod:`repro.features.columnar`) and the vectorized entity-ranking
-    #: kernel (:func:`repro.topk.kernels.columnar_rank`) instead of the
-    #: scalar type-group walk.  ``False`` keeps the scalar path for A/B
-    #: comparison.  Rankings are byte-identical either way: both paths
-    #: feed the same exhaustive-order survivor re-scoring epilogue.
+    #: run the whole recommendation request — feature ranking, candidate
+    #: tally, filters, the entity-ranking kernel
+    #: (:func:`repro.topk.kernels.columnar_rank`) and its exact epilogue —
+    #: on entity and feature ordinals of the per-epoch feature tables
+    #: (:mod:`repro.features.columnar`).  ``False`` selects the object
+    #: code of every one of those stages for A/B comparison.  Rankings
+    #: are byte-identical either way: both compute every returned float
+    #: in the exhaustive scorers' operation order.
     columnar: bool = True
     #: Feature columns per correction chunk of the ``blockmax`` entity
     #: accumulator (the recommendation-side block size): type groups are

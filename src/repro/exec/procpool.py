@@ -514,7 +514,7 @@ def _execute(payload: dict[str, Any], meta: dict[str, int]) -> Any:
 
             inputs = build_ranker_inputs(
                 snapshot.feature_tables(),
-                [tuple(key) for key in payload["features"]],
+                np.asarray(payload["features"], dtype=np.int64),
                 payload["relevance"],
                 np.asarray(payload["candidates"], dtype=np.int64),
                 float(payload["epsilon"]),

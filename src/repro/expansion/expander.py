@@ -23,7 +23,9 @@ import numpy as np
 from ..config import RankingConfig
 from ..exceptions import NoSeedEntitiesError
 from ..features import SemanticFeature, SemanticFeatureIndex
+from ..features.columnar import ColumnarFeatureTables
 from ..kg import KnowledgeGraph
+from ..kg.columns import isin_sorted
 from ..kg.topology import graph_topology, topology_counters
 from ..ranking import EntityRanker, ScoredEntity, ScoredFeature, SemanticFeatureRanker
 
@@ -151,22 +153,53 @@ class EntitySetExpander:
                 key=lambda item: (-item.score, item.feature.notation()),
             )
 
-        # Candidate generation without the max_candidates cap: the type and
-        # pinned-feature restrictions must narrow the pool *before* any
-        # truncation (cap or top-k), or low-match-count domain entities can
-        # be squeezed out while matching candidates still exist.
-        candidates = self._index.candidates_matching_any(
-            [scored.feature for scored in scored_features], exclude=seeds
-        )
-
         restricted_type = ""
         if domain_type:
             restricted_type = domain_type
         elif restrict_to_seed_type:
             restricted_type = self.dominant_seed_type(seeds)
+
+        probability_model = feature_ranker.probability_model
+        support = probability_model.support()
+        stages = probability_model.stages
+        # Candidates travel as entity ordinals of the pinned snapshot's
+        # tables from the tally to the ranker; identifiers only when a
+        # stage cannot be served from the arrays.
+        if exhaustive:
+            tables, seed_ordinals, reason = None, None, ""
+        elif not self._config.columnar:
+            tables, seed_ordinals, reason = None, None, "columnar-off"
+        else:
+            tables, seed_ordinals, reason = support.ordinal_space(seeds)
+
+        # Candidate generation without the max_candidates cap: the type and
+        # pinned-feature restrictions must narrow the pool *before* any
+        # truncation (cap or top-k), or low-match-count domain entities can
+        # be squeezed out while matching candidates still exist.
+        if tables is not None:
+            stages.ran("candidates")
+            candidates = self._index.candidates_matching_any(
+                tables.feature_ordinals([scored.feature.key for scored in scored_features]),
+                exclude=seed_ordinals,
+                tables=tables,
+            )
+        else:
+            if reason:
+                stages.fell_back("candidates", reason, support.epoch)
+            candidates = self._index.candidates_matching_any(
+                [scored.feature for scored in scored_features], exclude=seeds
+            )
         if restricted_type:
-            candidates = self.restrict_candidates(candidates, restricted_type)
-        if pinned:
+            if reason:
+                stages.fell_back("filters", reason, support.epoch)
+            candidates = self.restrict_candidates(candidates, restricted_type, tables=tables)
+        if pinned and tables is not None:
+            stages.ran("filters")
+            for ordinal in tables.feature_ordinals([feature.key for feature in pinned]).tolist():
+                candidates = candidates[isin_sorted(tables.holders(ordinal), candidates)]
+        elif pinned:
+            if reason:
+                stages.fell_back("filters", reason, support.epoch)
             candidates = [
                 entity_id
                 for entity_id in candidates
@@ -175,10 +208,15 @@ class EntitySetExpander:
         candidates = candidates[: self._config.max_candidates]
 
         entity_ranker = self._entity_ranker
-        rank_entities = entity_ranker.rank_exhaustive if exhaustive else entity_ranker.rank
-        ranked = rank_entities(
-            seeds, top_k=top_k, scored_features=scored_features, candidates=candidates
-        )
+        if exhaustive:
+            ranked = entity_ranker.rank_exhaustive(
+                seeds, top_k=top_k, scored_features=scored_features, candidates=candidates
+            )
+        else:
+            ranked = entity_ranker.rank(
+                seeds, top_k=top_k, scored_features=scored_features,
+                candidates=candidates, tables=tables,
+            )
 
         return ExpansionResult(
             seeds=tuple(seeds),
@@ -187,7 +225,12 @@ class EntitySetExpander:
             restricted_type=restricted_type,
         )
 
-    def restrict_candidates(self, candidates: list[str], restricted_type: str) -> list[str]:
+    def restrict_candidates(
+        self,
+        candidates: list[str] | np.ndarray,
+        restricted_type: str,
+        tables: ColumnarFeatureTables | None = None,
+    ) -> list[str] | np.ndarray:
         """Keep only candidates that are instances of ``restricted_type``.
 
         With the ``graph_topology`` knob on (default) this is an
@@ -195,7 +238,38 @@ class EntitySetExpander:
         ordinals against the type's interval-encoded member range; off,
         it is the scalar per-candidate ``in members`` set probe.  Both
         arms return the identical list.
+
+        With ``tables`` the candidates are entity ordinals of those
+        tables and so is the result.  A topology of the tables' epoch
+        numbers the entities the same way, so the intersect needs no
+        identifier; with the knob off or the graph at another epoch
+        (counted on the probability model's ``stages``) the ordinals
+        make the round trip through their identifiers.
         """
+        if tables is not None:
+            stages = self._feature_ranker.probability_model.stages
+            reason = ""
+            if not self._config.graph_topology:
+                reason = "columnar-off"
+            elif self._graph.epoch != tables.epoch:
+                reason = "epoch-mismatch"
+            else:
+                topology = graph_topology(self._graph)
+                if topology.epoch != tables.epoch:
+                    reason = "epoch-mismatch"
+            if reason:
+                stages.fell_back("filters", reason, tables.epoch)
+                ids = tables.entity_ids
+                kept = self.restrict_candidates(
+                    [ids[ordinal] for ordinal in candidates.tolist()], restricted_type
+                )
+                return tables.entity_ordinals(kept)
+            stages.ran("filters")
+            counters = topology_counters(self._graph)
+            counters.interval_filters += 1
+            kept = candidates[isin_sorted(topology.entities_under_id(restricted_type), candidates)]
+            counters.interval_hits += int(kept.size)
+            return kept
         if not self._config.graph_topology:
             members = self._graph.entities_of_type(restricted_type)
             return [entity_id for entity_id in candidates if entity_id in members]
@@ -208,9 +282,7 @@ class EntitySetExpander:
         if not member_ordinals.size:
             return []
         ordinals, known = topology.ordinals_of(candidates)
-        positions = np.searchsorted(member_ordinals, ordinals)
-        safe = np.minimum(positions, member_ordinals.size - 1)
-        keep = known & (member_ordinals[safe] == ordinals)
+        keep = known & isin_sorted(member_ordinals, ordinals)
         counters.interval_hits += int(keep.sum())
         return [
             entity_id for entity_id, kept in zip(candidates, keep.tolist()) if kept

@@ -31,7 +31,7 @@ from ..ranking import (
     build_correlation_matrix,
     build_correlation_matrix_exhaustive,
 )
-from ..stats import CacheStats, EngineStats, PruningStatsView
+from ..stats import CacheStats, EngineStats, PruningStatsView, StageStats
 from ..utils import LRUCache
 from .query_state import ExplorationQuery
 
@@ -154,9 +154,8 @@ class RecommendationEngine:
     ) -> list[Recommendation]:
         """Recommend for a batch of seed sets (one payload per input).
 
-        The batch shares one epoch's memoisation (the snapshot-pinned
-        scoring support, base-probability rows and holder intersections
-        warm on the first miss), duplicate seed sets inside the batch are
+        The batch shares one epoch's pinned state (the scoring support and
+        its feature tables), duplicate seed sets inside the batch are
         computed once — including *permutations*, which canonicalise to
         the same key — and every miss lands in the LRU cache.  Results
         are byte-identical to calling :meth:`recommend_for_seeds` per
@@ -265,12 +264,15 @@ class RecommendationEngine:
 
         One :class:`~repro.stats.EngineStats` carrying the ranking
         configuration echo, the current graph epoch, the epoch-keyed
-        recommendation cache's counters (``"recommendations"``) and the
-        entity ranker's pruning counters (``"entity-ranker"``).  Reads
+        recommendation cache's counters (``"recommendations"``), the
+        entity ranker's pruning counters (``"entity-ranker"``) and, per
+        request stage, how many calls ran on the array tables and how
+        many fell back to the object code, by reason (``stages``).  Reads
         the graph epoch first, so entries invalidated by a mutation are
         already dropped from the reported cache ``size``.
         """
         epoch = self._refresh_epoch()
+        stages = self._expander.feature_ranker.probability_model.stages
         return EngineStats(
             component="recommendation",
             epoch=epoch,
@@ -289,6 +291,10 @@ class RecommendationEngine:
             ),
             executor=executor_stats(self._config.executor, self._config.workers),
             traversal=traversal_stats(self._graph),
+            stages=StageStats(
+                arrays=dict(stages.arrays),
+                fallbacks={stage: dict(reasons) for stage, reasons in stages.fallbacks.items()},
+            ),
         )
 
     def close(self) -> None:

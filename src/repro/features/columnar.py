@@ -17,10 +17,10 @@ and — serialised into the shared-memory snapshot
 * **type-group tables**: the distinct dominant types of the epoch, each
   entity's dominant-type ordinal (−1 for untyped), full-membership sizes
   ``||E(c)||``, and an entity→type **membership CSR** over the same type
-  universe from which the per-(feature, type) intersection counts
-  ``||E(pi) ∩ E(c)||`` are derived lazily (a CSR gather + ``bincount``
-  per feature, memoised — the array form of the snapshot's
-  ``type_conditional_count`` memo).
+  universe from which the per-(type, feature) intersection counts
+  ``||E(pi) ∩ E(c)||`` are counted per request, for exactly the features
+  and types that request scores (two CSR gathers and one ``bincount``:
+  :meth:`ColumnarFeatureTables.intersections`).
 
 The intersection counts use *full* type membership, not dominant types:
 an entity whose dominant type is ``c*`` still counts toward every type it
@@ -32,21 +32,32 @@ Tables are built once per pinned :class:`FeatureIndexSnapshot` (memoised
 on the snapshot itself) or reconstructed zero-copy from an attached
 shared-memory segment on the worker side; the per-query kernel inputs are
 assembled by :func:`build_ranker_inputs` identically on both sides.
+
+The tables are also what a recommendation request *runs on*: the seeds'
+feature rows (:meth:`~ColumnarFeatureTables.feature_rows`), the candidate
+tally (:meth:`~ColumnarFeatureTables.matching_any`) and the dense
+``p(pi|e)`` matrix behind the exact entity scores and the correlation
+matrix (:meth:`~ColumnarFeatureTables.probabilities`) are array
+operations over entity and feature ordinals; identifiers and
+:class:`~repro.features.semantic_feature.SemanticFeature` objects are
+made only for what a response returns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..kg.columns import csr_gather, csr_offsets, sort_rows
+from ..kg.columns import csr_gather, csr_offsets, isin_sorted, sort_rows, unique_inverse
 from ..topk.kernels import RankerKernelInputs
 from .semantic_feature import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..kg.topology import GraphTopology
     from .feature_index import FeatureIndexSnapshot
 
 #: The feature-key triples are JSON-serialised into the snapshot manifest,
@@ -95,8 +106,7 @@ class ColumnarFeatureTables:
         "type_populations",
         "member_offsets",
         "member_type_ords",
-        "_intersections",
-        "_query_columns",
+        "_held",
     )
 
     def __init__(
@@ -135,16 +145,9 @@ class ColumnarFeatureTables:
         self.type_populations = type_populations
         self.member_offsets = member_offsets
         self.member_type_ords = member_type_ords
-        #: Memoised per-feature ``||E(pi) ∩ E(c)||`` columns (one entry per
-        #: feature ordinal, length ``num_types`` each) — the array form of
-        #: the snapshot's ``type_conditional_count`` memo.
-        self._intersections: dict[int, np.ndarray] = {}
-        #: Memoised stacked ``(base, possible)`` matrices per scored
-        #: feature set (see :func:`build_ranker_inputs`) — the columnar
-        #: sibling of ``RankingSupport``'s per-(feature, type)
-        #: ``base_and_possible`` memo.  Bounded: cleared when it grows
-        #: past a few dozen distinct query signatures.
-        self._query_columns: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(offsets, feature ordinals)``: the holder CSR turned around,
+        #: built by the first :meth:`held` call.
+        self._held: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -249,11 +252,18 @@ class ColumnarFeatureTables:
     def num_features(self) -> int:
         return int(self.holder_offsets.size) - 1
 
-    def feature_keys(self) -> list[FeatureKey]:
-        """The ``(anchor, predicate, direction)`` triples in ordinal order."""
-        if self._feature_keys is not None:
-            return [tuple(key) for key in self._feature_keys]
-        return self._keys_of(self.feature_codes)
+    def feature_keys(self, ordinals: np.ndarray | None = None) -> list[FeatureKey]:
+        """The ``(anchor, predicate, direction)`` triples of the given feature
+        ordinals, in the order given; of every feature, in ordinal order,
+        by default."""
+        listed = self._feature_keys
+        if listed is not None:
+            if ordinals is not None:
+                listed = [listed[ordinal] for ordinal in ordinals.tolist()]
+            return [tuple(key) for key in listed]
+        codes = self.feature_codes
+        assert codes is not None
+        return self._keys_of(codes if ordinals is None else codes[ordinals])
 
     def feature_key(self, ordinal: int) -> FeatureKey:
         """The key triple of one feature ordinal."""
@@ -305,6 +315,38 @@ class ColumnarFeatureTables:
         positions = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
         return np.where(codes[positions] == wanted, positions, -1)
 
+    def anchored_range(self, entity_ordinal: int) -> tuple[int, int]:
+        """``[low, high)``: the ordinals of the features anchored at one entity.
+
+        Ordinal order is ``(anchor, predicate, direction)`` order, so they
+        are contiguous.
+        """
+        codes = self.feature_codes
+        if codes is not None:
+            assert self.predicates is not None
+            span = 2 * len(self.predicates)
+            low, high = np.searchsorted(
+                codes, (entity_ordinal * span, (entity_ordinal + 1) * span)
+            ).tolist()
+            return low, high
+        listed, ids = self._feature_keys, self.entity_ids
+        assert listed is not None and ids is not None
+        anchor = ids[entity_ordinal]
+        return (
+            bisect_left(listed, anchor, key=itemgetter(0)),
+            bisect_right(listed, anchor, key=itemgetter(0)),
+        )
+
+    def entity_ordinals(self, entity_ids: Sequence[str]) -> np.ndarray:
+        """Ordinals of the given entity ids (−1 where the epoch lacks one)."""
+        assert self.ordinal_of is not None
+        lookup = self.ordinal_of.get
+        return np.fromiter(
+            (lookup(entity_id, -1) for entity_id in entity_ids),
+            dtype=np.int64,
+            count=len(entity_ids),
+        )
+
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
@@ -316,31 +358,202 @@ class ColumnarFeatureTables:
         end = int(self.holder_offsets[feature_ordinal + 1])
         return self.holder_ordinals[start:end]
 
-    def intersections(self, feature_ordinal: int) -> np.ndarray:
-        """``||E(pi) ∩ E(c)||`` for every type ordinal ``c`` (memoised).
+    def holder_sizes(self, feature_ordinals: np.ndarray) -> np.ndarray:
+        """``||E(pi)||`` per feature ordinal (0 for ``-1``)."""
+        known = feature_ordinals >= 0
+        if not known.any():
+            return np.zeros(feature_ordinals.size, dtype=np.int64)
+        safe = np.where(known, feature_ordinals, 0)
+        return np.where(known, self.holder_offsets[safe + 1] - self.holder_offsets[safe], 0)
 
-        Computed over *full* type membership via the membership CSR — a
-        holder counts toward every type it belongs to, matching the
-        scalar ``len(matching & type_members)`` exactly.
+    def holder_rows(self, feature_ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The holder rows of the features, concatenated: ``(holders, columns)``.
+
+        ``columns[i]`` is the position in ``feature_ordinals`` of the
+        feature ``holders[i]`` holds; ``-1`` ordinals contribute nothing.
+        The lookups below take the pair as ``rows`` so that a caller
+        making several of them over one feature list gathers it once.
         """
-        cached = self._intersections.get(feature_ordinal)
-        if cached is not None:
-            return cached
-        if feature_ordinal < 0 or self.num_types == 0:
-            counts = np.zeros(self.num_types, dtype=np.int64)
-        else:
-            gathered = csr_gather(
-                self.member_offsets, self.member_type_ords, self.holders(feature_ordinal)
+        known = np.flatnonzero(feature_ordinals >= 0)
+        rows = feature_ordinals[known]
+        holders = csr_gather(self.holder_offsets, self.holder_ordinals, rows)
+        sizes = self.holder_offsets[rows + 1] - self.holder_offsets[rows]
+        return holders, np.repeat(known, sizes)
+
+    def holder_hits(
+        self,
+        feature_ordinals: np.ndarray,
+        entities: np.ndarray,
+        rows: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every held cell of ``entities`` × features: ``(positions, columns)``.
+
+        ``entities`` must be ascending and distinct; ``entities[positions[i]]``
+        holds ``feature_ordinals[columns[i]]``.  Cells come in column
+        order, positions ascending within a column.
+        """
+        holders, columns = rows or self.holder_rows(feature_ordinals)
+        hit = isin_sorted(entities, holders)
+        return np.searchsorted(entities, holders[hit]), columns[hit]
+
+    def matching_any(
+        self, feature_ordinals: np.ndarray, exclude: np.ndarray, limit: int | None = None
+    ) -> np.ndarray:
+        """Entities holding any of the features, most matches first.
+
+        The array form of
+        :func:`repro.features.extraction.candidate_entities`: a
+        ``bincount`` over the concatenated holder rows; ordinals are in
+        identifier order, so a stable sort by match count is the
+        ``(-matches, entity_id)`` order.  ``exclude`` lists entity
+        ordinals to leave out (the seeds).
+        """
+        holders, _ = self.holder_rows(feature_ordinals)
+        counts = np.bincount(holders, minlength=self.num_entities)
+        counts[exclude] = 0
+        found = np.flatnonzero(counts)
+        ranked = found[np.argsort(-counts[found], kind="stable")]
+        return ranked if limit is None else ranked[:limit]
+
+    def held(self) -> tuple[np.ndarray, np.ndarray]:
+        """The holder CSR turned around: ``(offsets, feature ordinals)`` by entity.
+
+        One sort of the holder rows by holder, done on the first call.
+        Each entity's row is ascending.  Readers that have this epoch's
+        :class:`~repro.kg.topology.GraphTopology` get the same rows from
+        its adjacency without the sort (:meth:`feature_rows`).
+        """
+        held = self._held
+        if held is None:
+            lengths = np.diff(self.holder_offsets)
+            holders, ordinals = sort_rows(
+                (self.num_entities, self.num_features),
+                self.holder_ordinals,
+                np.repeat(np.arange(lengths.size, dtype=np.int64), lengths),
             )
-            counts = np.bincount(gathered, minlength=self.num_types).astype(np.int64)
-        self._intersections[feature_ordinal] = counts
-        return counts
+            # Benign race: concurrent first callers build equal arrays.
+            held = self._held = (csr_offsets(holders, self.num_entities), ordinals)
+        return held
+
+    def feature_rows(
+        self, entity_ordinals: Sequence[int], topology: GraphTopology | None = None
+    ) -> list[np.ndarray]:
+        """Per entity, the ascending ordinals of the features it holds.
+
+        An entity's out-edges are its ``object_of`` features and its
+        in-edges its ``subject_of`` ones, so a topology of this epoch
+        with this predicate table already has each row sorted, as
+        ``(neighbour, predicate)`` pairs that map to feature codes.
+        Without one (a reader pinned to an older epoch, tables decoded
+        from a segment) the rows come from :meth:`held`.
+        """
+        codes = self.feature_codes
+        if (
+            topology is not None
+            and codes is not None
+            and topology.epoch == self.epoch
+            and topology.predicates == self.predicates
+        ):
+            span = len(topology.predicates)
+            rows = []
+            for entity in entity_ordinals:
+                low, high = int(topology.out_offsets[entity]), int(topology.out_offsets[entity + 1])
+                outgoing = (topology.out_targets[low:high] * span + topology.out_preds[low:high]) * 2
+                low, high = int(topology.in_offsets[entity]), int(topology.in_offsets[entity + 1])
+                incoming = (topology.in_sources[low:high] * span + topology.in_preds[low:high]) * 2 + 1
+                rows.append(np.searchsorted(codes, np.sort(np.concatenate((outgoing, incoming)))))
+            return rows
+        offsets, ordinals = self.held()
+        return [
+            ordinals[int(offsets[entity]) : int(offsets[entity + 1])]
+            for entity in entity_ordinals
+        ]
+
+    def intersections(
+        self,
+        feature_ordinals: np.ndarray,
+        type_ordinals: np.ndarray,
+        rows: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """``||E(pi) ∩ E(c)||`` for every (type, feature) pair, types as rows.
+
+        Counted over *full* type membership via the membership CSR — a
+        holder counts toward every type it belongs to, matching the
+        scalar ``len(matching & type_members)`` exactly.  ``type_ordinals``
+        must be distinct; the row of the untyped slot (``-1``) and the
+        column of an unknown feature (``-1``) are zero.
+        """
+        num_rows, num_columns = type_ordinals.size, feature_ordinals.size
+        if not self.num_types or not num_rows or not num_columns:
+            return np.zeros((num_rows, num_columns), dtype=np.int64)
+        holders, columns = rows or self.holder_rows(feature_ordinals)
+        types = csr_gather(self.member_offsets, self.member_type_ords, holders)
+        memberships = self.member_offsets[holders + 1] - self.member_offsets[holders]
+        row_of = np.full(self.num_types, -1, dtype=np.int64)
+        typed = np.flatnonzero(type_ordinals >= 0)
+        row_of[type_ordinals[typed]] = typed
+        type_rows = row_of[types]
+        wanted = type_rows >= 0
+        cells = type_rows[wanted] * num_columns + np.repeat(columns, memberships)[wanted]
+        return np.bincount(cells, minlength=num_rows * num_columns).reshape(num_rows, num_columns)
+
+    def base_probabilities(
+        self,
+        feature_ordinals: np.ndarray,
+        type_ordinals: np.ndarray,
+        epsilon: float,
+        type_smoothing: bool = True,
+        rows: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(max(p(pi|c), eps), ||E(pi) ∩ E(c)||)``, both types × features.
+
+        ``p(pi|e)`` of an entity of dominant type ``c`` that does not hold
+        ``pi``, with the scalar arithmetic of
+        ``RankingSupport.base_probability``: float64
+        ``intersection / population`` floored at ``eps``, and ``eps``
+        itself when smoothing is off or the type is the untyped slot.
+        The one (features × types) lookup the feature ranker, the kernel
+        inputs and :meth:`probabilities` share.
+        """
+        counts = self.intersections(feature_ordinals, type_ordinals, rows)
+        base = np.full(counts.shape, epsilon, dtype=np.float64)
+        typed = type_ordinals >= 0
+        if type_smoothing and typed.any():
+            populations = self.type_populations[type_ordinals[typed]]
+            base[typed] = np.maximum(counts[typed] / populations[:, None], epsilon)
+        return base, counts
+
+    def probabilities(
+        self,
+        entity_ordinals: np.ndarray,
+        feature_ordinals: np.ndarray,
+        epsilon: float,
+        type_smoothing: bool = True,
+    ) -> np.ndarray:
+        """The dense ``p(pi|e)`` matrix, entities × features.
+
+        Each row starts as the base row of the entity's dominant type;
+        the cells the entity holds are set to 1.0.  Entities may repeat
+        and come in any order; ``-1`` (an entity the epoch lacks) is
+        untyped and holds nothing, ``-1`` features are held by nobody —
+        the floats ``FeatureProbabilityModel.probability`` returns.
+        """
+        entities, inverse = unique_inverse(entity_ordinals)
+        known = entities >= 0
+        dominant = np.full(entities.size, -1, dtype=np.int64)
+        dominant[known] = self.dominant_ords[entities[known]]
+        types, type_index = unique_inverse(dominant)
+        rows = self.holder_rows(feature_ordinals)
+        base, _ = self.base_probabilities(feature_ordinals, types, epsilon, type_smoothing, rows)
+        matrix = base[type_index]
+        matrix[self.holder_hits(feature_ordinals, entities, rows)] = 1.0
+        return matrix[inverse]
 
 
 def build_ranker_inputs(
     tables: ColumnarFeatureTables,
-    feature_keys: list[FeatureKey],
-    relevance: list[float],
+    feature_ordinals: np.ndarray,
+    relevance: Sequence[float],
     candidate_ordinals: np.ndarray,
     epsilon: float,
     type_smoothing: bool = True,
@@ -348,75 +561,31 @@ def build_ranker_inputs(
     """Assemble one query's kernel inputs from the epoch tables.
 
     Runs identically in the parent and in attached workers: the scored
-    features arrive as ``(key triple, relevance)`` pairs, the candidates
-    as entity ordinals (any order; sorted here so the survivor selection
-    tie-break holds).  Per-type base probabilities repeat the scalar
-    arithmetic — float64 ``intersection / population`` with the
-    ``max(·, eps)`` floor, ``eps`` everywhere when smoothing is off or
-    the type is the untyped slot — and the correction-possible gate (a
-    non-zero intersection for typed groups, a non-empty holder list for
-    untyped candidates) shapes the suffix bounds exactly as
-    ``RankingSupport.base_and_possible`` does.
+    features arrive as feature ordinals of these tables (−1 for one the
+    epoch lacks) with their relevance, the candidates as entity ordinals
+    (any order; sorted here so the survivor selection tie-break holds).
+    Per-type base probabilities come from
+    :meth:`ColumnarFeatureTables.base_probabilities`, and the
+    correction-possible gate (a non-zero intersection for typed groups,
+    a non-empty holder list for untyped candidates) shapes the suffix
+    bounds exactly as ``RankingSupport.base_and_possible`` does.
     """
     candidate_ordinals = np.sort(np.asarray(candidate_ordinals, dtype=np.int64))
-    num_candidates = int(candidate_ordinals.size)
-    num_columns = len(feature_keys)
+    feature_ordinals = np.asarray(feature_ordinals, dtype=np.int64)
+    num_columns = int(feature_ordinals.size)
     scores = np.asarray(relevance, dtype=np.float64)
-    ord_array = tables.feature_ordinals(feature_keys)
-    feature_ords = ord_array.tolist()
 
     # Local type universe: the distinct dominant-type ordinals among the
     # candidates (−1, when present, is the untyped slot and sorts first).
-    dominant = tables.dominant_ords[candidate_ordinals]
-    local_types = np.unique(dominant)
-    type_index = np.searchsorted(local_types, dominant)
+    local_types, type_index = unique_inverse(tables.dominant_ords[candidate_ordinals])
     num_local = int(local_types.size)
-
-    typed = local_types >= 0
-    typed_idx = np.maximum(local_types, 0)
-    known = ord_array >= 0
-    safe_ords = np.where(known, ord_array, 0)
-    holder_sizes = np.where(
-        known,
-        tables.holder_offsets[safe_ords + 1] - tables.holder_offsets[safe_ords],
-        0,
+    rows = tables.holder_rows(feature_ordinals)
+    base, counts = tables.base_probabilities(
+        feature_ordinals, local_types, epsilon, type_smoothing, rows
     )
-    # The global ``(base, possible)`` matrices of this feature set — one
-    # row per epoch type plus a trailing untyped row — memoised on the
-    # tables (candidate-independent, like the scalar walk's
-    # per-(feature, type) ``base_and_possible`` memo).  Typed rows repeat
-    # the scalar arithmetic: float64 ``||E(pi) ∩ E(c)|| / ||E(c)||`` with
-    # the ``max(·, eps)`` floor; correction possible iff the intersection
-    # is non-zero.  The untyped row stays at eps, possible iff the holder
-    # list is non-empty (the scalar untyped fallback).
-    memo_key = (tuple(feature_ords), float(epsilon), bool(type_smoothing))
-    memoised = tables._query_columns.get(memo_key)
-    if memoised is None:
-        num_rows = tables.num_types + 1
-        base_all = np.full((num_rows, num_columns), epsilon, dtype=np.float64)
-        possible_all = np.zeros((num_rows, num_columns), dtype=bool)
-        possible_all[num_rows - 1] = holder_sizes > 0
-        if tables.num_types and num_columns:
-            inter = np.stack(
-                [tables.intersections(ordinal) for ordinal in feature_ords], axis=1
-            )
-            possible_all[: tables.num_types] = inter > 0
-            if type_smoothing:
-                populations = tables.type_populations.astype(np.float64)[:, None]
-                smoothed = np.divide(
-                    inter.astype(np.float64),
-                    populations,
-                    out=np.zeros((tables.num_types, num_columns), dtype=np.float64),
-                    where=populations > 0,
-                )
-                base_all[: tables.num_types] = np.maximum(smoothed, epsilon)
-        if len(tables._query_columns) >= 64:
-            tables._query_columns.clear()
-        tables._query_columns[memo_key] = memoised = (base_all, possible_all)
-    base_all, possible_all = memoised
-    rows = np.where(typed, typed_idx, tables.num_types)
-    base = base_all[rows]
-    possible = possible_all[rows]
+    possible = np.where(
+        (local_types >= 0)[:, None], counts > 0, tables.holder_sizes(feature_ordinals) > 0
+    )
 
     corrections = (1.0 - base) * scores
     bounded = np.where(possible & (scores > 0.0), corrections, 0.0)
@@ -425,24 +594,12 @@ def build_ranker_inputs(
         suffix[:, :num_columns] = np.cumsum(bounded[:, ::-1], axis=1)[:, ::-1]
     base_scores = base @ scores if num_columns else np.zeros(num_local, dtype=np.float64)
 
-    # One searchsorted over the concatenated holder lists, then plain
-    # slices at the (post-match) column boundaries — replaces a
-    # per-column searchsorted loop (and avoids ``np.split`` overhead).
-    if num_candidates and num_columns and int(holder_sizes.sum()):
-        concat = np.concatenate([tables.holders(ordinal) for ordinal in feature_ords])
-        positions = np.searchsorted(candidate_ordinals, concat)
-        positions = np.minimum(positions, num_candidates - 1)
-        matched = candidate_ordinals[positions] == concat
-        matched_total = np.concatenate(([0], np.cumsum(matched)))
-        ends = np.cumsum(holder_sizes)
-        filtered = positions[matched]
-        bounds = matched_total[ends].tolist()
-        starts = matched_total[ends - holder_sizes].tolist()
-        holder_positions = [
-            filtered[start:end] for start, end in zip(starts, bounds)
-        ]
-    else:
-        holder_positions = [np.empty(0, dtype=np.int64) for _ in range(num_columns)]
+    # Held cells come in column order: slice them at the column boundaries.
+    positions, columns = tables.holder_hits(feature_ordinals, candidate_ordinals, rows)
+    ends = np.cumsum(np.bincount(columns, minlength=num_columns)).tolist()
+    holder_positions = tuple(
+        positions[start:end] for start, end in zip([0, *ends], ends)
+    )
 
     return RankerKernelInputs(
         ordinals=candidate_ordinals,
@@ -451,7 +608,7 @@ def build_ranker_inputs(
         base_scores=base_scores,
         corrections=corrections,
         suffix_bounds=suffix,
-        holder_positions=tuple(holder_positions),
+        holder_positions=holder_positions,
     )
 
 

@@ -44,7 +44,6 @@ import numpy as np
 
 from ..index.fielded_index import next_index_uid
 from ..kg import DISAMBIGUATES, KnowledgeGraph, REDIRECT, STRUCTURAL_PREDICATES, Triple
-from ..kg.columns import csr_offsets, sort_rows
 from ..utils import gc_paused
 from .extraction import features_of_entity
 from .semantic_feature import Direction, SemanticFeature
@@ -174,13 +173,14 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
     frozenset a built snapshot would hold there, and memoises it in the
     same dictionary — so a hit costs what it costs on a built snapshot,
     and a cold start pays for the rows its requests touch, not for all
-    of them.  The entity → features direction is the holder rows sorted
-    by holder, done once, on the first such miss.  :meth:`maps` decodes
+    of them.  The entity → features direction is the tables' holder rows
+    turned around (:meth:`ColumnarFeatureTables.held`), done once, on the
+    first such miss.  :meth:`maps` decodes
     what is left; after it the snapshot differs from a built one only in
     how it got there.
     """
 
-    __slots__ = ("decoded_rows", "_features", "_held", "_complete")
+    __slots__ = ("decoded_rows", "_features", "_complete")
 
     def __init__(
         self, graph: KnowledgeGraph, tables: "ColumnarFeatureTables", epoch: int, triples: int
@@ -193,8 +193,6 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
         self.decoded_rows = 0
         #: ``feature ordinal → feature`` for every feature met so far.
         self._features: dict[int, SemanticFeature] = {}
-        #: ``(offsets, feature ordinals)``: the holder CSR turned around.
-        self._held: tuple[np.ndarray, np.ndarray] | None = None
         self._complete = False
 
     def _feature(self, ordinal: int) -> SemanticFeature:
@@ -212,17 +210,7 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
         ordinal = tables.ordinal_of.get(entity_id)
         if ordinal is None or self._complete:
             return _EMPTY_HOLDERS  # type: ignore[return-value]
-        held = self._held
-        if held is None:
-            lengths = np.diff(tables.holder_offsets)
-            holders, ordinals = sort_rows(
-                (tables.num_entities, tables.num_features),
-                tables.holder_ordinals,
-                np.repeat(np.arange(lengths.size, dtype=np.int64), lengths),
-            )
-            held = self._held = (csr_offsets(holders, tables.num_entities), ordinals)
-        offsets, ordinals = held
-        row = ordinals[int(offsets[ordinal]) : int(offsets[ordinal + 1])]
+        (row,) = tables.feature_rows([ordinal])
         features = frozenset(map(self._feature, row.tolist()))
         self.entity_features[entity_id] = features
         self.decoded_rows += 1
@@ -281,7 +269,7 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
                     if feature not in decoded:
                         self._decode_row(feature, ordinal)
             self._complete = True
-            self._features, self._held = {}, None
+            self._features = {}
             _LOG.info(
                 "feature snapshot of epoch %d: remaining %d rows decoded in %.1f ms",
                 self.epoch, self.decoded_rows - before, (perf_counter() - started) * 1000.0,
@@ -562,10 +550,11 @@ class SemanticFeatureIndex:
 
     def candidates_matching_any(
         self,
-        features: Iterable[SemanticFeature],
-        exclude: Iterable[str] = (),
+        features: Iterable[SemanticFeature] | np.ndarray,
+        exclude: Iterable[str] | np.ndarray = (),
         limit: int | None = None,
-    ) -> list[str]:
+        tables: "ColumnarFeatureTables | None" = None,
+    ) -> list[str] | np.ndarray:
         """Entities matching any feature, ordered by how many they match.
 
         Index-backed equivalent of
@@ -573,7 +562,15 @@ class SemanticFeatureIndex:
         (most shared features first, then identifier), but walking the
         materialised no-copy holder lists instead of per-feature graph
         queries.
+
+        With ``tables`` — the array tables of the snapshot a request
+        pinned — ``features`` and ``exclude`` are feature and entity
+        ordinals of those tables and so is the result
+        (:meth:`ColumnarFeatureTables.matching_any`): the form the
+        recommendation path calls, which never makes an identifier.
         """
+        if tables is not None:
+            return tables.matching_any(features, exclude, limit)
         snapshot = self.snapshot()
         excluded = set(exclude)
         counts: Counter[str] = Counter()

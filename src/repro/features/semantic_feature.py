@@ -39,6 +39,19 @@ class Direction(str, Enum):
         return Direction.SUBJECT_OF
 
 
+_OBJECT_OF = Direction.OBJECT_OF.value
+
+
+def key_notation(key: tuple[str, str, str]) -> str:
+    """:meth:`SemanticFeature.notation` of a feature given by its :attr:`~SemanticFeature.key`.
+
+    For code that orders features by notation before it knows which of
+    them are worth building objects for.
+    """
+    anchor, predicate, direction = key
+    return f"{anchor}:{predicate}" if direction == _OBJECT_OF else f"{anchor}:{predicate}^"
+
+
 @dataclass(frozen=True, order=True)
 class SemanticFeature:
     """A semantic feature ``pi = (anchor, predicate, direction)``.

@@ -87,11 +87,39 @@ def csr_gather(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.
     total = int(lengths.sum())
     if total == 0:
         return values[:0]
-    flat = np.repeat(starts, lengths) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    )
-    return values[flat]
+    if total == rows.size and int(lengths.min()) == 1:
+        return values[starts]  # every row holds exactly one value
+    ends = np.cumsum(lengths)
+    return values[np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and one comparison pass.
+
+    Several times faster than ``np.unique`` on the ordinal arrays of one
+    request (a few to a few thousand values).
+    """
+    values = np.sort(values)
+    if values.size < 2:
+        return values
+    fresh = np.empty(values.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh]
+
+
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct ascending values, position of each input value among them)``."""
+    distinct = sorted_unique(values)
+    return distinct, np.searchsorted(distinct, values)
+
+
+def isin_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Per needle: does the ascending ``haystack`` contain it? (one ``searchsorted``)."""
+    if not haystack.size:
+        return np.zeros(needles.shape, dtype=bool)
+    positions = np.minimum(np.searchsorted(haystack, needles), haystack.size - 1)
+    return haystack[positions] == needles
 
 
 class _StringTable:
@@ -450,5 +478,8 @@ __all__ = [
     "TABLE_NAMES",
     "csr_gather",
     "csr_offsets",
+    "isin_sorted",
     "sort_rows",
+    "sorted_unique",
+    "unique_inverse",
 ]

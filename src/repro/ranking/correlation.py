@@ -103,16 +103,30 @@ def build_correlation_matrix(
 ) -> CorrelationMatrix:
     """Build the correlation matrix for ranked entities and features.
 
-    Assembled from the ranking layer's already-computed contribution
-    vectors: one base row per distinct dominant entity type (shared by all
-    its entities) with holder cells overridden to the feature relevance —
-    no per-cell ``probability()`` calls.  Cell values are bitwise-identical
-    to :func:`build_correlation_matrix_exhaustive`.
+    One dense ``p(pi|e)`` matrix over the pinned snapshot's feature
+    tables (:meth:`ColumnarFeatureTables.probabilities` — the base row of
+    each entity's dominant type with the held cells set to 1.0) times
+    the feature relevance; no per-cell ``probability()`` calls.  Cell
+    values are bitwise-identical to
+    :func:`build_correlation_matrix_exhaustive`, which also serves an
+    index object that carries no tables (counted as ``no-tables``).
     """
+    support = probability_model.support()
+    tables = support.columnar_tables()
+    if tables is None or tables.ordinal_of is None:
+        probability_model.stages.fell_back("correlation", "no-tables", support.epoch)
+        return build_correlation_matrix_exhaustive(
+            probability_model, scored_entities, scored_features
+        )
+    probability_model.stages.ran("correlation")
     entities = tuple(entity.entity_id for entity in scored_entities)
     features = tuple(scored.feature for scored in scored_features)
-    rows = probability_model.support().contribution_rows(entities, scored_features)
-    values = np.array(rows, dtype=float).reshape((len(entities), len(features)))
+    values = tables.probabilities(
+        tables.entity_ordinals(entities),
+        tables.feature_ordinals([feature.key for feature in features]),
+        support.epsilon,
+        support.type_smoothing,
+    ) * np.asarray([scored.score for scored in scored_features], dtype=np.float64)
     # Recommendation payloads built here are shared by the engine's LRU
     # cache, so freeze the array: an in-place mutation by one caller must
     # not corrupt every later cache hit for the same query state.

@@ -34,9 +34,16 @@ from ..exec import (
     snapshot_registry,
 )
 from ..features import SemanticFeatureIndex
+from ..features.columnar import ColumnarFeatureTables, build_ranker_inputs
 from ..index import select_top_k
 from ..kg import KnowledgeGraph
-from ..topk import PruningStats, SharedThreshold, columnar_rank
+from ..topk import (
+    PruningStats,
+    SharedThreshold,
+    accumulate_rank,
+    columnar_rank,
+    select_survivor_ordinals,
+)
 from ..topk import SELECTION_MARGIN as _SELECTION_MARGIN
 from .probability import FeatureProbabilityModel
 from .ranking_support import FrozenMapping
@@ -148,9 +155,10 @@ class EntityRanker:
         seeds: Sequence[str],
         top_k: int | None = None,
         scored_features: Sequence[ScoredFeature] | None = None,
-        candidates: Sequence[str] | None = None,
+        candidates: Sequence[str] | np.ndarray | None = None,
+        tables: ColumnarFeatureTables | None = None,
     ) -> list[ScoredEntity]:
-        """Rank entities similar to the seed set (accumulator fast path).
+        """Rank entities similar to the seed set (the fast path).
 
         The method mirrors the two-stage process of §2.3: semantic features
         are ranked first (or supplied by the caller), then candidate
@@ -158,23 +166,26 @@ class EntityRanker:
 
         Scoring uses the type-grouped decomposition of
         :class:`~repro.ranking.ranking_support.RankingSupport`: one base
-        score per distinct dominant type plus sparse per-holder corrections
-        walked over the index's ``E(pi)`` lists — ``O(types x features +
-        matched postings)`` instead of ``O(candidates x features)``.  With
-        ``RankingConfig.pruning == "maxscore"`` whole dominant-type groups
-        are skipped when their base score plus correction upper bound
-        cannot reach the live θ (see
-        :meth:`RankingSupport.score_entities_pruned`); ``"blockmax"``
-        additionally chunks the feature corrections so groups are killed
-        or retired at every chunk boundary mid-walk.  With
-        ``RankingConfig.columnar`` on (the default) the same decomposition
-        runs as array kernels over the per-epoch feature tables
-        (:func:`repro.topk.kernels.columnar_rank`); the kernels only
-        *select* a survivor superset, so the ranking stays byte-identical
-        to the scalar arm.  The top-k survivors of a bounded-heap
-        selection are then re-scored through :meth:`score_entity`, so the
-        returned entities carry exactly the scores and per-feature
-        contributions of the exhaustive path.
+        score per distinct dominant type plus sparse per-holder
+        corrections — ``O(types x features + matched postings)`` instead
+        of ``O(candidates x features)`` — with whole dominant-type groups
+        skipped under ``pruning="maxscore"``/``"blockmax"`` when their
+        bound cannot reach the live θ.  The decomposition only *selects*
+        a margin-guarded survivor superset; an exact epilogue re-scores
+        the survivors, so the returned entities carry exactly the scores
+        and per-feature contributions of the exhaustive path.
+
+        With ``RankingConfig.columnar`` on (the default) the whole call
+        stays in ordinal space (:meth:`_rank_arrays`): the candidate
+        tally, the kernel (:func:`repro.topk.kernels.columnar_rank`) and
+        the epilogue read the pinned snapshot's feature tables, and
+        identifiers are looked up for the returned entities only.
+        ``tables`` marks ``candidates`` as entity ordinals of those
+        tables — how :class:`~repro.expansion.EntitySetExpander` hands
+        over its filtered pool.  A caller's own list of candidate ids,
+        a seed the tables do not know and ``columnar=False`` run the
+        object walk below, counted by reason on the probability model's
+        ``stages``.
         """
         if not seeds:
             raise NoSeedEntitiesError("cannot rank entities for an empty seed set")
@@ -183,45 +194,49 @@ class EntityRanker:
         top_k = top_k or self._config.top_entities
         if scored_features is None:
             scored_features = self._feature_ranker.rank(seeds)
+        support = self._probability.support()
+        stages = self._probability.stages
+        reason = ""
+        if tables is None:
+            if not self._config.columnar:
+                reason = "columnar-off"
+            elif candidates is not None:
+                reason = "explicit-pool"
+            else:
+                tables, seed_ordinals, reason = support.ordinal_space(seeds)
+            if tables is not None:
+                stages.ran("candidates")
+                candidates = self._index.candidates_matching_any(
+                    tables.feature_ordinals([scored.feature.key for scored in scored_features]),
+                    exclude=seed_ordinals,
+                    limit=self._config.max_candidates,
+                    tables=tables,
+                )
+        if not reason:
+            stages.ran("entity_rank")
+            return self._rank_arrays(tables, candidates, scored_features, top_k, support)
+        stages.fell_back("entity_rank", reason, support.epoch)
         if candidates is None:
             candidates = self.candidates(seeds, scored_features)
-        support = self._probability.support()
+
         pruned = self._config.pruning in PRUNED_MODES
         blockmax = self._config.pruning == "blockmax"
-        columnar = self._config.columnar
-        num_shards = self._config.shards
-        accumulators = None
-        if num_shards > 1:
+        if self._config.shards > 1:
             accumulators = self._score_sharded(
-                candidates, scored_features, top_k, support, num_shards, pruned, blockmax, columnar
+                candidates, scored_features, top_k, support, self._config.shards,
+                pruned, blockmax, columnar=False,
             )
         elif pruned:
-            # The columnar wrappers return None when the pinned index has
-            # no feature tables or a candidate id is unknown to them; the
-            # scalar walk is then the recovery path, not an error.
-            if columnar:
-                accumulators = support.score_entities_pruned_columnar(
-                    candidates,
-                    scored_features,
-                    top_k,
-                    self._pruning_stats,
-                    blockmax=blockmax,
-                    feature_chunk=self._config.feature_chunk,
-                )
-            if accumulators is None:
-                accumulators = support.score_entities_pruned(
-                    candidates,
-                    scored_features,
-                    top_k,
-                    self._pruning_stats,
-                    blockmax=blockmax,
-                    feature_chunk=self._config.feature_chunk,
-                )
+            accumulators = support.score_entities_pruned(
+                candidates,
+                scored_features,
+                top_k,
+                self._pruning_stats,
+                blockmax=blockmax,
+                feature_chunk=self._config.feature_chunk,
+            )
         else:
-            if columnar:
-                accumulators = support.score_entities_columnar(candidates, scored_features)
-            if accumulators is None:
-                accumulators = support.score_entities(candidates, scored_features)
+            accumulators = support.score_entities(candidates, scored_features)
         # Accumulator totals can differ from exhaustive scores by float
         # rounding (the decomposition associates the same terms
         # differently), so select with a safety margin, re-score the
@@ -231,7 +246,7 @@ class EntityRanker:
         # unaffected — identical (type, held-feature) computations produce
         # identical accumulators, and both orderings fall back to entity_id.
         selected = select_top_k(accumulators, top_k + _SELECTION_MARGIN)
-        if self._config.pruning in PRUNED_MODES:
+        if pruned:
             self._pruning_stats.rescored += len(selected)
         rescored = [
             self._score_entity_via_support(entity_id, scored_features, support)
@@ -239,6 +254,88 @@ class EntityRanker:
         ]
         rescored.sort(key=lambda item: (-item.score, item.entity_id))
         return rescored[:top_k]
+
+    def _rank_arrays(
+        self,
+        tables: ColumnarFeatureTables,
+        candidates: np.ndarray,
+        scored_features: Sequence[ScoredFeature],
+        top_k: int,
+        support,
+    ) -> list[ScoredEntity]:
+        """:meth:`rank` over candidate ordinals of the pinned ``tables``.
+
+        The kernel picks the ``top_k + margin`` survivors; the epilogue
+        builds their dense ``p(pi|e)`` rows
+        (:meth:`ColumnarFeatureTables.probabilities`), multiplies by the
+        feature relevance and adds each row up left to right — a
+        ``cumsum``, never ``sum``/``@``, whose pairwise or blocked
+        association would change the last bit — which is term for term
+        what :meth:`score_entity` does.  Ordinals are in identifier
+        order, so ``lexsort((ordinal, -score))`` is the exhaustive
+        ``(-score, entity_id)`` order.
+        """
+        config = self._config
+        feature_ordinals = tables.feature_ordinals(
+            [scored.feature.key for scored in scored_features]
+        )
+        relevance = [scored.score for scored in scored_features]
+        pruned = config.pruning in PRUNED_MODES
+        blockmax = config.pruning == "blockmax"
+        budget = top_k + _SELECTION_MARGIN
+        if config.shards > 1:
+            # Shards are routed by identifier, so the fan-out takes ids.
+            ids = tables.entity_ids
+            accumulators = self._score_sharded(
+                [ids[ordinal] for ordinal in candidates.tolist()],
+                scored_features, top_k, support, config.shards, pruned, blockmax, columnar=True,
+            )
+            selected = tables.entity_ordinals(
+                [entity_id for entity_id, _ in select_top_k(accumulators, budget)]
+            )
+        else:
+            inputs = build_ranker_inputs(
+                tables, feature_ordinals, relevance, candidates,
+                config.epsilon, type_smoothing=config.type_smoothing,
+            )
+            if pruned:
+                selected, _ = columnar_rank(
+                    inputs, top_k, self._pruning_stats,
+                    blockmax=blockmax, feature_chunk=config.feature_chunk,
+                )
+            else:
+                selected = select_survivor_ordinals(
+                    inputs.ordinals, accumulate_rank(inputs), top_k
+                )
+        if pruned:
+            self._pruning_stats.rescored += int(selected.size)
+
+        contributions = tables.probabilities(
+            selected, feature_ordinals, config.epsilon, config.type_smoothing
+        ) * np.asarray(relevance, dtype=np.float64)
+        if contributions.shape[1]:
+            totals = np.cumsum(contributions, axis=1)[:, -1]
+        else:
+            totals = np.zeros(selected.size, dtype=np.float64)
+        order = np.lexsort((selected, -totals))[:top_k]
+        notations = [scored.feature.notation() for scored in scored_features]
+        ids = tables.entity_ids
+        return [
+            ScoredEntity(
+                entity_id=ids[ordinal],
+                score=score,
+                contributions=FrozenMapping(
+                    {
+                        notation: contribution
+                        for notation, contribution in zip(notations, row)
+                        if contribution > 0.0
+                    }
+                ),
+            )
+            for ordinal, score, row in zip(
+                selected[order].tolist(), totals[order].tolist(), contributions[order].tolist()
+            )
+        ]
 
     def _score_sharded(
         self,
@@ -401,8 +498,8 @@ class EntityRanker:
         One task per shard: the parent runs shard 0 inline through its
         fallback closure (holding a slot on the shared θ slab) and ships
         the rest a picklable plan — the descriptor of the published
-        feature-table snapshot plus the query recipe (feature-key
-        triples, relevance scores, candidate ordinals, smoothing knobs)
+        feature-table snapshot plus the query recipe (feature
+        ordinals, relevance scores, candidate ordinals, smoothing knobs)
         from which the worker rebuilds the exact kernel inputs against
         its zero-copy tables.  Returns ``None`` when the tables cannot
         be published or a candidate id has no ordinal, so the caller
@@ -429,7 +526,9 @@ class EntityRanker:
         )
         if snapshot is None:
             return None
-        feature_keys = [list(scored.feature.key) for scored in scored_features]
+        feature_ordinals = tables.feature_ordinals(
+            [scored.feature.key for scored in scored_features]
+        )
         relevance = [scored.score for scored in scored_features]
         feature_chunk = self._config.feature_chunk
         slab = ThetaSlab.create(top_k, len(shard_ordinals))
@@ -444,7 +543,7 @@ class EntityRanker:
                     "top_k": top_k,
                     "blockmax": blockmax,
                     "feature_chunk": feature_chunk,
-                    "features": feature_keys,
+                    "features": feature_ordinals,
                     "relevance": relevance,
                     "candidates": ordinals,
                     "epsilon": support.epsilon,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..features import SemanticFeature, SemanticFeatureIndex
 from ..kg import KnowledgeGraph
-from .ranking_support import RankingSupport
+from .ranking_support import RankingSupport, StageCounters
 
 
 class FeatureProbabilityModel:
@@ -45,6 +45,8 @@ class FeatureProbabilityModel:
         self._type_cache: dict[tuple[SemanticFeature, str], float] = {}
         self._cache_epoch = feature_index.epoch
         self._support: RankingSupport | None = None
+        #: Array-vs-object tallies of every stage scoring through this model.
+        self.stages = StageCounters()
 
     @property
     def epsilon(self) -> float:

@@ -31,14 +31,14 @@ produces, so rankings built on this layer are verifiable against the seed
 from __future__ import annotations
 
 import heapq
+import logging
 from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..features import SemanticFeature, SemanticFeatureIndex
 from ..features.columnar import build_ranker_inputs, columnar_tables
 from ..kg import KnowledgeGraph
+from ..kg.columns import sorted_unique
 from ..topk import (
     PruningStats,
     SharedThresholdSlot,
@@ -53,25 +53,55 @@ from ..topk import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .sf_ranking import ScoredFeature
 
+_LOG = logging.getLogger("repro")
+
+#: The stages of one recommendation request, in pipeline order.
+STAGES = ("sf_rank", "candidates", "filters", "entity_rank", "correlation")
+
+
+class StageCounters:
+    """Which form each stage of the recommendation path ran in.
+
+    ``arrays[stage]`` counts the calls served from the pinned snapshot's
+    array tables; ``fallbacks[stage][reason]`` those that ran the object
+    code instead, by reason: ``columnar-off`` (``RankingConfig.columnar``
+    or, for the type filter, ``graph_topology`` is off), ``explicit-pool``
+    (the caller supplied its own ``candidates=``), ``unknown-entity`` (an
+    id the tables have no ordinal for), ``no-tables`` (the index object
+    carries none), ``epoch-mismatch`` (the graph topology is of another
+    epoch than the pinned tables).  One instance lives on the
+    :class:`~repro.ranking.probability.FeatureProbabilityModel` the
+    stages share; each reason is also logged once per epoch.
+    """
+
+    def __init__(self) -> None:
+        self.arrays = dict.fromkeys(STAGES, 0)
+        self.fallbacks: dict[str, dict[str, int]] = {stage: {} for stage in STAGES}
+        self._logged_epoch = -1
+        self._logged_reasons: set[str] = set()
+
+    def ran(self, stage: str) -> None:
+        self.arrays[stage] += 1
+
+    def fell_back(self, stage: str, reason: str, epoch: int) -> None:
+        reasons = self.fallbacks[stage]
+        reasons[reason] = reasons.get(reason, 0) + 1
+        if self._logged_epoch != epoch:
+            self._logged_epoch, self._logged_reasons = epoch, set()
+        if reason not in self._logged_reasons:
+            self._logged_reasons.add(reason)
+            _LOG.info(
+                "recommendation stage %s runs its object form at epoch %d: %s",
+                stage, epoch, reason,
+            )
+
+
 #: Default feature columns per correction chunk of the ``blockmax`` entity
 #: accumulator: type groups are re-checked against θ (and retired once
 #: they can gain nothing more) at every chunk boundary, the
 #: recommendation-side mirror of the posting blocks of the search side.
 #: Tunable per workload via ``RankingConfig.feature_chunk``.
 FEATURE_CHUNK = 2
-
-
-def _sorted_unique(ordinals: "np.ndarray") -> "np.ndarray":
-    """Ascending unique ordinals, without ``np.unique``'s always-on copy.
-
-    Candidate lists are deduplicated by every internal caller, so the
-    common case is a plain in-place sort of a freshly-built array; the
-    full dedupe only runs when a (public-API) caller passed duplicates.
-    """
-    ordinals.sort()
-    if ordinals.size > 1 and bool(np.any(ordinals[1:] == ordinals[:-1])):
-        return np.unique(ordinals)
-    return ordinals
 
 
 class FrozenMapping(Mapping[str, float]):
@@ -163,6 +193,10 @@ class RankingSupport:
     @property
     def epsilon(self) -> float:
         return self._epsilon
+
+    @property
+    def type_smoothing(self) -> bool:
+        return self._type_smoothing
 
     # ------------------------------------------------------------------ #
     # Probability lookups
@@ -583,28 +617,20 @@ class RankingSupport:
         pinned index object has no snapshot memo slot)."""
         return columnar_tables(self._index)
 
-    def _kernel_candidates(
-        self, entity_ids: Sequence[str]
-    ) -> tuple["np.ndarray", object] | None:
-        """Candidate ordinals + tables, or ``None`` → scalar fallback.
+    def ordinal_space(self, entity_ids: Sequence[str]):
+        """``(tables, ordinals of entity_ids, "")``, or ``(None, None, reason)``.
 
-        Unknown entity ids (callers may rank arbitrary candidate lists)
-        have no ordinal, so any miss routes the whole query back through
-        the scalar walk rather than silently dropping candidates.
+        The pinned tables can serve a request stage only when they exist
+        and know every entity the stage starts from; ``reason`` names
+        which of the two failed (a :class:`StageCounters` reason).
         """
         tables = self.columnar_tables()
         if tables is None or tables.ordinal_of is None:
-            return None
-        ordinal_of = tables.ordinal_of
-        try:
-            ordinals = np.fromiter(
-                (ordinal_of[entity_id] for entity_id in entity_ids),
-                dtype=np.int64,
-                count=len(entity_ids),
-            )
-        except KeyError:
-            return None
-        return ordinals, tables
+            return None, None, "no-tables"
+        ordinals = tables.entity_ordinals(entity_ids)
+        if (ordinals < 0).any():
+            return None, None, "unknown-entity"
+        return tables, ordinals, ""
 
     def kernel_inputs(self, tables, ordinals, scored_features):
         """One query's :class:`~repro.topk.RankerKernelInputs` over the
@@ -612,7 +638,7 @@ class RankingSupport:
         with the process tier's inline fallback closures)."""
         return build_ranker_inputs(
             tables,
-            [scored.feature.key for scored in scored_features],
+            tables.feature_ordinals([scored.feature.key for scored in scored_features]),
             [scored.score for scored in scored_features],
             ordinals,
             self._epsilon,
@@ -624,12 +650,16 @@ class RankingSupport:
         entity_ids: Sequence[str],
         scored_features: Sequence["ScoredFeature"],
     ) -> dict[str, float] | None:
-        """Vectorized :meth:`score_entities` (``None`` → scalar fallback)."""
-        resolved = self._kernel_candidates(entity_ids)
-        if resolved is None:
+        """Vectorized :meth:`score_entities` (``None`` → scalar fallback).
+
+        Unknown entity ids (callers may rank arbitrary candidate lists)
+        have no ordinal, so any miss routes the whole query back through
+        the scalar walk rather than silently dropping candidates.
+        """
+        tables, ordinals, _ = self.ordinal_space(entity_ids)
+        if tables is None:
             return None
-        ordinals, tables = resolved
-        ordinals = _sorted_unique(ordinals)
+        ordinals = sorted_unique(ordinals)
         inputs = self.kernel_inputs(tables, ordinals, scored_features)
         values = accumulate_rank(inputs)
         ids = tables.entity_ids
@@ -656,11 +686,10 @@ class RankingSupport:
         caller applies the same ``top_k + margin`` selection to its full
         accumulator map before re-scoring).
         """
-        resolved = self._kernel_candidates(entity_ids)
-        if resolved is None:
+        tables, ordinals, _ = self.ordinal_space(entity_ids)
+        if tables is None:
             return None
-        ordinals, tables = resolved
-        ordinals = _sorted_unique(ordinals)
+        ordinals = sorted_unique(ordinals)
         inputs = self.kernel_inputs(tables, ordinals, scored_features)
         survivors, values = columnar_rank(
             inputs,
@@ -675,49 +704,6 @@ class RankingSupport:
             ids[ordinal]: value
             for ordinal, value in zip(survivors.tolist(), values.tolist())
         }
-
-    def contribution_rows(
-        self,
-        entity_ids: Sequence[str],
-        scored_features: Sequence["ScoredFeature"],
-    ) -> list[list[float]]:
-        """Per-entity contribution vectors ``p(pi|e) * r(pi, Q)``.
-
-        The rows of the correlation matrix, assembled from the per-type
-        base vectors plus holder overrides instead of per-cell probability
-        calls.  Cell values are bitwise-identical to the exhaustive
-        ``probability() * score`` products.
-        """
-        relevance = [scored.score for scored in scored_features]
-        base_rows: dict[str, list[float]] = {}
-        rows: list[list[float]] = []
-        # All rows per id, so duplicate entities (legal for this public
-        # API) each receive their holder overrides.
-        positions: dict[str, list[int]] = {}
-        for row_index, entity_id in enumerate(entity_ids):
-            positions.setdefault(entity_id, []).append(row_index)
-            type_id = self.dominant_type(entity_id)
-            base_row = base_rows.get(type_id)
-            if base_row is None:
-                base_row = [
-                    self.base_probability(scored.feature, type_id) * score
-                    for scored, score in zip(scored_features, relevance)
-                ]
-                base_rows[type_id] = base_row
-            rows.append(list(base_row))
-        for column, scored in enumerate(scored_features):
-            score = relevance[column]
-            holder_set = self._index.holders_of(scored.feature)
-            if len(holder_set) <= len(positions):
-                for entity_id in holder_set:
-                    for row_index in positions.get(entity_id, ()):
-                        rows[row_index][column] = score
-            else:
-                for entity_id, row_indexes in positions.items():
-                    if entity_id in holder_set:
-                        for row_index in row_indexes:
-                            rows[row_index][column] = score
-        return rows
 
 
 def select_top_features(
@@ -741,4 +727,4 @@ def select_top_features(
     return heapq.nsmallest(k, scored, key=_key)
 
 
-__all__ = ["RankingSupport", "select_top_features"]
+__all__ = ["STAGES", "RankingSupport", "StageCounters", "select_top_features"]

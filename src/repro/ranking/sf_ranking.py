@@ -16,10 +16,16 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import RankingConfig
 from ..exceptions import NoSeedEntitiesError
-from ..features import SemanticFeature, SemanticFeatureIndex
+from ..features import Direction, SemanticFeature, SemanticFeatureIndex
+from ..features.columnar import ColumnarFeatureTables
+from ..features.semantic_feature import key_notation
 from ..kg import KnowledgeGraph
+from ..kg.columns import isin_sorted, sorted_unique, unique_inverse
+from ..kg.topology import graph_topology
 from .probability import FeatureProbabilityModel
 from .ranking_support import FrozenMapping, select_top_features
 
@@ -146,15 +152,18 @@ class SemanticFeatureRanker:
         top_k: int | None = None,
         candidates: Sequence[SemanticFeature] | None = None,
     ) -> list[ScoredFeature]:
-        """Rank semantic features for a seed set (accumulator fast path).
+        """Rank semantic features for a seed set (the fast path).
 
-        Scores the pool through the shared :class:`RankingSupport` context
-        (memoised dominant types and per-(feature, type) base
-        probabilities), selects the top-k with a bounded heap, and only
-        builds the full :class:`ScoredFeature` decomposition — including the
-        per-seed probability map — for the winners.  The arithmetic is the
-        same float-for-float as :meth:`rank_exhaustive`, so the returned
-        ranking is identical to the seed scoring path by construction.
+        With ``RankingConfig.columnar`` on (the default) the pool
+        ``Phi(Q)`` and every score are arrays over the pinned snapshot's
+        feature tables (:meth:`_rank_arrays`); feature objects are built
+        for the winners only.  An explicit ``candidates`` pool, a seed
+        the tables do not know and ``columnar=False`` run the object
+        loop below instead, counted by reason on
+        ``probability_model.stages``.  The arithmetic is the same
+        float-for-float as :meth:`rank_exhaustive` in both forms, so the
+        returned ranking is identical to the seed scoring path by
+        construction.
 
         Parameters
         ----------
@@ -165,16 +174,29 @@ class SemanticFeatureRanker:
         candidates:
             Optional explicit feature pool; by default ``Phi(Q)`` is used.
         """
-        pool = self._validated_pool(seeds, candidates)
+        self._validate(seeds)
         top_k = top_k or self._config.top_features
         support = self._probability.support()
+        stages = self._probability.stages
+        # score_feature multiplies one probability per *distinct* seed (its
+        # per-seed map deduplicates); both forms mirror that.
+        unique_seeds = list(dict.fromkeys(seeds))
+        if not self._config.columnar:
+            tables, seed_ordinals, reason = None, None, "columnar-off"
+        elif candidates is not None:
+            tables, seed_ordinals, reason = None, None, "explicit-pool"
+        else:
+            tables, seed_ordinals, reason = support.ordinal_space(unique_seeds)
+        if not reason:
+            stages.ran("sf_rank")
+            return self._rank_arrays(tables, unique_seeds, seed_ordinals, top_k)
+        stages.fell_back("sf_rank", reason, support.epoch)
+
+        pool = list(candidates) if candidates is not None else self.candidate_features(seeds)
         use_discriminability = self._config.use_discriminability
         use_commonality = self._config.use_commonality
-        # score_feature multiplies one probability per *distinct* seed (its
-        # per-seed map deduplicates); mirror that so scores match bitwise.
         # Seed feature sets and dominant types are resolved once, so the
         # inner loop is a set-membership test plus a memoised base lookup.
-        unique_seeds = list(dict.fromkeys(seeds))
         seed_features = [self._index.features_of(seed) for seed in unique_seeds]
         seed_types = [support.dominant_type(seed) for seed in unique_seeds]
         base_probability = support.base_probability
@@ -195,6 +217,115 @@ class SemanticFeatureRanker:
         winners = select_top_features(scored_pairs, top_k)
         return [self.score_feature(feature, seeds) for feature, _ in winners]
 
+    def _rank_arrays(
+        self,
+        tables: ColumnarFeatureTables,
+        seeds: Sequence[str],
+        seed_ordinals: np.ndarray,
+        top_k: int,
+    ) -> list[ScoredFeature]:
+        """:meth:`rank` over feature ordinals of the pinned tables.
+
+        ``seeds`` are distinct, ``seed_ordinals`` their ordinals.  The
+        pool is the sorted union of the seeds' feature rows minus the
+        features anchored at a seed (ordinal order is
+        ``SemanticFeature`` order); ``d``, every ``p(pi|seed)`` and the
+        seed-order product ``c`` are one array each, computed with the
+        IEEE operations the scalar model applies to one feature at a
+        time.  Everything tied with the ``top_k``-th score is kept, so
+        the final ``(-score, notation)`` order cuts among the features
+        the exhaustive sort would cut among; objects are built for the
+        winners.
+        """
+        config = self._config
+        topology = None
+        if config.graph_topology and self._graph.epoch == tables.epoch:
+            # The seeds' adjacency rows are their feature rows; the tables
+            # turn their own holder CSR around for readers of older epochs.
+            topology = graph_topology(self._graph)
+        rows = tables.feature_rows(seed_ordinals.tolist(), topology)
+        pool = sorted_unique(np.concatenate(rows)) if len(rows) > 1 else rows[0]
+        circular = np.zeros(pool.size, dtype=bool)
+        for ordinal in seed_ordinals.tolist():
+            low, high = tables.anchored_range(ordinal)
+            circular |= (pool >= low) & (pool < high)
+        pool = pool[~circular]
+        held = [isin_sorted(row, pool) for row in rows]
+        if pool.size > config.max_features:
+            # Keep the features shared by the most seeds, ties by notation.
+            holding = np.sum(held, axis=0)
+            cut = np.sort(holding)[pool.size - config.max_features]
+            kept = holding > cut
+            tied = np.flatnonzero(holding == cut)
+            notations = list(map(key_notation, tables.feature_keys(pool[tied])))
+            order = sorted(range(tied.size), key=notations.__getitem__)
+            kept[tied[order[: config.max_features - int(kept.sum())]]] = True
+            pool = pool[kept]
+            held = [mask[kept] for mask in held]
+
+        sizes = tables.holder_sizes(pool)
+        discriminability = 1.0 / sizes
+        types, type_rows = unique_inverse(tables.dominant_ords[seed_ordinals])
+        # p(pi|seed) is 1.0 where the seed holds pi; the type-based estimate
+        # is only looked up for the features some seed lacks (none of them
+        # when there is one seed).
+        base = np.ones((types.size, pool.size), dtype=np.float64)
+        lacked = np.flatnonzero(~np.logical_and.reduce(held))
+        if lacked.size:
+            base[:, lacked], _ = tables.base_probabilities(
+                pool[lacked], types, config.epsilon, config.type_smoothing
+            )
+        probabilities = [
+            np.where(mask, 1.0, base[row]) for mask, row in zip(held, type_rows.tolist())
+        ]
+        commonality = np.ones(pool.size, dtype=np.float64)
+        for probability in probabilities:
+            commonality = commonality * probability
+        if config.use_discriminability or config.use_commonality:
+            score = np.ones(pool.size, dtype=np.float64)
+            if config.use_discriminability:
+                score = score * discriminability
+            if config.use_commonality:
+                score = score * commonality
+        else:
+            score = np.zeros(pool.size, dtype=np.float64)
+
+        # Everything above the top_k-th score is in; the features tied
+        # with it compete by notation alone.
+        if top_k < pool.size:
+            cut_score = np.partition(score, pool.size - top_k)[pool.size - top_k]
+            above, tied = np.flatnonzero(score > cut_score), np.flatnonzero(score == cut_score)
+        else:
+            above, tied = np.arange(pool.size), np.empty(0, dtype=np.int64)
+        chosen = np.concatenate((above, tied))
+        keys = tables.feature_keys(pool[chosen])
+        notations = list(map(key_notation, keys))
+        scores = score[chosen].tolist()
+        order = sorted(
+            range(above.size), key=lambda position: (-scores[position], notations[position])
+        )
+        order += sorted(range(above.size, chosen.size), key=notations.__getitem__)[
+            : top_k - above.size
+        ]
+        winners = chosen[order]
+        seed_columns = [probability[winners].tolist() for probability in probabilities]
+        return [
+            ScoredFeature(
+                feature=SemanticFeature(anchor, predicate, Direction(direction)),
+                score=scores[position],
+                discriminability=d,
+                commonality=c,
+                seed_probabilities=FrozenMapping(dict(zip(seeds, row))),
+            )
+            for position, (anchor, predicate, direction), d, c, row in zip(
+                order,
+                (keys[position] for position in order),
+                discriminability[winners].tolist(),
+                commonality[winners].tolist(),
+                zip(*seed_columns),
+            )
+        ]
+
     def rank_exhaustive(
         self,
         seeds: Sequence[str],
@@ -213,11 +344,14 @@ class SemanticFeatureRanker:
         scored.sort(key=lambda item: (-item.score, item.feature.notation()))
         return scored[:top_k]
 
-    def _validated_pool(
-        self, seeds: Sequence[str], candidates: Sequence[SemanticFeature] | None
-    ) -> list[SemanticFeature]:
+    def _validate(self, seeds: Sequence[str]) -> None:
         if not seeds:
             raise NoSeedEntitiesError("cannot rank features for an empty seed set")
         for seed in seeds:
             self._graph.require_entity(seed)
+
+    def _validated_pool(
+        self, seeds: Sequence[str], candidates: Sequence[SemanticFeature] | None
+    ) -> list[SemanticFeature]:
+        self._validate(seeds)
         return list(candidates) if candidates is not None else self.candidate_features(seeds)

@@ -244,6 +244,31 @@ class TraversalStats:
 
 
 @dataclass(frozen=True)
+class StageStats:
+    """Which form each stage of the recommendation request path ran in.
+
+    ``arrays[stage]`` counts the stage calls served from the pinned
+    snapshot's array tables, ``fallbacks[stage][reason]`` those that ran
+    the object code instead (stages and reasons are listed on
+    :class:`~repro.ranking.ranking_support.StageCounters`).
+    """
+
+    arrays: Mapping[str, int]
+    fallbacks: Mapping[str, Mapping[str, int]]
+
+    @property
+    def fallback_total(self) -> int:
+        """Stage calls that did not run on the arrays, all stages and reasons."""
+        return sum(sum(reasons.values()) for reasons in self.fallbacks.values())
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "arrays": dict(self.arrays),
+            "fallbacks": {stage: dict(reasons) for stage, reasons in self.fallbacks.items()},
+        }
+
+
+@dataclass(frozen=True)
 class EngineStats:
     """One component's full introspection record.
 
@@ -252,7 +277,9 @@ class EngineStats:
     current index/graph epoch; ``shards``/``columnar``/``pruning`` echo
     the execution configuration the component runs with.  ``caches``
     and ``pruning_counters`` carry the component's own counters, and a
-    facade lists its components as ``children``.
+    facade lists its components as ``children``.  The recommendation
+    engine also reports ``stages``: per request stage, the calls served
+    from the array tables and the named fallbacks to the object code.
     """
 
     component: str
@@ -267,6 +294,7 @@ class EngineStats:
     executor: ExecutorStats | None = None
     storage: StorageStats | None = None
     traversal: TraversalStats | None = None
+    stages: StageStats | None = None
 
     def cache(self, name: str) -> CacheStats:
         """The named cache's counters (raises ``KeyError`` when absent)."""
@@ -313,6 +341,8 @@ class EngineStats:
             payload["storage"] = self.storage.as_dict()
         if self.traversal is not None:
             payload["traversal"] = self.traversal.as_dict()
+        if self.stages is not None:
+            payload["stages"] = self.stages.as_dict()
         if self.rebuilds is not None:
             payload["rebuilds"] = dict(self.rebuilds)
         if self.children:

@@ -102,13 +102,11 @@ def build_heatmap(matrix: CorrelationMatrix, config: HeatmapConfig | None = None
     """
     config = config or HeatmapConfig()
     values = matrix.values
-    rows, columns = values.shape
-    levels = np.zeros((rows, columns), dtype=int)
     if values.size == 0:
         return Heatmap(
             entities=matrix.entities,
             feature_notations=tuple(f.notation() for f in matrix.features),
-            levels=levels,
+            levels=np.zeros(values.shape, dtype=int),
             num_levels=config.levels,
             thresholds=(),
         )
@@ -122,15 +120,13 @@ def build_heatmap(matrix: CorrelationMatrix, config: HeatmapConfig | None = None
         thresholds = _quantile_thresholds(values, positive_levels)
     thresholds = np.asarray(thresholds, dtype=float)
 
-    for row in range(rows):
-        for column in range(columns):
-            value = values[row, column]
-            if value <= 0.0:
-                levels[row, column] = 0
-                continue
-            # Level 1 + number of thresholds the value exceeds, capped.
-            level = 1 + int(np.searchsorted(thresholds, value, side="right"))
-            levels[row, column] = min(level, config.levels - 1)
+    # Level 1 + number of thresholds the value exceeds, capped; zero (and
+    # below) is always level 0.
+    levels = np.where(
+        values <= 0.0,
+        0,
+        np.minimum(1 + np.searchsorted(thresholds, values, side="right"), config.levels - 1),
+    )
 
     return Heatmap(
         entities=matrix.entities,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 from repro.config import RankingConfig, SearchConfig
 from repro.explore import RecommendationEngine
 from repro.features import SemanticFeatureIndex
@@ -140,6 +142,47 @@ class TestConcurrentRecommendation:
         assert [(e.entity_id, e.score) for e in got.entities] == [
             (e.entity_id, e.score) for e in expected.entities
         ]
+
+    def test_pinned_request_reads_seed_rows_of_its_own_epoch(self, tiny_kg):
+        """A request pinned at epoch n keeps epoch n's seed rows while a write
+        publishes n+1 — it never reads them off the newer topology."""
+        from repro.expansion import EntitySetExpander
+        from repro.kg import graph_topology
+        from repro.ranking import SemanticFeatureRanker
+
+        def signature(scored):
+            return [(item.feature, item.score, dict(item.seed_probabilities)) for item in scored]
+
+        graph = tiny_kg
+        expander = EntitySetExpander(graph, SemanticFeatureIndex.build(graph))
+        ranker: SemanticFeatureRanker = expander.feature_ranker
+        before = signature(ranker.rank(["ex:F3"]))
+        # What an in-flight request holds: the support, and through it the
+        # tables, of epoch n; its topology is of epoch n too.
+        tables = ranker.probability_model.support().columnar_tables()
+        seeds = tables.entity_ordinals(["ex:F3"])
+        rows = tables.feature_rows(seeds.tolist(), graph_topology(graph))
+        films = expander.restrict_candidates(
+            np.arange(tables.num_entities), "ex:Film", tables=tables
+        )
+
+        graph.add("ex:F3", "ex:starring", "ex:A3")  # epoch n+1: F3 gains a feature
+        newer = graph_topology(graph)
+        assert newer.epoch == graph.epoch != tables.epoch
+        for old, new in zip(rows, tables.feature_rows(seeds.tolist(), newer)):
+            assert old.tolist() == new.tolist()
+        assert signature(ranker._rank_arrays(tables, ["ex:F3"], seeds, 30)) == before
+        # The type filter cannot use the newer topology's ordinals either:
+        # it goes through identifiers, and says so.
+        again = expander.restrict_candidates(
+            np.arange(tables.num_entities), "ex:Film", tables=tables
+        )
+        assert again.tolist() == films.tolist()
+        assert ranker.probability_model.stages.fallbacks["filters"] == {"epoch-mismatch": 1}
+        # A request that starts now is pinned to n+1 and sees the new feature.
+        after = ranker.rank(["ex:F3"])
+        assert {item.feature.anchor for item in after} - {item[0].anchor for item in before} == {"ex:A3"}
+        assert signature(after) == signature(ranker.rank_exhaustive(["ex:F3"]))
 
     def test_feature_index_snapshot_pinning(self, tiny_kg):
         """A pinned snapshot keeps pre-mutation holder sets forever."""

@@ -323,6 +323,37 @@ class TestLoadedSystem:
             (record,) = caplog.records  # one hydration, and the record names what asked for it
             assert record.getMessage().endswith("first needed by outgoing")
 
+    @pytest.mark.parametrize("config", [None, SHARDED], ids=["default", "sharded"])
+    def test_recommendation_requests_decode_no_feature_row(self, saved, config):
+        """select → pin → pivot run on the decoded tables' arrays: the same
+        answers as the saving system's, and not one holder or feature row
+        turned into a frozenset (``explain`` and an extra pinned feature
+        outside the ranked ones still decode theirs)."""
+        graph, directory = saved
+
+        def session(system: PivotE) -> list[dict]:
+            api = PivotEApi(system)
+            probe = sorted(graph.entities())[1]
+            api.handle({"action": "start_session", "session_id": "s"})
+            answers = [api.handle({"action": "select_entity", "session_id": "s", "entity": probe})]
+            recommendation = answers[0]["recommendation"]
+            if recommendation["features"]:
+                feature = recommendation["features"][0]["feature"]
+                answers.append(
+                    api.handle({"action": "pin_feature", "session_id": "s", "feature": feature})
+                )
+            entities = recommendation["entities"]
+            target = entities[0]["entity"] if entities else probe
+            answers.append(api.handle({"action": "pivot", "session_id": "s", "entity": target}))
+            assert all(answer["status"] == "ok" for answer in answers)
+            return answers
+
+        with PivotE(graph, config=config) as built, PivotE.load(directory, config=config) as loaded:
+            assert session(loaded) == session(built)
+            storage = loaded.stats().storage
+            assert storage.feature_rows_decoded == 0 and not storage.graph_hydrated
+            assert loaded.stats().child("recommendation").stages.fallback_total == 0
+
     def test_save_load_save_is_byte_identical_without_hydrating(self, saved, tmp_path):
         graph, directory = saved
         with PivotE.load(directory) as loaded:

@@ -231,9 +231,12 @@ class TestFeatureTableSnapshot:
                     np.testing.assert_array_equal(
                         remote.holders(ordinal), tables.holders(ordinal)
                     )
-                    np.testing.assert_array_equal(
-                        remote.intersections(ordinal), tables.intersections(ordinal)
-                    )
+                every_feature = np.arange(tables.num_features, dtype=np.int64)
+                every_type = np.arange(tables.num_types, dtype=np.int64)
+                np.testing.assert_array_equal(
+                    remote.intersections(every_feature, every_type),
+                    tables.intersections(every_feature, every_type),
+                )
             finally:
                 attached.close()
         finally:
@@ -243,11 +246,11 @@ class TestFeatureTableSnapshot:
         """A worker's per-query inputs equal the parent's, array for array."""
         index = small_feature_index()
         tables = columnar_tables(index.snapshot())
-        feature_keys = tables.feature_keys()
-        relevance = [1.0 / (position + 1) for position in range(len(feature_keys))]
+        features = np.arange(tables.num_features, dtype=np.int64)
+        relevance = [1.0 / (position + 1) for position in range(features.size)]
         candidates = np.arange(tables.num_entities, dtype=np.int64)
         expected = build_ranker_inputs(
-            tables, feature_keys, relevance, candidates, 1e-9, type_smoothing=True
+            tables, features, relevance, candidates, 1e-9, type_smoothing=True
         )
         published = publish_feature_tables(
             SnapshotSource(index.uid, tables.epoch), tables
@@ -257,7 +260,7 @@ class TestFeatureTableSnapshot:
             try:
                 actual = build_ranker_inputs(
                     attached.feature_tables(),
-                    feature_keys,
+                    features,
                     relevance,
                     candidates,
                     1e-9,

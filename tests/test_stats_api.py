@@ -4,18 +4,21 @@ Contracts under test: the frozen record types themselves (round-trips,
 lookup errors, immutability), ``stats()`` on all three engine components
 (shapes, counters that actually move), the deprecated dict shims
 (``cache_info`` / ``pruning_info`` / ``*_cache_info``) returning exactly
-the numbers the typed records carry, and ``as_dict()`` being plain JSON.
+the numbers the typed records carry, ``as_dict()`` being plain JSON, and
+the recommendation engine's per-stage array/fallback record.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import pytest
 
-from repro.config import PivotEConfig, SearchConfig
-from repro.engine import PivotE
+from repro.config import PivotEConfig, RankingConfig, SearchConfig
+from repro.engine import PivotE, PivotEApi
+from repro.ranking.ranking_support import STAGES
 from repro.search import SearchEngine
 from repro.stats import CacheStats, EngineStats, PruningStatsView
 
@@ -165,3 +168,71 @@ class TestSystemStats:
         assert "children" not in children["search"]
         assert "rebuilds" not in children["search"]
         assert payload["rebuilds"] == system.feature_index.rebuild_info()
+
+
+class TestStageStats:
+    """Which form each recommendation stage ran in: counted and named."""
+
+    def fig4_session(self, system: PivotE) -> None:
+        """The scripted Fig-4 path: keywords, three selections, pin/unpin,
+        lookup, pivot, a selection in the new domain, investigate."""
+        api = PivotEApi(system)
+
+        def send(action: str, **fields) -> dict:
+            response = api.handle({"action": action, "session_id": "s", **fields})
+            assert response["status"] == "ok", response
+            return response
+
+        send("start_session")
+        response = send("submit_keywords", keywords="forrest gump")
+        response = send("select_entity", entity=response["hits"][0]["entity"])
+        for rank in (0, 1):
+            entity = response["recommendation"]["entities"][rank]["entity"]
+            response = send("select_entity", entity=entity)
+        feature = response["recommendation"]["features"][0]["feature"]
+        send("pin_feature", feature=feature)
+        send("unpin_feature", feature=feature)
+        send("lookup", entity=response["recommendation"]["entities"][2]["entity"])
+        response = send("pivot", entity=response["recommendation"]["entities"][-1]["entity"])
+        send("select_entity", entity=response["recommendation"]["entities"][0]["entity"])
+        send("investigate")
+
+    def test_default_config_serves_a_session_without_fallbacks(self, movie_kg):
+        system = PivotE(movie_kg)
+        self.fig4_session(system)
+        stages = system.stats().child("recommendation").stages
+        assert stages.fallback_total == 0
+        assert not any(stages.fallbacks.values())
+        assert set(stages.arrays) == set(STAGES)
+        assert all(count > 0 for count in stages.arrays.values()), stages.arrays
+        payload = system.stats().as_dict()["children"]["recommendation"]["stages"]
+        assert json.loads(json.dumps(payload)) == stages.as_dict()
+
+    def test_explicit_pool_is_one_named_fallback(self, movie_kg, caplog):
+        system = PivotE(movie_kg)
+        ranker = system.recommendation_engine.expander.entity_ranker
+        seeds = [system.search("forrest gump")[0].entity_id]
+        pool = ranker.candidates(seeds, ranker.feature_ranker.rank(seeds))
+        with caplog.at_level(logging.INFO, logger="repro"):
+            explicit = ranker.rank(seeds, candidates=pool)
+            ranker.rank(seeds, candidates=pool)
+        stages = system.stats().child("recommendation").stages
+        assert stages.fallbacks["entity_rank"] == {"explicit-pool": 2}
+        assert stages.fallback_total == 2
+        # Counted per request, logged once per reason and epoch.
+        records = [record for record in caplog.records if "explicit-pool" in record.getMessage()]
+        assert len(records) == 1 and records[0].name == "repro"
+        assert [(item.entity_id, item.score) for item in explicit] == [
+            (item.entity_id, item.score) for item in ranker.rank(seeds)
+        ]
+
+    def test_columnar_off_names_every_stage(self, movie_kg):
+        config = PivotEConfig(ranking=RankingConfig(columnar=False))
+        system = PivotE(movie_kg, config=config)
+        self.fig4_session(system)
+        stages = system.stats().child("recommendation").stages
+        for stage in ("sf_rank", "candidates", "filters", "entity_rank"):
+            assert stages.arrays[stage] == 0
+            assert set(stages.fallbacks[stage]) == {"columnar-off"}
+        # The matrix has one form: it reads the tables whatever the knob says.
+        assert stages.arrays["correlation"] > 0 and not stages.fallbacks["correlation"]
