@@ -20,10 +20,10 @@ random KG grows:
 
 Every arm pair is verified byte-identical *before* any timing.  The
 headline ``topology_ratio`` is stage-level — summed scalar traversal
-wall-clock over summed kernel wall-clock — for the same reason the
-recommend bench's ``columnar_ratio`` is: the surrounding recommendation
-pipeline (feature ranking, entity scoring, matrix assembly) is
-arm-independent, so end-to-end means only dilute the comparison.  The
+wall-clock over summed kernel wall-clock — because the surrounding
+recommendation pipeline (feature ranking, entity scoring, matrix
+assembly) is arm-independent, so end-to-end means only dilute the
+comparison.  The
 end-to-end view is still recorded (``expand_scalar_ms`` /
 ``expand_topology_ms``: a domain-restricted ``expand()`` under each
 knob), together with the one-time topology ``build_ms`` and the graph's

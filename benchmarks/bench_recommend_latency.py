@@ -1,8 +1,9 @@
 """E9: latency of the §2.3 recommendation pipeline, accumulator vs seed path.
 
 PR 2 rebuilt the two-stage recommendation model around the type-grouped
-accumulator decomposition of ``p(pi | e)`` (``repro/ranking/ranking_support.py``)
-with an epoch-keyed LRU recommendation cache on top.  This bench measures
+accumulator decomposition of ``p(pi | e)`` (now the ``columnar_rank``
+kernel of ``repro/topk/kernels.py``) with an epoch-keyed LRU
+recommendation cache on top.  This bench measures
 ``RecommendationEngine.recommend_for_seeds`` — feature ranking, entity
 ranking and correlation-matrix assembly — in a three-way A/B as the random
 KG grows:
@@ -20,36 +21,16 @@ KG grows:
   feature-chunk boundary mid-walk, cache disabled;
 * ``cached``      — the fast path served from a warm LRU cache.
 
-Since PR 5 the A/B carries two execution-layer arms as well (see
-``repro.exec``): ``sharded`` fans the maxscore entity accumulator out
-over 4 entity shards with the cross-shard θ broadcast, and ``batched``
-answers a ×2-duplicated batch of seed sets through one cache-free
+Since PR 5 the A/B carries a batch arm as well: ``batched`` answers a
+×2-duplicated batch of seed sets through one cache-free
 ``recommend_many`` call against the same requests issued one at a time
 (``unbatched`` — the in-batch canonical-key dedupe is the amortisation).
 
-Since PR 8 the ranker's default arms score through the columnar feature
-tables and the ``columnar_rank`` kernel (``repro.features.columnar`` +
-``repro.topk.kernels``); the ``nocolumnar`` arm (``columnar=False``) runs
-the request's object code.  Since PR 15 the default arm keeps the *whole*
-request in ordinal space over those tables — feature ranking, candidate
-tally, kernel, exact epilogue — so the two arms differ in every stage
-but the correlation matrix, and ``columnar_request_ratio``
-(``nocolumnar_mean_ms / pruned_mean_ms``) is the whole-request
-columnar-vs-scalar number ROADMAP item 2 asks for.  ``columnar_ratio``
-still isolates the *ranking stage itself* — the scalar
-``score_entities_pruned`` walk over ``build_ranker_inputs`` +
-``columnar_rank`` on the same candidates and scored features.  The kernel's setup
-cost (ordinal resolution, input assembly) only amortises on large
-candidate pools, so that ratio is expected below 1.0 on tiny smoke KGs
-and above it at scale.
-The ``parallel`` arm — the sharded configuration with
-``executor="process"`` — now genuinely fans out: workers attach the
-shared-memory feature-table snapshot (``repro.exec.shm``), rebuild the
-per-query kernel inputs zero-copy and run ``columnar_rank`` remotely
-with the cross-process θ slab.  ``parallel_ratio`` is pruned-serial
-over process wall-clock; it only exceeds 1.0 on multi-core hosts
-(``cpu_cores`` is recorded so gates can stay honest on single-core CI
-runners).
+Every fast arm runs the whole request on the pinned snapshot's feature
+tables (``repro.features.columnar``): feature ranking, candidate tally,
+the ``columnar_rank`` kernel and the exact epilogue.  ``kernel_ms``
+isolates the ranking stage itself — ``build_ranker_inputs`` +
+``columnar_rank`` on the request's candidates and scored features.
 
 The A/B verifies that both scoring paths return identical entity and
 feature rankings (and bitwise-identical matrices) before trusting any
@@ -88,14 +69,6 @@ from repro.topk import PruningStats, columnar_rank  # noqa: E402
 
 SIZES = (200, 500, 1000, 2000)
 
-#: Entity shards of the sharded A/B arm (see ``repro.exec``).
-SHARD_COUNT = 4
-
-#: Worker processes of the ``parallel`` arm: capped by the shard count
-#: (one worker per dispatched shard is the useful maximum) but at least
-#: two so the pool actually fans out even on small CI runners.
-PROCESS_WORKERS = min(SHARD_COUNT, max(2, os.cpu_count() or 1))
-
 #: Hub-anchored random KGs: the Zipf target skew concentrates incoming
 #: edges on a few anchors per type (shared stars, genres, venues), which is
 #: the structure the recommendation workload of §2.3 actually exercises —
@@ -129,28 +102,23 @@ def _identical(fast, slow) -> bool:
     )
 
 
-def _walk_stage_ab(
+def _kernel_stage_ms(
     engine: RecommendationEngine,
     seeds: list[str],
     top_entities: int,
     repeats: int,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Ranking-stage A/B: scalar per-holder walk vs the columnar kernel.
+) -> dict[str, float]:
+    """The ranking stage alone: kernel inputs + ``columnar_rank``.
 
-    Both arms score the same candidates against the same scored features
-    on the same engine — only the accumulator implementation differs —
-    so the ratio isolates the kernel from the other pipeline stages.
-    Each arm gets its input the way its request path hands it over: the
-    scalar walk a list of identifiers, the kernel the candidate and
-    feature ordinals the tally produced (``EntityRanker._rank_arrays``
-    never sees an identifier).
+    The kernel gets its input the way the request path hands it over:
+    the candidate and feature ordinals the tally produced
+    (``EntityRanker._rank_arrays`` never sees an identifier).
     """
     ranker = engine.expander.entity_ranker
     support = ranker.feature_ranker.probability_model.support()
     scored_features = ranker.feature_ranker.rank(seeds)
-    candidates = ranker.candidates(seeds, scored_features)
     tables = support.columnar_tables()
-    candidate_ordinals = tables.entity_ordinals(candidates)
+    candidate_ordinals = tables.entity_ordinals(ranker.candidates(seeds, scored_features))
     feature_ordinals = tables.feature_ordinals([scored.feature.key for scored in scored_features])
     relevance = [scored.score for scored in scored_features]
     stats = PruningStats()
@@ -162,20 +130,12 @@ def _walk_stage_ab(
         )
         columnar_rank(inputs, top_entities, stats)
 
-    # Warm both arms once so neither pays one-time costs in the loop.
-    support.score_entities_pruned(candidates, scored_features, top_entities, stats)
-    kernel()
-
+    kernel()  # warm once so the loop pays no one-time costs
     watch = Stopwatch()
     for _ in range(max(repeats * 20, 40)):  # the stage is sub-millisecond
-        with watch.measure("walk_scalar"):
-            support.score_entities_pruned(candidates, scored_features, top_entities, stats)
-        with watch.measure("walk_columnar"):
+        with watch.measure("kernel"):
             kernel()
-    return (
-        watch.stats("walk_scalar").as_dict(),
-        watch.stats("walk_columnar").as_dict(),
-    )
+    return watch.stats("kernel").as_dict()
 
 
 def measure_recommend_ab(
@@ -206,34 +166,6 @@ def measure_recommend_ab(
         feature_index=index,
         config=RankingConfig(recommendation_cache_size=0, pruning="blockmax"),
     )
-    #: The columnar A/B: the same maxscore walk through the scalar
-    #: per-holder loops.  pruned/nocolumnar is the vectorization payoff.
-    nocolumnar_engine = RecommendationEngine(
-        graph,
-        feature_index=index,
-        config=RankingConfig(recommendation_cache_size=0, pruning="maxscore", columnar=False),
-    )
-    #: The sharded arm: the maxscore entity accumulator fanned out over
-    #: SHARD_COUNT entity shards with the cross-shard θ broadcast.
-    sharded_engine = RecommendationEngine(
-        graph,
-        feature_index=index,
-        config=RankingConfig(recommendation_cache_size=0, shards=SHARD_COUNT),
-    )
-    #: The parallel arm (PR 8): the same sharded fan-out with worker
-    #: *processes* attached to the shared-memory feature-table snapshot,
-    #: running ``columnar_rank`` remotely — byte-identical rankings,
-    #: real core parallelism where the host has the cores.
-    parallel_engine = RecommendationEngine(
-        graph,
-        feature_index=index,
-        config=RankingConfig(
-            recommendation_cache_size=0,
-            shards=SHARD_COUNT,
-            executor="process",
-            workers=PROCESS_WORKERS,
-        ),
-    )
     seeds = _seeds(graph, index, seed_count)
     #: Batch workload: three overlapping seed sets, each submitted twice
     #: (real exploration sessions revisit query states), answered by one
@@ -246,17 +178,11 @@ def measure_recommend_ab(
     slow = plain_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
     pruned_result = pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     blockmax_result = blockmax_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-    nocolumnar_result = nocolumnar_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-    sharded_result = sharded_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-    parallel_result = parallel_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     batched_results = pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
     identical = (
         _identical(fast, slow)
         and _identical(pruned_result, slow)
         and _identical(blockmax_result, slow)
-        and _identical(nocolumnar_result, slow)
-        and _identical(sharded_result, slow)
-        and _identical(parallel_result, slow)
         and all(
             _identical(
                 payload,
@@ -266,7 +192,7 @@ def measure_recommend_ab(
         )
     )
     cached_engine.recommend_for_seeds(seeds, top_entities=top_entities)  # warm the LRU
-    walk_scalar, walk_columnar = _walk_stage_ab(pruned_engine, seeds, top_entities, repeats)
+    kernel = _kernel_stage_ms(pruned_engine, seeds, top_entities, repeats)
 
     watch = Stopwatch()
     for _ in range(repeats):
@@ -278,12 +204,6 @@ def measure_recommend_ab(
             pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
         with watch.measure("blockmax"):
             blockmax_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-        with watch.measure("nocolumnar"):
-            nocolumnar_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-        with watch.measure("sharded"):
-            sharded_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-        with watch.measure("parallel"):
-            parallel_engine.recommend_for_seeds(seeds, top_entities=top_entities)
         with watch.measure("batched"):
             pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
         with watch.measure("unbatched"):
@@ -295,11 +215,6 @@ def measure_recommend_ab(
     accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
     blockmax_stats = watch.stats("blockmax").as_dict()
-    nocolumnar_stats = watch.stats("nocolumnar").as_dict()
-    sharded_stats = watch.stats("sharded").as_dict()
-    parallel_stats = watch.stats("parallel").as_dict()
-    executor_record = parallel_engine.stats().executor
-    parallel_engine.close()  # unlink the published feature-table segment
     batched = watch.stats("batched").as_dict()
     unbatched = watch.stats("unbatched").as_dict()
     cached = watch.stats("cached").as_dict()
@@ -322,15 +237,6 @@ def measure_recommend_ab(
         "pruned_p95_ms": pruned_stats["p95_ms"],
         "blockmax_mean_ms": blockmax_stats["mean_ms"],
         "blockmax_p95_ms": blockmax_stats["p95_ms"],
-        "nocolumnar_mean_ms": nocolumnar_stats["mean_ms"],
-        "nocolumnar_p95_ms": nocolumnar_stats["p95_ms"],
-        "sharded_mean_ms": sharded_stats["mean_ms"],
-        "sharded_p95_ms": sharded_stats["p95_ms"],
-        "shards": SHARD_COUNT,
-        "parallel_mean_ms": parallel_stats["mean_ms"],
-        "parallel_p95_ms": parallel_stats["p95_ms"],
-        "workers": PROCESS_WORKERS,
-        "cpu_cores": os.cpu_count() or 1,
         # Per-request means of the ×2-duplicated batch workload.
         "batched_mean_ms": batched["mean_ms"] / len(batch_inputs),
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_inputs),
@@ -339,43 +245,9 @@ def measure_recommend_ab(
         "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
         "speedup_blockmax": _speedup(blockmax_stats["mean_ms"]),
-        "speedup_nocolumnar": _speedup(nocolumnar_stats["mean_ms"]),
-        "speedup_sharded": _speedup(sharded_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
-        # Ranking-stage means: the scalar walk vs the columnar kernel on
-        # identical candidates/features (see _walk_stage_ab).
-        "walk_scalar_ms": walk_scalar["mean_ms"],
-        "walk_columnar_ms": walk_columnar["mean_ms"],
-        # > 1.0 = the columnar ranker kernel beats the scalar per-holder
-        # walk at equal semantics.  Stage-level on purpose: the pipeline
-        # around it is arm-independent, so end-to-end means only dilute
-        # the comparison (nocolumnar_mean_ms records that view anyway).
-        "columnar_ratio": (
-            walk_scalar["mean_ms"] / walk_columnar["mean_ms"]
-            if walk_columnar["mean_ms"] > 0
-            else float("inf")
-        ),
-        # Whole requests: the object code (columnar=False) over the
-        # ordinal-space path, everything from seeds to matrix included.
-        "columnar_request_ratio": (
-            nocolumnar_stats["mean_ms"] / pruned_stats["mean_ms"]
-            if pruned_stats["mean_ms"] > 0
-            else float("inf")
-        ),
-        # 1.0 = the 4-shard arm at 1-shard wall-clock; > 1.0 = ahead.
-        "sharded_ratio": (
-            pruned_stats["mean_ms"] / sharded_stats["mean_ms"]
-            if sharded_stats["mean_ms"] > 0
-            else float("inf")
-        ),
-        # Serial pruned over the process arm: > 1.0 = real core
-        # parallelism paid off (only expected on multi-core hosts).
-        "parallel_ratio": (
-            pruned_stats["mean_ms"] / parallel_stats["mean_ms"]
-            if parallel_stats["mean_ms"] > 0
-            else float("inf")
-        ),
-        "executor_parallel": None if executor_record is None else executor_record.as_dict(),
+        # The ranking stage alone (see _kernel_stage_ms).
+        "kernel_ms": kernel["mean_ms"],
         # > 1.0 = one recommend_many call beats the request loop.
         "batch_ratio": (
             unbatched["mean_ms"] / batched["mean_ms"]
@@ -384,7 +256,6 @@ def measure_recommend_ab(
         ),
         "pruning": pruned_engine.pruning_info(),
         "pruning_blockmax": blockmax_engine.pruning_info(),
-        "pruning_sharded": sharded_engine.pruning_info(),
     }
 
 
@@ -409,38 +280,28 @@ def test_recommend_accumulator_vs_exhaustive_ab(graphs):
                 "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
                 "blockmax_ms": row["blockmax_mean_ms"],
-                "nocolumnar_ms": row["nocolumnar_mean_ms"],
-                "sharded_ms": row["sharded_mean_ms"],
-                "parallel_ms": row["parallel_mean_ms"],
+                "kernel_ms": row["kernel_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
                 "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
                 "speedup_blockmax": row["speedup_blockmax"],
-                "columnar_ratio": row["columnar_ratio"],
-                "columnar_request_ratio": row["columnar_request_ratio"],
-                "sharded_ratio": row["sharded_ratio"],
-                "parallel_ratio": row["parallel_ratio"],
                 "batch_ratio": row["batch_ratio"],
                 "speedup_cached": row["speedup_cached"],
             }
         )
     print_experiment(
-        "E9 — recommendation: sharded/batched vs. blockmax vs. maxscore vs. "
+        "E9 — recommendation: batched vs. blockmax vs. maxscore vs. "
         "accumulator vs. exhaustive (4 seeds, top-20)",
         rows,
         notes=(
-            "identical rankings; pruned is the maxscore path, sharded the 4-shard "
-            "fan-out, batched one recommend_many call, cached the LRU hit path"
+            "identical rankings; pruned is the maxscore path, batched one "
+            "recommend_many call, cached the LRU hit path"
         ),
     )
     assert all(row["pruned_ms"] > 0 for row in rows)
     largest = measure_recommend_ab(graphs[SIZES[-1]], repeats=1)
     assert largest["pruning"]["groups_skipped"] > 0  # θ actually bites at scale
-    # The shard workers' merged counters: one logical query per request,
-    # with the candidate partition summing exactly (audit satellite).
-    assert largest["pruning_sharded"]["queries"] == largest["pruning"]["queries"]
-    assert largest["pruning_sharded"]["candidates_total"] == largest["pruning"]["candidates_total"]
     # The chunked bounds must actually abandon per-type chunks mid-walk.
     assert largest["pruning_blockmax"]["blocks_skipped"] > 0
 
@@ -488,50 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-sharded-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless pruned_mean_ms over the 4-shard arm's mean reaches "
-            "this at the largest size (1.0 = sharded at-or-faster than the "
-            "1-shard serial path)"
-        ),
-    )
-    parser.add_argument(
-        "--min-parallel-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless pruned_mean_ms over the process-executor arm's "
-            "mean reaches this at the largest size (1.0 = process "
-            "fan-out at-or-faster than the 1-shard serial path); the "
-            "gate is skipped with a warning on single-core hosts, where "
-            "worker processes cannot overlap"
-        ),
-    )
-    parser.add_argument(
-        "--min-columnar-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless the ranking-stage walk_scalar/walk_columnar ratio "
-            "reaches this at the largest size (1.0 = the vectorized ranker "
-            "kernel at-or-faster than the scalar per-holder walk; the "
-            "kernel's setup cost only amortises on large candidate pools, "
-            "so gate this on at-scale legs, not tiny smoke KGs)"
-        ),
-    )
-    parser.add_argument(
-        "--min-columnar-request-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless nocolumnar_mean_ms over pruned_mean_ms — whole "
-            "recommend_for_seeds requests, object code over the "
-            "ordinal-space path — reaches this at the largest size"
-        ),
-    )
-    parser.add_argument(
         "--min-batch-ratio",
         type=float,
         default=None,
@@ -558,17 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
             f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
-            f"blockmax={row['blockmax_mean_ms']:8.3f}ms  "
-            f"nocolumnar={row['nocolumnar_mean_ms']:8.3f}ms  "
-            f"sharded={row['sharded_mean_ms']:8.3f}ms  "
-            f"parallel={row['parallel_mean_ms']:8.3f}ms  "
+            f"blockmax={row['blockmax_mean_ms']:8.3f}ms  kernel={row['kernel_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
             f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
             f"blockmax={row['speedup_blockmax']:6.2f}x  "
-            f"columnar_ratio={row['columnar_ratio']:5.2f}  "
-            f"columnar_request_ratio={row['columnar_request_ratio']:5.2f}  "
-            f"shard_ratio={row['sharded_ratio']:5.2f}  "
-            f"parallel_ratio={row['parallel_ratio']:5.2f}  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
             f"identical={row['identical']}"
         )
@@ -587,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
             "top_entities": args.top_entities,
             "kg_seed": 42,
             "kg_kwargs": KG_KWARGS,
+            "cpu_cores": os.cpu_count() or 1,
         },
         "rows": rows,
     }
@@ -616,45 +427,6 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    if args.min_sharded_ratio is not None and largest["sharded_ratio"] < args.min_sharded_ratio:
-        print(
-            f"FAIL: sharded ratio {largest['sharded_ratio']:.2f} below required "
-            f"{args.min_sharded_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_parallel_ratio is not None:
-        if largest["cpu_cores"] <= 1:
-            print(
-                f"WARN: skipping --min-parallel-ratio {args.min_parallel_ratio:.2f} gate "
-                f"on a single-core host (parallel_ratio={largest['parallel_ratio']:.2f})",
-                file=sys.stderr,
-            )
-        elif largest["parallel_ratio"] < args.min_parallel_ratio:
-            print(
-                f"FAIL: parallel ratio {largest['parallel_ratio']:.2f} below required "
-                f"{args.min_parallel_ratio:.2f} at {largest['entities']} entities "
-                f"({largest['cpu_cores']} cores)",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_columnar_ratio is not None and largest["columnar_ratio"] < args.min_columnar_ratio:
-        print(
-            f"FAIL: columnar ratio {largest['columnar_ratio']:.2f} below required "
-            f"{args.min_columnar_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_columnar_request_ratio is not None
-        and largest["columnar_request_ratio"] < args.min_columnar_request_ratio
-    ):
-        print(
-            f"FAIL: columnar request ratio {largest['columnar_request_ratio']:.2f} below "
-            f"required {args.min_columnar_request_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
     if args.min_batch_ratio is not None and largest["batch_ratio"] < args.min_batch_ratio:
         print(
             f"FAIL: batch ratio {largest['batch_ratio']:.2f} below required "

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "partition both engines' execution into N document/entity "
+            "partition the search engine's execution into N document "
             "shards (see repro.exec); rankings are identical for every "
             "shard count, 1 (the default) is the serial path"
         ),
@@ -108,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=("on", "off"),
         help=(
-            "score through the columnar postings view and vectorized "
-            "kernels ('on', the default) or the scalar per-posting loops "
-            "('off', the A/B arm); rankings are identical either way"
+            "search engine: score through the columnar postings view and "
+            "vectorized kernels ('on', the default) or the scalar "
+            "per-posting loops ('off', the A/B arm); rankings are "
+            "identical either way"
         ),
     )
     parser.add_argument(
@@ -129,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=EXECUTOR_CHOICES,
         help=(
-            "how shard fan-outs run: 'inline' (serial), 'thread' (the "
-            "in-process pool), 'process' (worker processes attached to "
-            "the shared-memory snapshot) or 'auto' (the default: inline "
-            "for 1 shard, threads otherwise); rankings are identical in "
-            "every mode"
+            "how the search engine's shard fan-outs run: 'inline' "
+            "(serial), 'thread' (the in-process pool), 'process' (worker "
+            "processes attached to the shared-memory snapshot) or 'auto' "
+            "(the default: inline for 1 shard, threads otherwise); "
+            "rankings are identical in every mode"
         ),
     )
     parser.add_argument(
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker count for the thread/process executors (0, the "
-            "default, sizes the pool from the CPU count)"
+            "worker count for the search engine's thread/process "
+            "executors (0, the default, sizes the pool from the CPU count)"
         ),
     )
     parser.add_argument(
@@ -165,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "durable snapshot directory: engine-backed commands cold-start "
             "from it when it holds a saved system (falling back to a fresh "
-            "build), and implies --storage disk unless overridden"
+            "build), and implies the search engine's --storage disk "
+            "unless overridden"
         ),
     )
     parser.add_argument(
@@ -173,10 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=STORAGE_MODES,
         help=(
-            "snapshot storage backend: 'shm' (shared-memory segments for "
-            "the process executor, the default), 'disk' (additionally "
-            "persist each build under --snapshot-dir) or 'off' (publish "
-            "nothing; process-tier workers score inline)"
+            "the search engine's snapshot storage backend: 'shm' "
+            "(shared-memory segments for the process executor, the "
+            "default), 'disk' (additionally persist each build under "
+            "--snapshot-dir) or 'off' (publish nothing; process-tier "
+            "workers score inline)"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -286,7 +289,12 @@ def build_config(
     storage: str | None = None,
     graph_topology: str | None = None,
 ) -> PivotEConfig:
-    """The system configuration for the CLI's execution-layer overrides."""
+    """The system configuration for the CLI's execution-layer overrides.
+
+    ``shards``, ``columnar``, ``executor``, ``workers``, ``snapshot_dir``
+    and ``storage`` configure the search engine only; ``pruning`` and
+    ``graph_topology`` both engines.
+    """
     config = PivotEConfig.default()
     search_changes: dict[str, object] = {}
     ranking_changes: dict[str, object] = {}
@@ -294,25 +302,19 @@ def build_config(
         storage = "disk"  # a snapshot directory implies the durable backend
     if snapshot_dir is not None:
         search_changes["snapshot_dir"] = snapshot_dir
-        ranking_changes["snapshot_dir"] = snapshot_dir
     if storage is not None:
         search_changes["storage"] = storage
-        ranking_changes["storage"] = storage
     if pruning is not None:
         search_changes["pruning"] = pruning
         ranking_changes["pruning"] = pruning
     if shards is not None:
         search_changes["shards"] = shards
-        ranking_changes["shards"] = shards
     if columnar is not None:
         search_changes["columnar"] = columnar == "on"
-        ranking_changes["columnar"] = columnar == "on"
     if executor is not None:
         search_changes["executor"] = executor
-        ranking_changes["executor"] = executor
     if workers is not None:
         search_changes["workers"] = workers
-        ranking_changes["workers"] = workers
     if feature_chunk is not None:
         ranking_changes["feature_chunk"] = feature_chunk
     if graph_topology is not None:

@@ -24,7 +24,7 @@ PRUNING_MODES: tuple[str, ...] = ("off", "maxscore", "blockmax")
 #: traversals (the dispatch scorers and rankers branch on).
 PRUNED_MODES: tuple[str, ...] = ("maxscore", "blockmax")
 
-#: Recognised shard-executor choices of both engines (mirrored by
+#: Recognised shard-executor choices of the search engine (mirrored by
 #: ``repro.exec.EXECUTOR_CHOICES``; kept literal here so the config
 #: module stays dependency-free): ``"auto"`` is platform-aware (inline
 #: under the GIL, thread pool on a free-threaded multi-core build),
@@ -33,7 +33,7 @@ PRUNED_MODES: tuple[str, ...] = ("maxscore", "blockmax")
 #: Rankings are byte-identical under every choice.
 EXECUTOR_CHOICES: tuple[str, ...] = ("auto", "inline", "thread", "process")
 
-#: Recognised snapshot-storage modes of both engines: ``"shm"`` (the
+#: Recognised snapshot-storage modes of the search engine: ``"shm"`` (the
 #: default) publishes per-epoch columnar snapshots into the
 #: shared-memory registry for the process executor tier, ``"disk"``
 #: additionally persists each published epoch into the configured
@@ -192,39 +192,12 @@ class RankingConfig:
     #: boundary mid-walk; ``"off"`` keeps the plain accumulator path.
     #: Rankings are byte-identical in all modes.
     pruning: str = "maxscore"
-    #: Entity shards of the partitioned execution layer (see
-    #: :mod:`repro.exec`): ``1`` (the default) is the serial single-shard
-    #: path, ``N > 1`` partitions the candidate entity id space and fans
-    #: the type-group-pruned accumulator out over shard workers with a
-    #: cross-shard θ broadcast.  Rankings are byte-identical for every
-    #: shard count.
-    shards: int = 1
-    #: Columnar execution knob, mirroring :attr:`SearchConfig.columnar`:
-    #: run the whole recommendation request — feature ranking, candidate
-    #: tally, filters, the entity-ranking kernel
-    #: (:func:`repro.topk.kernels.columnar_rank`) and its exact epilogue —
-    #: on entity and feature ordinals of the per-epoch feature tables
-    #: (:mod:`repro.features.columnar`).  ``False`` selects the object
-    #: code of every one of those stages for A/B comparison.  Rankings
-    #: are byte-identical either way: both compute every returned float
-    #: in the exhaustive scorers' operation order.
-    columnar: bool = True
     #: Feature columns per correction chunk of the ``blockmax`` entity
     #: accumulator (the recommendation-side block size): type groups are
     #: re-checked against θ, and retired once they can gain nothing more,
     #: at every chunk boundary.  Smaller chunks retire groups earlier but
     #: check more often.
     feature_chunk: int = 2
-    #: Shard-executor tier, mirroring :attr:`SearchConfig.executor`:
-    #: ``"process"`` runs the columnar pruned shard fan-out in a warm
-    #: multiprocess pool over the shared-memory feature tables (see
-    #: :mod:`repro.exec.procpool`); effective with ``shards > 1``.  The
-    #: scalar (``columnar=False``) fan-out stays closure-based and runs
-    #: on the thread or inline tier.
-    executor: str = "auto"
-    #: Worker cap of the selected executor tier; ``0`` sizes the pool to
-    #: the machine.
-    workers: int = 0
     #: Columnar graph-topology traversal (see :mod:`repro.kg.topology`):
     #: the expander's domain-type restriction runs as a ``searchsorted``
     #: intersect against the interval-encoded per-epoch member ranges
@@ -233,29 +206,12 @@ class RankingConfig:
     #: ``False`` keeps the scalar graph walk as the A/B arm.  Results
     #: are byte-identical either way.
     graph_topology: bool = True
-    #: Snapshot-storage mode, mirroring :attr:`SearchConfig.storage`:
-    #: ``"disk"`` persists the published feature tables into
-    #: :attr:`snapshot_dir`, ``"off"`` suppresses publication.
-    storage: str = "shm"
-    #: Directory of the durable snapshot tier (required when
-    #: ``storage="disk"``); ``None`` keeps everything in RAM.
-    snapshot_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.storage not in STORAGE_MODES:
-            raise ValueError(f"unknown storage mode: {self.storage!r}")
-        if self.storage == "disk" and not self.snapshot_dir:
-            raise ValueError('storage="disk" requires a snapshot_dir')
         if self.top_entities <= 0 or self.top_features <= 0:
             raise ValueError("top_entities and top_features must be positive")
         if self.pruning not in PRUNING_MODES:
             raise ValueError(f"unknown pruning mode: {self.pruning!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
-        if self.executor not in EXECUTOR_CHOICES:
-            raise ValueError(f"unknown executor: {self.executor!r}")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
         if self.feature_chunk < 1:
             raise ValueError("feature_chunk must be positive")
         if self.max_candidates <= 0 or self.max_features <= 0:

@@ -35,7 +35,7 @@ from ..explore import (
     SubmitKeywords,
     UnpinFeature,
 )
-from ..features import SemanticFeature, SemanticFeatureIndex, ShardedSemanticFeatureIndex
+from ..features import SemanticFeature, SemanticFeatureIndex
 from ..kg import EntityProfile, KnowledgeGraph, install_topology, traversal_stats
 from ..search import SearchEngine, SearchHit
 from ..stats import EngineStats, StorageStats
@@ -70,16 +70,7 @@ class PivotE:
         self._graph = graph
         self._config = config or PivotEConfig.default()
         search = SearchEngine.from_graph(graph, config=self._config.search)
-        self._wire(search, self._build_feature_index(graph, self._config))
-
-    @staticmethod
-    def _build_feature_index(
-        graph: KnowledgeGraph, config: PivotEConfig
-    ) -> SemanticFeatureIndex:
-        """Materialise the semantic feature index for the configured layout."""
-        if config.ranking.shards > 1:
-            return ShardedSemanticFeatureIndex.build_sharded(graph, config.ranking.shards)
-        return SemanticFeatureIndex.build(graph)
+        self._wire(search, SemanticFeatureIndex.build(graph))
 
     def _wire(self, search: SearchEngine, feature_index: SemanticFeatureIndex) -> None:
         """Wire the three components around already-built engines.
@@ -179,20 +170,11 @@ class PivotE:
             feature_index: SemanticFeatureIndex | None = None
             if loaded.feature_snapshot is not None:
                 try:
-                    if config.ranking.shards > 1:
-                        feature_index = ShardedSemanticFeatureIndex.restore(
-                            graph,
-                            loaded.feature_snapshot,
-                            num_shards=config.ranking.shards,
-                        )
-                    else:
-                        feature_index = SemanticFeatureIndex.restore(
-                            graph, loaded.feature_snapshot
-                        )
+                    feature_index = SemanticFeatureIndex.restore(graph, loaded.feature_snapshot)
                 except ValueError:
                     loaded.store.failures += 1
             if feature_index is None:
-                feature_index = cls._build_feature_index(graph, config)
+                feature_index = SemanticFeatureIndex.build(graph)
             if loaded.topology is not None:
                 # Seed the per-epoch memo so the first traversal attaches the
                 # persisted CSR + intervals instead of paying an O(n) rebuild.
@@ -316,7 +298,8 @@ class PivotE:
         )
 
     def close(self) -> None:
-        """Release both engines' caches and shared-memory snapshots."""
+        """Release both engines' caches and the search engine's
+        shared-memory snapshots."""
         self._search.close()
         self._recommender.close()
 

@@ -1,8 +1,8 @@
-"""Sharded, batch-parallel execution layer shared by both pipelines.
+"""Sharded, batch-parallel execution layer of the search engine.
 
 PRs 1–4 made a *single* query fast (accumulators → max-score → block-max);
 this package makes the system serve *many*: the classic shared-nothing
-partitioned execution pattern — partition the document/entity id space
+partitioned execution pattern — partition the document id space
 into shards, fan the existing pruned traversal drivers out over a worker
 pool, broadcast the live θ between shards so late workers start with the
 tightest bound found anywhere, then merge the per-shard survivor heaps
@@ -46,7 +46,6 @@ from .shm import (
     SnapshotSource,
     SnapshotUnavailable,
     ThetaSlab,
-    publish_feature_tables,
     publish_graph_topology,
     publish_snapshot,
     release_snapshots,
@@ -105,7 +104,6 @@ __all__ = [
     "merge_shard_stats",
     "partition_candidates",
     "partition_ids",
-    "publish_feature_tables",
     "publish_graph_topology",
     "publish_snapshot",
     "release_snapshots",

@@ -42,8 +42,8 @@ _MAX_WORKERS = 8
 #: overlap work, ``"threads"`` always pools, ``"inline"`` never does.
 EXECUTOR_MODES = ("auto", "threads", "inline")
 
-#: Config-level executor choices (``SearchConfig.executor`` /
-#: ``RankingConfig.executor`` / CLI ``--executor``): ``"process"`` adds
+#: Config-level executor choices (``SearchConfig.executor`` / CLI
+#: ``--executor``): ``"process"`` adds
 #: the multiprocess tier of :mod:`repro.exec.procpool`, ``"thread"``
 #: forces the thread pool, ``"inline"`` forces serial execution and
 #: ``"auto"`` (the default) keeps the platform-aware behaviour.

@@ -12,14 +12,6 @@ Rebuilt columns are memoised per attached snapshot, so a warm worker
 serves a query stream against one epoch with the same amortisation as
 the parent's per-epoch view memo.
 
-The recommendation ranker rides the same pool: a ``"rank"`` payload
-names a feature-table snapshot (:func:`repro.exec.shm.publish_feature_tables`)
-and carries the query recipe — feature-key triples, relevance scores,
-the shard's candidate ordinals and the smoothing knobs — from which the
-worker assembles the exact :func:`~repro.topk.columnar_rank` inputs
-against the zero-copy tables (intersection columns memoised per
-attached snapshot, like the search side's contribution columns).
-
 Dispatch contract (mirrors :class:`~repro.exec.executor.ShardExecutor`):
 the first task of every query runs inline on the calling thread via its
 ``fallback`` closure — the parent is shard 0's worker and participates
@@ -45,7 +37,7 @@ from typing import Any
 
 import numpy as np
 
-from ..topk import PruningStats, SparseKernelTerm, columnar_dense, columnar_rank, columnar_sparse
+from ..topk import PruningStats, SparseKernelTerm, columnar_dense, columnar_sparse
 from .shm import AttachedSnapshot, SnapshotUnavailable, ThetaSlab
 
 #: Upper bound on worker processes (same rationale as the thread pool).
@@ -509,26 +501,7 @@ def _execute(payload: dict[str, Any], meta: dict[str, int]) -> Any:
     try:
         slot = slab.slot(int(payload["slot"]))
         stats = PruningStats()
-        if kind == "rank":
-            from ..features.columnar import build_ranker_inputs
-
-            inputs = build_ranker_inputs(
-                snapshot.feature_tables(),
-                np.asarray(payload["features"], dtype=np.int64),
-                payload["relevance"],
-                np.asarray(payload["candidates"], dtype=np.int64),
-                float(payload["epsilon"]),
-                type_smoothing=bool(payload["type_smoothing"]),
-            )
-            ordinals, partials = columnar_rank(
-                inputs,
-                int(payload["top_k"]),
-                stats,
-                blockmax=bool(payload["blockmax"]),
-                feature_chunk=int(payload["feature_chunk"]),
-                shared=slot,
-            )
-        elif kind == "dense":
+        if kind == "dense":
             entries = _dense_entries(snapshot, payload)
             candidates = np.asarray(payload["candidates"], dtype=np.int64)
             ordinals, partials = columnar_dense(

@@ -4,9 +4,8 @@ Shard assignment must be stable across runs and processes (``hash(str)``
 is salted per interpreter), independent of insertion order, and uniform
 enough that the per-shard candidate pools stay balanced; CRC-32 of the
 UTF-8 identifier satisfies all three and runs in C.  The sharded index
-facades (:class:`~repro.index.sharded.ShardedFieldedIndex`,
-:class:`~repro.features.sharded.ShardedSemanticFeatureIndex`) maintain
-incremental id→shard maps on top of :func:`shard_of` so query-time
+facade (:class:`~repro.index.sharded.ShardedFieldedIndex`) maintains an
+incremental id→shard map on top of :func:`shard_of` so query-time
 partitioning is a dictionary lookup, not a hash per candidate.
 """
 

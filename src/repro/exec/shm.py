@@ -11,8 +11,8 @@ this safe: a published segment is never written again.
 Since PR 9 the segment *format* lives in :mod:`repro.storage.codec`
 (magic + version header, JSON manifest, 64-aligned array blobs,
 per-array CRC32) and this module is the shared-memory **backend**:
-:func:`publish_snapshot` / :func:`publish_feature_tables` run the
-codec's encoders into a fresh ``SharedMemory`` mapping, and
+:func:`publish_snapshot` runs the codec's encoder into a fresh
+``SharedMemory`` mapping, and
 :class:`AttachedSnapshot` is the codec's :class:`SegmentView` bound to
 an attached segment.  The mmap'd-file backend over the same codec is
 :mod:`repro.storage.diskstore`.
@@ -24,15 +24,9 @@ document-length columns, every (field, term) posting column pair
 shard count's ownership map is derived (``crcs % num_shards`` matches
 :func:`repro.exec.sharding.shard_of` exactly).
 
-The recommendation ranker publishes the same way:
-:func:`publish_feature_tables` serialises one epoch's
-:class:`~repro.features.columnar.ColumnarFeatureTables` into an
-identically laid out segment (``"kind": "feature-tables"`` in the
-manifest), and workers rebuild the tables zero-copy via
-:meth:`AttachedSnapshot.feature_tables`.  Both kinds share one
-:class:`SnapshotRegistry` keyed by index uid
-(:func:`repro.index.fielded_index.next_index_uid` is allocated from one
-process-wide counter, so search and feature uids never collide).
+Published segments live in one :class:`SnapshotRegistry` keyed by
+index uid (:func:`repro.index.fielded_index.next_index_uid` is allocated
+from one process-wide counter, so uids never collide).
 
 The θ broadcast between processes is a :class:`ThetaSlab`: one float64
 shared-memory slab with a per-shard seqlocked slot of top-k score lower
@@ -58,14 +52,12 @@ from ..storage.codec import (
     SegmentBuilder,
     SegmentView,
     SnapshotUnavailable,
-    encode_feature_tables,
     encode_graph_topology,
     encode_index_snapshot,
 )
 from ..topk import NO_THRESHOLD, threshold_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..features.columnar import ColumnarFeatureTables
     from ..index.columnar import ColumnarIndex
     from ..index.fielded_index import FieldedIndex
     from ..kg.topology import GraphTopology
@@ -79,7 +71,6 @@ __all__ = [
     "ThetaSlab",
     "ThetaSlabSlot",
     "attach_shared_memory",
-    "publish_feature_tables",
     "publish_graph_topology",
     "publish_snapshot",
     "release_snapshots",
@@ -92,7 +83,7 @@ class SnapshotSource(NamedTuple):
 
     The registry only reads ``uid``/``epoch`` off whatever it is asked to
     publish; passing this explicit pair lets a caller pin the *pinned
-    view's* epoch (e.g. the feature tables a query snapshot carries)
+    view's* epoch (e.g. the epoch a graph topology was built at)
     rather than a live index property that may have advanced since.
     """
 
@@ -200,22 +191,6 @@ def publish_snapshot(index: FieldedIndex, view: ColumnarIndex) -> PublishedSnaps
     return _publish_segment(manifest, builder, index.uid, index.epoch)
 
 
-def publish_feature_tables(
-    source: SnapshotSource, tables: ColumnarFeatureTables
-) -> PublishedSnapshot:
-    """Serialise one epoch's columnar feature tables into a segment.
-
-    The manifest carries the feature-key triples in ordinal order (the
-    only string payload — entities travel purely as ordinals) plus the
-    holder CSR, dominant-type ordinals, type populations and the
-    entity→type membership CSR.  ``source`` pins the publishing feature
-    index's uid and the *tables'* epoch, so attach checks reject a
-    segment left over from an earlier epoch of the same index.
-    """
-    manifest, builder = encode_feature_tables(source, tables)
-    return _publish_segment(manifest, builder, source.uid, source.epoch)
-
-
 def publish_graph_topology(
     source: SnapshotSource, topology: GraphTopology
 ) -> PublishedSnapshot:
@@ -306,8 +281,8 @@ class SnapshotRegistry:
         ``source`` is anything with ``uid``/``epoch`` (a live index or an
         explicit :class:`SnapshotSource`); ``builder`` is the snapshot
         serialiser for the view's kind — :func:`publish_snapshot` for
-        columnar postings (the default), :func:`publish_feature_tables`
-        for the ranker's feature tables.
+        columnar postings (the default), :func:`publish_graph_topology`
+        for a graph topology.
         """
         key = (source.uid, source.epoch)
         with self._lock:

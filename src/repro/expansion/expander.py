@@ -130,17 +130,42 @@ class EntitySetExpander:
             Explicit entity type the x-axis is restricted to (the pivot
             domain); takes precedence over ``restrict_to_seed_type``.
         exhaustive:
-            Route both rankers through their seed ``rank_exhaustive()``
-            scoring paths (the accumulator-vs-seed A/B baseline).
+            Run every stage through the exhaustive reference
+            (``rank_exhaustive`` on both rankers and the object-form
+            candidate tally and filters).  A seed the pinned feature
+            tables do not know does the same, counted as
+            ``unknown-entity`` on the probability model's ``stages``.
         """
         if not seeds:
             raise NoSeedEntitiesError("entity set expansion needs at least one seed")
+        for seed in seeds:
+            self._graph.require_entity(seed)
         top_k = top_k or self._config.top_entities
+        pinned = list(required_features)
+        restricted_type = ""
+        if domain_type:
+            restricted_type = domain_type
+        elif restrict_to_seed_type:
+            restricted_type = self.dominant_seed_type(seeds)
 
         feature_ranker = self._feature_ranker
+        probability_model = feature_ranker.probability_model
+        # Candidates travel as entity ordinals of the pinned snapshot's
+        # tables from the tally to the ranker.
+        tables = seed_ordinals = None
+        if not exhaustive:
+            support = probability_model.support()
+            tables, seed_ordinals, reason = support.ordinal_space(seeds)
+            if reason:
+                stages = probability_model.stages
+                for stage in ("sf_rank", "candidates", "entity_rank"):
+                    stages.fell_back(stage, reason, support.epoch)
+                if restricted_type or pinned:
+                    stages.fell_back("filters", reason, support.epoch)
+                exhaustive = True
+
         rank_features = feature_ranker.rank_exhaustive if exhaustive else feature_ranker.rank
         scored_features = rank_features(seeds)
-        pinned = [feature for feature in required_features]
         if pinned:
             existing = {scored.feature for scored in scored_features}
             extra = [
@@ -153,69 +178,49 @@ class EntitySetExpander:
                 key=lambda item: (-item.score, item.feature.notation()),
             )
 
-        restricted_type = ""
-        if domain_type:
-            restricted_type = domain_type
-        elif restrict_to_seed_type:
-            restricted_type = self.dominant_seed_type(seeds)
-
-        probability_model = feature_ranker.probability_model
-        support = probability_model.support()
-        stages = probability_model.stages
-        # Candidates travel as entity ordinals of the pinned snapshot's
-        # tables from the tally to the ranker; identifiers only when a
-        # stage cannot be served from the arrays.
-        if exhaustive:
-            tables, seed_ordinals, reason = None, None, ""
-        elif not self._config.columnar:
-            tables, seed_ordinals, reason = None, None, "columnar-off"
-        else:
-            tables, seed_ordinals, reason = support.ordinal_space(seeds)
-
         # Candidate generation without the max_candidates cap: the type and
         # pinned-feature restrictions must narrow the pool *before* any
         # truncation (cap or top-k), or low-match-count domain entities can
         # be squeezed out while matching candidates still exist.
-        if tables is not None:
+        entity_ranker = self._entity_ranker
+        if exhaustive:
+            candidates = self._index.candidates_matching_any(
+                [scored.feature for scored in scored_features], exclude=seeds
+            )
+            if restricted_type:
+                candidates = self.restrict_candidates(candidates, restricted_type)
+            if pinned:
+                candidates = [
+                    entity_id
+                    for entity_id in candidates
+                    if all(self._index.holds(entity_id, feature) for feature in pinned)
+                ]
+            ranked = entity_ranker.rank_exhaustive(
+                seeds,
+                top_k=top_k,
+                scored_features=scored_features,
+                candidates=candidates[: self._config.max_candidates],
+            )
+        else:
+            stages = probability_model.stages
             stages.ran("candidates")
             candidates = self._index.candidates_matching_any(
                 tables.feature_ordinals([scored.feature.key for scored in scored_features]),
                 exclude=seed_ordinals,
                 tables=tables,
             )
-        else:
-            if reason:
-                stages.fell_back("candidates", reason, support.epoch)
-            candidates = self._index.candidates_matching_any(
-                [scored.feature for scored in scored_features], exclude=seeds
-            )
-        if restricted_type:
-            if reason:
-                stages.fell_back("filters", reason, support.epoch)
-            candidates = self.restrict_candidates(candidates, restricted_type, tables=tables)
-        if pinned and tables is not None:
-            stages.ran("filters")
-            for ordinal in tables.feature_ordinals([feature.key for feature in pinned]).tolist():
-                candidates = candidates[isin_sorted(tables.holders(ordinal), candidates)]
-        elif pinned:
-            if reason:
-                stages.fell_back("filters", reason, support.epoch)
-            candidates = [
-                entity_id
-                for entity_id in candidates
-                if all(self._index.holds(entity_id, feature) for feature in pinned)
-            ]
-        candidates = candidates[: self._config.max_candidates]
-
-        entity_ranker = self._entity_ranker
-        if exhaustive:
-            ranked = entity_ranker.rank_exhaustive(
-                seeds, top_k=top_k, scored_features=scored_features, candidates=candidates
-            )
-        else:
+            if restricted_type:
+                candidates = self.restrict_candidates(candidates, restricted_type, tables=tables)
+            if pinned:
+                stages.ran("filters")
+                for ordinal in tables.feature_ordinals([feature.key for feature in pinned]).tolist():
+                    candidates = candidates[isin_sorted(tables.holders(ordinal), candidates)]
             ranked = entity_ranker.rank(
-                seeds, top_k=top_k, scored_features=scored_features,
-                candidates=candidates, tables=tables,
+                seeds,
+                top_k=top_k,
+                scored_features=scored_features,
+                candidates=candidates[: self._config.max_candidates],
+                tables=tables,
             )
 
         return ExpansionResult(
@@ -250,7 +255,7 @@ class EntitySetExpander:
             stages = self._feature_ranker.probability_model.stages
             reason = ""
             if not self._config.graph_topology:
-                reason = "columnar-off"
+                reason = "topology-off"
             elif self._graph.epoch != tables.epoch:
                 reason = "epoch-mismatch"
             else:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 from ..config import RankingConfig
 from ..exceptions import NoSeedEntitiesError
-from ..exec import dedupe_batch, executor_stats, release_snapshots, snapshot_registry
+from ..exec import dedupe_batch
 from ..expansion import EntitySetExpander, ExpansionResult
-from ..features import SemanticFeature, SemanticFeatureIndex, ShardedSemanticFeatureIndex
+from ..features import SemanticFeature, SemanticFeatureIndex
 from ..kg import KnowledgeGraph, traversal_stats
 from ..ranking import (
     CorrelationMatrix,
@@ -31,7 +31,7 @@ from ..ranking import (
     build_correlation_matrix,
     build_correlation_matrix_exhaustive,
 )
-from ..stats import CacheStats, EngineStats, PruningStatsView, StageStats
+from ..stats import CacheStats, EngineStats, ExecutorStats, PruningStatsView, StageStats
 from ..utils import LRUCache
 from .query_state import ExplorationQuery
 
@@ -52,6 +52,21 @@ class Recommendation:
         return [scored.feature.notation() for scored in self.features]
 
 
+#: The ``executor`` record of a recommendation: every stage runs on the
+#: calling thread.
+_INLINE = ExecutorStats(
+    mode="inline",
+    effective="inline",
+    workers=1,
+    tasks_dispatched=0,
+    tasks_inlined=0,
+    snapshots_published=0,
+    snapshot_bytes=0,
+    snapshot_attaches=0,
+    snapshots_active=0,
+)
+
+
 class RecommendationEngine:
     """Produces entity and semantic-feature recommendations for query states."""
 
@@ -63,12 +78,7 @@ class RecommendationEngine:
     ) -> None:
         self._graph = graph
         self._config = config or RankingConfig()
-        if feature_index is not None:
-            self._index = feature_index
-        elif self._config.shards > 1:
-            self._index = ShardedSemanticFeatureIndex.build_sharded(graph, self._config.shards)
-        else:
-            self._index = SemanticFeatureIndex.build(graph)
+        self._index = feature_index or SemanticFeatureIndex.build(graph)
         self._expander = EntitySetExpander(graph, feature_index=self._index, config=self._config)
         #: Epoch-keyed LRU recommendation cache: canonicalised query state ->
         #: Recommendation.  Cleared whenever the feature-index epoch moves
@@ -79,13 +89,6 @@ class RecommendationEngine:
             self._config.recommendation_cache_size
         )
         self._cache.sync_epoch(graph.epoch)
-        # ``storage="off"``: the feature index's uid is stable for the
-        # engine's lifetime (snapshot refreshes keep the instance), so one
-        # registry disable stops all process-tier segment publishing.
-        if self._config.storage == "off":
-            uid = getattr(self._index, "uid", None)
-            if uid is not None:
-                snapshot_registry().disable(uid)
 
     @property
     def feature_index(self) -> SemanticFeatureIndex:
@@ -114,8 +117,8 @@ class RecommendationEngine:
         filter (before top-k truncation), so a domain-restricted
         recommendation returns up to ``top_entities`` matching entities
         whenever that many exist.  ``exhaustive=True`` bypasses the cache
-        and scores through the seed ``rank_exhaustive()`` paths — the
-        baseline side of the accumulator A/B.
+        and runs every stage through the exhaustive reference — the
+        oracle the array form is checked against.
         """
         if not seeds:
             raise NoSeedEntitiesError("recommendation requires at least one seed entity")
@@ -267,17 +270,19 @@ class RecommendationEngine:
         recommendation cache's counters (``"recommendations"``), the
         entity ranker's pruning counters (``"entity-ranker"``) and, per
         request stage, how many calls ran on the array tables and how
-        many fell back to the object code, by reason (``stages``).  Reads
-        the graph epoch first, so entries invalidated by a mutation are
-        already dropped from the reported cache ``size``.
+        many ran the exhaustive reference, by reason (``stages``).  A
+        request runs on the calling thread, so ``executor`` reports
+        ``inline`` with no tasks.  Reads the graph epoch first, so entries
+        invalidated by a mutation are already dropped from the reported
+        cache ``size``.
         """
         epoch = self._refresh_epoch()
         stages = self._expander.feature_ranker.probability_model.stages
         return EngineStats(
             component="recommendation",
             epoch=epoch,
-            shards=self._config.shards,
-            columnar=self._config.columnar,
+            shards=1,
+            columnar=True,
             pruning=self._config.pruning,
             caches=(
                 CacheStats.from_info(
@@ -289,7 +294,7 @@ class RecommendationEngine:
                     "entity-ranker", self._expander.entity_ranker.pruning_info()
                 ),
             ),
-            executor=executor_stats(self._config.executor, self._config.workers),
+            executor=_INLINE,
             traversal=traversal_stats(self._graph),
             stages=StageStats(
                 arrays=dict(stages.arrays),
@@ -298,18 +303,10 @@ class RecommendationEngine:
         )
 
     def close(self) -> None:
-        """Release the engine's shared-memory snapshots and cached results.
+        """Drop the cached results.
 
-        A ``"process"`` executor publishes the feature index's columnar
-        tables under the index uid (see
-        :func:`repro.exec.shm.publish_feature_tables`); only this
-        engine's segment is unlinked — the worker pools are process-wide
-        and stay warm.  Safe to call repeatedly: the engine remains
-        usable and the next process-tier query simply republishes.
+        Safe to call repeatedly: the engine remains usable.
         """
-        uid = getattr(self._index, "uid", None)
-        if uid is not None:
-            release_snapshots(uid)
         self._cache.clear()
 
     def __enter__(self) -> "RecommendationEngine":

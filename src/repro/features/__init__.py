@@ -11,14 +11,12 @@ from .extraction import (
 )
 from .feature_index import FeatureIndexSnapshot, SemanticFeatureIndex
 from .semantic_feature import Direction, SemanticFeature
-from .sharded import ShardedSemanticFeatureIndex
 
 __all__ = [
     "Direction",
     "FeatureIndexSnapshot",
     "SemanticFeature",
     "SemanticFeatureIndex",
-    "ShardedSemanticFeatureIndex",
     "anchor_type_directions",
     "candidate_entities",
     "entity_matches",

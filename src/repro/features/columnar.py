@@ -1,13 +1,10 @@
 """Columnar feature tables — the ranker-side sibling of ``index.columnar``.
 
-The entity ranker's type-grouped decomposition (see
-:class:`~repro.ranking.ranking_support.RankingSupport`) walks Python sets
-and dicts: holder lists per scored feature, dominant types per candidate,
-per-(feature, type) smoothing counts.  :class:`ColumnarFeatureTables`
-materialises the same per-epoch state as contiguous numpy arrays so the
-walk can run as array kernels (:func:`repro.topk.kernels.columnar_rank`)
-and — serialised into the shared-memory snapshot
-(:func:`repro.exec.shm.publish_feature_tables`) — in worker processes:
+The entity ranker's type-grouped decomposition needs holder lists per
+scored feature, dominant types per candidate and per-(feature, type)
+smoothing counts.  :class:`ColumnarFeatureTables` holds that per-epoch
+state as contiguous numpy arrays, so the walk runs as an array kernel
+(:func:`repro.topk.kernels.columnar_rank`):
 
 * an **entity ordinal table** assigned in sorted-``entity_id`` order, so
   ordinal comparisons reproduce the ``(-score, entity_id)`` tie-break
@@ -26,12 +23,13 @@ The intersection counts use *full* type membership, not dominant types:
 an entity whose dominant type is ``c*`` still counts toward every type it
 belongs to, exactly like the scalar ``len(E(pi) & E(c))``.  Per-type base
 probabilities are computed from these counts with the same float64
-division and ``max(·, eps)`` floor as ``RankingSupport.base_probability``.
+division and ``max(·, eps)`` floor as
+``FeatureProbabilityModel.probability`` applies to a non-holder.
 
 Tables are built once per pinned :class:`FeatureIndexSnapshot` (memoised
-on the snapshot itself) or reconstructed zero-copy from an attached
-shared-memory segment on the worker side; the per-query kernel inputs are
-assembled by :func:`build_ranker_inputs` identically on both sides.
+on the snapshot itself) or decoded from a saved feature-table segment on
+a cold start; the per-query kernel inputs are assembled by
+:func:`build_ranker_inputs`.
 
 The tables are also what a recommendation request *runs on*: the seeds'
 feature rows (:meth:`~ColumnarFeatureTables.feature_rows`), the candidate
@@ -74,11 +72,8 @@ _DIRECTION_CODE = {value: code for code, value in enumerate(DIRECTIONS)}
 class ColumnarFeatureTables:
     """Per-epoch array tables of one feature-index snapshot.
 
-    Parent-side instances (built via :meth:`from_snapshot`) additionally
-    carry the ``entity_ids`` / ``ordinal_of`` string maps; worker-side
-    instances (rebuilt from shared-memory views via
-    :meth:`from_arrays`) work purely in ordinal space — candidates
-    arrive as ordinal arrays and survivors return as ordinal arrays.
+    ``entity_ids`` / ``ordinal_of`` map between entity identifiers and
+    ordinals; everything else is in ordinal space.
 
     A feature's ordinal is its rank in ``SemanticFeature`` sort order.
     Sort-built tables address it through ``feature_codes`` — the sorted
@@ -226,12 +221,9 @@ class ColumnarFeatureTables:
     ) -> ColumnarFeatureTables:
         """Reconstruct the tables from decoded segment arrays.
 
-        Workers pass no ``entity_ids``: no entity id strings travel — the
-        kernels select by ordinal, and only the parent maps ordinals back
-        to ids for the exact re-scoring epilogue.  A cold-starting parent
-        passes the id table its durable segment embeds.  ``feature_keys``
-        is kept as given (a manifest's list of lists will do) and must be
-        in ordinal, that is sorted, order.
+        A cold start passes the id table its durable segment embeds.
+        ``feature_keys`` is kept as given (a manifest's list of lists
+        will do) and must be in ordinal, that is sorted, order.
         """
         return cls(
             epoch=epoch,
@@ -509,7 +501,7 @@ class ColumnarFeatureTables:
 
         ``p(pi|e)`` of an entity of dominant type ``c`` that does not hold
         ``pi``, with the scalar arithmetic of
-        ``RankingSupport.base_probability``: float64
+        ``FeatureProbabilityModel.probability``: float64
         ``intersection / population`` floored at ``eps``, and ``eps``
         itself when smoothing is off or the type is the untyped slot.
         The one (features × types) lookup the feature ranker, the kernel
@@ -560,15 +552,15 @@ def build_ranker_inputs(
 ) -> RankerKernelInputs:
     """Assemble one query's kernel inputs from the epoch tables.
 
-    Runs identically in the parent and in attached workers: the scored
-    features arrive as feature ordinals of these tables (−1 for one the
-    epoch lacks) with their relevance, the candidates as entity ordinals
-    (any order; sorted here so the survivor selection tie-break holds).
-    Per-type base probabilities come from
+    The scored features arrive as feature ordinals of these tables (−1
+    for one the epoch lacks) with their relevance, the candidates as
+    entity ordinals (any order; sorted here so the survivor selection
+    tie-break holds).  Per-type base probabilities come from
     :meth:`ColumnarFeatureTables.base_probabilities`, and the
     correction-possible gate (a non-zero intersection for typed groups,
     a non-empty holder list for untyped candidates) shapes the suffix
-    bounds exactly as ``RankingSupport.base_and_possible`` does.
+    bounds: a type group can only earn a feature's correction if some
+    member of the type can hold the feature.
     """
     candidate_ordinals = np.sort(np.asarray(candidate_ordinals, dtype=np.int64))
     feature_ordinals = np.asarray(feature_ordinals, dtype=np.int64)
@@ -616,8 +608,7 @@ def columnar_tables(snapshot: Any) -> ColumnarFeatureTables | None:
     """The snapshot's tables, built once and memoised on the snapshot.
 
     Returns ``None`` for index objects without the snapshot memo slot
-    (e.g. a bare graph passed where an index was expected), so callers
-    can fall back to the scalar walk.
+    (e.g. a bare graph passed where an index was expected).
     """
     if not hasattr(snapshot, "_columnar"):
         return None

@@ -292,9 +292,8 @@ class SemanticFeatureIndex:
             if not 0.0 <= max_delta_fraction <= 1.0:
                 raise ValueError("max_delta_fraction must lie in [0, 1]")
             self.max_delta_fraction = max_delta_fraction
-        #: Process-unique instance id: ``(uid, epoch)`` keys this index's
-        #: published shared-memory feature tables, collision-free against
-        #: the search indexes sharing the snapshot registry.
+        #: Process-unique instance id: ``(uid, epoch)`` tags this index's
+        #: saved feature-table segments.
         self._uid = next_index_uid()
         self._snapshot_ref: FeatureIndexSnapshot | None = None
         #: Serialises refreshes: concurrent readers that both notice a
@@ -494,8 +493,7 @@ class SemanticFeatureIndex:
     def uid(self) -> int:
         """Process-unique instance id (see :meth:`FieldedIndex.uid`).
 
-        ``(uid, epoch)`` keys this index's published shared-memory
-        feature tables in the snapshot registry.
+        ``(uid, epoch)`` tags this index's saved feature-table segments.
         """
         return self._uid
 

@@ -15,7 +15,7 @@ from .correlation import (
 from .diversification import DiversifiedEntity, MMRDiversifier, coverage, jaccard
 from .entity_ranking import EntityRanker, ScoredEntity
 from .probability import FeatureProbabilityModel
-from .ranking_support import RankingSupport, select_top_features
+from .ranking_support import RankingSupport
 from .sf_ranking import ScoredFeature, SemanticFeatureRanker
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "SemanticFeatureRanker",
     "build_correlation_matrix",
     "build_correlation_matrix_exhaustive",
-    "select_top_features",
     "coverage",
     "jaccard",
     "make_baselines",

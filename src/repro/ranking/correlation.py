@@ -108,16 +108,10 @@ def build_correlation_matrix(
     each entity's dominant type with the held cells set to 1.0) times
     the feature relevance; no per-cell ``probability()`` calls.  Cell
     values are bitwise-identical to
-    :func:`build_correlation_matrix_exhaustive`, which also serves an
-    index object that carries no tables (counted as ``no-tables``).
+    :func:`build_correlation_matrix_exhaustive`.
     """
     support = probability_model.support()
     tables = support.columnar_tables()
-    if tables is None or tables.ordinal_of is None:
-        probability_model.stages.fell_back("correlation", "no-tables", support.epoch)
-        return build_correlation_matrix_exhaustive(
-            probability_model, scored_entities, scored_features
-        )
     probability_model.stages.ran("correlation")
     entities = tuple(entity.entity_id for entity in scored_entities)
     features = tuple(scored.feature for scored in scored_features)
@@ -141,9 +135,9 @@ def build_correlation_matrix_exhaustive(
 ) -> CorrelationMatrix:
     """The seed cell-by-cell assembly, kept as the reference path.
 
-    Calls ``probability()`` once per (entity, feature) cell; the A/B bench
-    and the equivalence tests compare :func:`build_correlation_matrix`
-    against this implementation.
+    Calls ``probability()`` once per (entity, feature) cell; the
+    equivalence tests compare :func:`build_correlation_matrix` against
+    this implementation.
     """
     entities = tuple(entity.entity_id for entity in scored_entities)
     features = tuple(scored.feature for scored in scored_features)

@@ -36,12 +36,9 @@ class FeatureProbabilityModel:
         self._index = feature_index
         self._type_smoothing = type_smoothing
         self._epsilon = epsilon
-        # Cache of type-conditional probabilities keyed by (feature, type).
-        # Deliberately kept besides the index's count memo and the scoring
-        # context's base memo: this one serves the exhaustive reference
-        # path, which must stay faithful to the seed implementation (the
-        # A/B baseline) instead of routing through RankingSupport.  All
-        # three layers invalidate off the same index epoch.
+        # Cache of type-conditional probabilities keyed by (feature, type),
+        # serving the exhaustive reference path; it invalidates off the
+        # same index epoch as the scoring context.
         self._type_cache: dict[tuple[SemanticFeature, str], float] = {}
         self._cache_epoch = feature_index.epoch
         self._support: RankingSupport | None = None
@@ -62,16 +59,15 @@ class FeatureProbabilityModel:
             self._cache_epoch = epoch
 
     def support(self) -> RankingSupport:
-        """The shared accumulator scoring context, cached per index epoch.
+        """The shared scoring context, cached per index epoch.
 
-        Both rankers and the correlation-matrix builder score through this
-        object; it is rebuilt (dropping its memoised dominant types and
-        base probabilities) whenever the underlying graph mutates.
+        Both rankers and the correlation-matrix builder read the pinned
+        snapshot's tables through this object; it is replaced whenever
+        the underlying graph mutates.
         """
         self._ensure_current()
         if self._support is None:
             self._support = RankingSupport(
-                self._graph,
                 self._index,
                 type_smoothing=self._type_smoothing,
                 epsilon=self._epsilon,
@@ -128,6 +124,6 @@ class FeatureProbabilityModel:
 
     def clear_cache(self) -> None:
         """Drop all memoised probability state: the type-conditional memo
-        and the scoring context (with its dominant-type and base memos)."""
+        and the scoring context."""
         self._type_cache.clear()
         self._support = None

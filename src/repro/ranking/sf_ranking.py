@@ -27,7 +27,7 @@ from ..kg import KnowledgeGraph
 from ..kg.columns import isin_sorted, sorted_unique, unique_inverse
 from ..kg.topology import graph_topology
 from .probability import FeatureProbabilityModel
-from .ranking_support import FrozenMapping, select_top_features
+from .ranking_support import FrozenMapping
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,13 @@ class SemanticFeatureRanker:
     ) -> list[ScoredFeature]:
         """Rank semantic features for a seed set (the fast path).
 
-        With ``RankingConfig.columnar`` on (the default) the pool
-        ``Phi(Q)`` and every score are arrays over the pinned snapshot's
-        feature tables (:meth:`_rank_arrays`); feature objects are built
-        for the winners only.  An explicit ``candidates`` pool, a seed
-        the tables do not know and ``columnar=False`` run the object
-        loop below instead, counted by reason on
-        ``probability_model.stages``.  The arithmetic is the same
-        float-for-float as :meth:`rank_exhaustive` in both forms, so the
-        returned ranking is identical to the seed scoring path by
-        construction.
+        The pool ``Phi(Q)`` and every score are arrays over the pinned
+        snapshot's feature tables (:meth:`_rank_arrays`); feature objects
+        are built for the winners only.  An explicit ``candidates`` pool
+        and a seed the tables do not know run :meth:`rank_exhaustive`
+        instead, counted by reason on ``probability_model.stages``.  The
+        array form applies :meth:`score_feature`'s arithmetic float for
+        float, so both forms return the same ranking.
 
         Parameters
         ----------
@@ -175,47 +172,22 @@ class SemanticFeatureRanker:
             Optional explicit feature pool; by default ``Phi(Q)`` is used.
         """
         self._validate(seeds)
-        top_k = top_k or self._config.top_features
         support = self._probability.support()
         stages = self._probability.stages
         # score_feature multiplies one probability per *distinct* seed (its
-        # per-seed map deduplicates); both forms mirror that.
+        # per-seed map deduplicates); the array form mirrors that.
         unique_seeds = list(dict.fromkeys(seeds))
-        if not self._config.columnar:
-            tables, seed_ordinals, reason = None, None, "columnar-off"
-        elif candidates is not None:
-            tables, seed_ordinals, reason = None, None, "explicit-pool"
+        if candidates is not None:
+            reason = "explicit-pool"
         else:
             tables, seed_ordinals, reason = support.ordinal_space(unique_seeds)
-        if not reason:
-            stages.ran("sf_rank")
-            return self._rank_arrays(tables, unique_seeds, seed_ordinals, top_k)
-        stages.fell_back("sf_rank", reason, support.epoch)
-
-        pool = list(candidates) if candidates is not None else self.candidate_features(seeds)
-        use_discriminability = self._config.use_discriminability
-        use_commonality = self._config.use_commonality
-        # Seed feature sets and dominant types are resolved once, so the
-        # inner loop is a set-membership test plus a memoised base lookup.
-        seed_features = [self._index.features_of(seed) for seed in unique_seeds]
-        seed_types = [support.dominant_type(seed) for seed in unique_seeds]
-        base_probability = support.base_probability
-        scored_pairs: list[tuple[SemanticFeature, float]] = []
-        for feature in pool:
-            score = 1.0
-            if use_discriminability:
-                score *= self.discriminability(feature)
-            if use_commonality:
-                commonality = 1.0
-                for held, type_id in zip(seed_features, seed_types):
-                    probability = 1.0 if feature in held else base_probability(feature, type_id)
-                    commonality *= probability
-                score *= commonality
-            if not use_discriminability and not use_commonality:
-                score = 0.0
-            scored_pairs.append((feature, score))
-        winners = select_top_features(scored_pairs, top_k)
-        return [self.score_feature(feature, seeds) for feature, _ in winners]
+        if reason:
+            stages.fell_back("sf_rank", reason, support.epoch)
+            return self.rank_exhaustive(seeds, top_k=top_k, candidates=candidates)
+        stages.ran("sf_rank")
+        return self._rank_arrays(
+            tables, unique_seeds, seed_ordinals, top_k or self._config.top_features
+        )
 
     def _rank_arrays(
         self,
@@ -334,9 +306,9 @@ class SemanticFeatureRanker:
     ) -> list[ScoredFeature]:
         """The seed scoring path: score every pool feature, sort, truncate.
 
-        Kept as the reference implementation the accumulator path is
-        verified against (see ``tests/test_ranking_accumulator.py``), the
-        same contract the search engine's ``search_exhaustive()`` follows.
+        The reference the array form is verified against and the form
+        :meth:`rank` falls back to.  A feature repeated in ``candidates``
+        is scored once, at its first occurrence.
         """
         pool = self._validated_pool(seeds, candidates)
         top_k = top_k or self._config.top_features
@@ -354,4 +326,6 @@ class SemanticFeatureRanker:
         self, seeds: Sequence[str], candidates: Sequence[SemanticFeature] | None
     ) -> list[SemanticFeature]:
         self._validate(seeds)
-        return list(candidates) if candidates is not None else self.candidate_features(seeds)
+        if candidates is None:
+            return self.candidate_features(seeds)
+        return list(dict.fromkeys(candidates))

@@ -249,7 +249,7 @@ class StageStats:
 
     ``arrays[stage]`` counts the stage calls served from the pinned
     snapshot's array tables, ``fallbacks[stage][reason]`` those that ran
-    the object code instead (stages and reasons are listed on
+    the exhaustive reference instead (stages and reasons are listed on
     :class:`~repro.ranking.ranking_support.StageCounters`).
     """
 
@@ -279,7 +279,8 @@ class EngineStats:
     and ``pruning_counters`` carry the component's own counters, and a
     facade lists its components as ``children``.  The recommendation
     engine also reports ``stages``: per request stage, the calls served
-    from the array tables and the named fallbacks to the object code.
+    from the array tables and the named fallbacks to the exhaustive
+    reference.
     """
 
     component: str

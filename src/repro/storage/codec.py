@@ -34,9 +34,9 @@ The decoded read surface is :class:`SegmentView`: zero-copy numpy views
 over any buffer (a shared-memory mapping, an ``np.memmap``, plain
 ``bytes``), presenting the subset of the
 :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
-kernels consume plus the
-:class:`~repro.features.columnar.ColumnarFeatureTables` reconstruction
-for feature-table segments.
+kernels consume plus the :class:`~repro.kg.topology.GraphTopology`
+reconstruction for topology segments.  Feature-table segments are
+decoded by :func:`repro.storage.kgstore.restore_feature_snapshot`.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ class SegmentView:
     kernels consume — length columns, posting columns (with block grids
     rebuilt locally), dense frequency columns, CRC-derived shard
     ownership — plus the same ``memoised`` hook the scorers use for
-    derived contribution columns.  Feature-table segments instead
-    rebuild their :class:`~repro.features.columnar.ColumnarFeatureTables`
-    via :meth:`feature_tables` over the same zero-copy views.
+    derived contribution columns.  Graph-topology segments instead
+    rebuild their :class:`~repro.kg.topology.GraphTopology` via
+    :meth:`graph_topology` over the same zero-copy views.
     """
 
     def __init__(
@@ -339,39 +339,12 @@ class SegmentView:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
         return self.memoised(("array", key), lambda: self._view(self._manifest[key]))
 
-    def feature_tables(self) -> "ColumnarFeatureTables":
-        """The segment's columnar feature tables, rebuilt zero-copy.
-
-        Only valid on ``"kind": "feature-tables"`` segments; raises
-        :class:`SnapshotUnavailable` otherwise so a mixed-up descriptor
-        degrades to the fallback path instead of a KeyError deep in a
-        worker.
-        """
-        if self._manifest.get("kind") != "feature-tables":
-            raise SnapshotUnavailable("segment does not carry feature tables")
-
-        def build() -> "ColumnarFeatureTables":
-            from ..features.columnar import ColumnarFeatureTables
-
-            return ColumnarFeatureTables.from_arrays(
-                epoch=self.epoch,
-                feature_keys=self._manifest["features"],
-                holder_offsets=self.manifest_array("holder_offsets"),
-                holder_ordinals=self.manifest_array("holder_ordinals"),
-                dominant_ords=self.manifest_array("dominant_ords"),
-                type_populations=self.manifest_array("type_populations"),
-                member_offsets=self.manifest_array("member_offsets"),
-                member_type_ords=self.manifest_array("member_type_ords"),
-            )
-
-        return self.memoised(("feature-tables",), build)
-
     def graph_topology(self) -> "GraphTopology":
         """The segment's columnar graph topology, rebuilt zero-copy.
 
         Only valid on ``"kind": "graph-topology"`` segments; raises
-        :class:`SnapshotUnavailable` otherwise, mirroring
-        :meth:`feature_tables`.  The string tables (entity ids,
+        :class:`SnapshotUnavailable` otherwise, so a mixed-up descriptor
+        degrades to the fallback path.  The string tables (entity ids,
         predicates, type ids) travel in the JSON manifest; every CSR and
         interval array stays a read-only view over the segment buffer.
         """
@@ -517,22 +490,18 @@ def encode_index_snapshot(
 
 
 def encode_feature_tables(
-    source,
-    tables: "ColumnarFeatureTables",
-    *,
-    include_entity_ids: bool = False,
+    source, tables: "ColumnarFeatureTables"
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar feature tables into ``(manifest, builder)``.
 
-    The manifest carries the feature-key triples in ordinal order plus
-    the holder CSR, dominant-type ordinals, type populations and the
-    entity→type membership CSR.  ``source`` is anything with
-    ``uid``/``epoch`` pinning the publishing feature index's uid and the
-    *tables'* epoch.  ``include_entity_ids`` additionally embeds the
-    entity identifiers in ordinal order (parent-side tables carry them)
-    so a cold-starting process can invert the holder CSR back into the
-    ``entity → features`` / ``feature → holders`` maps of a
+    The manifest carries the entity identifiers and the feature-key
+    triples in ordinal order plus the holder CSR, dominant-type
+    ordinals, type populations and the entity→type membership CSR — all
+    a cold-starting process needs to answer from the tables and to
+    invert them back into the maps of a
     :class:`~repro.features.feature_index.FeatureIndexSnapshot`.
+    ``source`` is anything with ``uid``/``epoch`` pinning the publishing
+    feature index's uid and the *tables'* epoch.
     """
     builder = SegmentBuilder()
     place = builder.place
@@ -548,11 +517,8 @@ def encode_feature_tables(
         "type_populations": place(tables.type_populations),
         "member_offsets": place(tables.member_offsets),
         "member_type_ords": place(tables.member_type_ords),
+        "entity_ids": list(tables.entity_ids),
     }
-    if include_entity_ids:
-        if tables.entity_ids is None:
-            raise ValueError("entity ids requested but the tables carry none")
-        manifest["entity_ids"] = list(tables.entity_ids)
     return manifest, builder
 
 

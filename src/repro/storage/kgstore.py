@@ -130,7 +130,6 @@ def save_system(
         manifest, builder = encode_feature_tables(
             SimpleNamespace(uid=feature_index.uid, epoch=snapshot.epoch),
             tables,
-            include_entity_ids=True,
         )
         store.publish(
             FEATURE_TABLES_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}

@@ -25,13 +25,11 @@ Ordinals are assigned in sorted-doc-id order (see
 reproduce the ``doc_id`` tie-break and
 :func:`select_survivor_ordinals` can rank with one ``lexsort``.
 
-The recommendation side gets the same treatment: :func:`columnar_rank`
-is the array counterpart of the scalar type-grouped entity walk in
-:meth:`repro.ranking.ranking_support.RankingSupport.score_entities_pruned`
-— per-type base scatter, per-feature holder scatter-adds, chunked
-correction-bound retirement and whole-group kills as mask operations —
-over the precomputed :class:`RankerKernelInputs` columns (see
-:func:`repro.features.columnar.build_ranker_inputs`).
+The recommendation side has one kernel, :func:`columnar_rank`: the
+type-grouped entity walk — per-type base scatter, per-feature holder
+scatter-adds, chunked correction-bound retirement and whole-group kills
+as mask operations — over the precomputed :class:`RankerKernelInputs`
+columns (see :func:`repro.features.columnar.build_ranker_inputs`).
 """
 
 from __future__ import annotations
@@ -444,24 +442,22 @@ def columnar_rank(
     stats: PruningStats,
     blockmax: bool = False,
     feature_chunk: int = 2,
-    shared: SharedThresholdSlot | None = None,
     margin: int = SELECTION_MARGIN,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``RankingSupport.score_entities_pruned``.
+    """The threshold-pruned type-grouped entity accumulator.
 
-    Same traversal as the scalar walk: per-type base scatter, initial θ
-    from the candidate base scores, up-front group kills (``blockmax``
-    additionally retires zero-bound groups), per-feature holder
-    scatter-adds with the identical checkpoint schedule — maxscore
-    refreshes after columns 1 and 4, blockmax retires finished groups at
-    every ``feature_chunk`` boundary and runs the kill scan on the
-    maxscore checkpoints plus every eighth column.  Partials are exact
-    accumulator values (same ``(1 - base) * r`` products), θ arithmetic
-    only has to be sound: the mid-walk refresh reads *all* live
-    accumulators (a superset of the scalar θ pool, hence ≥ its θ) and
-    every cut keeps the safety slack.  Returns the margin-selected
+    Per-type base scatter, initial θ from the candidate base scores,
+    up-front group kills (``blockmax`` additionally retires zero-bound
+    groups), then per-feature holder scatter-adds on a fixed checkpoint
+    schedule — maxscore refreshes θ after columns 1 and 4, blockmax
+    retires finished groups at every ``feature_chunk`` boundary and runs
+    the kill scan on the maxscore checkpoints plus every eighth column.
+    Partials are exact accumulator values (``(1 - base) * r``
+    products); θ arithmetic only has to be sound: it is the k-th best of
+    the live accumulators, each a lower bound of a real score, and every
+    cut keeps the safety slack.  Returns the margin-selected
     ``(ordinals, partials)`` survivor columns — a superset of the true
-    top-k for the parent's exact re-scoring epilogue.
+    top-k for the caller's exact re-scoring epilogue.
     """
     ordinals = inputs.ordinals
     type_index = inputs.type_index
@@ -483,10 +479,6 @@ def columnar_rank(
         return ordinals, accumulators
 
     threshold = _kth_largest(accumulators, top_k)
-    if shared is not None and top_k > 0:
-        offered = shared.offer(_top_bounds(accumulators, top_k))
-        if offered > threshold:
-            threshold = offered
     cut = threshold - safety_slack(threshold) if threshold != NO_THRESHOLD else NO_THRESHOLD
 
     # Up-front group kills (and blockmax retirement): whole dominant-type
@@ -542,15 +534,9 @@ def columnar_rank(
                 continue
             rem_chunks = 0
         alive_count = num_candidates - int(np.count_nonzero(killed))
-        if shared is None and (
-            int(np.count_nonzero(walking)) <= 1 or alive_count <= top_k
-        ):
+        if int(np.count_nonzero(walking)) <= 1 or alive_count <= top_k:
             continue
-        live = accumulators[~killed]
-        if shared is not None:
-            refreshed = shared.offer(_top_bounds(live, top_k))
-        else:
-            refreshed = _kth_largest(live, top_k)
+        refreshed = _kth_largest(accumulators[~killed], top_k)
         if refreshed == NO_THRESHOLD:
             continue
         cut = refreshed - safety_slack(refreshed)
@@ -584,9 +570,8 @@ def columnar_rank(
 def accumulate_rank(inputs: RankerKernelInputs) -> np.ndarray:
     """Plain (``pruning="off"``) entity accumulation.
 
-    The vectorized ``RankingSupport.score_entities``: per-type base
-    scatter plus every holder correction, no kills — returns the full
-    accumulator column aligned with ``inputs.ordinals``.
+    Per-type base scatter plus every holder correction, no kills —
+    returns the full accumulator column aligned with ``inputs.ordinals``.
     """
     accumulators = inputs.base_scores[inputs.type_index]
     for column, positions in enumerate(inputs.holder_positions):

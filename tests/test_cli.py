@@ -201,10 +201,37 @@ class TestShardAndBatchFlags:
         out = capsys.readouterr().out
         assert "Forrest Gump" in out
 
-    def test_shards_apply_to_recommendation(self, capsys):
+    def test_execution_flags_configure_the_search_engine_only(self, capsys):
+        from repro.cli import build_config
+        from repro.config import RankingConfig
+
+        config = build_config(None, shards=3, columnar="off", executor="inline", workers=2)
+        assert (config.search.shards, config.search.columnar) == (3, False)
+        assert (config.search.executor, config.search.workers) == ("inline", 2)
+        assert config.ranking == RankingConfig()
         assert self.run("--shards", "3", "recommend", "dbr:Forrest_Gump") == 0
-        out = capsys.readouterr().out
-        assert "entities:" in out
+        assert "entities:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--shards", "3"),
+            ("--columnar", "off"),
+            ("--executor", "thread"),
+            ("--workers", "2"),
+            ("--storage", "off"),
+            ("--snapshot-dir", None),
+        ],
+    )
+    def test_execution_flag_leaves_recommendations_unchanged(
+        self, flag, value, tmp_path, capsys
+    ):
+        assert self.run("recommend", "dbr:Forrest_Gump") == 0
+        expected = capsys.readouterr().out
+        assert "entities:" in expected
+        value = value if value is not None else str(tmp_path / "snapshots")
+        assert self.run(flag, value, "recommend", "dbr:Forrest_Gump") == 0
+        assert capsys.readouterr().out == expected
 
     def test_invalid_shard_count_is_an_error(self, capsys):
         assert self.run("--shards", "0", "search", "gump") == 1

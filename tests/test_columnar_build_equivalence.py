@@ -236,7 +236,7 @@ class TestColdStart:
             entity_ids=tables.entity_ids, **arrays,
         )
         manifest, builder = encode_feature_tables(
-            SimpleNamespace(uid=index.uid, epoch=tables.epoch), broken, include_entity_ids=True
+            SimpleNamespace(uid=index.uid, epoch=tables.epoch), broken
         )
         encoded = SegmentBuilder.encode_manifest(manifest)
         buffer = bytearray(builder.total_size(encoded)[0])

@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, RankingConfig, SearchConfig
+from repro.config import PRUNING_MODES, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.exec import shard_of
-from repro.explore import RecommendationEngine
 from repro.index import BLOCK_SIZE, columnar_view
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
 
@@ -119,34 +118,6 @@ class TestColumnarSearchEquivalence:
     def test_columnar_engines_report_the_knob(self, engines):
         on = engines("maxscore", 1, True)
         off = engines("maxscore", 1, False)
-        assert on.stats().columnar is True
-        assert off.stats().columnar is False
-
-
-class TestColumnarRecommendationEquivalence:
-    """``RankingConfig.columnar`` must not change recommendations."""
-
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_recommendation_byte_identical(self, movie_graph, pruning):
-        largest = max(
-            movie_graph.types(), key=lambda t: (movie_graph.type_count(t), t)
-        )
-        seeds = sorted(movie_graph.entities_of_type(largest))[:2]
-        on = RecommendationEngine(
-            movie_graph, config=RankingConfig(pruning=pruning, columnar=True)
-        )
-        off = RecommendationEngine(
-            movie_graph, config=RankingConfig(pruning=pruning, columnar=False)
-        )
-        expected = off.recommend_for_seeds(seeds)
-        actual = on.recommend_for_seeds(seeds)
-        assert [(e.entity_id, e.score) for e in actual.entities] == [
-            (e.entity_id, e.score) for e in expected.entities
-        ]
-        assert [(f.feature.notation(), f.score) for f in actual.features] == [
-            (f.feature.notation(), f.score) for f in expected.features
-        ]
-        assert (actual.correlations.values == expected.correlations.values).all()
         assert on.stats().columnar is True
         assert off.stats().columnar is False
 

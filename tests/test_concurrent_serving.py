@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-from repro.config import RankingConfig, SearchConfig
+from repro.config import SearchConfig
 from repro.explore import RecommendationEngine
 from repro.features import SemanticFeatureIndex
 from repro.search import SearchEngine, parse_query
@@ -111,7 +111,7 @@ class TestConcurrentSearch:
 class TestConcurrentRecommendation:
     def test_readers_survive_graph_mutations(self, tiny_kg):
         graph = tiny_kg
-        engine = RecommendationEngine(graph, config=RankingConfig(shards=2))
+        engine = RecommendationEngine(graph)
         counter = [0]
         lock = threading.Lock()
 
@@ -136,7 +136,7 @@ class TestConcurrentRecommendation:
         _run_threads([mutate, read, read, read_batch])
 
         # Post-epoch correctness against a from-scratch system.
-        fresh = RecommendationEngine(graph, config=RankingConfig(shards=2))
+        fresh = RecommendationEngine(graph)
         got = engine.recommend_for_seeds(["ex:F1"])
         expected = fresh.recommend_for_seeds(["ex:F1"])
         assert [(e.entity_id, e.score) for e in got.entities] == [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import PivotEError
@@ -74,6 +76,36 @@ class TestRankingConfig:
         assert RankingConfig().graph_topology is True
         assert RankingConfig().with_(graph_topology=False).graph_topology is False
 
+    def test_execution_knobs_are_search_only(self):
+        """The recommender has one execution path: no shard, columnar,
+        executor or snapshot-storage knobs."""
+        assert len(dataclasses.fields(RankingConfig)) == 12
+        for knob in ("columnar", "shards", "executor", "workers", "storage", "snapshot_dir"):
+            assert knob not in {field.name for field in dataclasses.fields(RankingConfig)}
+        with pytest.raises(TypeError):
+            RankingConfig(columnar=False)
+        with pytest.raises(TypeError):
+            RankingConfig(shards=2)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("columnar", False),
+            ("shards", 2),
+            ("executor", "process"),
+            ("workers", 2),
+            ("storage", "off"),
+            ("snapshot_dir", "snapshots"),
+        ],
+    )
+    def test_search_knob_is_rejected(self, knob, value):
+        with pytest.raises(TypeError):
+            RankingConfig(**{knob: value})
+        with pytest.raises(TypeError):
+            RankingConfig().with_(**{knob: value})
+        # The same knob still configures the search engine.
+        assert getattr(SearchConfig(**{knob: value}), knob) == value
+
 
 class TestHeatmapConfig:
     def test_paper_default_is_seven_levels(self):
@@ -116,18 +148,14 @@ class TestExceptionHierarchy:
 
 
 class TestShardConfig:
-    """The PR 5 ``shards`` knob on both engine configurations."""
+    """The PR 5 ``shards`` knob of the search configuration."""
 
     def test_default_is_single_shard(self):
         assert SearchConfig().shards == 1
-        assert RankingConfig().shards == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(shards=0)
-        with pytest.raises(ValueError):
-            RankingConfig(shards=-1)
 
     def test_with_override(self):
         assert SearchConfig().with_(shards=4).shards == 4
-        assert RankingConfig().with_(shards=3).shards == 3

@@ -2,12 +2,14 @@
 
 The PR 7 contract extends the PR 5 invariant to the process tier: for
 ``executor`` ∈ {inline, thread, process}, every pruning mode, shard
-counts 1–3, all four search scorers and both rankers, the rankings must
-be *byte-identical* to the serial single-shard path — the process
+counts 1–3 and all four search scorers, the rankings must be
+*byte-identical* to the serial single-shard path — the process
 executor only moves survivor selection into worker processes attached to
 the shared-memory snapshot; the exact re-scoring epilogue stays in the
-parent.  A stress suite mutates the graph (publishing fresh snapshot
-epochs) while readers drive the process pool.
+parent.  A whole exploration session under the same matrix must repeat
+the serial system's hits and recommendations exactly.  A stress suite
+mutates the graph (publishing fresh snapshot epochs) while readers drive
+the process pool.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import threading
 
 import pytest
 
-from repro.config import PRUNING_MODES, RankingConfig, SearchConfig
+from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
-from repro.explore import RecommendationEngine
-from repro.features import SemanticFeatureIndex
+from repro.engine import PivotE
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
 
 EXECUTORS = ("inline", "thread", "process")
@@ -134,64 +135,62 @@ class TestSearchExecutorEquivalence:
         ] == expected
 
 
-@pytest.fixture(scope="module")
-def ranking_index(random_graph):
-    """One shared feature index: engines differ only in config knobs."""
-    return SemanticFeatureIndex.build(random_graph)
+def _session_signature(system: PivotE, query: str) -> list[tuple]:
+    """Keywords → two selections → pivot: every hit list and recommendation."""
+    session = system.start_session()
+    responses = [system.submit_keywords(session, query)]
+    for hit in responses[0].hits[:2]:
+        responses.append(system.select_entity(session, hit.entity_id))
+    recommendation = responses[-1].recommendation
+    responses.append(system.pivot(session, recommendation.entities[-1].entity_id))
+    signature = []
+    for response in responses:
+        signature.append(_hit_signature(response.hits))
+        if response.recommendation is not None:
+            signature.append(
+                [(e.entity_id, e.score) for e in response.recommendation.entities]
+            )
+            signature.append(
+                [(f.feature.notation(), f.score) for f in response.recommendation.features]
+            )
+            signature.append(response.recommendation.correlations.values.tolist())
+    return signature
 
 
 @pytest.fixture(scope="module")
-def serial_recommend(random_graph, ranking_index):
-    """Per-pruning-mode recommendation baselines from the serial engine."""
-    largest = max(random_graph.types(), key=lambda t: (random_graph.type_count(t), t))
-    seeds = sorted(random_graph.entities_of_type(largest))[:2]
+def serial_sessions(random_graph):
+    """Per-pruning-mode session baselines from the serial system."""
+    query = _queries(random_graph)[0]
     baselines = {}
     for pruning in PRUNING_MODES:
-        engine = RecommendationEngine(
-            random_graph,
-            feature_index=ranking_index,
-            config=RankingConfig(pruning=pruning),
+        config = PivotEConfig(
+            search=SearchConfig(pruning=pruning), ranking=RankingConfig(pruning=pruning)
         )
-        result = engine.recommend_for_seeds(seeds)
-        baselines[pruning] = (
-            [(e.entity_id, e.score) for e in result.entities],
-            [(f.feature.notation(), f.score) for f in result.features],
-        )
-    return seeds, baselines
+        with PivotE(random_graph, config=config) as system:
+            baselines[pruning] = _session_signature(system, query)
+    return query, baselines
 
 
-class TestRankingExecutorEquivalence:
-    """Both rankers (entity + semantic feature) under every executor.
-
-    The PR 8 axis on top: every executor × shard count runs with the
-    columnar ranker kernels on (the default) *and* off — the kernels only
-    move survivor selection; the exact re-scoring epilogue pins the
-    floats, so every cell must be byte-identical to the serial baseline.
-    """
+class TestSessionExecutorEquivalence:
+    """A whole exploration session with the search engine's execution
+    knobs set: the hits stay serial-identical, and the recommendations —
+    which have one execution path — are untouched by the search tier."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_recommendation_byte_identical(
-        self, random_graph, ranking_index, serial_recommend, pruning, executor, shards, columnar
+    def test_session_byte_identical(
+        self, random_graph, serial_sessions, pruning, executor, shards
     ):
-        seeds, baselines = serial_recommend
-        parallel = RecommendationEngine(
-            random_graph,
-            feature_index=ranking_index,
-            config=RankingConfig(
-                pruning=pruning,
-                shards=shards,
-                executor=executor,
-                workers=WORKERS,
-                columnar=columnar,
+        query, baselines = serial_sessions
+        config = PivotEConfig(
+            search=SearchConfig(
+                pruning=pruning, shards=shards, executor=executor, workers=WORKERS
             ),
+            ranking=RankingConfig(pruning=pruning),
         )
-        expected_entities, expected_features = baselines[pruning]
-        actual = parallel.recommend_for_seeds(seeds)
-        assert [(e.entity_id, e.score) for e in actual.entities] == expected_entities
-        assert [(f.feature.notation(), f.score) for f in actual.features] == expected_features
+        with PivotE(random_graph, config=config) as system:
+            assert _session_signature(system, query) == baselines[pruning]
 
 
 class TestProcessExecutorStats:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PivotEConfig, RankingConfig, SearchConfig
+from repro.config import PivotEConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, small_movie_kg
 from repro.engine import PivotE, PivotEApi
 from repro.features import SemanticFeature, SemanticFeatureIndex
@@ -252,7 +252,7 @@ DATASETS = {
     "academic": small_academic_kg,
     "random": lambda: build_random_kg(RandomKGConfig(num_entities=200, seed=23)),
 }
-SHARDED = PivotEConfig(search=SearchConfig(shards=2), ranking=RankingConfig(shards=3))
+SHARDED = PivotEConfig(search=SearchConfig(shards=2))
 
 
 @pytest.fixture(scope="module", params=sorted(DATASETS))

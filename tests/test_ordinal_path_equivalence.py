@@ -78,7 +78,6 @@ def states(draw):
         use_discriminability=draw(st.booleans()),
         use_commonality=draw(st.booleans()),
         pruning=draw(st.sampled_from(PRUNING_MODES)),
-        shards=draw(st.sampled_from((1, 1, 2, 3))),
         recommendation_cache_size=0,
     )
     return graph, seeds, config
@@ -163,10 +162,6 @@ class TestEntityRanker:
         assert_same_up_to_the_cut_tie(
             fast, ranker.rank_exhaustive(seeds, scored_features=scored_features), config.top_entities
         )
-        scalar = EntityRanker(graph, index, config.with_(columnar=False))
-        assert entity_signature(fast) == entity_signature(
-            scalar.rank(seeds, scored_features=scored_features)
-        )
         stages = ranker.feature_ranker.probability_model.stages
         assert stages.arrays["entity_rank"] == 1 and stages.arrays["candidates"] == 1
         assert not any(stages.fallbacks.values())
@@ -207,11 +202,49 @@ class TestEntityRanker:
         )
         assert feature_signature(fast.features) == feature_signature(reference.features)
         assert_same_up_to_the_cut_tie(fast.entities, reference.entities, config.top_entities)
-        scalar = EntitySetExpander(graph, index, config.with_(columnar=False))
-        assert entity_signature(fast.entities) == entity_signature(
-            scalar.expand(seeds, required_features=pinned, domain_type=domain).entities
-        )
         assert not any(expander.feature_ranker.probability_model.stages.fallbacks.values())
+
+
+@pytest.fixture(scope="module")
+def skewed_graph() -> KnowledgeGraph:
+    return build_random_kg(
+        RandomKGConfig(num_entities=240, seed=11, target_skew=1.4, avg_out_degree=6.0)
+    )
+
+
+class TestExpansionFilterMatrix:
+    """Every restriction the expander applies × pruning, on a hub-skewed
+    graph: the ordinal candidates, type filter and ``holds`` filter agree
+    with their object forms in the reference."""
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize(
+        "restriction", ("none", "seed-type", "domain", "pinned", "domain-and-pinned")
+    )
+    def test_expansion_is_the_reference(self, skewed_graph, restriction, pruning):
+        index = SemanticFeatureIndex.build(skewed_graph)
+        config = RankingConfig(pruning=pruning, recommendation_cache_size=0)
+        expander = EntitySetExpander(skewed_graph, index, config)
+        largest = max(skewed_graph.types(), key=lambda t: (skewed_graph.type_count(t), t))
+        seeds = sorted(skewed_graph.entities_of_type(largest))[:3]
+        hubs = sorted(
+            index.features_of(seeds[0]), key=lambda f: (-len(index.holders_of(f)), f.notation())
+        )
+        knobs = {
+            "none": {},
+            "seed-type": {"restrict_to_seed_type": True},
+            "domain": {"domain_type": largest},
+            "pinned": {"required_features": hubs[:1]},
+            "domain-and-pinned": {"domain_type": largest, "required_features": hubs[:1]},
+        }[restriction]
+        fast = expander.expand(seeds, **knobs)
+        reference = expander.expand(seeds, exhaustive=True, **knobs)
+        assert fast.entities
+        assert feature_signature(fast.features) == feature_signature(reference.features)
+        assert_same_up_to_the_cut_tie(fast.entities, reference.entities, config.top_entities)
+        stages = expander.feature_ranker.probability_model.stages
+        assert stages.arrays["entity_rank"] == 1
+        assert not any(stages.fallbacks.values())
 
 
 class TestSeedRows:

@@ -22,11 +22,9 @@ from repro.exec import (
     ProcessShardExecutor,
     ProcessTask,
     ShardExecutor,
-    SnapshotSource,
     SnapshotUnavailable,
     ThetaSlab,
     default_executor,
-    publish_feature_tables,
     publish_snapshot,
     resolve_executor,
     shard_of,
@@ -34,7 +32,6 @@ from repro.exec import (
     snapshot_registry,
 )
 from repro.exec.shm import AttachedSnapshot
-from repro.features.columnar import build_ranker_inputs, columnar_tables
 from repro.index import FieldedIndex, columnar_view
 from repro.topk import NO_THRESHOLD, PruningStats
 
@@ -174,166 +171,6 @@ class TestSnapshotRoundTrip:
         assert segment_exists(published_right.name)
         registry.release(right.uid)
         assert not segment_exists(published_right.name)
-
-
-def small_feature_index():
-    """A tiny typed KG with a hub feature (shared director) per PR 8."""
-    from repro.kg import KnowledgeGraph
-
-    kg = KnowledgeGraph("shm-rank")
-    for number in range(6):
-        film = f"ex:Film{number}"
-        kg.add_type(film, "ex:Film")
-        kg.add(film, "ex:directedBy", "ex:D1" if number % 2 else "ex:D2")
-        kg.add(film, "ex:starring", f"ex:A{number % 3}")
-    for actor in range(3):
-        kg.add_type(f"ex:A{actor}", "ex:Actor")
-    from repro.features import SemanticFeatureIndex
-
-    return SemanticFeatureIndex.build(kg)
-
-
-class TestFeatureTableSnapshot:
-    """PR 8: the ranker's feature tables over the same segment plumbing."""
-
-    def test_publish_attach_roundtrip(self):
-        index = small_feature_index()
-        tables = columnar_tables(index.snapshot())
-        published = publish_feature_tables(
-            SnapshotSource(index.uid, tables.epoch), tables
-        )
-        try:
-            attached = AttachedSnapshot(
-                published.name, expected_uid=index.uid, expected_epoch=tables.epoch
-            )
-            try:
-                remote = attached.feature_tables()
-                assert attached.feature_tables() is remote  # memoised per attach
-                assert remote.epoch == tables.epoch
-                assert remote.num_entities == tables.num_entities
-                assert remote.num_types == tables.num_types
-                assert remote.feature_keys() == tables.feature_keys()
-                # Workers run purely in ordinal space: no entity-id
-                # strings travel through the segment.
-                assert remote.entity_ids is None and remote.ordinal_of is None
-                for array in (
-                    "holder_offsets",
-                    "holder_ordinals",
-                    "dominant_ords",
-                    "type_populations",
-                    "member_offsets",
-                    "member_type_ords",
-                ):
-                    np.testing.assert_array_equal(
-                        getattr(remote, array), getattr(tables, array)
-                    )
-                for ordinal in range(tables.num_features):
-                    np.testing.assert_array_equal(
-                        remote.holders(ordinal), tables.holders(ordinal)
-                    )
-                every_feature = np.arange(tables.num_features, dtype=np.int64)
-                every_type = np.arange(tables.num_types, dtype=np.int64)
-                np.testing.assert_array_equal(
-                    remote.intersections(every_feature, every_type),
-                    tables.intersections(every_feature, every_type),
-                )
-            finally:
-                attached.close()
-        finally:
-            published.close()
-
-    def test_rebuilt_kernel_inputs_match_parent(self):
-        """A worker's per-query inputs equal the parent's, array for array."""
-        index = small_feature_index()
-        tables = columnar_tables(index.snapshot())
-        features = np.arange(tables.num_features, dtype=np.int64)
-        relevance = [1.0 / (position + 1) for position in range(features.size)]
-        candidates = np.arange(tables.num_entities, dtype=np.int64)
-        expected = build_ranker_inputs(
-            tables, features, relevance, candidates, 1e-9, type_smoothing=True
-        )
-        published = publish_feature_tables(
-            SnapshotSource(index.uid, tables.epoch), tables
-        )
-        try:
-            attached = AttachedSnapshot(published.name)
-            try:
-                actual = build_ranker_inputs(
-                    attached.feature_tables(),
-                    features,
-                    relevance,
-                    candidates,
-                    1e-9,
-                    type_smoothing=True,
-                )
-                for field in (
-                    "ordinals",
-                    "type_index",
-                    "type_counts",
-                    "base_scores",
-                    "corrections",
-                    "suffix_bounds",
-                ):
-                    np.testing.assert_array_equal(
-                        getattr(actual, field), getattr(expected, field)
-                    )
-                assert len(actual.holder_positions) == len(expected.holder_positions)
-                for got, want in zip(actual.holder_positions, expected.holder_positions):
-                    np.testing.assert_array_equal(got, want)
-            finally:
-                attached.close()
-        finally:
-            published.close()
-
-    def test_stale_epoch_attach_rejected(self):
-        index = small_feature_index()
-        tables = columnar_tables(index.snapshot())
-        published = publish_feature_tables(
-            SnapshotSource(index.uid, tables.epoch), tables
-        )
-        try:
-            with pytest.raises(SnapshotUnavailable):
-                AttachedSnapshot(
-                    published.name,
-                    expected_uid=index.uid,
-                    expected_epoch=tables.epoch + 1,
-                )
-            with pytest.raises(SnapshotUnavailable):
-                AttachedSnapshot(published.name, expected_uid=index.uid + 1)
-        finally:
-            published.close()
-        assert not segment_exists(published.name)
-
-    def test_postings_segment_never_serves_feature_tables(self):
-        """A mixed-up descriptor degrades cleanly, not via a KeyError."""
-        index = small_index()
-        published = publish_snapshot(index, columnar_view(index))
-        try:
-            attached = AttachedSnapshot(published.name)
-            try:
-                with pytest.raises(SnapshotUnavailable):
-                    attached.feature_tables()
-            finally:
-                attached.close()
-        finally:
-            published.close()
-
-    def test_registry_replaces_older_feature_epoch(self):
-        registry = snapshot_registry()
-        index = small_feature_index()
-        tables = columnar_tables(index.snapshot())
-        source = SnapshotSource(index.uid, tables.epoch)
-        first = registry.publish(source, tables, builder=publish_feature_tables)
-        assert first is not None and first.epoch == tables.epoch
-        try:
-            # Same (uid, epoch) → the registry hands back the live segment.
-            assert registry.publish(source, tables, builder=publish_feature_tables) is first
-            newer = SnapshotSource(index.uid, tables.epoch + 1)
-            second = registry.publish(newer, tables, builder=publish_feature_tables)
-            assert second is not None and second.epoch == tables.epoch + 1
-            assert not segment_exists(first.name)
-        finally:
-            registry.release(index.uid)
 
 
 class TestThetaSlab:

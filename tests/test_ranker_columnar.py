@@ -1,26 +1,25 @@
-"""Ranker columnar equivalence: the PR 8 kernels vs the scalar walks.
+"""Ranker kernel equivalence: the array entity ranker vs the exhaustive reference.
 
 The contract of the columnar recommendation ranker
-(``repro.features.columnar`` + ``repro.topk.kernels``): with
-``RankingConfig.columnar`` on (the default) the entity accumulator runs
-through the per-epoch feature tables and the ``columnar_rank`` /
-``accumulate_rank`` kernels, and for every pruning mode, shard count and
-feature-chunk schedule the rankings must be *exactly* the rankings the
-scalar per-holder walk returns — same ids, same floats — and both must
-equal the exhaustive reference.  The kernels only ever select survivor
-supersets; the exact re-scoring epilogue owns the returned floats, so
-any divergence here means a kernel pruned a true top-k entity.
+(``repro.features.columnar`` + ``repro.topk.kernels``): the entity
+accumulator runs through the per-epoch feature tables and the
+``columnar_rank`` / ``accumulate_rank`` kernels, and for every pruning
+mode and feature-chunk schedule the rankings must be *exactly* the
+exhaustive reference's — same ids, same floats.  The kernels only ever
+select survivor supersets; the exact re-scoring epilogue owns the
+returned floats, so any divergence here means a kernel pruned a true
+top-k entity.
 
 The suites enforce that on a hub-skewed random KG (dense candidate
-pools, the workload §2.3 targets), at the support-wrapper level where
-the unpruned kernel must reproduce the full accumulator map bitwise,
-and — via hypothesis — on arbitrary random KGs × pruning × chunking.
+pools, the workload §2.3 targets), at the kernel level where the pruned
+survivors must carry the unpruned accumulator values and cover its
+top-k, and — via hypothesis — on arbitrary random KGs × pruning ×
+chunking.
 """
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,17 +28,12 @@ from repro.config import PRUNING_MODES, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.explore import RecommendationEngine
 from repro.features import SemanticFeatureIndex
-from repro.topk import PruningStats
-
-SHARD_COUNTS = (1, 2, 3)
+from repro.features.columnar import build_ranker_inputs
+from repro.topk import PruningStats, accumulate_rank, columnar_rank
 
 
 def _entity_signature(results) -> list[tuple[str, float]]:
     return [(entity.entity_id, entity.score) for entity in results]
-
-
-def _feature_signature(scored) -> list[tuple[str, float]]:
-    return [(item.feature.notation(), item.score) for item in scored]
 
 
 def _seeds(graph, count: int = 2) -> list[str]:
@@ -68,21 +62,28 @@ def _engine(graph, index, **knobs) -> RecommendationEngine:
 
 
 class TestEntityRankerEquivalence:
-    """scalar == columnar == exhaustive across pruning × shards × chunking."""
+    """array == exhaustive across pruning × chunking."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_rank_byte_identical(self, random_graph, feature_index, pruning, shards):
+    def test_rank_byte_identical(self, random_graph, feature_index, pruning):
         seeds = _seeds(random_graph)
-        columnar = _engine(
-            random_graph, feature_index, pruning=pruning, shards=shards
-        ).expander.entity_ranker
-        scalar = _engine(
-            random_graph, feature_index, pruning=pruning, shards=shards, columnar=False
-        ).expander.entity_ranker
-        expected = _entity_signature(columnar.rank_exhaustive(seeds))
-        assert _entity_signature(columnar.rank(seeds)) == expected
-        assert _entity_signature(scalar.rank(seeds)) == expected
+        ranker = _engine(random_graph, feature_index, pruning=pruning).expander.entity_ranker
+        assert _entity_signature(ranker.rank(seeds)) == _entity_signature(
+            ranker.rank_exhaustive(seeds)
+        )
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("top_k", (1, 5, 20, 1000))
+    def test_rank_byte_identical_at_every_k(
+        self, random_graph, feature_index, top_k, pruning
+    ):
+        """k = 1 leaves the kernel no margin; k past the pool prunes nothing."""
+        seeds = _seeds(random_graph, 3)
+        ranker = _engine(random_graph, feature_index, pruning=pruning).expander.entity_ranker
+        fast = ranker.rank(seeds, top_k=top_k)
+        assert fast and _entity_signature(fast) == _entity_signature(
+            ranker.rank_exhaustive(seeds, top_k=top_k)
+        )
 
     @pytest.mark.parametrize("feature_chunk", (1, 2, 3, 7))
     def test_blockmax_chunk_schedule_is_semantics_free(
@@ -100,90 +101,41 @@ class TestEntityRankerEquivalence:
             chunked.expander.entity_ranker.rank(seeds)
         ) == _entity_signature(reference.expander.entity_ranker.rank(seeds))
 
-    def test_feature_ranker_is_arm_independent(self, random_graph, feature_index):
-        """The columnar knob only touches entity scoring, never stage 1."""
-        seeds = _seeds(random_graph)
-        on = _engine(random_graph, feature_index)
-        off = _engine(random_graph, feature_index, columnar=False)
-        assert _feature_signature(
-            on.expander.entity_ranker.feature_ranker.rank(seeds)
-        ) == _feature_signature(off.expander.entity_ranker.feature_ranker.rank(seeds))
 
-
-class TestSupportWrapperEquivalence:
-    """The kernel wrappers against the scalar walks they replace."""
+class TestKernel:
+    """The pruned kernel against the plain accumulation it prunes."""
 
     @pytest.fixture()
-    def query(self, random_graph, feature_index):
+    def inputs(self, random_graph, feature_index):
         ranker = _engine(random_graph, feature_index).expander.entity_ranker
-        support = ranker.feature_ranker.probability_model.support()
         seeds = _seeds(random_graph)
         scored = ranker.feature_ranker.rank(seeds)
-        candidates = ranker.candidates(seeds, scored)
-        return support, candidates, scored
-
-    def test_unpruned_kernel_reproduces_accumulators(self, query):
-        support, candidates, scored = query
-        expected = support.score_entities(candidates, scored)
-        actual = support.score_entities_columnar(candidates, scored)
-        assert actual is not None
-        assert set(actual) == set(expected)
-        # Partials are selection inputs, not returned scores: the matrix
-        # reductions sum in a different order than the scalar walk, so
-        # agreement is to the last ULP, not bitwise (the exact re-scoring
-        # epilogue owns the floats callers ever see).
-        assert all(
-            math.isclose(value, expected[entity_id], rel_tol=1e-12, abs_tol=1e-300)
-            for entity_id, value in actual.items()
+        tables = ranker.feature_ranker.probability_model.support().columnar_tables()
+        features = tables.feature_ordinals([item.feature.key for item in scored])
+        candidates = tables.matching_any(features, tables.entity_ordinals(seeds))
+        return build_ranker_inputs(
+            tables, features, [item.score for item in scored], candidates, 1e-9
         )
 
-    def test_pruned_kernel_survivors_cover_the_top_k(self, query):
-        support, candidates, scored = query
-        full = support.score_entities(candidates, scored)
-        survivors = support.score_entities_pruned_columnar(
-            candidates, scored, 10, PruningStats()
-        )
-        assert survivors is not None and survivors
-        # Survivors are a candidate subset and the margin-selected
-        # superset retains the true top-10 by full-walk partials — the
-        # exact property the re-scoring epilogue relies on.
-        assert set(survivors) <= set(full)
-        top = sorted(full.items(), key=lambda item: (-item[1], item[0]))[:10]
-        assert set(dict(top)) <= set(survivors)
-
-    def test_kernel_queries_counted_per_arm(self, query):
-        support, candidates, scored = query
+    def test_pruned_survivors_cover_the_top_k(self, inputs):
+        full = accumulate_rank(inputs)
         stats = PruningStats()
-        support.score_entities_pruned(candidates, scored, 10, stats)
-        assert stats.kernel_queries == 0  # the scalar walk never kernels
-        support.score_entities_pruned_columnar(candidates, scored, 10, stats)
-        assert stats.kernel_queries == 1
-
-    def test_unknown_candidate_falls_back_to_scalar(self, query):
-        support, candidates, scored = query
-        assert (
-            support.score_entities_columnar([*candidates, "ex:not-indexed"], scored)
-            is None
-        )
-        assert (
-            support.score_entities_pruned_columnar(
-                [*candidates, "ex:not-indexed"], scored, 10, PruningStats()
-            )
-            is None
-        )
+        survivors, values = columnar_rank(inputs, 10, stats)
+        assert stats.kernel_queries == 1 and stats.candidates_pruned > 0
+        # Survivors carry their unpruned accumulator values, and the
+        # margin-selected superset retains the true top-10 — the exact
+        # property the re-scoring epilogue relies on.
+        assert values.tolist() == full[np.searchsorted(inputs.ordinals, survivors)].tolist()
+        top = inputs.ordinals[np.lexsort((inputs.ordinals, -full))[:10]]
+        assert set(top.tolist()) <= set(survivors.tolist())
 
 
 class TestEngineCounters:
-    def test_columnar_engine_reports_kernel_queries(self, random_graph, feature_index):
-        seeds = _seeds(random_graph)
-        on = _engine(random_graph, feature_index)
-        off = _engine(random_graph, feature_index, columnar=False)
-        on.recommend_for_seeds(seeds)
-        off.recommend_for_seeds(seeds)
-        assert on.pruning_info()["kernel_queries"] > 0
-        assert off.pruning_info()["kernel_queries"] == 0
-        assert on.stats().columnar is True
-        assert off.stats().columnar is False
+    def test_engine_reports_kernel_queries(self, random_graph, feature_index):
+        engine = _engine(random_graph, feature_index)
+        engine.recommend_for_seeds(_seeds(random_graph))
+        assert engine.pruning_info()["kernel_queries"] > 0
+        assert engine.stats().columnar is True
 
 
 # --------------------------------------------------------------------------- #
@@ -196,20 +148,15 @@ class TestEngineCounters:
     feature_chunk=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=12, deadline=None)
-def test_rank_columnar_equals_scalar_on_random_kgs(
-    num_entities, kg_seed, pruning, feature_chunk
-):
+def test_rank_equals_exhaustive_on_random_kgs(num_entities, kg_seed, pruning, feature_chunk):
     graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
     index = SemanticFeatureIndex.build(graph)
     seeds = _seeds(graph)
     if not seeds:
         return
-    columnar = _engine(
+    ranker = _engine(
         graph, index, pruning=pruning, feature_chunk=feature_chunk
     ).expander.entity_ranker
-    scalar = _engine(
-        graph, index, pruning=pruning, feature_chunk=feature_chunk, columnar=False
-    ).expander.entity_ranker
-    expected = _entity_signature(columnar.rank_exhaustive(seeds))
-    assert _entity_signature(columnar.rank(seeds)) == expected
-    assert _entity_signature(scalar.rank(seeds)) == expected
+    assert _entity_signature(ranker.rank(seeds)) == _entity_signature(
+        ranker.rank_exhaustive(seeds)
+    )

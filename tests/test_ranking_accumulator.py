@@ -1,12 +1,13 @@
-"""Equivalence of the accumulator recommendation pipeline and the seed path.
+"""Equivalence of the array recommendation pipeline and the seed path.
 
-PR 2 rebuilt both §2.3 rankers around the type-grouped accumulator
-decomposition of ``p(pi | e)`` (see ``repro/ranking/ranking_support.py``)
-and the correlation matrix around numpy assembly from contribution vectors.
-These tests enforce the contract the refactor promises: ``rank()`` (fast)
-and ``rank_exhaustive()`` (seed path) produce identical rankings — same
-entities, same features, same scores — on the hand-built, synthetic and
-random knowledge graphs, and the fast matrix equals the cell-by-cell one.
+Both §2.3 rankers run on the type-grouped accumulator decomposition of
+``p(pi | e)`` over the pinned snapshot's feature tables, and the
+correlation matrix is one numpy assembly.  These tests enforce the
+contract: ``rank()`` (fast) and ``rank_exhaustive()`` (seed path)
+produce identical rankings — same entities, same features, same scores —
+on the hand-built, synthetic and random knowledge graphs, the fast
+matrix equals the cell-by-cell one, and an explicit candidate pool (the
+reference's input) is read as a set of known entities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.config import RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg
-from repro.features import SemanticFeatureIndex
+from repro.exceptions import EntityNotFoundError
+from repro.features import SemanticFeature, SemanticFeatureIndex
 from repro.kg import KnowledgeGraph
 from repro.ranking import (
     EntityRanker,
@@ -161,6 +163,40 @@ class TestEquivalenceOnRandomGraphs:
             )
 
 
+@pytest.fixture(scope="module")
+def skewed_kg() -> KnowledgeGraph:
+    """Hub-anchored, so the pruned accumulators actually skip groups."""
+    return build_random_kg(
+        RandomKGConfig(num_entities=160, seed=31, target_skew=1.5, avg_out_degree=6.0)
+    )
+
+
+class TestScoringKnobMatrix:
+    """Every scoring variant × pruning mode: both forms of every stage agree.
+
+    ``type_smoothing`` changes the base rows the kernel inputs are built
+    from; the two ablation switches change the SF scores that weight the
+    entity accumulators and the matrix cells.
+    """
+
+    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    @pytest.mark.parametrize("use_commonality", [True, False])
+    @pytest.mark.parametrize("use_discriminability", [True, False])
+    @pytest.mark.parametrize("type_smoothing", [True, False])
+    def test_pipeline_equivalent(
+        self, skewed_kg, type_smoothing, use_discriminability, use_commonality, pruning
+    ):
+        config = RankingConfig(
+            pruning=pruning,
+            type_smoothing=type_smoothing,
+            use_discriminability=use_discriminability,
+            use_commonality=use_commonality,
+        )
+        assert_pipeline_equivalent(
+            skewed_kg, _seeds_from_largest_type(skewed_kg, 3), config=config, top_k=8
+        )
+
+
 class TestMaxscorePruningOnRankers:
     """Explicit pruned-vs-plain-vs-exhaustive checks plus counter sanity."""
 
@@ -225,37 +261,8 @@ class TestMaxscorePruningOnRankers:
         with pytest.raises(ValueError):
             RankingConfig(pruning="wand")
 
-    def test_correction_bound_dominates_actual_corrections(self, movie_kg: KnowledgeGraph):
-        """The per-type bound must be ≥ the correction of every member."""
-        index = SemanticFeatureIndex.build(movie_kg)
-        ranker = EntityRanker(movie_kg, index)
-        seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
-        features = ranker.feature_ranker.rank(seeds)
-        support = ranker.feature_ranker.probability_model.support()
-        relevance = [scored.score for scored in features]
-        candidates = ranker.candidates(seeds, features)
-        accumulators = support.score_entities(candidates, features)
-        for entity_id in candidates:
-            type_id = support.dominant_type(entity_id)
-            base_row = [support.base_probability(s.feature, type_id) for s in features]
-            base_score = sum(b * r for b, r in zip(base_row, relevance))
-            bound = support.correction_bound(type_id, base_row, features, relevance)
-            correction = accumulators[entity_id] - base_score
-            assert correction <= bound + 1e-12
-
 
 class TestRankingSupportLayer:
-    def test_support_probability_matches_model(self, tiny_kg: KnowledgeGraph):
-        index = SemanticFeatureIndex.build(tiny_kg)
-        ranker = SemanticFeatureRanker(tiny_kg, index)
-        model = ranker.probability_model
-        support = model.support()
-        for feature in index.all_features():
-            for entity_id in sorted(tiny_kg.entities()):
-                assert support.probability(feature, entity_id) == model.probability(
-                    feature, entity_id
-                )
-
     def test_support_cached_per_epoch(self, tiny_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(tiny_kg)
         model = SemanticFeatureRanker(tiny_kg, index).probability_model
@@ -338,3 +345,51 @@ class TestCorrelationMatrixPositions:
         }
         column_map = matrix.feature_column(features[0].feature)
         assert set(column_map) == set(matrix.entities)
+
+
+class TestExplicitPools:
+    """A caller's own candidate pool runs the reference, which reads it as a
+    duplicate-free pool of graph entities."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        graph = build_random_kg(RandomKGConfig(num_entities=300, seed=3))
+        ranker = EntityRanker(graph, SemanticFeatureIndex.build(graph))
+        seeds = _seeds_from_largest_type(graph, 2)
+        scored_features = ranker.feature_ranker.rank(seeds)
+        pool = ranker.candidates(seeds, scored_features)
+        return ranker, seeds, scored_features, pool
+
+    def test_entity_pool_is_deduplicated(self, setup):
+        ranker, seeds, scored_features, pool = setup
+        top_k = len(pool) + 3
+        once = ranker.rank_exhaustive(seeds, top_k, scored_features, candidates=pool)
+        for rank in (ranker.rank, ranker.rank_exhaustive):
+            twice = rank(seeds, top_k, scored_features, candidates=pool + pool[:3])
+            assert _entity_signature(twice) == _entity_signature(once)
+            assert len({item.entity_id for item in twice}) == len(twice) == len(pool)
+
+    def test_feature_pool_is_deduplicated(self, setup):
+        ranker, seeds, _, _ = setup
+        features = ranker.feature_ranker
+        pool = features.candidate_features(seeds)
+        repeated = pool + pool[:2]
+        once = features.rank_exhaustive(seeds, top_k=len(repeated), candidates=pool)
+        for rank in (features.rank, features.rank_exhaustive):
+            twice = rank(seeds, top_k=len(repeated), candidates=repeated)
+            assert _feature_signature(twice) == _feature_signature(once)
+            assert len(twice) == len(pool)
+
+    def test_unknown_candidate_entity_is_rejected(self, setup):
+        ranker, seeds, scored_features, pool = setup
+        for rank in (ranker.rank, ranker.rank_exhaustive):
+            with pytest.raises(EntityNotFoundError):
+                rank(seeds, scored_features=scored_features, candidates=[*pool, "pivote:no_such_entity"])
+
+    def test_feature_the_graph_lacks_stays_legal(self, setup):
+        ranker, seeds, _, _ = setup
+        ghost = SemanticFeature("pivote:no_such_entity", "pivote:nothing")
+        pool = [*ranker.feature_ranker.candidate_features(seeds), ghost]
+        ranked = ranker.feature_ranker.rank(seeds, top_k=len(pool), candidates=pool)
+        assert ghost in {item.feature for item in ranked}
+        assert ranked[-1].score == 0.0

@@ -1,12 +1,13 @@
 """Sharded / batched execution equivalence: byte-identical to 1-shard serial.
 
 The contract of the PR 5 execution layer (``repro.exec``): for every shard
-count, every pruning mode, all four search scorers and both rankers, the
-sharded fan-out (and the batch APIs) must return *exactly* the rankings
-the serial single-shard path returns — same ids, same floats.  The suites
-here enforce that on the hand-built graphs and, via hypothesis, on random
-KGs; the counter-audit tests pin the ``merge_shard_stats`` semantics at
-scale (one logical query, candidates summing exactly over the partition).
+count, every pruning mode and all four search scorers, the sharded
+fan-out (and the batch APIs, the recommender's included) must return
+*exactly* the rankings the serial single-shard path returns — same ids,
+same floats.  The suites here enforce that on the hand-built graphs and,
+via hypothesis, on random KGs; the counter-audit tests pin the
+``merge_shard_stats`` semantics at scale (one logical query, candidates
+summing exactly over the partition).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, RankingConfig, SearchConfig
+from repro.config import PRUNING_MODES, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.explore import RecommendationEngine
 from repro.search import (
@@ -114,41 +115,6 @@ class TestShardedSearchEquivalence:
             )
 
 
-class TestShardedRecommendationEquivalence:
-    """Both rankers (entity + semantic feature), every mode, vs serial."""
-
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_recommendation_byte_identical(self, random_graph, pruning, shards):
-        largest = max(random_graph.types(), key=lambda t: (random_graph.type_count(t), t))
-        seeds = sorted(random_graph.entities_of_type(largest))[:2]
-        serial = RecommendationEngine(random_graph, config=RankingConfig(pruning=pruning))
-        sharded = RecommendationEngine(
-            random_graph, config=RankingConfig(pruning=pruning, shards=shards)
-        )
-        expected = serial.recommend_for_seeds(seeds)
-        actual = sharded.recommend_for_seeds(seeds)
-        assert [(e.entity_id, e.score) for e in actual.entities] == [
-            (e.entity_id, e.score) for e in expected.entities
-        ]
-        assert [(f.feature.notation(), f.score) for f in actual.features] == [
-            (f.feature.notation(), f.score) for f in expected.features
-        ]
-        assert (actual.correlations.values == expected.correlations.values).all()
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_sharded_ranker_matches_exhaustive(self, random_graph, shards):
-        largest = max(random_graph.types(), key=lambda t: (random_graph.type_count(t), t))
-        seeds = sorted(random_graph.entities_of_type(largest))[:2]
-        engine = RecommendationEngine(random_graph, config=RankingConfig(shards=shards))
-        ranker = engine.expander.entity_ranker
-        fast = ranker.rank(seeds)
-        slow = ranker.rank_exhaustive(seeds)
-        assert [(e.entity_id, e.score) for e in fast] == [
-            (e.entity_id, e.score) for e in slow
-        ]
-
-
 class TestBatchEquivalence:
     def test_search_many_matches_serial_calls(self, random_graph):
         engine = SearchEngine.from_graph(random_graph)
@@ -227,20 +193,6 @@ class TestShardedCounterAudit:
         assert info["queries"] == 1
         assert info["candidates_pruned"] > 0
 
-    def test_ranking_counters_sum_exactly_over_partition(self):
-        graph = build_random_kg(RandomKGConfig(num_entities=400, seed=29, target_skew=0.7))
-        largest = max(graph.types(), key=lambda t: (graph.type_count(t), t))
-        seeds = sorted(graph.entities_of_type(largest))[:2]
-        serial = RecommendationEngine(graph, config=RankingConfig())
-        sharded = RecommendationEngine(graph, config=RankingConfig(shards=4))
-        serial.recommend_for_seeds(seeds)
-        sharded.recommend_for_seeds(seeds)
-        serial_info = serial.pruning_info()
-        sharded_info = sharded.pruning_info()
-        assert sharded_info["queries"] == serial_info["queries"] == 1
-        assert sharded_info["candidates_total"] == serial_info["candidates_total"]
-        assert sharded_info["groups_total"] >= serial_info["groups_total"]
-
 
 class TestShardedEquivalenceProperty:
     """Hypothesis: random KGs, random shard counts, every pruning mode."""
@@ -262,29 +214,3 @@ class TestShardedEquivalenceProperty:
             assert _hit_signature(sharded.search(query)) == _hit_signature(
                 serial.search(query)
             )
-
-    @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(
-        kg_seed=st.integers(min_value=0, max_value=500),
-        num_entities=st.integers(min_value=30, max_value=80),
-        shards=st.sampled_from(SHARD_COUNTS),
-        pruning=st.sampled_from(PRUNING_MODES),
-    )
-    def test_ranking_sharded_equals_serial(self, kg_seed, num_entities, shards, pruning):
-        graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        types = graph.types()
-        if not types:
-            return
-        largest = max(types, key=lambda t: (graph.type_count(t), t))
-        seeds = sorted(graph.entities_of_type(largest))[:2]
-        if not seeds:
-            return
-        serial = RecommendationEngine(graph, config=RankingConfig(pruning=pruning))
-        sharded = RecommendationEngine(
-            graph, config=RankingConfig(pruning=pruning, shards=shards)
-        )
-        expected = serial.recommend_for_seeds(seeds)
-        actual = sharded.recommend_for_seeds(seeds)
-        assert [(e.entity_id, e.score) for e in actual.entities] == [
-            (e.entity_id, e.score) for e in expected.entities
-        ]

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import PivotEConfig, RankingConfig, SearchConfig
 from repro.engine import PivotE, PivotEApi
+from repro.expansion import EntitySetExpander
 from repro.ranking.ranking_support import STAGES
 from repro.search import SearchEngine
 from repro.stats import CacheStats, EngineStats, PruningStatsView
@@ -169,6 +170,13 @@ class TestSystemStats:
         assert "rebuilds" not in children["search"]
         assert payload["rebuilds"] == system.feature_index.rebuild_info()
 
+    def test_recommendation_runs_inline(self, system):
+        """A recommendation has no executor tier: the record the e2e
+        benchmark reads says inline, with no tasks."""
+        executor = system.stats().as_dict()["children"]["recommendation"]["executor"]
+        assert (executor["mode"], executor["effective"]) == ("inline", "inline")
+        assert executor["tasks_dispatched"] == executor["tasks_inlined"] == 0
+
 
 class TestStageStats:
     """Which form each recommendation stage ran in: counted and named."""
@@ -222,17 +230,108 @@ class TestStageStats:
         # Counted per request, logged once per reason and epoch.
         records = [record for record in caplog.records if "explicit-pool" in record.getMessage()]
         assert len(records) == 1 and records[0].name == "repro"
-        assert [(item.entity_id, item.score) for item in explicit] == [
-            (item.entity_id, item.score) for item in ranker.rank(seeds)
-        ]
+        reference = ranker.rank_exhaustive(
+            seeds, scored_features=ranker.feature_ranker.rank(seeds), candidates=pool
+        )
+        assert entity_signature(explicit) == entity_signature(reference)
 
-    def test_columnar_off_names_every_stage(self, movie_kg):
-        config = PivotEConfig(ranking=RankingConfig(columnar=False))
+    def test_unknown_seed_runs_the_reference(self, tiny_kg, caplog, monkeypatch):
+        """A request pinned at epoch n whose seed only exists at epoch n+1."""
+        expander = EntitySetExpander(tiny_kg)
+        ranker = expander.entity_ranker
+        model = expander.feature_ranker.probability_model
+        pinned = model.support()
+        tiny_kg.add_type("ex:F5", "ex:Film")
+        tiny_kg.add("ex:F5", "ex:starring", "ex:A1")
+        monkeypatch.setattr(model, "support", lambda: pinned)
+        seeds = ["ex:F5", "ex:F1"]
+        with caplog.at_level(logging.INFO, logger="repro"):
+            ranked = ranker.rank(seeds)
+            expanded = expander.expand(seeds, domain_type="ex:Film")
+        assert entity_signature(ranked) == entity_signature(ranker.rank_exhaustive(seeds))
+        reference = expander.expand(seeds, domain_type="ex:Film", exhaustive=True)
+        assert entity_signature(expanded.entities) == entity_signature(reference.entities)
+        assert expanded.features == reference.features
+        stages = model.stages
+        assert stages.fallbacks["sf_rank"] == stages.fallbacks["entity_rank"] == {"unknown-entity": 2}
+        assert stages.fallbacks["candidates"] == stages.fallbacks["filters"] == {"unknown-entity": 1}
+        assert not any(stages.arrays.values())
+        records = [record for record in caplog.records if "unknown-entity" in record.getMessage()]
+        assert len(records) == 1 and records[0].name == "repro"
+
+    def test_topology_off_names_the_type_filter(self, movie_kg):
+        config = PivotEConfig(ranking=RankingConfig(graph_topology=False))
         system = PivotE(movie_kg, config=config)
         self.fig4_session(system)
         stages = system.stats().child("recommendation").stages
-        for stage in ("sf_rank", "candidates", "filters", "entity_rank"):
-            assert stages.arrays[stage] == 0
-            assert set(stages.fallbacks[stage]) == {"columnar-off"}
-        # The matrix has one form: it reads the tables whatever the knob says.
-        assert stages.arrays["correlation"] > 0 and not stages.fallbacks["correlation"]
+        assert set(stages.fallbacks["filters"]) == {"topology-off"}
+        for stage in ("sf_rank", "candidates", "entity_rank", "correlation"):
+            assert stages.arrays[stage] > 0 and not stages.fallbacks[stage]
+
+
+class TestFallbacksRunTheReference:
+    """Each named fallback answers exactly what the reference answers,
+    under every pruning mode of the array form it replaces."""
+
+    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    def test_explicit_entity_pool(self, movie_kg, pruning):
+        expander = EntitySetExpander(movie_kg, config=RankingConfig(pruning=pruning))
+        ranker = expander.entity_ranker
+        seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
+        scored_features = ranker.feature_ranker.rank(seeds)
+        pool = ranker.candidates(seeds, scored_features)[::-1]
+        explicit = ranker.rank(seeds, scored_features=scored_features, candidates=pool)
+        reference = ranker.rank_exhaustive(
+            seeds, scored_features=scored_features, candidates=pool
+        )
+        assert explicit and entity_signature(explicit) == entity_signature(reference)
+        stages = expander.feature_ranker.probability_model.stages
+        assert stages.fallbacks["entity_rank"] == {"explicit-pool": 1}
+
+    @pytest.mark.parametrize("top_k", [1, 3, 10, None])
+    def test_explicit_feature_pool(self, movie_kg, top_k):
+        expander = EntitySetExpander(movie_kg)
+        ranker = expander.feature_ranker
+        seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
+        pool = ranker.candidate_features(seeds)[::-1]
+        explicit = ranker.rank(seeds, top_k=top_k, candidates=pool)
+        reference = ranker.rank_exhaustive(seeds, top_k=top_k, candidates=pool)
+        assert explicit and explicit == reference
+        assert ranker.probability_model.stages.fallbacks["sf_rank"] == {"explicit-pool": 1}
+
+    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    def test_unknown_seed_expansion(self, tiny_kg, monkeypatch, pruning):
+        expander = EntitySetExpander(tiny_kg, config=RankingConfig(pruning=pruning))
+        model = expander.feature_ranker.probability_model
+        pinned = model.support()
+        tiny_kg.add_type("ex:F5", "ex:Film")
+        tiny_kg.add("ex:F5", "ex:starring", "ex:A1")
+        monkeypatch.setattr(model, "support", lambda: pinned)
+        seeds = ["ex:F5", "ex:F2"]
+        expanded = expander.expand(seeds, restrict_to_seed_type=True)
+        reference = expander.expand(seeds, restrict_to_seed_type=True, exhaustive=True)
+        assert expanded.entities and entity_signature(expanded.entities) == entity_signature(
+            reference.entities
+        )
+        assert expanded.features == reference.features
+        assert model.stages.fallbacks["entity_rank"] == {"unknown-entity": 1}
+
+    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    def test_topology_off_type_filter(self, movie_kg, pruning):
+        config = RankingConfig(pruning=pruning, graph_topology=False)
+        expander = EntitySetExpander(movie_kg, config=config)
+        seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
+        domain = expander.dominant_seed_type(seeds)
+        expanded = expander.expand(seeds, domain_type=domain)
+        reference = expander.expand(seeds, domain_type=domain, exhaustive=True)
+        assert expanded.entities and entity_signature(expanded.entities) == entity_signature(
+            reference.entities
+        )
+        assert expanded.features == reference.features
+        stages = expander.feature_ranker.probability_model.stages
+        assert stages.fallbacks["filters"] == {"topology-off": 1}
+        assert stages.arrays["entity_rank"] == 1
+
+
+def entity_signature(scored) -> list[tuple]:
+    return [(item.entity_id, item.score, dict(item.contributions)) for item in scored]

@@ -64,9 +64,7 @@ def _system_config(pruning="maxscore", shards=1, executor="auto", workers=0):
         search=SearchConfig(
             pruning=pruning, shards=shards, executor=executor, workers=workers
         ),
-        ranking=RankingConfig(
-            pruning=pruning, shards=shards, executor=executor, workers=workers
-        ),
+        ranking=RankingConfig(pruning=pruning),
     )
 
 
@@ -223,7 +221,10 @@ class TestColdStartEquivalence:
     def test_recommendation_byte_identical(
         self, saved_dir, serial_baselines, seeds, pruning, executor, shards
     ):
-        _, _, recommend_base = serial_baselines
+        """The execution knobs configure only the restored search engine;
+        with its workers live, the recommender still answers exactly as
+        the in-RAM build does."""
+        queries, _, recommend_base = serial_baselines
         system = _load_clean(
             saved_dir,
             _system_config(
@@ -231,6 +232,7 @@ class TestColdStartEquivalence:
             ),
         )
         try:
+            system.search(queries[0])
             expected_entities, expected_features = recommend_base[pruning]
             result = system.recommend(seeds)
             assert [(e.entity_id, e.score) for e in result.entities] == expected_entities
@@ -746,5 +748,3 @@ class TestStorageKnobs:
             SearchConfig(storage="disk")
         with pytest.raises(ValueError, match="storage"):
             SearchConfig(storage="bogus")
-        with pytest.raises(ValueError, match="snapshot_dir"):
-            RankingConfig(storage="disk")

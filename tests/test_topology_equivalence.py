@@ -3,12 +3,12 @@
 The contract of the PR 10 topology layer (``repro.kg.topology``): with
 ``graph_topology=True`` (the default) expansion traverses through the
 CSR adjacency and the interval-encoded type filter, and for every
-pruning mode, every shard count and every executor the expansion results
-and recommendations must be *exactly* what the scalar per-edge walks
-produce — same ids, same floats, same order.  The suites here enforce
-that on the synthetic movie graph, on a skewed random KG across the full
-execution matrix, and (via hypothesis) on random KGs; path helpers are
-covered directly against their ``*_scalar`` arms.
+pruning mode the expansion results and recommendations must be
+*exactly* what the scalar per-edge walks produce — same ids, same
+floats, same order.  The suites here enforce that on the synthetic
+movie graph, on a skewed random KG across the pruning modes, and (via
+hypothesis) on random KGs; path helpers are covered directly against
+their ``*_scalar`` arms.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from repro.engine import PivotE
 from repro.expansion import EntitySetExpander
 from repro.explore import RecommendationEngine
 from repro.kg import bfs_reachable, bfs_reachable_scalar, traversal_stats
-
-EXECUTORS = ("inline", "thread", "process")
-SHARD_COUNTS = (1, 2, 3)
-WORKERS = 2
 
 
 def _recommendation_signature(result):
@@ -127,43 +123,15 @@ class TestRecommendationEquivalence:
     """Full recommendations across the execution matrix, on == off."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_byte_identical_across_pruning_and_shards(
-        self, random_graph, scalar_baselines, pruning, shards
-    ):
+    def test_byte_identical_across_pruning(self, random_graph, scalar_baselines, pruning):
         seeds, baselines = scalar_baselines
         engine = RecommendationEngine(
-            random_graph,
-            config=RankingConfig(
-                pruning=pruning, shards=shards, graph_topology=True
-            ),
+            random_graph, config=RankingConfig(pruning=pruning, graph_topology=True)
         )
         try:
             assert (
                 _recommendation_signature(engine.recommend_for_seeds(seeds))
                 == baselines[pruning]
-            )
-        finally:
-            engine.close()
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_byte_identical_across_executors(
-        self, random_graph, scalar_baselines, executor
-    ):
-        seeds, baselines = scalar_baselines
-        engine = RecommendationEngine(
-            random_graph,
-            config=RankingConfig(
-                shards=2,
-                executor=executor,
-                workers=WORKERS,
-                graph_topology=True,
-            ),
-        )
-        try:
-            assert (
-                _recommendation_signature(engine.recommend_for_seeds(seeds))
-                == baselines[RankingConfig().pruning]
             )
         finally:
             engine.close()
