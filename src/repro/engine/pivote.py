@@ -138,9 +138,11 @@ class PivotE:
         Attaches instead of rebuilding: the graph adopts its column log
         (entity tables in bulk; triples, edge indexes and literals only
         when a caller asks for them — ``stats().storage`` says whether
-        that has happened), the fielded index adopts the stored posting
-        columns and the feature index the stored holder tables, decoding
-        a row when a request touches it.  Any missing or corrupt
+        that has happened), the fielded index its stored per-field
+        posting CSRs and the feature index the stored holder tables,
+        each decoding a posting list or row when a request touches it
+        (``posting_lists_decoded`` / ``feature_rows_decoded``).  Any
+        missing or corrupt
         component degrades to rebuilding just that component from the
         loaded graph; rankings are byte-identical either way.  A missing
         or corrupt graph raises
@@ -294,6 +296,7 @@ class PivotE:
             graph_hydrated=self._graph.hydrated,
             hydration_ms=self._graph.hydration_ms,
             feature_rows_decoded=self._feature_index.decoded_rows(),
+            posting_lists_decoded=self._search.index.decoded_posting_lists(),
             **counters,
         )
 

@@ -19,8 +19,8 @@ an attached segment.  The mmap'd-file backend over the same codec is
 
 The manifest carries ``uid``/``epoch`` of the source index so attachers
 can reject stale segments (:class:`SnapshotUnavailable`), the per-field
-document-length columns, every (field, term) posting column pair
-(ordinals + frequencies) and a per-document CRC column from which any
+document-length columns, one posting CSR per field (terms, offsets,
+ordinals, frequencies) and a per-document CRC column from which any
 shard count's ownership map is derived (``crcs % num_shards`` matches
 :func:`repro.exec.sharding.shard_of` exactly).
 
@@ -183,9 +183,9 @@ def _publish_segment(
 def publish_snapshot(index: FieldedIndex, view: ColumnarIndex) -> PublishedSnapshot:
     """Serialise one columnar index epoch into a shared-memory segment.
 
-    Every posting column of the full vocabulary is placed (workers must
-    be able to serve any query against the snapshot), together with the
-    per-field length columns and the per-document CRC column.
+    Each field's whole posting CSR is placed (workers must be able to
+    serve any query against the snapshot), together with the per-field
+    length columns and the per-document CRC column.
     """
     manifest, builder = encode_index_snapshot(index, view)
     return _publish_segment(manifest, builder, index.uid, index.epoch)

@@ -82,15 +82,21 @@ class ColumnarIndex:
 
     Construction builds only the ordinal table; every array column is
     materialised lazily on first use and memoised for the lifetime of
-    the view (one index epoch).
+    the view (one index epoch).  An index that still answers from the
+    stored CSRs it adopted (:meth:`FieldedIndex.stored_documents`) seeds
+    the view from them: the stored ids are the ordinal table, and the
+    columns are slices and casts of the stored arrays.
     """
 
     def __init__(self, index: "FieldedIndex") -> None:
         self._fields = index.field_indexes()
-        self._doc_ids: list[str] = sorted(index.documents())
-        self._ord_of: dict[str, int] = {
-            doc_id: ordinal for ordinal, doc_id in enumerate(self._doc_ids)
-        }
+        self._stored = index.stored_documents()
+        if self._stored is None:
+            self._doc_ids: list[str] = sorted(index.documents())
+            self._ord_of: dict[str, int] = dict(zip(self._doc_ids, range(len(self._doc_ids))))
+        else:
+            self._doc_ids = self._stored.doc_ids
+            self._ord_of = self._stored.ordinal_of()
         self._lengths: dict[str, np.ndarray] = {}
         self._postings: dict[tuple[str, str], ColumnarPostings | None] = {}
         self._shard_maps: dict[int, np.ndarray] = {}
@@ -104,6 +110,11 @@ class ColumnarIndex:
     def doc_ids(self) -> list[str]:
         """All document ids in ordinal (= sorted) order; do not mutate."""
         return self._doc_ids
+
+    @property
+    def ordinal_of(self) -> dict[str, int]:
+        """``doc_id -> ordinal`` for every document; do not mutate."""
+        return self._ord_of
 
     # ------------------------------------------------------------------ #
     # Ordinal table
@@ -130,10 +141,13 @@ class ColumnarIndex:
         cached = self._lengths.get(field)
         if cached is not None:
             return cached
-        lengths = np.zeros(len(self._doc_ids), dtype=np.float64)
-        ord_of = self._ord_of
-        for doc_id, length in self._fields[field].document_lengths().items():
-            lengths[ord_of[doc_id]] = length
+        if self._stored is not None:
+            lengths = self._fields[field].columns.lengths.astype(np.float64)
+        else:
+            lengths = np.zeros(len(self._doc_ids), dtype=np.float64)
+            ord_of = self._ord_of
+            for doc_id, length in self._fields[field].document_lengths().items():
+                lengths[ord_of[doc_id]] = length
         self._lengths[field] = lengths
         return lengths
 
@@ -142,6 +156,14 @@ class ColumnarIndex:
         key = (field, term)
         if key in self._postings:
             return self._postings[key]
+        if self._stored is not None:
+            stored = self._fields[field].columns.columns(term)
+            columnar = None
+            if stored is not None:
+                ordinals, frequencies = stored
+                columnar = ColumnarPostings(ordinals, frequencies.astype(np.float64), BLOCK_SIZE)
+            self._postings[key] = columnar
+            return columnar
         posting_list = self._fields[field].get_postings(term)
         if posting_list is None or len(posting_list) == 0:
             columnar = None
@@ -185,11 +207,14 @@ class ColumnarIndex:
         cached = self._shard_maps.get(num_shards)
         if cached is not None:
             return cached
-        owners = np.fromiter(
-            (shard_of(doc_id, num_shards) for doc_id in self._doc_ids),
-            dtype=np.int64,
-            count=len(self._doc_ids),
-        )
+        if self._stored is not None and num_shards > 1:
+            owners = self._stored.crcs.astype(np.int64) % num_shards
+        else:
+            owners = np.fromiter(
+                (shard_of(doc_id, num_shards) for doc_id in self._doc_ids),
+                dtype=np.int64,
+                count=len(self._doc_ids),
+            )
         self._shard_maps[num_shards] = owners
         return owners
 

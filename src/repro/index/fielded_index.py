@@ -12,8 +12,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import count
 
 from ..exceptions import FieldNotFoundError
-from .inverted_index import InvertedIndex
-from .postings import PostingList
+from .inverted_index import DocumentColumns, InvertedIndex, PostingColumns
 from .scoring_support import ScoringSupport
 from .statistics import CollectionStatistics
 
@@ -57,6 +56,7 @@ class FieldedIndex:
         #: statistics / scoring support / query results can be invalidated.
         self._epoch = 0
         self._uid = next_index_uid()
+        self._stored: DocumentColumns | None = None
         self._statistics_cache: tuple[int, CollectionStatistics] | None = None
         self._support_cache: tuple[int, ScoringSupport] | None = None
 
@@ -97,59 +97,45 @@ class FieldedIndex:
             terms = list(field_terms.get(field, ()))
             self._indexes[field].add_document(doc_id, terms)
         self._epoch += 1
+        self._stored = None
         self._statistics_cache = None
         self._support_cache = None
 
-    def add_document_counts(
-        self, doc_id: str, field_counts: Mapping[str, Mapping[str, int]]
-    ) -> None:
-        """Index a document from precomputed per-field term counts.
+    def adopt(self, documents: DocumentColumns, columns: Mapping[str, PostingColumns]) -> None:
+        """Serve a stored index: one posting CSR per field over ``documents``.
 
-        The snapshot-restore sibling of :meth:`add_document`: replaying a
-        durable snapshot's posting columns goes straight from stored
-        frequencies to posting lists without re-analysing any document.
-        Epoch/caching semantics are identical — one epoch bump per
-        document, whatever the field count.
-        """
-        for field in field_counts:
-            if field not in self._indexes:
-                raise FieldNotFoundError(field)
-        self._documents.add(doc_id)
-        empty: dict[str, int] = {}
-        for field in self._fields:
-            self._indexes[field].add_document_counts(
-                doc_id, field_counts.get(field, empty)
-            )
-        self._epoch += 1
-        self._statistics_cache = None
-        self._support_cache = None
-
-    def adopt_snapshot(
-        self,
-        doc_ids: Sequence[str],
-        field_postings: Mapping[str, dict[str, PostingList]],
-        field_lengths: Mapping[str, dict[str, int]],
-    ) -> None:
-        """Bulk-adopt a snapshot's pre-sorted postings and lengths.
-
-        Equivalent to :meth:`add_document_counts` called once per document
-        in ``doc_ids`` order — same final postings, lengths, document set
-        and epoch (one bump per document) — but without the per-posting
-        sorted-insert replay, which a durable snapshot makes redundant:
-        its columns are already in ordinal (sorted doc-id) order.  Only
-        valid on an empty index; the adopted containers become owned by
-        the per-field indexes.
+        Nothing is decoded here — each field answers from its CSR and
+        builds a posting list or length map only when a caller asks for
+        it.  The result equals the index that stored the columns: same
+        documents, postings, lengths and statistics, and the same epoch
+        (one bump per document).  Only valid on an empty index.
         """
         if self._documents:
-            raise ValueError("adopt_snapshot requires an empty index")
-        self._documents = set(doc_ids)
-        for field in self._fields:
-            self._indexes[field].adopt_postings(
-                field_postings.get(field, {}), field_lengths.get(field, {})
-            )
-        self._epoch = len(doc_ids)
+            raise ValueError("adopt requires an empty index")
+        self._documents = set(documents.doc_ids)
+        self._indexes = _FieldIndexes(
+            (field, InvertedIndex(field, columns[field])) for field in self._fields
+        )
+        self._epoch = len(documents.doc_ids)
+        self._stored = documents
         self._statistics_cache = None
         self._support_cache = None
+
+    def stored_documents(self) -> DocumentColumns | None:
+        """The documents of the stored CSRs this index still answers from.
+
+        ``None`` for an index built in RAM, and for any index written
+        since it was adopted: its fields then hold postings the CSRs do
+        not.  While it is set, every field's :attr:`InvertedIndex.columns`
+        is exactly that field's postings.
+        """
+        return self._stored
+
+    def decoded_posting_lists(self) -> int:
+        """How many stored posting lists have been decoded into objects."""
+        return sum(
+            index.columns.decoded for index in self._indexes.values() if index.columns is not None
+        )
 
     def _cow_shell(self) -> "FieldedIndex":
         """An empty same-schema instance for :meth:`with_added_document`.
@@ -259,23 +245,10 @@ class FieldedIndex:
         cached = self._statistics_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        stats = CollectionStatistics(num_documents=len(self._documents))
-        for field in self._fields:
-            index = self._indexes[field]
-            field_stats = stats.field(field)
-            field_stats.document_count = index.num_documents
-            field_stats.total_terms = index.total_terms
-            lengths = index.document_lengths()
-            if lengths:
-                field_stats.min_length = min(lengths.values())
-                field_stats.max_length = max(lengths.values())
-            for term in index.vocabulary():
-                postings = index.get_postings(term)
-                assert postings is not None  # vocabulary() only lists indexed terms
-                frequencies = postings.frequencies()
-                field_stats.term_collection_frequency[term] = sum(frequencies.values())
-                field_stats.term_document_frequency[term] = len(frequencies)
-                field_stats.term_max_frequency[term] = postings.max_frequency()
+        stats = CollectionStatistics(
+            num_documents=len(self._documents),
+            fields={field: self._indexes[field].statistics() for field in self._fields},
+        )
         self._statistics_cache = (self._epoch, stats)
         return stats
 

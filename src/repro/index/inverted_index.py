@@ -3,24 +3,192 @@
 Maps terms to posting lists and keeps per-document lengths.  The fielded
 index of :mod:`repro.index.fielded_index` composes one of these per
 retrieval field.
+
+A field is either built in RAM — every term a :class:`PostingList` — or
+*adopted* from a stored posting CSR (:class:`PostingColumns`, one per
+field of a saved index, over the documents of one
+:class:`DocumentColumns`).  An adopted field answers from the arrays and
+turns a term's postings into a :class:`PostingList` only when a caller
+first asks for that term; its ``doc_id -> length`` map is built only when
+a caller asks for the whole map.
 """
 
 from __future__ import annotations
 
+import logging
+import os
+import sys
+import threading
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import compress
+
+import numpy as np
 
 from .postings import PostingList
+from .statistics import FieldStatistics
+
+_LOG = logging.getLogger("repro")
+
+
+def _caller() -> str:
+    """The name of the nearest calling function outside the index package."""
+    package = os.path.dirname(__file__)
+    frame = sys._getframe(1)
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame = frame.f_back
+    return frame.f_code.co_name if frame is not None else "?"
+
+
+class DocumentColumns:
+    """The documents of a stored index: ids in ordinal order plus their CRCs.
+
+    Ordinals are positions in ``doc_ids``, which are strictly ascending,
+    so ordinal order is doc-id order.  ``crcs`` holds each id's CRC-32 —
+    the shard routing key — so nothing re-hashes the ids.  Shared, read
+    only, by every field of an adopted index and by its copy-on-write
+    successors.
+    """
+
+    __slots__ = ("doc_ids", "crcs", "_ordinal_of")
+
+    def __init__(self, doc_ids: list[str], crcs: np.ndarray) -> None:
+        self.doc_ids = doc_ids
+        self.crcs = crcs
+        self._ordinal_of: dict[str, int] | None = None
+
+    def ordinal_of(self) -> dict[str, int]:
+        """``doc_id -> ordinal`` (built on first use; do not mutate)."""
+        ordinal_of = self._ordinal_of
+        if ordinal_of is None:
+            ordinal_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
+            self._ordinal_of = ordinal_of
+        return ordinal_of
+
+
+class PostingColumns:
+    """One field's stored postings: a CSR over document ordinals.
+
+    ``terms`` are strictly ascending; row ``r`` of the CSR is
+    ``ordinals[offsets[r]:offsets[r + 1]]`` (ascending) with the parallel
+    ``frequencies`` (int64, positive), and ``lengths`` is the field
+    length of every document ordinal.  Immutable; shared by an adopted
+    index and its copy-on-write successors, which is why it also counts
+    how many of its rows have been decoded into posting lists.
+    """
+
+    __slots__ = (
+        "documents", "terms", "offsets", "ordinals", "frequencies", "lengths",
+        "total_terms", "decoded", "_row_of", "_is_decoded", "_lock",
+    )
+
+    def __init__(
+        self,
+        documents: DocumentColumns,
+        terms: list[str],
+        offsets: np.ndarray,
+        ordinals: np.ndarray,
+        frequencies: np.ndarray,
+        lengths: np.ndarray,
+    ) -> None:
+        self.documents = documents
+        self.terms = terms
+        self.offsets = offsets
+        self.ordinals = ordinals
+        self.frequencies = frequencies
+        self.lengths = lengths
+        self.total_terms = int(lengths.sum())
+        #: Distinct rows turned into posting lists so far.
+        self.decoded = 0
+        self._row_of: dict[str, int] | None = None
+        self._is_decoded = bytearray(len(terms))
+        self._lock = threading.Lock()
+
+    def row(self, term: str) -> int | None:
+        """The CSR row of ``term``, or ``None`` when it is not stored."""
+        row_of = self._row_of
+        if row_of is None:
+            row_of = dict(zip(self.terms, range(len(self.terms))))
+            self._row_of = row_of
+        return row_of.get(term)
+
+    def columns(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(ordinals, frequencies)`` views of one term's row, or ``None``."""
+        row = self.row(term)
+        if row is None:
+            return None
+        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+        return self.ordinals[start:end], self.frequencies[start:end]
+
+    def decode(self, field: str, term: str) -> PostingList | None:
+        """One term's row as a fresh :class:`PostingList` (``None`` when absent).
+
+        When this decodes the last row nobody had asked for, the field
+        is now materialised wholesale, and one ``repro`` record names
+        the caller that finished it.
+        """
+        row = self.row(term)
+        if row is None:
+            return None
+        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+        doc_ids = self.documents.doc_ids
+        ids = [doc_ids[ordinal] for ordinal in self.ordinals[start:end].tolist()]
+        postings = PostingList(ids, dict(zip(ids, self.frequencies[start:end].tolist())))
+        if not self._is_decoded[row]:
+            with self._lock:  # concurrent readers may decode the same row
+                first = not self._is_decoded[row]
+                self._is_decoded[row] = 1
+                self.decoded += first
+                complete = first and self.decoded == len(self.terms)
+            if complete:
+                _LOG.info(
+                    "index field %r: all %d stored posting lists decoded, the last by %s",
+                    field, len(self.terms), _caller(),
+                )
+        return postings
+
+    def length_of(self, doc_id: str) -> int:
+        ordinal = self.documents.ordinal_of().get(doc_id)
+        return 0 if ordinal is None else int(self.lengths[ordinal])
+
+    def length_map(self) -> dict[str, int]:
+        """A fresh ``doc_id -> field length`` map over every document."""
+        return dict(zip(self.documents.doc_ids, self.lengths.tolist()))
+
+    def term_statistics(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+        """Fresh ``term ->`` collection frequency, document frequency and max tf maps."""
+        if not self.terms:
+            return {}, {}, {}
+        starts = self.offsets[:-1]
+        terms = self.terms
+        return (
+            dict(zip(terms, np.add.reduceat(self.frequencies, starts).tolist())),
+            dict(zip(terms, np.diff(self.offsets).tolist())),
+            dict(zip(terms, np.maximum.reduceat(self.frequencies, starts).tolist())),
+        )
 
 
 class InvertedIndex:
-    """A term -> postings map for a single field."""
+    """A term -> postings map for a single field.
 
-    def __init__(self, name: str = "field") -> None:
+    ``_postings`` holds every posting list built in RAM.  On a field
+    adopted from :class:`PostingColumns` it holds the lists decoded so
+    far and the ones writes copied and extended; an entry there wins over
+    the stored row of the same term.  ``_doc_lengths`` is ``None`` while
+    the stored length column still answers for every document.
+    """
+
+    def __init__(self, name: str = "field", columns: PostingColumns | None = None) -> None:
         self.name = name
+        self._columns = columns
         self._postings: dict[str, PostingList] = {}
-        self._doc_lengths: dict[str, int] = {}
-        self._total_terms = 0
+        self._doc_lengths: dict[str, int] | None = None if columns is not None else {}
+        self._total_terms = columns.total_terms if columns is not None else 0
+
+    @property
+    def columns(self) -> PostingColumns | None:
+        """The stored CSR this field was adopted from (``None`` if built in RAM)."""
+        return self._columns
 
     # ------------------------------------------------------------------ #
     # Indexing
@@ -29,70 +197,34 @@ class InvertedIndex:
         """Index (or extend) a document given its analyzed terms."""
         counts = Counter(terms)
         added = sum(counts.values())
-        if added == 0 and doc_id not in self._doc_lengths:
+        lengths = self.document_lengths()
+        if added == 0 and doc_id not in lengths:
             # Register empty documents so that document counts are correct.
-            self._doc_lengths.setdefault(doc_id, 0)
+            lengths.setdefault(doc_id, 0)
             return
         for term, count in counts.items():
-            posting_list = self._postings.get(term)
+            posting_list = self.get_postings(term)
             if posting_list is None:
                 posting_list = PostingList()
                 self._postings[term] = posting_list
             posting_list.add(doc_id, count)
-        self._doc_lengths[doc_id] = self._doc_lengths.get(doc_id, 0) + added
+        lengths[doc_id] = lengths.get(doc_id, 0) + added
         self._total_terms += added
-
-    def add_document_counts(self, doc_id: str, counts: Mapping[str, int]) -> None:
-        """Index a document from precomputed ``term -> count`` pairs.
-
-        The snapshot-restore sibling of :meth:`add_document`: a durable
-        snapshot already stores per-term frequencies, so replaying it
-        through tokenised term streams would rebuild the ``Counter`` this
-        method skips.  Equivalent to ``add_document`` called with each
-        term repeated ``count`` times.
-        """
-        added = sum(counts.values())
-        if added == 0 and doc_id not in self._doc_lengths:
-            self._doc_lengths.setdefault(doc_id, 0)
-            return
-        for term, count in counts.items():
-            posting_list = self._postings.get(term)
-            if posting_list is None:
-                posting_list = PostingList()
-                self._postings[term] = posting_list
-            posting_list.add(doc_id, count)
-        self._doc_lengths[doc_id] = self._doc_lengths.get(doc_id, 0) + added
-        self._total_terms += added
-
-    def adopt_postings(
-        self, postings: dict[str, PostingList], doc_lengths: dict[str, int]
-    ) -> None:
-        """Adopt pre-built posting lists and lengths wholesale.
-
-        The bulk sibling of :meth:`add_document_counts` for snapshot
-        restore: the caller guarantees each posting list's doc ids are
-        already sorted and ``doc_lengths`` covers every document (zeros
-        included), so this replaces the per-document insert replay with
-        three assignments.  The adopted containers become owned by the
-        index — callers must not mutate them afterwards.
-        """
-        self._postings = postings
-        self._doc_lengths = doc_lengths
-        self._total_terms = sum(doc_lengths.values())
 
     def with_added_document(self, doc_id: str, terms: Iterable[str]) -> "InvertedIndex":
         """A new index with ``doc_id`` added; this one stays untouched.
 
         The copy-on-write sibling of :meth:`add_document` behind snapshot-
         isolated serving: the term map and length array are shallow-copied
-        (posting lists are shared by reference) and only the posting lists
-        of the document's own terms are copied before mutation — so every
-        structure a concurrent reader may already hold keeps its exact
-        pre-mutation contents, at O(documents + affected postings) cost.
+        (posting lists are shared by reference, an adopted field's stored
+        CSR too) and only the posting lists of the document's own terms
+        are copied before mutation — so every structure a concurrent
+        reader may already hold keeps its exact pre-mutation contents, at
+        O(documents + affected postings) cost.
         """
-        clone = InvertedIndex(self.name)
+        clone = InvertedIndex(self.name, self._columns)
         clone._postings = dict(self._postings)
-        clone._doc_lengths = dict(self._doc_lengths)
+        clone._doc_lengths = dict(self.document_lengths())
         clone._total_terms = self._total_terms
         counts = Counter(terms)
         added = sum(counts.values())
@@ -100,7 +232,7 @@ class InvertedIndex:
             clone._doc_lengths.setdefault(doc_id, 0)
             return clone
         for term, count in counts.items():
-            existing = clone._postings.get(term)
+            existing = self.get_postings(term)
             posting_list = PostingList() if existing is None else existing.copy()
             posting_list.add(doc_id, count)
             clone._postings[term] = posting_list
@@ -113,23 +245,34 @@ class InvertedIndex:
     # ------------------------------------------------------------------ #
     def postings(self, term: str) -> PostingList:
         """Posting list for a term (empty list when the term is unknown)."""
-        return self._postings.get(term, PostingList())
+        postings = self.get_postings(term)
+        return PostingList() if postings is None else postings
 
     def get_postings(self, term: str) -> PostingList | None:
         """Posting list for a term, or ``None`` when the term is unknown.
 
         Unlike :meth:`postings` this never allocates an empty list, which
-        matters on the scoring hot path.
+        matters on the scoring hot path.  On an adopted field the first
+        request for a term decodes its stored row, once.
         """
-        return self._postings.get(term)
+        postings = self._postings.get(term)
+        if postings is None and self._columns is not None:
+            postings = self._columns.decode(self.name, term)
+            if postings is not None:
+                self._postings[term] = postings
+        return postings
 
     def document_lengths(self) -> dict[str, int]:
-        """The ``doc_id -> field length`` map, built once at index time.
+        """The ``doc_id -> field length`` map.
 
         Returned by reference for the scoring hot path; callers must treat
-        it as read-only.
+        it as read-only.  An adopted field builds it on the first call.
         """
-        return self._doc_lengths
+        lengths = self._doc_lengths
+        if lengths is None:
+            lengths = self._columns.length_map()  # type: ignore[union-attr]
+            self._doc_lengths = lengths
+        return lengths
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         """Occurrences of ``term`` in ``doc_id``."""
@@ -151,10 +294,15 @@ class InvertedIndex:
 
     def document_length(self, doc_id: str) -> int:
         """Number of terms indexed for ``doc_id`` (0 when unknown)."""
-        return self._doc_lengths.get(doc_id, 0)
+        lengths = self._doc_lengths
+        if lengths is None:
+            return self._columns.length_of(doc_id)  # type: ignore[union-attr]
+        return lengths.get(doc_id, 0)
 
     def documents(self) -> set[str]:
         """All indexed document identifiers."""
+        if self._doc_lengths is None:
+            return set(self._columns.documents.doc_ids)  # type: ignore[union-attr]
         return set(self._doc_lengths)
 
     def documents_containing(self, term: str) -> list[str]:
@@ -170,7 +318,95 @@ class InvertedIndex:
 
     def vocabulary(self) -> set[str]:
         """All indexed terms."""
-        return set(self._postings)
+        vocabulary = set(self._postings)
+        if self._columns is not None:
+            vocabulary.update(self._columns.terms)
+        return vocabulary
+
+    def statistics(self) -> FieldStatistics:
+        """This field's collection statistics, computed afresh.
+
+        An adopted field reads the per-term counts off its CSR with three
+        array reductions; lists in ``_postings`` (decoded, or written
+        since) are counted from the lists, which hold the same or newer
+        counts.
+        """
+        stats = FieldStatistics(
+            name=self.name, total_terms=self._total_terms, document_count=self.num_documents
+        )
+        if self._doc_lengths is None:
+            lengths = self._columns.lengths  # type: ignore[union-attr]
+            if lengths.size:
+                stats.min_length, stats.max_length = int(lengths.min()), int(lengths.max())
+        elif self._doc_lengths:
+            stats.min_length = min(self._doc_lengths.values())
+            stats.max_length = max(self._doc_lengths.values())
+        if self._columns is not None:
+            (
+                stats.term_collection_frequency,
+                stats.term_document_frequency,
+                stats.term_max_frequency,
+            ) = self._columns.term_statistics()
+        # A copy first: concurrent readers may be decoding into the map.
+        for term, postings in list(self._postings.items()):
+            frequencies = postings.frequencies()
+            stats.term_collection_frequency[term] = sum(frequencies.values())
+            stats.term_document_frequency[term] = len(frequencies)
+            stats.term_max_frequency[term] = postings.max_frequency()
+        return stats
+
+    def posting_csr(
+        self, ordinal_of: Mapping[str, int]
+    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """This field as ``(terms, offsets, ordinals, frequencies)`` over ``ordinal_of``.
+
+        ``ordinal_of`` numbers every document of the index in doc-id
+        order; terms come out ascending.  Decodes nothing: an adopted
+        field's stored rows are renumbered as arrays, and only the lists
+        in ``_postings`` are read as lists.
+        """
+        lists = {term: postings for term, postings in list(self._postings.items()) if postings}
+        ids: list[str] = []
+        tfs: list[int] = []
+        for term in lists:
+            frequencies = lists[term].frequencies()
+            doc_ids = lists[term].doc_ids()
+            ids.extend(doc_ids)
+            tfs.extend(map(frequencies.__getitem__, doc_ids))
+        terms = list(lists)
+        sizes = [np.fromiter(map(len, lists.values()), dtype=np.int64, count=len(lists))]
+        ordinals = [np.fromiter(map(ordinal_of.__getitem__, ids), dtype=np.int64, count=len(ids))]
+        frequencies = [np.array(tfs, dtype=np.int64)]
+        columns = self._columns
+        if columns is not None:
+            keep = np.fromiter(
+                (term not in lists for term in columns.terms), dtype=bool, count=len(columns.terms)
+            )
+            stored_sizes = np.diff(columns.offsets)
+            rows = np.repeat(keep, stored_sizes)
+            renumber = np.fromiter(
+                map(ordinal_of.__getitem__, columns.documents.doc_ids),
+                dtype=np.int64, count=len(columns.documents.doc_ids),
+            )
+            terms.extend(compress(columns.terms, keep))
+            sizes.append(stored_sizes[keep])
+            ordinals.append(renumber[columns.ordinals[rows]])
+            frequencies.append(columns.frequencies[rows])
+        sizes_all = np.concatenate(sizes)
+        order = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.int64)
+        starts = np.cumsum(sizes_all) - sizes_all
+        sorted_sizes = sizes_all[order]
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(sorted_sizes, out=offsets[1:])
+        gather = np.repeat(starts[order] - offsets[:-1], sorted_sizes) + np.arange(
+            offsets[-1], dtype=np.int64
+        )
+        return (
+            [terms[row] for row in order.tolist()],
+            offsets,
+            np.concatenate(ordinals)[gather],
+            np.concatenate(frequencies)[gather],
+        )
 
     @property
     def total_terms(self) -> int:
@@ -180,17 +416,22 @@ class InvertedIndex:
     @property
     def num_documents(self) -> int:
         """Number of indexed documents."""
+        if self._doc_lengths is None:
+            return len(self._columns.documents.doc_ids)  # type: ignore[union-attr]
         return len(self._doc_lengths)
 
     @property
     def average_document_length(self) -> float:
         """Average indexed length per document."""
-        if not self._doc_lengths:
+        num_documents = self.num_documents
+        if not num_documents:
             return 0.0
-        return self._total_terms / len(self._doc_lengths)
+        return self._total_terms / num_documents
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings
+        return term in self._postings or (
+            self._columns is not None and self._columns.row(term) is not None
+        )
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self.vocabulary())

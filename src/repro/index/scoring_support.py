@@ -84,10 +84,6 @@ class ScoringSupport:
     def __init__(self, index: "FieldedIndex", statistics: "CollectionStatistics") -> None:
         self._fields = index.field_indexes()
         self._statistics = statistics
-        #: Per-field document-length arrays, shared by reference with the index.
-        self._lengths: dict[str, dict[str, int]] = {
-            field: field_index.document_lengths() for field, field_index in self._fields.items()
-        }
         self._any_field_df: dict[str, int] = {}
 
     @property
@@ -96,8 +92,8 @@ class ScoringSupport:
         return self._statistics
 
     def field_lengths(self, field: str) -> Mapping[str, int]:
-        """The ``doc_id -> length`` array of one field (read-only)."""
-        return self._lengths[field]
+        """The ``doc_id -> length`` map of one field, shared with the index (read-only)."""
+        return self._fields[field].document_lengths()
 
     def postings_frequencies(self, field: str, term: str) -> Mapping[str, int]:
         """The ``doc_id -> tf`` map of one term in one field (read-only).

@@ -20,9 +20,13 @@ ranking guarantee.  See :mod:`repro.exec` for the driver side.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
+
+import numpy as np
 
 from ..exec.sharding import partition_ids, shard_of
 from .fielded_index import FieldedIndex
+from .inverted_index import DocumentColumns, PostingColumns
 
 
 class ShardedFieldedIndex(FieldedIndex):
@@ -52,16 +56,14 @@ class ShardedFieldedIndex(FieldedIndex):
         super().add_document(doc_id, field_terms)
         self._route(doc_id)
 
-    def add_document_counts(
-        self, doc_id: str, field_counts: Mapping[str, Mapping[str, int]]
-    ) -> None:
-        super().add_document_counts(doc_id, field_counts)
-        self._route(doc_id)
-
-    def adopt_snapshot(self, doc_ids, field_postings, field_lengths) -> None:
-        super().adopt_snapshot(doc_ids, field_postings, field_lengths)
-        for doc_id in doc_ids:
-            self._route(doc_id)
+    def adopt(self, documents: DocumentColumns, columns: Mapping[str, PostingColumns]) -> None:
+        """Adopt a stored index, routing its documents by their stored CRCs."""
+        super().adopt(documents, columns)
+        owners = documents.crcs.astype(np.int64) % self._num_shards
+        self._shard_by_doc = dict(zip(documents.doc_ids, owners.tolist()))
+        self._shard_members = [
+            set(compress(documents.doc_ids, owners == shard)) for shard in range(self._num_shards)
+        ]
 
     def _cow_shell(self) -> "ShardedFieldedIndex":
         clone = ShardedFieldedIndex(self.fields, self._num_shards)

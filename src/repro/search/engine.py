@@ -154,10 +154,11 @@ class SearchEngine:
         index: FieldedIndex,
         config: SearchConfig | None = None,
     ) -> "SearchEngine":
-        """Adopt a pre-built index (replayed from a durable snapshot).
+        """Serve a pre-built index (adopted from a durable snapshot).
 
-        The cold-start path: the index arrives already populated (see
-        :func:`repro.storage.kgstore.restore_fielded_index`), so no
+        The cold-start path: the index arrives already populated — it
+        answers from the stored posting CSRs (see
+        :func:`repro.storage.kgstore.restore_fielded_index`) — so no
         documents are built and nothing is tokenised.  The documents
         mapping stays empty — :meth:`document` rebuilds entries lazily
         on first access, exactly as post-``build()`` misses do.

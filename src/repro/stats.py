@@ -169,12 +169,14 @@ class StorageStats:
     is how long the last ``PivotE.load`` spent restoring the system
     (0.0 for systems built in RAM).
 
-    The last three fields are the lazy boundary of a loaded system:
+    The last four fields are the lazy boundary of a loaded system:
     ``graph_hydrated`` is whether the graph's triple access paths exist
     (a loaded graph builds them when first asked for one; a built graph
-    always has them), ``hydration_ms`` how long building them took, and
+    always has them), ``hydration_ms`` how long building them took,
     ``feature_rows_decoded`` how many holder/feature rows the restored
-    feature snapshot has turned into sets on demand.
+    feature snapshot has turned into sets on demand, and
+    ``posting_lists_decoded`` how many of the stored per-term posting
+    lists the adopted search index has turned into objects.
     """
 
     backend: str
@@ -188,6 +190,7 @@ class StorageStats:
     graph_hydrated: bool = True
     hydration_ms: float = 0.0
     feature_rows_decoded: int = 0
+    posting_lists_decoded: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -202,6 +205,7 @@ class StorageStats:
             "graph_hydrated": self.graph_hydrated,
             "hydration_ms": self.hydration_ms,
             "feature_rows_decoded": self.feature_rows_decoded,
+            "posting_lists_decoded": self.posting_lists_decoded,
         }
 
 

@@ -35,8 +35,10 @@ over any buffer (a shared-memory mapping, an ``np.memmap``, plain
 ``bytes``), presenting the subset of the
 :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
 kernels consume plus the :class:`~repro.kg.topology.GraphTopology`
-reconstruction for topology segments.  Feature-table segments are
-decoded by :func:`repro.storage.kgstore.restore_feature_snapshot`.
+reconstruction for topology segments.  Index segments (kind
+``"fielded-index"``) hold one posting CSR per field, so their manifest
+grows with the field count, not the vocabulary; they and feature-table
+segments are adopted by :mod:`repro.storage.kgstore`.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ class SegmentView:
     mapping, ``np.memmap``, ``bytes``) plus the uid/epoch the caller
     expects, and presents the subset of the
     :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
-    kernels consume — length columns, posting columns (with block grids
-    rebuilt locally), dense frequency columns, CRC-derived shard
+    kernels consume — length columns, one term's slice of a field's
+    posting CSR (with its block grid rebuilt locally), dense frequency
+    columns, CRC-derived shard
     ownership — plus the same ``memoised`` hook the scorers use for
     derived contribution columns.  Graph-topology segments instead
     rebuild their :class:`~repro.kg.topology.GraphTopology` via
@@ -251,8 +254,8 @@ class SegmentView:
 
     @property
     def kind(self) -> str:
-        """The segment's payload kind (``"columnar-index"`` by default)."""
-        return str(self._manifest.get("kind", "columnar-index"))
+        """The segment's payload kind (``""`` when the manifest names none)."""
+        return str(self._manifest.get("kind", ""))
 
     @property
     def num_documents(self) -> int:
@@ -262,16 +265,17 @@ class SegmentView:
     def fields(self) -> list[str]:
         return list(self._manifest["fields"])
 
-    def _view(self, desc: list[object]) -> np.ndarray:
-        offset, dtype, shape = desc[0], desc[1], desc[2]
+    def array(self, desc: list[object]) -> np.ndarray:
+        """Read-only zero-copy view of the array one descriptor places."""
         try:
+            offset, dtype, shape = desc[0], desc[1], desc[2]
             array = np.ndarray(
                 tuple(shape),
                 dtype=np.dtype(dtype),
                 buffer=self._buf,
                 offset=self._arrays_base + int(offset),
             )
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, LookupError) as error:
             raise SnapshotUnavailable(
                 f"snapshot {self._name!r} array overruns the segment"
             ) from error
@@ -289,7 +293,7 @@ class SegmentView:
         the mapping on the hot worker path).
         """
         for desc in iter_descriptors(self._manifest):
-            array = self._view(desc)
+            array = self.array(desc)
             actual = zlib.crc32(array.tobytes()) if array.nbytes else 0
             if actual != int(desc[3]):  # type: ignore[index]
                 raise SnapshotUnavailable(
@@ -297,35 +301,53 @@ class SegmentView:
                     f"(array at offset {desc[0]})"
                 )
 
+    def strings(self, table: dict[str, object], name: str = "strings") -> list[str]:
+        """Decode one length-coded string table (see :func:`place_strings`)."""
+        try:
+            text = self.array(table["text"]).tobytes().decode("utf-8", "surrogatepass")
+            lengths = self.array(table["lengths"])
+            ends = np.cumsum(lengths).tolist()
+            well_formed = not (lengths < 0).any() and (ends[-1] if ends else 0) == len(text)
+        except (KeyError, TypeError, ValueError) as error:
+            raise SnapshotUnavailable(
+                f"snapshot {self._name!r} string table {name!r} is malformed"
+            ) from error
+        if not well_formed:
+            raise SnapshotUnavailable(
+                f"snapshot {self._name!r} string table {name!r} is malformed"
+            )
+        return [text[start:end] for start, end in zip([0, *ends], ends)]
+
     # ------------------------------------------------------------------ #
     # Columnar-index surface
     # ------------------------------------------------------------------ #
     def field_lengths(self, field: str) -> np.ndarray:
         return self.memoised(
-            ("lengths", field), lambda: self._view(self._manifest["lengths"][field])
+            ("lengths", field),
+            lambda: self.array(self._manifest["lengths"][field]).astype(np.float64),
         )
 
     def postings(self, field: str, term: str) -> "ColumnarPostings | None":
         def build() -> "ColumnarPostings | None":
-            columns = self._manifest["postings"].get(field, {})
-            desc = columns.get(term)
-            if desc is None:
+            csr = self._manifest["postings"][field]
+            row_of = self.memoised(
+                ("rows", field),
+                lambda: {name: row for row, name in enumerate(self.strings(csr["terms"], field))},
+            )
+            row = row_of.get(term)
+            if row is None:
                 return None
+            offsets = self.memoised(("offsets", field), lambda: self.array(csr["offsets"]))
+            start, end = int(offsets[row]), int(offsets[row + 1])
             from ..index.columnar import ColumnarPostings
 
-            return ColumnarPostings(self._view(desc[0]), self._view(desc[1]), BLOCK_SIZE)
+            return ColumnarPostings(
+                self.array(csr["ordinals"])[start:end],
+                self.array(csr["frequencies"])[start:end].astype(np.float64),
+                BLOCK_SIZE,
+            )
 
         return self.memoised(("postings", field, term), build)
-
-    def iter_posting_columns(self, field: str):
-        """Yield ``(term, ordinals, frequencies)`` raw views of one field.
-
-        The restore path's bulk accessor: unlike :meth:`postings` it
-        builds no per-term block grids, so replaying a whole snapshot
-        into an index touches each column exactly once.
-        """
-        for term, desc in self._manifest["postings"].get(field, {}).items():
-            yield term, self._view(desc[0]), self._view(desc[1])
 
     def dense_frequencies(self, field: str, term: str) -> np.ndarray:
         """Like :meth:`ColumnarIndex.dense_frequencies`: an unretained intermediate."""
@@ -337,7 +359,7 @@ class SegmentView:
 
     def manifest_array(self, key: str) -> np.ndarray:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
-        return self.memoised(("array", key), lambda: self._view(self._manifest[key]))
+        return self.memoised(("array", key), lambda: self.array(self._manifest[key]))
 
     def graph_topology(self) -> "GraphTopology":
         """The segment's columnar graph topology, rebuilt zero-copy.
@@ -389,22 +411,15 @@ class SegmentView:
         from ..kg.columns import LogColumns
 
         try:
-            tables = {}
-            for name, table in self._manifest["tables"].items():
-                text = self._view(table["text"]).tobytes().decode("utf-8", "surrogatepass")
-                lengths = self._view(table["lengths"])
-                ends = np.cumsum(lengths).tolist()
-                if (lengths < 0).any() or (ends[-1] if ends else 0) != len(text):
-                    raise SnapshotUnavailable(
-                        f"snapshot {self._name!r} string table {name!r} is malformed"
-                    )
-                strings = [text[start:end] for start, end in zip([0, *ends], ends)]
-                tables[name] = (strings, self._view(table["stamps"]).tolist())
+            tables = {
+                name: (self.strings(table, name), self.array(table["stamps"]).tolist())
+                for name, table in self._manifest["tables"].items()
+            }
             return LogColumns(
                 triples=int(self._manifest["triples"]),
                 tables=tables,
                 rows={
-                    name: np.array(self._view(desc))
+                    name: np.array(self.array(desc))
                     for name, desc in self._manifest["rows"].items()
                 },
             )
@@ -419,7 +434,7 @@ class SegmentView:
         def build() -> np.ndarray:
             if num_shards <= 1:
                 return np.zeros(self.num_documents, dtype=np.int64)
-            crcs = self._view(self._manifest["crcs"]).astype(np.int64)
+            crcs = self.array(self._manifest["crcs"]).astype(np.int64)
             return crcs % num_shards
 
         return self.memoised(("owners", num_shards), build)
@@ -440,35 +455,58 @@ class SegmentView:
 # --------------------------------------------------------------------- #
 # Payload encoders (one per snapshot kind, shared by every backend)
 # --------------------------------------------------------------------- #
+def place_strings(place, strings: list[str]) -> dict[str, object]:
+    """Place a string table: UTF-8 bytes end to end plus lengths in characters.
+
+    Length-coded, so a string may contain any character; decoded by
+    :meth:`SegmentView.strings`.
+    """
+    text = "".join(strings).encode("utf-8", "surrogatepass")
+    return {
+        "text": place(np.frombuffer(text, dtype=np.uint8)),
+        "lengths": place(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))),
+    }
+
+
+#: The payload kind of an index segment: one posting CSR per field.
+INDEX_KIND = "fielded-index"
+
+
 def encode_index_snapshot(
     index: "FieldedIndex",
     view: "ColumnarIndex",
     *,
     include_doc_ids: bool = False,
 ) -> tuple[dict[str, object], SegmentBuilder]:
-    """Serialise one columnar index epoch into ``(manifest, builder)``.
+    """Serialise one index epoch into ``(manifest, builder)``.
 
-    Every posting column of the full vocabulary is placed (attachers
-    must be able to serve any query against the snapshot), together with
-    the per-field length columns and the per-document CRC column from
-    which any shard count's ownership map derives.  ``include_doc_ids``
-    additionally embeds the document identifiers in ordinal order —
-    worker processes never need the strings (they select by ordinal),
-    but the durable store does: they are what lets a cold-starting
-    process rebuild the full :class:`FieldedIndex` without re-tokenising
-    a single document.
+    Each field becomes one CSR over document ordinals: its terms as a
+    string table in ascending order, ``offsets`` into one int64
+    ``ordinals`` column and one int64 ``frequencies`` column, plus its
+    int64 length column.  A per-document CRC column rides along, from
+    which any shard count's ownership map derives, and
+    ``include_doc_ids`` adds the document ids as a string table in
+    ordinal order — worker processes select by ordinal and never need
+    them, but the durable store does.  So the manifest holds O(fields)
+    descriptors whatever the vocabulary.  An index that still answers
+    from the CSRs it adopted writes them back as they are; no path here
+    decodes a posting list.
     """
     builder = SegmentBuilder()
     place = builder.place
-
-    crcs = np.fromiter(
-        (zlib.crc32(doc_id.encode("utf-8")) for doc_id in view.doc_ids),
-        dtype=np.uint32,
-        count=view.num_documents,
-    )
+    stored = index.stored_documents()
+    if stored is not None:
+        crcs = stored.crcs.astype(np.uint32)
+    else:
+        crcs = np.fromiter(
+            (zlib.crc32(doc_id.encode("utf-8")) for doc_id in view.doc_ids),
+            dtype=np.uint32,
+            count=view.num_documents,
+        )
     manifest: dict[str, object] = {
         "uid": index.uid,
         "epoch": index.epoch,
+        "kind": INDEX_KIND,
         "num_documents": view.num_documents,
         "fields": list(index.fields),
         "crcs": place(crcs),
@@ -476,16 +514,25 @@ def encode_index_snapshot(
         "postings": {},
     }
     if include_doc_ids:
-        manifest["doc_ids"] = list(view.doc_ids)
+        manifest["doc_ids"] = place_strings(place, view.doc_ids)
     for field in index.fields:
-        manifest["lengths"][field] = place(view.field_lengths(field))
-        columns: dict[str, list[object]] = {}
-        for term in index.field_index(field).vocabulary():
-            columnar = view.postings(field, term)
-            if columnar is None:
-                continue
-            columns[term] = [place(columnar.ordinals), place(columnar.frequencies)]
-        manifest["postings"][field] = columns
+        field_index = index.field_index(field)
+        if stored is not None:
+            csr = field_index.columns
+            terms, offsets, ordinals, frequencies = (
+                csr.terms, csr.offsets, csr.ordinals, csr.frequencies
+            )
+            lengths = csr.lengths
+        else:
+            terms, offsets, ordinals, frequencies = field_index.posting_csr(view.ordinal_of)
+            lengths = view.field_lengths(field).astype(np.int64)
+        manifest["lengths"][field] = place(lengths)
+        manifest["postings"][field] = {
+            "terms": place_strings(place, terms),
+            "offsets": place(offsets),
+            "ordinals": place(ordinals),
+            "frequencies": place(frequencies),
+        }
     return manifest, builder
 
 
@@ -574,14 +621,13 @@ def encode_graph_triples(
     """
     builder = SegmentBuilder()
     place = builder.place
-    tables: dict[str, dict[str, object]] = {}
-    for name, (strings, stamps) in columns.tables.items():
-        text = "".join(strings).encode("utf-8", "surrogatepass")
-        tables[name] = {
-            "text": place(np.frombuffer(text, dtype=np.uint8)),
-            "lengths": place(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))),
+    tables = {
+        name: {
+            **place_strings(place, strings),
             "stamps": place(np.asarray(stamps, dtype=np.int64)),
         }
+        for name, (strings, stamps) in columns.tables.items()
+    }
     return {
         "uid": source.uid,
         "epoch": source.epoch,

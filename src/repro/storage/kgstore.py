@@ -21,9 +21,11 @@ from.
 
 Cold start *adopts instead of replaying*: the graph takes the decoded
 columns as they are and builds no triple objects until a caller asks for
-one (:meth:`KnowledgeGraph.adopt`), the fielded index adopts the stored
-posting columns, the feature index a snapshot that decodes rows of the
-stored tables on demand, the topology its arrays.  Every component is
+one (:meth:`KnowledgeGraph.adopt`), the fielded index serves its stored
+per-field posting CSRs and decodes a term's posting list when a query
+first touches the term (:meth:`FieldedIndex.adopt`), the feature index
+adopts a snapshot that decodes rows of the stored tables on demand, the
+topology its arrays.  Every component is
 checksummed and cross-checked against the graph's epoch; a failed
 derived component raises :class:`SnapshotUnavailable` and the caller
 falls back to rebuilding *that component* from the loaded graph — a
@@ -42,6 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .codec import (
+    INDEX_KIND,
     SegmentView,
     SnapshotUnavailable,
     encode_feature_tables,
@@ -54,6 +57,7 @@ from .diskstore import DiskSnapshotStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.feature_index import FeatureIndexSnapshot, SemanticFeatureIndex
     from ..index.fielded_index import FieldedIndex
+    from ..index.inverted_index import DocumentColumns, PostingColumns
     from ..kg import KnowledgeGraph
     from ..kg.topology import GraphTopology
 
@@ -202,58 +206,120 @@ def load_graph(
     return KnowledgeGraph.adopt(columns, name=str(entry.get("name", "kg")))
 
 
+def _int_column(view: SegmentView, desc: object, what: str) -> np.ndarray:
+    """A read-only int64 copy of one placed 1-D integer array.
+
+    A copy, because the caller closes the backing memmap right after
+    the restore.
+    """
+    stored = view.array(desc)  # type: ignore[arg-type]
+    if stored.ndim != 1 or stored.dtype.kind not in "iu":
+        raise SnapshotUnavailable(f"index snapshot {what} is not a 1-D integer column")
+    column = stored.astype(np.int64)
+    column.flags.writeable = False
+    return column
+
+
+def _field_columns(
+    view: SegmentView, field: str, documents: "DocumentColumns"
+) -> "PostingColumns":
+    """Decode one field's posting CSR and check it describes a real index.
+
+    Each check guards an assumption something downstream relies on:
+    offsets that start at 0, strictly increase (every stored term has a
+    posting) and end at the column size; ordinals inside ``[0, n)`` and
+    strictly increasing within a term (ordinal order is doc-id order);
+    positive integer frequencies (``PostingList.add`` refuses anything
+    else); terms strictly ascending (one row per term); and a length
+    column equal to the per-document sum of the frequencies.
+    """
+    from ..index.inverted_index import PostingColumns
+
+    num_documents = len(documents.doc_ids)
+    try:
+        csr = view.manifest["postings"][field]
+        terms = view.strings(csr["terms"], field)
+        offsets = _int_column(view, csr["offsets"], f"{field!r} offsets")
+        ordinals = _int_column(view, csr["ordinals"], f"{field!r} ordinals")
+        frequencies = _int_column(view, csr["frequencies"], f"{field!r} frequencies")
+        lengths = _int_column(view, view.manifest["lengths"][field], f"{field!r} lengths")
+    except (KeyError, TypeError) as error:
+        raise SnapshotUnavailable(f"index snapshot lacks field {field!r}'s CSR") from error
+
+    def malformed(why: str) -> SnapshotUnavailable:
+        return SnapshotUnavailable(f"index snapshot field {field!r}: {why}")
+
+    if offsets.shape != (len(terms) + 1,) or ordinals.shape != frequencies.shape:
+        raise malformed("column shapes disagree")
+    if offsets[0] != 0 or offsets[-1] != ordinals.size or (np.diff(offsets) <= 0).any():
+        raise malformed("offsets are not monotone up to the column size")
+    if ordinals.size and (ordinals.min() < 0 or ordinals.max() >= num_documents):
+        raise malformed("an ordinal lies outside the documents")
+    steps = np.diff(ordinals)
+    steps[offsets[1:-1] - 1] = 1  # a row may start below where the last one ended
+    if (steps <= 0).any():
+        raise malformed("ordinals do not increase within a term")
+    if (frequencies <= 0).any():
+        raise malformed("a term frequency is not positive")
+    if any(left >= right for left, right in zip(terms, terms[1:])):
+        raise malformed("terms are not strictly ascending")
+    if lengths.shape != (num_documents,) or not np.array_equal(
+        lengths, np.bincount(ordinals, weights=frequencies, minlength=num_documents)
+    ):
+        raise malformed("the length column disagrees with the postings")
+    return PostingColumns(documents, terms, offsets, ordinals, frequencies, lengths)
+
+
 def restore_fielded_index(
     view: SegmentView, fields: tuple[str, ...], shards: int = 1
 ) -> "FieldedIndex":
-    """Rebuild a live :class:`FieldedIndex` from one index snapshot.
+    """Adopt one index snapshot as a live :class:`FieldedIndex`.
 
-    The snapshot's posting columns are already in ordinal (sorted
-    doc-id) order, so each becomes a :class:`PostingList` directly —
-    no per-document insert replay — and the per-ordinal length columns
-    become the per-field document lengths.  The result is structurally
-    identical to replaying every document through
-    ``add_document_counts`` in ordinal order: same sorted posting
-    lists, same lengths, same epoch (one bump per document).  The
-    configured field schema must match the stored one — a mismatch
-    means the snapshot cannot serve this configuration and the caller
-    rebuilds instead.
+    The stored per-field posting CSRs *are* the index
+    (:meth:`FieldedIndex.adopt`): nothing is decoded into posting lists
+    here, and the first search reads its statistics, candidates and
+    columns off the arrays.  The CSRs are checked first (see
+    :func:`_field_columns`), and so are the document ids — strictly
+    ascending, since ordinal order must be doc-id order, and as many as
+    the segment says.  Any violation, a configured field schema other
+    than the stored one, or a segment in the old one-column-pair-per-term
+    layout raises :class:`SnapshotUnavailable`, and the caller rebuilds.
     """
     from ..index.fielded_index import FieldedIndex
-    from ..index.postings import PostingList
+    from ..index.inverted_index import DocumentColumns
     from ..index.sharded import ShardedFieldedIndex
 
-    if tuple(view.fields) != tuple(fields):
+    if view.kind != INDEX_KIND:
         raise SnapshotUnavailable(
-            f"snapshot indexes fields {tuple(view.fields)!r}, "
-            f"configuration wants {tuple(fields)!r}"
+            f"index snapshot is of kind {view.kind!r}, this build reads {INDEX_KIND!r}"
         )
-    doc_ids = view.manifest.get("doc_ids")
-    if not isinstance(doc_ids, list) or len(doc_ids) != view.num_documents:
+    manifest = view.manifest
+    if manifest.get("fields") != list(fields):
+        raise SnapshotUnavailable(
+            f"snapshot indexes fields {manifest.get('fields')!r}, "
+            f"configuration wants {list(fields)!r}"
+        )
+    table = manifest.get("doc_ids")
+    if not isinstance(table, dict):
         raise SnapshotUnavailable("snapshot carries no document identifiers")
+    doc_ids = view.strings(table, "doc_ids")
+    if len(doc_ids) != manifest.get("num_documents"):
+        raise SnapshotUnavailable(
+            f"snapshot lists {len(doc_ids)} document ids for "
+            f"{manifest.get('num_documents')!r} documents"
+        )
+    if any(left >= right for left, right in zip(doc_ids, doc_ids[1:])):
+        raise SnapshotUnavailable("snapshot document ids are not strictly ascending")
+    crcs = _int_column(view, manifest.get("crcs"), "crc column")
+    if crcs.shape != (len(doc_ids),):
+        raise SnapshotUnavailable("snapshot crc column is malformed")
 
-    doc_ids = [str(doc_id) for doc_id in doc_ids]
-    field_postings: dict[str, dict[str, PostingList]] = {}
-    field_lengths: dict[str, dict[str, int]] = {}
-    try:
-        for field in fields:
-            postings: dict[str, PostingList] = {}
-            for term, ordinals, frequencies in view.iter_posting_columns(field):
-                ids = [doc_ids[ordinal] for ordinal in ordinals.tolist()]
-                postings[term] = PostingList(
-                    ids, dict(zip(ids, map(int, frequencies.tolist())))
-                )
-            field_postings[field] = postings
-            lengths = view.field_lengths(field)
-            if lengths.shape[0] != len(doc_ids):
-                raise SnapshotUnavailable("snapshot length column is malformed")
-            field_lengths[field] = dict(zip(doc_ids, map(int, lengths.tolist())))
-    except IndexError as error:
-        raise SnapshotUnavailable("snapshot posting column is malformed") from error
-
+    documents = DocumentColumns(doc_ids, crcs)
+    columns = {field: _field_columns(view, field, documents) for field in fields}
     index = (
         ShardedFieldedIndex(fields, shards) if shards > 1 else FieldedIndex(fields)
     )
-    index.adopt_snapshot(doc_ids, field_postings, field_lengths)
+    index.adopt(documents, columns)
     return index
 
 
