@@ -3,8 +3,10 @@
 The process-parallel execution tier (``executor="process"``) ships no
 posting data through queues: the parent serialises one per-epoch
 :class:`~repro.index.columnar.ColumnarIndex` into a single
-``multiprocessing.shared_memory`` segment and workers reconstruct numpy
-views over the same physical pages zero-copy.  The PR 6 columnar arrays
+``multiprocessing.shared_memory`` segment and workers read it through
+numpy views over the same physical pages — zero-copy for offsets,
+ordinals and CRCs, with float64 copies of the int64 length columns and
+of each queried term's frequencies.  The columnar arrays
 are contiguous and immutable per epoch, which is exactly what makes
 this safe: a published segment is never written again.
 

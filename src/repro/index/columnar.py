@@ -207,14 +207,11 @@ class ColumnarIndex:
         cached = self._shard_maps.get(num_shards)
         if cached is not None:
             return cached
-        if self._stored is not None and num_shards > 1:
-            owners = self._stored.crcs.astype(np.int64) % num_shards
-        else:
-            owners = np.fromiter(
-                (shard_of(doc_id, num_shards) for doc_id in self._doc_ids),
-                dtype=np.int64,
-                count=len(self._doc_ids),
-            )
+        owners = np.fromiter(
+            (shard_of(doc_id, num_shards) for doc_id in self._doc_ids),
+            dtype=np.int64,
+            count=len(self._doc_ids),
+        )
         self._shard_maps[num_shards] = owners
         return owners
 

@@ -44,8 +44,8 @@ class DocumentColumns:
     """The documents of a stored index: ids in ordinal order plus their CRCs.
 
     Ordinals are positions in ``doc_ids``, which are strictly ascending,
-    so ordinal order is doc-id order.  ``crcs`` holds each id's CRC-32 —
-    the shard routing key — so nothing re-hashes the ids.  Shared, read
+    so ordinal order is doc-id order.  ``crcs`` holds each id's CRC-32,
+    the shard routing key a sharded index adopts its routing from.  Shared, read
     only, by every field of an adopted index and by its copy-on-write
     successors.
     """

@@ -302,20 +302,29 @@ class SegmentView:
                 )
 
     def strings(self, table: dict[str, object], name: str = "strings") -> list[str]:
-        """Decode one length-coded string table (see :func:`place_strings`)."""
+        """Decode one length-coded string table (see :func:`place_strings`).
+
+        The lengths must be a 1-D integer column of values in
+        ``[0, len(text)]`` that add up to the text exactly; anything else
+        raises :class:`SnapshotUnavailable`.
+        """
+        malformed = SnapshotUnavailable(
+            f"snapshot {self._name!r} string table {name!r} is malformed"
+        )
         try:
             text = self.array(table["text"]).tobytes().decode("utf-8", "surrogatepass")
             lengths = self.array(table["lengths"])
-            ends = np.cumsum(lengths).tolist()
-            well_formed = not (lengths < 0).any() and (ends[-1] if ends else 0) == len(text)
         except (KeyError, TypeError, ValueError) as error:
-            raise SnapshotUnavailable(
-                f"snapshot {self._name!r} string table {name!r} is malformed"
-            ) from error
-        if not well_formed:
-            raise SnapshotUnavailable(
-                f"snapshot {self._name!r} string table {name!r} is malformed"
-            )
+            raise malformed from error
+        if (
+            lengths.ndim != 1
+            or lengths.dtype.kind not in "iu"
+            or (lengths.size and (lengths.min() < 0 or lengths.max() > len(text)))
+        ):
+            raise malformed
+        ends = np.cumsum(lengths).tolist()
+        if (ends[-1] if ends else 0) != len(text):
+            raise malformed
         return [text[start:end] for start, end in zip([0, *ends], ends)]
 
     # ------------------------------------------------------------------ #
@@ -488,21 +497,17 @@ def encode_index_snapshot(
     ``include_doc_ids`` adds the document ids as a string table in
     ordinal order — worker processes select by ordinal and never need
     them, but the durable store does.  So the manifest holds O(fields)
-    descriptors whatever the vocabulary.  An index that still answers
-    from the CSRs it adopted writes them back as they are; no path here
-    decodes a posting list.
+    descriptors whatever the vocabulary.  Nothing here decodes a posting
+    list: :meth:`~repro.index.inverted_index.InvertedIndex.posting_csr`
+    renumbers an adopted field's stored rows as arrays.
     """
     builder = SegmentBuilder()
     place = builder.place
-    stored = index.stored_documents()
-    if stored is not None:
-        crcs = stored.crcs.astype(np.uint32)
-    else:
-        crcs = np.fromiter(
-            (zlib.crc32(doc_id.encode("utf-8")) for doc_id in view.doc_ids),
-            dtype=np.uint32,
-            count=view.num_documents,
-        )
+    crcs = np.fromiter(
+        (zlib.crc32(doc_id.encode("utf-8")) for doc_id in view.doc_ids),
+        dtype=np.uint32,
+        count=view.num_documents,
+    )
     manifest: dict[str, object] = {
         "uid": index.uid,
         "epoch": index.epoch,
@@ -516,17 +521,10 @@ def encode_index_snapshot(
     if include_doc_ids:
         manifest["doc_ids"] = place_strings(place, view.doc_ids)
     for field in index.fields:
-        field_index = index.field_index(field)
-        if stored is not None:
-            csr = field_index.columns
-            terms, offsets, ordinals, frequencies = (
-                csr.terms, csr.offsets, csr.ordinals, csr.frequencies
-            )
-            lengths = csr.lengths
-        else:
-            terms, offsets, ordinals, frequencies = field_index.posting_csr(view.ordinal_of)
-            lengths = view.field_lengths(field).astype(np.int64)
-        manifest["lengths"][field] = place(lengths)
+        terms, offsets, ordinals, frequencies = index.field_index(field).posting_csr(
+            view.ordinal_of
+        )
+        manifest["lengths"][field] = place(view.field_lengths(field).astype(np.int64))
         manifest["postings"][field] = {
             "terms": place_strings(place, terms),
             "offsets": place(offsets),

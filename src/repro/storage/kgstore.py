@@ -36,6 +36,7 @@ is nothing to rebuild from).
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
@@ -280,8 +281,9 @@ def restore_fielded_index(
     here, and the first search reads its statistics, candidates and
     columns off the arrays.  The CSRs are checked first (see
     :func:`_field_columns`), and so are the document ids — strictly
-    ascending, since ordinal order must be doc-id order, and as many as
-    the segment says.  Any violation, a configured field schema other
+    ascending, since ordinal order must be doc-id order, as many as the
+    segment says, and each with its own CRC-32 in the ``crcs`` column
+    that sharded adoption routes by.  Any violation, a configured field schema other
     than the stored one, or a segment in the old one-column-pair-per-term
     layout raises :class:`SnapshotUnavailable`, and the caller rebuilds.
     """
@@ -311,8 +313,13 @@ def restore_fielded_index(
     if any(left >= right for left, right in zip(doc_ids, doc_ids[1:])):
         raise SnapshotUnavailable("snapshot document ids are not strictly ascending")
     crcs = _int_column(view, manifest.get("crcs"), "crc column")
-    if crcs.shape != (len(doc_ids),):
-        raise SnapshotUnavailable("snapshot crc column is malformed")
+    hashed = np.fromiter(
+        (zlib.crc32(doc_id.encode("utf-8")) for doc_id in doc_ids),
+        dtype=np.int64,
+        count=len(doc_ids),
+    )
+    if not np.array_equal(crcs, hashed):
+        raise SnapshotUnavailable("snapshot crc column disagrees with the document ids")
 
     documents = DocumentColumns(doc_ids, crcs)
     columns = {field: _field_columns(view, field, documents) for field in fields}

@@ -193,24 +193,32 @@ VALID = {
 }
 
 
-def hand_built(**changes) -> SegmentView:
-    """A checksummed one-field index segment over three documents."""
+def hand_built(term_lengths=None, crcs=None, **changes) -> SegmentView:
+    """A checksummed one-field index segment over three documents.
+
+    ``term_lengths`` replaces the lengths column of the term string
+    table, ``crcs`` the per-document CRC column.
+    """
     spec = {**VALID, **changes}
     builder = SegmentBuilder()
     place = builder.place
-    crcs = np.array([zlib.crc32(doc.encode()) for doc in spec["doc_ids"]], dtype=np.uint32)
+    if crcs is None:
+        crcs = [zlib.crc32(doc.encode()) for doc in spec["doc_ids"]]
+    terms = place_strings(place, spec["terms"])
+    if term_lengths is not None:
+        terms["lengths"] = place(np.asarray(term_lengths))
     manifest = {
         "uid": 1,
         "epoch": 3,
         "kind": INDEX_KIND,
         "num_documents": spec["num_documents"],
         "fields": ["names"],
-        "crcs": place(crcs),
+        "crcs": place(np.asarray(crcs, dtype=np.uint32)),
         "doc_ids": place_strings(place, spec["doc_ids"]),
         "lengths": {"names": place(np.asarray(spec["lengths"]))},
         "postings": {
             "names": {
-                "terms": place_strings(place, spec["terms"]),
+                "terms": terms,
                 "offsets": place(np.asarray(spec["offsets"])),
                 "ordinals": place(np.asarray(spec["ordinals"])),
                 "frequencies": place(np.asarray(spec["frequencies"])),
@@ -268,6 +276,18 @@ class TestAdoptedSegmentValidation:
 
     def test_terms_must_ascend(self):
         refused(hand_built(terms=["y", "x"]), "terms are not strictly ascending")
+
+    @pytest.mark.parametrize(
+        "term_lengths",
+        [[1.0, 1.0], [[1], [1]], [-1, 3], [3, -1]],
+        ids=["float", "two-dimensional", "negative", "past-the-text"],
+    )
+    def test_string_table_lengths_must_be_integers_inside_the_text(self, term_lengths):
+        refused(hand_built(term_lengths=term_lengths), "string table 'names' is malformed")
+
+    def test_crcs_must_be_the_document_ids_crcs(self):
+        crcs = [zlib.crc32(doc.encode()) for doc in DOCS]
+        refused(hand_built(crcs=crcs[::-1]), "crc column disagrees with the document ids")
 
     def test_the_old_per_term_layout_is_refused(self):
         """Two descriptors per term, the ids inline: what earlier builds wrote."""
