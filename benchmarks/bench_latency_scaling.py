@@ -20,27 +20,18 @@ cross-process θ slab standing in for the thread-level broadcast.
 exceeds 1.0 on multi-core hosts (``cpu_cores`` is recorded so gates can
 stay honest on single-core CI runners).
 
-Since PR 6 the default engine scores through the columnar postings view
-and vectorized kernels (``repro.index.columnar`` + ``repro.topk.kernels``);
-the ``nocolumnar`` arm runs the identical maxscore traversal through the
-scalar per-posting loops (``columnar=False``), so ``columnar_ratio`` is
-the vectorization payoff at equal semantics.  The plain ``accumulator``
-arm stays scalar too — it is the historical term-at-a-time baseline.
+Every search scorer has two forms: the columnar kernels
+(``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
+re-scoring epilogue, and the exhaustive reference.
 
 * recommendation latency vs. graph size and seed count (the original E8);
-* keyword-search latency in a five-way A/B: the exhaustive
-  score-all-then-sort path (``search_exhaustive``), the plain term-at-a-time
-  accumulator path (``pruning="off"``), the threshold-pruned max-score path
-  (``pruning="maxscore"``, the default since PR 3 — see ``repro.topk``),
-  the block-max path (``pruning="blockmax"``: subset-pool θ priming for
-  the dense LM driver, per-range bounds + galloping AND-mode refinement
-  for the sparse BM25 driver), and the engine-level LRU result cache for
-  repeated queries.  A BM25-names maxscore-vs-blockmax sub-A/B over one
-  long (25-label) query — the frequent-term refinement workload the
-  galloping intersection targets — rides along so the committed baseline
-  records the sparse driver's block-skip counters.  The A/B verifies
-  that all scoring paths return identical rankings before trusting any
-  timing, and reports every pruned path's skip counters.
+* keyword-search latency in a four-way A/B: the exhaustive
+  score-all-then-sort reference (``search_exhaustive``), the plain
+  accumulation kernel (``pruning="off"``), the threshold-pruned max-score
+  kernel (``pruning="maxscore"``, the default — see ``repro.topk``), and
+  the engine-level LRU result cache for repeated queries.  The A/B
+  verifies that all scoring paths return identical rankings before
+  trusting any timing, and reports every pruned path's skip counters.
 
 Run as a script to produce the machine-readable baseline::
 
@@ -70,12 +61,7 @@ from repro.config import SearchConfig  # noqa: E402
 from repro.datasets import RandomKGConfig, build_random_kg  # noqa: E402
 from repro.eval import Stopwatch, print_experiment  # noqa: E402
 from repro.expansion import EntitySetExpander  # noqa: E402
-from repro.search import (  # noqa: E402
-    BM25FieldScorer,
-    MixtureLanguageModelScorer,
-    SearchEngine,
-    parse_query,
-)
+from repro.search import MixtureLanguageModelScorer, SearchEngine, parse_query  # noqa: E402
 
 SIZES = (200, 500, 1000, 2000)
 
@@ -130,23 +116,12 @@ def measure_search_ab(
     the pruned path's skip counters and an ``identical`` flag confirming
     every scoring path ranked identically.
     """
-    engine = SearchEngine.from_graph(graph)  # pruning="maxscore", columnar by default
+    engine = SearchEngine.from_graph(graph)  # pruning="maxscore" by default
     pruned = engine.mlm_scorer
-    #: The accumulator baseline stays fully scalar (pruning and columnar
-    #: both off) — it is the historical term-at-a-time reference point.
-    plain = MixtureLanguageModelScorer(
-        engine.index, SearchConfig(pruning="off", columnar=False)
-    )
-    blockmax = MixtureLanguageModelScorer(engine.index, SearchConfig(pruning="blockmax"))
-    #: The columnar A/B: the same maxscore traversal through the scalar
-    #: per-posting loops.  pruned/nocolumnar is the vectorization payoff.
-    nocolumnar = MixtureLanguageModelScorer(
-        engine.index, SearchConfig(pruning="maxscore", columnar=False)
-    )
+    #: The accumulator baseline: the plain (unpruned) accumulation kernel.
+    plain = MixtureLanguageModelScorer(engine.index, SearchConfig(pruning="off"))
     #: The sharded arm: the same maxscore traversal fanned out over
-    #: SHARD_COUNT document shards with the cross-shard θ broadcast, on a
-    #: properly sharded index (routing maps maintained at indexing time —
-    #: the production configuration, not the CRC-per-candidate fallback).
+    #: SHARD_COUNT document shards with the cross-shard θ broadcast.
     sharded_engine = SearchEngine.from_graph(graph, SearchConfig(shards=SHARD_COUNT))
     sharded = sharded_engine.mlm_scorer
     #: The parallel arm (PR 7): the same sharded traversal with worker
@@ -160,39 +135,18 @@ def measure_search_ab(
     #: The batch arm runs cache-free so it measures search_many's
     #: amortisation (shared snapshot + in-batch dedupe), not LRU hits.
     batch_engine = SearchEngine.from_graph(graph, SearchConfig(result_cache_size=0))
-    bm25_maxscore = engine.bm25_names_scorer()
-    bm25_blockmax = BM25FieldScorer(engine.index, "names", pruning="blockmax")
     queries = _search_queries(graph, num_queries)
     parsed = [parse_query(raw) for raw in queries]
     #: Real traffic repeats queries; the batch input carries each query
     #: twice so the in-batch dedupe has duplicates to amortise.
     batch_input = queries + queries
-    # The BM25 sub-A/B runs one long multi-label query with the first
-    # five labels repeated: enough rare terms fill the θ heap before the
-    # ubiquitous "entity" token, the repeats double those labels' query
-    # contributions so θ actually evicts the single-match tail, and the
-    # "entity" postings walk is then served by the (galloping,
-    # block-skipping) AND-mode refinement over the few survivors.
-    entities = sorted(graph.entities())
-    labels = [graph.label(e) for e in entities[:25]]
-    long_query = parse_query(" ".join(labels + labels[:5]))
-    bm25_top_k = 5
     watch = Stopwatch()
     identical = True
-    bm25_slow = _results_signature(bm25_maxscore.search_exhaustive(long_query, top_k=bm25_top_k))
-    if _results_signature(bm25_maxscore.search(long_query, top_k=bm25_top_k)) != bm25_slow:
-        identical = False
-    if _results_signature(bm25_blockmax.search(long_query, top_k=bm25_top_k)) != bm25_slow:
-        identical = False
     for raw, query in zip(queries, parsed):
         slow = _results_signature(pruned.search_exhaustive(query, top_k=top_k))
         if _results_signature(pruned.search(query, top_k=top_k)) != slow:
             identical = False
         if _results_signature(plain.search(query, top_k=top_k)) != slow:
-            identical = False
-        if _results_signature(blockmax.search(query, top_k=top_k)) != slow:
-            identical = False
-        if _results_signature(nocolumnar.search(query, top_k=top_k)) != slow:
             identical = False
         if _results_signature(sharded.search(query, top_k=top_k)) != slow:
             identical = False
@@ -213,18 +167,10 @@ def measure_search_ab(
                 plain.search(query, top_k=top_k)
             with watch.measure("pruned"):
                 pruned.search(query, top_k=top_k)
-            with watch.measure("blockmax"):
-                blockmax.search(query, top_k=top_k)
-            with watch.measure("nocolumnar"):
-                nocolumnar.search(query, top_k=top_k)
             with watch.measure("sharded"):
                 sharded.search(query, top_k=top_k)
             with watch.measure("parallel"):
                 parallel.search(query, top_k=top_k)
-            with watch.measure("bm25_maxscore"):
-                bm25_maxscore.search(long_query, top_k=bm25_top_k)
-            with watch.measure("bm25_blockmax"):
-                bm25_blockmax.search(long_query, top_k=bm25_top_k)
             with watch.measure("cached"):
                 engine.search(raw, top_k=top_k)
         # The batch arm answers the duplicated workload in one call; the
@@ -238,14 +184,10 @@ def measure_search_ab(
     exhaustive = watch.stats("exhaustive").as_dict()
     accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
-    blockmax_stats = watch.stats("blockmax").as_dict()
-    nocolumnar_stats = watch.stats("nocolumnar").as_dict()
     sharded_stats = watch.stats("sharded").as_dict()
     parallel_stats = watch.stats("parallel").as_dict()
     executor_record = parallel_engine.stats().executor
     parallel_engine.close()  # unlink the published snapshot segment
-    bm25_maxscore_stats = watch.stats("bm25_maxscore").as_dict()
-    bm25_blockmax_stats = watch.stats("bm25_blockmax").as_dict()
     cached = watch.stats("cached").as_dict()
     batched = watch.stats("batched").as_dict()
     unbatched = watch.stats("unbatched").as_dict()
@@ -266,10 +208,6 @@ def measure_search_ab(
         "accumulator_p95_ms": accumulator["p95_ms"],
         "pruned_mean_ms": pruned_stats["mean_ms"],
         "pruned_p95_ms": pruned_stats["p95_ms"],
-        "blockmax_mean_ms": blockmax_stats["mean_ms"],
-        "blockmax_p95_ms": blockmax_stats["p95_ms"],
-        "nocolumnar_mean_ms": nocolumnar_stats["mean_ms"],
-        "nocolumnar_p95_ms": nocolumnar_stats["p95_ms"],
         "sharded_mean_ms": sharded_stats["mean_ms"],
         "sharded_p95_ms": sharded_stats["p95_ms"],
         "shards": SHARD_COUNT,
@@ -277,8 +215,6 @@ def measure_search_ab(
         "parallel_p95_ms": parallel_stats["p95_ms"],
         "workers": PROCESS_WORKERS,
         "cpu_cores": os.cpu_count() or 1,
-        "bm25_maxscore_mean_ms": bm25_maxscore_stats["mean_ms"],
-        "bm25_blockmax_mean_ms": bm25_blockmax_stats["mean_ms"],
         "cached_mean_ms": cached["mean_ms"],
         "cached_p95_ms": cached["p95_ms"],
         # Per-query means of the ×2-duplicated batch workload.
@@ -286,17 +222,8 @@ def measure_search_ab(
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_input),
         "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
-        "speedup_blockmax": _speedup(blockmax_stats["mean_ms"]),
-        "speedup_nocolumnar": _speedup(nocolumnar_stats["mean_ms"]),
         "speedup_sharded": _speedup(sharded_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
-        # > 1.0 = the columnar kernels beat the scalar loops at equal
-        # semantics (both arms are the serial maxscore traversal).
-        "columnar_ratio": (
-            nocolumnar_stats["mean_ms"] / pruned_stats["mean_ms"]
-            if pruned_stats["mean_ms"] > 0
-            else float("inf")
-        ),
         # 1.0 = the 4-shard arm at 1-shard wall-clock; > 1.0 = ahead.
         "sharded_ratio": (
             pruned_stats["mean_ms"] / sharded_stats["mean_ms"]
@@ -318,9 +245,7 @@ def measure_search_ab(
             else float("inf")
         ),
         "pruning": pruned.pruning_info(),
-        "pruning_blockmax": blockmax.pruning_info(),
         "pruning_sharded": sharded.pruning_info(),
-        "pruning_bm25_blockmax": bm25_blockmax.pruning_info(),
     }
 
 
@@ -395,16 +320,12 @@ def test_search_accumulator_vs_exhaustive_ab(graphs):
                 "exhaustive_ms": row["exhaustive_mean_ms"],
                 "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
-                "blockmax_ms": row["blockmax_mean_ms"],
-                "nocolumnar_ms": row["nocolumnar_mean_ms"],
                 "sharded_ms": row["sharded_mean_ms"],
                 "parallel_ms": row["parallel_mean_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
                 "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
-                "speedup_blockmax": row["speedup_blockmax"],
-                "columnar_ratio": row["columnar_ratio"],
                 "sharded_ratio": row["sharded_ratio"],
                 "parallel_ratio": row["parallel_ratio"],
                 "batch_ratio": row["batch_ratio"],
@@ -412,8 +333,7 @@ def test_search_accumulator_vs_exhaustive_ab(graphs):
             }
         )
     print_experiment(
-        "E8c — keyword search: sharded/batched vs. blockmax vs. maxscore vs. "
-        "accumulator vs. exhaustive",
+        "E8c — keyword search: sharded/batched vs. maxscore vs. accumulator vs. exhaustive",
         rows,
         notes=(
             "identical rankings; pruned is the maxscore path, sharded the 4-shard "
@@ -425,9 +345,10 @@ def test_search_accumulator_vs_exhaustive_ab(graphs):
     assert largest["pruning"]["candidates_pruned"] > 0  # θ actually bites at scale
     # Every shard worker's θ must actually evict (per-shard skip counters).
     assert largest["pruning_sharded"]["candidates_pruned"] > 0
-    assert largest["pruning_sharded"]["queries"] == largest["pruning"]["queries"]
-    # The sparse blockmax driver must actually skip posting blocks.
-    assert largest["pruning_bm25_blockmax"]["blocks_skipped"] > 0
+    # One logical query per search, however many shards ran it: the
+    # identity check plus one timed repeat per query.
+    expected_queries = (1 + largest["repeats"]) * largest["queries"]
+    assert largest["pruning_sharded"]["queries"] == expected_queries
 
 
 @pytest.mark.benchmark(group="latency-scaling")
@@ -473,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help=(
-            "fail unless accumulator_mean_ms over each pruned arm's mean "
-            "(maxscore and blockmax) reaches this at the largest size "
-            "(1.0 = pruned at-or-faster than plain accumulator)"
+            "fail unless accumulator_mean_ms over the maxscore arm's mean "
+            "reaches this at the largest size (1.0 = pruned at-or-faster "
+            "than the plain accumulation kernel)"
         ),
     )
     parser.add_argument(
@@ -499,16 +420,6 @@ def main(argv: list[str] | None = None) -> int:
             "fan-out at-or-faster than the 1-shard serial path); the "
             "gate is skipped with a warning on single-core hosts, where "
             "worker processes cannot overlap"
-        ),
-    )
-    parser.add_argument(
-        "--min-columnar-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless nocolumnar_mean_ms over the columnar maxscore arm's "
-            "mean reaches this at the largest size (1.0 = the vectorized "
-            "kernels at-or-faster than the scalar per-posting loops)"
         ),
     )
     parser.add_argument(
@@ -536,12 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
             f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
-            f"blockmax={row['blockmax_mean_ms']:8.3f}ms  nocolumnar={row['nocolumnar_mean_ms']:8.3f}ms  "
             f"sharded={row['sharded_mean_ms']:8.3f}ms  "
             f"parallel={row['parallel_mean_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
             f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
-            f"blockmax={row['speedup_blockmax']:6.2f}x  columnar_ratio={row['columnar_ratio']:5.2f}  "
             f"shard_ratio={row['sharded_ratio']:5.2f}  "
             f"parallel_ratio={row['parallel_ratio']:5.2f}  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
@@ -551,9 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "bench": "search_latency_scaling",
         "description": (
-            "keyword search latency: blockmax vs maxscore-pruned vs accumulator "
-            "vs exhaustive vs LRU-cached (plus a BM25-names blockmax sub-A/B "
-            "and a columnar-vs-scalar maxscore A/B)"
+            "keyword search latency: maxscore-pruned vs accumulator vs "
+            "exhaustive vs LRU-cached, plus 4-shard inline/process and "
+            "batched arms"
         ),
         "config": {
             "sizes": sizes,
@@ -580,16 +489,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if args.min_pruned_ratio is not None:
-        for arm in ("pruned", "blockmax"):
-            mean_ms = largest[f"{arm}_mean_ms"]
-            ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
-            if ratio < args.min_pruned_ratio:
-                print(
-                    f"FAIL: {arm}/accumulator ratio {ratio:.2f} below required "
-                    f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
-                    file=sys.stderr,
-                )
-                return 1
+        mean_ms = largest["pruned_mean_ms"]
+        ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
+        if ratio < args.min_pruned_ratio:
+            print(
+                f"FAIL: pruned/accumulator ratio {ratio:.2f} below required "
+                f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
+                file=sys.stderr,
+            )
+            return 1
     if args.min_sharded_ratio is not None and largest["sharded_ratio"] < args.min_sharded_ratio:
         print(
             f"FAIL: sharded ratio {largest['sharded_ratio']:.2f} below required "
@@ -612,13 +520,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.min_columnar_ratio is not None and largest["columnar_ratio"] < args.min_columnar_ratio:
-        print(
-            f"FAIL: columnar ratio {largest['columnar_ratio']:.2f} below required "
-            f"{args.min_columnar_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
     if args.min_batch_ratio is not None and largest["batch_ratio"] < args.min_batch_ratio:
         print(
             f"FAIL: batch ratio {largest['batch_ratio']:.2f} below required "

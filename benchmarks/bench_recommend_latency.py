@@ -16,9 +16,6 @@ KG grows:
   (``pruning="maxscore"``, the default since PR 3: whole dominant-type
   groups are skipped once their base score plus correction bound cannot
   reach the live θ — see ``repro.topk``), cache disabled;
-* ``blockmax``    — threshold pruning with per-type *chunked* correction
-  bounds (``pruning="blockmax"``): groups are killed or retired at every
-  feature-chunk boundary mid-walk, cache disabled;
 * ``cached``      — the fast path served from a warm LRU cache.
 
 Since PR 5 the A/B carries a batch arm as well: ``batched`` answers a
@@ -161,11 +158,6 @@ def measure_recommend_ab(
         feature_index=index,
         config=RankingConfig(recommendation_cache_size=0, pruning="maxscore"),
     )
-    blockmax_engine = RecommendationEngine(
-        graph,
-        feature_index=index,
-        config=RankingConfig(recommendation_cache_size=0, pruning="blockmax"),
-    )
     seeds = _seeds(graph, index, seed_count)
     #: Batch workload: three overlapping seed sets, each submitted twice
     #: (real exploration sessions revisit query states), answered by one
@@ -177,12 +169,10 @@ def measure_recommend_ab(
     fast = plain_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     slow = plain_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
     pruned_result = pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-    blockmax_result = blockmax_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     batched_results = pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
     identical = (
         _identical(fast, slow)
         and _identical(pruned_result, slow)
-        and _identical(blockmax_result, slow)
         and all(
             _identical(
                 payload,
@@ -202,8 +192,6 @@ def measure_recommend_ab(
             plain_engine.recommend_for_seeds(seeds, top_entities=top_entities)
         with watch.measure("pruned"):
             pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-        with watch.measure("blockmax"):
-            blockmax_engine.recommend_for_seeds(seeds, top_entities=top_entities)
         with watch.measure("batched"):
             pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
         with watch.measure("unbatched"):
@@ -214,7 +202,6 @@ def measure_recommend_ab(
     exhaustive = watch.stats("exhaustive").as_dict()
     accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
-    blockmax_stats = watch.stats("blockmax").as_dict()
     batched = watch.stats("batched").as_dict()
     unbatched = watch.stats("unbatched").as_dict()
     cached = watch.stats("cached").as_dict()
@@ -235,8 +222,6 @@ def measure_recommend_ab(
         "accumulator_p95_ms": accumulator["p95_ms"],
         "pruned_mean_ms": pruned_stats["mean_ms"],
         "pruned_p95_ms": pruned_stats["p95_ms"],
-        "blockmax_mean_ms": blockmax_stats["mean_ms"],
-        "blockmax_p95_ms": blockmax_stats["p95_ms"],
         # Per-request means of the ×2-duplicated batch workload.
         "batched_mean_ms": batched["mean_ms"] / len(batch_inputs),
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_inputs),
@@ -244,7 +229,6 @@ def measure_recommend_ab(
         "cached_p95_ms": cached["p95_ms"],
         "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
-        "speedup_blockmax": _speedup(blockmax_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
         # The ranking stage alone (see _kernel_stage_ms).
         "kernel_ms": kernel["mean_ms"],
@@ -255,7 +239,6 @@ def measure_recommend_ab(
             else float("inf")
         ),
         "pruning": pruned_engine.pruning_info(),
-        "pruning_blockmax": blockmax_engine.pruning_info(),
     }
 
 
@@ -279,20 +262,18 @@ def test_recommend_accumulator_vs_exhaustive_ab(graphs):
                 "exhaustive_ms": row["exhaustive_mean_ms"],
                 "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
-                "blockmax_ms": row["blockmax_mean_ms"],
                 "kernel_ms": row["kernel_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
                 "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
-                "speedup_blockmax": row["speedup_blockmax"],
                 "batch_ratio": row["batch_ratio"],
                 "speedup_cached": row["speedup_cached"],
             }
         )
     print_experiment(
-        "E9 — recommendation: batched vs. blockmax vs. maxscore vs. "
-        "accumulator vs. exhaustive (4 seeds, top-20)",
+        "E9 — recommendation: batched vs. maxscore vs. accumulator vs. "
+        "exhaustive (4 seeds, top-20)",
         rows,
         notes=(
             "identical rankings; pruned is the maxscore path, batched one "
@@ -302,8 +283,6 @@ def test_recommend_accumulator_vs_exhaustive_ab(graphs):
     assert all(row["pruned_ms"] > 0 for row in rows)
     largest = measure_recommend_ab(graphs[SIZES[-1]], repeats=1)
     assert largest["pruning"]["groups_skipped"] > 0  # θ actually bites at scale
-    # The chunked bounds must actually abandon per-type chunks mid-walk.
-    assert largest["pruning_blockmax"]["blocks_skipped"] > 0
 
 
 @pytest.mark.benchmark(group="recommend-latency")
@@ -343,9 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         help=(
-            "fail unless accumulator_mean_ms over each pruned arm's mean "
-            "(maxscore and blockmax) reaches this at the largest size "
-            "(1.0 = pruned at-or-faster than plain accumulator)"
+            "fail unless accumulator_mean_ms over the maxscore arm's mean "
+            "reaches this at the largest size (1.0 = pruned at-or-faster "
+            "than plain accumulator)"
         ),
     )
     parser.add_argument(
@@ -375,10 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
             f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
-            f"blockmax={row['blockmax_mean_ms']:8.3f}ms  kernel={row['kernel_ms']:8.3f}ms  "
+            f"kernel={row['kernel_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
             f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
-            f"blockmax={row['speedup_blockmax']:6.2f}x  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
             f"identical={row['identical']}"
         )
@@ -386,9 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "bench": "recommend_latency",
         "description": (
-            "recommendation latency (recommend_for_seeds): blockmax vs "
-            "maxscore-pruned vs type-grouped accumulator vs exhaustive vs "
-            "LRU-cached"
+            "recommendation latency (recommend_for_seeds): maxscore-pruned "
+            "vs type-grouped accumulator vs exhaustive vs LRU-cached"
         ),
         "config": {
             "sizes": sizes,
@@ -417,16 +394,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if args.min_pruned_ratio is not None:
-        for arm in ("pruned", "blockmax"):
-            mean_ms = largest[f"{arm}_mean_ms"]
-            ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
-            if ratio < args.min_pruned_ratio:
-                print(
-                    f"FAIL: {arm}/accumulator ratio {ratio:.2f} below required "
-                    f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
-                    file=sys.stderr,
-                )
-                return 1
+        mean_ms = largest["pruned_mean_ms"]
+        ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
+        if ratio < args.min_pruned_ratio:
+            print(
+                f"FAIL: pruned/accumulator ratio {ratio:.2f} below required "
+                f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
+                file=sys.stderr,
+            )
+            return 1
     if args.min_batch_ratio is not None and largest["batch_ratio"] < args.min_batch_ratio:
         print(
             f"FAIL: batch ratio {largest['batch_ratio']:.2f} below required "

@@ -22,7 +22,7 @@ Usage::
     python -m repro.cli recommend dbr:Forrest_Gump "dbr:Apollo_13_(film)"
     python -m repro.cli matrix dbr:Forrest_Gump --top-entities 6
     python -m repro.cli explain dbr:Forrest_Gump "dbr:Apollo_13_(film)"
-    python -m repro.cli --pruning blockmax --show-pruning search "forrest gump"
+    python -m repro.cli --pruning off --show-pruning search "forrest gump"
     python -m repro.cli --dataset movies save /tmp/pivote-snap
     python -m repro.cli load /tmp/pivote-snap
     python -m repro.cli --snapshot-dir /tmp/pivote-snap search "forrest gump"
@@ -60,6 +60,14 @@ def load_graph(dataset: str, graph_file: str | None) -> KnowledgeGraph:
     return DATASETS[dataset]()
 
 
+def _positive_int(text: str) -> int:
+    """An ``argparse`` type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the CLI."""
     parser = argparse.ArgumentParser(
@@ -82,9 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PRUNING_MODES,
         help=(
             "top-k execution strategy for both engines: 'off' (plain "
-            "accumulators), 'maxscore' (threshold-pruned, the default) or "
-            "'blockmax' (block-max bounds + galloping refinement); "
-            "rankings are identical in every mode"
+            "accumulators) or 'maxscore' (threshold-pruned, the default); "
+            "rankings are identical in both modes"
         ),
     )
     parser.add_argument(
@@ -104,25 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--columnar",
-        default=None,
-        choices=("on", "off"),
-        help=(
-            "search engine: score through the columnar postings view and "
-            "vectorized kernels ('on', the default) or the scalar "
-            "per-posting loops ('off', the A/B arm); rankings are "
-            "identical either way"
-        ),
-    )
-    parser.add_argument(
         "--graph-topology",
         default=None,
         choices=("on", "off"),
         help=(
-            "traverse through the columnar graph topology — CSR adjacency "
-            "plus interval-encoded type reachability — ('on', the default) "
-            "or the scalar per-edge walks ('off', the A/B arm); results "
-            "are identical either way"
+            "recommendation engine: traverse through the columnar graph "
+            "topology — CSR adjacency plus interval-encoded type "
+            "reachability — ('on', the default) or the scalar per-edge "
+            "walks ('off', the A/B arm); results are identical either way"
         ),
     )
     parser.add_argument(
@@ -145,18 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker count for the search engine's thread/process "
             "executors (0, the default, sizes the pool from the CPU count)"
-        ),
-    )
-    parser.add_argument(
-        "--feature-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "feature columns per correction chunk of the recommendation "
-            "ranker's blockmax mode (default 2): type groups are "
-            "re-checked against θ and retired at every chunk boundary; "
-            "rankings are identical for every chunk size"
         ),
     )
     parser.add_argument(
@@ -191,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "keywords",
         help="the keyword query (with --batch: a query file, one query per line, or '-' for stdin)",
     )
-    search.add_argument("--top-k", type=int, default=10)
+    search.add_argument("--top-k", type=_positive_int, default=10)
     search.add_argument(
         "--batch",
         action="store_true",
@@ -281,19 +265,17 @@ def _print_recommendation(system: PivotE, recommendation, top_entities: int, top
 def build_config(
     pruning: str | None,
     shards: int | None = None,
-    columnar: str | None = None,
     executor: str | None = None,
     workers: int | None = None,
-    feature_chunk: int | None = None,
     snapshot_dir: str | None = None,
     storage: str | None = None,
     graph_topology: str | None = None,
 ) -> PivotEConfig:
     """The system configuration for the CLI's execution-layer overrides.
 
-    ``shards``, ``columnar``, ``executor``, ``workers``, ``snapshot_dir``
-    and ``storage`` configure the search engine only; ``pruning`` and
-    ``graph_topology`` both engines.
+    ``shards``, ``executor``, ``workers``, ``snapshot_dir`` and
+    ``storage`` configure the search engine only, ``graph_topology`` the
+    recommendation engine only, and ``pruning`` both engines.
     """
     config = PivotEConfig.default()
     search_changes: dict[str, object] = {}
@@ -309,16 +291,11 @@ def build_config(
         ranking_changes["pruning"] = pruning
     if shards is not None:
         search_changes["shards"] = shards
-    if columnar is not None:
-        search_changes["columnar"] = columnar == "on"
     if executor is not None:
         search_changes["executor"] = executor
     if workers is not None:
         search_changes["workers"] = workers
-    if feature_chunk is not None:
-        ranking_changes["feature_chunk"] = feature_chunk
     if graph_topology is not None:
-        search_changes["graph_topology"] = graph_topology == "on"
         ranking_changes["graph_topology"] = graph_topology == "on"
     if not search_changes and not ranking_changes:
         return config
@@ -337,7 +314,7 @@ def _print_pruning_info(system: PivotE) -> None:
     report.
     """
     stats = system.stats()
-    print(f"pruning mode: {stats.pruning} (columnar: {'on' if stats.columnar else 'off'})")
+    print(f"pruning mode: {stats.pruning}")
     print(f"pruning[search]:    {stats.child('search').pruning_view('mlm').as_counters()}")
     recommend = stats.child("recommendation").pruning_view("entity-ranker").as_counters()
     print(f"pruning[recommend]: {recommend}")
@@ -368,10 +345,8 @@ def run_command(args: argparse.Namespace) -> int:
     config = build_config(
         args.pruning,
         args.shards,
-        args.columnar,
         args.executor,
         args.workers,
-        args.feature_chunk,
         args.snapshot_dir,
         args.storage,
         args.graph_topology,

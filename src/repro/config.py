@@ -14,15 +14,10 @@ from dataclasses import dataclass, field, replace
 
 #: Recognised top-k execution strategies of both engines (the single
 #: source the configs validate against and the CLI offers): ``"off"``
-#: keeps the plain accumulator paths, ``"maxscore"`` the threshold-pruned
-#: traversals (the default), ``"blockmax"`` layers block-max range bounds
-#: and galloping refinement on top.  Rankings are byte-identical in every
-#: mode.
-PRUNING_MODES: tuple[str, ...] = ("off", "maxscore", "blockmax")
-
-#: The subset of :data:`PRUNING_MODES` that runs threshold-pruned
-#: traversals (the dispatch scorers and rankers branch on).
-PRUNED_MODES: tuple[str, ...] = ("maxscore", "blockmax")
+#: runs the plain accumulation kernels, ``"maxscore"`` the
+#: threshold-pruned ones (the default).  Rankings are byte-identical in
+#: every mode.
+PRUNING_MODES: tuple[str, ...] = ("off", "maxscore")
 
 #: Recognised shard-executor choices of the search engine (mirrored by
 #: ``repro.exec.EXECUTOR_CHOICES``; kept literal here so the config
@@ -85,10 +80,8 @@ class SearchConfig:
     #: cache; ``0`` disables result caching entirely.
     result_cache_size: int = 128
     #: Top-k execution strategy: ``"maxscore"`` enables threshold-pruned
-    #: traversal (see :mod:`repro.topk`), ``"blockmax"`` adds block-max
-    #: range bounds plus galloping AND-mode refinement (BM25 family) and
-    #: subset-pool θ priming (LM family) on top, ``"off"`` keeps the
-    #: plain accumulator path.  Rankings are byte-identical in all modes.
+    #: traversal (see :mod:`repro.topk`), ``"off"`` keeps the plain
+    #: accumulation kernels.  Rankings are byte-identical in both modes.
     pruning: str = "maxscore"
     #: Document shards of the partitioned execution layer (see
     #: :mod:`repro.exec`): ``1`` (the default) is the serial single-shard
@@ -96,28 +89,14 @@ class SearchConfig:
     #: pruned traversals out over shard workers with a cross-shard θ
     #: broadcast.  Rankings are byte-identical for every shard count.
     shards: int = 1
-    #: Columnar execution: score through the per-epoch structure-of-arrays
-    #: postings view (:mod:`repro.index.columnar`) and the vectorized
-    #: traversal kernels (:mod:`repro.topk.kernels`) instead of the
-    #: per-posting Python loops.  ``False`` keeps the scalar paths for
-    #: A/B comparison.  Rankings are byte-identical either way: both
-    #: paths feed the same exhaustive-order survivor re-scoring epilogue.
-    columnar: bool = True
     #: Shard-executor tier (one of :data:`EXECUTOR_CHOICES`):
-    #: ``"process"`` runs the columnar pruned shard fan-out in a warm
+    #: ``"process"`` runs the pruned shard fan-out in a warm
     #: multiprocess pool over shared-memory snapshots (see
     #: :mod:`repro.exec.procpool`); effective with ``shards > 1``.
     executor: str = "auto"
     #: Worker cap of the selected executor tier; ``0`` sizes the pool to
     #: the machine.
     workers: int = 0
-    #: Columnar graph-topology traversal (see :mod:`repro.kg.topology`):
-    #: routes graph reachability through the per-epoch CSR adjacency and
-    #: interval-encoded type tables.  The search engine itself does not
-    #: traverse the graph — the knob is plumbed symmetrically with
-    #: :attr:`RankingConfig.graph_topology` so one CLI flag configures
-    #: both engines.  Results are byte-identical either way.
-    graph_topology: bool = True
     #: Snapshot-storage mode (one of :data:`STORAGE_MODES`): ``"disk"``
     #: persists every published index epoch into :attr:`snapshot_dir`
     #: so cold starts attach instead of rebuilding, ``"off"`` suppresses
@@ -186,18 +165,10 @@ class RankingConfig:
     recommendation_cache_size: int = 64
     #: Top-k execution strategy of the entity accumulator: ``"maxscore"``
     #: skips whole dominant-type groups whose base score plus correction
-    #: bound cannot reach the live θ (see :mod:`repro.topk`);
-    #: ``"blockmax"`` additionally chunks each type's feature corrections
-    #: so groups are abandoned (or finished early) at every chunk
-    #: boundary mid-walk; ``"off"`` keeps the plain accumulator path.
-    #: Rankings are byte-identical in all modes.
+    #: bound cannot reach the live θ (see :mod:`repro.topk`); ``"off"``
+    #: keeps the plain accumulator path.  Rankings are byte-identical in
+    #: both modes.
     pruning: str = "maxscore"
-    #: Feature columns per correction chunk of the ``blockmax`` entity
-    #: accumulator (the recommendation-side block size): type groups are
-    #: re-checked against θ, and retired once they can gain nothing more,
-    #: at every chunk boundary.  Smaller chunks retire groups earlier but
-    #: check more often.
-    feature_chunk: int = 2
     #: Columnar graph-topology traversal (see :mod:`repro.kg.topology`):
     #: the expander's domain-type restriction runs as a ``searchsorted``
     #: intersect against the interval-encoded per-epoch member ranges
@@ -212,8 +183,6 @@ class RankingConfig:
             raise ValueError("top_entities and top_features must be positive")
         if self.pruning not in PRUNING_MODES:
             raise ValueError(f"unknown pruning mode: {self.pruning!r}")
-        if self.feature_chunk < 1:
-            raise ValueError("feature_chunk must be positive")
         if self.max_candidates <= 0 or self.max_features <= 0:
             raise ValueError("max_candidates and max_features must be positive")
         if not 0 < self.epsilon < 1:

@@ -56,7 +56,7 @@ which are ignored; every ok-response carries ``"status": "ok"``):
 ``stats``
     Request: no fields.  Response: ``stats`` — the system's
     :meth:`~repro.stats.EngineStats.as_dict` introspection tree
-    (caches, pruning counters, epochs, shard/columnar configuration,
+    (caches, pruning counters, epochs, shard configuration,
     feature-index rebuild counters).
 """
 

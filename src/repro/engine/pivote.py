@@ -159,11 +159,7 @@ class PivotE:
         config = config or PivotEConfig.default()
         started = time.perf_counter()
         with gc_paused():
-            loaded = load_system(
-                directory,
-                fields=config.search.fields,
-                search_shards=config.search.shards,
-            )
+            loaded = load_system(directory, fields=config.search.fields)
             graph = loaded.graph
             if loaded.index is not None:
                 search = SearchEngine.restore(graph, loaded.index, config=config.search)
@@ -256,7 +252,7 @@ class PivotE:
 
         One :class:`~repro.stats.EngineStats` whose children are the
         search and recommendation engines' records (caches, pruning
-        counters, epochs, shard/columnar configuration) and whose own
+        counters, epochs, shard configuration) and whose own
         ``rebuilds`` mapping carries the semantic feature index's
         full-vs-delta refresh counters.  ``as_dict()`` renders the tree
         as the JSON payload the ``"stats"`` API action returns.
@@ -265,7 +261,6 @@ class PivotE:
             component="pivote",
             epoch=self._graph.epoch,
             shards=self._config.search.shards,
-            columnar=self._config.search.columnar,
             pruning=self._config.search.pruning,
             rebuilds=self._feature_index.rebuild_info(),
             children=(self._search.stats(), self._recommender.stats()),

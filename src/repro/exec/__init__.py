@@ -1,21 +1,17 @@
 """Sharded, batch-parallel execution layer of the search engine.
 
-PRs 1–4 made a *single* query fast (accumulators → max-score → block-max);
-this package makes the system serve *many*: the classic shared-nothing
-partitioned execution pattern — partition the document id space
-into shards, fan the existing pruned traversal drivers out over a worker
-pool, broadcast the live θ between shards so late workers start with the
-tightest bound found anywhere, then merge the per-shard survivor heaps
-and re-score in exhaustive operation order.  Because the final re-scoring
-pass is exactly the serial one, sharded (and batched) rankings stay
-byte-identical to the 1-shard path for any shard count — the invariant
-every prior PR has held.
+The classic shared-nothing partitioned execution pattern: partition the
+document id space into shards, fan the pruned traversal kernels out over
+a worker pool, broadcast the live θ between shards so late workers start
+with the tightest bound found anywhere, then merge the per-shard
+survivors and re-score in exhaustive operation order.  Because the final
+re-scoring pass is exactly the serial one, sharded (and batched)
+rankings stay byte-identical to the 1-shard path for any shard count.
 
 Building blocks:
 
-* :func:`~repro.exec.sharding.shard_of` / ``partition_ids`` /
-  ``split_frequencies`` — deterministic (CRC-based) id→shard routing and
-  the partition helpers the scorers use;
+* :func:`~repro.exec.sharding.shard_of` — deterministic (CRC-based)
+  id→shard routing;
 * :class:`~repro.exec.executor.ShardExecutor` — a process-wide thread
   pool running one traversal per shard (shard 0 runs inline on the
   calling thread, so a 1-shard query never pays a dispatch);
@@ -34,12 +30,11 @@ from .executor import (
     EXECUTOR_CHOICES,
     ShardExecutor,
     default_executor,
-    merge_shard_maps,
     merge_shard_stats,
     resolve_executor,
     shutdown_executors,
 )
-from .sharding import partition_candidates, partition_ids, shard_of, split_frequencies
+from .sharding import shard_of
 from .shm import (
     AttachedSnapshot,
     PublishedSnapshot,
@@ -100,10 +95,7 @@ __all__ = [
     "dedupe_batch",
     "default_executor",
     "executor_stats",
-    "merge_shard_maps",
     "merge_shard_stats",
-    "partition_candidates",
-    "partition_ids",
     "publish_graph_topology",
     "publish_snapshot",
     "release_snapshots",
@@ -113,5 +105,4 @@ __all__ = [
     "shutdown_executors",
     "shutdown_process_executors",
     "snapshot_registry",
-    "split_frequencies",
 ]

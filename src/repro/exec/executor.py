@@ -26,7 +26,7 @@ import atexit
 import os
 import sys
 import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import TypeVar
 
@@ -184,9 +184,9 @@ def resolve_executor(mode: str = "auto", workers: int = 0):
     free-threaded multi-core build — never multiprocess, which stays
     opt-in); explicit modes get a dedicated, memoised executor.  The
     returned object always offers ``run(closures)`` — the multiprocess
-    executor degrades closure batches to inline execution and only
-    parallelises recipe-based :class:`~repro.exec.procpool.ProcessTask`
-    batches via ``run_tasks``.
+    executor runs closure batches inline and only parallelises
+    recipe-based :class:`~repro.exec.procpool.ProcessTask` batches via
+    ``run_tasks``.
     """
     if mode not in EXECUTOR_CHOICES:
         raise ValueError(f"unknown executor: {mode!r}")
@@ -222,18 +222,6 @@ def shutdown_executors() -> None:
 atexit.register(shutdown_executors)
 
 
-def merge_shard_maps(shard_maps: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Union of per-shard accumulator maps (disjoint by construction).
-
-    The id-space partition guarantees no key appears in two shards, so a
-    plain update per map is the whole merge.
-    """
-    merged: dict[str, float] = {}
-    for shard_map in shard_maps:
-        merged.update(shard_map)
-    return merged
-
-
 def merge_shard_stats(target: PruningStats, shard_stats: Sequence[PruningStats]) -> None:
     """Fold per-shard traversal counters into a scorer's cumulative stats.
 
@@ -241,8 +229,8 @@ def merge_shard_stats(target: PruningStats, shard_stats: Sequence[PruningStats])
     (the shared object would race), and every driver counts itself as one
     query — so a naive sum would report N queries (and N× nothing else)
     for one logical query.  The merge therefore counts the query once and
-    sums everything else: per-shard term passes, candidates, evictions
-    and blocks are genuinely distinct units of work, and the candidate
+    sums everything else: per-shard term passes, candidates and
+    evictions are genuinely distinct units of work, and the candidate
     partition guarantees ``candidates_total`` sums to exactly the serial
     count (no candidate is routed to two shards).  ``rescored`` stays a
     caller-side counter — the merge-and-rescore pass happens after the

@@ -127,7 +127,7 @@ class ProcessShardExecutor:
         return "process"
 
     def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-        """Closure batches run inline (the scalar A/B arms need no pool)."""
+        """Closure batches run inline (only recipe tasks reach the pool)."""
         self.tasks_inlined += len(tasks)
         return [task() for task in tasks]
 
@@ -345,8 +345,6 @@ def _bm25_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[S
     k1 = payload["k1"]
     b = payload["b"]
     avg_length = payload["avg_length"]
-    min_norm = payload["min_norm"]
-    blockmax = payload["blockmax"]
     k1_plus_1 = k1 + 1.0
     entries: list[SparseKernelTerm] = []
     for recipe in payload["terms"]:
@@ -361,37 +359,20 @@ def _bm25_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[S
             norms = _field_norms(snapshot, field, b, avg_length)
             tfs = columnar.frequencies
             tf_parts = (tfs * k1_plus_1) / (tfs + k1 * norms[columnar.ordinals])
-            contributions = weight * tf_parts
-            if not blockmax:
-                return SparseKernelTerm(
-                    key=term, upper=upper, ordinals=columnar.ordinals, contributions=contributions
-                )
-            max_tfs = columnar.block_max_frequencies
-            block_parts = (max_tfs * k1_plus_1) / (max_tfs + k1 * min_norm)
             return SparseKernelTerm(
-                key=term,
-                upper=upper,
-                ordinals=columnar.ordinals,
-                contributions=contributions,
-                block_last_ordinals=columnar.block_last_ordinals,
-                block_uppers=weight * block_parts,
+                key=term, upper=upper, ordinals=columnar.ordinals, contributions=weight * tf_parts
             )
 
-        entry = snapshot.memoised(
-            ("bm25-term", k1, b, avg_length, min_norm, field, term, blockmax, weight), build
-        )
+        entry = snapshot.memoised(("bm25-term", k1, b, avg_length, field, term, weight), build)
         if entry is not None:
             entries.append(entry)
     return entries
 
 
 def _bm25f_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[SparseKernelTerm]:
-    """Rebuild BM25F union-grid kernel terms from their recipes."""
-    from ..index.postings import BLOCK_SIZE
-
+    """Rebuild BM25F union-column kernel terms from their recipes."""
     k1 = payload["k1"]
     b = payload["b"]
-    blockmax = payload["blockmax"]
     fields = tuple(tuple(entry) for entry in payload["fields"])
     entries: list[SparseKernelTerm] = []
     for recipe in payload["terms"]:
@@ -401,13 +382,13 @@ def _bm25f_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[
 
         def build(term: str = term, weight_idf: float = weight_idf, upper: float = upper):
             field_postings = [
-                (field, weight, snapshot.postings(field, term), avg_length, min_norm)
-                for field, weight, avg_length, min_norm in fields
+                (field, weight, snapshot.postings(field, term), avg_length)
+                for field, weight, avg_length in fields
             ]
-            if all(columnar is None for _, _, columnar, _, _ in field_postings):
+            if all(columnar is None for _, _, columnar, _ in field_postings):
                 return None
             union_ordinals = None
-            for _, _, columnar, _, _ in field_postings:
+            for _, _, columnar, _ in field_postings:
                 if columnar is None:
                     continue
                 union_ordinals = (
@@ -416,46 +397,20 @@ def _bm25f_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[
                     else np.union1d(union_ordinals, columnar.ordinals)
                 )
             weighted_tf = np.zeros(union_ordinals.size, dtype=np.float64)
-            for field, weight, columnar, avg_length, _ in field_postings:
+            for field, weight, columnar, avg_length in field_postings:
                 if columnar is None:
                     continue
                 norms = _field_norms(snapshot, field, b, avg_length)
                 positions = np.searchsorted(union_ordinals, columnar.ordinals)
                 weighted_tf[positions] += weight * columnar.frequencies / norms[columnar.ordinals]
-            contributions = weight_idf * (weighted_tf / (weighted_tf + k1))
-            if not blockmax:
-                return SparseKernelTerm(
-                    key=term, upper=upper, ordinals=union_ordinals, contributions=contributions
-                )
-            lasts = union_ordinals[BLOCK_SIZE - 1 :: BLOCK_SIZE]
-            if union_ordinals.size % BLOCK_SIZE:
-                lasts = np.append(lasts, union_ordinals[-1])
-            wtf_bounds = np.zeros(lasts.size, dtype=np.float64)
-            for field, weight, columnar, _, min_norm in field_postings:
-                if columnar is None:
-                    continue
-                max_tfs = np.zeros(lasts.size, dtype=np.float64)
-                blocks = np.searchsorted(lasts, columnar.ordinals, side="left")
-                np.maximum.at(max_tfs, blocks, columnar.frequencies)
-                if min_norm > 0:
-                    wtf_bounds += weight * max_tfs / min_norm
-                else:
-                    wtf_bounds[max_tfs > 0] = np.inf
-            finite = np.isfinite(wtf_bounds)
-            saturated = np.ones_like(wtf_bounds)
-            np.divide(wtf_bounds, wtf_bounds + k1, out=saturated, where=finite)
             return SparseKernelTerm(
                 key=term,
                 upper=upper,
                 ordinals=union_ordinals,
-                contributions=contributions,
-                block_last_ordinals=lasts,
-                block_uppers=weight_idf * saturated,
+                contributions=weight_idf * (weighted_tf / (weighted_tf + k1)),
             )
 
-        entry = snapshot.memoised(
-            ("bm25f-term", k1, b, fields, term, blockmax, weight_idf), build
-        )
+        entry = snapshot.memoised(("bm25f-term", k1, b, fields, term, weight_idf), build)
         if entry is not None:
             entries.append(entry)
     return entries
@@ -476,8 +431,6 @@ def _slice_for_shard(
                 upper=entry.upper,
                 ordinals=entry.ordinals[mask],
                 contributions=entry.contributions[mask],
-                block_last_ordinals=entry.block_last_ordinals,
-                block_uppers=entry.block_uppers,
             )
         )
     return sliced
@@ -517,7 +470,6 @@ def _execute(payload: dict[str, Any], meta: dict[str, int]) -> Any:
                 int(payload["top_k"]),
                 stats,
                 snapshot.num_documents,
-                blockmax=bool(payload["blockmax"]),
                 shared=slot,
             )
         return np.array(ordinals), np.array(partials), stats.as_dict()

@@ -282,7 +282,6 @@ class RecommendationEngine:
             component="recommendation",
             epoch=epoch,
             shards=1,
-            columnar=True,
             pruning=self._config.pruning,
             caches=(
                 CacheStats.from_info(

@@ -4,21 +4,16 @@ from .columnar import ColumnarIndex, ColumnarPostings, columnar_view
 from .fielded_index import FieldedIndex
 from .inverted_index import InvertedIndex
 from .postings import (
-    BLOCK_SIZE,
-    BlockSummary,
     Posting,
     PostingList,
     intersect,
     merge_frequencies,
     union,
 )
-from .scoring_support import ScoringSupport, select_top_k, select_top_k_with_zero_fill
-from .sharded import ShardedFieldedIndex
+from .scoring_support import ScoringSupport
 from .statistics import CollectionStatistics, FieldStatistics
 
 __all__ = [
-    "BLOCK_SIZE",
-    "BlockSummary",
     "CollectionStatistics",
     "ColumnarIndex",
     "ColumnarPostings",
@@ -28,11 +23,8 @@ __all__ = [
     "Posting",
     "PostingList",
     "ScoringSupport",
-    "ShardedFieldedIndex",
     "columnar_view",
     "intersect",
     "merge_frequencies",
-    "select_top_k",
-    "select_top_k_with_zero_fill",
     "union",
 ]

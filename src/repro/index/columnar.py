@@ -1,11 +1,9 @@
 """Columnar (structure-of-arrays) views over one index epoch.
 
-The scalar hot path walks Python dicts: ``doc_id -> tf`` postings maps,
-``doc_id -> length`` arrays, per-posting comparisons in interpreter
-loops.  This module materialises the same data as contiguous numpy
-arrays once per index epoch, so the traversal kernels in
-:mod:`repro.topk.kernels` can replace the per-posting loops with
-vectorized operations:
+The index answers in Python dicts: ``doc_id -> tf`` postings maps and
+``doc_id -> length`` maps.  This module materialises the same data as
+contiguous numpy arrays once per index epoch, so the traversal kernels
+in :mod:`repro.topk.kernels` score with vectorized operations:
 
 * a doc-id ↔ ordinal table — ordinals are assigned in sorted-doc-id
   order, so **ordinal order is exactly the ``doc_id`` tie-break order**
@@ -13,16 +11,12 @@ vectorized operations:
   selections can break ties on the ordinal;
 * per-field document-length arrays indexed by ordinal;
 * :class:`ColumnarPostings` per (field, term): parallel arrays of doc
-  ordinals (ascending), term frequencies, and block maxima on the same
-  ``BLOCK_SIZE`` grid as the scalar
-  :meth:`~repro.index.postings.PostingList.block_summary`, so block
-  membership matches the scalar ``blockmax`` path posting for posting;
+  ordinals (ascending) and term frequencies;
 * dense per-term frequency arrays (length ``num_documents``) for the
   language-model family, whose smoothing gives *every* candidate a
   non-zero per-term contribution;
 * CRC shard-ownership maps mirroring :func:`repro.exec.sharding.shard_of`,
-  so per-shard columnar slices route identically to the scalar
-  partitioners.
+  so the parent's shard slices match the process tier's ownership cut.
 
 The view is immutable after construction and is memoised per index epoch
 on :class:`~repro.index.statistics.CollectionStatistics` (via
@@ -40,7 +34,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exec.sharding import shard_of
-from .postings import BLOCK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fielded_index import FieldedIndex
@@ -49,29 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ColumnarPostings:
     """One (field, term) posting list as parallel arrays.
 
-    ``ordinals``              ascending document ordinals (int64);
-    ``frequencies``           term frequencies aligned with ``ordinals``
-                              (float64 — term frequencies are small
-                              integers, exactly representable);
-    ``block_last_ordinals``   last ordinal of each ``BLOCK_SIZE`` chunk
-                              of ``ordinals`` (ascending);
-    ``block_max_frequencies`` per-chunk maximum term frequency.
-
-    The block grid chunks the *same* sorted posting order as the scalar
-    :class:`~repro.index.postings.BlockSummary`, so the k-th block here
-    covers exactly the k-th block of the scalar summary.
+    ``ordinals``     ascending document ordinals (int64);
+    ``frequencies``  term frequencies aligned with ``ordinals`` (float64 —
+                     term frequencies are small integers, exactly
+                     representable).
     """
 
-    __slots__ = ("ordinals", "frequencies", "block_last_ordinals", "block_max_frequencies")
+    __slots__ = ("ordinals", "frequencies")
 
-    def __init__(self, ordinals: np.ndarray, frequencies: np.ndarray, block_size: int) -> None:
+    def __init__(self, ordinals: np.ndarray, frequencies: np.ndarray) -> None:
         self.ordinals = ordinals
         self.frequencies = frequencies
-        count = ordinals.size
-        starts = np.arange(0, count, block_size)
-        last_positions = np.minimum(starts + block_size - 1, count - 1)
-        self.block_last_ordinals = ordinals[last_positions]
-        self.block_max_frequencies = np.maximum.reduceat(frequencies, starts)
 
     def __len__(self) -> int:
         return int(self.ordinals.size)
@@ -161,7 +142,7 @@ class ColumnarIndex:
             columnar = None
             if stored is not None:
                 ordinals, frequencies = stored
-                columnar = ColumnarPostings(ordinals, frequencies.astype(np.float64), BLOCK_SIZE)
+                columnar = ColumnarPostings(ordinals, frequencies.astype(np.float64))
             self._postings[key] = columnar
             return columnar
         posting_list = self._fields[field].get_postings(term)
@@ -179,7 +160,7 @@ class ColumnarIndex:
                 dtype=np.float64,
                 count=len(doc_ids),
             )
-            columnar = ColumnarPostings(ordinals, tfs, BLOCK_SIZE)
+            columnar = ColumnarPostings(ordinals, tfs)
         self._postings[key] = columnar
         return columnar
 
@@ -199,10 +180,9 @@ class ColumnarIndex:
     def shard_map(self, num_shards: int) -> np.ndarray:
         """Per-ordinal shard ownership under CRC routing (int64).
 
-        Matches :func:`repro.exec.sharding.shard_of` — and therefore the
-        sharded facades' incremental routing maps — entry for entry, so
-        columnar per-shard slices partition exactly like the scalar
-        ``partition_candidates`` / ``split_frequencies`` helpers.
+        Matches :func:`repro.exec.sharding.shard_of` entry for entry, and
+        therefore the stored-CRC ownership the process tier's workers
+        read (:meth:`repro.storage.codec.SegmentView.shard_owners`).
         """
         cached = self._shard_maps.get(num_shards)
         if cached is not None:
@@ -221,7 +201,7 @@ class ColumnarIndex:
         Scorers key their contribution columns by their own
         hyper-parameters, mirroring the
         :meth:`~repro.index.statistics.CollectionStatistics.memoised_bound`
-        convention of the scalar path.
+        convention.
         """
         cached = self._derived.get(key)
         if cached is None:
@@ -233,13 +213,14 @@ class ColumnarIndex:
 def columnar_view(index: "FieldedIndex") -> ColumnarIndex:
     """The columnar view of an index, memoised per epoch.
 
-    Stored on the epoch's :class:`CollectionStatistics` object (the
-    memo that already holds scorer bounds and block summaries), so the
-    view shares the statistics' lifetime: any mutation rebuilds the
-    statistics and thereby drops the view.
+    Stored on the epoch's :class:`CollectionStatistics` object (which
+    also memoises the scorer bounds), so the view shares the statistics'
+    lifetime: any mutation rebuilds the statistics and thereby drops the
+    view.
     """
-    view = index.statistics().memoised_blocks(
-        ("columnar-view",), lambda: ColumnarIndex(index)
-    )
+    statistics = index.statistics()
+    view = statistics.columnar_view
+    if view is None:
+        view = statistics.columnar_view = ColumnarIndex(index)
     assert isinstance(view, ColumnarIndex)
     return view

@@ -137,14 +137,6 @@ class FieldedIndex:
             index.columns.decoded for index in self._indexes.values() if index.columns is not None
         )
 
-    def _cow_shell(self) -> "FieldedIndex":
-        """An empty same-schema instance for :meth:`with_added_document`.
-
-        Subclasses override this to carry their extra state (the sharded
-        facade copies its id→shard map) so copy-on-write preserves type.
-        """
-        return FieldedIndex(self._fields)
-
     def with_added_document(
         self, doc_id: str, field_terms: Mapping[str, Iterable[str]]
     ) -> "FieldedIndex":
@@ -162,7 +154,7 @@ class FieldedIndex:
             if field not in self._indexes:
                 raise FieldNotFoundError(field)
         terms = {field: list(field_terms.get(field, ())) for field in self._fields}
-        clone = self._cow_shell()
+        clone = FieldedIndex(self._fields)
         clone._indexes = _FieldIndexes(
             (field, self._indexes[field].with_added_document(doc_id, terms[field]))
             for field in self._fields

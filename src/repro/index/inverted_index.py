@@ -41,20 +41,17 @@ def _caller() -> str:
 
 
 class DocumentColumns:
-    """The documents of a stored index: ids in ordinal order plus their CRCs.
+    """The documents of a stored index: ids in ordinal order.
 
     Ordinals are positions in ``doc_ids``, which are strictly ascending,
-    so ordinal order is doc-id order.  ``crcs`` holds each id's CRC-32,
-    the shard routing key a sharded index adopts its routing from.  Shared, read
-    only, by every field of an adopted index and by its copy-on-write
-    successors.
+    so ordinal order is doc-id order.  Shared, read only, by every field
+    of an adopted index and by its copy-on-write successors.
     """
 
-    __slots__ = ("doc_ids", "crcs", "_ordinal_of")
+    __slots__ = ("doc_ids", "_ordinal_of")
 
-    def __init__(self, doc_ids: list[str], crcs: np.ndarray) -> None:
+    def __init__(self, doc_ids: list[str]) -> None:
         self.doc_ids = doc_ids
-        self.crcs = crcs
         self._ordinal_of: dict[str, int] | None = None
 
     def ordinal_of(self) -> dict[str, int]:

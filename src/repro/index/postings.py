@@ -12,35 +12,6 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-#: Documents per block-max range summary (see :meth:`PostingList.block_summary`).
-#: 128 ids keeps block boundaries cache-friendly and matches the block
-#: sizes of the BMW dynamic-pruning literature.
-BLOCK_SIZE = 128
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    """Block-max range summaries of one posting list.
-
-    The doc-id-sorted postings are chunked into ranges of at most
-    ``block_size`` documents; ``lasts[i]`` is the largest document id of
-    block ``i`` and ``max_frequencies[i]`` the largest term frequency of
-    any document inside it.  A scorer turns ``max_frequencies`` into
-    per-block contribution upper bounds, which a block-max traversal uses
-    to skip whole ranges the single list-wide bound cannot (see
-    :mod:`repro.topk`).  Summaries are immutable snapshots — the fielded
-    index memoises them per mutation epoch on
-    :class:`~repro.index.statistics.CollectionStatistics`.
-    """
-
-    block_size: int
-    lasts: tuple[str, ...]
-    max_frequencies: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.lasts)
-
-
 @dataclass(frozen=True)
 class Posting:
     """One (document, term-frequency) pair."""
@@ -101,31 +72,6 @@ class PostingList:
     def doc_ids(self) -> list[str]:
         """Sorted document identifiers containing the term."""
         return list(self._doc_ids)
-
-    def block_summary(self, block_size: int = BLOCK_SIZE) -> BlockSummary:
-        """Block-max range summaries over the sorted postings.
-
-        Chunks the doc-id-sorted list into blocks of ``block_size`` and
-        records each block's last document id and maximum term frequency.
-        Computed in one pass over the postings; callers that need the
-        summary repeatedly should memoise it per index epoch (see
-        :meth:`repro.index.statistics.CollectionStatistics.memoised_blocks`).
-        """
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        doc_ids = self._doc_ids
-        frequencies = self._frequencies
-        lasts: list[str] = []
-        max_frequencies: list[int] = []
-        for start in range(0, len(doc_ids), block_size):
-            block = doc_ids[start : start + block_size]
-            lasts.append(block[-1])
-            max_frequencies.append(max(frequencies[doc_id] for doc_id in block))
-        return BlockSummary(
-            block_size=block_size,
-            lasts=tuple(lasts),
-            max_frequencies=tuple(max_frequencies),
-        )
 
     def frequencies(self) -> dict[str, int]:
         """The ``doc_id -> term frequency`` map backing this list.

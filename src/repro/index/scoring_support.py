@@ -1,8 +1,8 @@
-"""Scoring support for the accumulator-based retrieval hot path.
+"""Scoring support for the retrieval scorers.
 
-The scorers in :mod:`repro.search` walk each query term's postings once and
-accumulate partial scores per document ("term-at-a-time" traversal).  This
-module provides the shared substrate for that traversal:
+The scorers in :mod:`repro.search` resolve each query term's statistics
+once per query — for the kernels' bounds, the subset-pool θ priming and
+the exact re-scoring epilogue.  This module provides the shared substrate:
 
 * :class:`ScoringSupport` — per-(field, term) statistics resolved once per
   query term instead of once per scored document: the posting frequency map,
@@ -10,67 +10,18 @@ module provides the shared substrate for that traversal:
   collection probabilities and IDF weights (via
   :class:`~repro.index.statistics.CollectionStatistics`), and the
   cross-field document frequency BM25F needs.
-* :func:`select_top_k` / :func:`select_top_k_with_zero_fill` — bounded-heap
-  top-k selection over an accumulator map, with exactly the
-  ``(-score, doc_id)`` ordering of the exhaustive sort, so accumulator
-  results are byte-identical to score-all-then-sort results.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
-
-from .postings import BLOCK_SIZE, BlockSummary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fielded_index import FieldedIndex
     from .statistics import CollectionStatistics
 
 _EMPTY_FREQUENCIES: dict[str, int] = {}
-
-
-def _rank_key(item: tuple[str, float]) -> tuple[float, str]:
-    doc_id, score = item
-    return (-score, doc_id)
-
-
-def select_top_k(accumulators: Mapping[str, float], k: int) -> list[tuple[str, float]]:
-    """The ``k`` best ``(doc_id, score)`` pairs, ordered by ``(-score, doc_id)``.
-
-    Uses a bounded heap (``heapq.nsmallest``) instead of sorting the whole
-    accumulator map; for ``k >= len(accumulators)`` this degenerates to a
-    full sort and returns exactly what the exhaustive path would.
-    """
-    if k <= 0:
-        return []
-    items = accumulators.items()
-    if k >= len(accumulators):
-        return sorted(items, key=_rank_key)
-    return heapq.nsmallest(k, items, key=_rank_key)
-
-
-def select_top_k_with_zero_fill(
-    accumulators: Mapping[str, float],
-    candidates: Iterable[str],
-    k: int,
-) -> list[tuple[str, float]]:
-    """Top-k selection over accumulators plus zero-scored leftover candidates.
-
-    BM25-family scorers only accumulate documents with at least one matching
-    term in a scored field, but the exhaustive path ranks *every* candidate
-    (documents matching only in unscored fields get score ``0.0`` and sort
-    after all positive scores, by ``doc_id``).  This reproduces that tail
-    without scoring the zero documents.
-    """
-    top = select_top_k(accumulators, k)
-    missing = k - len(top)
-    if missing <= 0:
-        return top
-    zeros = sorted(doc_id for doc_id in candidates if doc_id not in accumulators)
-    top.extend((doc_id, 0.0) for doc_id in zeros[:missing])
-    return top
 
 
 class ScoringSupport:
@@ -105,27 +56,6 @@ class ScoringSupport:
         if postings is None:
             return _EMPTY_FREQUENCIES
         return postings.frequencies()
-
-    def postings_block_summary(
-        self, field: str, term: str, block_size: int = BLOCK_SIZE
-    ) -> BlockSummary | None:
-        """The term's block-max range summaries, memoised per index epoch.
-
-        ``None`` when the term does not occur in the field.  The summary
-        (block boundaries plus per-block maximum term frequencies) is
-        scorer-independent; scorers derive their per-block contribution
-        bounds from it and memoise those separately, keyed by their own
-        hyper-parameters (see :meth:`CollectionStatistics.memoised_blocks`).
-        """
-        postings = self._fields[field].get_postings(term)
-        if postings is None:
-            return None
-        summary = self._statistics.memoised_blocks(
-            ("blocks", field, term, block_size),
-            lambda: postings.block_summary(block_size),
-        )
-        assert isinstance(summary, BlockSummary)
-        return summary
 
     def collection_probability(self, field: str, term: str) -> float:
         """Memoised ``p(term | field collection)``."""

@@ -121,11 +121,9 @@ class CollectionStatistics:
     _bound_cache: dict[tuple[object, ...], float] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Memoised per-(scorer, field, term) block-max summaries / per-block
-    #: bound arrays (see :meth:`memoised_blocks`); derived, never serialised.
-    _blocks_cache: dict[tuple[object, ...], object] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: The epoch's columnar view (see
+    #: :func:`repro.index.columnar.columnar_view`); derived, never serialised.
+    columnar_view: object = field(default=None, repr=False, compare=False)
 
     def field(self, name: str) -> FieldStatistics:
         """Statistics for one field, creating an empty record if unknown."""
@@ -139,8 +137,8 @@ class CollectionStatistics:
         """The statistics after one *new* document (``field → term counts``).
 
         Equal to a fresh scan of the successor index, at the cost of
-        copying the count dictionaries; memoised bounds, block summaries
-        and the columnar view start empty, as on any new epoch.
+        copying the count dictionaries; memoised bounds and the columnar
+        view start empty, as on any new epoch.
         """
         return CollectionStatistics(
             num_documents=self.num_documents + 1,
@@ -172,25 +170,6 @@ class CollectionStatistics:
             return cached
         value = compute()
         self._bound_cache[key] = value
-        return value
-
-    def memoised_blocks(self, key: tuple[object, ...], compute: Callable[[], object]) -> object:
-        """A per-(scorer, field, term) block-max summary, cached for this epoch.
-
-        The object-valued sibling of :meth:`memoised_bound`, used for the
-        block boundary / per-block bound arrays of the ``blockmax``
-        traversal (see :class:`~repro.index.postings.BlockSummary` and
-        :class:`~repro.topk.bounds.BlockedSparseTermEntry`).  The same
-        staleness argument applies: the statistics object is rebuilt on
-        every index mutation, so block summaries memoised here live
-        exactly one index epoch.  ``key`` must carry the scorer kind,
-        hyper-parameters and block size alongside the (field, term) pair.
-        """
-        cached = self._blocks_cache.get(key)
-        if cached is not None:
-            return cached
-        value = compute()
-        self._blocks_cache[key] = value
         return value
 
     def vocabulary_size(self) -> int:

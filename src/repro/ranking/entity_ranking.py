@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PRUNED_MODES, RankingConfig
+from ..config import RankingConfig
 from ..exceptions import NoSeedEntitiesError
 from ..features import SemanticFeatureIndex
 from ..features.columnar import ColumnarFeatureTables, build_ranker_inputs
@@ -205,11 +205,8 @@ class EntityRanker:
             tables, feature_ordinals, relevance, candidates,
             config.epsilon, type_smoothing=config.type_smoothing,
         )
-        if config.pruning in PRUNED_MODES:
-            selected, _ = columnar_rank(
-                inputs, top_k, self._pruning_stats,
-                blockmax=config.pruning == "blockmax", feature_chunk=config.feature_chunk,
-            )
+        if config.pruning == "maxscore":
+            selected, _ = columnar_rank(inputs, top_k, self._pruning_stats)
             self._pruning_stats.rescored += int(selected.size)
         else:
             selected = select_survivor_ordinals(inputs.ordinals, accumulate_rank(inputs), top_k)

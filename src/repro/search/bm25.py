@@ -4,11 +4,13 @@ The paper's search engine uses a mixture of language models; BM25(F) is the
 standard lexical alternative and serves as the comparison point of the E7
 search-quality experiment.
 
-Like the language-model scorers, retrieval runs term-at-a-time over the
-postings with per-(field, term) statistics resolved once per term and a
-bounded-heap top-k; the score-all path remains as ``search_exhaustive``.
-Because BM25 gives documents without any matching term a score of exactly
-``0.0``, the accumulator only ever visits postings — candidates that match
+Like the language-model scorers, a search has exactly two forms: the
+sparse columnar kernels (:mod:`repro.topk.kernels`, plain or max-score
+pruned, serial or fanned out over document shards) select a superset of
+the top-k that the exact re-scoring epilogue ranks, and
+``search_exhaustive`` scores every candidate — the reference.  Because
+BM25 gives documents without any matching term a score of exactly
+``0.0``, the kernels only ever visit postings — candidates that match
 solely in unscored fields are appended as a zero-scored, doc-id-ordered
 tail to match the exhaustive ranking byte-for-byte.
 """
@@ -21,100 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import EXECUTOR_CHOICES, PRUNED_MODES, PRUNING_MODES
+from ..config import EXECUTOR_CHOICES, PRUNING_MODES
 from ..exec import (
     ProcessTask,
     ThetaSlab,
     default_executor,
-    merge_shard_maps,
     merge_shard_stats,
     resolve_executor,
     shard_stats_from,
     snapshot_registry,
-    split_frequencies,
 )
-from ..index import (
-    BLOCK_SIZE,
-    CollectionStatistics,
-    ColumnarIndex,
-    FieldedIndex,
-    columnar_view,
-    select_top_k_with_zero_fill,
-)
+from ..index import ColumnarIndex, FieldedIndex, columnar_view
 from ..topk import (
-    BlockedSparseTermEntry,
     PruningStats,
     SharedThreshold,
     SparseKernelTerm,
-    SparseTermEntry,
     accumulate_sparse,
     columnar_sparse,
-    maxscore_sparse,
     select_survivor_ordinals,
-    select_survivors,
 )
 from .mlm import ScoredDocument
 from .query import KeywordQuery
-
-
-def _shard_postings(
-    statistics: CollectionStatistics,
-    field: str,
-    term: str,
-    frequencies: Mapping[str, int],
-    num_shards: int,
-) -> tuple[dict[str, int], ...]:
-    """The term's postings split into per-shard sub-maps, memoised per epoch.
-
-    The split is scorer-independent (pure CRC routing over the doc ids),
-    so BM25 and BM25F scorers over the same index share one split per
-    (field, term, shard count) — the same amortisation contract as the
-    block summaries.
-    """
-    maps = statistics.memoised_blocks(
-        ("shard-split", field, term, num_shards),
-        lambda: tuple(split_frequencies(frequencies, num_shards)),
-    )
-    assert isinstance(maps, tuple)
-    return maps
-
-
-def _sharded_sparse_survivors(
-    entries_of,
-    num_shards: int,
-    top_k: int,
-    stats: PruningStats,
-    blockmax: bool,
-    executor=None,
-) -> list[str]:
-    """Fan the sparse driver out over postings shards; union the picks.
-
-    ``entries_of(shard)`` builds the shard's entry list (walking that
-    shard's postings sub-maps).  Workers run with private
-    :class:`PruningStats` (merged afterwards, the logical query counted
-    once) and the cross-shard θ broadcast.  Sparse survivors always hold
-    *exact* totals (every surviving accumulator saw every term, expanded
-    or refined), so the disjoint per-shard maps merge into exactly the
-    accumulator map the serial traversal would keep, and one global
-    margin-guarded selection — the serial epilogue — picks the ids the
-    caller re-scores.
-    """
-    shared = SharedThreshold(top_k)
-
-    def worker(shard: int) -> tuple[dict[str, float], PruningStats]:
-        local = PruningStats()
-        survivors = maxscore_sparse(
-            entries_of(shard), top_k, local, blockmax=blockmax, shared=shared.slot()
-        )
-        return survivors, local
-
-    results = (executor or default_executor()).run(
-        [lambda shard=shard: worker(shard) for shard in range(num_shards)]
-    )
-    merge_shard_stats(stats, [local for _, local in results])
-    return select_survivors(
-        merge_shard_maps(survivors for survivors, _ in results), top_k
-    )
 
 
 def _field_norms(view: ColumnarIndex, field: str, b: float, avg_length: float) -> np.ndarray:
@@ -143,11 +72,11 @@ def _shard_sliced_terms(
 ) -> list[list[SparseKernelTerm]]:
     """Each term's posting column sliced by the CRC ownership map.
 
-    Upper bounds and block grids stay derived from the full column — a
-    full-list bound is sound for any subset — and terms without postings
-    in a shard contribute no entry there, which only tightens the
-    shard's remaining-upper sums.  The worker processes apply the same
-    cut against their snapshot columns (see
+    Upper bounds stay derived from the full column — a full-list bound
+    is sound for any subset — and terms without postings in a shard
+    contribute no entry there, which only tightens the shard's
+    remaining-upper sums.  The worker processes apply the same cut
+    against their snapshot columns (see
     :func:`repro.exec.procpool._slice_for_shard`).
     """
     shard_terms: list[list[SparseKernelTerm]] = [[] for _ in range(num_shards)]
@@ -163,8 +92,6 @@ def _shard_sliced_terms(
                     upper=entry.upper,
                     ordinals=entry.ordinals[mask],
                     contributions=entry.contributions[mask],
-                    block_last_ordinals=entry.block_last_ordinals,
-                    block_uppers=entry.block_uppers,
                 )
             )
     return shard_terms
@@ -176,7 +103,6 @@ def _process_columnar_sparse_survivors(
     num_shards: int,
     top_k: int,
     stats: PruningStats,
-    blockmax: bool,
     executor,
     plan: dict,
 ) -> np.ndarray | None:
@@ -189,8 +115,6 @@ def _process_columnar_sparse_survivors(
     Returns ``None`` when the snapshot cannot be published, so the
     caller falls through to the thread/inline fan-out.
     """
-    if num_shards < 2:
-        return None
     snapshot = snapshot_registry().publish(plan["index"], view)
     if snapshot is None:
         return None
@@ -206,7 +130,6 @@ def _process_columnar_sparse_survivors(
                 "theta": slab.descriptor,
                 "slot": shard,
                 "top_k": top_k,
-                "blockmax": blockmax,
                 "num_shards": num_shards,
                 "shard": shard,
                 **plan["recipe"],
@@ -219,7 +142,6 @@ def _process_columnar_sparse_survivors(
                     top_k,
                     local,
                     view.num_documents,
-                    blockmax=blockmax,
                     shared=slab.slot(shard),
                 )
                 return ordinals, partials, local
@@ -240,18 +162,16 @@ def _sharded_columnar_sparse_survivors(
     num_shards: int,
     top_k: int,
     stats: PruningStats,
-    blockmax: bool,
     executor=None,
     process_plan: dict | None = None,
 ) -> np.ndarray:
     """Fan the sparse kernel out over ordinal shards; union the picks.
 
-    Each term's posting column is sliced by the view's CRC ownership map
-    (the exact split the scalar ``_shard_postings`` memo produces), while
-    upper bounds and block grids stay derived from the full column — a
-    full-list bound is sound for any subset.  Workers run with private
-    :class:`PruningStats` (merged afterwards, the logical query counted
-    once) and the cross-shard θ broadcast; the disjoint survivor columns
+    Each term's posting column is sliced by the view's CRC ownership
+    map, while upper bounds stay derived from the full column.  Workers
+    run with private :class:`PruningStats` (merged afterwards, the
+    logical query counted once) and the cross-shard θ broadcast.  Sparse
+    survivors hold *exact* totals, so the disjoint survivor columns
     concatenate into exactly the survivor set a serial traversal would
     keep, and one global margin-guarded selection picks the ordinals the
     caller re-scores.  With a process executor and a recipe plan the
@@ -262,7 +182,7 @@ def _sharded_columnar_sparse_survivors(
     executor = executor or default_executor()
     if process_plan is not None and getattr(executor, "is_process", False):
         picked = _process_columnar_sparse_survivors(
-            view, terms, num_shards, top_k, stats, blockmax, executor, process_plan
+            view, terms, num_shards, top_k, stats, executor, process_plan
         )
         if picked is not None:
             return picked
@@ -277,7 +197,6 @@ def _sharded_columnar_sparse_survivors(
             top_k,
             local,
             view.num_documents,
-            blockmax=blockmax,
             shared=shared.slot(),
         )
         return ordinals, partials, local
@@ -313,12 +232,11 @@ def idf(num_documents: int, document_frequency: int) -> float:
 
 
 def _extend_with_zero_tail(top, top_k, index, query, score_document):
-    """Fill a short pruned top list with the zero-scored candidate tail.
+    """Fill a short top list with the zero-scored candidate tail.
 
-    Reproduces :func:`repro.index.select_top_k_with_zero_fill`'s semantics
-    for the pruned paths: when fewer matching documents than ``top_k``
-    exist, the exhaustive ranking continues with the remaining candidates
-    at score ``0.0`` ordered by document id.
+    When fewer matching documents than ``top_k`` exist, the exhaustive
+    ranking continues with the remaining candidates at score ``0.0``
+    ordered by document id.
     """
     missing = top_k - len(top)
     if missing <= 0:
@@ -330,19 +248,23 @@ def _extend_with_zero_tail(top, top_k, index, query, score_document):
     return top
 
 
-class BM25FieldScorer:
-    """Plain BM25 over a single field of a fielded index."""
+class _BM25Scorer:
+    """The search path shared by the BM25 and BM25F scorers.
+
+    Subclasses say which query terms score and how (:meth:`_scored_terms`,
+    :meth:`_kernel_terms`, :meth:`_process_plan`) and how a survivor is
+    scored exactly (:meth:`_rescore_and_rank`, :meth:`score_document`);
+    the kernels, the shard fan-out and the zero-scored tail are common.
+    """
 
     def __init__(
         self,
         index: FieldedIndex,
-        field: str,
-        params: BM25Params | None = None,
-        pruning: str = "maxscore",
-        shards: int = 1,
-        columnar: bool = True,
-        executor: str = "auto",
-        workers: int = 0,
+        params: BM25Params | None,
+        pruning: str,
+        shards: int,
+        executor: str,
+        workers: int,
     ) -> None:
         if pruning not in PRUNING_MODES:
             raise ValueError(f"unknown pruning mode: {pruning!r}")
@@ -353,68 +275,109 @@ class BM25FieldScorer:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         self._index = index
-        self._field = field
         self._params = params or BM25Params()
         self._pruning = pruning
         self._shards = shards
-        self._columnar = columnar
         self._executor_mode = executor
         self._workers = workers
         self._pruning_stats = PruningStats()
-        field_index = index.field_index(field)
-        self._avg_length = field_index.average_document_length
-        self._num_documents = field_index.num_documents
 
     def pruning_info(self) -> dict[str, int]:
         """Cumulative pruning counters (``cache_info()`` convention)."""
         return self._pruning_stats.as_dict()
 
-    def _executor(self):
-        """The shard executor resolved from the construction knobs."""
-        return resolve_executor(self._executor_mode, self._workers)
+    def _scored_terms(self, query: KeywordQuery) -> list[tuple[str, float, float]]:
+        """``(term, idf weight, contribution upper bound)`` per scored term."""
+        raise NotImplementedError
 
-    def _process_plan(self, query: KeywordQuery) -> dict:
-        """This query's picklable recipe bundle for the process tier.
+    def _kernel_terms(
+        self, scored: list[tuple[str, float, float]], view: ColumnarIndex
+    ) -> list[SparseKernelTerm]:
+        """One kernel term (posting column + exact contributions) per scored term."""
+        raise NotImplementedError
 
-        Only scalars travel: per-term idf weights and memoised upper
-        bounds plus the scorer's normaliser snapshot, from which a
-        worker rebuilds the exact contribution columns against its
-        snapshot views (see :func:`repro.exec.procpool._bm25_entries`).
+    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
+        """This query's picklable recipe bundle for the process tier."""
+        raise NotImplementedError
+
+    def _rescore_and_rank(
+        self, query: KeywordQuery, top_k: int, to_rescore: list[str]
+    ) -> list[ScoredDocument]:
+        raise NotImplementedError
+
+    def score_document(self, query: KeywordQuery, doc_id: str) -> ScoredDocument:
+        raise NotImplementedError
+
+    def search(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
+        """Kernel selection + exact re-scoring of the survivors.
+
+        ``pruning="off"`` scatter-adds every term's posting column.  With
+        ``pruning="maxscore"`` the traversal runs threshold-pruned: terms
+        are processed in decreasing upper-bound order, and once the
+        remaining terms cannot lift a new document past the live θ the
+        walk switches to accumulator-only refinement (the OR→AND switch),
+        skipping the postings walks of frequent low-impact terms — with
+        ``shards > 1`` over CRC-sliced posting columns under a shared θ.
+        Either way the kernel values only guide selection; the exact
+        epilogue ranks.
         """
-        support = self._index.scoring_support()
-        statistics = support.statistics
-        params = self._params
-        k1_plus_1 = params.k1 + 1
-        min_norm = self._min_length_norm()
-        terms = []
-        for term in query.all_terms():
-            frequencies = support.postings_frequencies(self._field, term)
-            if not frequencies:
-                continue
-            weight = idf(self._num_documents, len(frequencies))
-            if weight == 0.0:
-                continue  # zero everywhere: stays in the zero-scored tail
+        if top_k <= 0:
+            return []
+        view = columnar_view(self._index)
+        scored = self._scored_terms(query)
+        terms = self._kernel_terms(scored, view)
+        if self._pruning != "maxscore":
+            ordinals, partials = accumulate_sparse(terms, view.num_documents)
+            picked = select_survivor_ordinals(ordinals, partials, top_k)
+        else:
+            if self._shards > 1:
+                executor = resolve_executor(self._executor_mode, self._workers)
+                plan = None
+                if getattr(executor, "is_process", False):
+                    plan = self._process_plan(scored)
+                picked = _sharded_columnar_sparse_survivors(
+                    view,
+                    terms,
+                    self._shards,
+                    top_k,
+                    self._pruning_stats,
+                    executor=executor,
+                    process_plan=plan,
+                )
+            else:
+                ordinals, partials = columnar_sparse(
+                    terms, top_k, self._pruning_stats, view.num_documents
+                )
+                picked = select_survivor_ordinals(ordinals, partials, top_k)
+            self._pruning_stats.rescored += len(picked)
+        return self._rescore_and_rank(query, top_k, view.ids_of(picked))
 
-            def tf_part(term: str = term) -> float:
-                max_tf = statistics.field(self._field).max_frequency(term)
-                return (max_tf * k1_plus_1) / (max_tf + params.k1 * min_norm)
+    def search_exhaustive(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
+        """Score every candidate and fully sort — the reference form."""
+        candidates = self._index.candidate_documents(query.all_terms())
+        scored = [self.score_document(query, doc_id) for doc_id in candidates]
+        scored.sort(key=lambda result: (-result.score, result.doc_id))
+        return scored[:top_k]
 
-            upper = weight * statistics.memoised_bound(
-                ("bm25", params.k1, params.b, self._avg_length, self._field, term), tf_part
-            )
-            terms.append({"term": term, "weight": weight, "upper": upper})
-        return {
-            "index": self._index,
-            "kind": "bm25",
-            "recipe": {
-                "field": self._field,
-                "k1": params.k1,
-                "b": params.b,
-                "avg_length": self._avg_length,
-                "min_norm": min_norm,
-                "terms": terms,
-            },
-        }
+
+class BM25FieldScorer(_BM25Scorer):
+    """Plain BM25 over a single field of a fielded index."""
+
+    def __init__(
+        self,
+        index: FieldedIndex,
+        field: str,
+        params: BM25Params | None = None,
+        pruning: str = "maxscore",
+        shards: int = 1,
+        executor: str = "auto",
+        workers: int = 0,
+    ) -> None:
+        super().__init__(index, params, pruning, shards, executor, workers)
+        self._field = field
+        field_index = index.field_index(field)
+        self._avg_length = field_index.average_document_length
+        self._num_documents = field_index.num_documents
 
     def _min_length_norm(self) -> float:
         """Smallest possible BM25 length normaliser over the collection."""
@@ -444,61 +407,13 @@ class BM25FieldScorer:
             score += contribution
         return ScoredDocument(doc_id=doc_id, score=score, term_scores=term_scores)
 
-    def search(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
-        """Term-at-a-time BM25 ranking over the field's postings.
-
-        With ``pruning="maxscore"`` the traversal runs threshold-pruned:
-        terms are processed in decreasing upper-bound order, and once the
-        remaining terms cannot lift a new document past the live θ the
-        walk switches to accumulator-only refinement (the OR→AND switch),
-        skipping the postings walks of frequent low-impact terms.
-        ``pruning="blockmax"`` additionally attaches per-range (block-max)
-        contribution bounds, so the AND phase runs as a doc-id-sorted
-        galloping intersection that evicts survivors and skips whole
-        posting blocks the list-wide bound cannot.
-        """
-        if self._pruning in PRUNED_MODES:
-            return self._search_maxscore(query, top_k)
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
-            return []
-        if self._columnar:
-            # Unpruned columnar arm: one scatter-add over every term's
-            # posting column, margin-guarded selection, then the exact
-            # scalar re-scoring pass (the kernel values only guide
-            # selection, so the ranking stays byte-identical).  The
-            # accumulation is already one vectorized sweep, so the
-            # unpruned shard fan-out is not replicated here.
-            view = columnar_view(self._index)
-            ordinals, partials = accumulate_sparse(
-                self._columnar_sparse_terms(query, view), view.num_documents
-            )
-            picked = select_survivor_ordinals(ordinals, partials, top_k)
-            return self._rescore_and_rank(query, top_k, view.ids_of(picked))
-        if self._shards > 1:
-            # Unpruned fan-out: each shard accumulates over its own
-            # postings sub-maps with the identical arithmetic, so the
-            # merged (disjoint) maps hold exactly the serial values.
-            accumulators = merge_shard_maps(
-                self._executor().run(
-                    [
-                        lambda shard=shard: self._accumulate_plain(query, shard=shard)
-                        for shard in range(self._shards)
-                    ]
-                )
-            )
-        else:
-            accumulators = self._accumulate_plain(query)
-        top = select_top_k_with_zero_fill(accumulators, candidates, top_k)
-        return [self.score_document(query, doc_id) for doc_id, _ in top]
-
-    def _accumulate_plain(self, query: KeywordQuery, shard: int | None = None) -> dict[str, float]:
-        """Plain term-at-a-time accumulation, optionally over one shard."""
+    def _scored_terms(self, query: KeywordQuery) -> list[tuple[str, float, float]]:
         support = self._index.scoring_support()
+        statistics = support.statistics
         params = self._params
         k1_plus_1 = params.k1 + 1
-        lengths = support.field_lengths(self._field)
-        accumulators: dict[str, float] = {}
+        min_norm = self._min_length_norm()
+        scored: list[tuple[str, float, float]] = []
         for term in query.all_terms():
             frequencies = support.postings_frequencies(self._field, term)
             if not frequencies:
@@ -506,193 +421,40 @@ class BM25FieldScorer:
             # IDF from the construction-time document count, like
             # score_document: this scorer snapshots N and avg_length when
             # built, and both paths must agree even after index mutations.
-            # In shard mode the idf still weights by the *full* document
-            # frequency — the shard split only restricts the traversal.
             weight = idf(self._num_documents, len(frequencies))
             if weight == 0.0:
                 # Zero contribution for every posting (possible when the
                 # index grew past the snapshot N): leave these documents to
                 # the zero-scored tail so ties keep the global doc_id order.
                 continue
-            if shard is not None:
-                frequencies = _shard_postings(
-                    support.statistics, self._field, term, frequencies, self._shards
-                )[shard]
-            for doc_id, tf in frequencies.items():
-                doc_len = lengths.get(doc_id, 0)
-                length_norm = 1.0 - params.b + params.b * (
-                    doc_len / self._avg_length if self._avg_length > 0 else 1.0
-                )
-                contribution = weight * (tf * k1_plus_1) / (tf + params.k1 * length_norm)
-                accumulators[doc_id] = accumulators.get(doc_id, 0.0) + contribution
-        return accumulators
-
-    def _sparse_entries(
-        self, query: KeywordQuery, shard: int | None = None
-    ) -> list[SparseTermEntry]:
-        """One pruning entry per matching query term, bounds memoised.
-
-        With ``shard`` set, the expand/refine walks run over the term's
-        per-shard postings sub-map (memoised next to the bounds) while
-        idf weights, contribution bounds and block summaries stay derived
-        from the full list — a full-list bound is sound for any subset,
-        and the shared grids keep the memo footprint shard-independent.
-        Terms without postings in the shard contribute no entry, which
-        only tightens the shard's remaining-upper sums.
-        """
-        support = self._index.scoring_support()
-        statistics = support.statistics
-        params = self._params
-        k1_plus_1 = params.k1 + 1
-        lengths = support.field_lengths(self._field)
-        avg_length = self._avg_length
-        min_norm = self._min_length_norm()
-        entries: list[SparseTermEntry] = []
-        for term in query.all_terms():
-            frequencies = support.postings_frequencies(self._field, term)
-            if not frequencies:
-                continue
-            weight = idf(self._num_documents, len(frequencies))
-            if weight == 0.0:
-                continue  # zero everywhere: stays in the zero-scored tail
-            full_frequencies = frequencies
-            if shard is not None:
-                frequencies = _shard_postings(
-                    statistics, self._field, term, full_frequencies, self._shards
-                )[shard]
-                if not frequencies:
-                    continue
 
             def tf_part(term: str = term) -> float:
                 max_tf = statistics.field(self._field).max_frequency(term)
                 return (max_tf * k1_plus_1) / (max_tf + params.k1 * min_norm)
 
             upper = weight * statistics.memoised_bound(
-                ("bm25", params.k1, params.b, avg_length, self._field, term), tf_part
+                ("bm25", params.k1, params.b, self._avg_length, self._field, term), tf_part
             )
+            scored.append((term, weight, upper))
+        return scored
 
-            def expand(
-                accumulators: dict[str, float],
-                weight: float = weight,
-                frequencies: Mapping[str, int] = frequencies,
-            ) -> None:
-                for doc_id, tf in frequencies.items():
-                    doc_len = lengths.get(doc_id, 0)
-                    length_norm = 1.0 - params.b + params.b * (
-                        doc_len / avg_length if avg_length > 0 else 1.0
-                    )
-                    contribution = weight * (tf * k1_plus_1) / (tf + params.k1 * length_norm)
-                    accumulators[doc_id] = accumulators.get(doc_id, 0.0) + contribution
-
-            def refine(
-                accumulators: dict[str, float],
-                weight: float = weight,
-                frequencies: Mapping[str, int] = frequencies,
-            ) -> None:
-                for doc_id in accumulators:
-                    tf = frequencies.get(doc_id, 0)
-                    if tf == 0:
-                        continue
-                    doc_len = lengths.get(doc_id, 0)
-                    length_norm = 1.0 - params.b + params.b * (
-                        doc_len / avg_length if avg_length > 0 else 1.0
-                    )
-                    contribution = weight * (tf * k1_plus_1) / (tf + params.k1 * length_norm)
-                    accumulators[doc_id] += contribution
-
-            if self._pruning != "blockmax":
-                entries.append(
-                    SparseTermEntry(key=term, upper=upper, expand=expand, refine=refine)
-                )
-                continue
-
-            def block_tf_parts(term: str = term) -> tuple:
-                summary = support.postings_block_summary(self._field, term)
-                assert summary is not None  # frequencies is non-empty
-                parts = tuple(
-                    (max_tf * k1_plus_1) / (max_tf + params.k1 * min_norm)
-                    for max_tf in summary.max_frequencies
-                )
-                return (summary.lasts, parts)
-
-            # Same snapshot caveat as the global bound: the per-block
-            # parts normalise with this scorer's construction-time
-            # averages, so the memo key carries them — and, like the
-            # global bound, the idf weight (which depends on the
-            # construction-time N) multiplies *outside* the memo, so
-            # scorers built at different index epochs never share a
-            # weight-scaled value.
-            lasts, tf_parts = statistics.memoised_blocks(
-                ("bm25-blocks", params.k1, params.b, avg_length, self._field, term, BLOCK_SIZE),
-                block_tf_parts,
-            )
-            block_uppers = tuple(weight * part for part in tf_parts)
-
-            def contribution(
-                doc_id: str,
-                weight: float = weight,
-                frequencies: Mapping[str, int] = frequencies,
-            ) -> float:
-                tf = frequencies.get(doc_id, 0)
-                if tf == 0:
-                    return 0.0
-                doc_len = lengths.get(doc_id, 0)
-                length_norm = 1.0 - params.b + params.b * (
-                    doc_len / avg_length if avg_length > 0 else 1.0
-                )
-                return weight * (tf * k1_plus_1) / (tf + params.k1 * length_norm)
-
-            entries.append(
-                BlockedSparseTermEntry(
-                    key=term,
-                    upper=upper,
-                    expand=expand,
-                    refine=refine,
-                    block_lasts=lasts,
-                    block_uppers=block_uppers,
-                    contribution=contribution,
-                )
-            )
-        return entries
-
-    def _columnar_sparse_terms(
-        self, query: KeywordQuery, view: ColumnarIndex
+    def _kernel_terms(
+        self, scored: list[tuple[str, float, float]], view: ColumnarIndex
     ) -> list[SparseKernelTerm]:
-        """One kernel term per matching query term, columns memoised.
+        """The per-posting arithmetic of :meth:`_rescore_and_rank` as columns.
 
-        The contribution column holds the same per-posting arithmetic as
-        the scalar expand/refine closures (values only guide selection:
-        the survivor re-scoring pass recomputes them with the scalar
-        operation order); the upper bound reuses the scalar memoised
-        bound verbatim, and the block arrays bound the identical
-        ``BLOCK_SIZE`` grid as the scalar block summaries.
+        The values only guide selection: the survivor re-scoring pass
+        recomputes them with the scalar operation order.
         """
-        support = self._index.scoring_support()
-        statistics = support.statistics
         params = self._params
         k1_plus_1 = params.k1 + 1
         avg_length = self._avg_length
-        min_norm = self._min_length_norm()
         field = self._field
         norms = _field_norms(view, field, params.b, avg_length)
         entries: list[SparseKernelTerm] = []
-        for term in query.all_terms():
-            frequencies = support.postings_frequencies(field, term)
-            if not frequencies:
-                continue
-            weight = idf(self._num_documents, len(frequencies))
-            if weight == 0.0:
-                continue  # zero everywhere: stays in the zero-scored tail
+        for term, weight, upper in scored:
             columnar = view.postings(field, term)
-            assert columnar is not None  # frequencies is non-empty
-
-            def tf_part(term: str = term) -> float:
-                max_tf = statistics.field(field).max_frequency(term)
-                return (max_tf * k1_plus_1) / (max_tf + params.k1 * min_norm)
-
-            upper = weight * statistics.memoised_bound(
-                ("bm25", params.k1, params.b, avg_length, field, term), tf_part
-            )
+            assert columnar is not None  # scored terms have postings
 
             def tf_column(columnar=columnar) -> np.ndarray:
                 tfs = columnar.frequencies
@@ -701,96 +463,36 @@ class BM25FieldScorer:
             tf_parts = view.memoised(
                 ("bm25-kernel", params.k1, params.b, avg_length, field, term), tf_column
             )
-            contributions = weight * tf_parts
-            if self._pruning != "blockmax":
-                entries.append(
-                    SparseKernelTerm(
-                        key=term,
-                        upper=upper,
-                        ordinals=columnar.ordinals,
-                        contributions=contributions,
-                    )
-                )
-                continue
-
-            def block_column(columnar=columnar) -> np.ndarray:
-                max_tfs = columnar.block_max_frequencies
-                return (max_tfs * k1_plus_1) / (max_tfs + params.k1 * min_norm)
-
-            block_parts = view.memoised(
-                ("bm25-kernel-blocks", params.k1, params.b, avg_length, field, term),
-                block_column,
-            )
             entries.append(
                 SparseKernelTerm(
                     key=term,
                     upper=upper,
                     ordinals=columnar.ordinals,
-                    contributions=contributions,
-                    block_last_ordinals=columnar.block_last_ordinals,
-                    block_uppers=weight * block_parts,
+                    contributions=weight * tf_parts,
                 )
             )
         return entries
 
-    def _pruned_survivors(self, query: KeywordQuery, top_k: int) -> list[str]:
-        """Run the sparse driver (per shard when sharded); ids to re-score.
-
-        The sharded arm builds one entry list per shard (each walking its
-        own postings sub-maps), fans the drivers out with the cross-shard
-        θ broadcast, selects survivors per shard and unions the picks —
-        the union necessarily contains every globally-positive top-k
-        document, and the caller's exact re-scoring pass restores the
-        serial ranking bit for bit.  The columnar arm feeds the same
-        traversal decisions through the vectorized kernel, sharding by
-        slicing the posting columns with the view's ownership map.
-        """
-        blockmax = self._pruning == "blockmax"
-        if self._columnar:
-            view = columnar_view(self._index)
-            terms = self._columnar_sparse_terms(query, view)
-            if self._shards > 1:
-                executor = self._executor()
-                plan = None
-                if getattr(executor, "is_process", False):
-                    plan = self._process_plan(query)
-                picked = _sharded_columnar_sparse_survivors(
-                    view,
-                    terms,
-                    self._shards,
-                    top_k,
-                    self._pruning_stats,
-                    blockmax,
-                    executor=executor,
-                    process_plan=plan,
-                )
-            else:
-                ordinals, partials = columnar_sparse(
-                    terms, top_k, self._pruning_stats, view.num_documents, blockmax=blockmax
-                )
-                picked = select_survivor_ordinals(ordinals, partials, top_k)
-            return view.ids_of(picked)
-        if self._shards > 1:
-            return _sharded_sparse_survivors(
-                lambda shard: self._sparse_entries(query, shard=shard),
-                self._shards,
-                top_k,
-                self._pruning_stats,
-                blockmax,
-                executor=self._executor(),
-            )
-        survivors = maxscore_sparse(
-            self._sparse_entries(query), top_k, self._pruning_stats, blockmax=blockmax
-        )
-        return select_survivors(survivors, top_k)
-
-    def _search_maxscore(self, query: KeywordQuery, top_k: int) -> list[ScoredDocument]:
-        """Threshold-pruned traversal + exact re-scoring of the survivors."""
-        if top_k <= 0:
-            return []
-        to_rescore = self._pruned_survivors(query, top_k)
-        self._pruning_stats.rescored += len(to_rescore)
-        return self._rescore_and_rank(query, top_k, to_rescore)
+    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
+        """Only scalars travel: per-term idf weights and upper bounds plus
+        the scorer's normaliser snapshot, from which a worker rebuilds the
+        exact contribution columns against its snapshot views (see
+        :func:`repro.exec.procpool._bm25_entries`)."""
+        params = self._params
+        return {
+            "index": self._index,
+            "kind": "bm25",
+            "recipe": {
+                "field": self._field,
+                "k1": params.k1,
+                "b": params.b,
+                "avg_length": self._avg_length,
+                "terms": [
+                    {"term": term, "weight": weight, "upper": upper}
+                    for term, weight, upper in scored
+                ],
+            },
+        }
 
     def _rescore_and_rank(
         self, query: KeywordQuery, top_k: int, to_rescore: list[str]
@@ -799,9 +501,9 @@ class BM25FieldScorer:
 
         Survivors are re-scored with the same floating-point operations in
         the same (query) order as :meth:`score_document`, so the ranking is
-        byte-identical to the exhaustive path — regardless of which driver
-        (scalar or columnar, pruned or plain) picked the survivors; only
-        the final k documents pay the full per-term breakdown construction.
+        byte-identical to the exhaustive path — whichever kernel picked
+        the survivors; only the final k documents pay the full per-term
+        breakdown construction.
         """
         support = self._index.scoring_support()
         params = self._params
@@ -833,15 +535,8 @@ class BM25FieldScorer:
         top = [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
         return _extend_with_zero_tail(top, top_k, self._index, query, self.score_document)
 
-    def search_exhaustive(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
-        """Score every candidate and fully sort (the pre-accumulator path)."""
-        candidates = self._index.candidate_documents(query.all_terms())
-        scored = [self.score_document(query, doc_id) for doc_id in candidates]
-        scored.sort(key=lambda result: (-result.score, result.doc_id))
-        return scored[:top_k]
 
-
-class BM25FScorer:
+class BM25FScorer(_BM25Scorer):
     """BM25F: term frequencies are combined across fields with field weights
     before a single saturation, following Robertson & Zaragoza."""
 
@@ -852,26 +547,10 @@ class BM25FScorer:
         params: BM25Params | None = None,
         pruning: str = "maxscore",
         shards: int = 1,
-        columnar: bool = True,
         executor: str = "auto",
         workers: int = 0,
     ) -> None:
-        if pruning not in PRUNING_MODES:
-            raise ValueError(f"unknown pruning mode: {pruning!r}")
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        if executor not in EXECUTOR_CHOICES:
-            raise ValueError(f"unknown executor: {executor!r}")
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        self._index = index
-        self._params = params or BM25Params()
-        self._pruning = pruning
-        self._shards = shards
-        self._columnar = columnar
-        self._executor_mode = executor
-        self._workers = workers
-        self._pruning_stats = PruningStats()
+        super().__init__(index, params, pruning, shards, executor, workers)
         total = sum(field_weights.get(field, 0.0) for field in index.fields)
         if total <= 0:
             raise ValueError("field weights must have positive mass over the index fields")
@@ -881,82 +560,16 @@ class BM25FScorer:
         }
         self._num_documents = index.num_documents
 
-    def pruning_info(self) -> dict[str, int]:
-        """Cumulative pruning counters (``cache_info()`` convention)."""
-        return self._pruning_stats.as_dict()
-
-    def _executor(self):
-        """The shard executor resolved from the construction knobs."""
-        return resolve_executor(self._executor_mode, self._workers)
+    def _weighted_fields(self) -> list[tuple[str, float]]:
+        return [(field, weight) for field, weight in self._weights.items() if weight != 0.0]
 
     def _field_min_norm(self, field: str) -> float:
-        """One field's smallest BM25 length normaliser (recipe scalar)."""
+        """One field's smallest BM25 length normaliser."""
         avg_len = self._avg_lengths[field]
         if avg_len <= 0:
             return 1.0
         min_length = self._index.statistics().field(field).min_length
         return 1.0 - self._params.b + self._params.b * (min_length / avg_len)
-
-    def _process_plan(self, query: KeywordQuery) -> dict:
-        """This query's picklable recipe bundle for the process tier.
-
-        Per-term idf weights and memoised union-grid bounds plus the
-        per-field weight/normaliser snapshot — everything a worker needs
-        to rebuild the exact union columns against its snapshot views
-        (see :func:`repro.exec.procpool._bm25f_entries`).
-        """
-        support = self._index.scoring_support()
-        statistics = support.statistics
-        params = self._params
-        weighted_fields = [
-            (field, weight) for field, weight in self._weights.items() if weight != 0.0
-        ]
-        weights_key = tuple(sorted(self._weights.items()))
-        avgs_key = tuple(sorted(self._avg_lengths.items()))
-        terms = []
-        for term in query.all_terms():
-            if all(
-                not support.postings_frequencies(field, term)
-                for field, _ in weighted_fields
-            ):
-                continue
-            weight_idf = idf(self._num_documents, support.document_frequency_any_field(term))
-            if weight_idf == 0.0:
-                continue  # zero everywhere: stays in the zero-scored tail
-
-            def weighted_tf_bound(term: str = term) -> float:
-                bound = 0.0
-                for field, weight in weighted_fields:
-                    field_stats = statistics.field(field)
-                    max_tf = field_stats.max_frequency(term)
-                    if max_tf == 0:
-                        continue
-                    min_norm = self._field_min_norm(field)
-                    bound += weight * max_tf / min_norm if min_norm > 0 else float("inf")
-                return bound
-
-            max_weighted_tf = statistics.memoised_bound(
-                ("bm25f", params.k1, params.b, weights_key, avgs_key, term),
-                weighted_tf_bound,
-            )
-            if max_weighted_tf == float("inf"):
-                upper = weight_idf
-            else:
-                upper = weight_idf * max_weighted_tf / (max_weighted_tf + params.k1)
-            terms.append({"term": term, "weight_idf": weight_idf, "upper": upper})
-        return {
-            "index": self._index,
-            "kind": "bm25f",
-            "recipe": {
-                "k1": params.k1,
-                "b": params.b,
-                "fields": [
-                    (field, weight, self._avg_lengths[field], self._field_min_norm(field))
-                    for field, weight in weighted_fields
-                ],
-                "terms": terms,
-            },
-        }
 
     def _weighted_tf(self, term: str, doc_id: str) -> float:
         weighted = 0.0
@@ -994,182 +607,30 @@ class BM25FScorer:
             score += contribution
         return ScoredDocument(doc_id=doc_id, score=score, term_scores=term_scores)
 
-    def search(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
-        """Term-at-a-time BM25F ranking across the weighted fields.
-
-        With ``pruning="maxscore"`` the traversal runs threshold-pruned
-        exactly like :meth:`BM25FieldScorer.search`, with the weighted
-        cross-field term frequency bounded per field; ``"blockmax"`` adds
-        per-range bounds over the union of the fields' postings.
-        """
-        if self._pruning in PRUNED_MODES:
-            return self._search_maxscore(query, top_k)
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
-            return []
-        if self._columnar:
-            # Unpruned columnar arm: scatter-add over the union posting
-            # columns, margin-guarded selection, exact scalar re-scoring
-            # (same contract as :meth:`BM25FieldScorer.search`).
-            view = columnar_view(self._index)
-            ordinals, partials = accumulate_sparse(
-                self._columnar_sparse_terms(query, view), view.num_documents
-            )
-            picked = select_survivor_ordinals(ordinals, partials, top_k)
-            return self._rescore_and_rank(query, top_k, view.ids_of(picked))
-        if self._shards > 1:
-            accumulators = merge_shard_maps(
-                self._executor().run(
-                    [
-                        lambda shard=shard: self._accumulate_plain(query, shard=shard)
-                        for shard in range(self._shards)
-                    ]
-                )
-            )
-        else:
-            accumulators = self._accumulate_plain(query)
-        top = select_top_k_with_zero_fill(accumulators, candidates, top_k)
-        return [self.score_document(query, doc_id) for doc_id, _ in top]
-
-    def _accumulate_plain(self, query: KeywordQuery, shard: int | None = None) -> dict[str, float]:
-        """Plain term-at-a-time accumulation, optionally over one shard."""
-        support = self._index.scoring_support()
-        params = self._params
-        weighted_fields = [
-            (field, weight) for field, weight in self._weights.items() if weight != 0.0
-        ]
-        accumulators: dict[str, float] = {}
-        for term in query.all_terms():
-            components = [
-                (
-                    weight,
-                    support.postings_frequencies(field, term),
-                    support.field_lengths(field),
-                    self._avg_lengths[field],
-                )
-                for field, weight in weighted_fields
-            ]
-            if not any(frequencies for _, frequencies, _, _ in components):
-                continue
-            # The cross-field idf weights by the *full* document frequency
-            # even in shard mode — the shard split only restricts the walk.
-            weight_idf = idf(self._num_documents, support.document_frequency_any_field(term))
-            if weight_idf == 0.0:
-                continue  # zero contribution everywhere; keep the tail's doc_id order
-            if shard is not None:
-                components = [
-                    (
-                        weight,
-                        _shard_postings(
-                            support.statistics, field, term, frequencies, self._shards
-                        )[shard],
-                        lengths,
-                        avg_len,
-                    )
-                    for (weight, frequencies, lengths, avg_len), (field, _) in zip(
-                        components, weighted_fields
-                    )
-                ]
-            matching: set[str] = set()
-            for _, frequencies, _, _ in components:
-                matching.update(frequencies)
-            for doc_id in matching:
-                weighted_tf = 0.0
-                for weight, frequencies, lengths, avg_len in components:
-                    tf = frequencies.get(doc_id, 0)
-                    if tf == 0:
-                        continue
-                    doc_len = lengths.get(doc_id, 0)
-                    length_norm = 1.0 - params.b + params.b * (
-                        doc_len / avg_len if avg_len > 0 else 1.0
-                    )
-                    weighted_tf += weight * tf / length_norm
-                contribution = weight_idf * weighted_tf / (weighted_tf + params.k1)
-                accumulators[doc_id] = accumulators.get(doc_id, 0.0) + contribution
-        return accumulators
-
-    def _pruned_contribution(
-        self,
-        doc_id: str,
-        components: list[tuple[float, Mapping[str, int], Mapping[str, int], float]],
-        weight_idf: float,
-    ) -> float:
-        """One term's exact BM25F contribution (same arithmetic as search)."""
-        params = self._params
-        weighted_tf = 0.0
-        for weight, frequencies, lengths, avg_len in components:
-            tf = frequencies.get(doc_id, 0)
-            if tf == 0:
-                continue
-            doc_len = lengths.get(doc_id, 0)
-            length_norm = 1.0 - params.b + params.b * (doc_len / avg_len if avg_len > 0 else 1.0)
-            weighted_tf += weight * tf / length_norm
-        return weight_idf * weighted_tf / (weighted_tf + params.k1)
-
-    def _sparse_entries(
-        self, query: KeywordQuery, shard: int | None = None
-    ) -> list[SparseTermEntry]:
-        """One pruning entry per matching query term, bounds memoised.
-
-        With ``shard`` set the expand/refine walks run over per-shard
-        postings sub-maps (one memoised split per field) while idf
-        weights, contribution bounds and the union block grid stay
-        derived from the full lists — sound for any subset, and shared
-        across the shard workers.  Terms with no postings in the shard
-        contribute no entry.
-        """
+    def _scored_terms(self, query: KeywordQuery) -> list[tuple[str, float, float]]:
         support = self._index.scoring_support()
         statistics = support.statistics
         params = self._params
-        weighted_fields = [
-            (field, weight) for field, weight in self._weights.items() if weight != 0.0
-        ]
-        entries: list[SparseTermEntry] = []
+        weighted_fields = self._weighted_fields()
+        weights_key = tuple(sorted(self._weights.items()))
+        avgs_key = tuple(sorted(self._avg_lengths.items()))
+        scored: list[tuple[str, float, float]] = []
         for term in query.all_terms():
-            full_components = [
-                (
-                    weight,
-                    support.postings_frequencies(field, term),
-                    support.field_lengths(field),
-                    self._avg_lengths[field],
-                )
-                for field, weight in weighted_fields
-            ]
-            if not any(frequencies for _, frequencies, _, _ in full_components):
+            if all(
+                not support.postings_frequencies(field, term) for field, _ in weighted_fields
+            ):
                 continue
             weight_idf = idf(self._num_documents, support.document_frequency_any_field(term))
             if weight_idf == 0.0:
                 continue  # zero everywhere: stays in the zero-scored tail
-            components = full_components
-            if shard is not None:
-                components = [
-                    (
-                        weight,
-                        _shard_postings(
-                            statistics, field, term, frequencies, self._shards
-                        )[shard],
-                        lengths,
-                        avg_len,
-                    )
-                    for (weight, frequencies, lengths, avg_len), (field, _) in zip(
-                        full_components, weighted_fields
-                    )
-                ]
-                if not any(frequencies for _, frequencies, _, _ in components):
-                    continue
 
             def weighted_tf_bound(term: str = term) -> float:
                 bound = 0.0
                 for field, weight in weighted_fields:
-                    field_stats = statistics.field(field)
-                    max_tf = field_stats.max_frequency(term)
+                    max_tf = statistics.field(field).max_frequency(term)
                     if max_tf == 0:
                         continue
-                    avg_len = self._avg_lengths[field]
-                    if avg_len > 0:
-                        min_norm = 1.0 - params.b + params.b * (field_stats.min_length / avg_len)
-                    else:
-                        min_norm = 1.0
+                    min_norm = self._field_min_norm(field)
                     bound += weight * max_tf / min_norm if min_norm > 0 else float("inf")
                 return bound
 
@@ -1179,14 +640,7 @@ class BM25FScorer:
             # their own averages, and a bound derived from smaller averages
             # would not be sound for the older scorer.
             max_weighted_tf = statistics.memoised_bound(
-                (
-                    "bm25f",
-                    params.k1,
-                    params.b,
-                    tuple(sorted(self._weights.items())),
-                    tuple(sorted(self._avg_lengths.items())),
-                    term,
-                ),
+                ("bm25f", params.k1, params.b, weights_key, avgs_key, term),
                 weighted_tf_bound,
             )
             if max_weighted_tf == float("inf"):
@@ -1195,178 +649,28 @@ class BM25FScorer:
                 upper = weight_idf
             else:
                 upper = weight_idf * max_weighted_tf / (max_weighted_tf + params.k1)
+            scored.append((term, weight_idf, upper))
+        return scored
 
-            def expand(
-                accumulators: dict[str, float],
-                components=components,
-                weight_idf: float = weight_idf,
-            ) -> None:
-                matching: set[str] = set()
-                for _, frequencies, _, _ in components:
-                    matching.update(frequencies)
-                for doc_id in matching:
-                    contribution = self._pruned_contribution(doc_id, components, weight_idf)
-                    accumulators[doc_id] = accumulators.get(doc_id, 0.0) + contribution
-
-            def refine(
-                accumulators: dict[str, float],
-                components=components,
-                weight_idf: float = weight_idf,
-            ) -> None:
-                for doc_id in accumulators:
-                    if any(doc_id in frequencies for _, frequencies, _, _ in components):
-                        accumulators[doc_id] += self._pruned_contribution(
-                            doc_id, components, weight_idf
-                        )
-
-            if self._pruning != "blockmax":
-                entries.append(
-                    SparseTermEntry(key=term, upper=upper, expand=expand, refine=refine)
-                )
-                continue
-
-            def block_wtf_bounds(term: str = term, components=full_components) -> tuple:
-                # Blocks over the *union* of the fields' postings: the
-                # per-field grids differ, so per-block field maxima are
-                # taken over the actual documents of each union block
-                # (one scan per epoch, amortised by the memo below).
-                union_ids = sorted(
-                    {doc_id for _, frequencies, _, _ in components for doc_id in frequencies}
-                )
-                min_norms = []
-                for field, weight in weighted_fields:
-                    field_stats = statistics.field(field)
-                    avg_len = self._avg_lengths[field]
-                    if avg_len > 0:
-                        min_norm = 1.0 - params.b + params.b * (field_stats.min_length / avg_len)
-                    else:
-                        min_norm = 1.0
-                    min_norms.append(min_norm)
-                lasts: list[str] = []
-                bounds: list[float] = []
-                for start in range(0, len(union_ids), BLOCK_SIZE):
-                    block = union_ids[start : start + BLOCK_SIZE]
-                    lasts.append(block[-1])
-                    wtf_bound = 0.0
-                    for (weight, frequencies, _, _), min_norm in zip(components, min_norms):
-                        max_tf = max(frequencies.get(doc_id, 0) for doc_id in block)
-                        if max_tf == 0:
-                            continue
-                        wtf_bound += (
-                            weight * max_tf / min_norm if min_norm > 0 else float("inf")
-                        )
-                    bounds.append(wtf_bound)
-                return (tuple(lasts), tuple(bounds))
-
-            # The memoised value is idf-free (the weighted-tf bound per
-            # block); the idf weight, which depends on this scorer's
-            # construction-time N, saturates the bound per query below —
-            # scorers built at different index epochs share the grid but
-            # never a weight-scaled bound.
-            lasts, wtf_bounds = statistics.memoised_blocks(
-                (
-                    "bm25f-blocks",
-                    params.k1,
-                    params.b,
-                    tuple(sorted(self._weights.items())),
-                    tuple(sorted(self._avg_lengths.items())),
-                    term,
-                    BLOCK_SIZE,
-                ),
-                block_wtf_bounds,
-            )
-            block_uppers = tuple(
-                # Degenerate normaliser: the saturated ratio still cannot
-                # exceed 1 (same cap as the global bound).
-                weight_idf
-                if wtf_bound == float("inf")
-                else weight_idf * wtf_bound / (wtf_bound + params.k1)
-                for wtf_bound in wtf_bounds
-            )
-
-            def contribution(
-                doc_id: str,
-                components=components,
-                weight_idf: float = weight_idf,
-            ) -> float:
-                if any(doc_id in frequencies for _, frequencies, _, _ in components):
-                    return self._pruned_contribution(doc_id, components, weight_idf)
-                return 0.0
-
-            entries.append(
-                BlockedSparseTermEntry(
-                    key=term,
-                    upper=upper,
-                    expand=expand,
-                    refine=refine,
-                    block_lasts=lasts,
-                    block_uppers=block_uppers,
-                    contribution=contribution,
-                )
-            )
-        return entries
-
-    def _columnar_sparse_terms(
-        self, query: KeywordQuery, view: ColumnarIndex
+    def _kernel_terms(
+        self, scored: list[tuple[str, float, float]], view: ColumnarIndex
     ) -> list[SparseKernelTerm]:
-        """One kernel term per matching query term over the union grid.
+        """One kernel term per scored term over the union of its fields.
 
         The posting column lives on the union of the weighted fields'
-        ordinals (the same document set, in the same order, as the
-        scalar union block grid); the weighted-tf column accumulates
-        ``weight * tf / norm`` per field, saturated once per query by
-        the idf weight.  As everywhere on the columnar path, the values
-        only guide selection — survivors are re-scored exactly — while
-        upper bounds reuse the scalar memoised bounds and the block
-        grid chunks the identical union.
+        ordinals; the weighted-tf column accumulates ``weight * tf /
+        norm`` per field, saturated once per query by the idf weight.  The
+        values only guide selection — survivors are re-scored exactly.
         """
-        support = self._index.scoring_support()
-        statistics = support.statistics
         params = self._params
-        weighted_fields = [
-            (field, weight) for field, weight in self._weights.items() if weight != 0.0
-        ]
+        weighted_fields = self._weighted_fields()
         weights_key = tuple(sorted(self._weights.items()))
         avgs_key = tuple(sorted(self._avg_lengths.items()))
         entries: list[SparseKernelTerm] = []
-        for term in query.all_terms():
+        for term, weight_idf, upper in scored:
             field_postings = [
-                (field, weight, view.postings(field, term))
-                for field, weight in weighted_fields
+                (field, weight, view.postings(field, term)) for field, weight in weighted_fields
             ]
-            if all(columnar is None for _, _, columnar in field_postings):
-                continue
-            weight_idf = idf(self._num_documents, support.document_frequency_any_field(term))
-            if weight_idf == 0.0:
-                continue  # zero everywhere: stays in the zero-scored tail
-
-            def weighted_tf_bound(term: str = term) -> float:
-                bound = 0.0
-                for field, weight in weighted_fields:
-                    field_stats = statistics.field(field)
-                    max_tf = field_stats.max_frequency(term)
-                    if max_tf == 0:
-                        continue
-                    avg_len = self._avg_lengths[field]
-                    if avg_len > 0:
-                        min_norm = 1.0 - params.b + params.b * (
-                            field_stats.min_length / avg_len
-                        )
-                    else:
-                        min_norm = 1.0
-                    bound += weight * max_tf / min_norm if min_norm > 0 else float("inf")
-                return bound
-
-            # Same memo (same key, same closure) as the scalar entries:
-            # whichever path runs first populates the epoch's bound.
-            max_weighted_tf = statistics.memoised_bound(
-                ("bm25f", params.k1, params.b, weights_key, avgs_key, term),
-                weighted_tf_bound,
-            )
-            if max_weighted_tf == float("inf"):
-                upper = weight_idf
-            else:
-                upper = weight_idf * max_weighted_tf / (max_weighted_tf + params.k1)
 
             def union_column(field_postings=field_postings) -> tuple[np.ndarray, np.ndarray]:
                 union_ordinals = None
@@ -1392,115 +696,56 @@ class BM25FScorer:
             union_ordinals, weighted_tf = view.memoised(
                 ("bm25f-kernel", params.b, weights_key, avgs_key, term), union_column
             )
-            contributions = weight_idf * (weighted_tf / (weighted_tf + params.k1))
-            if self._pruning != "blockmax":
-                entries.append(
-                    SparseKernelTerm(
-                        key=term,
-                        upper=upper,
-                        ordinals=union_ordinals,
-                        contributions=contributions,
-                    )
-                )
-                continue
-
-            def block_column(
-                union_ordinals=union_ordinals, field_postings=field_postings
-            ) -> tuple[np.ndarray, np.ndarray]:
-                # The union grid chunks the same sorted document order as
-                # the scalar ``bm25f-blocks`` memo, so block membership
-                # matches block for block; bounds stay idf-free.
-                lasts = union_ordinals[BLOCK_SIZE - 1 :: BLOCK_SIZE]
-                if union_ordinals.size % BLOCK_SIZE:
-                    lasts = np.append(lasts, union_ordinals[-1])
-                wtf_bounds = np.zeros(lasts.size, dtype=np.float64)
-                for field, weight, columnar in field_postings:
-                    if columnar is None:
-                        continue
-                    field_stats = statistics.field(field)
-                    avg_len = self._avg_lengths[field]
-                    if avg_len > 0:
-                        min_norm = 1.0 - params.b + params.b * (
-                            field_stats.min_length / avg_len
-                        )
-                    else:
-                        min_norm = 1.0
-                    max_tfs = np.zeros(lasts.size, dtype=np.float64)
-                    blocks = np.searchsorted(lasts, columnar.ordinals, side="left")
-                    np.maximum.at(max_tfs, blocks, columnar.frequencies)
-                    if min_norm > 0:
-                        wtf_bounds += weight * max_tfs / min_norm
-                    else:
-                        # Degenerate normaliser: the block bound for any
-                        # block with a matching posting is unbounded (the
-                        # saturation below caps it at the idf weight).
-                        wtf_bounds[max_tfs > 0] = np.inf
-                return lasts, wtf_bounds
-
-            lasts, wtf_bounds = view.memoised(
-                ("bm25f-kernel-blocks", params.b, weights_key, avgs_key, term),
-                block_column,
-            )
-            finite = np.isfinite(wtf_bounds)
-            saturated = np.ones_like(wtf_bounds)
-            np.divide(wtf_bounds, wtf_bounds + params.k1, out=saturated, where=finite)
             entries.append(
                 SparseKernelTerm(
                     key=term,
                     upper=upper,
                     ordinals=union_ordinals,
-                    contributions=contributions,
-                    block_last_ordinals=lasts,
-                    block_uppers=weight_idf * saturated,
+                    contributions=weight_idf * (weighted_tf / (weighted_tf + params.k1)),
                 )
             )
         return entries
 
-    def _search_maxscore(self, query: KeywordQuery, top_k: int) -> list[ScoredDocument]:
-        """Threshold-pruned traversal + exact re-scoring of the survivors."""
-        if top_k <= 0:
-            return []
-        blockmax = self._pruning == "blockmax"
-        if self._columnar:
-            view = columnar_view(self._index)
-            terms = self._columnar_sparse_terms(query, view)
-            if self._shards > 1:
-                executor = self._executor()
-                plan = None
-                if getattr(executor, "is_process", False):
-                    plan = self._process_plan(query)
-                picked = _sharded_columnar_sparse_survivors(
-                    view,
-                    terms,
-                    self._shards,
-                    top_k,
-                    self._pruning_stats,
-                    blockmax,
-                    executor=executor,
-                    process_plan=plan,
-                )
-            else:
-                ordinals, partials = columnar_sparse(
-                    terms, top_k, self._pruning_stats, view.num_documents, blockmax=blockmax
-                )
-                picked = select_survivor_ordinals(ordinals, partials, top_k)
-            to_rescore = view.ids_of(picked)
-        elif self._shards > 1:
-            to_rescore = _sharded_sparse_survivors(
-                lambda shard: self._sparse_entries(query, shard=shard),
-                self._shards,
-                top_k,
-                self._pruning_stats,
-                blockmax,
-                executor=self._executor(),
-            )
-        else:
-            survivors = maxscore_sparse(
-                self._sparse_entries(query), top_k, self._pruning_stats, blockmax=blockmax
-            )
-            to_rescore = select_survivors(survivors, top_k)
-        self._pruning_stats.rescored += len(to_rescore)
-        return self._rescore_and_rank(query, top_k, to_rescore)
+    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
+        """Per-term idf weights and upper bounds plus the per-field
+        weight/average snapshot — everything a worker needs to rebuild the
+        exact union columns against its snapshot views (see
+        :func:`repro.exec.procpool._bm25f_entries`)."""
+        params = self._params
+        return {
+            "index": self._index,
+            "kind": "bm25f",
+            "recipe": {
+                "k1": params.k1,
+                "b": params.b,
+                "fields": [
+                    (field, weight, self._avg_lengths[field])
+                    for field, weight in self._weighted_fields()
+                ],
+                "terms": [
+                    {"term": term, "weight_idf": weight_idf, "upper": upper}
+                    for term, weight_idf, upper in scored
+                ],
+            },
+        }
+
+    def _pruned_contribution(
+        self,
+        doc_id: str,
+        components: list[tuple[float, Mapping[str, int], Mapping[str, int], float]],
+        weight_idf: float,
+    ) -> float:
+        """One term's exact BM25F contribution (same arithmetic as score_document)."""
+        params = self._params
+        weighted_tf = 0.0
+        for weight, frequencies, lengths, avg_len in components:
+            tf = frequencies.get(doc_id, 0)
+            if tf == 0:
+                continue
+            doc_len = lengths.get(doc_id, 0)
+            length_norm = 1.0 - params.b + params.b * (doc_len / avg_len if avg_len > 0 else 1.0)
+            weighted_tf += weight * tf / length_norm
+        return weight_idf * weighted_tf / (weighted_tf + params.k1)
 
     def _rescore_and_rank(
         self, query: KeywordQuery, top_k: int, to_rescore: list[str]
@@ -1509,13 +754,11 @@ class BM25FScorer:
 
         Survivor scores are rebuilt with :meth:`_pruned_contribution`,
         whose arithmetic mirrors :meth:`score_document` term for term, so
-        the ranking is byte-identical to the exhaustive path — regardless
-        of which driver picked the survivors.
+        the ranking is byte-identical to the exhaustive path — whichever
+        kernel picked the survivors.
         """
         support = self._index.scoring_support()
-        weighted_fields = [
-            (field, weight) for field, weight in self._weights.items() if weight != 0.0
-        ]
+        weighted_fields = self._weighted_fields()
         per_term: list[tuple[float, list[tuple[float, Mapping[str, int], Mapping[str, int], float]]]] = []
         for term in query.all_terms():
             components = [
@@ -1543,10 +786,3 @@ class BM25FScorer:
         exact.sort(key=lambda item: (-item[1], item[0]))
         top = [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
         return _extend_with_zero_tail(top, top_k, self._index, query, self.score_document)
-
-    def search_exhaustive(self, query: KeywordQuery, top_k: int = 20) -> list[ScoredDocument]:
-        """Score every candidate and fully sort (the pre-accumulator path)."""
-        candidates = self._index.candidate_documents(query.all_terms())
-        scored = [self.score_document(query, doc_id) for doc_id in candidates]
-        scored.sort(key=lambda result: (-result.score, result.doc_id))
-        return scored[:top_k]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..config import SearchConfig
 from ..exec import dedupe_batch, executor_stats, release_snapshots, snapshot_registry
-from ..index import FieldedIndex, ShardedFieldedIndex
+from ..index import FieldedIndex
 from ..kg import KnowledgeGraph, traversal_stats
 from ..stats import CacheStats, EngineStats, PruningStatsView, StorageStats
 from ..utils import LRUCache
@@ -66,7 +66,7 @@ class SearchEngine:
         self._graph = graph
         self._config = config or SearchConfig()
         self._documents: dict[str, FieldedEntityDocument] = {}
-        self._index = self._new_index()
+        self._index = FieldedIndex(self._config.fields)
         self._scorer: MixtureLanguageModelScorer | None = None
         #: Serialises mutations (build / add_entity): each one publishes a
         #: fresh index instance, so concurrent queries keep scoring their
@@ -82,12 +82,6 @@ class SearchEngine:
         #: Lazily created durable store (``storage="disk"`` only).
         self._disk_store = None
         self._apply_storage_policy(self._index)
-
-    def _new_index(self) -> FieldedIndex:
-        """An empty index matching the configuration's shard layout."""
-        if self._config.shards > 1:
-            return ShardedFieldedIndex(self._config.fields, self._config.shards)
-        return FieldedIndex(self._config.fields)
 
     def _apply_storage_policy(self, index: FieldedIndex) -> None:
         """Honour ``storage="off"`` for a freshly installed index instance.
@@ -180,7 +174,7 @@ class SearchEngine:
         """
         with self._mutation_lock:
             documents = build_all_documents(self._graph)
-            index = self._new_index()
+            index = FieldedIndex(self._config.fields)
             for entity_id, document in documents.items():
                 index.add_document(entity_id, analyze_document(document))
             self._documents = documents
@@ -262,8 +256,10 @@ class SearchEngine:
         cache is cleared by :meth:`build` and :meth:`add_entity`, so
         mutations always invalidate it.  The whole query runs against the
         scorer captured here — a concurrent mutation swaps in a new
-        snapshot without disturbing it.
+        snapshot without disturbing it.  ``top_k=None`` means the
+        configured ``top_k``; anything below 1 raises ``ValueError``.
         """
+        top_k = self._requested_k(top_k)
         parsed = query if isinstance(query, KeywordQuery) else parse_query(query)
         scorer = self._require_scorer()  # may (re)build; captures one snapshot
         return self._search_with(scorer, parsed, top_k)
@@ -274,23 +270,24 @@ class SearchEngine:
         """Answer a batch of keyword queries (one result list per query).
 
         The whole batch runs against a single captured snapshot, so the
-        per-epoch memoisation (statistics, scorer bounds, block grids)
+        per-epoch memoisation (statistics, scorer bounds, kernel columns)
         warms on the first miss and serves the rest, and *identical*
         queries inside the batch are computed once and fanned back out.
-        Results are byte-identical to issuing the queries one at a time.
+        Results are byte-identical to issuing the queries one at a time;
+        ``top_k`` follows :meth:`search`.
         """
+        top_k = self._requested_k(top_k)
         parsed = [
             query if isinstance(query, KeywordQuery) else parse_query(query)
             for query in queries
         ]
         scorer = self._require_scorer()
-        requested = top_k or self._config.top_k
 
         def key_of(query: KeywordQuery) -> tuple[object, ...]:
             restrictions = tuple(
                 (field, terms) for field, terms in query.field_restrictions.items()
             )
-            return (query.terms, restrictions, requested)
+            return (query.terms, restrictions, top_k)
 
         results = dedupe_batch(
             parsed, key_of, lambda query: self._search_with(scorer, query, top_k)
@@ -299,11 +296,19 @@ class SearchEngine:
         # the caller-mutable list object.
         return [list(hits) for hits in results]
 
+    def _requested_k(self, top_k: int | None) -> int:
+        """The result count a request asks for (``None``: the configured one)."""
+        if top_k is None:
+            return self._config.top_k
+        if top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
+        return top_k
+
     def _search_with(
         self,
         scorer: MixtureLanguageModelScorer,
         parsed: KeywordQuery,
-        top_k: int | None,
+        top_k: int,
     ) -> list[SearchHit]:
         """One query against one captured scorer snapshot, LRU-backed."""
         key = self._cache_key(parsed, top_k, scorer.index)
@@ -317,7 +322,7 @@ class SearchEngine:
         return hits
 
     def _cache_key(
-        self, parsed: KeywordQuery, top_k: int | None, index: FieldedIndex
+        self, parsed: KeywordQuery, top_k: int, index: FieldedIndex
     ) -> tuple[object, ...] | None:
         """The result-cache key for a parsed query, or ``None`` when disabled.
 
@@ -334,7 +339,7 @@ class SearchEngine:
         return (
             parsed.terms,
             restrictions,
-            top_k or self._config.top_k,
+            top_k,
             index.uid,
             index.epoch,
         )
@@ -343,8 +348,8 @@ class SearchEngine:
         """The engine's typed introspection record.
 
         One :class:`~repro.stats.EngineStats` carrying the execution
-        configuration echo (pruning mode, shard layout, columnar
-        on/off), the current index epoch, the result cache's counters
+        configuration echo (pruning mode, shard layout), the current
+        index epoch, the result cache's counters
         (``"results"``) and the primary scorer's pruning counters
         (``"mlm"``), plus the engine's shard-execution record
         (``executor``).  Builds the index on demand, like any query
@@ -355,7 +360,6 @@ class SearchEngine:
             component="search",
             epoch=self._index.epoch,
             shards=self._config.shards,
-            columnar=self._config.columnar,
             pruning=self._config.pruning,
             caches=(CacheStats.from_info("results", self._result_cache.cache_info()),),
             pruning_counters=(
@@ -440,7 +444,6 @@ class SearchEngine:
             self._config.field_weights,
             pruning=self._config.pruning,
             shards=self._config.shards,
-            columnar=self._config.columnar,
             executor=self._config.executor,
             workers=self._config.workers,
         )
@@ -452,7 +455,6 @@ class SearchEngine:
             "names",
             pruning=self._config.pruning,
             shards=self._config.shards,
-            columnar=self._config.columnar,
             executor=self._config.executor,
             workers=self._config.workers,
         )

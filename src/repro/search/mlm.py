@@ -10,104 +10,60 @@ query ``q = t1 .. tn`` and an entity document ``d`` with fields ``f``:
 where ``p(t | d_f)`` is the smoothed field language model and the field
 weights ``w_f`` sum to one.
 
-Retrieval runs term-at-a-time: each query term's statistics are resolved
-once, every candidate's accumulator is updated, and the top-k is selected
-with a bounded heap (see :mod:`repro.index.scoring_support`).  The
-exhaustive score-all-then-sort path is kept as ``search_exhaustive`` for
-A/B benchmarking; both paths produce byte-identical rankings because they
-perform the same floating-point operations in the same order.
+A search has exactly two forms.  ``search`` runs the columnar kernels
+(:mod:`repro.topk.kernels`, plain or max-score pruned, serial or fanned
+out over document shards) to select a superset of the top-k, then
+re-scores that superset with the exhaustive arithmetic in the
+exhaustive order; ``search_exhaustive`` scores every candidate and sorts
+— the reference.  Both produce byte-identical rankings because the
+final scores come from the same floating-point operations in the same
+order.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Mapping, MutableMapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PRUNED_MODES, SearchConfig
+from ..config import SearchConfig
 from ..exec import (
     ProcessTask,
     ThetaSlab,
     default_executor,
-    merge_shard_maps,
     merge_shard_stats,
-    partition_candidates,
     resolve_executor,
     shard_stats_from,
     snapshot_registry,
 )
-from ..index import FieldedIndex, select_top_k
+from ..index import FieldedIndex
 from ..index.columnar import ColumnarIndex, columnar_view
 from ..index.scoring_support import ScoringSupport
 from ..topk import (
     DenseKernelTerm,
-    DenseTermEntry,
+    NO_THRESHOLD,
     PruningStats,
     SELECTION_MARGIN,
     SharedThreshold,
     accumulate_dense,
     columnar_dense,
-    maxscore_dense,
     select_survivor_ordinals,
-    select_survivors,
     threshold_of,
 )
-from ..topk.heap import NO_THRESHOLD
 from .language_model import SmoothingParams, log_probability, smoothed_probability
 from .query import KeywordQuery
-
-
-def _accumulate_mixture_term(
-    accumulators: MutableMapping[str, float],
-    components: Sequence[tuple[float, Mapping[str, int], Mapping[str, int], float]],
-    smoothing: SmoothingParams,
-) -> None:
-    """Add one term's log mixture probability to every open accumulator.
-
-    ``components`` carries the per-(field, term) statistics — posting
-    frequencies, document-length arrays and the smoothing mass
-    ``mu * p(t|C)`` (resp. ``lambda * p(t|C)``) — resolved once per query
-    term by :func:`_term_components` and reused across all candidate
-    documents (and, in the sharded fan-out, across every shard worker).
-    The arithmetic mirrors :func:`~repro.search.language_model.smoothed_probability`
-    operation-for-operation so accumulator scores match exhaustive scores
-    exactly.
-    """
-    if smoothing.method == "dirichlet":
-        mu = smoothing.dirichlet_mu
-        for doc_id, partial in accumulators.items():
-            probability = 0.0
-            for weight, frequencies, lengths, mass in components:
-                probability += weight * (
-                    (frequencies.get(doc_id, 0) + mass) / (lengths.get(doc_id, 0) + mu)
-                )
-            accumulators[doc_id] = partial + log_probability(probability)
-    else:  # jelinek-mercer
-        one_minus_lam = 1.0 - smoothing.jm_lambda
-        for doc_id, partial in accumulators.items():
-            probability = 0.0
-            for weight, frequencies, lengths, mass in components:
-                doc_len = lengths.get(doc_id, 0)
-                if doc_len > 0:
-                    probability += weight * (
-                        one_minus_lam * (frequencies.get(doc_id, 0) / doc_len) + mass
-                    )
-                else:
-                    probability += weight * mass
-            accumulators[doc_id] = partial + log_probability(probability)
 
 
 class LanguageModelBounds:
     """Per-(field, term) smoothed-probability bounds for the LM scorers.
 
-    Implements the :class:`~repro.topk.bounds.ScorerBounds` protocol: for
-    every candidate document, the smoothed mixture component of ``term`` in
-    ``field`` lies in ``[field_floor, field_upper]``.  The floor is the
+    For every candidate document, the smoothed mixture component of
+    ``term`` in ``field`` lies in ``[field_floor, field_upper]``.  The floor is the
     *background* probability mass smoothing grants every document — the
     decomposition that lets max-score pruning evict candidates even though
-    smoothing scores all of them:
+    smoothing scores all of them (see :func:`repro.topk.columnar_dense`):
 
     * Dirichlet: ``p(t|d) = (tf + mu·p_c) / (|d| + mu)`` is maximised by
       the largest tf over the shortest field and floored by a zero tf over
@@ -158,12 +114,6 @@ class LanguageModelBounds:
         )
         return floor, upper
 
-    def term_floor(self, field: str, term: str) -> float:
-        return self._field_bounds(field, term)[0]
-
-    def term_upper(self, field: str, term: str) -> float:
-        return self._field_bounds(field, term)[1]
-
     def mixture_bounds(
         self, term: str, weighted_fields: Sequence[tuple[str, float]]
     ) -> tuple[float, float]:
@@ -211,9 +161,11 @@ def _rescore_mixture(
 ) -> list[tuple[str, float]]:
     """Exact scores of a few documents through the fast support lookups.
 
-    ``per_term`` must list each scored term's components in *scoring*
-    order (query terms, then field restrictions): the summation order and
-    per-term arithmetic mirror :meth:`MixtureLanguageModelScorer.score_document`
+    ``per_term`` must list each scored term's components (see
+    :func:`_term_components`) in *scoring* order (query terms, then field
+    restrictions): the summation order and per-term arithmetic mirror
+    :meth:`MixtureLanguageModelScorer.score_document` (and
+    :func:`~repro.search.language_model.smoothed_probability`)
     operation-for-operation, so the returned scores are bitwise identical
     to the exhaustive path without its per-call index lookups.
     """
@@ -254,13 +206,13 @@ def _prime_threshold(
     smoothing: SmoothingParams,
     top_k: int,
 ) -> float:
-    """An initial θ from a subset pool of promising candidates.
+    """An initial θ for the sharded dense traversal, from a subset pool.
 
-    The dense traversal's partial-plus-floor θ is loose on the early
-    passes (the floor assumes a zero term frequency over the longest
-    field).  This primes θ the way the recommendation side's type-group
-    subset pool does: take each term's highest-tf documents per scored
-    field, score that small pool *exactly* through the fast support
+    A shard's first passes only see its own slice of the candidates, and
+    the partial-plus-floor θ is loose there (the floor assumes a zero
+    term frequency over the longest field).  This primes θ from a small
+    pool of promising candidates: take each term's highest-tf documents
+    per scored field, score that small pool *exactly* through the fast support
     lookups, and use its k-th best final score — a valid θ witness set,
     because every pool document is a real candidate and exact final
     scores are their own lower bounds.  Returns ``-inf`` when fewer than
@@ -274,7 +226,7 @@ def _prime_threshold(
     # the very lists the traversal is trying not to walk twice, and their
     # spread is what the partial-plus-floor θ already captures.  When no
     # k cheap witnesses exist, priming is skipped (returns ``-inf``) and
-    # the traversal runs exactly like ``maxscore``.
+    # the traversal runs unprimed.
     budget = 4 * top_k
     postings_by_rarity = sorted(
         (
@@ -299,109 +251,6 @@ def _prime_threshold(
     return threshold_of((score for _, score in scored), top_k)
 
 
-def _accumulate_mixture_term_pruned(
-    accumulators: MutableMapping[str, float],
-    cut: float,
-    components: Sequence[tuple[float, Mapping[str, int], Mapping[str, int], float]],
-    smoothing: SmoothingParams,
-) -> MutableMapping[str, float]:
-    """The fused pruning variant of :func:`_accumulate_mixture_term`.
-
-    Adds the term's exact log mixture contribution in place, evicting
-    candidates whose partial fell below the ``cut`` the driver derived
-    from θ — evicted candidates skip the per-field probability
-    arithmetic, which is what makes smoothing stop forcing a full score
-    of every document.
-    """
-    if cut == float("-inf"):
-        _accumulate_mixture_term(accumulators, components, smoothing)
-        return accumulators
-    doomed: list[str] = []
-    if smoothing.method == "dirichlet":
-        mu = smoothing.dirichlet_mu
-        for doc_id, partial in accumulators.items():
-            if partial < cut:
-                doomed.append(doc_id)
-                continue
-            probability = 0.0
-            for weight, frequencies, lengths, mass in components:
-                probability += weight * (
-                    (frequencies.get(doc_id, 0) + mass) / (lengths.get(doc_id, 0) + mu)
-                )
-            accumulators[doc_id] = partial + log_probability(probability)
-    else:  # jelinek-mercer
-        one_minus_lam = 1.0 - smoothing.jm_lambda
-        for doc_id, partial in accumulators.items():
-            if partial < cut:
-                doomed.append(doc_id)
-                continue
-            probability = 0.0
-            for weight, frequencies, lengths, mass in components:
-                doc_len = lengths.get(doc_id, 0)
-                if doc_len > 0:
-                    probability += weight * (
-                        one_minus_lam * (frequencies.get(doc_id, 0) / doc_len) + mass
-                    )
-                else:
-                    probability += weight * mass
-            accumulators[doc_id] = partial + log_probability(probability)
-    for doc_id in doomed:
-        del accumulators[doc_id]
-    return accumulators
-
-
-def _sharded_dense_survivors(
-    shards: Sequence[Sequence[str]],
-    entries: Sequence[DenseTermEntry],
-    top_k: int,
-    stats: PruningStats,
-    prime_threshold: float,
-    executor=None,
-) -> list[str]:
-    """Fan the dense traversal out over candidate shards; union the picks.
-
-    Each shard worker runs :func:`maxscore_dense` over its own candidate
-    bucket with a private :class:`PruningStats` (merged afterwards, the
-    logical query counted once) and a slot on the shared θ broadcast —
-    every shard offers its top-k partial-plus-floor bounds and prunes
-    with the k-th best over all offers, which recovers the θ the serial
-    traversal derives from the merged pool (a caller-supplied primed θ
-    seeds the broadcast).
-
-    The merge distinguishes how each shard's traversal ended.  A shard
-    that ran every term pass holds *exact* accumulator values — the same
-    floats the serial walk computes for those candidates — so the exact
-    maps are merged and the top ``k + margin`` selected globally, exactly
-    like the serial epilogue.  A shard that early-stopped (at most
-    ``k + margin`` survivors left) holds possibly-partial values that are
-    only meaningful within its own traversal, so *all* of its survivors
-    join the union wholesale.  Either way the union contains the global
-    top-k, the caller re-scores it exactly, and the final ranking stays
-    byte-identical to the 1-shard path — while the re-scoring bill stays
-    ~``k + margin`` instead of shards × (``k + margin``).
-    """
-    shared = SharedThreshold(top_k, initial=prime_threshold)
-
-    def worker(shard: Sequence[str]) -> tuple[dict[str, float], PruningStats]:
-        local = PruningStats()
-        survivors = maxscore_dense(shard, entries, top_k, local, shared=shared.slot())
-        return survivors, local
-
-    tasks = [lambda shard=shard: worker(shard) for shard in shards if shard]
-    results = (executor or default_executor()).run(tasks)
-    merge_shard_stats(stats, [local for _, local in results])
-    stop_budget = top_k + SELECTION_MARGIN  # the driver's early-stop bound
-    exact: dict[str, float] = {}
-    union: list[str] = []
-    for survivors, _ in results:
-        if len(survivors) <= stop_budget:
-            union.extend(survivors)
-        else:
-            exact.update(survivors)
-    union.extend(select_survivors(exact, top_k))
-    return union
-
-
 def _columnar_term_column(
     view: ColumnarIndex,
     support: ScoringSupport,
@@ -411,13 +260,13 @@ def _columnar_term_column(
 ) -> np.ndarray:
     """One term's exact log-mixture contribution for every ordinal.
 
-    The vectorized sibling of :func:`_accumulate_mixture_term`: the same
-    per-field smoothing arithmetic broadcast over the whole document
-    column (elementwise numpy arithmetic is IEEE-identical to the scalar
-    expressions; only ``np.log`` may differ from ``math.log`` by ulps,
-    which the drivers' safety slack and the exact re-scoring epilogue
-    absorb).  Memoised on the view — i.e. per (term, fields, smoothing)
-    per index epoch — like the scalar path's memoised bounds.
+    The per-field smoothing arithmetic of :func:`_rescore_mixture`
+    broadcast over the whole document column (elementwise numpy
+    arithmetic is IEEE-identical to the scalar expressions; only
+    ``np.log`` may differ from ``math.log`` by ulps, which the kernels'
+    safety slack and the exact re-scoring epilogue absorb).  Memoised on
+    the view — i.e. per (term, fields, smoothing) per index epoch — like
+    the memoised bounds.
     """
     if smoothing.method == "dirichlet":
         key = ("lm-column", "dirichlet", smoothing.dirichlet_mu, tuple(weighted_fields), term)
@@ -478,11 +327,13 @@ def _dense_kernel_entries(
 def _merge_dense_shard_survivors(results, top_k: int) -> np.ndarray:
     """Union per-shard ``(ordinals, partials, counters)`` dense results.
 
-    The scalar merge rule, vectorized: early-stopped shards (at most
-    ``k + margin`` survivors left) contribute their survivors wholesale
-    — their partials are not comparable across shards — while shards
-    that ran every pass hold full-accumulation values, identical for the
-    same candidate regardless of shard, and are selected globally.
+    Early-stopped shards (at most ``k + margin`` survivors left)
+    contribute their survivors wholesale — their partials are not
+    comparable across shards — while shards that ran every pass hold
+    full-accumulation values, identical for the same candidate regardless
+    of shard, and are selected globally.  Either way the union contains
+    the global top-k, and the re-scoring bill stays ~``k + margin``
+    instead of shards × (``k + margin``).
     """
     stop_budget = top_k + SELECTION_MARGIN  # the driver's early-stop bound
     union: list[np.ndarray] = []
@@ -615,14 +466,15 @@ def _sharded_columnar_dense_survivors(
     executor=None,
     process_plan: dict | None = None,
 ) -> np.ndarray:
-    """The columnar twin of :func:`_sharded_dense_survivors`.
+    """Fan the dense kernel out over candidate shards; union the picks.
 
-    Candidate ordinals are partitioned with the view's CRC shard map
-    (identical routing to the scalar partitioners); each worker runs the
-    dense kernel with a slot on the shared θ broadcast.  With a process
-    executor and a recipe plan the fan-out goes to the multiprocess tier
-    first (falling back here if the snapshot cannot be served).  The
-    merge keeps the scalar rule either way — see
+    Candidate ordinals are partitioned with the view's CRC shard map;
+    each worker runs the dense kernel with a private
+    :class:`PruningStats` (merged afterwards, the logical query counted
+    once) and a slot on the shared θ broadcast, seeded with the primed
+    θ.  With a process executor and a recipe plan the fan-out goes to
+    the multiprocess tier first (falling back here if the snapshot
+    cannot be served).  The merge rule is the same either way — see
     :func:`_merge_dense_shard_survivors` — so rankings stay
     byte-identical across executor tiers.
     """
@@ -671,20 +523,18 @@ class ScoredDocument:
             object.__setattr__(self, "term_scores", {})
 
 
-class MixtureLanguageModelScorer:
-    """Scores documents of a :class:`FieldedIndex` against keyword queries."""
+class _LanguageModelScorer:
+    """The search path shared by the two language-model scorers.
 
-    def __init__(self, index: FieldedIndex, config: SearchConfig | None = None) -> None:
+    Subclasses define the scored terms (:meth:`_term_specs`) and the
+    per-document reference score (:meth:`score_document`); everything
+    else — candidate generation, the dense kernels, the shard fan-out and
+    the exact re-scoring epilogue — is common.
+    """
+
+    def __init__(self, index: FieldedIndex, config: SearchConfig | None) -> None:
         self._index = index
         self._config = config or SearchConfig()
-        weights = dict(self._config.field_weights)
-        total = sum(weights.get(field, 0.0) for field in index.fields)
-        if total <= 0:
-            raise ValueError("field weights must have positive mass over the index fields")
-        #: Normalised weights restricted to the index's fields.
-        self._weights: dict[str, float] = {
-            field: weights.get(field, 0.0) / total for field in index.fields
-        }
         self._smoothing = SmoothingParams(
             method=self._config.smoothing,
             dirichlet_mu=self._config.dirichlet_mu,
@@ -697,18 +547,126 @@ class MixtureLanguageModelScorer:
         """The index snapshot this scorer was built over."""
         return self._index
 
-    @property
-    def field_weights(self) -> Mapping[str, float]:
-        """The normalised field weights actually used for scoring."""
-        return dict(self._weights)
-
     def pruning_info(self) -> dict[str, int]:
         """Cumulative pruning counters (``cache_info()`` convention)."""
         return self._pruning_stats.as_dict()
 
-    def _executor(self):
-        """The shard executor resolved from the config knobs."""
-        return resolve_executor(self._config.executor, self._config.workers)
+    def _term_specs(
+        self, query: KeywordQuery
+    ) -> list[tuple[str, str, Sequence[tuple[str, float]]]]:
+        """The scored terms in scoring order as ``(key, term, fields)``."""
+        raise NotImplementedError
+
+    def score_document(self, query: KeywordQuery, doc_id: str) -> ScoredDocument:
+        raise NotImplementedError
+
+    def search(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
+        """Rank the candidate documents and return the top ``k``.
+
+        The dense kernel selects a margin-guarded superset of the top-k
+        (see :meth:`_survivors`); the survivors are re-scored with the
+        same floating-point operations in the same (query) order as
+        :meth:`score_document`, so the ranking is byte-identical to
+        :meth:`search_exhaustive`, and only the top-k winners pay the full
+        per-term breakdown construction.
+        """
+        top_k = self._config.top_k if top_k is None else top_k
+        candidates = self._index.candidate_documents(query.all_terms())
+        if not candidates:
+            return []
+        support = self._index.scoring_support()
+        smoothing = self._smoothing
+        term_specs = self._term_specs(query)
+        # Each scored term's lookup components, resolved once per query and
+        # shared by the subset-pool priming and the exact epilogue.
+        per_term = [
+            _term_components(term, fields, support, smoothing) for _, term, fields in term_specs
+        ]
+        to_rescore = self._survivors(candidates, support, term_specs, per_term, top_k)
+        exact = _rescore_mixture(to_rescore, per_term, smoothing)
+        exact.sort(key=_rank_key)
+        return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
+
+    def _survivors(
+        self,
+        candidates: set[str],
+        support: ScoringSupport,
+        term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
+        per_term: list[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
+        top_k: int,
+    ) -> list[str]:
+        """The ids worth re-scoring exactly, picked by the dense kernels.
+
+        ``pruning="off"`` gather-adds every term column and selects the
+        top ``k + margin``.  ``"maxscore"`` runs the threshold-pruned
+        traversal — terms in max-score order, candidates whose
+        contribution upper bound cannot beat the live θ evicted early —
+        serially, or fanned out over ``shards`` candidate shards with a θ
+        primed from an exactly scored subset pool (see
+        :func:`_prime_threshold`).
+        """
+        view = columnar_view(self._index)
+        smoothing = self._smoothing
+        entries = _dense_kernel_entries(view, support, smoothing, term_specs)
+        candidate_ordinals = view.ordinals_of(candidates)
+        if self._config.pruning != "maxscore":
+            partials = accumulate_dense(candidate_ordinals, entries)
+            return view.ids_of(select_survivor_ordinals(candidate_ordinals, partials, top_k))
+        num_shards = self._config.shards
+        if num_shards > 1:
+            prime = NO_THRESHOLD
+            if 4 * top_k < len(candidates):
+                prime = _prime_threshold(per_term, smoothing, top_k)
+            executor = resolve_executor(self._config.executor, self._config.workers)
+            plan = None
+            if getattr(executor, "is_process", False):
+                plan = _dense_process_plan(self._index, support, smoothing, term_specs)
+            picked = _sharded_columnar_dense_survivors(
+                view,
+                candidate_ordinals,
+                entries,
+                top_k,
+                self._pruning_stats,
+                prime,
+                num_shards,
+                executor=executor,
+                process_plan=plan,
+            )
+        else:
+            ordinals, partials = columnar_dense(
+                candidate_ordinals, entries, top_k, self._pruning_stats
+            )
+            picked = select_survivor_ordinals(ordinals, partials, top_k)
+        self._pruning_stats.rescored += len(picked)
+        return view.ids_of(picked)
+
+    def search_exhaustive(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
+        """Score every candidate and fully sort — the reference form."""
+        top_k = self._config.top_k if top_k is None else top_k
+        candidates = self._index.candidate_documents(query.all_terms())
+        scored = [self.score_document(query, doc_id) for doc_id in candidates]
+        scored.sort(key=lambda result: (-result.score, result.doc_id))
+        return scored[:top_k]
+
+
+class MixtureLanguageModelScorer(_LanguageModelScorer):
+    """Scores documents of a :class:`FieldedIndex` against keyword queries."""
+
+    def __init__(self, index: FieldedIndex, config: SearchConfig | None = None) -> None:
+        super().__init__(index, config)
+        weights = dict(self._config.field_weights)
+        total = sum(weights.get(field, 0.0) for field in index.fields)
+        if total <= 0:
+            raise ValueError("field weights must have positive mass over the index fields")
+        #: Normalised weights restricted to the index's fields.
+        self._weights: dict[str, float] = {
+            field: weights.get(field, 0.0) / total for field in index.fields
+        }
+
+    @property
+    def field_weights(self) -> Mapping[str, float]:
+        """The normalised field weights actually used for scoring."""
+        return dict(self._weights)
 
     def term_probability(self, term: str, doc_id: str) -> float:
         """Mixture probability ``sum_f w_f * p(term | d_f)``."""
@@ -747,74 +705,12 @@ class MixtureLanguageModelScorer:
                 score += log_p
         return ScoredDocument(doc_id=doc_id, score=score, term_scores=term_scores)
 
-    def search(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
-        """Rank candidate documents term-at-a-time and return the top ``k``.
-
-        Walks each query term's postings once, accumulating partial log
-        probabilities per candidate, then selects the top-k with a bounded
-        heap.  Only the selected documents are re-scored through
-        :meth:`score_document` to materialise their per-term breakdown, so
-        the output is identical to :meth:`search_exhaustive`.
-
-        With ``SearchConfig.pruning == "maxscore"`` the traversal is
-        threshold-pruned: terms are processed in max-score order and
-        candidates whose contribution upper bound cannot beat the live θ
-        are evicted early (see :mod:`repro.topk`); the ranking stays
-        byte-identical because survivors are re-scored exhaustively.
-        """
-        top_k = top_k or self._config.top_k
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
-            return []
-        support = self._index.scoring_support()
+    def _term_specs(
+        self, query: KeywordQuery
+    ) -> list[tuple[str, str, Sequence[tuple[str, float]]]]:
         weighted_fields = [
             (field, weight) for field, weight in self._weights.items() if weight != 0.0
         ]
-        if self._config.pruning in PRUNED_MODES:
-            return self._search_maxscore(query, top_k, candidates, support, weighted_fields)
-        smoothing = self._smoothing
-        per_term = self._per_term_components(query, support, weighted_fields)
-        if self._config.columnar:
-            # Vectorized plain accumulation: gather-add every term column,
-            # select a margin-guarded superset, re-score it exactly —
-            # identical output to the scalar accumulate-then-select path.
-            view = columnar_view(self._index)
-            entries = _dense_kernel_entries(
-                view, support, smoothing, self._term_specs(query, weighted_fields)
-            )
-            candidate_ordinals = view.ordinals_of(candidates)
-            partials = accumulate_dense(candidate_ordinals, entries)
-            picked = select_survivor_ordinals(candidate_ordinals, partials, top_k)
-            exact = _rescore_mixture(view.ids_of(picked), per_term, smoothing)
-            exact.sort(key=_rank_key)
-            return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
-
-        def accumulate(shard: Iterable[str]) -> dict[str, float]:
-            accumulators = dict.fromkeys(shard, 0.0)
-            for components in per_term:
-                _accumulate_mixture_term(accumulators, components, smoothing)
-            return accumulators
-
-        num_shards = self._config.shards
-        if num_shards > 1:
-            # Unpruned fan-out: per-shard accumulation is the identical
-            # arithmetic over a candidate partition, so the merged map
-            # holds exactly the serial path's values.
-            shards = partition_candidates(self._index, candidates, num_shards)
-            accumulators = merge_shard_maps(
-                self._executor().run(
-                    [lambda shard=shard: accumulate(shard) for shard in shards if shard]
-                )
-            )
-        else:
-            accumulators = accumulate(candidates)
-        top = select_top_k(accumulators, top_k)
-        return [self.score_document(query, doc_id) for doc_id, _ in top]
-
-    def _term_specs(
-        self, query: KeywordQuery, weighted_fields: Sequence[tuple[str, float]]
-    ) -> list[tuple[str, str, Sequence[tuple[str, float]]]]:
-        """The scored terms in scoring order as ``(key, term, fields)``."""
         specs: list[tuple[str, str, Sequence[tuple[str, float]]]] = [
             (term, term, weighted_fields) for term in query.terms
         ]
@@ -823,155 +719,8 @@ class MixtureLanguageModelScorer:
             specs.extend((f"{field}:{term}", term, restricted) for term in terms)
         return specs
 
-    def _per_term_components(
-        self,
-        query: KeywordQuery,
-        support: ScoringSupport,
-        weighted_fields: Sequence[tuple[str, float]],
-    ) -> list[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]]:
-        """Each scored term's lookup components, resolved once per query.
 
-        Shared by the accumulate passes (every shard worker included), the
-        pruning entries and the exact re-scoring epilogue, so the
-        per-(field, term) statistics are resolved exactly once however
-        many shards fan out.
-        """
-        smoothing = self._smoothing
-        return [
-            _term_components(term, fields, support, smoothing)
-            for _, term, fields in self._term_specs(query, weighted_fields)
-        ]
-
-    def _dense_entries(
-        self,
-        query: KeywordQuery,
-        support: ScoringSupport,
-        weighted_fields: Sequence[tuple[str, float]],
-        per_term: Sequence[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
-    ) -> list[DenseTermEntry]:
-        """One pruning entry per query term, with mixture bounds attached."""
-        bounds = LanguageModelBounds(support, self._smoothing)
-        smoothing = self._smoothing
-        entries: list[DenseTermEntry] = []
-        for (key, term, fields), components in zip(
-            self._term_specs(query, weighted_fields), per_term
-        ):
-            floor, upper = bounds.mixture_bounds(term, fields)
-            entries.append(
-                DenseTermEntry(
-                    key=key,
-                    floor=floor,
-                    upper=upper,
-                    accumulate=lambda accumulators, cut, components=components: (
-                        _accumulate_mixture_term_pruned(
-                            accumulators, cut, components, smoothing
-                        )
-                    ),
-                )
-            )
-        return entries
-
-    def _search_maxscore(
-        self,
-        query: KeywordQuery,
-        top_k: int,
-        candidates: Iterable[str],
-        support: ScoringSupport,
-        weighted_fields: Sequence[tuple[str, float]],
-    ) -> list[ScoredDocument]:
-        """Threshold-pruned traversal + exact re-scoring of the survivors.
-
-        The survivors are re-scored with the same floating-point operations
-        in the same (query) order as :meth:`score_document`, so the final
-        ranking is byte-identical to the exhaustive path; only the top-k
-        winners pay the full per-term breakdown construction.
-
-        With ``pruning="blockmax"`` the initial θ is primed from a small
-        subset pool of the highest-tf documents per term (see
-        :func:`_prime_threshold`), so the first eviction passes prune
-        with an exact-score threshold instead of the loose
-        partial-plus-floor bound.
-        """
-        smoothing = self._smoothing
-        per_term = self._per_term_components(query, support, weighted_fields)
-        num_shards = self._config.shards
-        prime = NO_THRESHOLD
-        # Sharded traversals always prime: a shard's first passes only see
-        # its own slice of the pool, so the exactly-scored subset pool is
-        # what hands every worker a near-final θ from pass two on (the
-        # serial path reserves priming for blockmax — its partial-plus-
-        # floor θ over the full pool is already decent).
-        if (
-            self._config.pruning == "blockmax" or num_shards > 1
-        ) and 4 * top_k < len(candidates):
-            prime = _prime_threshold(per_term, smoothing, top_k)
-        if self._config.columnar:
-            view = columnar_view(self._index)
-            kernel_entries = _dense_kernel_entries(
-                view, support, smoothing, self._term_specs(query, weighted_fields)
-            )
-            candidate_ordinals = view.ordinals_of(candidates)
-            if num_shards > 1:
-                executor = self._executor()
-                plan = None
-                if getattr(executor, "is_process", False):
-                    plan = _dense_process_plan(
-                        self._index, support, smoothing, self._term_specs(query, weighted_fields)
-                    )
-                picked = _sharded_columnar_dense_survivors(
-                    view,
-                    candidate_ordinals,
-                    kernel_entries,
-                    top_k,
-                    self._pruning_stats,
-                    prime,
-                    num_shards,
-                    executor=executor,
-                    process_plan=plan,
-                )
-            else:
-                ordinals, partials = columnar_dense(
-                    candidate_ordinals,
-                    kernel_entries,
-                    top_k,
-                    self._pruning_stats,
-                    prime_threshold=prime,
-                )
-                picked = select_survivor_ordinals(ordinals, partials, top_k)
-            to_rescore = view.ids_of(picked)
-        elif num_shards > 1:
-            entries = self._dense_entries(query, support, weighted_fields, per_term)
-            shards = partition_candidates(self._index, candidates, num_shards)
-            to_rescore = _sharded_dense_survivors(
-                shards, entries, top_k, self._pruning_stats, prime, executor=self._executor()
-            )
-        else:
-            entries = self._dense_entries(query, support, weighted_fields, per_term)
-            survivors = maxscore_dense(
-                candidates, entries, top_k, self._pruning_stats, prime_threshold=prime
-            )
-            to_rescore = select_survivors(survivors, top_k)
-        self._pruning_stats.rescored += len(to_rescore)
-        exact = _rescore_mixture(to_rescore, per_term, smoothing)
-        exact.sort(key=_rank_key)
-        return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
-
-    def search_exhaustive(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
-        """Score every candidate and fully sort (the pre-accumulator path).
-
-        Kept as the reference implementation for equivalence tests and the
-        accumulator-vs-exhaustive A/B benchmark mode.
-        """
-        top_k = top_k or self._config.top_k
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
-            return []
-        scored = [self.score_document(query, doc_id) for doc_id in candidates]
-        scored.sort(key=lambda result: (-result.score, result.doc_id))
-        return scored[:top_k]
-
-
-class SingleFieldScorer:
+class SingleFieldScorer(_LanguageModelScorer):
     """Baseline: query-likelihood over one catch-all field.
 
     Used by the E7 experiment to show the benefit of the five-field mixture
@@ -979,23 +728,8 @@ class SingleFieldScorer:
     """
 
     def __init__(self, index: FieldedIndex, field: str, config: SearchConfig | None = None) -> None:
-        self._index = index
+        super().__init__(index, config)
         self._field = field
-        self._config = config or SearchConfig()
-        self._smoothing = SmoothingParams(
-            method=self._config.smoothing,
-            dirichlet_mu=self._config.dirichlet_mu,
-            jm_lambda=self._config.jm_lambda,
-        )
-        self._pruning_stats = PruningStats()
-
-    def pruning_info(self) -> dict[str, int]:
-        """Cumulative pruning counters (``cache_info()`` convention)."""
-        return self._pruning_stats.as_dict()
-
-    def _executor(self):
-        """The shard executor resolved from the config knobs."""
-        return resolve_executor(self._config.executor, self._config.workers)
 
     def score_document(self, query: KeywordQuery, doc_id: str) -> ScoredDocument:
         score = 0.0
@@ -1010,127 +744,8 @@ class SingleFieldScorer:
             score += log_p
         return ScoredDocument(doc_id=doc_id, score=score, term_scores=term_scores)
 
-    def search(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
-        """Term-at-a-time ranking over the single field (see the MLM scorer)."""
-        top_k = top_k or self._config.top_k
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
-            return []
-        support = self._index.scoring_support()
+    def _term_specs(
+        self, query: KeywordQuery
+    ) -> list[tuple[str, str, Sequence[tuple[str, float]]]]:
         single_field = ((self._field, 1.0),)
-        smoothing = self._smoothing
-        per_term = [
-            _term_components(term, single_field, support, smoothing)
-            for term in query.all_terms()
-        ]
-        term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]] = [
-            (term, term, single_field) for term in query.all_terms()
-        ]
-        if self._config.pruning in PRUNED_MODES:
-            num_shards = self._config.shards
-            prime = NO_THRESHOLD
-            if (
-                self._config.pruning == "blockmax" or num_shards > 1
-            ) and 4 * top_k < len(candidates):
-                prime = _prime_threshold(per_term, smoothing, top_k)
-            if self._config.columnar:
-                view = columnar_view(self._index)
-                kernel_entries = _dense_kernel_entries(view, support, smoothing, term_specs)
-                candidate_ordinals = view.ordinals_of(candidates)
-                if num_shards > 1:
-                    executor = self._executor()
-                    plan = None
-                    if getattr(executor, "is_process", False):
-                        plan = _dense_process_plan(
-                            self._index, support, smoothing, term_specs
-                        )
-                    picked = _sharded_columnar_dense_survivors(
-                        view,
-                        candidate_ordinals,
-                        kernel_entries,
-                        top_k,
-                        self._pruning_stats,
-                        prime,
-                        num_shards,
-                        executor=executor,
-                        process_plan=plan,
-                    )
-                else:
-                    ordinals, partials = columnar_dense(
-                        candidate_ordinals,
-                        kernel_entries,
-                        top_k,
-                        self._pruning_stats,
-                        prime_threshold=prime,
-                    )
-                    picked = select_survivor_ordinals(ordinals, partials, top_k)
-                to_rescore = view.ids_of(picked)
-            else:
-                bounds = LanguageModelBounds(support, smoothing)
-                entries: list[DenseTermEntry] = []
-                for term, components in zip(query.all_terms(), per_term):
-                    floor, upper = bounds.mixture_bounds(term, single_field)
-                    entries.append(
-                        DenseTermEntry(
-                            key=term,
-                            floor=floor,
-                            upper=upper,
-                            accumulate=lambda accumulators, cut, components=components: (
-                                _accumulate_mixture_term_pruned(
-                                    accumulators, cut, components, smoothing
-                                )
-                            ),
-                        )
-                    )
-                if num_shards > 1:
-                    shards = partition_candidates(self._index, candidates, num_shards)
-                    to_rescore = _sharded_dense_survivors(
-                        shards, entries, top_k, self._pruning_stats, prime,
-                        executor=self._executor(),
-                    )
-                else:
-                    survivors = maxscore_dense(
-                        candidates, entries, top_k, self._pruning_stats, prime_threshold=prime
-                    )
-                    to_rescore = select_survivors(survivors, top_k)
-            self._pruning_stats.rescored += len(to_rescore)
-            exact = _rescore_mixture(to_rescore, per_term, smoothing)
-            exact.sort(key=_rank_key)
-            return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
-
-        if self._config.columnar:
-            view = columnar_view(self._index)
-            kernel_entries = _dense_kernel_entries(view, support, smoothing, term_specs)
-            candidate_ordinals = view.ordinals_of(candidates)
-            partials = accumulate_dense(candidate_ordinals, kernel_entries)
-            picked = select_survivor_ordinals(candidate_ordinals, partials, top_k)
-            exact = _rescore_mixture(view.ids_of(picked), per_term, smoothing)
-            exact.sort(key=_rank_key)
-            return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
-
-        def accumulate(shard: Iterable[str]) -> dict[str, float]:
-            accumulators = dict.fromkeys(shard, 0.0)
-            for components in per_term:
-                _accumulate_mixture_term(accumulators, components, smoothing)
-            return accumulators
-
-        num_shards = self._config.shards
-        if num_shards > 1:
-            shards = partition_candidates(self._index, candidates, num_shards)
-            accumulators = merge_shard_maps(
-                self._executor().run(
-                    [lambda shard=shard: accumulate(shard) for shard in shards if shard]
-                )
-            )
-        else:
-            accumulators = accumulate(candidates)
-        top = select_top_k(accumulators, top_k)
-        return [self.score_document(query, doc_id) for doc_id, _ in top]
-
-    def search_exhaustive(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
-        """Score every candidate and fully sort (the pre-accumulator path)."""
-        top_k = top_k or self._config.top_k
-        candidates = self._index.candidate_documents(query.all_terms())
-        scored = [self.score_document(query, doc_id) for doc_id in candidates]
-        scored.sort(key=lambda result: (-result.score, result.doc_id))
-        return scored[:top_k]
+        return [(term, term, single_field) for term in query.all_terms()]

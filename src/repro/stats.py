@@ -11,7 +11,7 @@ typed, frozen object graph:
 * :class:`PruningStatsView` — an immutable snapshot of one pruned
   traversal's :class:`~repro.topk.stats.PruningStats` counters;
 * :class:`EngineStats` — one component's full introspection record:
-  configuration echo (pruning mode, shard layout, columnar on/off),
+  configuration echo (pruning mode, shard layout),
   epoch, caches, pruning counters, rebuild counters and child
   components.
 
@@ -89,8 +89,6 @@ class PruningStatsView:
     candidates_pruned: int
     groups_total: int
     groups_skipped: int
-    blocks_total: int
-    blocks_skipped: int
     rescored: int
     kernel_queries: int = 0
 
@@ -109,8 +107,6 @@ class PruningStatsView:
             "candidates_pruned": self.candidates_pruned,
             "groups_total": self.groups_total,
             "groups_skipped": self.groups_skipped,
-            "blocks_total": self.blocks_total,
-            "blocks_skipped": self.blocks_skipped,
             "rescored": self.rescored,
             "kernel_queries": self.kernel_queries,
         }
@@ -278,7 +274,7 @@ class EngineStats:
 
     ``component`` names the component (``"search"``,
     ``"recommendation"``, ``"pivote"``); ``epoch`` is the component's
-    current index/graph epoch; ``shards``/``columnar``/``pruning`` echo
+    current index/graph epoch; ``shards``/``pruning`` echo
     the execution configuration the component runs with.  ``caches``
     and ``pruning_counters`` carry the component's own counters, and a
     facade lists its components as ``children``.  The recommendation
@@ -290,7 +286,6 @@ class EngineStats:
     component: str
     epoch: int
     shards: int
-    columnar: bool
     pruning: str
     caches: tuple[CacheStats, ...] = ()
     pruning_counters: tuple[PruningStatsView, ...] = ()
@@ -333,7 +328,6 @@ class EngineStats:
             "component": self.component,
             "epoch": self.epoch,
             "shards": self.shards,
-            "columnar": self.columnar,
             "pruning": self.pruning,
             "caches": {entry.name: entry.as_info() for entry in self.caches},
             "pruning_counters": {

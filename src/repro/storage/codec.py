@@ -49,8 +49,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..index.postings import BLOCK_SIZE
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
     from ..kg.columns import LogColumns
@@ -208,8 +206,7 @@ class SegmentView:
     expects, and presents the subset of the
     :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
     kernels consume — length columns, one term's slice of a field's
-    posting CSR (with its block grid rebuilt locally), dense frequency
-    columns, CRC-derived shard
+    posting CSR, dense frequency columns, CRC-derived shard
     ownership — plus the same ``memoised`` hook the scorers use for
     derived contribution columns.  Graph-topology segments instead
     rebuild their :class:`~repro.kg.topology.GraphTopology` via
@@ -353,7 +350,6 @@ class SegmentView:
             return ColumnarPostings(
                 self.array(csr["ordinals"])[start:end],
                 self.array(csr["frequencies"])[start:end].astype(np.float64),
-                BLOCK_SIZE,
             )
 
         return self.memoised(("postings", field, term), build)

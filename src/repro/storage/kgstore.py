@@ -271,9 +271,7 @@ def _field_columns(
     return PostingColumns(documents, terms, offsets, ordinals, frequencies, lengths)
 
 
-def restore_fielded_index(
-    view: SegmentView, fields: tuple[str, ...], shards: int = 1
-) -> "FieldedIndex":
+def restore_fielded_index(view: SegmentView, fields: tuple[str, ...]) -> "FieldedIndex":
     """Adopt one index snapshot as a live :class:`FieldedIndex`.
 
     The stored per-field posting CSRs *are* the index
@@ -283,13 +281,13 @@ def restore_fielded_index(
     :func:`_field_columns`), and so are the document ids — strictly
     ascending, since ordinal order must be doc-id order, as many as the
     segment says, and each with its own CRC-32 in the ``crcs`` column
-    that sharded adoption routes by.  Any violation, a configured field schema other
-    than the stored one, or a segment in the old one-column-pair-per-term
-    layout raises :class:`SnapshotUnavailable`, and the caller rebuilds.
+    that the process tier's workers cut shards by.  Any violation, a
+    configured field schema other than the stored one, or a segment in
+    the old one-column-pair-per-term layout raises
+    :class:`SnapshotUnavailable`, and the caller rebuilds.
     """
     from ..index.fielded_index import FieldedIndex
     from ..index.inverted_index import DocumentColumns
-    from ..index.sharded import ShardedFieldedIndex
 
     if view.kind != INDEX_KIND:
         raise SnapshotUnavailable(
@@ -321,11 +319,9 @@ def restore_fielded_index(
     if not np.array_equal(crcs, hashed):
         raise SnapshotUnavailable("snapshot crc column disagrees with the document ids")
 
-    documents = DocumentColumns(doc_ids, crcs)
+    documents = DocumentColumns(doc_ids)
     columns = {field: _field_columns(view, field, documents) for field in fields}
-    index = (
-        ShardedFieldedIndex(fields, shards) if shards > 1 else FieldedIndex(fields)
-    )
+    index = FieldedIndex(fields)
     index.adopt(documents, columns)
     return index
 
@@ -473,7 +469,6 @@ def load_system(
     directory: str,
     *,
     fields: tuple[str, ...],
-    search_shards: int = 1,
 ) -> LoadedSystem:
     """Load a saved system, attaching snapshots instead of rebuilding.
 
@@ -517,10 +512,7 @@ def load_system(
 
     return LoadedSystem(
         graph=graph,
-        index=restored(
-            SEARCH_INDEX_KEY,
-            lambda view: restore_fielded_index(view, fields, shards=search_shards),
-        ),
+        index=restored(SEARCH_INDEX_KEY, lambda view: restore_fielded_index(view, fields)),
         feature_snapshot=restored(
             FEATURE_TABLES_KEY, lambda view: restore_feature_snapshot(graph, view)
         ),

@@ -2,59 +2,46 @@
 
 Both retrieval pipelines — keyword search over the fielded index (§2.2)
 and the two-stage entity recommendation (§2.3) — select a small top-k out
-of a large candidate pool.  PRs 1–2 made the traversals accumulator-based;
-this package adds the classic dynamic-pruning step on top: maintain a live
-threshold θ (the k-th best score lower bound seen so far) and skip any
-term, candidate or whole type group whose score *upper bound* cannot beat
-θ.  The building blocks are shared by both sides:
+of a large candidate pool.  The classic dynamic-pruning step runs on top:
+maintain a live threshold θ (the k-th best score lower bound seen so far)
+and skip any term, candidate or whole type group whose score *upper
+bound* cannot beat θ.  The building blocks are shared by both sides:
 
-* :class:`~repro.topk.heap.ThresholdHeap` — a bounded heap over score
-  lower bounds exposing the live θ;
+* :func:`~repro.topk.heap.threshold_of` and
+  :class:`~repro.topk.heap.SharedThreshold` — θ over a snapshot of lower
+  bounds, and its cross-shard broadcast;
 * :class:`~repro.topk.stats.PruningStats` — ``cache_info()``-style skip
   counters reported by every pruned scorer;
-* :class:`~repro.topk.bounds.ScorerBounds` — the protocol scorers
-  implement to expose per-(field, term) contribution bounds;
-* :func:`~repro.topk.maxscore.maxscore_dense` /
-  :func:`~repro.topk.maxscore.maxscore_sparse` — the two max-score
-  traversal drivers (smoothing scorers score every candidate and need the
-  dense driver; BM25-family scorers only ever touch postings and use the
-  sparse one);
 * :func:`~repro.topk.kernels.columnar_dense` /
-  :func:`~repro.topk.kernels.columnar_sparse` — the vectorized
-  counterparts of the two drivers, operating on the columnar postings
-  view of :mod:`repro.index.columnar` (the ``columnar`` config knob
-  selects between the scalar and vectorized drivers);
+  :func:`~repro.topk.kernels.columnar_sparse` — the two max-score
+  traversal kernels over the columnar postings view of
+  :mod:`repro.index.columnar` (smoothing scorers score every candidate
+  and need the dense kernel; BM25-family scorers only ever touch
+  postings and use the sparse one), with ``accumulate_*`` as their
+  unpruned forms;
 * :func:`~repro.topk.kernels.columnar_rank` — the recommendation-side
-  kernel: the vectorized counterpart of the scalar type-grouped entity
-  walk, operating on :class:`~repro.topk.kernels.RankerKernelInputs`
-  columns built from :mod:`repro.features.columnar` feature tables.
+  kernel: the type-grouped entity walk over
+  :class:`~repro.topk.kernels.RankerKernelInputs` columns built from
+  :mod:`repro.features.columnar` feature tables.
 
-Pruning never changes results: every driver only narrows the candidate
+Pruning never changes results: every kernel only narrows the candidate
 set using sound upper bounds (with a rounding-safety slack, see
 :func:`~repro.topk.heap.safety_slack`), and callers re-score the
-survivors through the exhaustive per-document scoring path, so pruned
+survivors through the exhaustive per-document arithmetic, so pruned
 rankings are byte-identical to exhaustive rankings by construction.
 """
 
-from .bounds import (
-    BlockedSparseTermEntry,
-    DenseTermEntry,
-    ScorerBounds,
-    SparseTermEntry,
-)
 from .heap import (
     NO_THRESHOLD,
     SharedThreshold,
     SharedThresholdSlot,
-    ThresholdHeap,
-    ceil_div,
     safety_slack,
     threshold_of,
-    top_k_bounds,
 )
 from .kernels import (
     DenseKernelTerm,
     RankerKernelInputs,
+    SELECTION_MARGIN,
     SparseKernelTerm,
     accumulate_dense,
     accumulate_rank,
@@ -64,40 +51,24 @@ from .kernels import (
     columnar_sparse,
     select_survivor_ordinals,
 )
-from .maxscore import (
-    SELECTION_MARGIN,
-    maxscore_dense,
-    maxscore_sparse,
-    select_survivors,
-)
 from .stats import PruningStats
 
 __all__ = [
-    "BlockedSparseTermEntry",
     "DenseKernelTerm",
-    "DenseTermEntry",
     "NO_THRESHOLD",
     "PruningStats",
     "RankerKernelInputs",
     "SELECTION_MARGIN",
-    "ScorerBounds",
     "SharedThreshold",
     "SharedThresholdSlot",
     "SparseKernelTerm",
-    "SparseTermEntry",
-    "ThresholdHeap",
     "accumulate_dense",
     "accumulate_rank",
     "accumulate_sparse",
-    "ceil_div",
     "columnar_dense",
     "columnar_rank",
     "columnar_sparse",
-    "maxscore_dense",
-    "maxscore_sparse",
     "safety_slack",
     "select_survivor_ordinals",
-    "select_survivors",
     "threshold_of",
-    "top_k_bounds",
 ]

@@ -1,20 +1,14 @@
-"""The live pruning threshold θ: bounded heaps over score lower bounds.
+"""The live pruning threshold θ over score lower bounds.
 
 θ is the k-th best *lower bound* on a final score observed so far.  Any
 candidate whose score *upper bound* falls below θ (minus a rounding-safety
 slack, :func:`safety_slack`) provably cannot enter the top-k, because at
 least k other candidates already have final scores of at least θ.
 
-Two access patterns are provided:
-
-* :func:`threshold_of` for recomputing θ from a snapshot of lower bounds
-  — the traversal drivers do this once per term pass over the live
-  accumulator values (recomputing avoids the duplicate-offer unsoundness
-  of pushing a growing partial score twice), and the type-group pruner
-  over a subset pool of the highest-base candidates;
-* :class:`ThresholdHeap` for streaming offers when each candidate's
-  final lower bound is seen exactly once (kept as part of the layer's
-  public surface for traversals with that shape).
+:func:`threshold_of` recomputes θ from a snapshot of lower bounds (the
+sharded search's subset-pool priming and the θ slab use it; the kernels
+have an array form), and :class:`SharedThreshold` is the cross-shard θ
+broadcast.
 """
 
 from __future__ import annotations
@@ -28,17 +22,6 @@ from collections.abc import Iterable
 NO_THRESHOLD = float("-inf")
 
 
-def ceil_div(numerator: int, denominator: int) -> int:
-    """``ceil(numerator / denominator)`` in exact integer arithmetic.
-
-    The block/chunk grids (posting blocks, feature-correction chunks)
-    all need the number of fixed-size slices covering ``numerator``
-    items; the floor-division identity keeps it exact for the int sizes
-    float ``math.ceil`` would round.
-    """
-    return -(-numerator // denominator)
-
-
 def safety_slack(threshold: float) -> float:
     """Rounding guard subtracted from θ before any bound comparison.
 
@@ -50,52 +33,6 @@ def safety_slack(threshold: float) -> float:
     rounding error and far below any score gap worth pruning.
     """
     return 1e-9 * (1.0 + abs(threshold))
-
-
-class ThresholdHeap:
-    """A bounded min-heap over score lower bounds with a live θ.
-
-    ``offer`` scores as they become known; :attr:`threshold` is the k-th
-    best so far, or ``-inf`` until k scores have been offered.  Offers must
-    be final lower bounds of *distinct* candidates — offering a growing
-    partial score of the same candidate twice would double-count it.
-    """
-
-    __slots__ = ("_k", "_heap")
-
-    def __init__(self, k: int) -> None:
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self._k = k
-        self._heap: list[float] = []
-
-    def offer(self, score: float) -> None:
-        """Consider one candidate's score lower bound."""
-        heap = self._heap
-        if len(heap) < self._k:
-            heapq.heappush(heap, score)
-        elif score > heap[0]:
-            heapq.heapreplace(heap, score)
-
-    def offer_many(self, scores: Iterable[float]) -> None:
-        for score in scores:
-            self.offer(score)
-
-    @property
-    def full(self) -> bool:
-        """Whether k lower bounds have been seen (θ is live)."""
-        return len(self._heap) >= self._k
-
-    @property
-    def threshold(self) -> float:
-        """The live θ: k-th best lower bound, ``-inf`` while not full."""
-        heap = self._heap
-        if len(heap) < self._k:
-            return NO_THRESHOLD
-        return heap[0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class SharedThreshold:
@@ -201,29 +138,10 @@ class SharedThresholdSlot:
         return self._shared._offer(self._id, bounds)
 
 
-def top_k_bounds(scores: Iterable[float], k: int) -> list[float]:
-    """The up-to-``k`` largest finite lower bounds of a snapshot.
-
-    The list-valued sibling of :func:`threshold_of` the cross-shard
-    broadcast consumes: shorter-than-``k`` results are still useful there
-    (a shard with 3 candidates contributes 3 witnesses to the global
-    pool), and NaNs are dropped rather than poisoning the pool — a NaN is
-    simply not a usable witness.
-    """
-    if k <= 0:
-        return []
-    largest = heapq.nlargest(k, scores)
-    if any(map(math.isnan, largest)):
-        largest = [bound for bound in largest if not math.isnan(bound)]
-    return largest
-
-
 def threshold_of(scores: Iterable[float], k: int) -> float:
     """θ over a snapshot of lower bounds: the k-th largest, or ``-inf``.
 
-    Used by the traversal drivers to recompute θ from the current
-    accumulator values after each term pass (``heapq.nlargest`` runs in
-    C and is O(n log k)).
+    ``heapq.nlargest`` runs in C and is O(n log k).
 
     The result is never NaN: a NaN θ would poison every subsequent bound
     comparison (all comparisons with NaN are false, so pruning would
@@ -234,8 +152,7 @@ def threshold_of(scores: Iterable[float], k: int) -> float:
     comparison is false, so the k-th largest *comparable* score comes out
     as usual) or ends up in the result, in which case θ degrades to
     ``-inf`` — pruning is disabled for the snapshot, which is sound.
-    ``-inf`` is also returned when fewer than ``k`` scores exist, e.g.
-    when ``k`` exceeds the surviving candidate pool mid-traversal.
+    ``-inf`` is also returned when fewer than ``k`` scores exist.
     """
     if k <= 0:
         return NO_THRESHOLD

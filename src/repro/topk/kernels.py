@@ -1,24 +1,23 @@
 """Vectorized max-score traversal kernels over columnar postings.
 
-These are the array-driven counterparts of the scalar drivers in
-:mod:`repro.topk.maxscore`: the same traversal structure (term order,
-θ derivation, OR→AND switch, block-max refinement, cross-shard θ
-offers, pruning counters), but candidates live in numpy arrays — an
-accumulator column plus an alive mask — and every per-candidate loop
-becomes a vectorized operation.  Term inputs are precomputed
-*contribution columns* (see :mod:`repro.index.columnar`): the dense
-kernel gathers one value per live candidate per term, the sparse kernel
-scatter-adds each term's posting range.
+Every threshold-pruned traversal of the system runs here.  Candidates
+live in numpy arrays — an accumulator column plus an alive mask — and
+every per-candidate step (θ derivation, OR→AND switch, evictions,
+cross-shard θ offers, pruning counters) is a vectorized operation.  Term
+inputs are precomputed *contribution columns* (see
+:mod:`repro.index.columnar`): the dense kernel gathers one value per live
+candidate per term, the sparse kernel scatter-adds each term's posting
+range.
 
-The equivalence contract is inherited from the scalar drivers: a kernel
-returns a *superset* of the true top-k with margin-guarded partials,
-and the caller re-scores the survivors through the exhaustive scalar
-path with the exhaustive ``(-score, doc_id)`` tie-break — so columnar
-rankings are byte-identical to scalar rankings by construction, and the
-kernels' θ arithmetic only has to be *sound*, not bit-equal.  Every cut
-keeps the :func:`~repro.topk.heap.safety_slack` rounding guard, which
-also absorbs the ulp differences between ``numpy`` reductions and the
-scalar accumulation order.
+The equivalence contract: a kernel returns a *superset* of the true
+top-k with margin-guarded partials, and the caller re-scores the
+survivors through the exhaustive scalar arithmetic with the exhaustive
+``(-score, doc_id)`` tie-break — so rankings are byte-identical to the
+exhaustive reference by construction, and the kernels' θ arithmetic
+only has to be *sound*, not bit-equal.  Every cut keeps the
+:func:`~repro.topk.heap.safety_slack` rounding guard, which also absorbs
+the ulp differences between ``numpy`` reductions and the scalar
+accumulation order.
 
 Ordinals are assigned in sorted-doc-id order (see
 :class:`~repro.index.columnar.ColumnarIndex`), so ordinal comparisons
@@ -27,9 +26,9 @@ reproduce the ``doc_id`` tie-break and
 
 The recommendation side has one kernel, :func:`columnar_rank`: the
 type-grouped entity walk — per-type base scatter, per-feature holder
-scatter-adds, chunked correction-bound retirement and whole-group kills
-as mask operations — over the precomputed :class:`RankerKernelInputs`
-columns (see :func:`repro.features.columnar.build_ranker_inputs`).
+scatter-adds and whole-group kills as mask operations — over the
+precomputed :class:`RankerKernelInputs` columns (see
+:func:`repro.features.columnar.build_ranker_inputs`).
 """
 
 from __future__ import annotations
@@ -38,9 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heap import NO_THRESHOLD, SharedThresholdSlot, ceil_div, safety_slack
-from .maxscore import SELECTION_MARGIN
+from .heap import NO_THRESHOLD, SharedThresholdSlot, safety_slack
 from .stats import PruningStats
+
+#: Extra survivors selected beyond k before the exact re-scoring pass.
+#: The kernels' accumulator values associate the same floating-point
+#: terms differently from the exhaustive path, so the selection boundary
+#: is guarded by a margin: a selection mismatch would need more than this
+#: many candidates packed within rounding error of the k-th score.
+SELECTION_MARGIN = 16
 
 
 @dataclass(frozen=True)
@@ -68,19 +73,15 @@ class SparseKernelTerm:
     """One query term of the sparse (BM25-family) kernel.
 
     ``ordinals``/``contributions`` are the term's posting column (exact
-    contribution per matching document, ascending ordinals); the
-    optional block arrays carry the ``blockmax`` range bounds on the
-    same grid as the scalar block summaries.  Sharded runs slice
-    ``ordinals``/``contributions`` per shard and keep the block arrays
-    global — a superset grid is still a sound bound source.
+    contribution per matching document, ascending ordinals).  Sharded
+    runs slice both per shard and keep ``upper`` global — a full-list
+    bound is sound for any subset.
     """
 
     key: str
     upper: float
     ordinals: np.ndarray
     contributions: np.ndarray
-    block_last_ordinals: np.ndarray | None = None
-    block_uppers: np.ndarray | None = None
 
 
 # --------------------------------------------------------------------- #
@@ -89,7 +90,7 @@ class SparseKernelTerm:
 def _kth_largest(values: np.ndarray, k: int) -> float:
     """θ over a value column: the k-th largest, or ``-inf``.
 
-    Mirrors :func:`~repro.topk.heap.threshold_of` including the NaN
+    The array form of :func:`~repro.topk.heap.threshold_of`, NaN
     rule — a NaN anywhere near the top degrades θ to ``-inf`` (pruning
     disabled, which is sound) instead of poisoning comparisons.
     """
@@ -104,8 +105,9 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
 def _top_bounds(values: np.ndarray, k: int) -> list[float]:
     """Up-to-``k`` largest values as witnesses for the θ broadcast.
 
-    The array sibling of :func:`~repro.topk.heap.top_k_bounds`: short
-    results are kept, NaNs are dropped.
+    Short results are kept (a shard with three candidates still
+    contributes three witnesses to the global pool) and NaNs are dropped
+    — a NaN is simply not a usable witness.
     """
     if k <= 0 or values.size == 0:
         return []
@@ -125,8 +127,9 @@ def select_survivor_ordinals(
 ) -> np.ndarray:
     """The ordinals worth re-scoring exactly: top ``k + margin``.
 
-    The array counterpart of
-    :func:`~repro.topk.maxscore.select_survivors`, with the same
+    When at most ``k + margin`` candidates survived, all of them are
+    re-scored (their values may be partial if the traversal stopped
+    early).  Otherwise the selection follows the exhaustive
     ``(-value, doc_id)`` ordering: ordinal order *is* doc-id order, so
     one ``lexsort`` on ``(ordinal, -value)`` reproduces the tie-break.
     """
@@ -146,16 +149,24 @@ def columnar_dense(
     top_k: int,
     stats: PruningStats,
     margin: int = SELECTION_MARGIN,
-    prime_threshold: float = NO_THRESHOLD,
     shared: SharedThresholdSlot | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.topk.maxscore.maxscore_dense`.
+    """Threshold-pruned dense traversal (smoothing language models).
 
-    Same traversal: terms in decreasing spread order, θ from the live
-    partials (plus the remaining floor sum), evictions fused into the
-    next pass, remaining passes skipped once at most ``top_k + margin``
-    candidates survive.  Returns the surviving ``(ordinals, partials)``
-    columns.
+    Every candidate starts with an open accumulator (smoothing scores all
+    documents); terms are processed in decreasing *spread* order so the
+    most discriminative terms tighten θ first.  θ is the k-th best live
+    partial plus the remaining floor sum (a lower bound of the k-th best
+    final score); candidates whose partial plus the remaining upper sum
+    cannot reach it are evicted before the next pass, and the remaining
+    passes are skipped once at most ``top_k + margin`` candidates
+    survive.  Returns the surviving ``(ordinals, partials)`` columns.
+
+    ``shared`` is this worker's slot on the cross-shard θ broadcast:
+    after each pass the worker offers its top-k partial-plus-floor bounds
+    and prunes with the k-th best over every shard's offer, or with the
+    broadcast's primed θ when that is tighter (see
+    :class:`~repro.topk.heap.SharedThreshold`).
     """
     stats.queries += 1
     stats.kernel_queries += 1
@@ -197,16 +208,8 @@ def columnar_dense(
         live = accumulators[alive]
         if shared is not None:
             total = shared.offer([bound + rem_floor for bound in _top_bounds(live, top_k)])
-            if prime_threshold > total:
-                total = prime_threshold
         else:
-            threshold = _kth_largest(live, top_k)
-            if threshold == NO_THRESHOLD:
-                total = prime_threshold
-            else:
-                total = threshold + rem_floor
-                if prime_threshold > total:
-                    total = prime_threshold
+            total = _kth_largest(live, top_k) + rem_floor  # -inf stays -inf
         if total == NO_THRESHOLD:
             cut = NO_THRESHOLD
             continue
@@ -232,18 +235,21 @@ def columnar_sparse(
     top_k: int,
     stats: PruningStats,
     num_documents: int,
-    blockmax: bool = False,
     shared: SharedThresholdSlot | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.topk.maxscore.maxscore_sparse`.
+    """Threshold-pruned sparse traversal (BM25-family scorers).
 
-    The accumulator map becomes a length-``num_documents`` value column
-    plus an alive mask; postings expansion is a scatter-add over the
-    term's ordinal range (re-entering documents reset to zero first,
-    like the scalar ``accumulators.get(doc_id, 0.0)``), refinement adds
-    only where alive, and the OR→AND switch plus evictions follow the
-    scalar driver decision for decision.  Returns the surviving
-    ``(ordinals, partials)`` columns.
+    Accumulators exist only for documents matching at least one
+    processed term (the floor is zero): a length-``num_documents`` value
+    column plus an alive mask.  Terms are processed in decreasing upper
+    bound order; postings expansion is a scatter-add over the term's
+    ordinal range (a document evicted earlier re-enters from zero).  Once
+    the upper-bound sum of the unprocessed terms falls below θ, no *new*
+    document can reach the top-k and the traversal switches to
+    refinement — adding only where alive (the OR→AND switch).  Surviving
+    values are exact totals.  ``shared`` is this worker's slot on the
+    cross-shard θ broadcast (see :func:`columnar_dense`).  Returns the
+    surviving ``(ordinals, partials)`` columns.
     """
     stats.queries += 1
     stats.kernel_queries += 1
@@ -272,19 +278,6 @@ def columnar_sparse(
             else NO_THRESHOLD
         )
         if cut != NO_THRESHOLD and remaining_upper[position] < cut:
-            if blockmax:
-                _columnar_gallop(
-                    accumulators,
-                    alive,
-                    [entries[i] for i in order[position:]],
-                    remaining_upper,
-                    position,
-                    top_k,
-                    threshold,
-                    stats,
-                    shared=shared,
-                )
-                break
             ordinals = entry.ordinals
             matched = alive[ordinals]
             accumulators[ordinals[matched]] += entry.contributions[matched]
@@ -321,75 +314,6 @@ def columnar_sparse(
                 stats.candidates_pruned += evicted
     survivors = np.flatnonzero(alive)
     return survivors, accumulators[survivors]
-
-
-def _columnar_gallop(
-    accumulators: np.ndarray,
-    alive: np.ndarray,
-    remaining: list[SparseKernelTerm],
-    remaining_upper: list[float],
-    base_position: int,
-    top_k: int,
-    threshold: float,
-    stats: PruningStats,
-    shared: SharedThresholdSlot | None = None,
-) -> None:
-    """AND-mode block-max refinement, vectorized.
-
-    The scalar :func:`~repro.topk.maxscore._gallop_refine` gallops a
-    block cursor over the survivors with ``bisect``; here one
-    ``searchsorted`` maps every survivor to its block at once, the
-    block-bound eviction is a mask, and the posting probe is a second
-    ``searchsorted`` intersection.  Counter semantics match: every
-    remaining term counts as skipped, ``blocks_total`` accrues the full
-    grid per blocked term, and ``blocks_skipped`` the blocks no kept
-    survivor landed in.
-    """
-    for offset, entry in enumerate(remaining):
-        stats.terms_skipped += 1
-        if shared is not None and shared.value > threshold:
-            threshold = shared.value
-        cut = threshold - safety_slack(threshold)
-        block_lasts = entry.block_last_ordinals
-        if block_lasts is None or block_lasts.size == 0:
-            ordinals = entry.ordinals
-            matched = alive[ordinals]
-            accumulators[ordinals[matched]] += entry.contributions[matched]
-        else:
-            rem_after = remaining_upper[base_position + offset + 1]
-            block_uppers = entry.block_uppers
-            num_blocks = int(block_lasts.size)
-            stats.blocks_total += num_blocks
-            survivors = np.flatnonzero(alive)
-            blocks = np.searchsorted(block_lasts, survivors, side="left")
-            in_grid = blocks < num_blocks
-            bounds = np.where(
-                in_grid, block_uppers[np.minimum(blocks, num_blocks - 1)], 0.0
-            )
-            doomed = accumulators[survivors] + bounds + rem_after < cut
-            evicted = int(np.count_nonzero(doomed))
-            if evicted:
-                alive[survivors[doomed]] = False
-                stats.candidates_pruned += evicted
-            keep = ~doomed & in_grid
-            probe = survivors[keep]
-            probe_blocks = blocks[keep]
-            if entry.ordinals.size and probe.size:
-                positions = np.searchsorted(entry.ordinals, probe)
-                positions = np.minimum(positions, entry.ordinals.size - 1)
-                matched = entry.ordinals[positions] == probe
-                accumulators[probe[matched]] += entry.contributions[positions[matched]]
-            probed = int(np.unique(probe_blocks).size)
-            stats.blocks_skipped += num_blocks - probed
-        live = accumulators[alive]
-        if shared is not None:
-            offered = shared.offer(_top_bounds(live, top_k))
-            if offered > threshold:
-                threshold = offered
-        elif live.size > top_k:
-            refreshed = _kth_largest(live, top_k)
-            if refreshed > threshold:
-                threshold = refreshed
 
 
 def accumulate_sparse(
@@ -440,24 +364,19 @@ def columnar_rank(
     inputs: RankerKernelInputs,
     top_k: int,
     stats: PruningStats,
-    blockmax: bool = False,
-    feature_chunk: int = 2,
     margin: int = SELECTION_MARGIN,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The threshold-pruned type-grouped entity accumulator.
 
     Per-type base scatter, initial θ from the candidate base scores,
-    up-front group kills (``blockmax`` additionally retires zero-bound
-    groups), then per-feature holder scatter-adds on a fixed checkpoint
-    schedule — maxscore refreshes θ after columns 1 and 4, blockmax
-    retires finished groups at every ``feature_chunk`` boundary and runs
-    the kill scan on the maxscore checkpoints plus every eighth column.
-    Partials are exact accumulator values (``(1 - base) * r``
-    products); θ arithmetic only has to be sound: it is the k-th best of
-    the live accumulators, each a lower bound of a real score, and every
-    cut keeps the safety slack.  Returns the margin-selected
-    ``(ordinals, partials)`` survivor columns — a superset of the true
-    top-k for the caller's exact re-scoring epilogue.
+    up-front group kills, then per-feature holder scatter-adds with a
+    kill scan after columns 1 and 4.  Partials are exact accumulator
+    values (``(1 - base) * r`` products); θ arithmetic only has to be
+    sound: it is the k-th best of the live accumulators, each a lower
+    bound of a real score, and every cut keeps the safety slack.
+    Returns the margin-selected ``(ordinals, partials)`` survivor
+    columns — a superset of the true top-k for the caller's exact
+    re-scoring epilogue.
     """
     ordinals = inputs.ordinals
     type_index = inputs.type_index
@@ -469,10 +388,6 @@ def columnar_rank(
     stats.kernel_queries += 1
     stats.candidates_total += num_candidates
     stats.groups_total += num_types
-    num_chunks = 0
-    if blockmax and num_columns:
-        num_chunks = ceil_div(num_columns, feature_chunk)
-        stats.blocks_total += num_chunks * num_types
 
     accumulators = inputs.base_scores[type_index]
     if num_candidates == 0:
@@ -481,10 +396,10 @@ def columnar_rank(
     threshold = _kth_largest(accumulators, top_k)
     cut = threshold - safety_slack(threshold) if threshold != NO_THRESHOLD else NO_THRESHOLD
 
-    # Up-front group kills (and blockmax retirement): whole dominant-type
-    # groups leave the walk as one mask update.  ``walking`` tracks types
-    # still earning corrections; ``killed`` tracks candidates evicted from
-    # the accumulator (retired members keep their — already final — value).
+    # Up-front group kills: whole dominant-type groups leave the walk as
+    # one mask update.  ``walking`` tracks types still earning
+    # corrections; ``killed`` tracks candidates evicted from the
+    # accumulator.
     if cut != NO_THRESHOLD:
         dead = inputs.base_scores + inputs.suffix_bounds[:, 0] < cut
     else:
@@ -493,18 +408,11 @@ def columnar_rank(
     if dead_count:
         stats.groups_skipped += dead_count
         stats.candidates_pruned += int(inputs.type_counts[dead].sum())
-        stats.blocks_skipped += num_chunks * dead_count
     walking = ~dead
-    if blockmax:
-        retired = walking & (inputs.suffix_bounds[:, 0] == 0.0)
-        retired_count = int(np.count_nonzero(retired))
-        if retired_count:
-            stats.blocks_skipped += num_chunks * retired_count
-            walking &= ~retired
     killed = dead[type_index]
     walk_mask = walking[type_index]
 
-    all_walking = not dead_count and bool(walking.all())
+    all_walking = not dead_count
     for column in range(num_columns):
         positions = inputs.holder_positions[column]
         if positions.size:
@@ -514,25 +422,8 @@ def columnar_rank(
             if adding.size:
                 accumulators[adding] += inputs.corrections[type_index[adding], column]
         done = column + 1
-        if done >= num_columns or not walking.any():
+        if done not in (1, 4) or done >= num_columns or not walking.any():
             continue
-        if blockmax:
-            if done != 1 and done % feature_chunk != 0:
-                continue
-            rem_chunks = num_chunks - ceil_div(done, feature_chunk)
-            finished = walking & (inputs.suffix_bounds[:, done] == 0.0)
-            finished_count = int(np.count_nonzero(finished))
-            if finished_count:
-                stats.blocks_skipped += rem_chunks * finished_count
-                walking &= ~finished
-                walk_mask = walking[type_index]
-                all_walking = False
-            if done not in (1, 4) and done % 8 != 0:
-                continue
-        else:
-            if done not in (1, 4):
-                continue
-            rem_chunks = 0
         alive_count = num_candidates - int(np.count_nonzero(killed))
         if int(np.count_nonzero(walking)) <= 1 or alive_count <= top_k:
             continue
@@ -549,7 +440,6 @@ def columnar_rank(
         if doomed_count:
             stats.groups_skipped += doomed_count
             stats.candidates_pruned += int(inputs.type_counts[doomed].sum())
-            stats.blocks_skipped += rem_chunks * doomed_count
             walking &= ~doomed
             killed |= doomed[type_index]
             walk_mask = walking[type_index]

@@ -16,27 +16,20 @@ class PruningStats:
 
     ``queries``            traversals run with pruning enabled;
     ``terms_total``        query terms seen by the pruned traversals;
-    ``terms_skipped``      term passes skipped outright (dense driver) or
+    ``terms_skipped``      term passes skipped outright (dense kernel) or
                            served by accumulator-only refinement instead of
-                           a full postings walk (sparse driver);
+                           a full postings walk (sparse kernel);
     ``candidates_total``   candidates entering the traversals;
     ``candidates_pruned``  candidates evicted by a bound check before the
                            traversal finished scoring them;
     ``groups_total``       dominant-type groups seen (recommendation side);
     ``groups_skipped``     whole type groups skipped because
                            ``B(c) + bound(corrections) < θ``;
-    ``blocks_total``       posting blocks (search side) or per-type feature
-                           chunks (recommendation side) the ``blockmax``
-                           refinement considered;
-    ``blocks_skipped``     blocks passed over without probing a single
-                           posting because no survivor fell in the block's
-                           range or the block-max bound fell below θ, and
-                           per-type chunks abandoned mid-walk;
     ``rescored``           survivors re-scored exactly for the final
                            ranking (the price of byte-identical output);
-    ``kernel_queries``     traversals served by a vectorized columnar
-                           kernel rather than the scalar walk (the
-                           ``columnar`` knob's observable footprint).
+    ``kernel_queries``     traversals served by a vectorized kernel
+                           (every pruned traversal, plus the shard
+                           workers' own counts when merged).
     """
 
     __slots__ = (
@@ -47,8 +40,6 @@ class PruningStats:
         "candidates_pruned",
         "groups_total",
         "groups_skipped",
-        "blocks_total",
-        "blocks_skipped",
         "rescored",
         "kernel_queries",
     )

@@ -55,6 +55,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Forrest Gump" in out
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_search_refuses_a_non_positive_top_k(self, top_k, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("search", "forrest gump", "--top-k", top_k)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert "Forrest Gump" not in captured.out
+
     def test_search_no_results(self, capsys):
         assert self.run("search", "zzzzqqqq") == 0
         assert "no matching entities" in capsys.readouterr().out
@@ -111,17 +120,18 @@ class TestPruningFlags:
     def run(self, *argv: str) -> int:
         return main(["--dataset", "movies-small", *argv])
 
-    @pytest.mark.parametrize("mode", ["off", "maxscore", "blockmax"])
+    @pytest.mark.parametrize("mode", ["off", "maxscore"])
     def test_search_identical_across_modes(self, mode, capsys):
         assert self.run("--pruning", mode, "search", "forrest gump", "--top-k", "3") == 0
         out = capsys.readouterr().out
         assert "Forrest Gump" in out
 
     def test_show_pruning_dumps_counters_after_search(self, capsys):
-        code = self.run("--pruning", "blockmax", "--show-pruning", "search", "forrest gump")
+        code = self.run("--pruning", "maxscore", "--show-pruning", "search", "forrest gump")
         assert code == 0
         out = capsys.readouterr().out
-        assert "pruning mode: blockmax" in out
+        assert "pruning mode: maxscore\n" in out
+        assert "blocks_" not in out
         assert "pruning[search]:" in out
         assert "pruning[recommend]:" in out
         assert "'queries': 1" in out
@@ -147,10 +157,17 @@ class TestPruningFlags:
     def test_build_config_threads_mode_to_both_engines(self):
         from repro.cli import build_config
 
-        config = build_config("blockmax")
-        assert config.search.pruning == "blockmax"
-        assert config.ranking.pruning == "blockmax"
+        config = build_config("off")
+        assert config.search.pruning == "off"
+        assert config.ranking.pruning == "off"
         assert build_config(None).search.pruning == "maxscore"
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--pruning", "blockmax"), ("--columnar", "off"), ("--feature-chunk", "2")]
+    )
+    def test_removed_execution_flags_are_rejected(self, flag, value):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([flag, value, "search", "x"])
 
 
 class TestGraphTopologyFlag:
@@ -171,18 +188,15 @@ class TestGraphTopologyFlag:
         assert "traversal[topology]:" in out
         assert "'rebuilds':" in out
 
-    def test_build_config_threads_knob_to_both_engines(self):
+    def test_build_config_threads_knob_to_the_ranker_only(self):
         from repro.cli import build_config
+        from repro.config import SearchConfig
 
         config = build_config(None, graph_topology="off")
-        assert config.search.graph_topology is False
         assert config.ranking.graph_topology is False
-        on = build_config(None, graph_topology="on")
-        assert on.search.graph_topology is True
-        assert on.ranking.graph_topology is True
-        default = build_config(None)
-        assert default.search.graph_topology is True
-        assert default.ranking.graph_topology is True
+        assert config.search == SearchConfig()
+        assert build_config(None, graph_topology="on").ranking.graph_topology is True
+        assert build_config(None).ranking.graph_topology is True
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SystemExit):
@@ -205,8 +219,8 @@ class TestShardAndBatchFlags:
         from repro.cli import build_config
         from repro.config import RankingConfig
 
-        config = build_config(None, shards=3, columnar="off", executor="inline", workers=2)
-        assert (config.search.shards, config.search.columnar) == (3, False)
+        config = build_config(None, shards=3, executor="inline", workers=2)
+        assert config.search.shards == 3
         assert (config.search.executor, config.search.workers) == ("inline", 2)
         assert config.ranking == RankingConfig()
         assert self.run("--shards", "3", "recommend", "dbr:Forrest_Gump") == 0
@@ -216,7 +230,6 @@ class TestShardAndBatchFlags:
         "flag, value",
         [
             ("--shards", "3"),
-            ("--columnar", "off"),
             ("--executor", "thread"),
             ("--workers", "2"),
             ("--storage", "off"),

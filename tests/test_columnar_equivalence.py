@@ -1,14 +1,13 @@
-"""Columnar execution equivalence: byte-identical to the scalar paths.
+"""Array execution equivalence: byte-identical to the exhaustive reference.
 
-The contract of the PR 6 columnar layer (``repro.index.columnar`` +
-``repro.topk.kernels``): with ``columnar=True`` (the default) every
-scorer scores through the structure-of-arrays postings view and the
-vectorized traversal kernels, and for every pruning mode, every shard
-count and all four search scorers the rankings must be *exactly* the
-rankings the scalar paths return — same ids, same floats — and both
-must equal the exhaustive reference.  The suites here enforce that on
-the synthetic movie graph and, via hypothesis, on random KGs; the view
-tests pin the ordinal-table/block-grid invariants the kernels rely on.
+Every search scorer has exactly two forms: the columnar kernels
+(``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
+re-scoring epilogue, and ``search_exhaustive``.  For both pruning modes,
+every shard count and all four search scorers the kernel rankings must be
+*exactly* the exhaustive rankings — same ids, same floats, same length.
+The suites here enforce that on the synthetic movie graph and, via
+hypothesis, on random KGs; the view tests pin the ordinal-table
+invariants the kernels rely on.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from repro.config import PRUNING_MODES, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.exec import shard_of
-from repro.index import BLOCK_SIZE, columnar_view
+from repro.index import columnar_view
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
 
 SHARD_COUNTS = (1, 2, 3, 5)
@@ -50,15 +49,15 @@ def movie_graph():
 
 @pytest.fixture(scope="module")
 def engines(movie_graph):
-    """Lazily built engines per (pruning, shards, columnar), module-shared."""
-    cache: dict[tuple[str, int, bool], SearchEngine] = {}
+    """Lazily built engines per (pruning, shards, smoothing), module-shared."""
+    cache: dict[tuple[str, int, str], SearchEngine] = {}
 
-    def get(pruning: str, shards: int, columnar: bool) -> SearchEngine:
-        key = (pruning, shards, columnar)
+    def get(pruning: str, shards: int, smoothing: str = "dirichlet") -> SearchEngine:
+        key = (pruning, shards, smoothing)
         if key not in cache:
             cache[key] = SearchEngine.from_graph(
                 movie_graph,
-                SearchConfig(pruning=pruning, shards=shards, columnar=columnar),
+                SearchConfig(pruning=pruning, shards=shards, smoothing=smoothing),
             )
         return cache[key]
 
@@ -66,67 +65,128 @@ def engines(movie_graph):
 
 
 class TestColumnarSearchEquivalence:
-    """All four scorers, every pruning mode, every shard count, on == off."""
+    """All four scorers, both pruning modes, every shard count == exhaustive."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_engine_mlm_byte_identical(self, engines, pruning, shards):
-        columnar = engines(pruning, shards, True)
-        scalar = engines(pruning, shards, False)
-        reference = engines("off", 1, False).mlm_scorer
+        engine = engines(pruning, shards)
+        reference = engines("off", 1).mlm_scorer
         for query in QUERIES:
-            actual = _hit_signature(columnar.search(query))
-            assert actual == _hit_signature(scalar.search(query))
             expected = _signature(reference.search_exhaustive(parse_query(query)))
-            assert actual[: len(expected)] == expected[: len(actual)]
+            assert _hit_signature(engine.search(query)) == expected
+            assert _hit_signature(engine.search(query, top_k=3)) == expected[:3]
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_single_field_byte_identical(self, engines, pruning, shards):
-        columnar = engines(pruning, shards, True).single_field_scorer()
-        scalar = engines(pruning, shards, False).single_field_scorer()
+        scorer = engines(pruning, shards).single_field_scorer()
         for query in QUERIES:
             parsed = parse_query(query)
-            expected = _signature(scalar.search(parsed, top_k=15))
-            assert _signature(columnar.search(parsed, top_k=15)) == expected
-            assert expected == _signature(scalar.search_exhaustive(parsed, top_k=15))
+            assert _signature(scorer.search(parsed, top_k=15)) == _signature(
+                scorer.search_exhaustive(parsed, top_k=15)
+            )
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_bm25_and_bm25f_byte_identical(self, engines, pruning, shards):
-        base = engines("maxscore", 1, True)
+        base = engines("maxscore", 1)
         index = base.index
         weights = base.config.field_weights
-        for columnar_scorer, scalar_scorer in (
-            (
-                BM25FieldScorer(index, "names", pruning=pruning, shards=shards, columnar=True),
-                BM25FieldScorer(index, "names", pruning=pruning, shards=shards, columnar=False),
-            ),
-            (
-                BM25FScorer(index, weights, pruning=pruning, shards=shards, columnar=True),
-                BM25FScorer(index, weights, pruning=pruning, shards=shards, columnar=False),
-            ),
+        for scorer in (
+            BM25FieldScorer(index, "names", pruning=pruning, shards=shards),
+            BM25FScorer(index, weights, pruning=pruning, shards=shards),
         ):
             for query in QUERIES:
                 parsed = parse_query(query)
-                expected = _signature(scalar_scorer.search(parsed, top_k=15))
-                assert _signature(columnar_scorer.search(parsed, top_k=15)) == expected
-                assert expected == _signature(
-                    scalar_scorer.search_exhaustive(parsed, top_k=15)
+                assert _signature(scorer.search(parsed, top_k=15)) == _signature(
+                    scorer.search_exhaustive(parsed, top_k=15)
                 )
 
-    def test_columnar_engines_report_the_knob(self, engines):
-        on = engines("maxscore", 1, True)
-        off = engines("maxscore", 1, False)
-        assert on.stats().columnar is True
-        assert off.stats().columnar is False
+
+SCORERS = ("mlm", "single_field", "bm25", "bm25f")
+
+
+def _scorer(engines, name: str, pruning: str, shards: int, smoothing: str = "dirichlet"):
+    """One of the four search scorers under the given execution knobs."""
+    engine = engines(pruning, shards, smoothing)
+    if name == "mlm":
+        return engine.mlm_scorer
+    if name == "single_field":
+        return engine.single_field_scorer()
+    if name == "bm25":
+        return BM25FieldScorer(engine.index, "names", pruning=pruning, shards=shards)
+    return BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning, shards=shards)
+
+
+class TestColumnarSearchAcrossK:
+    """The θ edge cases end to end: a one-slot heap, a two-slot heap, and
+    ``k`` beyond the candidate pool (every candidate survives, nothing is
+    pruned), for every scorer, both pruning modes, serial and sharded."""
+
+    @pytest.mark.parametrize("shards", (1, 3))
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("scorer_name", SCORERS)
+    @pytest.mark.parametrize("top_k", (1, 2, 1000))
+    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name, pruning, shards):
+        scorer = _scorer(engines, scorer_name, pruning, shards)
+        index = engines(pruning, shards).index
+        for query in QUERIES:
+            parsed = parse_query(query)
+            expected = _signature(scorer.search_exhaustive(parsed, top_k=top_k))
+            assert _signature(scorer.search(parsed, top_k=top_k)) == expected
+            pool = len(index.candidate_documents(parsed.all_terms()))
+            assert len(expected) == min(top_k, pool)
+
+
+QUERY_SHAPES = {
+    "repeated-term": "drama drama drama",
+    "unknown-term": "zzyzx",
+    "unknown-and-known": "zzyzx forrest",
+    "fielded": "names:forrest drama",
+    "phrase": '"forrest gump" hanks',
+}
+
+
+class TestColumnarQueryShapes:
+    """Query forms the kernels see as unusual term lists — a term scored
+    several times, terms no document holds, field restrictions and
+    phrases — rank exactly as the reference, serial and sharded."""
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("scorer_name", SCORERS)
+    @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
+    def test_kernels_equal_exhaustive(self, engines, shape, scorer_name, pruning):
+        parsed = parse_query(QUERY_SHAPES[shape])
+        for shards in (1, 3):
+            scorer = _scorer(engines, scorer_name, pruning, shards)
+            assert _signature(scorer.search(parsed, top_k=15)) == _signature(
+                scorer.search_exhaustive(parsed, top_k=15)
+            )
+
+
+class TestJelinekMercerEquivalence:
+    """The language-model scorers under Jelinek–Mercer smoothing: other
+    term columns, other bounds, the same exact rankings."""
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("scorer_name", ("mlm", "single_field"))
+    def test_kernels_equal_exhaustive(self, engines, scorer_name, shards, pruning):
+        scorer = _scorer(engines, scorer_name, pruning, shards, "jelinek-mercer")
+        dirichlet = _scorer(engines, scorer_name, pruning, shards)
+        for query in QUERIES:
+            parsed = parse_query(query)
+            expected = _signature(scorer.search_exhaustive(parsed, top_k=15))
+            assert _signature(scorer.search(parsed, top_k=15)) == expected
+            assert expected != _signature(dirichlet.search_exhaustive(parsed, top_k=15))
 
 
 class TestColumnarViewInvariants:
-    """The ordinal-table/block-grid contracts the kernels rely on."""
+    """The ordinal-table contracts the kernels rely on."""
 
     def test_ordinals_are_sorted_doc_id_order(self, engines):
-        index = engines("maxscore", 1, True).index
+        index = engines("maxscore", 1).index
         view = columnar_view(index)
         assert view.doc_ids == sorted(index.documents())
         ordinals = view.ordinals_of(view.doc_ids)
@@ -134,11 +194,11 @@ class TestColumnarViewInvariants:
         assert view.ids_of(ordinals) == view.doc_ids
 
     def test_view_is_memoised_per_epoch(self, engines):
-        index = engines("maxscore", 1, True).index
+        index = engines("maxscore", 1).index
         assert columnar_view(index) is columnar_view(index)
 
     def test_postings_match_scalar_postings(self, engines):
-        index = engines("maxscore", 1, True).index
+        index = engines("maxscore", 1).index
         view = columnar_view(index)
         support = index.scoring_support()
         term = "forrest"
@@ -149,21 +209,9 @@ class TestColumnarViewInvariants:
         assert columnar.frequencies.tolist() == [
             float(frequencies[doc_id]) for doc_id in sorted(frequencies)
         ]
-        # Block grid chunks the same sorted posting order as the scalar
-        # summaries: last ordinal and max frequency per BLOCK_SIZE chunk.
-        count = columnar.ordinals.size
-        expected_lasts = [
-            columnar.ordinals[min(start + BLOCK_SIZE - 1, count - 1)]
-            for start in range(0, count, BLOCK_SIZE)
-        ]
-        assert columnar.block_last_ordinals.tolist() == expected_lasts
-        assert columnar.block_max_frequencies.tolist() == [
-            max(columnar.frequencies[start : start + BLOCK_SIZE])
-            for start in range(0, count, BLOCK_SIZE)
-        ]
 
     def test_shard_map_matches_crc_routing(self, engines):
-        view = columnar_view(engines("maxscore", 1, True).index)
+        view = columnar_view(engines("maxscore", 1).index)
         for num_shards in (2, 3, 5):
             owners = view.shard_map(num_shards)
             assert owners.tolist() == [
@@ -171,7 +219,7 @@ class TestColumnarViewInvariants:
             ]
 
     def test_dense_frequencies_scatter(self, engines):
-        view = columnar_view(engines("maxscore", 1, True).index)
+        view = columnar_view(engines("maxscore", 1).index)
         dense = view.dense_frequencies("names", "forrest")
         columnar = view.postings("names", "forrest")
         assert dense.size == view.num_documents
@@ -201,7 +249,7 @@ class TestColumnarViewInvariants:
 
 
 class TestColumnarEquivalenceProperty:
-    """Hypothesis: random KGs, random shard counts, every pruning mode."""
+    """Hypothesis: random KGs, random shard counts, both pruning modes."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -210,38 +258,36 @@ class TestColumnarEquivalenceProperty:
         shards=st.sampled_from(SHARD_COUNTS),
         pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_search_columnar_equals_scalar(self, kg_seed, num_entities, shards, pruning):
+    def test_search_equals_exhaustive(self, kg_seed, num_entities, shards, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        columnar = SearchEngine.from_graph(
-            graph, SearchConfig(pruning=pruning, shards=shards, columnar=True)
-        )
-        scalar = SearchEngine.from_graph(
-            graph, SearchConfig(pruning=pruning, shards=shards, columnar=False)
-        )
+        engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning, shards=shards))
         entities = sorted(graph.entities())
         step = max(1, len(entities) // 3)
         for position in range(0, len(entities), step):
             query = graph.label(entities[position])
-            assert _hit_signature(columnar.search(query)) == _hit_signature(
-                scalar.search(query)
+            assert _hit_signature(engine.search(query)) == _signature(
+                engine.mlm_scorer.search_exhaustive(parse_query(query))
             )
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=80),
+        shards=st.sampled_from(SHARD_COUNTS),
         pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_bm25_columnar_equals_scalar(self, kg_seed, num_entities, pruning):
+    def test_bm25_equals_exhaustive(self, kg_seed, num_entities, shards, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
         engine = SearchEngine.from_graph(graph)
         index = engine.index
-        on = BM25FieldScorer(index, "names", pruning=pruning, columnar=True)
-        off = BM25FieldScorer(index, "names", pruning=pruning, columnar=False)
-        entities = sorted(graph.entities())
-        step = max(1, len(entities) // 3)
-        for position in range(0, len(entities), step):
-            parsed = parse_query(graph.label(entities[position]))
-            assert _signature(on.search(parsed, top_k=10)) == _signature(
-                off.search(parsed, top_k=10)
-            )
+        for scorer in (
+            BM25FieldScorer(index, "names", pruning=pruning, shards=shards),
+            BM25FScorer(index, engine.config.field_weights, pruning=pruning, shards=shards),
+        ):
+            entities = sorted(graph.entities())
+            step = max(1, len(entities) // 3)
+            for position in range(0, len(entities), step):
+                parsed = parse_query(graph.label(entities[position]))
+                assert _signature(scorer.search(parsed, top_k=10)) == _signature(
+                    scorer.search_exhaustive(parsed, top_k=10)
+                )

@@ -50,9 +50,20 @@ class TestSearchConfig:
         assert config.top_k == 5
         assert SearchConfig().top_k == 20
 
-    def test_graph_topology_defaults_on(self):
-        assert SearchConfig().graph_topology is True
-        assert SearchConfig().with_(graph_topology=False).graph_topology is False
+    def test_removed_knobs_are_rejected(self):
+        """One search path: no columnar switch, no search-side topology knob,
+        and ``pruning`` is ``off`` or ``maxscore``."""
+        assert len(dataclasses.fields(SearchConfig)) == 13
+        for knob in ("columnar", "graph_topology"):
+            assert knob not in {field.name for field in dataclasses.fields(SearchConfig)}
+        with pytest.raises(TypeError):
+            SearchConfig(columnar=False)
+        with pytest.raises(TypeError):
+            SearchConfig(graph_topology=False)
+        for config in (SearchConfig, RankingConfig):
+            with pytest.raises(ValueError):
+                config(pruning="blockmax")
+            assert config(pruning="off").pruning == "off"
 
 
 class TestRankingConfig:
@@ -78,19 +89,21 @@ class TestRankingConfig:
 
     def test_execution_knobs_are_search_only(self):
         """The recommender has one execution path: no shard, columnar,
-        executor or snapshot-storage knobs."""
-        assert len(dataclasses.fields(RankingConfig)) == 12
-        for knob in ("columnar", "shards", "executor", "workers", "storage", "snapshot_dir"):
-            assert knob not in {field.name for field in dataclasses.fields(RankingConfig)}
+        chunking, executor or snapshot-storage knobs."""
+        assert len(dataclasses.fields(RankingConfig)) == 11
+        names = {field.name for field in dataclasses.fields(RankingConfig)}
+        for knob in ("columnar", "feature_chunk", "shards", "executor", "workers", "storage", "snapshot_dir"):
+            assert knob not in names
         with pytest.raises(TypeError):
             RankingConfig(columnar=False)
+        with pytest.raises(TypeError):
+            RankingConfig(feature_chunk=2)
         with pytest.raises(TypeError):
             RankingConfig(shards=2)
 
     @pytest.mark.parametrize(
         "knob, value",
         [
-            ("columnar", False),
             ("shards", 2),
             ("executor", "process"),
             ("workers", 2),

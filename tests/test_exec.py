@@ -11,12 +11,8 @@ from repro.exec import (
     dedupe_batch,
     default_executor,
     merge_shard_stats,
-    partition_candidates,
-    partition_ids,
     shard_of,
-    split_frequencies,
 )
-from repro.index import ShardedFieldedIndex
 from repro.topk import NO_THRESHOLD, PruningStats, SharedThreshold
 
 
@@ -30,47 +26,6 @@ class TestSharding:
 
     def test_single_shard_routes_everything_to_zero(self):
         assert shard_of("anything", 1) == 0
-        assert partition_ids(["a", "b", "c"], 1) == [["a", "b", "c"]]
-
-    def test_partition_covers_exactly_once(self):
-        ids = [f"ex:e{i}" for i in range(100)]
-        for n in (2, 3, 5):
-            buckets = partition_ids(ids, n)
-            assert len(buckets) == n
-            flat = [identifier for bucket in buckets for identifier in bucket]
-            assert sorted(flat) == sorted(ids)
-            for bucket in buckets:
-                for identifier in bucket:
-                    assert shard_of(identifier, n) == buckets.index(bucket)
-
-    def test_partition_preserves_order_within_shard(self):
-        ids = [f"ex:e{i}" for i in range(50)]
-        buckets = partition_ids(ids, 3)
-        position = {identifier: index for index, identifier in enumerate(ids)}
-        for bucket in buckets:
-            assert bucket == sorted(bucket, key=position.__getitem__)
-
-    def test_split_frequencies_matches_partition(self):
-        frequencies = {f"ex:e{i}": i + 1 for i in range(40)}
-        shards = split_frequencies(frequencies, 4)
-        assert len(shards) == 4
-        merged: dict[str, int] = {}
-        for index, shard in enumerate(shards):
-            for doc_id, tf in shard.items():
-                assert shard_of(doc_id, 4) == index
-                merged[doc_id] = tf
-        assert merged == frequencies
-
-    def test_partition_candidates_prefers_index_routing(self):
-        index = ShardedFieldedIndex(("names",), num_shards=3)
-        ids = [f"ex:e{i}" for i in range(20)]
-        for identifier in ids:
-            index.add_document(identifier, {"names": ["term"]})
-        via_index = partition_candidates(index, ids, 3)
-        via_crc = partition_ids(ids, 3)
-        assert via_index == via_crc
-        # A shard-count mismatch falls back to CRC routing.
-        assert partition_candidates(index, ids, 2) == partition_ids(ids, 2)
 
 
 class TestSharedThreshold:

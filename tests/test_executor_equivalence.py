@@ -18,9 +18,16 @@ import threading
 
 import pytest
 
-from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig, SearchConfig
+from repro.config import (
+    PRUNING_MODES,
+    STORAGE_MODES,
+    PivotEConfig,
+    RankingConfig,
+    SearchConfig,
+)
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
+from repro.exec import snapshot_registry
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
 
 EXECUTORS = ("inline", "thread", "process")
@@ -133,6 +140,38 @@ class TestSearchExecutorEquivalence:
         assert [
             _hit_signature(hits) for hits in engine.search_many(queries)
         ] == expected
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("storage", STORAGE_MODES)
+    def test_process_tier_under_every_storage_mode(
+        self, random_graph, serial_mlm, tmp_path, storage, pruning
+    ):
+        """Workers attached to a shared-memory segment, to a disk store or
+        to nothing published at all answer exactly as the serial engine."""
+        engine = SearchEngine.from_graph(
+            random_graph,
+            SearchConfig(
+                pruning=pruning,
+                shards=2,
+                executor="process",
+                workers=WORKERS,
+                storage=storage,
+                snapshot_dir=str(tmp_path) if storage == "disk" else None,
+            ),
+        )
+        registry = snapshot_registry()
+        before = registry.publishes
+        with engine:
+            for query, expected in serial_mlm[pruning].items():
+                assert _hit_signature(engine.search(query)) == expected
+            record = engine.stats().storage
+            if storage == "shm":
+                # The default backend carries no storage record; only the
+                # maxscore kernels fan out, so only they publish a segment.
+                assert record is None
+                assert (registry.publishes > before) == (pruning == "maxscore")
+            else:
+                assert record.backend == storage
 
 
 def _session_signature(system: PivotE, query: str) -> list[tuple]:

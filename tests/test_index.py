@@ -13,7 +13,6 @@ from repro.index import (
     InvertedIndex,
     Posting,
     PostingList,
-    ShardedFieldedIndex,
     columnar_view,
     intersect,
     merge_frequencies,
@@ -63,35 +62,6 @@ class TestPostingList:
         postings.add("d1")
         assert "d1" in postings
         assert len(postings) == 1
-
-    def test_block_summary_chunks_sorted_postings(self):
-        postings = PostingList()
-        for number in range(10):
-            postings.add(f"d{number:02d}", number + 1)
-        summary = postings.block_summary(block_size=4)
-        assert summary.lasts == ("d03", "d07", "d09")
-        assert summary.max_frequencies == (4, 8, 10)
-        assert len(summary) == 3
-
-    def test_block_summary_empty_and_invalid(self):
-        assert len(PostingList().block_summary()) == 0
-        with pytest.raises(ValueError):
-            PostingList().block_summary(block_size=0)
-
-    def test_block_summary_memoised_per_epoch(self):
-        index = FieldedIndex(["names"])
-        index.add_document("d1", {"names": ["film", "film"]})
-        index.add_document("d2", {"names": ["film"]})
-        support = index.scoring_support()
-        first = support.postings_block_summary("names", "film")
-        assert first is not None
-        assert first.max_frequencies == (2,)
-        assert support.postings_block_summary("names", "film") is first
-        assert support.postings_block_summary("names", "nope") is None
-        index.add_document("d3", {"names": ["film"] * 5})
-        refreshed = index.scoring_support().postings_block_summary("names", "film")
-        assert refreshed is not first
-        assert refreshed.max_frequencies == (5,)
 
     def test_intersect_union_merge(self):
         left, right = PostingList(), PostingList()
@@ -216,9 +186,8 @@ class TestCopyOnWriteSuccessor:
         ("e4", {"names": ["gump", "sequel", "of", "forrest", "gump"]}),  # missing field, new longest
     ]
 
-    @pytest.mark.parametrize("make", [FieldedIndex, lambda fields: ShardedFieldedIndex(fields, 3)])
-    def test_successor_statistics_equal_a_fresh_scan(self, make):
-        index = make(["names", "categories"])
+    def test_successor_statistics_equal_a_fresh_scan(self):
+        index = FieldedIndex(["names", "categories"])
         for doc_id, field_terms in self.DOCUMENTS:
             index.statistics()  # the predecessor's epoch statistics exist
             index = index.with_added_document(doc_id, field_terms)
@@ -228,7 +197,7 @@ class TestCopyOnWriteSuccessor:
             scanned = index.statistics()
             assert inherited[1].num_documents == scanned.num_documents
             assert inherited[1].fields == scanned.fields  # field for field, count for count
-            assert not inherited[1]._blocks_cache and not inherited[1]._bound_cache
+            assert inherited[1].columnar_view is None and not inherited[1]._bound_cache
 
     def test_replaced_document_and_cold_predecessor_fall_back_to_the_scan(self):
         index = FieldedIndex(["names", "categories"])

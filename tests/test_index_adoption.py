@@ -21,7 +21,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.config import SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.exec.sharding import shard_of
@@ -56,8 +55,8 @@ def saved(index) -> bytes:
     return segment_bytes(*encode_index_snapshot(index, columnar_view(index), include_doc_ids=True))
 
 
-def adopted(segment: bytes, fields, shards: int = 1):
-    return restore_fielded_index(SegmentView(segment, verify=True), tuple(fields), shards=shards)
+def adopted(segment: bytes, fields):
+    return restore_fielded_index(SegmentView(segment, verify=True), tuple(fields))
 
 
 def assert_same_arrays(left: np.ndarray, right: np.ndarray) -> None:
@@ -94,7 +93,7 @@ def assert_same_index(adopted_index, built) -> None:
         assert mine.get_postings("no-such-term") is None
 
 
-ColumnarPostingsFields = ("ordinals", "frequencies", "block_last_ordinals", "block_max_frequencies")
+ColumnarPostingsFields = ("ordinals", "frequencies")
 
 
 @pytest.fixture(scope="module", params=sorted(DATASETS))
@@ -163,19 +162,15 @@ class TestAdoptedIndexStructure:
             adopted(rewritten, built.fields), built.with_added_document(doc_id, terms)
         )
 
-    def test_sharded_adoption_routes_like_the_crc(self, built_engine):
-        graph = built_engine._graph
-        built = SearchEngine.from_graph(graph, SearchConfig(shards=3)).index
-        index = adopted(saved(built), built.fields, shards=3)
-        documents = sorted(built.documents())
-        assert [index.shard_of_document(doc) for doc in documents] == [
-            shard_of(doc, 3) for doc in documents
-        ]
-        candidates = set(documents[::2]) | {"ex:unindexed"}
-        assert [sorted(bucket) for bucket in index.partition_candidates(candidates)] == [
-            sorted(bucket) for bucket in built.partition_candidates(candidates)
-        ]
-        assert_same_index(index, built)
+    def test_stored_crcs_cut_shards_like_the_view(self, built_engine):
+        """The process tier's workers cut shards by the stored CRC column."""
+        built = built_engine.index
+        segment = saved(built)
+        index = adopted(segment, built.fields)
+        for num_shards in (1, 2, 3, 5):
+            owners = SegmentView(segment).shard_owners(num_shards)
+            assert owners.tolist() == [shard_of(doc, num_shards) for doc in columnar_view(index).doc_ids]
+            assert_same_arrays(owners, columnar_view(index).shard_map(num_shards))
 
 
 # ---------------------------------------------------------------------- #

@@ -3,8 +3,8 @@
 The contract of the columnar recommendation ranker
 (``repro.features.columnar`` + ``repro.topk.kernels``): the entity
 accumulator runs through the per-epoch feature tables and the
-``columnar_rank`` / ``accumulate_rank`` kernels, and for every pruning
-mode and feature-chunk schedule the rankings must be *exactly* the
+``columnar_rank`` / ``accumulate_rank`` kernels, and for both pruning
+modes the rankings must be *exactly* the
 exhaustive reference's — same ids, same floats.  The kernels only ever
 select survivor supersets; the exact re-scoring epilogue owns the
 returned floats, so any divergence here means a kernel pruned a true
@@ -13,8 +13,7 @@ top-k entity.
 The suites enforce that on a hub-skewed random KG (dense candidate
 pools, the workload §2.3 targets), at the kernel level where the pruned
 survivors must carry the unpruned accumulator values and cover its
-top-k, and — via hypothesis — on arbitrary random KGs × pruning ×
-chunking.
+top-k, and — via hypothesis — on arbitrary random KGs × pruning.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def _engine(graph, index, **knobs) -> RecommendationEngine:
 
 
 class TestEntityRankerEquivalence:
-    """array == exhaustive across pruning × chunking."""
+    """array == exhaustive across pruning modes."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     def test_rank_byte_identical(self, random_graph, feature_index, pruning):
@@ -84,22 +83,6 @@ class TestEntityRankerEquivalence:
         assert fast and _entity_signature(fast) == _entity_signature(
             ranker.rank_exhaustive(seeds, top_k=top_k)
         )
-
-    @pytest.mark.parametrize("feature_chunk", (1, 2, 3, 7))
-    def test_blockmax_chunk_schedule_is_semantics_free(
-        self, random_graph, feature_index, feature_chunk
-    ):
-        seeds = _seeds(random_graph)
-        reference = _engine(random_graph, feature_index, pruning="off")
-        chunked = _engine(
-            random_graph,
-            feature_index,
-            pruning="blockmax",
-            feature_chunk=feature_chunk,
-        )
-        assert _entity_signature(
-            chunked.expander.entity_ranker.rank(seeds)
-        ) == _entity_signature(reference.expander.entity_ranker.rank(seeds))
 
 
 class TestKernel:
@@ -135,28 +118,24 @@ class TestEngineCounters:
         engine = _engine(random_graph, feature_index)
         engine.recommend_for_seeds(_seeds(random_graph))
         assert engine.pruning_info()["kernel_queries"] > 0
-        assert engine.stats().columnar is True
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis: arbitrary random KGs × pruning × chunk schedule
+# Hypothesis: arbitrary random KGs × pruning
 # --------------------------------------------------------------------------- #
 @given(
     num_entities=st.integers(min_value=30, max_value=90),
     kg_seed=st.integers(min_value=0, max_value=10_000),
     pruning=st.sampled_from(PRUNING_MODES),
-    feature_chunk=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=12, deadline=None)
-def test_rank_equals_exhaustive_on_random_kgs(num_entities, kg_seed, pruning, feature_chunk):
+def test_rank_equals_exhaustive_on_random_kgs(num_entities, kg_seed, pruning):
     graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
     index = SemanticFeatureIndex.build(graph)
     seeds = _seeds(graph)
     if not seeds:
         return
-    ranker = _engine(
-        graph, index, pruning=pruning, feature_chunk=feature_chunk
-    ).expander.entity_ranker
+    ranker = _engine(graph, index, pruning=pruning).expander.entity_ranker
     assert _entity_signature(ranker.rank(seeds)) == _entity_signature(
         ranker.rank_exhaustive(seeds)
     )

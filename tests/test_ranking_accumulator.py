@@ -129,7 +129,7 @@ class TestEquivalenceOnRandomGraphs:
         num_types=st.integers(min_value=2, max_value=8),
         seed_count=st.integers(min_value=1, max_value=3),
         top_k=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
-        pruning=st.sampled_from(["maxscore", "blockmax", "off"]),
+        pruning=st.sampled_from(["maxscore", "off"]),
     )
     def test_random_kg_property(
         self, kg_seed, num_entities, num_types, seed_count, top_k, pruning
@@ -157,10 +157,9 @@ class TestEquivalenceOnRandomGraphs:
             )
         )
         seeds = _seeds_from_largest_type(graph, seed_count)
-        for pruning in ("maxscore", "blockmax"):
-            assert_pipeline_equivalent(
-                graph, seeds, top_k=top_k, config=RankingConfig(pruning=pruning)
-            )
+        assert_pipeline_equivalent(
+            graph, seeds, top_k=top_k, config=RankingConfig(pruning="maxscore")
+        )
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +178,7 @@ class TestScoringKnobMatrix:
     entity accumulators and the matrix cells.
     """
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
     @pytest.mark.parametrize("use_commonality", [True, False])
     @pytest.mark.parametrize("use_discriminability", [True, False])
     @pytest.mark.parametrize("type_smoothing", [True, False])
@@ -205,33 +204,14 @@ class TestMaxscorePruningOnRankers:
         seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
         rankers = {
             mode: EntityRanker(movie_kg, index, config=RankingConfig(pruning=mode))
-            for mode in ("maxscore", "blockmax", "off")
+            for mode in ("maxscore", "off")
         }
         features = rankers["maxscore"].feature_ranker.rank(seeds)
         plain = rankers["off"].rank(seeds, scored_features=features)
         exhaustive = rankers["maxscore"].rank_exhaustive(seeds, scored_features=features)
         assert _entity_signature(plain) == _entity_signature(exhaustive)
-        for mode in ("maxscore", "blockmax"):
-            pruned = rankers[mode].rank(seeds, scored_features=features)
-            assert _entity_signature(pruned) == _entity_signature(plain)
-
-    def test_blockmax_chunk_counters_fire_at_scale(self):
-        """Chunked bounds must retire or kill groups at chunk boundaries."""
-        graph = build_random_kg(
-            RandomKGConfig(num_entities=600, seed=42, target_skew=1.5, avg_out_degree=8.0)
-        )
-        index = SemanticFeatureIndex.build(graph)
-        ranker = EntityRanker(graph, index, config=RankingConfig(pruning="blockmax"))
-        largest = max(
-            index.all_features(), key=lambda f: (len(index.holders_of(f)), f.notation())
-        )
-        seeds = sorted(index.holders_of(largest))[:4]
-        ranker.rank(seeds, top_k=10)
-        info = ranker.pruning_info()
-        assert info["groups_skipped"] > 0
-        assert info["blocks_total"] > 0
-        assert info["blocks_skipped"] > 0
-        assert info["rescored"] > 0
+        pruned = rankers["maxscore"].rank(seeds, scored_features=features)
+        assert _entity_signature(pruned) == _entity_signature(plain)
 
     def test_pruning_counters_fire_at_scale(self):
         graph = build_random_kg(

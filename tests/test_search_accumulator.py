@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SearchConfig
+from repro.config import PRUNING_MODES, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
-from repro.index import select_top_k, select_top_k_with_zero_fill
 from repro.search import SearchEngine, parse_query
 
 QUERIES = (
@@ -157,9 +156,8 @@ class TestMaxscorePruningEquivalence:
     random-graph check the threshold-pruning layer demands.
     """
 
-    @pytest.mark.parametrize("mode", ["maxscore", "blockmax"])
-    def test_pruned_equals_plain_accumulator_and_exhaustive(self, movie_kg, mode):
-        pruned_engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning=mode))
+    def test_pruned_equals_plain_accumulator_and_exhaustive(self, movie_kg):
+        pruned_engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="maxscore"))
         plain_engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="off"))
         for raw in _queries_for(movie_kg, limit=8):
             query = parse_query(raw)
@@ -181,7 +179,7 @@ class TestMaxscorePruningEquivalence:
             {"smoothing": "jelinek-mercer", "jm_lambda": 0.5},
         ],
     )
-    @pytest.mark.parametrize("mode", ["maxscore", "blockmax"])
+    @pytest.mark.parametrize("mode", PRUNING_MODES)
     def test_lm_smoothing_edge_cases(self, movie_kg, smoothing_changes, mode):
         config = SearchConfig(pruning=mode, **smoothing_changes)
         engine = SearchEngine.from_graph(movie_kg, config=config)
@@ -199,7 +197,7 @@ class TestMaxscorePruningEquivalence:
         num_entities=st.integers(min_value=20, max_value=120),
         top_k=st.integers(min_value=1, max_value=30),
         smoothing=st.sampled_from(["dirichlet", "jelinek-mercer"]),
-        pruning=st.sampled_from(["maxscore", "blockmax"]),
+        pruning=st.sampled_from(PRUNING_MODES),
     )
     def test_random_kg_property(self, kg_seed, num_entities, top_k, smoothing, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
@@ -239,50 +237,18 @@ class TestMaxscorePruningEquivalence:
         assert bm25_info["queries"] == 1
         assert bm25_info["terms_skipped"] + bm25_info["candidates_pruned"] > 0
 
-    def test_blockmax_block_counters_fire_at_scale(self):
-        """The galloping AND phase must actually skip posting blocks.
-
-        Every label of the random KG shares the "entity" token, whose
-        500-document posting list is refined in AND mode once the rare
-        terms fill the θ heap; with block-max bounds attached, most of
-        its blocks hold no survivor and are galloped over unprobed.
-        """
+    def test_sharded_theta_priming_prunes(self):
+        """The subset-pool θ prime hands every shard a near-final θ."""
         graph = build_random_kg(RandomKGConfig(num_entities=500, seed=42))
-        engine = SearchEngine.from_graph(graph, config=SearchConfig(pruning="blockmax"))
-        entities = sorted(graph.entities())
-        bm25 = engine.bm25_names_scorer()
-        long_query = parse_query(" ".join(graph.label(e) for e in entities[:8]))
-        _assert_identical(
-            bm25.search(long_query, top_k=5),
-            bm25.search_exhaustive(long_query, top_k=5),
-        )
-        info = bm25.pruning_info()
-        assert info["terms_skipped"] > 0
-        assert info["blocks_total"] > 0
-        assert info["blocks_skipped"] > 0
-        bm25f = engine.bm25f_scorer()
-        _assert_identical(
-            bm25f.search(long_query, top_k=5),
-            bm25f.search_exhaustive(long_query, top_k=5),
-        )
-        assert bm25f.pruning_info()["blocks_skipped"] > 0
-
-    def test_blockmax_theta_priming_prunes_no_less_than_maxscore(self):
-        """The subset-pool θ prime may only tighten the dense traversal."""
-        graph = build_random_kg(RandomKGConfig(num_entities=500, seed=42))
-        engines = {
-            mode: SearchEngine.from_graph(graph, config=SearchConfig(pruning=mode))
-            for mode in ("maxscore", "blockmax")
-        }
+        engine = SearchEngine.from_graph(graph, config=SearchConfig(shards=3))
         entities = sorted(graph.entities())
         for entity_id in entities[:6]:
             query = parse_query(graph.label(entities[0]) + " " + graph.label(entity_id))
-            for engine in engines.values():
-                engine.mlm_scorer.search(query, top_k=5)
-        primed = engines["blockmax"].pruning_info()
-        unprimed = engines["maxscore"].pruning_info()
-        assert primed["candidates_pruned"] >= unprimed["candidates_pruned"]
-        assert primed["candidates_pruned"] > 0
+            _assert_identical(
+                engine.mlm_scorer.search(query, top_k=5),
+                engine.mlm_scorer.search_exhaustive(query, top_k=5),
+            )
+        assert engine.pruning_info()["candidates_pruned"] > 0
 
     def test_pruning_off_disables_counters(self, movie_kg):
         engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="off"))
@@ -353,19 +319,19 @@ class TestBoundCacheAcrossScorerSnapshots:
                     )
 
 
-class TestBlockBoundCacheAcrossScorerSnapshots:
-    def test_blockmax_scorers_with_different_snapshots_stay_sound(self, tiny_kg):
-        """The memoised per-block values must be idf-free.
+class TestKernelColumnCacheAcrossScorerSnapshots:
+    def test_scorers_with_different_snapshots_stay_sound(self, tiny_kg):
+        """The memoised kernel columns must be idf-free.
 
-        Like the scalar bounds, the block memo key cannot carry the
-        construction-time document count: two scorers built before and
-        after index growth share the epoch-current statistics object, so
-        the cached per-block values are the weight-independent parts and
-        each scorer multiplies its own idf snapshot outside the memo.  A
-        weight-scaled cache entry from the older scorer (larger idf per
-        term) would otherwise serve the newer one, or vice versa.
+        The column memo key cannot carry the construction-time document
+        count: two scorers built before and after index growth share the
+        epoch-current view, so the cached columns are the
+        weight-independent parts and each scorer multiplies its own idf
+        snapshot outside the memo.  A weight-scaled cache entry from the
+        older scorer (larger idf per term) would otherwise serve the newer
+        one, or vice versa.
         """
-        engine = SearchEngine.from_graph(tiny_kg, config=SearchConfig(pruning="blockmax"))
+        engine = SearchEngine.from_graph(tiny_kg)
         old_scorers = [engine.bm25_names_scorer(), engine.bm25f_scorer()]
         for number in range(40, 49):
             tiny_kg.add_label(f"ex:B{number}", f"B{number} drama film")
@@ -374,7 +340,7 @@ class TestBlockBoundCacheAcrossScorerSnapshots:
         new_scorers = [engine.bm25_names_scorer(), engine.bm25f_scorer()]
         for raw in ("drama film", "b40 drama", "film b41 drama b42 b43 b44"):
             query = parse_query(raw)
-            # The older snapshot memoises its per-term blocks first ...
+            # The older snapshot memoises its per-term columns first ...
             for scorer in old_scorers:
                 scorer.search(query, top_k=3)
             # ... and both snapshots must still match their own exhaustive
@@ -421,31 +387,6 @@ class TestCachedStatisticsComponents:
         assert engine.index.epoch > epoch
         assert engine.index.statistics().num_documents == engine.index.num_documents
         assert "ex:NEW" not in index
-
-
-class TestTopKSelection:
-    def test_select_orders_by_score_then_doc_id(self):
-        accumulators = {"d3": 1.0, "d1": 2.0, "d2": 1.0, "d4": 3.0}
-        assert select_top_k(accumulators, 3) == [("d4", 3.0), ("d1", 2.0), ("d2", 1.0)]
-
-    def test_select_matches_full_sort_for_large_k(self):
-        accumulators = {f"d{i}": float(i % 5) for i in range(50)}
-        expected = sorted(accumulators.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert select_top_k(accumulators, 1000) == expected
-        assert select_top_k(accumulators, 7) == expected[:7]
-
-    def test_select_zero_k(self):
-        assert select_top_k({"d1": 1.0}, 0) == []
-
-    def test_zero_fill_appends_missing_candidates_by_doc_id(self):
-        accumulators = {"d2": 1.5}
-        result = select_top_k_with_zero_fill(accumulators, {"d1", "d2", "d3", "d4"}, 3)
-        assert result == [("d2", 1.5), ("d1", 0.0), ("d3", 0.0)]
-
-    def test_zero_fill_not_needed_when_heap_full(self):
-        accumulators = {"d1": 2.0, "d2": 1.0}
-        result = select_top_k_with_zero_fill(accumulators, {"d1", "d2", "d3"}, 2)
-        assert result == [("d1", 2.0), ("d2", 1.0)]
 
 
 class TestBM25ZeroScoredTail:

@@ -7,7 +7,7 @@ import pytest
 from repro.config import SearchConfig
 from repro.exceptions import EmptyQueryError
 from repro.kg import KnowledgeGraph
-from repro.search import SearchEngine
+from repro.search import SearchEngine, parse_query
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,37 @@ class TestSearchEngine:
 
     def test_top_k_respected(self, engine: SearchEngine):
         assert len(engine.search("film", top_k=3)) <= 3
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_search_refuses_a_non_positive_top_k(self, engine: SearchEngine, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            engine.search("forrest gump hanks drama", top_k=top_k)
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_search_many_refuses_a_non_positive_top_k(self, engine: SearchEngine, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            engine.search_many(["forrest gump", "drama"], top_k=top_k)
+
+    def test_none_top_k_is_the_configured_default(self, engine: SearchEngine):
+        hits = engine.search("forrest gump hanks drama", top_k=None)
+        assert hits == engine.search("forrest gump hanks drama", top_k=engine.config.top_k)
+        assert engine.search_many(["forrest gump hanks drama"]) == [hits]
+
+    @pytest.mark.parametrize("top_k", [0, 1, 5])
+    def test_scorers_agree_with_the_reference_at_small_k(self, engine: SearchEngine, top_k):
+        query = parse_query("forrest gump hanks drama")
+        for scorer in (
+            engine.mlm_scorer,
+            engine.single_field_scorer("names"),
+            engine.bm25_names_scorer(),
+            engine.bm25f_scorer(),
+        ):
+            fast = [(result.doc_id, result.score) for result in scorer.search(query, top_k=top_k)]
+            assert len(fast) == min(top_k, len(engine.index.candidate_documents(query.all_terms())))
+            assert fast == [
+                (result.doc_id, result.score)
+                for result in scorer.search_exhaustive(query, top_k=top_k)
+            ]
 
     def test_empty_query_raises(self, engine: SearchEngine):
         with pytest.raises(EmptyQueryError):

@@ -48,8 +48,6 @@ class TestRecordTypes:
             "candidates_pruned": 9,
             "groups_total": 0,
             "groups_skipped": 0,
-            "blocks_total": 3,
-            "blocks_skipped": 1,
             "rescored": 12,
             "kernel_queries": 4,
         }
@@ -66,7 +64,7 @@ class TestRecordTypes:
 
     def test_engine_stats_lookups_raise_key_error(self):
         stats = EngineStats(
-            component="search", epoch=0, shards=1, columnar=True, pruning="maxscore"
+            component="search", epoch=0, shards=1, pruning="maxscore"
         )
         with pytest.raises(KeyError):
             stats.cache("results")
@@ -79,7 +77,7 @@ class TestRecordTypes:
 class TestSearchEngineStats:
     @pytest.fixture(scope="class")
     def engine(self, movie_kg):
-        engine = SearchEngine.from_graph(movie_kg, SearchConfig(pruning="blockmax"))
+        engine = SearchEngine.from_graph(movie_kg, SearchConfig(pruning="maxscore"))
         engine.search("forrest gump")
         engine.search("forrest gump")  # one hit, one miss
         return engine
@@ -87,9 +85,11 @@ class TestSearchEngineStats:
     def test_shape(self, engine):
         stats = engine.stats()
         assert stats.component == "search"
-        assert stats.pruning == "blockmax"
-        assert stats.columnar is True
+        assert stats.pruning == "maxscore"
         assert stats.shards == 1
+        payload = stats.as_dict()
+        assert "columnar" not in payload
+        assert "blocks_total" not in payload["pruning_counters"]["mlm"]
         assert stats.children == ()
         assert [cache.name for cache in stats.caches] == ["results"]
         assert [view.name for view in stats.pruning_counters] == ["mlm"]
@@ -273,7 +273,7 @@ class TestFallbacksRunTheReference:
     """Each named fallback answers exactly what the reference answers,
     under every pruning mode of the array form it replaces."""
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
     def test_explicit_entity_pool(self, movie_kg, pruning):
         expander = EntitySetExpander(movie_kg, config=RankingConfig(pruning=pruning))
         ranker = expander.entity_ranker
@@ -299,7 +299,7 @@ class TestFallbacksRunTheReference:
         assert explicit and explicit == reference
         assert ranker.probability_model.stages.fallbacks["sf_rank"] == {"explicit-pool": 1}
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
     def test_unknown_seed_expansion(self, tiny_kg, monkeypatch, pruning):
         expander = EntitySetExpander(tiny_kg, config=RankingConfig(pruning=pruning))
         model = expander.feature_ranker.probability_model
@@ -316,7 +316,7 @@ class TestFallbacksRunTheReference:
         assert expanded.features == reference.features
         assert model.stages.fallbacks["entity_rank"] == {"unknown-entity": 1}
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "blockmax", "off"])
+    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
     def test_topology_off_type_filter(self, movie_kg, pruning):
         config = RankingConfig(pruning=pruning, graph_topology=False)
         expander = EntitySetExpander(movie_kg, config=config)

@@ -59,10 +59,16 @@ def _queries(graph, count: int = 5) -> list[str]:
     return queries
 
 
-def _system_config(pruning="maxscore", shards=1, executor="auto", workers=0):
+def _system_config(
+    pruning="maxscore", shards=1, executor="auto", workers=0, smoothing="dirichlet"
+):
     return PivotEConfig(
         search=SearchConfig(
-            pruning=pruning, shards=shards, executor=executor, workers=workers
+            pruning=pruning,
+            shards=shards,
+            executor=executor,
+            workers=workers,
+            smoothing=smoothing,
         ),
         ranking=RankingConfig(pruning=pruning),
     )
@@ -241,6 +247,33 @@ class TestColdStartEquivalence:
             ] == expected_features
         finally:
             system.close()
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_smoothing_is_applied_at_load(
+        self, saved_dir, random_graph, serial_baselines, pruning, executor
+    ):
+        """The snapshot stores counts, not a smoothing: a directory saved
+        under Dirichlet loads into a Jelinek–Mercer engine that ranks
+        exactly as the in-RAM Jelinek–Mercer build."""
+        queries, search_base, _ = serial_baselines
+        config = _system_config(
+            pruning=pruning,
+            shards=2,
+            executor=executor,
+            workers=WORKERS,
+            smoothing="jelinek-mercer",
+        )
+        fresh = PivotE(random_graph, config=config)
+        system = _load_clean(saved_dir, config)
+        try:
+            for query in queries:
+                expected = _hit_signature(fresh.search(query))
+                assert _hit_signature(system.search(query)) == expected
+                assert expected != search_base[pruning][query]
+        finally:
+            system.close()
+            fresh.close()
 
     def test_lazy_documents_and_mutations_after_load(
         self, saved_dir, serial_baselines, random_graph

@@ -4,47 +4,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topk import (
-    BlockedSparseTermEntry,
-    DenseTermEntry,
+    DenseKernelTerm,
     PruningStats,
-    SparseTermEntry,
-    ThresholdHeap,
-    maxscore_dense,
-    maxscore_sparse,
+    SparseKernelTerm,
+    columnar_dense,
+    columnar_sparse,
     safety_slack,
-    select_survivors,
+    select_survivor_ordinals,
     threshold_of,
 )
-
-
-class TestThresholdHeap:
-    def test_no_threshold_until_full(self):
-        heap = ThresholdHeap(3)
-        heap.offer(1.0)
-        heap.offer(5.0)
-        assert heap.threshold == float("-inf")
-        assert not heap.full
-        heap.offer(3.0)
-        assert heap.full
-        assert heap.threshold == 1.0
-
-    def test_threshold_is_kth_best(self):
-        heap = ThresholdHeap(2)
-        heap.offer_many([1.0, 9.0, 4.0, 7.0])
-        assert heap.threshold == 7.0
-        heap.offer(8.0)
-        assert heap.threshold == 8.0
-        heap.offer(2.0)  # below θ: no change
-        assert heap.threshold == 8.0
-
-    def test_rejects_non_positive_k(self):
-        with pytest.raises(ValueError):
-            ThresholdHeap(0)
+from repro.topk.kernels import _kth_largest
 
 
 class TestThresholdOf:
@@ -58,9 +33,14 @@ class TestThresholdOf:
         assert threshold_of([], 1) == float("-inf")
         assert threshold_of([1.0], 0) == float("-inf")
 
+    def test_array_form_agrees(self):
+        values = [3.0, -1.0, 7.5, 7.5, 0.0]
+        for k in range(0, len(values) + 2):
+            assert _kth_largest(np.array(values), k) == threshold_of(values, k)
+
 
 class TestThetaEdgeCases:
-    """Hypothesis properties of the θ primitives (heap.py edge cases)."""
+    """Hypothesis properties of θ: ``threshold_of`` and the kernels' array form."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -79,20 +59,21 @@ class TestThetaEdgeCases:
         ``-inf`` when fewer than k exist, including the mid-traversal
         case of k exceeding the surviving pool); with NaNs present it is
         either the k-th largest comparable score or degrades to ``-inf``
-        (pruning disabled — sound, never unsound).
+        (pruning disabled — sound, never unsound).  The kernels' array
+        form obeys the same rules.
         """
-        threshold = threshold_of(scores, k)
-        assert not math.isnan(threshold)
         comparable = sorted((s for s in scores if s == s), reverse=True)
-        if len(comparable) < k:
-            assert threshold == float("-inf")
-        elif len(comparable) == len(scores):
-            assert threshold == comparable[k - 1]
-        else:
-            assert threshold in (float("-inf"), comparable[k - 1])
-        # θ must always be witnessed by k real scores (sound lower bound).
-        if threshold != float("-inf"):
-            assert sum(1 for s in comparable if s >= threshold) >= k
+        for threshold in (threshold_of(scores, k), _kth_largest(np.array(scores), k)):
+            assert not math.isnan(threshold)
+            if len(comparable) < k:
+                assert threshold == float("-inf")
+            elif len(comparable) == len(scores):
+                assert threshold == comparable[k - 1]
+            else:
+                assert threshold in (float("-inf"), comparable[k - 1])
+            # θ must always be witnessed by k real scores (sound lower bound).
+            if threshold != float("-inf"):
+                assert sum(1 for s in comparable if s >= threshold) >= k
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -101,7 +82,9 @@ class TestThetaEdgeCases:
     )
     def test_k_larger_than_pool_yields_no_threshold(self, scores, extra):
         """k beyond the candidate pool must never produce a live θ."""
-        assert threshold_of(scores, len(scores) + 1 + extra) == float("-inf")
+        k = len(scores) + 1 + extra
+        assert threshold_of(scores, k) == float("-inf")
+        assert _kth_largest(np.array(scores, dtype=np.float64), k) == float("-inf")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -127,246 +110,159 @@ class TestSafetySlack:
         assert safety_slack(score) > 1000 * abs(score - (score + 1e-16))
 
 
-class TestSelectSurvivors:
+class TestSelectSurvivorOrdinals:
     def test_keeps_everything_within_budget(self):
-        accumulators = {"b": 1.0, "a": 2.0}
-        assert set(select_survivors(accumulators, 1, margin=1)) == {"a", "b"}
+        ordinals = np.array([0, 1])
+        kept = select_survivor_ordinals(ordinals, np.array([2.0, 1.0]), 1, margin=1)
+        assert kept.tolist() == [0, 1]
 
-    def test_truncates_by_score_then_id(self):
-        accumulators = {f"d{i}": float(i % 3) for i in range(10)}
-        kept = select_survivors(accumulators, 2, margin=1)
-        assert len(kept) == 3
-        expected = sorted(accumulators.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-        assert kept == [doc for doc, _ in expected]
-
-
-def _dense_entry(key: str, contributions: dict, floor: float, upper: float) -> DenseTermEntry:
-    def accumulate(accumulators, cut):
-        doomed = []
-        for doc_id, partial in accumulators.items():
-            if partial < cut:
-                doomed.append(doc_id)
-                continue
-            accumulators[doc_id] = partial + contributions.get(doc_id, floor)
-        for doc_id in doomed:
-            del accumulators[doc_id]
-        return accumulators
-
-    return DenseTermEntry(key=key, floor=floor, upper=upper, accumulate=accumulate)
+    def test_truncates_by_value_then_ordinal(self):
+        values = np.array([float(i % 3) for i in range(10)])
+        kept = select_survivor_ordinals(np.arange(10), values, 2, margin=1)
+        expected = sorted(range(10), key=lambda i: (-values[i], i))[:3]
+        assert kept.tolist() == expected
 
 
-class TestMaxscoreDense:
+def _dense_term(key: str, contributions: list[float], floor: float, upper: float) -> DenseKernelTerm:
+    return DenseKernelTerm(
+        key=key, floor=floor, upper=upper, contributions=np.array(contributions, dtype=np.float64)
+    )
+
+
+class TestColumnarDense:
     def test_no_pruning_when_k_covers_all(self):
-        contributions = {f"d{i}": float(i) for i in range(5)}
-        entry = _dense_entry("t", contributions, 0.0, 4.0)
+        entry = _dense_term("t", [float(i) for i in range(5)], 0.0, 4.0)
         stats = PruningStats()
-        survivors = maxscore_dense(contributions.keys(), [entry], 10, stats)
-        assert set(survivors) == set(contributions)
+        ordinals, partials = columnar_dense(np.arange(5), [entry], 10, stats)
+        assert ordinals.tolist() == list(range(5))
         assert stats.candidates_pruned == 0
 
     def test_prunes_hopeless_candidates(self):
         # Term 1 separates candidates by 0..99; term 2 can only add 0.5,
         # so after term 1 everything far below the top-2 is hopeless.
-        docs = [f"d{i:02d}" for i in range(100)]
-        first = _dense_entry("t1", {doc: float(i) for i, doc in enumerate(docs)}, 0.0, 99.0)
-        second = _dense_entry("t2", dict.fromkeys(docs, 0.5), 0.0, 0.5)
-        third = _dense_entry("t3", dict.fromkeys(docs, 0.1), 0.0, 0.1)
+        first = _dense_term("t1", [float(i) for i in range(100)], 0.0, 99.0)
+        second = _dense_term("t2", [0.5] * 100, 0.0, 0.5)
+        third = _dense_term("t3", [0.1] * 100, 0.0, 0.1)
         stats = PruningStats()
-        survivors = maxscore_dense(docs, [first, second, third], 2, stats)
-        assert {"d99", "d98"} <= set(survivors)
+        ordinals, partials = columnar_dense(np.arange(100), [first, second, third], 2, stats)
+        survivors = dict(zip(ordinals.tolist(), partials.tolist()))
+        assert {99, 98} <= set(survivors)
         assert stats.candidates_pruned > 0
         # Survivor values are exact sums unless the traversal stopped early.
         if stats.terms_skipped == 0:
-            assert survivors["d99"] == 99.0 + 0.5 + 0.1
+            assert survivors[99] == 99.0 + 0.5 + 0.1
 
     def test_skips_remaining_terms_once_set_is_small(self):
-        docs = ["a", "b", "c"]
         entries = [
-            _dense_entry("t1", {"a": 5.0, "b": 4.0, "c": 3.0}, 0.0, 5.0),
-            _dense_entry("t2", dict.fromkeys(docs, 1.0), 0.0, 1.0),
+            _dense_term("t1", [5.0, 4.0, 3.0], 0.0, 5.0),
+            _dense_term("t2", [1.0, 1.0, 1.0], 0.0, 1.0),
         ]
         stats = PruningStats()
-        survivors = maxscore_dense(docs, entries, 3, stats)
-        assert set(survivors) == set(docs)
+        ordinals, _ = columnar_dense(np.arange(3), entries, 3, stats)
+        assert ordinals.tolist() == [0, 1, 2]
         assert stats.terms_skipped == 2  # |candidates| <= k: nothing to do
 
     def test_empty_inputs(self):
         stats = PruningStats()
-        assert maxscore_dense([], [_dense_entry("t", {}, 0.0, 1.0)], 5, stats) == {}
-        assert maxscore_dense(["d"], [], 5, stats) == {"d": 0.0}
+        empty = np.empty(0, dtype=np.int64)
+        ordinals, partials = columnar_dense(empty, [_dense_term("t", [], 0.0, 1.0)], 5, stats)
+        assert ordinals.size == 0 and partials.size == 0
+        ordinals, partials = columnar_dense(np.array([0]), [], 5, stats)
+        assert ordinals.tolist() == [0] and partials.tolist() == [0.0]
 
-
-def _sparse_entry(key: str, postings: dict, upper: float) -> SparseTermEntry:
-    def expand(accumulators):
-        for doc_id, value in postings.items():
-            accumulators[doc_id] = accumulators.get(doc_id, 0.0) + value
-
-    def refine(accumulators):
-        for doc_id in accumulators:
-            value = postings.get(doc_id)
-            if value is not None:
-                accumulators[doc_id] += value
-
-    return SparseTermEntry(key=key, upper=upper, expand=expand, refine=refine)
-
-
-class TestMaxscoreSparse:
-    def test_exact_totals_without_pruning_opportunity(self):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        columns=st.lists(
+            st.lists(st.floats(min_value=-10.0, max_value=0.0), min_size=40, max_size=40),
+            min_size=1,
+            max_size=4,
+        ),
+        top_k=st.integers(min_value=1, max_value=8),
+    )
+    def test_random_property_keeps_the_true_top_k(self, columns, top_k):
+        """No true top-k candidate is ever evicted (the epilogue re-scores)."""
         entries = [
-            _sparse_entry("t1", {"a": 2.0, "b": 1.0}, 2.0),
-            _sparse_entry("t2", {"b": 3.0, "c": 0.5}, 3.0),
+            _dense_term(f"t{i}", column, min(column), max(column))
+            for i, column in enumerate(columns)
         ]
-        stats = PruningStats()
-        survivors = maxscore_sparse(entries, 10, stats)
-        assert survivors == {"a": 2.0, "b": 4.0, "c": 0.5}
-        assert stats.terms_skipped == 0
-
-    def test_or_to_and_switch_skips_postings_walks(self):
-        # One dominant term fills the heap; the tail terms cannot lift a
-        # new document past θ, so their postings are only consulted for
-        # documents already accumulated.
-        heavy = {f"d{i:02d}": 10.0 + i for i in range(30)}
-        light = {"zz": 0.1}  # would be a new doc, must not enter
-        light_docs = dict.fromkeys(list(heavy)[:5], 0.1)
-        light_docs.update(light)
-        entries = [
-            _sparse_entry("heavy", heavy, 40.0),
-            _sparse_entry("light", light_docs, 0.1),
-        ]
-        stats = PruningStats()
-        survivors = maxscore_sparse(entries, 5, stats)
-        assert "zz" not in survivors
-        assert stats.terms_skipped == 1
-        # Refined survivors hold exact totals.
-        top = sorted(survivors.items(), key=lambda kv: -kv[1])[0]
-        assert top[1] == (10.0 + 29)  # d29 matched only the heavy term
-
-    def test_empty(self):
-        stats = PruningStats()
-        assert maxscore_sparse([], 5, stats) == {}
+        totals = [sum(column[doc] for column in columns) for doc in range(40)]
+        ordinals, _ = columnar_dense(np.arange(40), entries, top_k, PruningStats(), margin=0)
+        kth = sorted(totals, reverse=True)[top_k - 1]
+        true_top = {doc for doc in range(40) if totals[doc] > kth + 1e-9}
+        assert true_top <= set(ordinals.tolist())
+        assert ordinals.size >= top_k
 
 
-def _blocked_entry(
-    key: str, postings: dict, upper: float, block_size: int = 2
-) -> BlockedSparseTermEntry:
-    """A blocked sparse entry with per-block uppers from the actual values."""
-    ids = sorted(postings)
-    lasts: list[str] = []
-    uppers: list[float] = []
-    for start in range(0, len(ids), block_size):
-        block = ids[start : start + block_size]
-        lasts.append(block[-1])
-        uppers.append(max(postings[doc_id] for doc_id in block))
-
-    def expand(accumulators):
-        for doc_id, value in postings.items():
-            accumulators[doc_id] = accumulators.get(doc_id, 0.0) + value
-
-    def refine(accumulators):
-        for doc_id in accumulators:
-            value = postings.get(doc_id)
-            if value is not None:
-                accumulators[doc_id] += value
-
-    return BlockedSparseTermEntry(
+def _sparse_term(key: str, postings: dict[int, float], upper: float) -> SparseKernelTerm:
+    ordinals = sorted(postings)
+    return SparseKernelTerm(
         key=key,
         upper=upper,
-        expand=expand,
-        refine=refine,
-        block_lasts=tuple(lasts),
-        block_uppers=tuple(uppers),
-        contribution=lambda doc_id: postings.get(doc_id, 0.0),
+        ordinals=np.array(ordinals, dtype=np.int64),
+        contributions=np.array([postings[ordinal] for ordinal in ordinals], dtype=np.float64),
     )
+
+
+def _survivor_map(result) -> dict[int, float]:
+    ordinals, partials = result
+    return dict(zip(ordinals.tolist(), partials.tolist()))
 
 
 def _top_k(accumulators: dict, k: int) -> list:
     return sorted(accumulators.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
-class TestMaxscoreSparseCounters:
-    def test_candidates_total_counts_entrants_not_peak(self):
-        """Regression: entrants after an eviction must still be counted.
-
-        The old implementation tracked the *peak* accumulator count over
-        the expand passes; documents expanded after an earlier eviction
-        shrank the map below the peak were silently uncounted, so bench
-        skip-ratio reports overstated pruning.
-        """
-        first = _sparse_entry("t1", {"a": 10.0, "b": 9.0, "c": -5.0}, 10.0)
-        second = _sparse_entry("t2", {"z": 0.5}, 10.0)
+class TestColumnarSparse:
+    def test_exact_totals_without_pruning_opportunity(self):
+        entries = [
+            _sparse_term("t1", {0: 2.0, 1: 1.0}, 2.0),
+            _sparse_term("t2", {1: 3.0, 2: 0.5}, 3.0),
+        ]
         stats = PruningStats()
-        survivors = maxscore_sparse([first, second], 1, stats)
-        # "c" is evicted after the first pass (θ=10.0, remaining upper
-        # 10.0), yet "z" still expands on the second pass: four distinct
-        # accumulators entered the traversal while the peak size was 3.
-        assert survivors == {"a": 10.0, "b": 9.0, "z": 0.5}
+        survivors = _survivor_map(columnar_sparse(entries, 10, stats, 3))
+        assert survivors == {0: 2.0, 1: 4.0, 2: 0.5}
+        assert stats.terms_skipped == 0
+
+    def test_or_to_and_switch_skips_postings_walks(self):
+        # One dominant term fills the heap; the tail terms cannot lift a
+        # new document past θ, so their postings are only consulted for
+        # documents already accumulated.
+        heavy = {i: 10.0 + i for i in range(30)}
+        light = dict.fromkeys(range(5), 0.1)
+        light[30] = 0.1  # would be a new doc, must not enter
+        entries = [_sparse_term("heavy", heavy, 40.0), _sparse_term("light", light, 0.1)]
+        stats = PruningStats()
+        survivors = _survivor_map(columnar_sparse(entries, 5, stats, 31))
+        assert 30 not in survivors
+        assert stats.terms_skipped == 1
+        # Refined survivors hold exact totals.
+        assert _top_k(survivors, 1) == [(29, 10.0 + 29)]  # matched only the heavy term
+
+    def test_empty(self):
+        ordinals, partials = columnar_sparse([], 5, PruningStats(), 4)
+        assert ordinals.size == 0 and partials.size == 0
+
+    def test_candidates_total_counts_entrants_not_peak(self):
+        """Entrants after an eviction are still counted.
+
+        Ordinal 2 is evicted after the first pass (θ=10.0, remaining
+        upper 10.0), yet ordinal 3 still expands on the second pass: four
+        distinct accumulators entered the traversal while the peak size
+        was 3.
+        """
+        first = _sparse_term("t1", {0: 10.0, 1: 9.0, 2: -5.0}, 10.0)
+        second = _sparse_term("t2", {3: 0.5}, 10.0)
+        stats = PruningStats()
+        survivors = _survivor_map(columnar_sparse([first, second], 1, stats, 4))
+        assert survivors == {0: 10.0, 1: 9.0, 3: 0.5}
         assert stats.candidates_total == 4
         assert stats.candidates_pruned == 1
-
-
-class TestMaxscoreSparseBlockmax:
-    def test_matches_plain_refinement_totals(self):
-        heavy = {f"d{i:02d}": 10.0 + i for i in range(30)}
-        light = dict.fromkeys(list(heavy)[:5], 0.1)
-        light["zz"] = 0.1
-        entries_plain = [
-            _sparse_entry("heavy", heavy, 40.0),
-            _sparse_entry("light", light, 0.1),
-        ]
-        entries_blocked = [
-            _blocked_entry("heavy", heavy, 40.0),
-            _blocked_entry("light", light, 0.1),
-        ]
-        plain = maxscore_sparse(entries_plain, 5, PruningStats())
-        stats = PruningStats()
-        blocked = maxscore_sparse(entries_blocked, 5, stats, blockmax=True)
-        assert "zz" not in blocked
-        assert _top_k(blocked, 5) == _top_k(plain, 5)
-        # Survivor totals stay exact under the galloping refinement.
-        for doc_id, total in blocked.items():
-            assert total == heavy[doc_id] + light.get(doc_id, 0.0)
-        assert stats.terms_skipped == 1
-
-    def test_block_bounds_evict_and_skip_blocks(self):
-        # Ten close survivors; the refined term matches only one block,
-        # so survivors outside it face a zero block bound and die where
-        # the global bound (5.0) would have kept them alive.
-        heavy = {f"d{i:02d}": 30.0 + i for i in range(10)}
-        mid = {"d01": 5.0}
-        tiny = dict.fromkeys(heavy, 0.05)
-        entries = [
-            _blocked_entry("heavy", heavy, 39.0),
-            _blocked_entry("mid", mid, 5.0),
-            _blocked_entry("tiny", tiny, 0.05, block_size=3),
-        ]
-        stats = PruningStats()
-        survivors = maxscore_sparse(entries, 3, stats, blockmax=True)
-        top = _top_k(survivors, 3)
-        assert [doc_id for doc_id, _ in top] == ["d09", "d08", "d07"]
-        for doc_id, total in top:
-            assert total == heavy[doc_id] + mid.get(doc_id, 0.0) + tiny[doc_id]
-        assert stats.blocks_total > 0
-        assert stats.blocks_skipped > 0
-        assert stats.candidates_pruned > 0
-
-    def test_entries_without_blocks_fall_back_to_refine(self):
-        heavy = {f"d{i:02d}": 10.0 + i for i in range(30)}
-        light = dict.fromkeys(list(heavy)[:5], 0.1)
-        entries = [
-            _blocked_entry("heavy", heavy, 40.0),
-            _sparse_entry("light", light, 0.1),  # no block summaries
-        ]
-        stats = PruningStats()
-        survivors = maxscore_sparse(entries, 5, stats, blockmax=True)
-        assert stats.blocks_total == 0
-        for doc_id, total in survivors.items():
-            assert total == heavy[doc_id] + light.get(doc_id, 0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         data=st.lists(
             st.dictionaries(
-                st.sampled_from([f"d{i:02d}" for i in range(20)]),
+                st.integers(min_value=0, max_value=19),
                 st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
                 max_size=20,
             ),
@@ -374,31 +270,30 @@ class TestMaxscoreSparseBlockmax:
             max_size=5,
         ),
         top_k=st.integers(min_value=1, max_value=8),
-        block_size=st.integers(min_value=1, max_value=4),
     )
-    def test_random_property_matches_exhaustive_totals(self, data, top_k, block_size):
+    def test_random_property_matches_exhaustive_totals(self, data, top_k):
         """Survivors are a superset of the true top-k with near-exact totals.
 
-        The driver may associate the same floating-point terms in a
+        The kernel may associate the same floating-point terms in a
         different order than a per-document sum, so callers re-score
         survivors exactly; the contract tested here is the one they rely
         on — no true top-k document is ever evicted, and survivor values
         agree with the exhaustive totals to within the safety slack.
         """
-        totals: dict[str, float] = {}
+        totals: dict[int, float] = {}
         for postings in data:
-            for doc_id, value in postings.items():
-                totals[doc_id] = totals.get(doc_id, 0.0) + value
+            for ordinal, value in postings.items():
+                totals[ordinal] = totals.get(ordinal, 0.0) + value
         entries = [
-            _blocked_entry(f"t{i}", postings, max(postings.values()), block_size)
+            _sparse_term(f"t{i}", postings, max(postings.values()))
             for i, postings in enumerate(data)
             if postings
         ]
-        survivors = maxscore_sparse(entries, top_k, PruningStats(), blockmax=True)
-        true_top = {doc_id for doc_id, _ in _top_k(totals, top_k)}
+        survivors = _survivor_map(columnar_sparse(entries, top_k, PruningStats(), 20))
+        true_top = {ordinal for ordinal, _ in _top_k(totals, top_k)}
         assert true_top <= set(survivors)
-        for doc_id, total in survivors.items():
-            assert total == pytest.approx(totals[doc_id], rel=1e-9, abs=1e-9)
+        for ordinal, total in survivors.items():
+            assert total == pytest.approx(totals[ordinal], rel=1e-9, abs=1e-9)
 
 
 class TestPruningStats:

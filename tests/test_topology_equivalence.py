@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig, SearchConfig
+from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.expansion import EntitySetExpander
@@ -143,11 +143,7 @@ class TestRecommendationEquivalence:
 
         def build(topology: bool) -> PivotE:
             return PivotE(
-                graph,
-                config=PivotEConfig(
-                    search=SearchConfig(graph_topology=topology),
-                    ranking=RankingConfig(graph_topology=topology),
-                ),
+                graph, config=PivotEConfig(ranking=RankingConfig(graph_topology=topology))
             )
 
         on, off = build(True), build(False)
