@@ -8,9 +8,10 @@ ships posting data: each task payload carries only a snapshot descriptor
 compact per-term *recipe* — the picklable scalars (idf weights, bounds,
 smoothing masses, normaliser constants) from which the worker rebuilds
 the exact contribution columns against its zero-copy snapshot views.
-Rebuilt columns are memoised per attached snapshot, so a warm worker
+The BM25 columns are memoised per attached snapshot, so a warm worker
 serves a query stream against one epoch with the same amortisation as
-the parent's per-epoch view memo.
+the parent's per-epoch view memo; the dense language-model columns are
+built per query over the worker's candidate bucket, as in the parent.
 
 Dispatch contract (mirrors :class:`~repro.exec.executor.ShardExecutor`):
 the first task of every query runs inline on the calling thread via its
@@ -293,50 +294,34 @@ def _field_norms(snapshot: AttachedSnapshot, field: str, b: float, avg_length: f
 
 
 def _dense_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list:
-    """Rebuild the dense LM kernel entries from their recipes.
+    """Build the dense LM kernel entries of this worker's bucket from the recipes.
 
-    Identical numpy expressions over identical float64 inputs as the
-    parent's ``_columnar_term_column`` — the smoothing masses arrive
-    precomputed in the recipe, so the columns match the parent's
-    bitwise.  (Even without that, the process path only *selects*
-    survivors; the exact re-scoring epilogue fixes the ranking.)
+    Calls the parent's :func:`~repro.search.mlm.candidate_term_columns`
+    over the bucket's candidates — the smoothing masses arrive
+    precomputed in the recipe, so each column equals the parent's column
+    sliced by the bucket's owner mask, bitwise.  (Even without that, the
+    process path only *selects* survivors; the exact re-scoring epilogue
+    fixes the ranking.)  Nothing is memoised: the columns are sized by
+    the bucket and live for one query.
     """
+    from ..search.mlm import candidate_term_columns
     from ..topk import DenseKernelTerm
 
     method, param = payload["smoothing"]
-    entries = []
-    for recipe in payload["terms"]:
-        term = recipe["term"]
-        fields = tuple(tuple(entry) for entry in recipe["fields"])
-        key = ("lm-column", method, param, fields, term)
-
-        def compute(term: str = term, fields=fields) -> np.ndarray:
-            probability = np.zeros(snapshot.num_documents, dtype=np.float64)
-            if method == "dirichlet":
-                for field, weight, mass in fields:
-                    frequencies = snapshot.dense_frequencies(field, term)
-                    lengths = snapshot.field_lengths(field)
-                    probability += weight * ((frequencies + mass) / (lengths + param))
-            else:  # jelinek-mercer
-                one_minus_lam = 1.0 - param
-                for field, weight, mass in fields:
-                    frequencies = snapshot.dense_frequencies(field, term)
-                    lengths = snapshot.field_lengths(field)
-                    ratio = np.divide(
-                        frequencies, lengths, out=np.zeros_like(frequencies), where=lengths > 0
-                    )
-                    probability += weight * (one_minus_lam * ratio + mass)
-            return np.log(np.maximum(probability, 1e-12))
-
-        entries.append(
-            DenseKernelTerm(
-                key=recipe["key"],
-                floor=recipe["floor"],
-                upper=recipe["upper"],
-                contributions=snapshot.memoised(key, compute),
-            )
+    recipes = payload["terms"]
+    columns = candidate_term_columns(
+        snapshot,
+        np.asarray(payload["candidates"], dtype=np.int64),
+        [(recipe["term"], recipe["fields"]) for recipe in recipes],
+        method,
+        param,
+    )
+    return [
+        DenseKernelTerm(
+            key=recipe["key"], floor=recipe["floor"], upper=recipe["upper"], contributions=column
         )
-    return entries
+        for recipe, column in zip(recipes, columns)
+    ]
 
 
 def _bm25_entries(snapshot: AttachedSnapshot, payload: dict[str, Any]) -> list[SparseKernelTerm]:

@@ -12,9 +12,6 @@ in :mod:`repro.topk.kernels` score with vectorized operations:
 * per-field document-length arrays indexed by ordinal;
 * :class:`ColumnarPostings` per (field, term): parallel arrays of doc
   ordinals (ascending) and term frequencies;
-* dense per-term frequency arrays (length ``num_documents``) for the
-  language-model family, whose smoothing gives *every* candidate a
-  non-zero per-term contribution;
 * CRC shard-ownership maps mirroring :func:`repro.exec.sharding.shard_of`,
   so the parent's shard slices match the process tier's ownership cut.
 
@@ -22,9 +19,10 @@ The view is immutable after construction and is memoised per index epoch
 on :class:`~repro.index.statistics.CollectionStatistics` (via
 :func:`columnar_view`), next to the scorers' memoised bounds: any index
 mutation rebuilds the statistics object and therefore drops the view, so
-a stale view can never be observed.  Scorers memoise their own derived
-arrays (per-term contribution columns) on the view through
-:meth:`ColumnarIndex.memoised`.
+a stale view can never be observed.  The BM25 scorers memoise their
+own derived arrays on the view through :meth:`ColumnarIndex.memoised`;
+the language-model scorers build their per-term columns per query, over
+the query's candidates only (see :func:`repro.search.mlm.candidate_term_columns`).
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class ColumnarIndex:
             self._doc_ids = self._stored.doc_ids
             self._ord_of = self._stored.ordinal_of()
         self._lengths: dict[str, np.ndarray] = {}
-        self._postings: dict[tuple[str, str], ColumnarPostings | None] = {}
+        self._postings: dict[tuple[str, str], ColumnarPostings] = {}
         self._shard_maps: dict[int, np.ndarray] = {}
         self._derived: dict[tuple[object, ...], object] = {}
 
@@ -133,22 +131,26 @@ class ColumnarIndex:
         return lengths
 
     def postings(self, field: str, term: str) -> ColumnarPostings | None:
-        """The (field, term) columnar postings, or ``None`` when absent."""
+        """The (field, term) columnar postings, or ``None`` when absent.
+
+        Absent pairs are not memoised: the answer is one dict lookup
+        either way, and a memo entry per (field, term) a query names
+        would grow with every distinct search.
+        """
         key = (field, term)
-        if key in self._postings:
-            return self._postings[key]
+        columnar = self._postings.get(key)
+        if columnar is not None:
+            return columnar
         if self._stored is not None:
             stored = self._fields[field].columns.columns(term)
-            columnar = None
-            if stored is not None:
-                ordinals, frequencies = stored
-                columnar = ColumnarPostings(ordinals, frequencies.astype(np.float64))
-            self._postings[key] = columnar
-            return columnar
-        posting_list = self._fields[field].get_postings(term)
-        if posting_list is None or len(posting_list) == 0:
-            columnar = None
+            if stored is None:
+                return None
+            ordinals, frequencies = stored
+            columnar = ColumnarPostings(ordinals, frequencies.astype(np.float64))
         else:
+            posting_list = self._fields[field].get_postings(term)
+            if posting_list is None or len(posting_list) == 0:
+                return None
             frequencies = posting_list.frequencies()
             doc_ids = posting_list.doc_ids()  # sorted ⇒ ordinals ascending
             ord_of = self._ord_of
@@ -163,19 +165,6 @@ class ColumnarIndex:
             columnar = ColumnarPostings(ordinals, tfs)
         self._postings[key] = columnar
         return columnar
-
-    def dense_frequencies(self, field: str, term: str) -> np.ndarray:
-        """Length-``num_documents`` term-frequency column (zeros elsewhere).
-
-        Not memoised: the callers are the ``compute`` closures of scorer
-        columns that are themselves memoised, so a retained copy would
-        only be read once.
-        """
-        dense = np.zeros(len(self._doc_ids), dtype=np.float64)
-        columnar = self.postings(field, term)
-        if columnar is not None:
-            dense[columnar.ordinals] = columnar.frequencies
-        return dense
 
     def shard_map(self, num_shards: int) -> np.ndarray:
         """Per-ordinal shard ownership under CRC routing (int64).
@@ -198,7 +187,7 @@ class ColumnarIndex:
     def memoised(self, key: tuple[object, ...], compute):
         """Memoise a scorer-derived array on the view (per-epoch lifetime).
 
-        Scorers key their contribution columns by their own
+        Scorers key their derived columns by their own
         hyper-parameters, mirroring the
         :meth:`~repro.index.statistics.CollectionStatistics.memoised_bound`
         convention.

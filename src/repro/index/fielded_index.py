@@ -201,7 +201,13 @@ class FieldedIndex:
         return self._indexes[field].document_length(doc_id)
 
     def collection_probability(self, field: str, term: str) -> float:
-        return self._indexes[field].collection_probability(term)
+        """``p(term | field collection)``, memoised on the epoch's statistics.
+
+        The same int / int division :meth:`InvertedIndex.collection_probability`
+        makes, without summing (or, on an adopted index, decoding) the
+        posting list on every call.
+        """
+        return self.statistics().collection_probability(field, term)
 
     def document_frequency(self, field: str, term: str) -> int:
         return self._indexes[field].document_frequency(term)

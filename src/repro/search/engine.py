@@ -27,6 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..config import SearchConfig
+from ..exceptions import EntityNotFoundError
 from ..exec import dedupe_batch, executor_stats, release_snapshots, snapshot_registry
 from ..index import FieldedIndex
 from ..kg import KnowledgeGraph, traversal_stats
@@ -423,9 +424,16 @@ class SearchEngine:
         return self.stats().pruning_view("mlm").as_counters()
 
     def explain(self, query: str | KeywordQuery, entity_id: str) -> ScoredDocument:
-        """Score a single entity and return the per-term breakdown."""
+        """Score a single entity and return the per-term breakdown.
+
+        Raises :class:`EntityNotFoundError` when ``entity_id`` is not an
+        indexed document: smoothing would otherwise score it anyway.
+        """
         parsed = query if isinstance(query, KeywordQuery) else parse_query(query)
-        return self._require_scorer().score_document(parsed, entity_id)
+        scorer = self._require_scorer()
+        if entity_id not in scorer.index:
+            raise EntityNotFoundError(entity_id)
+        return scorer.score_document(parsed, entity_id)
 
     def _to_hit(self, result: ScoredDocument) -> SearchHit:
         return SearchHit(

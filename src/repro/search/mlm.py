@@ -10,12 +10,15 @@ query ``q = t1 .. tn`` and an entity document ``d`` with fields ``f``:
 where ``p(t | d_f)`` is the smoothed field language model and the field
 weights ``w_f`` sum to one.
 
-A search has exactly two forms.  ``search`` runs the columnar kernels
-(:mod:`repro.topk.kernels`, plain or max-score pruned, serial or fanned
-out over document shards) to select a superset of the top-k, then
-re-scores that superset with the exhaustive arithmetic in the
-exhaustive order; ``search_exhaustive`` scores every candidate and sorts
-— the reference.  Both produce byte-identical rankings because the
+A search has exactly two forms.  ``search`` stays in ordinal space: its
+candidates are the union of the query terms' posting ordinals, each
+scored term gets a contribution column over those candidates, built per
+query, and the columnar kernels (:mod:`repro.topk.kernels`, plain or
+max-score pruned, serial or fanned out over document shards) select a
+superset of the top-k; that superset is re-scored, per-term breakdown
+included, with the exhaustive arithmetic in the exhaustive order.
+``search_exhaustive`` scores every candidate through ``score_document``
+and sorts — the reference.  Both produce byte-identical rankings because the
 final scores come from the same floating-point operations in the same
 order.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,9 +75,9 @@ class LanguageModelBounds:
       by ``(1-λ)·1 + λ·p_c`` (``tf <= |d|``) when the field contains the
       term at all, and floored by the collection mass ``λ·p_c``.
 
-    Field bounds are memoised on :class:`CollectionStatistics` (keyed by
-    smoothing method and parameter), so they live exactly as long as the
-    index epoch they were derived from.
+    Field bounds are recomputed per query from the epoch's collection
+    statistics: a handful of lookups, cheaper than keeping two memo
+    entries per (field, term) ever searched.
     """
 
     __slots__ = ("_support", "_smoothing")
@@ -83,36 +86,22 @@ class LanguageModelBounds:
         self._support = support
         self._smoothing = smoothing
 
-    def _compute_field_bound(self, field: str, term: str, which: str) -> float:
+    def _field_bounds(self, field: str, term: str) -> tuple[float, float]:
+        """``(floor, upper)`` of one field's smoothed component."""
         smoothing = self._smoothing
         field_stats = self._support.statistics.field(field)
         probability = field_stats.collection_probability(term)
+        max_frequency = field_stats.max_frequency(term)
         if smoothing.method == "dirichlet":
             mu = smoothing.dirichlet_mu
             mass = mu * probability
-            if which == "upper":
-                return (field_stats.max_frequency(term) + mass) / (field_stats.min_length + mu)
-            return mass / (field_stats.max_length + mu)
+            return (
+                mass / (field_stats.max_length + mu),
+                (max_frequency + mass) / (field_stats.min_length + mu),
+            )
         lam = smoothing.jm_lambda
         mass = lam * probability
-        if which == "upper":
-            return (1.0 - lam) * (1.0 if field_stats.max_frequency(term) > 0 else 0.0) + mass
-        return mass
-
-    def _field_bounds(self, field: str, term: str) -> tuple[float, float]:
-        smoothing = self._smoothing
-        statistics = self._support.statistics
-        if smoothing.method == "dirichlet":
-            key = ("lm-dirichlet", smoothing.dirichlet_mu, field, term)
-        else:
-            key = ("lm-jm", smoothing.jm_lambda, field, term)
-        floor = statistics.memoised_bound(
-            key + ("floor",), lambda: self._compute_field_bound(field, term, "floor")
-        )
-        upper = statistics.memoised_bound(
-            key + ("upper",), lambda: self._compute_field_bound(field, term, "upper")
-        )
-        return floor, upper
+        return mass, (1.0 - lam) * (1.0 if max_frequency > 0 else 0.0) + mass
 
     def mixture_bounds(
         self, term: str, weighted_fields: Sequence[tuple[str, float]]
@@ -127,9 +116,21 @@ class LanguageModelBounds:
         return log_probability(floor_mass), log_probability(upper_mass)
 
 
-def _rank_key(item: tuple[str, float]) -> tuple[float, str]:
-    doc_id, score = item
-    return (-score, doc_id)
+@dataclass(frozen=True)
+class ScoredDocument:
+    """A retrieval result: document identifier, score and per-term detail."""
+
+    doc_id: str
+    score: float
+    term_scores: Mapping[str, float] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.term_scores is None:
+            object.__setattr__(self, "term_scores", {})
+
+
+def _rank_key(result: ScoredDocument) -> tuple[float, str]:
+    return (-result.score, result.doc_id)
 
 
 def _term_components(
@@ -139,10 +140,7 @@ def _term_components(
     smoothing: SmoothingParams,
 ) -> list[tuple[float, Mapping[str, int], Mapping[str, int], float]]:
     """The per-field lookup tuples one term's scoring needs, resolved once."""
-    if smoothing.method == "dirichlet":
-        factor = smoothing.dirichlet_mu
-    else:
-        factor = smoothing.jm_lambda
+    factor = _smoothing_factor(smoothing)
     return [
         (
             weight,
@@ -154,39 +152,53 @@ def _term_components(
     ]
 
 
-def _rescore_mixture(
+def _smoothing_factor(smoothing: SmoothingParams) -> float:
+    """The parameter smoothing scales ``p(t|C)`` by: ``mu`` or ``lambda``."""
+    if smoothing.method == "dirichlet":
+        return smoothing.dirichlet_mu
+    return smoothing.jm_lambda
+
+
+def _score_breakdowns(
     doc_ids: Sequence[str],
+    keys: Sequence[str],
     per_term: Sequence[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
     smoothing: SmoothingParams,
-) -> list[tuple[str, float]]:
-    """Exact scores of a few documents through the fast support lookups.
+) -> list[ScoredDocument]:
+    """Exact scores and per-term breakdowns of a few documents.
 
     ``per_term`` must list each scored term's components (see
     :func:`_term_components`) in *scoring* order (query terms, then field
-    restrictions): the summation order and per-term arithmetic mirror
+    restrictions), and ``keys`` the matching ``term_scores`` keys: the
+    summation order and per-term arithmetic mirror
     :meth:`MixtureLanguageModelScorer.score_document` (and
     :func:`~repro.search.language_model.smoothed_probability`)
-    operation-for-operation, so the returned scores are bitwise identical
-    to the exhaustive path without its per-call index lookups.
+    operation-for-operation, so scores and breakdowns are bitwise
+    identical to the exhaustive path without its per-call index lookups.
     """
-    results: list[tuple[str, float]] = []
+    results: list[ScoredDocument] = []
+    scored_terms = list(zip(keys, per_term))
     if smoothing.method == "dirichlet":
         mu = smoothing.dirichlet_mu
         for doc_id in doc_ids:
             score = 0.0
-            for components in per_term:
+            term_scores: dict[str, float] = {}
+            for key, components in scored_terms:
                 probability = 0.0
                 for weight, frequencies, lengths, mass in components:
                     probability += weight * (
                         (frequencies.get(doc_id, 0) + mass) / (lengths.get(doc_id, 0) + mu)
                     )
-                score += log_probability(probability)
-            results.append((doc_id, score))
+                log_p = log_probability(probability)
+                term_scores[key] = log_p
+                score += log_p
+            results.append(ScoredDocument(doc_id, score, term_scores))
     else:  # jelinek-mercer
         one_minus_lam = 1.0 - smoothing.jm_lambda
         for doc_id in doc_ids:
             score = 0.0
-            for components in per_term:
+            term_scores = {}
+            for key, components in scored_terms:
                 probability = 0.0
                 for weight, frequencies, lengths, mass in components:
                     doc_len = lengths.get(doc_id, 0)
@@ -196,12 +208,15 @@ def _rescore_mixture(
                         )
                     else:
                         probability += weight * mass
-                score += log_probability(probability)
-            results.append((doc_id, score))
+                log_p = log_probability(probability)
+                term_scores[key] = log_p
+                score += log_p
+            results.append(ScoredDocument(doc_id, score, term_scores))
     return results
 
 
 def _prime_threshold(
+    keys: Sequence[str],
     per_term: Sequence[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
     smoothing: SmoothingParams,
     top_k: int,
@@ -247,81 +262,129 @@ def _prime_threshold(
             break
     if len(pool) < top_k:
         return NO_THRESHOLD
-    scored = _rescore_mixture(sorted(pool), per_term, smoothing)
-    return threshold_of((score for _, score in scored), top_k)
+    scored = _score_breakdowns(sorted(pool), keys, per_term, smoothing)
+    return threshold_of((result.score for result in scored), top_k)
 
 
-def _columnar_term_column(
-    view: ColumnarIndex,
-    support: ScoringSupport,
-    term: str,
-    weighted_fields: Sequence[tuple[str, float]],
-    smoothing: SmoothingParams,
-) -> np.ndarray:
-    """One term's exact log-mixture contribution for every ordinal.
+def query_candidates(view, fields: Sequence[str], terms: Sequence[str]) -> np.ndarray:
+    """Ascending ordinals of the documents holding any term in any field.
 
-    The per-field smoothing arithmetic of :func:`_rescore_mixture`
-    broadcast over the whole document column (elementwise numpy
-    arithmetic is IEEE-identical to the scalar expressions; only
-    ``np.log`` may differ from ``math.log`` by ulps, which the kernels'
-    safety slack and the exact re-scoring epilogue absorb).  Memoised on
-    the view — i.e. per (term, fields, smoothing) per index epoch — like
-    the memoised bounds.
+    The ordinal form of :meth:`FieldedIndex.candidate_documents`: the
+    union of the terms' posting ordinals, with no id set in between.
     """
-    if smoothing.method == "dirichlet":
-        key = ("lm-column", "dirichlet", smoothing.dirichlet_mu, tuple(weighted_fields), term)
-    else:
-        key = ("lm-column", "jm", smoothing.jm_lambda, tuple(weighted_fields), term)
+    # A mask over the ordinal range: one scatter per posting list and one
+    # scan, where a sort-based union would sort every posting it was handed.
+    held = np.zeros(view.num_documents, dtype=bool)
+    for field in fields:
+        for term in dict.fromkeys(terms):
+            postings = view.postings(field, term)
+            if postings is not None:
+                held[postings.ordinals] = True
+    return np.flatnonzero(held)
 
-    def compute() -> np.ndarray:
-        probability = np.zeros(view.num_documents, dtype=np.float64)
-        if smoothing.method == "dirichlet":
-            mu = smoothing.dirichlet_mu
-            for field, weight in weighted_fields:
-                mass = mu * support.collection_probability(field, term)
-                frequencies = view.dense_frequencies(field, term)
-                lengths = view.field_lengths(field)
-                probability += weight * ((frequencies + mass) / (lengths + mu))
-        else:  # jelinek-mercer
-            one_minus_lam = 1.0 - smoothing.jm_lambda
-            for field, weight in weighted_fields:
-                mass = smoothing.jm_lambda * support.collection_probability(field, term)
-                frequencies = view.dense_frequencies(field, term)
-                lengths = view.field_lengths(field)
+
+def candidate_term_columns(
+    view,
+    candidates: np.ndarray,
+    recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
+    method: str,
+    param: float,
+) -> list[np.ndarray]:
+    """Each scored term's exact log-mixture contribution over ``candidates``.
+
+    ``recipes`` lists ``(term, [(field, weight, mass), ...])`` per scored
+    term, ``mass`` being ``param * p(t|C)``; position ``i`` of a returned
+    column holds the contribution of ``candidates[i]``.  The per-field
+    smoothing arithmetic of :func:`_score_breakdowns`, elementwise over
+    the candidates' field lengths and term frequencies (IEEE-identical to
+    the scalar expressions; only ``np.log`` may differ from ``math.log``
+    by ulps, which the kernels' safety slack and the exact epilogue
+    absorb).  ``view`` is a :class:`ColumnarIndex` in the parent or an
+    attached snapshot in a process worker; both build the columns here,
+    per query, and keep none of them.
+    """
+    size = candidates.size
+    num_documents = view.num_documents
+    lengths: dict[str, np.ndarray] = {}
+    columns: list[np.ndarray] = []
+    for term, fields in recipes:
+        probability = np.zeros(size, dtype=np.float64)
+        for field, weight, mass in fields:
+            field_lengths = lengths.get(field)
+            if field_lengths is None:
+                field_lengths = view.field_lengths(field)[candidates]
+                if method == "dirichlet":
+                    field_lengths += param  # the denominator |d| + mu
+                lengths[field] = field_lengths
+            share = np.zeros(size, dtype=np.float64)  # tf, then the field's share
+            postings = view.postings(field, term)
+            if postings is not None and size == num_documents:
+                share[postings.ordinals] = postings.frequencies  # position == ordinal
+            elif postings is not None and size:  # a shard's bucket may hold only some
+                positions = np.minimum(np.searchsorted(candidates, postings.ordinals), size - 1)
+                held = candidates[positions] == postings.ordinals
+                share[positions[held]] = postings.frequencies[held]
+            if method == "dirichlet":
+                share += mass
+                share /= field_lengths
+            else:  # jelinek-mercer
                 # Zero-length documents fall back to the collection mass
                 # (0.0 * anything + mass == mass, bitwise).
-                ratio = np.divide(
-                    frequencies, lengths, out=np.zeros_like(frequencies), where=lengths > 0
+                share = np.divide(
+                    share, field_lengths, out=np.zeros_like(share), where=field_lengths > 0
                 )
-                probability += weight * (one_minus_lam * ratio + mass)
+                share *= 1.0 - param
+                share += mass
+            share *= weight
+            probability += share
         # The 1e-12 probability floor of ``log_probability``.
-        return np.log(np.maximum(probability, 1e-12))
+        np.maximum(probability, 1e-12, out=probability)
+        columns.append(np.log(probability, out=probability))
+    return columns
 
-    column = view.memoised(key, compute)
-    assert isinstance(column, np.ndarray)
-    return column
+
+def _term_recipes(
+    support: ScoringSupport,
+    smoothing: SmoothingParams,
+    term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
+) -> list[tuple[str, list[tuple[str, float, float]]]]:
+    """``(term, [(field, weight, mass), ...])`` per scored term (see above)."""
+    factor = _smoothing_factor(smoothing)
+    return [
+        (
+            term,
+            [
+                (field, weight, factor * support.collection_probability(field, term))
+                for field, weight in fields
+            ],
+        )
+        for _, term, fields in term_specs
+    ]
 
 
 def _dense_kernel_entries(
     view: ColumnarIndex,
+    candidates: np.ndarray,
     support: ScoringSupport,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
+    recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
 ) -> list[DenseKernelTerm]:
-    """One vectorized kernel term per scored term, bounds attached."""
+    """One vectorized kernel term per scored term, aligned with ``candidates``."""
     bounds = LanguageModelBounds(support, smoothing)
+    columns = candidate_term_columns(
+        view, candidates, recipes, smoothing.method, _smoothing_factor(smoothing)
+    )
     entries: list[DenseKernelTerm] = []
-    for key, term, fields in term_specs:
+    for (key, term, fields), column in zip(term_specs, columns):
         floor, upper = bounds.mixture_bounds(term, fields)
-        entries.append(
-            DenseKernelTerm(
-                key=key,
-                floor=floor,
-                upper=upper,
-                contributions=_columnar_term_column(view, support, term, fields, smoothing),
-            )
-        )
+        entries.append(DenseKernelTerm(key=key, floor=floor, upper=upper, contributions=column))
     return entries
+
+
+def _shard_entries(entries: list[DenseKernelTerm], mask: np.ndarray) -> list[DenseKernelTerm]:
+    """The kernel terms restricted to one shard's candidates (by position)."""
+    return [replace(entry, contributions=entry.contributions[mask]) for entry in entries]
 
 
 def _merge_dense_shard_survivors(results, top_k: int) -> np.ndarray:
@@ -361,37 +424,39 @@ def _dense_process_plan(
     support: ScoringSupport,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
+    recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
 ) -> dict:
     """One dense query's picklable recipe bundle for the process tier.
 
     Carries only scalars: per-term bounds plus the per-field smoothing
     masses (``mu·p(t|C)`` resp. ``lambda·p(t|C)``), from which a worker
-    rebuilds the exact contribution columns against its snapshot views
+    builds its bucket's contribution columns against its snapshot view
     (see :func:`repro.exec.procpool._dense_entries`).
     """
     bounds = LanguageModelBounds(support, smoothing)
-    if smoothing.method == "dirichlet":
-        method, param = "dirichlet", smoothing.dirichlet_mu
-        factor = smoothing.dirichlet_mu
-    else:
-        method, param = "jm", smoothing.jm_lambda
-        factor = smoothing.jm_lambda
     terms = []
-    for key, term, fields in term_specs:
+    for (key, term, fields), (_, masses) in zip(term_specs, recipes):
         floor, upper = bounds.mixture_bounds(term, fields)
         terms.append(
-            {
-                "key": key,
-                "term": term,
-                "floor": floor,
-                "upper": upper,
-                "fields": [
-                    (field, weight, factor * support.collection_probability(field, term))
-                    for field, weight in fields
-                ],
-            }
+            {"key": key, "term": term, "floor": floor, "upper": upper, "fields": list(masses)}
         )
-    return {"index": index, "smoothing": (method, param), "terms": terms}
+    return {
+        "index": index,
+        "smoothing": (smoothing.method, _smoothing_factor(smoothing)),
+        "terms": terms,
+    }
+
+
+def _shard_buckets(
+    view: ColumnarIndex, candidate_ordinals: np.ndarray, num_shards: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(owner mask, candidate ordinals)`` of every shard holding candidates."""
+    owners = view.shard_map(num_shards)[candidate_ordinals]
+    return [
+        (mask, candidate_ordinals[mask])
+        for shard in range(num_shards)
+        if (mask := owners == shard).any()
+    ]
 
 
 def _process_columnar_dense_survivors(
@@ -417,18 +482,13 @@ def _process_columnar_dense_survivors(
     snapshot = snapshot_registry().publish(plan["index"], view)
     if snapshot is None:
         return None
-    owners = view.shard_map(num_shards)[candidate_ordinals]
-    buckets = [
-        bucket
-        for shard in range(num_shards)
-        if (bucket := candidate_ordinals[owners == shard]).size
-    ]
+    buckets = _shard_buckets(view, candidate_ordinals, num_shards)
     if len(buckets) < 2:
         return None
     slab = ThetaSlab.create(top_k, len(buckets), primed=prime_threshold)
     try:
         tasks = []
-        for slot, bucket in enumerate(buckets):
+        for slot, (mask, bucket) in enumerate(buckets):
             payload = {
                 "kind": "dense",
                 "snapshot": snapshot.descriptor,
@@ -440,10 +500,10 @@ def _process_columnar_dense_survivors(
                 "candidates": bucket,
             }
 
-            def fallback(bucket=bucket, slot=slot):
+            def fallback(mask=mask, bucket=bucket, slot=slot):
                 local = PruningStats()
                 ordinals, partials = columnar_dense(
-                    bucket, entries, top_k, local, shared=slab.slot(slot)
+                    bucket, _shard_entries(entries, mask), top_k, local, shared=slab.slot(slot)
                 )
                 return ordinals, partials, local
 
@@ -468,8 +528,9 @@ def _sharded_columnar_dense_survivors(
 ) -> np.ndarray:
     """Fan the dense kernel out over candidate shards; union the picks.
 
-    Candidate ordinals are partitioned with the view's CRC shard map;
-    each worker runs the dense kernel with a private
+    Candidate ordinals are partitioned with the view's CRC shard map, and
+    each shard's kernel terms are sliced with the same owner mask; each
+    worker runs the dense kernel with a private
     :class:`PruningStats` (merged afterwards, the logical query counted
     once) and a slot on the shared θ broadcast, seeded with the primed
     θ.  With a process executor and a recipe plan the fan-out goes to
@@ -494,33 +555,21 @@ def _sharded_columnar_dense_survivors(
         if picked is not None:
             return picked
     shared = SharedThreshold(top_k, initial=prime_threshold)
-    owners = view.shard_map(num_shards)[candidate_ordinals]
 
-    def worker(shard_ordinals: np.ndarray):
+    def worker(mask: np.ndarray, shard_ordinals: np.ndarray):
         local = PruningStats()
         ordinals, partials = columnar_dense(
-            shard_ordinals, entries, top_k, local, shared=shared.slot()
+            shard_ordinals, _shard_entries(entries, mask), top_k, local, shared=shared.slot()
         )
         return ordinals, partials, local
 
-    buckets = [candidate_ordinals[owners == shard] for shard in range(num_shards)]
-    tasks = [lambda bucket=bucket: worker(bucket) for bucket in buckets if bucket.size]
+    tasks = [
+        lambda mask=mask, bucket=bucket: worker(mask, bucket)
+        for mask, bucket in _shard_buckets(view, candidate_ordinals, num_shards)
+    ]
     results = executor.run(tasks)
     merge_shard_stats(stats, [local for _, _, local in results])
     return _merge_dense_shard_survivors(results, top_k)
-
-
-@dataclass(frozen=True)
-class ScoredDocument:
-    """A retrieval result: document identifier, score and per-term detail."""
-
-    doc_id: str
-    score: float
-    term_scores: Mapping[str, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.term_scores is None:
-            object.__setattr__(self, "term_scores", {})
 
 
 class _LanguageModelScorer:
@@ -563,39 +612,46 @@ class _LanguageModelScorer:
     def search(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
         """Rank the candidate documents and return the top ``k``.
 
-        The dense kernel selects a margin-guarded superset of the top-k
-        (see :meth:`_survivors`); the survivors are re-scored with the
-        same floating-point operations in the same (query) order as
-        :meth:`score_document`, so the ranking is byte-identical to
-        :meth:`search_exhaustive`, and only the top-k winners pay the full
-        per-term breakdown construction.
+        The request stays in ordinal space until the epilogue: the
+        candidates are the union of the query terms' posting ordinals,
+        each scored term gets a contribution column over just those
+        candidates, and the dense kernel selects a margin-guarded
+        superset of the top-k (see :meth:`_survivors`).  The survivors
+        are re-scored with the same floating-point operations in the same
+        (query) order as :meth:`score_document`, breakdown included, so
+        the ranking, scores and ``term_scores`` are byte-identical to
+        :meth:`search_exhaustive`.
         """
         top_k = self._config.top_k if top_k is None else top_k
-        candidates = self._index.candidate_documents(query.all_terms())
-        if not candidates:
+        view = columnar_view(self._index)
+        candidates = query_candidates(view, self._index.fields, query.all_terms())
+        if not candidates.size:
             return []
         support = self._index.scoring_support()
         smoothing = self._smoothing
         term_specs = self._term_specs(query)
+        keys = [key for key, _, _ in term_specs]
         # Each scored term's lookup components, resolved once per query and
         # shared by the subset-pool priming and the exact epilogue.
         per_term = [
             _term_components(term, fields, support, smoothing) for _, term, fields in term_specs
         ]
-        to_rescore = self._survivors(candidates, support, term_specs, per_term, top_k)
-        exact = _rescore_mixture(to_rescore, per_term, smoothing)
+        picked = self._survivors(view, candidates, support, term_specs, keys, per_term, top_k)
+        exact = _score_breakdowns(view.ids_of(picked), keys, per_term, smoothing)
         exact.sort(key=_rank_key)
-        return [self.score_document(query, doc_id) for doc_id, _ in exact[:top_k]]
+        return exact[:top_k]
 
     def _survivors(
         self,
-        candidates: set[str],
+        view: ColumnarIndex,
+        candidates: np.ndarray,
         support: ScoringSupport,
         term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
+        keys: list[str],
         per_term: list[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
         top_k: int,
-    ) -> list[str]:
-        """The ids worth re-scoring exactly, picked by the dense kernels.
+    ) -> np.ndarray:
+        """The ordinals worth re-scoring exactly, picked by the dense kernels.
 
         ``pruning="off"`` gather-adds every term column and selects the
         top ``k + margin``.  ``"maxscore"`` runs the threshold-pruned
@@ -605,25 +661,24 @@ class _LanguageModelScorer:
         primed from an exactly scored subset pool (see
         :func:`_prime_threshold`).
         """
-        view = columnar_view(self._index)
         smoothing = self._smoothing
-        entries = _dense_kernel_entries(view, support, smoothing, term_specs)
-        candidate_ordinals = view.ordinals_of(candidates)
+        recipes = _term_recipes(support, smoothing, term_specs)
+        entries = _dense_kernel_entries(view, candidates, support, smoothing, term_specs, recipes)
         if self._config.pruning != "maxscore":
-            partials = accumulate_dense(candidate_ordinals, entries)
-            return view.ids_of(select_survivor_ordinals(candidate_ordinals, partials, top_k))
+            partials = accumulate_dense(candidates, entries)
+            return select_survivor_ordinals(candidates, partials, top_k)
         num_shards = self._config.shards
         if num_shards > 1:
             prime = NO_THRESHOLD
-            if 4 * top_k < len(candidates):
-                prime = _prime_threshold(per_term, smoothing, top_k)
+            if 4 * top_k < candidates.size:
+                prime = _prime_threshold(keys, per_term, smoothing, top_k)
             executor = resolve_executor(self._config.executor, self._config.workers)
             plan = None
             if getattr(executor, "is_process", False):
-                plan = _dense_process_plan(self._index, support, smoothing, term_specs)
+                plan = _dense_process_plan(self._index, support, smoothing, term_specs, recipes)
             picked = _sharded_columnar_dense_survivors(
                 view,
-                candidate_ordinals,
+                candidates,
                 entries,
                 top_k,
                 self._pruning_stats,
@@ -633,12 +688,10 @@ class _LanguageModelScorer:
                 process_plan=plan,
             )
         else:
-            ordinals, partials = columnar_dense(
-                candidate_ordinals, entries, top_k, self._pruning_stats
-            )
+            ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
             picked = select_survivor_ordinals(ordinals, partials, top_k)
         self._pruning_stats.rescored += len(picked)
-        return view.ids_of(picked)
+        return picked
 
     def search_exhaustive(self, query: KeywordQuery, top_k: int | None = None) -> list[ScoredDocument]:
         """Score every candidate and fully sort — the reference form."""

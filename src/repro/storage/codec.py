@@ -206,9 +206,9 @@ class SegmentView:
     expects, and presents the subset of the
     :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
     kernels consume — length columns, one term's slice of a field's
-    posting CSR, dense frequency columns, CRC-derived shard
-    ownership — plus the same ``memoised`` hook the scorers use for
-    derived contribution columns.  Graph-topology segments instead
+    posting CSR, CRC-derived shard ownership — plus the same
+    ``memoised`` hook the BM25 scorers use for derived contribution
+    columns.  Graph-topology segments instead
     rebuild their :class:`~repro.kg.topology.GraphTopology` via
     :meth:`graph_topology` over the same zero-copy views.
     """
@@ -353,14 +353,6 @@ class SegmentView:
             )
 
         return self.memoised(("postings", field, term), build)
-
-    def dense_frequencies(self, field: str, term: str) -> np.ndarray:
-        """Like :meth:`ColumnarIndex.dense_frequencies`: an unretained intermediate."""
-        dense = np.zeros(self.num_documents, dtype=np.float64)
-        columnar = self.postings(field, term)
-        if columnar is not None:
-            dense[columnar.ordinals] = columnar.frequencies
-        return dense
 
     def manifest_array(self, key: str) -> np.ndarray:
         """Zero-copy view of a top-level manifest array by key (memoised)."""

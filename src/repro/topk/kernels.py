@@ -4,10 +4,10 @@ Every threshold-pruned traversal of the system runs here.  Candidates
 live in numpy arrays — an accumulator column plus an alive mask — and
 every per-candidate step (θ derivation, OR→AND switch, evictions,
 cross-shard θ offers, pruning counters) is a vectorized operation.  Term
-inputs are precomputed *contribution columns* (see
-:mod:`repro.index.columnar`): the dense kernel gathers one value per live
-candidate per term, the sparse kernel scatter-adds each term's posting
-range.
+inputs are precomputed *contribution columns*: the dense kernel's are
+aligned with its candidate array (built per query by
+:func:`repro.search.mlm.candidate_term_columns`) and added under the
+alive mask, the sparse kernel scatter-adds each term's posting range.
 
 The equivalence contract: a kernel returns a *superset* of the true
 top-k with margin-guarded partials, and the caller re-scores the
@@ -52,9 +52,11 @@ SELECTION_MARGIN = 16
 class DenseKernelTerm:
     """One query term of the dense (language-model) kernel.
 
-    ``contributions`` holds the term's exact per-document contribution
-    for *every* ordinal (smoothing scores all documents), so one pass is
-    a single gather-and-add over the live candidates.
+    ``contributions`` is aligned with the query's candidate array:
+    position ``i`` holds the term's exact contribution to the ``i``-th
+    candidate (smoothing scores every candidate, so the column is dense
+    over them), and one pass is a single masked add over the live
+    positions.  A shard slices it with the mask that cuts its candidates.
     """
 
     key: str
@@ -199,7 +201,7 @@ def columnar_dense(
                 alive &= ~doomed
                 alive_count -= evicted
                 stats.candidates_pruned += evicted
-        accumulators[alive] += entries[index].contributions[candidate_ordinals[alive]]
+        accumulators[alive] += entries[index].contributions[alive]
         rem_floor = remaining_floor[position + 1]
         rem_upper = remaining_upper[position + 1]
         if rem_upper <= rem_floor:
@@ -220,10 +222,10 @@ def columnar_dense(
 def accumulate_dense(
     candidate_ordinals: np.ndarray, entries: list[DenseKernelTerm]
 ) -> np.ndarray:
-    """Plain (``pruning="off"``) dense accumulation: gather-add all terms."""
+    """Plain (``pruning="off"``) dense accumulation: add all term columns."""
     accumulators = np.zeros(candidate_ordinals.size, dtype=np.float64)
     for entry in entries:
-        accumulators += entry.contributions[candidate_ordinals]
+        accumulators += entry.contributions
     return accumulators
 
 

@@ -218,34 +218,31 @@ class TestColumnarViewInvariants:
                 shard_of(doc_id, num_shards) for doc_id in view.doc_ids
             ]
 
-    def test_dense_frequencies_scatter(self, engines):
-        view = columnar_view(engines("maxscore", 1).index)
-        dense = view.dense_frequencies("names", "forrest")
-        columnar = view.postings("names", "forrest")
-        assert dense.size == view.num_documents
-        assert np.count_nonzero(dense) == columnar.ordinals.size
-        assert (dense[columnar.ordinals] == columnar.frequencies).all()
-
-
     def test_dense_intermediates_are_not_retained(self, movie_graph):
-        """Q distinct one-term queries leave Q + O(1) N-length arrays on the view.
+        """Distinct searches leave at most ``fields + 2`` N-length arrays on the view.
 
-        The dense term-frequency columns feed the memoised scorer columns
-        and are read exactly once; memoising them as well kept one more
-        N-length float64 array per (field, term).
+        The language-model columns are built per query over the
+        candidates, so what the view keeps is bounded by the field
+        schema (one length column per field, plus slack for a shard map),
+        not by the number of distinct terms searched.
         """
         engine = SearchEngine.from_graph(movie_graph, config=SearchConfig(result_cache_size=0))
         view = columnar_view(engine.index)
-        terms = sorted(engine.index.field_index("names").vocabulary())[:12]
-        for term in terms:
-            engine.search(term)
-        retained = sum(
-            isinstance(value, np.ndarray) and value.shape == (view.num_documents,)
-            for memo in vars(view).values()
-            if isinstance(memo, dict)
-            for value in memo.values()
-        )
-        assert len(terms) <= retained <= len(terms) + len(engine.index.fields) + 2
+        terms = sorted(engine.index.field_index("names").vocabulary())
+
+        def retained() -> int:
+            return sum(
+                isinstance(value, np.ndarray) and value.shape == (view.num_documents,)
+                for memo in vars(view).values()
+                if isinstance(memo, dict)
+                for value in memo.values()
+            )
+
+        bound = len(engine.index.fields) + 2
+        for count in (3, 12, len(terms)):
+            for term in terms[:count]:
+                engine.search(term)
+            assert retained() <= bound
 
 
 class TestColumnarEquivalenceProperty:

@@ -31,8 +31,10 @@ from repro.exec import (
     shard_stats_from,
     snapshot_registry,
 )
+from repro.exec.procpool import _dense_entries
 from repro.exec.shm import AttachedSnapshot
 from repro.index import FieldedIndex, columnar_view
+from repro.search.mlm import candidate_term_columns, query_candidates
 from repro.topk import NO_THRESHOLD, PruningStats
 
 DOCS = {
@@ -86,10 +88,48 @@ class TestSnapshotRoundTrip:
                         np.testing.assert_array_equal(
                             got.frequencies, expected.frequencies
                         )
-                        np.testing.assert_array_equal(
-                            attached.dense_frequencies(field, term),
-                            view.dense_frequencies(field, term),
-                        )
+            finally:
+                attached.close()
+        finally:
+            published.close()
+
+    @pytest.mark.parametrize("method, param", [("dirichlet", 100.0), ("jelinek-mercer", 0.1)])
+    def test_worker_columns_equal_the_parents_sliced_columns(self, method, param):
+        """A worker builds its bucket's LM columns = the parent's, owner-mask sliced."""
+        index = small_index()
+        view = columnar_view(index)
+        terms = ["hanks", "drama", "qqqzzz"]
+        candidates = query_candidates(view, index.fields, terms)
+        statistics = index.statistics()
+        recipes = [
+            (
+                term,
+                [
+                    (field, weight, param * statistics.collection_probability(field, term))
+                    for field, weight in (("names", 0.6), ("text", 0.4))
+                ],
+            )
+            for term in terms
+        ]
+        parent = candidate_term_columns(view, candidates, recipes, method, param)
+        published = publish_snapshot(index, view)
+        try:
+            attached = AttachedSnapshot(published.name)
+            try:
+                owners = view.shard_map(2)[candidates]
+                for shard in range(2):
+                    mask = owners == shard
+                    payload = {
+                        "smoothing": (method, param),
+                        "terms": [
+                            {"key": term, "term": term, "floor": 0.0, "upper": 0.0, "fields": fields}
+                            for term, fields in recipes
+                        ],
+                        "candidates": candidates[mask],
+                    }
+                    entries = _dense_entries(attached, payload)
+                    for entry, column in zip(entries, parent):
+                        np.testing.assert_array_equal(entry.contributions, column[mask])
             finally:
                 attached.close()
         finally:

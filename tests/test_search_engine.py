@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SearchConfig
-from repro.exceptions import EmptyQueryError
+from repro.exceptions import EmptyQueryError, EntityNotFoundError
 from repro.kg import KnowledgeGraph
 from repro.search import SearchEngine, parse_query
 
@@ -92,6 +92,11 @@ class TestSearchEngine:
     def test_explain_breaks_down_terms(self, engine: SearchEngine):
         scored = engine.explain("forrest gump", "dbr:Forrest_Gump")
         assert set(scored.term_scores) == {"forrest", "gump"}
+
+    @pytest.mark.parametrize("entity_id", ["dbr:No_Such_Entity", ""])
+    def test_explain_refuses_unindexed_ids(self, engine: SearchEngine, entity_id: str):
+        with pytest.raises(EntityNotFoundError):
+            engine.explain("forrest gump", entity_id)
 
     def test_document_accessor(self, engine: SearchEngine):
         document = engine.document("dbr:Forrest_Gump")

@@ -13,6 +13,7 @@ from repro.topk import (
     DenseKernelTerm,
     PruningStats,
     SparseKernelTerm,
+    accumulate_dense,
     columnar_dense,
     columnar_sparse,
     safety_slack,
@@ -124,6 +125,7 @@ class TestSelectSurvivorOrdinals:
 
 
 def _dense_term(key: str, contributions: list[float], floor: float, upper: float) -> DenseKernelTerm:
+    """A kernel term whose ``contributions[i]`` belongs to the ``i``-th candidate."""
     return DenseKernelTerm(
         key=key, floor=floor, upper=upper, contributions=np.array(contributions, dtype=np.float64)
     )
@@ -161,6 +163,18 @@ class TestColumnarDense:
         ordinals, _ = columnar_dense(np.arange(3), entries, 3, stats)
         assert ordinals.tolist() == [0, 1, 2]
         assert stats.terms_skipped == 2  # |candidates| <= k: nothing to do
+
+    def test_contributions_follow_candidate_positions(self):
+        # Sparse ordinals: position i of every column belongs to candidate i.
+        candidates = np.array([3, 17, 40, 41, 90])
+        first = _dense_term("t1", [0.0, 9.0, 1.0, 8.0, 2.0], 0.0, 9.0)
+        second = _dense_term("t2", [0.5, 0.25, 0.0, 0.5, 0.0], 0.0, 0.5)
+        partials = accumulate_dense(candidates, [first, second])
+        assert partials.tolist() == [0.5, 9.25, 1.0, 8.5, 2.0]
+        ordinals, values = columnar_dense(candidates, [first, second], 2, PruningStats(), margin=0)
+        survivors = dict(zip(ordinals.tolist(), values.tolist()))
+        assert {17, 41} <= set(survivors)
+        assert survivors[17] <= 9.25 and survivors[41] <= 8.5
 
     def test_empty_inputs(self):
         stats = PruningStats()
