@@ -4,21 +4,10 @@ The demo claims interactive exploration where recommendations are computed
 "on the fly".  This bench measures two hot paths as the knowledge graph
 grows, using the configurable random KG generator:
 
-Since PR 5 the A/B carries two execution-layer arms as well: ``sharded``
-runs the same maxscore traversal fanned out over 4 document shards with
-the cross-shard θ broadcast (``repro.exec``), and ``batched`` answers the
-workload — duplicated ×2, as real traffic repeats queries — through one
-cache-free ``SearchEngine.search_many`` call against the same requests
-issued one at a time (``unbatched``).
-
-Since PR 7 the A/B carries a ``parallel`` arm: the same sharded maxscore
-traversal with ``executor="process"`` — survivor selection runs in warm
-worker processes attached to the shared-memory snapshot of the columnar
-index (``repro.exec.shm`` / ``repro.exec.procpool``), with the
-cross-process θ slab standing in for the thread-level broadcast.
-``parallel_ratio`` is pruned-serial over process wall-clock; it only
-exceeds 1.0 on multi-core hosts (``cpu_cores`` is recorded so gates can
-stay honest on single-core CI runners).
+The A/B also carries a batch arm: ``batched`` answers the workload —
+duplicated ×2, as real traffic repeats queries — through one cache-free
+``SearchEngine.search_many`` call against the same requests issued one
+at a time (``unbatched``).
 
 Every search scorer has two forms: the columnar kernels
 (``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
@@ -65,16 +54,6 @@ from repro.search import MixtureLanguageModelScorer, SearchEngine, parse_query  
 
 SIZES = (200, 500, 1000, 2000)
 
-#: Document shards of the sharded A/B arm (see ``repro.exec``): the
-#: committed baseline records the 4-shard fan-out against the 1-shard
-#: serial path on the same workload.
-SHARD_COUNT = 4
-
-#: Worker processes of the ``parallel`` arm: capped by the shard count
-#: (one worker per dispatched shard is the useful maximum) but at least
-#: two so the pool actually fans out even on small CI runners.
-PROCESS_WORKERS = min(SHARD_COUNT, max(2, os.cpu_count() or 1))
-
 
 def _search_queries(graph, num_queries: int = 8) -> list[str]:
     """Deterministic multi-term keyword queries from entity labels.
@@ -120,18 +99,6 @@ def measure_search_ab(
     pruned = engine.mlm_scorer
     #: The accumulator baseline: the plain (unpruned) accumulation kernel.
     plain = MixtureLanguageModelScorer(engine.index, SearchConfig(pruning="off"))
-    #: The sharded arm: the same maxscore traversal fanned out over
-    #: SHARD_COUNT document shards with the cross-shard θ broadcast.
-    sharded_engine = SearchEngine.from_graph(graph, SearchConfig(shards=SHARD_COUNT))
-    sharded = sharded_engine.mlm_scorer
-    #: The parallel arm (PR 7): the same sharded traversal with worker
-    #: *processes* attached to the shared-memory snapshot; byte-identical
-    #: rankings, real core parallelism where the host has the cores.
-    parallel_engine = SearchEngine.from_graph(
-        graph,
-        SearchConfig(shards=SHARD_COUNT, executor="process", workers=PROCESS_WORKERS),
-    )
-    parallel = parallel_engine.mlm_scorer
     #: The batch arm runs cache-free so it measures search_many's
     #: amortisation (shared snapshot + in-batch dedupe), not LRU hits.
     batch_engine = SearchEngine.from_graph(graph, SearchConfig(result_cache_size=0))
@@ -148,10 +115,6 @@ def measure_search_ab(
             identical = False
         if _results_signature(plain.search(query, top_k=top_k)) != slow:
             identical = False
-        if _results_signature(sharded.search(query, top_k=top_k)) != slow:
-            identical = False
-        if _results_signature(parallel.search(query, top_k=top_k)) != slow:
-            identical = False
         engine.search(raw, top_k=top_k)  # warm the LRU so "cached" times hits only
     batched_hits = batch_engine.search_many(batch_input, top_k=top_k)
     serial_hits = [batch_engine.search(raw, top_k=top_k) for raw in batch_input]
@@ -167,10 +130,6 @@ def measure_search_ab(
                 plain.search(query, top_k=top_k)
             with watch.measure("pruned"):
                 pruned.search(query, top_k=top_k)
-            with watch.measure("sharded"):
-                sharded.search(query, top_k=top_k)
-            with watch.measure("parallel"):
-                parallel.search(query, top_k=top_k)
             with watch.measure("cached"):
                 engine.search(raw, top_k=top_k)
         # The batch arm answers the duplicated workload in one call; the
@@ -184,10 +143,6 @@ def measure_search_ab(
     exhaustive = watch.stats("exhaustive").as_dict()
     accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
-    sharded_stats = watch.stats("sharded").as_dict()
-    parallel_stats = watch.stats("parallel").as_dict()
-    executor_record = parallel_engine.stats().executor
-    parallel_engine.close()  # unlink the published snapshot segment
     cached = watch.stats("cached").as_dict()
     batched = watch.stats("batched").as_dict()
     unbatched = watch.stats("unbatched").as_dict()
@@ -208,12 +163,6 @@ def measure_search_ab(
         "accumulator_p95_ms": accumulator["p95_ms"],
         "pruned_mean_ms": pruned_stats["mean_ms"],
         "pruned_p95_ms": pruned_stats["p95_ms"],
-        "sharded_mean_ms": sharded_stats["mean_ms"],
-        "sharded_p95_ms": sharded_stats["p95_ms"],
-        "shards": SHARD_COUNT,
-        "parallel_mean_ms": parallel_stats["mean_ms"],
-        "parallel_p95_ms": parallel_stats["p95_ms"],
-        "workers": PROCESS_WORKERS,
         "cpu_cores": os.cpu_count() or 1,
         "cached_mean_ms": cached["mean_ms"],
         "cached_p95_ms": cached["p95_ms"],
@@ -222,22 +171,7 @@ def measure_search_ab(
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_input),
         "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
-        "speedup_sharded": _speedup(sharded_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
-        # 1.0 = the 4-shard arm at 1-shard wall-clock; > 1.0 = ahead.
-        "sharded_ratio": (
-            pruned_stats["mean_ms"] / sharded_stats["mean_ms"]
-            if sharded_stats["mean_ms"] > 0
-            else float("inf")
-        ),
-        # Serial maxscore over the process arm: > 1.0 = real core
-        # parallelism paid off (only expected on multi-core hosts).
-        "parallel_ratio": (
-            pruned_stats["mean_ms"] / parallel_stats["mean_ms"]
-            if parallel_stats["mean_ms"] > 0
-            else float("inf")
-        ),
-        "executor_parallel": None if executor_record is None else executor_record.as_dict(),
         # > 1.0 = one search_many call beats the same requests one-by-one.
         "batch_ratio": (
             unbatched["mean_ms"] / batched["mean_ms"]
@@ -245,7 +179,6 @@ def measure_search_ab(
             else float("inf")
         ),
         "pruning": pruned.pruning_info(),
-        "pruning_sharded": sharded.pruning_info(),
     }
 
 
@@ -320,35 +253,25 @@ def test_search_accumulator_vs_exhaustive_ab(graphs):
                 "exhaustive_ms": row["exhaustive_mean_ms"],
                 "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
-                "sharded_ms": row["sharded_mean_ms"],
-                "parallel_ms": row["parallel_mean_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
                 "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
-                "sharded_ratio": row["sharded_ratio"],
-                "parallel_ratio": row["parallel_ratio"],
                 "batch_ratio": row["batch_ratio"],
                 "speedup_cached": row["speedup_cached"],
             }
         )
     print_experiment(
-        "E8c — keyword search: sharded/batched vs. maxscore vs. accumulator vs. exhaustive",
+        "E8c — keyword search: batched vs. maxscore vs. accumulator vs. exhaustive",
         rows,
         notes=(
-            "identical rankings; pruned is the maxscore path, sharded the 4-shard "
-            "fan-out, batched one search_many call, cached the LRU hit path"
+            "identical rankings; pruned is the maxscore path, batched one "
+            "search_many call, cached the LRU hit path"
         ),
     )
     assert all(row["pruned_ms"] > 0 for row in rows)
     largest = measure_search_ab(graphs[SIZES[-1]], repeats=1)
     assert largest["pruning"]["candidates_pruned"] > 0  # θ actually bites at scale
-    # Every shard worker's θ must actually evict (per-shard skip counters).
-    assert largest["pruning_sharded"]["candidates_pruned"] > 0
-    # One logical query per search, however many shards ran it: the
-    # identity check plus one timed repeat per query.
-    expected_queries = (1 + largest["repeats"]) * largest["queries"]
-    assert largest["pruning_sharded"]["queries"] == expected_queries
 
 
 @pytest.mark.benchmark(group="latency-scaling")
@@ -400,29 +323,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-sharded-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless pruned_mean_ms over the 4-shard arm's mean reaches "
-            "this at the largest size (1.0 = sharded at-or-faster than the "
-            "1-shard serial path; sub-1.0 values tolerate fan-out overhead "
-            "at smoke-test sizes)"
-        ),
-    )
-    parser.add_argument(
-        "--min-parallel-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless pruned_mean_ms over the process-executor arm's "
-            "mean reaches this at the largest size (1.0 = process "
-            "fan-out at-or-faster than the 1-shard serial path); the "
-            "gate is skipped with a warning on single-core hosts, where "
-            "worker processes cannot overlap"
-        ),
-    )
-    parser.add_argument(
         "--min-batch-ratio",
         type=float,
         default=None,
@@ -447,12 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
             f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
-            f"sharded={row['sharded_mean_ms']:8.3f}ms  "
-            f"parallel={row['parallel_mean_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
             f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
-            f"shard_ratio={row['sharded_ratio']:5.2f}  "
-            f"parallel_ratio={row['parallel_ratio']:5.2f}  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
             f"identical={row['identical']}"
         )
@@ -461,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": "search_latency_scaling",
         "description": (
             "keyword search latency: maxscore-pruned vs accumulator vs "
-            "exhaustive vs LRU-cached, plus 4-shard inline/process and "
-            "batched arms"
+            "exhaustive vs LRU-cached, plus a batched arm"
         ),
         "config": {
             "sizes": sizes,
@@ -495,28 +390,6 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"FAIL: pruned/accumulator ratio {ratio:.2f} below required "
                 f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_sharded_ratio is not None and largest["sharded_ratio"] < args.min_sharded_ratio:
-        print(
-            f"FAIL: sharded ratio {largest['sharded_ratio']:.2f} below required "
-            f"{args.min_sharded_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_parallel_ratio is not None:
-        if largest["cpu_cores"] <= 1:
-            print(
-                f"WARN: skipping --min-parallel-ratio {args.min_parallel_ratio:.2f} gate "
-                f"on a single-core host (parallel_ratio={largest['parallel_ratio']:.2f})",
-                file=sys.stderr,
-            )
-        elif largest["parallel_ratio"] < args.min_parallel_ratio:
-            print(
-                f"FAIL: parallel ratio {largest['parallel_ratio']:.2f} below required "
-                f"{args.min_parallel_ratio:.2f} at {largest['entities']} entities "
-                f"({largest['cpu_cores']} cores)",
                 file=sys.stderr,
             )
             return 1

@@ -35,7 +35,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
-from .config import EXECUTOR_CHOICES, PRUNING_MODES, STORAGE_MODES, PivotEConfig
+from .config import PRUNING_MODES, PivotEConfig
 from .datasets import build_academic_kg, build_geography_kg, build_movie_kg, small_movie_kg
 from .engine import PivotE
 from .features import SemanticFeature
@@ -100,17 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the engines' cumulative pruning counters after the command",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "partition the search engine's execution into N document "
-            "shards (see repro.exec); rankings are identical for every "
-            "shard count, 1 (the default) is the serial path"
-        ),
-    )
-    parser.add_argument(
         "--graph-topology",
         default=None,
         choices=("on", "off"),
@@ -122,48 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--executor",
-        default=None,
-        choices=EXECUTOR_CHOICES,
-        help=(
-            "how the search engine's shard fan-outs run: 'inline' "
-            "(serial), 'thread' (the in-process pool), 'process' (worker "
-            "processes attached to the shared-memory snapshot) or 'auto' "
-            "(the default: inline for 1 shard, threads otherwise); "
-            "rankings are identical in every mode"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker count for the search engine's thread/process "
-            "executors (0, the default, sizes the pool from the CPU count)"
-        ),
-    )
-    parser.add_argument(
         "--snapshot-dir",
+        dest="save_dir",
         default=None,
         metavar="DIR",
         help=(
-            "durable snapshot directory: engine-backed commands cold-start "
-            "from it when it holds a saved system (falling back to a fresh "
-            "build), and implies the search engine's --storage disk "
-            "unless overridden"
-        ),
-    )
-    parser.add_argument(
-        "--storage",
-        default=None,
-        choices=STORAGE_MODES,
-        help=(
-            "the search engine's snapshot storage backend: 'shm' "
-            "(shared-memory segments for the process executor, the "
-            "default), 'disk' (additionally persist each build under "
-            "--snapshot-dir) or 'off' (publish nothing; process-tier "
-            "workers score inline)"
+            "saved-system directory: engine-backed commands cold-start "
+            "from it when it holds a save of the same graph (otherwise "
+            "they build in RAM and write nothing), and save/load use it "
+            "when given no directory"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -262,39 +218,18 @@ def _print_recommendation(system: PivotE, recommendation, top_entities: int, top
         print(f"  {scored.score:10.4f}  {scored.feature.notation()}")
 
 
-def build_config(
-    pruning: str | None,
-    shards: int | None = None,
-    executor: str | None = None,
-    workers: int | None = None,
-    snapshot_dir: str | None = None,
-    storage: str | None = None,
-    graph_topology: str | None = None,
-) -> PivotEConfig:
+def build_config(pruning: str | None, graph_topology: str | None = None) -> PivotEConfig:
     """The system configuration for the CLI's execution-layer overrides.
 
-    ``shards``, ``executor``, ``workers``, ``snapshot_dir`` and
-    ``storage`` configure the search engine only, ``graph_topology`` the
-    recommendation engine only, and ``pruning`` both engines.
+    ``pruning`` configures both engines, ``graph_topology`` the
+    recommendation engine only.
     """
     config = PivotEConfig.default()
     search_changes: dict[str, object] = {}
     ranking_changes: dict[str, object] = {}
-    if snapshot_dir is not None and storage is None:
-        storage = "disk"  # a snapshot directory implies the durable backend
-    if snapshot_dir is not None:
-        search_changes["snapshot_dir"] = snapshot_dir
-    if storage is not None:
-        search_changes["storage"] = storage
     if pruning is not None:
         search_changes["pruning"] = pruning
         ranking_changes["pruning"] = pruning
-    if shards is not None:
-        search_changes["shards"] = shards
-    if executor is not None:
-        search_changes["executor"] = executor
-    if workers is not None:
-        search_changes["workers"] = workers
     if graph_topology is not None:
         ranking_changes["graph_topology"] = graph_topology == "on"
     if not search_changes and not ranking_changes:
@@ -318,9 +253,6 @@ def _print_pruning_info(system: PivotE) -> None:
     print(f"pruning[search]:    {stats.child('search').pruning_view('mlm').as_counters()}")
     recommend = stats.child("recommendation").pruning_view("entity-ranker").as_counters()
     print(f"pruning[recommend]: {recommend}")
-    executor = stats.child("search").executor
-    if executor is not None:
-        print(f"executor[search]:   {executor.as_dict()}")
     if stats.traversal is not None:
         print(f"traversal[topology]: {stats.traversal.as_dict()}")
 
@@ -342,18 +274,10 @@ def _print_load_summary(directory: str, system: PivotE) -> None:
 
 def run_command(args: argparse.Namespace) -> int:
     """Execute a parsed CLI command; return the process exit code."""
-    config = build_config(
-        args.pruning,
-        args.shards,
-        args.executor,
-        args.workers,
-        args.snapshot_dir,
-        args.storage,
-        args.graph_topology,
-    )
+    config = build_config(args.pruning, args.graph_topology)
 
     if args.command == "load":
-        directory = args.directory or args.snapshot_dir
+        directory = args.directory or args.save_dir
         if not directory:
             raise SystemExit("load needs a directory argument (or --snapshot-dir)")
         system = PivotE.load(directory, config=config)
@@ -367,7 +291,7 @@ def run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "save":
-        directory = args.directory or args.snapshot_dir
+        directory = args.directory or args.save_dir
         if not directory:
             raise SystemExit("save needs a directory argument (or --snapshot-dir)")
         system = PivotE(graph, config=config)
@@ -380,27 +304,26 @@ def run_command(args: argparse.Namespace) -> int:
         )
         return 0
 
-    system = _load_or_build(graph, config, args.snapshot_dir)
+    system = _load_or_build(graph, config, args.save_dir)
     exit_code = _run_system_command(system, args)
     if exit_code == 0 and args.show_pruning:
         _print_pruning_info(system)
     return exit_code
 
 
-def _load_or_build(
-    graph: KnowledgeGraph, config: PivotEConfig, snapshot_dir: str | None
-) -> PivotE:
-    """Cold-start from the snapshot directory when possible, else build.
+def _load_or_build(graph: KnowledgeGraph, config: PivotEConfig, save_dir: str | None) -> PivotE:
+    """Cold-start from the saved-system directory when possible, else build.
 
-    The snapshot must describe the same graph the CLI just loaded
-    (epoch and triple count match) — anything else, including an empty
-    or missing directory, silently falls back to the fresh build.
+    The save must describe the same graph the CLI just loaded (epoch
+    and triple count match) — anything else, including an empty or
+    missing directory, silently falls back to the fresh build in RAM.
+    Only ``save`` ever writes to the directory.
     """
-    if snapshot_dir:
+    if save_dir:
         from .storage import SnapshotUnavailable
 
         try:
-            system = PivotE.load(snapshot_dir, config=config)
+            system = PivotE.load(save_dir, config=config)
         except SnapshotUnavailable:
             pass
         else:

@@ -8,6 +8,7 @@ sizes used by the demo interface).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -18,25 +19,6 @@ from dataclasses import dataclass, field, replace
 #: threshold-pruned ones (the default).  Rankings are byte-identical in
 #: every mode.
 PRUNING_MODES: tuple[str, ...] = ("off", "maxscore")
-
-#: Recognised shard-executor choices of the search engine (mirrored by
-#: ``repro.exec.EXECUTOR_CHOICES``; kept literal here so the config
-#: module stays dependency-free): ``"auto"`` is platform-aware (inline
-#: under the GIL, thread pool on a free-threaded multi-core build),
-#: ``"inline"``/``"thread"`` force those tiers, and ``"process"`` opts
-#: into the multiprocess tier over shared-memory columnar snapshots.
-#: Rankings are byte-identical under every choice.
-EXECUTOR_CHOICES: tuple[str, ...] = ("auto", "inline", "thread", "process")
-
-#: Recognised snapshot-storage modes of the search engine: ``"shm"`` (the
-#: default) publishes per-epoch columnar snapshots into the
-#: shared-memory registry for the process executor tier, ``"disk"``
-#: additionally persists each published epoch into the configured
-#: ``snapshot_dir`` (see :mod:`repro.storage.diskstore`), and ``"off"``
-#: disables snapshot publication entirely (the process tier then
-#: degrades to its inline fallback).  Rankings are byte-identical in
-#: every mode.
-STORAGE_MODES: tuple[str, ...] = ("shm", "disk", "off")
 
 #: The five retrieval fields of Table 1 in the paper.
 DEFAULT_FIELDS: tuple[str, ...] = (
@@ -83,55 +65,28 @@ class SearchConfig:
     #: traversal (see :mod:`repro.topk`), ``"off"`` keeps the plain
     #: accumulation kernels.  Rankings are byte-identical in both modes.
     pruning: str = "maxscore"
-    #: Document shards of the partitioned execution layer (see
-    #: :mod:`repro.exec`): ``1`` (the default) is the serial single-shard
-    #: path, ``N > 1`` partitions the document id space and fans the
-    #: pruned traversals out over shard workers with a cross-shard θ
-    #: broadcast.  Rankings are byte-identical for every shard count.
-    shards: int = 1
-    #: Shard-executor tier (one of :data:`EXECUTOR_CHOICES`):
-    #: ``"process"`` runs the pruned shard fan-out in a warm
-    #: multiprocess pool over shared-memory snapshots (see
-    #: :mod:`repro.exec.procpool`); effective with ``shards > 1``.
-    executor: str = "auto"
-    #: Worker cap of the selected executor tier; ``0`` sizes the pool to
-    #: the machine.
-    workers: int = 0
-    #: Snapshot-storage mode (one of :data:`STORAGE_MODES`): ``"disk"``
-    #: persists every published index epoch into :attr:`snapshot_dir`
-    #: so cold starts attach instead of rebuilding, ``"off"`` suppresses
-    #: snapshot publication for this engine.
-    storage: str = "shm"
-    #: Directory of the durable snapshot tier (required when
-    #: ``storage="disk"``); ``None`` keeps everything in RAM.
-    snapshot_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.storage not in STORAGE_MODES:
-            raise ValueError(f"unknown storage mode: {self.storage!r}")
-        if self.storage == "disk" and not self.snapshot_dir:
-            raise ValueError('storage="disk" requires a snapshot_dir')
         if self.smoothing not in ("dirichlet", "jelinek-mercer"):
             raise ValueError(f"unknown smoothing method: {self.smoothing!r}")
         if self.pruning not in PRUNING_MODES:
             raise ValueError(f"unknown pruning mode: {self.pruning!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
-        if self.executor not in EXECUTOR_CHOICES:
-            raise ValueError(f"unknown executor: {self.executor!r}")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-        if self.dirichlet_mu <= 0:
-            raise ValueError("dirichlet_mu must be positive")
+        if not math.isfinite(self.dirichlet_mu) or self.dirichlet_mu <= 0:
+            raise ValueError("dirichlet_mu must be positive and finite")
         if not 0.0 <= self.jm_lambda <= 1.0:
             raise ValueError("jm_lambda must lie in [0, 1]")
         if self.top_k <= 0:
             raise ValueError("top_k must be positive")
         if self.result_cache_size < 0:
             raise ValueError("result_cache_size must be non-negative")
+        if not self.fields:
+            raise ValueError("fields must name at least one field")
         missing = [f for f in self.fields if f not in self.field_weights]
         if missing:
             raise ValueError(f"missing field weights for: {missing}")
+        bad = {f: w for f, w in self.field_weights.items() if not math.isfinite(w) or w < 0}
+        if bad:
+            raise ValueError(f"field weights must be non-negative and finite: {bad}")
 
     def with_(self, **changes: object) -> "SearchConfig":
         """Return a copy with the given attributes replaced."""

@@ -93,8 +93,7 @@ class PivotE:
         self._session_counter = 0
         self._cold_start_ms = 0.0
         #: Cumulative durable-tier counters across this facade's
-        #: ``save()`` / ``load()`` calls (the search engine's own
-        #: build-time disk publishes live on its child record).
+        #: ``save()`` / ``load()`` calls.
         self._storage_counters = {
             "publishes": 0,
             "published_bytes": 0,
@@ -110,10 +109,10 @@ class PivotE:
     # ------------------------------------------------------------------ #
     # Durable snapshots
     # ------------------------------------------------------------------ #
-    def save(self, directory: str | None = None) -> dict[str, object]:
+    def save(self, directory: str) -> dict[str, object]:
         """Persist the whole system (graph + derived tiers) to ``directory``.
 
-        Defaults to the configured ``snapshot_dir``.  Everything a later
+        The one writer of a snapshot directory.  Everything a later
         :meth:`load` needs lands under the directory as CRC-checksummed
         snapshot segments: the graph's column log at full fidelity, the
         fielded index, the feature tables and the topology.  Returns a
@@ -121,9 +120,8 @@ class PivotE:
         """
         from ..storage.kgstore import save_system, system_store
 
-        directory = directory or self._config.search.snapshot_dir
         if not directory:
-            raise ValueError("save() needs a directory (or a configured snapshot_dir)")
+            raise ValueError("save() needs a directory")
         store = system_store(directory)
         manifest = save_system(
             directory, self._graph, self._search.index, self._feature_index, store=store
@@ -252,15 +250,14 @@ class PivotE:
 
         One :class:`~repro.stats.EngineStats` whose children are the
         search and recommendation engines' records (caches, pruning
-        counters, epochs, shard configuration) and whose own
-        ``rebuilds`` mapping carries the semantic feature index's
-        full-vs-delta refresh counters.  ``as_dict()`` renders the tree
-        as the JSON payload the ``"stats"`` API action returns.
+        counters, epochs) and whose own ``rebuilds`` mapping carries the
+        semantic feature index's full-vs-delta refresh counters.
+        ``as_dict()`` renders the tree as the JSON payload the
+        ``"stats"`` API action returns.
         """
         return EngineStats(
             component="pivote",
             epoch=self._graph.epoch,
-            shards=self._config.search.shards,
             pruning=self._config.search.pruning,
             rebuilds=self._feature_index.rebuild_info(),
             children=(self._search.stats(), self._recommender.stats()),
@@ -269,7 +266,7 @@ class PivotE:
         )
 
     def _storage_stats(self) -> StorageStats | None:
-        """The facade's durable-tier record (``None`` for plain shm systems).
+        """The facade's durable-tier record (``None`` before any save or load).
 
         Counts this facade's :meth:`save` / :meth:`load` traffic;
         ``cold_start_ms`` is how long the last :meth:`load` took end to
@@ -277,16 +274,9 @@ class PivotE:
         hydrates and decodes nothing.
         """
         counters = self._storage_counters
-        if (
-            self._config.search.storage == "shm"
-            and not self._config.search.snapshot_dir
-            and not any(counters.values())
-            and not self._cold_start_ms
-        ):
+        if not any(counters.values()) and not self._cold_start_ms:
             return None
         return StorageStats(
-            backend=self._config.search.storage,
-            snapshot_dir=self._config.search.snapshot_dir,
             cold_start_ms=self._cold_start_ms,
             graph_hydrated=self._graph.hydrated,
             hydration_ms=self._graph.hydration_ms,
@@ -296,8 +286,7 @@ class PivotE:
         )
 
     def close(self) -> None:
-        """Release both engines' caches and the search engine's
-        shared-memory snapshots."""
+        """Release both engines' caches."""
         self._search.close()
         self._recommender.close()
 

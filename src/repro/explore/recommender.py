@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 from ..config import RankingConfig
 from ..exceptions import NoSeedEntitiesError
-from ..exec import dedupe_batch
 from ..expansion import EntitySetExpander, ExpansionResult
 from ..features import SemanticFeature, SemanticFeatureIndex
 from ..kg import KnowledgeGraph, traversal_stats
@@ -31,8 +30,8 @@ from ..ranking import (
     build_correlation_matrix,
     build_correlation_matrix_exhaustive,
 )
-from ..stats import CacheStats, EngineStats, ExecutorStats, PruningStatsView, StageStats
-from ..utils import LRUCache
+from ..stats import CacheStats, EngineStats, PruningStatsView, StageStats
+from ..utils import LRUCache, dedupe_batch
 from .query_state import ExplorationQuery
 
 
@@ -50,21 +49,6 @@ class Recommendation:
 
     def feature_notations(self) -> list[str]:
         return [scored.feature.notation() for scored in self.features]
-
-
-#: The ``executor`` record of a recommendation: every stage runs on the
-#: calling thread.
-_INLINE = ExecutorStats(
-    mode="inline",
-    effective="inline",
-    workers=1,
-    tasks_dispatched=0,
-    tasks_inlined=0,
-    snapshots_published=0,
-    snapshot_bytes=0,
-    snapshot_attaches=0,
-    snapshots_active=0,
-)
 
 
 class RecommendationEngine:
@@ -281,7 +265,6 @@ class RecommendationEngine:
         return EngineStats(
             component="recommendation",
             epoch=epoch,
-            shards=1,
             pruning=self._config.pruning,
             caches=(
                 CacheStats.from_info(
@@ -293,7 +276,6 @@ class RecommendationEngine:
                     "entity-ranker", self._expander.entity_ranker.pruning_info()
                 ),
             ),
-            executor=_INLINE,
             traversal=traversal_stats(self._graph),
             stages=StageStats(
                 arrays=dict(stages.arrays),

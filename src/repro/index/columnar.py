@@ -11,9 +11,7 @@ in :mod:`repro.topk.kernels` score with vectorized operations:
   selections can break ties on the ordinal;
 * per-field document-length arrays indexed by ordinal;
 * :class:`ColumnarPostings` per (field, term): parallel arrays of doc
-  ordinals (ascending) and term frequencies;
-* CRC shard-ownership maps mirroring :func:`repro.exec.sharding.shard_of`,
-  so the parent's shard slices match the process tier's ownership cut.
+  ordinals (ascending) and term frequencies.
 
 The view is immutable after construction and is memoised per index epoch
 on :class:`~repro.index.statistics.CollectionStatistics` (via
@@ -30,8 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from ..exec.sharding import shard_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .fielded_index import FieldedIndex
@@ -78,7 +74,6 @@ class ColumnarIndex:
             self._ord_of = self._stored.ordinal_of()
         self._lengths: dict[str, np.ndarray] = {}
         self._postings: dict[tuple[str, str], ColumnarPostings] = {}
-        self._shard_maps: dict[int, np.ndarray] = {}
         self._derived: dict[tuple[object, ...], object] = {}
 
     @property
@@ -165,24 +160,6 @@ class ColumnarIndex:
             columnar = ColumnarPostings(ordinals, tfs)
         self._postings[key] = columnar
         return columnar
-
-    def shard_map(self, num_shards: int) -> np.ndarray:
-        """Per-ordinal shard ownership under CRC routing (int64).
-
-        Matches :func:`repro.exec.sharding.shard_of` entry for entry, and
-        therefore the stored-CRC ownership the process tier's workers
-        read (:meth:`repro.storage.codec.SegmentView.shard_owners`).
-        """
-        cached = self._shard_maps.get(num_shards)
-        if cached is not None:
-            return cached
-        owners = np.fromiter(
-            (shard_of(doc_id, num_shards) for doc_id in self._doc_ids),
-            dtype=np.int64,
-            count=len(self._doc_ids),
-        )
-        self._shard_maps[num_shards] = owners
-        return owners
 
     def memoised(self, key: tuple[object, ...], compute):
         """Memoise a scorer-derived array on the view (per-epoch lifetime).

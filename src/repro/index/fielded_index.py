@@ -34,9 +34,8 @@ def next_index_uid() -> int:
     """Allocate one process-unique index uid.
 
     Shared by every uid-bearing index family (the fielded search index
-    here, the semantic feature index on the recommendation side), so the
-    ``(uid, epoch)`` keys of the shared-memory snapshot registry never
-    collide across index kinds living in one registry.
+    here, the semantic feature index on the recommendation side), so no
+    two live indexes share a ``(uid, epoch)`` key.
     """
     return next(_GENERATIONS)
 

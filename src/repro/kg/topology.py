@@ -39,8 +39,8 @@ via :func:`graph_topology` (the graph-side sibling of
 traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
 The array layout round-trips through the PR 9 segment codec as the
 ``"graph-topology"`` segment kind (:func:`repro.storage.codec.
-encode_graph_topology`), so worker processes attach it from shared
-memory and ``PivotE.save``/``load`` persist it to the disk tier.
+encode_graph_topology`), so ``PivotE.save``/``load`` persist it to the
+disk tier.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class GraphTopology:
         pre_order: np.ndarray,
         subtree_sizes: np.ndarray,
     ) -> "GraphTopology":
-        """Rebuild a topology from decoded segment arrays (worker side)."""
+        """Rebuild a topology from decoded segment arrays."""
         return cls(
             epoch=epoch,
             entity_ids=entity_ids,

@@ -6,9 +6,9 @@ search-quality experiment.
 
 Like the language-model scorers, a search has exactly two forms: the
 sparse columnar kernels (:mod:`repro.topk.kernels`, plain or max-score
-pruned, serial or fanned out over document shards) select a superset of
-the top-k that the exact re-scoring epilogue ranks, and
-``search_exhaustive`` scores every candidate — the reference.  Because
+pruned) select a superset of the top-k that the exact re-scoring
+epilogue ranks, and ``search_exhaustive`` scores every candidate — the
+reference.  Because
 BM25 gives documents without any matching term a score of exactly
 ``0.0``, the kernels only ever visit postings — candidates that match
 solely in unscored fields are appended as a zero-scored, doc-id-ordered
@@ -23,20 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import EXECUTOR_CHOICES, PRUNING_MODES
-from ..exec import (
-    ProcessTask,
-    ThetaSlab,
-    default_executor,
-    merge_shard_stats,
-    resolve_executor,
-    shard_stats_from,
-    snapshot_registry,
-)
+from ..config import PRUNING_MODES
 from ..index import ColumnarIndex, FieldedIndex, columnar_view
 from ..topk import (
     PruningStats,
-    SharedThreshold,
     SparseKernelTerm,
     accumulate_sparse,
     columnar_sparse,
@@ -65,149 +55,6 @@ def _field_norms(view: ColumnarIndex, field: str, b: float, avg_length: float) -
     norms = view.memoised(("bm25-norms", b, avg_length, field), compute)
     assert isinstance(norms, np.ndarray)
     return norms
-
-
-def _shard_sliced_terms(
-    terms: list[SparseKernelTerm], owners: np.ndarray, num_shards: int
-) -> list[list[SparseKernelTerm]]:
-    """Each term's posting column sliced by the CRC ownership map.
-
-    Upper bounds stay derived from the full column — a full-list bound
-    is sound for any subset — and terms without postings in a shard
-    contribute no entry there, which only tightens the shard's
-    remaining-upper sums.  The worker processes apply the same cut
-    against their snapshot columns (see
-    :func:`repro.exec.procpool._slice_for_shard`).
-    """
-    shard_terms: list[list[SparseKernelTerm]] = [[] for _ in range(num_shards)]
-    for entry in terms:
-        owner = owners[entry.ordinals]
-        for shard in range(num_shards):
-            mask = owner == shard
-            if not mask.any():
-                continue  # no postings here: tightens the shard's upper sums
-            shard_terms[shard].append(
-                SparseKernelTerm(
-                    key=entry.key,
-                    upper=entry.upper,
-                    ordinals=entry.ordinals[mask],
-                    contributions=entry.contributions[mask],
-                )
-            )
-    return shard_terms
-
-
-def _process_columnar_sparse_survivors(
-    view: ColumnarIndex,
-    terms: list[SparseKernelTerm],
-    num_shards: int,
-    top_k: int,
-    stats: PruningStats,
-    executor,
-    plan: dict,
-) -> np.ndarray | None:
-    """Dispatch the sparse shard fan-out to the multiprocess tier.
-
-    One task per shard: the parent runs shard 0 inline (its fallback
-    holds a slot on the shared θ slab), the remaining shards ship only
-    the scorer's term recipes — each worker rebuilds the full posting
-    columns from its snapshot and applies its own ownership cut.
-    Returns ``None`` when the snapshot cannot be published, so the
-    caller falls through to the thread/inline fan-out.
-    """
-    snapshot = snapshot_registry().publish(plan["index"], view)
-    if snapshot is None:
-        return None
-    owners = view.shard_map(num_shards)
-    shard_terms = _shard_sliced_terms(terms, owners, num_shards)
-    slab = ThetaSlab.create(top_k, num_shards)
-    try:
-        tasks = []
-        for shard in range(num_shards):
-            payload = {
-                "kind": plan["kind"],
-                "snapshot": snapshot.descriptor,
-                "theta": slab.descriptor,
-                "slot": shard,
-                "top_k": top_k,
-                "num_shards": num_shards,
-                "shard": shard,
-                **plan["recipe"],
-            }
-
-            def fallback(shard=shard):
-                local = PruningStats()
-                ordinals, partials = columnar_sparse(
-                    shard_terms[shard],
-                    top_k,
-                    local,
-                    view.num_documents,
-                    shared=slab.slot(shard),
-                )
-                return ordinals, partials, local
-
-            tasks.append(ProcessTask(payload, fallback))
-        results = executor.run_tasks(tasks)
-    finally:
-        slab.close()
-    merge_shard_stats(stats, [shard_stats_from(counters) for _, _, counters in results])
-    all_ordinals = np.concatenate([ordinals for ordinals, _, _ in results])
-    all_partials = np.concatenate([partials for _, partials, _ in results])
-    return select_survivor_ordinals(all_ordinals, all_partials, top_k)
-
-
-def _sharded_columnar_sparse_survivors(
-    view: ColumnarIndex,
-    terms: list[SparseKernelTerm],
-    num_shards: int,
-    top_k: int,
-    stats: PruningStats,
-    executor=None,
-    process_plan: dict | None = None,
-) -> np.ndarray:
-    """Fan the sparse kernel out over ordinal shards; union the picks.
-
-    Each term's posting column is sliced by the view's CRC ownership
-    map, while upper bounds stay derived from the full column.  Workers
-    run with private :class:`PruningStats` (merged afterwards, the
-    logical query counted once) and the cross-shard θ broadcast.  Sparse
-    survivors hold *exact* totals, so the disjoint survivor columns
-    concatenate into exactly the survivor set a serial traversal would
-    keep, and one global margin-guarded selection picks the ordinals the
-    caller re-scores.  With a process executor and a recipe plan the
-    fan-out goes to the multiprocess tier first (falling back here if
-    the snapshot cannot be served); either tier feeds the same global
-    selection, so rankings stay byte-identical across executors.
-    """
-    executor = executor or default_executor()
-    if process_plan is not None and getattr(executor, "is_process", False):
-        picked = _process_columnar_sparse_survivors(
-            view, terms, num_shards, top_k, stats, executor, process_plan
-        )
-        if picked is not None:
-            return picked
-    owners = view.shard_map(num_shards)
-    shard_terms = _shard_sliced_terms(terms, owners, num_shards)
-    shared = SharedThreshold(top_k)
-
-    def worker(shard: int) -> tuple[np.ndarray, np.ndarray, PruningStats]:
-        local = PruningStats()
-        ordinals, partials = columnar_sparse(
-            shard_terms[shard],
-            top_k,
-            local,
-            view.num_documents,
-            shared=shared.slot(),
-        )
-        return ordinals, partials, local
-
-    results = executor.run(
-        [lambda shard=shard: worker(shard) for shard in range(num_shards)]
-    )
-    merge_shard_stats(stats, [local for _, _, local in results])
-    all_ordinals = np.concatenate([ordinals for ordinals, _, _ in results])
-    all_partials = np.concatenate([partials for _, partials, _ in results])
-    return select_survivor_ordinals(all_ordinals, all_partials, top_k)
 
 
 @dataclass(frozen=True)
@@ -252,9 +99,9 @@ class _BM25Scorer:
     """The search path shared by the BM25 and BM25F scorers.
 
     Subclasses say which query terms score and how (:meth:`_scored_terms`,
-    :meth:`_kernel_terms`, :meth:`_process_plan`) and how a survivor is
-    scored exactly (:meth:`_rescore_and_rank`, :meth:`score_document`);
-    the kernels, the shard fan-out and the zero-scored tail are common.
+    :meth:`_kernel_terms`) and how a survivor is scored exactly
+    (:meth:`_rescore_and_rank`, :meth:`score_document`);
+    the kernels and the zero-scored tail are common.
     """
 
     def __init__(
@@ -262,24 +109,12 @@ class _BM25Scorer:
         index: FieldedIndex,
         params: BM25Params | None,
         pruning: str,
-        shards: int,
-        executor: str,
-        workers: int,
     ) -> None:
         if pruning not in PRUNING_MODES:
             raise ValueError(f"unknown pruning mode: {pruning!r}")
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        if executor not in EXECUTOR_CHOICES:
-            raise ValueError(f"unknown executor: {executor!r}")
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
         self._index = index
         self._params = params or BM25Params()
         self._pruning = pruning
-        self._shards = shards
-        self._executor_mode = executor
-        self._workers = workers
         self._pruning_stats = PruningStats()
 
     def pruning_info(self) -> dict[str, int]:
@@ -294,10 +129,6 @@ class _BM25Scorer:
         self, scored: list[tuple[str, float, float]], view: ColumnarIndex
     ) -> list[SparseKernelTerm]:
         """One kernel term (posting column + exact contributions) per scored term."""
-        raise NotImplementedError
-
-    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
-        """This query's picklable recipe bundle for the process tier."""
         raise NotImplementedError
 
     def _rescore_and_rank(
@@ -316,9 +147,8 @@ class _BM25Scorer:
         are processed in decreasing upper-bound order, and once the
         remaining terms cannot lift a new document past the live θ the
         walk switches to accumulator-only refinement (the OR→AND switch),
-        skipping the postings walks of frequent low-impact terms — with
-        ``shards > 1`` over CRC-sliced posting columns under a shared θ.
-        Either way the kernel values only guide selection; the exact
+        skipping the postings walks of frequent low-impact terms.  Either
+        way the kernel values only guide selection; the exact
         epilogue ranks.
         """
         if top_k <= 0:
@@ -330,25 +160,10 @@ class _BM25Scorer:
             ordinals, partials = accumulate_sparse(terms, view.num_documents)
             picked = select_survivor_ordinals(ordinals, partials, top_k)
         else:
-            if self._shards > 1:
-                executor = resolve_executor(self._executor_mode, self._workers)
-                plan = None
-                if getattr(executor, "is_process", False):
-                    plan = self._process_plan(scored)
-                picked = _sharded_columnar_sparse_survivors(
-                    view,
-                    terms,
-                    self._shards,
-                    top_k,
-                    self._pruning_stats,
-                    executor=executor,
-                    process_plan=plan,
-                )
-            else:
-                ordinals, partials = columnar_sparse(
-                    terms, top_k, self._pruning_stats, view.num_documents
-                )
-                picked = select_survivor_ordinals(ordinals, partials, top_k)
+            ordinals, partials = columnar_sparse(
+                terms, top_k, self._pruning_stats, view.num_documents
+            )
+            picked = select_survivor_ordinals(ordinals, partials, top_k)
             self._pruning_stats.rescored += len(picked)
         return self._rescore_and_rank(query, top_k, view.ids_of(picked))
 
@@ -369,11 +184,8 @@ class BM25FieldScorer(_BM25Scorer):
         field: str,
         params: BM25Params | None = None,
         pruning: str = "maxscore",
-        shards: int = 1,
-        executor: str = "auto",
-        workers: int = 0,
     ) -> None:
-        super().__init__(index, params, pruning, shards, executor, workers)
+        super().__init__(index, params, pruning)
         self._field = field
         field_index = index.field_index(field)
         self._avg_length = field_index.average_document_length
@@ -473,27 +285,6 @@ class BM25FieldScorer(_BM25Scorer):
             )
         return entries
 
-    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
-        """Only scalars travel: per-term idf weights and upper bounds plus
-        the scorer's normaliser snapshot, from which a worker rebuilds the
-        exact contribution columns against its snapshot views (see
-        :func:`repro.exec.procpool._bm25_entries`)."""
-        params = self._params
-        return {
-            "index": self._index,
-            "kind": "bm25",
-            "recipe": {
-                "field": self._field,
-                "k1": params.k1,
-                "b": params.b,
-                "avg_length": self._avg_length,
-                "terms": [
-                    {"term": term, "weight": weight, "upper": upper}
-                    for term, weight, upper in scored
-                ],
-            },
-        }
-
     def _rescore_and_rank(
         self, query: KeywordQuery, top_k: int, to_rescore: list[str]
     ) -> list[ScoredDocument]:
@@ -546,11 +337,8 @@ class BM25FScorer(_BM25Scorer):
         field_weights: Mapping[str, float],
         params: BM25Params | None = None,
         pruning: str = "maxscore",
-        shards: int = 1,
-        executor: str = "auto",
-        workers: int = 0,
     ) -> None:
-        super().__init__(index, params, pruning, shards, executor, workers)
+        super().__init__(index, params, pruning)
         total = sum(field_weights.get(field, 0.0) for field in index.fields)
         if total <= 0:
             raise ValueError("field weights must have positive mass over the index fields")
@@ -701,33 +489,14 @@ class BM25FScorer(_BM25Scorer):
                     key=term,
                     upper=upper,
                     ordinals=union_ordinals,
-                    contributions=weight_idf * (weighted_tf / (weighted_tf + params.k1)),
+                    # score_document's association: with k1 == 0 every
+                    # holder's exact contribution is weight_idf * w / w,
+                    # which rounds per document, and the selection must
+                    # see those same values to cut a run of near-ties alike.
+                    contributions=weight_idf * weighted_tf / (weighted_tf + params.k1),
                 )
             )
         return entries
-
-    def _process_plan(self, scored: list[tuple[str, float, float]]) -> dict:
-        """Per-term idf weights and upper bounds plus the per-field
-        weight/average snapshot — everything a worker needs to rebuild the
-        exact union columns against its snapshot views (see
-        :func:`repro.exec.procpool._bm25f_entries`)."""
-        params = self._params
-        return {
-            "index": self._index,
-            "kind": "bm25f",
-            "recipe": {
-                "k1": params.k1,
-                "b": params.b,
-                "fields": [
-                    (field, weight, self._avg_lengths[field])
-                    for field, weight in self._weighted_fields()
-                ],
-                "terms": [
-                    {"term": term, "weight_idf": weight_idf, "upper": upper}
-                    for term, weight_idf, upper in scored
-                ],
-            },
-        }
 
     def _pruned_contribution(
         self,

@@ -21,18 +21,16 @@ be served for a new one.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..config import SearchConfig
 from ..exceptions import EntityNotFoundError
-from ..exec import dedupe_batch, executor_stats, release_snapshots, snapshot_registry
 from ..index import FieldedIndex
 from ..kg import KnowledgeGraph, traversal_stats
-from ..stats import CacheStats, EngineStats, PruningStatsView, StorageStats
-from ..utils import LRUCache
+from ..stats import CacheStats, EngineStats, PruningStatsView
+from ..utils import LRUCache, dedupe_batch
 from .bm25 import BM25FScorer, BM25FieldScorer
 from .fields import (
     FieldedEntityDocument,
@@ -80,57 +78,6 @@ class SearchEngine:
         self._result_cache: LRUCache[tuple[object, ...], tuple[SearchHit, ...]] = LRUCache(
             self._config.result_cache_size
         )
-        #: Lazily created durable store (``storage="disk"`` only).
-        self._disk_store = None
-        self._apply_storage_policy(self._index)
-
-    def _apply_storage_policy(self, index: FieldedIndex) -> None:
-        """Honour ``storage="off"`` for a freshly installed index instance.
-
-        Rebuilds allocate fresh uids, so the registry is told about each
-        one; a disabled uid makes the process tier score inline instead
-        of publishing shared-memory segments.
-        """
-        if self._config.storage == "off":
-            snapshot_registry().disable(index.uid)
-
-    def _ensure_disk_store(self):
-        if self._disk_store is None:
-            from ..storage.diskstore import DiskSnapshotStore
-
-            assert self._config.snapshot_dir is not None
-            self._disk_store = DiskSnapshotStore(
-                os.path.join(self._config.snapshot_dir, "store")
-            )
-        return self._disk_store
-
-    def _publish_to_disk(self, index: FieldedIndex) -> None:
-        """Best-effort durable publish of a freshly built index.
-
-        ``storage="disk"`` persists each successor epoch under the
-        configured ``snapshot_dir`` so a later cold start can attach
-        instead of rebuilding.  Failures are counted, never raised — the
-        in-RAM index is already serving.
-        """
-        if self._config.storage != "disk" or not self._config.snapshot_dir:
-            return
-        store = self._ensure_disk_store()
-        try:
-            from ..index.columnar import columnar_view
-            from ..storage.codec import encode_index_snapshot
-            from ..storage.kgstore import SEARCH_INDEX_KEY
-
-            manifest, builder = encode_index_snapshot(
-                index, columnar_view(index), include_doc_ids=True
-            )
-            store.publish(
-                SEARCH_INDEX_KEY,
-                manifest,
-                builder,
-                extra={"graph_epoch": self._graph.epoch},
-            )
-        except (OSError, ValueError, RuntimeError):
-            store.failures += 1
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -159,12 +106,8 @@ class SearchEngine:
         on first access, exactly as post-``build()`` misses do.
         """
         engine = cls(graph, config=config)
-        with engine._mutation_lock:
-            engine._scorer = MixtureLanguageModelScorer(index, engine._config)
-            replaced, engine._index = engine._index, index
-            engine._result_cache.clear()
-        release_snapshots(replaced.uid)
-        engine._apply_storage_policy(index)
+        engine._index = index
+        engine._scorer = MixtureLanguageModelScorer(index, engine._config)
         return engine
 
     def build(self) -> "SearchEngine":
@@ -177,19 +120,11 @@ class SearchEngine:
             documents = build_all_documents(self._graph)
             index = FieldedIndex(self._config.fields)
             for entity_id, document in documents.items():
-                index.add_document(entity_id, analyze_document(document))
+                index.add_document(entity_id, analyze_document(document, self._config.fields))
             self._documents = documents
             self._scorer = MixtureLanguageModelScorer(index, self._config)
-            replaced, self._index = self._index, index
+            self._index = index
             self._result_cache.clear()
-        # A rebuild allocates a fresh uid, so the replaced instance's
-        # shared-memory snapshot (if the process tier published one) can
-        # never be requested again — unlink it.  Workers still attached
-        # keep their mapping (POSIX unlink semantics); late attachers
-        # fall back inline.
-        release_snapshots(replaced.uid)
-        self._apply_storage_policy(index)
-        self._publish_to_disk(index)
         return self
 
     def add_entity(self, entity_id: str) -> None:
@@ -202,14 +137,12 @@ class SearchEngine:
         with self._mutation_lock:
             document = build_entity_document(self._graph, entity_id)
             self._documents[entity_id] = document
-            index = self._index.with_added_document(entity_id, analyze_document(document))
+            index = self._index.with_added_document(
+                entity_id, analyze_document(document, self._config.fields)
+            )
             self._scorer = MixtureLanguageModelScorer(index, self._config)
             self._index = index
             self._result_cache.clear()
-        # Copy-on-write successors share the uid: the registry replaces
-        # the old epoch's segment on the next process-tier publish, so
-        # nothing needs releasing here.
-        self._apply_storage_policy(index)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -348,59 +281,30 @@ class SearchEngine:
     def stats(self) -> EngineStats:
         """The engine's typed introspection record.
 
-        One :class:`~repro.stats.EngineStats` carrying the execution
-        configuration echo (pruning mode, shard layout), the current
-        index epoch, the result cache's counters
+        One :class:`~repro.stats.EngineStats` carrying the pruning mode,
+        the current index epoch, the result cache's counters
         (``"results"``) and the primary scorer's pruning counters
-        (``"mlm"``), plus the engine's shard-execution record
-        (``executor``).  Builds the index on demand, like any query
-        would.
+        (``"mlm"``).  A query runs on the calling thread, so ``executor``
+        reports ``inline`` with no tasks.  Builds the index on demand,
+        like any query would.
         """
         scorer = self._require_scorer()
         return EngineStats(
             component="search",
             epoch=self._index.epoch,
-            shards=self._config.shards,
             pruning=self._config.pruning,
             caches=(CacheStats.from_info("results", self._result_cache.cache_info()),),
             pruning_counters=(
                 PruningStatsView.from_counters("mlm", scorer.pruning_info()),
             ),
-            executor=executor_stats(self._config.executor, self._config.workers),
-            storage=self.storage_stats(),
             traversal=traversal_stats(self._graph),
         )
 
-    def storage_stats(self, cold_start_ms: float = 0.0) -> StorageStats | None:
-        """The engine's durable-snapshot record, or ``None`` on plain shm.
-
-        Reported only when the storage knob deviates from the default
-        (``"disk"`` / ``"off"``) or a snapshot directory is configured —
-        the common shm-only setup keeps its stats record unchanged.
-        """
-        if self._config.storage == "shm" and not self._config.snapshot_dir:
-            return None
-        store = self._disk_store
-        return StorageStats(
-            backend=self._config.storage,
-            snapshot_dir=self._config.snapshot_dir,
-            publishes=store.publishes if store is not None else 0,
-            published_bytes=store.published_bytes if store is not None else 0,
-            attaches=store.attaches if store is not None else 0,
-            attached_bytes=store.attached_bytes if store is not None else 0,
-            failures=store.failures if store is not None else 0,
-            cold_start_ms=cold_start_ms,
-        )
-
     def close(self) -> None:
-        """Release the engine's shared-memory snapshots and cached results.
+        """Drop the cached results.
 
-        The worker pools themselves are process-wide (shared by every
-        engine) and stay warm; only this engine's published segments are
-        unlinked.  Safe to call repeatedly — the engine remains usable,
-        the next process-tier query simply republishes.
+        Safe to call repeatedly; the engine remains usable.
         """
-        release_snapshots(self._index.uid)
         self._result_cache.clear()
 
     def __enter__(self) -> "SearchEngine":
@@ -451,9 +355,6 @@ class SearchEngine:
             self._index,
             self._config.field_weights,
             pruning=self._config.pruning,
-            shards=self._config.shards,
-            executor=self._config.executor,
-            workers=self._config.workers,
         )
 
     def bm25_names_scorer(self) -> BM25FieldScorer:
@@ -462,9 +363,6 @@ class SearchEngine:
             self._index,
             "names",
             pruning=self._config.pruning,
-            shards=self._config.shards,
-            executor=self._config.executor,
-            workers=self._config.workers,
         )
 
     def single_field_scorer(self, field: str = "names") -> SingleFieldScorer:

@@ -19,7 +19,7 @@ The :class:`FieldedEntityDocument` holds the raw text per field;
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..config import DEFAULT_FIELDS
@@ -108,12 +108,15 @@ def build_entity_document(graph: KnowledgeGraph, entity_id: str) -> FieldedEntit
     )
 
 
-def analyze_document(document: FieldedEntityDocument) -> dict[str, list[str]]:
-    """Analyze every field of a document into index-ready terms."""
+def analyze_document(
+    document: FieldedEntityDocument, fields: Collection[str] = DEFAULT_FIELDS
+) -> dict[str, list[str]]:
+    """Analyze the given fields of a document (all five by default) into
+    index-ready terms; an index over a subset of the fields gets only its own."""
     analyzed: dict[str, list[str]] = {}
     for name in DEFAULT_FIELDS:
-        analyzer = FIELD_ANALYZERS[name]
-        analyzed[name] = analyzer.analyze_all(document.field_text(name))
+        if name in fields:
+            analyzed[name] = FIELD_ANALYZERS[name].analyze_all(document.field_text(name))
     return analyzed
 
 

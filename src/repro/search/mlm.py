@@ -14,9 +14,9 @@ A search has exactly two forms.  ``search`` stays in ordinal space: its
 candidates are the union of the query terms' posting ordinals, each
 scored term gets a contribution column over those candidates, built per
 query, and the columnar kernels (:mod:`repro.topk.kernels`, plain or
-max-score pruned, serial or fanned out over document shards) select a
-superset of the top-k; that superset is re-scored, per-term breakdown
-included, with the exhaustive arithmetic in the exhaustive order.
+max-score pruned) select a superset of the top-k; that superset is
+re-scored, per-term breakdown included, with the exhaustive arithmetic
+in the exhaustive order.
 ``search_exhaustive`` scores every candidate through ``score_document``
 and sorts — the reference.  Both produce byte-identical rankings because the
 final scores come from the same floating-point operations in the same
@@ -25,35 +25,21 @@ order.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SearchConfig
-from ..exec import (
-    ProcessTask,
-    ThetaSlab,
-    default_executor,
-    merge_shard_stats,
-    resolve_executor,
-    shard_stats_from,
-    snapshot_registry,
-)
 from ..index import FieldedIndex
 from ..index.columnar import ColumnarIndex, columnar_view
 from ..index.scoring_support import ScoringSupport
 from ..topk import (
     DenseKernelTerm,
-    NO_THRESHOLD,
     PruningStats,
-    SELECTION_MARGIN,
-    SharedThreshold,
     accumulate_dense,
     columnar_dense,
     select_survivor_ordinals,
-    threshold_of,
 )
 from .language_model import SmoothingParams, log_probability, smoothed_probability
 from .query import KeywordQuery
@@ -215,58 +201,7 @@ def _score_breakdowns(
     return results
 
 
-def _prime_threshold(
-    keys: Sequence[str],
-    per_term: Sequence[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
-    smoothing: SmoothingParams,
-    top_k: int,
-) -> float:
-    """An initial θ for the sharded dense traversal, from a subset pool.
-
-    A shard's first passes only see its own slice of the candidates, and
-    the partial-plus-floor θ is loose there (the floor assumes a zero
-    term frequency over the longest field).  This primes θ from a small
-    pool of promising candidates: take each term's highest-tf documents
-    per scored field, score that small pool *exactly* through the fast support
-    lookups, and use its k-th best final score — a valid θ witness set,
-    because every pool document is a real candidate and exact final
-    scores are their own lower bounds.  Returns ``-inf`` when fewer than
-    ``top_k`` pool documents exist (nothing can be primed soundly).
-    """
-    # Rarest postings first: a document with a high tf for a rare term
-    # collects that term's large log boost while the rest of the pool
-    # pays the smoothing floor, so these are the likeliest true top
-    # scorers.  Postings lists beyond ``4 * top_k`` documents are never
-    # scanned — selecting witnesses from them would cost a heap pass over
-    # the very lists the traversal is trying not to walk twice, and their
-    # spread is what the partial-plus-floor θ already captures.  When no
-    # k cheap witnesses exist, priming is skipped (returns ``-inf``) and
-    # the traversal runs unprimed.
-    budget = 4 * top_k
-    postings_by_rarity = sorted(
-        (
-            frequencies
-            for components in per_term
-            for _, frequencies, _, _ in components
-            if frequencies and len(frequencies) <= budget
-        ),
-        key=len,
-    )
-    pool: set[str] = set()
-    for frequencies in postings_by_rarity:
-        if len(frequencies) <= top_k:
-            pool.update(frequencies)
-        else:
-            pool.update(heapq.nlargest(top_k, frequencies, key=frequencies.__getitem__))
-        if len(pool) >= top_k:
-            break
-    if len(pool) < top_k:
-        return NO_THRESHOLD
-    scored = _score_breakdowns(sorted(pool), keys, per_term, smoothing)
-    return threshold_of((result.score for result in scored), top_k)
-
-
-def query_candidates(view, fields: Sequence[str], terms: Sequence[str]) -> np.ndarray:
+def query_candidates(view: ColumnarIndex, fields: Sequence[str], terms: Sequence[str]) -> np.ndarray:
     """Ascending ordinals of the documents holding any term in any field.
 
     The ordinal form of :meth:`FieldedIndex.candidate_documents`: the
@@ -284,7 +219,7 @@ def query_candidates(view, fields: Sequence[str], terms: Sequence[str]) -> np.nd
 
 
 def candidate_term_columns(
-    view,
+    view: ColumnarIndex,
     candidates: np.ndarray,
     recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
     method: str,
@@ -293,15 +228,15 @@ def candidate_term_columns(
     """Each scored term's exact log-mixture contribution over ``candidates``.
 
     ``recipes`` lists ``(term, [(field, weight, mass), ...])`` per scored
-    term, ``mass`` being ``param * p(t|C)``; position ``i`` of a returned
-    column holds the contribution of ``candidates[i]``.  The per-field
+    term, ``mass`` being ``param * p(t|C)``; ``candidates`` must hold
+    every posting ordinal of those terms (:func:`query_candidates`
+    guarantees it), and position ``i`` of a returned column holds the
+    contribution of ``candidates[i]``.  The per-field
     smoothing arithmetic of :func:`_score_breakdowns`, elementwise over
     the candidates' field lengths and term frequencies (IEEE-identical to
     the scalar expressions; only ``np.log`` may differ from ``math.log``
     by ulps, which the kernels' safety slack and the exact epilogue
-    absorb).  ``view`` is a :class:`ColumnarIndex` in the parent or an
-    attached snapshot in a process worker; both build the columns here,
-    per query, and keep none of them.
+    absorb).  The columns are built per query and kept nowhere.
     """
     size = candidates.size
     num_documents = view.num_documents
@@ -320,10 +255,8 @@ def candidate_term_columns(
             postings = view.postings(field, term)
             if postings is not None and size == num_documents:
                 share[postings.ordinals] = postings.frequencies  # position == ordinal
-            elif postings is not None and size:  # a shard's bucket may hold only some
-                positions = np.minimum(np.searchsorted(candidates, postings.ordinals), size - 1)
-                held = candidates[positions] == postings.ordinals
-                share[positions[held]] = postings.frequencies[held]
+            elif postings is not None:  # the candidates hold every posting ordinal
+                share[np.searchsorted(candidates, postings.ordinals)] = postings.frequencies
             if method == "dirichlet":
                 share += mass
                 share /= field_lengths
@@ -368,12 +301,15 @@ def _dense_kernel_entries(
     support: ScoringSupport,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
-    recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
 ) -> list[DenseKernelTerm]:
     """One vectorized kernel term per scored term, aligned with ``candidates``."""
     bounds = LanguageModelBounds(support, smoothing)
     columns = candidate_term_columns(
-        view, candidates, recipes, smoothing.method, _smoothing_factor(smoothing)
+        view,
+        candidates,
+        _term_recipes(support, smoothing, term_specs),
+        smoothing.method,
+        _smoothing_factor(smoothing),
     )
     entries: list[DenseKernelTerm] = []
     for (key, term, fields), column in zip(term_specs, columns):
@@ -382,203 +318,13 @@ def _dense_kernel_entries(
     return entries
 
 
-def _shard_entries(entries: list[DenseKernelTerm], mask: np.ndarray) -> list[DenseKernelTerm]:
-    """The kernel terms restricted to one shard's candidates (by position)."""
-    return [replace(entry, contributions=entry.contributions[mask]) for entry in entries]
-
-
-def _merge_dense_shard_survivors(results, top_k: int) -> np.ndarray:
-    """Union per-shard ``(ordinals, partials, counters)`` dense results.
-
-    Early-stopped shards (at most ``k + margin`` survivors left)
-    contribute their survivors wholesale — their partials are not
-    comparable across shards — while shards that ran every pass hold
-    full-accumulation values, identical for the same candidate regardless
-    of shard, and are selected globally.  Either way the union contains
-    the global top-k, and the re-scoring bill stays ~``k + margin``
-    instead of shards × (``k + margin``).
-    """
-    stop_budget = top_k + SELECTION_MARGIN  # the driver's early-stop bound
-    union: list[np.ndarray] = []
-    exact_ordinals: list[np.ndarray] = []
-    exact_partials: list[np.ndarray] = []
-    for ordinals, partials, _ in results:
-        if ordinals.size <= stop_budget:
-            union.append(ordinals)
-        else:
-            exact_ordinals.append(ordinals)
-            exact_partials.append(partials)
-    if exact_ordinals:
-        union.append(
-            select_survivor_ordinals(
-                np.concatenate(exact_ordinals), np.concatenate(exact_partials), top_k
-            )
-        )
-    if not union:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(union)
-
-
-def _dense_process_plan(
-    index: FieldedIndex,
-    support: ScoringSupport,
-    smoothing: SmoothingParams,
-    term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
-    recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
-) -> dict:
-    """One dense query's picklable recipe bundle for the process tier.
-
-    Carries only scalars: per-term bounds plus the per-field smoothing
-    masses (``mu·p(t|C)`` resp. ``lambda·p(t|C)``), from which a worker
-    builds its bucket's contribution columns against its snapshot view
-    (see :func:`repro.exec.procpool._dense_entries`).
-    """
-    bounds = LanguageModelBounds(support, smoothing)
-    terms = []
-    for (key, term, fields), (_, masses) in zip(term_specs, recipes):
-        floor, upper = bounds.mixture_bounds(term, fields)
-        terms.append(
-            {"key": key, "term": term, "floor": floor, "upper": upper, "fields": list(masses)}
-        )
-    return {
-        "index": index,
-        "smoothing": (smoothing.method, _smoothing_factor(smoothing)),
-        "terms": terms,
-    }
-
-
-def _shard_buckets(
-    view: ColumnarIndex, candidate_ordinals: np.ndarray, num_shards: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(owner mask, candidate ordinals)`` of every shard holding candidates."""
-    owners = view.shard_map(num_shards)[candidate_ordinals]
-    return [
-        (mask, candidate_ordinals[mask])
-        for shard in range(num_shards)
-        if (mask := owners == shard).any()
-    ]
-
-
-def _process_columnar_dense_survivors(
-    view: ColumnarIndex,
-    candidate_ordinals: np.ndarray,
-    entries: list[DenseKernelTerm],
-    top_k: int,
-    stats: PruningStats,
-    prime_threshold: float,
-    num_shards: int,
-    executor,
-    plan: dict,
-) -> np.ndarray | None:
-    """Dispatch the dense shard fan-out to the multiprocess tier.
-
-    The parent runs shard 0 inline (its fallback participates in the θ
-    broadcast through its own slab slot); the remaining shards ship only
-    their recipe payloads.  Returns ``None`` when the process tier cannot
-    serve the query — snapshot publish failed, or fewer than two shards
-    hold candidates — so the caller falls through to the thread/inline
-    fan-out.
-    """
-    snapshot = snapshot_registry().publish(plan["index"], view)
-    if snapshot is None:
-        return None
-    buckets = _shard_buckets(view, candidate_ordinals, num_shards)
-    if len(buckets) < 2:
-        return None
-    slab = ThetaSlab.create(top_k, len(buckets), primed=prime_threshold)
-    try:
-        tasks = []
-        for slot, (mask, bucket) in enumerate(buckets):
-            payload = {
-                "kind": "dense",
-                "snapshot": snapshot.descriptor,
-                "theta": slab.descriptor,
-                "slot": slot,
-                "top_k": top_k,
-                "smoothing": plan["smoothing"],
-                "terms": plan["terms"],
-                "candidates": bucket,
-            }
-
-            def fallback(mask=mask, bucket=bucket, slot=slot):
-                local = PruningStats()
-                ordinals, partials = columnar_dense(
-                    bucket, _shard_entries(entries, mask), top_k, local, shared=slab.slot(slot)
-                )
-                return ordinals, partials, local
-
-            tasks.append(ProcessTask(payload, fallback))
-        results = executor.run_tasks(tasks)
-    finally:
-        slab.close()
-    merge_shard_stats(stats, [shard_stats_from(counters) for _, _, counters in results])
-    return _merge_dense_shard_survivors(results, top_k)
-
-
-def _sharded_columnar_dense_survivors(
-    view: ColumnarIndex,
-    candidate_ordinals: np.ndarray,
-    entries: list[DenseKernelTerm],
-    top_k: int,
-    stats: PruningStats,
-    prime_threshold: float,
-    num_shards: int,
-    executor=None,
-    process_plan: dict | None = None,
-) -> np.ndarray:
-    """Fan the dense kernel out over candidate shards; union the picks.
-
-    Candidate ordinals are partitioned with the view's CRC shard map, and
-    each shard's kernel terms are sliced with the same owner mask; each
-    worker runs the dense kernel with a private
-    :class:`PruningStats` (merged afterwards, the logical query counted
-    once) and a slot on the shared θ broadcast, seeded with the primed
-    θ.  With a process executor and a recipe plan the fan-out goes to
-    the multiprocess tier first (falling back here if the snapshot
-    cannot be served).  The merge rule is the same either way — see
-    :func:`_merge_dense_shard_survivors` — so rankings stay
-    byte-identical across executor tiers.
-    """
-    executor = executor or default_executor()
-    if process_plan is not None and getattr(executor, "is_process", False):
-        picked = _process_columnar_dense_survivors(
-            view,
-            candidate_ordinals,
-            entries,
-            top_k,
-            stats,
-            prime_threshold,
-            num_shards,
-            executor,
-            process_plan,
-        )
-        if picked is not None:
-            return picked
-    shared = SharedThreshold(top_k, initial=prime_threshold)
-
-    def worker(mask: np.ndarray, shard_ordinals: np.ndarray):
-        local = PruningStats()
-        ordinals, partials = columnar_dense(
-            shard_ordinals, _shard_entries(entries, mask), top_k, local, shared=shared.slot()
-        )
-        return ordinals, partials, local
-
-    tasks = [
-        lambda mask=mask, bucket=bucket: worker(mask, bucket)
-        for mask, bucket in _shard_buckets(view, candidate_ordinals, num_shards)
-    ]
-    results = executor.run(tasks)
-    merge_shard_stats(stats, [local for _, _, local in results])
-    return _merge_dense_shard_survivors(results, top_k)
-
-
 class _LanguageModelScorer:
     """The search path shared by the two language-model scorers.
 
     Subclasses define the scored terms (:meth:`_term_specs`) and the
     per-document reference score (:meth:`score_document`); everything
-    else — candidate generation, the dense kernels, the shard fan-out and
-    the exact re-scoring epilogue — is common.
+    else — candidate generation, the dense kernels and the exact
+    re-scoring epilogue — is common.
     """
 
     def __init__(self, index: FieldedIndex, config: SearchConfig | None) -> None:
@@ -631,12 +377,10 @@ class _LanguageModelScorer:
         smoothing = self._smoothing
         term_specs = self._term_specs(query)
         keys = [key for key, _, _ in term_specs]
-        # Each scored term's lookup components, resolved once per query and
-        # shared by the subset-pool priming and the exact epilogue.
         per_term = [
             _term_components(term, fields, support, smoothing) for _, term, fields in term_specs
         ]
-        picked = self._survivors(view, candidates, support, term_specs, keys, per_term, top_k)
+        picked = self._survivors(view, candidates, support, term_specs, top_k)
         exact = _score_breakdowns(view.ids_of(picked), keys, per_term, smoothing)
         exact.sort(key=_rank_key)
         return exact[:top_k]
@@ -647,8 +391,6 @@ class _LanguageModelScorer:
         candidates: np.ndarray,
         support: ScoringSupport,
         term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
-        keys: list[str],
-        per_term: list[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
         top_k: int,
     ) -> np.ndarray:
         """The ordinals worth re-scoring exactly, picked by the dense kernels.
@@ -656,40 +398,14 @@ class _LanguageModelScorer:
         ``pruning="off"`` gather-adds every term column and selects the
         top ``k + margin``.  ``"maxscore"`` runs the threshold-pruned
         traversal — terms in max-score order, candidates whose
-        contribution upper bound cannot beat the live θ evicted early —
-        serially, or fanned out over ``shards`` candidate shards with a θ
-        primed from an exactly scored subset pool (see
-        :func:`_prime_threshold`).
+        contribution upper bound cannot beat the live θ evicted early.
         """
-        smoothing = self._smoothing
-        recipes = _term_recipes(support, smoothing, term_specs)
-        entries = _dense_kernel_entries(view, candidates, support, smoothing, term_specs, recipes)
+        entries = _dense_kernel_entries(view, candidates, support, self._smoothing, term_specs)
         if self._config.pruning != "maxscore":
             partials = accumulate_dense(candidates, entries)
             return select_survivor_ordinals(candidates, partials, top_k)
-        num_shards = self._config.shards
-        if num_shards > 1:
-            prime = NO_THRESHOLD
-            if 4 * top_k < candidates.size:
-                prime = _prime_threshold(keys, per_term, smoothing, top_k)
-            executor = resolve_executor(self._config.executor, self._config.workers)
-            plan = None
-            if getattr(executor, "is_process", False):
-                plan = _dense_process_plan(self._index, support, smoothing, term_specs, recipes)
-            picked = _sharded_columnar_dense_survivors(
-                view,
-                candidates,
-                entries,
-                top_k,
-                self._pruning_stats,
-                prime,
-                num_shards,
-                executor=executor,
-                process_plan=plan,
-            )
-        else:
-            ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
-            picked = select_survivor_ordinals(ordinals, partials, top_k)
+        ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
+        picked = select_survivor_ordinals(ordinals, partials, top_k)
         self._pruning_stats.rescored += len(picked)
         return picked
 

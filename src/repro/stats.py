@@ -11,7 +11,7 @@ typed, frozen object graph:
 * :class:`PruningStatsView` — an immutable snapshot of one pruned
   traversal's :class:`~repro.topk.stats.PruningStats` counters;
 * :class:`EngineStats` — one component's full introspection record:
-  configuration echo (pruning mode, shard layout),
+  configuration echo (pruning mode),
   epoch, caches, pruning counters, rebuild counters and child
   components.
 
@@ -114,51 +114,38 @@ class PruningStatsView:
 
 @dataclass(frozen=True)
 class ExecutorStats:
-    """One engine's shard-execution record.
+    """Where an engine's work runs: always inline, on the calling thread.
 
-    ``mode`` echoes the configured ``executor`` knob; ``effective`` is
-    where shard tasks actually run under the current platform
-    (``"inline"``, ``"thread"`` or ``"process"``); ``workers`` is the
-    pool's size cap.  ``tasks_dispatched``/``tasks_inlined`` count shard
-    tasks sent to pool workers vs run on the calling thread (the first
-    shard of every query is always inline), and the ``snapshot_*``
-    counters track the shared-memory tier: segments published by this
-    process, bytes they occupy, cold attaches performed by the worker
-    processes and segments currently live.
+    Every :class:`EngineStats` carries the one constant
+    :data:`INLINE_EXECUTOR`.  The record stays until a ``[benchmark]``
+    change drops the ``exec.*`` counters from the e2e harness:
+    ``benchmarks/e2e/run.py`` reads ``tasks_dispatched`` and
+    ``tasks_inlined`` off the search and recommendation records on
+    every pass.
     """
 
     mode: str
-    effective: str
-    workers: int
     tasks_dispatched: int
     tasks_inlined: int
-    snapshots_published: int
-    snapshot_bytes: int
-    snapshot_attaches: int
-    snapshots_active: int
 
     def as_dict(self) -> dict[str, object]:
         return {
             "mode": self.mode,
-            "effective": self.effective,
-            "workers": self.workers,
             "tasks_dispatched": self.tasks_dispatched,
             "tasks_inlined": self.tasks_inlined,
-            "snapshots_published": self.snapshots_published,
-            "snapshot_bytes": self.snapshot_bytes,
-            "snapshot_attaches": self.snapshot_attaches,
-            "snapshots_active": self.snapshots_active,
         }
+
+
+#: The ``executor`` record of every component: nothing is dispatched.
+INLINE_EXECUTOR = ExecutorStats(mode="inline", tasks_dispatched=0, tasks_inlined=0)
 
 
 @dataclass(frozen=True)
 class StorageStats:
     """One system's durable-snapshot record.
 
-    ``backend`` echoes the configured ``storage`` knob (``"shm"``,
-    ``"disk"`` or ``"off"``) and ``snapshot_dir`` the durable tier's
-    directory (``None`` without one).  ``publishes``/``published_bytes``
-    count snapshot segments written to the disk store,
+    ``publishes``/``published_bytes`` count snapshot segments
+    :meth:`~repro.engine.pivote.PivotE.save` wrote,
     ``attaches``/``attached_bytes`` segments mapped (and CRC-verified)
     back in, ``failures`` publish or attach attempts that raised
     ``SnapshotUnavailable`` and degraded to a rebuild.  ``cold_start_ms``
@@ -175,8 +162,6 @@ class StorageStats:
     lists the adopted search index has turned into objects.
     """
 
-    backend: str
-    snapshot_dir: str | None
     publishes: int
     published_bytes: int
     attaches: int
@@ -190,8 +175,6 @@ class StorageStats:
 
     def as_dict(self) -> dict[str, object]:
         return {
-            "backend": self.backend,
-            "snapshot_dir": self.snapshot_dir,
             "publishes": self.publishes,
             "published_bytes": self.published_bytes,
             "attaches": self.attaches,
@@ -274,8 +257,8 @@ class EngineStats:
 
     ``component`` names the component (``"search"``,
     ``"recommendation"``, ``"pivote"``); ``epoch`` is the component's
-    current index/graph epoch; ``shards``/``pruning`` echo
-    the execution configuration the component runs with.  ``caches``
+    current index/graph epoch; ``pruning`` echoes the top-k strategy
+    the component runs with.  ``caches``
     and ``pruning_counters`` carry the component's own counters, and a
     facade lists its components as ``children``.  The recommendation
     engine also reports ``stages``: per request stage, the calls served
@@ -285,13 +268,12 @@ class EngineStats:
 
     component: str
     epoch: int
-    shards: int
     pruning: str
     caches: tuple[CacheStats, ...] = ()
     pruning_counters: tuple[PruningStatsView, ...] = ()
     rebuilds: Mapping[str, int] | None = None
     children: tuple["EngineStats", ...] = ()
-    executor: ExecutorStats | None = None
+    executor: ExecutorStats = INLINE_EXECUTOR
     storage: StorageStats | None = None
     traversal: TraversalStats | None = None
     stages: StageStats | None = None
@@ -320,22 +302,19 @@ class EngineStats:
     def as_dict(self) -> dict[str, object]:
         """The whole record as JSON-able plain dicts.
 
-        ``executor`` appears only when the component reports its shard
-        execution; ``rebuilds`` only when the component tracks rebuild
+        ``rebuilds`` only when the component tracks rebuild
         counters; ``children`` only when the component has any.
         """
         payload: dict[str, object] = {
             "component": self.component,
             "epoch": self.epoch,
-            "shards": self.shards,
             "pruning": self.pruning,
             "caches": {entry.name: entry.as_info() for entry in self.caches},
             "pruning_counters": {
                 entry.name: entry.as_counters() for entry in self.pruning_counters
             },
+            "executor": self.executor.as_dict(),
         }
-        if self.executor is not None:
-            payload["executor"] = self.executor.as_dict()
         if self.storage is not None:
             payload["storage"] = self.storage.as_dict()
         if self.traversal is not None:

@@ -1,19 +1,16 @@
 """Backend-agnostic snapshot storage: codec, disk store, durable KG tier.
 
 The codec (:mod:`repro.storage.codec`) owns the snapshot segment format
-— header, manifest, 64-aligned array blobs, per-array CRC32 — and two
-backends put segments somewhere: the shared-memory registry in
-:mod:`repro.exec.shm` (worker fan-out within one serving host) and the
-mmap'd-file store in :mod:`repro.storage.diskstore` (durable,
-epoch-tagged snapshot files many serving processes share).  On top,
+— header, manifest, 64-aligned array blobs, per-array CRC32 — and the
+mmap'd-file store in :mod:`repro.storage.diskstore` puts segments on
+disk as durable, epoch-tagged snapshot files.  On top,
 :mod:`repro.storage.kgstore` serialises the knowledge graph and wires
 the pieces into ``PivotE.save(dir)`` / ``PivotE.load(dir)`` whole-system
 round-trips.
 
-``kgstore`` reaches back into the index/feature layers (which
-themselves import the exec tier, which imports this package's codec),
-so its names are re-exported lazily — import :mod:`repro.storage` never
-drags the engine stack in.
+``kgstore`` reaches back into the index/feature layers, so its names
+are re-exported lazily — import :mod:`repro.storage` never drags the
+engine stack in.
 """
 
 from .codec import (

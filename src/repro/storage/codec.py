@@ -1,14 +1,10 @@
 """The backend-agnostic snapshot segment codec.
 
-PR 7 invented an epoch-tagged serialisation format for columnar index
-snapshots — a compact JSON manifest followed by the raw array bytes —
-but welded it to ``multiprocessing.shared_memory`` inside
-``repro.exec.shm``.  This module lifts the codec out: everything about
-*bytes* lives here (alignment, header packing, array placement,
-checksums, decoding), while the storage backends — the shared-memory
-registry in :mod:`repro.exec.shm` and the mmap'd file store in
-:mod:`repro.storage.diskstore` — only decide *where* a segment's bytes
-live.
+An epoch-tagged serialisation format for snapshots: a compact JSON
+manifest followed by the raw array bytes.  Everything about *bytes*
+lives here (alignment, header packing, array placement, checksums,
+decoding); the mmap'd file store in :mod:`repro.storage.diskstore`
+only decides *where* a segment's bytes live.
 
 Layout of a snapshot segment (format version 2)::
 
@@ -19,23 +15,18 @@ Layout of a snapshot segment (format version 2)::
     [32:..)  UTF-8 JSON manifest
     [base:.) the arrays, each 64-byte aligned, offsets relative to base
 
-Version 1 was the PR 7 shared-memory layout (16-byte header, no magic,
-no checksums); it never touched disk, so nothing decodes it any more.
-Version 2 adds the magic + version preamble and a CRC32 per placed
+Version 1 (16-byte header, no magic, no checksums) never touched disk,
+so nothing decodes it any more.  Version 2 adds the magic + version preamble and a CRC32 per placed
 array: every array descriptor in the manifest is a
 ``[offset, dtype, shape, crc32]`` quadruple, and
 :meth:`SegmentView.verify_checksums` can prove a segment's array bytes
 intact before anything scores against them — the disk store does this
-eagerly on every attach (a file survives process restarts and can rot;
-a shared-memory segment cannot outlive its creator, so the hot
-worker-attach path skips the pass).
+eagerly on every attach (a file survives process restarts and can rot).
 
 The decoded read surface is :class:`SegmentView`: zero-copy numpy views
-over any buffer (a shared-memory mapping, an ``np.memmap``, plain
-``bytes``), presenting the subset of the
-:class:`~repro.index.columnar.ColumnarIndex` surface the traversal
-kernels consume plus the :class:`~repro.kg.topology.GraphTopology`
-reconstruction for topology segments.  Index segments (kind
+over any buffer (an ``np.memmap``, plain ``bytes``), string tables, and
+the :class:`~repro.kg.topology.GraphTopology` reconstruction for
+topology segments.  Index segments (kind
 ``"fielded-index"``) hold one posting CSR per field, so their manifest
 grows with the field count, not the vocabulary; they and feature-table
 segments are adopted by :mod:`repro.storage.kgstore`.
@@ -52,7 +43,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
     from ..kg.columns import LogColumns
-    from ..index.columnar import ColumnarIndex, ColumnarPostings
+    from ..index.columnar import ColumnarIndex
     from ..index.fielded_index import FieldedIndex
     from ..kg.topology import GraphTopology
 
@@ -81,10 +72,9 @@ class SegmentBuilder:
     arrays base, so the manifest can be encoded before the base is
     known) and returns its ``[offset, dtype, shape, crc32]`` descriptor;
     ``write_into`` encodes the header + manifest and copies every placed
-    array into a caller-provided buffer (a shared-memory mapping, a
-    file-backed mmap, a bytearray).  Shared by every snapshot kind and
-    every backend — this is the single home of the alignment / ceil-div
-    / header-packing logic the shm publish paths used to copy-paste.
+    array into a caller-provided buffer (a file-backed mmap, a
+    bytearray).  Shared by every snapshot kind: this is the single home
+    of the alignment / ceil-div / header-packing logic.
     """
 
     def __init__(self) -> None:
@@ -201,16 +191,12 @@ def iter_descriptors(node: object) -> Iterator[list[object]]:
 class SegmentView:
     """Zero-copy numpy views over one decoded snapshot segment.
 
-    Backend-agnostic: the constructor takes any buffer (shared-memory
-    mapping, ``np.memmap``, ``bytes``) plus the uid/epoch the caller
-    expects, and presents the subset of the
-    :class:`~repro.index.columnar.ColumnarIndex` surface the traversal
-    kernels consume — length columns, one term's slice of a field's
-    posting CSR, CRC-derived shard ownership — plus the same
-    ``memoised`` hook the BM25 scorers use for derived contribution
-    columns.  Graph-topology segments instead
-    rebuild their :class:`~repro.kg.topology.GraphTopology` via
-    :meth:`graph_topology` over the same zero-copy views.
+    Backend-agnostic: the constructor takes any buffer (``np.memmap``,
+    ``bytes``) plus the uid/epoch the caller expects, and presents the
+    placed arrays and string tables as read-only views.  Graph-topology
+    segments rebuild their :class:`~repro.kg.topology.GraphTopology` via
+    :meth:`graph_topology` over the same zero-copy views, and
+    graph-triples segments their column log via :meth:`graph_columns`.
     """
 
     def __init__(
@@ -254,14 +240,6 @@ class SegmentView:
         """The segment's payload kind (``""`` when the manifest names none)."""
         return str(self._manifest.get("kind", ""))
 
-    @property
-    def num_documents(self) -> int:
-        return int(self._manifest["num_documents"])
-
-    @property
-    def fields(self) -> list[str]:
-        return list(self._manifest["fields"])
-
     def array(self, desc: list[object]) -> np.ndarray:
         """Read-only zero-copy view of the array one descriptor places."""
         try:
@@ -284,10 +262,7 @@ class SegmentView:
 
         Raises :class:`SnapshotUnavailable` on the first mismatch (or on
         an array whose descriptor overruns the buffer — a truncated
-        segment).  The disk store runs this eagerly on attach; the
-        shared-memory attach path skips it (segments cannot outlive
-        their creating process, and the pass would cost a full read of
-        the mapping on the hot worker path).
+        segment).  The disk store runs this eagerly on attach.
         """
         for desc in iter_descriptors(self._manifest):
             array = self.array(desc)
@@ -323,36 +298,6 @@ class SegmentView:
         if (ends[-1] if ends else 0) != len(text):
             raise malformed
         return [text[start:end] for start, end in zip([0, *ends], ends)]
-
-    # ------------------------------------------------------------------ #
-    # Columnar-index surface
-    # ------------------------------------------------------------------ #
-    def field_lengths(self, field: str) -> np.ndarray:
-        return self.memoised(
-            ("lengths", field),
-            lambda: self.array(self._manifest["lengths"][field]).astype(np.float64),
-        )
-
-    def postings(self, field: str, term: str) -> "ColumnarPostings | None":
-        def build() -> "ColumnarPostings | None":
-            csr = self._manifest["postings"][field]
-            row_of = self.memoised(
-                ("rows", field),
-                lambda: {name: row for row, name in enumerate(self.strings(csr["terms"], field))},
-            )
-            row = row_of.get(term)
-            if row is None:
-                return None
-            offsets = self.memoised(("offsets", field), lambda: self.array(csr["offsets"]))
-            start, end = int(offsets[row]), int(offsets[row + 1])
-            from ..index.columnar import ColumnarPostings
-
-            return ColumnarPostings(
-                self.array(csr["ordinals"])[start:end],
-                self.array(csr["frequencies"])[start:end].astype(np.float64),
-            )
-
-        return self.memoised(("postings", field, term), build)
 
     def manifest_array(self, key: str) -> np.ndarray:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
@@ -425,17 +370,6 @@ class SegmentView:
                 f"snapshot {self._name!r} column log is malformed"
             ) from error
 
-    def shard_owners(self, num_shards: int) -> np.ndarray:
-        """Per-ordinal shard ownership, identical to ``shard_of`` routing."""
-
-        def build() -> np.ndarray:
-            if num_shards <= 1:
-                return np.zeros(self.num_documents, dtype=np.int64)
-            crcs = self.array(self._manifest["crcs"]).astype(np.int64)
-            return crcs % num_shards
-
-        return self.memoised(("owners", num_shards), build)
-
     def memoised(self, key: tuple[object, ...], compute):
         cached = self._derived.get(key)
         if cached is None and key not in self._derived:
@@ -472,20 +406,16 @@ INDEX_KIND = "fielded-index"
 def encode_index_snapshot(
     index: "FieldedIndex",
     view: "ColumnarIndex",
-    *,
-    include_doc_ids: bool = False,
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one index epoch into ``(manifest, builder)``.
 
     Each field becomes one CSR over document ordinals: its terms as a
     string table in ascending order, ``offsets`` into one int64
     ``ordinals`` column and one int64 ``frequencies`` column, plus its
-    int64 length column.  A per-document CRC column rides along, from
-    which any shard count's ownership map derives, and
-    ``include_doc_ids`` adds the document ids as a string table in
-    ordinal order — worker processes select by ordinal and never need
-    them, but the durable store does.  So the manifest holds O(fields)
-    descriptors whatever the vocabulary.  Nothing here decodes a posting
+    int64 length column.  The document ids follow as a string table in
+    ordinal order, with a per-document CRC column that guards them (see
+    :func:`repro.storage.kgstore.restore_fielded_index`).  So the
+    manifest holds O(fields) descriptors whatever the vocabulary.  Nothing here decodes a posting
     list: :meth:`~repro.index.inverted_index.InvertedIndex.posting_csr`
     renumbers an adopted field's stored rows as arrays.
     """
@@ -505,9 +435,8 @@ def encode_index_snapshot(
         "crcs": place(crcs),
         "lengths": {},
         "postings": {},
+        "doc_ids": place_strings(place, view.doc_ids),
     }
-    if include_doc_ids:
-        manifest["doc_ids"] = place_strings(place, view.doc_ids)
     for field in index.fields:
         terms, offsets, ordinals, frequencies = index.field_index(field).posting_csr(
             view.ordinal_of

@@ -1,7 +1,6 @@
 """The mmap'd-file snapshot store: durable, epoch-tagged segments.
 
-Same codec as the shared-memory tier, different home for the bytes: a
-snapshot directory holds one subdirectory per *role key* (stable
+A snapshot directory holds one subdirectory per *role key* (stable
 strings like ``"search-index"`` — index uids are process-local counters
 and mean nothing across restarts), each containing epoch-tagged segment
 files::
@@ -16,20 +15,18 @@ files::
 Every write is temp-then-rename, so readers never observe a torn file:
 a segment file appears fully written or not at all, and the
 ``MANIFEST.json`` pointer flips atomically to the new epoch.  Stale
-epochs of a key are garbage-collected after the pointer flip — the same
-replace-then-release discipline the shm registry applies, with the
+epochs of a key are garbage-collected after the pointer flip, with the
 uid/epoch embedded in each segment cross-checked against the manifest
 entry on attach.
 
 Attaching maps the file read-only (``np.memmap``) and decodes it with
-eager CRC verification — unlike a shared-memory segment, a file
-survives process restarts and can rot on disk, so the whole segment is
+eager CRC verification — a file survives process restarts and can rot
+on disk, so the whole segment is
 checksummed before anything scores against it (one sequential CRC32
 recorded in the manifest entry at publish; manifest entries without it
 fall back to the codec's per-array descriptor CRCs).  The resulting
-:class:`DiskSnapshot` is the codec's :class:`SegmentView`: the same
-zero-copy ``ColumnarIndex`` / ``ColumnarFeatureTables`` reconstruction
-surface the process workers use, now backed by the page cache.
+:class:`DiskSnapshot` is the codec's :class:`SegmentView`, backed by
+the page cache.
 """
 
 from __future__ import annotations
@@ -108,8 +105,7 @@ class DiskSnapshotStore:
 
     ``publish`` writes a new epoch's segment and flips the manifest
     pointer; ``attach`` maps and verifies the current epoch of a key.
-    Counters mirror the shm registry's so :class:`~repro.stats.StorageStats`
-    can report both backends uniformly.
+    The counters feed :class:`~repro.stats.StorageStats`.
     """
 
     def __init__(self, root: str) -> None:

@@ -125,7 +125,7 @@ def save_system(
         )
 
         view = columnar_view(index)
-        manifest, builder = encode_index_snapshot(index, view, include_doc_ids=True)
+        manifest, builder = encode_index_snapshot(index, view)
         store.publish(
             SEARCH_INDEX_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
@@ -280,8 +280,8 @@ def restore_fielded_index(view: SegmentView, fields: tuple[str, ...]) -> "Fielde
     columns off the arrays.  The CSRs are checked first (see
     :func:`_field_columns`), and so are the document ids — strictly
     ascending, since ordinal order must be doc-id order, as many as the
-    segment says, and each with its own CRC-32 in the ``crcs`` column
-    that the process tier's workers cut shards by.  Any violation, a
+    segment says, and each with its own CRC-32 in the ``crcs`` column.
+    Any violation, a
     configured field schema other than the stored one, or a segment in
     the old one-column-pair-per-term layout raises
     :class:`SnapshotUnavailable`, and the caller rebuilds.
@@ -390,8 +390,7 @@ def restore_feature_snapshot(
 def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "GraphTopology":
     """Rebuild a :class:`~repro.kg.topology.GraphTopology` from one segment.
 
-    Unlike the worker-side zero-copy attach, every array is *copied* out
-    of the (CRC-verified) view: the caller closes the backing memmap
+    Every array is *copied* out of the (CRC-verified) view: the caller closes the backing memmap
     right after the restore, and the topology outlives it as the graph's
     per-epoch memo.  The epoch cross-check mirrors
     :func:`restore_feature_snapshot` — a topology from another graph

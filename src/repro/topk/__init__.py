@@ -7,9 +7,8 @@ maintain a live threshold θ (the k-th best score lower bound seen so far)
 and skip any term, candidate or whole type group whose score *upper
 bound* cannot beat θ.  The building blocks are shared by both sides:
 
-* :func:`~repro.topk.heap.threshold_of` and
-  :class:`~repro.topk.heap.SharedThreshold` — θ over a snapshot of lower
-  bounds, and its cross-shard broadcast;
+* :func:`~repro.topk.heap.threshold_of` — θ over a snapshot of lower
+  bounds;
 * :class:`~repro.topk.stats.PruningStats` — ``cache_info()``-style skip
   counters reported by every pruned scorer;
 * :func:`~repro.topk.kernels.columnar_dense` /
@@ -33,8 +32,6 @@ rankings are byte-identical to exhaustive rankings by construction.
 
 from .heap import (
     NO_THRESHOLD,
-    SharedThreshold,
-    SharedThresholdSlot,
     safety_slack,
     threshold_of,
 )
@@ -59,8 +56,6 @@ __all__ = [
     "PruningStats",
     "RankerKernelInputs",
     "SELECTION_MARGIN",
-    "SharedThreshold",
-    "SharedThresholdSlot",
     "SparseKernelTerm",
     "accumulate_dense",
     "accumulate_rank",

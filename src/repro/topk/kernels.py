@@ -3,7 +3,7 @@
 Every threshold-pruned traversal of the system runs here.  Candidates
 live in numpy arrays — an accumulator column plus an alive mask — and
 every per-candidate step (θ derivation, OR→AND switch, evictions,
-cross-shard θ offers, pruning counters) is a vectorized operation.  Term
+pruning counters) is a vectorized operation.  Term
 inputs are precomputed *contribution columns*: the dense kernel's are
 aligned with its candidate array (built per query by
 :func:`repro.search.mlm.candidate_term_columns`) and added under the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heap import NO_THRESHOLD, SharedThresholdSlot, safety_slack
+from .heap import NO_THRESHOLD, safety_slack
 from .stats import PruningStats
 
 #: Extra survivors selected beyond k before the exact re-scoring pass.
@@ -56,7 +56,7 @@ class DenseKernelTerm:
     position ``i`` holds the term's exact contribution to the ``i``-th
     candidate (smoothing scores every candidate, so the column is dense
     over them), and one pass is a single masked add over the live
-    positions.  A shard slices it with the mask that cuts its candidates.
+    positions.
     """
 
     key: str
@@ -75,9 +75,7 @@ class SparseKernelTerm:
     """One query term of the sparse (BM25-family) kernel.
 
     ``ordinals``/``contributions`` are the term's posting column (exact
-    contribution per matching document, ascending ordinals).  Sharded
-    runs slice both per shard and keep ``upper`` global — a full-list
-    bound is sound for any subset.
+    contribution per matching document, ascending ordinals).
     """
 
     key: str
@@ -102,23 +100,6 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     if np.isnan(top).any():
         return NO_THRESHOLD
     return float(top[0])
-
-
-def _top_bounds(values: np.ndarray, k: int) -> list[float]:
-    """Up-to-``k`` largest values as witnesses for the θ broadcast.
-
-    Short results are kept (a shard with three candidates still
-    contributes three witnesses to the global pool) and NaNs are dropped
-    — a NaN is simply not a usable witness.
-    """
-    if k <= 0 or values.size == 0:
-        return []
-    if values.size > k:
-        top = np.partition(values, values.size - k)[values.size - k :]
-    else:
-        top = values
-    top = top[~np.isnan(top)]
-    return top.tolist()
 
 
 def select_survivor_ordinals(
@@ -151,7 +132,6 @@ def columnar_dense(
     top_k: int,
     stats: PruningStats,
     margin: int = SELECTION_MARGIN,
-    shared: SharedThresholdSlot | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Threshold-pruned dense traversal (smoothing language models).
 
@@ -163,12 +143,6 @@ def columnar_dense(
     cannot reach it are evicted before the next pass, and the remaining
     passes are skipped once at most ``top_k + margin`` candidates
     survive.  Returns the surviving ``(ordinals, partials)`` columns.
-
-    ``shared`` is this worker's slot on the cross-shard θ broadcast:
-    after each pass the worker offers its top-k partial-plus-floor bounds
-    and prunes with the k-th best over every shard's offer, or with the
-    broadcast's primed θ when that is tighter (see
-    :class:`~repro.topk.heap.SharedThreshold`).
     """
     stats.queries += 1
     stats.kernel_queries += 1
@@ -207,11 +181,7 @@ def columnar_dense(
         if rem_upper <= rem_floor:
             cut = NO_THRESHOLD
             continue
-        live = accumulators[alive]
-        if shared is not None:
-            total = shared.offer([bound + rem_floor for bound in _top_bounds(live, top_k)])
-        else:
-            total = _kth_largest(live, top_k) + rem_floor  # -inf stays -inf
+        total = _kth_largest(accumulators[alive], top_k) + rem_floor  # -inf stays -inf
         if total == NO_THRESHOLD:
             cut = NO_THRESHOLD
             continue
@@ -237,7 +207,6 @@ def columnar_sparse(
     top_k: int,
     stats: PruningStats,
     num_documents: int,
-    shared: SharedThresholdSlot | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Threshold-pruned sparse traversal (BM25-family scorers).
 
@@ -249,9 +218,8 @@ def columnar_sparse(
     the upper-bound sum of the unprocessed terms falls below θ, no *new*
     document can reach the top-k and the traversal switches to
     refinement — adding only where alive (the OR→AND switch).  Surviving
-    values are exact totals.  ``shared`` is this worker's slot on the
-    cross-shard θ broadcast (see :func:`columnar_dense`).  Returns the
-    surviving ``(ordinals, partials)`` columns.
+    values are exact totals.  Returns the surviving ``(ordinals,
+    partials)`` columns.
     """
     stats.queries += 1
     stats.kernel_queries += 1
@@ -272,8 +240,6 @@ def columnar_sparse(
     threshold = NO_THRESHOLD
     for position, index in enumerate(order):
         entry = entries[index]
-        if shared is not None and shared.value > threshold:
-            threshold = shared.value
         cut = (
             threshold - safety_slack(threshold)
             if threshold != NO_THRESHOLD
@@ -296,18 +262,11 @@ def columnar_sparse(
             alive[ordinals] = True
             alive_count += entered
             stats.candidates_total += entered
-        rem_upper = remaining_upper[position + 1]
-        refreshed = False
-        if shared is not None:
-            offered = shared.offer(_top_bounds(accumulators[alive], top_k))
-            if offered > threshold:
-                threshold = offered
-            refreshed = True
-        elif alive_count > top_k:
-            threshold = _kth_largest(accumulators[alive], top_k)
-            refreshed = True
-        if refreshed and threshold != NO_THRESHOLD and position + 1 < len(order):
-            cut = threshold - safety_slack(threshold) - rem_upper
+        if alive_count <= top_k:
+            continue
+        threshold = _kth_largest(accumulators[alive], top_k)
+        if threshold != NO_THRESHOLD and position + 1 < len(order):
+            cut = threshold - safety_slack(threshold) - remaining_upper[position + 1]
             doomed = alive & (accumulators < cut)
             evicted = int(np.count_nonzero(doomed))
             if evicted:

@@ -28,8 +28,7 @@ class PruningStats:
     ``rescored``           survivors re-scored exactly for the final
                            ranking (the price of byte-identical output);
     ``kernel_queries``     traversals served by a vectorized kernel
-                           (every pruned traversal, plus the shard
-                           workers' own counts when merged).
+                           (every pruned traversal).
     """
 
     __slots__ = (

@@ -5,8 +5,8 @@ two ways: the per-epoch memoisation (statistics, bounds, supports) warms
 on the first query and serves the rest, and *identical* queries inside
 one batch are computed once.  This helper implements the second part
 generically: canonicalise each request to a key, compute every distinct
-key once (in first-appearance order, so θ-priming and memo warm-up see
-the same sequence a serial caller would), and fan the shared results back
+key once (in first-appearance order, so memo warm-up sees the same
+sequence a serial caller would), and fan the shared results back
 out to the original positions.
 """
 

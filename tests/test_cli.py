@@ -163,7 +163,16 @@ class TestPruningFlags:
         assert build_config(None).search.pruning == "maxscore"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--pruning", "blockmax"), ("--columnar", "off"), ("--feature-chunk", "2")]
+        "flag, value",
+        [
+            ("--pruning", "blockmax"),
+            ("--columnar", "off"),
+            ("--feature-chunk", "2"),
+            ("--shards", "2"),
+            ("--executor", "thread"),
+            ("--workers", "2"),
+            ("--storage", "off"),
+        ],
     )
     def test_removed_execution_flags_are_rejected(self, flag, value):
         with pytest.raises(SystemExit):
@@ -203,39 +212,21 @@ class TestGraphTopologyFlag:
             build_parser().parse_args(["--graph-topology", "maybe", "search", "x"])
 
 
-class TestShardAndBatchFlags:
-    """The PR 5 ``--shards`` / ``search --batch`` operator surface."""
+class TestSnapshotAndBatchFlags:
+    """The ``--snapshot-dir`` / ``search --batch`` operator surface."""
 
     def run(self, *argv: str) -> int:
         return main(["--dataset", "movies-small", *argv])
 
-    @pytest.mark.parametrize("shards", ["1", "2", "4"])
-    def test_search_identical_across_shard_counts(self, shards, capsys):
-        assert self.run("--shards", shards, "search", "forrest gump", "--top-k", "3") == 0
-        out = capsys.readouterr().out
-        assert "Forrest Gump" in out
+    @staticmethod
+    def contents(directory) -> dict[str, bytes]:
+        return {
+            str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*"))
+            if path.is_file()
+        }
 
-    def test_execution_flags_configure_the_search_engine_only(self, capsys):
-        from repro.cli import build_config
-        from repro.config import RankingConfig
-
-        config = build_config(None, shards=3, executor="inline", workers=2)
-        assert config.search.shards == 3
-        assert (config.search.executor, config.search.workers) == ("inline", 2)
-        assert config.ranking == RankingConfig()
-        assert self.run("--shards", "3", "recommend", "dbr:Forrest_Gump") == 0
-        assert "entities:" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--shards", "3"),
-            ("--executor", "thread"),
-            ("--workers", "2"),
-            ("--storage", "off"),
-            ("--snapshot-dir", None),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value", [("--snapshot-dir", None)])
     def test_execution_flag_leaves_recommendations_unchanged(
         self, flag, value, tmp_path, capsys
     ):
@@ -246,9 +237,27 @@ class TestShardAndBatchFlags:
         assert self.run(flag, value, "recommend", "dbr:Forrest_Gump") == 0
         assert capsys.readouterr().out == expected
 
-    def test_invalid_shard_count_is_an_error(self, capsys):
-        assert self.run("--shards", "0", "search", "gump") == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [("search", "forrest gump"), ("recommend", "dbr:Forrest_Gump")])
+    def test_query_commands_never_write_the_snapshot_dir(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert self.run("--snapshot-dir", str(empty), *command) == 0
+        assert self.contents(empty) == {}
+
+        other = tmp_path / "other"
+        assert main(["--dataset", "academic", "save", str(other)]) == 0
+        saved = self.contents(other)
+        assert self.run("--snapshot-dir", str(other), *command) == 0
+        assert self.contents(other) == saved
+
+    def test_save_and_load_fall_back_to_the_snapshot_dir(self, tmp_path, capsys):
+        directory = str(tmp_path / "system")
+        assert self.run("--snapshot-dir", directory, "save") == 0
+        assert capsys.readouterr().out.startswith(f"saved {directory}:")
+        assert self.run("--snapshot-dir", directory, "load") == 0
+        assert capsys.readouterr().out.startswith(f"loaded {directory}:")
+        with pytest.raises(SystemExit, match="needs a directory"):
+            self.run("save")
 
     def test_batch_reads_one_query_per_line(self, tmp_path, capsys):
         batch = tmp_path / "queries.txt"
@@ -260,14 +269,16 @@ class TestShardAndBatchFlags:
         assert out.count("query: forrest gump") == 2
         assert "Forrest Gump" in out
 
-    def test_batch_with_shards_matches_serial_output(self, tmp_path, capsys):
+    def test_batch_matches_one_query_at_a_time(self, tmp_path, capsys):
         batch = tmp_path / "queries.txt"
         batch.write_text("forrest gump\ntom hanks\n")
         assert self.run("search", "--batch", str(batch), "--top-k", "3") == 0
-        serial_out = capsys.readouterr().out
-        assert self.run("--shards", "3", "search", "--batch", str(batch), "--top-k", "3") == 0
-        sharded_out = capsys.readouterr().out
-        assert sharded_out == serial_out
+        batched_out = capsys.readouterr().out
+        blocks = []
+        for query in ("forrest gump", "tom hanks"):
+            assert self.run("search", query, "--top-k", "3") == 0
+            blocks.append(f"query: {query}\n{capsys.readouterr().out}")
+        assert batched_out == "\n".join(blocks)
 
     def test_batch_empty_input(self, tmp_path, capsys):
         batch = tmp_path / "queries.txt"

@@ -3,7 +3,7 @@
 Every search scorer has exactly two forms: the columnar kernels
 (``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
 re-scoring epilogue, and ``search_exhaustive``.  For both pruning modes,
-every shard count and all four search scorers the kernel rankings must be
+both smoothings and all four search scorers the kernel rankings must be
 *exactly* the exhaustive rankings — same ids, same floats, same length.
 The suites here enforce that on the synthetic movie graph and, via
 hypothesis, on random KGs; the view tests pin the ordinal-table
@@ -19,11 +19,8 @@ from hypothesis import strategies as st
 
 from repro.config import PRUNING_MODES, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
-from repro.exec import shard_of
 from repro.index import columnar_view
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
-
-SHARD_COUNTS = (1, 2, 3, 5)
 
 QUERIES = (
     "forrest gump hanks",
@@ -49,15 +46,14 @@ def movie_graph():
 
 @pytest.fixture(scope="module")
 def engines(movie_graph):
-    """Lazily built engines per (pruning, shards, smoothing), module-shared."""
-    cache: dict[tuple[str, int, str], SearchEngine] = {}
+    """Lazily built engines per (pruning, smoothing), module-shared."""
+    cache: dict[tuple[str, str], SearchEngine] = {}
 
-    def get(pruning: str, shards: int, smoothing: str = "dirichlet") -> SearchEngine:
-        key = (pruning, shards, smoothing)
+    def get(pruning: str, smoothing: str = "dirichlet") -> SearchEngine:
+        key = (pruning, smoothing)
         if key not in cache:
             cache[key] = SearchEngine.from_graph(
-                movie_graph,
-                SearchConfig(pruning=pruning, shards=shards, smoothing=smoothing),
+                movie_graph, SearchConfig(pruning=pruning, smoothing=smoothing)
             )
         return cache[key]
 
@@ -65,22 +61,20 @@ def engines(movie_graph):
 
 
 class TestColumnarSearchEquivalence:
-    """All four scorers, both pruning modes, every shard count == exhaustive."""
+    """All four scorers, both pruning modes == exhaustive."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_engine_mlm_byte_identical(self, engines, pruning, shards):
-        engine = engines(pruning, shards)
-        reference = engines("off", 1).mlm_scorer
+    def test_engine_mlm_byte_identical(self, engines, pruning):
+        engine = engines(pruning)
+        reference = engines("off").mlm_scorer
         for query in QUERIES:
             expected = _signature(reference.search_exhaustive(parse_query(query)))
             assert _hit_signature(engine.search(query)) == expected
             assert _hit_signature(engine.search(query, top_k=3)) == expected[:3]
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_single_field_byte_identical(self, engines, pruning, shards):
-        scorer = engines(pruning, shards).single_field_scorer()
+    def test_single_field_byte_identical(self, engines, pruning):
+        scorer = engines(pruning).single_field_scorer()
         for query in QUERIES:
             parsed = parse_query(query)
             assert _signature(scorer.search(parsed, top_k=15)) == _signature(
@@ -88,14 +82,13 @@ class TestColumnarSearchEquivalence:
             )
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_bm25_and_bm25f_byte_identical(self, engines, pruning, shards):
-        base = engines("maxscore", 1)
+    def test_bm25_and_bm25f_byte_identical(self, engines, pruning):
+        base = engines("maxscore")
         index = base.index
         weights = base.config.field_weights
         for scorer in (
-            BM25FieldScorer(index, "names", pruning=pruning, shards=shards),
-            BM25FScorer(index, weights, pruning=pruning, shards=shards),
+            BM25FieldScorer(index, "names", pruning=pruning),
+            BM25FScorer(index, weights, pruning=pruning),
         ):
             for query in QUERIES:
                 parsed = parse_query(query)
@@ -107,30 +100,29 @@ class TestColumnarSearchEquivalence:
 SCORERS = ("mlm", "single_field", "bm25", "bm25f")
 
 
-def _scorer(engines, name: str, pruning: str, shards: int, smoothing: str = "dirichlet"):
-    """One of the four search scorers under the given execution knobs."""
-    engine = engines(pruning, shards, smoothing)
+def _scorer(engines, name: str, pruning: str, smoothing: str = "dirichlet"):
+    """One of the four search scorers under the given knobs."""
+    engine = engines(pruning, smoothing)
     if name == "mlm":
         return engine.mlm_scorer
     if name == "single_field":
         return engine.single_field_scorer()
     if name == "bm25":
-        return BM25FieldScorer(engine.index, "names", pruning=pruning, shards=shards)
-    return BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning, shards=shards)
+        return BM25FieldScorer(engine.index, "names", pruning=pruning)
+    return BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning)
 
 
 class TestColumnarSearchAcrossK:
     """The θ edge cases end to end: a one-slot heap, a two-slot heap, and
     ``k`` beyond the candidate pool (every candidate survives, nothing is
-    pruned), for every scorer, both pruning modes, serial and sharded."""
+    pruned), for every scorer and both pruning modes."""
 
-    @pytest.mark.parametrize("shards", (1, 3))
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("top_k", (1, 2, 1000))
-    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name, pruning, shards):
-        scorer = _scorer(engines, scorer_name, pruning, shards)
-        index = engines(pruning, shards).index
+    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name, pruning):
+        scorer = _scorer(engines, scorer_name, pruning)
+        index = engines(pruning).index
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=top_k))
@@ -151,18 +143,17 @@ QUERY_SHAPES = {
 class TestColumnarQueryShapes:
     """Query forms the kernels see as unusual term lists — a term scored
     several times, terms no document holds, field restrictions and
-    phrases — rank exactly as the reference, serial and sharded."""
+    phrases — rank exactly as the reference."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
     def test_kernels_equal_exhaustive(self, engines, shape, scorer_name, pruning):
         parsed = parse_query(QUERY_SHAPES[shape])
-        for shards in (1, 3):
-            scorer = _scorer(engines, scorer_name, pruning, shards)
-            assert _signature(scorer.search(parsed, top_k=15)) == _signature(
-                scorer.search_exhaustive(parsed, top_k=15)
-            )
+        scorer = _scorer(engines, scorer_name, pruning)
+        assert _signature(scorer.search(parsed, top_k=15)) == _signature(
+            scorer.search_exhaustive(parsed, top_k=15)
+        )
 
 
 class TestJelinekMercerEquivalence:
@@ -170,11 +161,10 @@ class TestJelinekMercerEquivalence:
     term columns, other bounds, the same exact rankings."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("scorer_name", ("mlm", "single_field"))
-    def test_kernels_equal_exhaustive(self, engines, scorer_name, shards, pruning):
-        scorer = _scorer(engines, scorer_name, pruning, shards, "jelinek-mercer")
-        dirichlet = _scorer(engines, scorer_name, pruning, shards)
+    def test_kernels_equal_exhaustive(self, engines, scorer_name, pruning):
+        scorer = _scorer(engines, scorer_name, pruning, "jelinek-mercer")
+        dirichlet = _scorer(engines, scorer_name, pruning)
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=15))
@@ -186,7 +176,7 @@ class TestColumnarViewInvariants:
     """The ordinal-table contracts the kernels rely on."""
 
     def test_ordinals_are_sorted_doc_id_order(self, engines):
-        index = engines("maxscore", 1).index
+        index = engines("maxscore").index
         view = columnar_view(index)
         assert view.doc_ids == sorted(index.documents())
         ordinals = view.ordinals_of(view.doc_ids)
@@ -194,11 +184,11 @@ class TestColumnarViewInvariants:
         assert view.ids_of(ordinals) == view.doc_ids
 
     def test_view_is_memoised_per_epoch(self, engines):
-        index = engines("maxscore", 1).index
+        index = engines("maxscore").index
         assert columnar_view(index) is columnar_view(index)
 
     def test_postings_match_scalar_postings(self, engines):
-        index = engines("maxscore", 1).index
+        index = engines("maxscore").index
         view = columnar_view(index)
         support = index.scoring_support()
         term = "forrest"
@@ -210,21 +200,13 @@ class TestColumnarViewInvariants:
             float(frequencies[doc_id]) for doc_id in sorted(frequencies)
         ]
 
-    def test_shard_map_matches_crc_routing(self, engines):
-        view = columnar_view(engines("maxscore", 1).index)
-        for num_shards in (2, 3, 5):
-            owners = view.shard_map(num_shards)
-            assert owners.tolist() == [
-                shard_of(doc_id, num_shards) for doc_id in view.doc_ids
-            ]
-
     def test_dense_intermediates_are_not_retained(self, movie_graph):
-        """Distinct searches leave at most ``fields + 2`` N-length arrays on the view.
+        """Distinct searches leave at most ``fields + 1`` N-length arrays on the view.
 
         The language-model columns are built per query over the
         candidates, so what the view keeps is bounded by the field
-        schema (one length column per field, plus slack for a shard map),
-        not by the number of distinct terms searched.
+        schema (one length column per field, plus slack), not by the
+        number of distinct terms searched.
         """
         engine = SearchEngine.from_graph(movie_graph, config=SearchConfig(result_cache_size=0))
         view = columnar_view(engine.index)
@@ -238,7 +220,7 @@ class TestColumnarViewInvariants:
                 for value in memo.values()
             )
 
-        bound = len(engine.index.fields) + 2
+        bound = len(engine.index.fields) + 1
         for count in (3, 12, len(terms)):
             for term in terms[:count]:
                 engine.search(term)
@@ -246,18 +228,17 @@ class TestColumnarViewInvariants:
 
 
 class TestColumnarEquivalenceProperty:
-    """Hypothesis: random KGs, random shard counts, both pruning modes."""
+    """Hypothesis: random KGs, both pruning modes."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=90),
-        shards=st.sampled_from(SHARD_COUNTS),
         pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_search_equals_exhaustive(self, kg_seed, num_entities, shards, pruning):
+    def test_search_equals_exhaustive(self, kg_seed, num_entities, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning, shards=shards))
+        engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
         entities = sorted(graph.entities())
         step = max(1, len(entities) // 3)
         for position in range(0, len(entities), step):
@@ -270,16 +251,15 @@ class TestColumnarEquivalenceProperty:
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=80),
-        shards=st.sampled_from(SHARD_COUNTS),
         pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_bm25_equals_exhaustive(self, kg_seed, num_entities, shards, pruning):
+    def test_bm25_equals_exhaustive(self, kg_seed, num_entities, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
         engine = SearchEngine.from_graph(graph)
         index = engine.index
         for scorer in (
-            BM25FieldScorer(index, "names", pruning=pruning, shards=shards),
-            BM25FScorer(index, engine.config.field_weights, pruning=pruning, shards=shards),
+            BM25FieldScorer(index, "names", pruning=pruning),
+            BM25FScorer(index, engine.config.field_weights, pruning=pruning),
         ):
             entities = sorted(graph.entities())
             step = max(1, len(entities) // 3)

@@ -15,7 +15,6 @@ import threading
 
 import numpy as np
 
-from repro.config import SearchConfig
 from repro.explore import RecommendationEngine
 from repro.features import SemanticFeatureIndex
 from repro.search import SearchEngine, parse_query
@@ -51,7 +50,7 @@ def _run_threads(workers, duration: float = 1.0):
 class TestConcurrentSearch:
     def test_readers_survive_engine_mutations(self, tiny_kg):
         graph = tiny_kg
-        engine = SearchEngine.from_graph(graph, SearchConfig(shards=2))
+        engine = SearchEngine.from_graph(graph)
         counter = [0]
         lock = threading.Lock()
 
@@ -88,7 +87,7 @@ class TestConcurrentSearch:
         # entities' documents too — add_entity's documented scope is one
         # entity) the engine agrees exactly with one built from scratch.
         engine.build()
-        fresh = SearchEngine.from_graph(graph, SearchConfig(shards=2))
+        fresh = SearchEngine.from_graph(graph)
         rebuilt = [(h.entity_id, h.score) for h in engine.search("fresh film")]
         scratch = [(h.entity_id, h.score) for h in fresh.search("fresh film")]
         assert rebuilt == scratch

@@ -44,6 +44,17 @@ class TestSearchConfig:
             SearchConfig(top_k=0)
         with pytest.raises(ValueError):
             SearchConfig(field_weights={"names": 1.0})  # missing other fields
+        # Values that would make every score NaN, or demote a field below
+        # nothing, and a document with no fields at all.
+        for mu in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="dirichlet_mu"):
+                SearchConfig(dirichlet_mu=mu)
+        for weight in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="field weights"):
+                SearchConfig(field_weights={**DEFAULT_FIELD_WEIGHTS, "names": weight})
+        with pytest.raises(ValueError, match="at least one field"):
+            SearchConfig(fields=())
+        assert SearchConfig(field_weights={**DEFAULT_FIELD_WEIGHTS, "names": 0.0})
 
     def test_with_override(self):
         config = SearchConfig().with_(top_k=5)
@@ -51,9 +62,10 @@ class TestSearchConfig:
         assert SearchConfig().top_k == 20
 
     def test_removed_knobs_are_rejected(self):
-        """One search path: no columnar switch, no search-side topology knob,
-        and ``pruning`` is ``off`` or ``maxscore``."""
-        assert len(dataclasses.fields(SearchConfig)) == 13
+        """One serial search path: no columnar switch, no search-side
+        topology knob, no execution tier, and ``pruning`` is ``off`` or
+        ``maxscore``."""
+        assert len(dataclasses.fields(SearchConfig)) == 8
         for knob in ("columnar", "graph_topology"):
             assert knob not in {field.name for field in dataclasses.fields(SearchConfig)}
         with pytest.raises(TypeError):
@@ -101,23 +113,24 @@ class TestRankingConfig:
         with pytest.raises(TypeError):
             RankingConfig(shards=2)
 
-    @pytest.mark.parametrize(
-        "knob, value",
-        [
-            ("shards", 2),
-            ("executor", "process"),
-            ("workers", 2),
-            ("storage", "off"),
-            ("snapshot_dir", "snapshots"),
-        ],
-    )
-    def test_search_knob_is_rejected(self, knob, value):
-        with pytest.raises(TypeError):
-            RankingConfig(**{knob: value})
-        with pytest.raises(TypeError):
-            RankingConfig().with_(**{knob: value})
-        # The same knob still configures the search engine.
-        assert getattr(SearchConfig(**{knob: value}), knob) == value
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("shards", 2),
+        ("executor", "process"),
+        ("workers", 2),
+        ("storage", "off"),
+        ("snapshot_dir", "snapshots"),
+    ],
+)
+@pytest.mark.parametrize("config", [SearchConfig, RankingConfig])
+def test_removed_execution_knob_is_rejected(config, knob, value):
+    """No config carries a shard, executor or snapshot-storage knob."""
+    with pytest.raises(TypeError):
+        config(**{knob: value})
+    with pytest.raises(TypeError):
+        config().with_(**{knob: value})
 
 
 class TestHeatmapConfig:
@@ -158,17 +171,3 @@ class TestExceptionHierarchy:
         error = EntityNotFoundError("dbr:X")
         assert error.entity_id == "dbr:X"
         assert "dbr:X" in str(error)
-
-
-class TestShardConfig:
-    """The PR 5 ``shards`` knob of the search configuration."""
-
-    def test_default_is_single_shard(self):
-        assert SearchConfig().shards == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(shards=0)
-
-    def test_with_override(self):
-        assert SearchConfig().with_(shards=4).shards == 4

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PivotEConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, small_movie_kg
 from repro.engine import PivotE, PivotEApi
 from repro.features import SemanticFeature, SemanticFeatureIndex
@@ -252,7 +251,6 @@ DATASETS = {
     "academic": small_academic_kg,
     "random": lambda: build_random_kg(RandomKGConfig(num_entities=200, seed=23)),
 }
-SHARDED = PivotEConfig(search=SearchConfig(shards=2))
 
 
 @pytest.fixture(scope="module", params=sorted(DATASETS))
@@ -323,8 +321,7 @@ class TestLoadedSystem:
             (record,) = caplog.records  # one hydration, and the record names what asked for it
             assert record.getMessage().endswith("first needed by outgoing")
 
-    @pytest.mark.parametrize("config", [None, SHARDED], ids=["default", "sharded"])
-    def test_recommendation_requests_decode_no_feature_row(self, saved, config):
+    def test_recommendation_requests_decode_no_feature_row(self, saved):
         """select → pin → pivot run on the decoded tables' arrays: the same
         answers as the saving system's, and not one holder or feature row
         turned into a frozenset (``explain`` and an extra pinned feature
@@ -348,7 +345,7 @@ class TestLoadedSystem:
             assert all(answer["status"] == "ok" for answer in answers)
             return answers
 
-        with PivotE(graph, config=config) as built, PivotE.load(directory, config=config) as loaded:
+        with PivotE(graph) as built, PivotE.load(directory) as loaded:
             assert session(loaded) == session(built)
             storage = loaded.stats().storage
             assert storage.feature_rows_decoded == 0 and not storage.graph_hydrated
@@ -362,10 +359,9 @@ class TestLoadedSystem:
         for key in ("graph-triples", "graph-topology"):  # the other two embed process-local uids
             assert snap_bytes(str(tmp_path / "again"), key) == snap_bytes(directory, key), key
 
-    @pytest.mark.parametrize("config", [None, SHARDED], ids=["default", "sharded"])
-    def test_save_load_write_read_equals_fresh_build(self, saved, config):
+    def test_save_load_write_read_equals_fresh_build(self, saved):
         graph, directory = saved
-        with PivotE.load(directory, config=config) as loaded, PivotE(graph.copy(), config=config) as fresh:
+        with PivotE.load(directory) as loaded, PivotE(graph.copy()) as fresh:
             answers = []
             for system in (loaded, fresh):
                 anchors = sorted(system.graph.entities())[:3]

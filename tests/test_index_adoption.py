@@ -4,8 +4,8 @@
 posting CSR per field (a term string table, offsets, one ordinal and one
 frequency column, a length column) over one document-id table.  Here an
 adopted index is compared with an in-RAM build structure by structure —
-vocabularies, postings, lengths, statistics, columnar arrays, shard
-routing — at load, after a copy-on-write write, and after a re-save and
+vocabularies, postings, lengths, statistics, columnar arrays — at
+load, after a copy-on-write write, and after a re-save and
 reload; every check the restore makes of a checksummed CSR gets a
 hand-built segment that fails exactly that check; and the lazy boundary
 (how many posting lists a request decodes) is pinned.
@@ -23,7 +23,6 @@ import pytest
 
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
-from repro.exec.sharding import shard_of
 from repro.index import columnar_view
 from repro.search import SearchEngine
 from repro.storage import (
@@ -52,7 +51,7 @@ def segment_bytes(manifest: dict, builder: SegmentBuilder) -> bytes:
 
 def saved(index) -> bytes:
     """One index epoch as the bytes of a durable ``search-index`` segment."""
-    return segment_bytes(*encode_index_snapshot(index, columnar_view(index), include_doc_ids=True))
+    return segment_bytes(*encode_index_snapshot(index, columnar_view(index)))
 
 
 def adopted(segment: bytes, fields):
@@ -70,7 +69,6 @@ def assert_same_index(adopted_index, built) -> None:
     assert adopted_index.statistics() == built.statistics()
     got, want = columnar_view(adopted_index), columnar_view(built)
     assert got.doc_ids == want.doc_ids
-    assert_same_arrays(got.shard_map(3), want.shard_map(3))
     for field in built.fields:
         assert_same_arrays(got.field_lengths(field), want.field_lengths(field))
         for term in sorted(built.field_index(field).vocabulary()) + ["no-such-term"]:
@@ -161,16 +159,6 @@ class TestAdoptedIndexStructure:
         assert_same_index(
             adopted(rewritten, built.fields), built.with_added_document(doc_id, terms)
         )
-
-    def test_stored_crcs_cut_shards_like_the_view(self, built_engine):
-        """The process tier's workers cut shards by the stored CRC column."""
-        built = built_engine.index
-        segment = saved(built)
-        index = adopted(segment, built.fields)
-        for num_shards in (1, 2, 3, 5):
-            owners = SegmentView(segment).shard_owners(num_shards)
-            assert owners.tolist() == [shard_of(doc, num_shards) for doc in columnar_view(index).doc_ids]
-            assert_same_arrays(owners, columnar_view(index).shard_map(num_shards))
 
 
 # ---------------------------------------------------------------------- #
@@ -308,7 +296,7 @@ def test_a_refused_index_segment_degrades_to_a_counted_rebuild(tmp_path):
         expected = [[(hit.entity_id, hit.score) for hit in system.search(q)] for q in queries]
         system.save(str(tmp_path))
         index = system.search_engine.index
-        manifest, builder = encode_index_snapshot(index, columnar_view(index), include_doc_ids=True)
+        manifest, builder = encode_index_snapshot(index, columnar_view(index))
     # Re-placed array by array, so every checksum holds — but one posting
     # of "names" now occurs zero times.
     view = SegmentView(segment_bytes(manifest, builder), verify=True)

@@ -7,11 +7,12 @@ byte.  These tests pin the structural invariants (offset monotonicity,
 row sort order, interval nesting, subtree-union == member-set), prove
 kernel equivalence on fixed and hypothesis-generated random graphs,
 exercise the per-epoch memo (cache hits, stale-epoch rebuilds after
-mutation) and round-trip the arrays through the PR 9 segment codec both
-in RAM and via an actual shared-memory publish → attach cycle.
+mutation) and round-trip the arrays through the segment codec.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import RandomKGConfig, build_random_kg
-from repro.index.fielded_index import next_index_uid
 from repro.kg import (
     GraphTopology,
     KnowledgeGraph,
@@ -272,13 +272,11 @@ class TestMemoAndCounters:
 
 
 # --------------------------------------------------------------------------- #
-# Segment codec round-trips (RAM + shared memory)
+# Segment codec round-trips
 # --------------------------------------------------------------------------- #
 def _encode_to_buffer(topology, uid=7):
-    from repro.exec import SnapshotSource
-
     manifest, builder = encode_graph_topology(
-        SnapshotSource(uid=uid, epoch=topology.epoch), topology
+        SimpleNamespace(uid=uid, epoch=topology.epoch), topology
     )
     encoded = SegmentBuilder.encode_manifest(manifest)
     total, _ = builder.total_size(encoded)
@@ -320,37 +318,6 @@ class TestSegmentRoundTrip:
         buf[arrays_base] ^= 0xFF
         with pytest.raises(SnapshotUnavailable, match="checksum"):
             SegmentView(buf, name="unit", verify=True)
-
-    def test_shared_memory_publish_attach_round_trip(self, random_graph, topology):
-        """The real worker path: registry publish → AttachedSnapshot →
-        zero-copy kernels over the shm arrays."""
-        from repro.exec import snapshot_registry
-        from repro.exec.shm import AttachedSnapshot, SnapshotSource, publish_graph_topology
-
-        registry = snapshot_registry()
-        source = SnapshotSource(uid=next_index_uid(), epoch=random_graph.epoch)
-        published = registry.publish(source, topology, builder=publish_graph_topology)
-        assert published is not None
-        try:
-            attached = AttachedSnapshot(
-                published.name,
-                expected_uid=source.uid,
-                expected_epoch=source.epoch,
-            )
-            try:
-                remote = attached.graph_topology()
-                probe = topology.ordinal_of[_probes(random_graph, count=1)[0]]
-                reached_a, _ = topology.bfs_reachable_ords(probe, 2)
-                reached_b, _ = remote.bfs_reachable_ords(probe, 2)
-                assert np.array_equal(reached_a, reached_b)
-                anchors_a = topology.connecting_ords(probe, (probe + 1) % topology.num_entities)
-                anchors_b = remote.connecting_ords(probe, (probe + 1) % topology.num_entities)
-                for ours, theirs in zip(anchors_a, anchors_b):
-                    assert np.array_equal(ours, theirs)
-            finally:
-                attached.close()
-        finally:
-            registry.release(source.uid)
 
     def test_from_arrays_matches_from_graph(self, topology):
         clone = GraphTopology.from_arrays(

@@ -237,10 +237,10 @@ class TestMaxscorePruningEquivalence:
         assert bm25_info["queries"] == 1
         assert bm25_info["terms_skipped"] + bm25_info["candidates_pruned"] > 0
 
-    def test_sharded_theta_priming_prunes(self):
-        """The subset-pool θ prime hands every shard a near-final θ."""
+    def test_two_term_queries_prune(self):
+        """A rare label term tightens θ enough to evict the smoothing floor."""
         graph = build_random_kg(RandomKGConfig(num_entities=500, seed=42))
-        engine = SearchEngine.from_graph(graph, config=SearchConfig(shards=3))
+        engine = SearchEngine.from_graph(graph)
         entities = sorted(graph.entities())
         for entity_id in entities[:6]:
             query = parse_query(graph.label(entities[0]) + " " + graph.label(entity_id))

@@ -87,12 +87,11 @@ class TestWinnersBreakdown:
     """``search`` returns ``score_document``'s scores and ``term_scores``, bitwise."""
 
     @pytest.mark.parametrize("smoothing", ["dirichlet", "jelinek-mercer"])
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("pruning", ["off", "maxscore"])
     @pytest.mark.parametrize("kind", ["mlm", "single-field"])
-    def test_equals_score_document(self, systems, smoothing, shards, pruning, kind):
+    def test_equals_score_document(self, systems, smoothing, pruning, kind):
         index = systems["built"].search_engine.index
-        config = SearchConfig(smoothing=smoothing, shards=shards, pruning=pruning)
+        config = SearchConfig(smoothing=smoothing, pruning=pruning)
         if kind == "mlm":
             scorer = MixtureLanguageModelScorer(index, config)
         else:

@@ -13,6 +13,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -63,9 +66,7 @@ class TestRecordTypes:
             stats.hits = 99  # type: ignore[misc]
 
     def test_engine_stats_lookups_raise_key_error(self):
-        stats = EngineStats(
-            component="search", epoch=0, shards=1, pruning="maxscore"
-        )
+        stats = EngineStats(component="search", epoch=0, pruning="maxscore")
         with pytest.raises(KeyError):
             stats.cache("results")
         with pytest.raises(KeyError):
@@ -86,9 +87,9 @@ class TestSearchEngineStats:
         stats = engine.stats()
         assert stats.component == "search"
         assert stats.pruning == "maxscore"
-        assert stats.shards == 1
         payload = stats.as_dict()
         assert "columnar" not in payload
+        assert "shards" not in payload
         assert "blocks_total" not in payload["pruning_counters"]["mlm"]
         assert stats.children == ()
         assert [cache.name for cache in stats.caches] == ["results"]
@@ -171,11 +172,25 @@ class TestSystemStats:
         assert payload["rebuilds"] == system.feature_index.rebuild_info()
 
     def test_recommendation_runs_inline(self, system):
-        """A recommendation has no executor tier: the record the e2e
-        benchmark reads says inline, with no tasks."""
-        executor = system.stats().as_dict()["children"]["recommendation"]["executor"]
-        assert (executor["mode"], executor["effective"]) == ("inline", "inline")
-        assert executor["tasks_dispatched"] == executor["tasks_inlined"] == 0
+        """Neither engine has an executor tier: the record the e2e
+        benchmark reads says inline, with no tasks, on both children."""
+        children = system.stats().as_dict()["children"]
+        executor = children["recommendation"]["executor"]
+        assert executor == {"mode": "inline", "tasks_dispatched": 0, "tasks_inlined": 0}
+        assert children["search"]["executor"] == executor
+
+    def test_import_loads_no_worker_machinery(self):
+        """Everything runs on the calling thread, so importing the package
+        pulls in neither process pools nor thread pools."""
+        script = (
+            "import sys, repro; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestStageStats:

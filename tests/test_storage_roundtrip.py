@@ -1,16 +1,13 @@
 """Disk round-trip equivalence: cold-started systems vs in-RAM builds.
 
-The PR 9 contract extends the executor-equivalence invariant to the
-durable tier: a system cold-started from ``PivotE.save(dir)`` via
-``PivotE.load(dir)`` must produce *byte-identical* search and
-recommendation rankings to the in-RAM build it was saved from — across
-all four search scorers, every pruning mode, shard counts 1–3 and every
-executor.  A corrupted or missing component must degrade to rebuilding
-exactly that component from the (sound) adopted graph, with the same
-rankings and a counted failure; a corrupt graph segment fails the whole load.
-Also here: the snapshot-registry lifecycle regressions (double close,
-rebuild after close, atexit hook under registry replacement) and the
-``storage`` knob's "off"/"disk" behaviours.
+A system cold-started from ``PivotE.save(dir)`` via ``PivotE.load(dir)``
+must produce *byte-identical* search and recommendation rankings to the
+in-RAM build it was saved from — across all four search scorers and
+every pruning mode.  A corrupted or missing component must degrade to
+rebuilding exactly that component from the (sound) adopted graph, with
+the same rankings and a counted failure; a corrupt graph segment fails
+the whole load.  Also here: the close lifecycle (double close, rebuild
+after close).
 """
 
 from __future__ import annotations
@@ -28,14 +25,10 @@ import repro
 from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
-from repro.exec import snapshot_registry
 from repro.kg import bfs_reachable
 from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
 from repro.storage import SnapshotUnavailable
 
-EXECUTORS = ("inline", "thread", "process")
-SHARD_COUNTS = (1, 2, 3)
-WORKERS = 2
 
 
 def _signature(results) -> list[tuple[str, float]]:
@@ -59,17 +52,9 @@ def _queries(graph, count: int = 5) -> list[str]:
     return queries
 
 
-def _system_config(
-    pruning="maxscore", shards=1, executor="auto", workers=0, smoothing="dirichlet"
-):
+def _system_config(pruning="maxscore", smoothing="dirichlet"):
     return PivotEConfig(
-        search=SearchConfig(
-            pruning=pruning,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-            smoothing=smoothing,
-        ),
+        search=SearchConfig(pruning=pruning, smoothing=smoothing),
         ranking=RankingConfig(pruning=pruning),
     )
 
@@ -157,21 +142,12 @@ def _load_clean(directory, config=None) -> PivotE:
 
 
 class TestColdStartEquivalence:
-    """Loaded systems vs in-RAM builds: the full executor matrix."""
+    """Loaded systems vs in-RAM builds, under both pruning modes."""
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_engine_mlm_byte_identical(
-        self, saved_dir, serial_baselines, pruning, executor, shards
-    ):
+    def test_engine_mlm_byte_identical(self, saved_dir, serial_baselines, pruning):
         queries, search_base, _ = serial_baselines
-        system = _load_clean(
-            saved_dir,
-            _system_config(
-                pruning=pruning, shards=shards, executor=executor, workers=WORKERS
-            ),
-        )
+        system = _load_clean(saved_dir, _system_config(pruning=pruning))
         try:
             for query in queries:
                 assert _hit_signature(system.search(query)) == search_base[pruning][query]
@@ -179,36 +155,16 @@ class TestColdStartEquivalence:
             system.close()
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_baseline_scorers_byte_identical(
-        self, saved_dir, serial_baselines, scorer_baselines, pruning, executor
+        self, saved_dir, serial_baselines, scorer_baselines, pruning
     ):
         """The other three scorers, driven off the *restored* index."""
         queries, _, _ = serial_baselines
-        system = _load_clean(
-            saved_dir,
-            _system_config(
-                pruning=pruning, shards=3, executor=executor, workers=WORKERS
-            ),
-        )
+        system = _load_clean(saved_dir, _system_config(pruning=pruning))
         try:
             engine = system.search_engine
-            bm25 = BM25FieldScorer(
-                engine.index,
-                "names",
-                pruning=pruning,
-                shards=3,
-                executor=executor,
-                workers=WORKERS,
-            )
-            bm25f = BM25FScorer(
-                engine.index,
-                engine.config.field_weights,
-                pruning=pruning,
-                shards=3,
-                executor=executor,
-                workers=WORKERS,
-            )
+            bm25 = BM25FieldScorer(engine.index, "names", pruning=pruning)
+            bm25f = BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning)
             single = engine.single_field_scorer()
             for query in queries:
                 parsed = parse_query(query)
@@ -222,21 +178,13 @@ class TestColdStartEquivalence:
             system.close()
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_recommendation_byte_identical(
-        self, saved_dir, serial_baselines, seeds, pruning, executor, shards
+        self, saved_dir, serial_baselines, seeds, pruning
     ):
-        """The execution knobs configure only the restored search engine;
-        with its workers live, the recommender still answers exactly as
-        the in-RAM build does."""
+        """After a search on the restored engine, the recommender answers
+        exactly as the in-RAM build does."""
         queries, _, recommend_base = serial_baselines
-        system = _load_clean(
-            saved_dir,
-            _system_config(
-                pruning=pruning, shards=shards, executor=executor, workers=WORKERS
-            ),
-        )
+        system = _load_clean(saved_dir, _system_config(pruning=pruning))
         try:
             system.search(queries[0])
             expected_entities, expected_features = recommend_base[pruning]
@@ -249,21 +197,14 @@ class TestColdStartEquivalence:
             system.close()
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_smoothing_is_applied_at_load(
-        self, saved_dir, random_graph, serial_baselines, pruning, executor
+        self, saved_dir, random_graph, serial_baselines, pruning
     ):
         """The snapshot stores counts, not a smoothing: a directory saved
         under Dirichlet loads into a Jelinek–Mercer engine that ranks
         exactly as the in-RAM Jelinek–Mercer build."""
         queries, search_base, _ = serial_baselines
-        config = _system_config(
-            pruning=pruning,
-            shards=2,
-            executor=executor,
-            workers=WORKERS,
-            smoothing="jelinek-mercer",
-        )
+        config = _system_config(pruning=pruning, smoothing="jelinek-mercer")
         fresh = PivotE(random_graph, config=config)
         system = _load_clean(saved_dir, config)
         try:
@@ -669,115 +610,16 @@ class TestTopologyAttach:
             system.close()
 
 
-class TestRegistryLifecycle:
-    """Satellite: close-ordering regressions of the snapshot registry."""
+class TestCloseLifecycle:
+    """Close ordering: ``close`` is idempotent and leaves the engines usable."""
 
     def test_double_close_and_rebuild_after_close(self, random_graph):
-        system = PivotE(
-            random_graph,
-            config=_system_config(shards=2, executor="process", workers=WORKERS),
-        )
+        system = PivotE(random_graph)
         query = _queries(random_graph, count=1)[0]
         expected = _hit_signature(system.search(query))
         system.close()
         system.close()  # second close must be a no-op, not an error
-        # The engines stay usable after close: the next process-tier
-        # query simply republishes its snapshot segment.
         assert _hit_signature(system.search(query)) == expected
         system.search_engine.build()  # rebuild after close
         assert _hit_signature(system.search(query)) == expected
         system.close()
-
-    def test_engine_close_is_idempotent_under_registry_replacement(
-        self, random_graph
-    ):
-        from repro.exec import shm
-
-        engine = SearchEngine.from_graph(
-            random_graph,
-            SearchConfig(shards=2, executor="process", workers=WORKERS),
-        )
-        engine.search(_queries(random_graph, count=1)[0])
-        original = shm._REGISTRY
-        try:
-            shm._REGISTRY = shm.SnapshotRegistry()
-            engine.close()  # old registry's segment stays; new one is empty
-            engine.close()
-        finally:
-            replacement = shm._REGISTRY
-            shm._REGISTRY = original
-            replacement.release()
-        engine.close()  # now actually releases against the original registry
-
-    def test_atexit_hook_reads_current_registry(self):
-        from repro.exec import shm
-
-        original = shm._REGISTRY
-        try:
-            shm._REGISTRY = shm.SnapshotRegistry()
-            shm._release_registry_at_exit()  # releases the *current* registry
-            shm._release_registry_at_exit()  # and is idempotent
-            assert shm._REGISTRY.active() == 0
-        finally:
-            shm._REGISTRY = original
-
-
-class TestStorageKnobs:
-    def test_storage_off_publishes_nothing(self, random_graph):
-        registry = snapshot_registry()
-        serial = SearchEngine.from_graph(random_graph)
-        engine = SearchEngine.from_graph(
-            random_graph,
-            SearchConfig(
-                shards=2, executor="process", workers=WORKERS, storage="off"
-            ),
-        )
-        before = registry.publishes
-        try:
-            for query in _queries(random_graph, count=3):
-                assert _hit_signature(engine.search(query)) == _hit_signature(
-                    serial.search(query)
-                )
-            assert registry.publishes == before
-            record = engine.stats().storage
-            assert record is not None
-            assert record.backend == "off"
-            assert record.publishes == 0
-        finally:
-            engine.close()
-            serial.close()
-
-    def test_storage_disk_build_publishes_epoch(self, random_graph, tmp_path):
-        engine = SearchEngine.from_graph(
-            random_graph,
-            SearchConfig(storage="disk", snapshot_dir=str(tmp_path)),
-        )
-        try:
-            record = engine.stats().storage
-            assert record is not None
-            assert record.backend == "disk"
-            assert record.publishes == 1
-            assert record.published_bytes > 0
-            assert record.failures == 0
-            manifest_path = tmp_path / "store" / "MANIFEST.json"
-            manifest = json.loads(manifest_path.read_text())
-            assert manifest["search-index"]["epoch"] == engine.index.epoch
-            # A rebuild publishes the successor epoch and GCs the old file.
-            engine.build()
-            manifest = json.loads(manifest_path.read_text())
-            assert manifest["search-index"]["epoch"] == engine.index.epoch
-            snaps = [
-                name
-                for name in os.listdir(tmp_path / "store" / "search-index")
-                if name.endswith(".snap")
-            ]
-            assert len(snaps) == 1
-            assert engine.stats().storage.publishes == 2
-        finally:
-            engine.close()
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="snapshot_dir"):
-            SearchConfig(storage="disk")
-        with pytest.raises(ValueError, match="storage"):
-            SearchConfig(storage="bogus")
