@@ -27,9 +27,10 @@ division and ``max(·, eps)`` floor as
 ``FeatureProbabilityModel.probability`` applies to a non-holder.
 
 Tables are built once per pinned :class:`FeatureIndexSnapshot` (memoised
-on the snapshot itself) or decoded from a saved feature-table segment on
-a cold start; the per-query kernel inputs are assembled by
-:func:`build_ranker_inputs`.
+on the snapshot itself) — derived from the previous snapshot's tables
+when it built them, sorted out of the column log otherwise — or decoded
+from a saved feature-table segment on a cold start; the per-query kernel
+inputs are assembled by :func:`build_ranker_inputs`.
 
 The tables are also what a recommendation request *runs on*: the seeds'
 feature rows (:meth:`~ColumnarFeatureTables.feature_rows`), the candidate
@@ -50,8 +51,18 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..kg.columns import csr_gather, csr_offsets, isin_sorted, sort_rows, unique_inverse
+from ..kg.columns import (
+    EpochColumns,
+    csr_gather,
+    csr_merge,
+    csr_offsets,
+    isin_sorted,
+    sort_rows,
+    sorted_unique,
+    unique_inverse,
+)
 from ..topk.kernels import RankerKernelInputs
+from ..utils.ordinals import OrdinalMap
 from .semantic_feature import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,7 +84,8 @@ class ColumnarFeatureTables:
     """Per-epoch array tables of one feature-index snapshot.
 
     ``entity_ids`` / ``ordinal_of`` map between entity identifiers and
-    ordinals; everything else is in ordinal space.
+    ordinals (an :class:`~repro.utils.ordinals.OrdinalMap`); everything
+    else is in ordinal space.
 
     A feature's ordinal is its rank in ``SemanticFeature`` sort order.
     Sort-built tables address it through ``feature_codes`` — the sorted
@@ -92,7 +104,7 @@ class ColumnarFeatureTables:
         "ordinal_of",
         "feature_codes",
         "predicates",
-        "_predicate_ord",
+        "_code_offsets",
         "_feature_keys",
         "holder_offsets",
         "holder_ordinals",
@@ -102,6 +114,7 @@ class ColumnarFeatureTables:
         "member_offsets",
         "member_type_ords",
         "_held",
+        "_columns",
     )
 
     def __init__(
@@ -114,7 +127,7 @@ class ColumnarFeatureTables:
         member_offsets: np.ndarray,
         member_type_ords: np.ndarray,
         entity_ids: list[str] | None = None,
-        ordinal_of: dict[str, int] | None = None,
+        ordinal_of: OrdinalMap | None = None,
         feature_keys: list[FeatureKey] | None = None,
         feature_codes: np.ndarray | None = None,
         predicates: list[str] | None = None,
@@ -123,14 +136,20 @@ class ColumnarFeatureTables:
         self.num_entities = int(dominant_ords.size)
         self.entity_ids = entity_ids
         if ordinal_of is None and entity_ids is not None:
-            ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
+            ordinal_of = OrdinalMap(entity_ids)
         self.ordinal_of = ordinal_of
         self.feature_codes = feature_codes
         self.predicates = predicates
-        self._predicate_ord = (
+        #: ``(predicate, direction) → 2 · predicate ordinal + direction``,
+        #: the part of a feature code below its anchor.
+        self._code_offsets = (
             None
             if predicates is None
-            else {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
+            else {
+                (predicate, direction): 2 * ordinal + code
+                for ordinal, predicate in enumerate(predicates)
+                for direction, code in _DIRECTION_CODE.items()
+            }
         )
         self._feature_keys = feature_keys
         self.holder_offsets = holder_offsets
@@ -143,12 +162,17 @@ class ColumnarFeatureTables:
         #: ``(offsets, feature ordinals)``: the holder CSR turned around,
         #: built by the first :meth:`held` call.
         self._held: tuple[np.ndarray, np.ndarray] | None = None
+        #: The log epoch sort-built tables came from, which a later
+        #: epoch's tables derive theirs from (``None`` when decoded).
+        self._columns: EpochColumns | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_snapshot(cls, snapshot: FeatureIndexSnapshot) -> ColumnarFeatureTables:
+    def from_snapshot(
+        cls, snapshot: FeatureIndexSnapshot, previous: ColumnarFeatureTables | None = None
+    ) -> ColumnarFeatureTables:
         """Sort the tables out of the snapshot's epoch of the column log.
 
         The epoch is the log prefix of ``snapshot.triples`` triples, so a
@@ -156,26 +180,16 @@ class ColumnarFeatureTables:
         Every edge ``<s, p, o>`` is two (feature, holder) rows — ``s``
         holds ``(o, p, object_of)``, ``o`` holds ``(s, p, subject_of)``
         — and sorting them by ``(feature code, holder)`` is the holder
-        CSR.  The dominant type of an entity is the minimum of
+        CSR.  Given ``previous``, the tables of an earlier epoch of the
+        same log, the holder CSR is derived from it instead
+        (:meth:`_holder_csr`).  The dominant type of an entity is the minimum of
         ``population · T + type`` over its membership row (least
         populated, ties by name), one ``minimum.reduceat``; the tables'
         type universe is the types that are some entity's dominant one.
         """
         columns = snapshot.columns.epoch(snapshot.triples)
         num_entities = len(columns.entity_ids)
-        num_predicates = len(columns.predicates)
-        subjects, preds, objects = (
-            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
-        )
-        codes = np.concatenate(
-            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
-        )
-        codes, holder_ordinals = sort_rows(
-            (2 * num_entities * num_predicates, num_entities),
-            codes,
-            np.concatenate((subjects, objects)),
-        )
-        feature_codes, starts = np.unique(codes, return_index=True)
+        feature_codes, holder_offsets, holder_ordinals = cls._holder_csr(columns, previous)
 
         num_all_types = len(columns.type_ids)
         members, types = columns.typed_entities, columns.typed_types
@@ -192,9 +206,9 @@ class ColumnarFeatureTables:
         local = np.full(num_all_types + 1, -1, dtype=np.int64)  # slot −1 (untyped) stays −1
         local[universe] = np.arange(universe.size, dtype=np.int64)
         kept = local[types] >= 0
-        return cls(
+        tables = cls(
             epoch=snapshot.epoch,
-            holder_offsets=np.append(starts, codes.size),
+            holder_offsets=holder_offsets,
             holder_ordinals=holder_ordinals,
             dominant_ords=local[dominant],
             type_populations=populations[universe],
@@ -205,6 +219,56 @@ class ColumnarFeatureTables:
             feature_codes=feature_codes,
             predicates=columns.predicates,
         )
+        tables._columns = columns
+        return tables
+
+    @staticmethod
+    def _holder_csr(
+        columns: EpochColumns, previous: ColumnarFeatureTables | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(feature_codes, holder_offsets, holder_ordinals)`` of the epoch.
+
+        From scratch: every edge's two (feature code, holder) rows,
+        sorted.  From ``previous`` (tables of an earlier epoch of this
+        log): its feature codes re-coded through the monotone entity and
+        predicate maps — codes order as ``(anchor, predicate, direction)``
+        triples, so they stay sorted even when ``P`` grows — the codes of
+        the edges logged since spliced in, and the holder CSR merged with
+        their rows (:func:`~repro.kg.columns.csr_merge`).
+        """
+        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
+        older = None if previous is None else previous._columns
+        first = 0 if older is None or older.triples > columns.triples else older.edge_subjects.size
+        subjects, preds, objects = (
+            columns.edge_subjects[first:], columns.edge_predicates[first:],
+            columns.edge_objects[first:],
+        )
+        codes = np.concatenate(
+            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
+        )
+        holders = np.concatenate((subjects, objects))
+        if not first:
+            sizes = (2 * num_entities * num_predicates, num_entities)
+            codes, holders = sort_rows(sizes, codes, holders)
+            feature_codes, starts = np.unique(codes, return_index=True)
+            return feature_codes, np.append(starts, codes.size), holders
+        assert older is not None and previous is not None and previous.feature_codes is not None
+        entity_map, predicate_map = columns.ordinal_maps(older)
+        pairs, directions = np.divmod(previous.feature_codes, 2)
+        anchors, old_preds = np.divmod(pairs, max(len(older.predicates), 1))
+        recoded = (entity_map[anchors] * num_predicates + predicate_map[old_preds]) * 2 + directions
+        distinct = sorted_unique(codes)
+        fresh = distinct[~isin_sorted(recoded, distinct)]
+        inserted = np.searchsorted(recoded, fresh)
+        feature_codes = np.insert(recoded, inserted, fresh)
+        offsets, (holder_ordinals,) = csr_merge(
+            np.insert(np.diff(previous.holder_offsets), inserted, 0),
+            (entity_map[previous.holder_ordinals],),
+            (num_entities,),
+            np.searchsorted(feature_codes, codes),
+            holders,
+        )
+        return feature_codes, offsets, holder_ordinals
 
     @classmethod
     def from_arrays(
@@ -288,20 +352,17 @@ class ColumnarFeatureTables:
                 return found if found < len(listed) and tuple(listed[found]) == key else -1
 
             return np.fromiter(map(position, keys), dtype=np.int64, count=len(keys))
-        ordinal_of, predicate_ord = self.ordinal_of, self._predicate_ord
-        assert ordinal_of is not None and predicate_ord is not None
-        num_predicates = len(predicate_ord)
-
-        def code(key: FeatureKey) -> int:
-            anchor, predicate, direction = key
-            try:
-                return (
-                    ordinal_of[anchor] * num_predicates + predicate_ord[predicate]
-                ) * 2 + _DIRECTION_CODE[direction]
-            except KeyError:
-                return -1
-
-        wanted = np.fromiter(map(code, keys), dtype=np.int64, count=len(keys))
+        ordinal_of, offsets = self.ordinal_of, self._code_offsets
+        assert ordinal_of is not None and offsets is not None
+        # A code is anchor · 2P + offset.  An unknown anchor (-1) or
+        # (predicate, direction) pair makes it negative, and no feature
+        # has a negative code.
+        span = len(offsets)
+        unknown = -span * (self.num_entities + 1)
+        offset = offsets.get
+        wanted = ordinal_of.array((key[0] for key in keys), len(keys)) * span + np.fromiter(
+            (offset((key[1], key[2]), unknown) for key in keys), np.int64, len(keys)
+        )
         if not codes.size:
             return np.full(len(keys), -1, dtype=np.int64)
         positions = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
@@ -332,12 +393,7 @@ class ColumnarFeatureTables:
     def entity_ordinals(self, entity_ids: Sequence[str]) -> np.ndarray:
         """Ordinals of the given entity ids (−1 where the epoch lacks one)."""
         assert self.ordinal_of is not None
-        lookup = self.ordinal_of.get
-        return np.fromiter(
-            (lookup(entity_id, -1) for entity_id in entity_ids),
-            dtype=np.int64,
-            count=len(entity_ids),
-        )
+        return self.ordinal_of.array(entity_ids, len(entity_ids))
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -607,8 +663,11 @@ def build_ranker_inputs(
 def columnar_tables(snapshot: Any) -> ColumnarFeatureTables | None:
     """The snapshot's tables, built once and memoised on the snapshot.
 
-    Returns ``None`` for index objects without the snapshot memo slot
-    (e.g. a bare graph passed where an index was expected).
+    A snapshot made by a delta refresh holds the tables of an earlier
+    epoch (``_previous``) until its own are derived from them; then it
+    drops the reference.  Returns ``None`` for index objects without the
+    snapshot memo slot (e.g. a bare graph passed where an index was
+    expected).
     """
     if not hasattr(snapshot, "_columnar"):
         return None
@@ -616,8 +675,9 @@ def columnar_tables(snapshot: Any) -> ColumnarFeatureTables | None:
     if tables is None:
         # Benign race: two pinned readers may build concurrently; both
         # results are equal and either assignment is fine.
-        tables = ColumnarFeatureTables.from_snapshot(snapshot)
+        tables = ColumnarFeatureTables.from_snapshot(snapshot, snapshot._previous)
         snapshot._columnar = tables
+        snapshot._previous = None
     return tables
 
 

@@ -81,6 +81,7 @@ class FeatureIndexSnapshot:
         "columns",
         "_type_counts",
         "_columnar",
+        "_previous",
     )
 
     def __init__(
@@ -106,6 +107,9 @@ class FeatureIndexSnapshot:
         #: Lazily built per-epoch array tables
         #: (:func:`repro.features.columnar.columnar_tables`).
         self._columnar = None
+        #: An earlier epoch's tables to derive ``_columnar`` from (set by
+        #: a delta refresh, dropped once the tables are built).
+        self._previous = None
 
     def maps(
         self,
@@ -362,7 +366,12 @@ class SemanticFeatureIndex:
             self._install(self._full_snapshot())
 
     def _install(self, fresh: FeatureIndexSnapshot) -> None:
-        self._retired_rows += getattr(self._snapshot_ref, "decoded_rows", 0)
+        old = self._snapshot_ref
+        if old is not None:
+            self._retired_rows += getattr(old, "decoded_rows", 0)
+            # The successor derives its tables from the newest ones at hand,
+            # however its maps were made.
+            fresh._previous = old._columnar if old._columnar is not None else old._previous
         self._snapshot_ref = fresh
 
     def decoded_rows(self) -> int:

@@ -139,7 +139,7 @@ class FieldedIndex:
     def with_added_document(
         self, doc_id: str, field_terms: Mapping[str, Iterable[str]]
     ) -> "FieldedIndex":
-        """A new index with the document added; this instance is untouched.
+        """A new index with the document written; this instance is untouched.
 
         This is the snapshot-isolation mutation path: engines swap the
         returned index in atomically while in-flight queries keep scoring
@@ -147,32 +147,44 @@ class FieldedIndex:
         memoised statistics can no longer change).  Per-field indexes are
         copied copy-on-write (see :meth:`InvertedIndex.with_added_document`),
         the epoch continues from this instance's counter, and the clone
-        gets a fresh :attr:`uid`.
+        gets a fresh :attr:`uid`.  An id that is already indexed is
+        replaced, not added to.
+
+        A write pays for what it wrote: when this epoch's statistics exist
+        the successor's are derived from them and the document's old and
+        new term counts, and when this epoch's columnar view exists the
+        successor's is derived from it (:meth:`ColumnarIndex.successor`) —
+        O(documents) array and list copies plus O(the document's terms).
         """
         for field in field_terms:
             if field not in self._indexes:
                 raise FieldNotFoundError(field)
-        terms = {field: list(field_terms.get(field, ())) for field in self._fields}
+        counts = {field: Counter(field_terms.get(field, ())) for field in self._fields}
+        replaced = doc_id in self._documents
+        previous = {
+            field: self._indexes[field].document_counts(doc_id) if replaced else {}
+            for field in self._fields
+        }
         clone = FieldedIndex(self._fields)
         clone._indexes = _FieldIndexes(
-            (field, self._indexes[field].with_added_document(doc_id, terms[field]))
+            (
+                field,
+                self._indexes[field].with_added_document(doc_id, counts[field], previous[field]),
+            )
             for field in self._fields
         )
         clone._documents = set(self._documents)
         clone._documents.add(doc_id)
         clone._epoch = self._epoch + 1
-        # Hand over this epoch's statistics plus the document's own terms
-        # instead of leaving the successor to re-scan the whole vocabulary.
-        # A document that replaces an existing id changes counts the
-        # addition rule does not cover, so it falls back to the scan.
         cached = self._statistics_cache
-        if cached is not None and cached[0] == self._epoch and doc_id not in self._documents:
-            clone._statistics_cache = (
-                clone._epoch,
-                cached[1].with_added_document(
-                    {field: Counter(added) for field, added in terms.items()}
-                ),
+        if cached is not None and cached[0] == self._epoch:
+            statistics = cached[1].with_added_document(
+                counts, previous if replaced else None, clone._indexes
             )
+            view = cached[1].columnar_view
+            if view is not None:
+                statistics.columnar_view = view.successor(clone, doc_id, counts)
+            clone._statistics_cache = (clone._epoch, statistics)
         return clone
 
     # ------------------------------------------------------------------ #

@@ -25,6 +25,7 @@ from itertools import compress
 
 import numpy as np
 
+from ..utils.ordinals import OrdinalMap
 from .postings import PostingList
 from .statistics import FieldStatistics
 
@@ -170,9 +171,11 @@ class InvertedIndex:
 
     ``_postings`` holds every posting list built in RAM.  On a field
     adopted from :class:`PostingColumns` it holds the lists decoded so
-    far and the ones writes copied and extended; an entry there wins over
-    the stored row of the same term.  ``_doc_lengths`` is ``None`` while
-    the stored length column still answers for every document.
+    far and the ones writes copied and rewrote; an entry there wins over
+    the stored row of the same term, and an *empty* entry is the
+    tombstone of a stored term that a re-indexed document took away (it
+    reads as absent).  ``_doc_lengths`` is ``None`` while the stored
+    length column still answers for every document.
     """
 
     def __init__(self, name: str = "field", columns: PostingColumns | None = None) -> None:
@@ -208,34 +211,70 @@ class InvertedIndex:
         lengths[doc_id] = lengths.get(doc_id, 0) + added
         self._total_terms += added
 
-    def with_added_document(self, doc_id: str, terms: Iterable[str]) -> "InvertedIndex":
-        """A new index with ``doc_id`` added; this one stays untouched.
+    def with_added_document(
+        self,
+        doc_id: str,
+        terms: Iterable[str],
+        previous: Mapping[str, int] | None = None,
+    ) -> "InvertedIndex":
+        """A new index with ``doc_id`` indexed as ``terms``; this one stays untouched.
 
         The copy-on-write sibling of :meth:`add_document` behind snapshot-
         isolated serving: the term map and length array are shallow-copied
         (posting lists are shared by reference, an adopted field's stored
-        CSR too) and only the posting lists of the document's own terms
+        CSR too) and only the posting lists of the terms the write changes
         are copied before mutation — so every structure a concurrent
         reader may already hold keeps its exact pre-mutation contents, at
-        O(documents + affected postings) cost.
+        O(documents + affected postings) cost.  An id that is already
+        indexed is *replaced*: ``previous`` is its old term counts
+        (:meth:`document_counts` when not given).
         """
+        counts = Counter(terms)
+        if previous is None:
+            previous = self.document_counts(doc_id)
         clone = InvertedIndex(self.name, self._columns)
         clone._postings = dict(self._postings)
         clone._doc_lengths = dict(self.document_lengths())
-        clone._total_terms = self._total_terms
-        counts = Counter(terms)
-        added = sum(counts.values())
-        if added == 0:
-            clone._doc_lengths.setdefault(doc_id, 0)
-            return clone
+        stored = self._columns
+        for term in previous.keys() - counts.keys():
+            remaining = self.get_postings(term).copy()  # type: ignore[union-attr]
+            remaining.remove(doc_id)
+            if remaining or (stored is not None and stored.row(term) is not None):
+                clone._postings[term] = remaining  # empty: the stored row's tombstone
+            else:
+                del clone._postings[term]
         for term, count in counts.items():
+            if previous.get(term) == count:
+                continue
             existing = self.get_postings(term)
             posting_list = PostingList() if existing is None else existing.copy()
-            posting_list.add(doc_id, count)
+            posting_list.put(doc_id, count)
             clone._postings[term] = posting_list
-        clone._doc_lengths[doc_id] = clone._doc_lengths.get(doc_id, 0) + added
-        clone._total_terms += added
+        added = sum(counts.values())
+        clone._doc_lengths[doc_id] = added
+        clone._total_terms = self._total_terms + added - sum(previous.values())
         return clone
+
+    def document_counts(self, doc_id: str) -> dict[str, int]:
+        """The term counts ``doc_id`` is indexed with (empty when it is not).
+
+        One pass over the field's lists (and, on an adopted field, one
+        array comparison over its stored ordinals).
+        """
+        if not self.document_length(doc_id):
+            return {}
+        lists = dict(self._postings)
+        counts = {term: postings.frequency(doc_id) for term, postings in lists.items()}
+        columns = self._columns
+        ordinal = None if columns is None else columns.documents.ordinal_of().get(doc_id)
+        if columns is not None and ordinal is not None:
+            positions = np.flatnonzero(columns.ordinals == ordinal)
+            rows = np.searchsorted(columns.offsets, positions, side="right") - 1
+            for row, count in zip(rows.tolist(), columns.frequencies[positions].tolist()):
+                term = columns.terms[row]
+                if term not in lists:  # a list in ``_postings`` wins over the stored row
+                    counts[term] = count
+        return {term: count for term, count in counts.items() if count}
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -257,7 +296,7 @@ class InvertedIndex:
             postings = self._columns.decode(self.name, term)
             if postings is not None:
                 self._postings[term] = postings
-        return postings
+        return postings if postings else None  # a tombstone reads as absent
 
     def document_lengths(self) -> dict[str, int]:
         """The ``doc_id -> field length`` map.
@@ -315,9 +354,10 @@ class InvertedIndex:
 
     def vocabulary(self) -> set[str]:
         """All indexed terms."""
-        vocabulary = set(self._postings)
+        lists = dict(self._postings)
+        vocabulary = {term for term, postings in lists.items() if postings}
         if self._columns is not None:
-            vocabulary.update(self._columns.terms)
+            vocabulary.update(term for term in self._columns.terms if term not in lists)
         return vocabulary
 
     def statistics(self) -> FieldStatistics:
@@ -346,6 +386,14 @@ class InvertedIndex:
             ) = self._columns.term_statistics()
         # A copy first: concurrent readers may be decoding into the map.
         for term, postings in list(self._postings.items()):
+            if not postings:  # a tombstone: the stored row is gone
+                for counts in (
+                    stats.term_collection_frequency,
+                    stats.term_document_frequency,
+                    stats.term_max_frequency,
+                ):
+                    counts.pop(term, None)
+                continue
             frequencies = postings.frequencies()
             stats.term_collection_frequency[term] = sum(frequencies.values())
             stats.term_document_frequency[term] = len(frequencies)
@@ -353,7 +401,7 @@ class InvertedIndex:
         return stats
 
     def posting_csr(
-        self, ordinal_of: Mapping[str, int]
+        self, ordinal_of: OrdinalMap
     ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         """This field as ``(terms, offsets, ordinals, frequencies)`` over ``ordinal_of``.
 
@@ -362,7 +410,8 @@ class InvertedIndex:
         field's stored rows are renumbered as arrays, and only the lists
         in ``_postings`` are read as lists.
         """
-        lists = {term: postings for term, postings in list(self._postings.items()) if postings}
+        shadowing = dict(self._postings)
+        lists = {term: postings for term, postings in shadowing.items() if postings}
         ids: list[str] = []
         tfs: list[int] = []
         for term in lists:
@@ -372,19 +421,18 @@ class InvertedIndex:
             tfs.extend(map(frequencies.__getitem__, doc_ids))
         terms = list(lists)
         sizes = [np.fromiter(map(len, lists.values()), dtype=np.int64, count=len(lists))]
-        ordinals = [np.fromiter(map(ordinal_of.__getitem__, ids), dtype=np.int64, count=len(ids))]
+        ordinals = [ordinal_of.array(ids, len(ids))]
         frequencies = [np.array(tfs, dtype=np.int64)]
         columns = self._columns
         if columns is not None:
             keep = np.fromiter(
-                (term not in lists for term in columns.terms), dtype=bool, count=len(columns.terms)
+                (term not in shadowing for term in columns.terms),
+                dtype=bool,
+                count=len(columns.terms),
             )
             stored_sizes = np.diff(columns.offsets)
             rows = np.repeat(keep, stored_sizes)
-            renumber = np.fromiter(
-                map(ordinal_of.__getitem__, columns.documents.doc_ids),
-                dtype=np.int64, count=len(columns.documents.doc_ids),
-            )
+            renumber = ordinal_of.array(columns.documents.doc_ids, len(columns.documents.doc_ids))
             terms.extend(compress(columns.terms, keep))
             sizes.append(stored_sizes[keep])
             ordinals.append(renumber[columns.ordinals[rows]])
@@ -426,9 +474,10 @@ class InvertedIndex:
         return self._total_terms / num_documents
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings or (
-            self._columns is not None and self._columns.row(term) is not None
-        )
+        postings = self._postings.get(term)
+        if postings is not None:
+            return bool(postings)
+        return self._columns is not None and self._columns.row(term) is not None
 
     def __len__(self) -> int:
         return len(self.vocabulary())

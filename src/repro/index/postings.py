@@ -2,8 +2,9 @@
 
 A posting records how often a term occurs in one document field.  Posting
 lists keep their entries sorted by document identifier so that they can be
-merged and intersected efficiently; the index itself only ever appends via
-:meth:`PostingList.add`, which maintains the invariant.
+merged and intersected efficiently; :meth:`PostingList.add`,
+:meth:`PostingList.put` and :meth:`PostingList.remove` maintain the
+invariant (the index rewrites a re-indexed document on a copy).
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ class PostingList:
         position = bisect_left(self._doc_ids, doc_id)
         self._doc_ids.insert(position, doc_id)
         self._frequencies[doc_id] = count
+
+    def put(self, doc_id: str, count: int) -> None:
+        """Set the term frequency of ``doc_id`` to ``count`` (a re-indexed document)."""
+        if count <= 0:
+            raise ValueError("count must be positive")
+        if doc_id not in self._frequencies:
+            self._doc_ids.insert(bisect_left(self._doc_ids, doc_id), doc_id)
+        self._frequencies[doc_id] = count
+
+    def remove(self, doc_id: str) -> None:
+        """Drop ``doc_id`` from the list (a re-indexed document lost the term)."""
+        del self._frequencies[doc_id]
+        del self._doc_ids[bisect_left(self._doc_ids, doc_id)]
 
     def copy(self) -> "PostingList":
         """An independent copy (the copy-on-write step of index snapshots).

@@ -19,6 +19,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .inverted_index import InvertedIndex
 
 
 @dataclass
@@ -71,30 +75,63 @@ class FieldStatistics:
         """Largest term frequency of ``term`` in any single document."""
         return self.term_max_frequency.get(term, 0)
 
-    def with_added_document(self, counts: Mapping[str, int]) -> "FieldStatistics":
-        """The statistics after one *new* document with these term counts.
+    def with_added_document(
+        self,
+        counts: Mapping[str, int],
+        previous: Mapping[str, int] | None = None,
+        index: "InvertedIndex | None" = None,
+    ) -> "FieldStatistics":
+        """The statistics after one document is written with these term counts.
 
-        Raw counts are copied and patched for the document's own terms;
-        the derived memos start empty (every probability and IDF depends
-        on the totals that just changed).
+        ``previous`` is ``None`` for a new document, else the counts the
+        document replaces; ``index`` is then the successor field, which
+        answers the recounts the old counts alone cannot — the max tf of a
+        term whose maximum the old document held, and the shortest and
+        longest length when the old document was one of them.  Raw
+        counts are copied and patched with integer arithmetic, so they
+        equal a fresh scan; the derived memos start empty (every
+        probability and IDF depends on the totals that just changed).
         """
         length = sum(counts.values())
+        if previous is None:
+            old_length, documents = 0, self.document_count + 1
+            min_length = min(self.min_length, length) if self.document_count else length
+            max_length = max(self.max_length, length) if self.document_count else length
+        else:
+            assert index is not None
+            old_length, documents = sum(previous.values()), self.document_count
+            min_length, max_length = min(self.min_length, length), max(self.max_length, length)
+            if length != old_length and old_length in (self.min_length, self.max_length):
+                lengths = index.document_lengths().values()
+                min_length, max_length = min(lengths), max(lengths)
         successor = FieldStatistics(
             name=self.name,
-            total_terms=self.total_terms + length,
-            document_count=self.document_count + 1,
-            min_length=min(self.min_length, length) if self.document_count else length,
-            max_length=max(self.max_length, length) if self.document_count else length,
+            total_terms=self.total_terms + length - old_length,
+            document_count=documents,
+            min_length=min_length,
+            max_length=max_length,
             term_collection_frequency=dict(self.term_collection_frequency),
             term_document_frequency=dict(self.term_document_frequency),
             term_max_frequency=dict(self.term_max_frequency),
         )
-        for term, count in counts.items():
-            successor.term_collection_frequency[term] = (
-                self.term_collection_frequency.get(term, 0) + count
-            )
-            successor.term_document_frequency[term] = self.term_document_frequency.get(term, 0) + 1
-            successor.term_max_frequency[term] = max(self.term_max_frequency.get(term, 0), count)
+        collection, document, maximum = (
+            successor.term_collection_frequency,
+            successor.term_document_frequency,
+            successor.term_max_frequency,
+        )
+        previous = previous or {}
+        for term in [*counts, *(term for term in previous if term not in counts)]:
+            old, new = previous.get(term, 0), counts.get(term, 0)
+            frequency = document.get(term, 0) - (old > 0) + (new > 0)
+            if not frequency:
+                del collection[term], document[term], maximum[term]
+                continue
+            collection[term] = collection.get(term, 0) - old + new
+            document[term] = frequency
+            if new < old == maximum[term]:  # the old document held the maximum
+                maximum[term] = index.get_postings(term).max_frequency()  # type: ignore[union-attr]
+            else:
+                maximum[term] = max(maximum.get(term, 0), new)
         return successor
 
     def idf(self, term: str) -> float:
@@ -132,18 +169,28 @@ class CollectionStatistics:
         return self.fields[name]
 
     def with_added_document(
-        self, field_counts: Mapping[str, Mapping[str, int]]
+        self,
+        field_counts: Mapping[str, Mapping[str, int]],
+        previous: Mapping[str, Mapping[str, int]] | None = None,
+        indexes: Mapping[str, "InvertedIndex"] | None = None,
     ) -> "CollectionStatistics":
-        """The statistics after one *new* document (``field → term counts``).
+        """The statistics after one document is written (``field → term counts``).
 
-        Equal to a fresh scan of the successor index, at the cost of
-        copying the count dictionaries; memoised bounds and the columnar
-        view start empty, as on any new epoch.
+        ``previous`` is ``None`` for a new document, else the per-field
+        counts it replaces, with ``indexes`` the successor's fields (see
+        :meth:`FieldStatistics.with_added_document`).  Equal to a fresh
+        scan of the successor index, at the cost of copying the count
+        dictionaries; memoised bounds and the columnar view start empty,
+        as on any new epoch.
         """
         return CollectionStatistics(
-            num_documents=self.num_documents + 1,
+            num_documents=self.num_documents + (previous is None),
             fields={
-                name: stats.with_added_document(field_counts.get(name, {}))
+                name: stats.with_added_document(
+                    field_counts.get(name, {}),
+                    None if previous is None else previous.get(name, {}),
+                    None if indexes is None else indexes[name],
+                )
                 for name, stats in self.fields.items()
             },
         )

@@ -31,9 +31,13 @@ under the graph's mutation lock, so writes stay as cheap as they were.
 Because stamps only grow, the state of *any* epoch is a prefix — the
 entries whose stamp is below that epoch's triple count — which is what
 lets a pinned feature snapshot build the tables of its own epoch after
-the graph has moved on.  :meth:`EdgeColumnLog.epoch` cuts that prefix
-and re-codes it into the sorted-identifier ordinals both structures use
-(ordinal order == string order, the ranking tie-break).
+the graph has moved on.  :meth:`EdgeColumnLog.epoch` re-codes that
+prefix into the sorted-identifier ordinals both structures use (ordinal
+order == string order, the ranking tie-break): derived from the
+memoised previous epoch when it is an earlier one — the strings and rows
+stamped since are spliced and merged in — and cut and sorted otherwise.
+The helpers below (:func:`merge_rows`, :func:`csr_merge`) are how the
+feature tables and the topology derive their own arrays the same way.
 """
 
 from __future__ import annotations
@@ -46,8 +50,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..utils.ordinals import OrdinalMap
 from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDFS_LABEL, RDF_TYPE, REDIRECT
 from .triple import Literal, Triple
+
+
+def _pack(sizes: Sequence[int], columns: Sequence[np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """``(radices, keys)``: each row as one mixed-radix int64, first column most significant."""
+    radices = [max(size, 1) for size in sizes]
+    if math.prod(radices) > np.iinfo(np.int64).max:
+        raise OverflowError(f"rows of radices {radices} do not pack into int64")
+    keys = columns[0]
+    for radix, column in zip(radices[1:], columns[1:]):
+        keys = keys * radix + column
+    return radices, keys
 
 
 def sort_rows(sizes: Sequence[int], *columns: np.ndarray) -> list[np.ndarray]:
@@ -58,12 +74,7 @@ def sort_rows(sizes: Sequence[int], *columns: np.ndarray) -> list[np.ndarray]:
     significant, sorted as plain integers and unpacked again — an order
     of magnitude faster than ``np.lexsort`` on the same columns.
     """
-    radices = [max(size, 1) for size in sizes]
-    if math.prod(radices) > np.iinfo(np.int64).max:
-        raise OverflowError(f"rows of radices {radices} do not pack into int64")
-    keys = columns[0]
-    for radix, column in zip(radices[1:], columns[1:]):
-        keys = keys * radix + column
+    radices, keys = _pack(sizes, columns)
     keys = np.sort(keys)
     unpacked = []
     for radix in reversed(radices[1:]):
@@ -71,6 +82,64 @@ def sort_rows(sizes: Sequence[int], *columns: np.ndarray) -> list[np.ndarray]:
         unpacked.append(column)
     unpacked.append(keys)
     return unpacked[::-1]
+
+
+def merge_rows(
+    sizes: Sequence[int], ordered: Sequence[np.ndarray], *columns: np.ndarray
+) -> list[np.ndarray]:
+    """``sort_rows(sizes, *(ordered + columns))`` when ``ordered`` is sorted already.
+
+    The rows ``columns`` add are sorted on their own and inserted at
+    their ``searchsorted`` positions among the packed ``ordered`` rows:
+    O(rows) array copies instead of a sort of them all.  Flat rows;
+    :func:`csr_merge` is the same for a CSR, and searches only the rows
+    that gain entries.
+    """
+    added = sort_rows(sizes, *columns)
+    positions = np.searchsorted(_pack(sizes, ordered)[1], _pack(sizes, added)[1])
+    return [np.insert(column, positions, more) for column, more in zip(ordered, added)]
+
+
+def csr_merge(
+    counts: np.ndarray,
+    columns: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    rows: np.ndarray,
+    *added: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A CSR with entries added: ``(offsets, columns)`` of the merged CSR.
+
+    ``counts[row]`` is how many of the CSR's entries ``columns`` holds in
+    each row, in row order, each row's entries sorted by ``columns``
+    (bounded by ``sizes``).  Entry ``i`` of ``added`` goes into row
+    ``rows[i]`` at its place in that order.  Only the rows that gain
+    entries are searched; everything else is O(rows + entries) array
+    copies, never a sort of the whole CSR.
+    """
+    num_rows = counts.size
+    radix = math.prod(max(size, 1) for size in sizes)
+    rows, *added = sort_rows((num_rows, *sizes), rows, *added)  # checks radix · rows
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(counts + np.bincount(rows, minlength=num_rows), out=offsets[1:])
+    # The old entries of a touched row start where the merged row starts,
+    # less the added entries of the rows before it.
+    touched, first = np.unique(rows, return_index=True)
+    starts = offsets[touched] - first
+    lengths = counts[touched]
+    ends = np.cumsum(lengths)
+    held = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+    # Packed (row, entry) keys of the touched rows' entries and of the
+    # added ones: an added entry lands after the entries of its row that
+    # sort before it.
+    held_keys = np.repeat(touched, lengths) * radix + _pack(sizes, [c[held] for c in columns])[1]
+    row_keys = rows * radix
+    within = np.searchsorted(held_keys, row_keys + _pack(sizes, added)[1]) - np.searchsorted(
+        held_keys, row_keys
+    )
+    positions = np.repeat(starts, np.diff(np.append(first, rows.size))) + within
+    return offsets, [np.insert(column, positions, more) for column, more in zip(columns, added)]
 
 
 def csr_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
@@ -123,7 +192,12 @@ def isin_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 
 class _StringTable:
-    """Strings coded in first-seen order, each stamped with its log position."""
+    """Strings coded in first-seen order, each stamped with its log position.
+
+    The ``string → code`` dictionary grows with the table and is never
+    rebuilt, so every epoch's :class:`~repro.utils.ordinals.OrdinalMap`
+    borrows it (read only) as the first half of ``string → ordinal``.
+    """
 
     __slots__ = ("strings", "stamps", "_codes")
 
@@ -134,10 +208,15 @@ class _StringTable:
         #: write after the adoption needs it.
         self._codes: dict[str, int] | None = {} if strings is None else None
 
-    def code(self, value: str, position: int) -> int:
+    def codes(self) -> dict[str, int]:
+        """``string → code`` (lock held: writes extend it)."""
         codes = self._codes
         if codes is None:
             codes = self._codes = dict(zip(self.strings, range(len(self.strings))))
+        return codes
+
+    def code(self, value: str, position: int) -> int:
+        codes = self.codes()
         code = codes.get(value)
         if code is None:
             code = codes[value] = len(self.strings)
@@ -153,6 +232,41 @@ class _StringTable:
         rank = np.empty(len(strings), dtype=np.int64)
         rank[order] = np.arange(len(strings), dtype=np.int64)
         return [strings[code] for code in order], rank
+
+    def extended(
+        self, ranked: list[str], rank: np.ndarray, triples: int
+    ) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+        """:meth:`ranked` at ``triples``, from its result at an earlier epoch.
+
+        ``ranked`` and ``rank`` are that result; the strings stamped since
+        are sorted on their own, bisected into ``ranked`` and spliced in.
+        Returns the new pair plus the ``old ordinal → new ordinal`` map
+        (monotone; ``None`` when no string was added).
+        """
+        known, count = rank.size, bisect_left(self.stamps, triples)
+        if count == known:
+            return ranked, rank, None
+        added = sorted(range(known, count), key=self.strings.__getitem__)
+        merged: list[str] = []
+        positions = []
+        start = 0
+        for code in added:
+            string = self.strings[code]
+            position = bisect_left(ranked, string, start)
+            merged.extend(ranked[start:position])
+            merged.append(string)
+            positions.append(position)
+            start = position
+        merged.extend(ranked[start:])
+        inserted = np.asarray(positions, dtype=np.int64)
+        # An old string moves up by the number of strings inserted before it.
+        remap = np.arange(known, dtype=np.int64) + np.cumsum(
+            np.bincount(inserted, minlength=known + 1)
+        )[:known]
+        extended = np.empty(count, dtype=np.int64)
+        extended[:known] = remap[rank]
+        extended[added] = inserted + np.arange(inserted.size, dtype=np.int64)
+        return merged, extended, remap
 
 
 class _RowLog:
@@ -268,15 +382,19 @@ def _find(strings: list[str], value: str) -> int:
 class EpochColumns:
     """One epoch of the log, re-coded into sorted-identifier ordinals.
 
-    Shared by the two structures built from it, so an epoch pays for one
-    identifier sort and one ``ordinal_of`` dictionary.  Edge rows are in
-    log order (each consumer sorts them the way its layout needs); type
-    memberships are sorted by ``(entity, type)``.
+    Shared by the two structures built from it.  Edge rows are in log
+    order (each consumer sorts them the way its layout needs; the rows of
+    an earlier epoch are a prefix); type memberships are sorted by
+    ``(entity, type)``.  The ``*_rank`` arrays map a table's first-seen
+    codes to this epoch's ordinals: what ``ordinal_of`` reads (through
+    the log's append-only code dictionary, which it borrows read only,
+    so no epoch builds a dictionary of its own) and what
+    :meth:`ordinal_maps` compares.
     """
 
     triples: int
     entity_ids: list[str]
-    ordinal_of: dict[str, int]
+    ordinal_of: OrdinalMap
     predicates: list[str]
     type_ids: list[str]
     edge_subjects: np.ndarray
@@ -284,6 +402,25 @@ class EpochColumns:
     edge_objects: np.ndarray
     typed_entities: np.ndarray
     typed_types: np.ndarray
+    entity_rank: np.ndarray
+    predicate_rank: np.ndarray
+    type_rank: np.ndarray
+
+    def ordinal_maps(self, older: "EpochColumns") -> tuple[np.ndarray, np.ndarray]:
+        """``old ordinal → ordinal here`` for the entities and the edge predicates.
+
+        ``older`` is an earlier epoch of the same log, so its strings are
+        the first codes of each table and both maps are monotone: rows
+        sorted by old ordinals stay sorted when mapped.
+        """
+        maps = []
+        for rank, old in (
+            (self.entity_rank, older.entity_rank), (self.predicate_rank, older.predicate_rank)
+        ):
+            mapped = np.empty(old.size, dtype=np.int64)
+            mapped[old] = rank[: old.size]
+            maps.append(mapped)
+        return maps[0], maps[1]
 
 
 class EdgeColumnLog:
@@ -435,7 +572,10 @@ class EdgeColumnLog:
         """The columns of the graph state after its first ``triples`` triples.
 
         The latest epoch asked for is memoised, so the feature tables and
-        the topology of one epoch share one ordinal table.
+        the topology of one epoch share one ordinal table, and a later
+        epoch is derived from it (:meth:`_extend`) instead of being cut
+        and sorted out of the whole log again; an earlier one is cut and
+        sorted (:meth:`_cut`) and leaves the memo alone.
         """
         with self._lock:
             memo = self._memo
@@ -447,27 +587,96 @@ class EdgeColumnLog:
                 raise ValueError(
                     f"epoch of {triples} triples requested, the graph has {self._consumed}"
                 )
-            entity_ids, entity_rank = self._entities.ranked(triples)
-            predicates, predicate_rank = self._predicates.ranked(triples)
-            type_ids, type_rank = self._types.ranked(triples)
-            subjects, edge_predicates, objects = self._edges.prefix(triples)
-            typed_entities, typed_types = self._typed.prefix(triples)
-            typed_entities, typed_types = sort_rows(
-                (len(entity_ids), len(type_ids)), entity_rank[typed_entities], type_rank[typed_types]
-            )
-            memo = self._memo = EpochColumns(
-                triples=triples,
-                entity_ids=entity_ids,
-                ordinal_of=dict(zip(entity_ids, range(len(entity_ids)))),
-                predicates=predicates,
-                type_ids=type_ids,
-                edge_subjects=entity_rank[subjects],
-                edge_predicates=predicate_rank[edge_predicates],
-                edge_objects=entity_rank[objects],
-                typed_entities=typed_entities,
-                typed_types=typed_types,
-            )
-            return memo
+            if memo is not None and memo.triples > triples:
+                return self._cut(triples)
+            columns = self._cut(triples) if memo is None else self._extend(memo, triples)
+            self._memo = columns
+            return columns
+
+    def _cut(self, triples: int) -> EpochColumns:
+        """Cut the epoch's prefix out of the log and sort it (lock held)."""
+        entity_ids, entity_rank = self._entities.ranked(triples)
+        predicates, predicate_rank = self._predicates.ranked(triples)
+        type_ids, type_rank = self._types.ranked(triples)
+        subjects, edge_predicates, objects = self._edges.prefix(triples)
+        typed_entities, typed_types = self._typed.prefix(triples)
+        typed_entities, typed_types = sort_rows(
+            (len(entity_ids), len(type_ids)), entity_rank[typed_entities], type_rank[typed_types]
+        )
+        return EpochColumns(
+            triples=triples,
+            entity_ids=entity_ids,
+            ordinal_of=OrdinalMap(entity_ids, self._entities.codes(), entity_rank),
+            predicates=predicates,
+            type_ids=type_ids,
+            edge_subjects=entity_rank[subjects],
+            edge_predicates=predicate_rank[edge_predicates],
+            edge_objects=entity_rank[objects],
+            typed_entities=typed_entities,
+            typed_types=typed_types,
+            entity_rank=entity_rank,
+            predicate_rank=predicate_rank,
+            type_rank=type_rank,
+        )
+
+    def _extend(self, memo: EpochColumns, triples: int) -> EpochColumns:
+        """The epoch at ``triples`` from an earlier one: what the log added since (lock held).
+
+        The strings stamped since are spliced into the sorted tables; one
+        gather per column re-codes the earlier epoch's rows through the
+        monotone old → new ordinal maps, the rows logged since are coded
+        with the new ranks and appended (edges, log order) or merged
+        (type memberships, sorted).  Equal to :meth:`_cut`, array for
+        array.
+        """
+        entity_ids, entity_rank, entity_remap = self._entities.extended(
+            memo.entity_ids, memo.entity_rank, triples
+        )
+        predicates, predicate_rank, predicate_remap = self._predicates.extended(
+            memo.predicates, memo.predicate_rank, triples
+        )
+        type_ids, type_rank, type_remap = self._types.extended(
+            memo.type_ids, memo.type_rank, triples
+        )
+
+        def recoded(remap: np.ndarray | None, column: np.ndarray) -> np.ndarray:
+            return column if remap is None else remap[column]
+
+        subjects, added_predicates, objects = self._edges.prefix(triples)[
+            :, memo.edge_subjects.size :
+        ]
+        typed_entities, typed_types = self._typed.prefix(triples)[:, memo.typed_entities.size :]
+        typed_entities, typed_types = merge_rows(
+            (len(entity_ids), len(type_ids)),
+            (recoded(entity_remap, memo.typed_entities), recoded(type_remap, memo.typed_types)),
+            entity_rank[typed_entities],
+            type_rank[typed_types],
+        )
+        return EpochColumns(
+            triples=triples,
+            entity_ids=entity_ids,
+            ordinal_of=(
+                memo.ordinal_of
+                if entity_remap is None
+                else OrdinalMap(entity_ids, self._entities.codes(), entity_rank)
+            ),
+            predicates=predicates,
+            type_ids=type_ids,
+            edge_subjects=np.concatenate(
+                (recoded(entity_remap, memo.edge_subjects), entity_rank[subjects])
+            ),
+            edge_predicates=np.concatenate(
+                (recoded(predicate_remap, memo.edge_predicates), predicate_rank[added_predicates])
+            ),
+            edge_objects=np.concatenate(
+                (recoded(entity_remap, memo.edge_objects), entity_rank[objects])
+            ),
+            typed_entities=typed_entities,
+            typed_types=typed_types,
+            entity_rank=entity_rank,
+            predicate_rank=predicate_rank,
+            type_rank=type_rank,
+        )
 
 
 __all__ = [
@@ -477,8 +686,10 @@ __all__ = [
     "ROW_WIDTHS",
     "TABLE_NAMES",
     "csr_gather",
+    "csr_merge",
     "csr_offsets",
     "isin_sorted",
+    "merge_rows",
     "sort_rows",
     "sorted_unique",
     "unique_inverse",

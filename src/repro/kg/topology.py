@@ -35,7 +35,8 @@ got:
 
 Instances are immutable and memoised per :attr:`KnowledgeGraph.epoch`
 via :func:`graph_topology` (the graph-side sibling of
-``columnar_tables``); :class:`TraversalCounters` accumulates the shared
+``columnar_tables``), which derives each epoch's adjacency from the
+memoised previous epoch's; :class:`TraversalCounters` accumulates the shared
 traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
 The array layout round-trips through the PR 9 segment codec as the
 ``"graph-topology"`` segment kind (:func:`repro.storage.codec.
@@ -50,7 +51,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..stats import TraversalStats
-from .columns import csr_gather, csr_offsets, sort_rows
+from ..utils.ordinals import OrdinalMap
+from .columns import EpochColumns, csr_gather, csr_merge, csr_offsets, sort_rows
 from .graph import KnowledgeGraph
 
 
@@ -100,7 +102,6 @@ class GraphTopology:
         "num_entities",
         "entity_ids",
         "ordinal_of",
-        "_id_array",
         "predicates",
         "predicate_ord",
         "out_offsets",
@@ -120,6 +121,7 @@ class GraphTopology:
         "subtree_sizes",
         "_pre_positions",
         "_under",
+        "_columns",
     )
 
     def __init__(
@@ -141,19 +143,14 @@ class GraphTopology:
         type_post: np.ndarray,
         pre_order: np.ndarray,
         subtree_sizes: np.ndarray,
-        ordinal_of: dict[str, int] | None = None,
+        ordinal_of: OrdinalMap | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = len(entity_ids)
         self.entity_ids = entity_ids
         #: ``entity_id → ordinal``; sort-built topologies share the
-        #: epoch's dictionary with the feature tables (read-only).
-        self.ordinal_of = (
-            {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
-            if ordinal_of is None
-            else ordinal_of
-        )
-        self._id_array: np.ndarray | None = None
+        #: epoch's map with the feature tables (read-only).
+        self.ordinal_of = OrdinalMap(entity_ids) if ordinal_of is None else ordinal_of
         self.predicates = predicates
         self.predicate_ord = {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
         self.out_offsets = out_offsets
@@ -178,30 +175,36 @@ class GraphTopology:
             pre_positions[pre_order] = np.arange(len(type_ids), dtype=np.int64)
         self._pre_positions = pre_positions
         self._under: dict[int, np.ndarray] = {}
+        #: The log epoch a sort-built topology came from, which a later
+        #: epoch's topology derives its adjacency from (``None`` when decoded).
+        self._columns: EpochColumns | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_graph(cls, graph: KnowledgeGraph) -> "GraphTopology":
+    def from_graph(
+        cls, graph: KnowledgeGraph, previous: "GraphTopology | None" = None
+    ) -> "GraphTopology":
         """Materialise the topology of the graph's current epoch.
 
         The epoch is pinned under :attr:`KnowledgeGraph.lock`; the arrays
         are then sorted out of that epoch's prefix of the graph's column
         log (:mod:`repro.kg.columns`), which later writes cannot touch.
         Both adjacency directions are the same edge rows ordered by
-        ``(row entity, neighbour, predicate)``.
+        ``(row entity, neighbour, predicate)``.  Given ``previous``, the
+        topology of an earlier epoch of the same graph, the two adjacency
+        CSRs are derived from its rows instead (:meth:`_adjacency`); the
+        type CSR, containment forest and interval encoding are
+        recomputed either way (they are O(memberships) and O(types)).
         """
         with graph.lock:
             epoch = graph.epoch
             columns = graph.columns.epoch(len(graph))
         num_entities, num_types = len(columns.entity_ids), len(columns.type_ids)
-        subjects, preds, objects = (
-            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
+        out_offsets, out_targets, out_preds, in_offsets, in_sources, in_preds = cls._adjacency(
+            columns, previous
         )
-        edge_sizes = (num_entities, num_entities, len(columns.predicates))
-        _, out_targets, out_preds = sort_rows(edge_sizes, subjects, objects, preds)
-        _, in_sources, in_preds = sort_rows(edge_sizes, objects, subjects, preds)
 
         members, types = columns.typed_entities, columns.typed_types
         _, type_members = sort_rows((num_types, num_entities), types, members)
@@ -211,15 +214,15 @@ class GraphTopology:
         )
         type_pre, type_post, pre_order, subtree_sizes = cls._interval_encode(type_parents)
 
-        return cls(
+        topology = cls(
             epoch=epoch,
             entity_ids=columns.entity_ids,
             predicates=columns.predicates,
             type_ids=columns.type_ids,
-            out_offsets=csr_offsets(subjects, num_entities),
+            out_offsets=out_offsets,
             out_targets=out_targets,
             out_preds=out_preds,
-            in_offsets=csr_offsets(objects, num_entities),
+            in_offsets=in_offsets,
             in_sources=in_sources,
             in_preds=in_preds,
             type_offsets=type_offsets,
@@ -231,6 +234,52 @@ class GraphTopology:
             subtree_sizes=subtree_sizes,
             ordinal_of=columns.ordinal_of,
         )
+        topology._columns = columns
+        return topology
+
+    @staticmethod
+    def _adjacency(columns: EpochColumns, previous: "GraphTopology | None") -> list[np.ndarray]:
+        """``[out_offsets, out_targets, out_preds, in_offsets, in_sources, in_preds]``.
+
+        From ``previous``: each direction's CSR moved through the monotone
+        entity and predicate maps (so its rows stay sorted) and merged
+        with the edges logged since (:func:`~repro.kg.columns.csr_merge`).
+        From scratch otherwise: the epoch's edge rows sorted both ways.
+        """
+        older = None if previous is None else previous._columns
+        num_entities = len(columns.entity_ids)
+        sizes = (num_entities, len(columns.predicates))
+        subjects, preds, objects = (
+            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
+        )
+        if older is None or older.triples > columns.triples:
+            _, out_targets, out_preds = sort_rows((num_entities, *sizes), subjects, objects, preds)
+            _, in_sources, in_preds = sort_rows((num_entities, *sizes), objects, subjects, preds)
+            return [
+                csr_offsets(subjects, num_entities), out_targets, out_preds,
+                csr_offsets(objects, num_entities), in_sources, in_preds,
+            ]
+        assert previous is not None
+        entity_map, predicate_map = columns.ordinal_maps(older)
+        first = older.edge_subjects.size
+        subjects, preds, objects = subjects[first:], preds[first:], objects[first:]
+        arrays: list[np.ndarray] = []
+        for offsets, neighbours, neighbour_preds, rows, added in (
+            (previous.out_offsets, previous.out_targets, previous.out_preds, subjects, objects),
+            (previous.in_offsets, previous.in_sources, previous.in_preds, objects, subjects),
+        ):
+            counts = np.zeros(num_entities, dtype=np.int64)
+            counts[entity_map] = np.diff(offsets)
+            offsets, merged = csr_merge(
+                counts,
+                (entity_map[neighbours], predicate_map[neighbour_preds]),
+                sizes,
+                rows,
+                added,
+                preds,
+            )
+            arrays += [offsets, *merged]
+        return arrays
 
     @classmethod
     def from_arrays(
@@ -354,23 +403,11 @@ class GraphTopology:
     def ordinals_of(self, entity_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized id→ordinal lookup: ``(ordinals, known_mask)``.
 
-        Unknown identifiers get ordinal 0 with ``known_mask`` ``False``;
-        the sorted unicode comparison matches Python string order, so
-        ``searchsorted`` here is exact.
+        Unknown identifiers get ordinal 0 with ``known_mask`` ``False``.
         """
-        if not len(entity_ids) or not self.num_entities:
-            return (
-                np.zeros(len(entity_ids), dtype=np.int64),
-                np.zeros(len(entity_ids), dtype=bool),
-            )
-        if self._id_array is None:
-            self._id_array = np.asarray(self.entity_ids)
-        queries = np.asarray(list(entity_ids))
-        positions = np.searchsorted(self._id_array, queries)
-        known = positions < self.num_entities
-        safe = np.where(known, positions, 0)
-        known &= self._id_array[safe] == queries
-        return np.where(known, safe, 0), known
+        ordinals = self.ordinal_of.array(entity_ids, len(entity_ids))
+        known = ordinals >= 0
+        return np.where(known, ordinals, 0), known
 
     # ------------------------------------------------------------------ #
     # Interval-encoded type reachability
@@ -519,9 +556,10 @@ def topology_counters(graph: KnowledgeGraph) -> TraversalCounters:
 def graph_topology(graph: KnowledgeGraph) -> GraphTopology:
     """The graph's memoised per-epoch :class:`GraphTopology`.
 
-    Rebuilt (under :attr:`KnowledgeGraph.lock`) whenever the graph's
+    Replaced (under :attr:`KnowledgeGraph.lock`) whenever the graph's
     epoch has moved past the memo — the graph-side mirror of
-    ``columnar_tables`` on feature snapshots.
+    ``columnar_tables`` on feature snapshots — by a topology derived
+    from the superseded one (:meth:`GraphTopology.from_graph`).
     """
     counters = topology_counters(graph)
     topology = getattr(graph, "_topology", None)
@@ -533,7 +571,7 @@ def graph_topology(graph: KnowledgeGraph) -> GraphTopology:
         if topology is not None and topology.epoch == graph.epoch:
             counters.cache_hits += 1
             return topology
-        topology = GraphTopology.from_graph(graph)
+        topology = GraphTopology.from_graph(graph, topology)
         graph._topology = topology  # type: ignore[attr-defined]
         counters.rebuilds += 1
     return topology

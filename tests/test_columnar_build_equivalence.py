@@ -37,16 +37,18 @@ from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, s
 from repro.engine import PivotE
 from repro.features import SemanticFeatureIndex
 from repro.features.columnar import ColumnarFeatureTables, columnar_tables
-from repro.kg import GraphTopology, KnowledgeGraph, Literal, Triple
+from repro.kg import GraphTopology, KnowledgeGraph, Literal, Triple, graph_topology
 from repro.kg.columns import EdgeColumnLog, sort_rows
 from repro.kg.namespaces import DCT_SUBJECT, RDF_TYPE, RDFS_LABEL, REDIRECT
 from repro.storage import SegmentView, SnapshotUnavailable
 from repro.storage.codec import SegmentBuilder, encode_feature_tables
 from repro.storage.kgstore import restore_feature_snapshot
 
-ENTITIES = [f"ex:e{index}" for index in range(7)]
-PREDICATES = ["ex:p0", "ex:p1", "ex:p2"]
-TYPES = ["ex:T0", "ex:T1", "ex:T2", "ex:T3"]
+# ``ex:a0``, ``ex:o0`` and ``ex:S0`` sort before every other entity,
+# predicate and type, so a burst that first names one shifts every ordinal.
+ENTITIES = [f"ex:e{index}" for index in range(7)] + ["ex:a0"]
+PREDICATES = ["ex:p0", "ex:p1", "ex:p2", "ex:o0"]
+TYPES = ["ex:T0", "ex:T1", "ex:T2", "ex:T3", "ex:S0"]
 
 entity = st.sampled_from(ENTITIES)
 triple = st.one_of(
@@ -62,9 +64,14 @@ write_bursts = st.lists(st.lists(triple, max_size=12), max_size=5)
 
 
 def assert_epoch_matches(index: SemanticFeatureIndex, graph: KnowledgeGraph) -> None:
+    """The sorted builds and the memoised structures — derived from the
+    previous epoch's whenever there was one — all equal the oracle."""
     snapshot = index.snapshot()
-    assert_tables_match(ColumnarFeatureTables.from_snapshot(snapshot), feature_tables_oracle(snapshot))
-    assert_topology_matches(GraphTopology.from_graph(graph), topology_oracle(graph))
+    tables_oracle, graph_oracle = feature_tables_oracle(snapshot), topology_oracle(graph)
+    assert_tables_match(ColumnarFeatureTables.from_snapshot(snapshot), tables_oracle)
+    assert_tables_match(columnar_tables(snapshot), tables_oracle)
+    assert_topology_matches(GraphTopology.from_graph(graph), graph_oracle)
+    assert_topology_matches(graph_topology(graph), graph_oracle)
 
 
 class TestHypothesisGraphs:
@@ -94,20 +101,29 @@ class TestHypothesisGraphs:
     @settings(max_examples=75, deadline=None, derandomize=True)
     @given(write_bursts)
     def test_caught_up_log_equals_log_rebuilt_from_triples(self, bursts):
+        """Each burst's epoch is derived from the last one; older cuts are sorted."""
         graph = KnowledgeGraph("hyp")
         cuts = [0]
+        graph.columns.epoch(0)
         for burst in bursts:
             graph.add_all(burst)
-            graph.columns.epoch(len(graph))  # one incremental catch-up per burst
+            derived = graph.columns.epoch(len(graph))  # one incremental catch-up per burst
+            assert_epoch_columns_equal(
+                derived, EdgeColumnLog(list(graph.triples), threading.RLock()).epoch(len(graph))
+            )
             cuts.append(len(graph))
         rebuilt = EdgeColumnLog(list(graph.triples), threading.RLock())
         for cut in cuts:
-            live, fresh = graph.columns.epoch(cut), rebuilt.epoch(cut)
-            for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids"):
-                assert getattr(live, name) == getattr(fresh, name), name
-            for name in ("edge_subjects", "edge_predicates", "edge_objects",
-                         "typed_entities", "typed_types"):
-                assert getattr(live, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert_epoch_columns_equal(graph.columns.epoch(cut), rebuilt.epoch(cut))
+
+
+def assert_epoch_columns_equal(live, fresh) -> None:
+    for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids"):
+        assert getattr(live, name) == getattr(fresh, name), name
+    for name in ("edge_subjects", "edge_predicates", "edge_objects",
+                 "typed_entities", "typed_types", "entity_rank", "predicate_rank", "type_rank"):
+        actual, wanted = getattr(live, name), getattr(fresh, name)
+        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes(), name
 
 
 class TestHandPickedShapes:
@@ -130,6 +146,29 @@ class TestHandPickedShapes:
         assert_epoch_matches(index, graph)
         tables = columnar_tables(index.snapshot())
         assert tables.num_types == 2 and len(GraphTopology.from_graph(graph).type_ids) == 3
+
+    def test_a_write_that_moves_dominant_types_is_derived(self):
+        """Typing two more entities ``ex:T0`` makes it more populated than
+        ``ex:T1``, moving the dominant type of every entity holding both."""
+        graph, index = self.build(
+            [("ex:a", RDF_TYPE, "ex:T0"), ("ex:a", RDF_TYPE, "ex:T1"),
+             ("ex:b", RDF_TYPE, "ex:T0"), ("ex:b", RDF_TYPE, "ex:T1"),
+             ("ex:c", RDF_TYPE, "ex:T1"), ("ex:c", "ex:p", "ex:a"), ("ex:b", "ex:p", "ex:c")]
+        )
+        assert_epoch_matches(index, graph)
+        before = columnar_tables(index.snapshot())
+        graph.add_all(
+            [Triple("ex:d", RDF_TYPE, "ex:T0"), Triple("ex:0", RDF_TYPE, "ex:T0"),
+             Triple("ex:0", "ex:o", "ex:a")]
+        )
+        snapshot = index.snapshot()
+        assert snapshot._previous is before  # handed over, not rebuilt
+        assert_epoch_matches(index, graph)
+        assert snapshot._previous is None
+        tables = columnar_tables(snapshot)
+        assert tables._columns is not None and tables._columns.triples == len(graph)
+        a = tables.ordinal_of["ex:a"]
+        assert before.dominant_ords[before.ordinal_of["ex:a"]] != tables.dominant_ords[a]
 
     def test_self_loop_and_parallel_predicates(self):
         graph, index = self.build(

@@ -11,6 +11,7 @@ exactly with a system built from scratch on the final graph.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -141,6 +142,59 @@ class TestConcurrentRecommendation:
         assert [(e.entity_id, e.score) for e in got.entities] == [
             (e.entity_id, e.score) for e in expected.entities
         ]
+
+    def test_readers_build_tables_on_old_snapshots_while_the_writer_derives(self, tiny_kg):
+        """Readers build (or derive) the tables of snapshots the writer has
+        already moved past, and the topology of whatever epoch is current,
+        while the writer derives each new epoch's from the last one's."""
+        from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+        from repro.kg import GraphTopology, graph_topology
+
+        graph = tiny_kg
+        index = SemanticFeatureIndex.build(graph)
+        pinned = [index.snapshot()]
+        counter = [0]
+
+        def mutate():
+            counter[0] += 1
+            number = counter[0]
+            entity = f"ex:{number % 7}NF{number}"  # new ids land all over the ordinal range
+            graph.add_type(entity, "ex:Film" if number % 3 else f"ex:Kind{number % 5}")
+            graph.add(entity, "ex:starring", f"ex:A{1 + number % 3}")
+            graph.add(f"ex:F{1 + number % 4}", f"ex:rel{number % 4}", entity)
+            snapshot = index.snapshot()
+            columnar_tables(snapshot)
+            graph_topology(graph)
+            pinned.append(snapshot)
+
+        def read_old_tables():
+            snapshot = pinned[counter[0] // 2]  # some epochs behind the writer
+            tables = columnar_tables(snapshot)
+            assert tables.epoch == snapshot.epoch
+            assert tables.holder_offsets[-1] == tables.holder_ordinals.size
+
+        def read_topology():
+            topology = graph_topology(graph)
+            assert topology.out_offsets[-1] == topology.out_targets.size
+            assert topology.in_offsets[-1] == topology.in_sources.size
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: expose a torn handover
+        try:
+            _run_threads([mutate, read_old_tables, read_old_tables, read_topology])
+        finally:
+            sys.setswitchinterval(interval)
+
+        for snapshot in pinned[:: max(1, len(pinned) // 40)] + pinned[-1:]:
+            got, want = columnar_tables(snapshot), ColumnarFeatureTables.from_snapshot(snapshot)
+            for name in ("feature_codes", "holder_offsets", "holder_ordinals", "dominant_ords",
+                         "type_populations", "member_offsets", "member_type_ords"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.entity_ids == want.entity_ids
+        got, want = graph_topology(graph), GraphTopology.from_graph(graph)
+        for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
+                     "in_preds", "type_offsets", "type_members", "type_parents"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_pinned_request_reads_seed_rows_of_its_own_epoch(self, tiny_kg):
         """A request pinned at epoch n keeps epoch n's seed rows while a write

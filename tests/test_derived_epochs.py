@@ -1,0 +1,287 @@
+"""Per-epoch structures derived from the previous epoch's: isolation and bounds.
+
+A write derives the successor's search view, epoch columns, feature
+tables and topology from the predecessor's instead of rebuilding them.
+``test_columnar_build_equivalence`` and ``test_serial_search_matrix``
+hold the derived structures equal to the full builds; this module holds
+the two promises equality does not cover:
+
+* **isolation** — a reader pinned at epoch n keeps byte-identical arrays
+  while the writer derives n + 1 (nothing of a predecessor is written);
+* **bounds** — the search view carries forward only the postings the
+  previous epoch's readers asked for, so its memo does not grow with the
+  number of writes, and no view keeps its predecessor alive.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.datasets import RandomKGConfig, build_random_kg
+from repro.features import SemanticFeatureIndex
+from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+from repro.index import ColumnarIndex, columnar_view
+from repro.kg import GraphTopology, graph_topology
+from repro.search import SearchEngine
+from repro.storage import SegmentView
+from repro.storage.codec import SegmentBuilder, encode_index_snapshot
+from repro.storage.kgstore import restore_fielded_index
+from repro.utils import OrdinalMap
+
+
+def _bytes(arrays) -> dict[str, bytes]:
+    return {name: array.tobytes() for name, array in arrays.items()}
+
+
+def _view_arrays(view: ColumnarIndex, fields, terms) -> dict[str, bytes]:
+    arrays = {f"lengths:{field}": view.field_lengths(field) for field in fields}
+    for field in fields:
+        for term in terms:
+            postings = view.postings(field, term)
+            if postings is not None:
+                arrays[f"{field}:{term}:ordinals"] = postings.ordinals
+                arrays[f"{field}:{term}:frequencies"] = postings.frequencies
+    return _bytes(arrays)
+
+
+def _write(graph, number: int) -> str:
+    """A new entity that sorts first, with a label, a type and two edges."""
+    entity = f"ex:0written{number}"
+    anchors = sorted(graph.entities())
+    graph.add_label(entity, f"written{number} film")
+    graph.add_type(entity, sorted(graph.types())[number % 3])
+    predicate = sorted(graph.edge_predicates())[0]
+    graph.add(entity, predicate, anchors[number])
+    graph.add(anchors[-1 - number], predicate, entity)
+    return entity
+
+
+@pytest.fixture
+def graph():
+    return build_random_kg(RandomKGConfig(num_entities=150, seed=41))
+
+
+class TestPinnedReadersKeepTheirEpoch:
+    def test_search_view(self, graph):
+        engine = SearchEngine.from_graph(graph)
+        terms = ["film", "written0", "entity"]
+        engine.search("film entity")
+        pinned = columnar_view(engine.index)
+        fields = engine.index.fields
+        doc_ids = list(pinned.doc_ids)
+        before = _view_arrays(pinned, fields, terms)
+        for number in range(3):
+            engine.add_entity(_write(graph, number))
+            engine.search("written0 film entity")  # the successor remaps the memo
+        assert engine.index.statistics().columnar_view is not pinned
+        assert pinned.doc_ids == doc_ids
+        assert _view_arrays(pinned, fields, terms) == before
+        assert pinned.ordinal_of.array(doc_ids).tolist() == list(range(len(doc_ids)))
+        assert "ex:0written0" not in pinned.ordinal_of
+
+    def test_feature_tables_and_topology(self, graph):
+        index = SemanticFeatureIndex.build(graph)
+        snapshot = index.snapshot()
+        tables, topology = columnar_tables(snapshot), graph_topology(graph)
+        table_arrays = {
+            name: getattr(tables, name)
+            for name in ("feature_codes", "holder_offsets", "holder_ordinals", "dominant_ords",
+                         "type_populations", "member_offsets", "member_type_ords")
+        }
+        topology_arrays = {
+            name: getattr(topology, name)
+            for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
+                         "in_preds", "type_offsets", "type_members", "type_parents")
+        }
+        columns = graph.columns.epoch(snapshot.triples)
+        column_arrays = {
+            name: getattr(columns, name)
+            for name in ("edge_subjects", "edge_predicates", "edge_objects", "typed_entities",
+                         "typed_types", "entity_rank", "predicate_rank", "type_rank")
+        }
+        before = [_bytes(table_arrays), _bytes(topology_arrays), _bytes(column_arrays)]
+        entity_ids = list(tables.entity_ids)
+        for number in range(3):
+            _write(graph, number)
+            derived = columnar_tables(index.snapshot())
+            assert derived is not tables and graph_topology(graph) is not topology
+        assert derived.entity_ids[0] == "ex:0written0"
+        assert [_bytes(table_arrays), _bytes(topology_arrays), _bytes(column_arrays)] == before
+        assert tables.entity_ids == entity_ids == topology.entity_ids
+        assert tables.ordinal_of.get("ex:0written0") is None
+        assert tables.entity_ordinals(entity_ids[:5]).tolist() == list(range(5))
+
+
+class TestCarriedStateIsBounded:
+    def test_the_view_carries_only_the_last_epochs_postings(self, graph):
+        engine = SearchEngine.from_graph(graph)
+        fields = engine.index.fields
+        for cycle in range(50):
+            view = columnar_view(engine.index)
+            engine.search(f"distinct{cycle} film")  # two terms the epoch's readers ask for
+            created = len(view._postings)
+            assert created <= 2 * len(fields)
+            entity = f"ex:cycle{cycle}"
+            graph.add_label(entity, f"distinct{cycle + 1} film")
+            engine.add_entity(entity)
+            successor = engine.index.statistics().columnar_view
+            assert successor is not None and len(successor._inherited) == created
+            assert not successor._postings  # nothing is remapped before a query asks
+
+    def test_no_view_keeps_its_predecessor_alive(self, graph):
+        engine = SearchEngine.from_graph(graph)
+        engine.search("film entity")
+        gc.collect()
+        gc.disable()
+        try:
+            dead = weakref.ref(columnar_view(engine.index))
+            engine.add_entity(_write(graph, 0))
+            engine.search("written0 film")
+            assert dead() is None
+        finally:
+            gc.enable()
+
+
+class TestDerivationSources:
+    def test_an_adopted_view_derives_its_successor(self, graph):
+        """A view over stored CSRs (a cold start) derives like a built one."""
+        built = SearchEngine.from_graph(graph)
+        manifest, builder = encode_index_snapshot(built.index, columnar_view(built.index))
+        encoded = SegmentBuilder.encode_manifest(manifest)
+        buffer = bytearray(builder.total_size(encoded)[0])
+        builder.write_into(buffer, encoded)
+        engine = SearchEngine.restore(
+            graph, restore_fielded_index(SegmentView(buffer, verify=True), built.config.fields)
+        )
+        hits = engine.search("film entity")
+        assert hits == built.search("film entity")
+        stored = engine.index.stored_documents()
+        assert stored is not None
+        entity = _write(graph, 0)
+        engine.add_entity(entity)
+        built.add_entity(entity)
+        # The view borrowed the stored ids' dictionary and never wrote it.
+        assert stored.ordinal_of() == {doc_id: n for n, doc_id in enumerate(stored.doc_ids)}
+        derived = engine.index.statistics().columnar_view
+        assert derived is not None and engine.index.stored_documents() is None
+        assert engine.search("written0 film entity") == built.search("written0 film entity")
+        rebuilt = ColumnarIndex(engine.index)
+        assert derived.doc_ids == rebuilt.doc_ids
+        for field in engine.index.fields:
+            assert derived.field_lengths(field).tobytes() == rebuilt.field_lengths(field).tobytes()
+            for term in ("film", "entity", "written0"):
+                got, want = derived.postings(field, term), rebuilt.postings(field, term)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got.ordinals, want.ordinals)
+                    assert np.array_equal(got.frequencies, want.frequencies)
+
+    def test_decoded_tables_and_topology_fall_back_to_the_full_build(self, graph):
+        """Structures decoded from a segment have no epoch to derive from."""
+        index = SemanticFeatureIndex.build(graph)
+        tables = columnar_tables(index.snapshot())
+        decoded = ColumnarFeatureTables.from_arrays(
+            epoch=tables.epoch, feature_keys=tables.feature_keys(),
+            holder_offsets=tables.holder_offsets, holder_ordinals=tables.holder_ordinals,
+            dominant_ords=tables.dominant_ords, type_populations=tables.type_populations,
+            member_offsets=tables.member_offsets, member_type_ords=tables.member_type_ords,
+            entity_ids=tables.entity_ids,
+        )
+        assert decoded._columns is None
+        _write(graph, 0)
+        snapshot = index.snapshot()
+        fresh = ColumnarFeatureTables.from_snapshot(snapshot)
+        again = ColumnarFeatureTables.from_snapshot(snapshot, decoded)
+        assert again.holder_ordinals.tobytes() == fresh.holder_ordinals.tobytes()
+        topology = GraphTopology.from_graph(graph)
+        arrays = {name: getattr(topology, name) for name in ("out_offsets", "out_targets")}
+        restored = GraphTopology.from_arrays(
+            epoch=topology.epoch - 1, entity_ids=topology.entity_ids,
+            predicates=topology.predicates, type_ids=topology.type_ids,
+            out_offsets=topology.out_offsets, out_targets=topology.out_targets,
+            out_preds=topology.out_preds, in_offsets=topology.in_offsets,
+            in_sources=topology.in_sources, in_preds=topology.in_preds,
+            type_offsets=topology.type_offsets, type_members=topology.type_members,
+            type_parents=topology.type_parents, type_pre=topology.type_pre,
+            type_post=topology.type_post, pre_order=topology.pre_order,
+            subtree_sizes=topology.subtree_sizes,
+        )
+        rebuilt = GraphTopology.from_graph(graph, restored)
+        assert _bytes(arrays) == _bytes(
+            {name: getattr(rebuilt, name) for name in ("out_offsets", "out_targets")}
+        )
+
+
+class TestOrdinalMapSiblings:
+    """Successors derived from one map, in any order or at once, share its
+    code registry without sharing a code, and never change its answers; a
+    registry the map borrows is never written."""
+
+    def test_siblings_derived_concurrently(self):
+        base = OrdinalMap([f"id{n:05d}" for n in range(0, 400, 2)])
+        workers, per_worker = 8, 150
+        keys = [[f"id{n:05d}w{worker}" for n in range(per_worker)] for worker in range(workers)]
+        derived: list[tuple[str, OrdinalMap]] = []
+        barrier = threading.Barrier(workers)
+
+        def derive(own: list[str]) -> None:
+            barrier.wait(timeout=10.0)
+            for key in own:
+                derived.append((key, base.with_inserted(key)[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=derive, args=(own,)) for own in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(derived) == workers * per_worker
+        codes = base._codes
+        assert len({codes[key] for key, _ in derived}) == len(derived)  # no code handed out twice
+        others = [own[0] for own in keys]
+        for key, successor in derived[::37]:
+            ids = sorted([*base.ids, key])
+            assert successor.ids == ids
+            assert successor.array(ids).tolist() == list(range(len(ids)))
+            assert dict(successor) == {value: ordinal for ordinal, value in enumerate(ids)}
+            assert successor.array([o for o in others if o != key]).tolist() == [-1] * (
+                len(others) - (key in others)
+            )
+        assert base.array(base.ids).tolist() == list(range(len(base.ids)))
+        assert base.array(others).tolist() == [-1] * len(others)
+        assert base.with_inserted(base.ids[5]) == (base, 5)  # a held id changes nothing
+
+    def test_a_borrowed_registry_is_copied_not_written(self):
+        ids = [f"id{n:03d}" for n in range(0, 20, 2)]
+        registry = {key: code for code, key in enumerate(ids)}
+        borrowed = OrdinalMap(ids, registry)
+        first, position = borrowed.with_inserted("id005")
+        second, _ = first.with_inserted("id011")
+        assert registry == {key: code for code, key in enumerate(ids)}
+        assert borrowed.get("id005") is None and first.get("id011") is None
+        assert position == 3 and dict(second) == {
+            key: ordinal for ordinal, key in enumerate(sorted([*ids, "id005", "id011"]))
+        }
+        assert first._codes is second._codes  # successors share the copy
+
+    def test_the_column_log_registry_is_never_written_by_a_map(self, graph):
+        columns = graph.columns.epoch(len(graph))
+        registry = graph.columns._entities.codes()
+        before = dict(registry)
+        derived, position = columns.ordinal_of.with_inserted("ex:0written0")
+        assert registry == before and derived["ex:0written0"] == position
+        _write(graph, 0)  # the log then codes the same id itself
+        later = graph.columns.epoch(len(graph))
+        assert later.ordinal_of["ex:0written0"] == later.entity_ids.index("ex:0written0")
+        assert dict(later.ordinal_of) == {key: n for n, key in enumerate(later.entity_ids)}

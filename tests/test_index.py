@@ -199,14 +199,49 @@ class TestCopyOnWriteSuccessor:
             assert inherited[1].fields == scanned.fields  # field for field, count for count
             assert inherited[1].columnar_view is None and not inherited[1]._bound_cache
 
-    def test_replaced_document_and_cold_predecessor_fall_back_to_the_scan(self):
+    def test_cold_predecessor_falls_back_to_the_scan_and_a_replaced_document_is_derived(self):
         index = FieldedIndex(["names", "categories"])
         index = index.with_added_document("e1", {"names": ["a"]})  # predecessor never scanned
         assert index._statistics_cache is None
         index.statistics()
         index = index.with_added_document("e1", {"names": ["b"]})  # re-indexes an existing id
-        assert index._statistics_cache is None
-        assert index.statistics().field("names").term_collection_frequency == {"a": 1, "b": 1}
+        inherited = index._statistics_cache
+        assert inherited is not None and inherited[0] == index.epoch
+        index._statistics_cache = None
+        assert inherited[1] == index.statistics()
+        assert index.statistics().field("names").term_collection_frequency == {"b": 1}
+        assert index.document_length("names", "e1") == 1 and len(index) == 1
+
+    REWRITES = [
+        ("e1", {"names": ["gump"], "categories": ["film"]}),  # held gump's max tf, the longest
+        ("e3", {"names": ["space", "space"]}),  # loses every category term, space's max tf
+        ("e2", {}),  # becomes empty: the shortest length moves
+        ("e4", {"names": ["sequel"], "categories": ["film"] * 5}),  # a new max tf, drops forrest
+        ("e4", {"names": ["sequel"], "categories": ["film"] * 5}),  # unchanged
+    ]
+
+    def test_replaced_document_statistics_equal_a_fresh_scan(self):
+        index = FieldedIndex(["names", "categories"])
+        for doc_id, field_terms in self.DOCUMENTS:
+            index.add_document(doc_id, field_terms)
+        for doc_id, field_terms in self.REWRITES:
+            index.statistics()
+            index = index.with_added_document(doc_id, field_terms)
+            inherited = index._statistics_cache
+            assert inherited is not None and inherited[0] == index.epoch
+            index._statistics_cache = None
+            scanned = index.statistics()
+            assert inherited[1] == scanned and inherited[1].fields == scanned.fields
+        rebuilt = FieldedIndex(["names", "categories"])
+        final = dict(self.DOCUMENTS) | dict(self.REWRITES)
+        for doc_id in sorted(final):
+            rebuilt.add_document(doc_id, final[doc_id])
+        assert index.statistics() == rebuilt.statistics()
+        for field in index.fields:
+            assert index.field_index(field).vocabulary() == rebuilt.field_index(field).vocabulary()
+            assert index.field_index(field).document_lengths() == (
+                rebuilt.field_index(field).document_lengths()
+            )
 
     def test_superseded_snapshot_is_freed_without_the_cyclic_collector(self):
         index = FieldedIndex(["names", "categories"])

@@ -5,9 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SearchConfig
+from repro.datasets import RandomKGConfig, build_random_kg
 from repro.exceptions import EmptyQueryError, EntityNotFoundError
+from repro.index import ColumnarIndex
 from repro.kg import KnowledgeGraph
 from repro.search import SearchEngine, parse_query
+
+
+def _label_queries(graph: KnowledgeGraph) -> list[str]:
+    return [graph.label(entity) for entity in sorted(graph.entities())[::37]]
+
+
+def _hits(engine: SearchEngine, query: str) -> list[tuple[str, float]]:
+    return [(hit.entity_id, hit.score) for hit in engine.search(query, top_k=20)]
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +131,48 @@ class TestIncrementalIndexing:
         engine.add_entity("ex:F9")
         hits = engine.search("brand new film")
         assert hits[0].entity_id == "ex:F9"
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "view-derived"])
+    def test_reindexing_an_unchanged_entity_changes_nothing(self, warm):
+        graph = build_random_kg(RandomKGConfig(num_entities=300, seed=31))
+        engine = SearchEngine.from_graph(graph)
+        queries = _label_queries(graph)
+        before = [_hits(engine, query) for query in queries]
+        statistics = engine.index.statistics()
+        entity = max(graph.entities(), key=lambda e: (len(graph.outgoing(e)), e))
+        lengths = {field: engine.index.document_length(field, entity) for field in engine.index.fields}
+        if not warm:
+            engine.index._statistics_cache = None  # nothing to derive from: the scan
+        engine.add_entity(entity)
+        assert engine.num_indexed() == graph.num_entities()
+        assert {
+            field: engine.index.document_length(field, entity) for field in engine.index.fields
+        } == lengths
+        assert engine.index.statistics() == statistics
+        assert [_hits(engine, query) for query in queries] == before
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "view-derived"])
+    def test_reindexing_after_a_new_label_equals_a_fresh_build(self, warm):
+        graph = build_random_kg(RandomKGConfig(num_entities=300, seed=37))
+        engine = SearchEngine.from_graph(graph)
+        entity = sorted(graph.entities())[7]
+        queries = [*_label_queries(graph), "renamed entity", graph.label(entity)]
+        if warm:
+            [_hits(engine, query) for query in queries]
+        graph.add_label(entity, "renamed entity")
+        engine.add_entity(entity)
+        fresh = SearchEngine.from_graph(graph)
+        assert engine.index.statistics() == fresh.index.statistics()
+        for field in engine.index.fields:
+            assert engine.index.field_index(field).document_lengths() == (
+                fresh.index.field_index(field).document_lengths()
+            )
+        assert [_hits(engine, query) for query in queries] == [
+            _hits(fresh, query) for query in queries
+        ]
+        if warm:
+            derived = engine.index.statistics().columnar_view
+            assert derived is not None and derived.doc_ids == ColumnarIndex(fresh.index).doc_ids
 
     def test_custom_config_used(self, tiny_kg: KnowledgeGraph):
         config = SearchConfig(top_k=2)

@@ -34,6 +34,7 @@ from repro.config import (
 )
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
+from repro.index import ColumnarIndex
 from repro.kg import GraphBuilder
 from repro.search import (
     BM25FieldScorer,
@@ -368,22 +369,32 @@ class TestExactTies:
 
 class TestSearchAfterAddEntity:
     """An index grown one entity at a time by ``add_entity``: the kernels
-    still equal the reference, and the engine ranks as a fresh build."""
+    still equal the reference, the engine ranks as a fresh build, and the
+    columnar view each write derived from its predecessor's equals a view
+    built from scratch, array for array."""
+
+    QUERIES = ("added", "added entity 2", "entity 3", "entity 1 added 0", "renamed")
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     def test_kernels_equal_exhaustive_and_fresh_build(self, scorer_name, pruning):
         graph = build_random_kg(RandomKGConfig(num_entities=60, seed=29))
         engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
-        for number in range(4):
-            entity = f"ex:Added{number}"
-            graph.add_label(entity, f"added entity {number}")
-            graph.add_type(entity, "ex:Added")
+        written = [f"ex:Added{number}" for number in range(4)] + ["ex:Added1"]
+        for number, entity in enumerate(written):
+            # Searching first builds this epoch's view, so the write derives the next.
+            for raw in self.QUERIES:
+                _scorer(engine, scorer_name).search(parse_query(raw), top_k=5)
+            if number < 4:
+                graph.add_label(entity, f"added entity {number}")
+                graph.add_type(entity, "ex:Added")
+            else:  # re-index an entity already indexed
+                graph.add_label(entity, "renamed")
             engine.add_entity(entity)
         fresh = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
         scorer = _scorer(engine, scorer_name)
         reference = _scorer(fresh, scorer_name)
-        for raw in ("added", "added entity 2", "entity 3", "entity 1 added 0"):
+        for raw in self.QUERIES:
             query = parse_query(raw)
             for top_k in (1, 5, 1000):
                 grown = scorer.search(query, top_k=top_k)
@@ -392,6 +403,19 @@ class TestSearchAfterAddEntity:
                 assert [(r.doc_id, r.score) for r in grown] == [
                     (r.doc_id, r.score) for r in fresh_results
                 ]
+        derived = engine.index.statistics().columnar_view
+        assert derived is not None, "the last write derived no view"
+        rebuilt = ColumnarIndex(engine.index)
+        assert derived.doc_ids == rebuilt.doc_ids == sorted(fresh.index.documents())
+        for field in engine.index.fields:
+            assert derived.field_lengths(field).tobytes() == rebuilt.field_lengths(field).tobytes()
+            for term in {t for raw in self.QUERIES for t in parse_query(raw).terms}:
+                got, want = derived.postings(field, term), rebuilt.postings(field, term)
+                assert (got is None) == (want is None), (field, term)
+                if got is not None:
+                    assert got.ordinals.dtype == want.ordinals.dtype
+                    assert got.ordinals.tobytes() == want.ordinals.tobytes(), (field, term)
+                    assert got.frequencies.tobytes() == want.frequencies.tobytes(), (field, term)
 
 
 class TestExplainAgreesWithHits:
