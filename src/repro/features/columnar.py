@@ -44,9 +44,7 @@ made only for what a response returns.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -69,9 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..kg.topology import GraphTopology
     from .feature_index import FeatureIndexSnapshot
 
-#: The feature-key triples are JSON-serialised into the snapshot manifest,
-#: so the table keys are plain ``(anchor, predicate, direction)`` string
-#: tuples (``SemanticFeature.key``), never feature objects.
+#: A feature named by strings: the ``(anchor, predicate, direction)``
+#: tuple of ``SemanticFeature.key``, never a feature object.
 FeatureKey = tuple[str, str, str]
 
 #: Direction values in ``SemanticFeature`` sort order (the enum compares as
@@ -87,14 +84,12 @@ class ColumnarFeatureTables:
     ordinals (an :class:`~repro.utils.ordinals.OrdinalMap`); everything
     else is in ordinal space.
 
-    A feature's ordinal is its rank in ``SemanticFeature`` sort order.
-    Sort-built tables address it through ``feature_codes`` — the sorted
-    integers ``(anchor_ord · P + predicate_ord) · 2 + direction`` over
-    the epoch's ``P`` edge predicates, monotone in that sort order — and
-    derive the string triples only when a manifest needs them; tables
-    decoded from a segment carry the triples the manifest listed (sorted,
-    being in ordinal order) and bisect them.  :meth:`feature_ordinals`,
-    :meth:`feature_key` and :meth:`feature_keys` hide which.
+    A feature's ordinal is its rank in ``SemanticFeature`` sort order,
+    and ``feature_codes`` addresses it: the sorted integers
+    ``(anchor_ord · P + predicate_ord) · 2 + direction`` over the epoch's
+    ``P`` edge predicates (``predicates``), monotone in that sort order.
+    Sort-built, derived and decoded tables all carry them; the string
+    triples are derived only for the features a response names.
     """
 
     __slots__ = (
@@ -105,7 +100,6 @@ class ColumnarFeatureTables:
         "feature_codes",
         "predicates",
         "_code_offsets",
-        "_feature_keys",
         "holder_offsets",
         "holder_ordinals",
         "num_types",
@@ -120,6 +114,8 @@ class ColumnarFeatureTables:
     def __init__(
         self,
         epoch: int,
+        feature_codes: np.ndarray,
+        predicates: list[str],
         holder_offsets: np.ndarray,
         holder_ordinals: np.ndarray,
         dominant_ords: np.ndarray,
@@ -128,9 +124,6 @@ class ColumnarFeatureTables:
         member_type_ords: np.ndarray,
         entity_ids: list[str] | None = None,
         ordinal_of: OrdinalMap | None = None,
-        feature_keys: list[FeatureKey] | None = None,
-        feature_codes: np.ndarray | None = None,
-        predicates: list[str] | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = int(dominant_ords.size)
@@ -142,16 +135,11 @@ class ColumnarFeatureTables:
         self.predicates = predicates
         #: ``(predicate, direction) → 2 · predicate ordinal + direction``,
         #: the part of a feature code below its anchor.
-        self._code_offsets = (
-            None
-            if predicates is None
-            else {
-                (predicate, direction): 2 * ordinal + code
-                for ordinal, predicate in enumerate(predicates)
-                for direction, code in _DIRECTION_CODE.items()
-            }
-        )
-        self._feature_keys = feature_keys
+        self._code_offsets = {
+            (predicate, direction): 2 * ordinal + code
+            for ordinal, predicate in enumerate(predicates)
+            for direction, code in _DIRECTION_CODE.items()
+        }
         self.holder_offsets = holder_offsets
         self.holder_ordinals = holder_ordinals
         self.num_types = int(type_populations.size)
@@ -252,7 +240,7 @@ class ColumnarFeatureTables:
             codes, holders = sort_rows(sizes, codes, holders)
             feature_codes, starts = np.unique(codes, return_index=True)
             return feature_codes, np.append(starts, codes.size), holders
-        assert older is not None and previous is not None and previous.feature_codes is not None
+        assert older is not None and previous is not None
         entity_map, predicate_map = columns.ordinal_maps(older)
         pairs, directions = np.divmod(previous.feature_codes, 2)
         anchors, old_preds = np.divmod(pairs, max(len(older.predicates), 1))
@@ -274,7 +262,8 @@ class ColumnarFeatureTables:
     def from_arrays(
         cls,
         epoch: int,
-        feature_keys: list[FeatureKey],
+        feature_codes: np.ndarray,
+        predicates: list[str],
         holder_offsets: np.ndarray,
         holder_ordinals: np.ndarray,
         dominant_ords: np.ndarray,
@@ -285,12 +274,14 @@ class ColumnarFeatureTables:
     ) -> ColumnarFeatureTables:
         """Reconstruct the tables from decoded segment arrays.
 
-        A cold start passes the id table its durable segment embeds.
-        ``feature_keys`` is kept as given (a manifest's list of lists
-        will do) and must be in ordinal, that is sorted, order.
+        A cold start passes the id and predicate tables its durable
+        segment embeds; ``feature_codes`` must be strictly ascending (they
+        are in ordinal order).
         """
         return cls(
             epoch=epoch,
+            feature_codes=feature_codes,
+            predicates=predicates,
             holder_offsets=holder_offsets,
             holder_ordinals=holder_ordinals,
             dominant_ords=dominant_ords,
@@ -298,7 +289,6 @@ class ColumnarFeatureTables:
             member_offsets=member_offsets,
             member_type_ords=member_type_ords,
             entity_ids=entity_ids,
-            feature_keys=feature_keys,
         )
 
     # ------------------------------------------------------------------ #
@@ -312,24 +302,16 @@ class ColumnarFeatureTables:
         """The ``(anchor, predicate, direction)`` triples of the given feature
         ordinals, in the order given; of every feature, in ordinal order,
         by default."""
-        listed = self._feature_keys
-        if listed is not None:
-            if ordinals is not None:
-                listed = [listed[ordinal] for ordinal in ordinals.tolist()]
-            return [tuple(key) for key in listed]
         codes = self.feature_codes
-        assert codes is not None
         return self._keys_of(codes if ordinals is None else codes[ordinals])
 
     def feature_key(self, ordinal: int) -> FeatureKey:
         """The key triple of one feature ordinal."""
-        if self._feature_keys is not None:
-            return tuple(self._feature_keys[ordinal])
         return self._keys_of(self.feature_codes[ordinal : ordinal + 1])[0]
 
-    def _keys_of(self, codes: np.ndarray | None) -> list[FeatureKey]:
+    def _keys_of(self, codes: np.ndarray) -> list[FeatureKey]:
         ids, predicates = self.entity_ids, self.predicates
-        assert ids is not None and predicates is not None and codes is not None
+        assert ids is not None
         pairs, directions = np.divmod(codes, 2)
         anchors, preds = np.divmod(pairs, max(len(predicates), 1))
         return [
@@ -341,19 +323,8 @@ class ColumnarFeatureTables:
 
     def feature_ordinals(self, keys: Sequence[FeatureKey]) -> np.ndarray:
         """Ordinals of the given key triples (−1 where the epoch lacks one)."""
-        codes = self.feature_codes
-        if codes is None:
-            listed = self._feature_keys
-            assert listed is not None
-
-            def position(key: FeatureKey) -> int:
-                key = tuple(key)
-                found = bisect_left(listed, key, key=tuple)
-                return found if found < len(listed) and tuple(listed[found]) == key else -1
-
-            return np.fromiter(map(position, keys), dtype=np.int64, count=len(keys))
-        ordinal_of, offsets = self.ordinal_of, self._code_offsets
-        assert ordinal_of is not None and offsets is not None
+        codes, ordinal_of, offsets = self.feature_codes, self.ordinal_of, self._code_offsets
+        assert ordinal_of is not None
         # A code is anchor · 2P + offset.  An unknown anchor (-1) or
         # (predicate, direction) pair makes it negative, and no feature
         # has a negative code.
@@ -374,21 +345,11 @@ class ColumnarFeatureTables:
         Ordinal order is ``(anchor, predicate, direction)`` order, so they
         are contiguous.
         """
-        codes = self.feature_codes
-        if codes is not None:
-            assert self.predicates is not None
-            span = 2 * len(self.predicates)
-            low, high = np.searchsorted(
-                codes, (entity_ordinal * span, (entity_ordinal + 1) * span)
-            ).tolist()
-            return low, high
-        listed, ids = self._feature_keys, self.entity_ids
-        assert listed is not None and ids is not None
-        anchor = ids[entity_ordinal]
-        return (
-            bisect_left(listed, anchor, key=itemgetter(0)),
-            bisect_right(listed, anchor, key=itemgetter(0)),
-        )
+        span = 2 * len(self.predicates)
+        low, high = np.searchsorted(
+            self.feature_codes, (entity_ordinal * span, (entity_ordinal + 1) * span)
+        ).tolist()
+        return low, high
 
     def entity_ordinals(self, entity_ids: Sequence[str]) -> np.ndarray:
         """Ordinals of the given entity ids (−1 where the epoch lacks one)."""
@@ -492,17 +453,15 @@ class ColumnarFeatureTables:
         in-edges its ``subject_of`` ones, so a topology of this epoch
         with this predicate table already has each row sorted, as
         ``(neighbour, predicate)`` pairs that map to feature codes.
-        Without one (a reader pinned to an older epoch, tables decoded
-        from a segment) the rows come from :meth:`held`.
+        Without one (a reader pinned to an older epoch) the rows come
+        from :meth:`held`.
         """
-        codes = self.feature_codes
         if (
             topology is not None
-            and codes is not None
             and topology.epoch == self.epoch
             and topology.predicates == self.predicates
         ):
-            span = len(topology.predicates)
+            codes, span = self.feature_codes, len(topology.predicates)
             rows = []
             for entity in entity_ordinals:
                 low, high = int(topology.out_offsets[entity]), int(topology.out_offsets[entity + 1])

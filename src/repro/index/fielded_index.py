@@ -14,7 +14,7 @@ from itertools import count
 from ..exceptions import FieldNotFoundError
 from .inverted_index import DocumentColumns, InvertedIndex, PostingColumns
 from .scoring_support import ScoringSupport
-from .statistics import CollectionStatistics
+from .statistics import CollectionStatistics, FieldStatistics
 
 #: Process-wide generation counter: every index instance (including
 #: copy-on-write successors) gets a distinct uid, so epoch-keyed caches
@@ -249,15 +249,22 @@ class FieldedIndex:
 
         The returned object (including its memoised per-term components) is
         reused until the next :meth:`add_document`; callers must not mutate
-        its raw counts.
+        its raw counts.  An index that still answers from the CSRs it
+        adopted reads each field's per-term counts off the stored rows
+        when a query names the term (:meth:`FieldStatistics.from_columns`);
+        any other scans its fields (:meth:`InvertedIndex.statistics`).
         """
         cached = self._statistics_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        stats = CollectionStatistics(
-            num_documents=len(self._documents),
-            fields={field: self._indexes[field].statistics() for field in self._fields},
-        )
+        if self._stored is not None:  # per term, off the stored rows
+            fields = {
+                field: FieldStatistics.from_columns(field, self._indexes[field].columns)
+                for field in self._fields
+            }
+        else:  # the full scan
+            fields = {field: self._indexes[field].statistics() for field in self._fields}
+        stats = CollectionStatistics(num_documents=len(self._documents), fields=fields)
         self._statistics_cache = (self._epoch, stats)
         return stats
 

@@ -7,10 +7,12 @@ retrieval field.
 A field is either built in RAM — every term a :class:`PostingList` — or
 *adopted* from a stored posting CSR (:class:`PostingColumns`, one per
 field of a saved index, over the documents of one
-:class:`DocumentColumns`).  An adopted field answers from the arrays and
-turns a term's postings into a :class:`PostingList` only when a caller
-first asks for that term; its ``doc_id -> length`` map is built only when
-a caller asks for the whole map.
+:class:`DocumentColumns`).  An adopted field answers from the arrays:
+a term's row is found by bisecting the sorted term table, its counts
+are reduced from that row when a query names the term, and it becomes
+a :class:`PostingList` only when a caller asks for the list; the
+``doc_id -> length`` and whole-field count maps are built only when a
+caller asks for a whole map.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 import os
 import sys
 import threading
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from itertools import compress
@@ -77,7 +80,7 @@ class PostingColumns:
 
     __slots__ = (
         "documents", "terms", "offsets", "ordinals", "frequencies", "lengths",
-        "total_terms", "decoded", "_row_of", "_is_decoded", "_lock",
+        "total_terms", "decoded", "_is_decoded", "_lock",
     )
 
     def __init__(
@@ -98,17 +101,14 @@ class PostingColumns:
         self.total_terms = int(lengths.sum())
         #: Distinct rows turned into posting lists so far.
         self.decoded = 0
-        self._row_of: dict[str, int] | None = None
         self._is_decoded = bytearray(len(terms))
         self._lock = threading.Lock()
 
     def row(self, term: str) -> int | None:
         """The CSR row of ``term``, or ``None`` when it is not stored."""
-        row_of = self._row_of
-        if row_of is None:
-            row_of = dict(zip(self.terms, range(len(self.terms))))
-            self._row_of = row_of
-        return row_of.get(term)
+        terms = self.terms
+        row = bisect_left(terms, term)
+        return row if row < len(terms) and terms[row] == term else None
 
     def columns(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """``(ordinals, frequencies)`` views of one term's row, or ``None``."""
@@ -145,16 +145,36 @@ class PostingColumns:
                 )
         return postings
 
+    def term_counts(self, term: str) -> tuple[int, int, int]:
+        """``(collection frequency, document frequency, max tf)`` of one term.
+
+        Reduced from the term's row; ``(0, 0, 0)`` when it is not stored.
+        """
+        row = self.row(term)
+        if row is None:
+            return 0, 0, 0
+        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+        frequencies = self.frequencies[start:end]
+        return int(frequencies.sum()), end - start, int(frequencies.max())
+
     def length_of(self, doc_id: str) -> int:
         ordinal = self.documents.ordinal_of().get(doc_id)
         return 0 if ordinal is None else int(self.lengths[ordinal])
 
     def length_map(self) -> dict[str, int]:
-        """A fresh ``doc_id -> field length`` map over every document."""
+        """A fresh ``doc_id -> field length`` map over every document.
+
+        For the scalar scorers and writes; a search reads ``lengths``.
+        """
         return dict(zip(self.documents.doc_ids, self.lengths.tolist()))
 
     def term_statistics(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
-        """Fresh ``term ->`` collection frequency, document frequency and max tf maps."""
+        """Fresh ``term ->`` collection frequency, document frequency and max tf maps.
+
+        The whole-field form of :meth:`term_counts`, for a caller that
+        needs every term: the full statistics scan and a write deriving
+        its statistics from these.
+        """
         if not self.terms:
             return {}, {}, {}
         starts = self.offsets[:-1]
@@ -361,44 +381,40 @@ class InvertedIndex:
         return vocabulary
 
     def statistics(self) -> FieldStatistics:
-        """This field's collection statistics, computed afresh.
+        """This field's collection statistics, computed afresh: the full scan.
 
         An adopted field reads the per-term counts off its CSR with three
         array reductions; lists in ``_postings`` (decoded, or written
         since) are counted from the lists, which hold the same or newer
-        counts.
+        counts.  An adopted field nobody has written to answers the same
+        per term from its rows (:meth:`FieldStatistics.from_columns`),
+        which is what a search reads.
         """
-        stats = FieldStatistics(
-            name=self.name, total_terms=self._total_terms, document_count=self.num_documents
-        )
         if self._doc_lengths is None:
             lengths = self._columns.lengths  # type: ignore[union-attr]
-            if lengths.size:
-                stats.min_length, stats.max_length = int(lengths.min()), int(lengths.max())
+            shortest, longest = (
+                (int(lengths.min()), int(lengths.max())) if lengths.size else (0, 0)
+            )
         elif self._doc_lengths:
-            stats.min_length = min(self._doc_lengths.values())
-            stats.max_length = max(self._doc_lengths.values())
-        if self._columns is not None:
-            (
-                stats.term_collection_frequency,
-                stats.term_document_frequency,
-                stats.term_max_frequency,
-            ) = self._columns.term_statistics()
+            shortest = min(self._doc_lengths.values())
+            longest = max(self._doc_lengths.values())
+        else:
+            shortest = longest = 0
+        counts = ({}, {}, {}) if self._columns is None else self._columns.term_statistics()
+        collection, document, maximum = counts
         # A copy first: concurrent readers may be decoding into the map.
         for term, postings in list(self._postings.items()):
             if not postings:  # a tombstone: the stored row is gone
-                for counts in (
-                    stats.term_collection_frequency,
-                    stats.term_document_frequency,
-                    stats.term_max_frequency,
-                ):
-                    counts.pop(term, None)
+                for mapping in counts:
+                    mapping.pop(term, None)
                 continue
             frequencies = postings.frequencies()
-            stats.term_collection_frequency[term] = sum(frequencies.values())
-            stats.term_document_frequency[term] = len(frequencies)
-            stats.term_max_frequency[term] = postings.max_frequency()
-        return stats
+            collection[term] = sum(frequencies.values())
+            document[term] = len(frequencies)
+            maximum[term] = postings.max_frequency()
+        return FieldStatistics(
+            self.name, self._total_terms, self.num_documents, shortest, longest, *counts
+        )
 
     def posting_csr(
         self, ordinal_of: OrdinalMap

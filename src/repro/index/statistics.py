@@ -22,31 +22,130 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .inverted_index import InvertedIndex
+    from .inverted_index import InvertedIndex, PostingColumns
 
 
-@dataclass
 class FieldStatistics:
-    """Statistics of a single retrieval field across the collection."""
+    """Statistics of a single retrieval field across the collection.
 
-    name: str
-    total_terms: int = 0
-    document_count: int = 0
-    #: Shortest / longest indexed field length across the collection, used
-    #: by the pruned scorers to bound length-normalised contributions.
-    min_length: int = 0
-    max_length: int = 0
-    term_collection_frequency: dict[str, int] = field(default_factory=dict)
-    term_document_frequency: dict[str, int] = field(default_factory=dict)
-    #: Largest term frequency of each term in any single document, the
-    #: other ingredient of the per-(field, term) contribution bounds.
-    term_max_frequency: dict[str, int] = field(default_factory=dict)
-    #: Memoised ``term -> p(term | collection)`` (derived, never serialised).
-    _probability_cache: dict[str, float] = field(
-        default_factory=dict, repr=False, compare=False
+    The per-term counts — collection frequency, document frequency and
+    largest tf in one document — are three ``term -> count`` maps, except
+    on a field that still answers from the stored CSR it was adopted
+    from (:meth:`from_columns`): there a lookup reduces the term's row
+    (:meth:`~repro.index.inverted_index.PostingColumns.term_counts`), so
+    a query pays for the terms it names, and the maps are built only when
+    a caller reads a whole one.  Either way the statistics are equal to a
+    fresh scan, and compare equal to it.
+    """
+
+    __slots__ = (
+        "name",
+        "total_terms",
+        "document_count",
+        "min_length",
+        "max_length",
+        "_maps",
+        "_columns",
+        "_probability_cache",
+        "_idf_cache",
     )
-    #: Memoised ``term -> idf(term)`` (derived, never serialised).
-    _idf_cache: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
+
+    def __init__(
+        self,
+        name: str,
+        total_terms: int = 0,
+        document_count: int = 0,
+        min_length: int = 0,
+        max_length: int = 0,
+        term_collection_frequency: dict[str, int] | None = None,
+        term_document_frequency: dict[str, int] | None = None,
+        term_max_frequency: dict[str, int] | None = None,
+    ) -> None:
+        self.name = name
+        self.total_terms = total_terms
+        self.document_count = document_count
+        #: Shortest / longest indexed field length across the collection, used
+        #: by the pruned scorers to bound length-normalised contributions.
+        self.min_length = min_length
+        self.max_length = max_length
+        self._maps: tuple[dict[str, int], dict[str, int], dict[str, int]] | None = (
+            term_collection_frequency or {},
+            term_document_frequency or {},
+            term_max_frequency or {},
+        )
+        #: The stored CSR the per-term counts are read from, when set.
+        self._columns: "PostingColumns | None" = None
+        #: Memoised ``term -> p(term | collection)`` (derived, never serialised).
+        self._probability_cache: dict[str, float] = {}
+        #: Memoised ``term -> idf(term)`` (derived, never serialised).
+        self._idf_cache: dict[str, float] = {}
+
+    @classmethod
+    def from_columns(cls, name: str, columns: "PostingColumns") -> "FieldStatistics":
+        """The statistics of a field adopted from ``columns`` and never written.
+
+        The totals and the shortest and longest length come off the
+        stored length column; the per-term counts off the rows, per term.
+        """
+        lengths = columns.lengths
+        statistics = cls(
+            name,
+            columns.total_terms,
+            int(lengths.size),
+            int(lengths.min()) if lengths.size else 0,
+            int(lengths.max()) if lengths.size else 0,
+        )
+        statistics._maps, statistics._columns = None, columns
+        return statistics
+
+    def _term_maps(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+        maps = self._maps
+        if maps is None:
+            # Benign race: concurrent first callers build equal maps.
+            maps = self._maps = self._columns.term_statistics()  # type: ignore[union-attr]
+        return maps
+
+    @property
+    def term_collection_frequency(self) -> dict[str, int]:
+        """``term -> occurrences`` over the whole field (treat as read-only)."""
+        return self._term_maps()[0]
+
+    @property
+    def term_document_frequency(self) -> dict[str, int]:
+        """``term -> documents holding it`` (treat as read-only)."""
+        return self._term_maps()[1]
+
+    @property
+    def term_max_frequency(self) -> dict[str, int]:
+        """``term ->`` largest tf in any single document, the other
+        ingredient of the per-(field, term) contribution bounds (read-only)."""
+        return self._term_maps()[2]
+
+    def _count(self, term: str, which: int) -> int:
+        columns = self._columns
+        if columns is not None:
+            return columns.term_counts(term)[which]
+        return self._maps[which].get(term, 0)  # type: ignore[index]
+
+    def _key(self) -> tuple[object, ...]:
+        return (
+            self.name, self.total_terms, self.document_count,
+            self.min_length, self.max_length, self._term_maps(),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldStatistics):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"FieldStatistics(name={self.name!r}, total_terms={self.total_terms}, "
+            f"document_count={self.document_count}, min_length={self.min_length}, "
+            f"max_length={self.max_length})"
+        )
 
     @property
     def average_length(self) -> float:
@@ -63,17 +162,17 @@ class FieldStatistics:
         if self.total_terms == 0:
             probability = 0.0
         else:
-            probability = self.term_collection_frequency.get(term, 0) / self.total_terms
+            probability = self._count(term, 0) / self.total_terms
         self._probability_cache[term] = probability
         return probability
 
     def document_frequency(self, term: str) -> int:
         """Number of documents whose field contains ``term``."""
-        return self.term_document_frequency.get(term, 0)
+        return self._count(term, 1)
 
     def max_frequency(self, term: str) -> int:
         """Largest term frequency of ``term`` in any single document."""
-        return self.term_max_frequency.get(term, 0)
+        return self._count(term, 2)
 
     def with_added_document(
         self,
@@ -139,7 +238,7 @@ class FieldStatistics:
         cached = self._idf_cache.get(term)
         if cached is not None:
             return cached
-        df = self.term_document_frequency.get(term, 0)
+        df = self.document_frequency(term)
         numerator = self.document_count - df + 0.5
         denominator = df + 0.5
         weight = max(0.0, math.log(1.0 + numerator / denominator))

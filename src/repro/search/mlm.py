@@ -32,7 +32,7 @@ import numpy as np
 
 from ..config import SearchConfig
 from ..index import FieldedIndex
-from ..index.columnar import ColumnarIndex, columnar_view
+from ..index.columnar import ColumnarIndex, ColumnarPostings, columnar_view
 from ..index.scoring_support import ScoringSupport
 from ..topk import (
     DenseKernelTerm,
@@ -119,19 +119,26 @@ def _rank_key(result: ScoredDocument) -> tuple[float, str]:
     return (-result.score, result.doc_id)
 
 
+#: One field's part of a scored term: ``(weight, postings, lengths, mass)``
+#: — the term's columnar postings in the field (``None`` when it has
+#: none), the field's length column and ``param * p(t|C)``.
+TermComponent = tuple[float, ColumnarPostings | None, np.ndarray, float]
+
+
 def _term_components(
+    view: ColumnarIndex,
     term: str,
     weighted_fields: Sequence[tuple[str, float]],
     support: ScoringSupport,
     smoothing: SmoothingParams,
-) -> list[tuple[float, Mapping[str, int], Mapping[str, int], float]]:
-    """The per-field lookup tuples one term's scoring needs, resolved once."""
+) -> list[TermComponent]:
+    """The per-field lookups one term's scoring needs, resolved once."""
     factor = _smoothing_factor(smoothing)
     return [
         (
             weight,
-            support.postings_frequencies(field, term),
-            support.field_lengths(field),
+            view.postings(field, term),
+            view.field_lengths(field),
             factor * support.collection_probability(field, term),
         )
         for field, weight in weighted_fields
@@ -145,59 +152,60 @@ def _smoothing_factor(smoothing: SmoothingParams) -> float:
     return smoothing.jm_lambda
 
 
+def _term_frequencies(postings: ColumnarPostings | None, ordinals: np.ndarray) -> np.ndarray:
+    """The term frequency of each of ``ordinals`` (0.0 where it has no posting)."""
+    frequencies = np.zeros(ordinals.size, dtype=np.float64)
+    if postings is not None:
+        at = np.minimum(np.searchsorted(postings.ordinals, ordinals), len(postings) - 1)
+        held = postings.ordinals[at] == ordinals
+        frequencies[held] = postings.frequencies[at[held]]
+    return frequencies
+
+
 def _score_breakdowns(
-    doc_ids: Sequence[str],
+    view: ColumnarIndex,
+    ordinals: np.ndarray,
     keys: Sequence[str],
-    per_term: Sequence[list[tuple[float, Mapping[str, int], Mapping[str, int], float]]],
+    per_term: Sequence[list[TermComponent]],
     smoothing: SmoothingParams,
 ) -> list[ScoredDocument]:
-    """Exact scores and per-term breakdowns of a few documents.
+    """Exact scores and per-term breakdowns of a few documents, by ordinal.
 
     ``per_term`` must list each scored term's components (see
     :func:`_term_components`) in *scoring* order (query terms, then field
-    restrictions), and ``keys`` the matching ``term_scores`` keys: the
-    summation order and per-term arithmetic mirror
+    restrictions), and ``keys`` the matching ``term_scores`` keys.  Each
+    term's mixture probability is computed elementwise over the
+    documents with the operations of
     :meth:`MixtureLanguageModelScorer.score_document` (and
-    :func:`~repro.search.language_model.smoothed_probability`)
-    operation-for-operation, so scores and breakdowns are bitwise
-    identical to the exhaustive path without its per-call index lookups.
+    :func:`~repro.search.language_model.smoothed_probability`) in the
+    same order — term frequencies and lengths are small integers, exact
+    as floats, and ``+ - * /`` round alike in numpy and Python — and the
+    logs and sums are taken per document in Python, so scores and
+    breakdowns are bitwise identical to the exhaustive path.
     """
+    probabilities: list[list[float]] = []
+    for components in per_term:
+        probability = np.zeros(ordinals.size, dtype=np.float64)
+        for weight, postings, lengths, mass in components:
+            frequencies = _term_frequencies(postings, ordinals)
+            doc_lengths = lengths[ordinals]
+            if smoothing.method == "dirichlet":
+                probability += weight * ((frequencies + mass) / (doc_lengths + smoothing.dirichlet_mu))
+            else:  # jelinek-mercer; an empty field's ratio is 0.0, leaving the mass
+                ratio = np.divide(
+                    frequencies, doc_lengths, out=np.zeros_like(frequencies), where=doc_lengths > 0
+                )
+                probability += weight * ((1.0 - smoothing.jm_lambda) * ratio + mass)
+        probabilities.append(probability.tolist())
     results: list[ScoredDocument] = []
-    scored_terms = list(zip(keys, per_term))
-    if smoothing.method == "dirichlet":
-        mu = smoothing.dirichlet_mu
-        for doc_id in doc_ids:
-            score = 0.0
-            term_scores: dict[str, float] = {}
-            for key, components in scored_terms:
-                probability = 0.0
-                for weight, frequencies, lengths, mass in components:
-                    probability += weight * (
-                        (frequencies.get(doc_id, 0) + mass) / (lengths.get(doc_id, 0) + mu)
-                    )
-                log_p = log_probability(probability)
-                term_scores[key] = log_p
-                score += log_p
-            results.append(ScoredDocument(doc_id, score, term_scores))
-    else:  # jelinek-mercer
-        one_minus_lam = 1.0 - smoothing.jm_lambda
-        for doc_id in doc_ids:
-            score = 0.0
-            term_scores = {}
-            for key, components in scored_terms:
-                probability = 0.0
-                for weight, frequencies, lengths, mass in components:
-                    doc_len = lengths.get(doc_id, 0)
-                    if doc_len > 0:
-                        probability += weight * (
-                            one_minus_lam * (frequencies.get(doc_id, 0) / doc_len) + mass
-                        )
-                    else:
-                        probability += weight * mass
-                log_p = log_probability(probability)
-                term_scores[key] = log_p
-                score += log_p
-            results.append(ScoredDocument(doc_id, score, term_scores))
+    for position, doc_id in enumerate(view.ids_of(ordinals)):
+        score = 0.0
+        term_scores: dict[str, float] = {}
+        for key, probability in zip(keys, probabilities):
+            log_p = log_probability(probability[position])
+            term_scores[key] = log_p
+            score += log_p
+        results.append(ScoredDocument(doc_id, score, term_scores))
     return results
 
 
@@ -378,10 +386,11 @@ class _LanguageModelScorer:
         term_specs = self._term_specs(query)
         keys = [key for key, _, _ in term_specs]
         per_term = [
-            _term_components(term, fields, support, smoothing) for _, term, fields in term_specs
+            _term_components(view, term, fields, support, smoothing)
+            for _, term, fields in term_specs
         ]
         picked = self._survivors(view, candidates, support, term_specs, top_k)
-        exact = _score_breakdowns(view.ids_of(picked), keys, per_term, smoothing)
+        exact = _score_breakdowns(view, picked, keys, per_term, smoothing)
         exact.sort(key=_rank_key)
         return exact[:top_k]
 

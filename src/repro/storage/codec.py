@@ -27,9 +27,10 @@ The decoded read surface is :class:`SegmentView`: zero-copy numpy views
 over any buffer (an ``np.memmap``, plain ``bytes``), string tables, and
 the :class:`~repro.kg.topology.GraphTopology` reconstruction for
 topology segments.  Index segments (kind
-``"fielded-index"``) hold one posting CSR per field, so their manifest
-grows with the field count, not the vocabulary; they and feature-table
-segments are adopted by :mod:`repro.storage.kgstore`.
+``"fielded-index"``) hold one posting CSR per field, and feature-table
+and topology segments their identifiers as string tables and their
+features as codes, so no manifest grows with the corpus; index and
+feature-table segments are adopted by :mod:`repro.storage.kgstore`.
 """
 
 from __future__ import annotations
@@ -299,6 +300,21 @@ class SegmentView:
             raise malformed
         return [text[start:end] for start, end in zip([0, *ends], ends)]
 
+    def string_table(self, key: str) -> list[str]:
+        """A top-level string table by key.
+
+        Placed by :func:`place_strings`; a segment saved before string
+        tables were placed lists the strings in the JSON manifest
+        instead, and that list is returned as it is.  Anything else
+        raises :class:`SnapshotUnavailable`.
+        """
+        table = self._manifest.get(key)
+        if isinstance(table, dict):
+            return self.strings(table, key)
+        if isinstance(table, list) and all(isinstance(value, str) for value in table):
+            return table
+        raise SnapshotUnavailable(f"snapshot {self._name!r} carries no {key} table")
+
     def manifest_array(self, key: str) -> np.ndarray:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
         return self.memoised(("array", key), lambda: self.array(self._manifest[key]))
@@ -309,8 +325,9 @@ class SegmentView:
         Only valid on ``"kind": "graph-topology"`` segments; raises
         :class:`SnapshotUnavailable` otherwise, so a mixed-up descriptor
         degrades to the fallback path.  The string tables (entity ids,
-        predicates, type ids) travel in the JSON manifest; every CSR and
-        interval array stays a read-only view over the segment buffer.
+        predicates, type ids) are decoded (:meth:`string_table`); every
+        CSR and interval array stays a read-only view over the segment
+        buffer.
         """
         if self._manifest.get("kind") != "graph-topology":
             raise SnapshotUnavailable("segment does not carry a graph topology")
@@ -320,9 +337,9 @@ class SegmentView:
 
             return GraphTopology.from_arrays(
                 epoch=self.epoch,
-                entity_ids=list(self._manifest["entity_ids"]),
-                predicates=list(self._manifest["predicates"]),
-                type_ids=list(self._manifest["type_ids"]),
+                entity_ids=self.string_table("entity_ids"),
+                predicates=self.string_table("predicates"),
+                type_ids=self.string_table("type_ids"),
                 out_offsets=self.manifest_array("out_offsets"),
                 out_targets=self.manifest_array("out_targets"),
                 out_preds=self.manifest_array("out_preds"),
@@ -456,14 +473,17 @@ def encode_feature_tables(
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar feature tables into ``(manifest, builder)``.
 
-    The manifest carries the entity identifiers and the feature-key
-    triples in ordinal order plus the holder CSR, dominant-type
-    ordinals, type populations and the entity→type membership CSR — all
-    a cold-starting process needs to answer from the tables and to
-    invert them back into the maps of a
-    :class:`~repro.features.feature_index.FeatureIndexSnapshot`.
-    ``source`` is anything with ``uid``/``epoch`` pinning the publishing
-    feature index's uid and the *tables'* epoch.
+    Layout (kind ``"feature-tables"``): the entity identifiers and the
+    edge predicates as string tables (:func:`place_strings`), in ordinal
+    order; the int64 ``feature_codes`` column, one sorted code per
+    feature (see :class:`~repro.features.columnar.ColumnarFeatureTables`);
+    the holder CSR (``holder_offsets`` / ``holder_ordinals``); the
+    dominant-type ordinals, type populations and the entity→type
+    membership CSR (``member_offsets`` / ``member_type_ords``).  So the
+    manifest holds a fixed number of descriptors whatever the corpus: a
+    cold-starting process decodes arrays, and names a feature only when
+    a response returns it.  ``source`` is anything with ``uid``/``epoch``
+    pinning the publishing feature index's uid and the *tables'* epoch.
     """
     builder = SegmentBuilder()
     place = builder.place
@@ -472,14 +492,15 @@ def encode_feature_tables(
         "epoch": source.epoch,
         "kind": "feature-tables",
         "num_entities": tables.num_entities,
-        "features": tables.feature_keys(),
+        "entity_ids": place_strings(place, tables.entity_ids),
+        "predicates": place_strings(place, tables.predicates),
+        "feature_codes": place(tables.feature_codes),
         "holder_offsets": place(tables.holder_offsets),
         "holder_ordinals": place(tables.holder_ordinals),
         "dominant_ords": place(tables.dominant_ords),
         "type_populations": place(tables.type_populations),
         "member_offsets": place(tables.member_offsets),
         "member_type_ords": place(tables.member_type_ords),
-        "entity_ids": list(tables.entity_ids),
     }
     return manifest, builder
 
@@ -489,8 +510,8 @@ def encode_graph_topology(
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar graph topology into ``(manifest, builder)``.
 
-    The manifest carries the sorted entity/predicate/type string tables
-    plus both CSR adjacency directions (neighbour + parallel
+    The sorted entity/predicate/type identifiers go out as string tables
+    (:func:`place_strings`), then both CSR adjacency directions (neighbour + parallel
     predicate-ordinal columns), the per-type sorted member-ordinal CSR
     and the pre/post-order interval encoding of the containment forest.
     ``source`` is anything with ``uid``/``epoch`` pinning the publishing
@@ -503,9 +524,9 @@ def encode_graph_topology(
         "epoch": source.epoch,
         "kind": "graph-topology",
         "num_entities": topology.num_entities,
-        "entity_ids": list(topology.entity_ids),
-        "predicates": list(topology.predicates),
-        "type_ids": list(topology.type_ids),
+        "entity_ids": place_strings(place, topology.entity_ids),
+        "predicates": place_strings(place, topology.predicates),
+        "type_ids": place_strings(place, topology.type_ids),
         "out_offsets": place(topology.out_offsets),
         "out_targets": place(topology.out_targets),
         "out_preds": place(topology.out_preds),

@@ -19,18 +19,34 @@ format number, the graph's name, epoch and triple count.  The other
 three are derived from it and record the graph epoch they were derived
 from.
 
-Cold start *adopts instead of replaying*: the graph takes the decoded
-columns as they are and builds no triple objects until a caller asks for
-one (:meth:`KnowledgeGraph.adopt`), the fielded index serves its stored
-per-field posting CSRs and decodes a term's posting list when a query
-first touches the term (:meth:`FieldedIndex.adopt`), the feature index
-adopts a snapshot that decodes rows of the stored tables on demand, the
-topology its arrays.  Every component is
-checksummed and cross-checked against the graph's epoch; a failed
-derived component raises :class:`SnapshotUnavailable` and the caller
-falls back to rebuilding *that component* from the loaded graph — a
-missing or corrupt ``graph-triples`` segment fails the whole load (there
-is nothing to rebuild from).
+Cold start *adopts instead of replaying*, and decodes arrays, not
+objects: every identifier table is a placed string table, and the JSON
+manifests hold a fixed number of descriptors whatever the corpus.
+
+* The graph takes the decoded columns as they are and builds no triple
+  objects until a caller asks for one (:meth:`KnowledgeGraph.adopt`).
+* The fielded index serves its stored per-field posting CSRs
+  (:meth:`FieldedIndex.adopt`): a search finds a term's row by
+  bisecting the sorted term table and reads its counts, ordinals and
+  frequencies and the length column off the arrays; a posting list is
+  decoded only for a scalar caller.
+* The feature index adopts a snapshot over the stored tables, which
+  decodes a row into a frozenset when a lookup first asks for it.  The
+  ``feature-tables`` segment stores the feature codes (an int64 column)
+  beside the entity and predicate string tables, so the decoded tables
+  address features as sort-built ones do, and the first recommendation
+  reads each seed's row off the topology.
+* The topology adopts its arrays.
+
+Every component is checksummed and cross-checked against the graph's
+epoch, and its arrays against each other (ranges and orderings); a
+failed derived component raises :class:`SnapshotUnavailable` and the
+caller falls back to rebuilding *that component* from the loaded graph
+— a missing or corrupt ``graph-triples`` segment fails the whole load
+(there is nothing to rebuild from).  A ``feature-tables`` or ``graph-topology`` segment saved
+before its identifiers were placed lists them in its JSON manifest (the
+feature keys as ``[anchor, predicate, direction]`` triples); it still
+loads, the keys coded once as it does.
 """
 
 from __future__ import annotations
@@ -38,7 +54,6 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -215,7 +230,7 @@ def _int_column(view: SegmentView, desc: object, what: str) -> np.ndarray:
     """
     stored = view.array(desc)  # type: ignore[arg-type]
     if stored.ndim != 1 or stored.dtype.kind not in "iu":
-        raise SnapshotUnavailable(f"index snapshot {what} is not a 1-D integer column")
+        raise SnapshotUnavailable(f"snapshot {what} is not a 1-D integer column")
     column = stored.astype(np.int64)
     column.flags.writeable = False
     return column
@@ -326,6 +341,64 @@ def restore_fielded_index(view: SegmentView, fields: tuple[str, ...]) -> "Fielde
     return index
 
 
+def _check_csr(offsets: np.ndarray, rows: int, values: np.ndarray, bound: int) -> bool:
+    """Whether ``offsets`` cut ``values`` into ``rows`` rows of values in ``[0, bound)``.
+
+    The offsets must start at 0, never decrease and end at the size of
+    ``values``.
+    """
+    return bool(
+        offsets.shape == (rows + 1,)
+        and values.ndim == 1
+        and offsets[0] == 0
+        and offsets[-1] == values.size
+        and not (np.diff(offsets) < 0).any()
+        and _in_range(values, 0, bound)
+    )
+
+
+def _in_range(values: np.ndarray, low: int, bound: int) -> bool:
+    """Whether every value lies in ``[low, bound)``."""
+    return not values.size or (int(values.min()) >= low and int(values.max()) < bound)
+
+
+def _coded_features(keys: object, entity_ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """``(feature codes, predicates)`` of the key triples older segments list.
+
+    A ``feature-tables`` segment saved before the codes were placed
+    lists every feature as a JSON ``[anchor, predicate, direction]``
+    triple in ordinal order; this codes them once, as the tables would
+    have (see :class:`~repro.features.columnar.ColumnarFeatureTables`).
+    The predicates are the distinct ones the keys name, which are the
+    epoch's edge predicates: every edge makes two features.
+    """
+    from ..features.columnar import DIRECTIONS
+    from ..utils.ordinals import OrdinalMap
+
+    malformed = SnapshotUnavailable("feature snapshot keys are malformed")
+    if not isinstance(keys, list):
+        raise SnapshotUnavailable("feature snapshot carries no feature codes")
+    try:
+        anchors, named, directions = zip(*keys) if keys else ((), (), ())
+        predicates = sorted(set(named))
+        predicate_of = {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
+        direction_of = {direction: code for code, direction in enumerate(DIRECTIONS)}
+        if (
+            any(len(key) != 3 for key in keys)
+            or not set(directions) <= direction_of.keys()
+            or not all(isinstance(predicate, str) for predicate in predicates)
+        ):
+            raise malformed
+        anchor_ords = OrdinalMap(entity_ids).array(anchors, len(keys))
+        pred_ords = np.fromiter(map(predicate_of.__getitem__, named), np.int64, len(keys))
+        direction_codes = np.fromiter(map(direction_of.__getitem__, directions), np.int64, len(keys))
+    except (TypeError, ValueError, KeyError) as error:
+        raise malformed from error
+    if (anchor_ords < 0).any():
+        raise malformed
+    return (anchor_ords * len(predicates) + pred_ords) * 2 + direction_codes, predicates
+
+
 def restore_feature_snapshot(
     graph: "KnowledgeGraph", view: SegmentView
 ) -> "FeatureIndexSnapshot":
@@ -336,9 +409,20 @@ def restore_feature_snapshot(
     holder or feature row into its frozenset when first asked for it
     (:class:`~repro.features.feature_index.RestoredFeatureSnapshot`),
     and they are its columnar memo, so the first recommendation after a
-    cold start rebuilds nothing.  Nothing here walks the features.
+    cold start rebuilds nothing.  Nothing here walks the features, except
+    in a segment of the older layout, whose key triples are coded once
+    (:func:`_coded_features`).
+
+    Every array is checked against what the tables assume: the feature
+    codes strictly ascending with anchors inside the entities and a
+    predicate table to index; the holder and membership CSRs cutting
+    their columns into one row per feature / entity, holders inside the
+    entities and type ordinals inside the type universe; dominant types
+    inside it too (or ``-1``, untyped); every type populated.  A
+    violation raises :class:`SnapshotUnavailable`, and the caller
+    rebuilds the tables from the graph.
     """
-    from ..features.columnar import DIRECTIONS, ColumnarFeatureTables
+    from ..features.columnar import ColumnarFeatureTables
     from ..features.feature_index import RestoredFeatureSnapshot
 
     if view.epoch != graph.epoch:
@@ -346,44 +430,48 @@ def restore_feature_snapshot(
             f"feature snapshot is for graph epoch {view.epoch}, "
             f"loaded graph is at {graph.epoch}"
         )
-    entity_ids = view.manifest.get("entity_ids")
-    if not isinstance(entity_ids, list):
-        raise SnapshotUnavailable("feature snapshot carries no entity identifiers")
-    keys = view.manifest.get("features")
-    if not isinstance(keys, list):
-        raise SnapshotUnavailable("feature snapshot carries no feature keys")
+    entity_ids = view.string_table("entity_ids")
+    if "feature_codes" in view.manifest:
+        predicates = view.string_table("predicates")
+        codes = _int_column(view, view.manifest["feature_codes"], "feature codes")
+    else:
+        codes, predicates = _coded_features(view.manifest.get("features"), entity_ids)
     try:
-        well_formed = set(map(len, keys)) <= {3} and set(map(itemgetter(2), keys)) <= set(DIRECTIONS)
-    except (TypeError, LookupError):
-        well_formed = False
-    if not well_formed:
-        raise SnapshotUnavailable("feature snapshot keys are malformed")
-
-    try:
-        tables = ColumnarFeatureTables.from_arrays(
-            epoch=view.epoch,
-            feature_keys=keys,
-            entity_ids=entity_ids,
-            **{
-                name: np.array(view.manifest_array(name))
-                for name in (
-                    "holder_offsets", "holder_ordinals", "dominant_ords",
-                    "type_populations", "member_offsets", "member_type_ords",
-                )
-            },
-        )
+        arrays = {
+            name: np.array(view.manifest_array(name))
+            for name in (
+                "holder_offsets", "holder_ordinals", "dominant_ords",
+                "type_populations", "member_offsets", "member_type_ords",
+            )
+        }
     except KeyError as error:
         raise SnapshotUnavailable("feature snapshot lacks a table array") from error
-    holders = tables.holder_ordinals
-    if (
-        tables.holder_offsets.shape != (len(keys) + 1,)
-        or tables.dominant_ords.shape != (len(entity_ids),)
-        or tables.member_offsets.shape != (len(entity_ids) + 1,)
-        or int(tables.holder_offsets[-1]) != holders.size
-        or (np.diff(tables.holder_offsets) < 0).any()
-        or (holders.size and (holders.min() < 0 or holders.max() >= len(entity_ids)))
+    num_entities, num_types = len(entity_ids), arrays["type_populations"].size
+    if not _in_range(codes, 0, num_entities * 2 * len(predicates)) or (np.diff(codes) <= 0).any():
+        raise SnapshotUnavailable("feature snapshot codes are malformed")
+    if any(left >= right for left, right in zip(predicates, predicates[1:])):
+        raise SnapshotUnavailable("feature snapshot predicates are not strictly ascending")
+    if not _check_csr(
+        arrays["holder_offsets"], codes.size, arrays["holder_ordinals"], num_entities
     ):
-        raise SnapshotUnavailable("feature snapshot CSR is malformed")
+        raise SnapshotUnavailable("feature snapshot holder CSR is malformed")
+    if not _check_csr(
+        arrays["member_offsets"], num_entities, arrays["member_type_ords"], num_types
+    ):
+        raise SnapshotUnavailable("feature snapshot membership CSR is malformed")
+    dominant = arrays["dominant_ords"]
+    if dominant.shape != (num_entities,) or not _in_range(dominant, -1, num_types):
+        raise SnapshotUnavailable("feature snapshot dominant types are malformed")
+    populations = arrays["type_populations"]
+    if populations.ndim != 1 or not _in_range(populations, 1, num_entities + 1):
+        raise SnapshotUnavailable("feature snapshot type populations are malformed")
+    tables = ColumnarFeatureTables.from_arrays(
+        epoch=view.epoch,
+        feature_codes=codes,
+        predicates=predicates,
+        entity_ids=entity_ids,
+        **arrays,
+    )
     return RestoredFeatureSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
 
 
@@ -394,7 +482,11 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
     right after the restore, and the topology outlives it as the graph's
     per-epoch memo.  The epoch cross-check mirrors
     :func:`restore_feature_snapshot` — a topology from another graph
-    state must not be installed.
+    state must not be installed — and so do the array checks: both
+    adjacency CSRs cut their neighbour and predicate columns into one
+    row per entity, with neighbours inside the entities and predicates
+    inside the predicate table, and the type CSR one row of entities per
+    type.
     """
     from ..kg.topology import GraphTopology
 
@@ -403,13 +495,6 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
             f"topology snapshot is for graph epoch {view.epoch}, "
             f"loaded graph is at {graph.epoch}"
         )
-    manifest = view.manifest
-    strings: dict[str, list[str]] = {}
-    for key in ("entity_ids", "predicates", "type_ids"):
-        values = manifest.get(key)
-        if not isinstance(values, list):
-            raise SnapshotUnavailable(f"topology snapshot carries no {key}")
-        strings[key] = [str(value) for value in values]
 
     def copied(key: str) -> np.ndarray:
         try:
@@ -421,9 +506,9 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
 
     topology = GraphTopology.from_arrays(
         epoch=view.epoch,
-        entity_ids=strings["entity_ids"],
-        predicates=strings["predicates"],
-        type_ids=strings["type_ids"],
+        entity_ids=view.string_table("entity_ids"),
+        predicates=view.string_table("predicates"),
+        type_ids=view.string_table("type_ids"),
         out_offsets=copied("out_offsets"),
         out_targets=copied("out_targets"),
         out_preds=copied("out_preds"),
@@ -438,12 +523,21 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
         pre_order=copied("pre_order"),
         subtree_sizes=copied("subtree_sizes"),
     )
-    if (
-        topology.out_offsets.shape != (topology.num_entities + 1,)
-        or topology.in_offsets.shape != (topology.num_entities + 1,)
-        or topology.type_offsets.shape != (len(topology.type_ids) + 1,)
+    entities, predicates = topology.num_entities, len(topology.predicates)
+    for offsets, neighbours, preds in (
+        (topology.out_offsets, topology.out_targets, topology.out_preds),
+        (topology.in_offsets, topology.in_sources, topology.in_preds),
     ):
-        raise SnapshotUnavailable("topology snapshot CSR offsets are malformed")
+        if (
+            not _check_csr(offsets, entities, neighbours, entities)
+            or preds.shape != neighbours.shape
+            or not _in_range(preds, 0, predicates)
+        ):
+            raise SnapshotUnavailable("topology snapshot adjacency CSR is malformed")
+    if not _check_csr(
+        topology.type_offsets, len(topology.type_ids), topology.type_members, entities
+    ):
+        raise SnapshotUnavailable("topology snapshot type membership CSR is malformed")
     return topology
 
 

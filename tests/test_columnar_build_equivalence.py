@@ -271,8 +271,8 @@ class TestColdStart:
         arrays = {name: getattr(tables, name) for name in TABLE_ARRAYS}
         arrays[array] = arrays[array][:-1]
         broken = ColumnarFeatureTables.from_arrays(
-            epoch=tables.epoch, feature_keys=tables.feature_keys(),
-            entity_ids=tables.entity_ids, **arrays,
+            epoch=tables.epoch, feature_codes=tables.feature_codes,
+            predicates=tables.predicates, entity_ids=tables.entity_ids, **arrays,
         )
         manifest, builder = encode_feature_tables(
             SimpleNamespace(uid=index.uid, epoch=tables.epoch), broken

@@ -187,8 +187,8 @@ class TestDerivationSources:
         index = SemanticFeatureIndex.build(graph)
         tables = columnar_tables(index.snapshot())
         decoded = ColumnarFeatureTables.from_arrays(
-            epoch=tables.epoch, feature_keys=tables.feature_keys(),
-            holder_offsets=tables.holder_offsets, holder_ordinals=tables.holder_ordinals,
+            epoch=tables.epoch, feature_codes=tables.feature_codes,
+            predicates=tables.predicates, holder_offsets=tables.holder_offsets, holder_ordinals=tables.holder_ordinals,
             dominant_ords=tables.dominant_ords, type_populations=tables.type_populations,
             member_offsets=tables.member_offsets, member_type_ords=tables.member_type_ords,
             entity_ids=tables.entity_ids,

@@ -209,10 +209,10 @@ class TestRestoredSnapshot:
         index = SemanticFeatureIndex.build(graph)
         built = index.snapshot()
         tables = columnar_tables(built)
-        if from_segment:  # decoded tables address features by their listed keys
+        if from_segment:  # decoded tables: the stored arrays, no log epoch behind them
             tables = type(tables).from_arrays(
-                epoch=tables.epoch, feature_keys=[list(key) for key in tables.feature_keys()],
-                entity_ids=tables.entity_ids,
+                epoch=tables.epoch, feature_codes=tables.feature_codes.copy(),
+                predicates=list(tables.predicates), entity_ids=tables.entity_ids,
                 **{name: getattr(tables, name) for name in (
                     "holder_offsets", "holder_ordinals", "dominant_ords",
                     "type_populations", "member_offsets", "member_type_ords",

@@ -269,10 +269,12 @@ class TestSeedRows:
             assert [key[0] == entity for key in keys] == [
                 low <= ordinal < high for ordinal in range(len(keys))
             ]
-        # Tables decoded from a segment address features by key triples.
+        # Tables decoded from a segment carry the same codes, so they too
+        # take their rows from the topology.
         decoded = ColumnarFeatureTables.from_arrays(
             tables.epoch,
-            [list(key) for key in keys],
+            tables.feature_codes.copy(),
+            list(tables.predicates),
             tables.holder_offsets,
             tables.holder_ordinals,
             tables.dominant_ords,
@@ -284,6 +286,8 @@ class TestSeedRows:
         for entity, row in zip(everyone, decoded.feature_rows(everyone, graph_topology(graph))):
             assert row.tolist() == turned_around[entity].tolist()
             assert decoded.anchored_range(entity) == tables.anchored_range(entity)
+        assert decoded._held is None
+        assert decoded.feature_keys() == keys
 
 
 class TestCandidateTally:
