@@ -10,7 +10,8 @@ from one system directory are:
 * ``rebuild_ms`` — adopt the graph (``load_graph``) and rebuild every
   derived tier in RAM (``PivotE(graph)``: the build reads the graph's
   edges, so it pays the graph's hydration, then document construction,
-  tokenisation and per-entity feature extraction);
+  one analysis per distinct string and the sorts that make the posting
+  CSRs and the feature tables a load would adopt);
 * ``load_ms``    — attach everything (``PivotE.load``): the graph's
   entity tables in bulk, the posting columns, the feature tables and the
   topology as they were saved.
@@ -27,8 +28,9 @@ columns time ``load`` *plus the first use of what it deferred*, so the
 deferral can be compared with a build that paid everything up front:
 ``load_lookup_ms`` (load → entity profile: hydrates the graph),
 ``load_write_read_ms`` (load → four ``graph.add`` + ``add_entity`` →
-search → select: hydrates, then decodes every feature row for the delta
-refresh) and ``load_triples_ms`` (load → ``len(graph.triples)``).
+search → select: hydrates, then sorts the feature tables of the written
+epoch out of the column log, since decoded tables have no log epoch to
+derive them from) and ``load_triples_ms`` (load → ``len(graph.triples)``).
 
 Before any timing is trusted, the bench verifies the loaded system's
 search *and* recommendation rankings are byte-identical to the built

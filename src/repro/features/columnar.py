@@ -26,11 +26,11 @@ probabilities are computed from these counts with the same float64
 division and ``max(·, eps)`` floor as
 ``FeatureProbabilityModel.probability`` applies to a non-holder.
 
-Tables are built once per pinned :class:`FeatureIndexSnapshot` (memoised
-on the snapshot itself) — derived from the previous snapshot's tables
-when it built them, sorted out of the column log otherwise — or decoded
-from a saved feature-table segment on a cold start; the per-query kernel
-inputs are assembled by :func:`build_ranker_inputs`.
+The tables *are* a :class:`FeatureIndexSnapshot`'s contents: sorted out of
+the column log when the index is built, derived from the previous
+snapshot's tables when a write refreshes it, or decoded from a saved
+feature-table segment on a cold start; the per-query kernel inputs are
+assembled by :func:`build_ranker_inputs`.
 
 The tables are also what a recommendation request *runs on*: the seeds'
 feature rows (:meth:`~ColumnarFeatureTables.feature_rows`), the candidate
@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..kg.columns import (
+    EdgeColumnLog,
     EpochColumns,
     csr_gather,
     csr_merge,
@@ -161,21 +162,33 @@ class ColumnarFeatureTables:
     def from_snapshot(
         cls, snapshot: FeatureIndexSnapshot, previous: ColumnarFeatureTables | None = None
     ) -> ColumnarFeatureTables:
-        """Sort the tables out of the snapshot's epoch of the column log.
+        """Sort the tables of the snapshot's epoch out of its column log
+        again (:meth:`from_log`)."""
+        return cls.from_log(snapshot.columns, snapshot.triples, snapshot.epoch, previous)
 
-        The epoch is the log prefix of ``snapshot.triples`` triples, so a
-        snapshot pinned before later writes still builds its own tables.
-        Every edge ``<s, p, o>`` is two (feature, holder) rows — ``s``
-        holds ``(o, p, object_of)``, ``o`` holds ``(s, p, subject_of)``
-        — and sorting them by ``(feature code, holder)`` is the holder
+    @classmethod
+    def from_log(
+        cls,
+        log: EdgeColumnLog,
+        triples: int,
+        epoch: int,
+        previous: ColumnarFeatureTables | None = None,
+    ) -> ColumnarFeatureTables:
+        """Sort the tables out of one epoch of a graph's column log.
+
+        The epoch is the log prefix of ``triples`` triples, so tables of
+        an epoch the graph has moved past can still be built.  Every edge
+        ``<s, p, o>`` is two (feature, holder) rows — ``s`` holds
+        ``(o, p, object_of)``, ``o`` holds ``(s, p, subject_of)`` — and
+        sorting them by ``(feature code, holder)`` is the holder
         CSR.  Given ``previous``, the tables of an earlier epoch of the
         same log, the holder CSR is derived from it instead
-        (:meth:`_holder_csr`).  The dominant type of an entity is the minimum of
-        ``population · T + type`` over its membership row (least
+        (:meth:`_holder_csr`).  The dominant type of an entity is the
+        minimum of ``population · T + type`` over its membership row (least
         populated, ties by name), one ``minimum.reduceat``; the tables'
         type universe is the types that are some entity's dominant one.
         """
-        columns = snapshot.columns.epoch(snapshot.triples)
+        columns = log.epoch(triples)
         num_entities = len(columns.entity_ids)
         feature_codes, holder_offsets, holder_ordinals = cls._holder_csr(columns, previous)
 
@@ -195,7 +208,7 @@ class ColumnarFeatureTables:
         local[universe] = np.arange(universe.size, dtype=np.int64)
         kept = local[types] >= 0
         tables = cls(
-            epoch=snapshot.epoch,
+            epoch=epoch,
             holder_offsets=holder_offsets,
             holder_ordinals=holder_ordinals,
             dominant_ords=local[dominant],
@@ -620,24 +633,12 @@ def build_ranker_inputs(
 
 
 def columnar_tables(snapshot: Any) -> ColumnarFeatureTables | None:
-    """The snapshot's tables, built once and memoised on the snapshot.
+    """The tables of a feature snapshot, which it is made with.
 
-    A snapshot made by a delta refresh holds the tables of an earlier
-    epoch (``_previous``) until its own are derived from them; then it
-    drops the reference.  Returns ``None`` for index objects without the
-    snapshot memo slot (e.g. a bare graph passed where an index was
-    expected).
+    Returns ``None`` for objects that are not snapshots (e.g. a bare
+    graph passed where an index was expected).
     """
-    if not hasattr(snapshot, "_columnar"):
-        return None
-    tables = snapshot._columnar
-    if tables is None:
-        # Benign race: two pinned readers may build concurrently; both
-        # results are equal and either assignment is fine.
-        tables = ColumnarFeatureTables.from_snapshot(snapshot, snapshot._previous)
-        snapshot._columnar = tables
-        snapshot._previous = None
-    return tables
+    return getattr(snapshot, "_columnar", None)
 
 
 __all__ = [

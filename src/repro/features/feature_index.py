@@ -1,9 +1,10 @@
 """A precomputed index of semantic features over the whole graph.
 
 For large graphs, recomputing ``E(pi)`` and the features of every entity on
-each query is wasteful.  :class:`SemanticFeatureIndex` materialises both maps
-once; it is also the place where global feature statistics (frequencies,
-type-conditional counts) used by the ranking model's smoothing live.
+each query is wasteful.  :class:`SemanticFeatureIndex` keeps both
+directions of the entity ↔ feature relation precomputed; it is also the
+place where global feature statistics (frequencies, type-conditional
+counts) used by the ranking model's smoothing live.
 
 The index is *epoch-aware*, mirroring ``FieldedIndex`` on the search side:
 it remembers the graph mutation epoch it was built at and transparently
@@ -11,24 +12,26 @@ refreshes when the graph has changed, so every accessor always reflects the
 current graph.  :attr:`epoch` is the cache key the recommendation layer uses
 to invalidate memoised scores and cached recommendations.
 
-Since PR 5 the materialised maps live in an immutable
-:class:`FeatureIndexSnapshot` that is *replaced atomically* on refresh
-instead of being patched in place: a refresh derives the successor (from
-the old snapshot plus the triple delta, under the graph's mutation lock so
-it folds a consistent graph state) and swaps one reference.  Readers — and
+An epoch's state is an immutable :class:`FeatureIndexSnapshot` that is
+*replaced atomically* on refresh instead of being patched in place: a
+refresh derives the successor (under the graph's mutation lock, so it
+folds a consistent graph state) and swaps one reference.  Readers — and
 the ranking layer's :class:`~repro.ranking.ranking_support.RankingSupport`,
 which pins a snapshot for a whole query — therefore never observe a
 half-applied refresh while mutations proceed: this is the feature-side
 half of the engines' snapshot-isolated serving contract.
 
-Refreshing is *incremental*: the graph's triple log is append-only, so the
-snapshot remembers how many triples it reflects and the successor applies
-only the delta — recomputing the features of the entities the new triples
-touch — falling back to a full rebuild when the delta outgrows
-:attr:`SemanticFeatureIndex.max_delta_fraction` of the graph (a large
-delta touches most entities anyway, and the full pass has better
-constants).  A delta-applied snapshot is *equal* to a freshly built one by
-construction, enforced by ``tests/test_features_incremental.py``.
+A snapshot *is* its epoch's
+:class:`~repro.features.columnar.ColumnarFeatureTables`: a build sorts
+them out of the graph's column log, a load decodes them from a saved
+segment, and a refresh derives them from the previous snapshot's tables
+and the triples appended since (the log is append-only) — falling back
+to the full sort when the delta outgrows
+:attr:`SemanticFeatureIndex.max_delta_fraction` of the graph.  Point
+lookups decode just the row they ask for into the frozensets callers
+see.  :func:`~repro.features.extraction.features_of_entity`, the
+per-entity graph walk, is the oracle every form is checked against
+(``tests/test_features_incremental.py``).
 """
 
 from __future__ import annotations
@@ -38,18 +41,14 @@ import threading
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..index.fielded_index import next_index_uid
-from ..kg import DISAMBIGUATES, KnowledgeGraph, REDIRECT, STRUCTURAL_PREDICATES, Triple
+from ..kg import KnowledgeGraph, memoised_topology
 from ..utils import gc_paused
-from .extraction import features_of_entity
+from .columnar import ColumnarFeatureTables
 from .semantic_feature import Direction, SemanticFeature
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .columnar import ColumnarFeatureTables
 
 _LOG = logging.getLogger("repro")
 
@@ -59,79 +58,120 @@ _EMPTY_HOLDERS: frozenset[str] = frozenset()
 
 
 class FeatureIndexSnapshot:
-    """The materialised maps of one graph epoch, immutable once published.
+    """One graph epoch's features: its array tables, decoded on demand.
 
-    Holder sets are shared structurally between successive snapshots
-    (copy-on-write: a delta refresh only replaces the sets of affected
-    features), so pinning a snapshot is O(1) and holding one costs no
-    copies.  The graph's type tables are pinned alongside
-    (:meth:`KnowledgeGraph.type_tables` — outer copies of immutable
-    inner sets), so dominant types and the per-(feature, type) smoothing
-    counts a pinned reader derives are *fully* this epoch's values, never
-    a blend with a concurrent mutation's.
+    ``tables`` hold every holder row.  The two lookup maps start empty; a
+    point lookup that misses decodes just its row into the frozenset it
+    returns and memoises it, so a hit costs a dictionary lookup and a
+    reader pays for the rows its requests touch, not for all of them.
+    An entity's features are its adjacency rows in this epoch's
+    :class:`~repro.kg.topology.GraphTopology` when the graph has one at
+    hand, and the tables' holder CSR turned around otherwise
+    (:meth:`ColumnarFeatureTables.feature_rows`).  :meth:`maps` decodes
+    what is left.
+
+    The graph's type tables are pinned alongside
+    (:meth:`KnowledgeGraph.type_tables` — outer copies of immutable inner
+    sets), so dominant types and the per-(feature, type) smoothing counts
+    a pinned reader derives are *fully* this epoch's values, never a
+    blend with a concurrent mutation's.
     """
 
     __slots__ = (
-        "entity_features",
-        "feature_entities",
         "entity_types",
         "type_members",
         "epoch",
         "triples",
         "columns",
-        "_type_counts",
+        "decoded_rows",
+        "_graph",
         "_columnar",
-        "_previous",
+        "_entity_features",
+        "_feature_entities",
+        "_features",
+        "_type_counts",
+        "_complete",
     )
 
     def __init__(
-        self,
-        graph: KnowledgeGraph,
-        entity_features: dict[str, frozenset[SemanticFeature]],
-        feature_entities: dict[SemanticFeature, frozenset[str]],
-        epoch: int,
-        triples: int,
+        self, graph: KnowledgeGraph, tables: ColumnarFeatureTables, epoch: int, triples: int
     ) -> None:
-        self.entity_features = entity_features
-        self.feature_entities = feature_entities
+        if tables.entity_ids is None:
+            raise ValueError("a snapshot needs tables that carry entity ids")
         #: Pinned ``entity → types`` / ``type → members`` tables of this
         #: epoch (the constructor runs under the graph's lock).
         self.entity_types, self.type_members = graph.type_tables()
         self.epoch = epoch
         self.triples = triples
         #: The graph's edge-column log; this snapshot's epoch is its prefix
-        #: of ``triples`` triples, which the array tables are sorted from.
+        #: of ``triples`` triples.
         self.columns = graph.columns
+        #: Rows decoded so far, either direction (telemetry).
+        self.decoded_rows = 0
+        self._graph = graph
+        self._columnar = tables
+        self._entity_features: dict[str, frozenset[SemanticFeature]] = {}
+        self._feature_entities: dict[SemanticFeature, frozenset[str]] = {}
+        #: ``feature ordinal → feature`` for every feature met so far.
+        self._features: dict[int, SemanticFeature] = {}
         #: Memoised ``(||E(pi) ∩ E(c)||, ||E(c)||)`` pairs for this epoch.
         self._type_counts: dict[tuple[SemanticFeature, str], tuple[int, int]] = {}
-        #: Lazily built per-epoch array tables
-        #: (:func:`repro.features.columnar.columnar_tables`).
-        self._columnar = None
-        #: An earlier epoch's tables to derive ``_columnar`` from (set by
-        #: a delta refresh, dropped once the tables are built).
-        self._previous = None
+        #: Set once :meth:`maps` has decoded every row: a miss is then absent.
+        self._complete = False
 
-    def maps(
-        self,
-    ) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
-        """``(entity → features, feature → holders)``, whole.
+    @property
+    def tables(self) -> ColumnarFeatureTables:
+        """This epoch's array tables."""
+        return self._columnar
 
-        For callers that iterate, count or copy the maps; point lookups
-        go through :meth:`features_of` / :meth:`holders_of`.
-        """
-        return self.entity_features, self.feature_entities
+    def _feature(self, ordinal: int) -> SemanticFeature:
+        feature = self._features.get(ordinal)
+        if feature is None:
+            anchor, predicate, direction = self._columnar.feature_key(ordinal)
+            feature = self._features[ordinal] = SemanticFeature(
+                anchor, predicate, Direction(direction)
+            )
+        return feature
+
+    def _decode_features(self, entity_id: str) -> frozenset[SemanticFeature]:
+        """``features_of`` for an entity no lookup has asked about yet."""
+        tables = self._columnar
+        ordinal = tables.ordinal_of.get(entity_id)
+        if ordinal is None or self._complete:
+            return _EMPTY_HOLDERS  # type: ignore[return-value]
+        (row,) = tables.feature_rows([ordinal], memoised_topology(self._graph))
+        features = frozenset(map(self._feature, row.tolist()))
+        self._entity_features[entity_id] = features
+        self.decoded_rows += 1
+        return features
+
+    def _decode_holders(self, feature: SemanticFeature) -> frozenset[str]:
+        """``holders_of`` for a feature no lookup has asked about yet."""
+        if self._complete:
+            return _EMPTY_HOLDERS
+        ordinal = int(self._columnar.feature_ordinals([feature.key])[0])
+        return _EMPTY_HOLDERS if ordinal < 0 else self._decode_row(feature, ordinal)
+
+    def _decode_row(self, feature: SemanticFeature, ordinal: int) -> frozenset[str]:
+        tables = self._columnar
+        holders = frozenset(map(tables.entity_ids.__getitem__, tables.holders(ordinal).tolist()))
+        self._feature_entities[feature] = holders
+        self.decoded_rows += 1
+        return holders
 
     def features_of(self, entity_id: str) -> frozenset[SemanticFeature]:
         """Features held by an entity (empty set for unknown entities)."""
-        return self.entity_features.get(entity_id, _EMPTY_HOLDERS)  # type: ignore[return-value]
+        features = self._entity_features.get(entity_id)
+        return self._decode_features(entity_id) if features is None else features
 
     def holders_of(self, feature: SemanticFeature) -> frozenset[str]:
         """``E(pi)`` without copying — the snapshot's holder set, read-only."""
-        return self.feature_entities.get(feature, _EMPTY_HOLDERS)
+        holders = self._feature_entities.get(feature)
+        return self._decode_holders(feature) if holders is None else holders
 
     def holds(self, entity_id: str, feature: SemanticFeature) -> bool:
-        """``e |= pi`` from the materialised snapshot."""
-        return feature in self.entity_features.get(entity_id, _EMPTY_HOLDERS)
+        """``e |= pi`` in this epoch."""
+        return feature in self.features_of(entity_id)
 
     def dominant_type(self, entity_id: str) -> str:
         """``c*(e)`` from the pinned type tables (empty string if untyped).
@@ -151,7 +191,7 @@ class FeatureIndexSnapshot:
         """``(||E(pi) ∩ E(c)||, ||E(c)||)`` for the type-based smoothing.
 
         Memoised per snapshot and computed entirely from pinned state
-        (this epoch's holder sets against this epoch's type members), so
+        (this epoch's holder set against this epoch's type members), so
         a pinned reader's smoothing never blends two epochs.
         """
         key = (feature, type_id)
@@ -162,103 +202,19 @@ class FeatureIndexSnapshot:
         if not type_members:
             counts = (0, 0)
         else:
-            matching = self.feature_entities.get(feature, _EMPTY_HOLDERS)
-            counts = (len(matching & type_members), len(type_members))
+            counts = (len(self.holders_of(feature) & type_members), len(type_members))
         self._type_counts[key] = counts
         return counts
-
-
-class RestoredFeatureSnapshot(FeatureIndexSnapshot):
-    """A snapshot adopted from array tables instead of materialised maps.
-
-    ``tables`` (decoded from a ``feature-tables`` segment, or sorted out
-    of the column log) hold every holder row; the two maps start empty
-    and a point lookup that misses decodes just its row into the
-    frozenset a built snapshot would hold there, and memoises it in the
-    same dictionary — so a hit costs what it costs on a built snapshot,
-    and a cold start pays for the rows its requests touch, not for all
-    of them.  The entity → features direction is the tables' holder rows
-    turned around (:meth:`ColumnarFeatureTables.held`), done once, on the
-    first such miss.  :meth:`maps` decodes
-    what is left; after it the snapshot differs from a built one only in
-    how it got there.
-    """
-
-    __slots__ = ("decoded_rows", "_features", "_complete")
-
-    def __init__(
-        self, graph: KnowledgeGraph, tables: "ColumnarFeatureTables", epoch: int, triples: int
-    ) -> None:
-        if tables.entity_ids is None:
-            raise ValueError("a snapshot can only be restored from tables that carry entity ids")
-        super().__init__(graph, {}, {}, epoch, triples)
-        self._columnar = tables
-        #: Rows decoded so far, either direction (telemetry).
-        self.decoded_rows = 0
-        #: ``feature ordinal → feature`` for every feature met so far.
-        self._features: dict[int, SemanticFeature] = {}
-        self._complete = False
-
-    def _feature(self, ordinal: int) -> SemanticFeature:
-        feature = self._features.get(ordinal)
-        if feature is None:
-            anchor, predicate, direction = self._columnar.feature_key(ordinal)
-            feature = self._features[ordinal] = SemanticFeature(
-                anchor, predicate, Direction(direction)
-            )
-        return feature
-
-    def _decode_features(self, entity_id: str) -> frozenset[SemanticFeature]:
-        """``features_of`` for an entity no lookup has asked about yet."""
-        tables = self._columnar
-        ordinal = tables.ordinal_of.get(entity_id)
-        if ordinal is None or self._complete:
-            return _EMPTY_HOLDERS  # type: ignore[return-value]
-        (row,) = tables.feature_rows([ordinal])
-        features = frozenset(map(self._feature, row.tolist()))
-        self.entity_features[entity_id] = features
-        self.decoded_rows += 1
-        return features
-
-    def _decode_holders(self, feature: SemanticFeature) -> frozenset[str]:
-        """``holders_of`` for a feature no lookup has asked about yet."""
-        if self._complete:
-            return _EMPTY_HOLDERS
-        ordinal = int(self._columnar.feature_ordinals([feature.key])[0])
-        return _EMPTY_HOLDERS if ordinal < 0 else self._decode_row(feature, ordinal)
-
-    def _decode_row(self, feature: SemanticFeature, ordinal: int) -> frozenset[str]:
-        tables = self._columnar
-        holders = frozenset(map(tables.entity_ids.__getitem__, tables.holders(ordinal).tolist()))
-        self.feature_entities[feature] = holders
-        self.decoded_rows += 1
-        return holders
-
-    def features_of(self, entity_id: str) -> frozenset[SemanticFeature]:
-        features = self.entity_features.get(entity_id)
-        return self._decode_features(entity_id) if features is None else features
-
-    def holders_of(self, feature: SemanticFeature) -> frozenset[str]:
-        holders = self.feature_entities.get(feature)
-        return self._decode_holders(feature) if holders is None else holders
-
-    def holds(self, entity_id: str, feature: SemanticFeature) -> bool:
-        return feature in self.features_of(entity_id)
-
-    def type_conditional_count(self, feature: SemanticFeature, type_id: str) -> tuple[int, int]:
-        self.holders_of(feature)  # the inherited computation reads the map
-        return super().type_conditional_count(feature, type_id)
 
     def maps(
         self,
     ) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
-        """Decode every row not asked for yet, then hand out the whole maps.
+        """``(entity → features, feature → holders)``, whole.
 
-        The one place a restored snapshot walks all its features: the
-        first write after a load (``_delta_snapshot`` copies the maps)
-        and the dataset reports pay it, no exploration request does.
-        Allocates only long-lived frozensets, so the cyclic collector is
-        paused.
+        Decodes every row not asked for yet, for callers that compare
+        whole maps (the tests' oracle checks); no request, refresh or
+        report calls it.  Allocates only long-lived frozensets, so the cyclic
+        collector is paused.
         """
         if not self._complete:
             started = perf_counter()
@@ -267,7 +223,7 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
             with gc_paused():
                 for entity_id in tables.entity_ids:
                     self.features_of(entity_id)
-                decoded = self.feature_entities
+                decoded = self._feature_entities
                 for ordinal in range(tables.num_features):
                     feature = self._feature(ordinal)
                     if feature not in decoded:
@@ -278,7 +234,7 @@ class RestoredFeatureSnapshot(FeatureIndexSnapshot):
                 "feature snapshot of epoch %d: remaining %d rows decoded in %.1f ms",
                 self.epoch, self.decoded_rows - before, (perf_counter() - started) * 1000.0,
             )
-        return self.entity_features, self.feature_entities
+        return self._entity_features, self._feature_entities
 
 
 class SemanticFeatureIndex:
@@ -306,12 +262,12 @@ class SemanticFeatureIndex:
         self._full_rebuilds = 0
         self._delta_rebuilds = 0
         self._delta_entities = 0
-        #: Rows that restored snapshots since replaced had decoded.
+        #: Rows that snapshots since replaced had decoded.
         self._retired_rows = 0
 
     @classmethod
     def build(cls, graph: KnowledgeGraph) -> "SemanticFeatureIndex":
-        """Materialise the index for every entity in the graph."""
+        """Sort the index of the graph's current epoch out of its column log."""
         index = cls(graph)
         index.rebuild()
         return index
@@ -327,7 +283,7 @@ class SemanticFeatureIndex:
 
         The durable-storage cold-start path: a snapshot deserialised from
         disk (see :mod:`repro.storage.kgstore`) is installed directly,
-        skipping the per-entity feature extraction pass.  The snapshot
+        skipping the sort.  The snapshot
         must reflect the graph's current epoch — anything else would
         immediately trigger the refresh this constructor exists to avoid,
         and signals a snapshot/graph mismatch.
@@ -342,23 +298,46 @@ class SemanticFeatureIndex:
         index._snapshot_ref = snapshot
         return index
 
+    def _make_snapshot(self, previous: ColumnarFeatureTables | None = None) -> FeatureIndexSnapshot:
+        """The snapshot of the graph's current epoch (graph lock held).
+
+        Its tables are sorted out of the column log, or derived from
+        ``previous`` — an earlier epoch's tables — and the rows logged
+        since (:meth:`ColumnarFeatureTables.from_log`).
+        """
+        graph = self._graph
+        epoch, triples = graph.epoch, len(graph)
+        tables = ColumnarFeatureTables.from_log(graph.columns, triples, epoch, previous)
+        return FeatureIndexSnapshot(graph, tables, epoch, triples)
+
     def _full_snapshot(self) -> FeatureIndexSnapshot:
-        """Recompute the whole index from the graph's current contents."""
-        entity_features: dict[str, frozenset[SemanticFeature]] = {}
-        feature_entities: dict[SemanticFeature, set[str]] = defaultdict(set)
-        for entity_id in self._graph.entities():
-            features = frozenset(features_of_entity(self._graph, entity_id))
-            entity_features[entity_id] = features
-            for feature in features:
-                feature_entities[feature].add(entity_id)
+        """Sort the whole index out of the graph's current contents."""
         self._full_rebuilds += 1
-        return FeatureIndexSnapshot(
-            self._graph,
-            entity_features,
-            {feature: frozenset(holders) for feature, holders in feature_entities.items()},
-            self._graph.epoch,
-            len(self._graph),
+        return self._make_snapshot()
+
+    def _delta_snapshot(self, old: FeatureIndexSnapshot) -> FeatureIndexSnapshot:
+        """The successor snapshot, its tables derived from ``old``'s.
+
+        The triple log is append-only, so the successor's holder CSR is
+        the old one with the rows of the edges logged since merged in.
+        The entities the delta affects — the endpoints of those edges
+        and the entities new in this epoch (whose codes in the log's
+        first-seen entity table follow the old epoch's) — are counted
+        from the new epoch's columns.
+        """
+        fresh = self._make_snapshot(old.tables)
+        columns = fresh.tables._columns
+        assert columns is not None
+        old_edges = old.tables.holder_ordinals.size // 2  # two holder rows per edge
+        affected = np.union1d(
+            columns.entity_rank[old.tables.num_entities :],
+            np.concatenate(
+                (columns.edge_subjects[old_edges:], columns.edge_objects[old_edges:])
+            ),
         )
+        self._delta_rebuilds += 1
+        self._delta_entities += int(affected.size)
+        return fresh
 
     def rebuild(self) -> None:
         """Recompute the whole index from the graph's current contents."""
@@ -368,85 +347,17 @@ class SemanticFeatureIndex:
     def _install(self, fresh: FeatureIndexSnapshot) -> None:
         old = self._snapshot_ref
         if old is not None:
-            self._retired_rows += getattr(old, "decoded_rows", 0)
-            # The successor derives its tables from the newest ones at hand,
-            # however its maps were made.
-            fresh._previous = old._columnar if old._columnar is not None else old._previous
+            self._retired_rows += old.decoded_rows
         self._snapshot_ref = fresh
 
     def decoded_rows(self) -> int:
-        """Holder/feature rows decoded on demand by restored snapshots so far.
+        """Holder/feature rows the snapshots of this index have decoded.
 
-        Reads the current snapshot without refreshing it.
+        Counts a replaced snapshot's rows up to its replacement; reads
+        the current snapshot without refreshing it.
         """
-        return self._retired_rows + getattr(self._snapshot_ref, "decoded_rows", 0)
-
-    def _delta_snapshot(
-        self, old: FeatureIndexSnapshot, new_triples: Iterable[Triple]
-    ) -> FeatureIndexSnapshot:
-        """The successor snapshot with the appended triples folded in.
-
-        Only object-property edges change an entity's semantic features
-        (see :func:`repro.features.extraction.features_of_entity`);
-        structural triples merely introduce entities that need an (empty)
-        feature entry.  The affected entities' features are recomputed
-        from the graph, and the holder sets of the features they gained
-        or lost are replaced copy-on-write — one new set per touched
-        feature, every untouched set shared with the old snapshot, so
-        readers pinned to ``old`` keep exactly what they saw.  The triple
-        log is append-only, so there is no remove side to the delta.
-        """
-        affected: set[str] = set()
-        old_features, old_holders = old.maps()
-        for triple in new_triples:
-            subject, predicate = triple.subject, triple.predicate
-            if triple.is_literal:
-                if subject not in old_features:
-                    affected.add(subject)
-                continue
-            if predicate not in STRUCTURAL_PREDICATES:
-                # A genuine edge: both endpoints gain a feature.
-                affected.add(subject)
-                affected.add(triple.object)
-                continue
-            if subject not in old_features:
-                affected.add(subject)
-            if predicate in (REDIRECT, DISAMBIGUATES) and (
-                triple.object not in old_features
-            ):
-                affected.add(triple.object)
-        entity_features = dict(old_features)
-        feature_entities = dict(old_holders)
-        gained: dict[SemanticFeature, list[str]] = defaultdict(list)
-        lost: dict[SemanticFeature, list[str]] = defaultdict(list)
-        for entity_id in affected:
-            before = entity_features.get(entity_id, _EMPTY_HOLDERS)
-            after = frozenset(features_of_entity(self._graph, entity_id))
-            if after != before:
-                for feature in before - after:  # type: ignore[operator]
-                    lost[feature].append(entity_id)
-                for feature in after - before:
-                    gained[feature].append(entity_id)
-            entity_features[entity_id] = after
-        # One copy-on-write replacement per touched feature, however many
-        # affected entities share it.
-        for feature in lost.keys() | gained.keys():
-            holders = set(feature_entities.get(feature, _EMPTY_HOLDERS))
-            holders.difference_update(lost.get(feature, ()))
-            holders.update(gained.get(feature, ()))
-            if holders:
-                feature_entities[feature] = frozenset(holders)
-            else:
-                feature_entities.pop(feature, None)
-        self._delta_rebuilds += 1
-        self._delta_entities += len(affected)
-        return FeatureIndexSnapshot(
-            self._graph,
-            entity_features,
-            feature_entities,
-            self._graph.epoch,
-            len(self._graph),
-        )
+        snapshot = self._snapshot_ref
+        return self._retired_rows + (0 if snapshot is None else snapshot.decoded_rows)
 
     def snapshot(self) -> FeatureIndexSnapshot:
         """The current (refreshed-if-stale) snapshot, safe to pin.
@@ -471,9 +382,7 @@ class SemanticFeatureIndex:
                     total = len(self._graph)
                     delta = total - snapshot.triples
                     if 0 <= delta <= self.max_delta_fraction * max(total, 1):
-                        fresh = self._delta_snapshot(
-                            snapshot, self._graph.triples_since(snapshot.triples)
-                        )
+                        fresh = self._delta_snapshot(snapshot)
                     else:
                         fresh = self._full_snapshot()
                 self._install(fresh)
@@ -537,11 +446,18 @@ class SemanticFeatureIndex:
         return self.snapshot().holds(entity_id, feature)
 
     def all_features(self) -> list[SemanticFeature]:
-        """Every distinct semantic feature in the graph."""
-        return sorted(self.snapshot().maps()[1])
+        """Every distinct semantic feature in the graph, sorted.
+
+        Read off the tables' feature keys, which are in feature order;
+        no holder row is decoded.
+        """
+        return [
+            SemanticFeature(anchor, predicate, Direction(direction))
+            for anchor, predicate, direction in self.snapshot().tables.feature_keys()
+        ]
 
     def num_features(self) -> int:
-        return len(self.snapshot().maps()[1])
+        return self.snapshot().tables.num_features
 
     # ------------------------------------------------------------------ #
     # Aggregations used by ranking
@@ -605,8 +521,11 @@ class SemanticFeatureIndex:
         return snapshot.features_of(left) & snapshot.features_of(right)
 
     def feature_frequency_histogram(self) -> dict[int, int]:
-        """Histogram of ``||E(pi)||`` values, for dataset reporting."""
-        histogram: dict[int, int] = defaultdict(int)
-        for entities in self.snapshot().maps()[1].values():
-            histogram[len(entities)] += 1
-        return dict(histogram)
+        """Histogram of ``||E(pi)||`` values, for dataset reporting.
+
+        Counted over the tables' holder-row lengths; no row is decoded.
+        """
+        sizes, counts = np.unique(
+            np.diff(self.snapshot().tables.holder_offsets), return_counts=True
+        )
+        return dict(zip(sizes.tolist(), counts.tolist()))

@@ -3,6 +3,14 @@
 This is the index the search engine of §2.2 runs against: every entity is a
 structured document with the five fields of Table 1, and every field has its
 own inverted index, document lengths and collection statistics.
+
+A built index and a loaded one are the same object: one posting CSR per
+field over one :class:`DocumentColumns`, handed to :meth:`FieldedIndex.adopt`
+(by the search engine's build, which sorts them out of the documents'
+token rows, or by the storage layer, which decodes them from a saved
+segment).  Writes derive copy-on-write successors from it
+(:meth:`FieldedIndex.with_added_document`).  :meth:`FieldedIndex.add_document`
+is the term-by-term reference the sorted build is checked against.
 """
 
 from __future__ import annotations
@@ -83,10 +91,11 @@ class FieldedIndex:
     # Indexing
     # ------------------------------------------------------------------ #
     def add_document(self, doc_id: str, field_terms: Mapping[str, Iterable[str]]) -> None:
-        """Index a document given its analyzed terms per field.
+        """Index a document given its analyzed terms per field, in place.
 
-        Fields missing from ``field_terms`` are indexed as empty; unknown
-        field names raise :class:`FieldNotFoundError`.
+        The reference build: no serving path calls it.  Fields missing
+        from ``field_terms`` are indexed as empty; unknown field names
+        raise :class:`FieldNotFoundError`.
         """
         for field in field_terms:
             if field not in self._indexes:
@@ -101,11 +110,12 @@ class FieldedIndex:
         self._support_cache = None
 
     def adopt(self, documents: DocumentColumns, columns: Mapping[str, PostingColumns]) -> None:
-        """Serve a stored index: one posting CSR per field over ``documents``.
+        """Serve one posting CSR per field over ``documents``.
 
-        Nothing is decoded here — each field answers from its CSR and
-        builds a posting list or length map only when a caller asks for
-        it.  The result equals the index that stored the columns: same
+        The CSRs come from a build's sort or a saved segment, and the
+        two are equal for equal documents.  Nothing is decoded here —
+        each field answers from its CSR and builds a posting list or
+        length map only when a caller asks for it.  The result equals the index that stored the columns: same
         documents, postings, lengths and statistics, and the same epoch
         (one bump per document).  Only valid on an empty index.
         """
@@ -121,12 +131,13 @@ class FieldedIndex:
         self._support_cache = None
 
     def stored_documents(self) -> DocumentColumns | None:
-        """The documents of the stored CSRs this index still answers from.
+        """The documents of the CSRs this index still answers from.
 
-        ``None`` for an index built in RAM, and for any index written
-        since it was adopted: its fields then hold postings the CSRs do
-        not.  While it is set, every field's :attr:`InvertedIndex.columns`
-        is exactly that field's postings.
+        Set on a built or loaded index (both :meth:`adopt` their CSRs);
+        ``None`` for any index written since, whose fields then hold
+        postings the CSRs do not, and for a reference index made by
+        :meth:`add_document`.  While it is set, every field's
+        :attr:`InvertedIndex.columns` is exactly that field's postings.
         """
         return self._stored
 

@@ -4,15 +4,22 @@ Maps terms to posting lists and keeps per-document lengths.  The fielded
 index of :mod:`repro.index.fielded_index` composes one of these per
 retrieval field.
 
-A field is either built in RAM — every term a :class:`PostingList` — or
-*adopted* from a stored posting CSR (:class:`PostingColumns`, one per
-field of a saved index, over the documents of one
-:class:`DocumentColumns`).  An adopted field answers from the arrays:
-a term's row is found by bisecting the sorted term table, its counts
-are reduced from that row when a query names the term, and it becomes
-a :class:`PostingList` only when a caller asks for the list; the
+A field serves a posting CSR (:class:`PostingColumns`, one per field of
+an index, over the documents of one :class:`DocumentColumns`), whether
+the CSR was sorted out of a build's token rows
+(:meth:`PostingColumns.from_tokens`) or decoded from a saved index.
+Such a field answers from the arrays: a term's row is found by
+bisecting the sorted term table (and memoised), its counts are reduced
+from that row when a query names the term, and it becomes a
+:class:`PostingList` only when a caller asks for the list; the
 ``doc_id -> length`` and whole-field count maps are built only when a
-caller asks for a whole map.
+caller asks for a whole map.  A write makes a successor field whose
+changed terms are posting lists over the same CSR
+(:meth:`InvertedIndex.with_added_document`).
+
+:meth:`InvertedIndex.add_document` builds a field term by term into
+posting lists.  No build path uses it: it is the reference the sorted
+build is checked against.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class PostingColumns:
 
     __slots__ = (
         "documents", "terms", "offsets", "ordinals", "frequencies", "lengths",
-        "total_terms", "decoded", "_is_decoded", "_lock",
+        "total_terms", "decoded", "_is_decoded", "_lock", "_rows", "_counts",
     )
 
     def __init__(
@@ -103,12 +110,57 @@ class PostingColumns:
         self.decoded = 0
         self._is_decoded = bytearray(len(terms))
         self._lock = threading.Lock()
+        #: Memoised ``term -> row`` and ``term -> term_counts`` of stored
+        #: terms a caller named.  A miss is never memoised, so both stay
+        #: bounded by the vocabulary.
+        self._rows: dict[str, int] = {}
+        self._counts: dict[str, tuple[int, int, int]] = {}
+
+    @classmethod
+    def from_tokens(
+        cls,
+        documents: DocumentColumns,
+        vocabulary: list[str],
+        codes: np.ndarray,
+        ordinals: np.ndarray,
+    ) -> "PostingColumns":
+        """The CSR of one field, sorted out of its token rows.
+
+        Token ``i`` is term ``vocabulary[codes[i]]`` occurring once in
+        the document of ordinal ``ordinals[i]``; ``vocabulary`` is
+        strictly ascending, so a code is its term's rank.  One
+        ``np.unique`` over ``code · N + ordinal`` groups the tokens into
+        (term, document) cells, in row order, with their tf as counts;
+        ``bincount`` cuts the rows and counts the field lengths.  Equal,
+        array for array, to the rows of a field built by
+        :meth:`InvertedIndex.add_document` from the same tokens.
+        """
+        num_documents = len(documents.doc_ids)
+        cells, frequencies = np.unique(codes * num_documents + ordinals, return_counts=True)
+        rows, cell_ordinals = np.divmod(cells, max(num_documents, 1))
+        sizes = np.bincount(rows, minlength=len(vocabulary))
+        present = np.flatnonzero(sizes)
+        offsets = np.zeros(present.size + 1, dtype=np.int64)
+        np.cumsum(sizes[present], out=offsets[1:])
+        return cls(
+            documents,
+            [vocabulary[code] for code in present.tolist()],
+            offsets,
+            cell_ordinals.astype(np.int64, copy=False),
+            frequencies.astype(np.int64, copy=False),
+            np.bincount(ordinals, minlength=num_documents).astype(np.int64, copy=False),
+        )
 
     def row(self, term: str) -> int | None:
         """The CSR row of ``term``, or ``None`` when it is not stored."""
-        terms = self.terms
-        row = bisect_left(terms, term)
-        return row if row < len(terms) and terms[row] == term else None
+        row = self._rows.get(term)
+        if row is None:
+            terms = self.terms
+            row = bisect_left(terms, term)
+            if row == len(terms) or terms[row] != term:
+                return None
+            self._rows[term] = row
+        return row
 
     def columns(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """``(ordinals, frequencies)`` views of one term's row, or ``None``."""
@@ -148,14 +200,20 @@ class PostingColumns:
     def term_counts(self, term: str) -> tuple[int, int, int]:
         """``(collection frequency, document frequency, max tf)`` of one term.
 
-        Reduced from the term's row; ``(0, 0, 0)`` when it is not stored.
+        Reduced from the term's row once, then memoised; ``(0, 0, 0)``
+        when it is not stored.
         """
-        row = self.row(term)
-        if row is None:
-            return 0, 0, 0
-        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
-        frequencies = self.frequencies[start:end]
-        return int(frequencies.sum()), end - start, int(frequencies.max())
+        counts = self._counts.get(term)
+        if counts is None:
+            row = self.row(term)
+            if row is None:
+                return 0, 0, 0
+            start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+            frequencies = self.frequencies[start:end]
+            counts = self._counts[term] = (
+                int(frequencies.sum()), end - start, int(frequencies.max())
+            )
+        return counts
 
     def length_of(self, doc_id: str) -> int:
         ordinal = self.documents.ordinal_of().get(doc_id)
@@ -189,13 +247,14 @@ class PostingColumns:
 class InvertedIndex:
     """A term -> postings map for a single field.
 
-    ``_postings`` holds every posting list built in RAM.  On a field
-    adopted from :class:`PostingColumns` it holds the lists decoded so
-    far and the ones writes copied and rewrote; an entry there wins over
-    the stored row of the same term, and an *empty* entry is the
-    tombstone of a stored term that a re-indexed document took away (it
-    reads as absent).  ``_doc_lengths`` is ``None`` while the stored
-    length column still answers for every document.
+    On a field that serves a :class:`PostingColumns` CSR, ``_postings``
+    holds the lists decoded so far and the ones writes copied and
+    rewrote; an entry there wins over the stored row of the same term,
+    and an *empty* entry is the tombstone of a stored term that a
+    re-indexed document took away (it reads as absent).  A field built
+    by :meth:`add_document` (the reference) has no CSR and holds every
+    list there.  ``_doc_lengths`` is ``None`` while the CSR's length
+    column still answers for every document.
     """
 
     def __init__(self, name: str = "field", columns: PostingColumns | None = None) -> None:
@@ -207,14 +266,19 @@ class InvertedIndex:
 
     @property
     def columns(self) -> PostingColumns | None:
-        """The stored CSR this field was adopted from (``None`` if built in RAM)."""
+        """The CSR this field serves (``None`` for a reference field built by
+        :meth:`add_document`)."""
         return self._columns
 
     # ------------------------------------------------------------------ #
     # Indexing
     # ------------------------------------------------------------------ #
     def add_document(self, doc_id: str, terms: Iterable[str]) -> None:
-        """Index (or extend) a document given its analyzed terms."""
+        """Index (or extend) a document given its analyzed terms.
+
+        The reference build, term by term into posting lists: the sorted
+        build (:meth:`PostingColumns.from_tokens`) is checked against it.
+        """
         counts = Counter(terms)
         added = sum(counts.values())
         lengths = self.document_lengths()

@@ -44,6 +44,7 @@ from .topology import (
     TraversalCounters,
     graph_topology,
     install_topology,
+    memoised_topology,
     topology_counters,
     traversal_stats,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "load_ntriples",
     "load_tsv",
     "make_triple",
+    "memoised_topology",
     "paths_between",
     "save_json",
     "save_ntriples",

@@ -273,21 +273,6 @@ class KnowledgeGraph:
         """All triples in insertion order."""
         return tuple(self._triples)
 
-    def triples_since(self, count: int) -> list[Triple]:
-        """The triples added after the first ``count`` ones (no full copy).
-
-        The triple log is append-only (there is no removal API), so a
-        consumer that remembers how many triples it has processed can
-        fetch exactly the delta — this is what the incremental
-        :meth:`repro.features.feature_index.SemanticFeatureIndex.rebuild`
-        path uses to avoid re-deriving the whole index on every epoch
-        change.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        with self._lock:
-            return self._triples[count:]
-
     def entities(self) -> set[str]:
         """All entity identifiers (subjects and object-entities)."""
         with self._lock:

@@ -577,6 +577,15 @@ def graph_topology(graph: KnowledgeGraph) -> GraphTopology:
     return topology
 
 
+def memoised_topology(graph: KnowledgeGraph) -> GraphTopology | None:
+    """The graph's topology memo as it stands — of any epoch, or ``None``.
+
+    Never builds one: for readers that use a topology when one is at
+    hand and have another way otherwise (they check its epoch).
+    """
+    return getattr(graph, "_topology", None)
+
+
 def install_topology(graph: KnowledgeGraph, topology: GraphTopology) -> None:
     """Seed the graph's topology memo with a restored snapshot.
 

@@ -13,6 +13,7 @@ from .fields import (
     analyze_document,
     build_all_documents,
     build_entity_document,
+    token_rows,
 )
 from .language_model import (
     SmoothingParams,
@@ -51,4 +52,5 @@ __all__ = [
     "log_probability",
     "parse_query",
     "smoothed_probability",
+    "token_rows",
 ]

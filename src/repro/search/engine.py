@@ -10,8 +10,9 @@ facade (and the examples) can use:
 Concurrency contract (snapshot-isolated serving): queries capture one
 scorer (and with it one index instance) when they start and score against
 it to completion.  Mutations never touch a published index — ``build()``
-constructs a fresh index and :meth:`add_entity` derives a copy-on-write
-successor (:meth:`~repro.index.fielded_index.FieldedIndex.with_added_document`)
+sorts a fresh one, the same posting CSRs a load adopts, and
+:meth:`add_entity` derives a copy-on-write successor
+(:meth:`~repro.index.fielded_index.FieldedIndex.with_added_document`)
 — then swap it in atomically under the engine's mutation lock.  In-flight
 queries therefore finish on the epoch they started on while mutations
 proceed, and the LRU result cache keys on the index instance
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from ..config import SearchConfig
 from ..exceptions import EntityNotFoundError
 from ..index import FieldedIndex
+from ..index.inverted_index import DocumentColumns, PostingColumns
 from ..kg import KnowledgeGraph, traversal_stats
 from ..stats import CacheStats, EngineStats, PruningStatsView
 from ..utils import LRUCache, dedupe_batch
@@ -37,6 +39,7 @@ from .fields import (
     analyze_document,
     build_all_documents,
     build_entity_document,
+    token_rows,
 )
 from .mlm import MixtureLanguageModelScorer, ScoredDocument, SingleFieldScorer
 from .query import KeywordQuery, parse_query
@@ -113,14 +116,26 @@ class SearchEngine:
     def build(self) -> "SearchEngine":
         """(Re)build the index from the graph's current contents.
 
-        The replacement index is fully constructed before the atomic swap,
+        A build makes what a load adopts: every document's token rows
+        (:func:`~repro.search.fields.token_rows`) sorted into one posting
+        CSR per field (:meth:`PostingColumns.from_tokens`), served by
+        :meth:`FieldedIndex.adopt` over the documents in id order.  The
+        replacement index is fully constructed before the atomic swap,
         so concurrent queries keep their pre-rebuild snapshot throughout.
         """
         with self._mutation_lock:
             documents = build_all_documents(self._graph)
-            index = FieldedIndex(self._config.fields)
-            for entity_id, document in documents.items():
-                index.add_document(entity_id, analyze_document(document, self._config.fields))
+            fields = self._config.fields
+            vocabulary, rows = token_rows(documents.values(), fields)
+            stored = DocumentColumns(list(documents))
+            index = FieldedIndex(fields)
+            index.adopt(
+                stored,
+                {
+                    field: PostingColumns.from_tokens(stored, vocabulary, *rows[field])
+                    for field in fields
+                },
+            )
             self._documents = documents
             self._scorer = MixtureLanguageModelScorer(index, self._config)
             self._index = index

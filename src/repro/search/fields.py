@@ -15,12 +15,17 @@ related_entity_names   labels of the connected entities
 The :class:`FieldedEntityDocument` holds the raw text per field;
 :func:`build_entity_document` derives it from the knowledge graph, and
 :func:`analyze_document` turns it into term lists ready for indexing.
+A build analyses every document at once (:func:`token_rows`): each
+distinct string once per analyzer, into the integer token rows the
+index's posting CSRs are sorted from.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..config import DEFAULT_FIELDS
 from ..kg import KnowledgeGraph, label_from_identifier
@@ -125,4 +130,54 @@ def build_all_documents(graph: KnowledgeGraph) -> dict[str, FieldedEntityDocumen
     return {
         entity_id: build_entity_document(graph, entity_id)
         for entity_id in sorted(graph.entities())
+    }
+
+
+def token_rows(
+    documents: Iterable[FieldedEntityDocument], fields: Collection[str] = DEFAULT_FIELDS
+) -> tuple[list[str], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """``(vocabulary, field → (codes, ordinals))``: every token of the documents.
+
+    Token ``i`` of a field is term ``vocabulary[codes[i]]`` in the
+    document at position ``ordinals[i]`` of ``documents``; the
+    vocabulary is ascending, so a code is a term's rank.  The tokens are
+    exactly :func:`analyze_document`'s, in its order, but each distinct
+    string is analysed once per analyzer (a memo local to this call, so
+    nothing outlives the build), and a field without an analyzer has no
+    tokens, as in :func:`analyze_document`.
+    """
+    documents = list(documents)
+    codes_of: dict[str, int] = {}
+    memos: dict[Analyzer, dict[str, list[int]]] = {}
+    rows: dict[str, tuple[list[int], list[int]]] = {}
+    for name in fields:
+        codes: list[int] = []
+        sizes = [0] * len(documents)
+        analyzer = FIELD_ANALYZERS.get(name)
+        if analyzer is not None:
+            memo = memos.setdefault(analyzer, {})
+            for position, document in enumerate(documents):
+                before = len(codes)
+                for text in document.field_text(name):
+                    tokens = memo.get(text)
+                    if tokens is None:
+                        tokens = memo[text] = [
+                            codes_of.setdefault(term, len(codes_of))
+                            for term in analyzer.analyze(text)
+                        ]
+                    codes.extend(tokens)
+                sizes[position] = len(codes) - before
+        rows[name] = (codes, sizes)
+    vocabulary = sorted(codes_of)
+    rank = np.empty(len(vocabulary), dtype=np.int64)
+    rank[np.fromiter(map(codes_of.__getitem__, vocabulary), np.int64, len(vocabulary))] = (
+        np.arange(len(vocabulary), dtype=np.int64)
+    )
+    positions = np.arange(len(documents), dtype=np.int64)
+    return vocabulary, {
+        name: (
+            rank[np.array(codes, dtype=np.int64)],
+            np.repeat(positions, sizes),
+        )
+        for name, (codes, sizes) in rows.items()
     }

@@ -405,13 +405,13 @@ def restore_feature_snapshot(
     """Adopt one feature-tables snapshot as a pinned feature snapshot.
 
     The decoded tables (arrays copied out, because the caller closes the
-    backing memmap) *are* the snapshot: it answers from them, turning a
-    holder or feature row into its frozenset when first asked for it
-    (:class:`~repro.features.feature_index.RestoredFeatureSnapshot`),
-    and they are its columnar memo, so the first recommendation after a
-    cold start rebuilds nothing.  Nothing here walks the features, except
-    in a segment of the older layout, whose key triples are coded once
-    (:func:`_coded_features`).
+    backing memmap) *are* the snapshot, as the sorted ones are a built
+    index's: it answers from them, turning a holder or feature row into
+    its frozenset when first asked for it
+    (:class:`~repro.features.feature_index.FeatureIndexSnapshot`), so
+    the first recommendation after a cold start rebuilds nothing.
+    Nothing here walks the features, except in a segment of the older
+    layout, whose key triples are coded once (:func:`_coded_features`).
 
     Every array is checked against what the tables assume: the feature
     codes strictly ascending with anchors inside the entities and a
@@ -423,7 +423,7 @@ def restore_feature_snapshot(
     rebuilds the tables from the graph.
     """
     from ..features.columnar import ColumnarFeatureTables
-    from ..features.feature_index import RestoredFeatureSnapshot
+    from ..features.feature_index import FeatureIndexSnapshot
 
     if view.epoch != graph.epoch:
         raise SnapshotUnavailable(
@@ -472,7 +472,7 @@ def restore_feature_snapshot(
         entity_ids=entity_ids,
         **arrays,
     )
-    return RestoredFeatureSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
+    return FeatureIndexSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
 
 
 def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "GraphTopology":

@@ -17,7 +17,13 @@ _WHITESPACE = re.compile(r"\s+")
 
 
 def strip_accents(text: str) -> str:
-    """Remove diacritical marks: ``"Amélie"`` -> ``"Amelie"``."""
+    """Remove diacritical marks: ``"Amélie"`` -> ``"Amelie"``.
+
+    ASCII text is returned as it is: NFKD leaves every ASCII character
+    alone and none of them is a combining mark.
+    """
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

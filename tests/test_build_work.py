@@ -1,0 +1,208 @@
+"""The work a build and a write do, and what the feature snapshot answers.
+
+``PivotE(graph)`` makes what ``PivotE.load`` adopts: the search index is
+sorted out of token rows and the feature snapshot is the tables sorted
+out of the column log, so a build never indexes a document term by term
+(``InvertedIndex.add_document``), never walks an entity's edges
+(``features_of_entity``) and never decodes the whole snapshot
+(``FeatureIndexSnapshot.maps``); and it analyses each distinct string
+once per analyzer.  A write derives the next snapshot's tables from the
+last, so it does none of that either — after a build and after a load.
+What the snapshot answers is checked against the dict maps built from
+``features_of_entity`` (the oracle), for every entity and feature.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter, defaultdict
+
+import pytest
+
+from repro.datasets import RandomKGConfig, build_random_kg
+from repro.engine import PivotE
+from repro.features import SemanticFeature, SemanticFeatureIndex, extraction
+from repro.features.feature_index import FeatureIndexSnapshot
+from repro.index import FieldedIndex, InvertedIndex
+from repro.kg import KnowledgeGraph
+from repro.text import Analyzer
+
+ENTITIES = 2000
+
+
+def calls_of(monkeypatch, owner, name: str) -> list[tuple]:
+    """The argument tuples of every call of ``owner.name`` from now on; a
+    module function is caught through every ``repro`` module's binding."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, recorded)
+    else:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """``(calls of the per-entity and whole-snapshot paths, Analyzer.analyze calls)``."""
+    per_entity = {
+        label: calls_of(monkeypatch, owner, label.split(".")[-1])
+        for label, owner in (
+            ("InvertedIndex.add_document", InvertedIndex),
+            ("FieldedIndex.add_document", FieldedIndex),
+            ("features_of_entity", extraction),
+            ("FeatureIndexSnapshot.maps", FeatureIndexSnapshot),
+        )
+    }
+    return per_entity, calls_of(monkeypatch, Analyzer, "analyze")
+
+
+def counts(calls: dict[str, list]) -> dict[str, int]:
+    return {label: len(made) for label, made in calls.items()}
+
+
+def write(graph: KnowledgeGraph, number: int) -> str:
+    """A new entity linked to two existing ones, typed like the first."""
+    entity = f"ex:written{number}"
+    anchors = sorted(graph.entities())[number * 7 : number * 7 + 2]
+    graph.add_label(entity, f"written entity {number}")
+    graph.add_type(entity, graph.dominant_type(anchors[0]) or "ex:T")
+    predicate = sorted(graph.edge_predicates())[number % 3]
+    graph.add(entity, predicate, anchors[0])
+    graph.add(anchors[1], predicate, entity)
+    return entity
+
+
+def oracle(graph: KnowledgeGraph):
+    """``(entity → features, feature → holders)`` by walking every entity's edges."""
+    features = {
+        entity: frozenset(extraction.features_of_entity(graph, entity))
+        for entity in graph.entities()
+    }
+    holders: dict[SemanticFeature, set[str]] = defaultdict(set)
+    for entity, held in features.items():
+        for feature in held:
+            holders[feature].add(entity)
+    return features, holders
+
+
+def assert_snapshot_answers_like_the_oracle(
+    snapshot: FeatureIndexSnapshot, graph: KnowledgeGraph
+) -> None:
+    features, holders = oracle(graph)
+    every_feature = sorted(holders)
+    types = sorted(graph.types())
+    for entity in sorted(features):
+        assert snapshot.features_of(entity) == features[entity], entity
+        assert snapshot.dominant_type(entity) == graph.dominant_type(entity), entity
+        for feature in features[entity]:
+            assert snapshot.holds(entity, feature)
+    for position, feature in enumerate(every_feature):
+        assert snapshot.holders_of(feature) == holders[feature], feature
+        outsider = every_feature[(position * 7919) % len(every_feature)]
+        if outsider not in features[min(holders[feature])]:
+            assert not snapshot.holds(min(holders[feature]), outsider)
+        for type_id in types:
+            members = graph.entities_of_type(type_id)
+            assert snapshot.type_conditional_count(feature, type_id) == (
+                len(holders[feature] & members), len(members)
+            )
+    nobody = SemanticFeature("ex:nobody", "ex:p")
+    assert snapshot.holders_of(nobody) == frozenset()
+    assert snapshot.features_of("ex:nobody") == frozenset()
+    assert not snapshot.holds("ex:nobody", every_feature[0])
+
+
+def test_a_build_and_its_writes_do_no_per_entity_work(spies):
+    per_entity, analysed = spies
+    graph = build_random_kg(RandomKGConfig(num_entities=ENTITIES, seed=1))
+    system = PivotE(graph)
+    assert counts(per_entity) == dict.fromkeys(per_entity, 0)
+    assert 0 < len(analysed) == len(set(analysed))  # once per (analyzer, string)
+    snapshot = system.feature_index.snapshot()
+    assert snapshot.decoded_rows == 0
+    for number in range(3):
+        entity = write(graph, number)
+        system.search_engine.add_entity(entity)
+        fresh = system.feature_index.snapshot()
+        assert fresh is not snapshot and fresh.decoded_rows == 0
+        system.recommend([entity])  # the recommendation path decodes no whole snapshot
+        assert fresh.tables._held is None  # rows come from the epoch's topology
+        snapshot = fresh
+    assert counts(per_entity) == dict.fromkeys(per_entity, 0)
+    assert system.feature_index.rebuild_info() == {
+        "full_rebuilds": 1, "delta_rebuilds": 3, "delta_entities": 3 * 3,
+    }
+
+
+def test_the_first_write_after_a_load_decodes_no_whole_snapshot(spies, tmp_path):
+    per_entity, _ = spies
+    graph = build_random_kg(RandomKGConfig(num_entities=500, seed=7))
+    PivotE(graph).save(str(tmp_path))
+    with PivotE.load(str(tmp_path)) as loaded:
+        entity = write(loaded.graph, 0)
+        loaded.search_engine.add_entity(entity)
+        snapshot = loaded.feature_index.snapshot()
+        loaded.recommend([entity])
+        assert not per_entity["FeatureIndexSnapshot.maps"]
+        assert not per_entity["features_of_entity"]
+        assert loaded.feature_index.rebuild_info()["delta_rebuilds"] == 1
+        assert snapshot.tables._held is None
+        assert_snapshot_answers_like_the_oracle(snapshot, loaded.graph)
+
+
+def test_the_snapshot_answers_like_the_oracle_after_the_build_and_each_write():
+    graph = build_random_kg(RandomKGConfig(num_entities=800, seed=1))
+    index = SemanticFeatureIndex.build(graph)
+    assert_snapshot_answers_like_the_oracle(index.snapshot(), graph)
+    for number in range(2):
+        write(graph, number)
+        assert_snapshot_answers_like_the_oracle(index.snapshot(), graph)
+
+
+class TestWholeMapAccessors:
+    """``num_features``, ``all_features`` and ``feature_frequency_histogram``
+    read the tables: equal to walking the maps, with no row decoded."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equal_the_map_walk(self, seed):
+        graph = build_random_kg(RandomKGConfig(num_entities=200 * seed, seed=seed))
+        index = SemanticFeatureIndex.build(graph)
+        for number in range(3):  # the build, then two writes' derived tables
+            got = (index.num_features(), index.all_features(), index.feature_frequency_histogram())
+            assert index.snapshot().decoded_rows == 0
+            _, holders = index.snapshot().maps()
+            histogram = Counter(len(entities) for entities in holders.values())
+            assert got == (len(holders), sorted(holders), dict(histogram))
+            write(graph, number)
+
+    def test_an_empty_graph(self):
+        index = SemanticFeatureIndex.build(KnowledgeGraph("empty"))
+        assert (index.num_features(), index.all_features()) == (0, [])
+        assert index.feature_frequency_histogram() == {}
+
+
+def test_delta_entities_count_the_log_delta():
+    """New entities and the endpoints of new edges, each once."""
+    graph = build_random_kg(RandomKGConfig(num_entities=300, seed=5))
+    index = SemanticFeatureIndex.build(graph)
+    index.max_delta_fraction = 1.0
+    anchors = sorted(graph.entities())[:3]
+    graph.add_label("ex:lonely", "lonely")  # new, no edge
+    graph.add(anchors[0], "ex:p", anchors[1])  # two old endpoints
+    graph.add(anchors[1], "ex:p", anchors[2])  # one more old endpoint, one repeated
+    graph.add_alias(anchors[2], "ex:alias")  # a new alias entity
+    graph.add_type(anchors[0], "ex:T")  # an old entity typed: not affected
+    index.snapshot()
+    assert index.rebuild_info()["delta_entities"] == 2 + 3
+    before, holders = oracle(graph)
+    assert index.snapshot().maps() == (before, {f: frozenset(h) for f, h in holders.items()})

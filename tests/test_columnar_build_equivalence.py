@@ -147,7 +147,7 @@ class TestHandPickedShapes:
         tables = columnar_tables(index.snapshot())
         assert tables.num_types == 2 and len(GraphTopology.from_graph(graph).type_ids) == 3
 
-    def test_a_write_that_moves_dominant_types_is_derived(self):
+    def test_a_write_that_moves_dominant_types_is_derived(self, monkeypatch):
         """Typing two more entities ``ex:T0`` makes it more populated than
         ``ex:T1``, moving the dominant type of every entity holding both."""
         graph, index = self.build(
@@ -157,14 +157,20 @@ class TestHandPickedShapes:
         )
         assert_epoch_matches(index, graph)
         before = columnar_tables(index.snapshot())
+        index.max_delta_fraction = 1.0  # three triples on seven: a delta, not a full sort
         graph.add_all(
             [Triple("ex:d", RDF_TYPE, "ex:T0"), Triple("ex:0", RDF_TYPE, "ex:T0"),
              Triple("ex:0", "ex:o", "ex:a")]
         )
+        handed = []
+        holder_csr = ColumnarFeatureTables._holder_csr
+        monkeypatch.setattr(ColumnarFeatureTables, "_holder_csr", staticmethod(
+            lambda columns, previous: handed.append(previous) or holder_csr(columns, previous)
+        ))
         snapshot = index.snapshot()
-        assert snapshot._previous is before  # handed over, not rebuilt
+        monkeypatch.undo()
+        assert len(handed) == 1 and handed[0] is before  # derived from, not rebuilt
         assert_epoch_matches(index, graph)
-        assert snapshot._previous is None
         tables = columnar_tables(snapshot)
         assert tables._columns is not None and tables._columns.triples == len(graph)
         a = tables.ordinal_of["ex:a"]

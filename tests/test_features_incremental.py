@@ -20,8 +20,7 @@ def _assert_index_equals_fresh(index: SemanticFeatureIndex, graph: KnowledgeGrap
     snapshot = index.snapshot()  # trigger the lazy refresh before inspecting
     fresh = SemanticFeatureIndex.build(graph)
     fresh_snapshot = fresh.snapshot()
-    assert snapshot.entity_features == fresh_snapshot.entity_features
-    assert snapshot.feature_entities == fresh_snapshot.feature_entities
+    assert snapshot.maps() == fresh_snapshot.maps()
     for feature in fresh.all_features()[:25]:
         for type_id in sorted(graph.types())[:5]:
             assert index.type_conditional_count(feature, type_id) == (
@@ -118,5 +117,4 @@ class TestDeltaEqualsFullRebuildProperty:
             graph.add_type(source, "ex:DeltaType")
         snapshot = index.snapshot()
         fresh = SemanticFeatureIndex.build(graph).snapshot()
-        assert snapshot.entity_features == fresh.entity_features
-        assert snapshot.feature_entities == fresh.feature_entities
+        assert snapshot.maps() == fresh.maps()

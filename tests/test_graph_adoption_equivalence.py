@@ -28,7 +28,7 @@ from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, s
 from repro.engine import PivotE, PivotEApi
 from repro.features import SemanticFeature, SemanticFeatureIndex
 from repro.features.columnar import columnar_tables
-from repro.features.feature_index import RestoredFeatureSnapshot
+from repro.features.feature_index import FeatureIndexSnapshot
 from repro.kg import KnowledgeGraph, Literal, Triple
 from repro.kg.namespaces import DCT_SUBJECT, DISAMBIGUATES, RDF_TYPE, RDFS_LABEL, REDIRECT
 from repro.storage import SegmentBuilder, SegmentView, encode_graph_triples
@@ -218,7 +218,7 @@ class TestRestoredSnapshot:
                     "type_populations", "member_offsets", "member_type_ords",
                 )},
             )
-        restored = RestoredFeatureSnapshot(graph, tables, epoch=built.epoch, triples=built.triples)
+        restored = FeatureIndexSnapshot(graph, tables, epoch=built.epoch, triples=built.triples)
         entity_features, feature_entities = built.maps()
         features = sorted(feature_entities)
         # Every second entity and feature: the rest stays undecoded for the write below.
@@ -234,13 +234,18 @@ class TestRestoredSnapshot:
                 )
         assert restored.decoded_rows <= len(entity_features) + len(features)
 
-        # A write after the load: the delta folds into a partly decoded predecessor.
+        # A write after the load: the delta derives from a partly decoded predecessor.
         adopting = SemanticFeatureIndex.restore(graph, restored, max_delta_fraction=1.0)
         graph.add_all(later)
         graph.add("ex:e0", "ex:p0", "ex:written")
-        assert adopting.snapshot().maps() == SemanticFeatureIndex.build(graph).snapshot().maps()
+        partly = restored.decoded_rows
+        written = adopting.snapshot()
+        assert written.decoded_rows == 0  # the write decoded nothing
+        assert written.maps() == SemanticFeatureIndex.build(graph).snapshot().maps()
         assert restored.maps() == built.maps()  # and the pinned predecessor is whole and unchanged
-        assert adopting.decoded_rows() == len(entity_features) + len(features)
+        # The predecessor counts up to its replacement, the successor every row it decoded.
+        written_entities, written_features = written.maps()
+        assert adopting.decoded_rows() == partly + len(written_entities) + len(written_features)
 
 
 # ---------------------------------------------------------------------- #

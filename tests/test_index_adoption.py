@@ -291,7 +291,7 @@ class TestAdoptedSegmentValidation:
         refused(SegmentView(segment_bytes(manifest, builder), verify=True), "of kind ''")
 
 
-def test_a_refused_index_segment_degrades_to_a_counted_rebuild(tmp_path):
+def test_a_refused_index_segment_degrades_to_a_counted_rebuild(tmp_path, monkeypatch):
     graph = DATASETS["random"]()
     queries = ["entity 7", "entity 12 entity 40"]
     with PivotE(graph) as system:
@@ -317,9 +317,12 @@ def test_a_refused_index_segment_degrades_to_a_counted_rebuild(tmp_path):
         SEARCH_INDEX_KEY, republished, rebuilt,
         extra={"graph_epoch": store.entry(SEARCH_INDEX_KEY)["graph_epoch"]},
     )
+    builds = []
+    build = SearchEngine.build
+    monkeypatch.setattr(SearchEngine, "build", lambda engine: builds.append(engine) or build(engine))
     with PivotE.load(str(tmp_path)) as loaded:
         assert loaded.stats().storage.failures == 1
-        assert loaded.search_engine.index.stored_documents() is None  # rebuilt in RAM
+        assert builds == [loaded.search_engine]  # rebuilt from the graph, not adopted
         assert [
             [(hit.entity_id, hit.score) for hit in loaded.search(q)] for q in queries
         ] == expected
