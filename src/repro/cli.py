@@ -38,8 +38,10 @@ from dataclasses import replace
 from .config import PRUNING_MODES, PivotEConfig
 from .datasets import build_academic_kg, build_geography_kg, build_movie_kg, small_movie_kg
 from .engine import PivotE
+from .exceptions import PivotEError
 from .features import SemanticFeature
 from .kg import KnowledgeGraph, compute_statistics, load_ntriples
+from .storage import SnapshotUnavailable
 from .viz import render_matrix_ascii, render_path_ascii, render_profile_text
 
 #: Registry of built-in datasets selectable with ``--dataset``.
@@ -320,8 +322,6 @@ def _load_or_build(graph: KnowledgeGraph, config: PivotEConfig, save_dir: str | 
     Only ``save`` ever writes to the directory.
     """
     if save_dir:
-        from .storage import SnapshotUnavailable
-
         try:
             system = PivotE.load(save_dir, config=config)
         except SnapshotUnavailable:
@@ -404,14 +404,20 @@ def _run_system_command(system: PivotE, args: argparse.Namespace) -> int:
     raise SystemExit(f"unhandled command: {args.command!r}")
 
 
+#: The errors a command reports as ``error: <kind>: <message>`` and exit
+#: status 1: the library's own, an unusable saved system, and bad files
+#: or values.  Anything else is a fault and keeps its traceback.
+EXPECTED_ERRORS = (PivotEError, SnapshotUnavailable, OSError, ValueError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return run_command(args)
-    except Exception as exc:  # surfaced as a message, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+    except EXPECTED_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

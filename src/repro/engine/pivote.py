@@ -134,11 +134,13 @@ class PivotE:
         """Cold-start a system from a :meth:`save` directory.
 
         Attaches instead of rebuilding: the graph adopts its column log
-        (entity tables in bulk; triples, edge indexes and literals only
-        when a caller asks for them — ``stats().storage`` says whether
-        that has happened), the fielded index its stored per-field
-        posting CSRs and the feature index the stored holder tables,
-        each decoding a posting list or row when a request touches it
+        (entity accessors off grouped label and type rows; triples,
+        dictionaries, edge indexes and literals only when a caller asks
+        for them — ``stats().storage`` says whether that has happened),
+        the fielded index its stored per-field posting CSRs and the
+        feature index the stored holder tables, all numbering entities
+        with the graph's one entity map, each decoding a posting list or
+        row when a request touches it
         (``posting_lists_decoded`` / ``feature_rows_decoded``).  Any
         missing or corrupt
         component degrades to rebuilding just that component from the

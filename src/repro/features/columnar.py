@@ -11,10 +11,10 @@ state as contiguous numpy arrays, so the walk runs as an array kernel
   exactly as the search side's doc ordinals do;
 * a **holder CSR** (``holder_offsets`` / ``holder_ordinals``): for every
   semantic feature of the epoch, the sorted ordinals of ``E(pi)``;
-* **type-group tables**: the distinct dominant types of the epoch, each
-  entity's dominant-type ordinal (−1 for untyped), full-membership sizes
-  ``||E(c)||``, and an entity→type **membership CSR** over the same type
-  universe from which the per-(type, feature) intersection counts
+* **type-group tables** over every type of the epoch (``type_ids``,
+  ascending): each entity's dominant-type ordinal (−1 for untyped),
+  full-membership sizes ``||E(c)||``, and an entity→type **membership
+  CSR** from which the per-(type, feature) intersection counts
   ``||E(pi) ∩ E(c)||`` are counted per request, for exactly the features
   and types that request scores (two CSR gathers and one ``bincount``:
   :meth:`ColumnarFeatureTables.intersections`).
@@ -82,8 +82,9 @@ class ColumnarFeatureTables:
     """Per-epoch array tables of one feature-index snapshot.
 
     ``entity_ids`` / ``ordinal_of`` map between entity identifiers and
-    ordinals (an :class:`~repro.utils.ordinals.OrdinalMap`); everything
-    else is in ordinal space.
+    ordinals (an :class:`~repro.utils.ordinals.OrdinalMap`), and
+    ``type_ids`` names the type ordinals; everything else is in ordinal
+    space.
 
     A feature's ordinal is its rank in ``SemanticFeature`` sort order,
     and ``feature_codes`` addresses it: the sorted integers
@@ -104,6 +105,7 @@ class ColumnarFeatureTables:
         "holder_offsets",
         "holder_ordinals",
         "num_types",
+        "type_ids",
         "dominant_ords",
         "type_populations",
         "member_offsets",
@@ -125,6 +127,7 @@ class ColumnarFeatureTables:
         member_type_ords: np.ndarray,
         entity_ids: list[str] | None = None,
         ordinal_of: OrdinalMap | None = None,
+        type_ids: list[str] | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = int(dominant_ords.size)
@@ -144,6 +147,7 @@ class ColumnarFeatureTables:
         self.holder_offsets = holder_offsets
         self.holder_ordinals = holder_ordinals
         self.num_types = int(type_populations.size)
+        self.type_ids = type_ids
         self.dominant_ords = dominant_ords
         self.type_populations = type_populations
         self.member_offsets = member_offsets
@@ -183,45 +187,49 @@ class ColumnarFeatureTables:
         sorting them by ``(feature code, holder)`` is the holder
         CSR.  Given ``previous``, the tables of an earlier epoch of the
         same log, the holder CSR is derived from it instead
-        (:meth:`_holder_csr`).  The dominant type of an entity is the
-        minimum of ``population · T + type`` over its membership row (least
-        populated, ties by name), one ``minimum.reduceat``; the tables'
-        type universe is the types that are some entity's dominant one.
+        (:meth:`_holder_csr`).  The type tables are :meth:`type_tables`.
         """
         columns = log.epoch(triples)
-        num_entities = len(columns.entity_ids)
         feature_codes, holder_offsets, holder_ordinals = cls._holder_csr(columns, previous)
-
-        num_all_types = len(columns.type_ids)
-        members, types = columns.typed_entities, columns.typed_types
-        populations = np.bincount(types, minlength=num_all_types)
-        offsets = csr_offsets(members, num_entities)
-        typed = np.flatnonzero(np.diff(offsets))
-        dominant = np.full(num_entities, -1, dtype=np.int64)
-        if typed.size:
-            dominant[typed] = (
-                np.minimum.reduceat(populations[types] * num_all_types + types, offsets[typed])
-                % num_all_types
-            )
-        universe = np.unique(dominant[typed])
-        local = np.full(num_all_types + 1, -1, dtype=np.int64)  # slot −1 (untyped) stays −1
-        local[universe] = np.arange(universe.size, dtype=np.int64)
-        kept = local[types] >= 0
+        dominant, populations, member_offsets, member_type_ords = cls.type_tables(columns)
         tables = cls(
             epoch=epoch,
             holder_offsets=holder_offsets,
             holder_ordinals=holder_ordinals,
-            dominant_ords=local[dominant],
-            type_populations=populations[universe],
-            member_offsets=csr_offsets(members[kept], num_entities),
-            member_type_ords=local[types[kept]],
+            dominant_ords=dominant,
+            type_populations=populations,
+            member_offsets=member_offsets,
+            member_type_ords=member_type_ords,
             entity_ids=columns.entity_ids,
             ordinal_of=columns.ordinal_of,
+            type_ids=columns.type_ids,
             feature_codes=feature_codes,
             predicates=columns.predicates,
         )
         tables._columns = columns
         return tables
+
+    @staticmethod
+    def type_tables(columns: EpochColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(dominant_ords, type_populations, member_offsets, member_type_ords)`` of an epoch.
+
+        Over every type of the epoch, each of which has a member.  The
+        dominant type of an entity is the minimum of ``population · T +
+        type`` over its membership row (least populated, ties by name),
+        one ``minimum.reduceat``.
+        """
+        num_entities, num_types = len(columns.entity_ids), len(columns.type_ids)
+        members, types = columns.typed_entities, columns.typed_types
+        populations = np.bincount(types, minlength=num_types)
+        offsets = csr_offsets(members, num_entities)
+        typed = np.flatnonzero(np.diff(offsets))
+        dominant = np.full(num_entities, -1, dtype=np.int64)
+        if typed.size:
+            dominant[typed] = (
+                np.minimum.reduceat(populations[types] * num_types + types, offsets[typed])
+                % num_types
+            )
+        return dominant, populations, offsets, types
 
     @staticmethod
     def _holder_csr(
@@ -251,8 +259,8 @@ class ColumnarFeatureTables:
         if not first:
             sizes = (2 * num_entities * num_predicates, num_entities)
             codes, holders = sort_rows(sizes, codes, holders)
-            feature_codes, starts = np.unique(codes, return_index=True)
-            return feature_codes, np.append(starts, codes.size), holders
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            return codes[starts], np.append(starts, codes.size), holders
         assert older is not None and previous is not None
         entity_map, predicate_map = columns.ordinal_maps(older)
         pairs, directions = np.divmod(previous.feature_codes, 2)
@@ -284,14 +292,18 @@ class ColumnarFeatureTables:
         member_offsets: np.ndarray,
         member_type_ords: np.ndarray,
         entity_ids: list[str] | None = None,
+        type_ids: list[str] | None = None,
+        ordinal_of: OrdinalMap | None = None,
     ) -> ColumnarFeatureTables:
         """Reconstruct the tables from decoded segment arrays.
 
-        A cold start passes the id and predicate tables its durable
-        segment embeds; ``feature_codes`` must be strictly ascending (they
-        are in ordinal order).
+        A cold start passes the identifier tables and the entity map of
+        its system's one dictionary; ``feature_codes`` must be strictly
+        ascending (they are in ordinal order).
         """
         return cls(
+            type_ids=type_ids,
+            ordinal_of=ordinal_of,
             epoch=epoch,
             feature_codes=feature_codes,
             predicates=predicates,

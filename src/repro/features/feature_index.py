@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from time import perf_counter
@@ -70,16 +71,12 @@ class FeatureIndexSnapshot:
     (:meth:`ColumnarFeatureTables.feature_rows`).  :meth:`maps` decodes
     what is left.
 
-    The graph's type tables are pinned alongside
-    (:meth:`KnowledgeGraph.type_tables` — outer copies of immutable inner
-    sets), so dominant types and the per-(feature, type) smoothing counts
-    a pinned reader derives are *fully* this epoch's values, never a
-    blend with a concurrent mutation's.
+    Dominant types and the per-(feature, type) smoothing counts come from
+    the tables' type tables too, so what a pinned reader derives is
+    *fully* this epoch's, never a blend with a concurrent mutation's.
     """
 
     __slots__ = (
-        "entity_types",
-        "type_members",
         "epoch",
         "triples",
         "columns",
@@ -96,11 +93,8 @@ class FeatureIndexSnapshot:
     def __init__(
         self, graph: KnowledgeGraph, tables: ColumnarFeatureTables, epoch: int, triples: int
     ) -> None:
-        if tables.entity_ids is None:
-            raise ValueError("a snapshot needs tables that carry entity ids")
-        #: Pinned ``entity → types`` / ``type → members`` tables of this
-        #: epoch (the constructor runs under the graph's lock).
-        self.entity_types, self.type_members = graph.type_tables()
+        if tables.entity_ids is None or tables.type_ids is None:
+            raise ValueError("a snapshot needs tables that carry entity and type ids")
         self.epoch = epoch
         self.triples = triples
         #: The graph's edge-column log; this snapshot's epoch is its prefix
@@ -174,35 +168,39 @@ class FeatureIndexSnapshot:
         return feature in self.features_of(entity_id)
 
     def dominant_type(self, entity_id: str) -> str:
-        """``c*(e)`` from the pinned type tables (empty string if untyped).
+        """``c*(e)`` in this epoch (empty string if untyped or unknown).
 
         Same selection rule as :meth:`KnowledgeGraph.dominant_type` —
-        the least-populated (most specific) type, ties by name — but
-        evaluated against this snapshot's epoch, so a query pinned here
+        the least-populated (most specific) type, ties by name — read
+        off the tables' dominant-type column, so a query pinned here
         never sees a concurrent mutation's type assignments.
         """
-        entity_types = self.entity_types.get(entity_id)
-        if not entity_types:
-            return ""
-        members = self.type_members
-        return min(entity_types, key=lambda t: (len(members.get(t, ())), t))
+        tables = self._columnar
+        ordinal = tables.ordinal_of.get(entity_id)
+        dominant = -1 if ordinal is None else int(tables.dominant_ords[ordinal])
+        return "" if dominant < 0 else tables.type_ids[dominant]
 
     def type_conditional_count(self, feature: SemanticFeature, type_id: str) -> tuple[int, int]:
         """``(||E(pi) ∩ E(c)||, ||E(c)||)`` for the type-based smoothing.
 
-        Memoised per snapshot and computed entirely from pinned state
-        (this epoch's holder set against this epoch's type members), so
-        a pinned reader's smoothing never blends two epochs.
+        Memoised per snapshot and counted off this epoch's tables (the
+        feature's holder row against the membership CSR), so a pinned
+        reader's smoothing never blends two epochs.
         """
         key = (feature, type_id)
         cached = self._type_counts.get(key)
         if cached is not None:
             return cached
-        type_members = self.type_members.get(type_id)
-        if not type_members:
+        tables = self._columnar
+        type_ids = tables.type_ids
+        position = bisect_left(type_ids, type_id)
+        if position == len(type_ids) or type_ids[position] != type_id:
             counts = (0, 0)
         else:
-            counts = (len(self.holders_of(feature) & type_members), len(type_members))
+            (row,) = tables.intersections(
+                tables.feature_ordinals([feature.key]), np.array([position], dtype=np.int64)
+            )
+            counts = (int(row[0]), int(tables.type_populations[position]))
         self._type_counts[key] = counts
         return counts
 

@@ -143,12 +143,10 @@ class ColumnarIndex:
         ordinals = self._ordinals
         if ordinals is None:
             # Benign race: concurrent first callers build equal maps.  A
-            # stored view borrows the stored ids' dictionary.
+            # stored view uses the stored documents' map.
             stored = self._stored
             ordinals = self._ordinals = (
-                OrdinalMap(self._doc_ids)
-                if stored is None
-                else OrdinalMap(stored.doc_ids, stored.ordinal_of())
+                OrdinalMap(self._doc_ids) if stored is None else stored.ordinal_of()
             )
         return ordinals
 

@@ -16,7 +16,7 @@ is the term-by-term reference the sorted build is checked against.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import count
 
 from ..exceptions import FieldNotFoundError
@@ -58,7 +58,8 @@ class FieldedIndex:
         self._indexes = _FieldIndexes(
             (field, InvertedIndex(name=field)) for field in self._fields
         )
-        self._documents: set[str] = set()
+        #: The indexed ids: a set, or an adopted index's stored map (read only).
+        self._documents: Collection[str] = set()
         #: Mutation counter: bumped on every document addition so cached
         #: statistics / scoring support / query results can be invalidated.
         self._epoch = 0
@@ -100,6 +101,8 @@ class FieldedIndex:
         for field in field_terms:
             if field not in self._indexes:
                 raise FieldNotFoundError(field)
+        if not isinstance(self._documents, set):
+            self._documents = set(self._documents)
         self._documents.add(doc_id)
         for field in self._fields:
             terms = list(field_terms.get(field, ()))
@@ -121,7 +124,7 @@ class FieldedIndex:
         """
         if self._documents:
             raise ValueError("adopt requires an empty index")
-        self._documents = set(documents.doc_ids)
+        self._documents = documents.ordinal_of()
         self._indexes = _FieldIndexes(
             (field, InvertedIndex(field, columns[field])) for field in self._fields
         )

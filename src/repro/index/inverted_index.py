@@ -56,21 +56,23 @@ class DocumentColumns:
 
     Ordinals are positions in ``doc_ids``, which are strictly ascending,
     so ordinal order is doc-id order.  Shared, read only, by every field
-    of an adopted index and by its copy-on-write successors.
+    of an adopted index and by its copy-on-write successors.  A loaded
+    index whose documents are the graph's entities is given the entity
+    map of the system's one dictionary; any other builds its own on
+    first use.
     """
 
     __slots__ = ("doc_ids", "_ordinal_of")
 
-    def __init__(self, doc_ids: list[str]) -> None:
+    def __init__(self, doc_ids: list[str], ordinal_of: OrdinalMap | None = None) -> None:
         self.doc_ids = doc_ids
-        self._ordinal_of: dict[str, int] | None = None
+        self._ordinal_of = ordinal_of
 
-    def ordinal_of(self) -> dict[str, int]:
-        """``doc_id -> ordinal`` (built on first use; do not mutate)."""
+    def ordinal_of(self) -> OrdinalMap:
+        """``doc_id -> ordinal`` (built on first use unless given; read only)."""
         ordinal_of = self._ordinal_of
         if ordinal_of is None:
-            ordinal_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
-            self._ordinal_of = ordinal_of
+            ordinal_of = self._ordinal_of = OrdinalMap(self.doc_ids)
         return ordinal_of
 
 

@@ -20,11 +20,14 @@ Every other triple — literals with their datatype and language tags,
 too, as ``(subject, predicate, object, datatype, language)`` rows over a
 fourth string table, so the three row logs merged by stamp *are* the
 triple log.  That makes the columns the durable form of a graph
-(:class:`LogColumns`, what the ``graph-triples`` segment stores): a
-graph adopts saved columns, builds its entity tables from them in bulk
-(:meth:`EdgeColumnLog.entity_tables`) and decodes the rows back into
+(:class:`LogColumns`, what the ``graph-triples`` segment stores, its
+identifier tables sorted): a graph adopts saved columns, answers its
+entity accessors from the label and type rows grouped by array sorts
+(:meth:`EdgeColumnLog.entity_rows`) and decodes the rows back into
 :class:`~repro.kg.triple.Triple` objects (:meth:`EdgeColumnLog.triples`)
-only when a caller needs its triple access paths.
+only when a caller needs its dictionaries.  An adopted identifier table
+numbers the adopted epoch as saved, so the one
+:class:`~repro.utils.ordinals.OrdinalMap` it comes with is that epoch's.
 
 The log is caught up lazily from the triples it has not consumed yet,
 under the graph's mutation lock, so writes stay as cheap as they were.
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils.ordinals import OrdinalMap
+from ..utils.ordinals import OrdinalMap, strictly_ascending
 from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDFS_LABEL, RDF_TYPE, REDIRECT
 from .triple import Literal, Triple
 
@@ -191,47 +194,145 @@ def isin_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return haystack[positions] == needles
 
 
+class StringColumn(Sequence[str]):
+    """A string table held as one text and each string's end, sliced per read.
+
+    What a saved log's literal table stays until something needs all of
+    it: a label lookup reads a few strings, a replay or a write lists
+    them (:meth:`tolist`).  Ends count characters; the strings are
+    indexed by code.
+    """
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: str, ends: np.ndarray) -> None:
+        self.text = text
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return int(self.ends.size)
+
+    def __getitem__(self, code: int) -> str:  # type: ignore[override]
+        code = range(len(self))[code]  # bounds and negative codes, as a list has them
+        return self.text[int(self.ends[code - 1]) if code else 0 : int(self.ends[code])]
+
+    def tolist(self) -> list[str]:
+        text, ends = self.text, self.ends.tolist()
+        return [text[start:end] for start, end in zip([0, *ends], ends)]
+
+    def index(self, value: str) -> int:  # type: ignore[override]
+        """The first code of ``value``: a search of the text, not of every string."""
+        if not value:
+            return super().index(value)
+        at = self.text.find(value)
+        while at >= 0:
+            code = int(np.searchsorted(self.ends, at, side="right"))
+            if (int(self.ends[code - 1]) if code else 0) == at and int(
+                self.ends[code]
+            ) == at + len(value):
+                return code
+            at = self.text.find(value, at + 1)
+        raise ValueError(f"{value!r} is not in the table")
+
+
+def rank_strings(strings: list[str]) -> tuple[list[str], np.ndarray]:
+    """``(strings ascending, code → position among them)`` of a table listed by code."""
+    order = sorted(range(len(strings)), key=strings.__getitem__)
+    rank = np.empty(len(strings), dtype=np.int64)
+    rank[order] = np.arange(len(strings), dtype=np.int64)
+    return [strings[code] for code in order], rank
+
+
 class _StringTable:
     """Strings coded in first-seen order, each stamped with its log position.
 
     The ``string → code`` dictionary grows with the table and is never
     rebuilt, so every epoch's :class:`~repro.utils.ordinals.OrdinalMap`
     borrows it (read only) as the first half of ``string → ordinal``.
+
+    An identifier table adopted from saved columns arrives sorted, with
+    each code's rank: its ``adopted`` map numbers the strings ascending
+    over the code dictionary and *is* the adopted epoch's map, so nothing
+    sorts the table again.  The strings listed by code are made from it
+    when a write or a replay first needs them.
     """
 
-    __slots__ = ("strings", "stamps", "_codes")
+    __slots__ = ("_strings", "stamps", "_codes", "adopted")
 
-    def __init__(self, strings: list[str] | None = None, stamps: list[int] | None = None) -> None:
-        self.strings: list[str] = [] if strings is None else strings
-        self.stamps: list[int] = [] if stamps is None else stamps
+    def __init__(
+        self,
+        strings: Sequence[str] | None = None,
+        stamps: Sequence[int] | None = None,
+        rank: np.ndarray | None = None,
+    ) -> None:
+        #: The strings by code: a list, an adopted :class:`StringColumn`
+        #: until something lists them, or ``None`` for an adopted sorted table.
+        self._strings: Sequence[str] | None = [] if strings is None else strings
+        #: Each code's log position: a list, or an adopted column until the first write.
+        self.stamps: Sequence[int] = [] if stamps is None else stamps
         #: ``string → code``; an adopted table builds it when the first
-        #: write after the adoption needs it.
+        #: write after the adoption needs it, or at once when it is sorted.
         self._codes: dict[str, int] | None = {} if strings is None else None
+        #: The adopted epoch's ``string → ordinal`` (``None`` unless adopted sorted).
+        self.adopted: OrdinalMap | None = None
+        if rank is not None:
+            order = np.empty_like(rank)
+            order[rank] = np.arange(rank.size, dtype=rank.dtype)
+            self._codes = dict(zip(strings, order.tolist()))
+            self.adopted = OrdinalMap(strings, self._codes, rank)  # type: ignore[arg-type]
+            self._strings = None
+
+    @property
+    def strings(self) -> list[str]:
+        """Every string, by code, listed (lock held: writes extend it)."""
+        strings = self._strings
+        if isinstance(strings, StringColumn):
+            strings = self._strings = strings.tolist()
+        elif strings is None:
+            adopted = self.adopted
+            assert adopted is not None
+            strings = self._strings = list(map(adopted.ids.__getitem__, adopted.rank.tolist()))
+        return strings  # type: ignore[return-value]
+
+    def readable(self) -> Sequence[str]:
+        """The strings by code as they are held: read one, list none."""
+        return self.strings if self._strings is None else self._strings
 
     def codes(self) -> dict[str, int]:
         """``string → code`` (lock held: writes extend it)."""
         codes = self._codes
         if codes is None:
-            codes = self._codes = dict(zip(self.strings, range(len(self.strings))))
+            strings = self.strings
+            codes = self._codes = dict(zip(strings, range(len(strings))))
         return codes
 
     def code(self, value: str, position: int) -> int:
         codes = self.codes()
         code = codes.get(value)
         if code is None:
-            code = codes[value] = len(self.strings)
-            self.strings.append(value)
-            self.stamps.append(position)
+            strings = self.strings
+            if not isinstance(self.stamps, list):
+                self.stamps = self.stamps.tolist()  # type: ignore[attr-defined]
+            code = codes[value] = len(strings)
+            strings.append(value)
+            self.stamps.append(position)  # type: ignore[attr-defined]
         return code
 
     def ranked(self, triples: int) -> tuple[list[str], np.ndarray]:
         """The strings introduced by the first ``triples`` triples, sorted,
         plus the ``code → sorted ordinal`` permutation."""
-        strings = self.strings[: bisect_left(self.stamps, triples)]
-        order = sorted(range(len(strings)), key=strings.__getitem__)
-        rank = np.empty(len(strings), dtype=np.int64)
-        rank[order] = np.arange(len(strings), dtype=np.int64)
-        return [strings[code] for code in order], rank
+        adopted = self.adopted
+        if adopted is not None and bisect_left(self.stamps, triples) >= len(adopted):
+            ranked, rank, _ = self.extended(adopted.ids, adopted.rank, triples)
+            return ranked, rank
+        return rank_strings(self.strings[: bisect_left(self.stamps, triples)])
+
+    def ordinal_map(self, ranked: list[str], rank: np.ndarray) -> OrdinalMap:
+        """``string → ordinal`` of the epoch whose sorted strings are ``ranked``."""
+        adopted = self.adopted
+        if adopted is not None and ranked is adopted.ids:
+            return adopted
+        return OrdinalMap(ranked, self.codes(), rank)
 
     def extended(
         self, ranked: list[str], rank: np.ndarray, triples: int
@@ -308,14 +409,20 @@ class _RowLog:
 #: order :class:`LogColumns` lists them; the row widths include the stamp.
 TABLE_NAMES = ("entities", "predicates", "types", "strings")
 ROW_WIDTHS = {"edges": 4, "typed": 3, "others": 6}
+#: The string tables of identifiers, which a saved log keeps sorted.
+ID_TABLES = ("entities", "predicates", "types")
 
 
 @dataclass(frozen=True)
 class LogColumns:
     """A whole column log as plain strings and arrays — its durable form.
 
-    ``tables`` maps each of :data:`TABLE_NAMES` to ``(strings, stamps)``
-    and ``rows`` each of :data:`ROW_WIDTHS` to a 2-D int64 array whose
+    ``tables`` maps each of :data:`TABLE_NAMES` to ``(strings, stamps)``,
+    the stamps given per code; the identifier tables (:data:`ID_TABLES`)
+    list their strings ascending, the order every per-epoch structure
+    numbers them in, and ``ranks`` maps each of their codes to its
+    position there; the ``strings`` table lists its strings by code.
+    ``rows`` maps each of :data:`ROW_WIDTHS` to a 2-D int64 array whose
     last row is the stamps.  ``edges`` rows are ``(subject, predicate,
     object)`` over the entity and edge-predicate tables, ``typed`` rows
     ``(entity, type)``, and ``others`` rows ``(subject, predicate,
@@ -327,8 +434,9 @@ class LogColumns:
     """
 
     triples: int
-    tables: dict[str, tuple[list[str], list[int]]]
+    tables: dict[str, tuple[Sequence[str], Sequence[int]]]
     rows: dict[str, np.ndarray]
+    ranks: dict[str, np.ndarray]
 
     def check(self) -> None:
         """Raise :class:`ValueError` unless the rows are ``triples`` log entries.
@@ -336,23 +444,45 @@ class LogColumns:
         What adopting relies on and a checksum cannot promise: the three
         stamp columns are each increasing and together number the
         positions ``0 .. triples - 1`` once each, every table's stamps
-        are sorted, and every code points inside its table.
+        are sorted, every identifier table is strictly ascending with a
+        rank that permutes its codes, and every code points inside its
+        table.
         """
-        if set(self.tables) != set(TABLE_NAMES) or set(self.rows) != set(ROW_WIDTHS):
+        if (
+            set(self.tables) != set(TABLE_NAMES)
+            or set(self.rows) != set(ROW_WIDTHS)
+            or set(self.ranks) != set(ID_TABLES)
+        ):
             raise ValueError("column log lacks a table or a row log")
         sizes = {}
         for name, (strings, stamps) in self.tables.items():
             sizes[name] = len(strings)
-            if len(stamps) != len(strings) or stamps != sorted(stamps):
+            stamps = np.asarray(stamps)
+            if stamps.shape != (len(strings),) or (np.diff(stamps) < 0).any():
                 raise ValueError(f"string table {name!r} is not stamped in log order")
+        for name, rank in self.ranks.items():
+            strings = self.tables[name][0]
+            if (
+                rank.dtype != np.int64
+                or rank.shape != (len(strings),)
+                or not in_range(rank, 0, rank.size)
+                or (np.bincount(rank, minlength=rank.size) != 1).any()
+            ):
+                raise ValueError(f"string table {name!r} has no rank permuting its codes")
+            if not strictly_ascending(strings):
+                raise ValueError(f"string table {name!r} is not strictly ascending")
         for name, width in ROW_WIDTHS.items():
             rows = self.rows[name]
             if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[0] != width:
                 raise ValueError(f"row log {name!r} is misshapen")
             if rows.shape[1] > 1 and not (np.diff(rows[-1]) > 0).all():
                 raise ValueError(f"row log {name!r} is not in log order")
-        stamps = np.sort(np.concatenate([self.rows[name][-1] for name in ROW_WIDTHS]))
-        if not np.array_equal(stamps, np.arange(self.triples)):
+        stamps = np.concatenate([self.rows[name][-1] for name in ROW_WIDTHS])
+        if not (
+            stamps.size == self.triples
+            and in_range(stamps, 0, self.triples)
+            and (np.bincount(stamps, minlength=self.triples) == 1).all()
+        ):
             raise ValueError(f"rows do not number {self.triples} triples")
         edges, typed, others = (self.rows[name] for name in ROW_WIDTHS)
         literal = others[3] >= 0
@@ -366,16 +496,74 @@ class LogColumns:
             (others[3][literal], "strings"), (others[4][literal], "strings"),
         )
         for codes, table in bounded:
-            if codes.size and (codes.min() < 0 or codes.max() >= sizes[table]):
+            if not in_range(codes, 0, sizes[table]):
                 raise ValueError(f"a row points outside the {table!r} table")
 
 
-def _find(strings: list[str], value: str) -> int:
+def in_range(values: np.ndarray, low: int, bound: int) -> bool:
+    """Whether every value lies in ``[low, bound)``."""
+    return not values.size or (int(values.min()) >= low and int(values.max()) < bound)
+
+
+def _find(strings: Sequence[str], value: str) -> int:
     """The code of ``value`` in a first-seen table (``-1`` when absent)."""
     try:
         return strings.index(value)
     except ValueError:
         return -1
+
+
+@dataclass(frozen=True)
+class EntityRows:
+    """The entity tables of an adopted log, grouped out of its rows by array sorts.
+
+    What a graph adopted from saved columns answers its entity accessors
+    from until it builds its dictionaries (see
+    :class:`~repro.kg.graph.KnowledgeGraph`): ``entities`` and ``types``
+    number the identifiers ascending; ``labels`` is a CSR of each
+    entity's ``rdfs:label`` values as codes into ``strings``, in log
+    order; ``entity_types`` each entity's and ``type_members`` each
+    type's ordinals on the other side, ascending.  A CSR is
+    ``(offsets, values)``.
+    """
+
+    entities: OrdinalMap
+    types: OrdinalMap
+    strings: Sequence[str]
+    labels: tuple[np.ndarray, np.ndarray]
+    entity_types: tuple[np.ndarray, np.ndarray]
+    type_members: tuple[np.ndarray, np.ndarray]
+
+    @staticmethod
+    def _row(csr: tuple[np.ndarray, np.ndarray], ordinal: int | None) -> list[int]:
+        if ordinal is None:
+            return []
+        offsets, values = csr
+        return values[int(offsets[ordinal]) : int(offsets[ordinal + 1])].tolist()
+
+    def labels_of(self, entity_id: str) -> list[str]:
+        return list(map(self.strings.__getitem__, self._row(self.labels, self.entities.get(entity_id))))
+
+    def types_of(self, entity_id: str) -> list[str]:
+        row = self._row(self.entity_types, self.entities.get(entity_id))
+        return list(map(self.types.ids.__getitem__, row))
+
+    def members_of(self, type_id: str) -> list[str]:
+        row = self._row(self.type_members, self.types.get(type_id))
+        return list(map(self.entities.ids.__getitem__, row))
+
+    def population(self, type_id: str) -> int:
+        ordinal = self.types.get(type_id)
+        offsets = self.type_members[0]
+        return 0 if ordinal is None else int(offsets[ordinal + 1] - offsets[ordinal])
+
+    def dominant_type(self, entity_id: str) -> str:
+        """The least populated of the entity's types, ties by name (``""``: untyped)."""
+        row = self._row(self.entity_types, self.entities.get(entity_id))
+        if not row:
+            return ""
+        populations = np.diff(self.type_members[0])
+        return self.types.ids[min(row, key=lambda ordinal: (populations[ordinal], ordinal))]
 
 
 @dataclass(frozen=True)
@@ -405,6 +593,14 @@ class EpochColumns:
     entity_rank: np.ndarray
     predicate_rank: np.ndarray
     type_rank: np.ndarray
+
+    def table(self, name: str) -> tuple[list[str], np.ndarray]:
+        """``(ascending strings, code → ordinal)`` of one of :data:`ID_TABLES`."""
+        return {
+            "entities": (self.entity_ids, self.entity_rank),
+            "predicates": (self.predicates, self.predicate_rank),
+            "types": (self.type_ids, self.type_rank),
+        }[name]
 
     def ordinal_maps(self, older: "EpochColumns") -> tuple[np.ndarray, np.ndarray]:
         """``old ordinal → ordinal here`` for the entities and the edge predicates.
@@ -444,7 +640,9 @@ class EdgeColumnLog:
         self._lock = lock
         self._consumed = 0 if adopted is None else adopted.triples
         self._entities, self._predicates, self._types, self._strings = (
-            _StringTable(*(() if adopted is None else adopted.tables[name]))
+            _StringTable()
+            if adopted is None
+            else _StringTable(*adopted.tables[name], adopted.ranks.get(name))
             for name in TABLE_NAMES
         )
         self._edges, self._typed, self._others = (
@@ -452,6 +650,7 @@ class EdgeColumnLog:
             for name, width in ROW_WIDTHS.items()
         )
         self._memo: EpochColumns | None = None
+        self._entity_rows = None if adopted is None else self._group_entity_rows()
 
     def bind(self, triples: list[Triple]) -> None:
         """Take the triple list an adopted log's graph has decoded (lock held)."""
@@ -504,47 +703,81 @@ class EdgeColumnLog:
     def export(self) -> LogColumns:
         """The log caught up with the graph, as plain strings and arrays.
 
+        The identifier tables go out sorted (see :class:`LogColumns`):
+        as adopted, as the memoised epoch numbers them, or sorted here.
         The arrays are views of the live buffers and the lists the live
         tables: encode them before the graph's lock is released.
         """
         with self._lock:
             self._catch_up()
-            tables = (self._entities, self._predicates, self._types, self._strings)
-            logs = (self._edges, self._typed, self._others)
+            triples, memo = self._consumed, self._memo
+            tables: dict[str, tuple[Sequence[str], Sequence[int]]] = {}
+            ranks: dict[str, np.ndarray] = {}
+            for name, table in zip(
+                TABLE_NAMES, (self._entities, self._predicates, self._types, self._strings)
+            ):
+                if name not in ID_TABLES:
+                    strings = table.strings
+                elif memo is not None and memo.triples == triples:
+                    strings, ranks[name] = memo.table(name)
+                else:
+                    strings, ranks[name] = table.ranked(triples)
+                tables[name] = (strings, table.stamps)
             return LogColumns(
-                triples=self._consumed,
-                tables={
-                    name: (table.strings, table.stamps) for name, table in zip(TABLE_NAMES, tables)
+                triples=triples,
+                tables=tables,
+                rows={
+                    name: log.rows()
+                    for name, log in zip(ROW_WIDTHS, (self._edges, self._typed, self._others))
                 },
-                rows={name: log.rows() for name, log in zip(ROW_WIDTHS, logs)},
+                ranks=ranks,
             )
 
-    def entity_tables(
-        self,
-    ) -> tuple[set[str], dict[str, list[str]], dict[str, set[str]], dict[str, set[str]]]:
-        """``(entities, labels, entity → types, type → members)`` of the log.
+    def adopted_maps(self) -> dict[str, OrdinalMap]:
+        """Each identifier table's ``string → ordinal`` as the log was adopted with it."""
+        tables = (self._entities, self._predicates, self._types)
+        return {
+            name: table.adopted
+            for name, table in zip(ID_TABLES, tables)
+            if table.adopted is not None
+        }
 
-        What ``KnowledgeGraph._add_triple_locked`` accumulates in those
-        four containers, grouped out of the columns instead: one pass over
-        the label rows and one over the type rows, none over the triples.
+    def entity_rows(self) -> EntityRows:
+        """The entity tables of an adopted log, grouped when it was adopted.
+
+        What its graph answers from until it builds its dictionaries, so
+        only valid while nothing has been written since the adoption.
         """
-        with self._lock:
-            self._catch_up()
-            entity_ids, type_ids = self._entities.strings, self._types.strings
-            strings = self._strings.strings
-            subjects, predicates, values, datatypes, _, _ = self._others.rows()
-            labelled = (predicates == _find(strings, RDFS_LABEL)) & (datatypes >= 0)
-            labels: dict[str, list[str]] = {}
-            for subject, value in zip(subjects[labelled].tolist(), values[labelled].tolist()):
-                labels.setdefault(entity_ids[subject], []).append(strings[value])
-            typed_entities, typed_types, _ = self._typed.rows()
-            types: dict[str, set[str]] = {}
-            members: dict[str, set[str]] = {}
-            for entity, type_code in zip(typed_entities.tolist(), typed_types.tolist()):
-                entity_id, type_id = entity_ids[entity], type_ids[type_code]
-                types.setdefault(entity_id, set()).add(type_id)
-                members.setdefault(type_id, set()).add(entity_id)
-            return set(entity_ids), labels, types, members
+        rows = self._entity_rows
+        if rows is None:
+            raise ValueError("only an adopted log has entity rows")
+        return rows
+
+    def _group_entity_rows(self) -> EntityRows:
+        """One stable sort of the label rows by entity and one sort of the
+        type rows each way, none over the triples."""
+        entities, types = self._entities.adopted, self._types.adopted
+        assert entities is not None and types is not None
+        strings = self._strings.readable()
+        subjects, predicates, values, datatypes, _, _ = self._others.rows()
+        labelled = (predicates == _find(strings, RDFS_LABEL)) & (datatypes >= 0)
+        owners = entities.rank[subjects[labelled]]
+        typed_entities, typed_types, _ = self._typed.rows()
+        members, member_types = entities.rank[typed_entities], types.rank[typed_types]
+        sizes = (len(entities), len(types))
+        by_entity = sort_rows(sizes, members, member_types)
+        by_type = sort_rows(sizes[::-1], member_types, members)
+        return EntityRows(
+            entities=entities,
+            types=types,
+            strings=strings,
+            labels=(
+                csr_offsets(owners, sizes[0]),
+                values[labelled][np.argsort(owners, kind="stable")],
+            ),
+            entity_types=(csr_offsets(by_entity[0], sizes[0]), by_entity[1]),
+            type_members=(csr_offsets(by_type[0], sizes[1]), by_type[1]),
+        )
 
     def triples(self) -> list[Triple]:
         """The logged triples, decoded back into objects in log order."""
@@ -606,7 +839,7 @@ class EdgeColumnLog:
         return EpochColumns(
             triples=triples,
             entity_ids=entity_ids,
-            ordinal_of=OrdinalMap(entity_ids, self._entities.codes(), entity_rank),
+            ordinal_of=self._entities.ordinal_map(entity_ids, entity_rank),
             predicates=predicates,
             type_ids=type_ids,
             edge_subjects=entity_rank[subjects],
@@ -658,7 +891,7 @@ class EdgeColumnLog:
             ordinal_of=(
                 memo.ordinal_of
                 if entity_remap is None
-                else OrdinalMap(entity_ids, self._entities.codes(), entity_rank)
+                else self._entities.ordinal_map(entity_ids, entity_rank)
             ),
             predicates=predicates,
             type_ids=type_ids,
@@ -681,15 +914,20 @@ class EdgeColumnLog:
 
 __all__ = [
     "EdgeColumnLog",
+    "EntityRows",
     "EpochColumns",
+    "ID_TABLES",
     "LogColumns",
     "ROW_WIDTHS",
+    "StringColumn",
     "TABLE_NAMES",
     "csr_gather",
     "csr_merge",
     "csr_offsets",
+    "in_range",
     "isin_sorted",
     "merge_rows",
+    "rank_strings",
     "sort_rows",
     "sorted_unique",
     "unique_inverse",

@@ -18,14 +18,16 @@ implementation would not change any caller.
 A graph comes into being in one of two ways.  Built by ``add``, it fills
 every container as the triples arrive.  *Adopted* from saved columns
 (:meth:`KnowledgeGraph.adopt`, the cold-start path of ``PivotE.load``) it
-starts with only its **entity tables** — entities, labels, types, epoch:
-all that search, recommendation, pivot and explanation read — grouped out
-of the columns in bulk, and leaves its **triple access paths** (the triple
-list and set, the three edge indexes, literals, categories, aliases)
-unset.  The first read of one of them replays the column log through
-``_add_triple_locked``, once, under the lock (:class:`_AdoptedGraph`),
-after which the graph is an ordinary one: no accessor of a built or
-hydrated graph tests anything.
+builds no container at all: its entity accessors — membership, entities,
+labels, types and their members: all that search, recommendation, pivot
+and explanation read — answer from the log's label and type rows,
+grouped into CSRs over the one sorted entity table by array sorts
+(:class:`~repro.kg.columns.EntityRows`).  The first read of any
+container (the triple list and set, the three edge indexes, literals,
+categories, aliases, the entity tables as dictionaries) replays the
+column log through ``_add_triple_locked``, once, under the lock
+(:class:`_AdoptedGraph`), after which the graph is an ordinary one: no
+accessor of a built or hydrated graph tests anything.
 """
 
 from __future__ import annotations
@@ -60,11 +62,9 @@ STRUCTURAL_PREDICATES: frozenset[str] = frozenset(
     {RDF_TYPE, RDFS_LABEL, DCT_SUBJECT, REDIRECT, DISAMBIGUATES}
 )
 
-#: The containers every exploration request reads; an adopted graph has
-#: them from birth.
-_ENTITY_TABLES = ("_entities", "_labels", "_types", "_type_members")
 #: The containers an adopted graph builds on first use (see :class:`_AdoptedGraph`).
-_ACCESS_PATHS = (
+_CONTAINERS = (
+    "_entities", "_labels", "_types", "_type_members",
     "_triples", "_triple_set", "_spo", "_pos", "_osp", "_literals",
     "_categories", "_category_members", "_aliases", "_predicates",
 )
@@ -120,11 +120,12 @@ class KnowledgeGraph:
         """The graph whose triple log is ``columns``, without replaying it.
 
         Equal on every accessor to the graph that ``add``-ed the same
-        triples in the same order.  The entity tables are grouped out of
-        the columns here; the triple access paths are built when a caller
-        first reads one (see :class:`_AdoptedGraph`).  ``columns`` must
-        have passed :meth:`LogColumns.check` and is owned by the graph
-        from here on.
+        triples in the same order.  No container is built here: the
+        entity accessors answer from the log's rows, which it groups as
+        it adopts them, and the containers are built when a caller first
+        reads one (see :class:`_AdoptedGraph`).
+        ``columns`` must have passed :meth:`LogColumns.check` and is owned
+        by the graph from here on.
         """
         graph = _AdoptedGraph.__new__(_AdoptedGraph)
         graph.name = name
@@ -133,14 +134,11 @@ class KnowledgeGraph:
         graph._columns = EdgeColumnLog([], graph._lock, adopted=columns)
         graph._epoch = columns.triples
         graph.hydration_ms = 0.0
-        (
-            graph._entities, graph._labels, graph._types, graph._type_members,
-        ) = graph._columns.entity_tables()
         return graph
 
     @property
     def hydrated(self) -> bool:
-        """Whether the triple access paths exist (always, unless adopted)."""
+        """Whether the dictionary containers exist (always, unless adopted)."""
         return "_triples" in self.__dict__
 
     @property
@@ -205,14 +203,8 @@ class KnowledgeGraph:
         obj = triple.object
         assert isinstance(obj, str)
         if predicate == RDF_TYPE:
-            # Copy-on-write: the type containers are shared by reference
-            # with pinned feature-index snapshots (see
-            # :meth:`type_tables`), so mutations replace the sets instead
-            # of growing them in place.
-            types = self._types.get(subject)
-            self._types[subject] = {obj} if types is None else types | {obj}
-            members = self._type_members.get(obj)
-            self._type_members[obj] = {subject} if members is None else members | {subject}
+            self._types[subject].add(obj)
+            self._type_members[obj].add(subject)
             return True
         if predicate == DCT_SUBJECT:
             self._categories[subject].add(obj)
@@ -392,16 +384,17 @@ class KnowledgeGraph:
         return len(self._type_members.get(type_id, set()))
 
     def type_tables(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        """One consistent ``(entity → types, type → members)`` snapshot.
+        """One consistent ``(entity → types, type → members)`` copy, taken under :attr:`lock`.
 
-        The outer dictionaries are copies taken under :attr:`lock`; the
-        inner sets are shared by reference and — because type mutations
-        are copy-on-write — never change after publication.  This is what
-        lets a pinned feature-index snapshot keep the type smoothing of
-        *its* epoch while the live graph moves on.
+        A reader pinned to an epoch takes its types from that epoch's
+        feature tables instead
+        (:meth:`~repro.features.feature_index.FeatureIndexSnapshot.dominant_type`).
         """
         with self._lock:
-            return dict(self._types), dict(self._type_members)
+            return (
+                {entity: set(types) for entity, types in self._types.items()},
+                {type_id: set(members) for type_id, members in self._type_members.items()},
+            )
 
     def dominant_type(self, entity_id: str) -> str:
         """The most specific type of an entity.
@@ -521,33 +514,80 @@ class KnowledgeGraph:
 
 
 class _AdoptedGraph(KnowledgeGraph):
-    """An adopted graph nobody has asked a triple access path of yet.
+    """An adopted graph nobody has asked a dictionary container of yet.
 
-    The paths are simply not set, so the first read of one lands in
+    The entity accessors below answer from the log's grouped rows
+    (:meth:`~repro.kg.columns.EdgeColumnLog.entity_rows`).  The
+    containers are simply not set, so the first read of one lands in
     ``__getattr__``, which builds them all and turns the instance into a
-    plain :class:`KnowledgeGraph`.  Only this class defines
-    ``__getattr__`` — a class that does makes *every* attribute read of
-    its instances slower — so built and hydrated graphs pay nothing for
-    the laziness, and an unhydrated one pays a slower lookup, not a
-    missing feature.
+    plain :class:`KnowledgeGraph`, whose accessors read them.  Only this
+    class defines ``__getattr__`` — a class that does makes *every*
+    attribute read of its instances slower — so built and hydrated graphs
+    pay nothing for the laziness, and an unhydrated one pays a slower
+    lookup, not a missing feature.  Nothing writes to an unhydrated
+    graph: a write reads the triple set first.
     """
 
     def __getattr__(self, name: str):
-        if name not in _ACCESS_PATHS or "_columns" not in self.__dict__:
+        if name not in _CONTAINERS or "_columns" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._hydrate(sys._getframe(1).f_code.co_name)
         return self.__dict__[name]
 
+    def __contains__(self, entity_id: str) -> bool:
+        return entity_id in self._columns.entity_rows().entities
+
+    has_entity = __contains__
+
+    def require_entity(self, entity_id: str) -> None:
+        if entity_id not in self._columns.entity_rows().entities:
+            raise EntityNotFoundError(entity_id)
+
+    def entities(self) -> set[str]:
+        return set(self._columns.entity_rows().entities.ids)
+
+    def num_entities(self) -> int:
+        return len(self._columns.entity_rows().entities)
+
+    def labels_of(self, entity_id: str) -> list[str]:
+        return self._columns.entity_rows().labels_of(entity_id)
+
+    def label(self, entity_id: str) -> str:
+        labels = self._columns.entity_rows().labels_of(entity_id)
+        return labels[0] if labels else label_from_identifier(entity_id)
+
+    def types_of(self, entity_id: str) -> set[str]:
+        return set(self._columns.entity_rows().types_of(entity_id))
+
+    def dominant_type(self, entity_id: str) -> str:
+        return self._columns.entity_rows().dominant_type(entity_id)
+
+    def entities_of_type(self, type_id: str) -> set[str]:
+        return set(self._columns.entity_rows().members_of(type_id))
+
+    def types(self) -> set[str]:
+        return set(self._columns.entity_rows().types.ids)
+
+    def type_count(self, type_id: str) -> int:
+        return self._columns.entity_rows().population(type_id)
+
+    def type_tables(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        rows = self._columns.entity_rows()
+        members = {type_id: set(rows.members_of(type_id)) for type_id in rows.types.ids}
+        entity_types: dict[str, set[str]] = {}
+        for type_id, entity_ids in members.items():
+            for entity_id in entity_ids:
+                entity_types.setdefault(entity_id, set()).add(type_id)
+        return entity_types, members
+
     def _hydrate(self, caller: str) -> None:
-        """Build the triple access paths from the column log, once.
+        """Build the dictionary containers from the column log, once.
 
         The log's rows are decoded into triples and replayed into a fresh
-        graph through ``_add_triple_locked``; its containers — the access
-        paths, and entity tables equal to the bulk-built ones but in the
-        growable form writes need — are then installed here one
-        assignment each, so lock-free readers never see one half-built.
-        The replay allocates only long-lived acyclic containers: the
-        cyclic collector is paused for it.
+        graph through ``_add_triple_locked``; its containers are then
+        installed here one assignment each, so lock-free readers never
+        see one half-built.  The replay allocates only long-lived acyclic
+        containers: the cyclic collector is paused for it.
         """
         with self._lock:
             if self.hydrated:  # another caller got here first
@@ -561,7 +601,7 @@ class _AdoptedGraph(KnowledgeGraph):
                     f"column log replayed to epoch {replayed._epoch}, adopted at {self._epoch}"
                 )
             self._columns.bind(replayed._triples)
-            for name in (*_ENTITY_TABLES, *_ACCESS_PATHS):
+            for name in _CONTAINERS:
                 self.__dict__[name] = replayed.__dict__[name]
             self.hydration_ms = (perf_counter() - started) * 1000.0
             self.__class__ = KnowledgeGraph

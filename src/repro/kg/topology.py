@@ -302,9 +302,12 @@ class GraphTopology:
         type_post: np.ndarray,
         pre_order: np.ndarray,
         subtree_sizes: np.ndarray,
+        ordinal_of: OrdinalMap | None = None,
     ) -> "GraphTopology":
-        """Rebuild a topology from decoded segment arrays."""
+        """Rebuild a topology from decoded segment arrays (``ordinal_of``:
+        the entity map of a load's one dictionary)."""
         return cls(
+            ordinal_of=ordinal_of,
             epoch=epoch,
             entity_ids=entity_ids,
             predicates=predicates,

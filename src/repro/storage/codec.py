@@ -24,13 +24,14 @@ intact before anything scores against them — the disk store does this
 eagerly on every attach (a file survives process restarts and can rot).
 
 The decoded read surface is :class:`SegmentView`: zero-copy numpy views
-over any buffer (an ``np.memmap``, plain ``bytes``), string tables, and
-the :class:`~repro.kg.topology.GraphTopology` reconstruction for
-topology segments.  Index segments (kind
-``"fielded-index"``) hold one posting CSR per field, and feature-table
-and topology segments their identifiers as string tables and their
-features as codes, so no manifest grows with the corpus; index and
-feature-table segments are adopted by :mod:`repro.storage.kgstore`.
+over any buffer (an ``np.memmap``, plain ``bytes``) and string tables.
+A ``graph-triples`` segment holds a system's
+identifier tables, sorted — its :class:`Dictionary` — and the other
+segments reference them by count and CRC-32 instead of listing them:
+index segments (kind ``"fielded-index"``) hold one posting CSR per field,
+and feature-table and topology segments their arrays and their features
+as codes, so no manifest grows with the corpus.  The segments are
+adopted by :mod:`repro.storage.kgstore`.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from ..kg.columns import ID_TABLES, LogColumns, StringColumn, rank_strings
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
-    from ..kg.columns import LogColumns
     from ..index.columnar import ColumnarIndex
     from ..index.fielded_index import FieldedIndex
     from ..kg.topology import GraphTopology
+    from ..utils.ordinals import OrdinalMap
 
 #: Array alignment inside a snapshot segment (cache-line friendly).
 ALIGN = 64
@@ -194,10 +197,8 @@ class SegmentView:
 
     Backend-agnostic: the constructor takes any buffer (``np.memmap``,
     ``bytes``) plus the uid/epoch the caller expects, and presents the
-    placed arrays and string tables as read-only views.  Graph-topology
-    segments rebuild their :class:`~repro.kg.topology.GraphTopology` via
-    :meth:`graph_topology` over the same zero-copy views, and
-    graph-triples segments their column log via :meth:`graph_columns`.
+    placed arrays and string tables as read-only views, and graph-triples
+    segments their column log via :meth:`graph_columns`.
     """
 
     def __init__(
@@ -274,12 +275,13 @@ class SegmentView:
                     f"(array at offset {desc[0]})"
                 )
 
-    def strings(self, table: dict[str, object], name: str = "strings") -> list[str]:
-        """Decode one length-coded string table (see :func:`place_strings`).
+    def string_column(self, table: dict[str, object], name: str = "strings") -> StringColumn:
+        """One length-coded string table (see :func:`place_strings`), unlisted.
 
-        The lengths must be a 1-D integer column of values in
-        ``[0, len(text)]`` that add up to the text exactly; anything else
-        raises :class:`SnapshotUnavailable`.
+        The text is decoded once and each string is sliced out when read
+        (:class:`~repro.kg.columns.StringColumn`).  The lengths must be a
+        1-D integer column of values in ``[0, len(text)]`` that add up to
+        the text exactly; anything else raises :class:`SnapshotUnavailable`.
         """
         malformed = SnapshotUnavailable(
             f"snapshot {self._name!r} string table {name!r} is malformed"
@@ -295,10 +297,26 @@ class SegmentView:
             or (lengths.size and (lengths.min() < 0 or lengths.max() > len(text)))
         ):
             raise malformed
-        ends = np.cumsum(lengths).tolist()
-        if (ends[-1] if ends else 0) != len(text):
+        ends = np.cumsum(lengths, dtype=np.int64)
+        if (int(ends[-1]) if ends.size else 0) != len(text):
             raise malformed
-        return [text[start:end] for start, end in zip([0, *ends], ends)]
+        return StringColumn(text, ends)
+
+    def strings(self, table: dict[str, object], name: str = "strings") -> list[str]:
+        """Decode one length-coded string table into a list (see :meth:`string_column`).
+
+        A table placed once and named twice is decoded once: both names
+        get the same list.
+        """
+        try:
+            placed = (table["text"][0], table["lengths"][0])
+        except (KeyError, TypeError, IndexError) as error:
+            raise SnapshotUnavailable(
+                f"snapshot {self._name!r} string table {name!r} is malformed"
+            ) from error
+        return self.memoised(
+            ("strings", *placed), lambda: self.string_column(table, name).tolist()
+        )
 
     def string_table(self, key: str) -> list[str]:
         """A top-level string table by key.
@@ -319,61 +337,34 @@ class SegmentView:
         """Zero-copy view of a top-level manifest array by key (memoised)."""
         return self.memoised(("array", key), lambda: self.array(self._manifest[key]))
 
-    def graph_topology(self) -> "GraphTopology":
-        """The segment's columnar graph topology, rebuilt zero-copy.
-
-        Only valid on ``"kind": "graph-topology"`` segments; raises
-        :class:`SnapshotUnavailable` otherwise, so a mixed-up descriptor
-        degrades to the fallback path.  The string tables (entity ids,
-        predicates, type ids) are decoded (:meth:`string_table`); every
-        CSR and interval array stays a read-only view over the segment
-        buffer.
-        """
-        if self._manifest.get("kind") != "graph-topology":
-            raise SnapshotUnavailable("segment does not carry a graph topology")
-
-        def build() -> "GraphTopology":
-            from ..kg.topology import GraphTopology
-
-            return GraphTopology.from_arrays(
-                epoch=self.epoch,
-                entity_ids=self.string_table("entity_ids"),
-                predicates=self.string_table("predicates"),
-                type_ids=self.string_table("type_ids"),
-                out_offsets=self.manifest_array("out_offsets"),
-                out_targets=self.manifest_array("out_targets"),
-                out_preds=self.manifest_array("out_preds"),
-                in_offsets=self.manifest_array("in_offsets"),
-                in_sources=self.manifest_array("in_sources"),
-                in_preds=self.manifest_array("in_preds"),
-                type_offsets=self.manifest_array("type_offsets"),
-                type_members=self.manifest_array("type_members"),
-                type_parents=self.manifest_array("type_parents"),
-                type_pre=self.manifest_array("type_pre"),
-                type_post=self.manifest_array("type_post"),
-                pre_order=self.manifest_array("pre_order"),
-                subtree_sizes=self.manifest_array("subtree_sizes"),
-            )
-
-        return self.memoised(("graph-topology",), build)
-
     def graph_columns(self) -> "LogColumns":
         """The segment's column log, copied out of the buffer.
 
         Only valid on ``"kind": "graph-triples"`` segments.  The arrays
         are copies (a graph owns its log and outlives the mapping) and
         nothing is cross-checked here — callers run
-        :meth:`~repro.kg.columns.LogColumns.check` on the result.
+        :meth:`~repro.kg.columns.LogColumns.check` on the result.  An
+        identifier table saved before the tables were sorted (no
+        ``rank``) is sorted here, once.
         """
         if self._manifest.get("kind") != "graph-triples":
             raise SnapshotUnavailable("segment does not carry a graph's triples")
-        from ..kg.columns import LogColumns
-
         try:
-            tables = {
-                name: (self.strings(table, name), self.array(table["stamps"]).tolist())
-                for name, table in self._manifest["tables"].items()
-            }
+            tables = {}
+            ranks = {}
+            for name, table in self._manifest["tables"].items():
+                if name not in ID_TABLES:  # read a string at a time, listed on demand
+                    tables[name] = (
+                        self.string_column(table, name),
+                        np.array(self.array(table["stamps"])),
+                    )
+                    continue
+                strings = self.strings(table, name)
+                if "rank" in table:
+                    ranks[name] = np.array(self.array(table["rank"]))
+                else:  # saved before the identifier tables were sorted
+                    strings, ranks[name] = rank_strings(strings)
+                tables[name] = (strings, np.array(self.array(table["stamps"])))
             return LogColumns(
                 triples=int(self._manifest["triples"]),
                 tables=tables,
@@ -381,6 +372,7 @@ class SegmentView:
                     name: np.array(self.array(desc))
                     for name, desc in self._manifest["rows"].items()
                 },
+                ranks=ranks,
             )
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise SnapshotUnavailable(
@@ -403,17 +395,97 @@ class SegmentView:
 # --------------------------------------------------------------------- #
 # Payload encoders (one per snapshot kind, shared by every backend)
 # --------------------------------------------------------------------- #
+def _string_arrays(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(UTF-8 bytes end to end, lengths in characters)`` of a string table."""
+    text = "".join(strings).encode("utf-8", "surrogatepass")
+    return (
+        np.frombuffer(text, dtype=np.uint8),
+        np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)),
+    )
+
+
 def place_strings(place, strings: list[str]) -> dict[str, object]:
     """Place a string table: UTF-8 bytes end to end plus lengths in characters.
 
     Length-coded, so a string may contain any character; decoded by
     :meth:`SegmentView.strings`.
     """
-    text = "".join(strings).encode("utf-8", "surrogatepass")
-    return {
-        "text": place(np.frombuffer(text, dtype=np.uint8)),
-        "lengths": place(np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))),
-    }
+    text, lengths = _string_arrays(strings)
+    return {"text": place(text), "lengths": place(lengths)}
+
+
+def strings_crc(strings: list[str]) -> int:
+    """CRC-32 of a string table as :func:`place_strings` lays it out."""
+    text, lengths = _string_arrays(strings)
+    return zlib.crc32(lengths, zlib.crc32(text))
+
+
+#: The ``graph-triples`` table each identifier table of another segment
+#: may reference.
+REFERENCED_TABLES = {
+    "entity_ids": "entities", "doc_ids": "entities", "predicates": "predicates", "type_ids": "types",
+}
+
+
+class Dictionary:
+    """The identifier tables of a saved system's ``graph-triples`` segment.
+
+    ``tables`` maps ``entities`` / ``predicates`` / ``types`` to their
+    ascending identifiers, and ``ordinal_of`` is the entity map a load
+    adopted with them.  Every other segment stores an identifier table
+    equal to one of them as a reference to it — the table's count and
+    CRC-32 (:func:`strings_crc`), :meth:`place` — and a load resolves it
+    back to the very list (:meth:`resolve`), so every structure of a
+    loaded system numbers its identifiers with one list and one map.
+    """
+
+    def __init__(
+        self, tables: dict[str, list[str]] | None = None, ordinal_of: "OrdinalMap | None" = None
+    ) -> None:
+        self.tables = tables or {}
+        self.ordinal_of = ordinal_of
+        self._crcs: dict[str, int] = {}
+
+    def crc(self, name: str) -> int:
+        crc = self._crcs.get(name)
+        if crc is None:
+            crc = self._crcs[name] = strings_crc(self.tables[name])
+        return crc
+
+    def place(self, place, key: str, strings: list[str]) -> dict[str, object]:
+        """Identifier table ``key``: a reference when it is the dictionary's table."""
+        name = REFERENCED_TABLES[key]
+        table = self.tables.get(name)
+        if table is not None and (strings is table or strings == table):
+            return {"count": len(table), "crc": self.crc(name)}
+        return place_strings(place, strings)
+
+    def resolve(self, view: SegmentView, key: str) -> list[str]:
+        """A segment's identifier table ``key``, as the dictionary's list when equal.
+
+        A reference must name the dictionary's table by count and CRC,
+        or :class:`SnapshotUnavailable` is raised; a segment that lists
+        its own table (one that differs, or saved before references)
+        decodes it, and a list equal to the dictionary's is swapped for
+        that.
+        """
+        name = REFERENCED_TABLES[key]
+        table = self.tables.get(name)
+        stored = view.manifest.get(key)
+        if isinstance(stored, dict) and "count" in stored:
+            if table is None or (stored.get("count"), stored.get("crc")) != (
+                len(table), self.crc(name)
+            ):
+                raise SnapshotUnavailable(
+                    f"snapshot's {key} reference names another {name} table"
+                )
+            return table
+        strings = view.string_table(key)
+        return table if table is not None and strings == table else strings
+
+    def ordinals(self, ids: list[str]) -> "OrdinalMap | None":
+        """The adopted entity map when ``ids`` is the dictionary's entity table."""
+        return self.ordinal_of if ids is self.tables.get("entities") else None
 
 
 #: The payload kind of an index segment: one posting CSR per field.
@@ -423,44 +495,45 @@ INDEX_KIND = "fielded-index"
 def encode_index_snapshot(
     index: "FieldedIndex",
     view: "ColumnarIndex",
+    dictionary: Dictionary | None = None,
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one index epoch into ``(manifest, builder)``.
 
     Each field becomes one CSR over document ordinals: its terms as a
-    string table in ascending order, ``offsets`` into one int64
-    ``ordinals`` column and one int64 ``frequencies`` column, plus its
-    int64 length column.  The document ids follow as a string table in
-    ordinal order, with a per-document CRC column that guards them (see
-    :func:`repro.storage.kgstore.restore_fielded_index`).  So the
-    manifest holds O(fields) descriptors whatever the vocabulary.  Nothing here decodes a posting
+    string table in ascending order (placed once for fields with the
+    same terms), ``offsets`` into one int64 ``ordinals`` column and one
+    int64 ``frequencies`` column, plus its int64 length column.  The
+    document ids are a reference to the
+    ``dictionary``'s entity table when they are the graph's entities,
+    and a string table in ordinal order otherwise.  So the manifest
+    holds O(fields) descriptors whatever the vocabulary.  Nothing here decodes a posting
     list: :meth:`~repro.index.inverted_index.InvertedIndex.posting_csr`
     renumbers an adopted field's stored rows as arrays.
     """
     builder = SegmentBuilder()
     place = builder.place
-    crcs = np.fromiter(
-        (zlib.crc32(doc_id.encode("utf-8")) for doc_id in view.doc_ids),
-        dtype=np.uint32,
-        count=view.num_documents,
-    )
     manifest: dict[str, object] = {
         "uid": index.uid,
         "epoch": index.epoch,
         "kind": INDEX_KIND,
         "num_documents": view.num_documents,
         "fields": list(index.fields),
-        "crcs": place(crcs),
         "lengths": {},
         "postings": {},
-        "doc_ids": place_strings(place, view.doc_ids),
+        "doc_ids": (dictionary or Dictionary()).place(place, "doc_ids", view.doc_ids),
     }
+    placed: list[tuple[list[str], dict[str, object]]] = []  # fields may share a vocabulary
     for field in index.fields:
         terms, offsets, ordinals, frequencies = index.field_index(field).posting_csr(
             view.ordinal_of
         )
+        table = next((table for known, table in placed if known == terms), None)
+        if table is None:
+            table = place_strings(place, terms)
+            placed.append((terms, table))
         manifest["lengths"][field] = place(view.field_lengths(field).astype(np.int64))
         manifest["postings"][field] = {
-            "terms": place_strings(place, terms),
+            "terms": table,
             "offsets": place(offsets),
             "ordinals": place(ordinals),
             "frequencies": place(frequencies),
@@ -469,31 +542,35 @@ def encode_index_snapshot(
 
 
 def encode_feature_tables(
-    source, tables: "ColumnarFeatureTables"
+    source, tables: "ColumnarFeatureTables", dictionary: Dictionary | None = None
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar feature tables into ``(manifest, builder)``.
 
-    Layout (kind ``"feature-tables"``): the entity identifiers and the
-    edge predicates as string tables (:func:`place_strings`), in ordinal
-    order; the int64 ``feature_codes`` column, one sorted code per
-    feature (see :class:`~repro.features.columnar.ColumnarFeatureTables`);
-    the holder CSR (``holder_offsets`` / ``holder_ordinals``); the
-    dominant-type ordinals, type populations and the entity→type
-    membership CSR (``member_offsets`` / ``member_type_ords``).  So the
-    manifest holds a fixed number of descriptors whatever the corpus: a
-    cold-starting process decodes arrays, and names a feature only when
-    a response returns it.  ``source`` is anything with ``uid``/``epoch``
-    pinning the publishing feature index's uid and the *tables'* epoch.
+    Layout (kind ``"feature-tables"``): the entity identifiers, the edge
+    predicates and the types, in ordinal order, each a reference to the
+    ``dictionary``'s table when equal to it and a string table
+    (:func:`place_strings`) otherwise; the int64 ``feature_codes``
+    column, one sorted code per feature (see
+    :class:`~repro.features.columnar.ColumnarFeatureTables`); the holder
+    CSR (``holder_offsets`` / ``holder_ordinals``); the dominant-type
+    ordinals, type populations and the entity→type membership CSR
+    (``member_offsets`` / ``member_type_ords``).  So the manifest holds
+    a fixed number of descriptors whatever the corpus: a cold-starting
+    process decodes arrays, and names a feature only when a response
+    returns it.  ``source`` is anything with ``uid``/``epoch`` pinning
+    the publishing feature index's uid and the *tables'* epoch.
     """
     builder = SegmentBuilder()
     place = builder.place
+    dictionary = dictionary or Dictionary()
     manifest: dict[str, object] = {
         "uid": source.uid,
         "epoch": source.epoch,
         "kind": "feature-tables",
         "num_entities": tables.num_entities,
-        "entity_ids": place_strings(place, tables.entity_ids),
-        "predicates": place_strings(place, tables.predicates),
+        "entity_ids": dictionary.place(place, "entity_ids", tables.entity_ids),
+        "predicates": dictionary.place(place, "predicates", tables.predicates),
+        "type_ids": dictionary.place(place, "type_ids", tables.type_ids),
         "feature_codes": place(tables.feature_codes),
         "holder_offsets": place(tables.holder_offsets),
         "holder_ordinals": place(tables.holder_ordinals),
@@ -506,12 +583,13 @@ def encode_feature_tables(
 
 
 def encode_graph_topology(
-    source, topology: "GraphTopology"
+    source, topology: "GraphTopology", dictionary: Dictionary | None = None
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar graph topology into ``(manifest, builder)``.
 
-    The sorted entity/predicate/type identifiers go out as string tables
-    (:func:`place_strings`), then both CSR adjacency directions (neighbour + parallel
+    The sorted entity/predicate/type identifiers go out as references to
+    the ``dictionary``'s tables when equal to them and as string tables
+    (:func:`place_strings`) otherwise, then both CSR adjacency directions (neighbour + parallel
     predicate-ordinal columns), the per-type sorted member-ordinal CSR
     and the pre/post-order interval encoding of the containment forest.
     ``source`` is anything with ``uid``/``epoch`` pinning the publishing
@@ -519,14 +597,15 @@ def encode_graph_topology(
     """
     builder = SegmentBuilder()
     place = builder.place
+    dictionary = dictionary or Dictionary()
     return {
         "uid": source.uid,
         "epoch": source.epoch,
         "kind": "graph-topology",
         "num_entities": topology.num_entities,
-        "entity_ids": place_strings(place, topology.entity_ids),
-        "predicates": place_strings(place, topology.predicates),
-        "type_ids": place_strings(place, topology.type_ids),
+        "entity_ids": dictionary.place(place, "entity_ids", topology.entity_ids),
+        "predicates": dictionary.place(place, "predicates", topology.predicates),
+        "type_ids": dictionary.place(place, "type_ids", topology.type_ids),
         "out_offsets": place(topology.out_offsets),
         "out_targets": place(topology.out_targets),
         "out_preds": place(topology.out_preds),
@@ -552,18 +631,23 @@ def encode_graph_triples(
     three stamped row logs as they are, and each string table as its
     strings' UTF-8 bytes end to end plus their lengths in characters and
     their stamps — length-coded, so a string may contain any character.
-    ``source`` is anything with ``uid``/``epoch``; the manifest also
-    records the triple count the rows must add up to.
+    The identifier tables go out ascending with each code's ``rank``
+    among them: they are the system's :class:`Dictionary`, which the
+    other segments reference.  ``source`` is anything with
+    ``uid``/``epoch``; the manifest also records the triple count the
+    rows must add up to.
     """
     builder = SegmentBuilder()
     place = builder.place
-    tables = {
-        name: {
+    tables = {}
+    for name, (strings, stamps) in columns.tables.items():
+        table = {
             **place_strings(place, strings),
             "stamps": place(np.asarray(stamps, dtype=np.int64)),
         }
-        for name, (strings, stamps) in columns.tables.items()
-    }
+        if name in columns.ranks:
+            table["rank"] = place(columns.ranks[name])
+        tables[name] = table
     return {
         "uid": source.uid,
         "epoch": source.epoch,

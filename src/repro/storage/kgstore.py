@@ -17,25 +17,48 @@ tags included, every row stamped with its position in the triple log —
 and its manifest entry carries what used to be a system manifest: the
 format number, the graph's name, epoch and triple count.  The other
 three are derived from it and record the graph epoch they were derived
-from.
+from.  Which segment holds which table:
+
+==================  ================================================
+``graph-triples``   the **one dictionary**: the entity, edge-predicate
+                    and type tables, each ascending with a ``rank``
+                    (first-seen code → position); the literal table;
+                    the three stamped row logs
+``search-index``    per field: its terms, posting CSR and lengths;
+                    the document ids as a reference to the entity
+                    table when they are the graph's entities
+``feature-tables``  feature codes, holder CSR, dominant types, type
+                    populations and membership CSR; its entity,
+                    predicate and type tables as references
+``graph-topology``  adjacency CSRs both ways, type CSR and interval
+                    encoding; its three tables as references
+==================  ================================================
+
+A reference is ``{"count", "crc"}``: the referenced table's length and
+CRC-32 (:class:`~repro.storage.codec.Dictionary`), which the load checks
+before it hands the derived structure the very list the graph adopted.
 
 Cold start *adopts instead of replaying*, and decodes arrays, not
-objects: every identifier table is a placed string table, and the JSON
-manifests hold a fixed number of descriptors whatever the corpus.
+objects: each identifier is decoded once, and the JSON manifests hold a
+fixed number of descriptors whatever the corpus.
 
-* The graph takes the decoded columns as they are and builds no triple
-  objects until a caller asks for one (:meth:`KnowledgeGraph.adopt`).
+* The graph takes the decoded columns as they are
+  (:meth:`KnowledgeGraph.adopt`): its sorted tables and ranks *are* the
+  adopted epoch's numbering, so one :class:`~repro.utils.ordinals.OrdinalMap`
+  — the sorted entity list over the log's code dictionary — serves the
+  graph, the index's documents, the feature tables and the topology.  Its
+  entity accessors answer from the label and type rows grouped by array
+  sorts; it builds no triple object and no dictionary until a caller
+  asks for one.
 * The fielded index serves its stored per-field posting CSRs
   (:meth:`FieldedIndex.adopt`): a search finds a term's row by
   bisecting the sorted term table and reads its counts, ordinals and
   frequencies and the length column off the arrays; a posting list is
   decoded only for a scalar caller.
 * The feature index adopts a snapshot over the stored tables, which
-  decodes a row into a frozenset when a lookup first asks for it.  The
-  ``feature-tables`` segment stores the feature codes (an int64 column)
-  beside the entity and predicate string tables, so the decoded tables
-  address features as sort-built ones do, and the first recommendation
-  reads each seed's row off the topology.
+  decodes a row into a frozenset when a lookup first asks for it; the
+  feature codes address features as sort-built tables do, and the first
+  recommendation reads each seed's row off the topology.
 * The topology adopts its arrays.
 
 Every component is checksummed and cross-checked against the graph's
@@ -43,10 +66,12 @@ epoch, and its arrays against each other (ranges and orderings); a
 failed derived component raises :class:`SnapshotUnavailable` and the
 caller falls back to rebuilding *that component* from the loaded graph
 — a missing or corrupt ``graph-triples`` segment fails the whole load
-(there is nothing to rebuild from).  A ``feature-tables`` or ``graph-topology`` segment saved
-before its identifiers were placed lists them in its JSON manifest (the
-feature keys as ``[anchor, predicate, direction]`` triples); it still
-loads, the keys coded once as it does.
+(there is nothing to rebuild from).  Directories saved in earlier
+layouts still load, converted once inside the decoder: identifier
+tables listed in a segment (or, earlier still, in its JSON manifest,
+the feature keys as ``[anchor, predicate, direction]`` triples), a
+CRC-32 per document id, feature type tables over the dominant types
+only, and graph tables in first-seen order, which are sorted once.
 """
 
 from __future__ import annotations
@@ -59,8 +84,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..kg.columns import in_range
+from ..utils.ordinals import strictly_ascending
 from .codec import (
     INDEX_KIND,
+    Dictionary,
     SegmentView,
     SnapshotUnavailable,
     encode_feature_tables,
@@ -133,14 +161,16 @@ def save_system(
         # Durable segments are addressed by role, so the uid slot of the
         # two graph-side segments is unused (0).
         source = SimpleNamespace(uid=0, epoch=graph_epoch)
-        manifest, builder = encode_graph_triples(source, graph.columns.export())
+        columns = graph.columns.export()
+        manifest, builder = encode_graph_triples(source, columns)
         store.publish(
             GRAPH_TRIPLES_KEY, manifest, builder,
             extra={"format": _SYSTEM_FORMAT, **graph_info},
         )
+        dictionary = Dictionary({name: columns.tables[name][0] for name in columns.ranks})
 
         view = columnar_view(index)
-        manifest, builder = encode_index_snapshot(index, view)
+        manifest, builder = encode_index_snapshot(index, view, dictionary)
         store.publish(
             SEARCH_INDEX_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
@@ -150,6 +180,7 @@ def save_system(
         manifest, builder = encode_feature_tables(
             SimpleNamespace(uid=feature_index.uid, epoch=snapshot.epoch),
             tables,
+            dictionary,
         )
         store.publish(
             FEATURE_TABLES_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
@@ -157,7 +188,7 @@ def save_system(
 
         # The columnar topology is installed straight into a loaded
         # graph's memo instead of being sorted out of the log again.
-        manifest, builder = encode_graph_topology(source, graph_topology(graph))
+        manifest, builder = encode_graph_topology(source, graph_topology(graph), dictionary)
         store.publish(
             GRAPH_TOPOLOGY_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
@@ -277,7 +308,8 @@ def _field_columns(
         raise malformed("ordinals do not increase within a term")
     if (frequencies <= 0).any():
         raise malformed("a term frequency is not positive")
-    if any(left >= right for left, right in zip(terms, terms[1:])):
+    placed = csr["terms"]["text"][0]  # a vocabulary fields share is checked once
+    if not view.memoised(("ascending", placed), lambda: strictly_ascending(terms)):
         raise malformed("terms are not strictly ascending")
     if lengths.shape != (num_documents,) or not np.array_equal(
         lengths, np.bincount(ordinals, weights=frequencies, minlength=num_documents)
@@ -286,17 +318,21 @@ def _field_columns(
     return PostingColumns(documents, terms, offsets, ordinals, frequencies, lengths)
 
 
-def restore_fielded_index(view: SegmentView, fields: tuple[str, ...]) -> "FieldedIndex":
+def restore_fielded_index(
+    view: SegmentView, fields: tuple[str, ...], dictionary: Dictionary | None = None
+) -> "FieldedIndex":
     """Adopt one index snapshot as a live :class:`FieldedIndex`.
 
     The stored per-field posting CSRs *are* the index
     (:meth:`FieldedIndex.adopt`): nothing is decoded into posting lists
     here, and the first search reads its statistics, candidates and
     columns off the arrays.  The CSRs are checked first (see
-    :func:`_field_columns`), and so are the document ids — strictly
-    ascending, since ordinal order must be doc-id order, as many as the
-    segment says, and each with its own CRC-32 in the ``crcs`` column.
-    Any violation, a
+    :func:`_field_columns`), and so are the document ids: the
+    ``dictionary``'s entity table, with its map, when the segment
+    references it (:meth:`Dictionary.resolve`); otherwise strictly
+    ascending, since ordinal order must be doc-id order.  There must be
+    as many as the segment says, and a segment saved with a CRC-32 per
+    document (the ``crcs`` column) must match it.  Any violation, a
     configured field schema other than the stored one, or a segment in
     the old one-column-pair-per-term layout raises
     :class:`SnapshotUnavailable`, and the caller rebuilds.
@@ -314,27 +350,27 @@ def restore_fielded_index(view: SegmentView, fields: tuple[str, ...]) -> "Fielde
             f"snapshot indexes fields {manifest.get('fields')!r}, "
             f"configuration wants {list(fields)!r}"
         )
-    table = manifest.get("doc_ids")
-    if not isinstance(table, dict):
-        raise SnapshotUnavailable("snapshot carries no document identifiers")
-    doc_ids = view.strings(table, "doc_ids")
+    dictionary = dictionary or Dictionary()
+    doc_ids = dictionary.resolve(view, "doc_ids")
     if len(doc_ids) != manifest.get("num_documents"):
         raise SnapshotUnavailable(
             f"snapshot lists {len(doc_ids)} document ids for "
             f"{manifest.get('num_documents')!r} documents"
         )
-    if any(left >= right for left, right in zip(doc_ids, doc_ids[1:])):
+    ordinal_of = dictionary.ordinals(doc_ids)
+    if ordinal_of is None and not strictly_ascending(doc_ids):
         raise SnapshotUnavailable("snapshot document ids are not strictly ascending")
-    crcs = _int_column(view, manifest.get("crcs"), "crc column")
-    hashed = np.fromiter(
-        (zlib.crc32(doc_id.encode("utf-8")) for doc_id in doc_ids),
-        dtype=np.int64,
-        count=len(doc_ids),
-    )
-    if not np.array_equal(crcs, hashed):
-        raise SnapshotUnavailable("snapshot crc column disagrees with the document ids")
+    if "crcs" in manifest:
+        crcs = _int_column(view, manifest["crcs"], "crc column")
+        hashed = np.fromiter(
+            (zlib.crc32(doc_id.encode("utf-8")) for doc_id in doc_ids),
+            dtype=np.int64,
+            count=len(doc_ids),
+        )
+        if not np.array_equal(crcs, hashed):
+            raise SnapshotUnavailable("snapshot crc column disagrees with the document ids")
 
-    documents = DocumentColumns(doc_ids)
+    documents = DocumentColumns(doc_ids, ordinal_of)
     columns = {field: _field_columns(view, field, documents) for field in fields}
     index = FieldedIndex(fields)
     index.adopt(documents, columns)
@@ -353,13 +389,8 @@ def _check_csr(offsets: np.ndarray, rows: int, values: np.ndarray, bound: int) -
         and offsets[0] == 0
         and offsets[-1] == values.size
         and not (np.diff(offsets) < 0).any()
-        and _in_range(values, 0, bound)
+        and in_range(values, 0, bound)
     )
-
-
-def _in_range(values: np.ndarray, low: int, bound: int) -> bool:
-    """Whether every value lies in ``[low, bound)``."""
-    return not values.size or (int(values.min()) >= low and int(values.max()) < bound)
 
 
 def _coded_features(keys: object, entity_ids: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -399,8 +430,45 @@ def _coded_features(keys: object, entity_ids: list[str]) -> tuple[np.ndarray, li
     return (anchor_ords * len(predicates) + pred_ords) * 2 + direction_codes, predicates
 
 
+def _widened_types(
+    graph: "KnowledgeGraph", entity_ids: list[str], arrays: dict[str, np.ndarray]
+) -> list[str]:
+    """Widen an older segment's type tables to every type of the graph.
+
+    A ``feature-tables`` segment saved before the tables named their
+    types holds them over the dominant types only, by position.  The
+    widened tables are the graph epoch's own
+    (:meth:`~repro.features.columnar.ColumnarFeatureTables.type_tables`);
+    the stored ones must be them narrowed, or the segment is refused.
+    ``arrays`` is updated in place; returns the type identifiers.
+    """
+    from ..features.columnar import ColumnarFeatureTables
+
+    columns = graph.columns.epoch(len(graph))
+    if entity_ids is not columns.entity_ids and entity_ids != columns.entity_ids:
+        raise SnapshotUnavailable("feature snapshot entities are not the graph's")
+    dominant, populations, member_offsets, member_type_ords = (
+        ColumnarFeatureTables.type_tables(columns)
+    )
+    universe = np.unique(dominant[dominant >= 0])
+    local = np.full(populations.size + 1, -1, dtype=np.int64)  # slot −1 (untyped) stays −1
+    local[universe] = np.arange(universe.size, dtype=np.int64)
+    if not (
+        np.array_equal(arrays["type_populations"], populations[universe])
+        and np.array_equal(arrays["dominant_ords"], local[dominant])
+    ):
+        raise SnapshotUnavailable("feature snapshot type tables disagree with the graph")
+    arrays.update(
+        dominant_ords=dominant,
+        type_populations=populations,
+        member_offsets=member_offsets,
+        member_type_ords=member_type_ords,
+    )
+    return columns.type_ids
+
+
 def restore_feature_snapshot(
-    graph: "KnowledgeGraph", view: SegmentView
+    graph: "KnowledgeGraph", view: SegmentView, dictionary: Dictionary | None = None
 ) -> "FeatureIndexSnapshot":
     """Adopt one feature-tables snapshot as a pinned feature snapshot.
 
@@ -409,18 +477,20 @@ def restore_feature_snapshot(
     index's: it answers from them, turning a holder or feature row into
     its frozenset when first asked for it
     (:class:`~repro.features.feature_index.FeatureIndexSnapshot`), so
-    the first recommendation after a cold start rebuilds nothing.
-    Nothing here walks the features, except in a segment of the older
-    layout, whose key triples are coded once (:func:`_coded_features`).
+    the first recommendation after a cold start rebuilds nothing.  The
+    identifier tables are the ``dictionary``'s (:meth:`Dictionary.resolve`).
+    Nothing here walks the features, except in a segment of an older
+    layout, whose key triples are coded once (:func:`_coded_features`)
+    and whose type tables are widened to every type (:func:`_widened_types`).
 
     Every array is checked against what the tables assume: the feature
     codes strictly ascending with anchors inside the entities and a
     predicate table to index; the holder and membership CSRs cutting
     their columns into one row per feature / entity, holders inside the
-    entities and type ordinals inside the type universe; dominant types
-    inside it too (or ``-1``, untyped); every type populated.  A
-    violation raises :class:`SnapshotUnavailable`, and the caller
-    rebuilds the tables from the graph.
+    entities and type ordinals inside the types; dominant types inside
+    them too (or ``-1``, untyped); every type populated.  A violation
+    raises :class:`SnapshotUnavailable`, and the caller rebuilds the
+    tables from the graph.
     """
     from ..features.columnar import ColumnarFeatureTables
     from ..features.feature_index import FeatureIndexSnapshot
@@ -430,9 +500,10 @@ def restore_feature_snapshot(
             f"feature snapshot is for graph epoch {view.epoch}, "
             f"loaded graph is at {graph.epoch}"
         )
-    entity_ids = view.string_table("entity_ids")
+    dictionary = dictionary or Dictionary()
+    entity_ids = dictionary.resolve(view, "entity_ids")
     if "feature_codes" in view.manifest:
-        predicates = view.string_table("predicates")
+        predicates = dictionary.resolve(view, "predicates")
         codes = _int_column(view, view.manifest["feature_codes"], "feature codes")
     else:
         codes, predicates = _coded_features(view.manifest.get("features"), entity_ids)
@@ -446,10 +517,14 @@ def restore_feature_snapshot(
         }
     except KeyError as error:
         raise SnapshotUnavailable("feature snapshot lacks a table array") from error
-    num_entities, num_types = len(entity_ids), arrays["type_populations"].size
-    if not _in_range(codes, 0, num_entities * 2 * len(predicates)) or (np.diff(codes) <= 0).any():
+    if "type_ids" in view.manifest:
+        type_ids = dictionary.resolve(view, "type_ids")
+    else:
+        type_ids = _widened_types(graph, entity_ids, arrays)
+    num_entities, num_types = len(entity_ids), len(type_ids)
+    if not in_range(codes, 0, num_entities * 2 * len(predicates)) or (np.diff(codes) <= 0).any():
         raise SnapshotUnavailable("feature snapshot codes are malformed")
-    if any(left >= right for left, right in zip(predicates, predicates[1:])):
+    if not strictly_ascending(predicates):
         raise SnapshotUnavailable("feature snapshot predicates are not strictly ascending")
     if not _check_csr(
         arrays["holder_offsets"], codes.size, arrays["holder_ordinals"], num_entities
@@ -460,27 +535,32 @@ def restore_feature_snapshot(
     ):
         raise SnapshotUnavailable("feature snapshot membership CSR is malformed")
     dominant = arrays["dominant_ords"]
-    if dominant.shape != (num_entities,) or not _in_range(dominant, -1, num_types):
+    if dominant.shape != (num_entities,) or not in_range(dominant, -1, num_types):
         raise SnapshotUnavailable("feature snapshot dominant types are malformed")
     populations = arrays["type_populations"]
-    if populations.ndim != 1 or not _in_range(populations, 1, num_entities + 1):
+    if populations.shape != (num_types,) or not in_range(populations, 1, num_entities + 1):
         raise SnapshotUnavailable("feature snapshot type populations are malformed")
     tables = ColumnarFeatureTables.from_arrays(
         epoch=view.epoch,
         feature_codes=codes,
         predicates=predicates,
         entity_ids=entity_ids,
+        type_ids=type_ids,
+        ordinal_of=dictionary.ordinals(entity_ids),
         **arrays,
     )
     return FeatureIndexSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
 
 
-def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "GraphTopology":
+def restore_graph_topology(
+    graph: "KnowledgeGraph", view: SegmentView, dictionary: Dictionary | None = None
+) -> "GraphTopology":
     """Rebuild a :class:`~repro.kg.topology.GraphTopology` from one segment.
 
     Every array is *copied* out of the (CRC-verified) view: the caller closes the backing memmap
     right after the restore, and the topology outlives it as the graph's
-    per-epoch memo.  The epoch cross-check mirrors
+    per-epoch memo.  The identifier tables are the ``dictionary``'s
+    (:meth:`Dictionary.resolve`).  The epoch cross-check mirrors
     :func:`restore_feature_snapshot` — a topology from another graph
     state must not be installed — and so do the array checks: both
     adjacency CSRs cut their neighbour and predicate columns into one
@@ -490,6 +570,8 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
     """
     from ..kg.topology import GraphTopology
 
+    if view.kind != "graph-topology":
+        raise SnapshotUnavailable("segment does not carry a graph topology")
     if view.epoch != graph.epoch:
         raise SnapshotUnavailable(
             f"topology snapshot is for graph epoch {view.epoch}, "
@@ -504,11 +586,13 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
                 f"topology snapshot lacks the {key!r} array"
             ) from error
 
+    dictionary = dictionary or Dictionary()
+    entity_ids = dictionary.resolve(view, "entity_ids")
     topology = GraphTopology.from_arrays(
         epoch=view.epoch,
-        entity_ids=view.string_table("entity_ids"),
-        predicates=view.string_table("predicates"),
-        type_ids=view.string_table("type_ids"),
+        entity_ids=entity_ids,
+        predicates=dictionary.resolve(view, "predicates"),
+        type_ids=dictionary.resolve(view, "type_ids"),
         out_offsets=copied("out_offsets"),
         out_targets=copied("out_targets"),
         out_preds=copied("out_preds"),
@@ -522,6 +606,7 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
         type_post=copied("type_post"),
         pre_order=copied("pre_order"),
         subtree_sizes=copied("subtree_sizes"),
+        ordinal_of=dictionary.ordinals(entity_ids),
     )
     entities, predicates = topology.num_entities, len(topology.predicates)
     for offsets, neighbours, preds in (
@@ -531,7 +616,7 @@ def restore_graph_topology(graph: "KnowledgeGraph", view: SegmentView) -> "Graph
         if (
             not _check_csr(offsets, entities, neighbours, entities)
             or preds.shape != neighbours.shape
-            or not _in_range(preds, 0, predicates)
+            or not in_range(preds, 0, predicates)
         ):
             raise SnapshotUnavailable("topology snapshot adjacency CSR is malformed")
     if not _check_csr(
@@ -576,6 +661,8 @@ def load_system(
     store = system_store(directory)
     manifest = store.read_manifest()
     graph = load_graph(store, manifest)
+    maps = graph.columns.adopted_maps()
+    dictionary = Dictionary({name: ids.ids for name, ids in maps.items()}, maps["entities"])
 
     def restored(key: str, restore):
         """Attach one role, graph-epoch-check it, restore from it.
@@ -605,12 +692,14 @@ def load_system(
 
     return LoadedSystem(
         graph=graph,
-        index=restored(SEARCH_INDEX_KEY, lambda view: restore_fielded_index(view, fields)),
+        index=restored(
+            SEARCH_INDEX_KEY, lambda view: restore_fielded_index(view, fields, dictionary)
+        ),
         feature_snapshot=restored(
-            FEATURE_TABLES_KEY, lambda view: restore_feature_snapshot(graph, view)
+            FEATURE_TABLES_KEY, lambda view: restore_feature_snapshot(graph, view, dictionary)
         ),
         topology=restored(
-            GRAPH_TOPOLOGY_KEY, lambda view: restore_graph_topology(graph, view)
+            GRAPH_TOPOLOGY_KEY, lambda view: restore_graph_topology(graph, view, dictionary)
         ),
         store=store,
     )

@@ -16,16 +16,19 @@ each epoch.  :class:`OrdinalMap` splits it in two instead:
 
 A map either owns its registry (and the lock that serialises appends to
 it) or borrows one that another structure extends — the column log's
-string table, an adopted index's stored ids — and never writes it: the
+string table, which a loaded system's index, feature tables and
+topology number their entities with too — and never writes it: the
 first :meth:`~OrdinalMap.with_inserted` from a borrowed registry copies
 it, and the successors share the copy.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -81,6 +84,11 @@ class OrdinalMap(Mapping):
     def __len__(self) -> int:
         return len(self.ids)
 
+    @property
+    def rank(self) -> np.ndarray:
+        """``code → ordinal`` of every code this map knows (a view; do not write)."""
+        return self._ranks[:-1]
+
     def array(self, keys: Iterable[str], count: int = -1) -> np.ndarray:
         """The ordinals of ``keys`` in the order given (``-1`` for an unknown key)."""
         get, unknown = self._codes.get, self._ranks.size - 1
@@ -115,4 +123,9 @@ class OrdinalMap(Mapping):
         return OrdinalMap(inserted, codes, rank, lock), position
 
 
-__all__ = ["OrdinalMap"]
+def strictly_ascending(ids: Sequence[str]) -> bool:
+    """Whether every identifier sorts after the one before it (one C-level pass)."""
+    return all(map(operator.lt, ids, islice(ids, 1, None)))
+
+
+__all__ = ["OrdinalMap", "strictly_ascending"]

@@ -81,15 +81,46 @@ def _log_thresholds(values: np.ndarray, levels: int) -> np.ndarray:
     return np.power(10.0, np.linspace(low, high, levels + 1)[1:-1])
 
 
+def sorted_quantiles(ordered: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """``np.quantile`` of the ascending, non-empty ``ordered`` at ``quantiles`` in ``[0, 1]``.
+
+    numpy's default (``linear``) method step for step — the virtual
+    index ``(n - 1) · q``, its neighbours (the last value past the end)
+    and the two-sided lerp — so the result is the same bits, without
+    the selection and ``np.unique`` whose first call imports
+    ``numpy.ma`` (about 10 ms).
+    """
+    last = ordered.size - 1
+    virtual = last * quantiles
+    lower = np.floor(virtual).astype(np.intp)
+    upper = lower + 1
+    lower[virtual >= last] = upper[virtual >= last] = -1
+    gamma = virtual - lower
+    below, above = ordered[lower], ordered[upper]
+    difference = above - below
+    result = below + difference * gamma
+    np.subtract(above, difference * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
+def sorted_median(ordered: np.ndarray) -> float:
+    """``np.median`` of the ascending, non-empty ``ordered``: its middle
+    value, or the mean of its two middle values."""
+    middle = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def _quantile_thresholds(values: np.ndarray, levels: int) -> np.ndarray:
-    positive = values[values > 0]
+    positive = np.sort(values[values > 0])
     if positive.size == 0:
         return np.zeros(levels - 1)
     if levels <= 2:
-        return np.array([float(np.median(positive))])
+        return np.array([sorted_median(positive)])
     # levels buckets over the positive values need levels - 1 internal cuts.
     quantiles = np.linspace(0.0, 1.0, levels + 1)[1:-1]
-    return np.quantile(positive, quantiles)
+    return sorted_quantiles(positive, quantiles)
 
 
 def build_heatmap(matrix: CorrelationMatrix, config: HeatmapConfig | None = None) -> Heatmap:

@@ -111,34 +111,35 @@ def topology_oracle(graph: KnowledgeGraph) -> dict[str, object]:
 
 
 def feature_tables_oracle(snapshot: FeatureIndexSnapshot) -> dict[str, object]:
-    """Every array and key table of the snapshot's feature tables, by set walks."""
+    """Every array and key table of the snapshot's feature tables, by set walks.
+
+    The types are the dictionaries of the snapshot's epoch: the graph's
+    first ``snapshot.triples`` triples replayed into a graph of their own.
+    """
     entity_features, feature_entities = snapshot.maps()
     entity_ids = sorted(entity_features)
     ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
-    dominant = [snapshot.dominant_type(entity_id) for entity_id in entity_ids]
-    type_ids = sorted({type_id for type_id in dominant if type_id})
+    epoch_graph = KnowledgeGraph("epoch")
+    epoch_graph.add_all(snapshot._graph.triples[: snapshot.triples])
+    entity_types, type_members = epoch_graph.type_tables()
+    type_ids = sorted(type_members)
     type_ord = {type_id: ordinal for ordinal, type_id in enumerate(type_ids)}
+    dominant = [epoch_graph.dominant_type(entity_id) for entity_id in entity_ids]
     dominant_ords = np.fromiter(
         (type_ord[type_id] if type_id else -1 for type_id in dominant),
         dtype=np.int64,
         count=len(entity_ids),
     )
-    type_members = snapshot.type_members
     type_populations = np.fromiter(
-        (len(type_members.get(type_id, ())) for type_id in type_ids),
+        (len(type_members[type_id]) for type_id in type_ids),
         dtype=np.int64,
         count=len(type_ids),
     )
 
     member_offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
     member_rows: list[list[int]] = []
-    entity_types = snapshot.entity_types
     for position, entity_id in enumerate(entity_ids):
-        row = sorted(
-            type_ord[type_id]
-            for type_id in entity_types.get(entity_id, ())
-            if type_id in type_ord
-        )
+        row = sorted(type_ord[type_id] for type_id in entity_types.get(entity_id, ()))
         member_rows.append(row)
         member_offsets[position + 1] = member_offsets[position] + len(row)
     member_type_ords = np.fromiter(
@@ -162,6 +163,7 @@ def feature_tables_oracle(snapshot: FeatureIndexSnapshot) -> dict[str, object]:
     return {
         "epoch": snapshot.epoch,
         "entity_ids": entity_ids,
+        "type_ids": type_ids,
         "feature_keys": [feature.key for feature in features],
         "holder_offsets": holder_offsets,
         "holder_ordinals": holder_ordinals,
@@ -188,6 +190,7 @@ def assert_topology_matches(topology: GraphTopology, expected: dict[str, object]
 def assert_tables_match(tables, expected: dict[str, object]) -> None:
     assert tables.epoch == expected["epoch"]
     assert tables.entity_ids == expected["entity_ids"]
+    assert tables.type_ids == expected["type_ids"]
     assert tables.ordinal_of == {
         entity_id: ordinal for ordinal, entity_id in enumerate(expected["entity_ids"])
     }

@@ -111,7 +111,28 @@ class TestCommands:
 
     def test_error_returns_nonzero(self, capsys):
         assert self.run("profile", "dbr:Not_A_Thing") == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: EntityNotFoundError:" in capsys.readouterr().err
+
+    def test_an_unusable_saved_system_is_an_error(self, tmp_path, capsys):
+        assert main(["load", str(tmp_path / "nothing-here")]) == 1
+        assert "error: SnapshotUnavailable:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [OSError, ValueError])
+    def test_expected_errors_are_reported(self, monkeypatch, capsys, kind):
+        def failing(args):
+            raise kind("boom")
+
+        monkeypatch.setattr("repro.cli.run_command", failing)
+        assert self.run("stats") == 1
+        assert capsys.readouterr().err == f"error: {kind.__name__}: boom\n"
+
+    def test_an_unexpected_error_is_not_swallowed(self, monkeypatch):
+        def failing(args):
+            raise ZeroDivisionError("a fault")
+
+        monkeypatch.setattr("repro.cli.run_command", failing)
+        with pytest.raises(ZeroDivisionError):
+            self.run("stats")
 
 
 class TestPruningFlags:

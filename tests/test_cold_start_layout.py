@@ -220,7 +220,9 @@ def test_the_first_answers_read_only_the_rows_they_need(saved_2000, monkeypatch)
         index = loaded.search_engine.index
         for field in index.fields:
             assert not hasattr(index.field_index(field).columns, "_row_of")
-        assert index.stored_documents()._ordinal_of is None  # no doc -> ordinal dict
+        # The documents are numbered by the one dictionary's entity map.
+        entity_map = loaded.graph.columns.adopted_maps()["entities"]
+        assert index.stored_documents().ordinal_of() is entity_map
         assert loaded.stats().storage.posting_lists_decoded == 0
         assert loaded.stats().storage.failures == 0
         assert loaded.feature_index.snapshot()._columnar._held is None

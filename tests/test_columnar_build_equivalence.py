@@ -134,8 +134,8 @@ class TestHandPickedShapes:
 
     def test_type_ties_and_never_dominant_types(self):
         # T0 and T1 tie on population (the name breaks it); T2 covers every
-        # entity so it is nobody's dominant type and leaves the tables'
-        # type universe, but stays in the topology's.
+        # entity so it is nobody's dominant type, and it stays in the
+        # tables' type universe, as in the topology's.
         graph, index = self.build(
             [("ex:a", RDF_TYPE, "ex:T0"), ("ex:a", RDF_TYPE, "ex:T1"),
              ("ex:b", RDF_TYPE, "ex:T1"), ("ex:b", RDF_TYPE, "ex:T0"),
@@ -145,7 +145,8 @@ class TestHandPickedShapes:
         )
         assert_epoch_matches(index, graph)
         tables = columnar_tables(index.snapshot())
-        assert tables.num_types == 2 and len(GraphTopology.from_graph(graph).type_ids) == 3
+        assert tables.num_types == 3 and tables.type_ids == GraphTopology.from_graph(graph).type_ids
+        assert index.snapshot().dominant_type("ex:a") == "ex:T0" == graph.dominant_type("ex:b")
 
     def test_a_write_that_moves_dominant_types_is_derived(self, monkeypatch):
         """Typing two more entities ``ex:T0`` makes it more populated than
@@ -278,7 +279,8 @@ class TestColdStart:
         arrays[array] = arrays[array][:-1]
         broken = ColumnarFeatureTables.from_arrays(
             epoch=tables.epoch, feature_codes=tables.feature_codes,
-            predicates=tables.predicates, entity_ids=tables.entity_ids, **arrays,
+            predicates=tables.predicates, entity_ids=tables.entity_ids,
+            type_ids=tables.type_ids, **arrays,
         )
         manifest, builder = encode_feature_tables(
             SimpleNamespace(uid=index.uid, epoch=tables.epoch), broken

@@ -213,6 +213,7 @@ class TestRestoredSnapshot:
             tables = type(tables).from_arrays(
                 epoch=tables.epoch, feature_codes=tables.feature_codes.copy(),
                 predicates=list(tables.predicates), entity_ids=tables.entity_ids,
+                type_ids=tables.type_ids,
                 **{name: getattr(tables, name) for name in (
                     "holder_offsets", "holder_ordinals", "dominant_ords",
                     "type_populations", "member_offsets", "member_type_ords",

@@ -34,6 +34,7 @@ from repro.kg import (
 )
 from repro.storage import SegmentBuilder, SegmentView, SnapshotUnavailable
 from repro.storage.codec import encode_graph_topology
+from repro.storage.kgstore import restore_graph_topology
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +290,7 @@ class TestSegmentRoundTrip:
     def test_codec_round_trip_preserves_every_kernel(self, random_graph, topology):
         buf = _encode_to_buffer(topology)
         view = SegmentView(buf, name="unit", expected_uid=7, expected_epoch=topology.epoch)
-        restored = view.graph_topology()
+        restored = restore_graph_topology(random_graph, view)
         assert restored.entity_ids == topology.entity_ids
         assert restored.predicates == topology.predicates
         assert restored.type_ids == topology.type_ids
@@ -303,12 +304,12 @@ class TestSegmentRoundTrip:
                 restored.entities_under_id(type_id), topology.entities_under_id(type_id)
             )
 
-    def test_wrong_kind_is_rejected(self, topology):
+    def test_wrong_kind_is_rejected(self, random_graph, topology):
         buf = _encode_to_buffer(topology)
         view = SegmentView(buf, name="unit")
         view._manifest = dict(view._manifest, kind="feature-tables")
         with pytest.raises(SnapshotUnavailable, match="graph topology"):
-            view.graph_topology()
+            restore_graph_topology(random_graph, view)
 
     def test_flipped_byte_fails_the_array_crc(self, topology):
         """The disk tier attaches with ``verify=True`` — a flipped array

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import HeatmapConfig
 from repro.explore import RecommendationEngine
@@ -10,6 +17,7 @@ from repro.features import SemanticFeature
 from repro.kg import KnowledgeGraph
 from repro.ranking.correlation import CorrelationMatrix
 from repro.viz import build_heatmap
+from repro.viz.heatmap import sorted_median, sorted_quantiles
 
 
 def make_matrix(values: np.ndarray) -> CorrelationMatrix:
@@ -98,3 +106,74 @@ class TestHeatmapOnRealRecommendation:
         # Cells for features the entity actually holds are the darkest.
         strongest = heatmap.strongest_cells(1)[0]
         assert strongest[2] >= heatmap.num_levels - 2
+
+
+class TestQuantileThresholds:
+    """The ``quantile`` scale's cuts are numpy's, bit for bit."""
+
+    #: Values with ties (a coarse grid), single values and all-equal runs.
+    values = st.one_of(
+        st.lists(st.sampled_from([0.0, 0.125, 0.3, 0.5, 1.0 / 3.0, 0.75, 1.0]), min_size=1),
+        st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=60),
+        st.builds(lambda value, count: [value] * count,
+                  st.floats(min_value=1e-9, max_value=1.0), st.integers(1, 20)),
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values, st.integers(min_value=2, max_value=12))
+    def test_equal_to_numpy_bitwise(self, values, levels):
+        array = np.asarray(values, dtype=np.float64)
+        quantiles = np.linspace(0.0, 1.0, levels + 1)[1:-1]
+        ordered = np.sort(array)
+        assert sorted_quantiles(ordered, quantiles).tobytes() == (
+            np.quantile(array, quantiles).tobytes()
+        )
+        assert np.float64(sorted_median(ordered)).tobytes() == np.median(array).tobytes()
+
+    @pytest.mark.parametrize("levels", [2, 3, 7])
+    def test_heatmap_thresholds_are_numpys(self, levels):
+        values = np.round(np.random.default_rng(levels).random((6, 9)), 1)
+        heatmap = build_heatmap(
+            make_matrix(values), HeatmapConfig(scale="quantile", levels=levels)
+        )
+        positive = values[values > 0]
+        if levels - 1 <= 2:
+            expected = [float(np.median(positive))]
+        else:
+            expected = np.quantile(positive, np.linspace(0.0, 1.0, levels)[1:-1]).tolist()
+        assert heatmap.thresholds == tuple(expected)
+
+
+_FIRST_SELECT = """
+import sys
+from repro.datasets import small_movie_kg
+from repro.engine import PivotE, PivotEApi
+directory = sys.argv[1]
+if sys.argv[2] == "save":
+    with PivotE(small_movie_kg()) as system:
+        system.save(directory)
+    raise SystemExit(0)
+system = PivotE(small_movie_kg()) if sys.argv[2] == "build" else PivotE.load(directory)
+api = PivotEApi(system)
+hits = api.handle({"action": "search", "keywords": "forrest gump"})["hits"]
+api.handle({"action": "start_session", "session_id": "s"})
+response = api.handle({"action": "select_entity", "session_id": "s", "entity": hits[0]["entity"]})
+assert response["status"] == "ok" and response["matrix"]["heatmap"], response
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_first_select_in_a_fresh_process_leaves_numpy_ma_unimported(tmp_path):
+    """The heat map's quantiles used to import ``numpy.ma`` (via ``np.unique``)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    directory = str(tmp_path / "system")
+
+    def run(mode: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", _FIRST_SELECT, directory, mode],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    run("save")
+    assert run("build") == "False"
+    assert run("load") == "False"
