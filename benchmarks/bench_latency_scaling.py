@@ -9,18 +9,17 @@ duplicated ×2, as real traffic repeats queries — through one cache-free
 ``SearchEngine.search_many`` call against the same requests issued one
 at a time (``unbatched``).
 
-Every search scorer has two forms: the columnar kernels
+Every search scorer has two forms: the max-score kernel
 (``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
 re-scoring epilogue, and the exhaustive reference.
 
 * recommendation latency vs. graph size and seed count (the original E8);
-* keyword-search latency in a four-way A/B: the exhaustive
-  score-all-then-sort reference (``search_exhaustive``), the plain
-  accumulation kernel (``pruning="off"``), the threshold-pruned max-score
-  kernel (``pruning="maxscore"``, the default — see ``repro.topk``), and
-  the engine-level LRU result cache for repeated queries.  The A/B
-  verifies that all scoring paths return identical rankings before
-  trusting any timing, and reports every pruned path's skip counters.
+* keyword-search latency in a three-way A/B: the exhaustive
+  score-all-then-sort reference (``search_exhaustive``), the
+  threshold-pruned max-score kernel (``search`` — see ``repro.topk``),
+  and the engine-level LRU result cache for repeated queries.  The A/B
+  verifies that every path returns the exhaustive ranking before
+  trusting any timing, and reports the kernel's skip counters.
 
 Run as a script to produce the machine-readable baseline::
 
@@ -50,7 +49,7 @@ from repro.config import SearchConfig  # noqa: E402
 from repro.datasets import RandomKGConfig, build_random_kg  # noqa: E402
 from repro.eval import Stopwatch, print_experiment  # noqa: E402
 from repro.expansion import EntitySetExpander  # noqa: E402
-from repro.search import MixtureLanguageModelScorer, SearchEngine, parse_query  # noqa: E402
+from repro.search import SearchEngine, parse_query  # noqa: E402
 
 SIZES = (200, 500, 1000, 2000)
 
@@ -89,16 +88,14 @@ def measure_search_ab(
     num_queries: int = 8,
     top_k: int = 20,
 ) -> dict[str, object]:
-    """Pruned-vs-accumulator-vs-exhaustive (and cached) search latency.
+    """Max-score-vs-exhaustive (and cached) search latency.
 
     Returns a row with mean/p95 latencies per mode, the speedup factors,
-    the pruned path's skip counters and an ``identical`` flag confirming
-    every scoring path ranked identically.
+    the kernel's skip counters and an ``identical`` flag confirming
+    every path ranked like the exhaustive reference.
     """
-    engine = SearchEngine.from_graph(graph)  # pruning="maxscore" by default
+    engine = SearchEngine.from_graph(graph)
     pruned = engine.mlm_scorer
-    #: The accumulator baseline: the plain (unpruned) accumulation kernel.
-    plain = MixtureLanguageModelScorer(engine.index, SearchConfig(pruning="off"))
     #: The batch arm runs cache-free so it measures search_many's
     #: amortisation (shared snapshot + in-batch dedupe), not LRU hits.
     batch_engine = SearchEngine.from_graph(graph, SearchConfig(result_cache_size=0))
@@ -113,8 +110,6 @@ def measure_search_ab(
         slow = _results_signature(pruned.search_exhaustive(query, top_k=top_k))
         if _results_signature(pruned.search(query, top_k=top_k)) != slow:
             identical = False
-        if _results_signature(plain.search(query, top_k=top_k)) != slow:
-            identical = False
         engine.search(raw, top_k=top_k)  # warm the LRU so "cached" times hits only
     batched_hits = batch_engine.search_many(batch_input, top_k=top_k)
     serial_hits = [batch_engine.search(raw, top_k=top_k) for raw in batch_input]
@@ -126,8 +121,6 @@ def measure_search_ab(
         for raw, query in zip(queries, parsed):
             with watch.measure("exhaustive"):
                 pruned.search_exhaustive(query, top_k=top_k)
-            with watch.measure("accumulator"):
-                plain.search(query, top_k=top_k)
             with watch.measure("pruned"):
                 pruned.search(query, top_k=top_k)
             with watch.measure("cached"):
@@ -141,7 +134,6 @@ def measure_search_ab(
             for raw in batch_input:
                 batch_engine.search(raw, top_k=top_k)
     exhaustive = watch.stats("exhaustive").as_dict()
-    accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
     cached = watch.stats("cached").as_dict()
     batched = watch.stats("batched").as_dict()
@@ -159,8 +151,6 @@ def measure_search_ab(
         "identical": identical,
         "exhaustive_mean_ms": exhaustive["mean_ms"],
         "exhaustive_p95_ms": exhaustive["p95_ms"],
-        "accumulator_mean_ms": accumulator["mean_ms"],
-        "accumulator_p95_ms": accumulator["p95_ms"],
         "pruned_mean_ms": pruned_stats["mean_ms"],
         "pruned_p95_ms": pruned_stats["p95_ms"],
         "cpu_cores": os.cpu_count() or 1,
@@ -169,7 +159,6 @@ def measure_search_ab(
         # Per-query means of the ×2-duplicated batch workload.
         "batched_mean_ms": batched["mean_ms"] / len(batch_input),
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_input),
-        "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
         # > 1.0 = one search_many call beats the same requests one-by-one.
@@ -241,28 +230,26 @@ def test_latency_vs_seed_count(graphs, expanders):
     assert len(rows) == 4
 
 
-def test_search_accumulator_vs_exhaustive_ab(graphs):
+def test_search_maxscore_vs_exhaustive_ab(graphs):
     """E8c: the scoring-path A/B — identical rankings, lower latency."""
     rows = []
     for size in SIZES:
         row = measure_search_ab(graphs[size], repeats=3)
-        assert row["identical"], f"pruned/accumulator ranking diverged at {size} entities"
+        assert row["identical"], f"max-score ranking diverged at {size} entities"
         rows.append(
             {
                 "entities": row["entities"],
                 "exhaustive_ms": row["exhaustive_mean_ms"],
-                "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
-                "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
                 "batch_ratio": row["batch_ratio"],
                 "speedup_cached": row["speedup_cached"],
             }
         )
     print_experiment(
-        "E8c — keyword search: batched vs. maxscore vs. accumulator vs. exhaustive",
+        "E8c — keyword search: batched vs. maxscore vs. exhaustive",
         rows,
         notes=(
             "identical rankings; pruned is the maxscore path, batched one "
@@ -310,16 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless the largest size reaches this accumulator speedup",
-    )
-    parser.add_argument(
-        "--min-pruned-ratio",
-        type=float,
-        default=None,
         help=(
-            "fail unless accumulator_mean_ms over the maxscore arm's mean "
-            "reaches this at the largest size (1.0 = pruned at-or-faster "
-            "than the plain accumulation kernel)"
+            "fail unless the exhaustive/max-score latency ratio reaches "
+            "this at the largest size"
         ),
     )
     parser.add_argument(
@@ -346,9 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
-            f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
+            f"pruned={row['pruned_mean_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
-            f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
+            f"speedup={row['speedup_pruned']:6.2f}x  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
             f"identical={row['identical']}"
         )
@@ -356,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "bench": "search_latency_scaling",
         "description": (
-            "keyword search latency: maxscore-pruned vs accumulator vs "
-            "exhaustive vs LRU-cached, plus a batched arm"
+            "keyword search latency: maxscore-pruned vs exhaustive vs "
+            "LRU-cached, plus a batched arm"
         ),
         "config": {
             "sizes": sizes,
@@ -373,26 +353,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.output}")
 
     if any(not row["identical"] for row in rows):
-        print("FAIL: pruned/accumulator rankings diverged from exhaustive scoring", file=sys.stderr)
+        print("FAIL: max-score rankings diverged from exhaustive scoring", file=sys.stderr)
         return 1
     largest = rows[-1]
-    if args.min_speedup is not None and largest["speedup_accumulator"] < args.min_speedup:
+    if args.min_speedup is not None and largest["speedup_pruned"] < args.min_speedup:
         print(
-            f"FAIL: speedup {largest['speedup_accumulator']:.2f}x below "
+            f"FAIL: speedup {largest['speedup_pruned']:.2f}x below "
             f"required {args.min_speedup:.2f}x at {largest['entities']} entities",
             file=sys.stderr,
         )
         return 1
-    if args.min_pruned_ratio is not None:
-        mean_ms = largest["pruned_mean_ms"]
-        ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
-        if ratio < args.min_pruned_ratio:
-            print(
-                f"FAIL: pruned/accumulator ratio {ratio:.2f} below required "
-                f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
-                file=sys.stderr,
-            )
-            return 1
     if args.min_batch_ratio is not None and largest["batch_ratio"] < args.min_batch_ratio:
         print(
             f"FAIL: batch ratio {largest['batch_ratio']:.2f} below required "

@@ -1,4 +1,4 @@
-"""E9: latency of the §2.3 recommendation pipeline, accumulator vs seed path.
+"""E9: latency of the §2.3 recommendation pipeline, max-score vs seed path.
 
 PR 2 rebuilt the two-stage recommendation model around the type-grouped
 accumulator decomposition of ``p(pi | e)`` (now the ``columnar_rank``
@@ -10,12 +10,9 @@ KG grows:
 
 * ``exhaustive``  — the seed scoring path (``rank_exhaustive()`` on both
   rankers, cell-by-cell matrix assembly);
-* ``accumulator`` — the fast path with ``pruning="off"`` and the
-  recommendation cache disabled;
-* ``pruned``      — the fast path with threshold pruning
-  (``pruning="maxscore"``, the default since PR 3: whole dominant-type
-  groups are skipped once their base score plus correction bound cannot
-  reach the live θ — see ``repro.topk``), cache disabled;
+* ``pruned``      — the fast path: the max-score kernel skips whole
+  dominant-type groups once their base score plus correction bound
+  cannot reach the live θ (see ``repro.topk``), cache disabled;
 * ``cached``      — the fast path served from a warm LRU cache.
 
 Since PR 5 the A/B carries a batch arm as well: ``batched`` answers a
@@ -29,7 +26,7 @@ the ``columnar_rank`` kernel and the exact epilogue.  ``kernel_ms``
 isolates the ranking stage itself — ``build_ranker_inputs`` +
 ``columnar_rank`` on the request's candidates and scored features.
 
-The A/B verifies that both scoring paths return identical entity and
+The A/B verifies that the fast path returns the exhaustive entity and
 feature rankings (and bitwise-identical matrices) before trusting any
 timing.  Run as a script to produce the machine-readable baseline::
 
@@ -141,22 +138,18 @@ def measure_recommend_ab(
     seed_count: int = 4,
     top_entities: int = 20,
 ) -> dict[str, object]:
-    """Accumulator-vs-exhaustive (and cached) recommendation latency.
+    """Max-score-vs-exhaustive (and cached) recommendation latency.
 
     Returns a row with mean/p95 latencies per mode, the speedup factors and
-    an ``identical`` flag confirming both pipelines ranked identically.
+    an ``identical`` flag confirming the fast path ranked like the
+    exhaustive reference.
     """
     index = SemanticFeatureIndex.build(graph)
     cached_engine = RecommendationEngine(graph, feature_index=index)
-    plain_engine = RecommendationEngine(
-        graph,
-        feature_index=index,
-        config=RankingConfig(recommendation_cache_size=0, pruning="off"),
-    )
     pruned_engine = RecommendationEngine(
         graph,
         feature_index=index,
-        config=RankingConfig(recommendation_cache_size=0, pruning="maxscore"),
+        config=RankingConfig(recommendation_cache_size=0),
     )
     seeds = _seeds(graph, index, seed_count)
     #: Batch workload: three overlapping seed sets, each submitted twice
@@ -166,13 +159,11 @@ def measure_recommend_ab(
     batch_inputs = [seeds, seed_pool[1 : seed_count + 1], seed_pool[2 : seed_count + 2]]
     batch_inputs = batch_inputs + batch_inputs
 
-    fast = plain_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-    slow = plain_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
+    slow = pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
     pruned_result = pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     batched_results = pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
     identical = (
-        _identical(fast, slow)
-        and _identical(pruned_result, slow)
+        _identical(pruned_result, slow)
         and all(
             _identical(
                 payload,
@@ -187,9 +178,7 @@ def measure_recommend_ab(
     watch = Stopwatch()
     for _ in range(repeats):
         with watch.measure("exhaustive"):
-            plain_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
-        with watch.measure("accumulator"):
-            plain_engine.recommend_for_seeds(seeds, top_entities=top_entities)
+            pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
         with watch.measure("pruned"):
             pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
         with watch.measure("batched"):
@@ -200,7 +189,6 @@ def measure_recommend_ab(
         with watch.measure("cached"):
             cached_engine.recommend_for_seeds(seeds, top_entities=top_entities)
     exhaustive = watch.stats("exhaustive").as_dict()
-    accumulator = watch.stats("accumulator").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
     batched = watch.stats("batched").as_dict()
     unbatched = watch.stats("unbatched").as_dict()
@@ -218,8 +206,6 @@ def measure_recommend_ab(
         "identical": identical,
         "exhaustive_mean_ms": exhaustive["mean_ms"],
         "exhaustive_p95_ms": exhaustive["p95_ms"],
-        "accumulator_mean_ms": accumulator["mean_ms"],
-        "accumulator_p95_ms": accumulator["p95_ms"],
         "pruned_mean_ms": pruned_stats["mean_ms"],
         "pruned_p95_ms": pruned_stats["p95_ms"],
         # Per-request means of the ×2-duplicated batch workload.
@@ -227,7 +213,6 @@ def measure_recommend_ab(
         "unbatched_mean_ms": unbatched["mean_ms"] / len(batch_inputs),
         "cached_mean_ms": cached["mean_ms"],
         "cached_p95_ms": cached["p95_ms"],
-        "speedup_accumulator": _speedup(accumulator["mean_ms"]),
         "speedup_pruned": _speedup(pruned_stats["mean_ms"]),
         "speedup_cached": _speedup(cached["mean_ms"]),
         # The ranking stage alone (see _kernel_stage_ms).
@@ -238,7 +223,7 @@ def measure_recommend_ab(
             if batched["mean_ms"] > 0
             else float("inf")
         ),
-        "pruning": pruned_engine.pruning_info(),
+        "pruning": pruned_engine.stats().pruning_view("entity-ranker").as_counters(),
     }
 
 
@@ -250,30 +235,27 @@ def graphs():
     return {size: _build_graph(size) for size in SIZES}
 
 
-def test_recommend_accumulator_vs_exhaustive_ab(graphs):
+def test_recommend_maxscore_vs_exhaustive_ab(graphs):
     """E9: the recommendation A/B — identical rankings, lower latency."""
     rows = []
     for size in SIZES:
         row = measure_recommend_ab(graphs[size], repeats=3)
-        assert row["identical"], f"pruned/accumulator recommendation diverged at {size} entities"
+        assert row["identical"], f"max-score recommendation diverged at {size} entities"
         rows.append(
             {
                 "entities": row["entities"],
                 "exhaustive_ms": row["exhaustive_mean_ms"],
-                "accumulator_ms": row["accumulator_mean_ms"],
                 "pruned_ms": row["pruned_mean_ms"],
                 "kernel_ms": row["kernel_ms"],
                 "batched_ms": row["batched_mean_ms"],
                 "cached_ms": row["cached_mean_ms"],
-                "speedup": row["speedup_accumulator"],
                 "speedup_pruned": row["speedup_pruned"],
                 "batch_ratio": row["batch_ratio"],
                 "speedup_cached": row["speedup_cached"],
             }
         )
     print_experiment(
-        "E9 — recommendation: batched vs. maxscore vs. accumulator vs. "
-        "exhaustive (4 seeds, top-20)",
+        "E9 — recommendation: batched vs. maxscore vs. exhaustive (4 seeds, top-20)",
         rows,
         notes=(
             "identical rankings; pruned is the maxscore path, batched one "
@@ -315,16 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless the largest size reaches this accumulator speedup",
-    )
-    parser.add_argument(
-        "--min-pruned-ratio",
-        type=float,
-        default=None,
         help=(
-            "fail unless accumulator_mean_ms over the maxscore arm's mean "
-            "reaches this at the largest size (1.0 = pruned at-or-faster "
-            "than plain accumulator)"
+            "fail unless the exhaustive/max-score latency ratio reaches "
+            "this at the largest size"
         ),
     )
     parser.add_argument(
@@ -353,10 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
         print(
             f"entities={row['entities']:>6}  exhaustive={row['exhaustive_mean_ms']:8.3f}ms  "
-            f"accumulator={row['accumulator_mean_ms']:8.3f}ms  pruned={row['pruned_mean_ms']:8.3f}ms  "
+            f"pruned={row['pruned_mean_ms']:8.3f}ms  "
             f"kernel={row['kernel_ms']:8.3f}ms  "
             f"batched={row['batched_mean_ms']:8.3f}ms  cached={row['cached_mean_ms']:8.3f}ms  "
-            f"speedup={row['speedup_accumulator']:6.2f}x  pruned={row['speedup_pruned']:6.2f}x  "
+            f"speedup={row['speedup_pruned']:6.2f}x  "
             f"batch_ratio={row['batch_ratio']:5.2f}  cached={row['speedup_cached']:8.2f}x  "
             f"identical={row['identical']}"
         )
@@ -365,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": "recommend_latency",
         "description": (
             "recommendation latency (recommend_for_seeds): maxscore-pruned "
-            "vs type-grouped accumulator vs exhaustive vs LRU-cached"
+            "vs exhaustive vs LRU-cached, plus a batched arm"
         ),
         "config": {
             "sizes": sizes,
@@ -383,26 +358,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.output}")
 
     if any(not row["identical"] for row in rows):
-        print("FAIL: pruned/accumulator rankings diverged from exhaustive scoring", file=sys.stderr)
+        print("FAIL: max-score rankings diverged from exhaustive scoring", file=sys.stderr)
         return 1
     largest = rows[-1]
-    if args.min_speedup is not None and largest["speedup_accumulator"] < args.min_speedup:
+    if args.min_speedup is not None and largest["speedup_pruned"] < args.min_speedup:
         print(
-            f"FAIL: speedup {largest['speedup_accumulator']:.2f}x below "
+            f"FAIL: speedup {largest['speedup_pruned']:.2f}x below "
             f"required {args.min_speedup:.2f}x at {largest['entities']} entities",
             file=sys.stderr,
         )
         return 1
-    if args.min_pruned_ratio is not None:
-        mean_ms = largest["pruned_mean_ms"]
-        ratio = largest["accumulator_mean_ms"] / mean_ms if mean_ms > 0 else float("inf")
-        if ratio < args.min_pruned_ratio:
-            print(
-                f"FAIL: pruned/accumulator ratio {ratio:.2f} below required "
-                f"{args.min_pruned_ratio:.2f} at {largest['entities']} entities",
-                file=sys.stderr,
-            )
-            return 1
     if args.min_batch_ratio is not None and largest["batch_ratio"] < args.min_batch_ratio:
         print(
             f"FAIL: batch ratio {largest['batch_ratio']:.2f} below required "

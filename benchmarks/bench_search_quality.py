@@ -96,7 +96,7 @@ def test_bench_mlm_query_exhaustive(benchmark, engine):
 @pytest.mark.benchmark(group="search-quality")
 def test_bench_bm25f_query(benchmark, engine):
     scorer = engine.bm25f_scorer()
-    results = benchmark(scorer.search, parse_query("forrest gump"))
+    results = benchmark(scorer.search_exhaustive, parse_query("forrest gump"))
     assert results
 
 

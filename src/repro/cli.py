@@ -22,7 +22,7 @@ Usage::
     python -m repro.cli recommend dbr:Forrest_Gump "dbr:Apollo_13_(film)"
     python -m repro.cli matrix dbr:Forrest_Gump --top-entities 6
     python -m repro.cli explain dbr:Forrest_Gump "dbr:Apollo_13_(film)"
-    python -m repro.cli --pruning off --show-pruning search "forrest gump"
+    python -m repro.cli --show-pruning search "forrest gump"
     python -m repro.cli --dataset movies save /tmp/pivote-snap
     python -m repro.cli load /tmp/pivote-snap
     python -m repro.cli --snapshot-dir /tmp/pivote-snap search "forrest gump"
@@ -35,7 +35,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 
-from .config import PRUNING_MODES, PivotEConfig
+from .config import PivotEConfig
 from .datasets import build_academic_kg, build_geography_kg, build_movie_kg, small_movie_kg
 from .engine import PivotE
 from .exceptions import PivotEError
@@ -85,16 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-file",
         default=None,
         help="load the knowledge graph from an N-Triples file instead",
-    )
-    parser.add_argument(
-        "--pruning",
-        default=None,
-        choices=PRUNING_MODES,
-        help=(
-            "top-k execution strategy for both engines: 'off' (plain "
-            "accumulators) or 'maxscore' (threshold-pruned, the default); "
-            "rankings are identical in both modes"
-        ),
     )
     parser.add_argument(
         "--show-pruning",
@@ -220,38 +210,25 @@ def _print_recommendation(system: PivotE, recommendation, top_entities: int, top
         print(f"  {scored.score:10.4f}  {scored.feature.notation()}")
 
 
-def build_config(pruning: str | None, graph_topology: str | None = None) -> PivotEConfig:
-    """The system configuration for the CLI's execution-layer overrides.
+def build_config(graph_topology: str | None = None) -> PivotEConfig:
+    """The system configuration for the CLI's execution-layer override.
 
-    ``pruning`` configures both engines, ``graph_topology`` the
-    recommendation engine only.
+    ``graph_topology`` configures the recommendation engine.
     """
     config = PivotEConfig.default()
-    search_changes: dict[str, object] = {}
-    ranking_changes: dict[str, object] = {}
-    if pruning is not None:
-        search_changes["pruning"] = pruning
-        ranking_changes["pruning"] = pruning
-    if graph_topology is not None:
-        ranking_changes["graph_topology"] = graph_topology == "on"
-    if not search_changes and not ranking_changes:
+    if graph_topology is None:
         return config
     return replace(
-        config,
-        search=config.search.with_(**search_changes),
-        ranking=config.ranking.with_(**ranking_changes),
+        config, ranking=config.ranking.with_(graph_topology=graph_topology == "on")
     )
 
 
 def _print_pruning_info(system: PivotE) -> None:
     """Dump both engines' cumulative pruning counters (``--show-pruning``).
 
-    Routed through the unified :meth:`PivotE.stats` record; the printed
-    dicts are the same counters the legacy ``pruning_info()`` shims
-    report.
+    Read off the unified :meth:`PivotE.stats` record.
     """
     stats = system.stats()
-    print(f"pruning mode: {stats.pruning}")
     print(f"pruning[search]:    {stats.child('search').pruning_view('mlm').as_counters()}")
     recommend = stats.child("recommendation").pruning_view("entity-ranker").as_counters()
     print(f"pruning[recommend]: {recommend}")
@@ -276,7 +253,7 @@ def _print_load_summary(directory: str, system: PivotE) -> None:
 
 def run_command(args: argparse.Namespace) -> int:
     """Execute a parsed CLI command; return the process exit code."""
-    config = build_config(args.pruning, args.graph_topology)
+    config = build_config(args.graph_topology)
 
     if args.command == "load":
         directory = args.directory or args.save_dir

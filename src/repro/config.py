@@ -13,13 +13,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 
-#: Recognised top-k execution strategies of both engines (the single
-#: source the configs validate against and the CLI offers): ``"off"``
-#: runs the plain accumulation kernels, ``"maxscore"`` the
-#: threshold-pruned ones (the default).  Rankings are byte-identical in
-#: every mode.
-PRUNING_MODES: tuple[str, ...] = ("off", "maxscore")
-
 #: The five retrieval fields of Table 1 in the paper.
 DEFAULT_FIELDS: tuple[str, ...] = (
     "names",
@@ -61,16 +54,10 @@ class SearchConfig:
     #: Maximum number of query results kept in the engine's LRU result
     #: cache; ``0`` disables result caching entirely.
     result_cache_size: int = 128
-    #: Top-k execution strategy: ``"maxscore"`` enables threshold-pruned
-    #: traversal (see :mod:`repro.topk`), ``"off"`` keeps the plain
-    #: accumulation kernels.  Rankings are byte-identical in both modes.
-    pruning: str = "maxscore"
 
     def __post_init__(self) -> None:
         if self.smoothing not in ("dirichlet", "jelinek-mercer"):
             raise ValueError(f"unknown smoothing method: {self.smoothing!r}")
-        if self.pruning not in PRUNING_MODES:
-            raise ValueError(f"unknown pruning mode: {self.pruning!r}")
         if not math.isfinite(self.dirichlet_mu) or self.dirichlet_mu <= 0:
             raise ValueError("dirichlet_mu must be positive and finite")
         if not 0.0 <= self.jm_lambda <= 1.0:
@@ -118,12 +105,6 @@ class RankingConfig:
     #: Maximum number of query states kept in the recommendation engine's
     #: epoch-keyed LRU result cache; ``0`` disables recommendation caching.
     recommendation_cache_size: int = 64
-    #: Top-k execution strategy of the entity accumulator: ``"maxscore"``
-    #: skips whole dominant-type groups whose base score plus correction
-    #: bound cannot reach the live θ (see :mod:`repro.topk`); ``"off"``
-    #: keeps the plain accumulator path.  Rankings are byte-identical in
-    #: both modes.
-    pruning: str = "maxscore"
     #: Columnar graph-topology traversal (see :mod:`repro.kg.topology`):
     #: the expander's domain-type restriction runs as a ``searchsorted``
     #: intersect against the interval-encoded per-epoch member ranges
@@ -136,8 +117,6 @@ class RankingConfig:
     def __post_init__(self) -> None:
         if self.top_entities <= 0 or self.top_features <= 0:
             raise ValueError("top_entities and top_features must be positive")
-        if self.pruning not in PRUNING_MODES:
-            raise ValueError(f"unknown pruning mode: {self.pruning!r}")
         if self.max_candidates <= 0 or self.max_features <= 0:
             raise ValueError("max_candidates and max_features must be positive")
         if not 0 < self.epsilon < 1:

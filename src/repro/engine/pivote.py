@@ -260,7 +260,6 @@ class PivotE:
         return EngineStats(
             component="pivote",
             epoch=self._graph.epoch,
-            pruning=self._config.search.pruning,
             rebuilds=self._feature_index.rebuild_info(),
             children=(self._search.stats(), self._recommender.stats()),
             storage=self._storage_stats(),
@@ -297,25 +296,6 @@ class PivotE:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def search_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters of the search engine's LRU result cache.
-
-        Deprecated shim over :meth:`stats` (the search child's
-        ``"results"`` cache).
-        """
-        return self.stats().child("search").cache("results").as_info()
-
-    def recommendation_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters of the recommendation engine's LRU cache.
-
-        Session operations that revisit a query state — ``select`` followed
-        by ``deselect``, re-running ``investigate``, rebuilding the matrix —
-        are served from this epoch-keyed cache; any graph mutation clears it.
-        Deprecated shim over :meth:`stats` (the recommendation child's
-        ``"recommendations"`` cache).
-        """
-        return self.stats().child("recommendation").cache("recommendations").as_info()
 
     def recommend(self, seeds: Sequence[str], **kwargs: object) -> Recommendation:
         """Entity/feature recommendation for explicit seeds (LRU-cached)."""

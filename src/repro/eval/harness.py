@@ -111,7 +111,9 @@ class SearchEvaluator:
 
         def bm25f(query: str, top_k: int) -> list[str]:
             scorer = engine.bm25f_scorer()
-            return [doc.doc_id for doc in scorer.search(parse_query(query), top_k=top_k)]
+            return [
+                doc.doc_id for doc in scorer.search_exhaustive(parse_query(query), top_k=top_k)
+            ]
 
         return {"mlm-5field": mlm, "lm-names-only": names_lm, "bm25f": bm25f}
 

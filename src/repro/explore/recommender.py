@@ -237,7 +237,7 @@ class RecommendationEngine:
         """Sync with the graph epoch, clearing the cache on change.
 
         Reads ``graph.epoch`` (a counter) rather than ``index.epoch`` so
-        that pure observability calls like :meth:`cache_info` stay O(1):
+        that pure observability calls like :meth:`stats` stay O(1):
         the index property would trigger its full lazy rebuild, which can
         wait until the next actual recommendation.  The two epochs are
         identical whenever the index is fresh.
@@ -249,12 +249,12 @@ class RecommendationEngine:
     def stats(self) -> EngineStats:
         """The engine's typed introspection record.
 
-        One :class:`~repro.stats.EngineStats` carrying the ranking
-        configuration echo, the current graph epoch, the epoch-keyed
-        recommendation cache's counters (``"recommendations"``), the
-        entity ranker's pruning counters (``"entity-ranker"``) and, per
-        request stage, how many calls ran on the array tables and how
-        many ran the exhaustive reference, by reason (``stages``).  A
+        One :class:`~repro.stats.EngineStats` carrying the current graph
+        epoch, the epoch-keyed recommendation cache's counters
+        (``"recommendations"``), the entity ranker's pruning counters
+        (``"entity-ranker"``) and, per request stage, how many calls ran
+        on the array tables and how many ran the exhaustive reference, by
+        reason (``stages``).  A
         request runs on the calling thread, so ``executor`` reports
         ``inline`` with no tasks.  Reads the graph epoch first, so entries
         invalidated by a mutation are already dropped from the reported
@@ -265,7 +265,6 @@ class RecommendationEngine:
         return EngineStats(
             component="recommendation",
             epoch=epoch,
-            pruning=self._config.pruning,
             caches=(
                 CacheStats.from_info(
                     "recommendations", self._cache.cache_info(), epoch=epoch
@@ -295,22 +294,6 @@ class RecommendationEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and occupancy of the LRU recommendation cache.
-
-        Deprecated shim over :meth:`stats` (the ``"recommendations"``
-        cache, whose ``epoch`` key reports the cache's keying epoch).
-        """
-        return self.stats().cache("recommendations").as_info()
-
-    def pruning_info(self) -> dict[str, int]:
-        """Cumulative pruning counters of the underlying entity ranker.
-
-        Deprecated shim over :meth:`stats` (the ``"entity-ranker"``
-        counters).
-        """
-        return self.stats().pruning_view("entity-ranker").as_counters()
 
     def clear_cache(self) -> None:
         """Drop all cached recommendations (counters are kept)."""

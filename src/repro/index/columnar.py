@@ -16,18 +16,17 @@ in :mod:`repro.topk.kernels` score with vectorized operations:
 The view's contents never change after construction (its columns are
 filled in lazily) and it is memoised per index epoch on
 :class:`~repro.index.statistics.CollectionStatistics` (via
-:func:`columnar_view`), next to the scorers' memoised bounds: every index
-mutation makes a new statistics object, so a stale view can never be
-observed.  A write does not rebuild the view, though: the successor
-index's view is *derived* from this one (:meth:`ColumnarIndex.successor`
-— one ordinal-table insert, one ``np.insert`` per length column, and the
-memoised postings handed over to be remapped on demand), and a view is
-built from the whole index only when there is none to derive from.  The
-doc-id → ordinal map is an :class:`~repro.utils.ordinals.OrdinalMap`, so
-no epoch builds a dictionary over all documents.  The BM25 scorers
-memoise their own derived arrays on the view through
-:meth:`ColumnarIndex.memoised`; the language-model scorers build their
-per-term columns per query, over the query's candidates only (see
+:func:`columnar_view`): every index mutation makes a new statistics
+object, so a stale view can never be observed.  A write does not rebuild
+the view, though: the successor index's view is *derived* from this one
+(:meth:`ColumnarIndex.successor` — one ordinal-table insert, one
+``np.insert`` per length column, and the memoised postings handed over
+to be remapped on demand), and a view is built from the whole index only
+when there is none to derive from.  The doc-id → ordinal map is an
+:class:`~repro.utils.ordinals.OrdinalMap`, so no epoch builds a
+dictionary over all documents.  Nothing scorer-specific is kept on the
+view: the language-model scorers build their per-term columns per query,
+over the query's candidates only (see
 :func:`repro.search.mlm.candidate_term_columns`).
 """
 
@@ -95,7 +94,6 @@ class ColumnarIndex:
         #: ``(ordinal, replaced, field → term counts)`` of the write that
         #: made this view from its predecessor's.
         self._write: tuple[int, bool, Mapping[str, Mapping[str, int]]] | None = None
-        self._derived: dict[tuple[object, ...], object] = {}
 
     def successor(
         self,
@@ -242,27 +240,12 @@ class ColumnarIndex:
             frequencies = np.insert(frequencies, at, float(count))
         return ColumnarPostings(ordinals, frequencies) if ordinals.size else None
 
-    def memoised(self, key: tuple[object, ...], compute):
-        """Memoise a scorer-derived array on the view (per-epoch lifetime).
-
-        Scorers key their derived columns by their own
-        hyper-parameters, mirroring the
-        :meth:`~repro.index.statistics.CollectionStatistics.memoised_bound`
-        convention.
-        """
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = compute()
-            self._derived[key] = cached
-        return cached
-
 
 def columnar_view(index: "FieldedIndex") -> ColumnarIndex:
     """The columnar view of an index, memoised per epoch.
 
-    Stored on the epoch's :class:`CollectionStatistics` object (which
-    also memoises the scorer bounds), so the view shares the statistics'
-    lifetime.  A successor index made by
+    Stored on the epoch's :class:`CollectionStatistics` object, so the
+    view shares the statistics' lifetime.  A successor index made by
     :meth:`~repro.index.fielded_index.FieldedIndex.with_added_document`
     arrives with its view already derived; this builds one only when
     there was nothing to derive it from.

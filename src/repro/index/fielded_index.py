@@ -234,9 +234,6 @@ class FieldedIndex:
         """
         return self.statistics().collection_probability(field, term)
 
-    def document_frequency(self, field: str, term: str) -> int:
-        return self._indexes[field].document_frequency(term)
-
     def documents(self) -> set[str]:
         """All indexed document identifiers."""
         return set(self._documents)
@@ -283,11 +280,11 @@ class FieldedIndex:
         return stats
 
     def scoring_support(self) -> ScoringSupport:
-        """The accumulator-traversal support object, cached per index epoch."""
+        """The scorers' per-term statistics handle, cached per index epoch."""
         cached = self._support_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        support = ScoringSupport(self, self.statistics())
+        support = ScoringSupport(self.statistics())
         self._support_cache = (self._epoch, support)
         return support
 

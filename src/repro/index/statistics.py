@@ -1,23 +1,21 @@
 """Collection statistics needed by the retrieval models.
 
 Language-model smoothing needs collection term frequencies and field
-lengths; BM25F needs document frequencies and average field lengths.  The
+lengths; the max-score search kernel bounds each term's contribution by
+its largest tf and the shortest and longest field lengths.  The
 statistics object is computed once per index and shared by all scorers.
 
-Per-(field, term) derived components — collection probabilities, IDF
-weights and the contribution upper/lower bounds of the threshold-pruned
-scorers (see :mod:`repro.topk`) — are memoised on the statistics object,
-so the accumulator-based scorers pay the derivation once per query term
-instead of once per scored document.  The caches live and die with the
-statistics object, which the index rebuilds whenever a document is added
-(see :meth:`repro.index.fielded_index.FieldedIndex.statistics`), so they
-can never serve stale values.
+Collection probabilities are memoised on the statistics object, so the
+scorers pay the derivation once per query term instead of once per
+scored document.  The memo lives and dies with the statistics object,
+which the index rebuilds whenever a document is added (see
+:meth:`repro.index.fielded_index.FieldedIndex.statistics`), so it can
+never serve stale values.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,7 +45,6 @@ class FieldStatistics:
         "_maps",
         "_columns",
         "_probability_cache",
-        "_idf_cache",
     )
 
     def __init__(
@@ -77,8 +74,6 @@ class FieldStatistics:
         self._columns: "PostingColumns | None" = None
         #: Memoised ``term -> p(term | collection)`` (derived, never serialised).
         self._probability_cache: dict[str, float] = {}
-        #: Memoised ``term -> idf(term)`` (derived, never serialised).
-        self._idf_cache: dict[str, float] = {}
 
     @classmethod
     def from_columns(cls, name: str, columns: "PostingColumns") -> "FieldStatistics":
@@ -188,8 +183,8 @@ class FieldStatistics:
         term whose maximum the old document held, and the shortest and
         longest length when the old document was one of them.  Raw
         counts are copied and patched with integer arithmetic, so they
-        equal a fresh scan; the derived memos start empty (every
-        probability and IDF depends on the totals that just changed).
+        equal a fresh scan; the probability memo starts empty (every
+        probability depends on the totals that just changed).
         """
         length = sum(counts.values())
         if previous is None:
@@ -233,18 +228,6 @@ class FieldStatistics:
                 maximum[term] = max(maximum.get(term, 0), new)
         return successor
 
-    def idf(self, term: str) -> float:
-        """Memoised Robertson-Sparck-Jones IDF of ``term`` within this field."""
-        cached = self._idf_cache.get(term)
-        if cached is not None:
-            return cached
-        df = self.document_frequency(term)
-        numerator = self.document_count - df + 0.5
-        denominator = df + 0.5
-        weight = max(0.0, math.log(1.0 + numerator / denominator))
-        self._idf_cache[term] = weight
-        return weight
-
 
 @dataclass
 class CollectionStatistics:
@@ -252,11 +235,6 @@ class CollectionStatistics:
 
     num_documents: int = 0
     fields: dict[str, FieldStatistics] = field(default_factory=dict)
-    #: Memoised per-(scorer, field, term) contribution bounds (see
-    #: :meth:`memoised_bound`); derived, never serialised.
-    _bound_cache: dict[tuple[object, ...], float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: The epoch's columnar view (see
     #: :func:`repro.index.columnar.columnar_view`); derived, never serialised.
     columnar_view: object = field(default=None, repr=False, compare=False)
@@ -279,8 +257,8 @@ class CollectionStatistics:
         counts it replaces, with ``indexes`` the successor's fields (see
         :meth:`FieldStatistics.with_added_document`).  Equal to a fresh
         scan of the successor index, at the cost of copying the count
-        dictionaries; memoised bounds and the columnar view start empty,
-        as on any new epoch.
+        dictionaries; the memos and the columnar view start empty, as on
+        any new epoch.
         """
         return CollectionStatistics(
             num_documents=self.num_documents + (previous is None),
@@ -297,26 +275,6 @@ class CollectionStatistics:
     def collection_probability(self, field_name: str, term: str) -> float:
         """Memoised ``p(term | collection)`` for one field."""
         return self.field(field_name).collection_probability(term)
-
-    def idf(self, field_name: str, term: str) -> float:
-        """Memoised per-field Robertson-Sparck-Jones IDF."""
-        return self.field(field_name).idf(term)
-
-    def memoised_bound(self, key: tuple[object, ...], compute: Callable[[], float]) -> float:
-        """A per-(scorer, field, term) contribution bound, cached for this epoch.
-
-        The statistics object is rebuilt on every index mutation, so bounds
-        memoised here can never go stale.  ``key`` must include every input
-        of the bound formula that is not part of the collection statistics
-        (scorer kind and hyper-parameters), so different scorer instances
-        sharing the index share the cache without collisions.
-        """
-        cached = self._bound_cache.get(key)
-        if cached is not None:
-            return cached
-        value = compute()
-        self._bound_cache[key] = value
-        return value
 
     def vocabulary_size(self) -> int:
         """Number of distinct terms across all fields."""

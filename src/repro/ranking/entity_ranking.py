@@ -24,7 +24,7 @@ from ..exceptions import NoSeedEntitiesError
 from ..features import SemanticFeatureIndex
 from ..features.columnar import ColumnarFeatureTables, build_ranker_inputs
 from ..kg import KnowledgeGraph
-from ..topk import PruningStats, accumulate_rank, columnar_rank, select_survivor_ordinals
+from ..topk import PruningStats, columnar_rank
 from .probability import FeatureProbabilityModel
 from .ranking_support import FrozenMapping
 from .sf_ranking import ScoredFeature, SemanticFeatureRanker
@@ -205,11 +205,8 @@ class EntityRanker:
             tables, feature_ordinals, relevance, candidates,
             config.epsilon, type_smoothing=config.type_smoothing,
         )
-        if config.pruning == "maxscore":
-            selected, _ = columnar_rank(inputs, top_k, self._pruning_stats)
-            self._pruning_stats.rescored += int(selected.size)
-        else:
-            selected = select_survivor_ordinals(inputs.ordinals, accumulate_rank(inputs), top_k)
+        selected, _ = columnar_rank(inputs, top_k, self._pruning_stats)
+        self._pruning_stats.rescored += int(selected.size)
 
         contributions = tables.probabilities(
             selected, feature_ordinals, config.epsilon, config.type_smoothing

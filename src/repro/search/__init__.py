@@ -1,6 +1,6 @@
 """The entity search engine: five-field documents, language models, MLM."""
 
-from .bm25 import BM25FScorer, BM25FieldScorer, BM25Params, idf
+from .bm25 import BM25FScorer, BM25Params, idf
 from .engine import SearchEngine, SearchHit
 from .fields import (
     FIELD_ANALYZERS,
@@ -27,7 +27,6 @@ from .query import KeywordQuery, parse_query
 
 __all__ = [
     "BM25FScorer",
-    "BM25FieldScorer",
     "BM25Params",
     "FIELD_ANALYZERS",
     "FIELD_ATTRIBUTES",

@@ -33,7 +33,7 @@ from ..index.inverted_index import DocumentColumns, PostingColumns
 from ..kg import KnowledgeGraph, traversal_stats
 from ..stats import CacheStats, EngineStats, PruningStatsView
 from ..utils import LRUCache, dedupe_batch
-from .bm25 import BM25FScorer, BM25FieldScorer
+from .bm25 import BM25FScorer
 from .fields import (
     FieldedEntityDocument,
     analyze_document,
@@ -296,18 +296,16 @@ class SearchEngine:
     def stats(self) -> EngineStats:
         """The engine's typed introspection record.
 
-        One :class:`~repro.stats.EngineStats` carrying the pruning mode,
-        the current index epoch, the result cache's counters
-        (``"results"``) and the primary scorer's pruning counters
-        (``"mlm"``).  A query runs on the calling thread, so ``executor``
-        reports ``inline`` with no tasks.  Builds the index on demand,
-        like any query would.
+        One :class:`~repro.stats.EngineStats` carrying the current index
+        epoch, the result cache's counters (``"results"``) and the
+        primary scorer's pruning counters (``"mlm"``).  A query runs on
+        the calling thread, so ``executor`` reports ``inline`` with no
+        tasks.  Builds the index on demand, like any query would.
         """
         scorer = self._require_scorer()
         return EngineStats(
             component="search",
             epoch=self._index.epoch,
-            pruning=self._config.pruning,
             caches=(CacheStats.from_info("results", self._result_cache.cache_info()),),
             pruning_counters=(
                 PruningStatsView.from_counters("mlm", scorer.pruning_info()),
@@ -327,20 +325,6 @@ class SearchEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and occupancy of the LRU result cache.
-
-        Deprecated shim over :meth:`stats` (the ``"results"`` cache).
-        """
-        return self.stats().cache("results").as_info()
-
-    def pruning_info(self) -> dict[str, int]:
-        """Cumulative pruning counters of the primary (MLM) scorer.
-
-        Deprecated shim over :meth:`stats` (the ``"mlm"`` counters).
-        """
-        return self.stats().pruning_view("mlm").as_counters()
 
     def explain(self, query: str | KeywordQuery, entity_id: str) -> ScoredDocument:
         """Score a single entity and return the per-term breakdown.
@@ -366,19 +350,7 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     def bm25f_scorer(self) -> BM25FScorer:
         """A BM25F scorer over the same index and field weights."""
-        return BM25FScorer(
-            self._index,
-            self._config.field_weights,
-            pruning=self._config.pruning,
-        )
-
-    def bm25_names_scorer(self) -> BM25FieldScorer:
-        """A plain BM25 scorer restricted to the names field."""
-        return BM25FieldScorer(
-            self._index,
-            "names",
-            pruning=self._config.pruning,
-        )
+        return BM25FScorer(self._index, self._config.field_weights)
 
     def single_field_scorer(self, field: str = "names") -> SingleFieldScorer:
         """A query-likelihood scorer over a single field."""

@@ -13,8 +13,8 @@ weights ``w_f`` sum to one.
 A search has exactly two forms.  ``search`` stays in ordinal space: its
 candidates are the union of the query terms' posting ordinals, each
 scored term gets a contribution column over those candidates, built per
-query, and the columnar kernels (:mod:`repro.topk.kernels`, plain or
-max-score pruned) select a superset of the top-k; that superset is
+query, and the max-score kernel (:func:`repro.topk.columnar_dense`)
+selects a superset of the top-k; that superset is
 re-scored, per-term breakdown included, with the exhaustive arithmetic
 in the exhaustive order.
 ``search_exhaustive`` scores every candidate through ``score_document``
@@ -37,7 +37,6 @@ from ..index.scoring_support import ScoringSupport
 from ..topk import (
     DenseKernelTerm,
     PruningStats,
-    accumulate_dense,
     columnar_dense,
     select_survivor_ordinals,
 )
@@ -402,17 +401,13 @@ class _LanguageModelScorer:
         term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
         top_k: int,
     ) -> np.ndarray:
-        """The ordinals worth re-scoring exactly, picked by the dense kernels.
+        """The ordinals worth re-scoring exactly, picked by the dense kernel.
 
-        ``pruning="off"`` gather-adds every term column and selects the
-        top ``k + margin``.  ``"maxscore"`` runs the threshold-pruned
-        traversal — terms in max-score order, candidates whose
-        contribution upper bound cannot beat the live θ evicted early.
+        The threshold-pruned traversal: terms in max-score order,
+        candidates whose contribution upper bound cannot beat the live θ
+        evicted early, then the top ``k + margin`` survivors selected.
         """
         entries = _dense_kernel_entries(view, candidates, support, self._smoothing, term_specs)
-        if self._config.pruning != "maxscore":
-            partials = accumulate_dense(candidates, entries)
-            return select_survivor_ordinals(candidates, partials, top_k)
         ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
         picked = select_survivor_ordinals(ordinals, partials, top_k)
         self._pruning_stats.rescored += len(picked)

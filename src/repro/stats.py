@@ -1,26 +1,24 @@
 """Unified typed introspection surface for the engines.
 
-Historically every component grew its own ``*_info()`` dict accessor —
+The counters' sources keep their plain-dict accessors —
 ``cache_info()`` on the caches, ``pruning_info()`` on the scorers and
-rankers, ``rebuild_info()`` on the feature index — each returning a plain
-dict with its own key conventions.  This module unifies them behind one
-typed, frozen object graph:
+rankers, ``rebuild_info()`` on the feature index — and this module is
+the one surface the engines expose them through, a typed, frozen object
+graph:
 
 * :class:`CacheStats` — one LRU cache's counters (hits, misses,
   occupancy, optionally the epoch the cache is keyed by);
 * :class:`PruningStatsView` — an immutable snapshot of one pruned
   traversal's :class:`~repro.topk.stats.PruningStats` counters;
 * :class:`EngineStats` — one component's full introspection record:
-  configuration echo (pruning mode),
   epoch, caches, pruning counters, rebuild counters and child
   components.
 
 ``stats()`` on :class:`~repro.search.engine.SearchEngine`,
 :class:`~repro.explore.recommender.RecommendationEngine` and
-:class:`~repro.engine.pivote.PivotE` returns one :class:`EngineStats`;
-the legacy dict accessors remain as thin shims over it and report the
-identical numbers.  :meth:`EngineStats.as_dict` renders the whole tree
-as JSON-able plain dicts (the shape the ``"stats"`` API action returns).
+:class:`~repro.engine.pivote.PivotE` returns one :class:`EngineStats`.
+:meth:`EngineStats.as_dict` renders the whole tree as JSON-able plain
+dicts (the shape the ``"stats"`` API action returns).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ class CacheStats:
     def from_info(
         cls, name: str, info: Mapping[str, int], epoch: int | None = None
     ) -> "CacheStats":
-        """Wrap a legacy ``cache_info()`` dict."""
+        """Wrap a ``cache_info()`` dict."""
         return cls(
             name=name,
             hits=info["hits"],
@@ -60,7 +58,7 @@ class CacheStats:
         )
 
     def as_info(self) -> dict[str, int]:
-        """The legacy ``cache_info()`` dict (epoch key only when tracked)."""
+        """The ``cache_info()`` dict (epoch key only when tracked)."""
         info = {
             "hits": self.hits,
             "misses": self.misses,
@@ -94,11 +92,11 @@ class PruningStatsView:
 
     @classmethod
     def from_counters(cls, name: str, counters: Mapping[str, int]) -> "PruningStatsView":
-        """Wrap a legacy ``pruning_info()`` dict."""
+        """Wrap a ``pruning_info()`` dict."""
         return cls(name=name, **counters)
 
     def as_counters(self) -> dict[str, int]:
-        """The legacy ``pruning_info()`` dict."""
+        """The ``pruning_info()`` dict."""
         return {
             "queries": self.queries,
             "terms_total": self.terms_total,
@@ -257,10 +255,9 @@ class EngineStats:
 
     ``component`` names the component (``"search"``,
     ``"recommendation"``, ``"pivote"``); ``epoch`` is the component's
-    current index/graph epoch; ``pruning`` echoes the top-k strategy
-    the component runs with.  ``caches``
-    and ``pruning_counters`` carry the component's own counters, and a
-    facade lists its components as ``children``.  The recommendation
+    current index/graph epoch.  ``caches`` and ``pruning_counters`` carry
+    the component's own counters, and a facade lists its components as
+    ``children``.  The recommendation
     engine also reports ``stages``: per request stage, the calls served
     from the array tables and the named fallbacks to the exhaustive
     reference.
@@ -268,7 +265,6 @@ class EngineStats:
 
     component: str
     epoch: int
-    pruning: str
     caches: tuple[CacheStats, ...] = ()
     pruning_counters: tuple[PruningStatsView, ...] = ()
     rebuilds: Mapping[str, int] | None = None
@@ -308,7 +304,6 @@ class EngineStats:
         payload: dict[str, object] = {
             "component": self.component,
             "epoch": self.epoch,
-            "pruning": self.pruning,
             "caches": {entry.name: entry.as_info() for entry in self.caches},
             "pruning_counters": {
                 entry.name: entry.as_counters() for entry in self.pruning_counters

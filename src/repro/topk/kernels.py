@@ -1,13 +1,15 @@
 """Vectorized max-score traversal kernels over columnar postings.
 
-Every threshold-pruned traversal of the system runs here.  Candidates
+Every ranked request of the system runs one of the two kernels here —
+:func:`columnar_dense` for keyword search, :func:`columnar_rank` for
+entity recommendation — and there is no unpruned variant: the only other
+form of a ranking is its scorer's exhaustive reference.  Candidates
 live in numpy arrays — an accumulator column plus an alive mask — and
-every per-candidate step (θ derivation, OR→AND switch, evictions,
-pruning counters) is a vectorized operation.  Term
-inputs are precomputed *contribution columns*: the dense kernel's are
-aligned with its candidate array (built per query by
-:func:`repro.search.mlm.candidate_term_columns`) and added under the
-alive mask, the sparse kernel scatter-adds each term's posting range.
+every per-candidate step (θ derivation, evictions, pruning counters) is
+a vectorized operation.  The search kernel's term inputs are
+precomputed *contribution columns* aligned with its candidate array
+(built per query by :func:`repro.search.mlm.candidate_term_columns`)
+and added under the alive mask.
 
 The equivalence contract: a kernel returns a *superset* of the true
 top-k with margin-guarded partials, and the caller re-scores the
@@ -24,11 +26,10 @@ Ordinals are assigned in sorted-doc-id order (see
 reproduce the ``doc_id`` tie-break and
 :func:`select_survivor_ordinals` can rank with one ``lexsort``.
 
-The recommendation side has one kernel, :func:`columnar_rank`: the
-type-grouped entity walk — per-type base scatter, per-feature holder
-scatter-adds and whole-group kills as mask operations — over the
-precomputed :class:`RankerKernelInputs` columns (see
-:func:`repro.features.columnar.build_ranker_inputs`).
+The recommendation kernel is the type-grouped entity walk — per-type
+base scatter, per-feature holder scatter-adds and whole-group kills as
+mask operations — over the precomputed :class:`RankerKernelInputs`
+columns (see :func:`repro.features.columnar.build_ranker_inputs`).
 """
 
 from __future__ import annotations
@@ -68,20 +69,6 @@ class DenseKernelTerm:
     def spread(self) -> float:
         """Bound width — the term-ordering key of the dense traversal."""
         return self.upper - self.floor
-
-
-@dataclass(frozen=True)
-class SparseKernelTerm:
-    """One query term of the sparse (BM25-family) kernel.
-
-    ``ordinals``/``contributions`` are the term's posting column (exact
-    contribution per matching document, ascending ordinals).
-    """
-
-    key: str
-    upper: float
-    ordinals: np.ndarray
-    contributions: np.ndarray
 
 
 # --------------------------------------------------------------------- #
@@ -187,107 +174,6 @@ def columnar_dense(
             continue
         cut = total - safety_slack(total) - rem_upper
     return candidate_ordinals[alive], accumulators[alive]
-
-
-def accumulate_dense(
-    candidate_ordinals: np.ndarray, entries: list[DenseKernelTerm]
-) -> np.ndarray:
-    """Plain (``pruning="off"``) dense accumulation: add all term columns."""
-    accumulators = np.zeros(candidate_ordinals.size, dtype=np.float64)
-    for entry in entries:
-        accumulators += entry.contributions
-    return accumulators
-
-
-# --------------------------------------------------------------------- #
-# Sparse kernel (BM25 family)
-# --------------------------------------------------------------------- #
-def columnar_sparse(
-    entries: list[SparseKernelTerm],
-    top_k: int,
-    stats: PruningStats,
-    num_documents: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold-pruned sparse traversal (BM25-family scorers).
-
-    Accumulators exist only for documents matching at least one
-    processed term (the floor is zero): a length-``num_documents`` value
-    column plus an alive mask.  Terms are processed in decreasing upper
-    bound order; postings expansion is a scatter-add over the term's
-    ordinal range (a document evicted earlier re-enters from zero).  Once
-    the upper-bound sum of the unprocessed terms falls below θ, no *new*
-    document can reach the top-k and the traversal switches to
-    refinement — adding only where alive (the OR→AND switch).  Surviving
-    values are exact totals.  Returns the surviving ``(ordinals,
-    partials)`` columns.
-    """
-    stats.queries += 1
-    stats.kernel_queries += 1
-    stats.terms_total += len(entries)
-    if not entries:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64)
-
-    accumulators = np.zeros(num_documents, dtype=np.float64)
-    alive = np.zeros(num_documents, dtype=bool)
-    alive_count = 0
-
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i].upper, i))
-    remaining_upper = [0.0] * (len(order) + 1)
-    for position in range(len(order) - 1, -1, -1):
-        remaining_upper[position] = remaining_upper[position + 1] + entries[order[position]].upper
-
-    threshold = NO_THRESHOLD
-    for position, index in enumerate(order):
-        entry = entries[index]
-        cut = (
-            threshold - safety_slack(threshold)
-            if threshold != NO_THRESHOLD
-            else NO_THRESHOLD
-        )
-        if cut != NO_THRESHOLD and remaining_upper[position] < cut:
-            ordinals = entry.ordinals
-            matched = alive[ordinals]
-            accumulators[ordinals[matched]] += entry.contributions[matched]
-            stats.terms_skipped += 1
-        else:
-            ordinals = entry.ordinals
-            present = alive[ordinals]
-            # Scatter-add with re-entry reset: a document evicted by an
-            # earlier θ re-enters with only this term's contribution.
-            accumulators[ordinals] = (
-                np.where(present, accumulators[ordinals], 0.0) + entry.contributions
-            )
-            entered = int(ordinals.size - np.count_nonzero(present))
-            alive[ordinals] = True
-            alive_count += entered
-            stats.candidates_total += entered
-        if alive_count <= top_k:
-            continue
-        threshold = _kth_largest(accumulators[alive], top_k)
-        if threshold != NO_THRESHOLD and position + 1 < len(order):
-            cut = threshold - safety_slack(threshold) - remaining_upper[position + 1]
-            doomed = alive & (accumulators < cut)
-            evicted = int(np.count_nonzero(doomed))
-            if evicted:
-                alive &= ~doomed
-                alive_count -= evicted
-                stats.candidates_pruned += evicted
-    survivors = np.flatnonzero(alive)
-    return survivors, accumulators[survivors]
-
-
-def accumulate_sparse(
-    entries: list[SparseKernelTerm], num_documents: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain (``pruning="off"``) sparse accumulation: scatter-add all terms."""
-    accumulators = np.zeros(num_documents, dtype=np.float64)
-    alive = np.zeros(num_documents, dtype=bool)
-    for entry in entries:
-        accumulators[entry.ordinals] += entry.contributions
-        alive[entry.ordinals] = True
-    survivors = np.flatnonzero(alive)
-    return survivors, accumulators[survivors]
 
 
 # --------------------------------------------------------------------- #
@@ -416,18 +302,3 @@ def columnar_rank(
         gathered = np.searchsorted(survivor_ordinals, picked)
         return picked, survivor_values[gathered]
     return survivor_ordinals, survivor_values
-
-
-def accumulate_rank(inputs: RankerKernelInputs) -> np.ndarray:
-    """Plain (``pruning="off"``) entity accumulation.
-
-    Per-type base scatter plus every holder correction, no kills —
-    returns the full accumulator column aligned with ``inputs.ordinals``.
-    """
-    accumulators = inputs.base_scores[inputs.type_index]
-    for column, positions in enumerate(inputs.holder_positions):
-        if positions.size:
-            accumulators[positions] += inputs.corrections[
-                inputs.type_index[positions], column
-            ]
-    return accumulators

@@ -14,11 +14,10 @@ from __future__ import annotations
 class PruningStats:
     """Cumulative skip counters of one pruned scorer or ranker.
 
-    ``queries``            traversals run with pruning enabled;
-    ``terms_total``        query terms seen by the pruned traversals;
-    ``terms_skipped``      term passes skipped outright (dense kernel) or
-                           served by accumulator-only refinement instead of
-                           a full postings walk (sparse kernel);
+    ``queries``            traversals run;
+    ``terms_total``        query terms seen by the traversals;
+    ``terms_skipped``      term passes skipped outright once few enough
+                           candidates survive (search kernel);
     ``candidates_total``   candidates entering the traversals;
     ``candidates_pruned``  candidates evicted by a bound check before the
                            traversal finished scoring them;
@@ -28,7 +27,8 @@ class PruningStats:
     ``rescored``           survivors re-scored exactly for the final
                            ranking (the price of byte-identical output);
     ``kernel_queries``     traversals served by a vectorized kernel
-                           (every pruned traversal).
+                           (equal to ``queries``: every traversal
+                           runs one).
     """
 
     __slots__ = (

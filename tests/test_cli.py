@@ -136,22 +136,16 @@ class TestCommands:
 
 
 class TestPruningFlags:
-    """The ``--pruning`` / ``--show-pruning`` operator surface."""
+    """The ``--show-pruning`` operator surface."""
 
     def run(self, *argv: str) -> int:
         return main(["--dataset", "movies-small", *argv])
 
-    @pytest.mark.parametrize("mode", ["off", "maxscore"])
-    def test_search_identical_across_modes(self, mode, capsys):
-        assert self.run("--pruning", mode, "search", "forrest gump", "--top-k", "3") == 0
-        out = capsys.readouterr().out
-        assert "Forrest Gump" in out
-
     def test_show_pruning_dumps_counters_after_search(self, capsys):
-        code = self.run("--pruning", "maxscore", "--show-pruning", "search", "forrest gump")
+        code = self.run("--show-pruning", "search", "forrest gump")
         assert code == 0
         out = capsys.readouterr().out
-        assert "pruning mode: maxscore\n" in out
+        assert "pruning mode" not in out
         assert "blocks_" not in out
         assert "pruning[search]:" in out
         assert "pruning[recommend]:" in out
@@ -161,32 +155,16 @@ class TestPruningFlags:
         code = self.run("--show-pruning", "recommend", "dbr:Forrest_Gump")
         assert code == 0
         out = capsys.readouterr().out
-        assert "pruning mode: maxscore" in out
         assert "pruning[recommend]:" in out
 
-    def test_pruning_off_leaves_counters_silent(self, capsys):
-        code = self.run("--pruning", "off", "--show-pruning", "search", "forrest gump")
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pruning mode: off" in out
-        assert "'queries': 0" in out
-
-    def test_unknown_pruning_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--pruning", "wand", "search", "x"])
-
-    def test_build_config_threads_mode_to_both_engines(self):
-        from repro.cli import build_config
-
-        config = build_config("off")
-        assert config.search.pruning == "off"
-        assert config.ranking.pruning == "off"
-        assert build_config(None).search.pruning == "maxscore"
+    def test_help_lists_no_pruning_flag(self):
+        assert "--pruning" not in build_parser().format_help()
 
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--pruning", "blockmax"),
+            ("--pruning", "off"),
+            ("--pruning", "maxscore"),
             ("--columnar", "off"),
             ("--feature-chunk", "2"),
             ("--shards", "2"),
@@ -222,11 +200,11 @@ class TestGraphTopologyFlag:
         from repro.cli import build_config
         from repro.config import SearchConfig
 
-        config = build_config(None, graph_topology="off")
+        config = build_config(graph_topology="off")
         assert config.ranking.graph_topology is False
         assert config.search == SearchConfig()
-        assert build_config(None, graph_topology="on").ranking.graph_topology is True
-        assert build_config(None).ranking.graph_topology is True
+        assert build_config(graph_topology="on").ranking.graph_topology is True
+        assert build_config().ranking.graph_topology is True
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SystemExit):

@@ -248,12 +248,10 @@ def test_counts_read_off_the_stored_rows_equal_the_full_scan(saved_2000):
                     stored.collection_probability(term),
                     stored.document_frequency(term),
                     stored.max_frequency(term),
-                    stored.idf(term),
                 ) == (
                     scanned.collection_probability(term),
                     scanned.document_frequency(term),
                     scanned.max_frequency(term),
-                    scanned.idf(term),
                 ), (field, term)
             assert stored._maps is None  # nothing above built a whole-field map
             assert stored == scanned

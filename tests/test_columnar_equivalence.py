@@ -1,10 +1,10 @@
 """Array execution equivalence: byte-identical to the exhaustive reference.
 
-Every search scorer has exactly two forms: the columnar kernels
+Every language-model scorer has exactly two forms: the max-score kernel
 (``repro.index.columnar`` + ``repro.topk.kernels``) feeding the exact
-re-scoring epilogue, and ``search_exhaustive``.  For both pruning modes,
-both smoothings and all four search scorers the kernel rankings must be
-*exactly* the exhaustive rankings — same ids, same floats, same length.
+re-scoring epilogue, and ``search_exhaustive``.  For both smoothings and
+both scorers the kernel rankings must be *exactly* the exhaustive
+rankings — same ids, same floats, same length.
 The suites here enforce that on the synthetic movie graph and, via
 hypothesis, on random KGs; the view tests pin the ordinal-table
 invariants the kernels rely on.
@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, SearchConfig
+from repro.config import SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.index import columnar_view
-from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
+from repro.search import SearchEngine, parse_query
 
 QUERIES = (
     "forrest gump hanks",
@@ -46,83 +46,60 @@ def movie_graph():
 
 @pytest.fixture(scope="module")
 def engines(movie_graph):
-    """Lazily built engines per (pruning, smoothing), module-shared."""
-    cache: dict[tuple[str, str], SearchEngine] = {}
+    """Lazily built engines per smoothing, module-shared."""
+    cache: dict[str, SearchEngine] = {}
 
-    def get(pruning: str, smoothing: str = "dirichlet") -> SearchEngine:
-        key = (pruning, smoothing)
-        if key not in cache:
-            cache[key] = SearchEngine.from_graph(
-                movie_graph, SearchConfig(pruning=pruning, smoothing=smoothing)
+    def get(smoothing: str = "dirichlet") -> SearchEngine:
+        if smoothing not in cache:
+            cache[smoothing] = SearchEngine.from_graph(
+                movie_graph, SearchConfig(smoothing=smoothing)
             )
-        return cache[key]
+        return cache[smoothing]
 
     return get
 
 
 class TestColumnarSearchEquivalence:
-    """All four scorers, both pruning modes == exhaustive."""
+    """Both language-model scorers == exhaustive."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_engine_mlm_byte_identical(self, engines, pruning):
-        engine = engines(pruning)
-        reference = engines("off").mlm_scorer
+    def test_engine_mlm_byte_identical(self, engines):
+        engine = engines()
+        reference = engine.mlm_scorer
         for query in QUERIES:
             expected = _signature(reference.search_exhaustive(parse_query(query)))
             assert _hit_signature(engine.search(query)) == expected
             assert _hit_signature(engine.search(query, top_k=3)) == expected[:3]
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_single_field_byte_identical(self, engines, pruning):
-        scorer = engines(pruning).single_field_scorer()
+    def test_single_field_byte_identical(self, engines):
+        scorer = engines().single_field_scorer()
         for query in QUERIES:
             parsed = parse_query(query)
             assert _signature(scorer.search(parsed, top_k=15)) == _signature(
                 scorer.search_exhaustive(parsed, top_k=15)
             )
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_bm25_and_bm25f_byte_identical(self, engines, pruning):
-        base = engines("maxscore")
-        index = base.index
-        weights = base.config.field_weights
-        for scorer in (
-            BM25FieldScorer(index, "names", pruning=pruning),
-            BM25FScorer(index, weights, pruning=pruning),
-        ):
-            for query in QUERIES:
-                parsed = parse_query(query)
-                assert _signature(scorer.search(parsed, top_k=15)) == _signature(
-                    scorer.search_exhaustive(parsed, top_k=15)
-                )
+
+SCORERS = ("mlm", "single_field")
 
 
-SCORERS = ("mlm", "single_field", "bm25", "bm25f")
-
-
-def _scorer(engines, name: str, pruning: str, smoothing: str = "dirichlet"):
-    """One of the four search scorers under the given knobs."""
-    engine = engines(pruning, smoothing)
+def _scorer(engines, name: str, smoothing: str = "dirichlet"):
+    """One of the two language-model scorers under the given smoothing."""
+    engine = engines(smoothing)
     if name == "mlm":
         return engine.mlm_scorer
-    if name == "single_field":
-        return engine.single_field_scorer()
-    if name == "bm25":
-        return BM25FieldScorer(engine.index, "names", pruning=pruning)
-    return BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning)
+    return engine.single_field_scorer()
 
 
 class TestColumnarSearchAcrossK:
     """The θ edge cases end to end: a one-slot heap, a two-slot heap, and
     ``k`` beyond the candidate pool (every candidate survives, nothing is
-    pruned), for every scorer and both pruning modes."""
+    pruned), for every scorer."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("top_k", (1, 2, 1000))
-    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name, pruning):
-        scorer = _scorer(engines, scorer_name, pruning)
-        index = engines(pruning).index
+    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name):
+        scorer = _scorer(engines, scorer_name)
+        index = engines().index
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=top_k))
@@ -145,12 +122,11 @@ class TestColumnarQueryShapes:
     several times, terms no document holds, field restrictions and
     phrases — rank exactly as the reference."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
-    def test_kernels_equal_exhaustive(self, engines, shape, scorer_name, pruning):
+    def test_kernels_equal_exhaustive(self, engines, shape, scorer_name):
         parsed = parse_query(QUERY_SHAPES[shape])
-        scorer = _scorer(engines, scorer_name, pruning)
+        scorer = _scorer(engines, scorer_name)
         assert _signature(scorer.search(parsed, top_k=15)) == _signature(
             scorer.search_exhaustive(parsed, top_k=15)
         )
@@ -160,11 +136,10 @@ class TestJelinekMercerEquivalence:
     """The language-model scorers under Jelinek–Mercer smoothing: other
     term columns, other bounds, the same exact rankings."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("scorer_name", ("mlm", "single_field"))
-    def test_kernels_equal_exhaustive(self, engines, scorer_name, pruning):
-        scorer = _scorer(engines, scorer_name, pruning, "jelinek-mercer")
-        dirichlet = _scorer(engines, scorer_name, pruning)
+    @pytest.mark.parametrize("scorer_name", SCORERS)
+    def test_kernels_equal_exhaustive(self, engines, scorer_name):
+        scorer = _scorer(engines, scorer_name, "jelinek-mercer")
+        dirichlet = _scorer(engines, scorer_name)
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=15))
@@ -176,7 +151,7 @@ class TestColumnarViewInvariants:
     """The ordinal-table contracts the kernels rely on."""
 
     def test_ordinals_are_sorted_doc_id_order(self, engines):
-        index = engines("maxscore").index
+        index = engines().index
         view = columnar_view(index)
         assert view.doc_ids == sorted(index.documents())
         ordinals = view.ordinals_of(view.doc_ids)
@@ -184,16 +159,15 @@ class TestColumnarViewInvariants:
         assert view.ids_of(ordinals) == view.doc_ids
 
     def test_view_is_memoised_per_epoch(self, engines):
-        index = engines("maxscore").index
+        index = engines().index
         assert columnar_view(index) is columnar_view(index)
 
     def test_postings_match_scalar_postings(self, engines):
-        index = engines("maxscore").index
+        index = engines().index
         view = columnar_view(index)
-        support = index.scoring_support()
         term = "forrest"
         columnar = view.postings("names", term)
-        frequencies = support.postings_frequencies("names", term)
+        frequencies = index.field_index("names").get_postings(term).frequencies()
         assert columnar is not None and frequencies
         assert view.ids_of(columnar.ordinals) == sorted(frequencies)
         assert columnar.frequencies.tolist() == [
@@ -228,17 +202,16 @@ class TestColumnarViewInvariants:
 
 
 class TestColumnarEquivalenceProperty:
-    """Hypothesis: random KGs, both pruning modes."""
+    """Hypothesis: random KGs."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=90),
-        pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_search_equals_exhaustive(self, kg_seed, num_entities, pruning):
+    def test_search_equals_exhaustive(self, kg_seed, num_entities):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
+        engine = SearchEngine.from_graph(graph)
         entities = sorted(graph.entities())
         step = max(1, len(entities) // 3)
         for position in range(0, len(entities), step):
@@ -246,25 +219,3 @@ class TestColumnarEquivalenceProperty:
             assert _hit_signature(engine.search(query)) == _signature(
                 engine.mlm_scorer.search_exhaustive(parse_query(query))
             )
-
-    @settings(max_examples=6, deadline=None, derandomize=True)
-    @given(
-        kg_seed=st.integers(min_value=0, max_value=500),
-        num_entities=st.integers(min_value=30, max_value=80),
-        pruning=st.sampled_from(PRUNING_MODES),
-    )
-    def test_bm25_equals_exhaustive(self, kg_seed, num_entities, pruning):
-        graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        engine = SearchEngine.from_graph(graph)
-        index = engine.index
-        for scorer in (
-            BM25FieldScorer(index, "names", pruning=pruning),
-            BM25FScorer(index, engine.config.field_weights, pruning=pruning),
-        ):
-            entities = sorted(graph.entities())
-            step = max(1, len(entities) // 3)
-            for position in range(0, len(entities), step):
-                parsed = parse_query(graph.label(entities[position]))
-                assert _signature(scorer.search(parsed, top_k=10)) == _signature(
-                    scorer.search_exhaustive(parsed, top_k=10)
-                )

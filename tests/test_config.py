@@ -63,9 +63,9 @@ class TestSearchConfig:
 
     def test_removed_knobs_are_rejected(self):
         """One serial search path: no columnar switch, no search-side
-        topology knob, no execution tier, and ``pruning`` is ``off`` or
-        ``maxscore``."""
-        assert len(dataclasses.fields(SearchConfig)) == 8
+        topology knob, no execution tier, and no ``pruning`` knob on
+        either engine (max-score is the only top-k strategy)."""
+        assert len(dataclasses.fields(SearchConfig)) == 7
         for knob in ("columnar", "graph_topology"):
             assert knob not in {field.name for field in dataclasses.fields(SearchConfig)}
         with pytest.raises(TypeError):
@@ -73,9 +73,9 @@ class TestSearchConfig:
         with pytest.raises(TypeError):
             SearchConfig(graph_topology=False)
         for config in (SearchConfig, RankingConfig):
-            with pytest.raises(ValueError):
-                config(pruning="blockmax")
-            assert config(pruning="off").pruning == "off"
+            assert "pruning" not in {field.name for field in dataclasses.fields(config)}
+            with pytest.raises(TypeError):
+                config(pruning="maxscore")
 
 
 class TestRankingConfig:
@@ -100,11 +100,12 @@ class TestRankingConfig:
         assert RankingConfig().with_(graph_topology=False).graph_topology is False
 
     def test_execution_knobs_are_search_only(self):
-        """The recommender has one execution path: no shard, columnar,
-        chunking, executor or snapshot-storage knobs."""
-        assert len(dataclasses.fields(RankingConfig)) == 11
+        """The recommender has one execution path: no pruning, shard,
+        columnar, chunking, executor or snapshot-storage knobs."""
+        assert len(dataclasses.fields(RankingConfig)) == 10
         names = {field.name for field in dataclasses.fields(RankingConfig)}
-        for knob in ("columnar", "feature_chunk", "shards", "executor", "workers", "storage", "snapshot_dir"):
+        knobs = ("pruning", "columnar", "feature_chunk", "shards", "executor", "workers", "storage")
+        for knob in (*knobs, "snapshot_dir"):
             assert knob not in names
         with pytest.raises(TypeError):
             RankingConfig(columnar=False)

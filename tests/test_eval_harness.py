@@ -7,6 +7,8 @@ import time
 import pytest
 
 from repro.datasets import (
+    MovieKGConfig,
+    build_movie_kg,
     expansion_tasks_from_features,
     search_tasks_from_labels,
     tom_hanks_task,
@@ -70,6 +72,45 @@ class TestSearchEvaluator:
     def test_metrics_bounded(self, results):
         for result in results.values():
             assert 0.0 <= result.metric("ap") <= 1.0
+
+
+#: The E7 table (``benchmarks/bench_search_quality.py``): the default
+#: movie KG, 40 label tasks, top-20.  BM25F is ranked by its exhaustive
+#: reference, which ranks exactly as its pruned kernel did, so moving the
+#: baseline onto the reference leaves every number where it was.
+E7_METRICS = {
+    "mlm-5field": {
+        "rr": 0.8051893939393938,
+        "ap": 0.8051893939393938,
+        "p@1": 0.725,
+        "recall@10": 0.95,
+        "ndcg@10": 0.8394847218112712,
+    },
+    "lm-names-only": {
+        "rr": 0.8508333333333333,
+        "ap": 0.8508333333333333,
+        "p@1": 0.75,
+        "recall@10": 1.0,
+        "ndcg@10": 0.8878943864112697,
+    },
+    "bm25f": {
+        "rr": 0.8296527777777779,
+        "ap": 0.8296527777777779,
+        "p@1": 0.75,
+        "recall@10": 1.0,
+        "ndcg@10": 0.8706703374618006,
+    },
+}
+
+
+def test_e7_search_quality_is_pinned():
+    graph = build_movie_kg(MovieKGConfig())
+    evaluator = SearchEvaluator(SearchEngine.from_graph(graph), top_k=20)
+    results = evaluator.compare(search_tasks_from_labels(graph, num_tasks=40))
+    assert {
+        method: {metric: results[method].metric(metric) for metric in metrics}
+        for method, metrics in E7_METRICS.items()
+    } == E7_METRICS
 
 
 class TestStopwatch:

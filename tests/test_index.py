@@ -197,7 +197,7 @@ class TestCopyOnWriteSuccessor:
             scanned = index.statistics()
             assert inherited[1].num_documents == scanned.num_documents
             assert inherited[1].fields == scanned.fields  # field for field, count for count
-            assert inherited[1].columnar_view is None and not inherited[1]._bound_cache
+            assert inherited[1].columnar_view is None
 
     def test_cold_predecessor_falls_back_to_the_scan_and_a_replaced_document_is_derived(self):
         index = FieldedIndex(["names", "categories"])

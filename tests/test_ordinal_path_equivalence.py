@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import HeatmapConfig, PRUNING_MODES, RankingConfig
+from repro.config import HeatmapConfig, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.expansion import EntitySetExpander
 from repro.features import Direction, SemanticFeature, SemanticFeatureIndex, candidate_entities
@@ -77,7 +77,6 @@ def states(draw):
         type_smoothing=draw(st.booleans()),
         use_discriminability=draw(st.booleans()),
         use_commonality=draw(st.booleans()),
-        pruning=draw(st.sampled_from(PRUNING_MODES)),
         recommendation_cache_size=0,
     )
     return graph, seeds, config
@@ -213,17 +212,16 @@ def skewed_graph() -> KnowledgeGraph:
 
 
 class TestExpansionFilterMatrix:
-    """Every restriction the expander applies × pruning, on a hub-skewed
+    """Every restriction the expander applies, on a hub-skewed
     graph: the ordinal candidates, type filter and ``holds`` filter agree
     with their object forms in the reference."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize(
         "restriction", ("none", "seed-type", "domain", "pinned", "domain-and-pinned")
     )
-    def test_expansion_is_the_reference(self, skewed_graph, restriction, pruning):
+    def test_expansion_is_the_reference(self, skewed_graph, restriction):
         index = SemanticFeatureIndex.build(skewed_graph)
-        config = RankingConfig(pruning=pruning, recommendation_cache_size=0)
+        config = RankingConfig(recommendation_cache_size=0)
         expander = EntitySetExpander(skewed_graph, index, config)
         largest = max(skewed_graph.types(), key=lambda t: (skewed_graph.type_count(t), t))
         seeds = sorted(skewed_graph.entities_of_type(largest))[:3]

@@ -3,8 +3,7 @@
 The contract of the columnar recommendation ranker
 (``repro.features.columnar`` + ``repro.topk.kernels``): the entity
 accumulator runs through the per-epoch feature tables and the
-``columnar_rank`` / ``accumulate_rank`` kernels, and for both pruning
-modes the rankings must be *exactly* the
+``columnar_rank`` kernel, and the rankings must be *exactly* the
 exhaustive reference's — same ids, same floats.  The kernels only ever
 select survivor supersets; the exact re-scoring epilogue owns the
 returned floats, so any divergence here means a kernel pruned a true
@@ -13,7 +12,7 @@ top-k entity.
 The suites enforce that on a hub-skewed random KG (dense candidate
 pools, the workload §2.3 targets), at the kernel level where the pruned
 survivors must carry the unpruned accumulator values and cover its
-top-k, and — via hypothesis — on arbitrary random KGs × pruning.
+top-k, and — via hypothesis — on arbitrary random KGs.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, RankingConfig
+from repro.config import RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.explore import RecommendationEngine
 from repro.features import SemanticFeatureIndex
 from repro.features.columnar import build_ranker_inputs
-from repro.topk import PruningStats, accumulate_rank, columnar_rank
+from repro.topk import PruningStats, RankerKernelInputs, columnar_rank
 
 
 def _entity_signature(results) -> list[tuple[str, float]]:
@@ -52,6 +51,15 @@ def feature_index(random_graph):
     return SemanticFeatureIndex.build(random_graph)
 
 
+def _unpruned_accumulators(inputs: RankerKernelInputs) -> np.ndarray:
+    """Every candidate's full accumulator: base scatter plus every holder
+    correction, no kills — aligned with ``inputs.ordinals``."""
+    accumulators = inputs.base_scores[inputs.type_index]
+    for column, positions in enumerate(inputs.holder_positions):
+        accumulators[positions] += inputs.corrections[inputs.type_index[positions], column]
+    return accumulators
+
+
 def _engine(graph, index, **knobs) -> RecommendationEngine:
     return RecommendationEngine(
         graph,
@@ -61,24 +69,20 @@ def _engine(graph, index, **knobs) -> RecommendationEngine:
 
 
 class TestEntityRankerEquivalence:
-    """array == exhaustive across pruning modes."""
+    """array == exhaustive."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_rank_byte_identical(self, random_graph, feature_index, pruning):
+    def test_rank_byte_identical(self, random_graph, feature_index):
         seeds = _seeds(random_graph)
-        ranker = _engine(random_graph, feature_index, pruning=pruning).expander.entity_ranker
+        ranker = _engine(random_graph, feature_index).expander.entity_ranker
         assert _entity_signature(ranker.rank(seeds)) == _entity_signature(
             ranker.rank_exhaustive(seeds)
         )
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("top_k", (1, 5, 20, 1000))
-    def test_rank_byte_identical_at_every_k(
-        self, random_graph, feature_index, top_k, pruning
-    ):
+    def test_rank_byte_identical_at_every_k(self, random_graph, feature_index, top_k):
         """k = 1 leaves the kernel no margin; k past the pool prunes nothing."""
         seeds = _seeds(random_graph, 3)
-        ranker = _engine(random_graph, feature_index, pruning=pruning).expander.entity_ranker
+        ranker = _engine(random_graph, feature_index).expander.entity_ranker
         fast = ranker.rank(seeds, top_k=top_k)
         assert fast and _entity_signature(fast) == _entity_signature(
             ranker.rank_exhaustive(seeds, top_k=top_k)
@@ -101,7 +105,7 @@ class TestKernel:
         )
 
     def test_pruned_survivors_cover_the_top_k(self, inputs):
-        full = accumulate_rank(inputs)
+        full = _unpruned_accumulators(inputs)
         stats = PruningStats()
         survivors, values = columnar_rank(inputs, 10, stats)
         assert stats.kernel_queries == 1 and stats.candidates_pruned > 0
@@ -117,25 +121,24 @@ class TestEngineCounters:
     def test_engine_reports_kernel_queries(self, random_graph, feature_index):
         engine = _engine(random_graph, feature_index)
         engine.recommend_for_seeds(_seeds(random_graph))
-        assert engine.pruning_info()["kernel_queries"] > 0
+        assert engine.stats().pruning_view("entity-ranker").kernel_queries > 0
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis: arbitrary random KGs × pruning
+# Hypothesis: arbitrary random KGs
 # --------------------------------------------------------------------------- #
 @given(
     num_entities=st.integers(min_value=30, max_value=90),
     kg_seed=st.integers(min_value=0, max_value=10_000),
-    pruning=st.sampled_from(PRUNING_MODES),
 )
 @settings(max_examples=12, deadline=None)
-def test_rank_equals_exhaustive_on_random_kgs(num_entities, kg_seed, pruning):
+def test_rank_equals_exhaustive_on_random_kgs(num_entities, kg_seed):
     graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
     index = SemanticFeatureIndex.build(graph)
     seeds = _seeds(graph)
     if not seeds:
         return
-    ranker = _engine(graph, index, pruning=pruning).expander.entity_ranker
+    ranker = _engine(graph, index).expander.entity_ranker
     assert _entity_signature(ranker.rank(seeds)) == _entity_signature(
         ranker.rank_exhaustive(seeds)
     )

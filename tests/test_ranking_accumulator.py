@@ -52,7 +52,7 @@ def assert_pipeline_equivalent(
 ) -> None:
     """Fast and exhaustive rankings (and matrices) must match exactly.
 
-    The default config runs with ``pruning="maxscore"``, so this helper is
+    The fast path always runs the max-score kernel, so this helper is
     simultaneously the pruned-vs-exhaustive equivalence check demanded by
     the threshold-pruning layer.
     """
@@ -129,18 +129,13 @@ class TestEquivalenceOnRandomGraphs:
         num_types=st.integers(min_value=2, max_value=8),
         seed_count=st.integers(min_value=1, max_value=3),
         top_k=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
-        pruning=st.sampled_from(["maxscore", "off"]),
     )
-    def test_random_kg_property(
-        self, kg_seed, num_entities, num_types, seed_count, top_k, pruning
-    ):
+    def test_random_kg_property(self, kg_seed, num_entities, num_types, seed_count, top_k):
         graph = build_random_kg(
             RandomKGConfig(num_entities=num_entities, num_types=num_types, seed=kg_seed)
         )
         seeds = _seeds_from_largest_type(graph, seed_count)
-        assert_pipeline_equivalent(
-            graph, seeds, top_k=top_k, config=RankingConfig(pruning=pruning)
-        )
+        assert_pipeline_equivalent(graph, seeds, top_k=top_k)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -157,9 +152,7 @@ class TestEquivalenceOnRandomGraphs:
             )
         )
         seeds = _seeds_from_largest_type(graph, seed_count)
-        assert_pipeline_equivalent(
-            graph, seeds, top_k=top_k, config=RankingConfig(pruning="maxscore")
-        )
+        assert_pipeline_equivalent(graph, seeds, top_k=top_k)
 
 
 @pytest.fixture(scope="module")
@@ -171,22 +164,20 @@ def skewed_kg() -> KnowledgeGraph:
 
 
 class TestScoringKnobMatrix:
-    """Every scoring variant × pruning mode: both forms of every stage agree.
+    """Every scoring variant: both forms of every stage agree.
 
     ``type_smoothing`` changes the base rows the kernel inputs are built
     from; the two ablation switches change the SF scores that weight the
     entity accumulators and the matrix cells.
     """
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
     @pytest.mark.parametrize("use_commonality", [True, False])
     @pytest.mark.parametrize("use_discriminability", [True, False])
     @pytest.mark.parametrize("type_smoothing", [True, False])
     def test_pipeline_equivalent(
-        self, skewed_kg, type_smoothing, use_discriminability, use_commonality, pruning
+        self, skewed_kg, type_smoothing, use_discriminability, use_commonality
     ):
         config = RankingConfig(
-            pruning=pruning,
             type_smoothing=type_smoothing,
             use_discriminability=use_discriminability,
             use_commonality=use_commonality,
@@ -197,21 +188,16 @@ class TestScoringKnobMatrix:
 
 
 class TestMaxscorePruningOnRankers:
-    """Explicit pruned-vs-plain-vs-exhaustive checks plus counter sanity."""
+    """Explicit pruned-vs-exhaustive checks plus counter sanity."""
 
-    def test_pruned_equals_plain_entity_ranking(self, movie_kg: KnowledgeGraph):
+    def test_pruned_equals_exhaustive_entity_ranking(self, movie_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(movie_kg)
         seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
-        rankers = {
-            mode: EntityRanker(movie_kg, index, config=RankingConfig(pruning=mode))
-            for mode in ("maxscore", "off")
-        }
-        features = rankers["maxscore"].feature_ranker.rank(seeds)
-        plain = rankers["off"].rank(seeds, scored_features=features)
-        exhaustive = rankers["maxscore"].rank_exhaustive(seeds, scored_features=features)
-        assert _entity_signature(plain) == _entity_signature(exhaustive)
-        pruned = rankers["maxscore"].rank(seeds, scored_features=features)
-        assert _entity_signature(pruned) == _entity_signature(plain)
+        ranker = EntityRanker(movie_kg, index)
+        features = ranker.feature_ranker.rank(seeds)
+        exhaustive = ranker.rank_exhaustive(seeds, scored_features=features)
+        pruned = ranker.rank(seeds, scored_features=features)
+        assert _entity_signature(pruned) == _entity_signature(exhaustive)
 
     def test_pruning_counters_fire_at_scale(self):
         graph = build_random_kg(
@@ -231,15 +217,10 @@ class TestMaxscorePruningOnRankers:
         assert info["candidates_pruned"] > 0
         assert info["rescored"] > 0
 
-    def test_pruning_off_disables_counters(self, movie_kg: KnowledgeGraph):
-        index = SemanticFeatureIndex.build(movie_kg)
-        ranker = EntityRanker(movie_kg, index, config=RankingConfig(pruning="off"))
-        ranker.rank(["dbr:Forrest_Gump"])
-        assert ranker.pruning_info()["queries"] == 0
-
-    def test_invalid_pruning_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RankingConfig(pruning="wand")
+    def test_there_is_no_pruning_knob(self):
+        """Max-score is the only top-k strategy: no config selects another."""
+        with pytest.raises(TypeError):
+            RankingConfig(pruning="off")  # type: ignore[call-arg]
 
 
 class TestRankingSupportLayer:

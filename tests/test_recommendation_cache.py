@@ -12,6 +12,11 @@ from repro.features import Direction, SemanticFeature
 from repro.kg import GraphBuilder, KnowledgeGraph
 
 
+def _cache_info(engine: RecommendationEngine) -> dict[str, int]:
+    """The recommendation cache's counters, read off the engine's stats record."""
+    return engine.stats().cache("recommendations").as_info()
+
+
 @pytest.fixture
 def engine(tiny_kg: KnowledgeGraph) -> RecommendationEngine:
     return RecommendationEngine(tiny_kg)
@@ -20,10 +25,10 @@ def engine(tiny_kg: KnowledgeGraph) -> RecommendationEngine:
 class TestRecommendationCache:
     def test_repeat_query_hits_cache(self, engine: RecommendationEngine):
         first = engine.recommend_for_seeds(["ex:F1", "ex:F2"])
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info == {**info, "hits": 0, "misses": 1, "size": 1}
         second = engine.recommend_for_seeds(["ex:F1", "ex:F2"])
-        assert engine.cache_info()["hits"] == 1
+        assert _cache_info(engine)["hits"] == 1
         assert second.entity_ids() == first.entity_ids()
         assert second.feature_notations() == first.feature_notations()
         assert np.array_equal(second.correlations.values, first.correlations.values)
@@ -31,7 +36,7 @@ class TestRecommendationCache:
     def test_seed_order_is_canonicalised(self, engine: RecommendationEngine):
         first = engine.recommend_for_seeds(["ex:F1", "ex:F2"])
         second = engine.recommend_for_seeds(["ex:F2", "ex:F1"])
-        assert engine.cache_info()["hits"] == 1
+        assert _cache_info(engine)["hits"] == 1
         assert second.entity_ids() == first.entity_ids()
         # The payload still reports the caller's query, not the cached one.
         assert second.query.seed_entities == ("ex:F2", "ex:F1")
@@ -41,13 +46,13 @@ class TestRecommendationCache:
         genre_g1 = SemanticFeature("ex:G1", "ex:genre", Direction.OBJECT_OF)
         engine.recommend_for_seeds(["ex:F1"], pinned_features=[starring_a1, genre_g1])
         engine.recommend_for_seeds(["ex:F1"], pinned_features=[genre_g1, starring_a1])
-        assert engine.cache_info()["hits"] == 1
+        assert _cache_info(engine)["hits"] == 1
 
     def test_distinct_query_states_are_distinct_entries(self, engine: RecommendationEngine):
         engine.recommend_for_seeds(["ex:F1"])
         engine.recommend_for_seeds(["ex:F1"], domain_type="ex:Film")
         engine.recommend_for_seeds(["ex:F1"], top_entities=1)
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info["hits"] == 0
         assert info["size"] == 3
 
@@ -56,7 +61,7 @@ class TestRecommendationCache:
     ):
         engine.recommend_for_seeds(["ex:F1", "ex:F2"])
         epoch_before = engine.feature_index.epoch
-        assert engine.cache_info()["size"] == 1
+        assert _cache_info(engine)["size"] == 1
 
         # A new film starring A1 must invalidate everything derived.
         tiny_kg.add("ex:F9", "ex:starring", "ex:A1")
@@ -64,7 +69,7 @@ class TestRecommendationCache:
         assert engine.feature_index.epoch > epoch_before
 
         recommendation = engine.recommend_for_seeds(["ex:F1", "ex:F2"])
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info["hits"] == 0
         assert info["misses"] == 2
         assert info["size"] == 1  # old entry was dropped with the epoch
@@ -78,7 +83,7 @@ class TestRecommendationCache:
         )
         engine.recommend_for_seeds(["ex:F1"])
         engine.recommend_for_seeds(["ex:F1"])
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info["hits"] == 0
         assert info["misses"] == 0
         assert info["size"] == 0
@@ -90,21 +95,21 @@ class TestRecommendationCache:
         engine.recommend_for_seeds(["ex:F1"])
         engine.recommend_for_seeds(["ex:F2"])
         engine.recommend_for_seeds(["ex:F3"])  # evicts ["ex:F1"]
-        assert engine.cache_info()["size"] == 2
+        assert _cache_info(engine)["size"] == 2
         engine.recommend_for_seeds(["ex:F1"])
-        assert engine.cache_info()["hits"] == 0
+        assert _cache_info(engine)["hits"] == 0
 
     def test_clear_cache(self, engine: RecommendationEngine):
         engine.recommend_for_seeds(["ex:F1"])
         engine.clear_cache()
-        assert engine.cache_info()["size"] == 0
+        assert _cache_info(engine)["size"] == 0
 
-    def test_cache_info_reflects_mutation_without_a_recommend_call(
+    def test_cache_stats_reflect_mutation_without_a_recommend_call(
         self, engine: RecommendationEngine, tiny_kg: KnowledgeGraph
     ):
         engine.recommend_for_seeds(["ex:F1"])
         tiny_kg.add("ex:F9", "ex:starring", "ex:A1")
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info["size"] == 0  # invalidated entries are not reported
         assert info["epoch"] == engine.feature_index.epoch
 
@@ -133,7 +138,7 @@ class TestRecommendationCache:
     def test_exhaustive_bypasses_cache_and_matches(self, engine: RecommendationEngine):
         fast = engine.recommend_for_seeds(["ex:F1", "ex:F2"])
         slow = engine.recommend_for_seeds(["ex:F1", "ex:F2"], exhaustive=True)
-        info = engine.cache_info()
+        info = _cache_info(engine)
         assert info == {**info, "hits": 0, "misses": 1, "size": 1}
         assert slow.entity_ids() == fast.entity_ids()
         assert slow.feature_notations() == fast.feature_notations()

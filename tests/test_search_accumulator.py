@@ -1,10 +1,10 @@
-"""Equivalence of accumulator-based top-k retrieval with exhaustive scoring.
+"""Equivalence of max-score top-k retrieval with exhaustive scoring.
 
-The accumulator hot path (term-at-a-time traversal + bounded-heap top-k,
-see ``repro.index.scoring_support``) must produce byte-identical rankings
-to the score-all-then-sort reference path for every scorer, on every
-dataset, under both smoothing strategies and the ``(-score, doc_id)``
-tie-break.
+The max-score kernel (``repro.topk.columnar_dense`` + the exact
+re-scoring epilogue) must produce byte-identical rankings to the
+score-all-then-sort reference path for both language-model scorers, on
+every dataset, under both smoothing strategies and the
+``(-score, doc_id)`` tie-break.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, SearchConfig
+from repro.config import SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.search import SearchEngine, parse_query
 
@@ -80,28 +80,6 @@ class TestAccumulatorEquivalence:
                     scorer.search_exhaustive(query, top_k=top_k),
                 )
 
-    def test_bm25_matches_exhaustive(self, dataset_engine):
-        graph, engine = dataset_engine
-        scorer = engine.bm25_names_scorer()
-        for raw in _queries_for(graph):
-            query = parse_query(raw)
-            for top_k in TOP_KS:
-                _assert_identical(
-                    scorer.search(query, top_k=top_k),
-                    scorer.search_exhaustive(query, top_k=top_k),
-                )
-
-    def test_bm25f_matches_exhaustive(self, dataset_engine):
-        graph, engine = dataset_engine
-        scorer = engine.bm25f_scorer()
-        for raw in _queries_for(graph):
-            query = parse_query(raw)
-            for top_k in TOP_KS:
-                _assert_identical(
-                    scorer.search(query, top_k=top_k),
-                    scorer.search_exhaustive(query, top_k=top_k),
-                )
-
     def test_jelinek_mercer_smoothing_matches(self, movie_kg):
         config = SearchConfig(smoothing="jelinek-mercer", jm_lambda=0.3)
         engine = SearchEngine.from_graph(movie_kg, config=config)
@@ -125,8 +103,6 @@ class TestAccumulatorEquivalence:
         scorers = [
             engine.mlm_scorer,
             engine.single_field_scorer("names"),
-            engine.bm25_names_scorer(),
-            engine.bm25f_scorer(),
         ]
         query = parse_query("film drama actor")
         for scorer in scorers:
@@ -141,33 +117,17 @@ def _all_scorers(engine: SearchEngine):
     return [
         ("mlm", engine.mlm_scorer),
         ("single", engine.single_field_scorer("names")),
-        ("bm25", engine.bm25_names_scorer()),
-        ("bm25f", engine.bm25f_scorer()),
     ]
 
 
 class TestMaxscorePruningEquivalence:
-    """``pruning="maxscore"`` must be byte-identical to exhaustive scoring.
+    """The max-score kernel must be byte-identical to exhaustive scoring.
 
-    The default engine configuration enables pruning, so the equivalence
-    tests above already exercise it; these tests pin the contract down
-    explicitly — pruned vs plain-accumulator vs exhaustive for all four
-    scorers — and add the LM smoothing edge cases and the property-based
-    random-graph check the threshold-pruning layer demands.
+    Every search runs the kernel, so the equivalence tests above already
+    exercise it; these tests add the LM smoothing edge cases, the
+    property-based random-graph check the threshold-pruning layer
+    demands, and the counters that show θ bites.
     """
-
-    def test_pruned_equals_plain_accumulator_and_exhaustive(self, movie_kg):
-        pruned_engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="maxscore"))
-        plain_engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="off"))
-        for raw in _queries_for(movie_kg, limit=8):
-            query = parse_query(raw)
-            for (_, pruned), (_, plain) in zip(
-                _all_scorers(pruned_engine), _all_scorers(plain_engine)
-            ):
-                for top_k in (1, 5, 20, 10_000):
-                    pruned_results = pruned.search(query, top_k=top_k)
-                    _assert_identical(pruned_results, plain.search(query, top_k=top_k))
-                    _assert_identical(pruned_results, pruned.search_exhaustive(query, top_k=top_k))
 
     @pytest.mark.parametrize(
         "smoothing_changes",
@@ -179,9 +139,8 @@ class TestMaxscorePruningEquivalence:
             {"smoothing": "jelinek-mercer", "jm_lambda": 0.5},
         ],
     )
-    @pytest.mark.parametrize("mode", PRUNING_MODES)
-    def test_lm_smoothing_edge_cases(self, movie_kg, smoothing_changes, mode):
-        config = SearchConfig(pruning=mode, **smoothing_changes)
+    def test_lm_smoothing_edge_cases(self, movie_kg, smoothing_changes):
+        config = SearchConfig(**smoothing_changes)
         engine = SearchEngine.from_graph(movie_kg, config=config)
         for scorer in (engine.mlm_scorer, engine.single_field_scorer("names")):
             for raw in _queries_for(movie_kg, limit=5):
@@ -197,11 +156,10 @@ class TestMaxscorePruningEquivalence:
         num_entities=st.integers(min_value=20, max_value=120),
         top_k=st.integers(min_value=1, max_value=30),
         smoothing=st.sampled_from(["dirichlet", "jelinek-mercer"]),
-        pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_random_kg_property(self, kg_seed, num_entities, top_k, smoothing, pruning):
+    def test_random_kg_property(self, kg_seed, num_entities, top_k, smoothing):
         graph = build_random_kg(RandomKGConfig(num_entities=num_entities, seed=kg_seed))
-        config = SearchConfig(pruning=pruning, smoothing=smoothing)
+        config = SearchConfig(smoothing=smoothing)
         engine = SearchEngine.from_graph(graph, config=config)
         entities = sorted(graph.entities())
         queries = [
@@ -223,19 +181,11 @@ class TestMaxscorePruningEquivalence:
         for entity_id in entities[:6]:
             query = parse_query(graph.label(entities[0]) + " " + graph.label(entity_id))
             engine.mlm_scorer.search(query, top_k=5)
-        info = engine.pruning_info()
-        assert info["queries"] > 0
-        assert info["candidates_total"] > 0
-        assert info["candidates_pruned"] > 0  # smoothing no longer scores everyone
-        assert info["rescored"] > 0
-        bm25 = engine.bm25_names_scorer()
-        # Many rare terms fill the θ heap before the ubiquitous "entity"
-        # token, so its 500-document postings walk is refined instead.
-        long_query = parse_query(" ".join(graph.label(e) for e in entities[:8]))
-        bm25.search(long_query, top_k=5)
-        bm25_info = bm25.pruning_info()
-        assert bm25_info["queries"] == 1
-        assert bm25_info["terms_skipped"] + bm25_info["candidates_pruned"] > 0
+        info = engine.stats().pruning_view("mlm")
+        assert info.queries > 0
+        assert info.candidates_total > 0
+        assert info.candidates_pruned > 0  # smoothing no longer scores everyone
+        assert info.rescored > 0
 
     def test_two_term_queries_prune(self):
         """A rare label term tightens θ enough to evict the smoothing floor."""
@@ -248,32 +198,25 @@ class TestMaxscorePruningEquivalence:
                 engine.mlm_scorer.search(query, top_k=5),
                 engine.mlm_scorer.search_exhaustive(query, top_k=5),
             )
-        assert engine.pruning_info()["candidates_pruned"] > 0
+        assert engine.stats().pruning_view("mlm").candidates_pruned > 0
 
-    def test_pruning_off_disables_counters(self, movie_kg):
-        engine = SearchEngine.from_graph(movie_kg, config=SearchConfig(pruning="off"))
-        engine.search("forrest gump")
-        assert engine.pruning_info()["queries"] == 0
-
-    def test_invalid_pruning_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(pruning="wand")
+    def test_there_is_no_pruning_knob(self):
+        """Max-score is the only top-k strategy: no config selects another."""
+        with pytest.raises(TypeError):
+            SearchConfig(pruning="off")  # type: ignore[call-arg]
 
 
 class TestEquivalenceAfterIndexMutation:
     def test_scorers_built_before_mutation_stay_equivalent(self, tiny_kg):
         """Both paths must agree even when the index grew under a live scorer.
 
-        BM25 scorers snapshot N and average length at construction; the
-        accumulator path must use the same snapshot, not fresh statistics
-        (regression test for a divergence found in review).
+        A scorer keeps answering from the index snapshot it was built
+        over, so its kernel and its reference see the same statistics.
         """
         engine = SearchEngine.from_graph(tiny_kg)
         scorers = [
             engine.mlm_scorer,
             engine.single_field_scorer("names"),
-            engine.bm25_names_scorer(),
-            engine.bm25f_scorer(),
         ]
         for number in range(5, 12):
             tiny_kg.add_label(f"ex:F{number}", f"F{number} Drama Film")
@@ -289,70 +232,6 @@ class TestEquivalenceAfterIndexMutation:
                     )
 
 
-class TestBoundCacheAcrossScorerSnapshots:
-    def test_bm25f_scorers_with_different_snapshots_stay_sound(self, tiny_kg):
-        """The memoised bound key must include the scorer's avg-length snapshot.
-
-        Two BM25F scorers built before and after index growth share the
-        epoch-current statistics object; a bound memoised by the newer
-        scorer (smaller averages) would be unsound for the older one and
-        could prune a true top-k document (regression test for a review
-        finding).
-        """
-        engine = SearchEngine.from_graph(tiny_kg)
-        old_scorer = engine.bm25f_scorer()
-        for number in range(20, 29):
-            tiny_kg.add_label(f"ex:S{number}", f"S{number} drama")
-            tiny_kg.add_type(f"ex:S{number}", "ex:Film")
-            engine.add_entity(f"ex:S{number}")
-        new_scorer = engine.bm25f_scorer()
-        for raw in ("drama film", "s20 drama", "film s21 drama"):
-            query = parse_query(raw)
-            # The newer snapshot memoises its bounds first ...
-            new_scorer.search(query, top_k=5)
-            # ... and the older scorer must still match its own exhaustive path.
-            for scorer in (old_scorer, new_scorer):
-                for top_k in (2, 5, 50):
-                    _assert_identical(
-                        scorer.search(query, top_k=top_k),
-                        scorer.search_exhaustive(query, top_k=top_k),
-                    )
-
-
-class TestKernelColumnCacheAcrossScorerSnapshots:
-    def test_scorers_with_different_snapshots_stay_sound(self, tiny_kg):
-        """The memoised kernel columns must be idf-free.
-
-        The column memo key cannot carry the construction-time document
-        count: two scorers built before and after index growth share the
-        epoch-current view, so the cached columns are the
-        weight-independent parts and each scorer multiplies its own idf
-        snapshot outside the memo.  A weight-scaled cache entry from the
-        older scorer (larger idf per term) would otherwise serve the newer
-        one, or vice versa.
-        """
-        engine = SearchEngine.from_graph(tiny_kg)
-        old_scorers = [engine.bm25_names_scorer(), engine.bm25f_scorer()]
-        for number in range(40, 49):
-            tiny_kg.add_label(f"ex:B{number}", f"B{number} drama film")
-            tiny_kg.add_type(f"ex:B{number}", "ex:Film")
-            engine.add_entity(f"ex:B{number}")
-        new_scorers = [engine.bm25_names_scorer(), engine.bm25f_scorer()]
-        for raw in ("drama film", "b40 drama", "film b41 drama b42 b43 b44"):
-            query = parse_query(raw)
-            # The older snapshot memoises its per-term columns first ...
-            for scorer in old_scorers:
-                scorer.search(query, top_k=3)
-            # ... and both snapshots must still match their own exhaustive
-            # paths byte-for-byte.
-            for scorer in (*old_scorers, *new_scorers):
-                for top_k in (2, 5, 50):
-                    _assert_identical(
-                        scorer.search(query, top_k=top_k),
-                        scorer.search_exhaustive(query, top_k=top_k),
-                    )
-
-
 class TestCachedStatisticsComponents:
     def test_collection_probability_memoised(self, tiny_kg):
         engine = SearchEngine.from_graph(tiny_kg)
@@ -361,16 +240,6 @@ class TestCachedStatisticsComponents:
         assert first > 0.0
         assert stats.collection_probability("names", "film") == first
         assert stats.collection_probability("names", "no-such-term") == 0.0
-
-    def test_idf_memoised_and_matches_bm25(self, tiny_kg):
-        from repro.search import idf as bm25_idf
-
-        engine = SearchEngine.from_graph(tiny_kg)
-        stats = engine.index.statistics()
-        names = stats.field("names")
-        expected = bm25_idf(names.document_count, names.document_frequency("film"))
-        assert stats.idf("names", "film") == expected
-        assert stats.idf("names", "film") == expected  # served from the memo
 
     def test_statistics_cached_per_epoch(self, tiny_kg):
         engine = SearchEngine.from_graph(tiny_kg)
@@ -387,18 +256,3 @@ class TestCachedStatisticsComponents:
         assert engine.index.epoch > epoch
         assert engine.index.statistics().num_documents == engine.index.num_documents
         assert "ex:NEW" not in index
-
-
-class TestBM25ZeroScoredTail:
-    def test_zero_scored_candidates_included(self, tiny_kg):
-        """Docs matching only in unscored fields keep their 0.0-score tail rank."""
-        engine = SearchEngine.from_graph(tiny_kg)
-        scorer = engine.bm25_names_scorer()
-        # "drama" appears in category/related fields of films but in the
-        # names field only for the genre entity, so the candidate set is
-        # larger than the set of names matches.
-        query = parse_query("drama")
-        fast = scorer.search(query, top_k=50)
-        slow = scorer.search_exhaustive(query, top_k=50)
-        _assert_identical(fast, slow)
-        assert any(result.score == 0.0 for result in fast)

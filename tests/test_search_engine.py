@@ -77,8 +77,6 @@ class TestSearchEngine:
         for scorer in (
             engine.mlm_scorer,
             engine.single_field_scorer("names"),
-            engine.bm25_names_scorer(),
-            engine.bm25f_scorer(),
         ):
             fast = [(result.doc_id, result.score) for result in scorer.search(query, top_k=top_k)]
             assert len(fast) == min(top_k, len(engine.index.candidate_documents(query.all_terms())))
@@ -119,7 +117,6 @@ class TestSearchEngine:
 
     def test_baseline_scorers_constructible(self, engine: SearchEngine):
         assert engine.bm25f_scorer() is not None
-        assert engine.bm25_names_scorer() is not None
         assert engine.single_field_scorer("names") is not None
 
 

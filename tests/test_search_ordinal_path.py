@@ -87,11 +87,10 @@ class TestWinnersBreakdown:
     """``search`` returns ``score_document``'s scores and ``term_scores``, bitwise."""
 
     @pytest.mark.parametrize("smoothing", ["dirichlet", "jelinek-mercer"])
-    @pytest.mark.parametrize("pruning", ["off", "maxscore"])
     @pytest.mark.parametrize("kind", ["mlm", "single-field"])
-    def test_equals_score_document(self, systems, smoothing, pruning, kind):
+    def test_equals_score_document(self, systems, smoothing, kind):
         index = systems["built"].search_engine.index
-        config = SearchConfig(smoothing=smoothing, pruning=pruning)
+        config = SearchConfig(smoothing=smoothing)
         if kind == "mlm":
             scorer = MixtureLanguageModelScorer(index, config)
         else:

@@ -1,17 +1,17 @@
 """The one serial search path across graph shapes and configurations.
 
-Every search scorer answers through the columnar kernels and the exact
-epilogue; ``search_exhaustive`` scores every candidate and sorts by
-``(-score, doc_id)``.  ``test_columnar_equivalence`` holds the two forms
-equal on the movie graph under the default weights.  The suites here
-widen the inputs the kernels' bounds depend on:
+Every language-model scorer answers through the max-score kernel and
+the exact epilogue; ``search_exhaustive`` scores every candidate and
+sorts by ``(-score, doc_id)``.  ``test_columnar_equivalence`` holds the
+two forms equal on the movie graph under the default weights.  The
+suites here widen the inputs the kernel's bounds depend on:
 
 * random graphs of different shapes (type counts, degrees, hubs,
   attribute-heavy documents, a graph smaller than ``top_k``);
-* every retrieval field, not just ``names``, for the single-field and
-  BM25 scorers;
+* every retrieval field, not just ``names``, for the single-field scorer;
 * field-weight profiles with zero and skewed weights, and field subsets;
-* BM25 ``k1``/``b`` at their edges and a grid of smoothing parameters;
+* a grid of smoothing parameters (and the BM25F baseline's reference
+  ranking with ``k1``/``b`` at their edges);
 * documents that tie exactly, so ``top_k`` cuts through a run of equal
   scores;
 * an index grown by ``add_entity``, ``explain`` against the hits, and a
@@ -27,9 +27,6 @@ import pytest
 from repro.config import (
     DEFAULT_FIELD_WEIGHTS,
     DEFAULT_FIELDS,
-    PRUNING_MODES,
-    PivotEConfig,
-    RankingConfig,
     SearchConfig,
 )
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
@@ -37,15 +34,15 @@ from repro.engine import PivotE
 from repro.index import ColumnarIndex
 from repro.kg import GraphBuilder
 from repro.search import (
-    BM25FieldScorer,
     BM25FScorer,
     BM25Params,
     SearchEngine,
     build_entity_document,
+    idf,
     parse_query,
 )
 
-SCORERS = ("mlm", "single_field", "bm25", "bm25f")
+SCORERS = ("mlm", "single_field")
 
 GRAPH_SHAPES = {
     "default": RandomKGConfig(num_entities=160, seed=3),
@@ -91,27 +88,19 @@ def _queries(graph) -> list[str]:
 def _scorer(engine: SearchEngine, name: str):
     if name == "mlm":
         return engine.mlm_scorer
-    if name == "single_field":
-        return engine.single_field_scorer()
-    if name == "bm25":
-        return engine.bm25_names_scorer()
-    return engine.bm25f_scorer()
+    return engine.single_field_scorer()
 
 
 @pytest.fixture(scope="module")
 def shape_engines():
-    """``(graph, engine)`` per (graph shape, pruning mode), built on first use."""
-    graphs: dict[str, object] = {}
-    cache: dict[tuple[str, str], tuple[object, SearchEngine]] = {}
+    """``(graph, engine)`` per graph shape, built on first use."""
+    cache: dict[str, tuple[object, SearchEngine]] = {}
 
-    def get(shape: str, pruning: str) -> tuple[object, SearchEngine]:
-        if shape not in graphs:
-            graphs[shape] = build_random_kg(GRAPH_SHAPES[shape])
-        key = (shape, pruning)
-        if key not in cache:
-            graph = graphs[shape]
-            cache[key] = graph, SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
-        return cache[key]
+    def get(shape: str) -> tuple[object, SearchEngine]:
+        if shape not in cache:
+            graph = build_random_kg(GRAPH_SHAPES[shape])
+            cache[shape] = graph, SearchEngine.from_graph(graph)
+        return cache[shape]
 
     return get
 
@@ -120,11 +109,10 @@ class TestRandomGraphShapes:
     """Kernels == exhaustive on graphs of different shapes, at a one-slot
     heap, a mid-sized heap, and a ``k`` beyond every candidate pool."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
-    def test_kernels_equal_exhaustive(self, shape_engines, shape, scorer_name, pruning):
-        graph, engine = shape_engines(shape, pruning)
+    def test_kernels_equal_exhaustive(self, shape_engines, shape, scorer_name):
+        graph, engine = shape_engines(shape)
         scorer = _scorer(engine, scorer_name)
         for raw in _queries(graph):
             query = parse_query(raw)
@@ -154,17 +142,12 @@ def _field_queries(engine: SearchEngine, field: str, count: int = 4) -> list[str
 
 
 class TestEveryField:
-    """The single-field scorers over each of the five retrieval fields."""
+    """The single-field scorer over each of the five retrieval fields."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("smoothing", ("dirichlet", "jelinek-mercer"))
     @pytest.mark.parametrize("field", DEFAULT_FIELDS)
-    def test_language_model_kernels_equal_exhaustive(
-        self, movie_graph, field, smoothing, pruning
-    ):
-        engine = SearchEngine.from_graph(
-            movie_graph, SearchConfig(pruning=pruning, smoothing=smoothing)
-        )
+    def test_language_model_kernels_equal_exhaustive(self, movie_graph, field, smoothing):
+        engine = SearchEngine.from_graph(movie_graph, SearchConfig(smoothing=smoothing))
         scorer = engine.single_field_scorer(field)
         for raw in _field_queries(engine, field):
             query = parse_query(raw)
@@ -173,20 +156,6 @@ class TestEveryField:
                     scorer.search(query, top_k=top_k),
                     scorer.search_exhaustive(query, top_k=top_k),
                 )
-
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("field", DEFAULT_FIELDS)
-    def test_bm25_kernels_equal_exhaustive(self, movie_graph, field, pruning):
-        engine = SearchEngine.from_graph(movie_graph)
-        scorer = BM25FieldScorer(engine.index, field, pruning=pruning)
-        for raw in _field_queries(engine, field):
-            query = parse_query(raw)
-            for top_k in (1, 10):
-                _assert_identical(
-                    scorer.search(query, top_k=top_k),
-                    scorer.search_exhaustive(query, top_k=top_k),
-                )
-
 
 def _weights(**overrides: float) -> dict[str, float]:
     weights = dict(DEFAULT_FIELD_WEIGHTS)
@@ -221,14 +190,12 @@ class TestFieldWeightProfiles:
     the fields: the MaxScore bounds are weighted sums, so a zero weight or
     a dominant field moves every bound."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("scorer_name", ("mlm", "bm25f"))
     @pytest.mark.parametrize("profile", sorted(WEIGHT_PROFILES))
-    def test_kernels_equal_exhaustive(self, movie_graph, profile, scorer_name, pruning):
-        config = SearchConfig(pruning=pruning, **WEIGHT_PROFILES[profile])
+    def test_kernels_equal_exhaustive(self, movie_graph, profile):
+        config = SearchConfig(**WEIGHT_PROFILES[profile])
         engine = SearchEngine.from_graph(movie_graph, config)
         assert engine.index.fields == tuple(config.fields)
-        scorer = _scorer(engine, scorer_name)
+        scorer = engine.mlm_scorer
         for raw in ("forrest gump hanks", "drama 1994", "comedy director", "robert"):
             query = parse_query(raw)
             for top_k in (1, 5, 1000):
@@ -247,34 +214,34 @@ BM25_PARAMS = {
 }
 
 
-class TestBM25Parameters:
-    """``k1 = 0`` gives every holder of a term its IDF up to per-document
-    rounding, a run of near-ties longer than the selection margin; ``b``
-    at 0 and 1 switches length normalisation off and fully on."""
+class TestBM25FParameters:
+    """The BM25F baseline's reference ranking with ``k1``/``b`` at their
+    edges: sorted by ``(-score, doc_id)``, cut at ``top_k``, each score
+    the one :meth:`~repro.search.BM25FScorer.score_document` gives.  At
+    ``k1 = 0`` saturation is total, so every held term contributes its
+    IDF, up to the per-document rounding of ``w / w``."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("scorer_name", ("bm25", "bm25f"))
     @pytest.mark.parametrize("params", sorted(BM25_PARAMS))
-    def test_kernels_equal_exhaustive(self, shape_engines, params, scorer_name, pruning):
-        graph, engine = shape_engines("default", "maxscore")
-        if scorer_name == "bm25":
-            scorer = BM25FieldScorer(
-                engine.index, "names", BM25_PARAMS[params], pruning=pruning
-            )
-        else:
-            scorer = BM25FScorer(
-                engine.index,
-                engine.config.field_weights,
-                BM25_PARAMS[params],
-                pruning=pruning,
-            )
+    def test_reference_ranking(self, shape_engines, params):
+        graph, engine = shape_engines("default")
+        index = engine.index
+        scorer = BM25FScorer(index, engine.config.field_weights, BM25_PARAMS[params])
         for raw in _queries(graph):
             query = parse_query(raw)
+            pool = len(index.candidate_documents(query.all_terms()))
             for top_k in (1, 7, 1000):
-                _assert_identical(
-                    scorer.search(query, top_k=top_k),
-                    scorer.search_exhaustive(query, top_k=top_k),
-                )
+                ranked = scorer.search_exhaustive(query, top_k=top_k)
+                assert len(ranked) == min(top_k, pool)
+                assert ranked == sorted(ranked, key=lambda r: (-r.score, r.doc_id))
+                for result in ranked:
+                    _assert_identical([result], [scorer.score_document(query, result.doc_id)])
+            if params != "k1-zero":
+                continue
+            for result in scorer.search_exhaustive(query, top_k=1000):
+                for term, contribution in result.term_scores.items():
+                    if contribution:
+                        df = len(index.candidate_documents([term]))  # any field holds it
+                        assert contribution == pytest.approx(idf(index.num_documents, df))
 
 
 SMOOTHING_GRID = {
@@ -293,14 +260,11 @@ class TestSmoothingGrid:
     """The language-model scorers over a grid of smoothing parameters on a
     random graph, where most query terms are rare."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    @pytest.mark.parametrize("scorer_name", ("mlm", "single_field"))
+    @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("setting", sorted(SMOOTHING_GRID))
-    def test_kernels_equal_exhaustive(self, setting, scorer_name, pruning):
+    def test_kernels_equal_exhaustive(self, setting, scorer_name):
         graph = build_random_kg(GRAPH_SHAPES["default"])
-        engine = SearchEngine.from_graph(
-            graph, SearchConfig(pruning=pruning, **SMOOTHING_GRID[setting])
-        )
+        engine = SearchEngine.from_graph(graph, SearchConfig(**SMOOTHING_GRID[setting]))
         scorer = _scorer(engine, scorer_name)
         for raw in _queries(graph):
             query = parse_query(raw)
@@ -334,32 +298,27 @@ TIE_QUERIES = ("twin", "twin film", "film", "actor twin", "1999 twin", "loner tw
 
 
 @pytest.fixture(scope="module")
-def tie_engines():
-    graph = _tie_graph()
-    return {
-        pruning: SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
-        for pruning in PRUNING_MODES
-    }
+def tie_engine():
+    return SearchEngine.from_graph(_tie_graph())
 
 
 class TestExactTies:
     """``top_k`` cutting through a run of equal scores: the kernels keep
     exactly the ``(-score, doc_id)`` winners the reference keeps."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("top_k", range(1, 9))
-    def test_kernels_equal_exhaustive(self, tie_engines, top_k, scorer_name, pruning):
-        scorer = _scorer(tie_engines[pruning], scorer_name)
+    def test_kernels_equal_exhaustive(self, tie_engine, top_k, scorer_name):
+        scorer = _scorer(tie_engine, scorer_name)
         for raw in TIE_QUERIES:
             query = parse_query(raw)
             expected = scorer.search_exhaustive(query, top_k=top_k)
             _assert_identical(scorer.search(query, top_k=top_k), expected)
 
     @pytest.mark.parametrize("scorer_name", SCORERS)
-    def test_the_graph_ties(self, tie_engines, scorer_name):
+    def test_the_graph_ties(self, tie_engine, scorer_name):
         """Guard for the suite above: six twins tie on "twin film"."""
-        scorer = _scorer(tie_engines["off"], scorer_name)
+        scorer = _scorer(tie_engine, scorer_name)
         ranked = scorer.search_exhaustive(parse_query("twin film"), top_k=1000)
         twins = [result for result in ranked if result.doc_id.startswith("ex:Twin")]
         assert len(twins) == 6
@@ -375,11 +334,10 @@ class TestSearchAfterAddEntity:
 
     QUERIES = ("added", "added entity 2", "entity 3", "entity 1 added 0", "renamed")
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("scorer_name", SCORERS)
-    def test_kernels_equal_exhaustive_and_fresh_build(self, scorer_name, pruning):
+    def test_kernels_equal_exhaustive_and_fresh_build(self, scorer_name):
         graph = build_random_kg(RandomKGConfig(num_entities=60, seed=29))
-        engine = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
+        engine = SearchEngine.from_graph(graph)
         written = [f"ex:Added{number}" for number in range(4)] + ["ex:Added1"]
         for number, entity in enumerate(written):
             # Searching first builds this epoch's view, so the write derives the next.
@@ -391,7 +349,7 @@ class TestSearchAfterAddEntity:
             else:  # re-index an entity already indexed
                 graph.add_label(entity, "renamed")
             engine.add_entity(entity)
-        fresh = SearchEngine.from_graph(graph, SearchConfig(pruning=pruning))
+        fresh = SearchEngine.from_graph(graph)
         scorer = _scorer(engine, scorer_name)
         reference = _scorer(fresh, scorer_name)
         for raw in self.QUERIES:
@@ -421,10 +379,9 @@ class TestSearchAfterAddEntity:
 class TestExplainAgreesWithHits:
     """Every hit's score is the score ``explain`` gives that entity."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
-    def test_hit_scores_equal_explain(self, shape_engines, shape, pruning):
-        graph, engine = shape_engines(shape, pruning)
+    def test_hit_scores_equal_explain(self, shape_engines, shape):
+        graph, engine = shape_engines(shape)
         for raw in _queries(graph):
             for hit in engine.search(raw, top_k=10):
                 explained = engine.explain(raw, hit.entity_id)
@@ -456,25 +413,15 @@ def _session_signature(system: PivotE, query: str) -> list:
 
 class TestSessionsOnReloadedSystems:
     """A whole session on a system loaded from ``save`` repeats the
-    session on the system that saved it, and on either pruning mode."""
+    session on the system that saved it."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("shape", ("default", "hub-skewed", "many-types"))
-    def test_session_byte_identical(self, tmp_path, shape, pruning):
+    def test_session_byte_identical(self, tmp_path, shape):
         graph = build_random_kg(GRAPH_SHAPES[shape])
         query = graph.label(sorted(graph.entities())[0])
-        config = PivotEConfig(
-            search=SearchConfig(pruning=pruning), ranking=RankingConfig(pruning=pruning)
-        )
-        other = "off" if pruning == "maxscore" else "maxscore"
-        other_config = PivotEConfig(
-            search=SearchConfig(pruning=other), ranking=RankingConfig(pruning=other)
-        )
-        with PivotE(graph, config=config) as system:
+        with PivotE(graph) as system:
             expected = _session_signature(system, query)
             system.save(str(tmp_path))
-        with PivotE.load(str(tmp_path), config=config) as loaded:
+        with PivotE.load(str(tmp_path)) as loaded:
             assert loaded.stats().storage.failures == 0
             assert _session_signature(loaded, query) == expected
-        with PivotE(graph, config=other_config) as system:
-            assert _session_signature(system, query) == expected

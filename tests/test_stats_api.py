@@ -2,10 +2,10 @@
 
 Contracts under test: the frozen record types themselves (round-trips,
 lookup errors, immutability), ``stats()`` on all three engine components
-(shapes, counters that actually move), the deprecated dict shims
-(``cache_info`` / ``pruning_info`` / ``*_cache_info``) returning exactly
-the numbers the typed records carry, ``as_dict()`` being plain JSON, and
-the recommendation engine's per-stage array/fallback record.
+(shapes, counters that actually move), the records carrying exactly
+the numbers their sources report, ``stats()`` being the engines' only
+counter accessor, ``as_dict()`` being plain JSON, and the
+recommendation engine's per-stage array/fallback record.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.config import PivotEConfig, RankingConfig, SearchConfig
+from repro.config import PivotEConfig, RankingConfig
 from repro.engine import PivotE, PivotEApi
 from repro.expansion import EntitySetExpander
 from repro.ranking.ranking_support import STAGES
@@ -66,7 +66,7 @@ class TestRecordTypes:
             stats.hits = 99  # type: ignore[misc]
 
     def test_engine_stats_lookups_raise_key_error(self):
-        stats = EngineStats(component="search", epoch=0, pruning="maxscore")
+        stats = EngineStats(component="search", epoch=0)
         with pytest.raises(KeyError):
             stats.cache("results")
         with pytest.raises(KeyError):
@@ -78,7 +78,7 @@ class TestRecordTypes:
 class TestSearchEngineStats:
     @pytest.fixture(scope="class")
     def engine(self, movie_kg):
-        engine = SearchEngine.from_graph(movie_kg, SearchConfig(pruning="maxscore"))
+        engine = SearchEngine.from_graph(movie_kg)
         engine.search("forrest gump")
         engine.search("forrest gump")  # one hit, one miss
         return engine
@@ -86,8 +86,8 @@ class TestSearchEngineStats:
     def test_shape(self, engine):
         stats = engine.stats()
         assert stats.component == "search"
-        assert stats.pruning == "maxscore"
         payload = stats.as_dict()
+        assert "pruning" not in payload
         assert "columnar" not in payload
         assert "shards" not in payload
         assert "blocks_total" not in payload["pruning_counters"]["mlm"]
@@ -101,10 +101,11 @@ class TestSearchEngineStats:
         assert stats.cache("results").misses >= 1
         assert stats.pruning_view("mlm").queries >= 1
 
-    def test_shims_match_typed_records(self, engine):
+    def test_records_carry_their_sources(self, engine):
         stats = engine.stats()
-        assert engine.cache_info() == stats.cache("results").as_info()
-        assert engine.pruning_info() == stats.pruning_view("mlm").as_counters()
+        assert engine.mlm_scorer.pruning_info() == stats.pruning_view("mlm").as_counters()
+        for accessor in ("cache_info", "pruning_info"):
+            assert not hasattr(engine, accessor)
 
 
 class TestSystemStats:
@@ -130,25 +131,20 @@ class TestSystemStats:
         assert recommendation.cache("recommendations").epoch == recommendation.epoch
         assert recommendation.cache("recommendations").hits >= 1
 
-    def test_shims_match_typed_records(self, system):
+    def test_records_carry_their_sources(self, system):
         stats = system.stats()
-        assert (
-            system.search_cache_info()
-            == stats.child("search").cache("results").as_info()
-        )
-        assert (
-            system.recommendation_cache_info()
-            == stats.child("recommendation").cache("recommendations").as_info()
-        )
         recommender = system.recommendation_engine
         assert (
-            recommender.cache_info()
-            == stats.child("recommendation").cache("recommendations").as_info()
-        )
-        assert (
-            recommender.pruning_info()
+            recommender.expander.entity_ranker.pruning_info()
             == stats.child("recommendation").pruning_view("entity-ranker").as_counters()
         )
+        assert "pruning" not in stats.as_dict()
+        for component, accessors in (
+            (system, ("search_cache_info", "recommendation_cache_info")),
+            (recommender, ("cache_info", "pruning_info")),
+        ):
+            for accessor in accessors:
+                assert not hasattr(component, accessor)
 
     def test_as_dict_is_plain_json(self, system):
         payload = system.stats().as_dict()
@@ -285,12 +281,10 @@ class TestStageStats:
 
 
 class TestFallbacksRunTheReference:
-    """Each named fallback answers exactly what the reference answers,
-    under every pruning mode of the array form it replaces."""
+    """Each named fallback answers exactly what the reference answers."""
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
-    def test_explicit_entity_pool(self, movie_kg, pruning):
-        expander = EntitySetExpander(movie_kg, config=RankingConfig(pruning=pruning))
+    def test_explicit_entity_pool(self, movie_kg):
+        expander = EntitySetExpander(movie_kg)
         ranker = expander.entity_ranker
         seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
         scored_features = ranker.feature_ranker.rank(seeds)
@@ -314,9 +308,8 @@ class TestFallbacksRunTheReference:
         assert explicit and explicit == reference
         assert ranker.probability_model.stages.fallbacks["sf_rank"] == {"explicit-pool": 1}
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
-    def test_unknown_seed_expansion(self, tiny_kg, monkeypatch, pruning):
-        expander = EntitySetExpander(tiny_kg, config=RankingConfig(pruning=pruning))
+    def test_unknown_seed_expansion(self, tiny_kg, monkeypatch):
+        expander = EntitySetExpander(tiny_kg)
         model = expander.feature_ranker.probability_model
         pinned = model.support()
         tiny_kg.add_type("ex:F5", "ex:Film")
@@ -331,9 +324,8 @@ class TestFallbacksRunTheReference:
         assert expanded.features == reference.features
         assert model.stages.fallbacks["entity_rank"] == {"unknown-entity": 1}
 
-    @pytest.mark.parametrize("pruning", ["maxscore", "off"])
-    def test_topology_off_type_filter(self, movie_kg, pruning):
-        config = RankingConfig(pruning=pruning, graph_topology=False)
+    def test_topology_off_type_filter(self, movie_kg):
+        config = RankingConfig(graph_topology=False)
         expander = EntitySetExpander(movie_kg, config=config)
         seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
         domain = expander.dominant_seed_type(seeds)

@@ -2,8 +2,8 @@
 
 A system cold-started from ``PivotE.save(dir)`` via ``PivotE.load(dir)``
 must produce *byte-identical* search and recommendation rankings to the
-in-RAM build it was saved from — across all four search scorers and
-every pruning mode.  A corrupted or missing component must degrade to
+in-RAM build it was saved from — across the search scorers and the
+BM25F baseline.  A corrupted or missing component must degrade to
 rebuilding exactly that component from the (sound) adopted graph, with
 the same rankings and a counted failure; a corrupt graph segment fails
 the whole load.  Also here: the close lifecycle (double close, rebuild
@@ -22,11 +22,11 @@ import textwrap
 import pytest
 
 import repro
-from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig, SearchConfig
+from repro.config import PivotEConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
 from repro.kg import bfs_reachable
-from repro.search import BM25FieldScorer, BM25FScorer, SearchEngine, parse_query
+from repro.search import BM25FScorer, SearchEngine, parse_query
 from repro.storage import SnapshotUnavailable
 
 
@@ -50,13 +50,6 @@ def _queries(graph, count: int = 5) -> list[str]:
         else:
             queries.append(f"{label} {labels[(position + 2) % len(labels)]}")
     return queries
-
-
-def _system_config(pruning="maxscore", smoothing="dirichlet"):
-    return PivotEConfig(
-        search=SearchConfig(pruning=pruning, smoothing=smoothing),
-        ranking=RankingConfig(pruning=pruning),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -87,47 +80,32 @@ def saved_dir(tmp_path_factory, random_graph):
 
 @pytest.fixture(scope="module")
 def serial_baselines(random_graph, seeds):
-    """Per-pruning-mode search + recommendation baselines, built in RAM."""
+    """Search + recommendation baselines, built in RAM."""
     queries = _queries(random_graph)
-    search = {}
-    recommend = {}
-    for pruning in PRUNING_MODES:
-        system = PivotE(random_graph, config=_system_config(pruning=pruning))
-        search[pruning] = {
-            query: _hit_signature(system.search(query)) for query in queries
-        }
-        result = system.recommend(seeds)
-        recommend[pruning] = (
-            [(e.entity_id, e.score) for e in result.entities],
-            [(f.feature.notation(), f.score) for f in result.features],
-        )
-        system.close()
+    system = PivotE(random_graph)
+    search = {query: _hit_signature(system.search(query)) for query in queries}
+    result = system.recommend(seeds)
+    recommend = (
+        [(e.entity_id, e.score) for e in result.entities],
+        [(f.feature.notation(), f.score) for f in result.features],
+    )
+    system.close()
     return queries, search, recommend
 
 
 @pytest.fixture(scope="module")
 def scorer_baselines(random_graph):
-    """Serial baselines of the three non-engine scorers, per pruning mode."""
+    """Baselines of the single-field scorer and the BM25F baseline."""
     engine = SearchEngine.from_graph(random_graph)
-    index = engine.index
-    weights = engine.config.field_weights
-    queries = _queries(random_graph)
-    baselines = {}
-    for pruning in PRUNING_MODES:
-        bm25 = BM25FieldScorer(index, "names", pruning=pruning)
-        bm25f = BM25FScorer(index, weights, pruning=pruning)
-        single = SearchEngine.from_graph(
-            random_graph, SearchConfig(pruning=pruning)
-        ).single_field_scorer()
-        baselines[pruning] = {
-            query: (
-                _signature(bm25.search(parse_query(query), top_k=15)),
-                _signature(bm25f.search(parse_query(query), top_k=15)),
-                _signature(single.search(parse_query(query), top_k=15)),
-            )
-            for query in queries
-        }
-    return baselines
+    bm25f = BM25FScorer(engine.index, engine.config.field_weights)
+    single = engine.single_field_scorer()
+    return {
+        query: (
+            _signature(bm25f.search_exhaustive(parse_query(query), top_k=15)),
+            _signature(single.search(parse_query(query), top_k=15)),
+        )
+        for query in _queries(random_graph)
+    }
 
 
 def _load_clean(directory, config=None) -> PivotE:
@@ -142,52 +120,43 @@ def _load_clean(directory, config=None) -> PivotE:
 
 
 class TestColdStartEquivalence:
-    """Loaded systems vs in-RAM builds, under both pruning modes."""
+    """Loaded systems vs in-RAM builds."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_engine_mlm_byte_identical(self, saved_dir, serial_baselines, pruning):
+    def test_engine_mlm_byte_identical(self, saved_dir, serial_baselines):
         queries, search_base, _ = serial_baselines
-        system = _load_clean(saved_dir, _system_config(pruning=pruning))
+        system = _load_clean(saved_dir)
         try:
             for query in queries:
-                assert _hit_signature(system.search(query)) == search_base[pruning][query]
+                assert _hit_signature(system.search(query)) == search_base[query]
         finally:
             system.close()
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
     def test_baseline_scorers_byte_identical(
-        self, saved_dir, serial_baselines, scorer_baselines, pruning
+        self, saved_dir, serial_baselines, scorer_baselines
     ):
-        """The other three scorers, driven off the *restored* index."""
+        """The other scorers, driven off the *restored* index."""
         queries, _, _ = serial_baselines
-        system = _load_clean(saved_dir, _system_config(pruning=pruning))
+        system = _load_clean(saved_dir)
         try:
             engine = system.search_engine
-            bm25 = BM25FieldScorer(engine.index, "names", pruning=pruning)
-            bm25f = BM25FScorer(engine.index, engine.config.field_weights, pruning=pruning)
+            bm25f = BM25FScorer(engine.index, engine.config.field_weights)
             single = engine.single_field_scorer()
             for query in queries:
                 parsed = parse_query(query)
-                expected_bm25, expected_bm25f, expected_single = scorer_baselines[
-                    pruning
-                ][query]
-                assert _signature(bm25.search(parsed, top_k=15)) == expected_bm25
-                assert _signature(bm25f.search(parsed, top_k=15)) == expected_bm25f
+                expected_bm25f, expected_single = scorer_baselines[query]
+                assert _signature(bm25f.search_exhaustive(parsed, top_k=15)) == expected_bm25f
                 assert _signature(single.search(parsed, top_k=15)) == expected_single
         finally:
             system.close()
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_recommendation_byte_identical(
-        self, saved_dir, serial_baselines, seeds, pruning
-    ):
+    def test_recommendation_byte_identical(self, saved_dir, serial_baselines, seeds):
         """After a search on the restored engine, the recommender answers
         exactly as the in-RAM build does."""
         queries, _, recommend_base = serial_baselines
-        system = _load_clean(saved_dir, _system_config(pruning=pruning))
+        system = _load_clean(saved_dir)
         try:
             system.search(queries[0])
-            expected_entities, expected_features = recommend_base[pruning]
+            expected_entities, expected_features = recommend_base
             result = system.recommend(seeds)
             assert [(e.entity_id, e.score) for e in result.entities] == expected_entities
             assert [
@@ -196,22 +165,19 @@ class TestColdStartEquivalence:
         finally:
             system.close()
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_smoothing_is_applied_at_load(
-        self, saved_dir, random_graph, serial_baselines, pruning
-    ):
+    def test_smoothing_is_applied_at_load(self, saved_dir, random_graph, serial_baselines):
         """The snapshot stores counts, not a smoothing: a directory saved
         under Dirichlet loads into a Jelinek–Mercer engine that ranks
         exactly as the in-RAM Jelinek–Mercer build."""
         queries, search_base, _ = serial_baselines
-        config = _system_config(pruning=pruning, smoothing="jelinek-mercer")
+        config = PivotEConfig(search=SearchConfig(smoothing="jelinek-mercer"))
         fresh = PivotE(random_graph, config=config)
         system = _load_clean(saved_dir, config)
         try:
             for query in queries:
                 expected = _hit_signature(fresh.search(query))
                 assert _hit_signature(system.search(query)) == expected
-                assert expected != search_base[pruning][query]
+                assert expected != search_base[query]
         finally:
             system.close()
             fresh.close()
@@ -310,14 +276,9 @@ class TestFreshProcessColdStart:
         payload = json.loads(completed.stdout)
         assert payload["failures"] == 0
         assert payload["attaches"] == 4
-        default_pruning = SearchConfig().pruning
         for query in queries:
-            assert payload["search"][query] == [
-                list(pair) for pair in search_base[default_pruning][query]
-            ]
-        expected_entities, expected_features = recommend_base[
-            RankingConfig().pruning
-        ]
+            assert payload["search"][query] == [list(pair) for pair in search_base[query]]
+        expected_entities, expected_features = recommend_base
         assert payload["entities"] == [list(pair) for pair in expected_entities]
         assert payload["features"] == [list(pair) for pair in expected_features]
 
@@ -346,11 +307,8 @@ class TestCorruptionFallback:
             assert storage is not None
             assert storage.failures >= 1
             for query in queries:
-                assert (
-                    _hit_signature(system.search(query))
-                    == search_base[SearchConfig().pruning][query]
-                )
-            expected_entities, _ = recommend_base[RankingConfig().pruning]
+                assert _hit_signature(system.search(query)) == search_base[query]
+            expected_entities, _ = recommend_base
             result = system.recommend(seeds)
             assert [
                 (e.entity_id, e.score) for e in result.entities

@@ -5,17 +5,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topk import (
     DenseKernelTerm,
     PruningStats,
-    SparseKernelTerm,
-    accumulate_dense,
     columnar_dense,
-    columnar_sparse,
     safety_slack,
     select_survivor_ordinals,
     threshold_of,
@@ -169,8 +165,6 @@ class TestColumnarDense:
         candidates = np.array([3, 17, 40, 41, 90])
         first = _dense_term("t1", [0.0, 9.0, 1.0, 8.0, 2.0], 0.0, 9.0)
         second = _dense_term("t2", [0.5, 0.25, 0.0, 0.5, 0.0], 0.0, 0.5)
-        partials = accumulate_dense(candidates, [first, second])
-        assert partials.tolist() == [0.5, 9.25, 1.0, 8.5, 2.0]
         ordinals, values = columnar_dense(candidates, [first, second], 2, PruningStats(), margin=0)
         survivors = dict(zip(ordinals.tolist(), values.tolist()))
         assert {17, 41} <= set(survivors)
@@ -205,109 +199,6 @@ class TestColumnarDense:
         true_top = {doc for doc in range(40) if totals[doc] > kth + 1e-9}
         assert true_top <= set(ordinals.tolist())
         assert ordinals.size >= top_k
-
-
-def _sparse_term(key: str, postings: dict[int, float], upper: float) -> SparseKernelTerm:
-    ordinals = sorted(postings)
-    return SparseKernelTerm(
-        key=key,
-        upper=upper,
-        ordinals=np.array(ordinals, dtype=np.int64),
-        contributions=np.array([postings[ordinal] for ordinal in ordinals], dtype=np.float64),
-    )
-
-
-def _survivor_map(result) -> dict[int, float]:
-    ordinals, partials = result
-    return dict(zip(ordinals.tolist(), partials.tolist()))
-
-
-def _top_k(accumulators: dict, k: int) -> list:
-    return sorted(accumulators.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
-
-class TestColumnarSparse:
-    def test_exact_totals_without_pruning_opportunity(self):
-        entries = [
-            _sparse_term("t1", {0: 2.0, 1: 1.0}, 2.0),
-            _sparse_term("t2", {1: 3.0, 2: 0.5}, 3.0),
-        ]
-        stats = PruningStats()
-        survivors = _survivor_map(columnar_sparse(entries, 10, stats, 3))
-        assert survivors == {0: 2.0, 1: 4.0, 2: 0.5}
-        assert stats.terms_skipped == 0
-
-    def test_or_to_and_switch_skips_postings_walks(self):
-        # One dominant term fills the heap; the tail terms cannot lift a
-        # new document past θ, so their postings are only consulted for
-        # documents already accumulated.
-        heavy = {i: 10.0 + i for i in range(30)}
-        light = dict.fromkeys(range(5), 0.1)
-        light[30] = 0.1  # would be a new doc, must not enter
-        entries = [_sparse_term("heavy", heavy, 40.0), _sparse_term("light", light, 0.1)]
-        stats = PruningStats()
-        survivors = _survivor_map(columnar_sparse(entries, 5, stats, 31))
-        assert 30 not in survivors
-        assert stats.terms_skipped == 1
-        # Refined survivors hold exact totals.
-        assert _top_k(survivors, 1) == [(29, 10.0 + 29)]  # matched only the heavy term
-
-    def test_empty(self):
-        ordinals, partials = columnar_sparse([], 5, PruningStats(), 4)
-        assert ordinals.size == 0 and partials.size == 0
-
-    def test_candidates_total_counts_entrants_not_peak(self):
-        """Entrants after an eviction are still counted.
-
-        Ordinal 2 is evicted after the first pass (θ=10.0, remaining
-        upper 10.0), yet ordinal 3 still expands on the second pass: four
-        distinct accumulators entered the traversal while the peak size
-        was 3.
-        """
-        first = _sparse_term("t1", {0: 10.0, 1: 9.0, 2: -5.0}, 10.0)
-        second = _sparse_term("t2", {3: 0.5}, 10.0)
-        stats = PruningStats()
-        survivors = _survivor_map(columnar_sparse([first, second], 1, stats, 4))
-        assert survivors == {0: 10.0, 1: 9.0, 3: 0.5}
-        assert stats.candidates_total == 4
-        assert stats.candidates_pruned == 1
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        data=st.lists(
-            st.dictionaries(
-                st.integers(min_value=0, max_value=19),
-                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-                max_size=20,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        top_k=st.integers(min_value=1, max_value=8),
-    )
-    def test_random_property_matches_exhaustive_totals(self, data, top_k):
-        """Survivors are a superset of the true top-k with near-exact totals.
-
-        The kernel may associate the same floating-point terms in a
-        different order than a per-document sum, so callers re-score
-        survivors exactly; the contract tested here is the one they rely
-        on — no true top-k document is ever evicted, and survivor values
-        agree with the exhaustive totals to within the safety slack.
-        """
-        totals: dict[int, float] = {}
-        for postings in data:
-            for ordinal, value in postings.items():
-                totals[ordinal] = totals.get(ordinal, 0.0) + value
-        entries = [
-            _sparse_term(f"t{i}", postings, max(postings.values()))
-            for i, postings in enumerate(data)
-            if postings
-        ]
-        survivors = _survivor_map(columnar_sparse(entries, top_k, PruningStats(), 20))
-        true_top = {ordinal for ordinal, _ in _top_k(totals, top_k)}
-        assert true_top <= set(survivors)
-        for ordinal, total in survivors.items():
-            assert total == pytest.approx(totals[ordinal], rel=1e-9, abs=1e-9)
 
 
 class TestPruningStats:

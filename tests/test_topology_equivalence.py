@@ -2,12 +2,11 @@
 
 The contract of the PR 10 topology layer (``repro.kg.topology``): with
 ``graph_topology=True`` (the default) expansion traverses through the
-CSR adjacency and the interval-encoded type filter, and for every
-pruning mode the expansion results and recommendations must be
-*exactly* what the scalar per-edge walks produce — same ids, same
-floats, same order.  The suites here enforce that on the synthetic
-movie graph, on a skewed random KG across the pruning modes, and (via
-hypothesis) on random KGs; path helpers are covered directly against
+CSR adjacency and the interval-encoded type filter, and the expansion
+results and recommendations must be *exactly* what the scalar per-edge
+walks produce — same ids, same floats, same order.  The suites here
+enforce that on the synthetic movie graph, on a skewed random KG, and
+(via hypothesis) on random KGs; path helpers are covered directly against
 their ``*_scalar`` arms.
 """
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PRUNING_MODES, PivotEConfig, RankingConfig
+from repro.config import PivotEConfig, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.expansion import EntitySetExpander
@@ -53,19 +52,13 @@ def random_graph():
 
 
 @pytest.fixture(scope="module")
-def scalar_baselines(random_graph):
-    """Per-pruning-mode recommendation baselines with the topology OFF."""
+def scalar_baseline(random_graph):
+    """The recommendation baseline with the topology OFF."""
     seeds = _seeds(random_graph)
-    baselines = {}
-    for pruning in PRUNING_MODES:
-        engine = RecommendationEngine(
-            random_graph, config=RankingConfig(pruning=pruning, graph_topology=False)
-        )
-        baselines[pruning] = _recommendation_signature(
-            engine.recommend_for_seeds(seeds)
-        )
-        engine.close()
-    return seeds, baselines
+    engine = RecommendationEngine(random_graph, config=RankingConfig(graph_topology=False))
+    baseline = _recommendation_signature(engine.recommend_for_seeds(seeds))
+    engine.close()
+    return seeds, baseline
 
 
 class TestExpansionEquivalence:
@@ -122,17 +115,11 @@ class TestExpansionEquivalence:
 class TestRecommendationEquivalence:
     """Full recommendations across the execution matrix, on == off."""
 
-    @pytest.mark.parametrize("pruning", PRUNING_MODES)
-    def test_byte_identical_across_pruning(self, random_graph, scalar_baselines, pruning):
-        seeds, baselines = scalar_baselines
-        engine = RecommendationEngine(
-            random_graph, config=RankingConfig(pruning=pruning, graph_topology=True)
-        )
+    def test_byte_identical(self, random_graph, scalar_baseline):
+        seeds, baseline = scalar_baseline
+        engine = RecommendationEngine(random_graph, config=RankingConfig(graph_topology=True))
         try:
-            assert (
-                _recommendation_signature(engine.recommend_for_seeds(seeds))
-                == baselines[pruning]
-            )
+            assert _recommendation_signature(engine.recommend_for_seeds(seeds)) == baseline
         finally:
             engine.close()
 
@@ -179,27 +166,20 @@ class TestRecommendationEquivalence:
 
 
 class TestTopologyEquivalenceProperty:
-    """Hypothesis: random KGs, every pruning mode, on == off."""
+    """Hypothesis: random KGs, on == off."""
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=80),
-        pruning=st.sampled_from(PRUNING_MODES),
     )
-    def test_recommendation_topology_equals_scalar(
-        self, kg_seed, num_entities, pruning
-    ):
+    def test_recommendation_topology_equals_scalar(self, kg_seed, num_entities):
         graph = build_random_kg(
             RandomKGConfig(num_entities=num_entities, seed=kg_seed)
         )
         seeds = _seeds(graph)
-        on = RecommendationEngine(
-            graph, config=RankingConfig(pruning=pruning, graph_topology=True)
-        )
-        off = RecommendationEngine(
-            graph, config=RankingConfig(pruning=pruning, graph_topology=False)
-        )
+        on = RecommendationEngine(graph, config=RankingConfig(graph_topology=True))
+        off = RecommendationEngine(graph, config=RankingConfig(graph_topology=False))
         assert _recommendation_signature(on.recommend_for_seeds(seeds)) == (
             _recommendation_signature(off.recommend_for_seeds(seeds))
         )
