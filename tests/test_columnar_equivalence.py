@@ -5,9 +5,10 @@ Every language-model scorer has exactly two forms: the max-score kernel
 re-scoring epilogue, and ``search_exhaustive``.  For both smoothings and
 both scorers the kernel rankings must be *exactly* the exhaustive
 rankings — same ids, same floats, same length.
-The suites here enforce that on the synthetic movie graph and, via
-hypothesis, on random KGs; the view tests pin the ordinal-table
-invariants the kernels rely on.
+The suites here enforce that on the synthetic movie graph — built,
+loaded from a snapshot and written to (the ``ORIGINS`` of
+``serial_matrix``) — and, via hypothesis, on random KGs; the view tests
+pin the ordinal-table invariants the kernels rely on.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SearchConfig
+from repro.config import PivotEConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.index import columnar_view
 from repro.search import SearchEngine, parse_query
+from serial_matrix import ORIGINS, origin_system
 
 QUERIES = (
     "forrest gump hanks",
@@ -45,33 +47,36 @@ def movie_graph():
 
 
 @pytest.fixture(scope="module")
-def engines(movie_graph):
-    """Lazily built engines per smoothing, module-shared."""
-    cache: dict[str, SearchEngine] = {}
+def engines(tmp_path_factory):
+    """Lazily built engines per (smoothing, origin), module-shared."""
+    cache: dict[tuple[str, str], SearchEngine] = {}
 
-    def get(smoothing: str = "dirichlet") -> SearchEngine:
-        if smoothing not in cache:
-            cache[smoothing] = SearchEngine.from_graph(
-                movie_graph, SearchConfig(smoothing=smoothing)
-            )
-        return cache[smoothing]
+    def get(smoothing: str = "dirichlet", origin: str = "built") -> SearchEngine:
+        key = (smoothing, origin)
+        if key not in cache:
+            config = PivotEConfig(search=SearchConfig(smoothing=smoothing))
+            directory = str(tmp_path_factory.mktemp(f"{smoothing}-{origin}"))
+            system = origin_system(small_movie_kg(), origin, directory, config)
+            cache[key] = system.search_engine
+        return cache[key]
 
     return get
 
 
+@pytest.mark.parametrize("origin", ORIGINS)
 class TestColumnarSearchEquivalence:
     """Both language-model scorers == exhaustive."""
 
-    def test_engine_mlm_byte_identical(self, engines):
-        engine = engines()
+    def test_engine_mlm_byte_identical(self, engines, origin):
+        engine = engines(origin=origin)
         reference = engine.mlm_scorer
         for query in QUERIES:
             expected = _signature(reference.search_exhaustive(parse_query(query)))
             assert _hit_signature(engine.search(query)) == expected
             assert _hit_signature(engine.search(query, top_k=3)) == expected[:3]
 
-    def test_single_field_byte_identical(self, engines):
-        scorer = engines().single_field_scorer()
+    def test_single_field_byte_identical(self, engines, origin):
+        scorer = engines(origin=origin).single_field_scorer()
         for query in QUERIES:
             parsed = parse_query(query)
             assert _signature(scorer.search(parsed, top_k=15)) == _signature(
@@ -82,9 +87,9 @@ class TestColumnarSearchEquivalence:
 SCORERS = ("mlm", "single_field")
 
 
-def _scorer(engines, name: str, smoothing: str = "dirichlet"):
+def _scorer(engines, name: str, origin: str, smoothing: str = "dirichlet"):
     """One of the two language-model scorers under the given smoothing."""
-    engine = engines(smoothing)
+    engine = engines(smoothing, origin)
     if name == "mlm":
         return engine.mlm_scorer
     return engine.single_field_scorer()
@@ -95,11 +100,12 @@ class TestColumnarSearchAcrossK:
     ``k`` beyond the candidate pool (every candidate survives, nothing is
     pruned), for every scorer."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("top_k", (1, 2, 1000))
-    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name):
-        scorer = _scorer(engines, scorer_name)
-        index = engines().index
+    def test_kernels_equal_exhaustive(self, engines, top_k, scorer_name, origin):
+        scorer = _scorer(engines, scorer_name, origin)
+        index = engines(origin=origin).index
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=top_k))
@@ -122,11 +128,12 @@ class TestColumnarQueryShapes:
     several times, terms no document holds, field restrictions and
     phrases — rank exactly as the reference."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
-    def test_kernels_equal_exhaustive(self, engines, shape, scorer_name):
+    def test_kernels_equal_exhaustive(self, engines, shape, scorer_name, origin):
         parsed = parse_query(QUERY_SHAPES[shape])
-        scorer = _scorer(engines, scorer_name)
+        scorer = _scorer(engines, scorer_name, origin)
         assert _signature(scorer.search(parsed, top_k=15)) == _signature(
             scorer.search_exhaustive(parsed, top_k=15)
         )
@@ -136,10 +143,11 @@ class TestJelinekMercerEquivalence:
     """The language-model scorers under Jelinek–Mercer smoothing: other
     term columns, other bounds, the same exact rankings."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
-    def test_kernels_equal_exhaustive(self, engines, scorer_name):
-        scorer = _scorer(engines, scorer_name, "jelinek-mercer")
-        dirichlet = _scorer(engines, scorer_name)
+    def test_kernels_equal_exhaustive(self, engines, scorer_name, origin):
+        scorer = _scorer(engines, scorer_name, origin, "jelinek-mercer")
+        dirichlet = _scorer(engines, scorer_name, origin)
         for query in QUERIES:
             parsed = parse_query(query)
             expected = _signature(scorer.search_exhaustive(parsed, top_k=15))

@@ -17,6 +17,11 @@ suites here widen the inputs the kernel's bounds depend on:
 * an index grown by ``add_entity``, ``explain`` against the hits, and a
   whole exploration session on a saved and reloaded system.
 
+The suites run on a system built in RAM, one loaded from a snapshot (the
+stored posting rows) and, where the suite itself does not write, one
+written to after its first search (a view derived from the previous
+epoch's) — the ``ORIGINS`` of ``serial_matrix``.
+
 Every comparison is exact: same ids, same floats, same per-term scores.
 """
 
@@ -27,6 +32,7 @@ import pytest
 from repro.config import (
     DEFAULT_FIELD_WEIGHTS,
     DEFAULT_FIELDS,
+    PivotEConfig,
     SearchConfig,
 )
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
@@ -41,19 +47,9 @@ from repro.search import (
     idf,
     parse_query,
 )
+from serial_matrix import GRAPH_SHAPES, ORIGINS, origin_system
 
 SCORERS = ("mlm", "single_field")
-
-GRAPH_SHAPES = {
-    "default": RandomKGConfig(num_entities=160, seed=3),
-    "two-types": RandomKGConfig(num_entities=160, num_types=2, seed=5),
-    "many-types": RandomKGConfig(num_entities=200, num_types=30, seed=9),
-    "dense-edges": RandomKGConfig(num_entities=120, avg_out_degree=12.0, seed=11),
-    "sparse-edges": RandomKGConfig(num_entities=160, avg_out_degree=1.0, seed=13),
-    "hub-skewed": RandomKGConfig(num_entities=160, target_skew=1.2, seed=17),
-    "attribute-heavy": RandomKGConfig(num_entities=120, attributes_per_entity=8, seed=19),
-    "tiny": RandomKGConfig(num_entities=12, num_types=3, seed=23),
-}
 
 
 def _assert_identical(fast_results, slow_results):
@@ -91,16 +87,24 @@ def _scorer(engine: SearchEngine, name: str):
     return engine.single_field_scorer()
 
 
-@pytest.fixture(scope="module")
-def shape_engines():
-    """``(graph, engine)`` per graph shape, built on first use."""
-    cache: dict[str, tuple[object, SearchEngine]] = {}
+def _origin_engine(graph, origin: str, directory, config: SearchConfig | None = None):
+    """The search engine of a system over ``graph`` from ``origin``."""
+    system_config = PivotEConfig(search=config or SearchConfig())
+    return origin_system(graph, origin, str(directory), system_config).search_engine
 
-    def get(shape: str) -> tuple[object, SearchEngine]:
-        if shape not in cache:
+
+@pytest.fixture(scope="module")
+def shape_engines(tmp_path_factory):
+    """``(graph, engine)`` per (graph shape, origin), built on first use."""
+    cache: dict[tuple[str, str], tuple[object, SearchEngine]] = {}
+
+    def get(shape: str, origin: str) -> tuple[object, SearchEngine]:
+        key = (shape, origin)
+        if key not in cache:
             graph = build_random_kg(GRAPH_SHAPES[shape])
-            cache[shape] = graph, SearchEngine.from_graph(graph)
-        return cache[shape]
+            directory = tmp_path_factory.mktemp(f"{shape}-{origin}")
+            cache[key] = graph, _origin_engine(graph, origin, directory)
+        return cache[key]
 
     return get
 
@@ -109,10 +113,11 @@ class TestRandomGraphShapes:
     """Kernels == exhaustive on graphs of different shapes, at a one-slot
     heap, a mid-sized heap, and a ``k`` beyond every candidate pool."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
-    def test_kernels_equal_exhaustive(self, shape_engines, shape, scorer_name):
-        graph, engine = shape_engines(shape)
+    def test_kernels_equal_exhaustive(self, shape_engines, shape, scorer_name, origin):
+        graph, engine = shape_engines(shape, origin)
         scorer = _scorer(engine, scorer_name)
         for raw in _queries(graph):
             query = parse_query(raw)
@@ -123,16 +128,11 @@ class TestRandomGraphShapes:
                 assert len(expected) == min(top_k, pool)
 
 
-@pytest.fixture(scope="module")
-def movie_graph():
-    return small_movie_kg()
-
-
-def _field_queries(engine: SearchEngine, field: str, count: int = 4) -> list[str]:
+def _field_queries(graph, field: str, count: int = 4) -> list[str]:
     """Queries made of terms the given field actually holds."""
     queries = []
-    for entity_id in sorted(engine.index.documents()):
-        values = engine.document(entity_id).fields.get(field, ())
+    for entity_id in sorted(graph.entities()):
+        values = build_entity_document(graph, entity_id).fields.get(field, ())
         if values:
             queries.append(" ".join(str(values[0]).split()[:2]))
         if len(queries) == count:
@@ -144,18 +144,21 @@ def _field_queries(engine: SearchEngine, field: str, count: int = 4) -> list[str
 class TestEveryField:
     """The single-field scorer over each of the five retrieval fields."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("smoothing", ("dirichlet", "jelinek-mercer"))
     @pytest.mark.parametrize("field", DEFAULT_FIELDS)
-    def test_language_model_kernels_equal_exhaustive(self, movie_graph, field, smoothing):
-        engine = SearchEngine.from_graph(movie_graph, SearchConfig(smoothing=smoothing))
+    def test_language_model_kernels_equal_exhaustive(self, tmp_path, field, smoothing, origin):
+        graph = small_movie_kg()
+        engine = _origin_engine(graph, origin, tmp_path, SearchConfig(smoothing=smoothing))
         scorer = engine.single_field_scorer(field)
-        for raw in _field_queries(engine, field):
+        for raw in _field_queries(graph, field):
             query = parse_query(raw)
             for top_k in (1, 10):
                 _assert_identical(
                     scorer.search(query, top_k=top_k),
                     scorer.search_exhaustive(query, top_k=top_k),
                 )
+
 
 def _weights(**overrides: float) -> dict[str, float]:
     weights = dict(DEFAULT_FIELD_WEIGHTS)
@@ -190,10 +193,11 @@ class TestFieldWeightProfiles:
     the fields: the MaxScore bounds are weighted sums, so a zero weight or
     a dominant field moves every bound."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("profile", sorted(WEIGHT_PROFILES))
-    def test_kernels_equal_exhaustive(self, movie_graph, profile):
+    def test_kernels_equal_exhaustive(self, tmp_path, profile, origin):
         config = SearchConfig(**WEIGHT_PROFILES[profile])
-        engine = SearchEngine.from_graph(movie_graph, config)
+        engine = _origin_engine(small_movie_kg(), origin, tmp_path, config)
         assert engine.index.fields == tuple(config.fields)
         scorer = engine.mlm_scorer
         for raw in ("forrest gump hanks", "drama 1994", "comedy director", "robert"):
@@ -221,9 +225,10 @@ class TestBM25FParameters:
     ``k1 = 0`` saturation is total, so every held term contributes its
     IDF, up to the per-document rounding of ``w / w``."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("params", sorted(BM25_PARAMS))
-    def test_reference_ranking(self, shape_engines, params):
-        graph, engine = shape_engines("default")
+    def test_reference_ranking(self, shape_engines, params, origin):
+        graph, engine = shape_engines("default", origin)
         index = engine.index
         scorer = BM25FScorer(index, engine.config.field_weights, BM25_PARAMS[params])
         for raw in _queries(graph):
@@ -260,11 +265,13 @@ class TestSmoothingGrid:
     """The language-model scorers over a grid of smoothing parameters on a
     random graph, where most query terms are rare."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("setting", sorted(SMOOTHING_GRID))
-    def test_kernels_equal_exhaustive(self, setting, scorer_name):
+    def test_kernels_equal_exhaustive(self, tmp_path, setting, scorer_name, origin):
         graph = build_random_kg(GRAPH_SHAPES["default"])
-        engine = SearchEngine.from_graph(graph, SearchConfig(**SMOOTHING_GRID[setting]))
+        config = SearchConfig(**SMOOTHING_GRID[setting])
+        engine = _origin_engine(graph, origin, tmp_path, config)
         scorer = _scorer(engine, scorer_name)
         for raw in _queries(graph):
             query = parse_query(raw)
@@ -298,27 +305,32 @@ TIE_QUERIES = ("twin", "twin film", "film", "actor twin", "1999 twin", "loner tw
 
 
 @pytest.fixture(scope="module")
-def tie_engine():
-    return SearchEngine.from_graph(_tie_graph())
+def tie_engines(tmp_path_factory):
+    return {
+        origin: _origin_engine(_tie_graph(), origin, tmp_path_factory.mktemp(f"ties-{origin}"))
+        for origin in ORIGINS
+    }
 
 
 class TestExactTies:
     """``top_k`` cutting through a run of equal scores: the kernels keep
     exactly the ``(-score, doc_id)`` winners the reference keeps."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("top_k", range(1, 9))
-    def test_kernels_equal_exhaustive(self, tie_engine, top_k, scorer_name):
-        scorer = _scorer(tie_engine, scorer_name)
+    def test_kernels_equal_exhaustive(self, tie_engines, top_k, scorer_name, origin):
+        scorer = _scorer(tie_engines[origin], scorer_name)
         for raw in TIE_QUERIES:
             query = parse_query(raw)
             expected = scorer.search_exhaustive(query, top_k=top_k)
             _assert_identical(scorer.search(query, top_k=top_k), expected)
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("scorer_name", SCORERS)
-    def test_the_graph_ties(self, tie_engine, scorer_name):
+    def test_the_graph_ties(self, tie_engines, scorer_name, origin):
         """Guard for the suite above: six twins tie on "twin film"."""
-        scorer = _scorer(tie_engine, scorer_name)
+        scorer = _scorer(tie_engines[origin], scorer_name)
         ranked = scorer.search_exhaustive(parse_query("twin film"), top_k=1000)
         twins = [result for result in ranked if result.doc_id.startswith("ex:Twin")]
         assert len(twins) == 6
@@ -330,14 +342,17 @@ class TestSearchAfterAddEntity:
     """An index grown one entity at a time by ``add_entity``: the kernels
     still equal the reference, the engine ranks as a fresh build, and the
     columnar view each write derived from its predecessor's equals a view
-    built from scratch, array for array."""
+    built from scratch, array for array — whether the first view came from
+    a build or from a snapshot's stored rows."""
 
     QUERIES = ("added", "added entity 2", "entity 3", "entity 1 added 0", "renamed")
 
+    @pytest.mark.parametrize("origin", ("built", "loaded"))
     @pytest.mark.parametrize("scorer_name", SCORERS)
-    def test_kernels_equal_exhaustive_and_fresh_build(self, scorer_name):
-        graph = build_random_kg(RandomKGConfig(num_entities=60, seed=29))
-        engine = SearchEngine.from_graph(graph)
+    def test_kernels_equal_exhaustive_and_fresh_build(self, tmp_path, scorer_name, origin):
+        built = build_random_kg(RandomKGConfig(num_entities=60, seed=29))
+        system = origin_system(built, origin, str(tmp_path))
+        graph, engine = system.graph, system.search_engine
         written = [f"ex:Added{number}" for number in range(4)] + ["ex:Added1"]
         for number, entity in enumerate(written):
             # Searching first builds this epoch's view, so the write derives the next.
@@ -379,9 +394,10 @@ class TestSearchAfterAddEntity:
 class TestExplainAgreesWithHits:
     """Every hit's score is the score ``explain`` gives that entity."""
 
+    @pytest.mark.parametrize("origin", ORIGINS)
     @pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
-    def test_hit_scores_equal_explain(self, shape_engines, shape):
-        graph, engine = shape_engines(shape)
+    def test_hit_scores_equal_explain(self, shape_engines, shape, origin):
+        graph, engine = shape_engines(shape, origin)
         for raw in _queries(graph):
             for hit in engine.search(raw, top_k=10):
                 explained = engine.explain(raw, hit.entity_id)
