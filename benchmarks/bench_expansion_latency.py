@@ -1,33 +1,21 @@
-"""E10: traversal/expansion latency, columnar graph topology vs scalar walks.
+"""E10: traversal latency, columnar graph topology vs scalar walks.
 
-PR 10 gave the knowledge graph itself the columnar treatment the postings
-(PR 6) and feature tables (PR 8) already had: ``repro.kg.topology`` holds
-a per-epoch CSR adjacency over string-sorted entity ordinals plus an
-interval encoding of the type containment forest, and the traversal
-helpers route through frontier-at-a-time kernels.  This bench A/Bs the
-three traversal stages the expansion/exploration pipeline leans on as the
-random KG grows:
+``repro.kg.topology`` holds a per-epoch CSR adjacency over string-sorted
+entity ordinals, and the traversal helpers route through
+frontier-at-a-time kernels.  This bench times the two traversal stages
+the exploration pipeline leans on as the random KG grows, each kernel
+against its scalar reference:
 
 * ``bfs``     — ``bfs_reachable`` (level-synchronous frontier gathers over
   both CSR directions) vs ``bfs_reachable_scalar`` (the FIFO per-edge
   Python walk);
 * ``connect`` — ``connecting_entities`` (sorted-array intersect of the two
-  one-hop neighbourhoods + CSR join) vs ``connecting_entities_scalar``;
-* ``filter``  — ``EntitySetExpander.restrict_candidates`` with
-  ``graph_topology=True`` (``searchsorted`` intersect against the
-  interval-derived member row) vs the scalar ``entity_id in members``
-  probe (``graph_topology=False``).
+  one-hop neighbourhoods + CSR join) vs ``connecting_entities_scalar``.
 
-Every arm pair is verified byte-identical *before* any timing.  The
-headline ``topology_ratio`` is stage-level — summed scalar traversal
-wall-clock over summed kernel wall-clock — because the surrounding
-recommendation pipeline (feature ranking, entity scoring, matrix
-assembly) is arm-independent, so end-to-end means only dilute the
-comparison.  The
-end-to-end view is still recorded (``expand_scalar_ms`` /
-``expand_topology_ms``: a domain-restricted ``expand()`` under each
-knob), together with the one-time topology ``build_ms`` and the graph's
-traversal counters.
+Every pair is verified byte-identical *before* any timing.  The headline
+``topology_ratio`` is stage-level — summed scalar wall-clock over summed
+kernel wall-clock — together with the one-time topology ``build_ms`` and
+the graph's traversal counters.
 
 Run as a script to produce the machine-readable baseline::
 
@@ -52,11 +40,8 @@ if str(SRC) not in sys.path:
 
 import pytest  # noqa: E402
 
-from repro.config import RankingConfig  # noqa: E402
 from repro.datasets import RandomKGConfig, build_random_kg  # noqa: E402
 from repro.eval import Stopwatch, print_experiment  # noqa: E402
-from repro.expansion import EntitySetExpander  # noqa: E402
-from repro.features import SemanticFeatureIndex  # noqa: E402
 from repro.kg import (  # noqa: E402
     GraphTopology,
     bfs_reachable,
@@ -74,8 +59,7 @@ SIZES = (200, 500, 1000, 2000)
 #: two-hop neighbourhoods the traversal helpers actually chew through.
 KG_KWARGS = {"target_skew": 1.5, "avg_out_degree": 8.0}
 
-#: Traversal workload per repeat: BFS probes, connecting pairs and the
-#: number of types the candidate filter sweeps.
+#: Traversal workload per repeat: BFS probes and connecting pairs.
 PROBE_COUNT = 6
 PAIR_COUNT = 8
 MAX_HOPS = 2
@@ -98,34 +82,25 @@ def _pairs(graph, count: int) -> list[tuple[str, str]]:
 
 
 def measure_expansion_ab(graph, repeats: int = 5) -> dict[str, object]:
-    """Topology-vs-scalar traversal latency on one graph.
+    """Kernel-vs-scalar traversal latency on one graph.
 
     Returns a row with per-stage means, the stage-level ``topology_ratio``
-    and an ``identical`` flag confirming every arm pair agreed byte for
-    byte before timing.
+    and an ``identical`` flag confirming every pair agreed byte for byte
+    before timing.
     """
-    index = SemanticFeatureIndex.build(graph)
-    expander_on = EntitySetExpander(
-        graph, feature_index=index, config=RankingConfig(graph_topology=True)
-    )
-    expander_off = EntitySetExpander(
-        graph, feature_index=index, config=RankingConfig(graph_topology=False)
-    )
     probes = _probes(graph, PROBE_COUNT)
     pairs = _pairs(graph, PAIR_COUNT)
-    types = sorted(graph.types())
-    domain = max(graph.types(), key=lambda t: (graph.type_count(t), t))
-    seeds = sorted(graph.entities_of_type(domain))[:3]
-    candidates = sorted(graph.entities(), reverse=True)
 
     # One-time columnar build (the memoised per-epoch cost a serving
-    # system pays once, or never after a snapshot attach).
+    # system pays once, or never after a snapshot attach).  The log epoch
+    # it sorts is shared with the feature tables, so it is built first.
+    graph.columns.epoch(len(graph))
     build_watch = Stopwatch()
     with build_watch.measure("build"):
         topology = graph_topology(graph)
     assert isinstance(topology, GraphTopology)
 
-    # Identity before timing: every arm pair must agree byte for byte.
+    # Identity before timing: every kernel must equal its scalar walk.
     identical = all(
         bfs_reachable(graph, probe, max_hops=MAX_HOPS)
         == bfs_reachable_scalar(graph, probe, max_hops=MAX_HOPS)
@@ -135,17 +110,6 @@ def measure_expansion_ab(graph, repeats: int = 5) -> dict[str, object]:
         connecting_entities(graph, left, right)
         == connecting_entities_scalar(graph, left, right)
         for left, right in pairs
-    )
-    identical = identical and all(
-        expander_on.restrict_candidates(candidates, type_id)
-        == expander_off.restrict_candidates(candidates, type_id)
-        for type_id in types
-    )
-    expand_on = expander_on.expand(seeds, domain_type=domain)
-    expand_off = expander_off.expand(seeds, domain_type=domain)
-    identical = identical and (
-        [(e.entity_id, e.score) for e in expand_on.entities]
-        == [(e.entity_id, e.score) for e in expand_off.entities]
     )
 
     watch = Stopwatch()
@@ -162,22 +126,12 @@ def measure_expansion_ab(graph, repeats: int = 5) -> dict[str, object]:
         with watch.measure("connect_topology"):
             for left, right in pairs:
                 connecting_entities(graph, left, right)
-        with watch.measure("filter_scalar"):
-            for type_id in types:
-                expander_off.restrict_candidates(candidates, type_id)
-        with watch.measure("filter_topology"):
-            for type_id in types:
-                expander_on.restrict_candidates(candidates, type_id)
-        with watch.measure("expand_scalar"):
-            expander_off.expand(seeds, domain_type=domain)
-        with watch.measure("expand_topology"):
-            expander_on.expand(seeds, domain_type=domain)
 
     def mean(stage: str) -> float:
         return watch.stats(stage).as_dict()["mean_ms"]
 
-    scalar_ms = mean("bfs_scalar") + mean("connect_scalar") + mean("filter_scalar")
-    topology_ms = mean("bfs_topology") + mean("connect_topology") + mean("filter_topology")
+    scalar_ms = mean("bfs_scalar") + mean("connect_scalar")
+    topology_ms = mean("bfs_topology") + mean("connect_topology")
     counters = traversal_stats(graph)
     return {
         "entities": graph.num_entities(),
@@ -185,7 +139,6 @@ def measure_expansion_ab(graph, repeats: int = 5) -> dict[str, object]:
         "repeats": repeats,
         "probes": len(probes),
         "pairs": len(pairs),
-        "types": len(types),
         "max_hops": MAX_HOPS,
         "identical": identical,
         "build_ms": build_watch.stats("build").as_dict()["mean_ms"],
@@ -193,20 +146,11 @@ def measure_expansion_ab(graph, repeats: int = 5) -> dict[str, object]:
         "bfs_topology_ms": mean("bfs_topology"),
         "connect_scalar_ms": mean("connect_scalar"),
         "connect_topology_ms": mean("connect_topology"),
-        "filter_scalar_ms": mean("filter_scalar"),
-        "filter_topology_ms": mean("filter_topology"),
-        "expand_scalar_ms": mean("expand_scalar"),
-        "expand_topology_ms": mean("expand_topology"),
         "scalar_ms": scalar_ms,
         "topology_ms": topology_ms,
-        # > 1.0 = the CSR/interval kernels beat the per-edge Python walks
-        # at equal semantics.  Stage-level on purpose (see module docs).
+        # > 1.0 = the CSR kernels beat the per-edge Python walks at equal
+        # semantics.  Stage-level on purpose (see module docs).
         "topology_ratio": scalar_ms / topology_ms if topology_ms > 0 else float("inf"),
-        "expand_ratio": (
-            mean("expand_scalar") / mean("expand_topology")
-            if mean("expand_topology") > 0
-            else float("inf")
-        ),
         "traversal": counters.as_dict(),
     }
 
@@ -220,7 +164,7 @@ def graphs():
 
 
 def test_expansion_topology_vs_scalar_ab(graphs):
-    """E10: the traversal A/B — identical results, vectorized wall-clock."""
+    """E10: kernels vs scalar walks — identical results, vectorized wall-clock."""
     rows = []
     for size in SIZES:
         row = measure_expansion_ab(graphs[size], repeats=3)
@@ -233,26 +177,19 @@ def test_expansion_topology_vs_scalar_ab(graphs):
                 "bfs_topology_ms": row["bfs_topology_ms"],
                 "connect_scalar_ms": row["connect_scalar_ms"],
                 "connect_topology_ms": row["connect_topology_ms"],
-                "filter_scalar_ms": row["filter_scalar_ms"],
-                "filter_topology_ms": row["filter_topology_ms"],
                 "topology_ratio": row["topology_ratio"],
-                "expand_ratio": row["expand_ratio"],
             }
         )
     print_experiment(
-        "E10 — traversal: CSR/interval kernels vs scalar per-edge walks "
-        f"({PROBE_COUNT} BFS probes, {PAIR_COUNT} connecting pairs, full type sweep)",
+        "E10 — traversal: CSR kernels vs scalar per-edge walks "
+        f"({PROBE_COUNT} BFS probes, {PAIR_COUNT} connecting pairs)",
         rows,
-        notes=(
-            "identical results; topology_ratio is stage-level (bfs + connect + "
-            "filter), expand_ratio the end-to-end domain-restricted expand()"
-        ),
+        notes="identical results; topology_ratio is stage-level (bfs + connect)",
     )
     assert all(row["topology_ratio"] > 0 for row in rows)
-    # The interval filter must actually have run both arms at scale.
     largest = measure_expansion_ab(graphs[SIZES[-1]], repeats=1)
-    assert largest["traversal"]["interval_filters"] > 0
     assert largest["traversal"]["bfs_queries"] > 0
+    assert largest["traversal"]["connect_queries"] > 0
 
 
 @pytest.mark.benchmark(group="expansion-latency")
@@ -289,16 +226,6 @@ def main(argv: list[str] | None = None) -> int:
             "aggressive ratios on at-scale legs, not tiny smoke KGs)"
         ),
     )
-    parser.add_argument(
-        "--min-expand-ratio",
-        type=float,
-        default=None,
-        help=(
-            "fail unless the end-to-end domain-restricted expand() "
-            "scalar/topology ratio reaches this at the largest size "
-            "(diluted by arm-independent ranking stages — keep modest)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     sizes = sorted({int(token) for token in args.sizes.split(",") if token.strip()})
@@ -312,17 +239,15 @@ def main(argv: list[str] | None = None) -> int:
             f"entities={row['entities']:>6}  build={row['build_ms']:8.3f}ms  "
             f"bfs={row['bfs_scalar_ms']:8.3f}/{row['bfs_topology_ms']:8.3f}ms  "
             f"connect={row['connect_scalar_ms']:8.3f}/{row['connect_topology_ms']:8.3f}ms  "
-            f"filter={row['filter_scalar_ms']:8.3f}/{row['filter_topology_ms']:8.3f}ms  "
             f"topology_ratio={row['topology_ratio']:5.2f}  "
-            f"expand_ratio={row['expand_ratio']:5.2f}  "
             f"identical={row['identical']}"
         )
 
     report = {
         "bench": "expansion_latency",
         "description": (
-            "graph traversal latency: CSR adjacency + interval-encoded type "
-            "filter (graph_topology=True) vs scalar per-edge walks"
+            "graph traversal latency: CSR adjacency kernels vs scalar "
+            "per-edge walks"
         ),
         "config": {
             "sizes": sizes,
@@ -347,13 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: topology ratio {largest['topology_ratio']:.2f} below required "
             f"{args.min_topology_ratio:.2f} at {largest['entities']} entities",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_expand_ratio is not None and largest["expand_ratio"] < args.min_expand_ratio:
-        print(
-            f"FAIL: expand ratio {largest['expand_ratio']:.2f} below required "
-            f"{args.min_expand_ratio:.2f} at {largest['entities']} entities",
             file=sys.stderr,
         )
         return 1

@@ -117,22 +117,31 @@ def measure_search_ab(
         [hit.as_dict() for hit in hits] for hits in serial_hits
     ]:
         identical = False
-    for _ in range(repeats):
+    per_query = {
+        "exhaustive": lambda raw, query: pruned.search_exhaustive(query, top_k=top_k),
+        "pruned": lambda raw, query: pruned.search(query, top_k=top_k),
+        "cached": lambda raw, query: engine.search(raw, top_k=top_k),
+    }
+    # Each arm is timed in its own loop after an untimed pass of its own,
+    # so no arm is timed right after another has displaced what it keeps
+    # warm.  The batch arm answers the duplicated workload in one call;
+    # the unbatched arm issues the same requests one at a time on the same
+    # cache-free engine.
+    for name, run in per_query.items():
         for raw, query in zip(queries, parsed):
-            with watch.measure("exhaustive"):
-                pruned.search_exhaustive(query, top_k=top_k)
-            with watch.measure("pruned"):
-                pruned.search(query, top_k=top_k)
-            with watch.measure("cached"):
-                engine.search(raw, top_k=top_k)
-        # The batch arm answers the duplicated workload in one call; the
-        # unbatched arm issues the same requests one at a time on the
-        # same cache-free engine.
-        with watch.measure("batched"):
-            batch_engine.search_many(batch_input, top_k=top_k)
-        with watch.measure("unbatched"):
-            for raw in batch_input:
-                batch_engine.search(raw, top_k=top_k)
+            run(raw, query)
+        for _ in range(repeats):
+            for raw, query in zip(queries, parsed):
+                with watch.measure(name):
+                    run(raw, query)
+    for name, run in (
+        ("batched", lambda: batch_engine.search_many(batch_input, top_k=top_k)),
+        ("unbatched", lambda: [batch_engine.search(raw, top_k=top_k) for raw in batch_input]),
+    ):
+        run()
+        for _ in range(repeats):
+            with watch.measure(name):
+                run()
     exhaustive = watch.stats("exhaustive").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
     cached = watch.stats("cached").as_dict()

@@ -175,19 +175,27 @@ def measure_recommend_ab(
     cached_engine.recommend_for_seeds(seeds, top_entities=top_entities)  # warm the LRU
     kernel = _kernel_stage_ms(pruned_engine, seeds, top_entities, repeats)
 
+    arms = {
+        "exhaustive": lambda: pruned_engine.recommend_for_seeds(
+            seeds, top_entities=top_entities, exhaustive=True
+        ),
+        "pruned": lambda: pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities),
+        "batched": lambda: pruned_engine.recommend_many(batch_inputs, top_entities=top_entities),
+        "unbatched": lambda: [
+            pruned_engine.recommend_for_seeds(batch_seeds, top_entities=top_entities)
+            for batch_seeds in batch_inputs
+        ],
+        "cached": lambda: cached_engine.recommend_for_seeds(seeds, top_entities=top_entities),
+    }
+    # Each arm is timed in its own loop after an untimed call of its own,
+    # so no arm is timed right after another has displaced what it keeps
+    # warm.
     watch = Stopwatch()
-    for _ in range(repeats):
-        with watch.measure("exhaustive"):
-            pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities, exhaustive=True)
-        with watch.measure("pruned"):
-            pruned_engine.recommend_for_seeds(seeds, top_entities=top_entities)
-        with watch.measure("batched"):
-            pruned_engine.recommend_many(batch_inputs, top_entities=top_entities)
-        with watch.measure("unbatched"):
-            for batch_seeds in batch_inputs:
-                pruned_engine.recommend_for_seeds(batch_seeds, top_entities=top_entities)
-        with watch.measure("cached"):
-            cached_engine.recommend_for_seeds(seeds, top_entities=top_entities)
+    for name, run in arms.items():
+        run()
+        for _ in range(repeats):
+            with watch.measure(name):
+                run()
     exhaustive = watch.stats("exhaustive").as_dict()
     pruned_stats = watch.stats("pruned").as_dict()
     batched = watch.stats("batched").as_dict()

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import replace
 
 from .config import PivotEConfig
 from .datasets import build_academic_kg, build_geography_kg, build_movie_kg, small_movie_kg
@@ -90,17 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-pruning",
         action="store_true",
         help="print the engines' cumulative pruning counters after the command",
-    )
-    parser.add_argument(
-        "--graph-topology",
-        default=None,
-        choices=("on", "off"),
-        help=(
-            "recommendation engine: traverse through the columnar graph "
-            "topology — CSR adjacency plus interval-encoded type "
-            "reachability — ('on', the default) or the scalar per-edge "
-            "walks ('off', the A/B arm); results are identical either way"
-        ),
     )
     parser.add_argument(
         "--snapshot-dir",
@@ -210,19 +198,6 @@ def _print_recommendation(system: PivotE, recommendation, top_entities: int, top
         print(f"  {scored.score:10.4f}  {scored.feature.notation()}")
 
 
-def build_config(graph_topology: str | None = None) -> PivotEConfig:
-    """The system configuration for the CLI's execution-layer override.
-
-    ``graph_topology`` configures the recommendation engine.
-    """
-    config = PivotEConfig.default()
-    if graph_topology is None:
-        return config
-    return replace(
-        config, ranking=config.ranking.with_(graph_topology=graph_topology == "on")
-    )
-
-
 def _print_pruning_info(system: PivotE) -> None:
     """Dump both engines' cumulative pruning counters (``--show-pruning``).
 
@@ -253,7 +228,7 @@ def _print_load_summary(directory: str, system: PivotE) -> None:
 
 def run_command(args: argparse.Namespace) -> int:
     """Execute a parsed CLI command; return the process exit code."""
-    config = build_config(args.graph_topology)
+    config = PivotEConfig.default()
 
     if args.command == "load":
         directory = args.directory or args.save_dir

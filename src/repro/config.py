@@ -105,14 +105,6 @@ class RankingConfig:
     #: Maximum number of query states kept in the recommendation engine's
     #: epoch-keyed LRU result cache; ``0`` disables recommendation caching.
     recommendation_cache_size: int = 64
-    #: Columnar graph-topology traversal (see :mod:`repro.kg.topology`):
-    #: the expander's domain-type restriction runs as a ``searchsorted``
-    #: intersect against the interval-encoded per-epoch member ranges
-    #: instead of the per-candidate ``in members`` set probe, and the
-    #: path utilities route through the frontier-at-a-time CSR kernels.
-    #: ``False`` keeps the scalar graph walk as the A/B arm.  Results
-    #: are byte-identical either way.
-    graph_topology: bool = True
 
     def __post_init__(self) -> None:
         if self.top_entities <= 0 or self.top_features <= 0:

@@ -175,7 +175,7 @@ class PivotE:
                 feature_index = SemanticFeatureIndex.build(graph)
             if loaded.topology is not None:
                 # Seed the per-epoch memo so the first traversal attaches the
-                # persisted CSR + intervals instead of paying an O(n) rebuild.
+                # persisted adjacency CSRs instead of paying an O(n) rebuild.
                 install_topology(graph, loaded.topology)
 
         system = cls.__new__(cls)

@@ -26,7 +26,6 @@ from ..features import SemanticFeature, SemanticFeatureIndex
 from ..features.columnar import ColumnarFeatureTables
 from ..kg import KnowledgeGraph
 from ..kg.columns import isin_sorted
-from ..kg.topology import graph_topology, topology_counters
 from ..ranking import EntityRanker, ScoredEntity, ScoredFeature, SemanticFeatureRanker
 
 
@@ -236,59 +235,18 @@ class EntitySetExpander:
         restricted_type: str,
         tables: ColumnarFeatureTables | None = None,
     ) -> list[str] | np.ndarray:
-        """Keep only candidates that are instances of ``restricted_type``.
+        """Keep only candidates that are instances of ``restricted_type``, in order.
 
-        With the ``graph_topology`` knob on (default) this is an
-        order-preserving ``searchsorted`` intersect of the candidates'
-        ordinals against the type's interval-encoded member range; off,
-        it is the scalar per-candidate ``in members`` set probe.  Both
-        arms return the identical list.
-
-        With ``tables`` the candidates are entity ordinals of those
-        tables and so is the result.  A topology of the tables' epoch
-        numbers the entities the same way, so the intersect needs no
-        identifier; with the knob off or the graph at another epoch
-        (counted on the probability model's ``stages``) the ordinals
-        make the round trip through their identifiers.
+        With ``tables`` the candidates are entity ordinals of the
+        request's pinned tables and so is the result: one membership mask
+        over the tables' membership CSR
+        (:meth:`~repro.features.columnar.ColumnarFeatureTables.of_type`),
+        so the filter sees the epoch every other stage of the request
+        sees.  Without, the candidates are identifiers and each is probed
+        against the graph's member set — the exhaustive reference.
         """
         if tables is not None:
-            stages = self._feature_ranker.probability_model.stages
-            reason = ""
-            if not self._config.graph_topology:
-                reason = "topology-off"
-            elif self._graph.epoch != tables.epoch:
-                reason = "epoch-mismatch"
-            else:
-                topology = graph_topology(self._graph)
-                if topology.epoch != tables.epoch:
-                    reason = "epoch-mismatch"
-            if reason:
-                stages.fell_back("filters", reason, tables.epoch)
-                ids = tables.entity_ids
-                kept = self.restrict_candidates(
-                    [ids[ordinal] for ordinal in candidates.tolist()], restricted_type
-                )
-                return tables.entity_ordinals(kept)
-            stages.ran("filters")
-            counters = topology_counters(self._graph)
-            counters.interval_filters += 1
-            kept = candidates[isin_sorted(topology.entities_under_id(restricted_type), candidates)]
-            counters.interval_hits += int(kept.size)
-            return kept
-        if not self._config.graph_topology:
-            members = self._graph.entities_of_type(restricted_type)
-            return [entity_id for entity_id in candidates if entity_id in members]
-        topology = graph_topology(self._graph)
-        counters = topology_counters(self._graph)
-        counters.interval_filters += 1
-        if not candidates:
-            return []
-        member_ordinals = topology.entities_under_id(restricted_type)
-        if not member_ordinals.size:
-            return []
-        ordinals, known = topology.ordinals_of(candidates)
-        keep = known & isin_sorted(member_ordinals, ordinals)
-        counters.interval_hits += int(keep.sum())
-        return [
-            entity_id for entity_id, kept in zip(candidates, keep.tolist()) if kept
-        ]
+            self._feature_ranker.probability_model.stages.ran("filters")
+            return candidates[tables.of_type(candidates, restricted_type)]
+        members = self._graph.entities_of_type(restricted_type)
+        return [entity_id for entity_id in candidates if entity_id in members]

@@ -44,6 +44,7 @@ made only for what a response returns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -500,6 +501,25 @@ class ColumnarFeatureTables:
             ordinals[int(offsets[entity]) : int(offsets[entity + 1])]
             for entity in entity_ordinals
         ]
+
+    def of_type(self, entity_ordinals: np.ndarray, type_id: str) -> np.ndarray:
+        """Which of the entities are members of ``type_id``: a mask over them.
+
+        Reads the entities' rows of the membership CSR, as
+        :meth:`intersections` does; ``entity_ordinals`` may come in any
+        order.  A type the epoch lacks has no member.
+        """
+        type_ids = self.type_ids
+        assert type_ids is not None
+        mask = np.zeros(entity_ordinals.size, dtype=bool)
+        position = bisect_left(type_ids, type_id)
+        if position == len(type_ids) or type_ids[position] != type_id:
+            return mask
+        offsets = self.member_offsets
+        lengths = offsets[entity_ordinals + 1] - offsets[entity_ordinals]
+        hits = csr_gather(offsets, self.member_type_ords, entity_ordinals) == position
+        mask[np.repeat(np.arange(entity_ordinals.size), lengths)[hits]] = True
+        return mask
 
     def intersections(
         self,

@@ -10,7 +10,6 @@ from .postings import (
     merge_frequencies,
     union,
 )
-from .scoring_support import ScoringSupport
 from .statistics import CollectionStatistics, FieldStatistics
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "InvertedIndex",
     "Posting",
     "PostingList",
-    "ScoringSupport",
     "columnar_view",
     "intersect",
     "merge_frequencies",

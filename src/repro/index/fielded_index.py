@@ -21,7 +21,6 @@ from itertools import count
 
 from ..exceptions import FieldNotFoundError
 from .inverted_index import DocumentColumns, InvertedIndex, PostingColumns
-from .scoring_support import ScoringSupport
 from .statistics import CollectionStatistics, FieldStatistics
 
 #: Process-wide generation counter: every index instance (including
@@ -61,12 +60,11 @@ class FieldedIndex:
         #: The indexed ids: a set, or an adopted index's stored map (read only).
         self._documents: Collection[str] = set()
         #: Mutation counter: bumped on every document addition so cached
-        #: statistics / scoring support / query results can be invalidated.
+        #: statistics / query results can be invalidated.
         self._epoch = 0
         self._uid = next_index_uid()
         self._stored: DocumentColumns | None = None
         self._statistics_cache: tuple[int, CollectionStatistics] | None = None
-        self._support_cache: tuple[int, ScoringSupport] | None = None
 
     @property
     def fields(self) -> tuple[str, ...]:
@@ -110,7 +108,6 @@ class FieldedIndex:
         self._epoch += 1
         self._stored = None
         self._statistics_cache = None
-        self._support_cache = None
 
     def adopt(self, documents: DocumentColumns, columns: Mapping[str, PostingColumns]) -> None:
         """Serve one posting CSR per field over ``documents``.
@@ -131,7 +128,6 @@ class FieldedIndex:
         self._epoch = len(documents.doc_ids)
         self._stored = documents
         self._statistics_cache = None
-        self._support_cache = None
 
     def stored_documents(self) -> DocumentColumns | None:
         """The documents of the CSRs this index still answers from.
@@ -211,7 +207,7 @@ class FieldedIndex:
     def field_indexes(self) -> Mapping[str, InvertedIndex]:
         """The per-field indexes in schema order (read-only).
 
-        What per-epoch memos (scoring support, columnar view) keep instead
+        What per-epoch memos (statistics, columnar view) keep instead
         of the index itself: the index owns those memos, so a reference
         back to it would be a cycle, and a superseded snapshot would then
         linger until the cyclic collector happens to run.  Unknown fields
@@ -278,15 +274,6 @@ class FieldedIndex:
         stats = CollectionStatistics(num_documents=len(self._documents), fields=fields)
         self._statistics_cache = (self._epoch, stats)
         return stats
-
-    def scoring_support(self) -> ScoringSupport:
-        """The scorers' per-term statistics handle, cached per index epoch."""
-        cached = self._support_cache
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
-        support = ScoringSupport(self.statistics())
-        self._support_cache = (self._epoch, support)
-        return support
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._documents

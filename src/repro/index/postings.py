@@ -60,7 +60,7 @@ class PostingList:
         """An independent copy (the copy-on-write step of index snapshots).
 
         Mutating the copy leaves this list untouched, so readers holding a
-        reference to it (scoring supports pinned to an older index epoch)
+        reference to it (statistics pinned to an older index epoch)
         keep a consistent snapshot while the writer extends the copy.
         """
         return PostingList(list(self._doc_ids), dict(self._frequencies))

@@ -8,11 +8,10 @@ of the library needs: shortest paths, bounded breadth-first expansion and
 connecting-path enumeration between entity pairs.
 
 The two hot traversals — :func:`bfs_reachable` and
-:func:`connecting_entities` — route through the per-epoch columnar
-:class:`~repro.kg.topology.GraphTopology` by default (frontier-at-a-time
-CSR kernels); the original scalar queue walks survive as
-:func:`bfs_reachable_scalar` / :func:`connecting_entities_scalar` and
-remain the byte-identical A/B arm (``topology=False``).
+:func:`connecting_entities` — run frontier-at-a-time CSR kernels over
+the per-epoch columnar :class:`~repro.kg.topology.GraphTopology`; the
+scalar queue walks :func:`bfs_reachable_scalar` /
+:func:`connecting_entities_scalar` are the reference they must equal.
 """
 
 from __future__ import annotations
@@ -69,17 +68,12 @@ def _expand(graph: KnowledgeGraph, entity: str) -> Iterator[PathStep]:
         yield PathStep(predicate=predicate, forward=False, entity=source)
 
 
-def bfs_reachable(
-    graph: KnowledgeGraph, start: str, max_hops: int = 2, *, topology: bool = True
-) -> dict[str, int]:
+def bfs_reachable(graph: KnowledgeGraph, start: str, max_hops: int = 2) -> dict[str, int]:
     """Entities reachable from ``start`` within ``max_hops``, with distances.
 
-    Runs the frontier-at-a-time columnar kernel by default; pass
-    ``topology=False`` for the scalar queue walk (the A/B arm) —
-    results are identical either way.
+    Runs the frontier-at-a-time columnar kernel; equal to
+    :func:`bfs_reachable_scalar`.
     """
-    if not topology:
-        return bfs_reachable_scalar(graph, start, max_hops)
     graph.require_entity(start)
     topo = graph_topology(graph)
     counters = topology_counters(graph)
@@ -93,7 +87,7 @@ def bfs_reachable(
 
 
 def bfs_reachable_scalar(graph: KnowledgeGraph, start: str, max_hops: int = 2) -> dict[str, int]:
-    """The scalar queue-walk arm of :func:`bfs_reachable`."""
+    """The scalar queue walk: the reference :func:`bfs_reachable` must equal."""
     graph.require_entity(start)
     distances: dict[str, int] = {start: 0}
     frontier = deque([start])
@@ -144,18 +138,14 @@ def _reconstruct(start: str, end: str, parents: dict[str, tuple[str, PathStep]])
     return Path(start=start, steps=tuple(steps))
 
 
-def connecting_entities(
-    graph: KnowledgeGraph, left: str, right: str, *, topology: bool = True
-) -> list[tuple[str, str, str]]:
+def connecting_entities(graph: KnowledgeGraph, left: str, right: str) -> list[tuple[str, str, str]]:
     """Entities that connect ``left`` and ``right`` through length-two paths.
 
     Returns ``(anchor_entity, predicate_from_left, predicate_from_right)``
     tuples — exactly the evidence the explanation area verbalises ("both are
-    performed by Tom Hanks").  Runs the sorted-array intersect kernel by
-    default; ``topology=False`` selects the scalar walk (identical output).
+    performed by Tom Hanks").  Runs the sorted-array intersect kernel;
+    equal to :func:`connecting_entities_scalar`.
     """
-    if not topology:
-        return connecting_entities_scalar(graph, left, right)
     graph.require_entity(left)
     graph.require_entity(right)
     topo = graph_topology(graph)
@@ -179,7 +169,7 @@ def connecting_entities(
 def connecting_entities_scalar(
     graph: KnowledgeGraph, left: str, right: str
 ) -> list[tuple[str, str, str]]:
-    """The scalar-walk arm of :func:`connecting_entities`."""
+    """The scalar walk: the reference :func:`connecting_entities` must equal."""
     graph.require_entity(left)
     graph.require_entity(right)
     left_anchors: dict[str, set[str]] = {}

@@ -1,52 +1,39 @@
-"""Columnar graph topology — per-epoch CSR adjacency + interval-encoded types.
+"""Columnar graph topology — per-epoch CSR adjacency.
 
-PRs 6–8 vectorized both *scoring* hot paths, but expansion still walked
-the knowledge graph edge-by-edge in Python: `bfs_reachable` /
-`connecting_entities` pop one entity at a time, and
-:meth:`~repro.expansion.expander.EntitySetExpander.expand` filters each
-candidate with an ``entity_id in members`` set probe.  This module gives
-the graph the same columnar treatment the postings and feature tables
-got:
+The traversal helpers ``bfs_reachable`` and ``connecting_entities`` run
+here as array kernels rather than edge-by-edge Python walks.  This module
+gives the graph the same columnar treatment the postings and feature
+tables got:
 
 * an **entity ordinal table** assigned in sorted-``entity_id`` order (so
   ordinal comparisons reproduce string comparisons exactly, like the doc
   and feature ordinals do) with **outgoing and incoming CSR adjacency**
   (``out_offsets``/``out_targets`` + a parallel ``out_preds``
   predicate-ordinal column, rows sorted by ``(neighbour, predicate)``);
-* an **interval encoding of the type universe** in the XPath-accelerator
-  style: a containment forest derived from strict member-set inclusion
-  (the parent of a type is its *smallest* strict superset) is walked
-  depth-first assigning ``pre``/``post`` clocks, so "every type under
-  ``T``" is the contiguous ``pre_order`` slice
-  ``[pre_position[T], pre_position[T] + subtree_size[T])`` and "every
-  entity under ``T``" is a range gather over the per-type sorted
-  member-ordinal CSR.  Because a descendant's member set is contained in
-  its ancestor's by construction, the subtree union equals the type's own
-  member set — which is what keeps the interval filter byte-identical to
-  the scalar ``entity_id in members`` probe;
 * **frontier-at-a-time kernels**: level-synchronous
   :meth:`GraphTopology.bfs_reachable_ords` (gather both CSR directions
-  for the whole frontier, ``np.unique``, mask the visited), sorted-array
-  :meth:`GraphTopology.connecting_ords` (intersect the two one-hop
-  neighbourhoods with ``searchsorted`` and join the deduped left
-  predicate sets against the right edge multiset), and the
-  ``searchsorted`` member intersect behind the expander's type
-  restriction.
+  for the whole frontier, ``np.unique``, mask the visited) and
+  sorted-array :meth:`GraphTopology.connecting_ords` (intersect the two
+  one-hop neighbourhoods with ``searchsorted`` and join the deduped left
+  predicate sets against the right edge multiset).
+
+An entity's adjacency rows are also its feature rows, which the feature
+ranker reads (:meth:`~repro.features.columnar.ColumnarFeatureTables.
+feature_rows`).  Type membership is not here: the expander's type filter
+reads the pinned feature tables' membership CSR.
 
 Instances are immutable and memoised per :attr:`KnowledgeGraph.epoch`
 via :func:`graph_topology` (the graph-side sibling of
 ``columnar_tables``), which derives each epoch's adjacency from the
 memoised previous epoch's; :class:`TraversalCounters` accumulates the shared
 traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
-The array layout round-trips through the PR 9 segment codec as the
+The array layout round-trips through the segment codec as the
 ``"graph-topology"`` segment kind (:func:`repro.storage.codec.
 encode_graph_topology`), so ``PivotE.save``/``load`` persist it to the
 disk tier.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -71,8 +58,6 @@ class TraversalCounters:
         "connect_queries",
         "frontier_entities",
         "edges_touched",
-        "interval_filters",
-        "interval_hits",
         "cache_hits",
         "rebuilds",
     )
@@ -82,8 +67,6 @@ class TraversalCounters:
         self.connect_queries = 0
         self.frontier_entities = 0
         self.edges_touched = 0
-        self.interval_filters = 0
-        self.interval_hits = 0
         self.cache_hits = 0
         self.rebuilds = 0
 
@@ -110,17 +93,6 @@ class GraphTopology:
         "in_offsets",
         "in_sources",
         "in_preds",
-        "type_ids",
-        "type_ord",
-        "type_offsets",
-        "type_members",
-        "type_parents",
-        "type_pre",
-        "type_post",
-        "pre_order",
-        "subtree_sizes",
-        "_pre_positions",
-        "_under",
         "_columns",
     )
 
@@ -129,20 +101,12 @@ class GraphTopology:
         epoch: int,
         entity_ids: list[str],
         predicates: list[str],
-        type_ids: list[str],
         out_offsets: np.ndarray,
         out_targets: np.ndarray,
         out_preds: np.ndarray,
         in_offsets: np.ndarray,
         in_sources: np.ndarray,
         in_preds: np.ndarray,
-        type_offsets: np.ndarray,
-        type_members: np.ndarray,
-        type_parents: np.ndarray,
-        type_pre: np.ndarray,
-        type_post: np.ndarray,
-        pre_order: np.ndarray,
-        subtree_sizes: np.ndarray,
         ordinal_of: OrdinalMap | None = None,
     ) -> None:
         self.epoch = epoch
@@ -159,22 +123,6 @@ class GraphTopology:
         self.in_offsets = in_offsets
         self.in_sources = in_sources
         self.in_preds = in_preds
-        self.type_ids = type_ids
-        self.type_ord = {type_id: ordinal for ordinal, type_id in enumerate(type_ids)}
-        self.type_offsets = type_offsets
-        self.type_members = type_members
-        self.type_parents = type_parents
-        self.type_pre = type_pre
-        self.type_post = type_post
-        self.pre_order = pre_order
-        self.subtree_sizes = subtree_sizes
-        # Inverse permutation of ``pre_order``: where each type ordinal
-        # sits in the pre-order walk — the left edge of its interval.
-        pre_positions = np.empty(len(type_ids), dtype=np.int64)
-        if len(type_ids):
-            pre_positions[pre_order] = np.arange(len(type_ids), dtype=np.int64)
-        self._pre_positions = pre_positions
-        self._under: dict[int, np.ndarray] = {}
         #: The log epoch a sort-built topology came from, which a later
         #: epoch's topology derives its adjacency from (``None`` when decoded).
         self._columns: EpochColumns | None = None
@@ -194,44 +142,16 @@ class GraphTopology:
         Both adjacency directions are the same edge rows ordered by
         ``(row entity, neighbour, predicate)``.  Given ``previous``, the
         topology of an earlier epoch of the same graph, the two adjacency
-        CSRs are derived from its rows instead (:meth:`_adjacency`); the
-        type CSR, containment forest and interval encoding are
-        recomputed either way (they are O(memberships) and O(types)).
+        CSRs are derived from its rows instead (:meth:`_adjacency`).
         """
         with graph.lock:
             epoch = graph.epoch
             columns = graph.columns.epoch(len(graph))
-        num_entities, num_types = len(columns.entity_ids), len(columns.type_ids)
-        out_offsets, out_targets, out_preds, in_offsets, in_sources, in_preds = cls._adjacency(
-            columns, previous
-        )
-
-        members, types = columns.typed_entities, columns.typed_types
-        _, type_members = sort_rows((num_types, num_entities), types, members)
-        type_offsets = csr_offsets(types, num_types)
-        type_parents = cls._containment_forest(
-            np.diff(type_offsets), csr_offsets(members, num_entities), types
-        )
-        type_pre, type_post, pre_order, subtree_sizes = cls._interval_encode(type_parents)
-
         topology = cls(
-            epoch=epoch,
-            entity_ids=columns.entity_ids,
-            predicates=columns.predicates,
-            type_ids=columns.type_ids,
-            out_offsets=out_offsets,
-            out_targets=out_targets,
-            out_preds=out_preds,
-            in_offsets=in_offsets,
-            in_sources=in_sources,
-            in_preds=in_preds,
-            type_offsets=type_offsets,
-            type_members=type_members,
-            type_parents=type_parents,
-            type_pre=type_pre,
-            type_post=type_post,
-            pre_order=pre_order,
-            subtree_sizes=subtree_sizes,
+            epoch,
+            columns.entity_ids,
+            columns.predicates,
+            *cls._adjacency(columns, previous),
             ordinal_of=columns.ordinal_of,
         )
         topology._columns = columns
@@ -288,158 +208,28 @@ class GraphTopology:
         epoch: int,
         entity_ids: list[str],
         predicates: list[str],
-        type_ids: list[str],
         out_offsets: np.ndarray,
         out_targets: np.ndarray,
         out_preds: np.ndarray,
         in_offsets: np.ndarray,
         in_sources: np.ndarray,
         in_preds: np.ndarray,
-        type_offsets: np.ndarray,
-        type_members: np.ndarray,
-        type_parents: np.ndarray,
-        type_pre: np.ndarray,
-        type_post: np.ndarray,
-        pre_order: np.ndarray,
-        subtree_sizes: np.ndarray,
         ordinal_of: OrdinalMap | None = None,
     ) -> "GraphTopology":
         """Rebuild a topology from decoded segment arrays (``ordinal_of``:
         the entity map of a load's one dictionary)."""
         return cls(
+            epoch,
+            entity_ids,
+            predicates,
+            out_offsets,
+            out_targets,
+            out_preds,
+            in_offsets,
+            in_sources,
+            in_preds,
             ordinal_of=ordinal_of,
-            epoch=epoch,
-            entity_ids=entity_ids,
-            predicates=predicates,
-            type_ids=type_ids,
-            out_offsets=out_offsets,
-            out_targets=out_targets,
-            out_preds=out_preds,
-            in_offsets=in_offsets,
-            in_sources=in_sources,
-            in_preds=in_preds,
-            type_offsets=type_offsets,
-            type_members=type_members,
-            type_parents=type_parents,
-            type_pre=type_pre,
-            type_post=type_post,
-            pre_order=pre_order,
-            subtree_sizes=subtree_sizes,
         )
-
-    @staticmethod
-    def _containment_forest(
-        type_sizes: np.ndarray, member_offsets: np.ndarray, member_types: np.ndarray
-    ) -> np.ndarray:
-        """Parent of each type: its smallest strict member-set superset.
-
-        Ties break on type name (= ordinal); types with no strict
-        superset (including equal-membership siblings) are forest roots
-        (parent ``-1``).  ``member_offsets``/``member_types`` is the
-        entity → sorted type ordinals CSR: crossing every entity's row
-        with itself and counting equal pairs gives ``|E(a) ∩ E(b)|`` for
-        all types that share a member, and ``a`` lies strictly inside
-        ``b`` iff that count is ``|E(a)|`` and ``|E(b)|`` is larger.
-        """
-        num_types = int(type_sizes.size)
-        parents = np.full(num_types, -1, dtype=np.int64)
-        lengths = np.diff(member_offsets)
-        rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-        pairs, shared = np.unique(
-            np.repeat(member_types, lengths[rows]) * num_types
-            + csr_gather(member_offsets, member_types, rows),
-            return_counts=True,
-        )
-        inner, outer = pairs // max(num_types, 1), pairs % max(num_types, 1)
-        strict = (shared == type_sizes[inner]) & (type_sizes[outer] > type_sizes[inner])
-        inner, outer = inner[strict], outer[strict]
-        order = np.lexsort((outer, type_sizes[outer], inner))
-        inner, smallest = np.unique(inner[order], return_index=True)
-        parents[inner] = outer[order][smallest]
-        return parents
-
-    @staticmethod
-    def _interval_encode(parents: np.ndarray):
-        """Pre/post-order clocks over the containment forest.
-
-        A virtual root walks the forest roots in type-name order (the
-        ordinals are name-sorted already), assigning each type a
-        ``pre``/``post`` clock pair; ``u`` is under ``t`` iff
-        ``pre[t] <= pre[u]`` and ``post[u] <= post[t]``.  The pre-order
-        walk itself (``pre_order``) plus each subtree's node count turns
-        that predicate into a contiguous slice.
-        """
-        count = int(parents.size)
-        children: list[list[int]] = [[] for _ in range(count)]
-        roots: list[int] = []
-        for ordinal in range(count):
-            parent = int(parents[ordinal])
-            if parent < 0:
-                roots.append(ordinal)
-            else:
-                children[parent].append(ordinal)
-        pre = np.zeros(count, dtype=np.int64)
-        post = np.zeros(count, dtype=np.int64)
-        pre_order: list[int] = []
-        positions = np.zeros(count, dtype=np.int64)
-        sizes = np.zeros(count, dtype=np.int64)
-        clock = 0
-        stack: list[tuple[int, bool]] = [(root, False) for root in reversed(roots)]
-        while stack:
-            node, exiting = stack.pop()
-            if exiting:
-                post[node] = clock
-                clock += 1
-                sizes[node] = len(pre_order) - positions[node]
-                continue
-            pre[node] = clock
-            clock += 1
-            positions[node] = len(pre_order)
-            pre_order.append(node)
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children[node]))
-        return pre, post, np.asarray(pre_order, dtype=np.int64), sizes
-
-    # ------------------------------------------------------------------ #
-    # Ordinal/string mapping
-    # ------------------------------------------------------------------ #
-    def ordinals_of(self, entity_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized id→ordinal lookup: ``(ordinals, known_mask)``.
-
-        Unknown identifiers get ordinal 0 with ``known_mask`` ``False``.
-        """
-        ordinals = self.ordinal_of.array(entity_ids, len(entity_ids))
-        known = ordinals >= 0
-        return np.where(known, ordinals, 0), known
-
-    # ------------------------------------------------------------------ #
-    # Interval-encoded type reachability
-    # ------------------------------------------------------------------ #
-    def types_under(self, type_ordinal: int) -> np.ndarray:
-        """Type ordinals in the subtree rooted at ``type_ordinal`` (incl. self)."""
-        position = int(self._pre_positions[type_ordinal])
-        return self.pre_order[position : position + int(self.subtree_sizes[type_ordinal])]
-
-    def entities_under(self, type_ordinal: int) -> np.ndarray:
-        """Sorted member ordinals of the subtree under ``type_ordinal``.
-
-        By the containment construction this equals the type's own member
-        row — the interval union is how the range encoding answers the
-        query without consulting member sets.  Memoised per type.
-        """
-        cached = self._under.get(type_ordinal)
-        if cached is None:
-            rows = csr_gather(self.type_offsets, self.type_members, self.types_under(type_ordinal))
-            cached = np.unique(rows)
-            self._under[type_ordinal] = cached
-        return cached
-
-    def entities_under_id(self, type_id: str) -> np.ndarray:
-        """Like :meth:`entities_under`, by type identifier (empty if unknown)."""
-        ordinal = self.type_ord.get(type_id)
-        if ordinal is None:
-            return np.zeros(0, dtype=np.int64)
-        return self.entities_under(ordinal)
 
     # ------------------------------------------------------------------ #
     # Frontier-at-a-time kernels
@@ -608,8 +398,6 @@ def traversal_stats(graph: KnowledgeGraph) -> TraversalStats:
         connect_queries=counters.connect_queries,
         frontier_entities=counters.frontier_entities,
         edges_touched=counters.edges_touched,
-        interval_filters=counters.interval_filters,
-        interval_hits=counters.interval_hits,
         cache_hits=counters.cache_hits,
         rebuilds=counters.rebuilds,
     )

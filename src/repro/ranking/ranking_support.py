@@ -38,10 +38,8 @@ class StageCounters:
     ``arrays[stage]`` counts the calls served from the pinned snapshot's
     array tables; ``fallbacks[stage][reason]`` those that ran the
     exhaustive reference instead, by reason: ``explicit-pool`` (the
-    caller supplied its own ``candidates=``), ``unknown-entity`` (a seed
-    the pinned tables have no ordinal for), ``topology-off`` (the type
-    filter with ``graph_topology`` off) and ``epoch-mismatch`` (the graph
-    topology is of another epoch than the pinned tables).  One instance
+    caller supplied its own ``candidates=``) and ``unknown-entity`` (a
+    seed the pinned tables have no ordinal for).  One instance
     lives on the :class:`~repro.ranking.probability.FeatureProbabilityModel`
     the stages share; each reason is also logged once per epoch.
     """

@@ -211,7 +211,7 @@ class SemanticFeatureRanker:
         """
         config = self._config
         topology = None
-        if config.graph_topology and self._graph.epoch == tables.epoch:
+        if self._graph.epoch == tables.epoch:
             # The seeds' adjacency rows are their feature rows; the tables
             # turn their own holder CSR around for readers of older epochs.
             topology = graph_topology(self._graph)

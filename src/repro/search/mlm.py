@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SearchConfig
-from ..index import FieldedIndex
+from ..index import CollectionStatistics, FieldedIndex
 from ..index.columnar import ColumnarIndex, ColumnarPostings, columnar_view
-from ..index.scoring_support import ScoringSupport
 from ..topk import (
     DenseKernelTerm,
     PruningStats,
@@ -65,16 +64,16 @@ class LanguageModelBounds:
     entries per (field, term) ever searched.
     """
 
-    __slots__ = ("_support", "_smoothing")
+    __slots__ = ("_statistics", "_smoothing")
 
-    def __init__(self, support: ScoringSupport, smoothing: SmoothingParams) -> None:
-        self._support = support
+    def __init__(self, statistics: CollectionStatistics, smoothing: SmoothingParams) -> None:
+        self._statistics = statistics
         self._smoothing = smoothing
 
     def _field_bounds(self, field: str, term: str) -> tuple[float, float]:
         """``(floor, upper)`` of one field's smoothed component."""
         smoothing = self._smoothing
-        field_stats = self._support.statistics.field(field)
+        field_stats = self._statistics.field(field)
         probability = field_stats.collection_probability(term)
         max_frequency = field_stats.max_frequency(term)
         if smoothing.method == "dirichlet":
@@ -128,7 +127,7 @@ def _term_components(
     view: ColumnarIndex,
     term: str,
     weighted_fields: Sequence[tuple[str, float]],
-    support: ScoringSupport,
+    statistics: CollectionStatistics,
     smoothing: SmoothingParams,
 ) -> list[TermComponent]:
     """The per-field lookups one term's scoring needs, resolved once."""
@@ -138,7 +137,7 @@ def _term_components(
             weight,
             view.postings(field, term),
             view.field_lengths(field),
-            factor * support.collection_probability(field, term),
+            factor * statistics.collection_probability(field, term),
         )
         for field, weight in weighted_fields
     ]
@@ -284,7 +283,7 @@ def candidate_term_columns(
 
 
 def _term_recipes(
-    support: ScoringSupport,
+    statistics: CollectionStatistics,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
 ) -> list[tuple[str, list[tuple[str, float, float]]]]:
@@ -294,7 +293,7 @@ def _term_recipes(
         (
             term,
             [
-                (field, weight, factor * support.collection_probability(field, term))
+                (field, weight, factor * statistics.collection_probability(field, term))
                 for field, weight in fields
             ],
         )
@@ -305,16 +304,16 @@ def _term_recipes(
 def _dense_kernel_entries(
     view: ColumnarIndex,
     candidates: np.ndarray,
-    support: ScoringSupport,
+    statistics: CollectionStatistics,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
 ) -> list[DenseKernelTerm]:
     """One vectorized kernel term per scored term, aligned with ``candidates``."""
-    bounds = LanguageModelBounds(support, smoothing)
+    bounds = LanguageModelBounds(statistics, smoothing)
     columns = candidate_term_columns(
         view,
         candidates,
-        _term_recipes(support, smoothing, term_specs),
+        _term_recipes(statistics, smoothing, term_specs),
         smoothing.method,
         _smoothing_factor(smoothing),
     )
@@ -380,15 +379,15 @@ class _LanguageModelScorer:
         candidates = query_candidates(view, self._index.fields, query.all_terms())
         if not candidates.size:
             return []
-        support = self._index.scoring_support()
+        statistics = self._index.statistics()
         smoothing = self._smoothing
         term_specs = self._term_specs(query)
         keys = [key for key, _, _ in term_specs]
         per_term = [
-            _term_components(view, term, fields, support, smoothing)
+            _term_components(view, term, fields, statistics, smoothing)
             for _, term, fields in term_specs
         ]
-        picked = self._survivors(view, candidates, support, term_specs, top_k)
+        picked = self._survivors(view, candidates, statistics, term_specs, top_k)
         exact = _score_breakdowns(view, picked, keys, per_term, smoothing)
         exact.sort(key=_rank_key)
         return exact[:top_k]
@@ -397,7 +396,7 @@ class _LanguageModelScorer:
         self,
         view: ColumnarIndex,
         candidates: np.ndarray,
-        support: ScoringSupport,
+        statistics: CollectionStatistics,
         term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
         top_k: int,
     ) -> np.ndarray:
@@ -407,7 +406,7 @@ class _LanguageModelScorer:
         candidates whose contribution upper bound cannot beat the live θ
         evicted early, then the top ``k + margin`` survivors selected.
         """
-        entries = _dense_kernel_entries(view, candidates, support, self._smoothing, term_specs)
+        entries = _dense_kernel_entries(view, candidates, statistics, self._smoothing, term_specs)
         ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
         picked = select_survivor_ordinals(ordinals, partials, top_k)
         self._pruning_stats.rescored += len(picked)

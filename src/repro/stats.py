@@ -193,10 +193,8 @@ class TraversalStats:
     ``bfs_queries``/``connect_queries`` count vectorized
     ``bfs_reachable``/``connecting_entities`` calls;
     ``frontier_entities`` sums the BFS frontier sizes those queries
-    advanced and ``edges_touched`` the CSR adjacency rows they gathered.
-    ``interval_filters``/``interval_hits`` count the expander's
-    interval-encoded type restrictions and the candidates that survived
-    them, and ``cache_hits``/``rebuilds`` track the per-epoch
+    advanced and ``edges_touched`` the CSR adjacency rows they gathered;
+    ``cache_hits``/``rebuilds`` track the per-epoch
     :class:`~repro.kg.topology.GraphTopology` memo.  The counters live
     on the graph itself, so every component traversing the same graph
     reports identical numbers.
@@ -206,8 +204,6 @@ class TraversalStats:
     connect_queries: int
     frontier_entities: int
     edges_touched: int
-    interval_filters: int
-    interval_hits: int
     cache_hits: int
     rebuilds: int
 
@@ -217,8 +213,6 @@ class TraversalStats:
             "connect_queries": self.connect_queries,
             "frontier_entities": self.frontier_entities,
             "edges_touched": self.edges_touched,
-            "interval_filters": self.interval_filters,
-            "interval_hits": self.interval_hits,
             "cache_hits": self.cache_hits,
             "rebuilds": self.rebuilds,
         }

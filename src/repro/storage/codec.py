@@ -587,11 +587,10 @@ def encode_graph_topology(
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one epoch's columnar graph topology into ``(manifest, builder)``.
 
-    The sorted entity/predicate/type identifiers go out as references to
-    the ``dictionary``'s tables when equal to them and as string tables
-    (:func:`place_strings`) otherwise, then both CSR adjacency directions (neighbour + parallel
-    predicate-ordinal columns), the per-type sorted member-ordinal CSR
-    and the pre/post-order interval encoding of the containment forest.
+    The sorted entity/predicate identifiers go out as references to the
+    ``dictionary``'s tables when equal to them and as string tables
+    (:func:`place_strings`) otherwise, then both CSR adjacency directions
+    (neighbour + parallel predicate-ordinal columns).
     ``source`` is anything with ``uid``/``epoch`` pinning the publishing
     graph's identity and the topology's epoch.
     """
@@ -605,20 +604,12 @@ def encode_graph_topology(
         "num_entities": topology.num_entities,
         "entity_ids": dictionary.place(place, "entity_ids", topology.entity_ids),
         "predicates": dictionary.place(place, "predicates", topology.predicates),
-        "type_ids": dictionary.place(place, "type_ids", topology.type_ids),
         "out_offsets": place(topology.out_offsets),
         "out_targets": place(topology.out_targets),
         "out_preds": place(topology.out_preds),
         "in_offsets": place(topology.in_offsets),
         "in_sources": place(topology.in_sources),
         "in_preds": place(topology.in_preds),
-        "type_offsets": place(topology.type_offsets),
-        "type_members": place(topology.type_members),
-        "type_parents": place(topology.type_parents),
-        "type_pre": place(topology.type_pre),
-        "type_post": place(topology.type_post),
-        "pre_order": place(topology.pre_order),
-        "subtree_sizes": place(topology.subtree_sizes),
     }, builder
 
 

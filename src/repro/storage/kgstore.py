@@ -30,8 +30,8 @@ from.  Which segment holds which table:
 ``feature-tables``  feature codes, holder CSR, dominant types, type
                     populations and membership CSR; its entity,
                     predicate and type tables as references
-``graph-topology``  adjacency CSRs both ways, type CSR and interval
-                    encoding; its three tables as references
+``graph-topology``  adjacency CSRs both ways; its entity and
+                    predicate tables as references
 ==================  ================================================
 
 A reference is ``{"count", "crc"}``: the referenced table's length and
@@ -565,8 +565,8 @@ def restore_graph_topology(
     state must not be installed — and so do the array checks: both
     adjacency CSRs cut their neighbour and predicate columns into one
     row per entity, with neighbours inside the entities and predicates
-    inside the predicate table, and the type CSR one row of entities per
-    type.
+    inside the predicate table.  The type arrays older segments carry
+    are not read.
     """
     from ..kg.topology import GraphTopology
 
@@ -592,20 +592,12 @@ def restore_graph_topology(
         epoch=view.epoch,
         entity_ids=entity_ids,
         predicates=dictionary.resolve(view, "predicates"),
-        type_ids=dictionary.resolve(view, "type_ids"),
         out_offsets=copied("out_offsets"),
         out_targets=copied("out_targets"),
         out_preds=copied("out_preds"),
         in_offsets=copied("in_offsets"),
         in_sources=copied("in_sources"),
         in_preds=copied("in_preds"),
-        type_offsets=copied("type_offsets"),
-        type_members=copied("type_members"),
-        type_parents=copied("type_parents"),
-        type_pre=copied("type_pre"),
-        type_post=copied("type_post"),
-        pre_order=copied("pre_order"),
-        subtree_sizes=copied("subtree_sizes"),
         ordinal_of=dictionary.ordinals(entity_ids),
     )
     entities, predicates = topology.num_entities, len(topology.predicates)
@@ -619,10 +611,6 @@ def restore_graph_topology(
             or not in_range(preds, 0, predicates)
         ):
             raise SnapshotUnavailable("topology snapshot adjacency CSR is malformed")
-    if not _check_csr(
-        topology.type_offsets, len(topology.type_ids), topology.type_members, entities
-    ):
-        raise SnapshotUnavailable("topology snapshot type membership CSR is malformed")
     return topology
 
 

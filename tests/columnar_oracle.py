@@ -18,10 +18,8 @@ from repro.kg import GraphTopology, KnowledgeGraph
 TOPOLOGY_ARRAYS = (
     "out_offsets", "out_targets", "out_preds",
     "in_offsets", "in_sources", "in_preds",
-    "type_offsets", "type_members", "type_parents",
-    "type_pre", "type_post", "pre_order", "subtree_sizes",
 )
-TOPOLOGY_STRINGS = ("entity_ids", "predicates", "type_ids")
+TOPOLOGY_STRINGS = ("entity_ids", "predicates")
 TABLE_ARRAYS = (
     "holder_offsets", "holder_ordinals", "dominant_ords",
     "type_populations", "member_offsets", "member_type_ords",
@@ -48,23 +46,6 @@ def _adjacency(entity_ids, ordinal_of, predicate_ord, edges_of):
     )
 
 
-def _containment_forest(type_ids: list[str], member_sets: list[set[int]]) -> np.ndarray:
-    """Parent of each type: its smallest strict member-set superset."""
-    parents = np.full(len(type_ids), -1, dtype=np.int64)
-    for ordinal, members in enumerate(member_sets):
-        best = -1
-        for candidate, candidate_members in enumerate(member_sets):
-            if candidate == ordinal or not members < candidate_members:
-                continue
-            if best < 0 or (len(candidate_members), type_ids[candidate]) < (
-                len(member_sets[best]),
-                type_ids[best],
-            ):
-                best = candidate
-        parents[ordinal] = best
-    return parents
-
-
 def topology_oracle(graph: KnowledgeGraph) -> dict[str, object]:
     """Every array and string table of the graph's topology, by graph walks."""
     entity_ids = sorted(graph.entities())
@@ -77,36 +58,16 @@ def topology_oracle(graph: KnowledgeGraph) -> dict[str, object]:
     in_offsets, in_sources, in_preds = _adjacency(
         entity_ids, ordinal_of, predicate_ord, graph.incoming
     )
-    type_ids = sorted(graph.types())
-    member_sets = [
-        {ordinal_of[member] for member in graph.entities_of_type(type_id)}
-        for type_id in type_ids
-    ]
-    type_offsets = np.zeros(len(type_ids) + 1, dtype=np.int64)
-    member_rows: list[int] = []
-    for ordinal, members in enumerate(member_sets):
-        member_rows.extend(sorted(members))
-        type_offsets[ordinal + 1] = len(member_rows)
-    type_parents = _containment_forest(type_ids, member_sets)
-    type_pre, type_post, pre_order, subtree_sizes = GraphTopology._interval_encode(type_parents)
     return {
         "epoch": graph.epoch,
         "entity_ids": entity_ids,
         "predicates": predicates,
-        "type_ids": type_ids,
         "out_offsets": out_offsets,
         "out_targets": out_targets,
         "out_preds": out_preds,
         "in_offsets": in_offsets,
         "in_sources": in_sources,
         "in_preds": in_preds,
-        "type_offsets": type_offsets,
-        "type_members": np.asarray(member_rows, dtype=np.int64),
-        "type_parents": type_parents,
-        "type_pre": type_pre,
-        "type_post": type_post,
-        "pre_order": pre_order,
-        "subtree_sizes": subtree_sizes,
     }
 
 

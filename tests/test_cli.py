@@ -178,16 +178,11 @@ class TestPruningFlags:
             build_parser().parse_args([flag, value, "search", "x"])
 
 
-class TestGraphTopologyFlag:
-    """The PR 10 ``--graph-topology`` operator surface."""
+class TestTraversalCounters:
+    """``--show-pruning`` also prints the graph's traversal counters."""
 
     def run(self, *argv: str) -> int:
         return main(["--dataset", "movies-small", *argv])
-
-    @pytest.mark.parametrize("mode", ["on", "off"])
-    def test_recommend_identical_across_modes(self, mode, capsys):
-        assert self.run("--graph-topology", mode, "recommend", "dbr:Forrest_Gump") == 0
-        assert "entities:" in capsys.readouterr().out
 
     def test_show_pruning_dumps_traversal_counters(self, capsys):
         code = self.run("--show-pruning", "recommend", "dbr:Forrest_Gump")
@@ -196,19 +191,9 @@ class TestGraphTopologyFlag:
         assert "traversal[topology]:" in out
         assert "'rebuilds':" in out
 
-    def test_build_config_threads_knob_to_the_ranker_only(self):
-        from repro.cli import build_config
-        from repro.config import SearchConfig
-
-        config = build_config(graph_topology="off")
-        assert config.ranking.graph_topology is False
-        assert config.search == SearchConfig()
-        assert build_config(graph_topology="on").ranking.graph_topology is True
-        assert build_config().ranking.graph_topology is True
-
-    def test_unknown_mode_rejected(self):
+    def test_there_is_no_topology_flag(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--graph-topology", "maybe", "search", "x"])
+            build_parser().parse_args(["--graph-topology", "on", "search", "x"])
 
 
 class TestSnapshotAndBatchFlags:

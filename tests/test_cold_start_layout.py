@@ -36,6 +36,12 @@ from repro.storage import (
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "system-before-feature-codes")
+#: What a ``graph-topology`` segment held beside its adjacency before the
+#: type filter read the feature tables.
+TYPE_FOREST = (
+    "type_ids", "type_offsets", "type_members", "type_parents", "type_pre", "type_post",
+    "pre_order", "subtree_sizes",
+)
 
 
 def answers(system: PivotE, entity: str) -> list[dict]:
@@ -84,7 +90,6 @@ CORRUPTIONS = {
     "in_sources": (GRAPH_TOPOLOGY_KEY, "in_sources", _shifted(100_000)),
     "out_preds": (GRAPH_TOPOLOGY_KEY, "out_preds", _shifted(1000)),
     "in_preds": (GRAPH_TOPOLOGY_KEY, "in_preds", _shifted(1000)),
-    "type_members": (GRAPH_TOPOLOGY_KEY, "type_members", _shifted(100_000)),
 }
 
 
@@ -164,6 +169,11 @@ def test_a_directory_in_the_earlier_layout_loads_and_answers_like_a_fresh_build(
         assert "features" in view.manifest and "feature_codes" not in view.manifest
     finally:
         view.close()
+    view = store.attach(GRAPH_TOPOLOGY_KEY)
+    try:  # the type forest of the earlier topology is carried and ignored
+        assert set(TYPE_FOREST) <= set(view.manifest)
+    finally:
+        view.close()
     with PivotE.load(directory) as loaded:
         assert loaded.stats().storage.failures == 0
         entity = sorted(loaded.graph.entities())[5]
@@ -179,6 +189,11 @@ def test_a_directory_in_the_earlier_layout_loads_and_answers_like_a_fresh_build(
     resaved = str(tmp_path / "resaved")
     with PivotE.load(directory) as loaded:
         loaded.save(resaved)
+    view = system_store(resaved).attach(GRAPH_TOPOLOGY_KEY)
+    try:
+        assert not set(TYPE_FOREST) & set(view.manifest)
+    finally:
+        view.close()
     with PivotE.load(resaved) as again:
         assert again.stats().storage.failures == 0
         assert answers(again, entity) == got

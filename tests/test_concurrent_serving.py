@@ -193,7 +193,7 @@ class TestConcurrentRecommendation:
             assert got.entity_ids == want.entity_ids
         got, want = graph_topology(graph), GraphTopology.from_graph(graph)
         for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
-                     "in_preds", "type_offsets", "type_members", "type_parents"):
+                     "in_preds"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_pinned_request_reads_seed_rows_of_its_own_epoch(self, tiny_kg):
@@ -225,17 +225,37 @@ class TestConcurrentRecommendation:
         for old, new in zip(rows, tables.feature_rows(seeds.tolist(), newer)):
             assert old.tolist() == new.tolist()
         assert signature(ranker._rank_arrays(tables, ["ex:F3"], seeds, 30)) == before
-        # The type filter cannot use the newer topology's ordinals either:
-        # it goes through identifiers, and says so.
+        # The type filter reads the pinned tables too, so it needs no
+        # other form at another epoch.
         again = expander.restrict_candidates(
             np.arange(tables.num_entities), "ex:Film", tables=tables
         )
         assert again.tolist() == films.tolist()
-        assert ranker.probability_model.stages.fallbacks["filters"] == {"epoch-mismatch": 1}
+        stages = ranker.probability_model.stages
+        assert stages.arrays["filters"] == 2 and stages.fallbacks["filters"] == {}
         # A request that starts now is pinned to n+1 and sees the new feature.
         after = ranker.rank(["ex:F3"])
         assert {item.feature.anchor for item in after} - {item[0].anchor for item in before} == {"ex:A3"}
         assert signature(after) == signature(ranker.rank_exhaustive(["ex:F3"]))
+
+    def test_type_filter_keeps_the_pinned_epochs_members(self, tiny_kg):
+        """A write that types a candidate after a request pinned its tables
+        does not reach that request's type filter."""
+        from repro.expansion import EntitySetExpander
+
+        graph = tiny_kg
+        expander = EntitySetExpander(graph, SemanticFeatureIndex.build(graph))
+        tables = expander.feature_ranker.probability_model.support().columnar_tables()
+        films = graph.entities_of_type("ex:Film")
+        newcomer = next(entity for entity in sorted(graph.entities()) if entity not in films)
+        candidates = np.arange(tables.num_entities)[::-1]
+
+        graph.add_type(newcomer, "ex:Film")  # epoch n+1
+        kept = expander.restrict_candidates(candidates, "ex:Film", tables=tables)
+        assert [tables.entity_ids[ordinal] for ordinal in kept.tolist()] == sorted(
+            films, reverse=True
+        )
+        assert newcomer in graph.entities_of_type("ex:Film")
 
     def test_feature_index_snapshot_pinning(self, tiny_kg):
         """A pinned snapshot keeps pre-mutation holder sets forever."""

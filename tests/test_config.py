@@ -95,18 +95,19 @@ class TestRankingConfig:
     def test_with_override(self):
         assert RankingConfig().with_(top_features=5).top_features == 5
 
-    def test_graph_topology_defaults_on(self):
-        assert RankingConfig().graph_topology is True
-        assert RankingConfig().with_(graph_topology=False).graph_topology is False
-
     def test_execution_knobs_are_search_only(self):
-        """The recommender has one execution path: no pruning, shard,
-        columnar, chunking, executor or snapshot-storage knobs."""
-        assert len(dataclasses.fields(RankingConfig)) == 10
+        """The recommender has one execution path: no pruning, topology,
+        shard, columnar, chunking, executor or snapshot-storage knobs."""
+        assert len(dataclasses.fields(RankingConfig)) == 9
         names = {field.name for field in dataclasses.fields(RankingConfig)}
-        knobs = ("pruning", "columnar", "feature_chunk", "shards", "executor", "workers", "storage")
+        knobs = (
+            "pruning", "graph_topology", "columnar", "feature_chunk", "shards", "executor",
+            "workers", "storage",
+        )
         for knob in (*knobs, "snapshot_dir"):
             assert knob not in names
+        with pytest.raises(TypeError):
+            RankingConfig(graph_topology=False)
         with pytest.raises(TypeError):
             RankingConfig(columnar=False)
         with pytest.raises(TypeError):

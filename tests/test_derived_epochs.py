@@ -97,7 +97,7 @@ class TestPinnedReadersKeepTheirEpoch:
         topology_arrays = {
             name: getattr(topology, name)
             for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
-                         "in_preds", "type_offsets", "type_members", "type_parents")
+                         "in_preds")
         }
         columns = graph.columns.epoch(snapshot.triples)
         column_arrays = {
@@ -203,14 +203,10 @@ class TestDerivationSources:
         arrays = {name: getattr(topology, name) for name in ("out_offsets", "out_targets")}
         restored = GraphTopology.from_arrays(
             epoch=topology.epoch - 1, entity_ids=topology.entity_ids,
-            predicates=topology.predicates, type_ids=topology.type_ids,
+            predicates=topology.predicates,
             out_offsets=topology.out_offsets, out_targets=topology.out_targets,
             out_preds=topology.out_preds, in_offsets=topology.in_offsets,
             in_sources=topology.in_sources, in_preds=topology.in_preds,
-            type_offsets=topology.type_offsets, type_members=topology.type_members,
-            type_parents=topology.type_parents, type_pre=topology.type_pre,
-            type_post=topology.type_post, pre_order=topology.pre_order,
-            subtree_sizes=topology.subtree_sizes,
         )
         rebuilt = GraphTopology.from_graph(graph, restored)
         assert _bytes(arrays) == _bytes(

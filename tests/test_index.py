@@ -246,7 +246,7 @@ class TestCopyOnWriteSuccessor:
     def test_superseded_snapshot_is_freed_without_the_cyclic_collector(self):
         index = FieldedIndex(["names", "categories"])
         index.add_document("e1", {"names": ["forrest", "gump"]})
-        index.scoring_support()
+        index.statistics()
         columnar_view(index).postings("names", "gump")
         successor = index.with_added_document("e2", {"names": ["apollo"]})
         gc.collect()

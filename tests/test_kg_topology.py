@@ -1,13 +1,14 @@
 """Unit, property and round-trip coverage of the columnar graph topology.
 
-The PR 10 contract: :class:`~repro.kg.GraphTopology` — CSR adjacency over
-string-sorted entity ordinals plus the interval-encoded type containment
-forest — must answer every traversal the scalar walks answer, byte for
-byte.  These tests pin the structural invariants (offset monotonicity,
-row sort order, interval nesting, subtree-union == member-set), prove
-kernel equivalence on fixed and hypothesis-generated random graphs,
-exercise the per-epoch memo (cache hits, stale-epoch rebuilds after
-mutation) and round-trip the arrays through the segment codec.
+:class:`~repro.kg.GraphTopology` — CSR adjacency over string-sorted
+entity ordinals — must answer every traversal the scalar walks answer,
+byte for byte.  These tests pin the structural invariants (offset
+monotonicity, row sort order), prove kernel equivalence on fixed and
+hypothesis-generated random graphs, exercise the per-epoch memo (cache
+hits, stale-epoch rebuilds after mutation) and round-trip the arrays
+through the segment codec.  The same graphs check the feature tables'
+type filter (:meth:`~repro.features.columnar.ColumnarFeatureTables.of_type`)
+against the graph's member sets.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import RandomKGConfig, build_random_kg
+from repro.features import SemanticFeatureIndex
+from repro.features.columnar import columnar_tables
 from repro.kg import (
     GraphTopology,
     KnowledgeGraph,
@@ -57,13 +60,11 @@ class TestStructuralInvariants:
     def test_entity_ordinals_are_string_sorted(self, topology):
         assert topology.entity_ids == sorted(topology.entity_ids)
         assert topology.predicates == sorted(topology.predicates)
-        assert topology.type_ids == sorted(topology.type_ids)
 
     def test_csr_offsets_are_monotone_and_complete(self, random_graph, topology):
         for offsets, values in (
             (topology.out_offsets, topology.out_targets),
             (topology.in_offsets, topology.in_sources),
-            (topology.type_offsets, topology.type_members),
         ):
             assert offsets[0] == 0
             assert offsets[-1] == len(values)
@@ -94,47 +95,6 @@ class TestStructuralInvariants:
                 )
             )
             assert decoded == sorted(random_graph.outgoing(entity_id))
-
-    def test_interval_nesting(self, topology):
-        """Child intervals sit strictly inside their parent's."""
-        for ordinal, parent in enumerate(topology.type_parents.tolist()):
-            if parent < 0:
-                continue
-            assert topology.type_pre[parent] < topology.type_pre[ordinal]
-            assert topology.type_post[ordinal] < topology.type_post[parent]
-
-    def test_types_under_is_the_pre_order_slice(self, topology):
-        """The interval predicate and the slice agree for every root."""
-        pre, post = topology.type_pre, topology.type_post
-        for ordinal in range(len(topology.type_ids)):
-            by_predicate = {
-                other
-                for other in range(len(topology.type_ids))
-                if pre[ordinal] <= pre[other] and post[other] <= post[ordinal]
-            }
-            assert set(topology.types_under(ordinal).tolist()) == by_predicate
-
-    def test_subtree_union_equals_member_set(self, random_graph, topology):
-        """The containment construction's load-bearing property: the
-        union of every descendant's members is the type's own member row
-        — what keeps the interval filter byte-identical to the scalar
-        ``entity_id in members`` probe."""
-        for type_id in topology.type_ids:
-            expected = sorted(
-                topology.ordinal_of[m] for m in random_graph.entities_of_type(type_id)
-            )
-            assert topology.entities_under_id(type_id).tolist() == expected
-
-    def test_ordinals_of_flags_unknown_ids(self, topology):
-        known_id = topology.entity_ids[3]
-        ordinals, known = topology.ordinals_of([known_id, "ex:not_a_thing", ""])
-        assert known.tolist() == [True, False, False]
-        assert ordinals[0] == 3
-        empty_ordinals, empty_known = topology.ordinals_of([])
-        assert empty_ordinals.size == 0 and empty_known.size == 0
-
-    def test_unknown_type_yields_empty_members(self, topology):
-        assert topology.entities_under_id("ex:NoSuchType").size == 0
 
 
 class TestKernelEquivalence:
@@ -209,11 +169,15 @@ def test_property_connecting_equivalence(kg: KnowledgeGraph):
 
 @given(small_graphs())
 @settings(max_examples=30, deadline=None)
-def test_property_interval_filter_equals_member_sets(kg: KnowledgeGraph):
-    topology = graph_topology(kg)
-    for type_id in kg.types():
-        expected = sorted(topology.ordinal_of[m] for m in kg.entities_of_type(type_id))
-        assert topology.entities_under_id(type_id).tolist() == expected
+def test_property_type_filter_equals_member_sets(kg: KnowledgeGraph):
+    tables = columnar_tables(SemanticFeatureIndex.build(kg).snapshot())
+    candidates = tables.entity_ordinals(sorted(kg.entities(), reverse=True))
+    for type_id in [*kg.types(), "ex:NoSuchType"]:
+        members = kg.entities_of_type(type_id)
+        kept = candidates[tables.of_type(candidates, type_id)]
+        assert [tables.entity_ids[o] for o in kept.tolist()] == [
+            tables.entity_ids[o] for o in candidates.tolist() if tables.entity_ids[o] in members
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -268,8 +232,9 @@ class TestMemoAndCounters:
         kg = build_random_kg(RandomKGConfig(num_entities=40, seed=7))
         probe = sorted(kg.entities())[0]
         bfs_reachable_scalar(kg, probe, max_hops=2)
-        bfs_reachable(kg, probe, max_hops=2, topology=False)
+        connecting_entities_scalar(kg, probe, probe)
         assert traversal_stats(kg).bfs_queries == 0
+        assert traversal_stats(kg).connect_queries == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -293,16 +258,23 @@ class TestSegmentRoundTrip:
         restored = restore_graph_topology(random_graph, view)
         assert restored.entity_ids == topology.entity_ids
         assert restored.predicates == topology.predicates
-        assert restored.type_ids == topology.type_ids
         probe = topology.ordinal_of[_probes(random_graph, count=1)[0]]
         reached_a, depths_a = topology.bfs_reachable_ords(probe, 2)
         reached_b, depths_b = restored.bfs_reachable_ords(probe, 2)
         assert np.array_equal(reached_a, reached_b)
         assert np.array_equal(depths_a, depths_b)
-        for type_id in topology.type_ids[:4]:
-            assert np.array_equal(
-                restored.entities_under_id(type_id), topology.entities_under_id(type_id)
-            )
+        left, right = (topology.ordinal_of[e] for e in _probes(random_graph, count=2))
+        for kernel_a, kernel_b in zip(
+            topology.connecting_ords(left, right), restored.connecting_ords(left, right)
+        ):
+            assert np.array_equal(kernel_a, kernel_b)
+
+    def test_segment_carries_adjacency_only(self, topology):
+        view = SegmentView(_encode_to_buffer(topology), name="unit")
+        assert set(view.manifest) == {
+            "uid", "epoch", "kind", "num_entities", "entity_ids", "predicates",
+            "out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources", "in_preds",
+        }
 
     def test_wrong_kind_is_rejected(self, random_graph, topology):
         buf = _encode_to_buffer(topology)
@@ -321,24 +293,14 @@ class TestSegmentRoundTrip:
             SegmentView(buf, name="unit", verify=True)
 
     def test_from_arrays_matches_from_graph(self, topology):
+        arrays = ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources", "in_preds")
         clone = GraphTopology.from_arrays(
             epoch=topology.epoch,
             entity_ids=topology.entity_ids,
             predicates=topology.predicates,
-            type_ids=topology.type_ids,
-            out_offsets=topology.out_offsets,
-            out_targets=topology.out_targets,
-            out_preds=topology.out_preds,
-            in_offsets=topology.in_offsets,
-            in_sources=topology.in_sources,
-            in_preds=topology.in_preds,
-            type_offsets=topology.type_offsets,
-            type_members=topology.type_members,
-            type_parents=topology.type_parents,
-            type_pre=topology.type_pre,
-            type_post=topology.type_post,
-            pre_order=topology.pre_order,
-            subtree_sizes=topology.subtree_sizes,
+            **{name: getattr(topology, name) for name in arrays},
         )
         assert clone.ordinal_of == topology.ordinal_of
-        assert np.array_equal(clone._pre_positions, topology._pre_positions)
+        assert clone.predicate_ord == topology.predicate_ord
+        for name in arrays:
+            assert getattr(clone, name) is getattr(topology, name)

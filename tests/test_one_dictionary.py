@@ -50,7 +50,7 @@ BEFORE_DICTIONARY = os.path.join(FIXTURES, "system-before-one-dictionary")
 REFERENCES = {
     SEARCH_INDEX_KEY: ("doc_ids",),
     FEATURE_TABLES_KEY: ("entity_ids", "predicates", "type_ids"),
-    GRAPH_TOPOLOGY_KEY: ("entity_ids", "predicates", "type_ids"),
+    GRAPH_TOPOLOGY_KEY: ("entity_ids", "predicates"),
 }
 
 
@@ -143,7 +143,7 @@ def test_a_save_lists_every_identifier_once(saved, random_graph, fresh_answers):
     "key, name, change",
     [
         (FEATURE_TABLES_KEY, "entity_ids", {"crc": 1}),
-        (GRAPH_TOPOLOGY_KEY, "type_ids", {"count": 10**6}),
+        (GRAPH_TOPOLOGY_KEY, "predicates", {"count": 10**6}),
         (SEARCH_INDEX_KEY, "doc_ids", {"crc": 1}),
     ],
 )
@@ -173,6 +173,7 @@ def test_a_directory_saved_before_the_dictionary_loads_and_resaves(tmp_path):
     assert "rank" not in old[GRAPH_TRIPLES_KEY]["tables"]["entities"]
     assert "crcs" in old[SEARCH_INDEX_KEY] and "text" in old[SEARCH_INDEX_KEY]["doc_ids"]
     assert "type_ids" not in old[FEATURE_TABLES_KEY]
+    assert {"type_members", "type_parents", "pre_order"} <= set(old[GRAPH_TOPOLOGY_KEY])
     with PivotE.load(directory) as loaded:
         assert loaded.stats().storage.failures == 0
         entity = sorted(loaded.graph.entities())[5]
@@ -188,6 +189,7 @@ def test_a_directory_saved_before_the_dictionary_loads_and_resaves(tmp_path):
     assert "crcs" not in new[SEARCH_INDEX_KEY]
     for key, names in REFERENCES.items():
         assert all(is_reference(new[key][name]) for name in names), key
+    assert not {"type_ids", "type_members", "type_parents", "pre_order"} & set(new[GRAPH_TOPOLOGY_KEY])
     with PivotE.load(resaved) as again:
         assert again.stats().storage.failures == 0
         assert answers(again, entity) == got

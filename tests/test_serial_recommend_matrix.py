@@ -10,7 +10,8 @@ matrix, under every scoring knob, and on systems built, loaded from a
 snapshot (the stored feature tables) and written to after their first
 recommendation (tables derived from the previous epoch's) — the
 ``ORIGINS`` of ``serial_matrix``.  The written entity joins the largest
-type, so on the random graphs it is the first seed.
+type, so on the random graphs it is the first seed.  The expander's type
+filter is held to its id form on the same systems.
 
 Every comparison is exact: same entities, same features, same floats.
 """
@@ -90,6 +91,24 @@ class TestRandomGraphShapes:
         assert seeds
         for top_k in (1, 5, 1000):
             _assert_rankers_equal_exhaustive(system, seeds, top_k)
+
+
+    @pytest.mark.parametrize("origin", ORIGINS)
+    @pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
+    def test_type_filter_equals_reference(self, shape_systems, shape, origin):
+        """The expander's type filter over the pinned tables keeps exactly
+        the candidates the id form keeps, in candidate order, for every
+        type of the graph and one it lacks."""
+        graph, system = shape_systems(shape, origin)
+        expander = system.recommendation_engine.expander
+        tables = expander.feature_ranker.probability_model.support().columnar_tables()
+        ordinals = np.random.default_rng(7).permutation(tables.num_entities)
+        ids = [tables.entity_ids[ordinal] for ordinal in ordinals.tolist()]
+        for type_id in [*sorted(graph.types()), "ex:NoSuchType"]:
+            kept = expander.restrict_candidates(ordinals, type_id, tables=tables)
+            assert [tables.entity_ids[ordinal] for ordinal in kept.tolist()] == (
+                expander.restrict_candidates(ids, type_id)
+            ), type_id
 
 
 class TestScoringKnobs:

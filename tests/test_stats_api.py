@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.config import PivotEConfig, RankingConfig
+from repro.config import PivotEConfig
 from repro.engine import PivotE, PivotEApi
 from repro.expansion import EntitySetExpander
 from repro.ranking.ranking_support import STAGES
@@ -270,15 +270,6 @@ class TestStageStats:
         records = [record for record in caplog.records if "unknown-entity" in record.getMessage()]
         assert len(records) == 1 and records[0].name == "repro"
 
-    def test_topology_off_names_the_type_filter(self, movie_kg):
-        config = PivotEConfig(ranking=RankingConfig(graph_topology=False))
-        system = PivotE(movie_kg, config=config)
-        self.fig4_session(system)
-        stages = system.stats().child("recommendation").stages
-        assert set(stages.fallbacks["filters"]) == {"topology-off"}
-        for stage in ("sf_rank", "candidates", "entity_rank", "correlation"):
-            assert stages.arrays[stage] > 0 and not stages.fallbacks[stage]
-
 
 class TestFallbacksRunTheReference:
     """Each named fallback answers exactly what the reference answers."""
@@ -323,21 +314,6 @@ class TestFallbacksRunTheReference:
         )
         assert expanded.features == reference.features
         assert model.stages.fallbacks["entity_rank"] == {"unknown-entity": 1}
-
-    def test_topology_off_type_filter(self, movie_kg):
-        config = RankingConfig(graph_topology=False)
-        expander = EntitySetExpander(movie_kg, config=config)
-        seeds = ["dbr:Forrest_Gump", "dbr:Apollo_13_(film)"]
-        domain = expander.dominant_seed_type(seeds)
-        expanded = expander.expand(seeds, domain_type=domain)
-        reference = expander.expand(seeds, domain_type=domain, exhaustive=True)
-        assert expanded.entities and entity_signature(expanded.entities) == entity_signature(
-            reference.entities
-        )
-        assert expanded.features == reference.features
-        stages = expander.feature_ranker.probability_model.stages
-        assert stages.fallbacks["filters"] == {"topology-off": 1}
-        assert stages.arrays["entity_rank"] == 1
 
 
 def entity_signature(scored) -> list[tuple]:

@@ -1,13 +1,14 @@
-"""Graph-topology execution equivalence: byte-identical to scalar walks.
+"""Array-form expansion equivalence: byte-identical to the reference.
 
-The contract of the PR 10 topology layer (``repro.kg.topology``): with
-``graph_topology=True`` (the default) expansion traverses through the
-CSR adjacency and the interval-encoded type filter, and the expansion
-results and recommendations must be *exactly* what the scalar per-edge
-walks produce — same ids, same floats, same order.  The suites here
-enforce that on the synthetic movie graph, on a skewed random KG, and
-(via hypothesis) on random KGs; path helpers are covered directly against
-their ``*_scalar`` arms.
+The expander's domain-type filter is one mask over the pinned feature
+tables' membership CSR, and path helpers traverse the CSR adjacency
+(``repro.kg.topology``).  Expansion results and recommendations must be
+*exactly* what the exhaustive reference (``exhaustive=True``: the
+object-form tally, the ``entities_of_type`` set probe, the
+``rank_exhaustive`` rankers) produces — same ids, same floats, same
+order.  The suites here enforce that on the synthetic movie graph, on a
+skewed random KG, and (via hypothesis) on random KGs; path helpers are
+covered directly against their ``*_scalar`` references.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PivotEConfig, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.expansion import EntitySetExpander
 from repro.explore import RecommendationEngine
-from repro.kg import bfs_reachable, bfs_reachable_scalar, traversal_stats
+from repro.kg import bfs_reachable, bfs_reachable_scalar
 
 
 def _recommendation_signature(result):
@@ -52,17 +52,17 @@ def random_graph():
 
 
 @pytest.fixture(scope="module")
-def scalar_baseline(random_graph):
-    """The recommendation baseline with the topology OFF."""
+def reference_baseline(random_graph):
+    """The exhaustive-reference recommendation."""
     seeds = _seeds(random_graph)
-    engine = RecommendationEngine(random_graph, config=RankingConfig(graph_topology=False))
-    baseline = _recommendation_signature(engine.recommend_for_seeds(seeds))
+    engine = RecommendationEngine(random_graph)
+    baseline = _recommendation_signature(engine.recommend_for_seeds(seeds, exhaustive=True))
     engine.close()
     return seeds, baseline
 
 
 class TestExpansionEquivalence:
-    """The expander's candidate generation + type restriction, on == off."""
+    """The expander's candidate generation + type restriction, arrays == reference."""
 
     @pytest.mark.parametrize("domain_type", ["", "__dominant__"])
     def test_expand_byte_identical(self, random_graph, domain_type):
@@ -72,27 +72,29 @@ class TestExpansionEquivalence:
                 random_graph.types(),
                 key=lambda t: (random_graph.type_count(t), t),
             )
-        on = EntitySetExpander(random_graph, config=RankingConfig(graph_topology=True))
-        off = EntitySetExpander(random_graph, config=RankingConfig(graph_topology=False))
+        expander = EntitySetExpander(random_graph)
         assert _expansion_signature(
-            on.expand(seeds, domain_type=domain_type)
-        ) == _expansion_signature(off.expand(seeds, domain_type=domain_type))
+            expander.expand(seeds, domain_type=domain_type)
+        ) == _expansion_signature(expander.expand(seeds, domain_type=domain_type, exhaustive=True))
+        stages = expander.feature_ranker.probability_model.stages
+        assert stages.arrays["filters"] == (1 if domain_type else 0)
+        assert not any(stages.fallbacks.values())
 
     def test_restrict_candidates_byte_identical(self, random_graph):
-        """The public filter itself: mixed known/unknown/off-type ids,
-        order preserved, against every type in the graph."""
-        on = EntitySetExpander(random_graph, config=RankingConfig(graph_topology=True))
-        off = EntitySetExpander(random_graph, config=RankingConfig(graph_topology=False))
+        """The public filter itself: candidates in reverse order, against
+        every type in the graph and one it lacks, arrays == reference."""
+        expander = EntitySetExpander(random_graph)
+        tables = expander.feature_ranker.probability_model.support().columnar_tables()
         candidates = sorted(random_graph.entities(), reverse=True)[:40]
-        candidates += ["ex:not_in_graph", candidates[0]]
-        for restricted_type in sorted(random_graph.types()):
-            assert on.restrict_candidates(candidates, restricted_type) == (
-                off.restrict_candidates(candidates, restricted_type)
+        ordinals = tables.entity_ordinals(candidates)
+        for restricted_type in [*sorted(random_graph.types()), "ex:NoSuchType"]:
+            kept = expander.restrict_candidates(ordinals, restricted_type, tables=tables)
+            assert [tables.entity_ids[ordinal] for ordinal in kept.tolist()] == (
+                expander.restrict_candidates(candidates, restricted_type)
             )
-        assert on.restrict_candidates(candidates, "ex:NoSuchType") == (
-            off.restrict_candidates(candidates, "ex:NoSuchType")
-        )
-        assert on.restrict_candidates([], sorted(random_graph.types())[0]) == []
+        empty = ordinals[:0]
+        assert expander.restrict_candidates(empty, sorted(random_graph.types())[0], tables=tables).size == 0
+        assert expander.restrict_candidates([], sorted(random_graph.types())[0]) == []
 
     def test_dominant_seed_type_single_probe_per_seed(self, random_graph):
         expander = EntitySetExpander(random_graph)
@@ -113,11 +115,11 @@ class TestExpansionEquivalence:
 
 
 class TestRecommendationEquivalence:
-    """Full recommendations across the execution matrix, on == off."""
+    """Full recommendations, arrays == reference."""
 
-    def test_byte_identical(self, random_graph, scalar_baseline):
-        seeds, baseline = scalar_baseline
-        engine = RecommendationEngine(random_graph, config=RankingConfig(graph_topology=True))
+    def test_byte_identical(self, random_graph, reference_baseline):
+        seeds, baseline = reference_baseline
+        engine = RecommendationEngine(random_graph)
         try:
             assert _recommendation_signature(engine.recommend_for_seeds(seeds)) == baseline
         finally:
@@ -127,64 +129,39 @@ class TestRecommendationEquivalence:
         """Whole-facade check on the curated dataset, domain pivots included."""
         graph = small_movie_kg()
         seeds = _seeds(graph)
-
-        def build(topology: bool) -> PivotE:
-            return PivotE(
-                graph, config=PivotEConfig(ranking=RankingConfig(graph_topology=topology))
-            )
-
-        on, off = build(True), build(False)
-        try:
+        with PivotE(graph) as system:
             for domain in ["", max(graph.types(), key=lambda t: (graph.type_count(t), t))]:
-                actual = on.recommend(seeds, domain_type=domain)
-                expected = off.recommend(seeds, domain_type=domain)
+                actual = system.recommend(seeds, domain_type=domain)
+                expected = system.recommend(seeds, domain_type=domain, exhaustive=True)
                 assert _recommendation_signature(actual) == (
                     _recommendation_signature(expected)
                 )
-            assert traversal_stats(graph).interval_filters >= 1
-        finally:
-            on.close()
-            off.close()
-
-    def test_topology_arm_actually_engages(self, random_graph):
-        """Telemetry proof the fast path ran: interval filters counted on,
-        scalar arm leaves them untouched."""
-        graph = build_random_kg(RandomKGConfig(num_entities=60, seed=31))
-        seeds = _seeds(graph)
-        domain = max(graph.types(), key=lambda t: (graph.type_count(t), t))
-        before = traversal_stats(graph).interval_filters
-        on = RecommendationEngine(graph, config=RankingConfig(graph_topology=True))
-        on.recommend_for_seeds(seeds, domain_type=domain)
-        engaged = traversal_stats(graph).interval_filters
-        assert engaged > before
-        assert traversal_stats(graph).interval_hits >= 1
-        off = RecommendationEngine(graph, config=RankingConfig(graph_topology=False))
-        off.recommend_for_seeds(seeds, domain_type=domain)
-        assert traversal_stats(graph).interval_filters == engaged
-        on.close()
-        off.close()
+            stages = system.stats().child("recommendation").stages
+            assert stages.arrays["filters"] >= 1 and stages.fallback_total == 0
 
 
 class TestTopologyEquivalenceProperty:
-    """Hypothesis: random KGs, on == off."""
+    """Hypothesis: random KGs, arrays == reference."""
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
         kg_seed=st.integers(min_value=0, max_value=500),
         num_entities=st.integers(min_value=30, max_value=80),
     )
-    def test_recommendation_topology_equals_scalar(self, kg_seed, num_entities):
+    def test_recommendation_arrays_equal_reference(self, kg_seed, num_entities):
         graph = build_random_kg(
             RandomKGConfig(num_entities=num_entities, seed=kg_seed)
         )
         seeds = _seeds(graph)
-        on = RecommendationEngine(graph, config=RankingConfig(graph_topology=True))
-        off = RecommendationEngine(graph, config=RankingConfig(graph_topology=False))
-        assert _recommendation_signature(on.recommend_for_seeds(seeds)) == (
-            _recommendation_signature(off.recommend_for_seeds(seeds))
-        )
-        on.close()
-        off.close()
+        domain = max(graph.types(), key=lambda t: (graph.type_count(t), t))
+        engine = RecommendationEngine(graph)
+        for domain_type in ("", domain):
+            assert _recommendation_signature(
+                engine.recommend_for_seeds(seeds, domain_type=domain_type)
+            ) == _recommendation_signature(
+                engine.recommend_for_seeds(seeds, domain_type=domain_type, exhaustive=True)
+            )
+        engine.close()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
