@@ -8,13 +8,13 @@ without replaying a triple, so the two paths a fresh process can take
 from one system directory are:
 
 * ``rebuild_ms`` — adopt the graph (``load_graph``) and rebuild every
-  derived tier in RAM (``PivotE(graph)``: the build reads the graph's
-  edges, so it pays the graph's hydration, then document construction,
-  one analysis per distinct string and the sorts that make the posting
-  CSRs and the feature tables a load would adopt);
+  derived tier in RAM (``PivotE(graph)``: document construction off the
+  graph's row reads, one analysis per distinct string and the sorts that
+  make the posting CSRs and the feature tables a load would adopt);
 * ``load_ms``    — attach everything (``PivotE.load``): the graph's
-  entity tables in bulk, the posting columns, the feature tables and the
-  topology as they were saved.
+  column log, grouped by subject, object and type as it is adopted, the
+  posting columns, the feature tables and the topology as they were
+  saved.
 
 Both are best of ``--repeats`` interleaved attempts (the page cache is
 warm after the first, which is exactly the serving-fleet scenario: N
@@ -22,21 +22,23 @@ processes cold-start from the same files);
 ``coldstart_ratio = rebuild_ms / load_ms`` — above 1.0 the attach path
 wins.  ``save_ms`` (one ``PivotE.save``) rides along for context.
 
-``load`` defers work: triple objects, edge indexes and literals until a
-caller needs one, feature rows until a request touches them.  Three more
-columns time ``load`` *plus the first use of what it deferred*, so the
-deferral can be compared with a build that paid everything up front:
-``load_lookup_ms`` (load → entity profile: hydrates the graph),
-``load_write_read_ms`` (load → four ``graph.add`` + ``add_entity`` →
-search → select: hydrates, then sorts the feature tables of the written
-epoch out of the column log, since decoded tables have no log epoch to
-derive them from) and ``load_triples_ms`` (load → ``len(graph.triples)``).
+``load`` defers work: triple objects until a caller iterates them,
+feature rows until a request touches them.  Three more columns time
+``load`` *plus a first use*, so the deferral can be compared with a build
+that paid everything up front: ``load_lookup_ms`` (load → entity
+profile: reads the entity's rows), ``load_write_read_ms`` (load → four
+``graph.add`` + ``add_entity`` → search → select: appends rows, then
+sorts the feature tables of the written epoch out of the column log,
+since decoded tables have no log epoch to derive them from) and
+``load_triples_ms`` (load → ``len(graph.triples)``: decodes every row).
 
-Before any timing is trusted, the bench verifies the loaded system's
-search *and* recommendation rankings are byte-identical to the built
-system's and that every component attached (zero storage failures); a
-bench that silently fell back to rebuilding would otherwise report a
-meaningless ratio.
+The bench trusts no timing whose answers it has not checked: the loaded
+system's search *and* recommendation rankings must be byte-identical to
+the built system's, every component must attach (zero storage
+failures), the loaded lookup must equal the built system's, and the
+written system's search and select answers must equal those of a build
+that took the same writes; a bench that silently fell back to
+rebuilding would otherwise report a meaningless ratio.
 
 Run as a script to produce the machine-readable baseline::
 
@@ -95,11 +97,11 @@ def _signatures(system: PivotE, queries, seeds):
     ]
 
 
-def _lookup(loaded: PivotE, probe: str) -> None:
-    loaded.lookup(probe)
+def _lookup(loaded: PivotE, probe: str):
+    return loaded.lookup(probe)
 
 
-def _write_read(loaded: PivotE, probe: str) -> None:
+def _write_read(loaded: PivotE, probe: str) -> list[dict]:
     graph = loaded.graph
     graph.add_label("ex:written", "written entity")
     graph.add_type("ex:written", graph.dominant_type(probe) or "ex:Thing")
@@ -107,16 +109,16 @@ def _write_read(loaded: PivotE, probe: str) -> None:
     graph.add(probe, sorted(graph.edge_predicates())[0], "ex:written")
     loaded.search_engine.add_entity("ex:written")
     api = PivotEApi(loaded)
-    api.handle({"action": "search", "keywords": "written entity"})
+    search = api.handle({"action": "search", "keywords": "written entity"})
     api.handle({"action": "start_session", "session_id": "s"})
-    api.handle({"action": "select_entity", "session_id": "s", "entity": "ex:written"})
+    return [search, api.handle({"action": "select_entity", "session_id": "s", "entity": "ex:written"})]
 
 
-def _triples(loaded: PivotE, probe: str) -> None:
-    len(loaded.graph.triples)
+def _triples(loaded: PivotE, probe: str) -> int:
+    return len(loaded.graph.triples)
 
 
-#: ``load`` followed by the first use of something it deferred.
+#: ``load`` followed by a first use; each returns the answers it got.
 DEFERRED = {
     "load_lookup_ms": _lookup,
     "load_write_read_ms": _write_read,
@@ -131,6 +133,14 @@ def measure_cold_start(size: int, repeats: int = 5) -> dict[str, object]:
     queries = _queries(graph)
     seeds = _seeds(graph)
     expected = _signatures(built, queries, seeds)
+    # What each first use must answer: the built system's lookup, and the
+    # answers of a build that took the same writes.
+    first_answers = {
+        "load_lookup_ms": _lookup(built, seeds[0]),
+        "load_triples_ms": _triples(built, seeds[0]),
+    }
+    with PivotE(graph.copy()) as written:
+        first_answers["load_write_read_ms"] = _write_read(written, seeds[0])
 
     directory = tempfile.mkdtemp(prefix=f"pivote-coldstart-{size}-")
     try:
@@ -168,9 +178,11 @@ def measure_cold_start(size: int, repeats: int = 5) -> dict[str, object]:
             for name, first_use in DEFERRED.items():
                 started = time.perf_counter()
                 loaded = PivotE.load(directory)
-                first_use(loaded, seeds[0])
+                answer = first_use(loaded, seeds[0])
                 elapsed = (time.perf_counter() - started) * 1000.0
                 deferred_ms[name] = min(deferred_ms[name], elapsed)
+                if answer != first_answers[name]:
+                    identical = False
                 loaded.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)

@@ -134,9 +134,7 @@ class PivotE:
         """Cold-start a system from a :meth:`save` directory.
 
         Attaches instead of rebuilding: the graph adopts its column log
-        (entity accessors off grouped label and type rows; triples,
-        dictionaries, edge indexes and literals only when a caller asks
-        for them — ``stats().storage`` says whether that has happened),
+        (every accessor reads the saved rows, grouped as they are adopted),
         the fielded index its stored per-field posting CSRs and the
         feature index the stored holder tables, all numbering entities
         with the graph's one entity map, each decoding a posting list or
@@ -272,15 +270,13 @@ class PivotE:
         Counts this facade's :meth:`save` / :meth:`load` traffic;
         ``cold_start_ms`` is how long the last :meth:`load` took end to
         end (graph adoption + component restore + wiring).  Reading it
-        hydrates and decodes nothing.
+        decodes nothing.
         """
         counters = self._storage_counters
         if not any(counters.values()) and not self._cold_start_ms:
             return None
         return StorageStats(
             cold_start_ms=self._cold_start_ms,
-            graph_hydrated=self._graph.hydrated,
-            hydration_ms=self._graph.hydration_ms,
             feature_rows_decoded=self._feature_index.decoded_rows(),
             posting_lists_decoded=self._search.index.decoded_posting_lists(),
             **counters,

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..index.fielded_index import next_index_uid
 from ..kg import KnowledgeGraph, memoised_topology
+from ..kg.columns import sorted_unique
 from ..utils import gc_paused
 from .columnar import ColumnarFeatureTables
 from .semantic_feature import Direction, SemanticFeature
@@ -327,11 +328,12 @@ class SemanticFeatureIndex:
         columns = fresh.tables._columns
         assert columns is not None
         old_edges = old.tables.holder_ordinals.size // 2  # two holder rows per edge
-        affected = np.union1d(
-            columns.entity_rank[old.tables.num_entities :],
-            np.concatenate(
-                (columns.edge_subjects[old_edges:], columns.edge_objects[old_edges:])
-            ),
+        affected = sorted_unique(
+            np.concatenate((
+                columns.entity_rank[old.tables.num_entities :],
+                columns.edge_subjects[old_edges:],
+                columns.edge_objects[old_edges:],
+            ))
         )
         self._delta_rebuilds += 1
         self._delta_entities += int(affected.size)

@@ -1,4 +1,4 @@
-"""The append-only, ordinal-coded column log of one knowledge graph.
+"""The append-only, ordinal-coded column log: the one form of a knowledge graph.
 
 A semantic feature *is* an edge — ``<s, p, o>`` means ``s`` holds
 ``(o, p, object_of)`` and ``o`` holds ``(s, p, subject_of)`` — so the
@@ -6,7 +6,7 @@ holder CSR of :class:`~repro.features.columnar.ColumnarFeatureTables` and
 the in/out CSR of :class:`~repro.kg.topology.GraphTopology` are the same
 edge rows in three sort orders.  :class:`EdgeColumnLog` keeps those rows
 once, as integer columns, so both per-epoch structures are built by
-array sorts instead of per-entity walks over the graph's dictionaries:
+array sorts instead of per-entity walks:
 
 * first-seen **string tables** for entities, edge predicates and types
   (a string's code is its position in the table);
@@ -19,18 +19,19 @@ Every other triple — literals with their datatype and language tags,
 ``dct:subject`` categories, redirects and disambiguations — is logged
 too, as ``(subject, predicate, object, datatype, language)`` rows over a
 fourth string table, so the three row logs merged by stamp *are* the
-triple log.  That makes the columns the durable form of a graph
+triple log.  The graph writes each triple straight into them
+(:meth:`EdgeColumnLog.add`) and answers every accessor from them: a row
+log groups its rows by subject (and by object, or by type) in log order,
+plus the few rows written since the last grouping (:class:`_RowLog`).
+That makes the columns the durable form of a graph too
 (:class:`LogColumns`, what the ``graph-triples`` segment stores, its
-identifier tables sorted): a graph adopts saved columns, answers its
-entity accessors from the label and type rows grouped by array sorts
-(:meth:`EdgeColumnLog.entity_rows`) and decodes the rows back into
-:class:`~repro.kg.triple.Triple` objects (:meth:`EdgeColumnLog.triples`)
-only when a caller needs its dictionaries.  An adopted identifier table
-numbers the adopted epoch as saved, so the one
-:class:`~repro.utils.ordinals.OrdinalMap` it comes with is that epoch's.
+identifier tables sorted): a graph adopts saved columns as they are, and
+decodes the rows back into :class:`~repro.kg.triple.Triple` objects
+(:meth:`EdgeColumnLog.triples`) only for a caller that iterates them.
+An adopted identifier table numbers the adopted epoch as saved, so the
+one :class:`~repro.utils.ordinals.OrdinalMap` it comes with is that
+epoch's.
 
-The log is caught up lazily from the triples it has not consumed yet,
-under the graph's mutation lock, so writes stay as cheap as they were.
 Because stamps only grow, the state of *any* epoch is a prefix — the
 entries whose stamp is below that epoch's triple count — which is what
 lets a pinned feature snapshot build the tables of its own epoch after
@@ -48,13 +49,13 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..utils.ordinals import OrdinalMap, strictly_ascending
-from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDFS_LABEL, RDF_TYPE, REDIRECT
+from .namespaces import DCT_SUBJECT, DISAMBIGUATES, RDF_TYPE, REDIRECT
 from .triple import Literal, Triple
 
 
@@ -197,10 +198,10 @@ def isin_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
 class StringColumn(Sequence[str]):
     """A string table held as one text and each string's end, sliced per read.
 
-    What a saved log's literal table stays until something needs all of
-    it: a label lookup reads a few strings, a replay or a write lists
-    them (:meth:`tolist`).  Ends count characters; the strings are
-    indexed by code.
+    What a saved log's literal table stays: a read slices the strings it
+    names, a write searches the text for its string (:meth:`index`), and
+    only a save or a decode of every triple lists them (:meth:`tolist`).
+    Ends count characters; the strings are indexed by code.
     """
 
     __slots__ = ("text", "ends")
@@ -213,8 +214,10 @@ class StringColumn(Sequence[str]):
         return int(self.ends.size)
 
     def __getitem__(self, code: int) -> str:  # type: ignore[override]
-        code = range(len(self))[code]  # bounds and negative codes, as a list has them
-        return self.text[int(self.ends[code - 1]) if code else 0 : int(self.ends[code])]
+        ends = self.ends
+        if not 0 <= code < ends.size:
+            code = range(ends.size)[code]  # bounds and negative codes, as a list has them
+        return self.text[ends.item(code - 1) if code else 0 : ends.item(code)]
 
     def tolist(self) -> list[str]:
         text, ends = self.text, self.ends.tolist()
@@ -250,29 +253,38 @@ class _StringTable:
     rebuilt, so every epoch's :class:`~repro.utils.ordinals.OrdinalMap`
     borrows it (read only) as the first half of ``string → ordinal``.
 
-    An identifier table adopted from saved columns arrives sorted, with
+    A table adopted from saved columns keeps the saved strings as they
+    came and lists only the ones written since, so neither a read nor a
+    write lists the whole table.  An identifier table arrives sorted, with
     each code's rank: its ``adopted`` map numbers the strings ascending
     over the code dictionary and *is* the adopted epoch's map, so nothing
-    sorts the table again.  The strings listed by code are made from it
-    when a write or a replay first needs them.
+    sorts the table again.  The ``strings`` table arrives as a
+    :class:`StringColumn`: its dictionary remembers what was looked up or
+    written since, and a string it has not seen is searched for in the
+    column.
     """
 
-    __slots__ = ("_strings", "stamps", "_codes", "adopted")
+    __slots__ = (
+        "_saved", "_cut", "_rank", "_saved_stamps", "_written", "_written_stamps", "_codes", "adopted",
+    )
 
     def __init__(
         self,
-        strings: Sequence[str] | None = None,
-        stamps: Sequence[int] | None = None,
+        strings: Sequence[str] = (),
+        stamps: Sequence[int] = (),
         rank: np.ndarray | None = None,
     ) -> None:
-        #: The strings by code: a list, an adopted :class:`StringColumn`
-        #: until something lists them, or ``None`` for an adopted sorted table.
-        self._strings: Sequence[str] | None = [] if strings is None else strings
-        #: Each code's log position: a list, or an adopted column until the first write.
-        self.stamps: Sequence[int] = [] if stamps is None else stamps
-        #: ``string → code``; an adopted table builds it when the first
-        #: write after the adoption needs it, or at once when it is sorted.
-        self._codes: dict[str, int] | None = {} if strings is None else None
+        self._saved = strings
+        #: The first code written after the adoption.
+        self._cut = len(strings)
+        #: Each saved code's position in ``_saved`` (``None``: the position is the code).
+        self._rank = rank
+        self._saved_stamps = np.asarray(stamps, dtype=np.int64)
+        self._written: list[str] = []
+        self._written_stamps: list[int] = []
+        #: ``string → code``; the adopted ``strings`` table's also holds
+        #: ``-1`` for a string looked up and not found.
+        self._codes: dict[str, int] = {}
         #: The adopted epoch's ``string → ordinal`` (``None`` unless adopted sorted).
         self.adopted: OrdinalMap | None = None
         if rank is not None:
@@ -280,52 +292,70 @@ class _StringTable:
             order[rank] = np.arange(rank.size, dtype=rank.dtype)
             self._codes = dict(zip(strings, order.tolist()))
             self.adopted = OrdinalMap(strings, self._codes, rank)  # type: ignore[arg-type]
-            self._strings = None
+
+    def __len__(self) -> int:
+        return self._cut + len(self._written)
+
+    def __getitem__(self, code: int) -> str:
+        if code >= self._cut:
+            return self._written[code - self._cut]
+        return self._saved[code if self._rank is None else self._rank.item(code)]
+
+    def decode(self, codes: Iterable[int]) -> list[str]:
+        """The strings of ``codes``."""
+        if not self._cut:
+            return list(map(self._written.__getitem__, codes))
+        return list(map(self.__getitem__, codes))
+
+    def tolist(self) -> list[str]:
+        """Every string, by code, in a new list."""
+        saved = self._saved
+        if self._rank is not None:
+            saved = list(map(saved.__getitem__, self._rank.tolist()))
+        elif isinstance(saved, StringColumn):
+            saved = saved.tolist()
+        return [*saved, *self._written]
 
     @property
-    def strings(self) -> list[str]:
-        """Every string, by code, listed (lock held: writes extend it)."""
-        strings = self._strings
-        if isinstance(strings, StringColumn):
-            strings = self._strings = strings.tolist()
-        elif strings is None:
-            adopted = self.adopted
-            assert adopted is not None
-            strings = self._strings = list(map(adopted.ids.__getitem__, adopted.rank.tolist()))
-        return strings  # type: ignore[return-value]
+    def stamps(self) -> np.ndarray:
+        """Each code's log position."""
+        return np.concatenate((self._saved_stamps, np.asarray(self._written_stamps, dtype=np.int64)))
 
-    def readable(self) -> Sequence[str]:
-        """The strings by code as they are held: read one, list none."""
-        return self.strings if self._strings is None else self._strings
+    def count(self, triples: int) -> int:
+        """How many strings the first ``triples`` triples introduced."""
+        saved = int(np.searchsorted(self._saved_stamps, triples))
+        if saved < self._cut:
+            return saved
+        return saved + bisect_left(self._written_stamps, triples)
 
     def codes(self) -> dict[str, int]:
-        """``string → code`` (lock held: writes extend it)."""
-        codes = self._codes
-        if codes is None:
-            strings = self.strings
-            codes = self._codes = dict(zip(strings, range(len(strings))))
-        return codes
+        """``string → code`` of an identifier table (lock held: writes extend it)."""
+        return self._codes
+
+    def find(self, value: str) -> int | None:
+        """The code of ``value`` (``None`` when the table lacks it)."""
+        code = self._codes.get(value)
+        if code is None and isinstance(self._saved, StringColumn):
+            code = self._codes[value] = _find(self._saved, value)
+        return None if code is None or code < 0 else code
 
     def code(self, value: str, position: int) -> int:
-        codes = self.codes()
-        code = codes.get(value)
+        """The code of ``value``, which the triple at ``position`` adds when new (lock held)."""
+        code = self.find(value)
         if code is None:
-            strings = self.strings
-            if not isinstance(self.stamps, list):
-                self.stamps = self.stamps.tolist()  # type: ignore[attr-defined]
-            code = codes[value] = len(strings)
-            strings.append(value)
-            self.stamps.append(position)  # type: ignore[attr-defined]
+            code = self._codes[value] = len(self)
+            self._written.append(value)
+            self._written_stamps.append(position)
         return code
 
     def ranked(self, triples: int) -> tuple[list[str], np.ndarray]:
         """The strings introduced by the first ``triples`` triples, sorted,
         plus the ``code → sorted ordinal`` permutation."""
-        adopted = self.adopted
-        if adopted is not None and bisect_left(self.stamps, triples) >= len(adopted):
+        adopted, count = self.adopted, self.count(triples)
+        if adopted is not None and count >= len(adopted):
             ranked, rank, _ = self.extended(adopted.ids, adopted.rank, triples)
             return ranked, rank
-        return rank_strings(self.strings[: bisect_left(self.stamps, triples)])
+        return rank_strings(self.tolist()[:count])
 
     def ordinal_map(self, ranked: list[str], rank: np.ndarray) -> OrdinalMap:
         """``string → ordinal`` of the epoch whose sorted strings are ``ranked``."""
@@ -344,15 +374,15 @@ class _StringTable:
         Returns the new pair plus the ``old ordinal → new ordinal`` map
         (monotone; ``None`` when no string was added).
         """
-        known, count = rank.size, bisect_left(self.stamps, triples)
+        known, count = rank.size, self.count(triples)
         if count == known:
             return ranked, rank, None
-        added = sorted(range(known, count), key=self.strings.__getitem__)
+        added = sorted(range(known, count), key=self.__getitem__)
         merged: list[str] = []
         positions = []
         start = 0
         for code in added:
-            string = self.strings[code]
+            string = self[code]
             position = bisect_left(ranked, string, start)
             merged.extend(ranked[start:position])
             merged.append(string)
@@ -370,39 +400,137 @@ class _StringTable:
         return merged, extended, remap
 
 
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, order)``: row indices grouped by key, each group in row order.
+
+    Rows logged key by key arrive grouped, which one comparison pass
+    tells; otherwise each key is sorted packed above its row index's bits
+    (keys and row counts far below 2**31 each, so the pack fits int64).
+    """
+    order = np.arange(keys.size, dtype=np.int64)
+    if not (keys[1:] >= keys[:-1]).all():
+        bits = keys.size.bit_length()
+        order = np.sort((keys << bits) | order) & ((1 << bits) - 1)
+    return csr_offsets(keys, int(keys.max()) + 1 if keys.size else 0), order
+
+
 class _RowLog:
     """Growable int64 rows stored column-wise; the last column is the stamp.
 
-    Appends only write past the current length (growing reallocates and
-    leaves the old buffer to its holders), so prefix views stay valid —
-    and an adopted array, exactly as long as its rows, is never written.
+    Rows adopted from saved columns stay the array they came in, never
+    written; rows logged after them go to a buffer that grows by
+    reallocating, which leaves the old buffer to its holders, so prefix
+    views stay valid.
+
+    The rows of one key (a subject, an object, a type) are found through
+    that key column's grouping: the rows up to its last merge grouped by
+    key in log order (:func:`group_rows`), plus the rows logged since,
+    scanned.  A read merges again once the rows since outnumber an eighth
+    of the merged ones, so a read after a write costs its key's rows plus
+    the few logged since.  A write tells a duplicate by its subject
+    (column 0): among the subject's merged rows, or in the set of the rows
+    logged since column 0 last merged — every row, until a read groups them.
     """
 
-    __slots__ = ("_data", "_length")
+    __slots__ = ("_saved", "_data", "_length", "_groups", "_recent")
 
-    def __init__(self, width: int, rows: np.ndarray | None = None) -> None:
-        self._data = np.empty((width, 1024), dtype=np.int64) if rows is None else rows
-        self._length = 0 if rows is None else rows.shape[1]
+    def __init__(
+        self, width: int, rows: np.ndarray | None = None, keys: Sequence[int] = ()
+    ) -> None:
+        self._saved = np.empty((width, 0), dtype=np.int64) if rows is None else rows
+        self._data = np.empty((width, 1024), dtype=np.int64)
+        self._length = self._saved.shape[1]
+        #: Per key column: ``(rows merged, offsets, order)`` (see :func:`group_rows`).
+        self._groups: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        #: The value rows logged since column 0 last merged.
+        self._recent: set[tuple[int, ...]] = set()
+        if rows is not None:  # adopted: group every key column now
+            for column in {0, *keys}:
+                self._group(column)
 
-    def extend(self, rows: list[tuple[int, ...]]) -> None:
-        if not rows:
-            return
-        end = self._length + len(rows)
-        if end > self._data.shape[1]:
-            grown = np.empty((self._data.shape[0], 2 * end), dtype=np.int64)
-            grown[:, : self._length] = self._data[:, : self._length]
+    def __len__(self) -> int:
+        return self._length
+
+    def append(self, row: tuple[int, ...], stamp: int) -> bool:
+        """Log ``row`` unless it is logged already; whether it was new."""
+        if row in self._recent or self._merged_holds(row):
+            return False
+        at = self._length - self._saved.shape[1]
+        if at == self._data.shape[1]:
+            grown = np.empty((self._data.shape[0], 2 * at), dtype=np.int64)
+            grown[:, :at] = self._data
             self._data = grown
-        self._data[:, self._length : end] = np.asarray(rows, dtype=np.int64).T
-        self._length = end
+        self._data[:, at] = (*row, stamp)
+        self._length += 1
+        self._recent.add(row)
+        return True
+
+    def _span(self, start: int, end: int, columns: int | slice = slice(None)) -> np.ndarray:
+        """``columns`` of the rows ``start`` to ``end``: a view unless the
+        span crosses from the adopted rows into the buffer."""
+        saved = self._saved.shape[1]
+        if end <= saved:
+            return self._saved[columns, start:end]
+        if start >= saved:
+            return self._data[columns, start - saved : end - saved]
+        return np.concatenate(
+            (self._saved[columns, start:], self._data[columns, : end - saved]), axis=-1
+        )
+
+    def _merged_holds(self, row: tuple[int, ...]) -> bool:
+        group = self._groups.get(0)
+        if group is None or row[0] >= group[1].size - 1:
+            return False
+        _, offsets, order = group
+        return row[1:] in zip(*self.values(order[offsets[row[0]] : offsets[row[0] + 1]])[1:])
+
+    def _group(self, column: int) -> tuple[int, np.ndarray, np.ndarray]:
+        group = self._groups.get(column)
+        if group is None or self._length - group[0] > group[0] >> 3:
+            group = self._groups[column] = (
+                self._length, *group_rows(self._span(0, self._length, column))
+            )
+            if column == 0:
+                self._recent = set()
+        return group
+
+    def rows_of(self, column: int, key: int | None) -> np.ndarray:
+        """The indices, in log order, of the rows whose ``column`` holds ``key``."""
+        merged, offsets, order = self._group(column)
+        if key is None:
+            return order[:0]
+        rows = order[offsets[key] : offsets[key + 1]] if key < offsets.size - 1 else order[:0]
+        if merged < self._length:
+            since = np.flatnonzero(self._span(merged, self._length, column) == key)
+            rows = np.concatenate((rows, since + merged))
+        return rows
+
+    def values(self, rows: np.ndarray) -> list[list[int]]:
+        """The value columns of ``rows`` (ascending), as lists."""
+        saved = self._saved.shape[1]
+        if not rows.size or rows[-1] < saved:
+            return self._saved[:-1].take(rows, axis=1).tolist()
+        if saved:  # rows past the adopted ones index the buffer
+            cut = int(np.searchsorted(rows, saved))
+            if cut:
+                return np.concatenate(
+                    (self._saved[:-1].take(rows[:cut], axis=1), self._data[:-1].take(rows[cut:] - saved, axis=1)),
+                    axis=1,
+                ).tolist()
+            rows = rows - saved
+        return self._data[:-1].take(rows, axis=1).tolist()
 
     def rows(self) -> np.ndarray:
-        """Every row logged so far, stamps included (a view)."""
-        return self._data[:, : self._length]
+        """Every row logged so far, stamps included."""
+        return self._span(0, self._length)
 
-    def prefix(self, triples: int) -> np.ndarray:
-        """The value columns of the rows stamped below ``triples``."""
-        stamps = self._data[-1, : self._length]
-        return self._data[:-1, : int(np.searchsorted(stamps, triples))]
+    def prefix(self, triples: int, start: int = 0) -> np.ndarray:
+        """The value columns of the rows from ``start`` on stamped below ``triples``."""
+        saved = self._saved.shape[1]
+        end = int(np.searchsorted(self._saved[-1], triples))
+        if end == saved:
+            end += int(np.searchsorted(self._data[-1, : self._length - saved], triples))
+        return self._span(start, end, slice(0, -1))
 
 
 #: Names of the four string tables and three row logs of a log, in the
@@ -411,6 +539,9 @@ TABLE_NAMES = ("entities", "predicates", "types", "strings")
 ROW_WIDTHS = {"edges": 4, "typed": 3, "others": 6}
 #: The string tables of identifiers, which a saved log keeps sorted.
 ID_TABLES = ("entities", "predicates", "types")
+#: The key columns each row log's reads group it by besides the subject:
+#: an edge's object, a type membership's type.
+KEY_COLUMNS = {"edges": (2,), "typed": (1,), "others": ()}
 
 
 @dataclass(frozen=True)
@@ -514,59 +645,6 @@ def _find(strings: Sequence[str], value: str) -> int:
 
 
 @dataclass(frozen=True)
-class EntityRows:
-    """The entity tables of an adopted log, grouped out of its rows by array sorts.
-
-    What a graph adopted from saved columns answers its entity accessors
-    from until it builds its dictionaries (see
-    :class:`~repro.kg.graph.KnowledgeGraph`): ``entities`` and ``types``
-    number the identifiers ascending; ``labels`` is a CSR of each
-    entity's ``rdfs:label`` values as codes into ``strings``, in log
-    order; ``entity_types`` each entity's and ``type_members`` each
-    type's ordinals on the other side, ascending.  A CSR is
-    ``(offsets, values)``.
-    """
-
-    entities: OrdinalMap
-    types: OrdinalMap
-    strings: Sequence[str]
-    labels: tuple[np.ndarray, np.ndarray]
-    entity_types: tuple[np.ndarray, np.ndarray]
-    type_members: tuple[np.ndarray, np.ndarray]
-
-    @staticmethod
-    def _row(csr: tuple[np.ndarray, np.ndarray], ordinal: int | None) -> list[int]:
-        if ordinal is None:
-            return []
-        offsets, values = csr
-        return values[int(offsets[ordinal]) : int(offsets[ordinal + 1])].tolist()
-
-    def labels_of(self, entity_id: str) -> list[str]:
-        return list(map(self.strings.__getitem__, self._row(self.labels, self.entities.get(entity_id))))
-
-    def types_of(self, entity_id: str) -> list[str]:
-        row = self._row(self.entity_types, self.entities.get(entity_id))
-        return list(map(self.types.ids.__getitem__, row))
-
-    def members_of(self, type_id: str) -> list[str]:
-        row = self._row(self.type_members, self.types.get(type_id))
-        return list(map(self.entities.ids.__getitem__, row))
-
-    def population(self, type_id: str) -> int:
-        ordinal = self.types.get(type_id)
-        offsets = self.type_members[0]
-        return 0 if ordinal is None else int(offsets[ordinal + 1] - offsets[ordinal])
-
-    def dominant_type(self, entity_id: str) -> str:
-        """The least populated of the entity's types, ties by name (``""``: untyped)."""
-        row = self._row(self.entity_types, self.entities.get(entity_id))
-        if not row:
-            return ""
-        populations = np.diff(self.type_members[0])
-        return self.types.ids[min(row, key=lambda ordinal: (populations[ordinal], ordinal))]
-
-
-@dataclass(frozen=True)
 class EpochColumns:
     """One epoch of the log, re-coded into sorted-identifier ordinals.
 
@@ -622,102 +700,86 @@ class EpochColumns:
 class EdgeColumnLog:
     """The column log of one graph (see the module docstring).
 
-    Holds the graph's triple list and mutation lock by reference;
-    :class:`~repro.kg.graph.KnowledgeGraph` creates one per instance and
-    hands it out through ``graph.columns``.  A log made from saved
-    columns (``adopted``) starts with every one of them consumed and no
-    triple list; the graph binds the list it decodes from this log
-    (:meth:`triples`) before it accepts a write.
+    :class:`~repro.kg.graph.KnowledgeGraph` creates one per instance,
+    writes every triple into it (:meth:`add`) and answers every accessor
+    from its string tables (``entities``, ``predicates``, ``types``,
+    ``strings``) and row logs (``edges``, ``typed``, ``others``); it hands
+    the log out through ``graph.columns``.  A log made from saved columns
+    (``adopted``) starts with all of them logged and every key column
+    grouped, so its first read sorts nothing.
     """
 
-    def __init__(
-        self,
-        triples: list[Triple],
-        lock: threading.RLock,
-        adopted: LogColumns | None = None,
-    ) -> None:
-        self._triples = triples
+    def __init__(self, lock: threading.RLock, adopted: LogColumns | None = None) -> None:
         self._lock = lock
-        self._consumed = 0 if adopted is None else adopted.triples
-        self._entities, self._predicates, self._types, self._strings = (
+        self.entities, self.predicates, self.types, self.strings = (
             _StringTable()
             if adopted is None
             else _StringTable(*adopted.tables[name], adopted.ranks.get(name))
             for name in TABLE_NAMES
         )
-        self._edges, self._typed, self._others = (
-            _RowLog(width, None if adopted is None else adopted.rows[name])
+        self.edges, self.typed, self.others = (
+            _RowLog(width, None if adopted is None else adopted.rows[name], KEY_COLUMNS[name])
             for name, width in ROW_WIDTHS.items()
         )
+        self._logged = 0 if adopted is None else adopted.triples
         self._memo: EpochColumns | None = None
-        self._entity_rows = None if adopted is None else self._group_entity_rows()
 
-    def bind(self, triples: list[Triple]) -> None:
-        """Take the triple list an adopted log's graph has decoded (lock held)."""
-        self._triples = triples
+    def __len__(self) -> int:
+        """How many triples are logged."""
+        return self._logged
 
-    def _catch_up(self) -> None:
-        """Consume the triples appended since the last call (lock held).
+    def add(self, triple: Triple) -> bool:
+        """Log ``triple``; False when it is logged already (lock held).
 
-        Mirrors ``KnowledgeGraph._add_triple_locked`` case for case: what
-        makes an identifier an entity, an edge or a type membership is
-        decided there, and only repeated here in code form.
+        What makes an identifier an entity, an edge or a type membership
+        is decided here: the subject, an edge's object and a redirect's
+        or disambiguation's target are entities (see :class:`LogColumns`
+        for the rows).
         """
-        entity, predicate_code, type_code, string = (
-            self._entities.code, self._predicates.code, self._types.code, self._strings.code,
-        )
-        edges: list[tuple[int, ...]] = []
-        typed: list[tuple[int, ...]] = []
-        others: list[tuple[int, ...]] = []
-        start = self._consumed
-        for position, triple in enumerate(self._triples[start:], start):
-            subject = entity(triple.subject, position)
-            predicate, obj = triple.predicate, triple.object
-            if triple.is_literal:
-                others.append((
-                    subject, string(predicate, position), string(obj.value, position),
-                    string(obj.datatype, position), string(obj.language, position), position,
-                ))
-            elif predicate == RDF_TYPE:
-                typed.append((subject, type_code(obj, position), position))
-            elif predicate == DCT_SUBJECT:
-                others.append(
-                    (subject, string(predicate, position), string(obj, position), -1, -1, position)
-                )
-            elif predicate == REDIRECT or predicate == DISAMBIGUATES:
-                others.append(
-                    (subject, string(predicate, position), entity(obj, position), -1, -1, position)
-                )
-            else:
-                edges.append(
-                    (subject, predicate_code(predicate, position), entity(obj, position), position)
-                )
-        self._edges.extend(edges)
-        self._typed.extend(typed)
-        self._others.extend(others)
-        self._consumed = max(start, len(self._triples))
+        position = self._logged
+        entity, string = self.entities.code, self.strings.code
+        subject = entity(triple.subject, position)
+        predicate, obj = triple.predicate, triple.object
+        if isinstance(obj, Literal):
+            log, row = self.others, (
+                subject, string(predicate, position), string(obj.value, position),
+                string(obj.datatype, position), string(obj.language, position),
+            )
+        elif predicate == RDF_TYPE:
+            log, row = self.typed, (subject, self.types.code(obj, position))
+        elif predicate == DCT_SUBJECT:
+            log, row = self.others, (subject, string(predicate, position), string(obj, position), -1, -1)
+        elif predicate == REDIRECT or predicate == DISAMBIGUATES:
+            log, row = self.others, (subject, string(predicate, position), entity(obj, position), -1, -1)
+        else:
+            log, row = self.edges, (
+                subject, self.predicates.code(predicate, position), entity(obj, position)
+            )
+        if not log.append(row, position):
+            return False
+        self._logged += 1
+        return True
 
     # ------------------------------------------------------------------ #
     # The whole log: saving, adopting, decoding
     # ------------------------------------------------------------------ #
     def export(self) -> LogColumns:
-        """The log caught up with the graph, as plain strings and arrays.
+        """The log as plain strings and arrays.
 
         The identifier tables go out sorted (see :class:`LogColumns`):
         as adopted, as the memoised epoch numbers them, or sorted here.
-        The arrays are views of the live buffers and the lists the live
-        tables: encode them before the graph's lock is released.
+        The arrays are views of the live buffers: encode them before the
+        graph's lock is released.
         """
         with self._lock:
-            self._catch_up()
-            triples, memo = self._consumed, self._memo
+            triples, memo = len(self), self._memo
             tables: dict[str, tuple[Sequence[str], Sequence[int]]] = {}
             ranks: dict[str, np.ndarray] = {}
             for name, table in zip(
-                TABLE_NAMES, (self._entities, self._predicates, self._types, self._strings)
+                TABLE_NAMES, (self.entities, self.predicates, self.types, self.strings)
             ):
                 if name not in ID_TABLES:
-                    strings = table.strings
+                    strings = table.tolist()
                 elif memo is not None and memo.triples == triples:
                     strings, ranks[name] = memo.table(name)
                 else:
@@ -728,70 +790,32 @@ class EdgeColumnLog:
                 tables=tables,
                 rows={
                     name: log.rows()
-                    for name, log in zip(ROW_WIDTHS, (self._edges, self._typed, self._others))
+                    for name, log in zip(ROW_WIDTHS, (self.edges, self.typed, self.others))
                 },
                 ranks=ranks,
             )
 
     def adopted_maps(self) -> dict[str, OrdinalMap]:
         """Each identifier table's ``string → ordinal`` as the log was adopted with it."""
-        tables = (self._entities, self._predicates, self._types)
+        tables = (self.entities, self.predicates, self.types)
         return {
             name: table.adopted
             for name, table in zip(ID_TABLES, tables)
             if table.adopted is not None
         }
 
-    def entity_rows(self) -> EntityRows:
-        """The entity tables of an adopted log, grouped when it was adopted.
-
-        What its graph answers from until it builds its dictionaries, so
-        only valid while nothing has been written since the adoption.
-        """
-        rows = self._entity_rows
-        if rows is None:
-            raise ValueError("only an adopted log has entity rows")
-        return rows
-
-    def _group_entity_rows(self) -> EntityRows:
-        """One stable sort of the label rows by entity and one sort of the
-        type rows each way, none over the triples."""
-        entities, types = self._entities.adopted, self._types.adopted
-        assert entities is not None and types is not None
-        strings = self._strings.readable()
-        subjects, predicates, values, datatypes, _, _ = self._others.rows()
-        labelled = (predicates == _find(strings, RDFS_LABEL)) & (datatypes >= 0)
-        owners = entities.rank[subjects[labelled]]
-        typed_entities, typed_types, _ = self._typed.rows()
-        members, member_types = entities.rank[typed_entities], types.rank[typed_types]
-        sizes = (len(entities), len(types))
-        by_entity = sort_rows(sizes, members, member_types)
-        by_type = sort_rows(sizes[::-1], member_types, members)
-        return EntityRows(
-            entities=entities,
-            types=types,
-            strings=strings,
-            labels=(
-                csr_offsets(owners, sizes[0]),
-                values[labelled][np.argsort(owners, kind="stable")],
-            ),
-            entity_types=(csr_offsets(by_entity[0], sizes[0]), by_entity[1]),
-            type_members=(csr_offsets(by_type[0], sizes[1]), by_type[1]),
-        )
-
     def triples(self) -> list[Triple]:
         """The logged triples, decoded back into objects in log order."""
         with self._lock:
-            self._catch_up()
-            entity_ids, strings = self._entities.strings, self._strings.strings
-            predicates, type_ids = self._predicates.strings, self._types.strings
-            decoded: list[Triple | None] = [None] * self._consumed
-            for subject, predicate, obj, stamp in zip(*self._edges.rows().tolist()):
+            entity_ids, strings = self.entities.tolist(), self.strings.tolist()
+            predicates, type_ids = self.predicates.tolist(), self.types.tolist()
+            decoded: list[Triple | None] = [None] * len(self)
+            for subject, predicate, obj, stamp in zip(*self.edges.rows().tolist()):
                 decoded[stamp] = Triple(entity_ids[subject], predicates[predicate], entity_ids[obj])
-            for entity, type_code, stamp in zip(*self._typed.rows().tolist()):
+            for entity, type_code, stamp in zip(*self.typed.rows().tolist()):
                 decoded[stamp] = Triple(entity_ids[entity], RDF_TYPE, type_ids[type_code])
             for subject, predicate, obj, datatype, language, stamp in zip(
-                *self._others.rows().tolist()
+                *self.others.rows().tolist()
             ):
                 name = strings[predicate]
                 if datatype >= 0:
@@ -814,12 +838,8 @@ class EdgeColumnLog:
             memo = self._memo
             if memo is not None and memo.triples == triples:
                 return memo
-            if self._consumed < triples:
-                self._catch_up()
-            if self._consumed < triples:
-                raise ValueError(
-                    f"epoch of {triples} triples requested, the graph has {self._consumed}"
-                )
+            if len(self) < triples:
+                raise ValueError(f"epoch of {triples} triples requested, the graph has {len(self)}")
             if memo is not None and memo.triples > triples:
                 return self._cut(triples)
             columns = self._cut(triples) if memo is None else self._extend(memo, triples)
@@ -828,18 +848,18 @@ class EdgeColumnLog:
 
     def _cut(self, triples: int) -> EpochColumns:
         """Cut the epoch's prefix out of the log and sort it (lock held)."""
-        entity_ids, entity_rank = self._entities.ranked(triples)
-        predicates, predicate_rank = self._predicates.ranked(triples)
-        type_ids, type_rank = self._types.ranked(triples)
-        subjects, edge_predicates, objects = self._edges.prefix(triples)
-        typed_entities, typed_types = self._typed.prefix(triples)
+        entity_ids, entity_rank = self.entities.ranked(triples)
+        predicates, predicate_rank = self.predicates.ranked(triples)
+        type_ids, type_rank = self.types.ranked(triples)
+        subjects, edge_predicates, objects = self.edges.prefix(triples)
+        typed_entities, typed_types = self.typed.prefix(triples)
         typed_entities, typed_types = sort_rows(
             (len(entity_ids), len(type_ids)), entity_rank[typed_entities], type_rank[typed_types]
         )
         return EpochColumns(
             triples=triples,
             entity_ids=entity_ids,
-            ordinal_of=self._entities.ordinal_map(entity_ids, entity_rank),
+            ordinal_of=self.entities.ordinal_map(entity_ids, entity_rank),
             predicates=predicates,
             type_ids=type_ids,
             edge_subjects=entity_rank[subjects],
@@ -862,23 +882,21 @@ class EdgeColumnLog:
         (type memberships, sorted).  Equal to :meth:`_cut`, array for
         array.
         """
-        entity_ids, entity_rank, entity_remap = self._entities.extended(
+        entity_ids, entity_rank, entity_remap = self.entities.extended(
             memo.entity_ids, memo.entity_rank, triples
         )
-        predicates, predicate_rank, predicate_remap = self._predicates.extended(
+        predicates, predicate_rank, predicate_remap = self.predicates.extended(
             memo.predicates, memo.predicate_rank, triples
         )
-        type_ids, type_rank, type_remap = self._types.extended(
+        type_ids, type_rank, type_remap = self.types.extended(
             memo.type_ids, memo.type_rank, triples
         )
 
         def recoded(remap: np.ndarray | None, column: np.ndarray) -> np.ndarray:
             return column if remap is None else remap[column]
 
-        subjects, added_predicates, objects = self._edges.prefix(triples)[
-            :, memo.edge_subjects.size :
-        ]
-        typed_entities, typed_types = self._typed.prefix(triples)[:, memo.typed_entities.size :]
+        subjects, added_predicates, objects = self.edges.prefix(triples, memo.edge_subjects.size)
+        typed_entities, typed_types = self.typed.prefix(triples, memo.typed_entities.size)
         typed_entities, typed_types = merge_rows(
             (len(entity_ids), len(type_ids)),
             (recoded(entity_remap, memo.typed_entities), recoded(type_remap, memo.typed_types)),
@@ -891,7 +909,7 @@ class EdgeColumnLog:
             ordinal_of=(
                 memo.ordinal_of
                 if entity_remap is None
-                else self._entities.ordinal_map(entity_ids, entity_rank)
+                else self.entities.ordinal_map(entity_ids, entity_rank)
             ),
             predicates=predicates,
             type_ids=type_ids,
@@ -914,7 +932,6 @@ class EdgeColumnLog:
 
 __all__ = [
     "EdgeColumnLog",
-    "EntityRows",
     "EpochColumns",
     "ID_TABLES",
     "LogColumns",

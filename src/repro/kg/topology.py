@@ -12,7 +12,7 @@ tables got:
   predicate-ordinal column, rows sorted by ``(neighbour, predicate)``);
 * **frontier-at-a-time kernels**: level-synchronous
   :meth:`GraphTopology.bfs_reachable_ords` (gather both CSR directions
-  for the whole frontier, ``np.unique``, mask the visited) and
+  for the whole frontier, dedupe, mask the visited) and
   sorted-array :meth:`GraphTopology.connecting_ords` (intersect the two
   one-hop neighbourhoods with ``searchsorted`` and join the deduped left
   predicate sets against the right edge multiset).
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..stats import TraversalStats
 from ..utils.ordinals import OrdinalMap
-from .columns import EpochColumns, csr_gather, csr_merge, csr_offsets, sort_rows
+from .columns import EpochColumns, csr_gather, csr_merge, csr_offsets, sort_rows, sorted_unique
 from .graph import KnowledgeGraph
 
 
@@ -261,7 +261,7 @@ class GraphTopology:
             )
             if counters is not None:
                 counters.edges_touched += int(neighbours.size)
-            neighbours = np.unique(neighbours)
+            neighbours = sorted_unique(neighbours)
             frontier = neighbours[depth[neighbours] < 0]
             depth[frontier] = level + 1
             level += 1

@@ -75,40 +75,15 @@ class FieldedEntityDocument:
 
 def build_entity_document(graph: KnowledgeGraph, entity_id: str) -> FieldedEntityDocument:
     """Derive the five-field document of an entity from the knowledge graph."""
-    graph.require_entity(entity_id)
-
-    names: list[str] = list(graph.labels_of(entity_id))
-    if not names:
-        names = [label_from_identifier(entity_id)]
-
-    attributes: list[str] = []
-    for _, values in sorted(graph.attributes_of(entity_id).items()):
-        attributes.extend(values)
-
-    categories = [label_from_identifier(category) for category in sorted(graph.categories_of(entity_id))]
-
-    similar = [graph.label(alias) for alias in sorted(graph.aliases_of(entity_id))]
-
-    related_ids: list[str] = []
-    seen: set[str] = set()
-    for _, target in graph.outgoing(entity_id):
-        if target not in seen:
-            seen.add(target)
-            related_ids.append(target)
-    for _, source in graph.incoming(entity_id):
-        if source not in seen:
-            seen.add(source)
-            related_ids.append(source)
-    related = [graph.label(related_id) for related_id in related_ids]
-
+    entity = graph.entity(entity_id)
     return FieldedEntityDocument(
         entity_id=entity_id,
         fields={
-            FIELD_NAMES: tuple(names),
-            FIELD_ATTRIBUTES: tuple(attributes),
-            FIELD_CATEGORIES: tuple(categories),
-            FIELD_SIMILAR: tuple(similar),
-            FIELD_RELATED: tuple(related),
+            FIELD_NAMES: entity.labels or (label_from_identifier(entity_id),),
+            FIELD_ATTRIBUTES: entity.attribute_values(),
+            FIELD_CATEGORIES: tuple(map(label_from_identifier, entity.categories)),
+            FIELD_SIMILAR: entity.aliases,
+            FIELD_RELATED: tuple(map(graph.label, entity.related)),
         },
     )
 

@@ -150,11 +150,8 @@ class StorageStats:
     is how long the last ``PivotE.load`` spent restoring the system
     (0.0 for systems built in RAM).
 
-    The last four fields are the lazy boundary of a loaded system:
-    ``graph_hydrated`` is whether the graph's triple access paths exist
-    (a loaded graph builds them when first asked for one; a built graph
-    always has them), ``hydration_ms`` how long building them took,
-    ``feature_rows_decoded`` how many holder/feature rows the restored
+    The last two fields are the lazy boundary of a loaded system:
+    ``feature_rows_decoded`` is how many holder/feature rows the restored
     feature snapshot has turned into sets on demand, and
     ``posting_lists_decoded`` how many of the stored per-term posting
     lists the adopted search index has turned into objects.
@@ -166,8 +163,6 @@ class StorageStats:
     attached_bytes: int
     failures: int
     cold_start_ms: float
-    graph_hydrated: bool = True
-    hydration_ms: float = 0.0
     feature_rows_decoded: int = 0
     posting_lists_decoded: int = 0
 
@@ -179,8 +174,6 @@ class StorageStats:
             "attached_bytes": self.attached_bytes,
             "failures": self.failures,
             "cold_start_ms": self.cold_start_ms,
-            "graph_hydrated": self.graph_hydrated,
-            "hydration_ms": self.hydration_ms,
             "feature_rows_decoded": self.feature_rows_decoded,
             "posting_lists_decoded": self.posting_lists_decoded,
         }

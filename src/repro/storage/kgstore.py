@@ -46,10 +46,10 @@ fixed number of descriptors whatever the corpus.
   (:meth:`KnowledgeGraph.adopt`): its sorted tables and ranks *are* the
   adopted epoch's numbering, so one :class:`~repro.utils.ordinals.OrdinalMap`
   — the sorted entity list over the log's code dictionary — serves the
-  graph, the index's documents, the feature tables and the topology.  Its
-  entity accessors answer from the label and type rows grouped by array
-  sorts; it builds no triple object and no dictionary until a caller
-  asks for one.
+  graph, the index's documents, the feature tables and the topology.  It
+  groups the rows by subject, object and type as it adopts them and
+  answers every accessor from those groups; it builds no triple object
+  unless a caller iterates the triples.
 * The fielded index serves its stored per-field posting CSRs
   (:meth:`FieldedIndex.adopt`): a search finds a term's row by
   bisecting the sorted term table and reads its counts, ordinals and
@@ -139,9 +139,8 @@ def save_system(
 ) -> dict[str, object]:
     """Persist one whole system (graph + both derived tiers) under ``directory``.
 
-    The graph goes out as its column log — whatever form the graph is in:
-    a loaded graph that nobody asked a triple of republishes the columns
-    it adopted.  Each derived entry records the graph epoch it was
+    The graph goes out as its column log: a loaded graph republishes the
+    columns it adopted, plus the rows written since.  Each derived entry records the graph epoch it was
     derived from; loads cross-check it so segments from different saves
     never silently combine.  Returns a summary of what was written.
     Callers interested in publish counters pass their own ``store``

@@ -273,7 +273,7 @@ class TestOrdinalMapSiblings:
 
     def test_the_column_log_registry_is_never_written_by_a_map(self, graph):
         columns = graph.columns.epoch(len(graph))
-        registry = graph.columns._entities.codes()
+        registry = graph.columns.entities.codes()
         before = dict(registry)
         derived, position = columns.ordinal_of.with_inserted("ex:0written0")
         assert registry == before and derived["ex:0written0"] == position

@@ -1,20 +1,19 @@
 """An adopted graph == the replayed one; a restored snapshot == a built one.
 
-``PivotE.load`` no longer replays triples: the graph adopts its saved
-column log (``KnowledgeGraph.adopt``) and builds its triple access paths
-when first asked for one, and the feature snapshot answers from the saved
-tables, decoding a row when first asked for it.  Everything here compares
-such a lazily loaded object with one built the long way — ``add`` by
-``add``, ``features_of_entity`` by ``features_of_entity`` — over
-hypothesis graphs with literals carrying datatype and language tags,
-categories, redirects, duplicate writes and strings containing NUL,
-newline, quotes and non-BMP characters; and checks *when* the deferred
-work happens: never on the exploration path, exactly once afterwards.
+``PivotE.load`` does not replay triples: the graph adopts its saved
+column log (``KnowledgeGraph.adopt``) and answers every accessor from
+its rows, and the feature snapshot answers from the saved tables,
+decoding a row when first asked for it.  Everything here compares such a
+loaded object with one built the long way — ``add`` by ``add``,
+``features_of_entity`` by ``features_of_entity`` — over hypothesis
+graphs with literals carrying datatype and language tags, categories,
+redirects, duplicate writes and strings containing NUL, newline, quotes
+and non-BMP characters; both graphs are also checked against the
+dict-of-sets oracle (:mod:`graph_oracle`).
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import sys
 import threading
@@ -33,6 +32,9 @@ from repro.kg import KnowledgeGraph, Literal, Triple
 from repro.kg.namespaces import DCT_SUBJECT, DISAMBIGUATES, RDF_TYPE, RDFS_LABEL, REDIRECT
 from repro.storage import SegmentBuilder, SegmentView, encode_graph_triples
 from repro.viz import entity_profile
+
+from graph_oracle import GraphOracle
+from test_graph_oracle import assert_accessors_match
 
 ODD = ["a", "b\0c", "line\nbreak", 'say "hi"', "it's", "back\\slash", "𝄞 clef", "é", " ", ""]
 ENTITIES = ["ex:e0", "ex:e1", "ex:e2", "ex:e\0nul", "ex:𝄞", 'ex:"q"', "ex:e\n6"]
@@ -133,23 +135,24 @@ def assert_same_epochs(adopted: KnowledgeGraph, replayed: KnowledgeGraph) -> Non
 class TestAdoptedGraph:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(triples, triples)
-    def test_adopted_equals_replayed_before_and_after_hydration(self, written, later):
+    def test_adopted_equals_replayed_before_and_after_writes(self, written, later):
         replayed = KnowledgeGraph("hyp")
         replayed.add_all(written)
+        oracle = GraphOracle(written)
         segment = segment_bytes(replayed)
         adopted = adopted_from(segment, "hyp")
         probes = [*ENTITIES, "ex:alias", "ex:nobody"]
 
-        assert_same_entity_tables(adopted, replayed, probes)
         assert_same_epochs(adopted, replayed)
         assert segment_bytes(adopted) == segment  # save -> load -> save, byte for byte
-        assert not adopted.hydrated
-
         assert_same_graph(adopted, replayed, probes)
-        assert adopted.hydrated and type(adopted) is KnowledgeGraph  # an ordinary graph from here on
+        assert_accessors_match(adopted, oracle)
 
         assert adopted.add_all(later) == replayed.add_all(later)  # writes land on both alike
+        for triple in later:
+            oracle.add_triple(triple)
         assert_same_graph(adopted, replayed, probes)
+        assert_accessors_match(adopted, oracle)
         assert_same_epochs(adopted, replayed)
         assert segment_bytes(adopted) == segment_bytes(replayed)
 
@@ -165,36 +168,39 @@ class TestAdoptedGraph:
         assert_same_graph(adopted, replayed, ENTITIES)
         assert_same_epochs(adopted, replayed)
 
-    def test_concurrent_first_reads_hydrate_once(self, caplog):
+    @pytest.mark.parametrize("origin", ("built", "adopted"))
+    def test_concurrent_first_reads_answer_alike(self, origin):
+        """Eight readers race to a graph's first reads — a built graph
+        groups its rows then, an adopted one after the write below."""
         graph = build_random_kg(RandomKGConfig(num_entities=300, seed=9))
-        adopted = adopted_from(segment_bytes(graph), graph.name)
-        probes = sorted(graph.entities())
+        oracle = GraphOracle(graph.triples)
+        served = graph if origin == "built" else adopted_from(segment_bytes(graph), graph.name)
+        if origin == "adopted":
+            written = Triple("ex:written", "pivote:rel0", "pivote:entity_1")
+            assert served.add_triple(written) and oracle.add_triple(written)
+        probes = sorted(oracle.entities())
         failures: list[BaseException] = []
 
         def reader(offset: int) -> None:
             try:
                 for probe in probes[offset::8]:
-                    assert adopted.outgoing(probe) == graph.outgoing(probe)
-                    assert adopted.attributes_of(probe) == graph.attributes_of(probe)
+                    assert served.outgoing(probe) == oracle.outgoing(probe)
+                    assert served.incoming(probe) == oracle.incoming(probe)
+                    assert served.attributes_of(probe) == oracle.attributes_of(probe)
             except BaseException as error:  # noqa: BLE001 - reported by the main thread
                 failures.append(error)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with caplog.at_level(logging.INFO, logger="repro"):
-                threads = [threading.Thread(target=reader, args=(offset,)) for offset in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
+            threads = [threading.Thread(target=reader, args=(offset,)) for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads) and not failures
-        assert [record.getMessage() for record in caplog.records] == [
-            f"graph {graph.name!r}: {len(graph)} triples hydrated in "
-            f"{adopted.hydration_ms:.1f} ms, first needed by outgoing"
-        ]
 
 
 # ---------------------------------------------------------------------- #
@@ -290,42 +296,32 @@ class TestLoadedSystem:
         graph, directory = saved
         with PivotE(graph) as built, PivotE.load(directory) as loaded:
             assert first_answers(loaded, graph) == first_answers(built, graph)
-            assert not loaded.graph.hydrated
 
-    def test_exploration_leaves_the_graph_unhydrated_and_lookup_hydrates_once(self, saved, caplog):
+    def test_exploration_rebuilds_nothing_and_lookup_equals_the_built_profile(self, saved):
         graph, directory = saved
         with PivotE.load(directory) as loaded:
             api = PivotEApi(loaded)
             probe = sorted(graph.entities())[1]
-            with caplog.at_level(logging.INFO, logger="repro"):
-                assert api.handle({"action": "search", "keywords": graph.label(probe)})["status"] == "ok"
-                api.handle({"action": "start_session", "session_id": "s"})
-                response = api.handle({"action": "select_entity", "session_id": "s", "entity": probe})
-                features = response["recommendation"]["features"]
-                entities = response["recommendation"]["entities"]
-                if features:
-                    api.handle({"action": "pin_feature", "session_id": "s", "feature": features[0]["feature"]})
-                target = entities[0]["entity"] if entities else probe
-                assert api.handle({"action": "pivot", "session_id": "s", "entity": target})["status"] == "ok"
-                loaded.explain(probe, target)
-                loaded.matrix_for(loaded.recommend([probe]))
-                storage = loaded.stats().storage
-                assert not storage.graph_hydrated and storage.hydration_ms == 0.0
-                # Rows the requests touched were decoded; nothing walked all of them.
-                tables = columnar_tables(loaded.feature_index.snapshot())
-                assert 0 < storage.feature_rows_decoded < tables.num_entities + tables.num_features
-                assert loaded.stats().rebuilds == {
-                    "full_rebuilds": 0, "delta_rebuilds": 0, "delta_entities": 0,
-                }
-                assert not caplog.records
-
-                assert loaded.lookup(probe) == entity_profile(graph, probe)
-                loaded.lookup(target)
+            assert api.handle({"action": "search", "keywords": graph.label(probe)})["status"] == "ok"
+            api.handle({"action": "start_session", "session_id": "s"})
+            response = api.handle({"action": "select_entity", "session_id": "s", "entity": probe})
+            features = response["recommendation"]["features"]
+            entities = response["recommendation"]["entities"]
+            if features:
+                api.handle({"action": "pin_feature", "session_id": "s", "feature": features[0]["feature"]})
+            target = entities[0]["entity"] if entities else probe
+            assert api.handle({"action": "pivot", "session_id": "s", "entity": target})["status"] == "ok"
+            loaded.explain(probe, target)
+            loaded.matrix_for(loaded.recommend([probe]))
             storage = loaded.stats().storage
-            assert storage.graph_hydrated and storage.hydration_ms > 0.0
-            assert storage.as_dict()["graph_hydrated"] is True
-            (record,) = caplog.records  # one hydration, and the record names what asked for it
-            assert record.getMessage().endswith("first needed by outgoing")
+            # Rows the requests touched were decoded; nothing walked all of them.
+            tables = columnar_tables(loaded.feature_index.snapshot())
+            assert 0 < storage.feature_rows_decoded < tables.num_entities + tables.num_features
+            assert loaded.stats().rebuilds == {
+                "full_rebuilds": 0, "delta_rebuilds": 0, "delta_entities": 0,
+            }
+            for entity_id in (probe, target):
+                assert loaded.lookup(entity_id) == entity_profile(graph, entity_id)
 
     def test_recommendation_requests_decode_no_feature_row(self, saved):
         """select → pin → pivot run on the decoded tables' arrays: the same
@@ -354,14 +350,13 @@ class TestLoadedSystem:
         with PivotE(graph) as built, PivotE.load(directory) as loaded:
             assert session(loaded) == session(built)
             storage = loaded.stats().storage
-            assert storage.feature_rows_decoded == 0 and not storage.graph_hydrated
+            assert storage.feature_rows_decoded == 0
             assert loaded.stats().child("recommendation").stages.fallback_total == 0
 
-    def test_save_load_save_is_byte_identical_without_hydrating(self, saved, tmp_path):
+    def test_save_load_save_is_byte_identical(self, saved, tmp_path):
         graph, directory = saved
         with PivotE.load(directory) as loaded:
             loaded.save(str(tmp_path / "again"))
-            assert not loaded.graph.hydrated
         for key in ("graph-triples", "graph-topology"):  # the other two embed process-local uids
             assert snap_bytes(str(tmp_path / "again"), key) == snap_bytes(directory, key), key
 

@@ -11,12 +11,11 @@ the graph's entity tables into arrays.  Here:
 * a directory saved before the dictionary loads with no failure,
   answers like a fresh build and re-saves in the current layout;
 * a load's work does not grow with the entities where it need not: the
-  containers it keeps, one decode of the entity table, one entity map,
-  no dictionary built by the graph through the first select;
+  objects it keeps, one decode of the entity table, one entity map
+  through the first select, and the memory the first lookup and the
+  first graph write after it take;
 * the feature snapshot's dominant types and type-conditional counts
-  equal the graph's after a build, after writes and after a load;
-* an adopted graph's entity accessors equal a built graph's, before and
-  after it hydrates.
+  equal the graph's after a build, after writes and after a load.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from __future__ import annotations
 import gc
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE, PivotEApi
-from repro.exceptions import EntityNotFoundError
 from repro.features import SemanticFeature
 from repro.features.extraction import matching_entities
 from repro.features.semantic_feature import Direction
@@ -178,7 +177,6 @@ def test_a_directory_saved_before_the_dictionary_loads_and_resaves(tmp_path):
         assert loaded.stats().storage.failures == 0
         entity = sorted(loaded.graph.entities())[5]
         got = answers(loaded, entity)
-        assert not loaded.graph.hydrated
         with PivotE(loaded.graph.copy()) as fresh:
             assert got == answers(fresh, entity)
     resaved = str(tmp_path / "resaved")
@@ -231,7 +229,7 @@ def test_a_load_does_no_per_entity_work_it_can_avoid(budget_systems, monkeypatch
 
     monkeypatch.setattr(SegmentView, "string_column", counted_decode)
     monkeypatch.setattr(OrdinalMap, "__init__", counted_map)
-    kept = {}
+    kept, peaks = {}, {}
     for size in (500, 2000):
         decoded.clear()
         maps.clear()
@@ -253,11 +251,23 @@ def test_a_load_does_no_per_entity_work_it_can_avoid(budget_systems, monkeypatch
             assert decoded.count("entities") == 1
             assert not {"entity_ids", "doc_ids"} & set(decoded)
             assert maps.count(graph.num_entities()) == 1
-            assert not graph.hydrated
-            assert not {"_entities", "_labels", "_types", "_type_members"} & set(vars(graph))
+            # The first lookup and the first write read and append rows:
+            # no pass over the graph, so their memory does not grow with it.
+            entity = hits[0]["entity"]
+            tracemalloc.start()
+            try:
+                system.lookup(entity)
+                lookup_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                assert graph.add(entity, "pivote:rel0", "pivote:written")
+                peaks[size] = (lookup_peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         finally:
             system.close()
     assert abs(kept[2000] - kept[500]) < 100, kept
+    for phase, (small, large) in enumerate(zip(peaks[500], peaks[2000])):
+        assert large < 2**20 and large <= small + 2**14, (("lookup", "write")[phase], peaks)
 
 
 # ---------------------------------------------------------------------- #
@@ -298,49 +308,3 @@ def test_types_off_the_tables_equal_the_graph(tmp_path):
         system.save(str(tmp_path / "system"))
     with PivotE.load(str(tmp_path / "system")) as loaded:
         assert_types_match(loaded)  # decoded
-
-
-# ---------------------------------------------------------------------- #
-# The adopted graph before and after it hydrates
-# ---------------------------------------------------------------------- #
-ENTITY_ACCESSORS = (
-    "label", "labels_of", "types_of", "dominant_type", "has_entity", "__contains__",
-)
-TYPE_ACCESSORS = ("entities_of_type", "type_count")
-
-
-def assert_entity_tables_equal(adopted, built) -> None:
-    probes = sorted(built.entities()) + ["ex:nobody"]
-    for name in ENTITY_ACCESSORS:
-        for probe in probes:
-            assert getattr(adopted, name)(probe) == getattr(built, name)(probe), (name, probe)
-    for name in TYPE_ACCESSORS:
-        for type_id in sorted(built.types()) + ["ex:no-such-type"]:
-            assert getattr(adopted, name)(type_id) == getattr(built, name)(type_id)
-    assert adopted.entities() == built.entities()
-    assert adopted.num_entities() == built.num_entities()
-    assert adopted.types() == built.types()
-    assert adopted.type_tables() == built.type_tables()
-    with pytest.raises(EntityNotFoundError):
-        adopted.require_entity("ex:nobody")
-
-
-@pytest.mark.parametrize("hydrate", ("lookup", "write"))
-def test_entity_tables_equal_a_built_graph_before_and_after_hydration(
-    saved, random_graph, fresh_answers, hydrate
-):
-    entity, expected = fresh_answers
-    with PivotE.load(saved) as loaded:
-        graph = loaded.graph
-        assert answers(loaded, entity) == expected
-        assert not graph.hydrated
-        assert_entity_tables_equal(graph, random_graph)
-        built = random_graph.copy()
-        if hydrate == "lookup":
-            loaded.lookup(entity)
-        else:
-            for target in (graph, built):
-                target.add_type(entity, "pivote:Written")
-                target.add_label("pivote:new", "new")
-        assert graph.hydrated
-        assert_entity_tables_equal(graph, built)

@@ -153,18 +153,26 @@ if sys.argv[2] == "save":
     with PivotE(small_movie_kg()) as system:
         system.save(directory)
     raise SystemExit(0)
-system = PivotE(small_movie_kg()) if sys.argv[2] == "build" else PivotE.load(directory)
+origin, _, write = sys.argv[2].partition("+")
+system = PivotE(small_movie_kg()) if origin == "build" else PivotE.load(directory)
 api = PivotEApi(system)
-hits = api.handle({"action": "search", "keywords": "forrest gump"})["hits"]
+entity = api.handle({"action": "search", "keywords": "forrest gump"})["hits"][0]["entity"]
+if write:
+    system.graph.add_label("ex:written", "written film")
+    system.graph.add_type("ex:written", "dbo:Film")
+    system.graph.add("ex:written", "dbo:starring", "dbr:Tom_Hanks")
+    system.search_engine.add_entity("ex:written")
+    entity = "ex:written"
 api.handle({"action": "start_session", "session_id": "s"})
-response = api.handle({"action": "select_entity", "session_id": "s", "entity": hits[0]["entity"]})
+response = api.handle({"action": "select_entity", "session_id": "s", "entity": entity})
 assert response["status"] == "ok" and response["matrix"]["heatmap"], response
 print("numpy.ma" in sys.modules)
 """
 
 
 def test_the_first_select_in_a_fresh_process_leaves_numpy_ma_unimported(tmp_path):
-    """The heat map's quantiles used to import ``numpy.ma`` (via ``np.unique``)."""
+    """The heat map's quantiles used to import ``numpy.ma`` (via ``np.unique``),
+    and so did the feature tables derived after a write (via ``np.union1d``)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     directory = str(tmp_path / "system")
 
@@ -175,5 +183,5 @@ def test_the_first_select_in_a_fresh_process_leaves_numpy_ma_unimported(tmp_path
         ).stdout.strip()
 
     run("save")
-    assert run("build") == "False"
-    assert run("load") == "False"
+    for mode in ("build", "load", "build+write", "load+write"):
+        assert run(mode) == "False", mode
