@@ -135,15 +135,14 @@ class PivotE:
 
         Attaches instead of rebuilding: the graph adopts its column log
         (every accessor reads the saved rows, grouped as they are adopted),
-        the fielded index its stored per-field posting CSRs and the
-        feature index the stored holder tables, all numbering entities
-        with the graph's one entity map, each decoding a posting list or
-        row when a request touches it
-        (``posting_lists_decoded`` / ``feature_rows_decoded``).  Any
-        missing or corrupt
-        component degrades to rebuilding just that component from the
-        loaded graph; rankings are byte-identical either way.  A missing
-        or corrupt graph raises
+        the fielded index its stored per-field posting CSRs (read per
+        term a query names) and the feature index the stored holder
+        tables (decoding a row when a request touches it,
+        ``feature_rows_decoded``), all numbering entities with the
+        graph's one entity map.  Any missing or corrupt component
+        degrades to rebuilding just that component from the loaded
+        graph; rankings are byte-identical either way.  A missing or
+        corrupt graph raises
         :class:`~repro.storage.SnapshotUnavailable` — there is nothing
         to fall back to.
 
@@ -278,7 +277,6 @@ class PivotE:
         return StorageStats(
             cold_start_ms=self._cold_start_ms,
             feature_rows_decoded=self._feature_index.decoded_rows(),
-            posting_lists_decoded=self._search.index.decoded_posting_lists(),
             **counters,
         )
 

@@ -245,12 +245,8 @@ class SemanticFeatureIndex:
     #: loads take the better-constant full pass).
     max_delta_fraction: float = 0.2
 
-    def __init__(self, graph: KnowledgeGraph, max_delta_fraction: float | None = None) -> None:
+    def __init__(self, graph: KnowledgeGraph) -> None:
         self._graph = graph
-        if max_delta_fraction is not None:
-            if not 0.0 <= max_delta_fraction <= 1.0:
-                raise ValueError("max_delta_fraction must lie in [0, 1]")
-            self.max_delta_fraction = max_delta_fraction
         #: Process-unique instance id: ``(uid, epoch)`` tags this index's
         #: saved feature-table segments.
         self._uid = next_index_uid()
@@ -276,7 +272,6 @@ class SemanticFeatureIndex:
         cls,
         graph: KnowledgeGraph,
         snapshot: FeatureIndexSnapshot,
-        **kwargs: object,
     ) -> "SemanticFeatureIndex":
         """Adopt a pre-materialised snapshot instead of rebuilding.
 
@@ -293,7 +288,7 @@ class SemanticFeatureIndex:
                 f"({snapshot.triples} triples), graph is at epoch "
                 f"{graph.epoch} ({len(graph)} triples)"
             )
-        index = cls(graph, **kwargs)  # type: ignore[arg-type]
+        index = cls(graph)
         index._snapshot_ref = snapshot
         return index
 

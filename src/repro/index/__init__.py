@@ -1,28 +1,14 @@
 """Fielded inverted-index substrate used by the entity search engine."""
 
-from .columnar import ColumnarIndex, ColumnarPostings, columnar_view
+from .columnar import ColumnarPostings, columnar_view
 from .fielded_index import FieldedIndex
-from .inverted_index import InvertedIndex
-from .postings import (
-    Posting,
-    PostingList,
-    intersect,
-    merge_frequencies,
-    union,
-)
-from .statistics import CollectionStatistics, FieldStatistics
+from .inverted_index import DocumentColumns, InvertedIndex, PostingColumns
 
 __all__ = [
-    "CollectionStatistics",
-    "ColumnarIndex",
     "ColumnarPostings",
-    "FieldStatistics",
+    "DocumentColumns",
     "FieldedIndex",
     "InvertedIndex",
-    "Posting",
-    "PostingList",
+    "PostingColumns",
     "columnar_view",
-    "intersect",
-    "merge_frequencies",
-    "union",
 ]

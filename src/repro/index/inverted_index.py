@@ -1,65 +1,46 @@
-"""Single-field inverted index.
+"""One field of the search index: a posting CSR plus the documents written since.
 
-Maps terms to posting lists and keeps per-document lengths.  The fielded
-index of :mod:`repro.index.fielded_index` composes one of these per
-retrieval field.
-
-A field serves a posting CSR (:class:`PostingColumns`, one per field of
-an index, over the documents of one :class:`DocumentColumns`), whether
-the CSR was sorted out of a build's token rows
+A field of an index epoch has one form.  Its *base* is an immutable
+posting CSR (:class:`PostingColumns`) over the documents of one
+:class:`DocumentColumns`, sorted out of a build's token rows
 (:meth:`PostingColumns.from_tokens`) or decoded from a saved index.
-Such a field answers from the arrays: a term's row is found by
-bisecting the sorted term table (and memoised), its counts are reduced
-from that row when a query names the term, and it becomes a
-:class:`PostingList` only when a caller asks for the list; the
-``doc_id -> length`` and whole-field count maps are built only when a
-caller asks for a whole map.  A write makes a successor field whose
-changed terms are posting lists over the same CSR
-(:meth:`InvertedIndex.with_added_document`).
+Its *delta* is the documents written since that base, each with its
+term counts, plus the inverse ``term -> {document: tf}`` of those
+counts.  The documents of the epoch are one :class:`EpochDocuments`,
+shared by every field of the epoch.
 
-:meth:`InvertedIndex.add_document` builds a field term by term into
-posting lists.  No build path uses it: it is the reference the sorted
-build is checked against.
+A read names a term and pays for that term: its postings in epoch
+ordinals are the base row moved through the base-to-epoch ordinal shift,
+less the rewritten documents, plus the delta documents holding the term;
+its counts are the base row's memoised counts adjusted by the same rows.
+Lengths come from the base length column plus the delta.  A write copies
+the delta, never the base; :meth:`InvertedIndex.merged` folds the delta
+into a new base with the build's sort.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import sys
-import threading
+import heapq
 from bisect import bisect_left
-from collections import Counter
-from collections.abc import Iterable, Mapping
-from itertools import compress
+from collections.abc import Mapping
 
 import numpy as np
 
+from ..kg.columns import isin_sorted
 from ..utils.ordinals import OrdinalMap
-from .postings import PostingList
-from .statistics import FieldStatistics
+from .columnar import ColumnarPostings
 
-_LOG = logging.getLogger("repro")
-
-
-def _caller() -> str:
-    """The name of the nearest calling function outside the index package."""
-    package = os.path.dirname(__file__)
-    frame = sys._getframe(1)
-    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
-        frame = frame.f_back
-    return frame.f_code.co_name if frame is not None else "?"
+_NONE = np.zeros(0, dtype=np.int64)
 
 
 class DocumentColumns:
-    """The documents of a stored index: ids in ordinal order.
+    """The documents of a base CSR: ids in ordinal order.
 
     Ordinals are positions in ``doc_ids``, which are strictly ascending,
     so ordinal order is doc-id order.  Shared, read only, by every field
-    of an adopted index and by its copy-on-write successors.  A loaded
-    index whose documents are the graph's entities is given the entity
-    map of the system's one dictionary; any other builds its own on
-    first use.
+    of an index and by the epochs written on top of it.  A loaded index
+    whose documents are the graph's entities is given the entity map of
+    the system's one dictionary; any other builds its own on first use.
     """
 
     __slots__ = ("doc_ids", "_ordinal_of")
@@ -77,19 +58,18 @@ class DocumentColumns:
 
 
 class PostingColumns:
-    """One field's stored postings: a CSR over document ordinals.
+    """One field's base postings: a CSR over document ordinals.
 
     ``terms`` are strictly ascending; row ``r`` of the CSR is
     ``ordinals[offsets[r]:offsets[r + 1]]`` (ascending) with the parallel
     ``frequencies`` (int64, positive), and ``lengths`` is the field
-    length of every document ordinal.  Immutable; shared by an adopted
-    index and its copy-on-write successors, which is why it also counts
-    how many of its rows have been decoded into posting lists.
+    length of every document ordinal.  Immutable; shared by every epoch
+    written on top of it.
     """
 
     __slots__ = (
         "documents", "terms", "offsets", "ordinals", "frequencies", "lengths",
-        "total_terms", "decoded", "_is_decoded", "_lock", "_rows", "_counts",
+        "total_terms", "_rows", "_counts",
     )
 
     def __init__(
@@ -108,10 +88,6 @@ class PostingColumns:
         self.frequencies = frequencies
         self.lengths = lengths
         self.total_terms = int(lengths.sum())
-        #: Distinct rows turned into posting lists so far.
-        self.decoded = 0
-        self._is_decoded = bytearray(len(terms))
-        self._lock = threading.Lock()
         #: Memoised ``term -> row`` and ``term -> term_counts`` of stored
         #: terms a caller named.  A miss is never memoised, so both stay
         #: bounded by the vocabulary.
@@ -133,9 +109,8 @@ class PostingColumns:
         strictly ascending, so a code is its term's rank.  One
         ``np.unique`` over ``code · N + ordinal`` groups the tokens into
         (term, document) cells, in row order, with their tf as counts;
-        ``bincount`` cuts the rows and counts the field lengths.  Equal,
-        array for array, to the rows of a field built by
-        :meth:`InvertedIndex.add_document` from the same tokens.
+        ``bincount`` cuts the rows and counts the field lengths.  Terms
+        no token names are left out.
         """
         num_documents = len(documents.doc_ids)
         cells, frequencies = np.unique(codes * num_documents + ordinals, return_counts=True)
@@ -152,6 +127,12 @@ class PostingColumns:
             frequencies.astype(np.int64, copy=False),
             np.bincount(ordinals, minlength=num_documents).astype(np.int64, copy=False),
         )
+
+    @classmethod
+    def empty(cls, documents: DocumentColumns) -> "PostingColumns":
+        """A CSR with no postings over ``documents`` (every length 0)."""
+        lengths = np.zeros(len(documents.doc_ids), dtype=np.int64)
+        return cls(documents, [], np.zeros(1, dtype=np.int64), _NONE, _NONE, lengths)
 
     def row(self, term: str) -> int | None:
         """The CSR row of ``term``, or ``None`` when it is not stored."""
@@ -172,33 +153,6 @@ class PostingColumns:
         start, end = int(self.offsets[row]), int(self.offsets[row + 1])
         return self.ordinals[start:end], self.frequencies[start:end]
 
-    def decode(self, field: str, term: str) -> PostingList | None:
-        """One term's row as a fresh :class:`PostingList` (``None`` when absent).
-
-        When this decodes the last row nobody had asked for, the field
-        is now materialised wholesale, and one ``repro`` record names
-        the caller that finished it.
-        """
-        row = self.row(term)
-        if row is None:
-            return None
-        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
-        doc_ids = self.documents.doc_ids
-        ids = [doc_ids[ordinal] for ordinal in self.ordinals[start:end].tolist()]
-        postings = PostingList(ids, dict(zip(ids, self.frequencies[start:end].tolist())))
-        if not self._is_decoded[row]:
-            with self._lock:  # concurrent readers may decode the same row
-                first = not self._is_decoded[row]
-                self._is_decoded[row] = 1
-                self.decoded += first
-                complete = first and self.decoded == len(self.terms)
-            if complete:
-                _LOG.info(
-                    "index field %r: all %d stored posting lists decoded, the last by %s",
-                    field, len(self.terms), _caller(),
-                )
-        return postings
-
     def term_counts(self, term: str) -> tuple[int, int, int]:
         """``(collection frequency, document frequency, max tf)`` of one term.
 
@@ -207,13 +161,12 @@ class PostingColumns:
         """
         counts = self._counts.get(term)
         if counts is None:
-            row = self.row(term)
+            row = self.columns(term)
             if row is None:
                 return 0, 0, 0
-            start, end = int(self.offsets[row]), int(self.offsets[row + 1])
-            frequencies = self.frequencies[start:end]
+            frequencies = row[1]
             counts = self._counts[term] = (
-                int(frequencies.sum()), end - start, int(frequencies.max())
+                int(frequencies.sum()), frequencies.size, int(frequencies.max())
             )
         return counts
 
@@ -221,345 +174,364 @@ class PostingColumns:
         ordinal = self.documents.ordinal_of().get(doc_id)
         return 0 if ordinal is None else int(self.lengths[ordinal])
 
-    def length_map(self) -> dict[str, int]:
-        """A fresh ``doc_id -> field length`` map over every document.
 
-        For the scalar scorers and writes; a search reads ``lengths``.
-        """
-        return dict(zip(self.documents.doc_ids, self.lengths.tolist()))
+class EpochDocuments:
+    """The documents of one index epoch: a base's plus the ids written since.
 
-    def term_statistics(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
-        """Fresh ``term ->`` collection frequency, document frequency and max tf maps.
+    ``written`` numbers the ids written since the base in write order
+    (its slots); ``rewritten`` holds the base ordinals of the base
+    documents among them, ascending; ``gaps`` holds, for each one the
+    base lacks, how many base ids sort before it, ascending.  Base
+    ordinal ``b`` is therefore epoch ordinal ``b`` plus the number of
+    gaps ``<= b`` (:meth:`shift`).  Shared by every field of one epoch,
+    which memoises the shift and the written ids' epoch ordinals.
+    """
 
-        The whole-field form of :meth:`term_counts`, for a caller that
-        needs every term: the full statistics scan and a write deriving
-        its statistics from these.
-        """
-        if not self.terms:
-            return {}, {}, {}
-        starts = self.offsets[:-1]
-        terms = self.terms
-        return (
-            dict(zip(terms, np.add.reduceat(self.frequencies, starts).tolist())),
-            dict(zip(terms, np.diff(self.offsets).tolist())),
-            dict(zip(terms, np.maximum.reduceat(self.frequencies, starts).tolist())),
-        )
+    __slots__ = (
+        "base", "written", "rewritten", "gaps", "doc_ids", "_ordinal_of", "_positions",
+        "_written_ordinals",
+    )
+
+    def __init__(
+        self,
+        base: DocumentColumns,
+        written: dict[str, int] | None = None,
+        rewritten: np.ndarray = _NONE,
+        gaps: np.ndarray = _NONE,
+        ordinal_of: OrdinalMap | None = None,
+    ) -> None:
+        self.base = base
+        self.written = written or {}
+        self.rewritten = rewritten
+        self.gaps = gaps
+        #: ``None`` while the epoch's ids are the base's (its map is then
+        #: the base's, built on first use).
+        self._ordinal_of = ordinal_of
+        self.doc_ids = base.doc_ids if ordinal_of is None else ordinal_of.ids
+        self._positions: np.ndarray | None = None
+        self._written_ordinals: np.ndarray | None = None
+
+    @property
+    def ordinal_of(self) -> OrdinalMap:
+        """``doc_id -> epoch ordinal`` (read only)."""
+        ordinal_of = self._ordinal_of
+        return self.base.ordinal_of() if ordinal_of is None else ordinal_of
+
+    @property
+    def num_written(self) -> int:
+        """How many documents were written since the base."""
+        return len(self.written)
+
+    def shift(self, base_ordinals: np.ndarray) -> np.ndarray:
+        """The epoch ordinals of some base ordinals."""
+        if not self.gaps.size:
+            return base_ordinals
+        positions = self._positions
+        if positions is None:
+            stored = np.arange(len(self.base.doc_ids), dtype=np.int64)
+            positions = self._positions = stored + np.searchsorted(self.gaps, stored, side="right")
+        return positions[base_ordinals]
+
+    def written_ordinals(self) -> np.ndarray:
+        """The epoch ordinals of the written ids, by slot."""
+        ordinals = self._written_ordinals
+        if ordinals is None:
+            written = self.written
+            ordinals = self._written_ordinals = self.ordinal_of.array(written, len(written))
+        return ordinals
+
+    def with_written(self, doc_id: str) -> "EpochDocuments":
+        """These documents with ``doc_id`` written (``self`` if it was since the base)."""
+        if doc_id in self.written:
+            return self
+        base, rewritten, gaps = self.base, self.rewritten, self.gaps
+        written = {**self.written, doc_id: len(self.written)}
+        ordinal = base.ordinal_of().get(doc_id)
+        if ordinal is not None:
+            rewritten = np.insert(rewritten, np.searchsorted(rewritten, ordinal), ordinal)
+            return EpochDocuments(base, written, rewritten, gaps, self._ordinal_of)
+        gap = bisect_left(base.doc_ids, doc_id)
+        gaps = np.insert(gaps, np.searchsorted(gaps, gap, side="right"), gap)
+        ordinal_of = self.ordinal_of.with_inserted(doc_id)[0]
+        return EpochDocuments(base, written, rewritten, gaps, ordinal_of)
 
 
 class InvertedIndex:
-    """A term -> postings map for a single field.
+    """One field of one index epoch: a base CSR plus the documents written since.
 
-    On a field that serves a :class:`PostingColumns` CSR, ``_postings``
-    holds the lists decoded so far and the ones writes copied and
-    rewrote; an entry there wins over the stored row of the same term,
-    and an *empty* entry is the tombstone of a stored term that a
-    re-indexed document took away (it reads as absent).  A field built
-    by :meth:`add_document` (the reference) has no CSR and holds every
-    list there.  ``_doc_lengths`` is ``None`` while the CSR's length
-    column still answers for every document.
+    ``written`` maps each document written since the base to its term
+    counts in this field (empty for an empty field), in the order of the
+    documents' slots; ``written_lengths`` holds their lengths by slot,
+    and ``holders`` is the inverse, ``term -> {doc_id: tf}``.  All three
+    are copied on write and never changed after, like the base.
+    Per-epoch reads are memoised on the field: a term's epoch postings
+    and counts, the collection probabilities and the length column.
     """
 
-    def __init__(self, name: str = "field", columns: PostingColumns | None = None) -> None:
-        self.name = name
-        self._columns = columns
-        self._postings: dict[str, PostingList] = {}
-        self._doc_lengths: dict[str, int] | None = None if columns is not None else {}
-        self._total_terms = columns.total_terms if columns is not None else 0
+    __slots__ = (
+        "name", "base", "documents", "total_terms", "_written", "_written_lengths", "_holders",
+        "_columnar", "_counts", "_probabilities", "_lengths", "_extremes",
+    )
 
-    @property
-    def columns(self) -> PostingColumns | None:
-        """The CSR this field serves (``None`` for a reference field built by
-        :meth:`add_document`)."""
-        return self._columns
-
-    # ------------------------------------------------------------------ #
-    # Indexing
-    # ------------------------------------------------------------------ #
-    def add_document(self, doc_id: str, terms: Iterable[str]) -> None:
-        """Index (or extend) a document given its analyzed terms.
-
-        The reference build, term by term into posting lists: the sorted
-        build (:meth:`PostingColumns.from_tokens`) is checked against it.
-        """
-        counts = Counter(terms)
-        added = sum(counts.values())
-        lengths = self.document_lengths()
-        if added == 0 and doc_id not in lengths:
-            # Register empty documents so that document counts are correct.
-            lengths.setdefault(doc_id, 0)
-            return
-        for term, count in counts.items():
-            posting_list = self.get_postings(term)
-            if posting_list is None:
-                posting_list = PostingList()
-                self._postings[term] = posting_list
-            posting_list.add(doc_id, count)
-        lengths[doc_id] = lengths.get(doc_id, 0) + added
-        self._total_terms += added
-
-    def with_added_document(
+    def __init__(
         self,
-        doc_id: str,
-        terms: Iterable[str],
-        previous: Mapping[str, int] | None = None,
+        name: str,
+        base: PostingColumns,
+        documents: EpochDocuments,
+        written: Mapping[str, Mapping[str, int]] | None = None,
+        written_lengths: np.ndarray = _NONE,
+        holders: Mapping[str, Mapping[str, int]] | None = None,
+        total_terms: int | None = None,
+    ) -> None:
+        self.name = name
+        self.base = base
+        self.documents = documents
+        self._written = written or {}
+        self._written_lengths = written_lengths
+        self._holders = holders or {}
+        self.total_terms = base.total_terms if total_terms is None else total_terms
+        self._columnar: dict[str, ColumnarPostings] = {}
+        self._counts: dict[str, tuple[int, int, int]] = {}
+        self._probabilities: dict[str, float] = {}
+        self._lengths: np.ndarray | None = None
+        self._extremes: tuple[int, int] | None = None
+
+    # ------------------------------------------------------------------ #
+    # Writes
+    # ------------------------------------------------------------------ #
+    def with_written(
+        self, documents: EpochDocuments, doc_id: str, counts: Mapping[str, int]
     ) -> "InvertedIndex":
-        """A new index with ``doc_id`` indexed as ``terms``; this one stays untouched.
+        """This field with ``doc_id`` (re)written as ``counts``, over ``documents``.
 
-        The copy-on-write sibling of :meth:`add_document` behind snapshot-
-        isolated serving: the term map and length array are shallow-copied
-        (posting lists are shared by reference, an adopted field's stored
-        CSR too) and only the posting lists of the terms the write changes
-        are copied before mutation — so every structure a concurrent
-        reader may already hold keeps its exact pre-mutation contents, at
-        O(documents + affected postings) cost.  An id that is already
-        indexed is *replaced*: ``previous`` is its old term counts
-        (:meth:`document_counts` when not given).
+        Copies the delta (its two maps and its length column) and the
+        holder maps of the terms the document held or holds; the base is
+        shared.
         """
-        counts = Counter(terms)
+        written, holders = dict(self._written), dict(self._holders)
+        previous = written.get(doc_id)
         if previous is None:
-            previous = self.document_counts(doc_id)
-        clone = InvertedIndex(self.name, self._columns)
-        clone._postings = dict(self._postings)
-        clone._doc_lengths = dict(self.document_lengths())
-        stored = self._columns
-        for term in previous.keys() - counts.keys():
-            remaining = self.get_postings(term).copy()  # type: ignore[union-attr]
-            remaining.remove(doc_id)
-            if remaining or (stored is not None and stored.row(term) is not None):
-                clone._postings[term] = remaining  # empty: the stored row's tombstone
-            else:
-                del clone._postings[term]
+            old_length = self.base.length_of(doc_id)
+        else:
+            old_length = sum(previous.values())
+            for term in previous:
+                held = dict(holders[term])
+                del held[doc_id]
+                if held:
+                    holders[term] = held
+                else:
+                    del holders[term]
         for term, count in counts.items():
-            if previous.get(term) == count:
-                continue
-            existing = self.get_postings(term)
-            posting_list = PostingList() if existing is None else existing.copy()
-            posting_list.put(doc_id, count)
-            clone._postings[term] = posting_list
-        added = sum(counts.values())
-        clone._doc_lengths[doc_id] = added
-        clone._total_terms = self._total_terms + added - sum(previous.values())
-        return clone
+            held = dict(holders.get(term, ()))
+            held[doc_id] = count
+            holders[term] = held
+        written[doc_id] = dict(counts)
+        length = sum(counts.values())
+        slot = documents.written[doc_id]
+        if slot == self._written_lengths.size:
+            lengths = np.append(self._written_lengths, length)
+        else:
+            lengths = self._written_lengths.copy()
+            lengths[slot] = length
+        total_terms = self.total_terms - old_length + length
+        return InvertedIndex(
+            self.name, self.base, documents, written, lengths, holders, total_terms
+        )
 
-    def document_counts(self, doc_id: str) -> dict[str, int]:
-        """The term counts ``doc_id`` is indexed with (empty when it is not).
+    def merged(self, documents: DocumentColumns) -> PostingColumns:
+        """This field as one CSR over ``documents``, the epoch's ids in order.
 
-        One pass over the field's lists (and, on an adopted field, one
-        array comparison over its stored ordinals).
+        The base cells of the documents not rewritten, moved to epoch
+        ordinals, and the delta's, become token rows again (one token
+        per occurrence) and go through the build's sort
+        (:meth:`PostingColumns.from_tokens`), so the result equals a
+        fresh build over the same documents.
         """
-        if not self.document_length(doc_id):
-            return {}
-        lists = dict(self._postings)
-        counts = {term: postings.frequency(doc_id) for term, postings in lists.items()}
-        columns = self._columns
-        ordinal = None if columns is None else columns.documents.ordinal_of().get(doc_id)
-        if columns is not None and ordinal is not None:
-            positions = np.flatnonzero(columns.ordinals == ordinal)
-            rows = np.searchsorted(columns.offsets, positions, side="right") - 1
-            for row, count in zip(rows.tolist(), columns.frequencies[positions].tolist()):
-                term = columns.terms[row]
-                if term not in lists:  # a list in ``_postings`` wins over the stored row
-                    counts[term] = count
-        return {term: count for term, count in counts.items() if count}
+        base, epoch = self.base, self.documents
+        if not epoch.num_written:
+            return base
+        rows = np.repeat(np.arange(len(base.terms), dtype=np.int64), np.diff(base.offsets))
+        ordinals, frequencies = base.ordinals, base.frequencies
+        if epoch.rewritten.size:
+            kept = ~isin_sorted(epoch.rewritten, ordinals)
+            rows, ordinals, frequencies = rows[kept], ordinals[kept], frequencies[kept]
+        added = sorted(term for term in self._holders if base.row(term) is None)
+        inserted = np.array([bisect_left(base.terms, term) for term in added], dtype=np.int64)
+        stored = np.arange(len(base.terms), dtype=np.int64)
+        code_of_row = stored + np.searchsorted(inserted, stored, side="right")
+        code_of_added = dict(zip(added, (inserted + np.arange(inserted.size)).tolist()))
+        cells = [
+            (
+                code_of_added[term] if term in code_of_added else int(code_of_row[base.row(term)]),
+                ordinal,
+                count,
+            )
+            for doc_id, ordinal in zip(self._written, epoch.written_ordinals().tolist())
+            for term, count in self._written[doc_id].items()
+        ]
+        delta = np.array(cells, dtype=np.int64).reshape(-1, 3)
+        frequencies = np.concatenate((frequencies, delta[:, 2]))
+        return PostingColumns.from_tokens(
+            documents,
+            list(heapq.merge(base.terms, added)),
+            np.repeat(np.concatenate((code_of_row[rows], delta[:, 0])), frequencies),
+            np.repeat(np.concatenate((epoch.shift(ordinals), delta[:, 1])), frequencies),
+        )
 
     # ------------------------------------------------------------------ #
-    # Lookup
+    # Per-term reads
     # ------------------------------------------------------------------ #
-    def postings(self, term: str) -> PostingList:
-        """Posting list for a term (empty list when the term is unknown)."""
-        postings = self.get_postings(term)
-        return PostingList() if postings is None else postings
+    def postings(self, term: str) -> ColumnarPostings | None:
+        """``term``'s postings in epoch ordinals, or ``None`` when no document holds it.
 
-    def get_postings(self, term: str) -> PostingList | None:
-        """Posting list for a term, or ``None`` when the term is unknown.
-
-        Unlike :meth:`postings` this never allocates an empty list, which
-        matters on the scoring hot path.  On an adopted field the first
-        request for a term decodes its stored row, once.
+        Built on the first request of the epoch and memoised; an absent
+        term is not memoised (one lookup either way, and a memo entry per
+        term a query names would grow with every distinct search).
         """
-        postings = self._postings.get(term)
-        if postings is None and self._columns is not None:
-            postings = self._columns.decode(self.name, term)
-            if postings is not None:
-                self._postings[term] = postings
-        return postings if postings else None  # a tombstone reads as absent
+        postings = self._columnar.get(term)
+        if postings is not None:
+            return postings
+        documents = self.documents
+        ordinals, frequencies = self.base.columns(term) or (_NONE, _NONE)
+        if ordinals.size and documents.rewritten.size:
+            kept = ~isin_sorted(documents.rewritten, ordinals)
+            ordinals, frequencies = ordinals[kept], frequencies[kept]
+        ordinals = documents.shift(ordinals)
+        held = self._holders.get(term)
+        if held:
+            ordinals = np.concatenate((ordinals, documents.ordinal_of.array(held, len(held))))
+            frequencies = np.concatenate(
+                (frequencies, np.fromiter(held.values(), dtype=np.int64, count=len(held)))
+            )
+            order = np.argsort(ordinals, kind="stable")
+            ordinals, frequencies = ordinals[order], frequencies[order]
+        if not ordinals.size:
+            return None
+        postings = self._columnar[term] = ColumnarPostings(
+            ordinals, frequencies.astype(np.float64)
+        )
+        return postings
 
-    def document_lengths(self) -> dict[str, int]:
-        """The ``doc_id -> field length`` map.
+    def term_counts(self, term: str) -> tuple[int, int, int]:
+        """``(collection frequency, document frequency, max tf)`` of ``term``.
 
-        Returned by reference for the scoring hot path; callers must treat
-        it as read-only.  An adopted field builds it on the first call.
+        The base row's memoised counts, less the rows of the rewritten
+        documents that held it, plus the delta documents holding it; a
+        rewritten document that held the base's max tf makes the rest of
+        the row recount it.
         """
-        lengths = self._doc_lengths
-        if lengths is None:
-            lengths = self._columns.length_map()  # type: ignore[union-attr]
-            self._doc_lengths = lengths
-        return lengths
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        """Occurrences of ``term`` in ``doc_id``."""
-        return self.postings(term).frequency(doc_id)
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing ``term``."""
-        return self.postings(term).document_frequency()
-
-    def collection_frequency(self, term: str) -> int:
-        """Total occurrences of ``term`` across the collection."""
-        return self.postings(term).collection_frequency()
+        counts = self._counts.get(term)
+        if counts is not None:
+            return counts
+        collection, document, top = self.base.term_counts(term)
+        rewritten = self.documents.rewritten
+        if document and rewritten.size:
+            ordinals, frequencies = self.base.columns(term)  # type: ignore[misc]
+            gone = isin_sorted(rewritten, ordinals)
+            if gone.any():
+                lost, kept = frequencies[gone], frequencies[~gone]
+                collection -= int(lost.sum())
+                document -= lost.size
+                if int(lost.max()) == top:
+                    top = int(kept.max()) if kept.size else 0
+        held = self._holders.get(term)
+        if held:
+            collection += sum(held.values())
+            document += len(held)
+            top = max(top, max(held.values()))
+        counts = self._counts[term] = (collection, document, top)
+        return counts
 
     def collection_probability(self, term: str) -> float:
-        """Maximum-likelihood collection model probability of ``term``."""
-        if self._total_terms == 0:
-            return 0.0
-        return self.collection_frequency(term) / self._total_terms
+        """Maximum-likelihood ``p(term | field collection)``, memoised per epoch."""
+        probability = self._probabilities.get(term)
+        if probability is None:
+            total = self.total_terms
+            probability = self.term_counts(term)[0] / total if total else 0.0
+            self._probabilities[term] = probability
+        return probability
+
+    def max_frequency(self, term: str) -> int:
+        """Largest term frequency of ``term`` in any single document."""
+        return self.term_counts(term)[2]
+
+    def documents_containing(self, term: str) -> list[str]:
+        """Document identifiers containing ``term``, ascending."""
+        postings = self.postings(term)
+        if postings is None:
+            return []
+        doc_ids = self.documents.doc_ids
+        return [doc_ids[ordinal] for ordinal in postings.ordinals.tolist()]
+
+    # ------------------------------------------------------------------ #
+    # Per-document reads
+    # ------------------------------------------------------------------ #
+    def term_frequency(self, term: str, doc_id: str) -> int:
+        """Occurrences of ``term`` in ``doc_id``."""
+        counts = self._written.get(doc_id)
+        if counts is not None:
+            return counts.get(term, 0)
+        row = self.base.columns(term)
+        ordinal = self.base.documents.ordinal_of().get(doc_id)
+        if row is None or ordinal is None:
+            return 0
+        ordinals, frequencies = row
+        at = int(np.searchsorted(ordinals, ordinal))
+        return int(frequencies[at]) if at < ordinals.size and ordinals[at] == ordinal else 0
 
     def document_length(self, doc_id: str) -> int:
         """Number of terms indexed for ``doc_id`` (0 when unknown)."""
-        lengths = self._doc_lengths
-        if lengths is None:
-            return self._columns.length_of(doc_id)  # type: ignore[union-attr]
-        return lengths.get(doc_id, 0)
+        counts = self._written.get(doc_id)
+        if counts is not None:
+            return sum(counts.values())
+        return self.base.length_of(doc_id)
 
-    def documents(self) -> set[str]:
-        """All indexed document identifiers."""
-        if self._doc_lengths is None:
-            return set(self._columns.documents.doc_ids)  # type: ignore[union-attr]
-        return set(self._doc_lengths)
+    def lengths(self) -> np.ndarray:
+        """Every document's field length, by epoch ordinal (float64; read only).
 
-    def documents_containing(self, term: str) -> list[str]:
-        """Document identifiers containing ``term``."""
-        return self.postings(term).doc_ids()
-
-    def documents_containing_any(self, terms: Iterable[str]) -> set[str]:
-        """Documents containing at least one of ``terms``."""
-        result: set[str] = set()
-        for term in terms:
-            result.update(self.documents_containing(term))
-        return result
-
-    def vocabulary(self) -> set[str]:
-        """All indexed terms."""
-        lists = dict(self._postings)
-        vocabulary = {term for term, postings in lists.items() if postings}
-        if self._columns is not None:
-            vocabulary.update(term for term in self._columns.terms if term not in lists)
-        return vocabulary
-
-    def statistics(self) -> FieldStatistics:
-        """This field's collection statistics, computed afresh: the full scan.
-
-        An adopted field reads the per-term counts off its CSR with three
-        array reductions; lists in ``_postings`` (decoded, or written
-        since) are counted from the lists, which hold the same or newer
-        counts.  An adopted field nobody has written to answers the same
-        per term from its rows (:meth:`FieldStatistics.from_columns`),
-        which is what a search reads.
+        The base column with a slot opened before base ordinal ``g`` for
+        each gap ``g``, then the written documents' lengths set.
         """
-        if self._doc_lengths is None:
-            lengths = self._columns.lengths  # type: ignore[union-attr]
-            shortest, longest = (
+        lengths = self._lengths
+        if lengths is None:
+            documents = self.documents
+            lengths = self.base.lengths.astype(np.float64)
+            if documents.gaps.size:
+                lengths = np.insert(lengths, documents.gaps, 0.0)
+            if self._written_lengths.size:
+                lengths[documents.written_ordinals()] = self._written_lengths
+            self._lengths = lengths
+        return lengths
+
+    def _length_extremes(self) -> tuple[int, int]:
+        extremes = self._extremes
+        if extremes is None:
+            lengths = self.lengths()
+            extremes = self._extremes = (
                 (int(lengths.min()), int(lengths.max())) if lengths.size else (0, 0)
             )
-        elif self._doc_lengths:
-            shortest = min(self._doc_lengths.values())
-            longest = max(self._doc_lengths.values())
-        else:
-            shortest = longest = 0
-        counts = ({}, {}, {}) if self._columns is None else self._columns.term_statistics()
-        collection, document, maximum = counts
-        # A copy first: concurrent readers may be decoding into the map.
-        for term, postings in list(self._postings.items()):
-            if not postings:  # a tombstone: the stored row is gone
-                for mapping in counts:
-                    mapping.pop(term, None)
-                continue
-            frequencies = postings.frequencies()
-            collection[term] = sum(frequencies.values())
-            document[term] = len(frequencies)
-            maximum[term] = postings.max_frequency()
-        return FieldStatistics(
-            self.name, self._total_terms, self.num_documents, shortest, longest, *counts
-        )
-
-    def posting_csr(
-        self, ordinal_of: OrdinalMap
-    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """This field as ``(terms, offsets, ordinals, frequencies)`` over ``ordinal_of``.
-
-        ``ordinal_of`` numbers every document of the index in doc-id
-        order; terms come out ascending.  Decodes nothing: an adopted
-        field's stored rows are renumbered as arrays, and only the lists
-        in ``_postings`` are read as lists.
-        """
-        shadowing = dict(self._postings)
-        lists = {term: postings for term, postings in shadowing.items() if postings}
-        ids: list[str] = []
-        tfs: list[int] = []
-        for term in lists:
-            frequencies = lists[term].frequencies()
-            doc_ids = lists[term].doc_ids()
-            ids.extend(doc_ids)
-            tfs.extend(map(frequencies.__getitem__, doc_ids))
-        terms = list(lists)
-        sizes = [np.fromiter(map(len, lists.values()), dtype=np.int64, count=len(lists))]
-        ordinals = [ordinal_of.array(ids, len(ids))]
-        frequencies = [np.array(tfs, dtype=np.int64)]
-        columns = self._columns
-        if columns is not None:
-            keep = np.fromiter(
-                (term not in shadowing for term in columns.terms),
-                dtype=bool,
-                count=len(columns.terms),
-            )
-            stored_sizes = np.diff(columns.offsets)
-            rows = np.repeat(keep, stored_sizes)
-            renumber = ordinal_of.array(columns.documents.doc_ids, len(columns.documents.doc_ids))
-            terms.extend(compress(columns.terms, keep))
-            sizes.append(stored_sizes[keep])
-            ordinals.append(renumber[columns.ordinals[rows]])
-            frequencies.append(columns.frequencies[rows])
-        sizes_all = np.concatenate(sizes)
-        order = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.int64)
-        starts = np.cumsum(sizes_all) - sizes_all
-        sorted_sizes = sizes_all[order]
-        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-        np.cumsum(sorted_sizes, out=offsets[1:])
-        gather = np.repeat(starts[order] - offsets[:-1], sorted_sizes) + np.arange(
-            offsets[-1], dtype=np.int64
-        )
-        return (
-            [terms[row] for row in order.tolist()],
-            offsets,
-            np.concatenate(ordinals)[gather],
-            np.concatenate(frequencies)[gather],
-        )
+        return extremes
 
     @property
-    def total_terms(self) -> int:
-        """Number of term occurrences in the whole field collection."""
-        return self._total_terms
+    def min_length(self) -> int:
+        """Shortest field length of any document (0 for an empty collection)."""
+        return self._length_extremes()[0]
+
+    @property
+    def max_length(self) -> int:
+        """Longest field length of any document (0 for an empty collection)."""
+        return self._length_extremes()[1]
 
     @property
     def num_documents(self) -> int:
         """Number of indexed documents."""
-        if self._doc_lengths is None:
-            return len(self._columns.documents.doc_ids)  # type: ignore[union-attr]
-        return len(self._doc_lengths)
+        return len(self.documents.doc_ids)
 
     @property
     def average_document_length(self) -> float:
         """Average indexed length per document."""
         num_documents = self.num_documents
-        if not num_documents:
-            return 0.0
-        return self._total_terms / num_documents
+        return self.total_terms / num_documents if num_documents else 0.0
 
     def __contains__(self, term: str) -> bool:
-        postings = self._postings.get(term)
-        if postings is not None:
-            return bool(postings)
-        return self._columns is not None and self._columns.row(term) is not None
-
-    def __len__(self) -> int:
-        return len(self.vocabulary())
+        return self.term_counts(term)[1] > 0

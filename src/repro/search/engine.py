@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 from ..config import SearchConfig
 from ..exceptions import EntityNotFoundError
-from ..index import FieldedIndex
-from ..index.inverted_index import DocumentColumns, PostingColumns
+from ..index import DocumentColumns, FieldedIndex, PostingColumns
 from ..kg import KnowledgeGraph, traversal_stats
 from ..stats import CacheStats, EngineStats, PruningStatsView
 from ..utils import LRUCache, dedupe_batch
@@ -67,7 +66,6 @@ class SearchEngine:
     ) -> None:
         self._graph = graph
         self._config = config or SearchConfig()
-        self._documents: dict[str, FieldedEntityDocument] = {}
         self._index = FieldedIndex(self._config.fields)
         self._scorer: MixtureLanguageModelScorer | None = None
         #: Serialises mutations (build / add_entity): each one publishes a
@@ -104,9 +102,7 @@ class SearchEngine:
         The cold-start path: the index arrives already populated — it
         answers from the stored posting CSRs (see
         :func:`repro.storage.kgstore.restore_fielded_index`) — so no
-        documents are built and nothing is tokenised.  The documents
-        mapping stays empty — :meth:`document` rebuilds entries lazily
-        on first access, exactly as post-``build()`` misses do.
+        documents are built and nothing is tokenised.
         """
         engine = cls(graph, config=config)
         engine._index = index
@@ -118,25 +114,25 @@ class SearchEngine:
 
         A build makes what a load adopts: every document's token rows
         (:func:`~repro.search.fields.token_rows`) sorted into one posting
-        CSR per field (:meth:`PostingColumns.from_tokens`), served by
-        :meth:`FieldedIndex.adopt` over the documents in id order.  The
-        replacement index is fully constructed before the atomic swap,
-        so concurrent queries keep their pre-rebuild snapshot throughout.
+        CSR per field (:meth:`PostingColumns.from_tokens`), served as the
+        base of a :class:`FieldedIndex` over the documents in id order.
+        The replacement index is fully constructed before the atomic
+        swap, so concurrent queries keep their pre-rebuild snapshot
+        throughout.  The documents are not kept.
         """
         with self._mutation_lock:
             documents = build_all_documents(self._graph)
             fields = self._config.fields
             vocabulary, rows = token_rows(documents.values(), fields)
             stored = DocumentColumns(list(documents))
-            index = FieldedIndex(fields)
-            index.adopt(
+            index = FieldedIndex(
+                fields,
                 stored,
                 {
                     field: PostingColumns.from_tokens(stored, vocabulary, *rows[field])
                     for field in fields
                 },
             )
-            self._documents = documents
             self._scorer = MixtureLanguageModelScorer(index, self._config)
             self._index = index
             self._result_cache.clear()
@@ -151,7 +147,6 @@ class SearchEngine:
         """
         with self._mutation_lock:
             document = build_entity_document(self._graph, entity_id)
-            self._documents[entity_id] = document
             index = self._index.with_added_document(
                 entity_id, analyze_document(document, self._config.fields)
             )
@@ -172,10 +167,8 @@ class SearchEngine:
         return self._config
 
     def document(self, entity_id: str) -> FieldedEntityDocument:
-        """The five-field document of an entity (Table 1)."""
-        if entity_id not in self._documents:
-            self._documents[entity_id] = build_entity_document(self._graph, entity_id)
-        return self._documents[entity_id]
+        """The five-field document of an entity (Table 1), built from the graph."""
+        return build_entity_document(self._graph, entity_id)
 
     def num_indexed(self) -> int:
         """Number of indexed entities."""

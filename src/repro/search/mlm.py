@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SearchConfig
-from ..index import CollectionStatistics, FieldedIndex
-from ..index.columnar import ColumnarIndex, ColumnarPostings, columnar_view
+from ..index import FieldedIndex
+from ..index.columnar import ColumnarPostings, columnar_view
 from ..topk import (
     DenseKernelTerm,
     PruningStats,
@@ -64,16 +64,16 @@ class LanguageModelBounds:
     entries per (field, term) ever searched.
     """
 
-    __slots__ = ("_statistics", "_smoothing")
+    __slots__ = ("_index", "_smoothing")
 
-    def __init__(self, statistics: CollectionStatistics, smoothing: SmoothingParams) -> None:
-        self._statistics = statistics
+    def __init__(self, index: FieldedIndex, smoothing: SmoothingParams) -> None:
+        self._index = index
         self._smoothing = smoothing
 
     def _field_bounds(self, field: str, term: str) -> tuple[float, float]:
         """``(floor, upper)`` of one field's smoothed component."""
         smoothing = self._smoothing
-        field_stats = self._statistics.field(field)
+        field_stats = self._index.field_index(field)
         probability = field_stats.collection_probability(term)
         max_frequency = field_stats.max_frequency(term)
         if smoothing.method == "dirichlet":
@@ -124,10 +124,9 @@ TermComponent = tuple[float, ColumnarPostings | None, np.ndarray, float]
 
 
 def _term_components(
-    view: ColumnarIndex,
+    view: FieldedIndex,
     term: str,
     weighted_fields: Sequence[tuple[str, float]],
-    statistics: CollectionStatistics,
     smoothing: SmoothingParams,
 ) -> list[TermComponent]:
     """The per-field lookups one term's scoring needs, resolved once."""
@@ -137,7 +136,7 @@ def _term_components(
             weight,
             view.postings(field, term),
             view.field_lengths(field),
-            factor * statistics.collection_probability(field, term),
+            factor * view.collection_probability(field, term),
         )
         for field, weight in weighted_fields
     ]
@@ -161,7 +160,7 @@ def _term_frequencies(postings: ColumnarPostings | None, ordinals: np.ndarray) -
 
 
 def _score_breakdowns(
-    view: ColumnarIndex,
+    view: FieldedIndex,
     ordinals: np.ndarray,
     keys: Sequence[str],
     per_term: Sequence[list[TermComponent]],
@@ -207,7 +206,7 @@ def _score_breakdowns(
     return results
 
 
-def query_candidates(view: ColumnarIndex, fields: Sequence[str], terms: Sequence[str]) -> np.ndarray:
+def query_candidates(view: FieldedIndex, fields: Sequence[str], terms: Sequence[str]) -> np.ndarray:
     """Ascending ordinals of the documents holding any term in any field.
 
     The ordinal form of :meth:`FieldedIndex.candidate_documents`: the
@@ -225,7 +224,7 @@ def query_candidates(view: ColumnarIndex, fields: Sequence[str], terms: Sequence
 
 
 def candidate_term_columns(
-    view: ColumnarIndex,
+    view: FieldedIndex,
     candidates: np.ndarray,
     recipes: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
     method: str,
@@ -283,7 +282,7 @@ def candidate_term_columns(
 
 
 def _term_recipes(
-    statistics: CollectionStatistics,
+    view: FieldedIndex,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
 ) -> list[tuple[str, list[tuple[str, float, float]]]]:
@@ -293,7 +292,7 @@ def _term_recipes(
         (
             term,
             [
-                (field, weight, factor * statistics.collection_probability(field, term))
+                (field, weight, factor * view.collection_probability(field, term))
                 for field, weight in fields
             ],
         )
@@ -302,18 +301,17 @@ def _term_recipes(
 
 
 def _dense_kernel_entries(
-    view: ColumnarIndex,
+    view: FieldedIndex,
     candidates: np.ndarray,
-    statistics: CollectionStatistics,
     smoothing: SmoothingParams,
     term_specs: Sequence[tuple[str, str, Sequence[tuple[str, float]]]],
 ) -> list[DenseKernelTerm]:
     """One vectorized kernel term per scored term, aligned with ``candidates``."""
-    bounds = LanguageModelBounds(statistics, smoothing)
+    bounds = LanguageModelBounds(view, smoothing)
     columns = candidate_term_columns(
         view,
         candidates,
-        _term_recipes(statistics, smoothing, term_specs),
+        _term_recipes(view, smoothing, term_specs),
         smoothing.method,
         _smoothing_factor(smoothing),
     )
@@ -379,24 +377,21 @@ class _LanguageModelScorer:
         candidates = query_candidates(view, self._index.fields, query.all_terms())
         if not candidates.size:
             return []
-        statistics = self._index.statistics()
         smoothing = self._smoothing
         term_specs = self._term_specs(query)
         keys = [key for key, _, _ in term_specs]
         per_term = [
-            _term_components(view, term, fields, statistics, smoothing)
-            for _, term, fields in term_specs
+            _term_components(view, term, fields, smoothing) for _, term, fields in term_specs
         ]
-        picked = self._survivors(view, candidates, statistics, term_specs, top_k)
+        picked = self._survivors(view, candidates, term_specs, top_k)
         exact = _score_breakdowns(view, picked, keys, per_term, smoothing)
         exact.sort(key=_rank_key)
         return exact[:top_k]
 
     def _survivors(
         self,
-        view: ColumnarIndex,
+        view: FieldedIndex,
         candidates: np.ndarray,
-        statistics: CollectionStatistics,
         term_specs: list[tuple[str, str, Sequence[tuple[str, float]]]],
         top_k: int,
     ) -> np.ndarray:
@@ -406,7 +401,7 @@ class _LanguageModelScorer:
         candidates whose contribution upper bound cannot beat the live θ
         evicted early, then the top ``k + margin`` survivors selected.
         """
-        entries = _dense_kernel_entries(view, candidates, statistics, self._smoothing, term_specs)
+        entries = _dense_kernel_entries(view, candidates, self._smoothing, term_specs)
         ordinals, partials = columnar_dense(candidates, entries, top_k, self._pruning_stats)
         picked = select_survivor_ordinals(ordinals, partials, top_k)
         self._pruning_stats.rescored += len(picked)

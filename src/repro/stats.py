@@ -150,11 +150,9 @@ class StorageStats:
     is how long the last ``PivotE.load`` spent restoring the system
     (0.0 for systems built in RAM).
 
-    The last two fields are the lazy boundary of a loaded system:
+    The last field is the lazy boundary of a loaded system:
     ``feature_rows_decoded`` is how many holder/feature rows the restored
-    feature snapshot has turned into sets on demand, and
-    ``posting_lists_decoded`` how many of the stored per-term posting
-    lists the adopted search index has turned into objects.
+    feature snapshot has turned into sets on demand.
     """
 
     publishes: int
@@ -164,7 +162,6 @@ class StorageStats:
     failures: int
     cold_start_ms: float
     feature_rows_decoded: int = 0
-    posting_lists_decoded: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -175,7 +172,6 @@ class StorageStats:
             "failures": self.failures,
             "cold_start_ms": self.cold_start_ms,
             "feature_rows_decoded": self.feature_rows_decoded,
-            "posting_lists_decoded": self.posting_lists_decoded,
         }
 
 

@@ -46,7 +46,6 @@ from ..kg.columns import ID_TABLES, LogColumns, StringColumn, rank_strings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
-    from ..index.columnar import ColumnarIndex
     from ..index.fielded_index import FieldedIndex
     from ..kg.topology import GraphTopology
     from ..utils.ordinals import OrdinalMap
@@ -493,9 +492,7 @@ INDEX_KIND = "fielded-index"
 
 
 def encode_index_snapshot(
-    index: "FieldedIndex",
-    view: "ColumnarIndex",
-    dictionary: Dictionary | None = None,
+    index: "FieldedIndex", dictionary: Dictionary | None = None
 ) -> tuple[dict[str, object], SegmentBuilder]:
     """Serialise one index epoch into ``(manifest, builder)``.
 
@@ -506,37 +503,36 @@ def encode_index_snapshot(
     document ids are a reference to the
     ``dictionary``'s entity table when they are the graph's entities,
     and a string table in ordinal order otherwise.  So the manifest
-    holds O(fields) descriptors whatever the vocabulary.  Nothing here decodes a posting
-    list: :meth:`~repro.index.inverted_index.InvertedIndex.posting_csr`
-    renumbers an adopted field's stored rows as arrays.
+    holds O(fields) descriptors whatever the vocabulary.  The CSRs are
+    the epoch's with its written documents merged
+    (:meth:`~repro.index.fielded_index.FieldedIndex.stored_columns`).
     """
+    documents, columns = index.stored_columns()
     builder = SegmentBuilder()
     place = builder.place
     manifest: dict[str, object] = {
         "uid": index.uid,
         "epoch": index.epoch,
         "kind": INDEX_KIND,
-        "num_documents": view.num_documents,
+        "num_documents": len(documents.doc_ids),
         "fields": list(index.fields),
         "lengths": {},
         "postings": {},
-        "doc_ids": (dictionary or Dictionary()).place(place, "doc_ids", view.doc_ids),
+        "doc_ids": (dictionary or Dictionary()).place(place, "doc_ids", documents.doc_ids),
     }
     placed: list[tuple[list[str], dict[str, object]]] = []  # fields may share a vocabulary
     for field in index.fields:
-        terms, offsets, ordinals, frequencies = index.field_index(field).posting_csr(
-            view.ordinal_of
-        )
-        table = next((table for known, table in placed if known == terms), None)
+        csr = columns[field]
+        table = next((table for known, table in placed if known == csr.terms), None)
         if table is None:
-            table = place_strings(place, terms)
-            placed.append((terms, table))
-        manifest["lengths"][field] = place(view.field_lengths(field).astype(np.int64))
+            table = place_strings(place, csr.terms)
+            placed.append((csr.terms, table))
+        manifest["lengths"][field] = place(csr.lengths)
         manifest["postings"][field] = {
             "terms": table,
-            "offsets": place(offsets),
-            "ordinals": place(ordinals),
-            "frequencies": place(frequencies),
+            "offsets": place(csr.offsets),
+            "ordinals": place(csr.ordinals),
+            "frequencies": place(csr.frequencies),
         }
     return manifest, builder
 

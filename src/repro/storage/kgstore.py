@@ -50,11 +50,10 @@ fixed number of descriptors whatever the corpus.
   groups the rows by subject, object and type as it adopts them and
   answers every accessor from those groups; it builds no triple object
   unless a caller iterates the triples.
-* The fielded index serves its stored per-field posting CSRs
-  (:meth:`FieldedIndex.adopt`): a search finds a term's row by
-  bisecting the sorted term table and reads its counts, ordinals and
-  frequencies and the length column off the arrays; a posting list is
-  decoded only for a scalar caller.
+* The fielded index serves its stored per-field posting CSRs as its
+  base: a search finds a term's row by bisecting the sorted term table
+  and reads its counts, ordinals and frequencies and the length column
+  off the arrays.
 * The feature index adopts a snapshot over the stored tables, which
   decodes a row into a frozenset when a lookup first asks for it; the
   feature codes address features as sort-built tables do, and the first
@@ -147,7 +146,6 @@ def save_system(
     (see :func:`system_store`) and read them back off it.
     """
     from ..features.columnar import columnar_tables
-    from ..index.columnar import columnar_view
     from ..kg.topology import graph_topology
 
     os.makedirs(directory, exist_ok=True)
@@ -168,8 +166,7 @@ def save_system(
         )
         dictionary = Dictionary({name: columns.tables[name][0] for name in columns.ranks})
 
-        view = columnar_view(index)
-        manifest, builder = encode_index_snapshot(index, view, dictionary)
+        manifest, builder = encode_index_snapshot(index, dictionary)
         store.publish(
             SEARCH_INDEX_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
@@ -275,8 +272,7 @@ def _field_columns(
     offsets that start at 0, strictly increase (every stored term has a
     posting) and end at the column size; ordinals inside ``[0, n)`` and
     strictly increasing within a term (ordinal order is doc-id order);
-    positive integer frequencies (``PostingList.add`` refuses anything
-    else); terms strictly ascending (one row per term); and a length
+    positive integer frequencies; terms strictly ascending (one row per term); and a length
     column equal to the per-document sum of the frequencies.
     """
     from ..index.inverted_index import PostingColumns
@@ -322,10 +318,9 @@ def restore_fielded_index(
 ) -> "FieldedIndex":
     """Adopt one index snapshot as a live :class:`FieldedIndex`.
 
-    The stored per-field posting CSRs *are* the index
-    (:meth:`FieldedIndex.adopt`): nothing is decoded into posting lists
-    here, and the first search reads its statistics, candidates and
-    columns off the arrays.  The CSRs are checked first (see
+    The stored per-field posting CSRs *are* the index's base: nothing
+    is decoded here, and the first search reads its statistics,
+    candidates and columns off the arrays.  The CSRs are checked first (see
     :func:`_field_columns`), and so are the document ids: the
     ``dictionary``'s entity table, with its map, when the segment
     references it (:meth:`Dictionary.resolve`); otherwise strictly
@@ -370,10 +365,9 @@ def restore_fielded_index(
             raise SnapshotUnavailable("snapshot crc column disagrees with the document ids")
 
     documents = DocumentColumns(doc_ids, ordinal_of)
-    columns = {field: _field_columns(view, field, documents) for field in fields}
-    index = FieldedIndex(fields)
-    index.adopt(documents, columns)
-    return index
+    return FieldedIndex(
+        fields, documents, {field: _field_columns(view, field, documents) for field in fields}
+    )
 
 
 def _check_csr(offsets: np.ndarray, rows: int, values: np.ndarray, bound: int) -> bool:

@@ -22,7 +22,7 @@ the ulp differences between ``numpy`` reductions and the scalar
 accumulation order.
 
 Ordinals are assigned in sorted-doc-id order (see
-:class:`~repro.index.columnar.ColumnarIndex`), so ordinal comparisons
+:mod:`repro.index.columnar`), so ordinal comparisons
 reproduce the ``doc_id`` tie-break and
 :func:`select_survivor_ordinals` can rank with one ``lexsort``.
 

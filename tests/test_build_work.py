@@ -7,7 +7,9 @@ out of the column log, so a build never indexes a document term by term
 (``features_of_entity``) and never decodes the whole snapshot
 (``FeatureIndexSnapshot.maps``); and it analyses each distinct string
 once per analyzer.  A write derives the next snapshot's tables from the
-last, so it does none of that either — after a build and after a load.
+last, so it does none of that either — after a build and after a load;
+and a search-index write copies the documents written since the base,
+never a whole-field map, so its allocation peak stays within a budget.
 What the snapshot answers is checked against the dict maps built from
 ``features_of_entity`` (the oracle), for every entity and feature.
 """
@@ -15,6 +17,7 @@ What the snapshot answers is checked against the dict maps built from
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -23,7 +26,7 @@ from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
 from repro.features import SemanticFeature, SemanticFeatureIndex, extraction
 from repro.features.feature_index import FeatureIndexSnapshot
-from repro.index import FieldedIndex, InvertedIndex
+from repro.index import InvertedIndex
 from repro.kg import KnowledgeGraph
 from repro.text import Analyzer
 
@@ -57,8 +60,7 @@ def spies(monkeypatch):
     per_entity = {
         label: calls_of(monkeypatch, owner, label.split(".")[-1])
         for label, owner in (
-            ("InvertedIndex.add_document", InvertedIndex),
-            ("FieldedIndex.add_document", FieldedIndex),
+            ("InvertedIndex.merged", InvertedIndex),
             ("features_of_entity", extraction),
             ("FeatureIndexSnapshot.maps", FeatureIndexSnapshot),
         )
@@ -206,3 +208,58 @@ def test_delta_entities_count_the_log_delta():
     assert index.rebuild_info()["delta_entities"] == 2 + 3
     before, holders = oracle(graph)
     assert index.snapshot().maps() == (before, {f: frozenset(h) for f, h in holders.items()})
+
+
+#: ``(first, steady)`` tracemalloc peaks (KiB) of ``SearchEngine.add_entity``
+#: per ``(origin, entities)``, measured by :func:`write_peaks` on the commit
+#: before the search index became a base CSR plus a delta (each write then
+#: copied whole-field count maps).  The budget is a quarter of these.
+EARLIER_PEAKS_KIB = {
+    ("built", 500): (614.7, 309.4),
+    ("built", 2000): (2347.6, 1187.7),
+    ("loaded", 500): (619.0, 308.7),
+    ("loaded", 2000): (2398.1, 1187.2),
+}
+
+
+def write_peaks(system: PivotE) -> tuple[float, float]:
+    """``(first, steady)`` tracemalloc peaks (KiB) of the search index's write.
+
+    Each write (:func:`write`) follows a search, as in a write-then-read
+    workload; the first is measured, then the third (the second epoch
+    written on top of a written one).
+    """
+    graph, engine = system.graph, system.search_engine
+    peaks = []
+    for number in range(3):
+        system.search(graph.label(sorted(graph.entities())[number]))
+        entity = write(graph, number)
+        tracemalloc.start()
+        try:
+            engine.add_entity(entity)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1024)
+        finally:
+            tracemalloc.stop()
+    return peaks[0], peaks[2]
+
+
+def e2e_shaped(entities: int) -> KnowledgeGraph:
+    return build_random_kg(
+        RandomKGConfig(num_entities=entities, target_skew=1.5, avg_out_degree=8.0, seed=1)
+    )
+
+
+@pytest.mark.parametrize("entities", [500, 2000])
+@pytest.mark.parametrize("origin", ["built", "loaded"])
+def test_a_search_index_write_allocates_within_its_budget(origin, entities, tmp_path):
+    graph = e2e_shaped(entities)
+    system = PivotE(graph)
+    if origin == "loaded":
+        system.save(str(tmp_path))
+        system.close()
+        system = PivotE.load(str(tmp_path))
+    with system:
+        first, steady = write_peaks(system)
+    earlier_first, earlier_steady = EARLIER_PEAKS_KIB[origin, entities]
+    assert first < earlier_first / 4, (first, earlier_first)
+    assert steady < earlier_steady / 4, (steady, earlier_steady)

@@ -9,9 +9,9 @@ answers a search per term from its stored rows.  Here:
 * a directory saved in the earlier layout (the feature keys listed in
   the JSON manifest, the topology's identifiers too) still loads, with
   no failure, and answers like a fresh build;
-* load → first search → first recommendation builds no whole-field map,
-  decodes no posting list and does not turn the holder CSR around;
-* the per-term counts read off the stored rows equal the full scan.
+* load → first search → first recommendation merges no index field and
+  does not turn the holder CSR around;
+* the per-term counts read off the stored rows equal a fresh build's.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import shutil
 import numpy as np
 import pytest
 
+from index_oracle import assert_same_index
 from repro.config import SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE, PivotEApi
 from repro.features.columnar import columnar_tables
-from repro.index.inverted_index import PostingColumns
-from repro.search import MixtureLanguageModelScorer, parse_query
+from repro.index import InvertedIndex
+from repro.search import MixtureLanguageModelScorer, SearchEngine, parse_query
 from repro.storage import (
     FEATURE_TABLES_KEY,
     GRAPH_TOPOLOGY_KEY,
@@ -215,14 +216,13 @@ def saved_2000(tmp_path_factory):
 
 def test_the_first_answers_read_only_the_rows_they_need(saved_2000, monkeypatch):
     whole_field: list[str] = []
-    for name in ("length_map", "term_statistics"):
-        original = getattr(PostingColumns, name)
+    original = InvertedIndex.merged
 
-        def counted(self, _original=original, _name=name):
-            whole_field.append(_name)
-            return _original(self)
+    def counted(self, documents):
+        whole_field.append(self.name)
+        return original(self, documents)
 
-        monkeypatch.setattr(PostingColumns, name, counted)
+    monkeypatch.setattr(InvertedIndex, "merged", counted)
     with PivotE.load(saved_2000) as loaded:
         api = PivotEApi(loaded)
         response = api.handle({"action": "search", "keywords": "entity 42 entity"})
@@ -234,42 +234,20 @@ def test_the_first_answers_read_only_the_rows_they_need(saved_2000, monkeypatch)
         assert whole_field == []
         index = loaded.search_engine.index
         for field in index.fields:
-            assert not hasattr(index.field_index(field).columns, "_row_of")
+            assert not hasattr(index.field_index(field).base, "_row_of")
         # The documents are numbered by the one dictionary's entity map.
         entity_map = loaded.graph.columns.adopted_maps()["entities"]
-        assert index.stored_documents().ordinal_of() is entity_map
-        assert loaded.stats().storage.posting_lists_decoded == 0
+        assert index.field_index("names").base.documents.ordinal_of() is entity_map
+        assert index.ordinal_of is entity_map
         assert loaded.stats().storage.failures == 0
         assert loaded.feature_index.snapshot()._columnar._held is None
 
 
 def test_counts_read_off_the_stored_rows_equal_the_full_scan(saved_2000):
+    """Per-term counts, totals and shortest/longest lengths of the stored
+    rows equal a fresh build's over the loaded graph."""
     with PivotE.load(saved_2000) as loaded:
-        index = loaded.search_engine.index
-        statistics = index.statistics()
-        for field in index.fields:
-            stored = statistics.field(field)
-            scanned = index.field_index(field).statistics()
-            assert stored._columns is not None and stored._maps is None
-            assert (stored.total_terms, stored.document_count) == (
-                scanned.total_terms, scanned.document_count
-            )
-            assert (stored.min_length, stored.max_length) == (
-                scanned.min_length, scanned.max_length
-            )
-            assert stored.average_length == scanned.average_length
-            for term in sorted(index.field_index(field).vocabulary()) + ["no-such-term"]:
-                assert (
-                    stored.collection_probability(term),
-                    stored.document_frequency(term),
-                    stored.max_frequency(term),
-                ) == (
-                    scanned.collection_probability(term),
-                    scanned.document_frequency(term),
-                    scanned.max_frequency(term),
-                ), (field, term)
-            assert stored._maps is None  # nothing above built a whole-field map
-            assert stored == scanned
+        assert_same_index(loaded.search_engine.index, SearchEngine.from_graph(loaded.graph).index)
 
 
 @pytest.mark.parametrize("smoothing", ("dirichlet", "jelinek-mercer"))
@@ -282,4 +260,3 @@ def test_a_search_on_the_stored_rows_equals_the_exhaustive_reference(saved_2000,
         for raw in queries:
             query = parse_query(raw)
             assert scorer.search(query, top_k=10) == scorer.search_exhaustive(query, top_k=10), raw
-        assert index.statistics().field("names")._maps is None

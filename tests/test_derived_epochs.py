@@ -1,16 +1,17 @@
 """Per-epoch structures derived from the previous epoch's: isolation and bounds.
 
-A write derives the successor's search view, epoch columns, feature
+A write derives the successor's search index, epoch columns, feature
 tables and topology from the predecessor's instead of rebuilding them.
-``test_columnar_build_equivalence`` and ``test_serial_search_matrix``
-hold the derived structures equal to the full builds; this module holds
-the two promises equality does not cover:
+``test_columnar_build_equivalence``, ``test_index_writes`` and
+``test_serial_search_matrix`` hold the derived structures equal to the
+full builds; this module holds the two promises equality does not cover:
 
 * **isolation** — a reader pinned at epoch n keeps byte-identical arrays
   while the writer derives n + 1 (nothing of a predecessor is written);
-* **bounds** — the search view carries forward only the postings the
-  previous epoch's readers asked for, so its memo does not grow with the
-  number of writes, and no view keeps its predecessor alive.
+* **bounds** — a search index epoch shares its base CSRs with its
+  predecessor and carries forward only the documents written since,
+  which a merge bounds; its per-term memo starts empty, and no epoch
+  keeps its predecessor alive.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import pytest
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.features import SemanticFeatureIndex
 from repro.features.columnar import ColumnarFeatureTables, columnar_tables
-from repro.index import ColumnarIndex, columnar_view
+from repro.index import FieldedIndex, columnar_view
+from repro.index.fielded_index import MERGE_FRACTION
 from repro.kg import GraphTopology, graph_topology
 from repro.search import SearchEngine
 from repro.storage import SegmentView
@@ -39,7 +41,7 @@ def _bytes(arrays) -> dict[str, bytes]:
     return {name: array.tobytes() for name, array in arrays.items()}
 
 
-def _view_arrays(view: ColumnarIndex, fields, terms) -> dict[str, bytes]:
+def _view_arrays(view: FieldedIndex, fields, terms) -> dict[str, bytes]:
     arrays = {f"lengths:{field}": view.field_lengths(field) for field in fields}
     for field in fields:
         for term in terms:
@@ -79,7 +81,7 @@ class TestPinnedReadersKeepTheirEpoch:
         for number in range(3):
             engine.add_entity(_write(graph, number))
             engine.search("written0 film entity")  # the successor remaps the memo
-        assert engine.index.statistics().columnar_view is not pinned
+        assert engine.index is not pinned
         assert pinned.doc_ids == doc_ids
         assert _view_arrays(pinned, fields, terms) == before
         assert pinned.ordinal_of.array(doc_ids).tolist() == list(range(len(doc_ids)))
@@ -119,20 +121,28 @@ class TestPinnedReadersKeepTheirEpoch:
 
 
 class TestCarriedStateIsBounded:
-    def test_the_view_carries_only_the_last_epochs_postings(self, graph):
+    def test_an_epoch_shares_the_base_and_carries_only_the_written_documents(self, graph):
         engine = SearchEngine.from_graph(graph)
         fields = engine.index.fields
+        merges = 0
         for cycle in range(50):
-            view = columnar_view(engine.index)
+            index = engine.index
             engine.search(f"distinct{cycle} film")  # two terms the epoch's readers ask for
-            created = len(view._postings)
-            assert created <= 2 * len(fields)
+            assert all(len(index.field_index(f)._columnar) <= 2 for f in fields)
             entity = f"ex:cycle{cycle}"
             graph.add_label(entity, f"distinct{cycle + 1} film")
             engine.add_entity(entity)
-            successor = engine.index.statistics().columnar_view
-            assert successor is not None and len(successor._inherited) == created
-            assert not successor._postings  # nothing is remapped before a query asks
+            successor = engine.index
+            for field in fields:
+                before, after = index.field_index(field), successor.field_index(field)
+                assert not after._columnar  # nothing is built before a query asks
+                documents = after.documents
+                assert documents.num_written <= MERGE_FRACTION * len(documents.base.doc_ids)
+                assert len(after._written) == documents.num_written
+                if after.base is not before.base:
+                    assert documents.num_written == 0  # the write merged the delta
+                    merges += field == fields[0]
+        assert merges == 2  # 150 documents: after 19 writes, then 22 more
 
     def test_no_view_keeps_its_predecessor_alive(self, graph):
         engine = SearchEngine.from_graph(graph)
@@ -149,10 +159,10 @@ class TestCarriedStateIsBounded:
 
 
 class TestDerivationSources:
-    def test_an_adopted_view_derives_its_successor(self, graph):
-        """A view over stored CSRs (a cold start) derives like a built one."""
+    def test_an_adopted_index_takes_writes_like_a_built_one(self, graph):
+        """An index over stored CSRs (a cold start) writes like a built one."""
         built = SearchEngine.from_graph(graph)
-        manifest, builder = encode_index_snapshot(built.index, columnar_view(built.index))
+        manifest, builder = encode_index_snapshot(built.index)
         encoded = SegmentBuilder.encode_manifest(manifest)
         buffer = bytearray(builder.total_size(encoded)[0])
         builder.write_into(buffer, encoded)
@@ -161,17 +171,15 @@ class TestDerivationSources:
         )
         hits = engine.search("film entity")
         assert hits == built.search("film entity")
-        stored = engine.index.stored_documents()
-        assert stored is not None
+        stored = engine.index.field_index("names").base.documents
         entity = _write(graph, 0)
         engine.add_entity(entity)
         built.add_entity(entity)
-        # The view borrowed the stored ids' dictionary and never wrote it.
+        # The epoch borrowed the stored ids' dictionary and never wrote it.
         assert stored.ordinal_of() == {doc_id: n for n, doc_id in enumerate(stored.doc_ids)}
-        derived = engine.index.statistics().columnar_view
-        assert derived is not None and engine.index.stored_documents() is None
+        assert engine.index.field_index("names").base.documents is stored
         assert engine.search("written0 film entity") == built.search("written0 film entity")
-        rebuilt = ColumnarIndex(engine.index)
+        derived, rebuilt = engine.index, built.index
         assert derived.doc_ids == rebuilt.doc_ids
         for field in engine.index.fields:
             assert derived.field_lengths(field).tobytes() == rebuilt.field_lengths(field).tobytes()

@@ -77,7 +77,8 @@ class TestDeltaEqualsFullRebuild:
 
 class TestFullRebuildFallback:
     def test_large_delta_triggers_full_rebuild(self, tiny_kg: KnowledgeGraph):
-        index = SemanticFeatureIndex(tiny_kg, max_delta_fraction=0.05)
+        index = SemanticFeatureIndex(tiny_kg)
+        index.max_delta_fraction = 0.05
         index.rebuild()
         _mutate(tiny_kg, rounds=10)  # way past 5% of the tiny graph
         index.epoch
@@ -85,12 +86,6 @@ class TestFullRebuildFallback:
         assert info["full_rebuilds"] == 2
         assert info["delta_rebuilds"] == 0
         _assert_index_equals_fresh(index, tiny_kg)
-
-    def test_fraction_validation(self, tiny_kg: KnowledgeGraph):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SemanticFeatureIndex(tiny_kg, max_delta_fraction=1.5)
 
     def test_delta_counters_report_affected_entities(self, tiny_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(tiny_kg)

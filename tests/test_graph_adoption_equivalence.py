@@ -242,7 +242,8 @@ class TestRestoredSnapshot:
         assert restored.decoded_rows <= len(entity_features) + len(features)
 
         # A write after the load: the delta derives from a partly decoded predecessor.
-        adopting = SemanticFeatureIndex.restore(graph, restored, max_delta_fraction=1.0)
+        adopting = SemanticFeatureIndex.restore(graph, restored)
+        adopting.max_delta_fraction = 1.0
         graph.add_all(later)
         graph.add("ex:e0", "ex:p0", "ex:written")
         partly = restored.decoded_rows

@@ -2,18 +2,17 @@
 
 ``PivotE.load`` serves the ``search-index`` segment as it is stored: one
 posting CSR per field (a term string table, offsets, one ordinal and one
-frequency column, a length column) over one document-id table.  Here an
-adopted index is compared with an in-RAM build structure by structure —
-vocabularies, postings, lengths, statistics, columnar arrays — at
-load, after a copy-on-write write, and after a re-save and
+frequency column, a length column) over one document-id table, as the
+base of the index.  Here an adopted index is compared with an in-RAM
+build structure by structure — CSRs, per-term postings and counts,
+lengths — at load, after a copy-on-write write, and after a re-save and
 reload; every check the restore makes of a checksummed CSR gets a
 hand-built segment that fails exactly that check; and the lazy boundary
-(how many posting lists a request decodes) is pinned.
+(a request reads only the terms it names) is pinned.
 """
 
 from __future__ import annotations
 
-import logging
 import sys
 import threading
 import zlib
@@ -21,9 +20,9 @@ import zlib
 import numpy as np
 import pytest
 
+from index_oracle import assert_same_index
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
-from repro.index import columnar_view
 from repro.search import SearchEngine
 from repro.storage import (
     SEARCH_INDEX_KEY,
@@ -51,47 +50,15 @@ def segment_bytes(manifest: dict, builder: SegmentBuilder) -> bytes:
 
 def saved(index) -> bytes:
     """One index epoch as the bytes of a durable ``search-index`` segment."""
-    return segment_bytes(*encode_index_snapshot(index, columnar_view(index)))
+    return segment_bytes(*encode_index_snapshot(index))
 
 
 def adopted(segment: bytes, fields):
     return restore_fielded_index(SegmentView(segment, verify=True), tuple(fields))
 
 
-def assert_same_arrays(left: np.ndarray, right: np.ndarray) -> None:
-    assert left.dtype == right.dtype and np.array_equal(left, right)
-
-
-def assert_same_index(adopted_index, built) -> None:
-    """Statistics and columnar arrays first (read off the CSR), then every list."""
-    assert adopted_index.fields == built.fields
-    assert adopted_index.documents() == built.documents()
-    assert adopted_index.statistics() == built.statistics()
-    got, want = columnar_view(adopted_index), columnar_view(built)
-    assert got.doc_ids == want.doc_ids
-    for field in built.fields:
-        assert_same_arrays(got.field_lengths(field), want.field_lengths(field))
-        for term in sorted(built.field_index(field).vocabulary()) + ["no-such-term"]:
-            left, right = got.postings(field, term), want.postings(field, term)
-            assert (left is None) == (right is None), (field, term)
-            if right is not None:
-                for name in ColumnarPostingsFields:
-                    assert_same_arrays(getattr(left, name), getattr(right, name))
-    for field in built.fields:
-        mine, theirs = adopted_index.field_index(field), built.field_index(field)
-        assert mine.vocabulary() == theirs.vocabulary()
-        assert len(mine) == len(theirs)
-        assert mine.document_lengths() == theirs.document_lengths()
-        for doc_id in sorted(built.documents())[:20] + ["ex:nobody"]:
-            assert mine.document_length(doc_id) == theirs.document_length(doc_id)
-        for term in theirs.vocabulary():
-            left, right = mine.get_postings(term), theirs.get_postings(term)
-            assert left.doc_ids() == right.doc_ids(), (field, term)
-            assert left.frequencies() == right.frequencies(), (field, term)
-        assert mine.get_postings("no-such-term") is None
-
-
-ColumnarPostingsFields = ("ordinals", "frequencies")
+def written_since_base(index) -> int:
+    return index.field_index(index.fields[0]).documents.num_written
 
 
 @pytest.fixture(scope="module", params=sorted(DATASETS))
@@ -103,7 +70,7 @@ def a_write(built) -> tuple[str, dict[str, list[str]]]:
     """A new document reusing stored terms in every field, plus one unseen term."""
     terms = {}
     for field in built.fields:
-        known = sorted(built.field_index(field).vocabulary())[:3]
+        known = built.field_index(field).base.terms[:3]
         terms[field] = known + known[:1] + [f"unseen{field}"]
     return "ex:zz-written", terms
 
@@ -115,29 +82,27 @@ class TestAdoptedIndexStructure:
     def test_at_load(self, built_engine):
         built = built_engine.index
         index = adopted(saved(built), built.fields)
-        assert index.stored_documents() is not None
+        assert written_since_base(index) == 0
         assert index.epoch == built.epoch
         assert_same_index(index, built)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "statistics-cached"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "read-before"])
     @pytest.mark.parametrize("which", ["new", "existing"])
     def test_after_one_write(self, built_engine, warm, which):
         built = built_engine.index
         index = adopted(saved(built), built.fields)
         doc_id, terms = a_write(built)
         if which == "existing":
-            doc_id = sorted(built.documents())[3]
+            doc_id = built.doc_ids[3]
         if warm:
-            assert index.statistics() == built.statistics()
+            assert_same_index(index, built)
         written, built_written = (
             index.with_added_document(doc_id, terms),
             built.with_added_document(doc_id, terms),
         )
-        assert written.stored_documents() is None and index.stored_documents() is not None
-        # Only the written terms that were stored got decoded (to be copied),
-        # and, for a replaced document, the terms it held before.
-        held = sum(len(built.field_index(field).document_counts(doc_id)) for field in built.fields)
-        assert written.decoded_posting_lists() <= sum(map(len, terms.values())) + held
+        assert written_since_base(written) == 1 and written_since_base(index) == 0
+        for field in built.fields:  # the write shares the stored CSRs
+            assert written.field_index(field).base is index.field_index(field).base
         assert_same_index(written, built_written)
         assert_same_index(index, built)  # the predecessor is untouched
 
@@ -146,7 +111,6 @@ class TestAdoptedIndexStructure:
         segment = saved(built)
         index = adopted(segment, built.fields)
         again = saved(index)
-        assert index.decoded_posting_lists() == 0  # the re-save decoded nothing
         # Only the uid differs: equal descriptors carry equal checksums, so
         # the CSRs were written back byte for byte.
         first, second = SegmentView(segment).manifest, SegmentView(again).manifest
@@ -155,9 +119,8 @@ class TestAdoptedIndexStructure:
 
         doc_id, terms = a_write(built)
         written = index.with_added_document(doc_id, terms)
-        decoded = written.decoded_posting_lists()
         rewritten = saved(written)
-        assert written.decoded_posting_lists() == decoded  # nor does a written one
+        assert written_since_base(written) == 1  # the save merged a copy, not the epoch
         assert_same_index(
             adopted(rewritten, built.fields), built.with_added_document(doc_id, terms)
         )
@@ -222,8 +185,10 @@ class TestAdoptedSegmentValidation:
     def test_a_well_formed_segment_is_adopted(self):
         index = restore_fielded_index(hand_built(), ("names",))
         names = index.field_index("names")
-        assert names.get_postings("x").frequencies() == {"a": 1, "c": 2}
-        assert names.document_lengths() == {"a": 1, "b": 3, "c": 2}
+        assert names.postings("x").ordinals.tolist() == [0, 2]
+        assert names.postings("x").frequencies.tolist() == [1.0, 2.0]
+        assert names.lengths().tolist() == [1.0, 3.0, 2.0]
+        assert [names.document_length(doc) for doc in DOCS] == [1, 3, 2]
 
     def test_a_wrapped_ordinal_with_a_fractional_frequency_is_refused(self):
         """Once restored as ``{'c': 0}`` for ``x``: ``doc_ids[-1]`` and ``int(0.5)``."""
@@ -298,7 +263,7 @@ def test_a_refused_index_segment_degrades_to_a_counted_rebuild(tmp_path, monkeyp
         expected = [[(hit.entity_id, hit.score) for hit in system.search(q)] for q in queries]
         system.save(str(tmp_path))
         index = system.search_engine.index
-        manifest, builder = encode_index_snapshot(index, columnar_view(index))
+        manifest, builder = encode_index_snapshot(index)
     # Re-placed array by array, so every checksum holds — but one posting
     # of "names" now occurs zero times.
     view = SegmentView(segment_bytes(manifest, builder), verify=True)
@@ -349,79 +314,60 @@ def saved_system(tmp_path_factory):
 
 
 class TestLazyBoundary:
-    def test_load_and_a_search_decode_nothing(self, saved_system):
-        """A search reads the stored rows: statistics, candidates, columns
-        and the exact epilogue alike."""
+    def test_load_and_a_search_read_only_the_named_terms(self, saved_system):
+        """A search reads the stored rows of the terms it names: statistics,
+        candidates, columns and the exact epilogue alike."""
         with PivotE.load(saved_system) as loaded:
-            assert loaded.stats().storage.posting_lists_decoded == 0
             assert loaded.search("entity 42")
             assert loaded.search("names:entity 42 unheardof")
-            assert loaded.stats().storage.posting_lists_decoded == 0
-            assert loaded.stats().as_dict()["storage"]["posting_lists_decoded"] == 0
+            index = loaded.search_engine.index
+            for field in index.fields:
+                named = index.field_index(field)
+                assert set(named._columnar) <= {"entity", "42"}
+                assert set(named.base._rows) <= {"entity", "42"}
 
-    def test_reading_stats_decodes_nothing(self, saved_system):
+    def test_reading_stats_reads_no_term(self, saved_system):
         with PivotE.load(saved_system) as loaded:
             for _ in range(3):
                 loaded.stats()
                 loaded.search_engine.stats()
-            assert loaded.search_engine.index.decoded_posting_lists() == 0
+            index = loaded.search_engine.index
+            for field in index.fields:
+                assert not index.field_index(field)._columnar
+                assert not index.field_index(field).base._rows
 
-    def test_a_field_decoded_wholesale_is_logged_once_naming_the_caller(self, saved_system, caplog):
-        with PivotE.load(saved_system) as loaded, caplog.at_level(logging.INFO, logger="repro"):
-            loaded.search("entity 42")
-            assert not caplog.records
-            names = loaded.search_engine.index.field_index("names")
-
-            def walk_every_term() -> None:
-                for term in sorted(names.vocabulary()):
-                    names.get_postings(term)
-
-            walk_every_term()
-            walk_every_term()
-        (record,) = caplog.records
-        assert record.getMessage() == (
-            f"index field 'names': all {len(names)} stored posting lists decoded, "
-            "the last by walk_every_term"
-        )
-
-    def test_concurrent_first_reads_count_each_list_once(self, built_engine, caplog):
+    def test_concurrent_first_reads_agree(self, built_engine):
         built = built_engine.index
         segment, reference = saved(built), built.field_index("names")
-        terms = sorted(reference.vocabulary())
+        terms = reference.base.terms
         failures: list[BaseException] = []
 
         def reader(names, start: threading.Barrier) -> None:
             try:
                 start.wait(timeout=60)
                 for term in terms:
-                    assert names.get_postings(term).frequencies() == (
-                        reference.get_postings(term).frequencies()
-                    )
+                    got, want = names.postings(term), reference.postings(term)
+                    assert got.ordinals.tolist() == want.ordinals.tolist()
+                    assert got.frequencies.tolist() == want.frequencies.tolist()
+                    assert names.term_counts(term) == reference.term_counts(term)
             except BaseException as error:  # noqa: BLE001 - reported by the main thread
                 failures.append(error)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):  # a fresh adopted index per round, all lists undecoded
+            for _ in range(10):  # a fresh adopted index per round, nothing read yet
                 index = adopted(segment, built.fields)
                 start = threading.Barrier(8)
-                caplog.clear()
-                with caplog.at_level(logging.INFO, logger="repro"):
-                    threads = [
-                        threading.Thread(target=reader, args=(index.field_index("names"), start))
-                        for _ in range(8)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join(timeout=60)
+                threads = [
+                    threading.Thread(target=reader, args=(index.field_index("names"), start))
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads) and not failures
-                assert index.decoded_posting_lists() == len(terms)
-                (record,) = caplog.records
-                assert record.getMessage() == (
-                    f"index field 'names': all {len(terms)} stored posting lists decoded, "
-                    "the last by reader"
-                )
+                assert len(index.field_index("names")._columnar) == len(terms)
         finally:
             sys.setswitchinterval(previous)

@@ -7,6 +7,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_oracle import sorted_build
 from repro.eval import (
     average_precision,
     ndcg_at_k,
@@ -14,7 +15,7 @@ from repro.eval import (
     recall_at_k,
 )
 from repro.features import Direction, SemanticFeature, SemanticFeatureIndex
-from repro.index import InvertedIndex
+from repro.index import FieldedIndex
 from repro.kg import KnowledgeGraph, Literal, Triple
 from repro.kg.io import parse_ntriples_line, triple_to_ntriples
 from repro.ranking import FeatureProbabilityModel, SemanticFeatureRanker
@@ -155,10 +156,11 @@ def test_normalize_text_idempotent(text):
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=30))
 def test_inverted_index_frequencies_sum_to_length(terms):
-    index = InvertedIndex()
-    index.add_document("d", terms)
-    assert index.document_length("d") == len(terms)
-    assert sum(index.term_frequency(t, "d") for t in set(terms)) == len(terms)
+    base = sorted_build(["names"], {"d": {"names": terms}}).field_index("names")
+    written = FieldedIndex(["names"]).with_added_document("d", {"names": terms})
+    for index in (base, written.field_index("names")):
+        assert index.document_length("d") == len(terms)
+        assert sum(index.term_frequency(t, "d") for t in set(terms)) == len(terms)
 
 
 # --------------------------------------------------------------------------- #

@@ -235,16 +235,18 @@ class TestEquivalenceAfterIndexMutation:
 class TestCachedStatisticsComponents:
     def test_collection_probability_memoised(self, tiny_kg):
         engine = SearchEngine.from_graph(tiny_kg)
-        stats = engine.index.statistics()
-        first = stats.collection_probability("names", "film")
+        names = engine.index.field_index("names")
+        first = names.collection_probability("film")
         assert first > 0.0
-        assert stats.collection_probability("names", "film") == first
-        assert stats.collection_probability("names", "no-such-term") == 0.0
+        assert names._probabilities["film"] == first
+        assert names.collection_probability("film") == first
+        assert names.collection_probability("no-such-term") == 0.0
 
     def test_statistics_cached_per_epoch(self, tiny_kg):
         engine = SearchEngine.from_graph(tiny_kg)
         index = engine.index
-        assert index.statistics() is index.statistics()
+        names = index.field_index("names")
+        assert names.collection_probability("film") > 0.0
         epoch = index.epoch
         tiny_kg.add_label("ex:NEW", "New Entity")
         engine.add_entity("ex:NEW")
@@ -254,5 +256,6 @@ class TestCachedStatisticsComponents:
         assert index.epoch == epoch
         assert engine.index is not index
         assert engine.index.epoch > epoch
-        assert engine.index.statistics().num_documents == engine.index.num_documents
-        assert "ex:NEW" not in index
+        assert not engine.index.field_index("names")._probabilities  # a fresh epoch memo
+        assert names._probabilities  # the captured epoch keeps its own
+        assert "ex:NEW" not in index and "ex:NEW" in engine.index

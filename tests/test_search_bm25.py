@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from index_oracle import sorted_build
 from repro.index import FieldedIndex
 from repro.search import BM25FScorer, BM25Params, idf, parse_query
 
 
 @pytest.fixture
 def index() -> FieldedIndex:
-    idx = FieldedIndex(["names", "categories"])
-    idx.add_document("e:gump", {"names": ["forrest", "gump"], "categories": ["american", "film"]})
-    idx.add_document("e:apollo", {"names": ["apollo", "13"], "categories": ["american", "film"]})
-    idx.add_document("e:long", {"names": ["gump"] + ["filler"] * 30, "categories": ["film"]})
-    return idx
+    return sorted_build(
+        ["names", "categories"],
+        {
+            "e:gump": {"names": ["forrest", "gump"], "categories": ["american", "film"]},
+            "e:apollo": {"names": ["apollo", "13"], "categories": ["american", "film"]},
+            "e:long": {"names": ["gump"] + ["filler"] * 30, "categories": ["film"]},
+        },
+    )
 
 
 class TestIdf:

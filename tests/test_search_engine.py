@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from index_oracle import assert_same_index
 from repro.config import SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.exceptions import EmptyQueryError, EntityNotFoundError
-from repro.index import ColumnarIndex
 from repro.kg import KnowledgeGraph
-from repro.search import SearchEngine, parse_query
+from repro.search import SearchEngine, build_entity_document, parse_query
+from serial_matrix import GRAPH_SHAPES, ORIGINS, WRITTEN, origin_system
 
 
 def _label_queries(graph: KnowledgeGraph) -> list[str]:
@@ -129,26 +130,23 @@ class TestIncrementalIndexing:
         hits = engine.search("brand new film")
         assert hits[0].entity_id == "ex:F9"
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "view-derived"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "read-before"])
     def test_reindexing_an_unchanged_entity_changes_nothing(self, warm):
         graph = build_random_kg(RandomKGConfig(num_entities=300, seed=31))
-        engine = SearchEngine.from_graph(graph)
+        engine, unwritten = SearchEngine.from_graph(graph), SearchEngine.from_graph(graph)
         queries = _label_queries(graph)
-        before = [_hits(engine, query) for query in queries]
-        statistics = engine.index.statistics()
+        before = [_hits(engine if warm else unwritten, query) for query in queries]
         entity = max(graph.entities(), key=lambda e: (len(graph.outgoing(e)), e))
         lengths = {field: engine.index.document_length(field, entity) for field in engine.index.fields}
-        if not warm:
-            engine.index._statistics_cache = None  # nothing to derive from: the scan
         engine.add_entity(entity)
         assert engine.num_indexed() == graph.num_entities()
         assert {
             field: engine.index.document_length(field, entity) for field in engine.index.fields
         } == lengths
-        assert engine.index.statistics() == statistics
+        assert_same_index(engine.index, unwritten.index)
         assert [_hits(engine, query) for query in queries] == before
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "view-derived"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "read-before"])
     def test_reindexing_after_a_new_label_equals_a_fresh_build(self, warm):
         graph = build_random_kg(RandomKGConfig(num_entities=300, seed=37))
         engine = SearchEngine.from_graph(graph)
@@ -159,20 +157,26 @@ class TestIncrementalIndexing:
         graph.add_label(entity, "renamed entity")
         engine.add_entity(entity)
         fresh = SearchEngine.from_graph(graph)
-        assert engine.index.statistics() == fresh.index.statistics()
-        for field in engine.index.fields:
-            assert engine.index.field_index(field).document_lengths() == (
-                fresh.index.field_index(field).document_lengths()
-            )
+        assert_same_index(engine.index, fresh.index)
         assert [_hits(engine, query) for query in queries] == [
             _hits(fresh, query) for query in queries
         ]
-        if warm:
-            derived = engine.index.statistics().columnar_view
-            assert derived is not None and derived.doc_ids == ColumnarIndex(fresh.index).doc_ids
 
     def test_custom_config_used(self, tiny_kg: KnowledgeGraph):
         config = SearchConfig(top_k=2)
         engine = SearchEngine.from_graph(tiny_kg, config=config)
         assert engine.config.top_k == 2
         assert len(engine.search("film")) <= 2
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_a_document_is_built_on_demand_alike_on_every_origin(origin, tmp_path):
+    """``document`` reads the graph: the engine keeps no document memo, so a
+    built, a loaded and a written engine give the same answer."""
+    graph = build_random_kg(GRAPH_SHAPES["default"])
+    with origin_system(graph, origin, str(tmp_path)) as system:
+        engine = system.search_engine
+        entities = sorted(graph.entities())[::17] + ([WRITTEN] if origin == "written" else [])
+        for entity in entities:
+            assert engine.document(entity) == build_entity_document(graph, entity), entity
+        assert not hasattr(engine, "_documents")

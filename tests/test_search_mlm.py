@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from index_oracle import sorted_build
 from repro.config import SearchConfig
 from repro.index import FieldedIndex
 from repro.search import MixtureLanguageModelScorer, SingleFieldScorer, parse_query
@@ -11,32 +12,26 @@ from repro.search import MixtureLanguageModelScorer, SingleFieldScorer, parse_qu
 
 @pytest.fixture
 def index() -> FieldedIndex:
-    idx = FieldedIndex(["names", "attributes", "categories", "similar_entity_names", "related_entity_names"])
-    idx.add_document(
-        "e:gump",
+    return sorted_build(
+        ["names", "attributes", "categories", "similar_entity_names", "related_entity_names"],
         {
-            "names": ["forrest", "gump"],
-            "categories": ["american", "film"],
-            "related_entity_names": ["tom", "hanks"],
+            "e:gump": {
+                "names": ["forrest", "gump"],
+                "categories": ["american", "film"],
+                "related_entity_names": ["tom", "hanks"],
+            },
+            "e:apollo": {
+                "names": ["apollo", "13"],
+                "categories": ["american", "film"],
+                "related_entity_names": ["tom", "hanks"],
+            },
+            "e:terminator": {
+                "names": ["the", "terminator"],
+                "categories": ["american", "film"],
+                "related_entity_names": ["arnold", "schwarzenegger"],
+            },
         },
     )
-    idx.add_document(
-        "e:apollo",
-        {
-            "names": ["apollo", "13"],
-            "categories": ["american", "film"],
-            "related_entity_names": ["tom", "hanks"],
-        },
-    )
-    idx.add_document(
-        "e:terminator",
-        {
-            "names": ["the", "terminator"],
-            "categories": ["american", "film"],
-            "related_entity_names": ["arnold", "schwarzenegger"],
-        },
-    )
-    return idx
 
 
 class TestMixtureScorer:

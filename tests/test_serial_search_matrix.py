@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import pytest
 
+from index_oracle import assert_same_index
 from repro.config import (
     DEFAULT_FIELD_WEIGHTS,
     DEFAULT_FIELDS,
@@ -37,7 +38,6 @@ from repro.config import (
 )
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
-from repro.index import ColumnarIndex
 from repro.kg import GraphBuilder
 from repro.search import (
     BM25FScorer,
@@ -376,19 +376,7 @@ class TestSearchAfterAddEntity:
                 assert [(r.doc_id, r.score) for r in grown] == [
                     (r.doc_id, r.score) for r in fresh_results
                 ]
-        derived = engine.index.statistics().columnar_view
-        assert derived is not None, "the last write derived no view"
-        rebuilt = ColumnarIndex(engine.index)
-        assert derived.doc_ids == rebuilt.doc_ids == sorted(fresh.index.documents())
-        for field in engine.index.fields:
-            assert derived.field_lengths(field).tobytes() == rebuilt.field_lengths(field).tobytes()
-            for term in {t for raw in self.QUERIES for t in parse_query(raw).terms}:
-                got, want = derived.postings(field, term), rebuilt.postings(field, term)
-                assert (got is None) == (want is None), (field, term)
-                if got is not None:
-                    assert got.ordinals.dtype == want.ordinals.dtype
-                    assert got.ordinals.tobytes() == want.ordinals.tobytes(), (field, term)
-                    assert got.frequencies.tobytes() == want.frequencies.tobytes(), (field, term)
+        assert_same_index(engine.index, fresh.index)
 
 
 class TestExplainAgreesWithHits:

@@ -1,11 +1,11 @@
-"""The sort-built search index == the ``add_document`` reference, bitwise.
+"""The sort-built search index == the dict model, bitwise.
 
 ``SearchEngine.build`` analyses every distinct string once per analyzer
 (``token_rows``) and sorts each field's token rows into the posting CSR
 a load adopts (``PostingColumns.from_tokens``).  The reference it must
-equal builds the same documents term by term with
-``FieldedIndex.add_document``.  Compared per field: terms, offsets,
-ordinals, frequencies and lengths (dtype and bytes), and the statistics;
+equal is the dict model of ``tests/index_oracle.py``, written document by
+document.  Compared per field: terms, offsets, ordinals, frequencies and
+lengths (dtype and bytes), and the per-term counts;
 over random graphs, hand-made labels that stress the analyzers (accents,
 combining marks, camelCase, underscores, characters outside the BMP),
 entities with empty fields, and an index over a subset of the fields.
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import unicodedata
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_oracle import ReferenceIndex, assert_index_equals, sorted_build
 from repro.config import DEFAULT_FIELDS, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.index import FieldedIndex
@@ -40,7 +40,6 @@ from repro.search import (
 )
 from repro.text import Analyzer, NAME_ANALYZER, TEXT_ANALYZER
 from repro.text.normalize import strip_accents
-from repro.utils.ordinals import OrdinalMap
 
 #: Labels the analyzers treat very differently; the last ones analyse to nothing.
 AWKWARD_LABELS = [
@@ -52,48 +51,21 @@ AWKWARD_LABELS = [
 
 def reference_index(
     graph: KnowledgeGraph, fields=DEFAULT_FIELDS, documents=None
-) -> FieldedIndex:
-    """The index built document by document with ``add_document``."""
-    index = FieldedIndex(fields)
+) -> ReferenceIndex:
+    """The dict model written document by document."""
+    reference = ReferenceIndex(fields)
     documents = build_all_documents(graph) if documents is None else documents
     for entity_id in sorted(documents):
-        index.add_document(entity_id, analyze_document(documents[entity_id], fields))
-    return index
+        reference.write(entity_id, analyze_document(documents[entity_id], fields))
+    return reference
 
 
-def assert_bytes_equal(got: np.ndarray, want: np.ndarray, what: str) -> None:
-    assert got.dtype == want.dtype and got.shape == want.shape, what
-    assert got.tobytes() == want.tobytes(), what
-
-
-def assert_matches_reference(index: FieldedIndex, reference: FieldedIndex) -> None:
-    doc_ids = sorted(reference.documents())
-    stored = index.stored_documents()
-    assert stored is not None and stored.doc_ids == doc_ids
-    assert index.fields == reference.fields and index.epoch == reference.epoch
-    ordinals = OrdinalMap(doc_ids)
-    statistics, expected = index.statistics(), reference.statistics()
-    assert statistics.num_documents == expected.num_documents
-    for field in reference.fields:
-        columns = index.field_index(field).columns
-        terms, offsets, ordinal_column, frequencies = reference.field_index(field).posting_csr(
-            ordinals
-        )
-        assert columns.terms == terms, field
-        assert_bytes_equal(columns.offsets, offsets, f"{field} offsets")
-        assert_bytes_equal(columns.ordinals, ordinal_column, f"{field} ordinals")
-        assert_bytes_equal(columns.frequencies, frequencies, f"{field} frequencies")
-        lengths = reference.field_index(field).document_lengths()
-        assert_bytes_equal(
-            columns.lengths, np.array([lengths[doc_id] for doc_id in doc_ids], dtype=np.int64),
-            f"{field} lengths",
-        )
-        got, want = statistics.field(field), expected.field(field)
-        for term in [*terms, "no-such-term"]:  # per term, off the rows, before any whole map
-            assert got.collection_probability(term) == want.collection_probability(term)
-            assert got.document_frequency(term) == want.document_frequency(term)
-            assert got.max_frequency(term) == want.max_frequency(term)
-        assert got == want, field
+def assert_matches_reference(index: FieldedIndex, reference: ReferenceIndex) -> None:
+    """A build is all base: nothing written since, its CSRs the model's."""
+    assert index.fields == reference.fields and index.epoch == len(reference.doc_ids)
+    for field in index.fields:
+        assert index.field_index(field).documents.num_written == 0
+    assert_index_equals(index, reference)
 
 
 def labelled_graph(labels: list[str], empty: int = 2) -> KnowledgeGraph:
@@ -127,7 +99,7 @@ class TestSortedBuildEqualsReference:
         graph = labelled_graph(AWKWARD_LABELS)
         index = SearchEngine.from_graph(graph).index
         assert_matches_reference(index, reference_index(graph))
-        lengths = index.field_index("similar_entity_names").columns.lengths
+        lengths = index.field_index("similar_entity_names").base.lengths
         assert (lengths == 0).any()  # documents with an empty field are still documents
 
     @pytest.mark.parametrize(
@@ -170,7 +142,14 @@ class TestWritesAfterASortedBuild:
             engine.add_entity(entity)
             documents[entity] = build_entity_document(graph, entity)
             reference = MixtureLanguageModelScorer(
-                reference_index(graph, documents=documents), engine.config
+                sorted_build(
+                    engine.index.fields,
+                    {
+                        doc_id: analyze_document(document, engine.index.fields)
+                        for doc_id, document in documents.items()
+                    },
+                ),
+                engine.config,
             )
             scorer = engine.mlm_scorer
             for raw in queries:
@@ -183,7 +162,8 @@ class TestWritesAfterASortedBuild:
                 assert got == [
                     (result.doc_id, result.score) for result in reference.search(query, top_k=8)
                 ]
-        assert engine.index.stored_documents() is None  # the writes hold postings the CSRs do not
+        # Two ids written since the build, read through the delta, not merged.
+        assert engine.index.field_index("names").documents.num_written == 2
 
 
 class TestAnalysis:
@@ -233,15 +213,13 @@ class TestAnalysis:
 
 
 def test_the_first_search_after_a_build_reads_the_rows():
-    """A built index answers like a loaded one: per-term counts off the rows
-    and the columnar view seeded from the CSR, with nothing decoded."""
+    """A built index answers like a loaded one: per-term counts and columns
+    off the base CSR, in ordinal space, with no map over every document."""
     graph = build_random_kg(RandomKGConfig(num_entities=500, seed=3))
     engine = SearchEngine.from_graph(graph)
     index = engine.index
-    engine.search(graph.label(sorted(graph.entities())[7]))
-    for field in index.fields:
-        statistics = index.statistics().field(field)
-        assert statistics._columns is index.field_index(field).columns
-        assert statistics._maps is None  # no whole-field count map was built
-    assert columnar_view(index).doc_ids is index.stored_documents().doc_ids
-    assert index.decoded_posting_lists() == 0
+    assert engine.search(graph.label(sorted(graph.entities())[7]))
+    base = index.field_index("names").base
+    assert columnar_view(index).doc_ids is base.documents.doc_ids
+    assert base._counts  # the named terms' counts, reduced off their rows
+    assert base.documents._ordinal_of is None
