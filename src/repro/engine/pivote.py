@@ -137,9 +137,9 @@ class PivotE:
         (every accessor reads the saved rows, grouped as they are adopted),
         the fielded index its stored per-field posting CSRs (read per
         term a query names) and the feature index the stored holder
-        tables (decoding a row when a request touches it,
-        ``feature_rows_decoded``), all numbering entities with the
-        graph's one entity map.  Any missing or corrupt component
+        tables (decoding a row when a lookup asks for it), whose holder
+        CSR is also the graph's topology, all numbering entities with
+        the graph's one entity map.  Any missing or corrupt component
         degrades to rebuilding just that component from the loaded
         graph; rankings are byte-identical either way.  A missing or
         corrupt graph raises
@@ -168,12 +168,12 @@ class PivotE:
                     feature_index = SemanticFeatureIndex.restore(graph, loaded.feature_snapshot)
                 except ValueError:
                     loaded.store.failures += 1
+                else:
+                    # The restored holder CSR is the epoch's topology: the
+                    # first traversal or write finds it in the memo.
+                    install_topology(graph, loaded.feature_snapshot.tables.topology)
             if feature_index is None:
                 feature_index = SemanticFeatureIndex.build(graph)
-            if loaded.topology is not None:
-                # Seed the per-epoch memo so the first traversal attaches the
-                # persisted adjacency CSRs instead of paying an O(n) rebuild.
-                install_topology(graph, loaded.topology)
 
         system = cls.__new__(cls)
         system._graph = graph
@@ -274,11 +274,7 @@ class PivotE:
         counters = self._storage_counters
         if not any(counters.values()) and not self._cold_start_ms:
             return None
-        return StorageStats(
-            cold_start_ms=self._cold_start_ms,
-            feature_rows_decoded=self._feature_index.decoded_rows(),
-            **counters,
-        )
+        return StorageStats(cold_start_ms=self._cold_start_ms, **counters)
 
     def close(self) -> None:
         """Release both engines' caches."""

@@ -10,7 +10,8 @@ state as contiguous numpy arrays, so the walk runs as an array kernel
   ordinal comparisons reproduce the ``(-score, entity_id)`` tie-break
   exactly as the search side's doc ordinals do;
 * a **holder CSR** (``holder_offsets`` / ``holder_ordinals``): for every
-  semantic feature of the epoch, the sorted ordinals of ``E(pi)``;
+  semantic feature of the epoch, the sorted ordinals of ``E(pi)`` — the
+  epoch's edge CSR, :class:`~repro.kg.topology.GraphTopology`;
 * **type-group tables** over every type of the epoch (``type_ids``,
   ascending): each entity's dominant-type ordinal (−1 for untyped),
   full-membership sizes ``||E(c)||``, and an entity→type **membership
@@ -26,14 +27,15 @@ probabilities are computed from these counts with the same float64
 division and ``max(·, eps)`` floor as
 ``FeatureProbabilityModel.probability`` applies to a non-holder.
 
-The tables *are* a :class:`FeatureIndexSnapshot`'s contents: sorted out of
-the column log when the index is built, derived from the previous
-snapshot's tables when a write refreshes it, or decoded from a saved
-feature-table segment on a cold start; the per-query kernel inputs are
-assembled by :func:`build_ranker_inputs`.
+The tables *are* a :class:`FeatureIndexSnapshot`'s contents: the graph's
+memoised topology of the snapshot's epoch (sorted out of the column log,
+or derived from the previous epoch's when a write refreshes it, or
+decoded from a saved feature-table segment on a cold start) plus the
+type tables of that epoch; the per-query kernel inputs are assembled by
+:func:`build_ranker_inputs`.
 
 The tables are also what a recommendation request *runs on*: the seeds'
-feature rows (:meth:`~ColumnarFeatureTables.feature_rows`), the candidate
+feature rows (:meth:`~repro.kg.topology.GraphTopology.feature_rows`), the candidate
 tally (:meth:`~ColumnarFeatureTables.matching_any`) and the dense
 ``p(pi|e)`` matrix behind the exact entity scores and the correlation
 matrix (:meth:`~ColumnarFeatureTables.probabilities`) are array
@@ -46,28 +48,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
-from ..kg.columns import (
-    EdgeColumnLog,
-    EpochColumns,
-    csr_gather,
-    csr_merge,
-    csr_offsets,
-    isin_sorted,
-    sort_rows,
-    sorted_unique,
-    unique_inverse,
-)
+from ..kg.columns import EpochColumns, csr_gather, csr_offsets, isin_sorted, unique_inverse
+from ..kg.topology import GraphTopology
 from ..topk.kernels import RankerKernelInputs
-from ..utils.ordinals import OrdinalMap
 from .semantic_feature import Direction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..kg.topology import GraphTopology
-    from .feature_index import FeatureIndexSnapshot
 
 #: A feature named by strings: the ``(anchor, predicate, direction)``
 #: tuple of ``SemanticFeature.key``, never a feature object.
@@ -82,20 +70,21 @@ _DIRECTION_CODE = {value: code for code, value in enumerate(DIRECTIONS)}
 class ColumnarFeatureTables:
     """Per-epoch array tables of one feature-index snapshot.
 
+    The epoch's :class:`~repro.kg.topology.GraphTopology` plus its type
+    tables.  The topology's edge CSR *is* the holder CSR: its
     ``entity_ids`` / ``ordinal_of`` map between entity identifiers and
-    ordinals (an :class:`~repro.utils.ordinals.OrdinalMap`), and
+    ordinals, its sorted ``feature_codes`` — ``(anchor_ord · P +
+    predicate_ord) · 2 + direction`` over the epoch's ``P`` edge
+    predicates (``predicates``), monotone in ``SemanticFeature`` sort
+    order — address the features, and a feature's ordinal is its rank
+    there.  The tables share those arrays under the same names, and
     ``type_ids`` names the type ordinals; everything else is in ordinal
-    space.
-
-    A feature's ordinal is its rank in ``SemanticFeature`` sort order,
-    and ``feature_codes`` addresses it: the sorted integers
-    ``(anchor_ord · P + predicate_ord) · 2 + direction`` over the epoch's
-    ``P`` edge predicates (``predicates``), monotone in that sort order.
-    Sort-built, derived and decoded tables all carry them; the string
-    triples are derived only for the features a response names.
+    space.  The string triples are derived only for the features a
+    response names.
     """
 
     __slots__ = (
+        "topology",
         "epoch",
         "num_entities",
         "entity_ids",
@@ -111,104 +100,47 @@ class ColumnarFeatureTables:
         "type_populations",
         "member_offsets",
         "member_type_ords",
-        "_held",
-        "_columns",
     )
 
     def __init__(
         self,
-        epoch: int,
-        feature_codes: np.ndarray,
-        predicates: list[str],
-        holder_offsets: np.ndarray,
-        holder_ordinals: np.ndarray,
+        topology: GraphTopology,
         dominant_ords: np.ndarray,
         type_populations: np.ndarray,
         member_offsets: np.ndarray,
         member_type_ords: np.ndarray,
-        entity_ids: list[str] | None = None,
-        ordinal_of: OrdinalMap | None = None,
-        type_ids: list[str] | None = None,
+        type_ids: list[str],
     ) -> None:
-        self.epoch = epoch
-        self.num_entities = int(dominant_ords.size)
-        self.entity_ids = entity_ids
-        if ordinal_of is None and entity_ids is not None:
-            ordinal_of = OrdinalMap(entity_ids)
-        self.ordinal_of = ordinal_of
-        self.feature_codes = feature_codes
-        self.predicates = predicates
+        self.topology = topology
+        self.epoch = topology.epoch
+        self.num_entities = topology.num_entities
+        self.entity_ids = topology.entity_ids
+        self.ordinal_of = topology.ordinal_of
+        self.feature_codes = topology.feature_codes
+        self.predicates = topology.predicates
         #: ``(predicate, direction) → 2 · predicate ordinal + direction``,
         #: the part of a feature code below its anchor.
         self._code_offsets = {
             (predicate, direction): 2 * ordinal + code
-            for ordinal, predicate in enumerate(predicates)
+            for ordinal, predicate in enumerate(self.predicates)
             for direction, code in _DIRECTION_CODE.items()
         }
-        self.holder_offsets = holder_offsets
-        self.holder_ordinals = holder_ordinals
+        self.holder_offsets = topology.holder_offsets
+        self.holder_ordinals = topology.holder_ordinals
         self.num_types = int(type_populations.size)
         self.type_ids = type_ids
         self.dominant_ords = dominant_ords
         self.type_populations = type_populations
         self.member_offsets = member_offsets
         self.member_type_ords = member_type_ords
-        #: ``(offsets, feature ordinals)``: the holder CSR turned around,
-        #: built by the first :meth:`held` call.
-        self._held: tuple[np.ndarray, np.ndarray] | None = None
-        #: The log epoch sort-built tables came from, which a later
-        #: epoch's tables derive theirs from (``None`` when decoded).
-        self._columns: EpochColumns | None = None
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: FeatureIndexSnapshot, previous: ColumnarFeatureTables | None = None
-    ) -> ColumnarFeatureTables:
-        """Sort the tables of the snapshot's epoch out of its column log
-        again (:meth:`from_log`)."""
-        return cls.from_log(snapshot.columns, snapshot.triples, snapshot.epoch, previous)
 
     @classmethod
-    def from_log(
-        cls,
-        log: EdgeColumnLog,
-        triples: int,
-        epoch: int,
-        previous: ColumnarFeatureTables | None = None,
-    ) -> ColumnarFeatureTables:
-        """Sort the tables out of one epoch of a graph's column log.
-
-        The epoch is the log prefix of ``triples`` triples, so tables of
-        an epoch the graph has moved past can still be built.  Every edge
-        ``<s, p, o>`` is two (feature, holder) rows — ``s`` holds
-        ``(o, p, object_of)``, ``o`` holds ``(s, p, subject_of)`` — and
-        sorting them by ``(feature code, holder)`` is the holder
-        CSR.  Given ``previous``, the tables of an earlier epoch of the
-        same log, the holder CSR is derived from it instead
-        (:meth:`_holder_csr`).  The type tables are :meth:`type_tables`.
-        """
-        columns = log.epoch(triples)
-        feature_codes, holder_offsets, holder_ordinals = cls._holder_csr(columns, previous)
-        dominant, populations, member_offsets, member_type_ords = cls.type_tables(columns)
-        tables = cls(
-            epoch=epoch,
-            holder_offsets=holder_offsets,
-            holder_ordinals=holder_ordinals,
-            dominant_ords=dominant,
-            type_populations=populations,
-            member_offsets=member_offsets,
-            member_type_ords=member_type_ords,
-            entity_ids=columns.entity_ids,
-            ordinal_of=columns.ordinal_of,
-            type_ids=columns.type_ids,
-            feature_codes=feature_codes,
-            predicates=columns.predicates,
-        )
-        tables._columns = columns
-        return tables
+    def from_topology(cls, topology: GraphTopology) -> ColumnarFeatureTables:
+        """The tables of a topology's epoch: its CSR plus the type tables
+        of its log epoch (:meth:`type_tables`)."""
+        columns = topology._columns
+        assert columns is not None
+        return cls(topology, *cls.type_tables(columns), columns.type_ids)
 
     @staticmethod
     def type_tables(columns: EpochColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -232,97 +164,12 @@ class ColumnarFeatureTables:
             )
         return dominant, populations, offsets, types
 
-    @staticmethod
-    def _holder_csr(
-        columns: EpochColumns, previous: ColumnarFeatureTables | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(feature_codes, holder_offsets, holder_ordinals)`` of the epoch.
-
-        From scratch: every edge's two (feature code, holder) rows,
-        sorted.  From ``previous`` (tables of an earlier epoch of this
-        log): its feature codes re-coded through the monotone entity and
-        predicate maps — codes order as ``(anchor, predicate, direction)``
-        triples, so they stay sorted even when ``P`` grows — the codes of
-        the edges logged since spliced in, and the holder CSR merged with
-        their rows (:func:`~repro.kg.columns.csr_merge`).
-        """
-        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
-        older = None if previous is None else previous._columns
-        first = 0 if older is None or older.triples > columns.triples else older.edge_subjects.size
-        subjects, preds, objects = (
-            columns.edge_subjects[first:], columns.edge_predicates[first:],
-            columns.edge_objects[first:],
-        )
-        codes = np.concatenate(
-            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
-        )
-        holders = np.concatenate((subjects, objects))
-        if not first:
-            sizes = (2 * num_entities * num_predicates, num_entities)
-            codes, holders = sort_rows(sizes, codes, holders)
-            starts = np.flatnonzero(np.diff(codes, prepend=-1))
-            return codes[starts], np.append(starts, codes.size), holders
-        assert older is not None and previous is not None
-        entity_map, predicate_map = columns.ordinal_maps(older)
-        pairs, directions = np.divmod(previous.feature_codes, 2)
-        anchors, old_preds = np.divmod(pairs, max(len(older.predicates), 1))
-        recoded = (entity_map[anchors] * num_predicates + predicate_map[old_preds]) * 2 + directions
-        distinct = sorted_unique(codes)
-        fresh = distinct[~isin_sorted(recoded, distinct)]
-        inserted = np.searchsorted(recoded, fresh)
-        feature_codes = np.insert(recoded, inserted, fresh)
-        offsets, (holder_ordinals,) = csr_merge(
-            np.insert(np.diff(previous.holder_offsets), inserted, 0),
-            (entity_map[previous.holder_ordinals],),
-            (num_entities,),
-            np.searchsorted(feature_codes, codes),
-            holders,
-        )
-        return feature_codes, offsets, holder_ordinals
-
-    @classmethod
-    def from_arrays(
-        cls,
-        epoch: int,
-        feature_codes: np.ndarray,
-        predicates: list[str],
-        holder_offsets: np.ndarray,
-        holder_ordinals: np.ndarray,
-        dominant_ords: np.ndarray,
-        type_populations: np.ndarray,
-        member_offsets: np.ndarray,
-        member_type_ords: np.ndarray,
-        entity_ids: list[str] | None = None,
-        type_ids: list[str] | None = None,
-        ordinal_of: OrdinalMap | None = None,
-    ) -> ColumnarFeatureTables:
-        """Reconstruct the tables from decoded segment arrays.
-
-        A cold start passes the identifier tables and the entity map of
-        its system's one dictionary; ``feature_codes`` must be strictly
-        ascending (they are in ordinal order).
-        """
-        return cls(
-            type_ids=type_ids,
-            ordinal_of=ordinal_of,
-            epoch=epoch,
-            feature_codes=feature_codes,
-            predicates=predicates,
-            holder_offsets=holder_offsets,
-            holder_ordinals=holder_ordinals,
-            dominant_ords=dominant_ords,
-            type_populations=type_populations,
-            member_offsets=member_offsets,
-            member_type_ords=member_type_ords,
-            entity_ids=entity_ids,
-        )
-
     # ------------------------------------------------------------------ #
     # Feature addressing
     # ------------------------------------------------------------------ #
     @property
     def num_features(self) -> int:
-        return int(self.holder_offsets.size) - 1
+        return self.topology.num_features
 
     def feature_keys(self, ordinals: np.ndarray | None = None) -> list[FeatureKey]:
         """The ``(anchor, predicate, direction)`` triples of the given feature
@@ -337,7 +184,6 @@ class ColumnarFeatureTables:
 
     def _keys_of(self, codes: np.ndarray) -> list[FeatureKey]:
         ids, predicates = self.entity_ids, self.predicates
-        assert ids is not None
         pairs, directions = np.divmod(codes, 2)
         anchors, preds = np.divmod(pairs, max(len(predicates), 1))
         return [
@@ -350,7 +196,6 @@ class ColumnarFeatureTables:
     def feature_ordinals(self, keys: Sequence[FeatureKey]) -> np.ndarray:
         """Ordinals of the given key triples (−1 where the epoch lacks one)."""
         codes, ordinal_of, offsets = self.feature_codes, self.ordinal_of, self._code_offsets
-        assert ordinal_of is not None
         # A code is anchor · 2P + offset.  An unknown anchor (-1) or
         # (predicate, direction) pair makes it negative, and no feature
         # has a negative code.
@@ -365,21 +210,8 @@ class ColumnarFeatureTables:
         positions = np.minimum(np.searchsorted(codes, wanted), codes.size - 1)
         return np.where(codes[positions] == wanted, positions, -1)
 
-    def anchored_range(self, entity_ordinal: int) -> tuple[int, int]:
-        """``[low, high)``: the ordinals of the features anchored at one entity.
-
-        Ordinal order is ``(anchor, predicate, direction)`` order, so they
-        are contiguous.
-        """
-        span = 2 * len(self.predicates)
-        low, high = np.searchsorted(
-            self.feature_codes, (entity_ordinal * span, (entity_ordinal + 1) * span)
-        ).tolist()
-        return low, high
-
     def entity_ordinals(self, entity_ids: Sequence[str]) -> np.ndarray:
         """Ordinals of the given entity ids (−1 where the epoch lacks one)."""
-        assert self.ordinal_of is not None
         return self.ordinal_of.array(entity_ids, len(entity_ids))
 
     # ------------------------------------------------------------------ #
@@ -450,58 +282,6 @@ class ColumnarFeatureTables:
         ranked = found[np.argsort(-counts[found], kind="stable")]
         return ranked if limit is None else ranked[:limit]
 
-    def held(self) -> tuple[np.ndarray, np.ndarray]:
-        """The holder CSR turned around: ``(offsets, feature ordinals)`` by entity.
-
-        One sort of the holder rows by holder, done on the first call.
-        Each entity's row is ascending.  Readers that have this epoch's
-        :class:`~repro.kg.topology.GraphTopology` get the same rows from
-        its adjacency without the sort (:meth:`feature_rows`).
-        """
-        held = self._held
-        if held is None:
-            lengths = np.diff(self.holder_offsets)
-            holders, ordinals = sort_rows(
-                (self.num_entities, self.num_features),
-                self.holder_ordinals,
-                np.repeat(np.arange(lengths.size, dtype=np.int64), lengths),
-            )
-            # Benign race: concurrent first callers build equal arrays.
-            held = self._held = (csr_offsets(holders, self.num_entities), ordinals)
-        return held
-
-    def feature_rows(
-        self, entity_ordinals: Sequence[int], topology: GraphTopology | None = None
-    ) -> list[np.ndarray]:
-        """Per entity, the ascending ordinals of the features it holds.
-
-        An entity's out-edges are its ``object_of`` features and its
-        in-edges its ``subject_of`` ones, so a topology of this epoch
-        with this predicate table already has each row sorted, as
-        ``(neighbour, predicate)`` pairs that map to feature codes.
-        Without one (a reader pinned to an older epoch) the rows come
-        from :meth:`held`.
-        """
-        if (
-            topology is not None
-            and topology.epoch == self.epoch
-            and topology.predicates == self.predicates
-        ):
-            codes, span = self.feature_codes, len(topology.predicates)
-            rows = []
-            for entity in entity_ordinals:
-                low, high = int(topology.out_offsets[entity]), int(topology.out_offsets[entity + 1])
-                outgoing = (topology.out_targets[low:high] * span + topology.out_preds[low:high]) * 2
-                low, high = int(topology.in_offsets[entity]), int(topology.in_offsets[entity + 1])
-                incoming = (topology.in_sources[low:high] * span + topology.in_preds[low:high]) * 2 + 1
-                rows.append(np.searchsorted(codes, np.sort(np.concatenate((outgoing, incoming)))))
-            return rows
-        offsets, ordinals = self.held()
-        return [
-            ordinals[int(offsets[entity]) : int(offsets[entity + 1])]
-            for entity in entity_ordinals
-        ]
-
     def of_type(self, entity_ordinals: np.ndarray, type_id: str) -> np.ndarray:
         """Which of the entities are members of ``type_id``: a mask over them.
 
@@ -510,7 +290,6 @@ class ColumnarFeatureTables:
         order.  A type the epoch lacks has no member.
         """
         type_ids = self.type_ids
-        assert type_ids is not None
         mask = np.zeros(entity_ordinals.size, dtype=bool)
         position = bisect_left(type_ids, type_id)
         if position == len(type_ids) or type_ids[position] != type_id:

@@ -22,37 +22,33 @@ half-applied refresh while mutations proceed: this is the feature-side
 half of the engines' snapshot-isolated serving contract.
 
 A snapshot *is* its epoch's
-:class:`~repro.features.columnar.ColumnarFeatureTables`: a build sorts
-them out of the graph's column log, a load decodes them from a saved
-segment, and a refresh derives them from the previous snapshot's tables
-and the triples appended since (the log is append-only) — falling back
-to the full sort when the delta outgrows
-:attr:`SemanticFeatureIndex.max_delta_fraction` of the graph.  Point
-lookups decode just the row they ask for into the frozensets callers
-see.  :func:`~repro.features.extraction.features_of_entity`, the
-per-entity graph walk, is the oracle every form is checked against
+:class:`~repro.features.columnar.ColumnarFeatureTables`: the graph's
+memoised edge CSR of the epoch (:func:`~repro.kg.topology.graph_topology`)
+plus its type tables.  A build sorts the CSR out of the graph's column
+log, a load decodes it from a saved segment, and a refresh derives it
+from the previous epoch's and the triples appended since (the log is
+append-only) — falling back to the full sort when the delta outgrows
+:attr:`GraphTopology.max_delta_fraction` of the graph.  Point lookups
+decode just the row they ask for into the frozensets callers see.
+:func:`~repro.features.extraction.features_of_entity`, the per-entity
+graph walk, is the oracle every form is checked against
 (``tests/test_features_incremental.py``).
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable
-from time import perf_counter
 
 import numpy as np
 
 from ..index.fielded_index import next_index_uid
-from ..kg import KnowledgeGraph, memoised_topology
-from ..kg.columns import sorted_unique
-from ..utils import gc_paused
+from ..kg import GraphTopology, KnowledgeGraph, graph_topology
+from ..kg.columns import isin_sorted, sorted_unique
 from .columnar import ColumnarFeatureTables
 from .semantic_feature import Direction, SemanticFeature
-
-_LOG = logging.getLogger("repro")
 
 #: Shared empty holder set returned for unknown features, so that misses on
 #: the hot candidate-generation path never allocate a throwaway set.
@@ -60,59 +56,35 @@ _EMPTY_HOLDERS: frozenset[str] = frozenset()
 
 
 class FeatureIndexSnapshot:
-    """One graph epoch's features: its array tables, decoded on demand.
+    """One graph epoch's features: its array tables, decoded per lookup.
 
-    ``tables`` hold every holder row.  The two lookup maps start empty; a
-    point lookup that misses decodes just its row into the frozenset it
-    returns and memoises it, so a hit costs a dictionary lookup and a
-    reader pays for the rows its requests touch, not for all of them.
-    An entity's features are its adjacency rows in this epoch's
-    :class:`~repro.kg.topology.GraphTopology` when the graph has one at
-    hand, and the tables' holder CSR turned around otherwise
-    (:meth:`ColumnarFeatureTables.feature_rows`).  :meth:`maps` decodes
-    what is left.
+    ``tables`` hold every holder row.  A point lookup decodes just the
+    row it asks for into the frozenset it returns: an entity's features
+    are its anchored rows in the epoch's edge CSR, mirrored
+    (:meth:`~repro.kg.topology.GraphTopology.feature_rows`), a feature's
+    holders its row of that CSR.  Nothing is memoised but the feature
+    objects, so a reader pays for the rows its requests touch.
 
     Dominant types and the per-(feature, type) smoothing counts come from
     the tables' type tables too, so what a pinned reader derives is
     *fully* this epoch's, never a blend with a concurrent mutation's.
     """
 
-    __slots__ = (
-        "epoch",
-        "triples",
-        "columns",
-        "decoded_rows",
-        "_graph",
-        "_columnar",
-        "_entity_features",
-        "_feature_entities",
-        "_features",
-        "_type_counts",
-        "_complete",
-    )
+    __slots__ = ("epoch", "triples", "columns", "_columnar", "_features", "_type_counts")
 
     def __init__(
         self, graph: KnowledgeGraph, tables: ColumnarFeatureTables, epoch: int, triples: int
     ) -> None:
-        if tables.entity_ids is None or tables.type_ids is None:
-            raise ValueError("a snapshot needs tables that carry entity and type ids")
         self.epoch = epoch
         self.triples = triples
         #: The graph's edge-column log; this snapshot's epoch is its prefix
         #: of ``triples`` triples.
         self.columns = graph.columns
-        #: Rows decoded so far, either direction (telemetry).
-        self.decoded_rows = 0
-        self._graph = graph
         self._columnar = tables
-        self._entity_features: dict[str, frozenset[SemanticFeature]] = {}
-        self._feature_entities: dict[SemanticFeature, frozenset[str]] = {}
         #: ``feature ordinal → feature`` for every feature met so far.
         self._features: dict[int, SemanticFeature] = {}
         #: Memoised ``(||E(pi) ∩ E(c)||, ||E(c)||)`` pairs for this epoch.
         self._type_counts: dict[tuple[SemanticFeature, str], tuple[int, int]] = {}
-        #: Set once :meth:`maps` has decoded every row: a miss is then absent.
-        self._complete = False
 
     @property
     def tables(self) -> ColumnarFeatureTables:
@@ -128,45 +100,31 @@ class FeatureIndexSnapshot:
             )
         return feature
 
-    def _decode_features(self, entity_id: str) -> frozenset[SemanticFeature]:
-        """``features_of`` for an entity no lookup has asked about yet."""
-        tables = self._columnar
-        ordinal = tables.ordinal_of.get(entity_id)
-        if ordinal is None or self._complete:
-            return _EMPTY_HOLDERS  # type: ignore[return-value]
-        (row,) = tables.feature_rows([ordinal], memoised_topology(self._graph))
-        features = frozenset(map(self._feature, row.tolist()))
-        self._entity_features[entity_id] = features
-        self.decoded_rows += 1
-        return features
-
-    def _decode_holders(self, feature: SemanticFeature) -> frozenset[str]:
-        """``holders_of`` for a feature no lookup has asked about yet."""
-        if self._complete:
-            return _EMPTY_HOLDERS
-        ordinal = int(self._columnar.feature_ordinals([feature.key])[0])
-        return _EMPTY_HOLDERS if ordinal < 0 else self._decode_row(feature, ordinal)
-
-    def _decode_row(self, feature: SemanticFeature, ordinal: int) -> frozenset[str]:
-        tables = self._columnar
-        holders = frozenset(map(tables.entity_ids.__getitem__, tables.holders(ordinal).tolist()))
-        self._feature_entities[feature] = holders
-        self.decoded_rows += 1
-        return holders
-
     def features_of(self, entity_id: str) -> frozenset[SemanticFeature]:
         """Features held by an entity (empty set for unknown entities)."""
-        features = self._entity_features.get(entity_id)
-        return self._decode_features(entity_id) if features is None else features
+        tables = self._columnar
+        ordinal = tables.ordinal_of.get(entity_id)
+        if ordinal is None:
+            return _EMPTY_HOLDERS  # type: ignore[return-value]
+        (row,) = tables.topology.feature_rows([ordinal])
+        return frozenset(map(self._feature, row.tolist()))
 
     def holders_of(self, feature: SemanticFeature) -> frozenset[str]:
-        """``E(pi)`` without copying — the snapshot's holder set, read-only."""
-        holders = self._feature_entities.get(feature)
-        return self._decode_holders(feature) if holders is None else holders
+        """``E(pi)`` in this epoch (a shared empty set for an unknown feature)."""
+        tables = self._columnar
+        ordinal = int(tables.feature_ordinals([feature.key])[0])
+        if ordinal < 0:
+            return _EMPTY_HOLDERS
+        return frozenset(map(tables.entity_ids.__getitem__, tables.holders(ordinal).tolist()))
 
     def holds(self, entity_id: str, feature: SemanticFeature) -> bool:
-        """``e |= pi`` in this epoch."""
-        return feature in self.features_of(entity_id)
+        """``e |= pi`` in this epoch: a search of the feature's holder row."""
+        tables = self._columnar
+        entity = tables.ordinal_of.get(entity_id)
+        if entity is None:
+            return False
+        holders = tables.holders(int(tables.feature_ordinals([feature.key])[0]))
+        return bool(isin_sorted(holders, np.array([entity]))[0])
 
     def dominant_type(self, entity_id: str) -> str:
         """``c*(e)`` in this epoch (empty string if untyped or unknown).
@@ -205,45 +163,9 @@ class FeatureIndexSnapshot:
         self._type_counts[key] = counts
         return counts
 
-    def maps(
-        self,
-    ) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
-        """``(entity → features, feature → holders)``, whole.
-
-        Decodes every row not asked for yet, for callers that compare
-        whole maps (the tests' oracle checks); no request, refresh or
-        report calls it.  Allocates only long-lived frozensets, so the cyclic
-        collector is paused.
-        """
-        if not self._complete:
-            started = perf_counter()
-            before = self.decoded_rows
-            tables = self._columnar
-            with gc_paused():
-                for entity_id in tables.entity_ids:
-                    self.features_of(entity_id)
-                decoded = self._feature_entities
-                for ordinal in range(tables.num_features):
-                    feature = self._feature(ordinal)
-                    if feature not in decoded:
-                        self._decode_row(feature, ordinal)
-            self._complete = True
-            self._features = {}
-            _LOG.info(
-                "feature snapshot of epoch %d: remaining %d rows decoded in %.1f ms",
-                self.epoch, self.decoded_rows - before, (perf_counter() - started) * 1000.0,
-            )
-        return self._entity_features, self._feature_entities
-
 
 class SemanticFeatureIndex:
     """Bidirectional map between entities and their semantic features."""
-
-    #: Largest triple delta, as a fraction of the graph's total triples,
-    #: the incremental refresh will apply before falling back to a full
-    #: rebuild (mutate-heavy sessions with small deltas stay cheap, bulk
-    #: loads take the better-constant full pass).
-    max_delta_fraction: float = 0.2
 
     def __init__(self, graph: KnowledgeGraph) -> None:
         self._graph = graph
@@ -257,8 +179,6 @@ class SemanticFeatureIndex:
         self._full_rebuilds = 0
         self._delta_rebuilds = 0
         self._delta_entities = 0
-        #: Rows that snapshots since replaced had decoded.
-        self._retired_rows = 0
 
     @classmethod
     def build(cls, graph: KnowledgeGraph) -> "SemanticFeatureIndex":
@@ -292,17 +212,17 @@ class SemanticFeatureIndex:
         index._snapshot_ref = snapshot
         return index
 
-    def _make_snapshot(self, previous: ColumnarFeatureTables | None = None) -> FeatureIndexSnapshot:
+    def _make_snapshot(self) -> FeatureIndexSnapshot:
         """The snapshot of the graph's current epoch (graph lock held).
 
-        Its tables are sorted out of the column log, or derived from
-        ``previous`` — an earlier epoch's tables — and the rows logged
-        since (:meth:`ColumnarFeatureTables.from_log`).
+        Its tables are the graph's memoised topology of the epoch
+        (:func:`~repro.kg.topology.graph_topology`, which derives it from
+        the previous epoch's when the delta is small) plus the epoch's
+        type tables.
         """
         graph = self._graph
-        epoch, triples = graph.epoch, len(graph)
-        tables = ColumnarFeatureTables.from_log(graph.columns, triples, epoch, previous)
-        return FeatureIndexSnapshot(graph, tables, epoch, triples)
+        tables = ColumnarFeatureTables.from_topology(graph_topology(graph))
+        return FeatureIndexSnapshot(graph, tables, graph.epoch, len(graph))
 
     def _full_snapshot(self) -> FeatureIndexSnapshot:
         """Sort the whole index out of the graph's current contents."""
@@ -310,17 +230,17 @@ class SemanticFeatureIndex:
         return self._make_snapshot()
 
     def _delta_snapshot(self, old: FeatureIndexSnapshot) -> FeatureIndexSnapshot:
-        """The successor snapshot, its tables derived from ``old``'s.
+        """The successor snapshot, its holder CSR derived from the last epoch's.
 
         The triple log is append-only, so the successor's holder CSR is
-        the old one with the rows of the edges logged since merged in.
+        the previous one with the rows of the edges logged since merged in.
         The entities the delta affects — the endpoints of those edges
         and the entities new in this epoch (whose codes in the log's
         first-seen entity table follow the old epoch's) — are counted
         from the new epoch's columns.
         """
-        fresh = self._make_snapshot(old.tables)
-        columns = fresh.tables._columns
+        fresh = self._make_snapshot()
+        columns = fresh.tables.topology._columns
         assert columns is not None
         old_edges = old.tables.holder_ordinals.size // 2  # two holder rows per edge
         affected = sorted_unique(
@@ -337,22 +257,7 @@ class SemanticFeatureIndex:
     def rebuild(self) -> None:
         """Recompute the whole index from the graph's current contents."""
         with self._refresh_lock, self._graph.lock:
-            self._install(self._full_snapshot())
-
-    def _install(self, fresh: FeatureIndexSnapshot) -> None:
-        old = self._snapshot_ref
-        if old is not None:
-            self._retired_rows += old.decoded_rows
-        self._snapshot_ref = fresh
-
-    def decoded_rows(self) -> int:
-        """Holder/feature rows the snapshots of this index have decoded.
-
-        Counts a replaced snapshot's rows up to its replacement; reads
-        the current snapshot without refreshing it.
-        """
-        snapshot = self._snapshot_ref
-        return self._retired_rows + (0 if snapshot is None else snapshot.decoded_rows)
+            self._snapshot_ref = self._full_snapshot()
 
     def snapshot(self) -> FeatureIndexSnapshot:
         """The current (refreshed-if-stale) snapshot, safe to pin.
@@ -371,16 +276,11 @@ class SemanticFeatureIndex:
                 snapshot = self._snapshot_ref
                 if snapshot is not None and snapshot.epoch == self._graph.epoch:
                     return snapshot
-                if snapshot is None:
-                    fresh = self._full_snapshot()
+                if snapshot is not None and GraphTopology.derives(snapshot.triples, len(self._graph)):
+                    fresh = self._delta_snapshot(snapshot)
                 else:
-                    total = len(self._graph)
-                    delta = total - snapshot.triples
-                    if 0 <= delta <= self.max_delta_fraction * max(total, 1):
-                        fresh = self._delta_snapshot(snapshot)
-                    else:
-                        fresh = self._full_snapshot()
-                self._install(fresh)
+                    fresh = self._full_snapshot()
+                self._snapshot_ref = fresh
                 return fresh
 
     def rebuild_info(self) -> dict[str, int]:
@@ -418,14 +318,9 @@ class SemanticFeatureIndex:
         return self.snapshot().features_of(entity_id)
 
     def holders_of(self, feature: SemanticFeature) -> frozenset[str]:
-        """``E(pi)`` without copying — the internal holder set, read-only.
-
-        This is the no-copy accessor the ranking layer's accumulator
-        traversal walks term-at-a-time.  Since PR 5 the returned set is a
-        ``frozenset`` shared with the current snapshot (mutations publish
-        a successor snapshot instead of patching it).  Unknown features
-        return a shared empty set (no allocation).
-        """
+        """``E(pi)`` as a ``frozenset`` decoded from the current snapshot's
+        holder row; unknown features return a shared empty set (no
+        allocation)."""
         return self.snapshot().holders_of(feature)
 
     def entities_matching(self, feature: SemanticFeature) -> set[str]:

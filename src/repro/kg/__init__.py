@@ -44,7 +44,6 @@ from .topology import (
     TraversalCounters,
     graph_topology,
     install_topology,
-    memoised_topology,
     topology_counters,
     traversal_stats,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "load_ntriples",
     "load_tsv",
     "make_triple",
-    "memoised_topology",
     "paths_between",
     "save_json",
     "save_ntriples",

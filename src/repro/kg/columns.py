@@ -1,12 +1,12 @@
 """The append-only, ordinal-coded column log: the one form of a knowledge graph.
 
 A semantic feature *is* an edge — ``<s, p, o>`` means ``s`` holds
-``(o, p, object_of)`` and ``o`` holds ``(s, p, subject_of)`` — so the
-holder CSR of :class:`~repro.features.columnar.ColumnarFeatureTables` and
-the in/out CSR of :class:`~repro.kg.topology.GraphTopology` are the same
-edge rows in three sort orders.  :class:`EdgeColumnLog` keeps those rows
-once, as integer columns, so both per-epoch structures are built by
-array sorts instead of per-entity walks:
+``(o, p, object_of)`` and ``o`` holds ``(s, p, subject_of)`` — so one
+edge CSR per epoch, :class:`~repro.kg.topology.GraphTopology`, is both the
+feature tables' holder CSR and the graph's adjacency.
+:class:`EdgeColumnLog` keeps the edge rows once, as integer columns, so
+the per-epoch structures are built by array sorts instead of per-entity
+walks:
 
 * first-seen **string tables** for entities, edge predicates and types
   (a string's code is its position in the table);
@@ -36,12 +36,12 @@ Because stamps only grow, the state of *any* epoch is a prefix — the
 entries whose stamp is below that epoch's triple count — which is what
 lets a pinned feature snapshot build the tables of its own epoch after
 the graph has moved on.  :meth:`EdgeColumnLog.epoch` re-codes that
-prefix into the sorted-identifier ordinals both structures use (ordinal
-order == string order, the ranking tie-break): derived from the
+prefix into the sorted-identifier ordinals the epoch's structures use
+(ordinal order == string order, the ranking tie-break): derived from the
 memoised previous epoch when it is an earlier one — the strings and rows
 stamped since are spliced and merged in — and cut and sorted otherwise.
 The helpers below (:func:`merge_rows`, :func:`csr_merge`) are how the
-feature tables and the topology derive their own arrays the same way.
+topology derives its edge CSR the same way.
 """
 
 from __future__ import annotations
@@ -648,9 +648,9 @@ def _find(strings: Sequence[str], value: str) -> int:
 class EpochColumns:
     """One epoch of the log, re-coded into sorted-identifier ordinals.
 
-    Shared by the two structures built from it.  Edge rows are in log
-    order (each consumer sorts them the way its layout needs; the rows of
-    an earlier epoch are a prefix); type memberships are sorted by
+    Shared by the structures built from it.  Edge rows are in log order
+    (the topology sorts them into its edge CSR; the rows of an earlier
+    epoch are a prefix); type memberships are sorted by
     ``(entity, type)``.  The ``*_rank`` arrays map a table's first-seen
     codes to this epoch's ordinals: what ``ordinal_of`` reads (through
     the log's append-only code dictionary, which it borrows read only,
@@ -828,8 +828,8 @@ class EdgeColumnLog:
     def epoch(self, triples: int) -> EpochColumns:
         """The columns of the graph state after its first ``triples`` triples.
 
-        The latest epoch asked for is memoised, so the feature tables and
-        the topology of one epoch share one ordinal table, and a later
+        The latest epoch asked for is memoised, so the structures of one
+        epoch share one ordinal table, and a later
         epoch is derived from it (:meth:`_extend`) instead of being cut
         and sorted out of the whole log again; an earlier one is cut and
         sorted (:meth:`_cut`) and leaves the memo alone.

@@ -1,45 +1,57 @@
-"""Columnar graph topology — per-epoch CSR adjacency.
+"""Columnar graph topology — the one per-epoch edge CSR.
 
-The traversal helpers ``bfs_reachable`` and ``connecting_entities`` run
-here as array kernels rather than edge-by-edge Python walks.  This module
-gives the graph the same columnar treatment the postings and feature
-tables got:
+A semantic feature is a length-one path anchored at an entity (§2.3), so
+the holders of every feature and the adjacency of every entity are the
+same edge rows.  :class:`GraphTopology` keeps them once, as the **holder
+CSR** the feature tables read:
 
 * an **entity ordinal table** assigned in sorted-``entity_id`` order (so
   ordinal comparisons reproduce string comparisons exactly, like the doc
-  and feature ordinals do) with **outgoing and incoming CSR adjacency**
-  (``out_offsets``/``out_targets`` + a parallel ``out_preds``
-  predicate-ordinal column, rows sorted by ``(neighbour, predicate)``);
-* **frontier-at-a-time kernels**: level-synchronous
-  :meth:`GraphTopology.bfs_reachable_ords` (gather both CSR directions
-  for the whole frontier, dedupe, mask the visited) and
-  sorted-array :meth:`GraphTopology.connecting_ords` (intersect the two
-  one-hop neighbourhoods with ``searchsorted`` and join the deduped left
-  predicate sets against the right edge multiset).
+  ordinals do) and the epoch's sorted edge predicates;
+* the sorted **feature codes** ``(anchor · P + predicate) · 2 + direction``
+  (direction 0: the anchor is the edge's object; 1: its subject), and
+  per code the ascending ordinals of its holders
+  (``holder_offsets`` / ``holder_ordinals``).  Every edge ``<s, p, o>``
+  is two rows: ``s`` holds ``(o, p, 0)`` and ``o`` holds ``(s, p, 1)``;
+* ``anchor_features`` / ``anchor_offsets``: where each entity's anchored
+  features, and their holder rows, start.  An entity's anchored rows are
+  its neighbours in both directions.
 
-An entity's adjacency rows are also its feature rows, which the feature
-ranker reads (:meth:`~repro.features.columnar.ColumnarFeatureTables.
-feature_rows`).  Type membership is not here: the expander's type filter
-reads the pinned feature tables' membership CSR.
+Three readers share the rows:
+
+* :meth:`GraphTopology.feature_rows` — the features an entity holds are
+  its anchored rows mirrored: a row ``(p, dir, x)`` anchored at ``e``
+  means ``e`` holds ``(x, p, 1 − dir)``;
+* :meth:`GraphTopology.bfs_reachable_ords` — level-synchronous BFS, one
+  gather of the frontier's anchored rows per level;
+* :meth:`GraphTopology.connecting_ords` — the sorted-array intersect of
+  two entities' anchored rows, predicates read off the codes.
 
 Instances are immutable and memoised per :attr:`KnowledgeGraph.epoch`
-via :func:`graph_topology` (the graph-side sibling of
-``columnar_tables``), which derives each epoch's adjacency from the
-memoised previous epoch's; :class:`TraversalCounters` accumulates the shared
-traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
-The array layout round-trips through the segment codec as the
-``"graph-topology"`` segment kind (:func:`repro.storage.codec.
-encode_graph_topology`), so ``PivotE.save``/``load`` persist it to the
-disk tier.
+via :func:`graph_topology`, which derives each epoch's CSR from the
+memoised previous epoch's; :class:`TraversalCounters` accumulates the
+shared traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
+The CSR is saved as part of the ``feature-tables`` segment, and
+``PivotE.load`` installs the restored one in the graph's memo.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..stats import TraversalStats
 from ..utils.ordinals import OrdinalMap
-from .columns import EpochColumns, csr_gather, csr_merge, csr_offsets, sort_rows, sorted_unique
+from .columns import (
+    EdgeColumnLog,
+    EpochColumns,
+    csr_gather,
+    csr_merge,
+    isin_sorted,
+    sort_rows,
+    sorted_unique,
+)
 from .graph import KnowledgeGraph
 
 
@@ -72,13 +84,19 @@ class TraversalCounters:
 
 
 class GraphTopology:
-    """Per-epoch columnar snapshot of one knowledge graph's topology.
+    """The edge CSR of one epoch of a knowledge graph.
 
-    Built once per graph epoch (:meth:`from_graph`, memoised by
-    :func:`graph_topology`) or reconstructed zero-copy from an attached
-    ``"graph-topology"`` segment (:meth:`from_arrays`).  All arrays are
-    read-only by convention — attached segments literally are.
+    Sorted out of the graph's column log or derived from an earlier
+    epoch's (:meth:`from_log`, memoised by :func:`graph_topology`), or
+    restored from a saved segment (``restore_graph_topology``).  All
+    arrays are read-only by convention.
     """
+
+    #: Largest triple delta, as a fraction of the epoch's triples, that a
+    #: later epoch derives its CSR from an earlier one's over; past it the
+    #: full sort is the cheaper pass (the measured crossover: about 2 % of
+    #: a 5k-entity graph's triples, 3–4 % at 20k).
+    max_delta_fraction: float = 0.02
 
     __slots__ = (
         "epoch",
@@ -86,13 +104,11 @@ class GraphTopology:
         "entity_ids",
         "ordinal_of",
         "predicates",
-        "predicate_ord",
-        "out_offsets",
-        "out_targets",
-        "out_preds",
-        "in_offsets",
-        "in_sources",
-        "in_preds",
+        "feature_codes",
+        "holder_offsets",
+        "holder_ordinals",
+        "anchor_features",
+        "anchor_offsets",
         "_columns",
     )
 
@@ -101,31 +117,30 @@ class GraphTopology:
         epoch: int,
         entity_ids: list[str],
         predicates: list[str],
-        out_offsets: np.ndarray,
-        out_targets: np.ndarray,
-        out_preds: np.ndarray,
-        in_offsets: np.ndarray,
-        in_sources: np.ndarray,
-        in_preds: np.ndarray,
+        feature_codes: np.ndarray,
+        holder_offsets: np.ndarray,
+        holder_ordinals: np.ndarray,
         ordinal_of: OrdinalMap | None = None,
+        columns: EpochColumns | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = len(entity_ids)
         self.entity_ids = entity_ids
-        #: ``entity_id → ordinal``; sort-built topologies share the
-        #: epoch's map with the feature tables (read-only).
+        #: ``entity_id → ordinal``; shared with the epoch's columns (read-only).
         self.ordinal_of = OrdinalMap(entity_ids) if ordinal_of is None else ordinal_of
         self.predicates = predicates
-        self.predicate_ord = {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
-        self.out_offsets = out_offsets
-        self.out_targets = out_targets
-        self.out_preds = out_preds
-        self.in_offsets = in_offsets
-        self.in_sources = in_sources
-        self.in_preds = in_preds
-        #: The log epoch a sort-built topology came from, which a later
-        #: epoch's topology derives its adjacency from (``None`` when decoded).
-        self._columns: EpochColumns | None = None
+        self.feature_codes = feature_codes
+        self.holder_offsets = holder_offsets
+        self.holder_ordinals = holder_ordinals
+        #: Per entity (and one past the last), its first anchored feature.
+        self.anchor_features = np.searchsorted(
+            feature_codes, np.arange(self.num_entities + 1, dtype=np.int64) * 2 * len(predicates)
+        )
+        #: Per entity, where its anchored features' holder rows start.
+        self.anchor_offsets = holder_offsets[self.anchor_features]
+        #: The log epoch the CSR describes, which a later epoch's derives
+        #: its own from (``None``: restored with no log to match).
+        self._columns = columns
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -134,106 +149,117 @@ class GraphTopology:
     def from_graph(
         cls, graph: KnowledgeGraph, previous: "GraphTopology | None" = None
     ) -> "GraphTopology":
-        """Materialise the topology of the graph's current epoch.
-
-        The epoch is pinned under :attr:`KnowledgeGraph.lock`; the arrays
-        are then sorted out of that epoch's prefix of the graph's column
-        log (:mod:`repro.kg.columns`), which later writes cannot touch.
-        Both adjacency directions are the same edge rows ordered by
-        ``(row entity, neighbour, predicate)``.  Given ``previous``, the
-        topology of an earlier epoch of the same graph, the two adjacency
-        CSRs are derived from its rows instead (:meth:`_adjacency`).
-        """
+        """The topology of the graph's current epoch (:meth:`from_log`),
+        pinned under :attr:`KnowledgeGraph.lock`."""
         with graph.lock:
-            epoch = graph.epoch
-            columns = graph.columns.epoch(len(graph))
-        topology = cls(
-            epoch,
-            columns.entity_ids,
-            columns.predicates,
-            *cls._adjacency(columns, previous),
-            ordinal_of=columns.ordinal_of,
-        )
-        topology._columns = columns
-        return topology
-
-    @staticmethod
-    def _adjacency(columns: EpochColumns, previous: "GraphTopology | None") -> list[np.ndarray]:
-        """``[out_offsets, out_targets, out_preds, in_offsets, in_sources, in_preds]``.
-
-        From ``previous``: each direction's CSR moved through the monotone
-        entity and predicate maps (so its rows stay sorted) and merged
-        with the edges logged since (:func:`~repro.kg.columns.csr_merge`).
-        From scratch otherwise: the epoch's edge rows sorted both ways.
-        """
-        older = None if previous is None else previous._columns
-        num_entities = len(columns.entity_ids)
-        sizes = (num_entities, len(columns.predicates))
-        subjects, preds, objects = (
-            columns.edge_subjects, columns.edge_predicates, columns.edge_objects,
-        )
-        if older is None or older.triples > columns.triples:
-            _, out_targets, out_preds = sort_rows((num_entities, *sizes), subjects, objects, preds)
-            _, in_sources, in_preds = sort_rows((num_entities, *sizes), objects, subjects, preds)
-            return [
-                csr_offsets(subjects, num_entities), out_targets, out_preds,
-                csr_offsets(objects, num_entities), in_sources, in_preds,
-            ]
-        assert previous is not None
-        entity_map, predicate_map = columns.ordinal_maps(older)
-        first = older.edge_subjects.size
-        subjects, preds, objects = subjects[first:], preds[first:], objects[first:]
-        arrays: list[np.ndarray] = []
-        for offsets, neighbours, neighbour_preds, rows, added in (
-            (previous.out_offsets, previous.out_targets, previous.out_preds, subjects, objects),
-            (previous.in_offsets, previous.in_sources, previous.in_preds, objects, subjects),
-        ):
-            counts = np.zeros(num_entities, dtype=np.int64)
-            counts[entity_map] = np.diff(offsets)
-            offsets, merged = csr_merge(
-                counts,
-                (entity_map[neighbours], predicate_map[neighbour_preds]),
-                sizes,
-                rows,
-                added,
-                preds,
-            )
-            arrays += [offsets, *merged]
-        return arrays
+            return cls.from_log(graph.columns, len(graph), graph.epoch, previous)
 
     @classmethod
-    def from_arrays(
+    def from_log(
         cls,
-        *,
+        log: EdgeColumnLog,
+        triples: int,
         epoch: int,
-        entity_ids: list[str],
-        predicates: list[str],
-        out_offsets: np.ndarray,
-        out_targets: np.ndarray,
-        out_preds: np.ndarray,
-        in_offsets: np.ndarray,
-        in_sources: np.ndarray,
-        in_preds: np.ndarray,
-        ordinal_of: OrdinalMap | None = None,
+        previous: "GraphTopology | None" = None,
     ) -> "GraphTopology":
-        """Rebuild a topology from decoded segment arrays (``ordinal_of``:
-        the entity map of a load's one dictionary)."""
+        """Sort the CSR out of the log prefix of ``triples`` triples.
+
+        The prefix is an epoch the log keeps whatever was written since,
+        so a pinned reader can build its own.  Given ``previous``, the
+        topology of an earlier epoch of the same log, and a delta within
+        :attr:`max_delta_fraction`, the CSR is derived from it instead:
+        its codes re-coded through the monotone entity and predicate maps
+        — codes order as ``(anchor, predicate, direction)`` triples, so
+        they stay sorted even when ``P`` grows — the codes of the edges
+        logged since spliced in, and the holder rows merged with theirs
+        (:func:`~repro.kg.columns.csr_merge`).
+        """
+        columns = log.epoch(triples)
+        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
+        older = None if previous is None else previous._columns
+        first = (
+            older.edge_subjects.size
+            if older is not None and cls.derives(older.triples, triples)
+            else 0
+        )
+        subjects, preds, objects = (
+            columns.edge_subjects[first:], columns.edge_predicates[first:],
+            columns.edge_objects[first:],
+        )
+        codes = np.concatenate(
+            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
+        )
+        holders = np.concatenate((subjects, objects))
+        if not first:
+            codes, holders = sort_rows((2 * num_entities * num_predicates, num_entities), codes, holders)
+            starts = np.flatnonzero(np.diff(codes, prepend=-1))
+            csr = (codes[starts], np.append(starts, codes.size), holders)
+        else:
+            assert older is not None and previous is not None
+            entity_map, predicate_map = columns.ordinal_maps(older)
+            pairs, directions = np.divmod(previous.feature_codes, 2)
+            anchors, old_preds = np.divmod(pairs, max(len(older.predicates), 1))
+            recoded = (entity_map[anchors] * num_predicates + predicate_map[old_preds]) * 2 + directions
+            distinct = sorted_unique(codes)
+            fresh = distinct[~isin_sorted(recoded, distinct)]
+            inserted = np.searchsorted(recoded, fresh)
+            feature_codes = np.insert(recoded, inserted, fresh)
+            offsets, (holder_ordinals,) = csr_merge(
+                np.insert(np.diff(previous.holder_offsets), inserted, 0),
+                (entity_map[previous.holder_ordinals],),
+                (num_entities,),
+                np.searchsorted(feature_codes, codes),
+                holders,
+            )
+            csr = (feature_codes, offsets, holder_ordinals)
         return cls(
-            epoch,
-            entity_ids,
-            predicates,
-            out_offsets,
-            out_targets,
-            out_preds,
-            in_offsets,
-            in_sources,
-            in_preds,
-            ordinal_of=ordinal_of,
+            epoch, columns.entity_ids, columns.predicates, *csr,
+            ordinal_of=columns.ordinal_of, columns=columns,
         )
 
+    @classmethod
+    def derives(cls, since: int, triples: int) -> bool:
+        """Whether the epoch of ``triples`` triples derives its CSR from
+        the one of ``since`` triples rather than sorting it."""
+        return 0 <= triples - since <= cls.max_delta_fraction * max(triples, 1)
+
     # ------------------------------------------------------------------ #
-    # Frontier-at-a-time kernels
+    # Readers of the anchored rows
     # ------------------------------------------------------------------ #
+    @property
+    def num_features(self) -> int:
+        return int(self.holder_offsets.size) - 1
+
+    def anchored_range(self, entity_ordinal: int) -> tuple[int, int]:
+        """``[low, high)``: the ordinals of the features anchored at one entity.
+
+        Ordinal order is ``(anchor, predicate, direction)`` order, so they
+        are contiguous.
+        """
+        return int(self.anchor_features[entity_ordinal]), int(self.anchor_features[entity_ordinal + 1])
+
+    def _anchored(self, entity_ordinal: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(holders, 2 · predicate + direction)`` of the entity's anchored rows."""
+        low, high = self.anchored_range(entity_ordinal)
+        lengths = np.diff(self.holder_offsets[low : high + 1])
+        parts = self.feature_codes[low:high] - entity_ordinal * 2 * len(self.predicates)
+        start, end = int(self.anchor_offsets[entity_ordinal]), int(self.anchor_offsets[entity_ordinal + 1])
+        return self.holder_ordinals[start:end], np.repeat(parts, lengths)
+
+    def feature_rows(self, entity_ordinals: Sequence[int]) -> list[np.ndarray]:
+        """Per entity, the ascending ordinals of the features it holds.
+
+        The entity's anchored rows mirrored: ``e`` anchoring ``(p, dir)``
+        held by ``x`` holds ``(x, p, 1 − dir)``, whose code is
+        ``x · 2P + (2p + dir) ^ 1``.
+        """
+        codes, span = self.feature_codes, 2 * len(self.predicates)
+        rows = []
+        for entity in entity_ordinals:
+            holders, parts = self._anchored(entity)
+            rows.append(np.searchsorted(codes, np.sort(holders * span + (parts ^ 1))))
+        return rows
+
     def bfs_reachable_ords(
         self,
         start_ordinal: int,
@@ -242,8 +268,8 @@ class GraphTopology:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Level-synchronous BFS: ``(reached_ordinals, depths)``.
 
-        Expands the whole frontier per level — both CSR directions
-        gathered in one pass each — so depths are minimal hop counts,
+        Expands the whole frontier per level — one gather of its anchored
+        rows, both edge directions — so depths are minimal hop counts,
         exactly like the scalar queue walk.
         """
         depth = np.full(self.num_entities, -1, dtype=np.int64)
@@ -253,12 +279,7 @@ class GraphTopology:
             counters.frontier_entities += 1
         level = 0
         while frontier.size and level < max_hops:
-            neighbours = np.concatenate(
-                (
-                    csr_gather(self.out_offsets, self.out_targets, frontier),
-                    csr_gather(self.in_offsets, self.in_sources, frontier),
-                )
-            )
+            neighbours = csr_gather(self.anchor_offsets, self.holder_ordinals, frontier)
             if counters is not None:
                 counters.edges_touched += int(neighbours.size)
             neighbours = sorted_unique(neighbours)
@@ -322,12 +343,8 @@ class GraphTopology:
 
     def _one_hop(self, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
         """Both directions' ``(neighbour, predicate)`` edge rows of one entity."""
-        out_lo, out_hi = int(self.out_offsets[ordinal]), int(self.out_offsets[ordinal + 1])
-        in_lo, in_hi = int(self.in_offsets[ordinal]), int(self.in_offsets[ordinal + 1])
-        return (
-            np.concatenate((self.out_targets[out_lo:out_hi], self.in_sources[in_lo:in_hi])),
-            np.concatenate((self.out_preds[out_lo:out_hi], self.in_preds[in_lo:in_hi])),
-        )
+        holders, parts = self._anchored(ordinal)
+        return holders, parts >> 1
 
 
 # ---------------------------------------------------------------------- #
@@ -350,9 +367,9 @@ def graph_topology(graph: KnowledgeGraph) -> GraphTopology:
     """The graph's memoised per-epoch :class:`GraphTopology`.
 
     Replaced (under :attr:`KnowledgeGraph.lock`) whenever the graph's
-    epoch has moved past the memo — the graph-side mirror of
-    ``columnar_tables`` on feature snapshots — by a topology derived
-    from the superseded one (:meth:`GraphTopology.from_graph`).
+    epoch has moved past the memo, by a topology derived from the
+    superseded one (:meth:`GraphTopology.from_graph`).  A feature index
+    refresh takes its epoch's CSR from here, so one write derives one.
     """
     counters = topology_counters(graph)
     topology = getattr(graph, "_topology", None)
@@ -370,20 +387,12 @@ def graph_topology(graph: KnowledgeGraph) -> GraphTopology:
     return topology
 
 
-def memoised_topology(graph: KnowledgeGraph) -> GraphTopology | None:
-    """The graph's topology memo as it stands — of any epoch, or ``None``.
-
-    Never builds one: for readers that use a topology when one is at
-    hand and have another way otherwise (they check its epoch).
-    """
-    return getattr(graph, "_topology", None)
-
-
 def install_topology(graph: KnowledgeGraph, topology: GraphTopology) -> None:
     """Seed the graph's topology memo with a restored snapshot.
 
-    Used by ``PivotE.load`` so the first traversal after a cold start is
-    a cache hit instead of an O(edges) rebuild.  Epoch-mismatched
+    Used by ``PivotE.load`` (the restored feature tables' topology) so
+    the first traversal after a cold start is a cache hit instead of an
+    O(edges) sort.  Epoch-mismatched
     snapshots are ignored — the memo check would reject them anyway.
     """
     if topology.epoch == graph.epoch:

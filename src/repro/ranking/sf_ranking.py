@@ -25,7 +25,6 @@ from ..features.columnar import ColumnarFeatureTables
 from ..features.semantic_feature import key_notation
 from ..kg import KnowledgeGraph
 from ..kg.columns import isin_sorted, sorted_unique, unique_inverse
-from ..kg.topology import graph_topology
 from .probability import FeatureProbabilityModel
 from .ranking_support import FrozenMapping
 
@@ -210,16 +209,12 @@ class SemanticFeatureRanker:
         winners.
         """
         config = self._config
-        topology = None
-        if self._graph.epoch == tables.epoch:
-            # The seeds' adjacency rows are their feature rows; the tables
-            # turn their own holder CSR around for readers of older epochs.
-            topology = graph_topology(self._graph)
-        rows = tables.feature_rows(seed_ordinals.tolist(), topology)
+        topology = tables.topology
+        rows = topology.feature_rows(seed_ordinals.tolist())
         pool = sorted_unique(np.concatenate(rows)) if len(rows) > 1 else rows[0]
         circular = np.zeros(pool.size, dtype=bool)
         for ordinal in seed_ordinals.tolist():
-            low, high = tables.anchored_range(ordinal)
+            low, high = topology.anchored_range(ordinal)
             circular |= (pool >= low) & (pool < high)
         pool = pool[~circular]
         held = [isin_sorted(row, pool) for row in rows]

@@ -149,10 +149,6 @@ class StorageStats:
     ``SnapshotUnavailable`` and degraded to a rebuild.  ``cold_start_ms``
     is how long the last ``PivotE.load`` spent restoring the system
     (0.0 for systems built in RAM).
-
-    The last field is the lazy boundary of a loaded system:
-    ``feature_rows_decoded`` is how many holder/feature rows the restored
-    feature snapshot has turned into sets on demand.
     """
 
     publishes: int
@@ -161,7 +157,6 @@ class StorageStats:
     attached_bytes: int
     failures: int
     cold_start_ms: float
-    feature_rows_decoded: int = 0
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -171,7 +166,6 @@ class StorageStats:
             "attached_bytes": self.attached_bytes,
             "failures": self.failures,
             "cold_start_ms": self.cold_start_ms,
-            "feature_rows_decoded": self.feature_rows_decoded,
         }
 
 

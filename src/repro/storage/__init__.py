@@ -22,7 +22,6 @@ from .codec import (
     SegmentView,
     SnapshotUnavailable,
     encode_feature_tables,
-    encode_graph_topology,
     encode_graph_triples,
     encode_index_snapshot,
     iter_descriptors,
@@ -31,7 +30,6 @@ from .diskstore import DiskSnapshot, DiskSnapshotStore
 
 _KGSTORE_NAMES = (
     "FEATURE_TABLES_KEY",
-    "GRAPH_TOPOLOGY_KEY",
     "GRAPH_TRIPLES_KEY",
     "SEARCH_INDEX_KEY",
     "LoadedSystem",
@@ -55,7 +53,6 @@ __all__ = [
     "SegmentView",
     "SnapshotUnavailable",
     "encode_feature_tables",
-    "encode_graph_topology",
     "encode_graph_triples",
     "encode_index_snapshot",
     "iter_descriptors",

@@ -29,8 +29,8 @@ A ``graph-triples`` segment holds a system's
 identifier tables, sorted — its :class:`Dictionary` — and the other
 segments reference them by count and CRC-32 instead of listing them:
 index segments (kind ``"fielded-index"``) hold one posting CSR per field,
-and feature-table and topology segments their arrays and their features
-as codes, so no manifest grows with the corpus.  The segments are
+and feature-table segments their arrays and their features as codes, so
+no manifest grows with the corpus.  The segments are
 adopted by :mod:`repro.storage.kgstore`.
 """
 
@@ -47,7 +47,6 @@ from ..kg.columns import ID_TABLES, LogColumns, StringColumn, rank_strings
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..features.columnar import ColumnarFeatureTables
     from ..index.fielded_index import FieldedIndex
-    from ..kg.topology import GraphTopology
     from ..utils.ordinals import OrdinalMap
 
 #: Array alignment inside a snapshot segment (cache-line friendly).
@@ -576,37 +575,6 @@ def encode_feature_tables(
         "member_type_ords": place(tables.member_type_ords),
     }
     return manifest, builder
-
-
-def encode_graph_topology(
-    source, topology: "GraphTopology", dictionary: Dictionary | None = None
-) -> tuple[dict[str, object], SegmentBuilder]:
-    """Serialise one epoch's columnar graph topology into ``(manifest, builder)``.
-
-    The sorted entity/predicate identifiers go out as references to the
-    ``dictionary``'s tables when equal to them and as string tables
-    (:func:`place_strings`) otherwise, then both CSR adjacency directions
-    (neighbour + parallel predicate-ordinal columns).
-    ``source`` is anything with ``uid``/``epoch`` pinning the publishing
-    graph's identity and the topology's epoch.
-    """
-    builder = SegmentBuilder()
-    place = builder.place
-    dictionary = dictionary or Dictionary()
-    return {
-        "uid": source.uid,
-        "epoch": source.epoch,
-        "kind": "graph-topology",
-        "num_entities": topology.num_entities,
-        "entity_ids": dictionary.place(place, "entity_ids", topology.entity_ids),
-        "predicates": dictionary.place(place, "predicates", topology.predicates),
-        "out_offsets": place(topology.out_offsets),
-        "out_targets": place(topology.out_targets),
-        "out_preds": place(topology.out_preds),
-        "in_offsets": place(topology.in_offsets),
-        "in_sources": place(topology.in_sources),
-        "in_preds": place(topology.in_preds),
-    }, builder
 
 
 def encode_graph_triples(

@@ -9,14 +9,13 @@ module decides which ones make a system and orchestrates
         graph-triples/<epoch>.snap
         search-index/<epoch>.snap
         feature-tables/<epoch>.snap
-        graph-topology/<epoch>.snap
 
 ``graph-triples`` is the graph itself — its column log
 (:mod:`repro.kg.columns`) at full fidelity, literal datatype/language
 tags included, every row stamped with its position in the triple log —
 and its manifest entry carries what used to be a system manifest: the
 format number, the graph's name, epoch and triple count.  The other
-three are derived from it and record the graph epoch they were derived
+two are derived from it and record the graph epoch they were derived
 from.  Which segment holds which table:
 
 ==================  ================================================
@@ -27,11 +26,10 @@ from.  Which segment holds which table:
 ``search-index``    per field: its terms, posting CSR and lengths;
                     the document ids as a reference to the entity
                     table when they are the graph's entities
-``feature-tables``  feature codes, holder CSR, dominant types, type
+``feature-tables``  feature codes and holder CSR — the graph's edge
+                    CSR, its topology — dominant types, type
                     populations and membership CSR; its entity,
                     predicate and type tables as references
-``graph-topology``  adjacency CSRs both ways; its entity and
-                    predicate tables as references
 ==================  ================================================
 
 A reference is ``{"count", "crc"}``: the referenced table's length and
@@ -55,10 +53,11 @@ fixed number of descriptors whatever the corpus.
   and reads its counts, ordinals and frequencies and the length column
   off the arrays.
 * The feature index adopts a snapshot over the stored tables, which
-  decodes a row into a frozenset when a lookup first asks for it; the
-  feature codes address features as sort-built tables do, and the first
-  recommendation reads each seed's row off the topology.
-* The topology adopts its arrays.
+  decodes a row into a frozenset when a lookup asks for it; the feature
+  codes address features as sort-built tables do.  Their holder CSR is
+  the graph's topology of the loaded epoch (:func:`restore_graph_topology`),
+  which keeps the adopted log's epoch columns, so the first write after
+  a load derives the next epoch's CSR from it as a build's would.
 
 Every component is checksummed and cross-checked against the graph's
 epoch, and its arrays against each other (ranges and orderings); a
@@ -70,7 +69,8 @@ layouts still load, converted once inside the decoder: identifier
 tables listed in a segment (or, earlier still, in its JSON manifest,
 the feature keys as ``[anchor, predicate, direction]`` triples), a
 CRC-32 per document id, feature type tables over the dominant types
-only, and graph tables in first-seen order, which are sorted once.
+only, and graph tables in first-seen order, which are sorted once.  A
+``graph-topology`` segment such a directory holds is not read.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ from .codec import (
     SegmentView,
     SnapshotUnavailable,
     encode_feature_tables,
-    encode_graph_topology,
     encode_graph_triples,
     encode_index_snapshot,
 )
@@ -102,6 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..index.fielded_index import FieldedIndex
     from ..index.inverted_index import DocumentColumns, PostingColumns
     from ..kg import KnowledgeGraph
+    from ..kg.columns import EpochColumns
     from ..kg.topology import GraphTopology
 
 #: Stable role keys inside the snapshot store.  Index uids are
@@ -111,7 +111,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 GRAPH_TRIPLES_KEY = "graph-triples"
 SEARCH_INDEX_KEY = "search-index"
 FEATURE_TABLES_KEY = "feature-tables"
-GRAPH_TOPOLOGY_KEY = "graph-topology"
 
 _STORE_DIR = "store"
 #: Format 1 kept the graph as ``graph.jsonl`` beside a ``pivote.json``
@@ -146,7 +145,6 @@ def save_system(
     (see :func:`system_store`) and read them back off it.
     """
     from ..features.columnar import columnar_tables
-    from ..kg.topology import graph_topology
 
     os.makedirs(directory, exist_ok=True)
     if store is None:
@@ -156,10 +154,9 @@ def save_system(
         graph_epoch = graph.epoch
         graph_info = {"name": graph.name, "epoch": graph_epoch, "triples": len(graph)}
         # Durable segments are addressed by role, so the uid slot of the
-        # two graph-side segments is unused (0).
-        source = SimpleNamespace(uid=0, epoch=graph_epoch)
+        # graph segment is unused (0).
         columns = graph.columns.export()
-        manifest, builder = encode_graph_triples(source, columns)
+        manifest, builder = encode_graph_triples(SimpleNamespace(uid=0, epoch=graph_epoch), columns)
         store.publish(
             GRAPH_TRIPLES_KEY, manifest, builder,
             extra={"format": _SYSTEM_FORMAT, **graph_info},
@@ -182,17 +179,10 @@ def save_system(
             FEATURE_TABLES_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
         )
 
-        # The columnar topology is installed straight into a loaded
-        # graph's memo instead of being sorted out of the log again.
-        manifest, builder = encode_graph_topology(source, graph_topology(graph), dictionary)
-        store.publish(
-            GRAPH_TOPOLOGY_KEY, manifest, builder, extra={"graph_epoch": graph_epoch}
-        )
-
     return {
         "format": _SYSTEM_FORMAT,
         "graph": graph_info,
-        "keys": [GRAPH_TRIPLES_KEY, SEARCH_INDEX_KEY, FEATURE_TABLES_KEY, GRAPH_TOPOLOGY_KEY],
+        "keys": [GRAPH_TRIPLES_KEY, SEARCH_INDEX_KEY, FEATURE_TABLES_KEY],
     }
 
 
@@ -423,23 +413,18 @@ def _coded_features(keys: object, entity_ids: list[str]) -> tuple[np.ndarray, li
     return (anchor_ords * len(predicates) + pred_ords) * 2 + direction_codes, predicates
 
 
-def _widened_types(
-    graph: "KnowledgeGraph", entity_ids: list[str], arrays: dict[str, np.ndarray]
-) -> list[str]:
-    """Widen an older segment's type tables to every type of the graph.
+def _widened_types(columns: "EpochColumns", arrays: dict[str, np.ndarray]) -> list[str]:
+    """Widen an older segment's type tables to every type of the epoch.
 
     A ``feature-tables`` segment saved before the tables named their
     types holds them over the dominant types only, by position.  The
-    widened tables are the graph epoch's own
+    widened tables are the loaded epoch's own
     (:meth:`~repro.features.columnar.ColumnarFeatureTables.type_tables`);
     the stored ones must be them narrowed, or the segment is refused.
     ``arrays`` is updated in place; returns the type identifiers.
     """
     from ..features.columnar import ColumnarFeatureTables
 
-    columns = graph.columns.epoch(len(graph))
-    if entity_ids is not columns.entity_ids and entity_ids != columns.entity_ids:
-        raise SnapshotUnavailable("feature snapshot entities are not the graph's")
     dominant, populations, member_offsets, member_type_ords = (
         ColumnarFeatureTables.type_tables(columns)
     )
@@ -460,33 +445,34 @@ def _widened_types(
     return columns.type_ids
 
 
-def restore_feature_snapshot(
+def _copied(view: SegmentView, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The named manifest arrays, copied out of the view (its memmap is
+    closed right after the restore)."""
+    try:
+        return {name: np.array(view.manifest_array(name)) for name in names}
+    except KeyError as error:
+        raise SnapshotUnavailable("feature snapshot lacks a table array") from error
+
+
+def restore_graph_topology(
     graph: "KnowledgeGraph", view: SegmentView, dictionary: Dictionary | None = None
-) -> "FeatureIndexSnapshot":
-    """Adopt one feature-tables snapshot as a pinned feature snapshot.
+) -> "GraphTopology":
+    """The edge CSR a ``feature-tables`` segment holds, as the graph's topology.
 
-    The decoded tables (arrays copied out, because the caller closes the
-    backing memmap) *are* the snapshot, as the sorted ones are a built
-    index's: it answers from them, turning a holder or feature row into
-    its frozenset when first asked for it
-    (:class:`~repro.features.feature_index.FeatureIndexSnapshot`), so
-    the first recommendation after a cold start rebuilds nothing.  The
-    identifier tables are the ``dictionary``'s (:meth:`Dictionary.resolve`).
-    Nothing here walks the features, except in a segment of an older
-    layout, whose key triples are coded once (:func:`_coded_features`)
-    and whose type tables are widened to every type (:func:`_widened_types`).
+    The feature codes and predicates (coded once from the key triples of
+    a segment of an older layout, :func:`_coded_features`) and the
+    holder CSR are the loaded epoch's :class:`~repro.kg.topology.GraphTopology`.
+    The identifier tables are the ``dictionary``'s (:meth:`Dictionary.resolve`)
+    and must be the adopted log's epoch tables, whose columns the
+    topology keeps, so a write derives the next epoch's CSR from it.
 
-    Every array is checked against what the tables assume: the feature
-    codes strictly ascending with anchors inside the entities and a
-    predicate table to index; the holder and membership CSRs cutting
-    their columns into one row per feature / entity, holders inside the
-    entities and type ordinals inside the types; dominant types inside
-    them too (or ``-1``, untyped); every type populated.  A violation
-    raises :class:`SnapshotUnavailable`, and the caller rebuilds the
-    tables from the graph.
+    The segment must be of the graph's epoch, its codes strictly
+    ascending with anchors inside the entities and a predicate table to
+    index, and the holder CSR must cut its column into one row per
+    feature with holders inside the entities.  A violation raises
+    :class:`SnapshotUnavailable`.
     """
-    from ..features.columnar import ColumnarFeatureTables
-    from ..features.feature_index import FeatureIndexSnapshot
+    from ..kg.topology import GraphTopology
 
     if view.epoch != graph.epoch:
         raise SnapshotUnavailable(
@@ -500,21 +486,8 @@ def restore_feature_snapshot(
         codes = _int_column(view, view.manifest["feature_codes"], "feature codes")
     else:
         codes, predicates = _coded_features(view.manifest.get("features"), entity_ids)
-    try:
-        arrays = {
-            name: np.array(view.manifest_array(name))
-            for name in (
-                "holder_offsets", "holder_ordinals", "dominant_ords",
-                "type_populations", "member_offsets", "member_type_ords",
-            )
-        }
-    except KeyError as error:
-        raise SnapshotUnavailable("feature snapshot lacks a table array") from error
-    if "type_ids" in view.manifest:
-        type_ids = dictionary.resolve(view, "type_ids")
-    else:
-        type_ids = _widened_types(graph, entity_ids, arrays)
-    num_entities, num_types = len(entity_ids), len(type_ids)
+    arrays = _copied(view, ("holder_offsets", "holder_ordinals"))
+    num_entities = len(entity_ids)
     if not in_range(codes, 0, num_entities * 2 * len(predicates)) or (np.diff(codes) <= 0).any():
         raise SnapshotUnavailable("feature snapshot codes are malformed")
     if not strictly_ascending(predicates):
@@ -523,6 +496,52 @@ def restore_feature_snapshot(
         arrays["holder_offsets"], codes.size, arrays["holder_ordinals"], num_entities
     ):
         raise SnapshotUnavailable("feature snapshot holder CSR is malformed")
+    columns = graph.columns.epoch(len(graph))
+    for ids, ours in ((entity_ids, columns.entity_ids), (predicates, columns.predicates)):
+        if ids is not ours and ids != ours:
+            raise SnapshotUnavailable("feature snapshot identifiers are not the graph's")
+    return GraphTopology(
+        view.epoch, columns.entity_ids, columns.predicates, codes, **arrays,
+        ordinal_of=columns.ordinal_of, columns=columns,
+    )
+
+
+def restore_feature_snapshot(
+    graph: "KnowledgeGraph", view: SegmentView, dictionary: Dictionary | None = None
+) -> "FeatureIndexSnapshot":
+    """Adopt one feature-tables snapshot as a pinned feature snapshot.
+
+    The decoded tables (arrays copied out, because the caller closes the
+    backing memmap) *are* the snapshot, as the sorted ones are a built
+    index's: it answers from them, turning a holder or feature row into
+    its frozenset when asked for it
+    (:class:`~repro.features.feature_index.FeatureIndexSnapshot`), so
+    the first recommendation after a cold start rebuilds nothing.  The
+    holder CSR is the graph's topology (:func:`restore_graph_topology`);
+    the type identifiers are the ``dictionary``'s, or in a segment of an
+    older layout the type tables are widened to every type
+    (:func:`_widened_types`).
+
+    The type arrays are checked against what the tables assume: the
+    membership CSR cutting its column into one row per entity with type
+    ordinals inside the types; dominant types inside them too (or
+    ``-1``, untyped); every type populated.  A violation raises
+    :class:`SnapshotUnavailable`, and the caller rebuilds the tables
+    from the graph.
+    """
+    from ..features.columnar import ColumnarFeatureTables
+    from ..features.feature_index import FeatureIndexSnapshot
+
+    topology = restore_graph_topology(graph, view, dictionary)
+    arrays = _copied(
+        view, ("dominant_ords", "type_populations", "member_offsets", "member_type_ords")
+    )
+    if "type_ids" in view.manifest:
+        type_ids = (dictionary or Dictionary()).resolve(view, "type_ids")
+    else:
+        assert topology._columns is not None
+        type_ids = _widened_types(topology._columns, arrays)
+    num_entities, num_types = topology.num_entities, len(type_ids)
     if not _check_csr(
         arrays["member_offsets"], num_entities, arrays["member_type_ords"], num_types
     ):
@@ -533,94 +552,22 @@ def restore_feature_snapshot(
     populations = arrays["type_populations"]
     if populations.shape != (num_types,) or not in_range(populations, 1, num_entities + 1):
         raise SnapshotUnavailable("feature snapshot type populations are malformed")
-    tables = ColumnarFeatureTables.from_arrays(
-        epoch=view.epoch,
-        feature_codes=codes,
-        predicates=predicates,
-        entity_ids=entity_ids,
-        type_ids=type_ids,
-        ordinal_of=dictionary.ordinals(entity_ids),
-        **arrays,
-    )
+    tables = ColumnarFeatureTables(topology, **arrays, type_ids=type_ids)
     return FeatureIndexSnapshot(graph, tables, epoch=view.epoch, triples=len(graph))
-
-
-def restore_graph_topology(
-    graph: "KnowledgeGraph", view: SegmentView, dictionary: Dictionary | None = None
-) -> "GraphTopology":
-    """Rebuild a :class:`~repro.kg.topology.GraphTopology` from one segment.
-
-    Every array is *copied* out of the (CRC-verified) view: the caller closes the backing memmap
-    right after the restore, and the topology outlives it as the graph's
-    per-epoch memo.  The identifier tables are the ``dictionary``'s
-    (:meth:`Dictionary.resolve`).  The epoch cross-check mirrors
-    :func:`restore_feature_snapshot` — a topology from another graph
-    state must not be installed — and so do the array checks: both
-    adjacency CSRs cut their neighbour and predicate columns into one
-    row per entity, with neighbours inside the entities and predicates
-    inside the predicate table.  The type arrays older segments carry
-    are not read.
-    """
-    from ..kg.topology import GraphTopology
-
-    if view.kind != "graph-topology":
-        raise SnapshotUnavailable("segment does not carry a graph topology")
-    if view.epoch != graph.epoch:
-        raise SnapshotUnavailable(
-            f"topology snapshot is for graph epoch {view.epoch}, "
-            f"loaded graph is at {graph.epoch}"
-        )
-
-    def copied(key: str) -> np.ndarray:
-        try:
-            return np.array(view.manifest_array(key))
-        except KeyError as error:
-            raise SnapshotUnavailable(
-                f"topology snapshot lacks the {key!r} array"
-            ) from error
-
-    dictionary = dictionary or Dictionary()
-    entity_ids = dictionary.resolve(view, "entity_ids")
-    topology = GraphTopology.from_arrays(
-        epoch=view.epoch,
-        entity_ids=entity_ids,
-        predicates=dictionary.resolve(view, "predicates"),
-        out_offsets=copied("out_offsets"),
-        out_targets=copied("out_targets"),
-        out_preds=copied("out_preds"),
-        in_offsets=copied("in_offsets"),
-        in_sources=copied("in_sources"),
-        in_preds=copied("in_preds"),
-        ordinal_of=dictionary.ordinals(entity_ids),
-    )
-    entities, predicates = topology.num_entities, len(topology.predicates)
-    for offsets, neighbours, preds in (
-        (topology.out_offsets, topology.out_targets, topology.out_preds),
-        (topology.in_offsets, topology.in_sources, topology.in_preds),
-    ):
-        if (
-            not _check_csr(offsets, entities, neighbours, entities)
-            or preds.shape != neighbours.shape
-            or not in_range(preds, 0, predicates)
-        ):
-            raise SnapshotUnavailable("topology snapshot adjacency CSR is malformed")
-    return topology
 
 
 @dataclass
 class LoadedSystem:
     """What :func:`load_system` recovered from disk.
 
-    ``index`` / ``feature_snapshot`` / ``topology`` are ``None`` when
-    that component's snapshot was missing or corrupt — the graph always
-    loads (or the whole call raises), so callers rebuild just the
-    missing piece (the topology lazily, on first traversal).
+    ``index`` / ``feature_snapshot`` are ``None`` when that component's
+    snapshot was missing or corrupt — the graph always loads (or the
+    whole call raises), so callers rebuild just the missing piece.
     """
 
     graph: "KnowledgeGraph"
     index: "FieldedIndex | None"
     feature_snapshot: "FeatureIndexSnapshot | None"
-    topology: "GraphTopology | None"
     store: DiskSnapshotStore
 
 
@@ -679,16 +626,12 @@ def load_system(
         feature_snapshot=restored(
             FEATURE_TABLES_KEY, lambda view: restore_feature_snapshot(graph, view, dictionary)
         ),
-        topology=restored(
-            GRAPH_TOPOLOGY_KEY, lambda view: restore_graph_topology(graph, view, dictionary)
-        ),
         store=store,
     )
 
 
 __all__ = [
     "FEATURE_TABLES_KEY",
-    "GRAPH_TOPOLOGY_KEY",
     "GRAPH_TRIPLES_KEY",
     "SEARCH_INDEX_KEY",
     "LoadedSystem",

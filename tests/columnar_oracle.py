@@ -1,24 +1,28 @@
 """Reference builders for the columnar structures — the test oracle.
 
-These are the per-entity / per-feature loop builders that produced
-:class:`~repro.kg.topology.GraphTopology` and
-:class:`~repro.features.columnar.ColumnarFeatureTables` before the
-structures were sorted out of the graph's column log.  They read only the
-graph's and the feature snapshot's public dictionaries, never the log, so
-they check the sort-based builders (and the log itself) independently.
+These are per-entity / per-feature loop builders of the one edge CSR of
+:class:`~repro.kg.topology.GraphTopology` and of the type tables of
+:class:`~repro.features.columnar.ColumnarFeatureTables`.  They walk only
+the graph's public accessors (:func:`~repro.features.extraction.features_of_entity`),
+never the column log's epochs, so they check the sort-based and derived
+builders independently.  :func:`maps` decodes a whole snapshot through
+its point lookups, for comparing two snapshots map for map.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
+
 import numpy as np
 
+from repro.features.columnar import DIRECTIONS, ColumnarFeatureTables
+from repro.features.extraction import features_of_entity
 from repro.features.feature_index import FeatureIndexSnapshot
+from repro.features.semantic_feature import Direction, SemanticFeature
 from repro.kg import GraphTopology, KnowledgeGraph
 
-TOPOLOGY_ARRAYS = (
-    "out_offsets", "out_targets", "out_preds",
-    "in_offsets", "in_sources", "in_preds",
-)
+TOPOLOGY_ARRAYS = ("feature_codes", "holder_offsets", "holder_ordinals", "anchor_features")
 TOPOLOGY_STRINGS = ("entity_ids", "predicates")
 TABLE_ARRAYS = (
     "holder_offsets", "holder_ordinals", "dominant_ords",
@@ -26,110 +30,95 @@ TABLE_ARRAYS = (
 )
 
 
-def _adjacency(entity_ids, ordinal_of, predicate_ord, edges_of):
-    """One direction's CSR: rows sorted by ``(neighbour, predicate)``."""
-    offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-    neighbour_rows: list[int] = []
-    predicate_rows: list[int] = []
-    for ordinal, entity_id in enumerate(entity_ids):
-        row = sorted(
-            (ordinal_of[neighbour], predicate_ord[predicate])
-            for predicate, neighbour in edges_of(entity_id)
-        )
-        neighbour_rows.extend(pair[0] for pair in row)
-        predicate_rows.extend(pair[1] for pair in row)
-        offsets[ordinal + 1] = len(neighbour_rows)
+def maps(
+    snapshot: FeatureIndexSnapshot,
+) -> tuple[dict[str, frozenset[SemanticFeature]], dict[SemanticFeature, frozenset[str]]]:
+    """``(entity → features, feature → holders)`` of every entity and feature."""
+    tables = snapshot.tables
+    features = [
+        SemanticFeature(anchor, predicate, Direction(direction))
+        for anchor, predicate, direction in tables.feature_keys()
+    ]
     return (
-        offsets,
-        np.asarray(neighbour_rows, dtype=np.int64),
-        np.asarray(predicate_rows, dtype=np.int64),
+        {entity_id: snapshot.features_of(entity_id) for entity_id in tables.entity_ids},
+        {feature: snapshot.holders_of(feature) for feature in features},
     )
 
 
+def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    values = np.fromiter((value for row in rows for value in row), np.int64, int(offsets[-1]))
+    return offsets, values
+
+
 def topology_oracle(graph: KnowledgeGraph) -> dict[str, object]:
-    """Every array and string table of the graph's topology, by graph walks."""
+    """The graph's edge CSR and string tables, by per-entity feature walks."""
     entity_ids = sorted(graph.entities())
     ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
     predicates = sorted(graph.edge_predicates())
     predicate_ord = {predicate: ordinal for ordinal, predicate in enumerate(predicates)}
-    out_offsets, out_targets, out_preds = _adjacency(
-        entity_ids, ordinal_of, predicate_ord, graph.outgoing
-    )
-    in_offsets, in_sources, in_preds = _adjacency(
-        entity_ids, ordinal_of, predicate_ord, graph.incoming
-    )
+    holders: dict[SemanticFeature, list[int]] = defaultdict(list)
+    for entity_id in entity_ids:
+        for feature in features_of_entity(graph, entity_id):
+            holders[feature].append(ordinal_of[entity_id])
+    features = sorted(holders)
+    holder_offsets, holder_ordinals = _csr([sorted(holders[feature]) for feature in features])
+    anchors = [ordinal_of[feature.anchor] for feature in features]
     return {
         "epoch": graph.epoch,
         "entity_ids": entity_ids,
         "predicates": predicates,
-        "out_offsets": out_offsets,
-        "out_targets": out_targets,
-        "out_preds": out_preds,
-        "in_offsets": in_offsets,
-        "in_sources": in_sources,
-        "in_preds": in_preds,
+        "feature_keys": [feature.key for feature in features],
+        "feature_codes": np.fromiter(
+            (
+                (ordinal_of[feature.anchor] * len(predicates) + predicate_ord[feature.predicate]) * 2
+                + DIRECTIONS.index(feature.direction.value)
+                for feature in features
+            ),
+            np.int64,
+            len(features),
+        ),
+        "holder_offsets": holder_offsets,
+        "holder_ordinals": holder_ordinals,
+        "anchor_features": np.fromiter(
+            (bisect_left(anchors, ordinal) for ordinal in range(len(entity_ids) + 1)),
+            np.int64,
+            len(entity_ids) + 1,
+        ),
     }
 
 
 def feature_tables_oracle(snapshot: FeatureIndexSnapshot) -> dict[str, object]:
     """Every array and key table of the snapshot's feature tables, by set walks.
 
-    The types are the dictionaries of the snapshot's epoch: the graph's
-    first ``snapshot.triples`` triples replayed into a graph of their own.
+    Walks the graph of the snapshot's epoch: the log's first
+    ``snapshot.triples`` triples replayed into a graph of their own.
     """
-    entity_features, feature_entities = snapshot.maps()
-    entity_ids = sorted(entity_features)
-    ordinal_of = {entity_id: ordinal for ordinal, entity_id in enumerate(entity_ids)}
     epoch_graph = KnowledgeGraph("epoch")
-    epoch_graph.add_all(snapshot._graph.triples[: snapshot.triples])
+    epoch_graph.add_all(snapshot.columns.triples()[: snapshot.triples])
+    expected = topology_oracle(epoch_graph)
+    entity_ids = expected["entity_ids"]
     entity_types, type_members = epoch_graph.type_tables()
     type_ids = sorted(type_members)
     type_ord = {type_id: ordinal for ordinal, type_id in enumerate(type_ids)}
     dominant = [epoch_graph.dominant_type(entity_id) for entity_id in entity_ids]
-    dominant_ords = np.fromiter(
-        (type_ord[type_id] if type_id else -1 for type_id in dominant),
-        dtype=np.int64,
-        count=len(entity_ids),
-    )
-    type_populations = np.fromiter(
-        (len(type_members[type_id]) for type_id in type_ids),
-        dtype=np.int64,
-        count=len(type_ids),
-    )
-
-    member_offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-    member_rows: list[list[int]] = []
-    for position, entity_id in enumerate(entity_ids):
-        row = sorted(type_ord[type_id] for type_id in entity_types.get(entity_id, ()))
-        member_rows.append(row)
-        member_offsets[position + 1] = member_offsets[position] + len(row)
-    member_type_ords = np.fromiter(
-        (ordinal for row in member_rows for ordinal in row),
-        dtype=np.int64,
-        count=int(member_offsets[-1]),
-    )
-
-    features = sorted(feature_entities)
-    holder_offsets = np.zeros(len(features) + 1, dtype=np.int64)
-    holder_rows: list[list[int]] = []
-    for position, feature in enumerate(features):
-        row = sorted(ordinal_of[entity_id] for entity_id in feature_entities[feature])
-        holder_rows.append(row)
-        holder_offsets[position + 1] = holder_offsets[position] + len(row)
-    holder_ordinals = np.fromiter(
-        (ordinal for row in holder_rows for ordinal in row),
-        dtype=np.int64,
-        count=int(holder_offsets[-1]),
-    )
+    member_offsets, member_type_ords = _csr([
+        sorted(type_ord[type_id] for type_id in entity_types.get(entity_id, ()))
+        for entity_id in entity_ids
+    ])
     return {
+        **expected,
         "epoch": snapshot.epoch,
-        "entity_ids": entity_ids,
         "type_ids": type_ids,
-        "feature_keys": [feature.key for feature in features],
-        "holder_offsets": holder_offsets,
-        "holder_ordinals": holder_ordinals,
-        "dominant_ords": dominant_ords,
-        "type_populations": type_populations,
+        "dominant_ords": np.fromiter(
+            (type_ord[type_id] if type_id else -1 for type_id in dominant),
+            np.int64,
+            len(entity_ids),
+        ),
+        "type_populations": np.fromiter(
+            (len(type_members[type_id]) for type_id in type_ids), np.int64, len(type_ids)
+        ),
         "member_offsets": member_offsets,
         "member_type_ords": member_type_ords,
     }
@@ -162,3 +151,10 @@ def assert_tables_match(tables, expected: dict[str, object]) -> None:
         actual, wanted = getattr(tables, name), expected[name]
         assert actual.dtype == wanted.dtype and actual.shape == wanted.shape, name
         assert actual.tobytes() == wanted.tobytes(), name
+
+
+def sorted_tables(snapshot: FeatureIndexSnapshot) -> ColumnarFeatureTables:
+    """The snapshot's tables sorted out of its epoch of the column log again."""
+    return ColumnarFeatureTables.from_topology(
+        GraphTopology.from_log(snapshot.columns, snapshot.triples, snapshot.epoch)
+    )

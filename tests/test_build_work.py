@@ -4,8 +4,8 @@
 sorted out of token rows and the feature snapshot is the tables sorted
 out of the column log, so a build never indexes a document term by term
 (``InvertedIndex.add_document``), never walks an entity's edges
-(``features_of_entity``) and never decodes the whole snapshot
-(``FeatureIndexSnapshot.maps``); and it analyses each distinct string
+(``features_of_entity``) and never decodes a snapshot row into a set
+(``FeatureIndexSnapshot.features_of`` / ``holders_of``); and it analyses each distinct string
 once per analyzer.  A write derives the next snapshot's tables from the
 last, so it does none of that either — after a build and after a load;
 and a search-index write copies the documents written since the base,
@@ -22,12 +22,13 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from columnar_oracle import maps
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
 from repro.features import SemanticFeature, SemanticFeatureIndex, extraction
 from repro.features.feature_index import FeatureIndexSnapshot
 from repro.index import InvertedIndex
-from repro.kg import KnowledgeGraph
+from repro.kg import GraphTopology, KnowledgeGraph, graph_topology
 from repro.text import Analyzer
 
 ENTITIES = 2000
@@ -56,13 +57,14 @@ def calls_of(monkeypatch, owner, name: str) -> list[tuple]:
 
 @pytest.fixture
 def spies(monkeypatch):
-    """``(calls of the per-entity and whole-snapshot paths, Analyzer.analyze calls)``."""
+    """``(calls of the per-entity and row-decoding paths, Analyzer.analyze calls)``."""
     per_entity = {
         label: calls_of(monkeypatch, owner, label.split(".")[-1])
         for label, owner in (
             ("InvertedIndex.merged", InvertedIndex),
             ("features_of_entity", extraction),
-            ("FeatureIndexSnapshot.maps", FeatureIndexSnapshot),
+            ("FeatureIndexSnapshot.features_of", FeatureIndexSnapshot),
+            ("FeatureIndexSnapshot.holders_of", FeatureIndexSnapshot),
         )
     }
     return per_entity, calls_of(monkeypatch, Analyzer, "analyze")
@@ -131,14 +133,13 @@ def test_a_build_and_its_writes_do_no_per_entity_work(spies):
     assert counts(per_entity) == dict.fromkeys(per_entity, 0)
     assert 0 < len(analysed) == len(set(analysed))  # once per (analyzer, string)
     snapshot = system.feature_index.snapshot()
-    assert snapshot.decoded_rows == 0
     for number in range(3):
         entity = write(graph, number)
         system.search_engine.add_entity(entity)
         fresh = system.feature_index.snapshot()
-        assert fresh is not snapshot and fresh.decoded_rows == 0
-        system.recommend([entity])  # the recommendation path decodes no whole snapshot
-        assert fresh.tables._held is None  # rows come from the epoch's topology
+        assert fresh is not snapshot
+        assert fresh.tables.topology is graph_topology(graph)  # one edge CSR per epoch
+        system.recommend([entity])  # the recommendation path decodes no row into a set
         snapshot = fresh
     assert counts(per_entity) == dict.fromkeys(per_entity, 0)
     assert system.feature_index.rebuild_info() == {
@@ -155,10 +156,11 @@ def test_the_first_write_after_a_load_decodes_no_whole_snapshot(spies, tmp_path)
         loaded.search_engine.add_entity(entity)
         snapshot = loaded.feature_index.snapshot()
         loaded.recommend([entity])
-        assert not per_entity["FeatureIndexSnapshot.maps"]
-        assert not per_entity["features_of_entity"]
+        for label in ("features_of_entity", "FeatureIndexSnapshot.features_of",
+                      "FeatureIndexSnapshot.holders_of"):
+            assert not per_entity[label], label
         assert loaded.feature_index.rebuild_info()["delta_rebuilds"] == 1
-        assert snapshot.tables._held is None
+        assert snapshot.tables.topology is graph_topology(loaded.graph)
         assert_snapshot_answers_like_the_oracle(snapshot, loaded.graph)
 
 
@@ -181,8 +183,7 @@ class TestWholeMapAccessors:
         index = SemanticFeatureIndex.build(graph)
         for number in range(3):  # the build, then two writes' derived tables
             got = (index.num_features(), index.all_features(), index.feature_frequency_histogram())
-            assert index.snapshot().decoded_rows == 0
-            _, holders = index.snapshot().maps()
+            _, holders = maps(index.snapshot())
             histogram = Counter(len(entities) for entities in holders.values())
             assert got == (len(holders), sorted(holders), dict(histogram))
             write(graph, number)
@@ -193,11 +194,11 @@ class TestWholeMapAccessors:
         assert index.feature_frequency_histogram() == {}
 
 
-def test_delta_entities_count_the_log_delta():
+def test_delta_entities_count_the_log_delta(monkeypatch):
     """New entities and the endpoints of new edges, each once."""
     graph = build_random_kg(RandomKGConfig(num_entities=300, seed=5))
     index = SemanticFeatureIndex.build(graph)
-    index.max_delta_fraction = 1.0
+    monkeypatch.setattr(GraphTopology, "max_delta_fraction", 1.0)
     anchors = sorted(graph.entities())[:3]
     graph.add_label("ex:lonely", "lonely")  # new, no edge
     graph.add(anchors[0], "ex:p", anchors[1])  # two old endpoints
@@ -207,7 +208,7 @@ def test_delta_entities_count_the_log_delta():
     index.snapshot()
     assert index.rebuild_info()["delta_entities"] == 2 + 3
     before, holders = oracle(graph)
-    assert index.snapshot().maps() == (before, {f: frozenset(h) for f, h in holders.items()})
+    assert maps(index.snapshot()) == (before, {f: frozenset(h) for f, h in holders.items()})
 
 
 #: ``(first, steady)`` tracemalloc peaks (KiB) of ``SearchEngine.add_entity``

@@ -7,10 +7,10 @@ answers a search per term from its stored rows.  Here:
 * a segment whose checksums hold but whose arrays contradict each other
   is refused at load, counted once, and rebuilt — one case per check;
 * a directory saved in the earlier layout (the feature keys listed in
-  the JSON manifest, the topology's identifiers too) still loads, with
-  no failure, and answers like a fresh build;
+  the JSON manifest, and a ``graph-topology`` segment, which is not
+  read) still loads, with no failure, and answers like a fresh build;
 * load → first search → first recommendation merges no index field and
-  does not turn the holder CSR around;
+  reads the restored holder CSR as the graph's topology;
 * the per-term counts read off the stored rows equal a fresh build's.
 """
 
@@ -28,15 +28,14 @@ from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE, PivotEApi
 from repro.features.columnar import columnar_tables
 from repro.index import InvertedIndex
+from repro.kg import graph_topology
 from repro.search import MixtureLanguageModelScorer, SearchEngine, parse_query
-from repro.storage import (
-    FEATURE_TABLES_KEY,
-    GRAPH_TOPOLOGY_KEY,
-    SegmentBuilder,
-    system_store,
-)
+from repro.storage import FEATURE_TABLES_KEY, SegmentBuilder, system_store
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "system-before-feature-codes")
+#: The segment that held the adjacency before the feature tables' holder
+#: CSR was the graph's topology; directories of that layout still carry it.
+OLD_TOPOLOGY_KEY = "graph-topology"
 #: What a ``graph-topology`` segment held beside its adjacency before the
 #: type filter read the feature tables.
 TYPE_FOREST = (
@@ -87,10 +86,8 @@ CORRUPTIONS = {
     "type_populations": (FEATURE_TABLES_KEY, "type_populations", _emptied_type),
     "feature_codes-order": (FEATURE_TABLES_KEY, "feature_codes", _reversed_interior),
     "feature_codes-anchor": (FEATURE_TABLES_KEY, "feature_codes", _shifted(10**9)),
-    "out_targets": (GRAPH_TOPOLOGY_KEY, "out_targets", _shifted(100_000)),
-    "in_sources": (GRAPH_TOPOLOGY_KEY, "in_sources", _shifted(100_000)),
-    "out_preds": (GRAPH_TOPOLOGY_KEY, "out_preds", _shifted(1000)),
-    "in_preds": (GRAPH_TOPOLOGY_KEY, "in_preds", _shifted(1000)),
+    "holder_ordinals": (FEATURE_TABLES_KEY, "holder_ordinals", _shifted(100_000)),
+    "holder_offsets": (FEATURE_TABLES_KEY, "holder_offsets", _reversed_interior),
 }
 
 
@@ -148,8 +145,7 @@ def test_an_untouched_republish_is_adopted(tmp_path, random_graph, fresh_answers
     directory = str(tmp_path / "system")
     with PivotE(random_graph.copy()) as system:
         system.save(directory)
-    for key in (FEATURE_TABLES_KEY, GRAPH_TOPOLOGY_KEY):
-        republish(directory, key, None, None)
+    republish(directory, FEATURE_TABLES_KEY, None, None)
     entity, expected = fresh_answers
     with PivotE.load(directory) as loaded:
         assert loaded.stats().storage.failures == 0
@@ -170,8 +166,8 @@ def test_a_directory_in_the_earlier_layout_loads_and_answers_like_a_fresh_build(
         assert "features" in view.manifest and "feature_codes" not in view.manifest
     finally:
         view.close()
-    view = store.attach(GRAPH_TOPOLOGY_KEY)
-    try:  # the type forest of the earlier topology is carried and ignored
+    view = store.attach(OLD_TOPOLOGY_KEY)
+    try:  # the earlier topology, type forest and all, is carried and ignored
         assert set(TYPE_FOREST) <= set(view.manifest)
     finally:
         view.close()
@@ -190,11 +186,7 @@ def test_a_directory_in_the_earlier_layout_loads_and_answers_like_a_fresh_build(
     resaved = str(tmp_path / "resaved")
     with PivotE.load(directory) as loaded:
         loaded.save(resaved)
-    view = system_store(resaved).attach(GRAPH_TOPOLOGY_KEY)
-    try:
-        assert not set(TYPE_FOREST) & set(view.manifest)
-    finally:
-        view.close()
+    assert OLD_TOPOLOGY_KEY not in system_store(resaved).read_manifest()
     with PivotE.load(resaved) as again:
         assert again.stats().storage.failures == 0
         assert answers(again, entity) == got
@@ -240,7 +232,8 @@ def test_the_first_answers_read_only_the_rows_they_need(saved_2000, monkeypatch)
         assert index.field_index("names").base.documents.ordinal_of() is entity_map
         assert index.ordinal_of is entity_map
         assert loaded.stats().storage.failures == 0
-        assert loaded.feature_index.snapshot()._columnar._held is None
+        assert graph_topology(loaded.graph) is loaded.feature_index.snapshot().tables.topology
+        assert loaded.stats().traversal.rebuilds == 0
 
 
 def test_counts_read_off_the_stored_rows_equal_the_full_scan(saved_2000):

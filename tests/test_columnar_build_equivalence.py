@@ -1,8 +1,8 @@
 """Sort-built feature tables and topology == the loop-built oracle.
 
-``ColumnarFeatureTables.from_snapshot`` and ``GraphTopology.from_graph``
-sort their arrays out of a prefix of the graph's edge-column log
-(``repro.kg.columns``).  The per-entity / per-feature loop builders they
+``GraphTopology.from_log`` sorts the one edge CSR of an epoch out of a
+prefix of the graph's edge-column log (``repro.kg.columns``), and
+``ColumnarFeatureTables.from_topology`` adds the epoch's type tables.  The per-entity / per-feature loop builders they
 replaced live on in ``columnar_oracle`` and read only the graph's and the
 snapshot's dictionaries, so every comparison here is between two
 independent derivations: array for array (dtype, shape and bytes), key
@@ -19,6 +19,7 @@ recommend`` equals a freshly built system.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,14 +31,15 @@ from columnar_oracle import (
     assert_tables_match,
     assert_topology_matches,
     feature_tables_oracle,
+    sorted_tables,
     topology_oracle,
 )
 from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.features import SemanticFeatureIndex
-from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+from repro.features.columnar import columnar_tables
 from repro.kg import GraphTopology, KnowledgeGraph, Literal, Triple, graph_topology
-from repro.kg.columns import EdgeColumnLog, sort_rows
+from repro.kg.columns import EdgeColumnLog, csr_merge, sort_rows
 from repro.kg.namespaces import DCT_SUBJECT, RDF_TYPE, RDFS_LABEL, REDIRECT
 from repro.storage import SegmentView, SnapshotUnavailable
 from repro.storage.codec import SegmentBuilder, encode_feature_tables
@@ -67,7 +69,7 @@ def assert_epoch_matches(index: SemanticFeatureIndex, graph: KnowledgeGraph) -> 
     previous epoch's whenever there was one — all equal the oracle."""
     snapshot = index.snapshot()
     tables_oracle, graph_oracle = feature_tables_oracle(snapshot), topology_oracle(graph)
-    assert_tables_match(ColumnarFeatureTables.from_snapshot(snapshot), tables_oracle)
+    assert_tables_match(sorted_tables(snapshot), tables_oracle)
     assert_tables_match(columnar_tables(snapshot), tables_oracle)
     assert_topology_matches(GraphTopology.from_graph(graph), graph_oracle)
     assert_topology_matches(graph_topology(graph), graph_oracle)
@@ -75,14 +77,16 @@ def assert_epoch_matches(index: SemanticFeatureIndex, graph: KnowledgeGraph) -> 
 
 class TestHypothesisGraphs:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(write_bursts)
-    def test_interleaved_writes_match_oracle(self, bursts):
-        graph = KnowledgeGraph("hyp")
-        index = SemanticFeatureIndex.build(graph)
-        assert_epoch_matches(index, graph)  # the empty graph
-        for burst in bursts:
-            graph.add_all(burst)
-            assert_epoch_matches(index, graph)
+    @given(write_bursts, st.sampled_from([GraphTopology.max_delta_fraction, 1.0]))
+    def test_interleaved_writes_match_oracle(self, bursts, fraction):
+        """At 1.0 every burst's CSR is derived from the last one's."""
+        with patch.object(GraphTopology, "max_delta_fraction", fraction):
+            graph = KnowledgeGraph("hyp")
+            index = SemanticFeatureIndex.build(graph)
+            assert_epoch_matches(index, graph)  # the empty graph
+            for burst in bursts:
+                graph.add_all(burst)
+                assert_epoch_matches(index, graph)
 
     @settings(max_examples=75, deadline=None, derandomize=True)
     @given(write_bursts)
@@ -162,22 +166,29 @@ class TestHandPickedShapes:
         )
         assert_epoch_matches(index, graph)
         before = columnar_tables(index.snapshot())
-        index.max_delta_fraction = 1.0  # three triples on seven: a delta, not a full sort
+        # Three triples on seven: a delta, not a full sort.
+        monkeypatch.setattr(GraphTopology, "max_delta_fraction", 1.0)
         graph.add_all(
             [Triple("ex:d", RDF_TYPE, "ex:T0"), Triple("ex:0", RDF_TYPE, "ex:T0"),
              Triple("ex:0", "ex:o", "ex:a")]
         )
-        handed = []
-        holder_csr = ColumnarFeatureTables._holder_csr
-        monkeypatch.setattr(ColumnarFeatureTables, "_holder_csr", staticmethod(
-            lambda columns, previous: handed.append(previous) or holder_csr(columns, previous)
+        handed, merges = [], []
+        from_log = GraphTopology.from_log.__func__
+        monkeypatch.setattr(GraphTopology, "from_log", classmethod(
+            lambda cls, log, triples, epoch, previous=None:
+                handed.append(previous) or from_log(cls, log, triples, epoch, previous)
         ))
+        monkeypatch.setattr(
+            "repro.kg.topology.csr_merge", lambda *args: merges.append(1) or csr_merge(*args)
+        )
         snapshot = index.snapshot()
         monkeypatch.undo()
-        assert len(handed) == 1 and handed[0] is before  # derived from, not rebuilt
+        # Derived from the last epoch's topology, with one merge of the edge rows.
+        assert len(handed) == 1 and handed[0] is before.topology and len(merges) == 1
         assert_epoch_matches(index, graph)
         tables = columnar_tables(snapshot)
-        assert tables._columns is not None and tables._columns.triples == len(graph)
+        assert tables.topology is graph_topology(graph)
+        assert tables.topology._columns.triples == len(graph)
         a = tables.ordinal_of["ex:a"]
         assert before.dominant_ords[before.ordinal_of["ex:a"]] != tables.dominant_ords[a]
 
@@ -274,6 +285,35 @@ class TestColdStart:
             loaded.close()
             fresh.close()
 
+    def test_the_first_refresh_after_a_load_sorts_only_the_rows_written_since(
+        self, saved, monkeypatch
+    ):
+        """The restored CSR keeps the adopted log's epoch, so the first
+        write derives the next epoch's from it: every sort it makes is of
+        the rows the write added, never of the whole log."""
+        _, directory = saved
+        with PivotE.load(directory) as loaded:
+            graph = loaded.graph
+            restored = loaded.feature_index.snapshot().tables.topology
+            assert restored._columns is not None and restored._columns.triples == len(graph)
+            before = len(graph)
+            seeds = _write(graph)
+            monkeypatch.setattr(GraphTopology, "max_delta_fraction", 1.0)
+            sorted_rows: list[int] = []
+            for target in ("repro.kg.columns.sort_rows", "repro.kg.topology.sort_rows"):
+                monkeypatch.setattr(target, lambda sizes, *columns: (
+                    sorted_rows.append(columns[0].size) or sort_rows(sizes, *columns)
+                ))
+            snapshot = loaded.feature_index.snapshot()
+            monkeypatch.undo()
+            written = len(graph) - before
+            assert sorted_rows and max(sorted_rows) <= 2 * written  # two holder rows per edge
+            assert loaded.feature_index.rebuild_info()["delta_rebuilds"] == 1
+            assert snapshot.tables.topology is graph_topology(graph)
+            assert_epoch_matches(loaded.feature_index, graph)
+            loaded.search_engine.add_entity(seeds[0])
+            assert loaded.recommend(seeds).entities
+
     @pytest.mark.parametrize("array", ["holder_offsets", "dominant_ords", "member_offsets"])
     def test_misshapen_table_segment_is_refused(self, saved, array):
         graph, _ = saved
@@ -281,8 +321,8 @@ class TestColdStart:
         tables = columnar_tables(index.snapshot())
         arrays = {name: getattr(tables, name) for name in TABLE_ARRAYS}
         arrays[array] = arrays[array][:-1]
-        broken = ColumnarFeatureTables.from_arrays(
-            epoch=tables.epoch, feature_codes=tables.feature_codes,
+        broken = SimpleNamespace(
+            num_entities=tables.num_entities, feature_codes=tables.feature_codes,
             predicates=tables.predicates, entity_ids=tables.entity_ids,
             type_ids=tables.type_ids, **arrays,
         )

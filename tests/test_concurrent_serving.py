@@ -147,7 +147,8 @@ class TestConcurrentRecommendation:
         """Readers build (or derive) the tables of snapshots the writer has
         already moved past, and the topology of whatever epoch is current,
         while the writer derives each new epoch's from the last one's."""
-        from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+        from columnar_oracle import sorted_tables
+        from repro.features.columnar import columnar_tables
         from repro.kg import GraphTopology, graph_topology
 
         graph = tiny_kg
@@ -175,8 +176,8 @@ class TestConcurrentRecommendation:
 
         def read_topology():
             topology = graph_topology(graph)
-            assert topology.out_offsets[-1] == topology.out_targets.size
-            assert topology.in_offsets[-1] == topology.in_sources.size
+            assert topology.holder_offsets[-1] == topology.holder_ordinals.size
+            assert topology.anchor_offsets[-1] == topology.holder_ordinals.size
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often: expose a torn handover
@@ -186,19 +187,18 @@ class TestConcurrentRecommendation:
             sys.setswitchinterval(interval)
 
         for snapshot in pinned[:: max(1, len(pinned) // 40)] + pinned[-1:]:
-            got, want = columnar_tables(snapshot), ColumnarFeatureTables.from_snapshot(snapshot)
+            got, want = columnar_tables(snapshot), sorted_tables(snapshot)
             for name in ("feature_codes", "holder_offsets", "holder_ordinals", "dominant_ords",
                          "type_populations", "member_offsets", "member_type_ords"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert got.entity_ids == want.entity_ids
         got, want = graph_topology(graph), GraphTopology.from_graph(graph)
-        for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
-                     "in_preds"):
+        for name in ("feature_codes", "holder_offsets", "holder_ordinals", "anchor_offsets"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_pinned_request_reads_seed_rows_of_its_own_epoch(self, tiny_kg):
         """A request pinned at epoch n keeps epoch n's seed rows while a write
-        publishes n+1 — it never reads them off the newer topology."""
+        publishes n+1 — it reads them off its own tables' topology."""
         from repro.expansion import EntitySetExpander
         from repro.kg import graph_topology
         from repro.ranking import SemanticFeatureRanker
@@ -214,7 +214,8 @@ class TestConcurrentRecommendation:
         # tables, of epoch n; its topology is of epoch n too.
         tables = ranker.probability_model.support().columnar_tables()
         seeds = tables.entity_ordinals(["ex:F3"])
-        rows = tables.feature_rows(seeds.tolist(), graph_topology(graph))
+        assert tables.topology is graph_topology(graph)
+        rows = tables.topology.feature_rows(seeds.tolist())
         films = expander.restrict_candidates(
             np.arange(tables.num_entities), "ex:Film", tables=tables
         )
@@ -222,8 +223,10 @@ class TestConcurrentRecommendation:
         graph.add("ex:F3", "ex:starring", "ex:A3")  # epoch n+1: F3 gains a feature
         newer = graph_topology(graph)
         assert newer.epoch == graph.epoch != tables.epoch
-        for old, new in zip(rows, tables.feature_rows(seeds.tolist(), newer)):
+        for old, new in zip(rows, tables.topology.feature_rows(seeds.tolist())):
             assert old.tolist() == new.tolist()
+        (grown,) = newer.feature_rows(newer.ordinal_of.array(["ex:F3"]).tolist())
+        assert grown.size == rows[0].size + 1
         assert signature(ranker._rank_arrays(tables, ["ex:F3"], seeds, 30)) == before
         # The type filter reads the pinned tables too, so it needs no
         # other form at another epoch.

@@ -26,7 +26,7 @@ import pytest
 
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.features import SemanticFeatureIndex
-from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+from repro.features.columnar import columnar_tables
 from repro.index import FieldedIndex, columnar_view
 from repro.index.fielded_index import MERGE_FRACTION
 from repro.kg import GraphTopology, graph_topology
@@ -87,19 +87,19 @@ class TestPinnedReadersKeepTheirEpoch:
         assert pinned.ordinal_of.array(doc_ids).tolist() == list(range(len(doc_ids)))
         assert "ex:0written0" not in pinned.ordinal_of
 
-    def test_feature_tables_and_topology(self, graph):
+    def test_feature_tables_and_topology(self, graph, monkeypatch):
+        monkeypatch.setattr(GraphTopology, "max_delta_fraction", 1.0)  # every write derives
         index = SemanticFeatureIndex.build(graph)
         snapshot = index.snapshot()
         tables, topology = columnar_tables(snapshot), graph_topology(graph)
+        assert tables.topology is topology
         table_arrays = {
             name: getattr(tables, name)
             for name in ("feature_codes", "holder_offsets", "holder_ordinals", "dominant_ords",
                          "type_populations", "member_offsets", "member_type_ords")
         }
         topology_arrays = {
-            name: getattr(topology, name)
-            for name in ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources",
-                         "in_preds")
+            name: getattr(topology, name) for name in ("anchor_features", "anchor_offsets")
         }
         columns = graph.columns.epoch(snapshot.triples)
         column_arrays = {
@@ -113,6 +113,7 @@ class TestPinnedReadersKeepTheirEpoch:
             _write(graph, number)
             derived = columnar_tables(index.snapshot())
             assert derived is not tables and graph_topology(graph) is not topology
+        assert index.rebuild_info()["delta_rebuilds"] == 3
         assert derived.entity_ids[0] == "ex:0written0"
         assert [_bytes(table_arrays), _bytes(topology_arrays), _bytes(column_arrays)] == before
         assert tables.entity_ids == entity_ids == topology.entity_ids
@@ -190,35 +191,19 @@ class TestDerivationSources:
                     assert np.array_equal(got.ordinals, want.ordinals)
                     assert np.array_equal(got.frequencies, want.frequencies)
 
-    def test_decoded_tables_and_topology_fall_back_to_the_full_build(self, graph):
-        """Structures decoded from a segment have no epoch to derive from."""
-        index = SemanticFeatureIndex.build(graph)
-        tables = columnar_tables(index.snapshot())
-        decoded = ColumnarFeatureTables.from_arrays(
-            epoch=tables.epoch, feature_codes=tables.feature_codes,
-            predicates=tables.predicates, holder_offsets=tables.holder_offsets, holder_ordinals=tables.holder_ordinals,
-            dominant_ords=tables.dominant_ords, type_populations=tables.type_populations,
-            member_offsets=tables.member_offsets, member_type_ords=tables.member_type_ords,
-            entity_ids=tables.entity_ids,
+    def test_a_topology_without_its_log_epoch_falls_back_to_the_full_sort(self, graph):
+        """A CSR with no log epoch behind it has nothing to derive from."""
+        topology = GraphTopology.from_graph(graph)
+        arrays = ("feature_codes", "holder_offsets", "holder_ordinals")
+        decoded = GraphTopology(
+            topology.epoch, topology.entity_ids, topology.predicates,
+            *(getattr(topology, name) for name in arrays),
         )
         assert decoded._columns is None
         _write(graph, 0)
-        snapshot = index.snapshot()
-        fresh = ColumnarFeatureTables.from_snapshot(snapshot)
-        again = ColumnarFeatureTables.from_snapshot(snapshot, decoded)
-        assert again.holder_ordinals.tobytes() == fresh.holder_ordinals.tobytes()
-        topology = GraphTopology.from_graph(graph)
-        arrays = {name: getattr(topology, name) for name in ("out_offsets", "out_targets")}
-        restored = GraphTopology.from_arrays(
-            epoch=topology.epoch - 1, entity_ids=topology.entity_ids,
-            predicates=topology.predicates,
-            out_offsets=topology.out_offsets, out_targets=topology.out_targets,
-            out_preds=topology.out_preds, in_offsets=topology.in_offsets,
-            in_sources=topology.in_sources, in_preds=topology.in_preds,
-        )
-        rebuilt = GraphTopology.from_graph(graph, restored)
-        assert _bytes(arrays) == _bytes(
-            {name: getattr(rebuilt, name) for name in ("out_offsets", "out_targets")}
+        fresh, again = GraphTopology.from_graph(graph), GraphTopology.from_graph(graph, decoded)
+        assert _bytes({name: getattr(again, name) for name in arrays}) == _bytes(
+            {name: getattr(fresh, name) for name in arrays}
         )
 
 

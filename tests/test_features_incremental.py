@@ -2,25 +2,35 @@
 
 The feature index tracks the graph's append-only triple log and applies
 only the delta on epoch change (full rebuild past
-``max_delta_fraction``).  These tests enforce the contract: a
-delta-refreshed index is indistinguishable from a freshly built one.
+``GraphTopology.max_delta_fraction``).  These tests enforce the
+contract: a delta-refreshed index is indistinguishable from a freshly
+built one.  The graphs are small, so the delta tests raise the fraction
+until every write is a delta.
 """
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from columnar_oracle import maps
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.features import SemanticFeature, SemanticFeatureIndex
-from repro.kg import KnowledgeGraph
+from repro.kg import GraphTopology, KnowledgeGraph
+
+
+def derive_every_delta():
+    return patch.object(GraphTopology, "max_delta_fraction", 1.0)
 
 
 def _assert_index_equals_fresh(index: SemanticFeatureIndex, graph: KnowledgeGraph) -> None:
     snapshot = index.snapshot()  # trigger the lazy refresh before inspecting
     fresh = SemanticFeatureIndex.build(graph)
     fresh_snapshot = fresh.snapshot()
-    assert snapshot.maps() == fresh_snapshot.maps()
+    assert maps(snapshot) == maps(fresh_snapshot)
     for feature in fresh.all_features()[:25]:
         for type_id in sorted(graph.types())[:5]:
             assert index.type_conditional_count(feature, type_id) == (
@@ -39,6 +49,11 @@ def _mutate(graph: KnowledgeGraph, rounds: int = 1) -> None:
 
 
 class TestDeltaEqualsFullRebuild:
+    @pytest.fixture(autouse=True)
+    def _derive(self):
+        with derive_every_delta():
+            yield
+
     def test_tiny_kg_small_delta(self, tiny_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(tiny_kg)
         tiny_kg.add("ex:F1", "ex:starring", "ex:A2")
@@ -77,10 +92,8 @@ class TestDeltaEqualsFullRebuild:
 
 class TestFullRebuildFallback:
     def test_large_delta_triggers_full_rebuild(self, tiny_kg: KnowledgeGraph):
-        index = SemanticFeatureIndex(tiny_kg)
-        index.max_delta_fraction = 0.05
-        index.rebuild()
-        _mutate(tiny_kg, rounds=10)  # way past 5% of the tiny graph
+        index = SemanticFeatureIndex.build(tiny_kg)
+        _mutate(tiny_kg, rounds=10)  # way past the fraction of the tiny graph
         index.epoch
         info = index.rebuild_info()
         assert info["full_rebuilds"] == 2
@@ -90,7 +103,8 @@ class TestFullRebuildFallback:
     def test_delta_counters_report_affected_entities(self, tiny_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(tiny_kg)
         tiny_kg.add("ex:F3", "ex:starring", "ex:A3")  # genuinely new edge
-        index.epoch
+        with derive_every_delta():
+            index.epoch
         assert index.rebuild_info()["delta_entities"] >= 2  # both endpoints
 
 
@@ -110,6 +124,8 @@ class TestDeltaEqualsFullRebuildProperty:
             target = entities[(kg_seed + 3 * number + 1) % len(entities)]
             graph.add(source, f"ex:delta_rel_{number % 2}", target)
             graph.add_type(source, "ex:DeltaType")
-        snapshot = index.snapshot()
+        with derive_every_delta():
+            snapshot = index.snapshot()
+        assert index.rebuild_info()["delta_rebuilds"] == 1
         fresh = SemanticFeatureIndex.build(graph).snapshot()
-        assert snapshot.maps() == fresh.maps()
+        assert maps(snapshot) == maps(fresh)

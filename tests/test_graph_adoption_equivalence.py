@@ -3,7 +3,7 @@
 ``PivotE.load`` does not replay triples: the graph adopts its saved
 column log (``KnowledgeGraph.adopt``) and answers every accessor from
 its rows, and the feature snapshot answers from the saved tables,
-decoding a row when first asked for it.  Everything here compares such a
+decoding a row when asked for it.  Everything here compares such a
 loaded object with one built the long way — ``add`` by ``add``,
 ``features_of_entity`` by ``features_of_entity`` — over hypothesis
 graphs with literals carrying datatype and language tags, categories,
@@ -18,6 +18,7 @@ import os
 import sys
 import threading
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,13 @@ from repro.engine import PivotE, PivotEApi
 from repro.features import SemanticFeature, SemanticFeatureIndex
 from repro.features.columnar import columnar_tables
 from repro.features.feature_index import FeatureIndexSnapshot
-from repro.kg import KnowledgeGraph, Literal, Triple
+from repro.kg import GraphTopology, KnowledgeGraph, Literal, Triple, install_topology
 from repro.kg.namespaces import DCT_SUBJECT, DISAMBIGUATES, RDF_TYPE, RDFS_LABEL, REDIRECT
-from repro.storage import SegmentBuilder, SegmentView, encode_graph_triples
+from repro.storage import SegmentBuilder, SegmentView, encode_feature_tables, encode_graph_triples
+from repro.storage.kgstore import restore_feature_snapshot
 from repro.viz import entity_profile
 
+from columnar_oracle import maps
 from graph_oracle import GraphOracle
 from test_graph_oracle import assert_accessors_match
 
@@ -214,21 +217,18 @@ class TestRestoredSnapshot:
         graph.add_all(written)
         index = SemanticFeatureIndex.build(graph)
         built = index.snapshot()
-        tables = columnar_tables(built)
-        if from_segment:  # decoded tables: the stored arrays, no log epoch behind them
-            tables = type(tables).from_arrays(
-                epoch=tables.epoch, feature_codes=tables.feature_codes.copy(),
-                predicates=list(tables.predicates), entity_ids=tables.entity_ids,
-                type_ids=tables.type_ids,
-                **{name: getattr(tables, name) for name in (
-                    "holder_offsets", "holder_ordinals", "dominant_ords",
-                    "type_populations", "member_offsets", "member_type_ords",
-                )},
+        restored = FeatureIndexSnapshot(graph, columnar_tables(built), built.epoch, built.triples)
+        if from_segment:  # decoded tables: the stored arrays, through the codec
+            tables = columnar_tables(built)
+            manifest, builder = encode_feature_tables(
+                SimpleNamespace(uid=index.uid, epoch=tables.epoch), tables
             )
-        restored = FeatureIndexSnapshot(graph, tables, epoch=built.epoch, triples=built.triples)
-        entity_features, feature_entities = built.maps()
+            encoded = SegmentBuilder.encode_manifest(manifest)
+            buffer = bytearray(builder.total_size(encoded)[0])
+            builder.write_into(buffer, encoded)
+            restored = restore_feature_snapshot(graph, SegmentView(buffer, verify=True))
+        entity_features, feature_entities = maps(built)
         features = sorted(feature_entities)
-        # Every second entity and feature: the rest stays undecoded for the write below.
         for probe in [*sorted(entity_features)[::2], "ex:nobody"]:
             assert restored.features_of(probe) == built.features_of(probe)
             for feature in features[::2]:
@@ -239,21 +239,17 @@ class TestRestoredSnapshot:
                 assert restored.type_conditional_count(feature, type_id) == (
                     built.type_conditional_count(feature, type_id)
                 )
-        assert restored.decoded_rows <= len(entity_features) + len(features)
 
-        # A write after the load: the delta derives from a partly decoded predecessor.
+        # A write after the load: the delta derives from the restored CSR.
         adopting = SemanticFeatureIndex.restore(graph, restored)
-        adopting.max_delta_fraction = 1.0
+        install_topology(graph, restored.tables.topology)  # as PivotE.load does
         graph.add_all(later)
         graph.add("ex:e0", "ex:p0", "ex:written")
-        partly = restored.decoded_rows
-        written = adopting.snapshot()
-        assert written.decoded_rows == 0  # the write decoded nothing
-        assert written.maps() == SemanticFeatureIndex.build(graph).snapshot().maps()
-        assert restored.maps() == built.maps()  # and the pinned predecessor is whole and unchanged
-        # The predecessor counts up to its replacement, the successor every row it decoded.
-        written_entities, written_features = written.maps()
-        assert adopting.decoded_rows() == partly + len(written_entities) + len(written_features)
+        with patch.object(GraphTopology, "max_delta_fraction", 1.0):
+            written = adopting.snapshot()
+        assert adopting.rebuild_info()["delta_rebuilds"] == 1
+        assert maps(written) == maps(SemanticFeatureIndex.build(graph).snapshot())
+        assert maps(restored) == maps(built)  # and the pinned predecessor is unchanged
 
 
 # ---------------------------------------------------------------------- #
@@ -314,17 +310,14 @@ class TestLoadedSystem:
             assert api.handle({"action": "pivot", "session_id": "s", "entity": target})["status"] == "ok"
             loaded.explain(probe, target)
             loaded.matrix_for(loaded.recommend([probe]))
-            storage = loaded.stats().storage
-            # Rows the requests touched were decoded; nothing walked all of them.
-            tables = columnar_tables(loaded.feature_index.snapshot())
-            assert 0 < storage.feature_rows_decoded < tables.num_entities + tables.num_features
             assert loaded.stats().rebuilds == {
                 "full_rebuilds": 0, "delta_rebuilds": 0, "delta_entities": 0,
             }
+            assert loaded.stats().traversal.rebuilds == 0
             for entity_id in (probe, target):
                 assert loaded.lookup(entity_id) == entity_profile(graph, entity_id)
 
-    def test_recommendation_requests_decode_no_feature_row(self, saved):
+    def test_recommendation_requests_decode_no_feature_row(self, saved, monkeypatch):
         """select → pin → pivot run on the decoded tables' arrays: the same
         answers as the saving system's, and not one holder or feature row
         turned into a frozenset (``explain`` and an extra pinned feature
@@ -349,17 +342,27 @@ class TestLoadedSystem:
             return answers
 
         with PivotE(graph) as built, PivotE.load(directory) as loaded:
-            assert session(loaded) == session(built)
-            storage = loaded.stats().storage
-            assert storage.feature_rows_decoded == 0
+            expected = session(built)
+            decoded: list[str] = []
+            for name in ("features_of", "holders_of"):
+                original = getattr(FeatureIndexSnapshot, name)
+                monkeypatch.setattr(
+                    FeatureIndexSnapshot, name,
+                    lambda self, key, name=name, original=original:
+                        decoded.append(name) or original(self, key),
+                )
+            assert session(loaded) == expected
+            assert decoded == []
             assert loaded.stats().child("recommendation").stages.fallback_total == 0
 
     def test_save_load_save_is_byte_identical(self, saved, tmp_path):
         graph, directory = saved
         with PivotE.load(directory) as loaded:
             loaded.save(str(tmp_path / "again"))
-        for key in ("graph-triples", "graph-topology"):  # the other two embed process-local uids
-            assert snap_bytes(str(tmp_path / "again"), key) == snap_bytes(directory, key), key
+        # The other two segments embed process-local uids.
+        assert snap_bytes(str(tmp_path / "again"), "graph-triples") == snap_bytes(
+            directory, "graph-triples"
+        )
 
     def test_save_load_write_read_equals_fresh_build(self, saved):
         graph, directory = saved
@@ -377,7 +380,7 @@ class TestLoadedSystem:
                     [(hit.entity_id, hit.score) for hit in system.search("written entity")],
                     [(e.entity_id, e.score) for e in recommendation.entities],
                     [(f.feature, f.score) for f in recommendation.features],
-                    system.feature_index.snapshot().maps(),
+                    maps(system.feature_index.snapshot()),
                     system.lookup("ex:written"),
                 ))
             assert answers[0] == answers[1]

@@ -1,12 +1,12 @@
 """Unit, property and round-trip coverage of the columnar graph topology.
 
-:class:`~repro.kg.GraphTopology` — CSR adjacency over string-sorted
-entity ordinals — must answer every traversal the scalar walks answer,
-byte for byte.  These tests pin the structural invariants (offset
-monotonicity, row sort order), prove kernel equivalence on fixed and
-hypothesis-generated random graphs, exercise the per-epoch memo (cache
-hits, stale-epoch rebuilds after mutation) and round-trip the arrays
-through the segment codec.  The same graphs check the feature tables'
+:class:`~repro.kg.GraphTopology` — the one edge CSR of an epoch, the
+holder rows of every feature anchored at an entity — must answer every
+traversal the scalar walks answer, byte for byte.  These tests pin the
+structural invariants (offset monotonicity, anchored rows), prove
+kernel equivalence on fixed and hypothesis-generated random graphs,
+exercise the per-epoch memo (cache hits, stale-epoch rebuilds after
+mutation) and round-trip the CSR through the feature-tables segment.  The same graphs check the feature tables'
 type filter (:meth:`~repro.features.columnar.ColumnarFeatureTables.of_type`)
 against the graph's member sets.
 """
@@ -36,7 +36,7 @@ from repro.kg import (
     traversal_stats,
 )
 from repro.storage import SegmentBuilder, SegmentView, SnapshotUnavailable
-from repro.storage.codec import encode_graph_topology
+from repro.storage.codec import encode_feature_tables
 from repro.storage.kgstore import restore_graph_topology
 
 
@@ -61,40 +61,29 @@ class TestStructuralInvariants:
         assert topology.entity_ids == sorted(topology.entity_ids)
         assert topology.predicates == sorted(topology.predicates)
 
-    def test_csr_offsets_are_monotone_and_complete(self, random_graph, topology):
-        for offsets, values in (
-            (topology.out_offsets, topology.out_targets),
-            (topology.in_offsets, topology.in_sources),
+    def test_csr_offsets_are_monotone_and_complete(self, topology):
+        for offsets, values, rows in (
+            (topology.holder_offsets, topology.holder_ordinals, topology.num_features),
+            (topology.anchor_offsets, topology.holder_ordinals, topology.num_entities),
         ):
+            assert offsets.shape == (rows + 1,)
             assert offsets[0] == 0
             assert offsets[-1] == len(values)
             assert np.all(np.diff(offsets) >= 0)
-        assert len(topology.out_offsets) == topology.num_entities + 1
-        assert len(topology.out_targets) == len(topology.out_preds)
-        assert len(topology.in_sources) == len(topology.in_preds)
+        assert np.all(np.diff(topology.feature_codes) > 0)
 
-    def test_adjacency_rows_sorted_by_neighbour_then_predicate(self, topology):
-        for offsets, neighbours, predicates in (
-            (topology.out_offsets, topology.out_targets, topology.out_preds),
-            (topology.in_offsets, topology.in_sources, topology.in_preds),
-        ):
-            for ordinal in range(topology.num_entities):
-                lo, hi = int(offsets[ordinal]), int(offsets[ordinal + 1])
-                rows = list(zip(neighbours[lo:hi].tolist(), predicates[lo:hi].tolist()))
-                assert rows == sorted(rows)
-
-    def test_adjacency_matches_graph_edges(self, random_graph, topology):
+    def test_anchored_rows_are_both_directions_edges(self, random_graph, topology):
         for entity_id in _probes(random_graph):
             ordinal = topology.ordinal_of[entity_id]
-            lo, hi = int(topology.out_offsets[ordinal]), int(topology.out_offsets[ordinal + 1])
+            holders, parts = topology._anchored(ordinal)
             decoded = sorted(
-                (topology.predicates[p], topology.entity_ids[t])
-                for t, p in zip(
-                    topology.out_targets[lo:hi].tolist(),
-                    topology.out_preds[lo:hi].tolist(),
-                )
+                (topology.predicates[part >> 1], part & 1, topology.entity_ids[holder])
+                for holder, part in zip(holders.tolist(), parts.tolist())
             )
-            assert decoded == sorted(random_graph.outgoing(entity_id))
+            assert decoded == sorted(
+                [(p, 1, target) for p, target in random_graph.outgoing(entity_id)]
+                + [(p, 0, source) for p, source in random_graph.incoming(entity_id)]
+            )
 
 
 class TestKernelEquivalence:
@@ -240,9 +229,10 @@ class TestMemoAndCounters:
 # --------------------------------------------------------------------------- #
 # Segment codec round-trips
 # --------------------------------------------------------------------------- #
-def _encode_to_buffer(topology, uid=7):
-    manifest, builder = encode_graph_topology(
-        SimpleNamespace(uid=uid, epoch=topology.epoch), topology
+def _encode_to_buffer(graph, uid=7):
+    tables = columnar_tables(SemanticFeatureIndex.build(graph).snapshot())
+    manifest, builder = encode_feature_tables(
+        SimpleNamespace(uid=uid, epoch=tables.epoch), tables
     )
     encoded = SegmentBuilder.encode_manifest(manifest)
     total, _ = builder.total_size(encoded)
@@ -253,11 +243,12 @@ def _encode_to_buffer(topology, uid=7):
 
 class TestSegmentRoundTrip:
     def test_codec_round_trip_preserves_every_kernel(self, random_graph, topology):
-        buf = _encode_to_buffer(topology)
+        buf = _encode_to_buffer(random_graph)
         view = SegmentView(buf, name="unit", expected_uid=7, expected_epoch=topology.epoch)
         restored = restore_graph_topology(random_graph, view)
         assert restored.entity_ids == topology.entity_ids
         assert restored.predicates == topology.predicates
+        assert restored._columns is random_graph.columns.epoch(len(random_graph))
         probe = topology.ordinal_of[_probes(random_graph, count=1)[0]]
         reached_a, depths_a = topology.bfs_reachable_ords(probe, 2)
         reached_b, depths_b = restored.bfs_reachable_ords(probe, 2)
@@ -269,38 +260,32 @@ class TestSegmentRoundTrip:
         ):
             assert np.array_equal(kernel_a, kernel_b)
 
-    def test_segment_carries_adjacency_only(self, topology):
-        view = SegmentView(_encode_to_buffer(topology), name="unit")
-        assert set(view.manifest) == {
-            "uid", "epoch", "kind", "num_entities", "entity_ids", "predicates",
-            "out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources", "in_preds",
-        }
+    def test_a_segment_of_another_epoch_is_rejected(self, random_graph):
+        graph = random_graph.copy()
+        buf = _encode_to_buffer(graph)
+        graph.add("ex:a_subject", "ex:p", "ex:an_object")
+        with pytest.raises(SnapshotUnavailable, match="epoch"):
+            restore_graph_topology(graph, SegmentView(buf, name="unit"))
 
-    def test_wrong_kind_is_rejected(self, random_graph, topology):
-        buf = _encode_to_buffer(topology)
-        view = SegmentView(buf, name="unit")
-        view._manifest = dict(view._manifest, kind="feature-tables")
-        with pytest.raises(SnapshotUnavailable, match="graph topology"):
-            restore_graph_topology(random_graph, view)
-
-    def test_flipped_byte_fails_the_array_crc(self, topology):
+    def test_flipped_byte_fails_the_array_crc(self, random_graph):
         """The disk tier attaches with ``verify=True`` — a flipped array
         byte must surface as SnapshotUnavailable, not silent garbage."""
-        buf = _encode_to_buffer(topology)
+        buf = _encode_to_buffer(random_graph)
         arrays_base = int.from_bytes(bytes(buf[24:32]), "little")
         buf[arrays_base] ^= 0xFF
         with pytest.raises(SnapshotUnavailable, match="checksum"):
             SegmentView(buf, name="unit", verify=True)
 
-    def test_from_arrays_matches_from_graph(self, topology):
-        arrays = ("out_offsets", "out_targets", "out_preds", "in_offsets", "in_sources", "in_preds")
-        clone = GraphTopology.from_arrays(
-            epoch=topology.epoch,
-            entity_ids=topology.entity_ids,
-            predicates=topology.predicates,
-            **{name: getattr(topology, name) for name in arrays},
+    def test_constructor_matches_from_graph(self, topology):
+        arrays = ("feature_codes", "holder_offsets", "holder_ordinals")
+        clone = GraphTopology(
+            topology.epoch,
+            topology.entity_ids,
+            topology.predicates,
+            *(getattr(topology, name) for name in arrays),
         )
         assert clone.ordinal_of == topology.ordinal_of
-        assert clone.predicate_ord == topology.predicate_ord
         for name in arrays:
             assert getattr(clone, name) is getattr(topology, name)
+        for name in ("anchor_features", "anchor_offsets"):
+            assert np.array_equal(getattr(clone, name), getattr(topology, name))

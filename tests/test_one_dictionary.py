@@ -35,7 +35,6 @@ from repro.features.extraction import matching_entities
 from repro.features.semantic_feature import Direction
 from repro.storage import (
     FEATURE_TABLES_KEY,
-    GRAPH_TOPOLOGY_KEY,
     GRAPH_TRIPLES_KEY,
     SEARCH_INDEX_KEY,
     SegmentBuilder,
@@ -49,8 +48,9 @@ BEFORE_DICTIONARY = os.path.join(FIXTURES, "system-before-one-dictionary")
 REFERENCES = {
     SEARCH_INDEX_KEY: ("doc_ids",),
     FEATURE_TABLES_KEY: ("entity_ids", "predicates", "type_ids"),
-    GRAPH_TOPOLOGY_KEY: ("entity_ids", "predicates"),
 }
+#: The adjacency segment of earlier layouts, which a load does not read.
+OLD_TOPOLOGY_KEY = "graph-topology"
 
 
 def answers(system: PivotE, entity: str) -> list[dict]:
@@ -64,10 +64,10 @@ def answers(system: PivotE, entity: str) -> list[dict]:
     return [hits, selected, pivoted]
 
 
-def manifests(directory: str) -> dict[str, dict]:
+def manifests(directory: str, keys: tuple[str, ...] = ()) -> dict[str, dict]:
     store = system_store(directory)
     found = {}
-    for key in (GRAPH_TRIPLES_KEY, *REFERENCES):
+    for key in (GRAPH_TRIPLES_KEY, *REFERENCES, *keys):
         view = store.attach(key)
         try:
             found[key] = view.manifest
@@ -142,7 +142,7 @@ def test_a_save_lists_every_identifier_once(saved, random_graph, fresh_answers):
     "key, name, change",
     [
         (FEATURE_TABLES_KEY, "entity_ids", {"crc": 1}),
-        (GRAPH_TOPOLOGY_KEY, "predicates", {"count": 10**6}),
+        (FEATURE_TABLES_KEY, "predicates", {"count": 10**6}),
         (SEARCH_INDEX_KEY, "doc_ids", {"crc": 1}),
     ],
 )
@@ -168,11 +168,11 @@ def test_a_directory_saved_before_the_dictionary_loads_and_resaves(tmp_path):
     graph's tables in first-seen order."""
     directory = str(tmp_path / "system")
     shutil.copytree(BEFORE_DICTIONARY, directory)
-    old = manifests(directory)
+    old = manifests(directory, (OLD_TOPOLOGY_KEY,))
     assert "rank" not in old[GRAPH_TRIPLES_KEY]["tables"]["entities"]
     assert "crcs" in old[SEARCH_INDEX_KEY] and "text" in old[SEARCH_INDEX_KEY]["doc_ids"]
     assert "type_ids" not in old[FEATURE_TABLES_KEY]
-    assert {"type_members", "type_parents", "pre_order"} <= set(old[GRAPH_TOPOLOGY_KEY])
+    assert {"type_members", "type_parents", "pre_order"} <= set(old[OLD_TOPOLOGY_KEY])
     with PivotE.load(directory) as loaded:
         assert loaded.stats().storage.failures == 0
         entity = sorted(loaded.graph.entities())[5]
@@ -187,7 +187,7 @@ def test_a_directory_saved_before_the_dictionary_loads_and_resaves(tmp_path):
     assert "crcs" not in new[SEARCH_INDEX_KEY]
     for key, names in REFERENCES.items():
         assert all(is_reference(new[key][name]) for name in names), key
-    assert not {"type_ids", "type_members", "type_parents", "pre_order"} & set(new[GRAPH_TOPOLOGY_KEY])
+    assert OLD_TOPOLOGY_KEY not in system_store(resaved).read_manifest()
     with PivotE.load(resaved) as again:
         assert again.stats().storage.failures == 0
         assert answers(again, entity) == got

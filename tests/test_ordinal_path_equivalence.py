@@ -23,7 +23,8 @@ from repro.config import HeatmapConfig, RankingConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.expansion import EntitySetExpander
 from repro.features import Direction, SemanticFeature, SemanticFeatureIndex, candidate_entities
-from repro.features.columnar import ColumnarFeatureTables, columnar_tables
+from repro.features.columnar import columnar_tables
+from repro.features.extraction import features_of_entity
 from repro.features.semantic_feature import key_notation
 from repro.kg import KnowledgeGraph, graph_topology
 from repro.ranking import (
@@ -248,44 +249,24 @@ class TestExpansionFilterMatrix:
 class TestSeedRows:
     @given(graph=graphs())
     @RELAXED
-    def test_adjacency_rows_are_the_turned_around_holder_rows(self, graph):
-        """Both sources of an entity's feature row agree, and agree with
-        ``features_of``; a topology of the tables' epoch spares the sort."""
+    def test_mirrored_anchored_rows_are_the_held_features(self, graph):
+        """An entity's feature row — its anchored rows mirrored — is what
+        the per-entity walk finds it holds, and its anchored range is the
+        features whose anchor it is."""
         index = SemanticFeatureIndex.build(graph)
         tables = columnar_tables(index.snapshot())
+        topology = tables.topology
+        assert topology is graph_topology(graph)
         everyone = list(range(tables.num_entities))
-        from_topology = tables.feature_rows(everyone, graph_topology(graph))
-        assert tables._held is None
-        turned_around = tables.feature_rows(everyone)
         keys = tables.feature_keys()
-        for entity, fast, slow in zip(tables.entity_ids, from_topology, turned_around):
-            assert fast.tolist() == slow.tolist()
-            assert [keys[ordinal] for ordinal in fast.tolist()] == [
-                feature.key for feature in sorted(index.features_of(entity))
-            ]
-            low, high = tables.anchored_range(tables.ordinal_of[entity])
+        for entity, row in zip(tables.entity_ids, topology.feature_rows(everyone)):
+            assert [keys[ordinal] for ordinal in row.tolist()] == sorted(
+                feature.key for feature in features_of_entity(graph, entity)
+            )
+            low, high = topology.anchored_range(tables.ordinal_of[entity])
             assert [key[0] == entity for key in keys] == [
                 low <= ordinal < high for ordinal in range(len(keys))
             ]
-        # Tables decoded from a segment carry the same codes, so they too
-        # take their rows from the topology.
-        decoded = ColumnarFeatureTables.from_arrays(
-            tables.epoch,
-            tables.feature_codes.copy(),
-            list(tables.predicates),
-            tables.holder_offsets,
-            tables.holder_ordinals,
-            tables.dominant_ords,
-            tables.type_populations,
-            tables.member_offsets,
-            tables.member_type_ords,
-            entity_ids=tables.entity_ids,
-        )
-        for entity, row in zip(everyone, decoded.feature_rows(everyone, graph_topology(graph))):
-            assert row.tolist() == turned_around[entity].tolist()
-            assert decoded.anchored_range(entity) == tables.anchored_range(entity)
-        assert decoded._held is None
-        assert decoded.feature_keys() == keys
 
 
 class TestCandidateTally:

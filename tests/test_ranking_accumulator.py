@@ -234,10 +234,11 @@ class TestRankingSupportLayer:
         assert second is not first
         assert second.epoch > first.epoch
 
-    def test_holders_are_no_copy(self, tiny_kg: KnowledgeGraph):
+    def test_holders_are_frozen_and_a_miss_allocates_nothing(self, tiny_kg: KnowledgeGraph):
         index = SemanticFeatureIndex.build(tiny_kg)
         feature = index.all_features()[0]
-        assert index.holders_of(feature) is index.holders_of(feature)
+        holders = index.holders_of(feature)
+        assert isinstance(holders, frozenset) and holders == index.holders_of(feature)
         # Unknown features share one empty set — no per-miss allocation.
         from repro.features import SemanticFeature
 

@@ -71,9 +71,7 @@ def saved_dir(tmp_path_factory, random_graph):
     directory = str(tmp_path_factory.mktemp("pivote-snapshot"))
     system = PivotE(random_graph)
     manifest = system.save(directory)
-    assert manifest["keys"] == [
-        "graph-triples", "search-index", "feature-tables", "graph-topology",
-    ]
+    assert manifest["keys"] == ["graph-triples", "search-index", "feature-tables"]
     system.close()
     return directory
 
@@ -114,7 +112,7 @@ def _load_clean(directory, config=None) -> PivotE:
     storage = system.stats().storage
     assert storage is not None
     assert storage.failures == 0
-    assert storage.attaches == 4
+    assert storage.attaches == 3
     assert storage.cold_start_ms > 0.0
     return system
 
@@ -275,7 +273,7 @@ class TestFreshProcessColdStart:
         assert completed.returncode == 0, completed.stderr
         payload = json.loads(completed.stdout)
         assert payload["failures"] == 0
-        assert payload["attaches"] == 4
+        assert payload["attaches"] == 3
         for query in queries:
             assert payload["search"][query] == [list(pair) for pair in search_base[query]]
         expected_entities, expected_features = recommend_base
@@ -363,14 +361,15 @@ class TestCorruptionFallback:
             json.dump(manifest, handle)
         self._assert_degraded_but_identical(directory, serial_baselines, seeds)
 
-    def test_corrupt_topology_degrades_to_counted_rebuild(
+    def test_corrupt_feature_tables_degrade_to_counted_rebuild(
         self, saved_dir, tmp_path, serial_baselines, seeds
     ):
-        """A bad topology segment falls back to the scalar-walk rebuild:
-        the failure is counted, the first traversal re-derives the CSR
-        from the replayed graph, rankings stay identical."""
+        """A bad feature-tables segment — the holder CSR that is also the
+        graph's topology — falls back to a rebuild: the failure is
+        counted, the load sorts the CSR out of the adopted log once and
+        the first traversal finds it memoised, rankings stay identical."""
         directory = _corrupt_copy(saved_dir, tmp_path)
-        path = _snap_path(directory, "graph-topology")
+        path = _snap_path(directory, "feature-tables")
         with open(path, "rb") as handle:
             head = handle.read(100)
         with open(path, "wb") as handle:
@@ -530,7 +529,7 @@ class TestGraphSegmentFaults:
     def test_no_graph_file_is_read_or_written(self, saved_dir):
         assert sorted(os.listdir(saved_dir)) == ["store"]
         assert sorted(os.listdir(os.path.join(saved_dir, "store"))) == [
-            "MANIFEST.json", "feature-tables", "graph-topology", "graph-triples", "search-index",
+            "MANIFEST.json", "feature-tables", "graph-triples", "search-index",
         ]
 
 
