@@ -31,7 +31,9 @@ The tables *are* a :class:`FeatureIndexSnapshot`'s contents: the graph's
 memoised topology of the snapshot's epoch (sorted out of the column log,
 or derived from the previous epoch's when a write refreshes it, or
 decoded from a saved feature-table segment on a cold start) plus the
-type tables of that epoch; the per-query kernel inputs are assembled by
+type tables of that epoch (counted over the log's memberships, or
+derived from the previous epoch's tables by the same refresh); the
+per-query kernel inputs are assembled by
 :func:`build_ranker_inputs`.
 
 The tables are also what a recommendation request *runs on*: the seeds'
@@ -52,7 +54,17 @@ from typing import Any
 
 import numpy as np
 
-from ..kg.columns import EpochColumns, csr_gather, csr_offsets, isin_sorted, unique_inverse
+from ..kg.columns import (
+    EpochColumns,
+    csr_gather,
+    csr_offsets,
+    isin_sorted,
+    runs,
+    shifted,
+    sorted_unique,
+    spliced,
+    unique_inverse,
+)
 from ..kg.topology import GraphTopology
 from ..topk.kernels import RankerKernelInputs
 from .semantic_feature import Direction
@@ -135,12 +147,22 @@ class ColumnarFeatureTables:
         self.member_type_ords = member_type_ords
 
     @classmethod
-    def from_topology(cls, topology: GraphTopology) -> ColumnarFeatureTables:
+    def from_topology(
+        cls, topology: GraphTopology, previous: "ColumnarFeatureTables | None" = None
+    ) -> ColumnarFeatureTables:
         """The tables of a topology's epoch: its CSR plus the type tables
-        of its log epoch (:meth:`type_tables`)."""
+        of its log epoch — derived from ``previous``, the tables of an
+        earlier epoch, when the topology would derive over the delta
+        (:meth:`derived_type_tables`), else :meth:`type_tables`."""
         columns = topology._columns
         assert columns is not None
-        return cls(topology, *cls.type_tables(columns), columns.type_ids)
+        older = None if previous is None else previous.topology._columns
+        if older is not None and GraphTopology.derives(older.triples, columns.triples):
+            assert previous is not None
+            types = previous.derived_type_tables(older, columns)
+        else:
+            types = cls.type_tables(columns)
+        return cls(topology, *types, columns.type_ids)
 
     @staticmethod
     def type_tables(columns: EpochColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -163,6 +185,49 @@ class ColumnarFeatureTables:
                 % num_types
             )
         return dominant, populations, offsets, types
+
+    def derived_type_tables(
+        self, older: EpochColumns, columns: EpochColumns
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`type_tables` of ``columns`` from these, the tables of ``older``.
+
+        Entity and type ordinals only move up (:meth:`EpochColumns.inserted`),
+        and a type's population only grows.  The populations are the old
+        ones spliced for the new types plus the memberships logged since;
+        the membership CSR is the epoch's sorted type column cut by the old
+        offsets, spliced for the new entities and shifted by the new
+        memberships.  An entity's dominant type moves with its ordinal
+        unless the entity gained a membership or its dominant type gained
+        a member: only those are recomputed.  Nothing of these is written.
+        """
+        num_types = len(columns.type_ids)
+        entities, types = columns.memberships(older.typed_entities.size)
+        new_entities = columns.inserted(older, "entities")
+        entity_cuts = new_entities - np.arange(new_entities.size, dtype=np.int64)
+        new_types = columns.inserted(older, "types")
+        type_cuts = new_types - np.arange(new_types.size, dtype=np.int64)
+        populations = spliced(
+            self.type_populations, type_cuts, np.zeros(type_cuts.size, dtype=np.int64)
+        ) + np.bincount(types, minlength=num_types)
+        touched, counts = runs(np.sort(entities))
+        offsets = shifted(
+            spliced(self.member_offsets, entity_cuts, self.member_offsets[entity_cuts]),
+            touched + 1,
+            counts,
+        )
+        dominant = self.dominant_ords
+        if type_cuts.size:
+            dominant = np.where(
+                dominant >= 0, dominant + np.searchsorted(type_cuts, dominant, side="right"), -1
+            )
+        dominant = spliced(dominant, entity_cuts, np.full(entity_cuts.size, -1, dtype=np.int64))
+        if entities.size:
+            grew = np.zeros(num_types + 1, dtype=bool)  # the last slot is the untyped -1
+            grew[types] = True
+            affected = sorted_unique(np.concatenate((touched, np.flatnonzero(grew[dominant]))))
+            dominant = dominant.copy() if dominant is self.dominant_ords else dominant
+            dominant[affected] = _dominant(populations, offsets, columns.typed_types, affected)
+        return dominant, populations, offsets, columns.typed_types
 
     # ------------------------------------------------------------------ #
     # Feature addressing
@@ -379,6 +444,18 @@ class ColumnarFeatureTables:
         matrix = base[type_index]
         matrix[self.holder_hits(feature_ordinals, entities, rows)] = 1.0
         return matrix[inverse]
+
+
+def _dominant(
+    populations: np.ndarray, offsets: np.ndarray, types: np.ndarray, entities: np.ndarray
+) -> np.ndarray:
+    """The dominant type of each of ``entities``, typed, ascending: the
+    minimum of ``population · T + type`` over its row of the membership CSR."""
+    num_types = populations.size
+    lengths = offsets[entities + 1] - offsets[entities]
+    rows = csr_gather(offsets, types, entities)
+    starts = np.cumsum(lengths) - lengths
+    return np.minimum.reduceat(populations[rows] * num_types + rows, starts) % num_types
 
 
 def build_ranker_inputs(

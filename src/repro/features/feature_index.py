@@ -26,8 +26,9 @@ A snapshot *is* its epoch's
 memoised edge CSR of the epoch (:func:`~repro.kg.topology.graph_topology`)
 plus its type tables.  A build sorts the CSR out of the graph's column
 log, a load decodes it from a saved segment, and a refresh derives it
-from the previous epoch's and the triples appended since (the log is
-append-only) — falling back to the full sort when the delta outgrows
+and the type tables from the previous epoch's and the triples appended
+since (the log is append-only) — falling back to the full sort when the
+delta outgrows
 :attr:`GraphTopology.max_delta_fraction` of the graph.  Point lookups
 decode just the row they ask for into the frozensets callers see.
 :func:`~repro.features.extraction.features_of_entity`, the per-entity
@@ -212,16 +213,18 @@ class SemanticFeatureIndex:
         index._snapshot_ref = snapshot
         return index
 
-    def _make_snapshot(self) -> FeatureIndexSnapshot:
+    def _make_snapshot(self, previous: FeatureIndexSnapshot | None = None) -> FeatureIndexSnapshot:
         """The snapshot of the graph's current epoch (graph lock held).
 
         Its tables are the graph's memoised topology of the epoch
         (:func:`~repro.kg.topology.graph_topology`, which derives it from
         the previous epoch's when the delta is small) plus the epoch's
-        type tables.
+        type tables, derived from ``previous``'s when given.
         """
         graph = self._graph
-        tables = ColumnarFeatureTables.from_topology(graph_topology(graph))
+        tables = ColumnarFeatureTables.from_topology(
+            graph_topology(graph), None if previous is None else previous.tables
+        )
         return FeatureIndexSnapshot(graph, tables, graph.epoch, len(graph))
 
     def _full_snapshot(self) -> FeatureIndexSnapshot:
@@ -239,16 +242,12 @@ class SemanticFeatureIndex:
         first-seen entity table follow the old epoch's) — are counted
         from the new epoch's columns.
         """
-        fresh = self._make_snapshot()
+        fresh = self._make_snapshot(old)
         columns = fresh.tables.topology._columns
         assert columns is not None
-        old_edges = old.tables.holder_ordinals.size // 2  # two holder rows per edge
+        subjects, _, objects = columns.edge_rows(old.tables.holder_ordinals.size // 2)
         affected = sorted_unique(
-            np.concatenate((
-                columns.entity_rank[old.tables.num_entities :],
-                columns.edge_subjects[old_edges:],
-                columns.edge_objects[old_edges:],
-            ))
+            np.concatenate((columns.entity_rank[old.tables.num_entities :], subjects, objects))
         )
         self._delta_rebuilds += 1
         self._delta_entities += int(affected.size)

@@ -15,18 +15,17 @@ less the rewritten documents, plus the delta documents holding the term;
 its counts are the base row's memoised counts adjusted by the same rows.
 Lengths come from the base length column plus the delta.  A write copies
 the delta, never the base; :meth:`InvertedIndex.merged` folds the delta
-into a new base with the build's sort.
+into a new base by merging its cells into the base rows.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections.abc import Mapping
 
 import numpy as np
 
-from ..kg.columns import isin_sorted
+from ..kg.columns import csr_merge, isin_sorted, spliced
 from ..utils.ordinals import OrdinalMap
 from .columnar import ColumnarPostings
 
@@ -341,42 +340,58 @@ class InvertedIndex:
     def merged(self, documents: DocumentColumns) -> PostingColumns:
         """This field as one CSR over ``documents``, the epoch's ids in order.
 
-        The base cells of the documents not rewritten, moved to epoch
-        ordinals, and the delta's, become token rows again (one token
-        per occurrence) and go through the build's sort
-        (:meth:`PostingColumns.from_tokens`), so the result equals a
-        fresh build over the same documents.
+        The base cells of the rewritten documents are masked out and the
+        rest moved to epoch ordinals; the terms new since the base get
+        empty rows, and the delta's cells are merged into their rows
+        (:func:`~repro.kg.columns.csr_merge`); rows left empty are dropped.
+        Copies plus the delta, no sort of the field, and equal to a fresh
+        build over the same documents.
         """
         base, epoch = self.base, self.documents
         if not epoch.num_written:
             return base
-        rows = np.repeat(np.arange(len(base.terms), dtype=np.int64), np.diff(base.offsets))
-        ordinals, frequencies = base.ordinals, base.frequencies
+        offsets, ordinals, frequencies = base.offsets, base.ordinals, base.frequencies
         if epoch.rewritten.size:
             kept = ~isin_sorted(epoch.rewritten, ordinals)
-            rows, ordinals, frequencies = rows[kept], ordinals[kept], frequencies[kept]
+            offsets = np.append(0, np.cumsum(kept))[offsets]
+            ordinals, frequencies = ordinals[kept], frequencies[kept]
         added = sorted(term for term in self._holders if base.row(term) is None)
         inserted = np.array([bisect_left(base.terms, term) for term in added], dtype=np.int64)
-        stored = np.arange(len(base.terms), dtype=np.int64)
-        code_of_row = stored + np.searchsorted(inserted, stored, side="right")
-        code_of_added = dict(zip(added, (inserted + np.arange(inserted.size)).tolist()))
-        cells = [
-            (
-                code_of_added[term] if term in code_of_added else int(code_of_row[base.row(term)]),
-                ordinal,
-                count,
-            )
-            for doc_id, ordinal in zip(self._written, epoch.written_ordinals().tolist())
-            for term, count in self._written[doc_id].items()
-        ]
-        delta = np.array(cells, dtype=np.int64).reshape(-1, 3)
-        frequencies = np.concatenate((frequencies, delta[:, 2]))
-        return PostingColumns.from_tokens(
-            documents,
-            list(heapq.merge(base.terms, added)),
-            np.repeat(np.concatenate((code_of_row[rows], delta[:, 0])), frequencies),
-            np.repeat(np.concatenate((epoch.shift(ordinals), delta[:, 1])), frequencies),
+        terms, start = [], 0
+        for position, term in zip(inserted.tolist(), added):
+            terms += base.terms[start:position]
+            terms.append(term)
+            start = position
+        terms += base.terms[start:]
+        offsets = spliced(offsets, inserted, offsets[inserted])
+        # A term's base row moves up by the new terms sorting before it; a
+        # new term is marked -1 - its rank among them.
+        rank_of = {term: -1 - rank for rank, term in enumerate(added)}
+        cells = np.array(
+            [
+                (rank_of[term] if term in rank_of else base.row(term), ordinal, count)
+                for doc_id, ordinal in zip(self._written, epoch.written_ordinals().tolist())
+                for term, count in self._written[doc_id].items()
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        rows = cells[:, 0]
+        new = rows < 0
+        rows[~new] += np.searchsorted(inserted, rows[~new], side="right")
+        rows[new] = inserted[-1 - rows[new]] + (-1 - rows[new])
+        most = max(int(frequencies.max()) if frequencies.size else 0, int(cells[:, 2].max(initial=0)))
+        offsets, (ordinals, frequencies) = csr_merge(
+            offsets, (epoch.shift(ordinals), frequencies), (len(documents.doc_ids), most + 1),
+            rows, cells[:, 1], cells[:, 2],
         )
+        present = np.flatnonzero(np.diff(offsets))
+        if present.size < len(terms):
+            terms = [terms[row] for row in present.tolist()]
+            offsets = np.append(offsets[present], offsets[-1])
+        lengths = spliced(base.lengths, epoch.gaps, np.zeros(epoch.gaps.size, dtype=np.int64))
+        lengths = lengths.copy() if lengths is base.lengths else lengths
+        lengths[epoch.written_ordinals()] = self._written_lengths
+        return PostingColumns(documents, terms, offsets, ordinals, frequencies, lengths)
 
     # ------------------------------------------------------------------ #
     # Per-term reads

@@ -35,13 +35,18 @@ epoch's.
 Because stamps only grow, the state of *any* epoch is a prefix — the
 entries whose stamp is below that epoch's triple count — which is what
 lets a pinned feature snapshot build the tables of its own epoch after
-the graph has moved on.  :meth:`EdgeColumnLog.epoch` re-codes that
-prefix into the sorted-identifier ordinals the epoch's structures use
+the graph has moved on.  :meth:`EdgeColumnLog.epoch` ranks that prefix's
+strings into the sorted-identifier ordinals the epoch's structures use
 (ordinal order == string order, the ranking tie-break): derived from the
-memoised previous epoch when it is an earlier one — the strings and rows
-stamped since are spliced and merged in — and cut and sorted otherwise.
-The helpers below (:func:`merge_rows`, :func:`csr_merge`) are how the
-topology derives its edge CSR the same way.
+memoised previous epoch when it is an earlier one — the strings and type
+rows stamped since are spliced and merged in — and cut and sorted
+otherwise.  The epoch keeps no copy of the edge rows: it codes a range
+of the log's through its ranks when asked (:meth:`EpochColumns.edge_rows`).
+The helpers below are how the per-epoch structures derive from the
+previous epoch's for the cost of copies plus the delta: a new string
+moves every ordinal after it up by one, so re-coding sorted rows is a
+slice add per insertion point (:func:`shifted`), and new rows go in by
+slice copies (:func:`spliced`, :func:`merge_rows`, :func:`csr_merge`).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import math
 import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,11 +106,60 @@ def merge_rows(
     """
     added = sort_rows(sizes, *columns)
     positions = np.searchsorted(_pack(sizes, ordered)[1], _pack(sizes, added)[1])
-    return [np.insert(column, positions, more) for column, more in zip(ordered, added)]
+    return [spliced(column, positions, more) for column, more in zip(ordered, added)]
+
+
+#: About how many elements a vectorised numpy pass (a mask, a ``repeat``)
+#: covers in the time one Python-level slice copy takes: :func:`spliced`
+#: and :func:`shifted` copy slice by slice while their cuts are fewer than
+#: one per this many elements.
+_ELEMENTS_PER_SLICE = 256
+
+
+def spliced(array: np.ndarray, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.insert(array, positions, values)`` for ascending ``positions``.
+
+    A few insertions are one slice copy each (``np.insert`` builds a
+    mask over the whole result); ``array`` itself when there are none.
+    """
+    count = positions.size
+    if not count:
+        return array
+    if count * _ELEMENTS_PER_SLICE > array.size:
+        return np.insert(array, positions, values)
+    out = np.empty(array.size + count, dtype=array.dtype)
+    start = 0
+    for moved, (at, value) in enumerate(zip(positions.tolist(), values.tolist())):
+        out[start + moved : at + moved] = array[start:at]
+        out[at + moved] = value
+        start = at
+    out[start + count :] = array[start:]
+    return out
+
+
+def shifted(array: np.ndarray, cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``array`` with ``steps[j]`` added to every element from ``cuts[j]`` on.
+
+    ``cuts`` ascending, within ``[0, array.size]``.  A few cuts are one
+    slice add per segment between them; ``array`` itself when there are
+    none.
+    """
+    if not cuts.size:
+        return array
+    bounds = np.append(cuts, array.size)
+    totals = np.cumsum(steps)
+    if cuts.size * _ELEMENTS_PER_SLICE > array.size:
+        return array + np.repeat(np.append(0, totals), np.diff(bounds, prepend=0))
+    out = np.empty_like(array)
+    first = int(bounds[0])
+    out[:first] = array[:first]
+    for start, end, total in zip(bounds[:-1].tolist(), bounds[1:].tolist(), totals.tolist()):
+        np.add(array[start:end], total, out=out[start:end])
+    return out
 
 
 def csr_merge(
-    counts: np.ndarray,
+    offsets: np.ndarray,
     columns: Sequence[np.ndarray],
     sizes: Sequence[int],
     rows: np.ndarray,
@@ -113,37 +167,40 @@ def csr_merge(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """A CSR with entries added: ``(offsets, columns)`` of the merged CSR.
 
-    ``counts[row]`` is how many of the CSR's entries ``columns`` holds in
-    each row, in row order, each row's entries sorted by ``columns``
-    (bounded by ``sizes``).  Entry ``i`` of ``added`` goes into row
-    ``rows[i]`` at its place in that order.  Only the rows that gain
-    entries are searched; everything else is O(rows + entries) array
-    copies, never a sort of the whole CSR.
+    ``offsets`` cut ``columns`` into rows, each row's entries sorted by
+    ``columns`` (bounded by ``sizes``).  Entry ``i`` of ``added`` goes
+    into row ``rows[i]`` at its place in that order.  Only the rows that
+    gain entries are searched; the offsets shift once per such row and
+    the columns are spliced (:func:`shifted`, :func:`spliced`), so the
+    cost is copies plus the delta, never a sort of the whole CSR.
     """
-    num_rows = counts.size
     radix = math.prod(max(size, 1) for size in sizes)
-    rows, *added = sort_rows((num_rows, *sizes), rows, *added)  # checks radix · rows
-    offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(counts + np.bincount(rows, minlength=num_rows), out=offsets[1:])
-    # The old entries of a touched row start where the merged row starts,
-    # less the added entries of the rows before it.
-    touched, first = np.unique(rows, return_index=True)
-    starts = offsets[touched] - first
-    lengths = counts[touched]
+    rows, *added = sort_rows((offsets.size - 1, *sizes), rows, *added)  # checks radix · rows
+    touched, counts = runs(rows)
+    # Packed (row, entry) keys of the touched rows' entries and of the
+    # added ones: an added entry lands after the entries of its row that
+    # sort before it.
+    starts = offsets[touched]
+    lengths = offsets[touched + 1] - starts
     ends = np.cumsum(lengths)
     held = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64) + np.repeat(
         starts - (ends - lengths), lengths
     )
-    # Packed (row, entry) keys of the touched rows' entries and of the
-    # added ones: an added entry lands after the entries of its row that
-    # sort before it.
     held_keys = np.repeat(touched, lengths) * radix + _pack(sizes, [c[held] for c in columns])[1]
     row_keys = rows * radix
     within = np.searchsorted(held_keys, row_keys + _pack(sizes, added)[1]) - np.searchsorted(
         held_keys, row_keys
     )
-    positions = np.repeat(starts, np.diff(np.append(first, rows.size))) + within
-    return offsets, [np.insert(column, positions, more) for column, more in zip(columns, added)]
+    positions = np.repeat(starts, counts) + within
+    return shifted(offsets, touched + 1, counts), [
+        spliced(column, positions, more) for column, more in zip(columns, added)
+    ]
+
+
+def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct values, how many times each occurs)`` of ascending ``values``."""
+    heads = np.flatnonzero(np.diff(values, prepend=-1))
+    return values[heads], np.diff(np.append(heads, values.size))
 
 
 def csr_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
@@ -524,12 +581,20 @@ class _RowLog:
         """Every row logged so far, stamps included."""
         return self._span(0, self._length)
 
-    def prefix(self, triples: int, start: int = 0) -> np.ndarray:
-        """The value columns of the rows from ``start`` on stamped below ``triples``."""
+    def end(self, triples: int) -> int:
+        """How many rows are stamped below ``triples``."""
         saved = self._saved.shape[1]
         end = int(np.searchsorted(self._saved[-1], triples))
         if end == saved:
             end += int(np.searchsorted(self._data[-1, : self._length - saved], triples))
+        return end
+
+    def prefix(self, triples: int, start: int = 0) -> np.ndarray:
+        """The value columns of the rows from ``start`` on stamped below ``triples``."""
+        return self.between(start, self.end(triples))
+
+    def between(self, start: int, end: int) -> np.ndarray:
+        """The value columns of the rows ``start`` to ``end``."""
         return self._span(start, end, slice(0, -1))
 
 
@@ -646,16 +711,18 @@ def _find(strings: Sequence[str], value: str) -> int:
 
 @dataclass(frozen=True)
 class EpochColumns:
-    """One epoch of the log, re-coded into sorted-identifier ordinals.
+    """One epoch of the log, in sorted-identifier ordinals.
 
-    Shared by the structures built from it.  Edge rows are in log order
-    (the topology sorts them into its edge CSR; the rows of an earlier
-    epoch are a prefix); type memberships are sorted by
-    ``(entity, type)``.  The ``*_rank`` arrays map a table's first-seen
-    codes to this epoch's ordinals: what ``ordinal_of`` reads (through
-    the log's append-only code dictionary, which it borrows read only,
-    so no epoch builds a dictionary of its own) and what
-    :meth:`ordinal_maps` compares.
+    Shared by the structures built from it.  The epoch's edge rows are
+    the log's first ``num_edges``; :meth:`edge_rows` codes a range of
+    them on demand (the topology's full sort codes them all, a derive
+    only the rows logged since its previous epoch), so an epoch stores
+    no copy of them.  Type memberships are sorted by ``(entity, type)``.
+    The ``*_rank`` arrays map a table's first-seen codes to this epoch's
+    ordinals: what ``ordinal_of`` reads (through the log's append-only
+    code dictionary, which it borrows read only, so no epoch builds a
+    dictionary of its own) and what :meth:`ordinal_maps` and
+    :meth:`inserted` compare.
     """
 
     triples: int
@@ -663,14 +730,14 @@ class EpochColumns:
     ordinal_of: OrdinalMap
     predicates: list[str]
     type_ids: list[str]
-    edge_subjects: np.ndarray
-    edge_predicates: np.ndarray
-    edge_objects: np.ndarray
+    num_edges: int
     typed_entities: np.ndarray
     typed_types: np.ndarray
     entity_rank: np.ndarray
     predicate_rank: np.ndarray
     type_rank: np.ndarray
+    #: The log whose rows the epoch is a prefix of.
+    log: "EdgeColumnLog" = field(compare=False, repr=False)
 
     def table(self, name: str) -> tuple[list[str], np.ndarray]:
         """``(ascending strings, code → ordinal)`` of one of :data:`ID_TABLES`."""
@@ -679,6 +746,34 @@ class EpochColumns:
             "predicates": (self.predicates, self.predicate_rank),
             "types": (self.type_ids, self.type_rank),
         }[name]
+
+    def edge_rows(self, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(subjects, predicates, objects)`` of the epoch's edge rows from ``start`` on.
+
+        In log order, coded through this epoch's ranks; the rows of an
+        earlier epoch are a prefix.
+        """
+        with self.log._lock:
+            subjects, predicates, objects = self.log.edges.between(start, self.num_edges)
+        entity_rank = self.entity_rank
+        return entity_rank[subjects], self.predicate_rank[predicates], entity_rank[objects]
+
+    def memberships(self, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(entities, types)`` of the epoch's type rows from log row ``start`` on, in log order."""
+        with self.log._lock:
+            entities, types = self.log.typed.between(start, self.typed_entities.size)
+        return self.entity_rank[entities], self.type_rank[types]
+
+    def inserted(self, older: "EpochColumns", name: str) -> np.ndarray:
+        """This epoch's ordinals, ascending, of the strings of table ``name``
+        that ``older``, an earlier epoch of the same log, lacks.
+
+        Old ordinal ``o`` is ordinal ``o + j`` here, ``j`` the number of
+        ``inserted - arange`` at or below ``o``: the cuts :func:`shifted`
+        takes.
+        """
+        rank, old = self.table(name)[1], older.table(name)[1]
+        return np.sort(rank[old.size :])
 
     def ordinal_maps(self, older: "EpochColumns") -> tuple[np.ndarray, np.ndarray]:
         """``old ordinal → ordinal here`` for the entities and the edge predicates.
@@ -851,7 +946,6 @@ class EdgeColumnLog:
         entity_ids, entity_rank = self.entities.ranked(triples)
         predicates, predicate_rank = self.predicates.ranked(triples)
         type_ids, type_rank = self.types.ranked(triples)
-        subjects, edge_predicates, objects = self.edges.prefix(triples)
         typed_entities, typed_types = self.typed.prefix(triples)
         typed_entities, typed_types = sort_rows(
             (len(entity_ids), len(type_ids)), entity_rank[typed_entities], type_rank[typed_types]
@@ -862,30 +956,28 @@ class EdgeColumnLog:
             ordinal_of=self.entities.ordinal_map(entity_ids, entity_rank),
             predicates=predicates,
             type_ids=type_ids,
-            edge_subjects=entity_rank[subjects],
-            edge_predicates=predicate_rank[edge_predicates],
-            edge_objects=entity_rank[objects],
+            num_edges=self.edges.end(triples),
             typed_entities=typed_entities,
             typed_types=typed_types,
             entity_rank=entity_rank,
             predicate_rank=predicate_rank,
             type_rank=type_rank,
+            log=self,
         )
 
     def _extend(self, memo: EpochColumns, triples: int) -> EpochColumns:
         """The epoch at ``triples`` from an earlier one: what the log added since (lock held).
 
-        The strings stamped since are spliced into the sorted tables; one
-        gather per column re-codes the earlier epoch's rows through the
-        monotone old → new ordinal maps, the rows logged since are coded
-        with the new ranks and appended (edges, log order) or merged
-        (type memberships, sorted).  Equal to :meth:`_cut`, array for
-        array.
+        The strings stamped since are spliced into the sorted tables and
+        the type rows logged since are merged into the earlier epoch's,
+        re-coded through the monotone old → new ordinal maps; the edge
+        rows stay in the log (:meth:`EpochColumns.edge_rows`).  Equal to
+        :meth:`_cut`, array for array.
         """
         entity_ids, entity_rank, entity_remap = self.entities.extended(
             memo.entity_ids, memo.entity_rank, triples
         )
-        predicates, predicate_rank, predicate_remap = self.predicates.extended(
+        predicates, predicate_rank, _ = self.predicates.extended(
             memo.predicates, memo.predicate_rank, triples
         )
         type_ids, type_rank, type_remap = self.types.extended(
@@ -895,7 +987,6 @@ class EdgeColumnLog:
         def recoded(remap: np.ndarray | None, column: np.ndarray) -> np.ndarray:
             return column if remap is None else remap[column]
 
-        subjects, added_predicates, objects = self.edges.prefix(triples, memo.edge_subjects.size)
         typed_entities, typed_types = self.typed.prefix(triples, memo.typed_entities.size)
         typed_entities, typed_types = merge_rows(
             (len(entity_ids), len(type_ids)),
@@ -913,20 +1004,13 @@ class EdgeColumnLog:
             ),
             predicates=predicates,
             type_ids=type_ids,
-            edge_subjects=np.concatenate(
-                (recoded(entity_remap, memo.edge_subjects), entity_rank[subjects])
-            ),
-            edge_predicates=np.concatenate(
-                (recoded(predicate_remap, memo.edge_predicates), predicate_rank[added_predicates])
-            ),
-            edge_objects=np.concatenate(
-                (recoded(entity_remap, memo.edge_objects), entity_rank[objects])
-            ),
+            num_edges=self.edges.end(triples),
             typed_entities=typed_entities,
             typed_types=typed_types,
             entity_rank=entity_rank,
             predicate_rank=predicate_rank,
             type_rank=type_rank,
+            log=self,
         )
 
 
@@ -945,7 +1029,10 @@ __all__ = [
     "isin_sorted",
     "merge_rows",
     "rank_strings",
+    "runs",
+    "shifted",
     "sort_rows",
     "sorted_unique",
+    "spliced",
     "unique_inverse",
 ]

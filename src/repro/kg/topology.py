@@ -29,8 +29,11 @@ Three readers share the rows:
 
 Instances are immutable and memoised per :attr:`KnowledgeGraph.epoch`
 via :func:`graph_topology`, which derives each epoch's CSR from the
-memoised previous epoch's; :class:`TraversalCounters` accumulates the
-shared traversal telemetry surfaced as :class:`~repro.stats.TraversalStats`.
+memoised previous epoch's by shifting the old codes and holders and
+splicing the new rows in (:meth:`GraphTopology._derived`), so a
+one-entity write costs copies plus its delta; :class:`TraversalCounters`
+accumulates the shared traversal telemetry surfaced as
+:class:`~repro.stats.TraversalStats`.
 The CSR is saved as part of the ``feature-tables`` segment, and
 ``PivotE.load`` installs the restored one in the graph's memo.
 """
@@ -49,8 +52,10 @@ from .columns import (
     csr_gather,
     csr_merge,
     isin_sorted,
+    shifted,
     sort_rows,
     sorted_unique,
+    spliced,
 )
 from .graph import KnowledgeGraph
 
@@ -93,10 +98,12 @@ class GraphTopology:
     """
 
     #: Largest triple delta, as a fraction of the epoch's triples, that a
-    #: later epoch derives its CSR from an earlier one's over; past it the
-    #: full sort is the cheaper pass (the measured crossover: about 2 % of
-    #: a 5k-entity graph's triples, 3–4 % at 20k).
-    max_delta_fraction: float = 0.02
+    #: later epoch derives its CSR and type tables from an earlier one's
+    #: over; past it the full sort is the cheaper pass.  The measured
+    #: crossover of a burst of new entities is about 4 % of a 5k-entity
+    #: graph's triples and 6–7 % at 20k when their ids move every old
+    #: ordinal, 6 % and 8 % when they sort after the old ones.
+    max_delta_fraction: float = 0.04
 
     __slots__ = (
         "epoch",
@@ -122,6 +129,7 @@ class GraphTopology:
         holder_ordinals: np.ndarray,
         ordinal_of: OrdinalMap | None = None,
         columns: EpochColumns | None = None,
+        anchor_features: np.ndarray | None = None,
     ) -> None:
         self.epoch = epoch
         self.num_entities = len(entity_ids)
@@ -132,10 +140,12 @@ class GraphTopology:
         self.feature_codes = feature_codes
         self.holder_offsets = holder_offsets
         self.holder_ordinals = holder_ordinals
+        if anchor_features is None:
+            anchor_features = np.searchsorted(
+                feature_codes, np.arange(self.num_entities + 1, dtype=np.int64) * 2 * len(predicates)
+            )
         #: Per entity (and one past the last), its first anchored feature.
-        self.anchor_features = np.searchsorted(
-            feature_codes, np.arange(self.num_entities + 1, dtype=np.int64) * 2 * len(predicates)
-        )
+        self.anchor_features = anchor_features
         #: Per entity, where its anchored features' holder rows start.
         self.anchor_offsets = holder_offsets[self.anchor_features]
         #: The log epoch the CSR describes, which a later epoch's derives
@@ -167,54 +177,84 @@ class GraphTopology:
         The prefix is an epoch the log keeps whatever was written since,
         so a pinned reader can build its own.  Given ``previous``, the
         topology of an earlier epoch of the same log, and a delta within
-        :attr:`max_delta_fraction`, the CSR is derived from it instead:
-        its codes re-coded through the monotone entity and predicate maps
-        — codes order as ``(anchor, predicate, direction)`` triples, so
-        they stay sorted even when ``P`` grows — the codes of the edges
-        logged since spliced in, and the holder rows merged with theirs
-        (:func:`~repro.kg.columns.csr_merge`).
+        :attr:`max_delta_fraction`, the CSR is derived from it instead
+        (:meth:`_derived`).
         """
         columns = log.epoch(triples)
-        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
         older = None if previous is None else previous._columns
-        first = (
-            older.edge_subjects.size
-            if older is not None and cls.derives(older.triples, triples)
-            else 0
-        )
-        subjects, preds, objects = (
-            columns.edge_subjects[first:], columns.edge_predicates[first:],
-            columns.edge_objects[first:],
-        )
-        codes = np.concatenate(
-            ((objects * num_predicates + preds) * 2, (subjects * num_predicates + preds) * 2 + 1)
-        )
-        holders = np.concatenate((subjects, objects))
-        if not first:
-            codes, holders = sort_rows((2 * num_entities * num_predicates, num_entities), codes, holders)
-            starts = np.flatnonzero(np.diff(codes, prepend=-1))
-            csr = (codes[starts], np.append(starts, codes.size), holders)
-        else:
-            assert older is not None and previous is not None
-            entity_map, predicate_map = columns.ordinal_maps(older)
-            pairs, directions = np.divmod(previous.feature_codes, 2)
-            anchors, old_preds = np.divmod(pairs, max(len(older.predicates), 1))
-            recoded = (entity_map[anchors] * num_predicates + predicate_map[old_preds]) * 2 + directions
-            distinct = sorted_unique(codes)
-            fresh = distinct[~isin_sorted(recoded, distinct)]
-            inserted = np.searchsorted(recoded, fresh)
-            feature_codes = np.insert(recoded, inserted, fresh)
-            offsets, (holder_ordinals,) = csr_merge(
-                np.insert(np.diff(previous.holder_offsets), inserted, 0),
-                (entity_map[previous.holder_ordinals],),
-                (num_entities,),
-                np.searchsorted(feature_codes, codes),
-                holders,
-            )
-            csr = (feature_codes, offsets, holder_ordinals)
+        if older is not None and cls.derives(older.triples, triples):
+            assert previous is not None
+            return cls._derived(previous, older, columns, epoch)
+        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
+        codes, holders = _coded(*columns.edge_rows(), num_predicates)
+        codes, holders = sort_rows((2 * num_entities * num_predicates, num_entities), codes, holders)
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
         return cls(
-            epoch, columns.entity_ids, columns.predicates, *csr,
+            epoch, columns.entity_ids, columns.predicates,
+            codes[starts], np.append(starts, codes.size), holders,
             ordinal_of=columns.ordinal_of, columns=columns,
+        )
+
+    @classmethod
+    def _derived(
+        cls,
+        previous: "GraphTopology",
+        older: EpochColumns,
+        columns: EpochColumns,
+        epoch: int,
+    ) -> "GraphTopology":
+        """The CSR of ``columns`` from ``previous``, the one of ``older``: copies plus the delta.
+
+        Entity ordinals only move up, by one per new entity sorting before
+        them (cuts at ``inserted - arange``).  While the predicate count
+        ``P`` holds, a code moves with its anchor, so the old codes move
+        by one slice add of ``2P`` per cut from the cut's first anchored
+        feature on, and the holders through the old → new map; when every
+        new entity sorts after the old ones nothing moves and both are
+        reused as they are.  A write that adds a predicate re-codes every
+        code through the old → new maps (codes order as ``(anchor,
+        predicate, direction)`` triples, so they stay sorted).  The codes
+        of the edges logged since that the CSR lacks are spliced in, with
+        empty holder rows, and the new holder entries merged into their
+        rows (:func:`~repro.kg.columns.csr_merge`).  Each entity's first
+        anchored feature is the old one, spliced for the new entities and
+        shifted by the new codes anchored before it.  Nothing of
+        ``previous`` is written.
+        """
+        num_entities, num_predicates = len(columns.entity_ids), len(columns.predicates)
+        span = 2 * num_predicates
+        codes, holders = _coded(*columns.edge_rows(older.num_edges), num_predicates)
+        moved = columns.inserted(older, "entities")
+        cuts = moved - np.arange(moved.size, dtype=np.int64)
+        old_codes, old_holders = previous.feature_codes, previous.holder_ordinals
+        grown = num_predicates != len(previous.predicates)
+        if grown or (cuts.size and int(cuts[0]) < previous.num_entities):
+            entity_map, predicate_map = columns.ordinal_maps(older)
+            old_holders = entity_map[old_holders]
+        if not grown:
+            old_codes = shifted(
+                old_codes, previous.anchor_features[cuts], np.full(cuts.size, span, dtype=np.int64)
+            )
+        else:
+            pairs, directions = np.divmod(old_codes, 2)
+            anchors, old_preds = np.divmod(pairs, max(len(previous.predicates), 1))
+            old_codes = (entity_map[anchors] * num_predicates + predicate_map[old_preds]) * 2 + directions
+        distinct = sorted_unique(codes)
+        fresh = distinct[~isin_sorted(old_codes, distinct)]
+        at = np.searchsorted(old_codes, fresh)
+        feature_codes = spliced(old_codes, at, fresh)
+        offsets = spliced(previous.holder_offsets, at, previous.holder_offsets[at])
+        offsets, (holder_ordinals,) = csr_merge(
+            offsets, (old_holders,), (num_entities,), np.searchsorted(feature_codes, codes), holders
+        )
+        anchor_features = shifted(
+            spliced(previous.anchor_features, cuts, previous.anchor_features[cuts]),
+            fresh // max(span, 1) + 1,
+            np.ones(fresh.size, dtype=np.int64),
+        )
+        return cls(
+            epoch, columns.entity_ids, columns.predicates, feature_codes, offsets, holder_ordinals,
+            ordinal_of=columns.ordinal_of, columns=columns, anchor_features=anchor_features,
         )
 
     @classmethod
@@ -345,6 +385,20 @@ class GraphTopology:
         """Both directions' ``(neighbour, predicate)`` edge rows of one entity."""
         holders, parts = self._anchored(ordinal)
         return holders, parts >> 1
+
+
+def _coded(
+    subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray, num_predicates: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, holders)`` of edge rows: two holder rows per edge.
+
+    ``s`` holds ``(o, p, 0)`` and ``o`` holds ``(s, p, 1)``.
+    """
+    codes = np.concatenate((
+        (objects * num_predicates + predicates) * 2,
+        (subjects * num_predicates + predicates) * 2 + 1,
+    ))
+    return codes, np.concatenate((subjects, objects))
 
 
 # ---------------------------------------------------------------------- #

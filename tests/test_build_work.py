@@ -264,3 +264,58 @@ def test_a_search_index_write_allocates_within_its_budget(origin, entities, tmp_
     earlier_first, earlier_steady = EARLIER_PEAKS_KIB[origin, entities]
     assert first < earlier_first / 4, (first, earlier_first)
     assert steady < earlier_steady / 4, (steady, earlier_steady)
+
+
+#: A one-entity write's feature refresh allocates at most this multiple of
+#: the bytes of the arrays its new epoch keeps (the topology's five, the
+#: four type tables and the epoch columns' sorted memberships and ranks,
+#: less any shared with the previous epoch).  Measured 1.78 at 2,000
+#: entities (e2e shape, seed 1) for a write that moves every ordinal: the
+#: new arrays plus one holder column re-coded before it is spliced.  A
+#: refresh that re-coded or re-sorted the whole CSR measured 3.2.
+REFRESH_PEAK_MULTIPLE = 2.0
+
+
+def kept_bytes(tables, previous=()) -> tuple[int, list]:
+    """``(bytes, arrays)`` of the arrays an epoch's feature tables keep,
+    counting only those not shared with ``previous`` (an earlier result)."""
+    topology, columns = tables.topology, tables.topology._columns
+    arrays = [getattr(topology, name) for name in (
+        "feature_codes", "holder_offsets", "holder_ordinals", "anchor_features", "anchor_offsets",
+    )]
+    arrays += [getattr(tables, name) for name in (
+        "dominant_ords", "type_populations", "member_offsets", "member_type_ords",
+    )]
+    arrays += [getattr(columns, name) for name in (
+        "typed_entities", "typed_types", "entity_rank", "predicate_rank", "type_rank",
+    )]
+    shared = {id(array) for array in previous}
+    fresh = {id(array): array for array in arrays if id(array) not in shared}
+    return sum(array.nbytes for array in fresh.values()), arrays
+
+
+def test_a_one_entity_refresh_costs_its_delta_plus_copies(monkeypatch):
+    """Sorts only the rows the write added; allocates about what it keeps."""
+    from repro.kg import columns
+
+    graph = e2e_shaped(ENTITIES)
+    index = SemanticFeatureIndex.build(graph)
+    _, arrays = kept_bytes(index.snapshot().tables)
+    write(graph, 0)  # every written id sorts first: every ordinal moves
+    before = len(graph)
+    index.snapshot()
+    _, arrays = kept_bytes(index.snapshot().tables, arrays)
+    write(graph, 1)
+    written = len(graph) - before
+    sorted_rows = calls_of(monkeypatch, columns, "sort_rows")
+    tracemalloc.start()
+    try:
+        tables = index.snapshot().tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert index.rebuild_info()["delta_rebuilds"] == 2
+    assert sorted_rows and max(call[1].size for call in sorted_rows) <= written
+    kept, _ = kept_bytes(tables, arrays)
+    assert peak <= REFRESH_PEAK_MULTIPLE * kept, (peak, kept)

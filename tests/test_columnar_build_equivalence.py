@@ -37,9 +37,9 @@ from columnar_oracle import (
 from repro.datasets import RandomKGConfig, build_random_kg, small_academic_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.features import SemanticFeatureIndex
-from repro.features.columnar import columnar_tables
+from repro.features.columnar import ColumnarFeatureTables, columnar_tables
 from repro.kg import GraphTopology, KnowledgeGraph, Literal, Triple, graph_topology
-from repro.kg.columns import EdgeColumnLog, csr_merge, sort_rows
+from repro.kg.columns import EdgeColumnLog, sort_rows
 from repro.kg.namespaces import DCT_SUBJECT, RDF_TYPE, RDFS_LABEL, REDIRECT
 from repro.storage import SegmentView, SnapshotUnavailable
 from repro.storage.codec import SegmentBuilder, encode_feature_tables
@@ -126,11 +126,13 @@ def rebuilt_log(graph: KnowledgeGraph) -> EdgeColumnLog:
 
 
 def assert_epoch_columns_equal(live, fresh) -> None:
-    for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids"):
+    for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids", "num_edges"):
         assert getattr(live, name) == getattr(fresh, name), name
-    for name in ("edge_subjects", "edge_predicates", "edge_objects",
-                 "typed_entities", "typed_types", "entity_rank", "predicate_rank", "type_rank"):
+    for name in ("typed_entities", "typed_types", "entity_rank", "predicate_rank", "type_rank"):
         actual, wanted = getattr(live, name), getattr(fresh, name)
+        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes(), name
+    for name, actual, wanted in zip(("subjects", "predicates", "objects"),
+                                    live.edge_rows(0), fresh.edge_rows(0)):
         assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes(), name
 
 
@@ -172,19 +174,29 @@ class TestHandPickedShapes:
             [Triple("ex:d", RDF_TYPE, "ex:T0"), Triple("ex:0", RDF_TYPE, "ex:T0"),
              Triple("ex:0", "ex:o", "ex:a")]
         )
-        handed, merges = [], []
+        handed, sorted_rows = [], []
         from_log = GraphTopology.from_log.__func__
         monkeypatch.setattr(GraphTopology, "from_log", classmethod(
             lambda cls, log, triples, epoch, previous=None:
                 handed.append(previous) or from_log(cls, log, triples, epoch, previous)
         ))
-        monkeypatch.setattr(
-            "repro.kg.topology.csr_merge", lambda *args: merges.append(1) or csr_merge(*args)
-        )
+        for target in ("repro.kg.columns.sort_rows", "repro.kg.topology.sort_rows"):
+            monkeypatch.setattr(target, lambda sizes, *columns: (
+                sorted_rows.append(columns[0].size) or sort_rows(sizes, *columns)
+            ))
+        whole_log_passes = []
+        type_tables = ColumnarFeatureTables.type_tables
+        monkeypatch.setattr(ColumnarFeatureTables, "type_tables", staticmethod(
+            lambda columns: whole_log_passes.append(columns) or type_tables(columns)
+        ))
         snapshot = index.snapshot()
         monkeypatch.undo()
-        # Derived from the last epoch's topology, with one merge of the edge rows.
-        assert len(handed) == 1 and handed[0] is before.topology and len(merges) == 1
+        # Derived from the last epoch's topology and tables: what was sorted
+        # is the new edge's two holder rows and the two new memberships,
+        # never the whole CSR (six holder rows) or every membership (seven),
+        # and the type tables were not counted over the whole log.
+        assert len(handed) == 1 and handed[0] is before.topology
+        assert sorted_rows and max(sorted_rows) <= 2 and not whole_log_passes
         assert_epoch_matches(index, graph)
         tables = columnar_tables(snapshot)
         assert tables.topology is graph_topology(graph)

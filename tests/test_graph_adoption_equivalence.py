@@ -125,10 +125,12 @@ def assert_same_graph(adopted: KnowledgeGraph, replayed: KnowledgeGraph, probes)
 def assert_same_epochs(adopted: KnowledgeGraph, replayed: KnowledgeGraph) -> None:
     for cut in range(len(replayed) + 1):
         got, want = adopted.columns.epoch(cut), replayed.columns.epoch(cut)
-        for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids"):
+        for name in ("triples", "entity_ids", "ordinal_of", "predicates", "type_ids", "num_edges"):
             assert getattr(got, name) == getattr(want, name), (cut, name)
-        for name in ("edge_subjects", "edge_predicates", "edge_objects", "typed_entities", "typed_types"):
-            left, right = getattr(got, name), getattr(want, name)
+        arrays = zip(("subjects", "predicates", "objects", "typed_entities", "typed_types"),
+                     (*got.edge_rows(0), got.typed_entities, got.typed_types),
+                     (*want.edge_rows(0), want.typed_entities, want.typed_types))
+        for name, left, right in arrays:
             assert left.dtype == right.dtype and left.tobytes() == right.tobytes(), (cut, name)
 
 

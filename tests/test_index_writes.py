@@ -24,6 +24,7 @@ from repro.datasets import build_random_kg
 from repro.exceptions import FieldNotFoundError
 from repro.index import FieldedIndex
 from repro.index.fielded_index import MERGE_FRACTION
+from repro.index.inverted_index import PostingColumns
 from repro.search import analyze_document, build_all_documents, build_entity_document
 from repro.storage import SegmentBuilder, SegmentView, encode_index_snapshot, restore_fielded_index
 from serial_matrix import GRAPH_SHAPES, ORIGINS, WRITTEN, origin_system
@@ -145,6 +146,26 @@ def test_every_write_equals_a_fresh_build(origin, shape, tmp_path):
     loaded = reload(index)
     assert_index_equals(loaded, reference)
     run_writes(loaded, reference)
+
+
+def test_a_merge_never_sorts_token_rows(monkeypatch):
+    """A merging write folds the delta's cells into the base rows; it never
+    turns the field back into tokens for the build's sort."""
+    graph = build_random_kg(GRAPH_SHAPES["default"])
+    fields = PivotEConfig().search.fields
+    documents = {
+        doc_id: analyze_document(document, fields)
+        for doc_id, document in build_all_documents(graph).items()
+    }
+    index = sorted_build(fields, documents)
+    reference = reference_of(documents, fields)
+    sorts = []
+    from_tokens = PostingColumns.from_tokens.__func__
+    monkeypatch.setattr(PostingColumns, "from_tokens", classmethod(
+        lambda cls, *args: sorts.append(args) or from_tokens(cls, *args)
+    ))
+    run_writes(index, reference)  # crosses the merge threshold once
+    assert not sorts
 
 
 def test_a_small_collection_written_from_empty():
