@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Structured (SPARQL-like) access vs. exploratory search, side by side.
 
 The paper motivates PivotE by the difficulty of accessing a KG "in a
@@ -6,10 +5,10 @@ structured manner like SPARQL" when the user does not know the schema.
 This example makes the contrast concrete on the same information need
 ("what else is like Forrest Gump, and who keeps showing up?"):
 
-1. the **structured** route: hand-written graph-pattern queries with the
-   built-in :class:`~repro.kg.QueryEngine` — precise, but the user must
-   already know predicates such as ``dbo:starring`` and decide upfront what
-   to ask;
+1. the **structured** route: hand-written graph-pattern lookups over the
+   graph's own accessors (``subjects``/``objects``/``label``) — precise,
+   but the user must already know predicates such as ``dbo:starring`` and
+   decide upfront what to ask;
 2. the **exploratory** route: one click on Forrest Gump, and the
    recommendation engine surfaces the same films and the features that
    explain them, without the user naming a single predicate.
@@ -26,48 +25,39 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import PivotE
 from repro.datasets import build_movie_kg
-from repro.kg import Filter, QueryEngine
 
 
 def main() -> None:
     graph = build_movie_kg()
 
     # ------------------------------------------------------------------ #
-    # Route 1: structured queries (the user must know the schema).
+    # Route 1: structured lookups (the user must know the schema).
     # ------------------------------------------------------------------ #
-    engine = QueryEngine(graph)
-
+    # ?film dbo:starring dbr:Tom_Hanks . ?film rdf:type dbo:Film
+    films = sorted(
+        (film for film in graph.subjects("dbo:starring", "dbr:Tom_Hanks") if "dbo:Film" in graph.types_of(film)),
+        key=graph.label,
+    )
     print("== structured: films starring Tom Hanks ==")
-    rows = engine.select(
-        ["?film"],
-        [("?film", "dbo:starring", "dbr:Tom_Hanks"), ("?film", "rdf:type", "dbo:Film")],
-    )
-    for row in rows:
-        print(f"  {graph.label(row['film'])}")
+    for film in films:
+        print(f"  {graph.label(film)}")
 
+    # ... ?film dbo:genre dbr:Drama . ?film dbo:starring ?actor FILTER(?actor != dbr:Tom_Hanks)
     print("\n== structured: actors co-starring with Tom Hanks in a drama ==")
-    rows = engine.select(
-        ["?actor"],
-        [
-            ("?film", "dbo:starring", "dbr:Tom_Hanks"),
-            ("?film", "dbo:genre", "dbr:Drama"),
-            ("?film", "dbo:starring", "?actor"),
-        ],
-        filters=[Filter("?actor", "neq", "dbr:Tom_Hanks")],
-    )
-    for row in rows:
-        print(f"  {graph.label(row['actor'])}")
+    actors = {
+        actor
+        for film in films
+        if "dbr:Drama" in graph.objects(film, "dbo:genre")
+        for actor in graph.objects(film, "dbo:starring")
+    } - {"dbr:Tom_Hanks"}
+    for actor in sorted(actors, key=graph.label):
+        print(f"  {graph.label(actor)}")
 
+    # ... ?film dbo:director ?director
     print("\n== structured: directors Tom Hanks has worked with, with the film ==")
-    rows = engine.select(
-        ["?director", "?film"],
-        [
-            ("?film", "dbo:starring", "dbr:Tom_Hanks"),
-            ("?film", "dbo:director", "?director"),
-        ],
-    )
-    for row in rows:
-        print(f"  {graph.label(row['director']):<22} via {graph.label(row['film'])}")
+    for film in films:
+        for director in sorted(graph.objects(film, "dbo:director"), key=graph.label):
+            print(f"  {graph.label(director):<22} via {graph.label(film)}")
 
     # ------------------------------------------------------------------ #
     # Route 2: exploratory search (no schema knowledge required).
@@ -85,8 +75,8 @@ def main() -> None:
     print(
         "\nThe exploratory route surfaces dbo:starring / dbo:director / dbo:genre and "
         "the same Tom Hanks films without the user writing a single triple pattern; "
-        "the structured route remains available (repro.kg.QueryEngine) once the user "
-        "knows exactly what to ask."
+        "the structured route remains available (the graph's subjects/objects "
+        "accessors) once the user knows exactly what to ask."
     )
 
 

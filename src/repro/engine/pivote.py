@@ -170,7 +170,7 @@ class PivotE:
                     loaded.store.failures += 1
                 else:
                     # The restored holder CSR is the epoch's topology: the
-                    # first traversal or write finds it in the memo.
+                    # first read or write finds it in the memo.
                     install_topology(graph, loaded.feature_snapshot.tables.topology)
             if feature_index is None:
                 feature_index = SemanticFeatureIndex.build(graph)

@@ -1,12 +1,8 @@
 """Entity set expansion (paper references [1] and [6])."""
 
 from .expander import EntitySetExpander, ExpansionResult
-from .iterative import ExpansionRound, IterativeExpander, IterativeExpansionResult
 
 __all__ = [
     "EntitySetExpander",
     "ExpansionResult",
-    "ExpansionRound",
-    "IterativeExpander",
-    "IterativeExpansionResult",
 ]

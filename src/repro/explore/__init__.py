@@ -15,33 +15,23 @@ from .path import ExplorationPath, PathEdge, PathNode
 from .query_state import ExplorationQuery
 from .recommender import Recommendation, RecommendationEngine
 from .session import ExplorationSession, TimelineEntry
-from .simulation import (
-    FocusedInvestigator,
-    RandomExplorer,
-    SimulationResult,
-    run_investigation_workload,
-)
 
 __all__ = [
     "DeselectEntity",
     "ExplorationPath",
     "ExplorationQuery",
     "ExplorationSession",
-    "FocusedInvestigator",
     "LookupEntity",
     "Operation",
     "PathEdge",
     "PathNode",
     "PinFeature",
     "Pivot",
-    "RandomExplorer",
     "Recommendation",
     "RecommendationEngine",
     "SelectEntity",
     "SetDomain",
-    "SimulationResult",
     "SubmitKeywords",
     "TimelineEntry",
     "UnpinFeature",
-    "run_investigation_workload",
 ]

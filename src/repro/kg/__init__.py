@@ -9,16 +9,7 @@ for the access patterns PivotE needs.
 from .builder import GraphBuilder
 from .entity import Entity, EntityProfile, build_profile, wikipedia_url
 from .graph import KnowledgeGraph, STRUCTURAL_PREDICATES
-from .io import (
-    graph_from_dict,
-    graph_to_dict,
-    load_json,
-    load_ntriples,
-    load_tsv,
-    save_json,
-    save_ntriples,
-    save_tsv,
-)
+from .io import load_ntriples, save_ntriples
 from .namespaces import (
     DCT_SUBJECT,
     DEFAULT_NAMESPACES,
@@ -29,16 +20,6 @@ from .namespaces import (
     REDIRECT,
     label_from_identifier,
 )
-from .paths import (
-    Path,
-    PathStep,
-    bfs_reachable,
-    bfs_reachable_scalar,
-    connecting_entities,
-    connecting_entities_scalar,
-    paths_between,
-    shortest_path,
-)
 from .topology import (
     GraphTopology,
     TraversalCounters,
@@ -47,7 +28,6 @@ from .topology import (
     topology_counters,
     traversal_stats,
 )
-from .query import Binding, Filter, QueryEngine, SelectQuery, TriplePattern
 from .statistics import (
     GraphStatistics,
     TypeCoupling,
@@ -58,11 +38,6 @@ from .statistics import (
 from .triple import Literal, Triple, make_triple
 
 __all__ = [
-    "Binding",
-    "Filter",
-    "QueryEngine",
-    "SelectQuery",
-    "TriplePattern",
     "DCT_SUBJECT",
     "DEFAULT_NAMESPACES",
     "DISAMBIGUATES",
@@ -74,8 +49,6 @@ __all__ = [
     "KnowledgeGraph",
     "Literal",
     "NamespaceRegistry",
-    "Path",
-    "PathStep",
     "RDF_TYPE",
     "RDFS_LABEL",
     "REDIRECT",
@@ -83,26 +56,14 @@ __all__ = [
     "Triple",
     "TraversalCounters",
     "TypeCoupling",
-    "bfs_reachable",
-    "bfs_reachable_scalar",
     "build_profile",
     "compute_statistics",
-    "connecting_entities",
-    "connecting_entities_scalar",
-    "graph_from_dict",
-    "graph_to_dict",
     "graph_topology",
     "install_topology",
     "label_from_identifier",
-    "load_json",
     "load_ntriples",
-    "load_tsv",
     "make_triple",
-    "paths_between",
-    "save_json",
     "save_ntriples",
-    "save_tsv",
-    "shortest_path",
     "topology_counters",
     "traversal_stats",
     "type_couplings",

@@ -1,20 +1,17 @@
-"""Serialization of knowledge graphs.
+"""N-Triples reading and writing of knowledge graphs.
 
-Three formats are supported:
-
-* a simplified **N-Triples** dialect (one ``<s> <p> <o> .`` statement per
-  line, CURIEs allowed) — the format DBpedia dumps come in;
-* a **TSV** format (``subject<TAB>predicate<TAB>object<TAB>kind``) that is
-  convenient to inspect and diff;
-* a **JSON** document grouping triples per subject, used by the examples to
-  snapshot small graphs.
-
-All loaders are forgiving about blank lines and ``#`` comments.
+A simplified **N-Triples** dialect: one ``<s> <p> <o> .`` statement per
+line, CURIEs allowed in place of ``<iri>`` — the format DBpedia dumps come
+in.  A literal object may carry a language tag (``"Forrest Gump"@en``) or
+a datatype, as an IRI or a CURIE (``"142.0"^^<http://www.w3.org/2001/
+XMLSchema#double>``, ``"1994"^^xsd:gYear``); its lexical form may hold the
+escapes ``\\t \\b \\n \\r \\f \\" \\' \\\\``, ``\\uXXXX`` and ``\\UXXXXXXXX``.
+The writer escapes what would break a line and reads back to the same
+triples.  The reader skips blank lines and ``#`` comments.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -29,18 +26,40 @@ _NT_PATTERN = re.compile(
     r"""^\s*
         (?:<(?P<s_iri>[^>]+)>|(?P<s_curie>\S+))\s+
         (?:<(?P<p_iri>[^>]+)>|(?P<p_curie>\S+))\s+
-        (?:<(?P<o_iri>[^>]+)>|"(?P<o_lit>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z-]+))?|(?P<o_curie>\S+))
+        (?:<(?P<o_iri>[^>]+)>
+          |"(?P<o_lit>(?:[^"\\]|\\.)*)"
+           (?:@(?P<lang>[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+             |\^\^(?:<(?P<dt_iri>[^>]+)>|(?P<dt_curie>[^\s<>"]+)))?
+          |(?P<o_curie>[^\s"<]\S*))
         \s*\.\s*$""",
     re.VERBOSE,
 )
 
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ESCAPES = {char: f"\\{code}" for code, char in _ECHARS.items() if code != "'"}
+_ESCAPE_PATTERN = re.compile(r"""\\(?:([tbnrf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))""")
+#: Characters the writer escapes: the ECHARs and the other C0 controls.
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f"\\]')
+
+
+def _decode(match: re.Match) -> str:
+    echar, short, long, bad = match.groups()
+    if echar:
+        return _ECHARS[echar]
+    if bad is not None:
+        raise GraphIOError(f"unknown escape \\{bad}")
+    code = int(short or long, 16)
+    if code > 0x10FFFF:
+        raise GraphIOError(f"escape \\U{long} is past U+10FFFF")
+    return chr(code)
+
 
 def _unescape(value: str) -> str:
-    return value.replace('\\"', '"').replace("\\\\", "\\")
+    return _ESCAPE_PATTERN.sub(_decode, value)
 
 
 def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
+    return _NEEDS_ESCAPE.sub(lambda m: _ESCAPES.get(m[0]) or f"\\u{ord(m[0]):04X}", value)
 
 
 def parse_ntriples_line(line: str) -> Triple | None:
@@ -55,7 +74,9 @@ def parse_ntriples_line(line: str) -> Triple | None:
     predicate = match.group("p_iri") or match.group("p_curie")
     if match.group("o_lit") is not None:
         obj: str | Literal = Literal(
-            _unescape(match.group("o_lit")), language=match.group("lang") or ""
+            _unescape(match.group("o_lit")),
+            datatype=match.group("dt_iri") or match.group("dt_curie") or "string",
+            language=match.group("lang") or "",
         )
     else:
         obj = match.group("o_iri") or match.group("o_curie")
@@ -86,13 +107,24 @@ def load_ntriples(path: _PathLike, name: str | None = None) -> KnowledgeGraph:
 
 
 def triple_to_ntriples(triple: Triple) -> str:
-    """Serialize one triple as an N-Triples statement (CURIEs kept as-is)."""
-    if triple.is_literal:
-        literal = triple.object
-        assert isinstance(literal, Literal)
-        lang = f"@{literal.language}" if literal.language else ""
-        return f'{triple.subject} {triple.predicate} "{_escape(literal.value)}"{lang} .'
-    return f"{triple.subject} {triple.predicate} {triple.object} ."
+    """Serialize one triple as an N-Triples statement (CURIEs kept as-is).
+
+    A literal's language tag is written when it has one, else its
+    datatype unless that is the default ``"string"``: a CURIE bare, any
+    other datatype as ``<iri>``.
+    """
+    literal = triple.object
+    if not isinstance(literal, Literal):
+        return f"{triple.subject} {triple.predicate} {literal} ."
+    if literal.language:
+        tag = f"@{literal.language}"
+    elif literal.datatype == "string":
+        tag = ""
+    elif ":" in literal.datatype and "/" not in literal.datatype:
+        tag = f"^^{literal.datatype}"
+    else:
+        tag = f"^^<{literal.datatype}>"
+    return f'{triple.subject} {triple.predicate} "{_escape(literal.value)}"{tag} .'
 
 
 def save_ntriples(graph: KnowledgeGraph, path: _PathLike) -> None:
@@ -104,89 +136,3 @@ def save_ntriples(graph: KnowledgeGraph, path: _PathLike) -> None:
                 handle.write(triple_to_ntriples(triple) + "\n")
     except OSError as exc:
         raise GraphIOError(f"cannot write {path}: {exc}") from exc
-
-
-def load_tsv(path: _PathLike, name: str | None = None) -> KnowledgeGraph:
-    """Load a graph from the TSV format produced by :func:`save_tsv`."""
-    path = Path(path)
-    graph = KnowledgeGraph(name or path.stem)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                stripped = line.rstrip("\n")
-                if not stripped or stripped.startswith("#"):
-                    continue
-                parts = stripped.split("\t")
-                if len(parts) not in (3, 4):
-                    raise GraphIOError(f"line {number}: expected 3 or 4 columns, got {len(parts)}")
-                subject, predicate, obj = parts[0], parts[1], parts[2]
-                kind = parts[3] if len(parts) == 4 else "entity"
-                if kind == "literal":
-                    graph.add(subject, predicate, Literal(obj))
-                else:
-                    graph.add(subject, predicate, obj)
-    except OSError as exc:
-        raise GraphIOError(f"cannot read {path}: {exc}") from exc
-    return graph
-
-
-def save_tsv(graph: KnowledgeGraph, path: _PathLike) -> None:
-    """Write a graph as TSV (``subject  predicate  object  kind``)."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for triple in graph.triples:
-                kind = "literal" if triple.is_literal else "entity"
-                handle.write(
-                    f"{triple.subject}\t{triple.predicate}\t{triple.object_value}\t{kind}\n"
-                )
-    except OSError as exc:
-        raise GraphIOError(f"cannot write {path}: {exc}") from exc
-
-
-def graph_to_dict(graph: KnowledgeGraph) -> dict:
-    """Serialize a graph to a JSON-compatible dictionary grouped by subject."""
-    subjects: dict[str, list[dict]] = {}
-    for triple in graph.triples:
-        record = {
-            "predicate": triple.predicate,
-            "object": triple.object_value,
-            "literal": triple.is_literal,
-        }
-        subjects.setdefault(triple.subject, []).append(record)
-    return {"name": graph.name, "subjects": subjects}
-
-
-def graph_from_dict(payload: dict) -> KnowledgeGraph:
-    """Rebuild a graph from :func:`graph_to_dict` output."""
-    if "subjects" not in payload:
-        raise GraphIOError("missing 'subjects' key in graph document")
-    graph = KnowledgeGraph(payload.get("name", "kg"))
-    for subject, records in payload["subjects"].items():
-        for record in records:
-            obj: str | Literal
-            if record.get("literal"):
-                obj = Literal(record["object"])
-            else:
-                obj = record["object"]
-            graph.add(subject, record["predicate"], obj)
-    return graph
-
-
-def save_json(graph: KnowledgeGraph, path: _PathLike) -> None:
-    """Write a graph as a JSON document."""
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(graph_to_dict(graph), indent=2), encoding="utf-8")
-    except OSError as exc:
-        raise GraphIOError(f"cannot write {path}: {exc}") from exc
-
-
-def load_json(path: _PathLike) -> KnowledgeGraph:
-    """Load a graph from a JSON document produced by :func:`save_json`."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphIOError(f"cannot read {path}: {exc}") from exc
-    return graph_from_dict(payload)

@@ -17,22 +17,16 @@ CSR** the feature tables read:
   features, and their holder rows, start.  An entity's anchored rows are
   its neighbours in both directions.
 
-Three readers share the rows:
-
-* :meth:`GraphTopology.feature_rows` — the features an entity holds are
-  its anchored rows mirrored: a row ``(p, dir, x)`` anchored at ``e``
-  means ``e`` holds ``(x, p, 1 − dir)``;
-* :meth:`GraphTopology.bfs_reachable_ords` — level-synchronous BFS, one
-  gather of the frontier's anchored rows per level;
-* :meth:`GraphTopology.connecting_ords` — the sorted-array intersect of
-  two entities' anchored rows, predicates read off the codes.
+:meth:`GraphTopology.feature_rows` reads the features an entity holds
+as its anchored rows mirrored: a row ``(p, dir, x)`` anchored at ``e``
+means ``e`` holds ``(x, p, 1 − dir)``.
 
 Instances are immutable and memoised per :attr:`KnowledgeGraph.epoch`
 via :func:`graph_topology`, which derives each epoch's CSR from the
 memoised previous epoch's by shifting the old codes and holders and
 splicing the new rows in (:meth:`GraphTopology._derived`), so a
 one-entity write costs copies plus its delta; :class:`TraversalCounters`
-accumulates the shared traversal telemetry surfaced as
+counts the memo's hits and rebuilds, surfaced as
 :class:`~repro.stats.TraversalStats`.
 The CSR is saved as part of the ``feature-tables`` segment, and
 ``PivotE.load`` installs the restored one in the graph's memo.
@@ -49,7 +43,6 @@ from ..utils.ordinals import OrdinalMap
 from .columns import (
     EdgeColumnLog,
     EpochColumns,
-    csr_gather,
     csr_merge,
     isin_sorted,
     shifted,
@@ -61,29 +54,17 @@ from .graph import KnowledgeGraph
 
 
 class TraversalCounters:
-    """Mutable traversal telemetry shared by every component on one graph.
+    """The topology memo's counters, shared by every component on one graph.
 
     One instance lives on the graph (``graph._topology_counters``) so the
     search engine, the recommendation engine and the facade all report
-    the same numbers — mirroring how the pruning counters accumulate on
-    the scorers.  :func:`traversal_stats` freezes it into the typed
+    the same numbers.  :func:`traversal_stats` freezes it into the typed
     :class:`~repro.stats.TraversalStats` record.
     """
 
-    __slots__ = (
-        "bfs_queries",
-        "connect_queries",
-        "frontier_entities",
-        "edges_touched",
-        "cache_hits",
-        "rebuilds",
-    )
+    __slots__ = ("cache_hits", "rebuilds")
 
     def __init__(self) -> None:
-        self.bfs_queries = 0
-        self.connect_queries = 0
-        self.frontier_entities = 0
-        self.edges_touched = 0
         self.cache_hits = 0
         self.rebuilds = 0
 
@@ -300,92 +281,6 @@ class GraphTopology:
             rows.append(np.searchsorted(codes, np.sort(holders * span + (parts ^ 1))))
         return rows
 
-    def bfs_reachable_ords(
-        self,
-        start_ordinal: int,
-        max_hops: int,
-        counters: TraversalCounters | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-synchronous BFS: ``(reached_ordinals, depths)``.
-
-        Expands the whole frontier per level — one gather of its anchored
-        rows, both edge directions — so depths are minimal hop counts,
-        exactly like the scalar queue walk.
-        """
-        depth = np.full(self.num_entities, -1, dtype=np.int64)
-        depth[start_ordinal] = 0
-        frontier = np.asarray([start_ordinal], dtype=np.int64)
-        if counters is not None:
-            counters.frontier_entities += 1
-        level = 0
-        while frontier.size and level < max_hops:
-            neighbours = csr_gather(self.anchor_offsets, self.holder_ordinals, frontier)
-            if counters is not None:
-                counters.edges_touched += int(neighbours.size)
-            neighbours = sorted_unique(neighbours)
-            frontier = neighbours[depth[neighbours] < 0]
-            depth[frontier] = level + 1
-            level += 1
-            if counters is not None:
-                counters.frontier_entities += int(frontier.size)
-        reached = np.nonzero(depth >= 0)[0]
-        return reached, depth[reached]
-
-    def connecting_ords(
-        self,
-        left_ordinal: int,
-        right_ordinal: int,
-        counters: TraversalCounters | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Length-two connections: ``(anchors, left_preds, right_preds)``.
-
-        The left one-hop neighbourhood is deduped to unique
-        ``(anchor, predicate)`` pairs (the scalar walk's per-anchor
-        predicate *set*); the right neighbourhood stays a multiset (the
-        scalar walk emits one row per right *edge*).  Their sorted-array
-        intersect plus a CSR join reproduces the scalar enumeration, and
-        because ordinals are assigned in string-sorted order the final
-        ``lexsort`` equals the scalar walk's tuple sort.
-        """
-        left_targets, left_preds = self._one_hop(left_ordinal)
-        right_targets, right_preds = self._one_hop(right_ordinal)
-        if counters is not None:
-            counters.edges_touched += int(left_targets.size + right_targets.size)
-        empty = np.zeros(0, dtype=np.int64)
-        if not left_targets.size or not right_targets.size:
-            return empty, empty, empty
-
-        pairs = np.unique(np.stack((left_targets, left_preds), axis=1), axis=0)
-        pair_anchors = pairs[:, 0]
-        pair_preds = pairs[:, 1]
-        unique_anchors, starts = np.unique(pair_anchors, return_index=True)
-        anchor_offsets = np.append(starts, pair_anchors.size).astype(np.int64)
-
-        positions = np.searchsorted(unique_anchors, right_targets)
-        safe = np.minimum(positions, unique_anchors.size - 1)
-        matched = (
-            (unique_anchors[safe] == right_targets)
-            & (right_targets != left_ordinal)
-            & (right_targets != right_ordinal)
-        )
-        if not matched.any():
-            return empty, empty, empty
-        selected = safe[matched]
-        selected_right_preds = right_preds[matched]
-
-        lengths = anchor_offsets[selected + 1] - anchor_offsets[selected]
-        flat = csr_gather(anchor_offsets, np.arange(pair_anchors.size, dtype=np.int64), selected)
-        anchors = pair_anchors[flat]
-        out_left = pair_preds[flat]
-        out_right = np.repeat(selected_right_preds, lengths)
-        order = np.lexsort((out_right, out_left, anchors))
-        return anchors[order], out_left[order], out_right[order]
-
-    def _one_hop(self, ordinal: int) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions' ``(neighbour, predicate)`` edge rows of one entity."""
-        holders, parts = self._anchored(ordinal)
-        return holders, parts >> 1
-
 
 def _coded(
     subjects: np.ndarray, predicates: np.ndarray, objects: np.ndarray, num_predicates: int
@@ -445,7 +340,7 @@ def install_topology(graph: KnowledgeGraph, topology: GraphTopology) -> None:
     """Seed the graph's topology memo with a restored snapshot.
 
     Used by ``PivotE.load`` (the restored feature tables' topology) so
-    the first traversal after a cold start is a cache hit instead of an
+    the first read after a cold start is a cache hit instead of an
     O(edges) sort.  Epoch-mismatched
     snapshots are ignored — the memo check would reject them anyway.
     """
@@ -456,11 +351,4 @@ def install_topology(graph: KnowledgeGraph, topology: GraphTopology) -> None:
 def traversal_stats(graph: KnowledgeGraph) -> TraversalStats:
     """Freeze the graph's traversal counters into the typed stats record."""
     counters = topology_counters(graph)
-    return TraversalStats(
-        bfs_queries=counters.bfs_queries,
-        connect_queries=counters.connect_queries,
-        frontier_entities=counters.frontier_entities,
-        edges_touched=counters.edges_touched,
-        cache_hits=counters.cache_hits,
-        rebuilds=counters.rebuilds,
-    )
+    return TraversalStats(cache_hits=counters.cache_hits, rebuilds=counters.rebuilds)

@@ -12,7 +12,6 @@ from .correlation import (
     build_correlation_matrix,
     build_correlation_matrix_exhaustive,
 )
-from .diversification import DiversifiedEntity, MMRDiversifier, coverage, jaccard
 from .entity_ranking import EntityRanker, ScoredEntity
 from .probability import FeatureProbabilityModel
 from .ranking_support import RankingSupport
@@ -22,11 +21,9 @@ __all__ = [
     "BaselineRanker",
     "CoOccurrenceRanker",
     "CorrelationMatrix",
-    "DiversifiedEntity",
     "EntityRanker",
     "FeatureProbabilityModel",
     "JaccardRanker",
-    "MMRDiversifier",
     "PersonalizedPageRankRanker",
     "RankingSupport",
     "ScoredEntity",
@@ -34,7 +31,5 @@ __all__ = [
     "SemanticFeatureRanker",
     "build_correlation_matrix",
     "build_correlation_matrix_exhaustive",
-    "coverage",
-    "jaccard",
     "make_baselines",
 ]

@@ -171,34 +171,20 @@ class StorageStats:
 
 @dataclass(frozen=True)
 class TraversalStats:
-    """One graph's columnar-topology traversal record.
+    """One graph's per-epoch topology memo record.
 
-    ``bfs_queries``/``connect_queries`` count vectorized
-    ``bfs_reachable``/``connecting_entities`` calls;
-    ``frontier_entities`` sums the BFS frontier sizes those queries
-    advanced and ``edges_touched`` the CSR adjacency rows they gathered;
-    ``cache_hits``/``rebuilds`` track the per-epoch
-    :class:`~repro.kg.topology.GraphTopology` memo.  The counters live
-    on the graph itself, so every component traversing the same graph
-    reports identical numbers.
+    ``cache_hits``/``rebuilds`` count the reads of the
+    :class:`~repro.kg.topology.GraphTopology` memo that found the
+    current epoch's CSR and those that sorted or derived it.  The
+    counters live on the graph itself, so every component reading the
+    same graph reports identical numbers.
     """
 
-    bfs_queries: int
-    connect_queries: int
-    frontier_entities: int
-    edges_touched: int
     cache_hits: int
     rebuilds: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "bfs_queries": self.bfs_queries,
-            "connect_queries": self.connect_queries,
-            "frontier_entities": self.frontier_entities,
-            "edges_touched": self.edges_touched,
-            "cache_hits": self.cache_hits,
-            "rebuilds": self.rebuilds,
-        }
+        return {"cache_hits": self.cache_hits, "rebuilds": self.rebuilds}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for repro.expansion: entity set expansion and its iterative variant."""
+"""Tests for repro.expansion: entity set expansion."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.datasets import tom_hanks_task
 from repro.exceptions import NoSeedEntitiesError
-from repro.expansion import EntitySetExpander, IterativeExpander
+from repro.expansion import EntitySetExpander
 from repro.features import Direction, SemanticFeature
 from repro.kg import KnowledgeGraph
 
@@ -77,29 +77,3 @@ class TestDemoScenario:
         )
         for entity_id in result.entity_ids():
             assert "dbo:Film" in movie_kg.types_of(entity_id)
-
-
-class TestIterativeExpansion:
-    def test_rounds_grow_accepted_set(self, movie_expander: EntitySetExpander):
-        iterative = IterativeExpander(movie_expander, accept_per_round=2)
-        trace = iterative.run(["dbr:Forrest_Gump"], rounds=3, top_k=10)
-        sizes = trace.entities_per_round()
-        assert len(trace.rounds) >= 1
-        assert sizes == sorted(sizes)
-        assert trace.final_entities[0] == "dbr:Forrest_Gump"
-
-    def test_added_entities_become_seeds(self, movie_expander: EntitySetExpander):
-        iterative = IterativeExpander(movie_expander, accept_per_round=1)
-        trace = iterative.run(["dbr:Forrest_Gump"], rounds=2, top_k=10)
-        if len(trace.rounds) > 1:
-            first_added = trace.rounds[0].added
-            assert set(first_added) <= set(trace.rounds[1].seeds)
-
-    def test_invalid_parameters(self, movie_expander: EntitySetExpander):
-        with pytest.raises(ValueError):
-            IterativeExpander(movie_expander, accept_per_round=0)
-        iterative = IterativeExpander(movie_expander)
-        with pytest.raises(ValueError):
-            iterative.run(["dbr:Forrest_Gump"], rounds=0)
-        with pytest.raises(NoSeedEntitiesError):
-            iterative.run([], rounds=1)

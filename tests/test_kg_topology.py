@@ -1,12 +1,11 @@
 """Unit, property and round-trip coverage of the columnar graph topology.
 
-:class:`~repro.kg.GraphTopology` — the one edge CSR of an epoch, the
-holder rows of every feature anchored at an entity — must answer every
-traversal the scalar walks answer, byte for byte.  These tests pin the
-structural invariants (offset monotonicity, anchored rows), prove
-kernel equivalence on fixed and hypothesis-generated random graphs,
-exercise the per-epoch memo (cache hits, stale-epoch rebuilds after
-mutation) and round-trip the CSR through the feature-tables segment.  The same graphs check the feature tables'
+:class:`~repro.kg.GraphTopology` is the one edge CSR of an epoch, the
+holder rows of every feature anchored at an entity.  These tests pin the
+structural invariants (offset monotonicity, anchored rows that are the
+graph's edges in both directions), exercise the per-epoch memo (cache
+hits, stale-epoch rebuilds after mutation) and round-trip the CSR
+through the feature-tables segment.  The same graphs check the feature tables'
 type filter (:meth:`~repro.features.columnar.ColumnarFeatureTables.of_type`)
 against the graph's member sets.
 """
@@ -26,10 +25,6 @@ from repro.features.columnar import columnar_tables
 from repro.kg import (
     GraphTopology,
     KnowledgeGraph,
-    bfs_reachable,
-    bfs_reachable_scalar,
-    connecting_entities,
-    connecting_entities_scalar,
     graph_topology,
     install_topology,
     topology_counters,
@@ -73,46 +68,20 @@ class TestStructuralInvariants:
         assert np.all(np.diff(topology.feature_codes) > 0)
 
     def test_anchored_rows_are_both_directions_edges(self, random_graph, topology):
-        for entity_id in _probes(random_graph):
-            ordinal = topology.ordinal_of[entity_id]
-            holders, parts = topology._anchored(ordinal)
-            decoded = sorted(
-                (topology.predicates[part >> 1], part & 1, topology.entity_ids[holder])
-                for holder, part in zip(holders.tolist(), parts.tolist())
-            )
-            assert decoded == sorted(
-                [(p, 1, target) for p, target in random_graph.outgoing(entity_id)]
-                + [(p, 0, source) for p, source in random_graph.incoming(entity_id)]
-            )
+        assert_anchored_rows_are_the_edges(random_graph, topology, _probes(random_graph))
 
 
-class TestKernelEquivalence:
-    """Vectorized kernels vs the scalar walks, on a fixed random KG."""
-
-    @pytest.mark.parametrize("max_hops", [0, 1, 2, 3])
-    def test_bfs_matches_scalar(self, random_graph, max_hops):
-        for probe in _probes(random_graph):
-            assert bfs_reachable(random_graph, probe, max_hops=max_hops) == (
-                bfs_reachable_scalar(random_graph, probe, max_hops=max_hops)
-            )
-
-    def test_connecting_matches_scalar(self, random_graph):
-        probes = _probes(random_graph, count=6)
-        for left in probes[:3]:
-            for right in probes[3:]:
-                assert connecting_entities(random_graph, left, right) == (
-                    connecting_entities_scalar(random_graph, left, right)
-                )
-
-    def test_connecting_self_pair(self, random_graph):
-        probe = _probes(random_graph, count=1)[0]
-        assert connecting_entities(random_graph, probe, probe) == (
-            connecting_entities_scalar(random_graph, probe, probe)
+def assert_anchored_rows_are_the_edges(graph, topology, entities) -> None:
+    for entity_id in entities:
+        holders, parts = topology._anchored(topology.ordinal_of[entity_id])
+        decoded = sorted(
+            (topology.predicates[part >> 1], part & 1, topology.entity_ids[holder])
+            for holder, part in zip(holders.tolist(), parts.tolist())
         )
-
-    def test_unknown_entity_raises_like_scalar(self, random_graph):
-        with pytest.raises(Exception):
-            bfs_reachable(random_graph, "ex:not_a_thing")
+        assert decoded == sorted(
+            [(p, 1, target) for p, target in graph.outgoing(entity_id)]
+            + [(p, 0, source) for p, source in graph.incoming(entity_id)]
+        ), entity_id
 
 
 # --------------------------------------------------------------------------- #
@@ -136,24 +105,10 @@ def small_graphs(draw) -> KnowledgeGraph:
     return kg
 
 
-@given(small_graphs(), st.integers(min_value=0, max_value=3))
-@settings(max_examples=30, deadline=None)
-def test_property_bfs_equivalence(kg: KnowledgeGraph, max_hops: int):
-    for probe in sorted(kg.entities())[:4]:
-        assert bfs_reachable(kg, probe, max_hops=max_hops) == (
-            bfs_reachable_scalar(kg, probe, max_hops=max_hops)
-        )
-
-
 @given(small_graphs())
 @settings(max_examples=30, deadline=None)
-def test_property_connecting_equivalence(kg: KnowledgeGraph):
-    probes = sorted(kg.entities())[:4]
-    for left in probes:
-        for right in probes:
-            assert connecting_entities(kg, left, right) == (
-                connecting_entities_scalar(kg, left, right)
-            )
+def test_property_anchored_rows_are_the_edges(kg: KnowledgeGraph):
+    assert_anchored_rows_are_the_edges(kg, graph_topology(kg), sorted(kg.entities()))
 
 
 @given(small_graphs())
@@ -195,10 +150,12 @@ class TestMemoAndCounters:
         assert second is not first
         assert second.epoch == kg.epoch
         assert "ex:pr10_fresh" in second.ordinal_of
-        assert bfs_reachable(kg, probe, max_hops=1) == (
-            bfs_reachable_scalar(kg, probe, max_hops=1)
-        )
         assert topology_counters(kg).rebuilds == 2
+        holders, parts = second._anchored(second.ordinal_of["ex:pr10_fresh"])
+        assert [
+            (second.entity_ids[holder], second.predicates[part >> 1], part & 1)
+            for holder, part in zip(holders.tolist(), parts.tolist())
+        ] == [(probe, "ex:linked_to", 0)]
 
     def test_install_topology_rejects_stale_epochs(self):
         kg = build_random_kg(RandomKGConfig(num_entities=40, seed=3))
@@ -209,21 +166,13 @@ class TestMemoAndCounters:
 
     def test_traversal_stats_freeze_the_counters(self):
         kg = build_random_kg(RandomKGConfig(num_entities=40, seed=5))
-        probe = sorted(kg.entities())[0]
-        bfs_reachable(kg, probe, max_hops=2)
+        graph_topology(kg)
+        graph_topology(kg)
         stats = traversal_stats(kg)
-        assert stats.bfs_queries == 1
-        assert stats.rebuilds == 1
-        assert stats.frontier_entities >= 1
-        assert stats.as_dict()["bfs_queries"] == 1
-
-    def test_scalar_arms_leave_kernel_counters_untouched(self):
-        kg = build_random_kg(RandomKGConfig(num_entities=40, seed=7))
-        probe = sorted(kg.entities())[0]
-        bfs_reachable_scalar(kg, probe, max_hops=2)
-        connecting_entities_scalar(kg, probe, probe)
-        assert traversal_stats(kg).bfs_queries == 0
-        assert traversal_stats(kg).connect_queries == 0
+        assert (stats.rebuilds, stats.cache_hits) == (1, 1)
+        assert stats.as_dict() == {"cache_hits": 1, "rebuilds": 1}
+        graph_topology(kg)
+        assert stats.cache_hits == 1  # frozen: later reads do not move it
 
 
 # --------------------------------------------------------------------------- #
@@ -242,23 +191,18 @@ def _encode_to_buffer(graph, uid=7):
 
 
 class TestSegmentRoundTrip:
-    def test_codec_round_trip_preserves_every_kernel(self, random_graph, topology):
+    def test_codec_round_trip_preserves_the_holder_csr(self, random_graph, topology):
         buf = _encode_to_buffer(random_graph)
         view = SegmentView(buf, name="unit", expected_uid=7, expected_epoch=topology.epoch)
         restored = restore_graph_topology(random_graph, view)
         assert restored.entity_ids == topology.entity_ids
         assert restored.predicates == topology.predicates
         assert restored._columns is random_graph.columns.epoch(len(random_graph))
-        probe = topology.ordinal_of[_probes(random_graph, count=1)[0]]
-        reached_a, depths_a = topology.bfs_reachable_ords(probe, 2)
-        reached_b, depths_b = restored.bfs_reachable_ords(probe, 2)
-        assert np.array_equal(reached_a, reached_b)
-        assert np.array_equal(depths_a, depths_b)
-        left, right = (topology.ordinal_of[e] for e in _probes(random_graph, count=2))
-        for kernel_a, kernel_b in zip(
-            topology.connecting_ords(left, right), restored.connecting_ords(left, right)
-        ):
-            assert np.array_equal(kernel_a, kernel_b)
+        for name in ("feature_codes", "holder_offsets", "holder_ordinals", "anchor_features", "anchor_offsets"):
+            assert np.array_equal(getattr(restored, name), getattr(topology, name)), name
+        everyone = range(topology.num_entities)
+        for row_a, row_b in zip(topology.feature_rows(everyone), restored.feature_rows(everyone)):
+            assert np.array_equal(row_a, row_b)
 
     def test_a_segment_of_another_epoch_is_rejected(self, random_graph):
         graph = random_graph.copy()

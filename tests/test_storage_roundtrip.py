@@ -19,13 +19,14 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import repro
 from repro.config import PivotEConfig, SearchConfig
 from repro.datasets import RandomKGConfig, build_random_kg
 from repro.engine import PivotE
-from repro.kg import bfs_reachable
+from repro.kg import GraphTopology, graph_topology
 from repro.search import BM25FScorer, SearchEngine, parse_query
 from repro.storage import SnapshotUnavailable
 
@@ -367,7 +368,7 @@ class TestCorruptionFallback:
         """A bad feature-tables segment — the holder CSR that is also the
         graph's topology — falls back to a rebuild: the failure is
         counted, the load sorts the CSR out of the adopted log once and
-        the first traversal finds it memoised, rankings stay identical."""
+        the first read finds it memoised, rankings stay identical."""
         directory = _corrupt_copy(saved_dir, tmp_path)
         path = _snap_path(directory, "feature-tables")
         with open(path, "rb") as handle:
@@ -379,8 +380,7 @@ class TestCorruptionFallback:
             storage = system.stats().storage
             assert storage is not None
             assert storage.failures >= 1
-            entity = sorted(system.graph.entities())[0]
-            bfs_reachable(system.graph, entity, max_hops=2)
+            assert graph_topology(system.graph).epoch == system.graph.epoch
             traversal = system.stats().traversal
             assert traversal is not None
             assert traversal.rebuilds == 1
@@ -536,33 +536,28 @@ class TestGraphSegmentFaults:
 class TestTopologyAttach:
     def test_load_installs_persisted_topology(self, saved_dir):
         """A clean load seeds the per-epoch topology memo from the
-        snapshot: the first traversal is a cache hit, never a rebuild."""
+        snapshot: the first read is a cache hit, never a rebuild."""
         system = _load_clean(saved_dir)
         try:
-            entity = sorted(system.graph.entities())[0]
-            reached = bfs_reachable(system.graph, entity, max_hops=2)
-            assert reached[entity] == 0
+            assert graph_topology(system.graph) is system.feature_index.snapshot().tables.topology
             traversal = system.stats().traversal
             assert traversal is not None
             assert traversal.rebuilds == 0
             assert traversal.cache_hits >= 1
-            assert traversal.bfs_queries >= 1
         finally:
             system.close()
 
-    def test_attached_topology_matches_scalar_walks(self, saved_dir):
-        """Kernels over the restored (mmap-copied) arrays agree byte-for-
-        byte with the scalar walks over the replayed graph."""
-        from repro.kg import bfs_reachable_scalar
-
+    def test_attached_topology_equals_a_fresh_sort(self, saved_dir):
+        """The restored (mmap-copied) holder CSR equals the one sorted
+        out of the adopted graph's log, array for array."""
         system = _load_clean(saved_dir)
         try:
             graph = system.graph
-            probes = sorted(graph.entities())[:6]
-            for probe in probes:
-                assert bfs_reachable(graph, probe, max_hops=2) == (
-                    bfs_reachable_scalar(graph, probe, max_hops=2)
-                )
+            attached = graph_topology(graph)
+            fresh = GraphTopology.from_log(graph.columns, len(graph), graph.epoch)
+            assert attached.entity_ids == fresh.entity_ids
+            for name in ("feature_codes", "holder_offsets", "holder_ordinals", "anchor_offsets"):
+                assert np.array_equal(getattr(attached, name), getattr(fresh, name)), name
         finally:
             system.close()
 

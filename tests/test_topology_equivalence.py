@@ -1,14 +1,12 @@
 """Array-form expansion equivalence: byte-identical to the reference.
 
 The expander's domain-type filter is one mask over the pinned feature
-tables' membership CSR, and path helpers traverse the CSR adjacency
-(``repro.kg.topology``).  Expansion results and recommendations must be
+tables' membership CSR.  Expansion results and recommendations must be
 *exactly* what the exhaustive reference (``exhaustive=True``: the
 object-form tally, the ``entities_of_type`` set probe, the
 ``rank_exhaustive`` rankers) produces — same ids, same floats, same
 order.  The suites here enforce that on the synthetic movie graph, on a
-skewed random KG, and (via hypothesis) on random KGs; path helpers are
-covered directly against their ``*_scalar`` references.
+skewed random KG, and (via hypothesis) on random KGs.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from repro.datasets import RandomKGConfig, build_random_kg, small_movie_kg
 from repro.engine import PivotE
 from repro.expansion import EntitySetExpander
 from repro.explore import RecommendationEngine
-from repro.kg import bfs_reachable, bfs_reachable_scalar
 
 
 def _recommendation_signature(result):
@@ -162,18 +159,3 @@ class TestTopologyEquivalenceProperty:
                 engine.recommend_for_seeds(seeds, domain_type=domain_type, exhaustive=True)
             )
         engine.close()
-
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(
-        kg_seed=st.integers(min_value=0, max_value=500),
-        num_entities=st.integers(min_value=20, max_value=70),
-        max_hops=st.integers(min_value=0, max_value=3),
-    )
-    def test_bfs_topology_equals_scalar(self, kg_seed, num_entities, max_hops):
-        graph = build_random_kg(
-            RandomKGConfig(num_entities=num_entities, seed=kg_seed)
-        )
-        for probe in sorted(graph.entities())[:3]:
-            assert bfs_reachable(graph, probe, max_hops=max_hops) == (
-                bfs_reachable_scalar(graph, probe, max_hops=max_hops)
-            )
